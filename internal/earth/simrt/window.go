@@ -22,6 +22,8 @@
 package simrt
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"earth/internal/earth"
@@ -197,16 +199,19 @@ func (rt *Runtime) barrier(vnow sim.Time) {
 		box = append(box, s.outbox...)
 		s.outbox = s.outbox[:0]
 	}
-	sort.Slice(box, func(i, j int) bool {
-		a, b := &box[i], &box[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.from != b.from {
-			return a.from < b.from
-		}
-		return a.seq < b.seq
-	})
+	// Both sorts below have unique keys, so the order does not depend on
+	// the algorithm; most barriers have nothing to sort at all.
+	if len(box) > 1 {
+		slices.SortFunc(box, func(a, b outboxEntry) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.from, b.from); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+	}
 	for i := range box {
 		e := &box[i]
 		rt.nodes[e.m.to].sh.eng.At(e.at, e.m.fire)
@@ -219,12 +224,14 @@ func (rt *Runtime) barrier(vnow sim.Time) {
 		ms = append(ms, s.misses...)
 		s.misses = s.misses[:0]
 	}
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].at != ms[j].at {
-			return ms[i].at < ms[j].at
-		}
-		return ms[i].thief < ms[j].thief
-	})
+	if len(ms) > 1 {
+		slices.SortFunc(ms, func(a, b missNote) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.thief, b.thief)
+		})
+	}
 	for _, note := range ms {
 		th := rt.nodes[note.thief]
 		th.stealing = false

@@ -154,10 +154,6 @@ type parState struct {
 	ring    *poly.Ring
 	workers int
 	m       earth.NodeID // maintenance node
-	// red is the shared reduction workspace. All simulated-worker code
-	// runs on the single host goroutine driving the sim engine, so one
-	// workspace serves every simulated node without contention.
-	red *poly.Reducer
 
 	nodes []*parNode
 
@@ -178,12 +174,18 @@ type parState struct {
 }
 
 type parNode struct {
-	queue       []Pair // distributed mode: local priority queue
-	cache       []*poly.Poly
+	queue []Pair // distributed mode: local priority queue
+	cache []*poly.Poly
+	leads []poly.Mono // leads[i] is cache[i].LeadMono()
+	// red is this worker's reduction workspace. Nodes run on separate
+	// host goroutines on livert and on simrt with Shards > 1, so a
+	// workspace is never shared between them.
+	red         poly.Reducer
 	busy        bool
 	stop        bool
 	outstanding int // shipped, unacknowledged insert requests
 	processed   int
+	staircase   []*poly.Poly // memoised cacheList, valid unless cacheDirty
 	cacheDirty  bool
 	ringAsked   bool
 }
@@ -201,8 +203,12 @@ func (n *parNode) prefixLen() int {
 
 // cacheList returns the cached polynomials forming the minimal staircase
 // (redundant reducers dropped), keeping normal forms close to the
-// sequential trajectory.
+// sequential trajectory. The list is rebuilt only after the cache changed;
+// callers must not modify it.
 func (n *parNode) cacheList() []*poly.Poly {
+	if !n.cacheDirty {
+		return n.staircase
+	}
 	out := make([]*poly.Poly, 0, len(n.cache))
 	for i, p := range n.cache {
 		if p == nil {
@@ -213,8 +219,8 @@ func (n *parNode) cacheList() []*poly.Poly {
 			if q == nil || i == j {
 				continue
 			}
-			if q.LeadMono().Divides(p.LeadMono()) {
-				if !p.LeadMono().Equal(q.LeadMono()) || j < i {
+			if n.leads[j].Divides(n.leads[i]) {
+				if !n.leads[i].Equal(n.leads[j]) || j < i {
 					redundant = true
 					break
 				}
@@ -224,6 +230,7 @@ func (n *parNode) cacheList() []*poly.Poly {
 			out = append(out, p)
 		}
 	}
+	n.staircase, n.cacheDirty = out, false
 	return out
 }
 
@@ -246,7 +253,6 @@ func ParallelBuchberger(rt earth.Runtime, F []*poly.Poly, cfg ParallelConfig) (*
 		ring:      ring,
 		workers:   rt.P() - 1,
 		m:         earth.NodeID(rt.P() - 1),
-		red:       poly.NewReducer(),
 		waiting:   map[int]bool{},
 		inflight:  map[int]Pair{},
 		outstand:  map[int]int{},
@@ -347,8 +353,9 @@ func (st *parState) nodeCachePut(w, idx int, p *poly.Poly) {
 	n := st.nodes[w]
 	for len(n.cache) <= idx {
 		n.cache = append(n.cache, nil)
+		n.leads = append(n.leads, nil)
 	}
-	n.cache[idx] = p
+	n.cache[idx], n.leads[idx] = p, p.LeadMono()
 	n.cacheDirty = true
 }
 
@@ -435,7 +442,7 @@ func (st *parState) processPair(c earth.Ctx, w int, p Pair) {
 	n := st.nodes[w]
 	G := n.cacheList()
 	s := poly.SPoly(n.cache[p.I], n.cache[p.J])
-	nf, rst := st.red.NormalForm(s, G)
+	nf, rst := n.red.NormalForm(s, G)
 	c.Compute(st.cfg.StepCost.PerPair + sim.Time(rst.TermOps)*st.cfg.StepCost.PerTermOp)
 	n.processed++
 
@@ -547,7 +554,7 @@ func (st *parState) tryInsert(c earth.Ctx) {
 // a dead one is withdrawn.
 func (st *parState) rereduce(c earth.Ctx, req insertReq) {
 	n := st.nodes[req.w]
-	nf, rst := st.red.NormalForm(req.nf, n.cacheList())
+	nf, rst := n.red.NormalForm(req.nf, n.cacheList())
 	c.Compute(sim.Time(rst.TermOps) * st.cfg.StepCost.PerTermOp)
 	if nf.IsZero() {
 		n.outstanding--

@@ -7,10 +7,12 @@ import (
 
 // Coefficient arithmetic is mediated by the ring so that a ring can work
 // either over Q (exact rationals) or over a prime field GF(p). Over GF(p)
-// every coefficient is kept as an integer-valued *big.Rat in [0, p); this
-// bounds coefficient growth, which matters for lexicographic Gröbner bases
-// whose rational coefficients otherwise explode (the classical reason
-// computer-algebra systems run large examples like Katsura-5 modularly).
+// every coefficient of the generic term form is an integer-valued
+// *big.Rat in [0, p); this bounds coefficient growth, which matters for
+// lexicographic Gröbner bases whose rational coefficients otherwise
+// explode (the classical reason computer-algebra systems run large
+// examples like Katsura-5 modularly). The packed form (packed.go) holds
+// the same residues as uint32 and never calls these functions.
 
 // Mod returns the ring's prime modulus, or nil when the ring is over Q.
 func (r *Ring) Mod() *big.Int { return r.mod }
@@ -26,6 +28,7 @@ func NewRingMod(ord Order, p int64, vars ...string) *Ring {
 	}
 	r.mod = bp
 	r.modInt = p
+	r.pack = packKindFor(ord, len(vars), p)
 	return r
 }
 
@@ -37,6 +40,9 @@ func (r *Ring) cnorm(c *big.Rat) *big.Rat {
 		return c
 	}
 	num := new(big.Int).Mod(c.Num(), r.mod)
+	if c.IsInt() {
+		return new(big.Rat).SetInt(num)
+	}
 	den := new(big.Int).Mod(c.Denom(), r.mod)
 	if den.Sign() == 0 {
 		panic("poly: denominator divisible by modulus")
@@ -63,7 +69,16 @@ func (r *Ring) cmul(a, b *big.Rat) *big.Rat {
 }
 
 // cneg returns -a in the ring's coefficient field.
-func (r *Ring) cneg(a *big.Rat) *big.Rat { return r.cnorm(new(big.Rat).Neg(a)) }
+func (r *Ring) cneg(a *big.Rat) *big.Rat {
+	if r.modInt != 0 && a.IsInt() && a.Num().IsInt64() {
+		v := -(a.Num().Int64() % r.modInt)
+		if v < 0 {
+			v += r.modInt
+		}
+		return new(big.Rat).SetInt64(v)
+	}
+	return r.cnorm(new(big.Rat).Neg(a))
+}
 
 // cinv returns 1/a in the ring's coefficient field. Panics on zero.
 func (r *Ring) cinv(a *big.Rat) *big.Rat {

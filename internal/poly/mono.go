@@ -1,9 +1,17 @@
 // Package poly implements exact sparse multivariate polynomial arithmetic
-// over the rationals: monomials, the classical monomial orders, polynomial
-// ring operations, the multivariate division algorithm and S-polynomials.
-// It is the algebraic substrate of the Gröbner-basis application (the
-// paper represents polynomials "in a compacted form as vectors"; here a
-// polynomial is a coefficient-sorted term vector).
+// over the rationals or a prime field GF(p): monomials, the classical
+// monomial orders, polynomial ring operations, the multivariate division
+// algorithm and S-polynomials. It is the algebraic substrate of the
+// Gröbner-basis application.
+//
+// The paper represents polynomials "in a compacted form as vectors". Here
+// a polynomial is a term vector sorted by descending monomial, in one of
+// two forms: generically, a []Term of *big.Rat coefficients and Mono
+// exponent vectors (this file); or packed, one uint64 per monomial and one
+// uint32 residue per coefficient (packed.go), wherever the ring is over a
+// small prime field under a built-in order with few enough variables —
+// which is every ring the paper's experiments use. Mono remains the
+// exchange type of the API (LeadMono, Terms, critical-pair LCMs).
 package poly
 
 // Mono is a monomial: a vector of non-negative exponents, one per ring

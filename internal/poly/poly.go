@@ -3,6 +3,7 @@ package poly
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"strings"
 )
 
@@ -12,6 +13,7 @@ type Ring struct {
 	ord    Order
 	mod    *big.Int // prime modulus, nil over Q (see field.go)
 	modInt int64    // mod as int64 for fast-path arithmetic, 0 over Q
+	pack   packKind // monomial key layout, packNone if none (see packed.go)
 }
 
 // NewRing builds a ring over the given variables. Variable position is
@@ -57,10 +59,13 @@ type Term struct {
 
 // Poly is a polynomial: nonzero terms sorted in strictly descending
 // monomial order. The zero polynomial has no terms. Polynomials are
-// immutable: all operations return new values.
+// immutable: all operations return new values. The terms are held either
+// generically or, where the ring allows, packed (see packed.go).
 type Poly struct {
 	ring  *Ring
-	terms []Term
+	terms []Term   // generic form
+	keys  []uint64 // packed form: monomial keys, descending...
+	coefs []uint32 // ...and their residues in [1, p)
 }
 
 // Zero returns the zero polynomial.
@@ -75,7 +80,7 @@ func (r *Ring) Const(q *big.Rat) *Poly {
 	if c.Sign() == 0 {
 		return r.Zero()
 	}
-	return &Poly{ring: r, terms: []Term{{Coef: c, Mono: NewMono(r.N())}}}
+	return r.newPoly([]Term{{Coef: c, Mono: NewMono(r.N())}})
 }
 
 // ConstInt returns the constant polynomial n.
@@ -85,7 +90,7 @@ func (r *Ring) ConstInt(n int64) *Poly { return r.Const(big.NewRat(n, 1)) }
 func (r *Ring) Var(i int) *Poly {
 	m := NewMono(r.N())
 	m[i] = 1
-	return &Poly{ring: r, terms: []Term{{Coef: big.NewRat(1, 1), Mono: m}}}
+	return r.newPoly([]Term{{Coef: big.NewRat(1, 1), Mono: m}})
 }
 
 // FromTerms builds a polynomial from arbitrary (possibly unsorted,
@@ -100,8 +105,7 @@ func (r *Ring) FromTerms(ts []Term) *Poly {
 		if c.Sign() == 0 {
 			continue
 		}
-		one := &Poly{ring: r, terms: []Term{{Coef: c, Mono: t.Mono.Clone()}}}
-		p = p.Add(one)
+		p = p.Add(r.newPoly([]Term{{Coef: c, Mono: t.Mono.Clone()}}))
 	}
 	return p
 }
@@ -110,24 +114,41 @@ func (r *Ring) FromTerms(ts []Term) *Poly {
 func (p *Poly) Ring() *Ring { return p.ring }
 
 // IsZero reports whether p is the zero polynomial.
-func (p *Poly) IsZero() bool { return len(p.terms) == 0 }
+func (p *Poly) IsZero() bool { return p.NumTerms() == 0 }
 
 // NumTerms returns the number of (nonzero) terms.
-func (p *Poly) NumTerms() int { return len(p.terms) }
+func (p *Poly) NumTerms() int { return len(p.terms) + len(p.keys) }
 
-// Terms returns the term slice (callers must not mutate it).
-func (p *Poly) Terms() []Term { return p.terms }
+// Terms returns the terms (callers must not mutate them). A packed
+// polynomial materialises them on every call; hot loops use the packed
+// kernels of reduce.go instead.
+func (p *Poly) Terms() []Term {
+	if p.packed() {
+		return p.unpackTerms(len(p.keys))
+	}
+	return p.terms
+}
 
 // LeadTerm returns the leading term. Panics on zero.
 func (p *Poly) LeadTerm() Term {
 	if p.IsZero() {
 		panic("poly: leading term of zero polynomial")
 	}
+	if p.packed() {
+		return p.unpackTerms(1)[0]
+	}
 	return p.terms[0]
 }
 
 // LeadMono returns the leading monomial. Panics on zero.
-func (p *Poly) LeadMono() Mono { return p.LeadTerm().Mono }
+func (p *Poly) LeadMono() Mono {
+	if p.packed() && len(p.keys) > 0 {
+		m := NewMono(p.ring.N())
+		p.ring.unpackMono(p.keys[0], m)
+		return m
+	}
+	return p.LeadTerm().Mono
+}
 
 // LeadCoef returns the leading coefficient. Panics on zero.
 func (p *Poly) LeadCoef() *big.Rat { return p.LeadTerm().Coef }
@@ -135,7 +156,7 @@ func (p *Poly) LeadCoef() *big.Rat { return p.LeadTerm().Coef }
 // TotalDeg returns the maximum total degree of any term; -1 for zero.
 func (p *Poly) TotalDeg() int {
 	d := -1
-	for _, t := range p.terms {
+	for _, t := range p.Terms() {
 		if td := t.Mono.TotalDeg(); td > d {
 			d = td
 		}
@@ -146,10 +167,13 @@ func (p *Poly) TotalDeg() int {
 // Bytes models the polynomial's size in its compacted vector
 // representation: 8 bytes per coefficient plus 4 bytes per exponent entry
 // (the quantity Table 2 reports as "mean size of polynomial").
-func (p *Poly) Bytes() int { return len(p.terms) * (8 + 4*p.ring.N()) }
+func (p *Poly) Bytes() int { return p.NumTerms() * (8 + 4*p.ring.N()) }
 
 // Clone returns a deep copy.
 func (p *Poly) Clone() *Poly {
+	if p.packed() {
+		return &Poly{ring: p.ring, keys: slices.Clone(p.keys), coefs: slices.Clone(p.coefs)}
+	}
 	q := &Poly{ring: p.ring, terms: make([]Term, len(p.terms))}
 	for i, t := range p.terms {
 		q.terms[i] = Term{Coef: new(big.Rat).Set(t.Coef), Mono: t.Mono.Clone()}
@@ -159,11 +183,15 @@ func (p *Poly) Clone() *Poly {
 
 // Equal reports structural equality (same terms, same coefficients).
 func (p *Poly) Equal(q *Poly) bool {
-	if len(p.terms) != len(q.terms) {
+	if p.NumTerms() != q.NumTerms() {
 		return false
 	}
-	for i := range p.terms {
-		if p.terms[i].Coef.Cmp(q.terms[i].Coef) != 0 || !p.terms[i].Mono.Equal(q.terms[i].Mono) {
+	if p.ring == q.ring && p.packed() && q.packed() {
+		return slices.Equal(p.keys, q.keys) && slices.Equal(p.coefs, q.coefs)
+	}
+	pt, qt := p.Terms(), q.Terms()
+	for i := range pt {
+		if pt[i].Coef.Cmp(qt[i].Coef) != 0 || !pt[i].Mono.Equal(qt[i].Mono) {
 			return false
 		}
 	}
@@ -180,41 +208,43 @@ func (p *Poly) checkRing(q *Poly) {
 func (p *Poly) Add(q *Poly) *Poly {
 	p.checkRing(q)
 	ord := p.ring.ord
-	out := make([]Term, 0, len(p.terms)+len(q.terms))
+	pt, qt := p.Terms(), q.Terms()
+	copyOf := func(t Term) Term { return Term{Coef: new(big.Rat).Set(t.Coef), Mono: t.Mono.Clone()} }
+	out := make([]Term, 0, len(pt)+len(qt))
 	i, j := 0, 0
-	for i < len(p.terms) && j < len(q.terms) {
-		switch ord.Compare(p.terms[i].Mono, q.terms[j].Mono) {
+	for i < len(pt) && j < len(qt) {
+		switch ord.Compare(pt[i].Mono, qt[j].Mono) {
 		case 1:
-			out = append(out, Term{Coef: new(big.Rat).Set(p.terms[i].Coef), Mono: p.terms[i].Mono.Clone()})
+			out = append(out, copyOf(pt[i]))
 			i++
 		case -1:
-			out = append(out, Term{Coef: new(big.Rat).Set(q.terms[j].Coef), Mono: q.terms[j].Mono.Clone()})
+			out = append(out, copyOf(qt[j]))
 			j++
 		default:
-			c := p.ring.cadd(p.terms[i].Coef, q.terms[j].Coef)
+			c := p.ring.cadd(pt[i].Coef, qt[j].Coef)
 			if c.Sign() != 0 {
-				out = append(out, Term{Coef: c, Mono: p.terms[i].Mono.Clone()})
+				out = append(out, Term{Coef: c, Mono: pt[i].Mono.Clone()})
 			}
 			i++
 			j++
 		}
 	}
-	for ; i < len(p.terms); i++ {
-		out = append(out, Term{Coef: new(big.Rat).Set(p.terms[i].Coef), Mono: p.terms[i].Mono.Clone()})
+	for ; i < len(pt); i++ {
+		out = append(out, copyOf(pt[i]))
 	}
-	for ; j < len(q.terms); j++ {
-		out = append(out, Term{Coef: new(big.Rat).Set(q.terms[j].Coef), Mono: q.terms[j].Mono.Clone()})
+	for ; j < len(qt); j++ {
+		out = append(out, copyOf(qt[j]))
 	}
-	return &Poly{ring: p.ring, terms: out}
+	return p.ring.newPoly(out)
 }
 
 // Neg returns -p.
 func (p *Poly) Neg() *Poly {
-	q := &Poly{ring: p.ring, terms: make([]Term, len(p.terms))}
-	for i, t := range p.terms {
-		q.terms[i] = Term{Coef: p.ring.cneg(t.Coef), Mono: t.Mono.Clone()}
+	out := make([]Term, p.NumTerms())
+	for i, t := range p.Terms() {
+		out[i] = Term{Coef: p.ring.cneg(t.Coef), Mono: t.Mono.Clone()}
 	}
-	return q
+	return p.ring.newPoly(out)
 }
 
 // Sub returns p - q.
@@ -225,11 +255,11 @@ func (p *Poly) MulTerm(c *big.Rat, m Mono) *Poly {
 	if c.Sign() == 0 || p.IsZero() {
 		return p.ring.Zero()
 	}
-	q := &Poly{ring: p.ring, terms: make([]Term, len(p.terms))}
-	for i, t := range p.terms {
-		q.terms[i] = Term{Coef: p.ring.cmul(t.Coef, c), Mono: t.Mono.Mul(m)}
+	out := make([]Term, p.NumTerms())
+	for i, t := range p.Terms() {
+		out[i] = Term{Coef: p.ring.cmul(t.Coef, c), Mono: t.Mono.Mul(m)}
 	}
-	return q
+	return p.ring.newPoly(out)
 }
 
 // MulScalar returns c * p.
@@ -239,7 +269,7 @@ func (p *Poly) MulScalar(c *big.Rat) *Poly { return p.MulTerm(c, NewMono(p.ring.
 func (p *Poly) Mul(q *Poly) *Poly {
 	p.checkRing(q)
 	out := p.ring.Zero()
-	for _, t := range p.terms {
+	for _, t := range p.Terms() {
 		out = out.Add(q.MulTerm(t.Coef, t.Mono))
 	}
 	return out
@@ -247,6 +277,9 @@ func (p *Poly) Mul(q *Poly) *Poly {
 
 // Monic returns p scaled so its leading coefficient is 1. Panics on zero.
 func (p *Poly) Monic() *Poly {
+	if p.packed() && len(p.keys) > 0 {
+		return p.monicPacked()
+	}
 	return p.MulScalar(p.ring.cinv(p.LeadCoef()))
 }
 
@@ -256,7 +289,7 @@ func (p *Poly) String() string {
 		return "0"
 	}
 	var b strings.Builder
-	for i, t := range p.terms {
+	for i, t := range p.Terms() {
 		c := t.Coef
 		neg := c.Sign() < 0
 		abs := new(big.Rat).Abs(c)
@@ -304,7 +337,7 @@ func (p *Poly) Eval(vals []*big.Rat) *big.Rat {
 		panic("poly: Eval arity mismatch")
 	}
 	sum := new(big.Rat)
-	for _, t := range p.terms {
+	for _, t := range p.Terms() {
 		term := new(big.Rat).Set(t.Coef)
 		for i, e := range t.Mono {
 			for k := 0; k < e; k++ {

@@ -9,13 +9,23 @@ import (
 // "reduction" of a polynomial against the current basis is the unit of
 // work the paper's Gröbner application parallelises.
 //
-// Reduction runs on a workspace (a monomial-keyed coefficient table plus
-// a lazy max-heap of monomials) so that one reduction step costs
-// O(|g| log n) instead of rebuilding the whole polynomial. Over GF(p) the
-// coefficients are raw int64 residues, avoiding big.Rat entirely in the
-// hot loop. A Reducer retains the workspace across calls, so the
-// per-reduction cost is dominated by the arithmetic itself rather than by
-// rebuilding maps, heaps and exponent vectors.
+// There are two engines behind SPoly, Monic and Reducer.NormalForm, and
+// the ring decides which runs. The packed engine (reduce_packed.go) works
+// on the flat key/residue slices of packed.go: the workspace is an
+// open-addressing table from monomial key to accumulated residue plus a
+// max-heap of keys, so a term operation is an integer add, a table probe
+// and one modular multiply, and nothing is allocated but the result. The
+// generic engine below works on []Term through the ring's coefficient
+// functions, over Q or GF(p), with a string-keyed table and a heap of
+// exponent vectors; it serves rings that do not pack and any operation
+// whose monomials leave the packed range part-way (the operation is then
+// redone generically from its inputs).
+//
+// Both engines run the same algorithm — eliminate the workspace's largest
+// monomial, by the first divisor among those with the fewest terms — and
+// ReduceStats counts its steps, not host work, so the statistics and the
+// result do not depend on which engine ran. A Reducer retains either
+// workspace across calls.
 
 // ReduceStats reports the work a reduction performed, which the
 // application layer uses to charge modelled compute time (reduction times
@@ -34,6 +44,11 @@ type ReduceStats struct {
 // Both inputs must be nonzero.
 func SPoly(f, g *Poly) *Poly {
 	f.checkRing(g)
+	if f.packed() && g.packed() && !f.IsZero() && !g.IsZero() {
+		if s, ok := spolyPacked(f, g); ok {
+			return s
+		}
+	}
 	lf, lg := f.LeadTerm(), g.LeadTerm()
 	lcm := lf.Mono.LCM(lg.Mono)
 	cf := f.ring.cinv(lf.Coef)
@@ -51,11 +66,6 @@ func appendMonoKey(dst []byte, m Mono) []byte {
 		dst = append(dst, byte(e>>8), byte(e))
 	}
 	return dst
-}
-
-// monoKey returns the key as a fresh string (used by tests and cold paths).
-func monoKey(m Mono) string {
-	return string(appendMonoKey(make([]byte, 0, 2*len(m)), m))
 }
 
 // monoHeap is a concrete lazy max-heap of monomials under a ring order —
@@ -112,23 +122,25 @@ func (h *monoHeap) pop() Mono {
 	return top
 }
 
-// Reducer runs normal-form computations while retaining its internal
-// workspace — the monomial-keyed coefficient table, the monomial heap,
-// the key-encoding buffer and the exponent-vector scratch — across calls.
-// Reusing one Reducer across the reductions of a completion run removes
-// the dominant allocation sites of the GF(p) fast path. A Reducer is not
-// safe for concurrent use; the zero value is ready.
+// Reducer runs normal-form computations while retaining the workspace of
+// whichever engine ran — table, heap and scratch buffers — across calls,
+// so a completion run allocates per reduction only the result. A Reducer
+// is not safe for concurrent use; the zero value is ready.
 type Reducer struct {
-	heap monoHeap
-	// ws maps an encoded monomial to its index in coefMod/coefRat.
-	// Entries are never deleted during a run: reduction only ever adds
-	// monomials strictly below the one being eliminated, so a popped
-	// monomial cannot re-enter the workspace.
-	ws      map[string]int
-	coefMod []int64
-	coefRat []*big.Rat
-	keyBuf  []byte
-	prod    Mono // scratch for base*shift exponent sums
+	packed  packedWorkspace
+	generic genericWorkspace
+}
+
+// genericWorkspace is the generic engine's state. ws maps an encoded
+// monomial to its index in coef. Entries are never deleted during a run:
+// reduction only ever adds monomials strictly below the one being
+// eliminated, so a popped monomial cannot re-enter the workspace.
+type genericWorkspace struct {
+	heap   monoHeap
+	ws     map[string]int
+	coef   []*big.Rat
+	keyBuf []byte
+	prod   Mono // scratch for base*shift exponent sums
 }
 
 // NewReducer returns an empty Reducer.
@@ -140,17 +152,26 @@ func NewReducer() *Reducer { return &Reducer{} }
 //
 // The classical invariant holds: f = (combination of G) + result.
 func (r *Reducer) NormalForm(f *Poly, G []*Poly) (*Poly, ReduceStats) {
-	if r.ws == nil {
-		r.ws = make(map[string]int, f.NumTerms()*2)
-	} else {
-		clear(r.ws)
+	if allPacked(f, G) {
+		if nf, st, ok := r.packed.normalForm(f, G); ok {
+			return nf, st
+		}
 	}
-	r.heap.ord = f.ring.ord
-	r.heap.ms = r.heap.ms[:0]
-	if f.ring.modInt != 0 {
-		return r.normalFormMod(f, G)
+	return r.generic.normalForm(f, G)
+}
+
+// allPacked reports whether f and every divisor in G are packed
+// polynomials of one ring.
+func allPacked(f *Poly, G []*Poly) bool {
+	if !f.packed() {
+		return false
 	}
-	return r.normalFormRat(f, G)
+	for _, g := range G {
+		if g != nil && (g.ring != f.ring || !g.packed()) {
+			return false
+		}
+	}
+	return true
 }
 
 // NormalForm is the convenience form using a throwaway workspace. Hot
@@ -160,15 +181,13 @@ func NormalForm(f *Poly, G []*Poly) (*Poly, ReduceStats) {
 	return r.NormalForm(f, G)
 }
 
-// findReducer returns some g in G whose leading monomial divides m,
-// preferring the one with the fewest terms (cheapest step), or nil.
-func findReducer(m Mono, G []*Poly) *Poly {
-	var best *Poly
+// findReducer returns the terms of some divisor (none is empty) whose
+// leading monomial divides m, preferring the one with the fewest terms
+// (cheapest step), or nil.
+func findReducer(m Mono, G [][]Term) []Term {
+	var best []Term
 	for _, g := range G {
-		if g == nil || g.IsZero() {
-			continue
-		}
-		if g.LeadMono().Divides(m) && (best == nil || g.NumTerms() < best.NumTerms()) {
+		if g[0].Mono.Divides(m) && (best == nil || len(g) < len(best)) {
 			best = g
 		}
 	}
@@ -180,7 +199,7 @@ func findReducer(m Mono, G []*Poly) *Poly {
 // returns the slot index and whether the monomial was already present; on
 // a miss the monomial is registered and pushed on the heap (cloning the
 // scratch product so the heap owns it).
-func (r *Reducer) lookupAdd(base, shift Mono) (int, bool) {
+func (r *genericWorkspace) lookupAdd(base, shift Mono) (int, bool) {
 	m := base
 	if shift != nil {
 		prod := r.prod[:0]
@@ -199,125 +218,73 @@ func (r *Reducer) lookupAdd(base, shift Mono) (int, bool) {
 		m = m.Clone()
 	}
 	r.heap.push(m)
-	idx := len(r.coefMod) + len(r.coefRat) // only one table is in use per call
+	idx := len(r.coef)
 	r.ws[string(key)] = idx
 	return idx, false
 }
 
-// normalFormRat is the generic (Q) reduction engine.
-func (r *Reducer) normalFormRat(f *Poly, G []*Poly) (*Poly, ReduceStats) {
+// normalForm is the reduction engine over []Term; coefficients go through
+// the ring, so it serves Q and GF(p) alike.
+func (r *genericWorkspace) normalForm(f *Poly, G []*Poly) (*Poly, ReduceStats) {
 	var st ReduceStats
 	ring := f.ring
-	r.coefRat = r.coefRat[:0]
-	add := func(base, shift Mono, c *big.Rat) {
-		if idx, ok := r.lookupAdd(base, shift); ok {
-			cur := r.coefRat[idx]
-			cur.Add(cur, c)
-		} else {
-			// Fresh cell per entry: irreducible cells are handed to the
-			// output polynomial, so they cannot be pooled across calls.
-			r.coefRat = append(r.coefRat, new(big.Rat).Set(c))
+	if r.ws == nil {
+		r.ws = make(map[string]int, f.NumTerms()*2)
+	} else {
+		clear(r.ws)
+	}
+	r.heap.ord = ring.ord
+	r.heap.ms = r.heap.ms[:0]
+	r.coef = r.coef[:0]
+	divisors := make([][]Term, 0, len(G))
+	for _, g := range G {
+		if g != nil && !g.IsZero() {
+			divisors = append(divisors, g.Terms())
 		}
 	}
-	for _, t := range f.terms {
-		add(t.Mono, nil, t.Coef)
+	// add accumulates c, which the workspace may keep: callers pass
+	// values nothing else refers to.
+	add := func(base, shift Mono, c *big.Rat) {
+		if idx, ok := r.lookupAdd(base, shift); ok {
+			r.coef[idx] = ring.cadd(r.coef[idx], c)
+		} else {
+			r.coef = append(r.coef, c)
+		}
 	}
+	for _, t := range f.Terms() {
+		add(t.Mono, nil, new(big.Rat).Set(t.Coef))
+	}
+	one := big.NewRat(1, 1)
 	var rem []Term
 	for r.heap.len() > 0 {
 		m := r.heap.pop()
 		key := appendMonoKey(r.keyBuf[:0], m)
 		r.keyBuf = key
-		c := r.coefRat[r.ws[string(key)]]
+		c := r.coef[r.ws[string(key)]]
 		if c.Sign() == 0 {
 			continue // stale entry
 		}
-		g := findReducer(m, G)
+		g := findReducer(m, divisors)
 		if g == nil {
 			rem = append(rem, Term{Coef: c, Mono: m})
 			st.TermOps++
 			continue
 		}
-		// Subtract (c / lc(g)) * (m / lm(g)) * g; the lead cancels exactly.
-		glt := g.LeadTerm()
-		q := new(big.Rat).Quo(c, glt.Coef)
-		shift := m.Div(glt.Mono)
-		for _, gt := range g.terms[1:] {
-			delta := new(big.Rat).Mul(q, gt.Coef)
-			delta.Neg(delta)
-			add(gt.Mono, shift, delta)
+		// Add -(c / lc(g)) * (m / lm(g)) * g; the lead cancels exactly.
+		q := c
+		if g[0].Coef.Cmp(one) != 0 {
+			q = ring.cquo(c, g[0].Coef)
+		}
+		q = ring.cneg(q)
+		shift := m.Div(g[0].Mono)
+		for _, gt := range g[1:] {
+			add(gt.Mono, shift, ring.cmul(q, gt.Coef))
 		}
 		st.Steps++
-		st.TermOps += g.NumTerms()
+		st.TermOps += len(g)
 	}
 	// rem was produced in strictly descending order (heap pops).
-	out := &Poly{ring: ring, terms: rem}
-	return out, st
-}
-
-// normalFormMod is the GF(p) reduction engine with int64 residues.
-func (r *Reducer) normalFormMod(f *Poly, G []*Poly) (*Poly, ReduceStats) {
-	var st ReduceStats
-	ring := f.ring
-	p := ring.modInt
-	r.coefMod = r.coefMod[:0]
-	add := func(base, shift Mono, c int64) {
-		if idx, ok := r.lookupAdd(base, shift); ok {
-			r.coefMod[idx] = (r.coefMod[idx] + c) % p
-		} else {
-			r.coefMod = append(r.coefMod, c%p)
-		}
-	}
-	for _, t := range f.terms {
-		add(t.Mono, nil, t.Coef.Num().Int64())
-	}
-	var rem []Term
-	for r.heap.len() > 0 {
-		m := r.heap.pop()
-		key := appendMonoKey(r.keyBuf[:0], m)
-		r.keyBuf = key
-		c := r.coefMod[r.ws[string(key)]]
-		c = ((c % p) + p) % p
-		if c == 0 {
-			continue // stale entry
-		}
-		g := findReducer(m, G)
-		if g == nil {
-			rem = append(rem, Term{Coef: new(big.Rat).SetInt64(c), Mono: m})
-			st.TermOps++
-			continue
-		}
-		glt := g.LeadTerm()
-		q := c * modInverse(glt.Coef.Num().Int64(), p) % p
-		shift := m.Div(glt.Mono)
-		for _, gt := range g.terms[1:] {
-			delta := p - q*gt.Coef.Num().Int64()%p // -q*coef mod p, in [0, p]
-			add(gt.Mono, shift, delta)
-		}
-		st.Steps++
-		st.TermOps += g.NumTerms()
-	}
-	out := &Poly{ring: ring, terms: rem}
-	return out, st
-}
-
-// modInverse returns a^-1 mod p for prime p via Fermat exponentiation.
-func modInverse(a, p int64) int64 {
-	a = ((a % p) + p) % p
-	if a == 0 {
-		panic("poly: modular inverse of zero")
-	}
-	// a^(p-2) mod p with p < 2^31 so products fit int64.
-	result := int64(1)
-	base := a
-	e := p - 2
-	for e > 0 {
-		if e&1 == 1 {
-			result = result * base % p
-		}
-		base = base * base % p
-		e >>= 1
-	}
-	return result
+	return ring.newPoly(rem), st
 }
 
 // ReducesToZero reports whether f reduces to zero modulo G (the Buchberger
