@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-	"time"
 
 	"earth/internal/earth"
-	"earth/internal/earth/livert"
 	"earth/internal/earth/simrt"
 	"earth/internal/faults"
 	"earth/internal/sim"
@@ -29,41 +27,10 @@ import (
 // Under simrt all of it must additionally be byte-identical across shard
 // counts and coalescing settings.
 
-// partProg is crashProg's two-level fan-out with both Compute (simrt's
-// virtual clock) and sleep (livert's wall clock), so partition windows
-// land mid-run on both engines.
+// partProg is crashProg with 60µs leaves: short enough that the windows
+// below land mid-run on both engines.
 func partProg(total *int, done *bool, nodes, spread, perNode int) (earth.ThreadBody, int) {
-	leaves := spread * perNode
-	want := 0
-	for i := 0; i < leaves; i++ {
-		want += i
-	}
-	body := func(c earth.Ctx) {
-		f := earth.NewFrame(0, 1, 1)
-		f.InitSync(0, leaves, 0, 0)
-		f.SetThread(0, func(earth.Ctx) { *done = true })
-		for s := 0; s < spread; s++ {
-			base := s * perNode
-			c.Invoke(earth.NodeID(s%nodes), 8, func(c earth.Ctx) {
-				for i := 0; i < perNode; i++ {
-					v := base + i
-					c.Token(8, func(c earth.Ctx) {
-						c.Compute(60 * sim.Microsecond)
-						time.Sleep(60 * time.Microsecond)
-						c.Put(0, 8, func() { *total += v }, f, 0)
-					})
-				}
-			})
-		}
-	}
-	return body, want
-}
-
-func partEngines(cfg earth.Config) map[string]func() earth.Runtime {
-	return map[string]func() earth.Runtime{
-		"simrt":  func() earth.Runtime { return simrt.New(cfg) },
-		"livert": func() earth.Runtime { return livert.New(cfg) },
-	}
+	return crashProg(total, done, nodes, spread, perNode, 60*sim.Microsecond)
 }
 
 // TestPartitionFalsePositive is the acceptance scenario: the same
@@ -83,11 +50,12 @@ func TestPartitionFalsePositive(t *testing.T) {
 	}
 
 	t.Run("below-lease", func(t *testing.T) {
-		for name, mk := range partEngines(earth.Config{Nodes: nodes, Seed: 11, Faults: short}) {
+		for _, eng := range bothEngines {
+			name := eng.name
 			var total int
 			var done bool
 			body, want := partProg(&total, &done, nodes, nodes*2, 4)
-			st := mk().Run(body)
+			st := eng.new(earth.Config{Nodes: nodes, Seed: 11, Faults: short}).Run(body)
 			if total != want || !done {
 				t.Errorf("%s: total=%d done=%v, want %d", name, total, done, want)
 			}
@@ -99,11 +67,13 @@ func TestPartitionFalsePositive(t *testing.T) {
 	})
 
 	t.Run("above-lease", func(t *testing.T) {
-		for name, mk := range partEngines(earth.Config{Nodes: nodes, Seed: 11, Faults: long}) {
+		for _, eng := range bothEngines {
+			name := eng.name
 			var total int
 			var done bool
 			body, _ := partProg(&total, &done, nodes, nodes*2, 4)
-			st := mk().Run(body) // termination, not convergence: fenced work is lost
+			// Termination, not convergence: fenced work is lost.
+			st := eng.new(earth.Config{Nodes: nodes, Seed: 11, Faults: long}).Run(body)
 			if st.TotalWrongVerdicts() != 2 {
 				t.Errorf("%s: wrong verdicts = %d, want 2 (one per minority node)",
 					name, st.TotalWrongVerdicts())
@@ -136,6 +106,42 @@ func TestPartitionFalsePositive(t *testing.T) {
 			t.Error("simrt: no stale-epoch message was fenced across the long partition")
 		}
 	})
+}
+
+// TestPartitionSecondFenceAdopter: sequential partitions may fence the
+// same node twice. Node 1 is fenced alone by the first window and again,
+// together with its ring successors 2, 3 and 4, by the second. At its
+// second fence the adopter must be chosen against the fence instant that
+// fired — when 2, 3 and 4 are fencing too — not the node's first one:
+// node 5 adopts all four, on both engines, whatever order livert's
+// same-instant fence timers run in.
+func TestPartitionSecondFenceAdopter(t *testing.T) {
+	const nodes = 8
+	plan, err := faults.Parse("partition=0.2.3.4.5.6.7|1@200µs-1700µs,partition=0.5.6.7|1.2.3.4@16ms-17500µs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 144 leaves of 1ms on 8 nodes keep either engine busy past the second
+	// heal (18ms at the least), so every fence and rejoin lands mid-run. The
+	// windows sit 14ms apart so that livert's wall-clock timers fire in
+	// window order even on a heavily loaded host.
+	for _, eng := range bothEngines {
+		var total int
+		var done bool
+		body, _ := crashProg(&total, &done, nodes, nodes*2, 9, sim.Millisecond)
+		st := eng.new(earth.Config{Nodes: nodes, Seed: 11, Faults: plan}).Run(body)
+		var verdicts, rejoins [nodes]uint64
+		for i, ns := range st.Nodes {
+			verdicts[i], rejoins[i] = ns.WrongVerdicts, ns.Rejoins
+		}
+		// Window 1: node 2 adopts node 1. Window 2: node 5 adopts 1, 2, 3 and 4.
+		if want := [nodes]uint64{2: 1, 5: 4}; verdicts != want {
+			t.Errorf("%s: wrong verdicts per adopter = %v, want %v", eng.name, verdicts, want)
+		}
+		if want := [nodes]uint64{1: 2, 2: 1, 3: 1, 4: 1}; rejoins != want {
+			t.Errorf("%s: rejoins per node = %v, want %v", eng.name, rejoins, want)
+		}
+	}
 }
 
 // partRun executes body under cfg on simrt at one shard count and returns

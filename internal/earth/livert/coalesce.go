@@ -81,7 +81,7 @@ func (c *ctx) flushCoalBuf(b *lcoalBuf) {
 		rt.tr.Event(earth.Event{Time: rt.now(), Node: c.n.id, Peer: b.dst.id,
 			Kind: earth.EvBatchFlush, Bytes: bytes, Wait: sim.Time(len(ops))})
 	}
-	rt.sendHandler(c.n.id, b.dst, func(hc earth.Ctx) {
+	rt.sendHandler(c.n.id, b.dst, bytes, func(hc earth.Ctx) {
 		for _, op := range ops {
 			op(hc)
 		}

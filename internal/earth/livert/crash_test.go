@@ -9,82 +9,6 @@ import (
 	"earth/internal/sim"
 )
 
-// crashTokenProg builds a token fan-out whose leaves each add a known
-// value into a node-0 accumulator guarded by one sync slot. Leaves sleep
-// so the run is long enough for wall-clock crash timers to land mid-run.
-func crashTokenProg(total *int, done *bool, leaves int, work time.Duration) (earth.ThreadBody, int) {
-	want := 0
-	for i := 0; i < leaves; i++ {
-		want += i
-	}
-	body := func(c earth.Ctx) {
-		f := earth.NewFrame(0, 1, 1)
-		f.InitSync(0, leaves, 0, 0)
-		f.SetThread(0, func(earth.Ctx) { *done = true })
-		for i := 0; i < leaves; i++ {
-			v := i
-			c.Token(8, func(c earth.Ctx) {
-				time.Sleep(work)
-				c.Put(0, 8, func() { *total += v }, f, 0)
-			})
-		}
-	}
-	return body, want
-}
-
-// TestCrashConvergesTokens: killing workers mid-run must not lose any
-// token; the run converges to the fault-free sum. Node 0 (home of the
-// accumulator frame and the main thread) always survives.
-func TestCrashConvergesTokens(t *testing.T) {
-	for _, k := range []int{1, 2, 3} {
-		plan := &faults.Plan{Seed: 7}
-		for i := 0; i < k; i++ {
-			plan.Crash = append(plan.Crash, faults.Crash{Node: 1 + i, At: sim.Time(2+time.Duration(i)) * sim.Millisecond})
-		}
-		var total int
-		var done bool
-		body, want := crashTokenProg(&total, &done, 40, time.Millisecond)
-		rt := New(earth.Config{Nodes: 5, Seed: 1, Faults: plan})
-		st := rt.Run(body)
-		if total != want || !done {
-			t.Fatalf("k=%d: total=%d done=%v, want %d", k, total, done, want)
-		}
-		if st.TotalFaults() == 0 {
-			t.Fatalf("k=%d: no faults recorded for a crash plan", k)
-		}
-		lease := earth.RetryPolicy{}.WithDefaults().Lease
-		if got := st.Nodes[1].DetectionLatency; got != lease {
-			t.Fatalf("k=%d: DetectionLatency on dead node = %v, want %v", k, got, lease)
-		}
-	}
-}
-
-// TestCrashAdoptedFrame: a frame homed on the crashing node keeps
-// receiving syncs; its enabled thread must fire on the adopter.
-func TestCrashAdoptedFrame(t *testing.T) {
-	plan := &faults.Plan{Crash: []faults.Crash{{Node: 2, At: 2 * sim.Millisecond}}}
-	rt := New(earth.Config{Nodes: 4, Seed: 3, Faults: plan})
-	var ranOn earth.NodeID = -1
-	const parts = 12
-	rt.Run(func(c earth.Ctx) {
-		f := earth.NewFrame(2, 1, 1)
-		f.InitSync(0, parts, 0, 0)
-		f.SetThread(0, func(c earth.Ctx) { ranOn = c.Node() })
-		for i := 0; i < parts; i++ {
-			c.Invoke(earth.NodeID(i%4), 8, func(c earth.Ctx) {
-				time.Sleep(time.Millisecond)
-				c.Sync(f, 0)
-			})
-		}
-	})
-	if ranOn < 0 {
-		t.Fatal("fan-in thread never fired")
-	}
-	if ranOn == 2 {
-		t.Fatal("fan-in thread ran on the crashed node")
-	}
-}
-
 // TestCrashReassignsPooledTokens: under BalanceNone nobody steals, so
 // tokens pooled on the crashed node can only run if the balancer
 // re-places them on survivors.

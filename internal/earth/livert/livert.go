@@ -87,6 +87,8 @@ type lnode struct {
 	fenced atomic.Bool
 	epoch  atomic.Uint64
 
+	// Executor-owned counters: touched only by this node's executor, and
+	// read by Run after wg.Wait.
 	threadsRun   uint64
 	tokensRun    uint64
 	tokensStolen uint64
@@ -98,21 +100,45 @@ type lnode struct {
 	// after wg.Wait, which orders the accesses.
 	sanFrames []*earth.Frame
 
-	// Fault counters are atomics: senders and timers update them from
-	// arbitrary goroutines.
-	faultsInjected atomic.Uint64
-	retries        atomic.Uint64
-	recovered      atomic.Uint64
-	dupsDropped    atomic.Uint64
-	// Crash-recovery counters, updated by recovery timer goroutines.
+	ctr counters
+}
+
+// counters are a node's fault, recovery and fencing counters. They are
+// atomics because senders and timers update them from arbitrary
+// goroutines.
+type counters struct {
+	faultsInjected   atomic.Uint64
+	retries          atomic.Uint64
+	recovered        atomic.Uint64
+	dupsDropped      atomic.Uint64
 	framesReplayed   atomic.Uint64
 	tokensReassigned atomic.Uint64
 	detectionLatency atomic.Int64
-	// Partition/fencing and integrity counters.
-	msgsFenced    atomic.Uint64
-	msgsCorrupted atomic.Uint64
-	wrongVerdicts atomic.Uint64
-	rejoins       atomic.Uint64
+	msgsFenced       atomic.Uint64
+	msgsCorrupted    atomic.Uint64
+	wrongVerdicts    atomic.Uint64
+	rejoins          atomic.Uint64
+}
+
+// reset zeroes every counter. Run calls it before any goroutine that
+// could touch them exists.
+func (c *counters) reset() { *c = counters{} }
+
+// snapshot reads the counters into their NodeStats fields.
+func (c *counters) snapshot() earth.NodeStats {
+	return earth.NodeStats{
+		FaultsInjected:   c.faultsInjected.Load(),
+		Retries:          c.retries.Load(),
+		Recovered:        c.recovered.Load(),
+		DupsDropped:      c.dupsDropped.Load(),
+		FramesReplayed:   c.framesReplayed.Load(),
+		TokensReassigned: c.tokensReassigned.Load(),
+		DetectionLatency: sim.Time(c.detectionLatency.Load()),
+		MsgsFenced:       c.msgsFenced.Load(),
+		MsgsCorrupted:    c.msgsCorrupted.Load(),
+		WrongVerdicts:    c.wrongVerdicts.Load(),
+		Rejoins:          c.rejoins.Load(),
+	}
 }
 
 // Runtime is a real-concurrency EARTH machine.
@@ -140,14 +166,12 @@ type Runtime struct {
 	crashTimers []*time.Timer
 	crashWG     sync.WaitGroup
 	reassignRR  atomic.Int64
-	// hasPart gates the partition machinery (epoch stamping, cut-link
-	// holds, fence/heal timers); fences is the static wrong-verdict
-	// schedule (used so a node never adopts into a peer fencing at the
-	// same scheduled instant); jitterOn gates the seeded retransmit
-	// jitter draw.
-	hasPart  bool
-	fences   []faults.Fence
-	jitterOn bool
+	// hasPart gates epoch stamping and the receiver-side fencing check;
+	// fences is the static wrong-verdict schedule: it arms the fence
+	// timers, and keeps a node from adopting into a peer fencing at the
+	// same scheduled instant.
+	hasPart bool
+	fences  faults.Fences
 	// coalOn caches cfg.Coalesce.Enabled for the per-operation hot path.
 	coalOn bool
 	// sanOn caches cfg.Sanitize: frames are ledgered on first engine
@@ -172,32 +196,14 @@ func New(cfg earth.Config) *Runtime {
 			redirect: -1,
 		}
 	}
-	if cfg.Faults.Enabled() {
-		rt.plan = cfg.Faults
-		rt.inj = faults.NewInjector(cfg.Faults, cfg.Seed)
-		rt.retry = cfg.Retry.WithDefaults()
-		if cfg.Faults.HasCrash() {
-			rt.crashAt = cfg.Faults.CrashSchedule(cfg.Nodes)
-			live := 0
-			for _, at := range rt.crashAt {
-				if at < 0 {
-					live++
-				}
-			}
-			if live == 0 {
-				panic("livert: crash plan kills every node; at least one must survive")
-			}
-		}
-		if cfg.Faults.HasPartition() {
-			rt.hasPart = true
-			rt.fences = cfg.Faults.PartitionFences(cfg.Nodes, rt.retry.Lease)
-			if len(rt.fences) > 0 {
-				if err := cfg.Faults.CheckFences(cfg.Nodes, rt.retry.Lease); err != nil {
-					panic("livert: " + err.Error())
-				}
-			}
-		}
-		rt.jitterOn = rt.retry.Jitter > 0
+	fs, err := cfg.ResolveFaults()
+	if err != nil {
+		panic("livert: " + err.Error())
+	}
+	if fs.Plan != nil {
+		rt.plan, rt.retry, rt.crashAt, rt.fences = fs.Plan, fs.Retry, fs.CrashAt, fs.Fences
+		rt.inj = faults.NewInjector(fs.Plan, cfg.Seed)
+		rt.hasPart = fs.Plan.HasPartition()
 	}
 	return rt
 }
@@ -223,17 +229,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		n.threadsRun, n.tokensRun, n.tokensStolen, n.syncs = 0, 0, 0, 0
 		n.busy = 0
 		n.sanFrames = n.sanFrames[:0]
-		n.faultsInjected.Store(0)
-		n.retries.Store(0)
-		n.recovered.Store(0)
-		n.dupsDropped.Store(0)
-		n.framesReplayed.Store(0)
-		n.tokensReassigned.Store(0)
-		n.detectionLatency.Store(0)
-		n.msgsFenced.Store(0)
-		n.msgsCorrupted.Store(0)
-		n.wrongVerdicts.Store(0)
-		n.rejoins.Store(0)
+		n.ctr.reset()
 		n.dead.Store(false)
 		n.halted.Store(false)
 		n.fenced.Store(false)
@@ -256,36 +252,8 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 				func(lctx context.Context) { n.loop(lctx) })
 		}(n)
 	}
-	if rt.crashAt != nil {
-		rt.reassignRR.Store(0)
-		for i, at := range rt.crashAt {
-			if at >= 0 {
-				x := i
-				rt.armCrashTimer(at, func() { rt.killNode(x) })
-			}
-		}
-	}
-	if rt.hasPart {
-		rt.reassignRR.Store(0)
-		lease := rt.retry.Lease
-		for _, pt := range rt.plan.Partition {
-			pt := pt
-			fenced := pt.From+lease < pt.To
-			if rt.tr != nil {
-				rt.armCrashTimer(pt.From, func() { rt.partitionStart(pt) })
-			}
-			if fenced {
-				for _, x := range pt.Minority() {
-					if x >= len(rt.nodes) {
-						continue
-					}
-					x := x
-					rt.armCrashTimer(pt.From+lease, func() { rt.fenceNode(x) })
-				}
-			}
-			rt.armCrashTimer(pt.To, func() { rt.healPartition(pt, fenced) })
-		}
-	}
+	rt.reassignRR.Store(0)
+	rt.armPlanTimers()
 	rt.enqueue(rt.nodes[0], item{body: main, cause: earth.CauseSpawn})
 	<-rt.done
 	wg.Wait()
@@ -296,37 +264,17 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		Nodes:   make([]earth.NodeStats, len(rt.nodes)),
 	}
 	for i, n := range rt.nodes {
-		st.Nodes[i] = earth.NodeStats{
-			Busy:             sim.Time(n.busy.Nanoseconds()),
-			ThreadsRun:       n.threadsRun,
-			TokensRun:        n.tokensRun,
-			TokensStolen:     n.tokensStolen,
-			Syncs:            n.syncs,
-			FaultsInjected:   n.faultsInjected.Load(),
-			Retries:          n.retries.Load(),
-			Recovered:        n.recovered.Load(),
-			DupsDropped:      n.dupsDropped.Load(),
-			FramesReplayed:   n.framesReplayed.Load(),
-			TokensReassigned: n.tokensReassigned.Load(),
-			DetectionLatency: sim.Time(n.detectionLatency.Load()),
-			MsgsFenced:       n.msgsFenced.Load(),
-			MsgsCorrupted:    n.msgsCorrupted.Load(),
-			WrongVerdicts:    n.wrongVerdicts.Load(),
-			Rejoins:          n.rejoins.Load(),
-		}
+		ns := n.ctr.snapshot()
+		ns.Busy = sim.Time(n.busy.Nanoseconds())
+		ns.ThreadsRun, ns.TokensRun, ns.TokensStolen, ns.Syncs = n.threadsRun, n.tokensRun, n.tokensStolen, n.syncs
+		st.Nodes[i] = ns
 	}
 	if rt.sanOn {
 		var frames []*earth.Frame
 		for _, n := range rt.nodes {
 			frames = append(frames, n.sanFrames...)
 		}
-		st.Sanitize = earth.BuildSanitizeReport(frames)
-		if rt.tr != nil {
-			for _, fd := range st.Sanitize.Findings {
-				rt.tr.Event(earth.Event{Time: st.Elapsed, Node: fd.Home, Peer: earth.NoPeer,
-					Kind: earth.EvSanitize, Bytes: fd.Index, Dur: sim.Time(fd.Count)})
-			}
-		}
+		st.Sanitize = earth.SanitizeScan(frames, st.Elapsed, rt.tr)
 	}
 	return st
 }
@@ -364,119 +312,91 @@ func (rt *Runtime) reapCrashTimers() {
 	rt.crashWG.Wait()
 }
 
+// armPlanTimers arms the fault plan's static schedule at run start: one
+// kill timer per crash, one fence timer per wrong verdict, and — for a
+// traced run — the partition-window markers. Detection and rejoin timers
+// are armed later, by the kill and fence callbacks themselves, so each
+// always runs after the callback it completes.
+func (rt *Runtime) armPlanTimers() {
+	for x, at := range rt.crashAt {
+		if at >= 0 {
+			rt.armCrashTimer(at, func() { rt.killNode(x) })
+		}
+	}
+	for _, f := range rt.fences {
+		rt.armCrashTimer(f.At, func() { rt.fenceNode(f) })
+	}
+	if !rt.hasPart || rt.tr == nil {
+		return
+	}
+	for _, pt := range rt.plan.Partition {
+		rt.armCrashTimer(pt.From, func() { rt.markPartition(pt, earth.EvPartitionStart, pt.To-pt.From) })
+		if pt.From+rt.retry.Lease >= pt.To {
+			// Nobody fences in a window inside the lease; fenced nodes trace
+			// their heal as EvRejoined instead.
+			rt.armCrashTimer(pt.To, func() { rt.markPartition(pt, earth.EvPartitionHeal, 0) })
+		}
+	}
+}
+
+// live reports whether the run is still in progress; timer callbacks
+// firing past quiescence do nothing.
+func (rt *Runtime) live() bool {
+	select {
+	case <-rt.done:
+		return false
+	default:
+		return true
+	}
+}
+
 // killNode executes a scheduled crash-stop failure: the node's executor
 // halts at its next dispatch boundary (the running thread body, if any,
 // completes) and a detection timer is armed for one lease later.
 func (rt *Runtime) killNode(x int) {
-	select {
-	case <-rt.done:
-		return
-	default:
-	}
 	n := rt.nodes[x]
-	if n.dead.Swap(true) {
+	if !rt.live() || n.dead.Swap(true) {
 		return
 	}
-	n.faultsInjected.Add(1)
+	n.ctr.faultsInjected.Add(1)
 	if rt.tr != nil {
 		rt.tr.Event(earth.Event{Time: rt.now(), Node: n.id, Peer: earth.NoPeer,
 			Kind: earth.EvFaultInjected, Cause: earth.CauseCrash, Dur: rt.retry.Lease})
 	}
 	n.poke()
-	rt.armCrashTimer(rt.retry.Lease, func() { rt.recoverNode(x) })
+	rt.armCrashTimer(rt.retry.Lease, func() { rt.recoverNode(n) })
 }
 
 // recoverNode fires one lease after a crash: survivors have now missed
 // enough heartbeats to declare the node dead. It waits for the dead
-// executor's handoff point, then drains the node's queues under its
-// lock: handlers and queued threads move to the ring successor (the
-// frames they reference are treated as checkpointed — host memory
-// survives in this embedding), pooled tokens are re-placed round-robin
-// across survivors, and the node's redirect is installed so every later
-// push routes to the adopter.
-func (rt *Runtime) recoverNode(x int) {
-	n := rt.nodes[x]
+// executor's handoff point, then fails the node's queues over to its
+// ring successor.
+func (rt *Runtime) recoverNode(n *lnode) {
 	select {
 	case <-rt.done:
 		return
 	case <-n.exited:
 	}
-	s := earth.Adopter(earth.NodeID(x), len(rt.nodes),
+	s := earth.Adopter(n.id, len(rt.nodes),
 		func(c earth.NodeID) bool { return rt.nodes[c].dead.Load() })
-	sn := rt.nodes[s]
-	n.detectionLatency.Store(int64(rt.retry.Lease))
-	now := rt.now()
 	if rt.tr != nil {
-		rt.tr.Event(earth.Event{Time: now, Node: s, Peer: earth.NodeID(x),
+		rt.tr.Event(earth.Event{Time: rt.now(), Node: s, Peer: n.id,
 			Kind: earth.EvNodeDown, Dur: rt.retry.Lease, Cause: earth.CauseCrash})
 	}
-	n.mu.Lock()
-	handlers, ready, tokens := n.handlers, n.ready, n.tokens
-	n.handlers, n.ready, n.tokens = nil, nil, nil
-	n.redirect = int(s)
-	n.mu.Unlock()
-	// Moves preserve the outstanding-work count: nothing is re-added.
-	for _, h := range handlers {
-		rt.pushHandler(sn, h)
-	}
-	for _, it := range ready {
-		it.enq = now
-		sn.framesReplayed.Add(1)
-		if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: now, Node: s, Peer: earth.NodeID(x),
-				Kind: earth.EvFrameReplayed, Cause: earth.CauseCrash})
-		}
-		rt.pushItem(sn, it)
-	}
-	for _, tk := range tokens {
-		t := rt.nextSurvivor()
-		tn := rt.nodes[t]
-		tn.tokensReassigned.Add(1)
-		if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: now, Node: t, Peer: earth.NodeID(x),
-				Kind: earth.EvWorkReassigned, Cause: earth.CauseCrash})
-		}
-		rt.pushToken(tn, tk)
-	}
+	rt.failover(n, rt.nodes[s], earth.CauseCrash)
 }
 
-// partitionStart marks the window opening for every minority-side node.
-// Armed only when a tracer is installed.
-func (rt *Runtime) partitionStart(pt faults.Partition) {
-	select {
-	case <-rt.done:
-		return
-	default:
-	}
-	now := rt.now()
-	for _, x := range pt.Minority() {
-		if x >= len(rt.nodes) {
-			continue
-		}
-		if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: now, Node: earth.NodeID(x), Peer: earth.NoPeer,
-				Kind: earth.EvPartitionStart, Dur: pt.To - pt.From, Cause: earth.CausePartition})
-		}
-	}
-}
-
-// fenceNode executes a wrong failure verdict one lease into a partition
-// window that outlives it: the survivors declare node x dead while x —
-// which has missed the same heartbeats — self-fences. The node's
+// fenceNode executes wrong failure verdict f, one lease into a partition
+// window that outlives it: the survivors declare the node dead while the
+// node — which has missed the same heartbeats — self-fences. Its
 // incarnation epoch is bumped (every receiver will reject its stale
-// messages), its executor parks until the heal, and its queues drain to
-// the ring successor exactly as crash recovery does, with
-// CausePartition. Ownership of the drained queues never returns: the
-// redirect to the adopter is permanent and a rejoined node re-enters
-// steal-only.
-func (rt *Runtime) fenceNode(x int) {
-	select {
-	case <-rt.done:
-		return
-	default:
-	}
-	n := rt.nodes[x]
-	if n.dead.Load() || n.halted.Swap(true) {
+// messages), its executor parks until the heal, and its queues fail over
+// to the ring successor exactly as crash recovery does. Ownership of the
+// drained queues never returns: the redirect to the adopter is permanent
+// and a rejoined node re-enters steal-only.
+func (rt *Runtime) fenceNode(f faults.Fence) {
+	n := rt.nodes[f.Node]
+	if !rt.live() || n.dead.Load() || n.halted.Swap(true) {
 		return
 	}
 	n.fenced.Store(true)
@@ -485,106 +405,92 @@ func (rt *Runtime) fenceNode(x int) {
 	// Same-instant fences race as concurrent timers here, so the adopter
 	// choice consults the static schedule too: never adopt into a peer
 	// whose own fence is scheduled at or before this one and unhealed.
-	at := rt.fenceAt(x)
-	s := earth.Adopter(earth.NodeID(x), len(rt.nodes), func(c earth.NodeID) bool {
+	s := earth.Adopter(n.id, len(rt.nodes), func(c earth.NodeID) bool {
 		return rt.nodes[c].dead.Load() || rt.nodes[c].fenced.Load() ||
-			rt.scheduledDown(int(c), at)
+			rt.fences.Covering(int(c), f.At)
 	})
 	sn := rt.nodes[s]
-	n.detectionLatency.Store(int64(rt.retry.Lease))
-	sn.wrongVerdicts.Add(1)
-	now := rt.now()
+	sn.ctr.wrongVerdicts.Add(1)
 	if rt.tr != nil {
-		rt.tr.Event(earth.Event{Time: now, Node: s, Peer: earth.NodeID(x),
+		rt.tr.Event(earth.Event{Time: rt.now(), Node: s, Peer: n.id,
 			Kind: earth.EvPartitionFence, Dur: rt.retry.Lease, Cause: earth.CausePartition})
 	}
+	// The executor may already have popped an item before the drain; it
+	// completes on the halted node (the same dispatch-boundary semantics a
+	// crash has).
+	rt.failover(n, sn, earth.CausePartition)
+	// The rejoin is armed from here, not at run start beside the fence
+	// timer: however late the host runs this callback, the heal follows
+	// it. It counts as outstanding work, so the run cannot quiesce between
+	// a node's fence and its rejoin.
+	rt.add()
+	rt.armCrashTimer(max(0, f.Heal-rt.now()), func() { rt.rejoinNode(n, f) })
+}
+
+// failover drains down node n's queues into adopter sn under n's lock:
+// handlers and queued threads move to sn (the frames they reference are
+// treated as checkpointed — host memory survives in this embedding),
+// pooled tokens are re-placed round-robin across survivors, and n's
+// redirect is installed so every later push routes to the adopter.
+func (rt *Runtime) failover(n, sn *lnode, cause earth.Cause) {
+	n.ctr.detectionLatency.Store(int64(rt.retry.Lease))
+	now := rt.now()
 	n.mu.Lock()
 	handlers, ready, tokens := n.handlers, n.ready, n.tokens
 	n.handlers, n.ready, n.tokens = nil, nil, nil
-	n.redirect = int(s)
+	n.redirect = int(sn.id)
 	n.mu.Unlock()
-	// Moves preserve the outstanding-work count, as in recoverNode. The
-	// executor may already have popped an item before the drain; it
-	// completes on the halted node (the same dispatch-boundary semantics
-	// a crash has).
+	// Moves preserve the outstanding-work count: nothing is re-added.
 	for _, h := range handlers {
 		rt.pushHandler(sn, h)
 	}
 	for _, it := range ready {
 		it.enq = now
-		sn.framesReplayed.Add(1)
+		sn.ctr.framesReplayed.Add(1)
 		if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: now, Node: s, Peer: earth.NodeID(x),
-				Kind: earth.EvFrameReplayed, Cause: earth.CausePartition})
+			rt.tr.Event(earth.Event{Time: now, Node: sn.id, Peer: n.id,
+				Kind: earth.EvFrameReplayed, Cause: cause})
 		}
 		rt.pushItem(sn, it)
 	}
 	for _, tk := range tokens {
-		t := rt.nextSurvivor()
-		tn := rt.nodes[t]
-		tn.tokensReassigned.Add(1)
+		tn := rt.nodes[rt.nextSurvivor()]
+		tn.ctr.tokensReassigned.Add(1)
 		if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: now, Node: t, Peer: earth.NodeID(x),
-				Kind: earth.EvWorkReassigned, Cause: earth.CausePartition})
+			rt.tr.Event(earth.Event{Time: now, Node: tn.id, Peer: n.id,
+				Kind: earth.EvWorkReassigned, Cause: cause})
 		}
 		rt.pushToken(tn, tk)
 	}
 }
 
-// fenceAt returns node x's scheduled fence instant (the earliest, if a
-// plan fences it repeatedly).
-func (rt *Runtime) fenceAt(x int) sim.Time {
-	for _, f := range rt.fences {
-		if f.Node == x {
-			return f.At
+// markPartition traces one end of a partition window for every
+// minority-side node. Armed only when a tracer is installed.
+func (rt *Runtime) markPartition(pt faults.Partition, kind earth.EventKind, dur sim.Time) {
+	if rt.tr != nil && rt.live() {
+		now := rt.now()
+		for _, x := range pt.Minority() {
+			if x < len(rt.nodes) {
+				rt.tr.Event(earth.Event{Time: now, Node: earth.NodeID(x), Peer: earth.NoPeer,
+					Kind: kind, Dur: dur, Cause: earth.CausePartition})
+			}
 		}
 	}
-	return 0
 }
 
-// scheduledDown reports whether node c has a fence scheduled at or
-// before instant at that has not healed by then — the wall-clock-free
-// stand-in for "c is fencing concurrently with this boundary".
-func (rt *Runtime) scheduledDown(c int, at sim.Time) bool {
-	for _, f := range rt.fences {
-		if f.Node == c && f.At <= at && at < f.Heal {
-			return true
-		}
-	}
-	return false
-}
-
-// healPartition fires at the window's end: fenced minority nodes rejoin
-// at their bumped epoch (steal-only — the adopter keeps their queues),
-// un-fenced ones just see their links restored.
-func (rt *Runtime) healPartition(pt faults.Partition, fenced bool) {
-	select {
-	case <-rt.done:
+// rejoinNode fires when fenced node n's partition heals: it rejoins at
+// its bumped epoch, steal-only — the adopter keeps its queues.
+func (rt *Runtime) rejoinNode(n *lnode, f faults.Fence) {
+	defer rt.doneOne()
+	if n.dead.Load() || !n.halted.CompareAndSwap(true, false) {
 		return
-	default:
 	}
-	now := rt.now()
-	for _, x := range pt.Minority() {
-		if x >= len(rt.nodes) {
-			continue
-		}
-		n := rt.nodes[x]
-		if fenced {
-			if n.dead.Load() || !n.halted.CompareAndSwap(true, false) {
-				continue
-			}
-			n.rejoins.Add(1)
-			if rt.tr != nil {
-				rt.tr.Event(earth.Event{Time: now, Node: n.id, Peer: earth.NoPeer,
-					Kind: earth.EvRejoined, Dur: pt.To - pt.From - rt.retry.Lease,
-					Cause: earth.CausePartition})
-			}
-			n.poke()
-		} else if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: now, Node: n.id, Peer: earth.NoPeer,
-				Kind: earth.EvPartitionHeal, Cause: earth.CausePartition})
-		}
+	n.ctr.rejoins.Add(1)
+	if rt.tr != nil {
+		rt.tr.Event(earth.Event{Time: rt.now(), Node: n.id, Peer: earth.NoPeer,
+			Kind: earth.EvRejoined, Dur: f.Heal - f.At, Cause: earth.CausePartition})
 	}
+	n.poke()
 }
 
 // nextSurvivor returns the balancer's next round-robin placement target
@@ -695,189 +601,84 @@ func (rt *Runtime) adopted(home earth.NodeID, n *lnode) bool {
 	}
 }
 
-// sendHandler routes a runtime message handler to dst, applying the
-// fault plan to remote legs when one is installed.
-func (rt *Runtime) sendHandler(src earth.NodeID, dst *lnode, h earth.ThreadBody) {
+// sendHandler routes a runtime message handler carrying bytes of payload
+// to dst, applying the fault plan to remote legs when one is installed.
+func (rt *Runtime) sendHandler(src earth.NodeID, dst *lnode, bytes int, h earth.ThreadBody) {
 	if rt.inj == nil || dst.id == src {
 		rt.enqueueHandler(dst, h)
 		return
 	}
-	v, delay := rt.faultVerdict(src, dst.id)
-	h = rt.fenceBody(src, rt.dedupBody(v, src, dst, h))
-	rt.deliverAfter(delay, func() { rt.enqueueHandler(dst, h) })
-	if v.Dup {
-		rt.deliverAfter(delay+rt.retry.AttemptTimeout(0), func() { rt.enqueueHandler(dst, h) })
-	}
+	rt.faultVerdict(src, dst, bytes, h, func(h earth.ThreadBody) { rt.enqueueHandler(dst, h) })
 }
 
 // sendItem routes a ready item (INVOKE or a placed token) to dst under
 // the fault plan. A suppressed duplicate still dispatches as an item
 // whose body is a no-op, so livert's thread counters can include
 // suppressed copies — acceptable on the wall-clock engine.
-func (rt *Runtime) sendItem(src earth.NodeID, dst *lnode, it item) {
+func (rt *Runtime) sendItem(src earth.NodeID, dst *lnode, bytes int, it item) {
 	remoteToken := it.token && dst.id != src
 	var issue sim.Time
 	if remoteToken {
 		issue = rt.now()
 	}
-	deliver := func() {
+	deliver := func(body earth.ThreadBody) {
 		if remoteToken && rt.tr != nil {
 			rt.tr.Event(earth.Event{Time: rt.now(), Node: dst.id, Peer: src,
 				Kind: earth.EvTokenDeliver, Dur: rt.now() - issue})
 		}
-		rt.enqueue(dst, it)
+		landed := it
+		landed.body = body
+		rt.enqueue(dst, landed)
 	}
 	if rt.inj == nil || dst.id == src {
-		deliver()
+		deliver(it.body)
 		return
 	}
-	v, delay := rt.faultVerdict(src, dst.id)
-	it.body = rt.fenceBody(src, rt.dedupBody(v, src, dst, it.body))
-	rt.deliverAfter(delay, deliver)
-	if v.Dup {
-		rt.deliverAfter(delay+rt.retry.AttemptTimeout(0), deliver)
-	}
+	rt.faultVerdict(src, dst, bytes, it.body, deliver)
 }
 
-// faultVerdict draws the fault verdict for one remote message from src
-// to dst, emits the matching fault events, charges the sender's counters
-// and returns the wall-clock delivery penalty (cut-link hold, retransmit
-// timeouts, checksum-NACK resends, reorder hold-back).
-func (rt *Runtime) faultVerdict(src, dst earth.NodeID) (faults.Verdict, sim.Time) {
-	v := rt.inj.Next(rt.retry.MaxRetries)
+// faultVerdict sends one remote message under the fault plan: the
+// protocol core plans its fate (and traces the sender's side of it), the
+// body gains its receipt checks, and one wall-clock timer — two for a
+// duplicated message — carries it to deliver.
+func (rt *Runtime) faultVerdict(src earth.NodeID, dst *lnode, bytes int, body earth.ThreadBody, deliver func(earth.ThreadBody)) {
+	d := earth.PlanDelivery(rt.inj, rt.retry, rt.plan, src, dst.id, bytes, rt.now(), rt.tr)
 	sn := rt.nodes[src]
-	issue := rt.now()
-	var delay sim.Time
-	if rt.hasPart {
-		if ub := rt.plan.PartitionUnblock(issue, int(src), int(dst)); ub > issue {
-			// The link is cut: every attempt times out until the heal.
-			// The hold is deterministic — no verdict draws are spent on it
-			// — and the retry chain caps at MaxRetries.
-			sn.faultsInjected.Add(1)
-			deadline, tries := issue, 0
-			for deadline < ub && tries < rt.retry.MaxRetries {
-				to := rt.retry.AttemptTimeout(tries)
-				deadline += to
-				if rt.tr != nil {
-					rt.tr.Event(earth.Event{Time: deadline, Node: src, Peer: dst,
-						Kind: earth.EvTimedOut, Dur: to, Cause: earth.CausePartition})
-					rt.tr.Event(earth.Event{Time: deadline, Node: src, Peer: dst,
-						Kind: earth.EvRetry, Cause: earth.CausePartition})
-				}
-				tries++
-			}
-			sn.retries.Add(uint64(tries))
-			if rt.tr != nil {
-				rt.tr.Event(earth.Event{Time: issue, Node: src, Peer: dst,
-					Kind: earth.EvFaultInjected, Cause: earth.CausePartition, Dur: ub - issue})
-			}
-			delay = ub - issue
-		}
+	sn.ctr.faultsInjected.Add(d.FaultsInjected)
+	sn.ctr.retries.Add(d.Retries)
+	body = rt.fenceBody(src, rt.dedupBody(d, src, dst, bytes, body))
+	rt.deliverAfter(d.Delay, func() { deliver(body) })
+	if d.Dup {
+		rt.deliverAfter(d.Delay+rt.retry.AttemptTimeout(0), func() { deliver(body) })
 	}
-	att := rt.retry.AttemptTimeout
-	if rt.jitterOn && (v.Drops > 0 || v.Corrupts > 0) {
-		// One seeded draw per jittered message desynchronises the
-		// retransmit backoff across the fleet.
-		scale := rt.retry.JitterScale(rt.inj.Float64())
-		att = func(a int) sim.Time {
-			to := sim.Time(float64(rt.retry.AttemptTimeout(a)) * scale)
-			if to < 1 {
-				to = 1
-			}
-			return to
-		}
-	}
-	attempt := 0
-	if v.Drops > 0 {
-		sn.faultsInjected.Add(1)
-		sn.retries.Add(uint64(v.Drops))
-		deadline, pen := issue+delay, sim.Time(0)
-		for a := 0; a < v.Drops; a++ {
-			to := att(attempt)
-			attempt++
-			deadline += to
-			pen += to
-			if rt.tr != nil {
-				rt.tr.Event(earth.Event{Time: deadline, Node: src, Peer: dst,
-					Kind: earth.EvTimedOut, Dur: to, Cause: earth.CauseDrop})
-				rt.tr.Event(earth.Event{Time: deadline, Node: src, Peer: dst,
-					Kind: earth.EvRetry, Cause: earth.CauseDrop})
-			}
-		}
-		if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: issue, Node: src, Peer: dst,
-				Kind: earth.EvFaultInjected, Cause: earth.CauseDrop, Dur: pen})
-		}
-		delay += pen
-	}
-	if v.Corrupts > 0 {
-		// Each corrupted attempt is caught by the receiver's checksum and
-		// NACKed; the sender's resend continues the same backoff chain.
-		sn.faultsInjected.Add(1)
-		sn.retries.Add(uint64(v.Corrupts))
-		deadline, pen := issue+delay, sim.Time(0)
-		for a := 0; a < v.Corrupts; a++ {
-			to := att(attempt)
-			attempt++
-			deadline += to
-			pen += to
-			if rt.tr != nil {
-				rt.tr.Event(earth.Event{Time: deadline, Node: src, Peer: dst,
-					Kind: earth.EvTimedOut, Dur: to, Cause: earth.CauseCorrupt})
-				rt.tr.Event(earth.Event{Time: deadline, Node: src, Peer: dst,
-					Kind: earth.EvRetry, Cause: earth.CauseCorrupt})
-			}
-		}
-		if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: issue, Node: src, Peer: dst,
-				Kind: earth.EvFaultInjected, Cause: earth.CauseCorrupt, Dur: pen})
-		}
-		delay += pen
-	}
-	if v.Delay > 0 {
-		sn.faultsInjected.Add(1)
-		if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: issue, Node: src, Peer: dst,
-				Kind: earth.EvFaultInjected, Cause: earth.CauseDelay, Dur: v.Delay})
-		}
-		delay += v.Delay
-	}
-	if v.Dup {
-		sn.faultsInjected.Add(1)
-		if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: issue, Node: src, Peer: dst,
-				Kind: earth.EvFaultInjected, Cause: earth.CauseDup})
-		}
-	}
-	return v, delay
 }
 
 // dedupBody wraps a delivered body with the sequence-numbered
 // idempotent-delivery check and recovery accounting; unfaulted messages
 // pass through untouched.
-func (rt *Runtime) dedupBody(v faults.Verdict, src earth.NodeID, dst *lnode, h earth.ThreadBody) earth.ThreadBody {
-	if !v.Faulted() {
+func (rt *Runtime) dedupBody(d earth.Delivery, src earth.NodeID, dst *lnode, bytes int, h earth.ThreadBody) earth.ThreadBody {
+	if !d.Faulted() {
 		return h
 	}
 	issue := rt.now()
 	return func(c earth.Ctx) {
-		if !rt.inj.FirstDelivery(v.Seq) {
-			dst.dupsDropped.Add(1)
+		if !rt.inj.FirstDelivery(d.Seq) {
+			dst.ctr.dupsDropped.Add(1)
 			return
 		}
-		if v.Drops > 0 {
-			dst.recovered.Add(1)
+		if d.Drops > 0 {
+			dst.ctr.recovered.Add(1)
 			if rt.tr != nil {
-				rt.tr.Event(earth.Event{Time: rt.now(), Node: dst.id, Peer: src,
+				rt.tr.Event(earth.Event{Time: rt.now(), Node: dst.id, Peer: src, Bytes: bytes,
 					Kind: earth.EvRecovered, Dur: rt.now() - issue, Cause: earth.CauseDrop})
 			}
 		}
-		if v.Corrupts > 0 {
+		if d.Corrupts > 0 {
 			// Receiver-side integrity accounting: the checksum caught this
 			// many bit-flipped attempts before the clean copy landed.
-			dst.msgsCorrupted.Add(uint64(v.Corrupts))
+			dst.ctr.msgsCorrupted.Add(uint64(d.Corrupts))
 			if rt.tr != nil {
-				rt.tr.Event(earth.Event{Time: rt.now(), Node: dst.id, Peer: src,
+				rt.tr.Event(earth.Event{Time: rt.now(), Node: dst.id, Peer: src, Bytes: bytes,
 					Kind: earth.EvCorrupt, Dur: rt.now() - issue, Cause: earth.CauseCorrupt})
 			}
 		}
@@ -899,7 +700,7 @@ func (rt *Runtime) fenceBody(src earth.NodeID, h earth.ThreadBody) earth.ThreadB
 	return func(c earth.Ctx) {
 		if rt.nodes[src].epoch.Load() != se {
 			ln := rt.nodes[c.Node()]
-			ln.msgsFenced.Add(1)
+			ln.ctr.msgsFenced.Add(1)
 			if rt.tr != nil {
 				rt.tr.Event(earth.Event{Time: rt.now(), Node: ln.id, Peer: src,
 					Kind: earth.EvFenced, Cause: earth.CausePartition})
@@ -1025,7 +826,7 @@ func (n *lnode) loop(lctx context.Context) {
 		if n.rt.plan.HasPause() {
 			now := n.rt.now()
 			if pu := n.rt.plan.PauseUntil(int(n.id), now); pu > now {
-				n.faultsInjected.Add(1)
+				n.ctr.faultsInjected.Add(1)
 				if n.rt.tr != nil {
 					n.rt.tr.Event(earth.Event{Time: now, Node: n.id, Peer: earth.NoPeer,
 						Kind: earth.EvFaultInjected, Cause: earth.CausePause, Dur: pu - now})
@@ -1159,7 +960,7 @@ func (c *ctx) Sync(f *earth.Frame, slot int) {
 		c.coalAdd(home, 8, func(earth.Ctx) { home.decSlot(from, f, slot) })
 		return
 	}
-	c.rt.sendHandler(from, home, func(earth.Ctx) { home.decSlot(from, f, slot) })
+	c.rt.sendHandler(from, home, 8, func(earth.Ctx) { home.decSlot(from, f, slot) })
 }
 
 func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, slot int) {
@@ -1193,7 +994,7 @@ func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, 
 		c.coalAdd(dst, nbytes, deliver)
 		return
 	}
-	rt.sendHandler(src, dst, deliver)
+	rt.sendHandler(src, dst, nbytes, deliver)
 }
 
 func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.Frame, slot int) {
@@ -1218,9 +1019,9 @@ func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.F
 		rt.tr.Event(earth.Event{Time: issue, Node: src.id, Peer: owner,
 			Kind: earth.EvGetSend, Bytes: nbytes})
 	}
-	rt.sendHandler(src.id, dst, func(earth.Ctx) {
+	rt.sendHandler(src.id, dst, nbytes, func(earth.Ctx) {
 		deliver := read()
-		rt.sendHandler(owner, src, func(earth.Ctx) {
+		rt.sendHandler(owner, src, nbytes, func(earth.Ctx) {
 			deliver()
 			if rt.tr != nil {
 				rt.tr.Event(earth.Event{Time: rt.now(), Node: src.id, Peer: owner,
@@ -1233,7 +1034,7 @@ func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.F
 				if home == src {
 					home.decSlot(owner, f, slot)
 				} else {
-					rt.sendHandler(src.id, home, func(earth.Ctx) { home.decSlot(owner, f, slot) })
+					rt.sendHandler(src.id, home, 8, func(earth.Ctx) { home.decSlot(owner, f, slot) })
 				}
 			}
 		})
@@ -1252,7 +1053,7 @@ func (c *ctx) Invoke(nodeID earth.NodeID, argBytes int, body earth.ThreadBody) {
 		rt.tr.Event(earth.Event{Time: issue, Node: src, Peer: nodeID,
 			Kind: earth.EvInvokeSend, Bytes: argBytes})
 	}
-	rt.sendItem(src, rt.nodes[nodeID], item{body: body, cause: earth.CauseInvoke})
+	rt.sendItem(src, rt.nodes[nodeID], argBytes, item{body: body, cause: earth.CauseInvoke})
 }
 
 // Post delivers handler on the target's high-priority handler queue.
@@ -1267,7 +1068,7 @@ func (c *ctx) Post(nodeID earth.NodeID, argBytes int, handler earth.ThreadBody) 
 		c.coalAdd(rt.nodes[nodeID], argBytes, handler)
 		return
 	}
-	rt.sendHandler(c.n.id, rt.nodes[nodeID], handler)
+	rt.sendHandler(c.n.id, rt.nodes[nodeID], argBytes, handler)
 }
 
 func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
@@ -1283,7 +1084,7 @@ func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 			rt.tr.Event(earth.Event{Time: rt.now(), Node: c.n.id, Peer: target,
 				Kind: earth.EvTokenSpawn, Bytes: argBytes})
 		}
-		rt.sendItem(c.n.id, rt.nodes[target], item{body: body, token: true, cause: earth.CauseToken})
+		rt.sendItem(c.n.id, rt.nodes[target], argBytes, item{body: body, token: true, cause: earth.CauseToken})
 	case earth.BalanceRoundRobin:
 		i := int(rt.rrNext.Add(1)-1) % len(rt.nodes)
 		if rt.coalOn && earth.NodeID(i) != c.n.id {
@@ -1293,7 +1094,7 @@ func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 			rt.tr.Event(earth.Event{Time: rt.now(), Node: c.n.id, Peer: earth.NodeID(i),
 				Kind: earth.EvTokenSpawn, Bytes: argBytes})
 		}
-		rt.sendItem(c.n.id, rt.nodes[i], item{body: body, token: true, cause: earth.CauseToken})
+		rt.sendItem(c.n.id, rt.nodes[i], argBytes, item{body: body, token: true, cause: earth.CauseToken})
 	default: // BalanceSteal, BalanceNone: pool locally
 		if rt.tr != nil {
 			rt.tr.Event(earth.Event{Time: rt.now(), Node: c.n.id, Peer: earth.NoPeer,

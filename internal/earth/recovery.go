@@ -1,6 +1,11 @@
 package earth
 
-import "earth/internal/sim"
+import (
+	"errors"
+
+	"earth/internal/faults"
+	"earth/internal/sim"
+)
 
 // RetryPolicy governs the modelled recovery protocol the engines apply
 // when a fault plan is installed: every split-phase message
@@ -120,4 +125,48 @@ func Adopter(x NodeID, nodes int, down func(NodeID) bool) NodeID {
 		}
 	}
 	panic("earth: crash plan left no live node to adopt work")
+}
+
+// FaultSetup is a Config's fault plan resolved against its machine size
+// and retry policy: what an engine needs to know before its first
+// message. The zero value means a clean run.
+type FaultSetup struct {
+	// Plan is the enabled fault plan, nil for a clean run.
+	Plan *faults.Plan
+	// Retry is the defaulted recovery policy.
+	Retry RetryPolicy
+	// CrashAt is the per-node crash schedule (-1 = never), nil when the
+	// plan crashes nobody.
+	CrashAt []sim.Time
+	// Fences is the wrong-verdict schedule partitions outliving
+	// Retry.Lease produce; empty when none does.
+	Fences faults.Fences
+}
+
+// ResolveFaults resolves c's fault plan. It rejects plans that leave no
+// node to adopt work: crash schedules killing every node, and partition
+// schedules under which every node is at some instant (or eventually)
+// fenced or crashed.
+func (c Config) ResolveFaults() (FaultSetup, error) {
+	if !c.Faults.Enabled() {
+		return FaultSetup{}, nil
+	}
+	fs := FaultSetup{Plan: c.Faults, Retry: c.Retry.WithDefaults()}
+	if c.Faults.HasCrash() {
+		fs.CrashAt = c.Faults.CrashSchedule(c.Nodes)
+		live := 0
+		for _, at := range fs.CrashAt {
+			if at < 0 {
+				live++
+			}
+		}
+		if live == 0 {
+			return fs, errors.New("crash plan kills every node; at least one must survive")
+		}
+	}
+	fs.Fences = c.Faults.PartitionFences(c.Nodes, fs.Retry.Lease)
+	if err := c.Faults.CheckFences(c.Nodes, fs.Retry.Lease); err != nil {
+		return fs, err
+	}
+	return fs, nil
 }

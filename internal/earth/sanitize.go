@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"earth/internal/sim"
 )
 
 // This file is the runtime half of the sync-contract tooling (the static
@@ -242,4 +244,19 @@ func BuildSanitizeReport(frames []*Frame) *SanitizeReport {
 		return a.Count < b.Count
 	})
 	return r
+}
+
+// SanitizeScan is the engines' end-of-run sanitizer step: it builds the
+// report over the frames the run ledgered (in node order) and reports
+// every finding to sink, when one is installed, as an EvSanitize event
+// at the run's makespan.
+func SanitizeScan(frames []*Frame, makespan sim.Time, sink Tracer) *SanitizeReport {
+	rep := BuildSanitizeReport(frames)
+	if sink != nil {
+		for _, fd := range rep.Findings {
+			sink.Event(Event{Time: makespan, Node: fd.Home, Peer: NoPeer,
+				Kind: EvSanitize, Bytes: fd.Index, Dur: sim.Time(fd.Count)})
+		}
+	}
+	return rep
 }

@@ -139,13 +139,7 @@ func (c *ctx) flushCoalBuf(b *coalBuf) {
 		rt.emit(c.n.sh, earth.Event{Time: c.cursor, Node: src, Peer: dst,
 			Kind: earth.EvBatchFlush, Bytes: bytes, Wait: sim.Time(len(ops))})
 	}
-	arrival := rt.send(c.cursor, src, dst, bytes)
-	m := rt.newMsg(c.n.sh)
-	m.kind = msgBatch
-	m.from, m.to = src, dst
+	m, arrival := rt.envelope(c.n.sh, msgBatch, src, dst, c.cursor, bytes, bytes)
 	m.batch = ops
-	m.bytes = bytes
-	m.issue = c.cursor
-	m.recvCost = rt.cfg.Costs.RecvCost(bytes, false)
 	rt.deliver(c.n.sh, c.cursor, arrival, m)
 }

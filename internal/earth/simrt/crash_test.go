@@ -11,7 +11,9 @@ import (
 
 // crashTokenProg builds a token fan-out whose leaves each add a known
 // value into a node-0 accumulator guarded by one sync slot, so the
-// fault-free result is precomputable.
+// fault-free result is precomputable. (The crash contracts both engines
+// share — token convergence and frame adoption — are checked once, in
+// enginetest's TestCrashRecovery.)
 func crashTokenProg(total *int, done *bool, leaves int) (earth.ThreadBody, int) {
 	want := 0
 	for i := 0; i < leaves; i++ {
@@ -30,54 +32,6 @@ func crashTokenProg(total *int, done *bool, leaves int) (earth.ThreadBody, int) 
 		}
 	}
 	return body, want
-}
-
-// TestCrashConvergesTokens: killing a worker mid-run must not lose any
-// token; the run converges to the fault-free sum.
-func TestCrashConvergesTokens(t *testing.T) {
-	for _, k := range []int{1, 2, 3} {
-		plan := &faults.Plan{Seed: 7}
-		for i := 0; i < k; i++ {
-			plan.Crash = append(plan.Crash, faults.Crash{Node: 1 + i, At: sim.Time(100+50*i) * sim.Microsecond})
-		}
-		var total int
-		var done bool
-		body, want := crashTokenProg(&total, &done, 40)
-		rt := New(earth.Config{Nodes: 5, Seed: 1, Faults: plan})
-		st := rt.Run(body)
-		if total != want || !done {
-			t.Fatalf("k=%d: total=%d done=%v, want %d", k, total, done, want)
-		}
-		if st.TotalFaults() == 0 {
-			t.Fatalf("k=%d: no faults recorded for a crash plan", k)
-		}
-	}
-}
-
-// TestCrashAdoptedFrame: a frame homed on the crashing node keeps
-// receiving syncs; its enabled thread must fire on the adopter.
-func TestCrashAdoptedFrame(t *testing.T) {
-	plan := &faults.Plan{Crash: []faults.Crash{{Node: 2, At: 150 * sim.Microsecond}}}
-	rt := New(earth.Config{Nodes: 4, Seed: 3, Faults: plan})
-	var ranOn earth.NodeID = -1
-	const parts = 12
-	rt.Run(func(c earth.Ctx) {
-		f := earth.NewFrame(2, 1, 1)
-		f.InitSync(0, parts, 0, 0)
-		f.SetThread(0, func(c earth.Ctx) { ranOn = c.Node() })
-		for i := 0; i < parts; i++ {
-			c.Invoke(earth.NodeID(i%4), 8, func(c earth.Ctx) {
-				c.Compute(50 * sim.Microsecond)
-				c.Sync(f, 0)
-			})
-		}
-	})
-	if ranOn < 0 {
-		t.Fatal("fan-in thread never fired")
-	}
-	if ranOn == 2 {
-		t.Fatalf("fan-in thread ran on the crashed node")
-	}
 }
 
 // TestCrashRecoveryAccounting: detection latency lands on the dead node,

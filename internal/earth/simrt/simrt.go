@@ -325,7 +325,7 @@ type Runtime struct {
 	// cord buffers trace events emitted by the coordinator between windows
 	// (barrier work: boundaries, steal matching, samples). Merged with the
 	// shard buffers and canonically sorted at the end of the run.
-	cord []earth.Event
+	cord eventBuf
 	// atBarrier is true while the coordinator runs between windows: sends
 	// issued then insert directly into the (quiesced) target engines
 	// instead of the shard outboxes. Only the coordinator writes it, and
@@ -357,25 +357,22 @@ type Runtime struct {
 	detected   []bool
 	boundaries []boundary
 	reassignRR int
-	// Partition / fencing state (all nil or false without partition
-	// windows, so every fencing hook is a single check). hasPart gates
-	// epoch stamping and cut-link holds; fences is the precomputed wrong-
-	// verdict schedule; epochs is each node's incarnation epoch; halted
-	// marks nodes currently self-fenced; everFenced marks nodes whose
-	// state ownership has permanently transferred to their adopter (a
-	// rejoined node re-enters as a steal-only worker — flipping ownership
-	// back would let bodies already adopted spawn frames whose home
-	// suddenly looks alive again).
-	hasPart    bool
-	fences     []faults.Fence
+	// Partition / fencing state (all nil without partition windows, so
+	// every fencing hook is a single check). epochs is each node's
+	// incarnation epoch, stamped on every message under a partition plan;
+	// fences is the precomputed wrong-verdict schedule; halted marks nodes
+	// currently self-fenced; everFenced marks nodes whose state ownership
+	// has permanently transferred to their adopter (a rejoined node
+	// re-enters as a steal-only worker — flipping ownership back would let
+	// bodies already adopted spawn frames whose home suddenly looks alive
+	// again).
+	fences     faults.Fences
 	epochs     []uint64
 	halted     []bool
 	everFenced []bool
 	// wireExtra is the per-message checksum cost (manna.ChecksumBytes)
-	// charged when the plan can corrupt payloads; jitterOn gates the
-	// seeded retransmit-jitter draw.
+	// charged when the plan can corrupt payloads.
 	wireExtra int
-	jitterOn  bool
 	// Window progress: maxExec is the furthest executed instant (events and
 	// boundaries); bApplied counts applied boundaries toward Stats.Events;
 	// sampleNext is the next pending utilisation-sample boundary.
@@ -438,51 +435,37 @@ func New(cfg earth.Config) *Runtime {
 			rt.nodes[j].sh = s
 		}
 	}
-	if cfg.Faults.Enabled() {
-		rt.plan = cfg.Faults
-		rt.retry = cfg.Retry.WithDefaults()
-		rt.hasPause = cfg.Faults.HasPause()
-		rt.injs = make([]*faults.Injector, cfg.Nodes)
-		for i := range rt.injs {
-			rt.injs[i] = faults.NewLaneInjector(cfg.Faults, cfg.Seed, i)
-		}
-		if cfg.Faults.HasDegrade() {
-			rt.mach.SetLinkScale(cfg.Faults.LinkScale)
-		}
-		if cfg.Faults.HasCorrupt() {
-			rt.wireExtra = manna.ChecksumBytes
-		}
-		rt.jitterOn = rt.retry.Jitter > 0
-		if cfg.Faults.HasCrash() {
-			rt.crashAt = cfg.Faults.CrashSchedule(cfg.Nodes)
-			live := 0
-			for _, at := range rt.crashAt {
-				if at < 0 {
-					live++
-				}
-			}
-			if live == 0 {
-				panic("simrt: crash plan kills every node; at least one must survive")
-			}
-			rt.dead = make([]bool, cfg.Nodes)
-			rt.detected = make([]bool, cfg.Nodes)
-		}
-		if cfg.Faults.HasPartition() {
-			rt.hasPart = true
-			rt.epochs = make([]uint64, cfg.Nodes)
-			rt.fences = cfg.Faults.PartitionFences(cfg.Nodes, rt.retry.Lease)
-			if len(rt.fences) > 0 {
-				if err := cfg.Faults.CheckFences(cfg.Nodes, rt.retry.Lease); err != nil {
-					panic("simrt: " + err.Error())
-				}
-				rt.halted = make([]bool, cfg.Nodes)
-				rt.everFenced = make([]bool, cfg.Nodes)
-			}
-		}
-		if rt.crashAt != nil || len(rt.fences) > 0 {
-			rt.boundaries = makeBoundaries(rt.crashAt, rt.fences, rt.retry.Lease)
-		}
+	fs, err := cfg.ResolveFaults()
+	if err != nil {
+		panic("simrt: " + err.Error())
 	}
+	if fs.Plan == nil {
+		return rt
+	}
+	rt.plan, rt.retry, rt.crashAt, rt.fences = fs.Plan, fs.Retry, fs.CrashAt, fs.Fences
+	rt.hasPause = fs.Plan.HasPause()
+	rt.injs = make([]*faults.Injector, cfg.Nodes)
+	for i := range rt.injs {
+		rt.injs[i] = faults.NewLaneInjector(fs.Plan, cfg.Seed, i)
+	}
+	if fs.Plan.HasDegrade() {
+		rt.mach.SetLinkScale(fs.Plan.LinkScale)
+	}
+	if fs.Plan.HasCorrupt() {
+		rt.wireExtra = manna.ChecksumBytes
+	}
+	if rt.crashAt != nil {
+		rt.dead = make([]bool, cfg.Nodes)
+		rt.detected = make([]bool, cfg.Nodes)
+	}
+	if fs.Plan.HasPartition() {
+		rt.epochs = make([]uint64, cfg.Nodes)
+	}
+	if len(rt.fences) > 0 {
+		rt.halted = make([]bool, cfg.Nodes)
+		rt.everFenced = make([]bool, cfg.Nodes)
+	}
+	rt.boundaries = makeBoundaries(rt.crashAt, rt.fences, rt.retry.Lease)
 	return rt
 }
 
@@ -532,6 +515,12 @@ func (rt *Runtime) freeMsg(sh *shard, m *msg) {
 	sh.msgFree = append(sh.msgFree, m)
 }
 
+// eventBuf buffers one stream of trace events; its pointer is the
+// earth.Tracer the protocol core emits into.
+type eventBuf []earth.Event
+
+func (b *eventBuf) Event(ev earth.Event) { *b = append(*b, ev) }
+
 // emit buffers a trace event on the executing shard's stream, or on the
 // coordinator stream (sh == nil) for between-window emissions. All buffers
 // are merged and canonically sorted when the run completes, so placement
@@ -539,10 +528,22 @@ func (rt *Runtime) freeMsg(sh *shard, m *msg) {
 // sharing one slice.
 func (rt *Runtime) emit(sh *shard, ev earth.Event) {
 	if sh == nil {
-		rt.cord = append(rt.cord, ev)
+		rt.cord.Event(ev)
 		return
 	}
-	sh.events = append(sh.events, ev)
+	sh.events.Event(ev)
+}
+
+// sink returns the stream emit(sh, ·) appends to as a Tracer, nil when
+// the run is untraced.
+func (rt *Runtime) sink(sh *shard) earth.Tracer {
+	switch {
+	case rt.tr == nil:
+		return nil
+	case sh == nil:
+		return &rt.cord
+	}
+	return &sh.events
 }
 
 // P returns the node count.
@@ -581,42 +582,14 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 			n.coal.reset()
 		}
 	}
-	if rt.crashAt != nil {
-		rt.reassignRR = 0
-		for i := range rt.dead {
-			rt.dead[i] = false
-			rt.detected[i] = false
-		}
-	}
-	if rt.hasPart {
-		rt.reassignRR = 0
-		for i := range rt.epochs {
-			rt.epochs[i] = 0
-		}
-		for i := range rt.halted {
-			rt.halted[i] = false
-			rt.everFenced[i] = false
-		}
-		if rt.tr != nil {
-			// The partition schedule is static, so its window events are
-			// pre-emitted here; the final canonical sort places them. Fenced
-			// windows trace their heal as EvRejoined (applyHeal) instead.
-			lease := rt.retry.Lease
-			for _, pt := range rt.plan.Partition {
-				fenced := pt.From+lease < pt.To
-				for _, x := range pt.Minority() {
-					if x >= len(rt.nodes) {
-						continue
-					}
-					rt.emit(nil, earth.Event{Time: pt.From, Node: earth.NodeID(x), Peer: earth.NoPeer,
-						Kind: earth.EvPartitionStart, Dur: pt.To - pt.From, Cause: earth.CausePartition})
-					if !fenced {
-						rt.emit(nil, earth.Event{Time: pt.To, Node: earth.NodeID(x), Peer: earth.NoPeer,
-							Kind: earth.EvPartitionHeal, Cause: earth.CausePartition})
-					}
-				}
-			}
-		}
+	rt.reassignRR = 0
+	clear(rt.dead)
+	clear(rt.detected)
+	clear(rt.epochs)
+	clear(rt.halted)
+	clear(rt.everFenced)
+	if rt.epochs != nil && rt.tr != nil {
+		rt.emitPartitionWindows()
 	}
 	rt.maxExec = 0
 	rt.bApplied = 0
@@ -649,16 +622,31 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		for _, n := range rt.nodes {
 			frames = append(frames, n.sanFrames...)
 		}
-		st.Sanitize = earth.BuildSanitizeReport(frames)
-		if rt.tr != nil {
-			for _, fd := range st.Sanitize.Findings {
-				rt.emit(nil, earth.Event{Time: rt.maxExec, Node: fd.Home, Peer: earth.NoPeer,
-					Kind: earth.EvSanitize, Bytes: fd.Index, Dur: sim.Time(fd.Count)})
-			}
-		}
+		st.Sanitize = earth.SanitizeScan(frames, rt.maxExec, rt.sink(nil))
 	}
 	rt.flushTrace()
 	return st
+}
+
+// emitPartitionWindows pre-emits the partition schedule's window events
+// for a traced run: the schedule is static, and the final canonical sort
+// places them. Fenced windows trace their heal as EvRejoined (applyHeal)
+// instead.
+func (rt *Runtime) emitPartitionWindows() {
+	for _, pt := range rt.plan.Partition {
+		fenced := pt.From+rt.retry.Lease < pt.To
+		for _, x := range pt.Minority() {
+			if x >= len(rt.nodes) {
+				continue
+			}
+			rt.emit(nil, earth.Event{Time: pt.From, Node: earth.NodeID(x), Peer: earth.NoPeer,
+				Kind: earth.EvPartitionStart, Dur: pt.To - pt.From, Cause: earth.CausePartition})
+			if !fenced {
+				rt.emit(nil, earth.Event{Time: pt.To, Node: earth.NodeID(x), Peer: earth.NoPeer,
+					Kind: earth.EvPartitionHeal, Cause: earth.CausePartition})
+			}
+		}
+	}
 }
 
 // addSpan records a busy interval for utilisation sampling.
@@ -686,94 +674,74 @@ func (rt *Runtime) applyCrash(b boundary) {
 }
 
 // applyDetect fires one lease after a crash: survivors have missed enough
-// heartbeats/acks to declare the node dead. Its ring successor adopts the
-// checkpointed frames and queued threads, and its pooled tokens go back to
-// the load balancer for re-placement. Frame state in this embedding lives
-// in host memory, so adoption is the god-view counterpart of the
-// retransmit model: the failure perturbs placement and timing, never data.
+// heartbeats/acks to declare the node dead, and its state fails over to
+// its ring successor.
 func (rt *Runtime) applyDetect(b boundary) {
-	x := b.node
-	rt.detected[x] = true
-	n := rt.nodes[x]
-	n.stats.DetectionLatency = rt.retry.Lease
-	s := rt.resolve(earth.NodeID(x))
-	sn := rt.nodes[s]
-	now := b.at
+	rt.detected[b.node] = true
+	x := earth.NodeID(b.node)
+	s := rt.resolve(x)
 	if rt.tr != nil {
-		rt.emit(nil, earth.Event{Time: now, Node: s, Peer: earth.NodeID(x),
+		rt.emit(nil, earth.Event{Time: b.at, Node: s, Peer: x,
 			Kind: earth.EvNodeDown, Dur: rt.retry.Lease, Cause: earth.CauseCrash})
 	}
-	// The dead node no longer participates in stealing.
-	n.hungry, n.stealing = false, false
-	// Replay the node's queued threads from their checkpointed frames on
-	// the adopter.
-	for n.ready.len() > 0 {
-		it := n.ready.pop()
-		it.enq = now
-		sn.stats.FramesReplayed++
-		if rt.tr != nil {
-			rt.emit(nil, earth.Event{Time: now, Node: s, Peer: earth.NodeID(x),
-				Kind: earth.EvFrameReplayed, Cause: earth.CauseCrash})
-		}
-		rt.enqueueAt(sn, it, now)
-	}
-	// Return pooled tokens to the balancer for deterministic re-placement.
-	for n.tokens.len() > 0 {
-		tk := n.tokens.popFront()
-		rt.reassignToken(earth.NodeID(x), sn, tk, now, earth.CauseCrash)
-	}
+	rt.failover(x, s, b.at, earth.CauseCrash)
 }
 
 // applyFence executes one wrong failure verdict at its window boundary:
 // the partition has outlived node x's detection lease, so the survivors —
 // unable to tell a partitioned node from a dead one — bump x's incarnation
-// epoch and the ring successor adopts its checkpointed frames and queued
-// work, exactly as applyDetect would for a real crash. Symmetrically x,
-// having outlived its own lease without hearing an ack, self-fences: it
-// halts until the partition heals. From this boundary on, any message
-// stamped with x's old epoch is rejected at its receiver (the fencing
-// NACK in fireMsg). Skipped when x already crashed — the crash machinery
-// owns that failover.
+// epoch and fail its state over exactly as applyDetect would for a real
+// crash. Symmetrically x, having outlived its own lease without hearing an
+// ack, self-fences: it halts until the partition heals. From this boundary
+// on, any message stamped with x's old epoch is rejected at its receiver
+// (the fencing NACK in accept). Skipped when x already crashed — the crash
+// machinery owns that failover.
 func (rt *Runtime) applyFence(b boundary) {
-	x := b.node
+	x := earth.NodeID(b.node)
 	if rt.dead != nil && rt.dead[x] {
 		return
 	}
 	rt.epochs[x]++
 	rt.halted[x] = true
 	rt.everFenced[x] = true
-	n := rt.nodes[x]
-	n.stats.DetectionLatency = rt.retry.Lease
 	// The adopter must itself be clean at this instant: a simultaneous
 	// fence (same partition, several minority nodes) has not applied its
 	// own boundary yet, so the permanent flags alone would let one
 	// fencing node adopt another's work for a single boundary.
-	s := earth.Adopter(earth.NodeID(x), len(rt.nodes), func(c earth.NodeID) bool {
-		return (rt.detected != nil && rt.detected[c]) ||
-			(rt.everFenced != nil && rt.everFenced[c]) ||
-			rt.fenceSpan(c, b.at) != nil
+	s := earth.Adopter(x, len(rt.nodes), func(c earth.NodeID) bool {
+		return rt.owned(c) || rt.fences.Covering(int(c), b.at)
 	})
-	sn := rt.nodes[s]
-	sn.stats.WrongVerdicts++
-	now := b.at
+	rt.nodes[s].stats.WrongVerdicts++
 	if rt.tr != nil {
-		rt.emit(nil, earth.Event{Time: now, Node: s, Peer: earth.NodeID(x),
+		rt.emit(nil, earth.Event{Time: b.at, Node: s, Peer: x,
 			Kind: earth.EvPartitionFence, Dur: rt.retry.Lease, Cause: earth.CausePartition})
 	}
+	rt.failover(x, s, b.at, earth.CausePartition)
+}
+
+// failover hands down node x's state to adopter s at a detection or fence
+// boundary: s replays x's queued threads from their checkpointed frames,
+// and x's pooled tokens go back to the load balancer for deterministic
+// re-placement. Frame state in this embedding lives in host memory, so
+// adoption is the god-view counterpart of the retransmit model: the
+// failure perturbs placement and timing, never data.
+func (rt *Runtime) failover(x, s earth.NodeID, now sim.Time, cause earth.Cause) {
+	n, sn := rt.nodes[x], rt.nodes[s]
+	n.stats.DetectionLatency = rt.retry.Lease
+	// The down node no longer participates in stealing.
 	n.hungry, n.stealing = false, false
 	for n.ready.len() > 0 {
 		it := n.ready.pop()
 		it.enq = now
 		sn.stats.FramesReplayed++
 		if rt.tr != nil {
-			rt.emit(nil, earth.Event{Time: now, Node: s, Peer: earth.NodeID(x),
-				Kind: earth.EvFrameReplayed, Cause: earth.CausePartition})
+			rt.emit(nil, earth.Event{Time: now, Node: s, Peer: x,
+				Kind: earth.EvFrameReplayed, Cause: cause})
 		}
 		rt.enqueueAt(sn, it, now)
 	}
 	for n.tokens.len() > 0 {
-		tk := n.tokens.popFront()
-		rt.reassignToken(earth.NodeID(x), sn, tk, now, earth.CausePartition)
+		rt.reassignToken(x, sn, n.tokens.popFront(), now, cause)
 	}
 }
 
@@ -820,9 +788,13 @@ func (rt *Runtime) resolve(x earth.NodeID) earth.NodeID {
 	if rt.detected == nil && rt.everFenced == nil {
 		return x
 	}
-	return earth.Adopter(x, len(rt.nodes), func(c earth.NodeID) bool {
-		return (rt.detected != nil && rt.detected[c]) || (rt.everFenced != nil && rt.everFenced[c])
-	})
+	return earth.Adopter(x, len(rt.nodes), rt.owned)
+}
+
+// owned reports whether node c's state has moved to an adopter for good:
+// its crash was detected, or it was fenced.
+func (rt *Runtime) owned(c earth.NodeID) bool {
+	return (rt.detected != nil && rt.detected[c]) || (rt.everFenced != nil && rt.everFenced[c])
 }
 
 // downNow reports whether node x is currently unable to execute: crashed,
@@ -830,20 +802,6 @@ func (rt *Runtime) resolve(x earth.NodeID) earth.NodeID {
 // predicate this one heals — a rejoined node executes again.
 func (rt *Runtime) downNow(x earth.NodeID) bool {
 	return (rt.dead != nil && rt.dead[x]) || (rt.halted != nil && rt.halted[x])
-}
-
-// fenceSpan returns the fence covering node c at time at, or nil. The
-// fence schedule is immutable after construction and tiny (one entry per
-// minority node per fenced window), so send paths on any shard can scan
-// it freely.
-func (rt *Runtime) fenceSpan(c earth.NodeID, at sim.Time) *faults.Fence {
-	for i := range rt.fences {
-		f := &rt.fences[i]
-		if f.Node == int(c) && at >= f.At && at < f.Heal {
-			return f
-		}
-	}
-	return nil
 }
 
 // reassignToken returns one of a down node's pooled tokens to the load
@@ -856,7 +814,7 @@ func (rt *Runtime) reassignToken(x earth.NodeID, sn *node, tk token, now sim.Tim
 	p := len(rt.nodes)
 	skip := func(t earth.NodeID) bool {
 		return (rt.dead != nil && rt.dead[t]) || (rt.everFenced != nil && rt.everFenced[t]) ||
-			rt.fenceSpan(t, now) != nil
+			rt.fences.Covering(int(t), now)
 	}
 	t := earth.NodeID(rt.reassignRR % p)
 	for skip(t) {
@@ -874,15 +832,10 @@ func (rt *Runtime) reassignToken(x earth.NodeID, sn *node, tk token, now sim.Tim
 		rt.enqueueAt(tn, item{body: tk.body, token: true, enq: now, cause: earth.CauseToken}, now)
 		return
 	}
-	arrival := rt.send(now+rt.cfg.Costs.AsyncSend, sn.id, t, tk.argBytes)
-	m := rt.newMsg(tn.sh)
-	m.kind = msgThread
-	m.from, m.to = sn.id, t
-	m.body = tk.body
-	m.bytes = tk.argBytes
-	m.issue = now
-	m.cause = earth.CauseToken
-	m.recvCost = rt.cfg.Costs.RecvCost(tk.argBytes, false)
+	// The adopter's send software runs first, but the placement latency
+	// (EvTokenDeliver's Dur) counts from the boundary instant.
+	m, arrival := rt.envelope(tn.sh, msgThread, sn.id, t, now+rt.cfg.Costs.AsyncSend, tk.argBytes, tk.argBytes)
+	m.body, m.cause, m.issue = tk.body, earth.CauseToken, now
 	rt.deliver(nil, now, arrival, m)
 }
 
@@ -906,7 +859,7 @@ func (rt *Runtime) walkDown(a sim.Time, dst earth.NodeID, hop func(at sim.Time, 
 		if rt.crashAt != nil && rt.crashAt[c] >= 0 && at >= rt.crashAt[c]+lease {
 			return true
 		}
-		return rt.fenceSpan(c, at) != nil
+		return rt.fences.Covering(int(c), at)
 	}
 	for {
 		crashed := rt.crashAt != nil && rt.crashAt[dst] >= 0 && a >= rt.crashAt[dst]
@@ -914,7 +867,7 @@ func (rt *Runtime) walkDown(a sim.Time, dst earth.NodeID, hop func(at sim.Time, 
 			if td := rt.crashAt[dst] + lease; a < td {
 				a = td
 			}
-		} else if rt.fenceSpan(dst, a) == nil {
+		} else if !rt.fences.Covering(int(dst), a) {
 			return a, dst
 		}
 		x := dst
@@ -938,7 +891,7 @@ func (rt *Runtime) emitReroute(sh *shard, m *msg) {
 	fn := rt.nodes[m.to]
 	rt.walkDown(m.arr0, m.origTo, func(at sim.Time, x earth.NodeID) {
 		cause := earth.CauseCrash
-		if rt.fenceSpan(x, at) != nil {
+		if rt.fences.Covering(int(x), at) {
 			cause = earth.CausePartition
 		}
 		switch {
@@ -1116,166 +1069,76 @@ func (rt *Runtime) stageRecv(m *msg, n *node, cost sim.Time) bool {
 	return false
 }
 
+// envelope charges the network for one remote message leaving from at
+// ready — wire bytes on the wire, carrying bytes of application payload —
+// and returns its filled envelope (drawn from pool, see newMsg) with the
+// clean arrival time. The caller adds the kind's own fields and hands
+// both to deliver.
+func (rt *Runtime) envelope(pool *shard, kind msgKind, from, to earth.NodeID, ready sim.Time, wire, bytes int) (*msg, sim.Time) {
+	arrival := rt.send(ready, from, to, wire)
+	m := rt.newMsg(pool)
+	m.kind = kind
+	m.from, m.to = from, to
+	m.bytes = bytes
+	m.issue = ready
+	m.recvCost = rt.recvCost(kind, bytes)
+	return m, arrival
+}
+
+// recvCost is the receiver-side software overhead of one message kind.
+func (rt *Runtime) recvCost(kind msgKind, bytes int) sim.Time {
+	switch kind {
+	case msgSync:
+		return rt.cfg.Costs.SpawnLocal
+	case msgStealReq:
+		return rt.cfg.Costs.AsyncRecv
+	}
+	return rt.cfg.Costs.RecvCost(bytes, kind == msgGetReq)
+}
+
 // deliver applies the fault plan to remote envelope m and routes it toward
-// its target. issue is when the sender-side software finished; sh is the
-// executing shard (nil for coordinator barrier work). Verdicts come from
-// the sender's injector lane, which only the sender's shard (or the
-// quiesced coordinator) ever draws from.
-//
-// Recovery is accounted "god view" in virtual time: a transmission the
-// plan dropped k times arrives at issue plus the sum of its first k
-// capped-exponential ack timeouts plus the original wire latency — no
-// real timer events are scheduled, so clean portions of the run and
-// quiescence detection are untouched. A duplicated message is a cloned
-// envelope with the same sequence number one base timeout behind; the
-// receiver keeps the first copy (fireMsg's idempotent-delivery check).
-// Retransmissions do not re-charge NIC serialisation, a deliberate model
-// simplification.
+// its target. issue is when the sender-side software finished; arrival is
+// the clean arrival; sh is the executing shard (nil for coordinator
+// barrier work). The protocol core (earth.PlanDelivery) decides the
+// message's fate from the sender's injector lane, which only the sender's
+// shard (or the quiesced coordinator) ever draws from; this engine's part
+// is the transport: no real timer events are scheduled — the envelope
+// simply lands later — so clean portions of the run and quiescence
+// detection are untouched, and the delay only ever moves the arrival
+// later, which preserves the conservative lookahead. A duplicated message
+// is a cloned envelope with the same sequence number one base timeout
+// behind; the receiver keeps the first copy (accept's idempotent-delivery
+// check).
 func (rt *Runtime) deliver(sh *shard, issue, arrival sim.Time, m *msg) {
 	if rt.injs == nil {
 		rt.routeMsg(sh, arrival, m)
 		return
 	}
-	v := rt.injs[m.from].Next(rt.retry.MaxRetries)
-	m.seq = v.Seq
 	if m.issue == 0 {
 		m.issue = issue
 	}
-	sender := rt.nodes[m.from]
-	if rt.hasPart {
+	if rt.epochs != nil {
 		// Stamp the sender's incarnation epoch at issue. The receiver's
-		// fencing check in fireMsg compares it against the epoch current at
-		// arrival; epochs only advance at quiesced fence boundaries, so the
+		// fencing check compares it against the epoch current at arrival;
+		// epochs only advance at quiesced fence boundaries, so the
 		// comparison is a pure function of issue and fire times.
 		m.sendEpoch = rt.epochs[m.from]
-		if ub := rt.plan.PartitionUnblock(issue, int(m.from), int(m.to)); ub > issue {
-			// The link is cut: every transmission vanishes until the
-			// partition heals. Account the sender's retries deterministically
-			// (no RNG draws — the cut drops everything regardless of the
-			// plan's probabilities): backed-off timeouts fire until the retry
-			// budget runs out or an attempt lands past the heal. The
-			// effective issue shifts to the heal instant, which preserves the
-			// conservative lookahead (arrival - issue is unchanged and the
-			// hold only moves the arrival later).
-			sender.stats.FaultsInjected++
-			deadline := issue
-			tries := 0
-			for deadline < ub && tries < rt.retry.MaxRetries {
-				to := rt.retry.AttemptTimeout(tries)
-				deadline += to
-				tries++
-				if rt.tr != nil {
-					rt.emit(sh, earth.Event{Time: deadline, Node: m.from, Peer: m.to,
-						Kind: earth.EvTimedOut, Dur: to, Bytes: m.bytes, Cause: earth.CausePartition})
-					rt.emit(sh, earth.Event{Time: deadline, Node: m.from, Peer: m.to,
-						Kind: earth.EvRetry, Bytes: m.bytes, Cause: earth.CausePartition})
-				}
-			}
-			sender.stats.Retries += uint64(tries)
-			if rt.tr != nil {
-				rt.emit(sh, earth.Event{Time: issue, Node: m.from, Peer: m.to,
-					Kind: earth.EvFaultInjected, Cause: earth.CausePartition, Bytes: m.bytes,
-					Dur: ub - issue})
-			}
-			arrival = ub + (arrival - issue)
-			issue = ub
-		}
 	}
-	// att is the timeout of the attempt-th transmission. With jitter
-	// enabled, one uniform draw per faulted message scales every timeout in
-	// its backoff chain; the draw is gated on the verdict so un-faulted
-	// messages leave the random stream exactly as an unjittered run would.
-	att := rt.retry.AttemptTimeout
-	if rt.jitterOn && (v.Drops > 0 || v.Corrupts > 0) {
-		sc := rt.retry.JitterScale(rt.injs[m.from].Float64())
-		att = func(a int) sim.Time {
-			d := sim.Time(float64(rt.retry.AttemptTimeout(a)) * sc)
-			if d < 1 {
-				d = 1
-			}
-			return d
-		}
-	}
-	attempt := 0
-	deadline := issue
-	wire := arrival - issue
-	if v.Drops > 0 {
-		sender.stats.FaultsInjected++
-		sender.stats.Retries += uint64(v.Drops)
-		m.drops = uint16(v.Drops)
-		start := deadline
-		for a := 0; a < v.Drops; a++ {
-			to := att(attempt)
-			attempt++
-			deadline += to
-			if rt.tr != nil {
-				rt.emit(sh, earth.Event{Time: deadline, Node: m.from, Peer: m.to,
-					Kind: earth.EvTimedOut, Dur: to, Bytes: m.bytes, Cause: earth.CauseDrop})
-				rt.emit(sh, earth.Event{Time: deadline, Node: m.from, Peer: m.to,
-					Kind: earth.EvRetry, Bytes: m.bytes, Cause: earth.CauseDrop})
-			}
-		}
-		if rt.tr != nil {
-			rt.emit(sh, earth.Event{Time: issue, Node: m.from, Peer: m.to,
-				Kind: earth.EvFaultInjected, Cause: earth.CauseDrop, Bytes: m.bytes,
-				Dur: deadline - start})
-		}
-	}
-	if v.Corrupts > 0 {
-		// Corrupted attempts continue the backoff chain after the drops:
-		// each one crosses the wire, fails the receiver's checksum, is
-		// NACKed, and costs the sender one more backed-off retransmit.
-		// Receiver-side detection is accounted at fire time (EvCorrupt),
-		// where the receiving shard owns the stats.
-		sender.stats.FaultsInjected++
-		sender.stats.Retries += uint64(v.Corrupts)
-		m.corrupts = uint16(v.Corrupts)
-		start := deadline
-		for a := 0; a < v.Corrupts; a++ {
-			to := att(attempt)
-			attempt++
-			deadline += to
-			if rt.tr != nil {
-				rt.emit(sh, earth.Event{Time: deadline, Node: m.from, Peer: m.to,
-					Kind: earth.EvTimedOut, Dur: to, Bytes: m.bytes, Cause: earth.CauseCorrupt})
-				rt.emit(sh, earth.Event{Time: deadline, Node: m.from, Peer: m.to,
-					Kind: earth.EvRetry, Bytes: m.bytes, Cause: earth.CauseCorrupt})
-			}
-		}
-		if rt.tr != nil {
-			rt.emit(sh, earth.Event{Time: issue, Node: m.from, Peer: m.to,
-				Kind: earth.EvFaultInjected, Cause: earth.CauseCorrupt, Bytes: m.bytes,
-				Dur: deadline - start})
-		}
-	}
-	if attempt > 0 {
-		arrival = deadline + wire
-	}
-	if v.Delay > 0 {
-		sender.stats.FaultsInjected++
-		if rt.tr != nil {
-			rt.emit(sh, earth.Event{Time: issue, Node: m.from, Peer: m.to,
-				Kind: earth.EvFaultInjected, Cause: earth.CauseDelay, Bytes: m.bytes,
-				Dur: v.Delay})
-		}
-		arrival += v.Delay
-	}
-	if v.Dup {
-		sender.stats.FaultsInjected++
-		if rt.tr != nil {
-			rt.emit(sh, earth.Event{Time: issue, Node: m.from, Peer: m.to,
-				Kind: earth.EvFaultInjected, Cause: earth.CauseDup, Bytes: m.bytes})
-		}
-		m.dup = true
+	d := earth.PlanDelivery(rt.injs[m.from], rt.retry, rt.plan, m.from, m.to, m.bytes, issue, rt.sink(sh))
+	m.seq, m.drops, m.corrupts, m.dup = d.Seq, uint16(d.Drops), uint16(d.Corrupts), d.Dup
+	sender := rt.nodes[m.from]
+	sender.stats.FaultsInjected += d.FaultsInjected
+	sender.stats.Retries += d.Retries
+	arrival += d.Delay
+	if d.Dup {
 		pool := sh
 		if pool == nil {
 			pool = rt.nodes[m.to].sh
 		}
-		d := rt.cloneMsg(pool, m)
 		// Each copy is routed from its own arrival: the clone trails by one
 		// base timeout and may cross a later detection boundary, failing
 		// over further along the adoption ring than the original.
-		rt.routeMsg(sh, arrival+rt.retry.AttemptTimeout(0), d)
+		rt.routeMsg(sh, arrival+rt.retry.AttemptTimeout(0), rt.cloneMsg(pool, m))
 	}
 	rt.routeMsg(sh, arrival, m)
 }
@@ -1348,279 +1211,277 @@ func (rt *Runtime) cloneMsg(sh *shard, m *msg) *msg {
 }
 
 // fireMsg applies a message envelope at its scheduled time, on the shard
-// owning its (final) target node.
+// owning its (final) target node: the receipt checks, the receiver-side
+// cost stage, then the kind's effect.
 func (rt *Runtime) fireMsg(m *msg) {
-	sh := rt.nodes[m.to].sh
+	n := rt.nodes[m.to]
 	if m.stage == 0 {
-		// The fencing NACK comes before every other delivery check: a
-		// message whose sender's incarnation epoch advanced while it was in
-		// flight is from an incarnation the cluster has declared dead, and
-		// its effect must never touch adopted state — not even the reroute
-		// and duplicate bookkeeping below (the work it carried is lost, not
-		// re-instantiated).
-		if rt.epochs != nil && m.sendEpoch != rt.epochs[m.from] {
-			n := rt.nodes[m.to]
-			n.stats.MsgsFenced++
-			if rt.tr != nil {
-				now := sh.eng.Now()
-				rt.emit(sh, earth.Event{Time: now, Node: m.to, Peer: m.from,
-					Kind: earth.EvFenced, Dur: now - m.issue, Bytes: m.bytes,
-					Cause: earth.CausePartition})
-			}
-			rt.freeMsg(sh, m)
+		if !rt.accept(n, m) {
 			return
 		}
-		// Account crash-stop failovers first, at arrival, before any
-		// delivery bookkeeping runs — mirroring the pre-computed routing
-		// done at send time.
-		if m.rerouted {
-			rt.emitReroute(sh, m)
-		}
-		// Idempotent delivery under a fault plan: both copies of a
-		// duplicated transmission consult the original target's seen map —
-		// the second copy is discarded here, which is what makes duplicates
-		// and reorders safe (a doubled Sync would otherwise over-decrement
-		// its slot). The original always arrives first in virtual time, and
-		// same-window copies always share a final target, so the map is
-		// only ever touched by one shard at a time.
-		if m.dup {
-			tn := rt.nodes[m.origTo]
-			if tn.seen == nil {
-				tn.seen = make(map[uint64]bool)
-			}
-			if tn.seen[m.seq] {
-				delete(tn.seen, m.seq)
-				rt.nodes[m.to].stats.DupsDropped++
-				rt.freeMsg(sh, m)
-				return
-			}
-			tn.seen[m.seq] = true
-		}
-		if m.drops > 0 {
-			n := rt.nodes[m.to]
-			n.stats.Recovered++
-			if rt.tr != nil {
-				now := sh.eng.Now()
-				rt.emit(sh, earth.Event{Time: now, Node: m.to, Peer: m.from,
-					Kind: earth.EvRecovered, Dur: now - m.issue, Bytes: m.bytes,
-					Cause: earth.CauseDrop})
-			}
-		}
-		if m.corrupts > 0 {
-			// The receiver's checksum caught each corrupted attempt and
-			// NACKed it; account the detections here, on the receiving
-			// shard. Dur is the end-to-end issue-to-delivery latency the
-			// corruption inflated.
-			n := rt.nodes[m.to]
-			n.stats.MsgsCorrupted += uint64(m.corrupts)
-			if rt.tr != nil {
-				now := sh.eng.Now()
-				rt.emit(sh, earth.Event{Time: now, Node: m.to, Peer: m.from,
-					Kind: earth.EvCorrupt, Dur: now - m.issue, Bytes: m.bytes,
-					Cause: earth.CauseCorrupt})
-			}
+		// Thread arrivals pay their receive cost at dispatch (item.recvCost);
+		// every other kind pays it here, before its effect.
+		if m.kind != msgThread && rt.stageRecv(m, n, m.recvCost) {
+			return
 		}
 	}
 	switch m.kind {
 	case msgSync:
-		// Route by m.to, not m.f.Home: after a crash the sync lands on the
-		// frame's adopter.
-		n := rt.nodes[m.to]
-		if m.stage == 0 && rt.stageRecv(m, n, rt.cfg.Costs.SpawnLocal) {
-			return
-		}
-		from, f, slot := m.from, m.f, m.slot
-		rt.freeMsg(sh, m)
-		rt.decSlot(n, from, sh.eng.Now(), f, slot)
-
+		rt.fireSync(n, m)
 	case msgThread:
-		dst := rt.nodes[m.to]
-		now := sh.eng.Now()
-		if rt.tr != nil {
-			switch m.cause {
-			case earth.CauseInvoke:
-				rt.emit(sh, earth.Event{Time: now, Node: m.to, Peer: m.from,
-					Kind: earth.EvInvokeDeliver, Bytes: m.bytes, Dur: now - m.issue})
-			case earth.CauseToken:
-				rt.emit(sh, earth.Event{Time: now, Node: m.to, Peer: m.from,
-					Kind: earth.EvTokenDeliver, Bytes: m.bytes, Dur: now - m.issue})
-			}
-		}
-		it := item{body: m.body, recvCost: m.recvCost, enq: now,
-			cause: m.cause, token: m.cause == earth.CauseToken}
-		rt.freeMsg(sh, m)
-		rt.enqueue(dst, it)
-
+		rt.fireThread(n, m)
 	case msgPost:
-		n := rt.nodes[m.to]
-		if m.stage == 0 && rt.stageRecv(m, n, m.recvCost) {
-			return
-		}
-		body := m.body
-		rt.freeMsg(sh, m)
-		rt.execHandlerBody(n, body)
-
+		rt.firePost(n, m)
 	case msgPut:
-		dst := rt.nodes[m.to]
-		if m.stage == 0 && rt.stageRecv(m, dst, m.recvCost) {
-			return
-		}
-		from, owner, f, slot := m.from, m.to, m.f, m.slot
-		bytes, issue, write := m.bytes, m.issue, m.write
-		rt.freeMsg(sh, m)
-		write()
-		now := sh.eng.Now()
-		if rt.tr != nil {
-			rt.emit(sh, earth.Event{Time: now, Node: owner, Peer: from,
-				Kind: earth.EvPutDeliver, Bytes: bytes, Dur: now - issue})
-		}
-		if f != nil {
-			if rt.resolve(f.Home) == owner {
-				rt.decSlot(dst, owner, now, f, slot)
-			} else {
-				rt.sendSyncAt(sh, now, owner, f, slot)
-			}
-		}
-
+		rt.firePut(n, m)
 	case msgGetReq:
-		owner := rt.nodes[m.to]
-		if m.stage == 0 && rt.stageRecv(m, owner, m.recvCost) {
-			return
-		}
-		// Convert the envelope in place into the response leg carrying the
-		// payload back to the requester. The response is a fresh
-		// transmission: it gets its own fault verdict and sequence number
-		// (m.issue keeps the request's issue so EvGetDeliver's Dur stays
-		// the full round trip).
-		m.deliver = m.read()
-		m.read = nil
-		m.kind = msgGetResp
-		m.stage = 0
-		m.from, m.to = m.to, m.from
-		m.seq, m.drops, m.corrupts = 0, 0, 0
-		m.dup, m.rerouted, m.arr0 = false, false, 0
-		m.recvCost = rt.cfg.Costs.RecvCost(m.bytes, false)
-		now := sh.eng.Now()
-		arrival := rt.send(now, owner.id, m.to, m.bytes)
-		rt.deliver(sh, now, arrival, m)
-
+		rt.fireGetReq(n, m)
 	case msgGetResp:
-		src := rt.nodes[m.to]
-		if m.stage == 0 && rt.stageRecv(m, src, m.recvCost) {
-			return
-		}
-		owner, f, slot := m.from, m.f, m.slot
-		bytes, issue, deliverFn := m.bytes, m.issue, m.deliver
-		rt.freeMsg(sh, m)
-		deliverFn()
-		now := sh.eng.Now()
-		if rt.tr != nil {
-			rt.emit(sh, earth.Event{Time: now, Node: src.id, Peer: owner,
-				Kind: earth.EvGetDeliver, Bytes: bytes, Dur: now - issue})
-		}
-		if f != nil {
-			if rt.resolve(f.Home) == src.id {
-				rt.decSlot(src, owner, now, f, slot)
-			} else {
-				rt.sendSyncAt(sh, now, src.id, f, slot)
-			}
-		}
-
+		rt.fireGetResp(n, m)
 	case msgStealReq:
-		victim := rt.nodes[m.to]
-		if m.stage == 0 && rt.stageRecv(m, victim, rt.cfg.Costs.AsyncRecv) {
-			return
-		}
-		thief := m.from
-		now := sh.eng.Now()
-		if victim.tokens.len() == 0 {
-			rt.freeMsg(sh, m)
-			if rt.tr != nil {
-				rt.emit(sh, earth.Event{
-					Time: now, Node: thief, Peer: victim.id,
-					Kind: earth.EvStealMiss,
-				})
-			}
-			// The thief lives on another shard: it learns of the miss (and
-			// becomes eligible for re-matching) at the next barrier.
-			sh.misses = append(sh.misses, missNote{at: now, thief: thief})
-			return
-		}
-		// Ship the victim's oldest token (largest subtree, for tree-shaped
-		// workloads) by converting the envelope into the grant leg. The
-		// grant is a fresh transmission with its own fault verdict; m.issue
-		// keeps the request's issue so EvStealGrant's Dur is the round trip.
-		tk := victim.tokens.popFront()
-		grantIssue := now + rt.cfg.Costs.AsyncSend
-		arrival := rt.send(grantIssue, victim.id, thief, tk.argBytes)
-		m.kind = msgStealGrant
-		m.stage = 0
-		m.from, m.to = victim.id, thief
-		m.body = tk.body
-		m.bytes = tk.argBytes
-		m.seq, m.drops, m.corrupts = 0, 0, 0
-		m.dup, m.rerouted, m.arr0 = false, false, 0
-		m.recvCost = rt.cfg.Costs.RecvCost(tk.argBytes, false)
-		rt.deliver(sh, grantIssue, arrival, m)
-
+		rt.fireStealReq(n, m)
 	case msgStealGrant:
-		thief := rt.nodes[m.to]
-		if m.stage == 0 && rt.stageRecv(m, thief, m.recvCost) {
-			return
-		}
-		thief.stealing = false
-		victimID, issue, bytes, body := m.from, m.issue, m.bytes, m.body
-		rt.freeMsg(sh, m)
-		now := sh.eng.Now()
-		if rt.tr != nil {
-			rt.emit(sh, earth.Event{
-				Time: now, Node: thief.id, Peer: victimID,
-				Kind: earth.EvStealGrant, Dur: now - issue, Bytes: bytes,
-			})
-		}
-		rt.enqueue(thief, item{body: body, token: true, stolen: true,
-			enq: now, cause: earth.CauseSteal})
-
+		rt.fireStealGrant(n, m)
 	case msgBatch:
-		n := rt.nodes[m.to]
-		if m.stage == 0 && rt.stageRecv(m, n, m.recvCost) {
-			return
-		}
-		from, ops := m.from, m.batch
-		rt.freeMsg(sh, m)
-		// Apply the merged operations in issue order, all at the batch's
-		// single effect instant. Frame routing mirrors the unbatched fire
-		// paths (msgSync/msgPut/msgPost above); the receiver-side overhead
-		// was charged once for the whole batch — the amortisation the
-		// coalescer models.
-		for i := range ops {
-			op := &ops[i]
-			switch op.kind {
-			case msgSync:
-				rt.decSlot(n, from, sh.eng.Now(), op.f, op.slot)
-			case msgPut:
-				op.write()
-				now := sh.eng.Now()
-				if rt.tr != nil {
-					rt.emit(sh, earth.Event{Time: now, Node: n.id, Peer: from,
-						Kind: earth.EvPutDeliver, Bytes: op.bytes, Dur: now - op.issue})
-				}
-				if op.f != nil {
-					if rt.resolve(op.f.Home) == n.id {
-						rt.decSlot(n, n.id, now, op.f, op.slot)
-					} else {
-						rt.sendSyncAt(sh, now, n.id, op.f, op.slot)
-					}
-				}
-			case msgPost:
-				rt.execHandlerBody(n, op.body)
-			default:
-				panic(fmt.Sprintf("simrt: kind %d inside a batch", op.kind))
-			}
-		}
-
+		rt.fireBatch(n, m)
 	default:
 		panic(fmt.Sprintf("simrt: unknown message kind %d", m.kind))
+	}
+}
+
+// accept is the receipt prefix every arriving envelope passes before its
+// effect: the fencing NACK, crash-failover accounting, idempotent
+// delivery, and the receiver's share of drop/corrupt recovery accounting.
+// It reports whether the message is to be applied; a rejected envelope has
+// been freed.
+func (rt *Runtime) accept(n *node, m *msg) bool {
+	sh := n.sh
+	// The fencing NACK comes before every other delivery check: a message
+	// whose sender's incarnation epoch advanced while it was in flight is
+	// from an incarnation the cluster has declared dead, and its effect
+	// must never touch adopted state — not even the reroute and duplicate
+	// bookkeeping below (the work it carried is lost, not re-instantiated).
+	if rt.epochs != nil && m.sendEpoch != rt.epochs[m.from] {
+		n.stats.MsgsFenced++
+		rt.emitReceipt(n, m, earth.EvFenced, earth.CausePartition)
+		rt.freeMsg(sh, m)
+		return false
+	}
+	// Account crash-stop failovers first, at arrival, before any delivery
+	// bookkeeping runs — mirroring the pre-computed routing done at send
+	// time.
+	if m.rerouted {
+		rt.emitReroute(sh, m)
+	}
+	// Idempotent delivery under a fault plan: both copies of a duplicated
+	// transmission consult the original target's seen map — the second
+	// copy is discarded here, which is what makes duplicates and reorders
+	// safe (a doubled Sync would otherwise over-decrement its slot). The
+	// original always arrives first in virtual time, and same-window
+	// copies always share a final target, so the map is only ever touched
+	// by one shard at a time.
+	if m.dup {
+		tn := rt.nodes[m.origTo]
+		if tn.seen == nil {
+			tn.seen = make(map[uint64]bool)
+		}
+		if tn.seen[m.seq] {
+			delete(tn.seen, m.seq)
+			n.stats.DupsDropped++
+			rt.freeMsg(sh, m)
+			return false
+		}
+		tn.seen[m.seq] = true
+	}
+	if m.drops > 0 {
+		n.stats.Recovered++
+		rt.emitReceipt(n, m, earth.EvRecovered, earth.CauseDrop)
+	}
+	if m.corrupts > 0 {
+		// The receiver's checksum caught each corrupted attempt and NACKed
+		// it; account the detections here, on the receiving shard.
+		n.stats.MsgsCorrupted += uint64(m.corrupts)
+		rt.emitReceipt(n, m, earth.EvCorrupt, earth.CauseCorrupt)
+	}
+	return true
+}
+
+// emitReceipt traces one receipt-side protocol event for m on receiver n.
+// Dur is the end-to-end issue-to-receipt latency the fault inflated.
+func (rt *Runtime) emitReceipt(n *node, m *msg, kind earth.EventKind, cause earth.Cause) {
+	if rt.tr != nil {
+		now := n.sh.eng.Now()
+		rt.emit(n.sh, earth.Event{Time: now, Node: n.id, Peer: m.from,
+			Kind: kind, Dur: now - m.issue, Bytes: m.bytes, Cause: cause})
+	}
+}
+
+// fireSync decrements the slot on n — the node the sync was routed to,
+// not necessarily m.f.Home: after a crash it lands on the frame's adopter.
+func (rt *Runtime) fireSync(n *node, m *msg) {
+	from, f, slot := m.from, m.f, m.slot
+	rt.freeMsg(n.sh, m)
+	rt.decSlot(n, from, n.sh.eng.Now(), f, slot)
+}
+
+// firePost runs an active-message handler on n's handler path.
+func (rt *Runtime) firePost(n *node, m *msg) {
+	body := m.body
+	rt.freeMsg(n.sh, m)
+	rt.execHandlerBody(n, body)
+}
+
+// firePut applies a remote write on its owner n.
+func (rt *Runtime) firePut(n *node, m *msg) {
+	from, f, slot := m.from, m.f, m.slot
+	bytes, issue, write := m.bytes, m.issue, m.write
+	rt.freeMsg(n.sh, m)
+	rt.applyPut(n, from, write, bytes, issue, f, slot)
+}
+
+// fireThread lands an invoke or placed token on dst's ready queue.
+func (rt *Runtime) fireThread(dst *node, m *msg) {
+	now := dst.sh.eng.Now()
+	if rt.tr != nil {
+		switch m.cause {
+		case earth.CauseInvoke:
+			rt.emit(dst.sh, earth.Event{Time: now, Node: dst.id, Peer: m.from,
+				Kind: earth.EvInvokeDeliver, Bytes: m.bytes, Dur: now - m.issue})
+		case earth.CauseToken:
+			rt.emit(dst.sh, earth.Event{Time: now, Node: dst.id, Peer: m.from,
+				Kind: earth.EvTokenDeliver, Bytes: m.bytes, Dur: now - m.issue})
+		}
+	}
+	it := item{body: m.body, recvCost: m.recvCost, enq: now,
+		cause: m.cause, token: m.cause == earth.CauseToken}
+	rt.freeMsg(dst.sh, m)
+	rt.enqueue(dst, it)
+}
+
+// applyPut performs a remote write's effect on its owner n at the current
+// event time and signals the completion slot.
+func (rt *Runtime) applyPut(n *node, from earth.NodeID, write func(), bytes int, issue sim.Time, f *earth.Frame, slot int) {
+	write()
+	now := n.sh.eng.Now()
+	if rt.tr != nil {
+		rt.emit(n.sh, earth.Event{Time: now, Node: n.id, Peer: from,
+			Kind: earth.EvPutDeliver, Bytes: bytes, Dur: now - issue})
+	}
+	rt.signal(n, n.id, now, f, slot)
+}
+
+// signal delivers a split-phase operation's completion signal from the
+// executing node n: a local decrement when n owns f's home (from names the
+// signalling node), a sync message to the home otherwise. f may be nil.
+func (rt *Runtime) signal(n *node, from earth.NodeID, now sim.Time, f *earth.Frame, slot int) {
+	if f == nil {
+		return
+	}
+	if rt.resolve(f.Home) == n.id {
+		rt.decSlot(n, from, now, f, slot)
+	} else {
+		rt.sendSyncAt(n.sh, now, n.id, f, slot)
+	}
+}
+
+// retarget converts a fired request envelope in place into its reply leg
+// from the executing node back to the requester. The reply is a fresh
+// transmission: it gets its own fault verdict and sequence number, while
+// m.issue keeps the request's issue so the reply's deliver event reports
+// the full round trip.
+func (rt *Runtime) retarget(m *msg, kind msgKind) {
+	m.kind = kind
+	m.stage = 0
+	m.from, m.to = m.to, m.from
+	m.seq, m.drops, m.corrupts = 0, 0, 0
+	m.dup, m.rerouted, m.arr0 = false, false, 0
+	m.recvCost = rt.recvCost(kind, m.bytes)
+}
+
+// fireGetReq reads the payload on the owner and ships the response leg.
+func (rt *Runtime) fireGetReq(owner *node, m *msg) {
+	m.deliver = m.read()
+	m.read = nil
+	rt.retarget(m, msgGetResp)
+	now := owner.sh.eng.Now()
+	arrival := rt.send(now, owner.id, m.to, m.bytes)
+	rt.deliver(owner.sh, now, arrival, m)
+}
+
+// fireGetResp lands the payload back on the requester and signals the
+// completion slot on the owner's behalf.
+func (rt *Runtime) fireGetResp(src *node, m *msg) {
+	owner, f, slot := m.from, m.f, m.slot
+	bytes, issue, deliverFn := m.bytes, m.issue, m.deliver
+	rt.freeMsg(src.sh, m)
+	deliverFn()
+	now := src.sh.eng.Now()
+	if rt.tr != nil {
+		rt.emit(src.sh, earth.Event{Time: now, Node: src.id, Peer: owner,
+			Kind: earth.EvGetDeliver, Bytes: bytes, Dur: now - issue})
+	}
+	rt.signal(src, owner, now, f, slot)
+}
+
+// fireStealReq serves a steal request at the victim: a miss note when the
+// pool is dry, else the victim's oldest token (largest subtree, for
+// tree-shaped workloads) shipped as the grant leg.
+func (rt *Runtime) fireStealReq(victim *node, m *msg) {
+	sh := victim.sh
+	thief := m.from
+	now := sh.eng.Now()
+	if victim.tokens.len() == 0 {
+		rt.freeMsg(sh, m)
+		if rt.tr != nil {
+			rt.emit(sh, earth.Event{Time: now, Node: thief, Peer: victim.id, Kind: earth.EvStealMiss})
+		}
+		// The thief lives on another shard: it learns of the miss (and
+		// becomes eligible for re-matching) at the next barrier.
+		sh.misses = append(sh.misses, missNote{at: now, thief: thief})
+		return
+	}
+	tk := victim.tokens.popFront()
+	m.body = tk.body
+	m.bytes = tk.argBytes
+	rt.retarget(m, msgStealGrant)
+	grantIssue := now + rt.cfg.Costs.AsyncSend
+	arrival := rt.send(grantIssue, victim.id, thief, tk.argBytes)
+	rt.deliver(sh, grantIssue, arrival, m)
+}
+
+// fireStealGrant lands a stolen token on the thief.
+func (rt *Runtime) fireStealGrant(thief *node, m *msg) {
+	thief.stealing = false
+	victimID, issue, bytes, body := m.from, m.issue, m.bytes, m.body
+	rt.freeMsg(thief.sh, m)
+	now := thief.sh.eng.Now()
+	if rt.tr != nil {
+		rt.emit(thief.sh, earth.Event{Time: now, Node: thief.id, Peer: victimID,
+			Kind: earth.EvStealGrant, Dur: now - issue, Bytes: bytes})
+	}
+	rt.enqueue(thief, item{body: body, token: true, stolen: true,
+		enq: now, cause: earth.CauseSteal})
+}
+
+// fireBatch applies a coalesced envelope's operations in issue order, all
+// at the batch's single effect instant, through the same helpers the
+// unbatched kinds use; the receiver-side overhead was charged once for the
+// whole batch — the amortisation the coalescer models.
+func (rt *Runtime) fireBatch(n *node, m *msg) {
+	from, ops := m.from, m.batch
+	rt.freeMsg(n.sh, m)
+	for i := range ops {
+		op := &ops[i]
+		switch op.kind {
+		case msgSync:
+			rt.decSlot(n, from, n.sh.eng.Now(), op.f, op.slot)
+		case msgPut:
+			rt.applyPut(n, from, op.write, op.bytes, op.issue, op.f, op.slot)
+		case msgPost:
+			rt.execHandlerBody(n, op.body)
+		default:
+			panic(fmt.Sprintf("simrt: kind %d inside a batch", op.kind))
+		}
 	}
 }
 
@@ -1637,15 +1498,8 @@ func (rt *Runtime) consumesCPUOnRecv() bool {
 // or the home's adopter once a crash has been detected. sh is the
 // executing shard (from's own).
 func (rt *Runtime) sendSyncAt(sh *shard, ready sim.Time, from earth.NodeID, f *earth.Frame, slot int) {
-	home := rt.resolve(f.Home)
-	arrival := rt.send(ready, from, home, 8)
-	m := rt.newMsg(sh)
-	m.kind = msgSync
-	m.from = from
-	m.to = home
-	m.f = f
-	m.slot = slot
-	m.bytes = 8
+	m, arrival := rt.envelope(sh, msgSync, from, rt.resolve(f.Home), ready, 8, 8)
+	m.f, m.slot = f, slot
 	rt.deliver(sh, ready, arrival, m)
 }
 
@@ -1817,16 +1671,8 @@ func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, 
 		rt.emit(c.n.sh, earth.Event{Time: issue, Node: src, Peer: owner,
 			Kind: earth.EvPutSend, Bytes: nbytes})
 	}
-	arrival := rt.send(c.cursor, src, owner, nbytes)
-	m := rt.newMsg(c.n.sh)
-	m.kind = msgPut
-	m.from, m.to = src, owner
-	m.f = f
-	m.slot = slot
-	m.write = write
-	m.bytes = nbytes
-	m.issue = issue
-	m.recvCost = rt.cfg.Costs.RecvCost(nbytes, false)
+	m, arrival := rt.envelope(c.n.sh, msgPut, src, owner, issue, nbytes, nbytes)
+	m.f, m.slot, m.write = f, slot, write
 	rt.deliver(c.n.sh, issue, arrival, m)
 }
 
@@ -1854,17 +1700,9 @@ func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.F
 		rt.emit(c.n.sh, earth.Event{Time: issue, Node: c.n.id, Peer: owner,
 			Kind: earth.EvGetSend, Bytes: nbytes})
 	}
-	reqArrival := rt.send(c.cursor, c.n.id, owner, 8)
-	m := rt.newMsg(c.n.sh)
-	m.kind = msgGetReq
-	m.from, m.to = c.n.id, owner
-	m.f = f
-	m.slot = slot
-	m.read = read
-	m.bytes = nbytes
-	m.issue = issue
-	m.recvCost = rt.cfg.Costs.RecvCost(nbytes, true)
-	rt.deliver(c.n.sh, issue, reqArrival, m)
+	m, arrival := rt.envelope(c.n.sh, msgGetReq, c.n.id, owner, issue, 8, nbytes)
+	m.f, m.slot, m.read = f, slot, read
+	rt.deliver(c.n.sh, issue, arrival, m)
 }
 
 func (c *ctx) Invoke(nodeID earth.NodeID, argBytes int, body earth.ThreadBody) {
@@ -1885,15 +1723,8 @@ func (c *ctx) Invoke(nodeID earth.NodeID, argBytes int, body earth.ThreadBody) {
 		rt.emit(c.n.sh, earth.Event{Time: issue, Node: src, Peer: nodeID,
 			Kind: earth.EvInvokeSend, Bytes: argBytes})
 	}
-	arrival := rt.send(c.cursor, src, nodeID, argBytes)
-	m := rt.newMsg(c.n.sh)
-	m.kind = msgThread
-	m.from, m.to = src, nodeID
-	m.body = body
-	m.bytes = argBytes
-	m.issue = issue
-	m.cause = earth.CauseInvoke
-	m.recvCost = rt.cfg.Costs.RecvCost(argBytes, false)
+	m, arrival := rt.envelope(c.n.sh, msgThread, src, nodeID, issue, argBytes, argBytes)
+	m.body, m.cause = body, earth.CauseInvoke
 	rt.deliver(c.n.sh, issue, arrival, m)
 }
 
@@ -1915,7 +1746,7 @@ func (c *ctx) Post(nodeID earth.NodeID, argBytes int, handler earth.ThreadBody) 
 		m.from, m.to = c.n.id, nodeID
 		m.body = handler
 		m.recvCost = 0
-		if rt.hasPart {
+		if rt.epochs != nil {
 			// Local posts bypass deliver, so the fencing stamp happens here:
 			// without it a rejoined node's own posts would carry epoch 0 and
 			// self-fence forever.
@@ -1939,13 +1770,8 @@ func (c *ctx) Post(nodeID earth.NodeID, argBytes int, handler earth.ThreadBody) 
 		rt.emit(c.n.sh, earth.Event{Time: c.cursor, Node: c.n.id, Peer: nodeID,
 			Kind: earth.EvPostSend, Bytes: argBytes})
 	}
-	arrival := rt.send(c.cursor, c.n.id, nodeID, argBytes)
-	m := rt.newMsg(c.n.sh)
-	m.kind = msgPost
-	m.from, m.to = c.n.id, nodeID
+	m, arrival := rt.envelope(c.n.sh, msgPost, c.n.id, nodeID, c.cursor, argBytes, argBytes)
 	m.body = handler
-	m.bytes = argBytes
-	m.recvCost = rt.cfg.Costs.RecvCost(argBytes, false)
 	rt.deliver(c.n.sh, c.cursor, arrival, m)
 }
 
@@ -1981,15 +1807,8 @@ func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 			rt.emit(c.n.sh, earth.Event{Time: c.cursor, Node: c.n.id, Peer: target,
 				Kind: earth.EvTokenSpawn, Bytes: argBytes})
 		}
-		arrival := rt.send(c.cursor, c.n.id, target, argBytes)
-		m := rt.newMsg(c.n.sh)
-		m.kind = msgThread
-		m.from, m.to = c.n.id, target
-		m.body = body
-		m.bytes = argBytes
-		m.issue = c.cursor
-		m.cause = earth.CauseToken
-		m.recvCost = rt.cfg.Costs.RecvCost(argBytes, false)
+		m, arrival := rt.envelope(c.n.sh, msgThread, c.n.id, target, c.cursor, argBytes, argBytes)
+		m.body, m.cause = body, earth.CauseToken
 		rt.deliver(c.n.sh, c.cursor, arrival, m)
 	default: // BalanceSteal, BalanceNone
 		c.cursor += rt.cfg.Costs.SpawnLocal

@@ -47,7 +47,7 @@ type shard struct {
 	misses []missNote
 	// events buffers this shard's trace emissions for the final canonical
 	// merge.
-	events []earth.Event
+	events eventBuf
 	// msgFree is the shard-local envelope pool.
 	msgFree []*msg
 	// runCh/doneCh drive the shard's worker goroutine (nil for shard 0,
@@ -274,12 +274,7 @@ func (rt *Runtime) matchSteals(vnow sim.Time) {
 			rt.emit(nil, earth.Event{Time: issue, Node: th.id, Peer: v.id,
 				Kind: earth.EvStealRequest, Bytes: stealReqBytes})
 		}
-		arrival := rt.send(issue, th.id, v.id, stealReqBytes)
-		m := rt.newMsg(v.sh)
-		m.kind = msgStealReq
-		m.from, m.to = th.id, v.id
-		m.bytes = stealReqBytes
-		m.issue = issue
+		m, arrival := rt.envelope(v.sh, msgStealReq, th.id, v.id, issue, stealReqBytes, stealReqBytes)
 		rt.deliver(nil, issue, arrival, m)
 	}
 }

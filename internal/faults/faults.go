@@ -207,17 +207,36 @@ func (p *Plan) PartitionUnblock(at sim.Time, src, dst int) sim.Time {
 	return at
 }
 
+// Fences is a machine's wrong-verdict schedule: every Fence a plan's
+// partitions produce under one lease, sorted by (At, Node). It is
+// immutable once built and tiny (one entry per minority node per fenced
+// window), so any goroutine may scan it freely.
+type Fences []Fence
+
+// Covering reports whether node sits inside one of its fence spans at
+// time at: fenced at or before at (At <= at) and not yet healed
+// (at < Heal). It is the one "is this node fenced right now" predicate
+// the engines' routing and adopter choices and CheckFences share.
+func (fs Fences) Covering(node int, at sim.Time) bool {
+	for i := range fs {
+		if f := &fs[i]; f.Node == node && at >= f.At && at < f.Heal {
+			return true
+		}
+	}
+	return false
+}
+
 // PartitionFences flattens the partition list into the wrong failure
 // verdicts a machine of the given size will suffer under the given
 // detection lease: one Fence per minority-side node of every partition
 // that outlives the lease (To > From+lease), sorted by (At, Node).
 // Partitions naming nodes outside the machine contribute no fences for
 // those nodes, so one plan can drive machines of several sizes.
-func (p *Plan) PartitionFences(nodes int, lease sim.Time) []Fence {
+func (p *Plan) PartitionFences(nodes int, lease sim.Time) Fences {
 	if p == nil {
 		return nil
 	}
-	var fences []Fence
+	var fences Fences
 	for _, pt := range p.Partition {
 		if lease < 0 || pt.From+lease >= pt.To {
 			continue
@@ -253,17 +272,7 @@ func (p *Plan) CheckFences(nodes int, lease sim.Time) error {
 		// crashed nodes are down from their crash time on.
 		alive := 0
 		for n := 0; n < nodes; n++ {
-			if crashAt[n] >= 0 && crashAt[n] <= f.At {
-				continue
-			}
-			down := false
-			for _, g := range fences {
-				if g.Node == n && g.At <= f.At && f.At < g.Heal {
-					down = true
-					break
-				}
-			}
-			if !down {
+			if (crashAt[n] < 0 || crashAt[n] > f.At) && !fences.Covering(n, f.At) {
 				alive++
 			}
 		}

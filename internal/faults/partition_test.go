@@ -154,6 +154,43 @@ func TestPartitionFences(t *testing.T) {
 	}
 }
 
+// TestFencesCovering pins the one fence-span predicate the engines and
+// CheckFences share: a span is closed at its fence instant, open at its
+// heal, and a node fenced by two sequential windows is covered by each
+// span and by neither gap.
+func TestFencesCovering(t *testing.T) {
+	p, err := Parse("partition=0.1.3|2@1ms-3ms,partition=0.1|2.3@5ms-7ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fences := p.PartitionFences(4, sim.Millisecond) // node 2: [2ms,3ms) and [6ms,7ms); node 3: [6ms,7ms)
+	ms := sim.Millisecond
+	for _, c := range []struct {
+		node int
+		at   sim.Time
+		want bool
+	}{
+		{2, 2*ms - 1, false}, // the partition has started, the lease has not run out
+		{2, 2 * ms, true},    // at == At
+		{2, 3*ms - 1, true},
+		{2, 3 * ms, false}, // at == Heal
+		{2, 4 * ms, false}, // between the node's two fences
+		{2, 6 * ms, true},  // repeated node: second span
+		{2, 7 * ms, false},
+		{3, 2 * ms, false}, // node 3 is majority-side in the first window
+		{3, 6 * ms, true},
+		{0, 6 * ms, false}, // never fenced
+		{9, 6 * ms, false}, // not in the machine
+	} {
+		if got := fences.Covering(c.node, c.at); got != c.want {
+			t.Errorf("Covering(%d, %v) = %v, want %v", c.node, c.at, got, c.want)
+		}
+	}
+	if Fences(nil).Covering(0, 0) {
+		t.Error("an empty schedule covers node 0")
+	}
+}
+
 func TestCheckFencesRejectsNoSurvivor(t *testing.T) {
 	lease := sim.Millisecond
 	// Simultaneous fencing of every node: 0.1|2.3 fences {2,3} while
