@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	go test -bench=. -benchmem ./... | go run ./cmd/benchjson > BENCH_1.json
-//	go run ./cmd/benchjson -in bench.txt -out BENCH_2.json
-//	go run ./cmd/benchjson -compare BENCH_1.json BENCH_2.json -threshold 0.15
+//	go test -bench=. -benchmem ./... | go run ./cmd/benchjson > now.json
+//	go run ./cmd/benchjson -in bench.txt -out now.json
+//	go run ./cmd/benchjson -compare BENCH_4.json now.json -threshold 0.15
 //
 // The output maps each benchmark name (with the -N GOMAXPROCS suffix
 // stripped) to its ns/op, and B/op and allocs/op when -benchmem was on.

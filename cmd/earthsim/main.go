@@ -78,8 +78,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"earth/internal/critpath"
@@ -97,7 +95,6 @@ import (
 	"earth/internal/search"
 	"earth/internal/sim"
 	"earth/internal/stats"
-	"earth/internal/trace"
 )
 
 func main() {
@@ -336,7 +333,7 @@ func main() {
 		}
 	}
 	if *showBars {
-		fmt.Print(trace.RenderStats(st))
+		fmt.Print(st.Bars())
 	}
 	if *showMetrics {
 		fmt.Print(met.Render())
@@ -383,36 +380,15 @@ func main() {
 }
 
 // sweepRuns repeats the application on fresh runtimes with per-run seeds
-// on a bounded worker pool and prints the elapsed-time summary. Results
-// land in per-run slots, so the summary does not depend on pool size.
+// on the harness worker pool and prints the elapsed-time summary.
 func sweepRuns(cfg earth.Config, runs, workers int, seed int64, runApp func(earth.Runtime, bool) *earth.Stats) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > runs {
-		workers = runs
-	}
-	elapsed := make([]sim.Time, runs)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= runs {
-					return
-				}
-				c := cfg
-				c.Seed = seed + int64(i)*7919
-				elapsed[i] = runApp(simrt.New(c), false).Elapsed
-			}
-		}()
-	}
-	wg.Wait()
+	elapsed := harness.Sweep(workers, []int{runs}, func(at []int) sim.Time {
+		c := cfg
+		c.Seed = seed + int64(at[0])*7919
+		return runApp(simrt.New(c), false).Elapsed
+	})
 	var sp stats.Sample
-	for _, e := range elapsed {
+	for _, e := range elapsed.All() {
 		sp.Add(float64(e))
 	}
 	fmt.Printf("runs=%d elapsed mean=%v min=%v max=%v spread=%.2fx\n",

@@ -1,0 +1,91 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestDeterminismMatrix is the byte-identity contract of the simulator
+// at its CLI surface — local verify and CI run this same test. Each row
+// is one earthsim command line; its stats JSON, Chrome trace, sanitizer
+// report and stdout must be byte-identical when the same seed runs
+// twice, when -shards goes from 1 to 4, and — with -coalesce on both
+// sides — across shard counts on the batched wire path. The sanitizer
+// report must also not depend on -coalesce.
+func TestDeterminismMatrix(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "earthsim")
+	build := append(append([]string{"build"}, raceFlag...), "-o", bin, ".")
+	if out, err := exec.Command("go", build...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+
+	// run executes one command line and returns its artefacts by name.
+	run := func(t *testing.T, args []string, extra ...string) map[string][]byte {
+		t.Helper()
+		dir := t.TempDir()
+		args = append(append([]string{}, args...), extra...)
+		var files []string
+		for i, a := range args {
+			switch a {
+			case "-stats-json", "-trace", "-sanitize-json":
+				files = append(files, a)
+				args[i+1] = filepath.Join(dir, a)
+			}
+		}
+		stdout, err := exec.Command(bin, args...).Output()
+		if err != nil {
+			t.Fatalf("earthsim %s: %v", strings.Join(args, " "), err)
+		}
+		// The "wrote N events to <path>" line names the temp file.
+		got := map[string][]byte{"stdout": bytes.ReplaceAll(stdout, []byte(dir), nil)}
+		for _, f := range files {
+			if got[f], err = os.ReadFile(filepath.Join(dir, f)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return got
+	}
+	same := func(t *testing.T, what string, a, b map[string][]byte, only ...string) {
+		t.Helper()
+		for name, want := range a {
+			if len(only) > 0 && name != only[0] {
+				continue
+			}
+			if !bytes.Equal(want, b[name]) {
+				t.Errorf("%s: %s differs (%d vs %d bytes)", what, name, len(want), len(b[name]))
+			}
+		}
+	}
+
+	k4 := []string{"-app", "groebner", "-input", "Katsura-4", "-nodes", "8"}
+	with := func(base []string, more ...string) []string { return append(append([]string{}, base...), more...) }
+	const chaos, crash = "drop=0.06,dup=0.02,reorder=0.1", "crash=2@1ms,crash=5@3ms,drop=0.05"
+	const partition = "partition=0.1.2.3.4.5|6.7@1ms-4ms,corrupt=0.03,drop=0.03"
+	for _, row := range []struct {
+		name string
+		args []string
+	}{
+		{"clean", with(k4, "-stats-json", "", "-trace", "")},
+		{"chaos", with(k4, "-faults", chaos, "-fault-seed", "42", "-stats-json", "", "-trace", "")},
+		{"crash", with(k4, "-faults", crash, "-fault-seed", "42", "-stats-json", "", "-trace", "")},
+		{"partition", with(k4, "-faults", partition, "-fault-seed", "42",
+			"-retry-lease", "1ms", "-retry-jitter", "0.2", "-stats-json", "", "-trace", "")},
+		{"nn-chaos", []string{"-app", "nn", "-nodes", "8", "-faults", chaos, "-fault-seed", "42", "-stats-json", ""}},
+		{"sanitize", []string{"-app", "nn", "-nodes", "8", "-sanitize", "-stats-json", "", "-sanitize-json", ""}},
+		{"critpath", []string{"-app", "eigen", "-nodes", "8", "-critpath"}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			one := run(t, row.args)
+			same(t, "same seed twice", one, run(t, row.args))
+			same(t, "-shards 1 vs 4", one, run(t, row.args, "-shards", "4"))
+			coal := run(t, row.args, "-coalesce")
+			same(t, "-coalesce, -shards 1 vs 4", coal, run(t, row.args, "-coalesce", "-shards", "4"))
+			same(t, "-coalesce off vs on", one, coal, "-sanitize-json")
+		})
+	}
+}

@@ -3,9 +3,19 @@
 //
 // Usage:
 //
-//	paperfigs [-exp all|table1|figure2|table2|figure4|figure5|table3|figure7|figure8|ablations|chaos|crash|partition|overhead]
-//	          [-runs N] [-nodes 1,2,4,8,11,14,16,20] [-seed S] [-workers W]
+//	paperfigs [-exp NAME] [-runs N] [-nodes 1,2,4,8,11,14,16,20] [-seed S] [-workers W]
 //	          [-shards S] [-json out.json] [-faults PLAN] [-nocoalesce]
+//
+// NAME is a row of the experiment table (harness.Experiments), matched
+// case-insensitively, "ablations" for every ablation row, or "all" for
+// the paper's tables, figures and ablations (TestExpNames keeps this
+// list equal to the table):
+//
+//	all|table1|figure2|table2|figure4|figure5|table3|figure7|figure8|
+//	ablations|ablationnntree|ablationeigenplacement|
+//	ablationgroebnerscheduling|ablationnnmodes|ablationsearchapps|
+//	ablationknuthbendix|ablationportedmachines|
+//	chaos|crash|partition|overhead
 //
 // -exp chaos runs the fault-injection sweep: every workload under a
 // deterministic drop/dup/reorder plan (-faults, seed-pinnable) next to a
@@ -62,7 +72,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run")
+	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(harness.ExperimentNames(), "|"))
 	runs := flag.Int("runs", 5, "repeated runs per Gröbner configuration")
 	nodes := flag.String("nodes", "", "comma-separated node counts (default paper sweep)")
 	seed := flag.Int64("seed", 1, "base random seed")
@@ -92,57 +102,19 @@ func main() {
 		}
 	}
 
-	var reports []*harness.Report
-	switch *exp {
-	case "all":
-		reports = harness.All(cfg)
-	case "table1":
-		reports = []*harness.Report{harness.Table1(cfg)}
-	case "figure2":
-		r, _ := harness.Figure2(cfg)
-		reports = []*harness.Report{r}
-	case "table2":
-		reports = []*harness.Report{harness.Table2(cfg)}
-	case "figure4":
-		r, _ := harness.Figure4(cfg)
-		reports = []*harness.Report{r}
-	case "figure5":
-		r, _ := harness.Figure5(cfg)
-		reports = []*harness.Report{r}
-	case "table3":
-		reports = []*harness.Report{harness.Table3(cfg)}
-	case "figure7":
-		r, _ := harness.Figure7(cfg)
-		reports = []*harness.Report{r}
-	case "figure8":
-		r, _ := harness.Figure8(cfg)
-		reports = []*harness.Report{r}
-	case "ablations":
-		reports = []*harness.Report{
-			harness.AblationNNTree(cfg),
-			harness.AblationEigenPlacement(cfg),
-			harness.AblationGroebnerScheduling(cfg),
-			harness.AblationNNModes(cfg),
-			harness.AblationSearchApps(cfg),
-			harness.AblationKnuthBendix(cfg),
-			harness.AblationPortedMachines(cfg),
-		}
-	case "chaos":
-		plan, err := faults.Parse(*faultSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: bad -faults: %v\n", err)
-			os.Exit(2)
-		}
-		reports = []*harness.Report{harness.FaultSweep(cfg, plan)}
-	case "crash":
-		reports = []*harness.Report{harness.CrashSweep(cfg)}
-	case "partition":
-		reports = []*harness.Report{harness.PartitionSweep(cfg)}
-	case "overhead":
-		reports = []*harness.Report{harness.Overhead(cfg)}
-	default:
-		fmt.Fprintf(os.Stderr, "paperfigs: unknown experiment %q\n", *exp)
+	plan, err := faults.Parse(*faultSpec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paperfigs: bad -faults: %v\n", err)
 		os.Exit(2)
+	}
+	exps, err := harness.Select(*exp, plan)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
+		os.Exit(2)
+	}
+	var reports []*harness.Report
+	for _, e := range exps {
+		reports = append(reports, e.Run(cfg))
 	}
 	for _, r := range reports {
 		fmt.Println(r)

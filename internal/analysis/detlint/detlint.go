@@ -50,7 +50,6 @@ var criticalPkgs = map[string]bool{
 	"earth/internal/sim":         true,
 	"earth/internal/faults":      true,
 	"earth/internal/manna":       true,
-	"earth/internal/trace":       true,
 	"earth/internal/stats":       true,
 	"earth/internal/obs":         true,
 	"earth/internal/harness":     true,

@@ -34,7 +34,7 @@ type RetryPolicy struct {
 // Config mirrors earth.Config.
 type Config struct {
 	Nodes     int
-	Bandwidth float64
+	JitterPct float64
 	Seed      int64
 }
 

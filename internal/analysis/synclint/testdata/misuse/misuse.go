@@ -40,7 +40,7 @@ func badPolicies() (api.RetryPolicy, api.Config) {
 	}
 	c := api.Config{
 		Nodes:     -4,   // want `Config.Nodes given negative constant -4`
-		Bandwidth: -1e6, // want `Config.Bandwidth given negative constant`
+		JitterPct: -2.5, // want `Config.JitterPct given negative constant`
 	}
 	return p, c
 }

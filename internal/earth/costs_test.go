@@ -99,12 +99,9 @@ func TestConfigWithDefaults(t *testing.T) {
 	if c.Costs.Name != "EARTH" {
 		t.Errorf("Costs = %q", c.Costs.Name)
 	}
-	if c.Bandwidth != 50e6 {
-		t.Errorf("Bandwidth = %g", c.Bandwidth)
-	}
 	// Explicit values survive.
-	c2 := Config{Nodes: 7, Costs: MessagePassingCosts(300 * sim.Microsecond), Bandwidth: 1e9}.WithDefaults()
-	if c2.Nodes != 7 || c2.Costs.Name != "MP-300us" || c2.Bandwidth != 1e9 {
+	c2 := Config{Nodes: 7, Costs: MessagePassingCosts(300 * sim.Microsecond)}.WithDefaults()
+	if c2.Nodes != 7 || c2.Costs.Name != "MP-300us" {
 		t.Errorf("explicit config mangled: %+v", c2)
 	}
 }

@@ -161,9 +161,6 @@ type Config struct {
 	Nodes int
 	// Costs is the software-overhead model. Zero value: EARTHCosts().
 	Costs CostModel
-	// Bandwidth overrides the network bandwidth in bytes/s (0: MANNA's
-	// 50 MB/s). Ignored when Machine is set.
-	Bandwidth float64
 	// Machine, when non-nil, selects a full machine model (for example
 	// manna.SP2 or manna.Myrinet) instead of the default MANNA
 	// configuration; its Nodes field is overridden by Config.Nodes.
@@ -268,9 +265,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Costs.Name == "" {
 		c.Costs = EARTHCosts()
-	}
-	if c.Bandwidth == 0 {
-		c.Bandwidth = 50e6
 	}
 	if c.Coalesce.Enabled {
 		if c.Coalesce.MaxBytes <= 0 {

@@ -392,7 +392,6 @@ func New(cfg earth.Config) *Runtime {
 		mc.Nodes = cfg.Nodes
 	} else {
 		mc = manna.Default(cfg.Nodes)
-		mc.BandwidthBytesPerSec = cfg.Bandwidth
 	}
 	nShards := cfg.Shards
 	if nShards < 1 {

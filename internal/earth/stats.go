@@ -393,3 +393,22 @@ func (s *Stats) String() string {
 	}
 	return b.String()
 }
+
+// Bars draws a per-node summary of a run (earthsim -bars): a busy-
+// fraction bar and the traffic counters for each node.
+func (s *Stats) Bars() string {
+	const width = 40
+	var b strings.Builder
+	fmt.Fprintf(&b, "elapsed %v over %d nodes, utilisation %.0f%%\n",
+		s.Elapsed, len(s.Nodes), 100*s.Utilization())
+	for i, n := range s.Nodes {
+		// handler-path (SU) time can exceed the EU window; BusyFraction
+		// clamps the fraction.
+		frac := BusyFraction(n.Busy, s.Elapsed)
+		fill := int(frac*width + 0.5)
+		bar := strings.Repeat("#", fill) + strings.Repeat(".", width-fill)
+		fmt.Fprintf(&b, "node %2d |%s| busy %6.1f%%  threads %6d  msgs %6d  steals %4d\n",
+			i, bar, 100*frac, n.ThreadsRun, n.MsgsSent, n.TokensStolen)
+	}
+	return b.String()
+}

@@ -107,3 +107,25 @@ func TestStatsUtilizationEdgeCases(t *testing.T) {
 		t.Errorf("zero-elapsed utilization = %v", u)
 	}
 }
+
+// TestStatsBars pins the earthsim -bars rendering: one header line, one
+// line per node in the fixed format, the bar filled by BusyFraction — so
+// a node whose SU/EU overlap pushes Busy past the makespan draws a full
+// bar, not an overlong one.
+func TestStatsBars(t *testing.T) {
+	st := &Stats{
+		Elapsed: 10 * sim.Millisecond,
+		Nodes: []NodeStats{
+			{Busy: 25 * sim.Millisecond, ThreadsRun: 7, MsgsSent: 6, TokensStolen: 2},
+			{Busy: 5 * sim.Millisecond, ThreadsRun: 3, MsgsSent: 4},
+			{},
+		},
+	}
+	want := "elapsed 10.000ms over 3 nodes, utilisation 50%\n" +
+		"node  0 |" + strings.Repeat("#", 40) + "| busy  100.0%  threads      7  msgs      6  steals    2\n" +
+		"node  1 |" + strings.Repeat("#", 20) + strings.Repeat(".", 20) + "| busy   50.0%  threads      3  msgs      4  steals    0\n" +
+		"node  2 |" + strings.Repeat(".", 40) + "| busy    0.0%  threads      0  msgs      0  steals    0\n"
+	if got := st.Bars(); got != want {
+		t.Errorf("Bars =\n%s\nwant\n%s", got, want)
+	}
+}

@@ -134,18 +134,46 @@ func NewUpdater(opt Options) *Updater { return &Updater{opt: opt} }
 // makes Trace bookkeeping exact: PairsCreated = PairsReduced + PairsSkipped
 // at the end of a run.
 //
-// Criteria (with h = G[t]):
+// New pairs pass the M, F and B criteria of appendNewPairs; old pairs the
+// chain criterion (with h = G[t]): drop (i,j) if lm(h) divides lcm(i,j)
+// and both lcm(i,t) and lcm(j,t) differ from lcm(i,j).
+func (u *Updater) Update(G []*poly.Poly, P []Pair) (out []Pair, considered, eliminated int) {
+	t := len(G) - 1
+	lmh := G[t].LeadMono()
+	if !u.opt.NoChainCriterion {
+		kept := P[:0]
+		for _, p := range P {
+			if lmh.Divides(p.LCM) &&
+				!G[p.I].LeadMono().LCM(lmh).Equal(p.LCM) &&
+				!G[p.J].LeadMono().LCM(lmh).Equal(p.LCM) {
+				eliminated++
+				continue
+			}
+			kept = append(kept, p)
+		}
+		P = kept
+	}
+	old := len(P)
+	out, considered = u.appendNewPairs(P, G, t)
+	for i := old; i < len(out); i++ {
+		out[i].Seq = u.seq
+		u.seq++
+	}
+	return out, considered, eliminated + considered - (len(out) - old)
+}
+
+// appendNewPairs is the Gebauer-Möller candidate filter: it appends to
+// out the critical pairs of basis[t] against every earlier (non-nil)
+// entry that survive the configured criteria, and reports how many
+// candidates it considered. Seq is left for the caller to number. With
+// h = basis[t]:
 //
 //	M: drop (i,t) if lcm(j,t) properly divides lcm(i,t) for some j.
 //	F: among new pairs with equal lcm keep one — unless the class
 //	   contains a coprime pair (B), in which case drop the whole class.
 //	B: drop (i,t) when lm(i) and lm(h) are coprime.
-//	chain: drop an old pair (i,j) if lm(h) divides lcm(i,j) and both
-//	   lcm(i,t) and lcm(j,t) differ from lcm(i,j).
-func (u *Updater) Update(G []*poly.Poly, P []Pair) (out []Pair, considered, eliminated int) {
-	t := len(G) - 1
-	lmh := G[t].LeadMono()
-
+func (u *Updater) appendNewPairs(out []Pair, basis []*poly.Poly, t int) ([]Pair, int) {
+	lmh := basis[t].LeadMono()
 	type cand struct {
 		i       int
 		lcm     poly.Mono
@@ -153,8 +181,11 @@ func (u *Updater) Update(G []*poly.Poly, P []Pair) (out []Pair, considered, elim
 		dead    bool
 	}
 	cands := make([]cand, 0, t)
-	for i := 0; i < t; i++ {
-		lmi := G[i].LeadMono()
+	for i, g := range basis[:t] {
+		if g == nil {
+			continue
+		}
+		lmi := g.LeadMono()
 		cands = append(cands, cand{i: i, lcm: lmi.LCM(lmh), coprime: lmi.Coprime(lmh)})
 	}
 
@@ -192,39 +223,13 @@ func (u *Updater) Update(G []*poly.Poly, P []Pair) (out []Pair, considered, elim
 			}
 		}
 	}
-	if !u.opt.NoCoprimeCriterion {
-		for a := range cands {
-			if !cands[a].dead && cands[a].coprime {
-				cands[a].dead = true
-			}
-		}
-	}
-
-	// Chain criterion on old pairs.
-	if !u.opt.NoChainCriterion {
-		kept := P[:0]
-		for _, p := range P {
-			if lmh.Divides(p.LCM) &&
-				!G[p.I].LeadMono().LCM(lmh).Equal(p.LCM) &&
-				!G[p.J].LeadMono().LCM(lmh).Equal(p.LCM) {
-				eliminated++
-				continue
-			}
-			kept = append(kept, p)
-		}
-		P = kept
-	}
-
-	out = P
 	for _, c := range cands {
-		if c.dead {
-			eliminated++
+		if c.dead || (!u.opt.NoCoprimeCriterion && c.coprime) {
 			continue
 		}
-		out = append(out, Pair{I: c.i, J: t, LCM: c.lcm, Seq: u.seq})
-		u.seq++
+		out = append(out, Pair{I: c.i, J: t, LCM: c.lcm})
 	}
-	return out, len(cands), eliminated
+	return out, len(cands)
 }
 
 // SelectBest removes and returns the best pair under the strategy. It

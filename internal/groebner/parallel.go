@@ -152,6 +152,7 @@ type insertReq struct {
 type parState struct {
 	cfg     ParallelConfig
 	ring    *poly.Ring
+	upd     *Updater // criteria and selection only: it is shared across nodes, so never Update
 	workers int
 	m       earth.NodeID // maintenance node
 
@@ -251,6 +252,7 @@ func ParallelBuchberger(rt earth.Runtime, F []*poly.Poly, cfg ParallelConfig) (*
 	st := &parState{
 		cfg:       cfg,
 		ring:      ring,
+		upd:       NewUpdater(cfg.Opt),
 		workers:   rt.P() - 1,
 		m:         earth.NodeID(rt.P() - 1),
 		waiting:   map[int]bool{},
@@ -372,7 +374,8 @@ func (st *parState) fetchWork(c earth.Ctx, w int) {
 	n.busy = true
 	c.Post(st.m, 16, func(c earth.Ctx) {
 		if len(st.pool) > 0 {
-			p := st.popBest(&st.pool)
+			var p Pair
+			p, st.pool = st.upd.SelectBest(st.pool, st.ring.Order())
 			st.inflight[w] = p
 			c.Post(earth.NodeID(w), pairMsgBytes, func(c earth.Ctx) {
 				earth.SpawnBody(c, func(c earth.Ctx) { st.startPair(c, w, p) })
@@ -383,21 +386,6 @@ func (st *parState) fetchWork(c earth.Ctx, w int) {
 		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.nodes[w].busy = false })
 		st.maybeTerminate(c)
 	})
-}
-
-// popBest removes and returns the best pair of a pool under the strategy.
-func (st *parState) popBest(pool *[]Pair) Pair {
-	ps := *pool
-	best := 0
-	for i := 1; i < len(ps); i++ {
-		if ps[i].Less(ps[best], st.ring.Order(), st.cfg.Opt.Strategy) {
-			best = i
-		}
-	}
-	p := ps[best]
-	ps[best] = ps[len(ps)-1]
-	*pool = ps[:len(ps)-1]
-	return p
 }
 
 // startPair runs as a worker thread: ensure operands are cached, then
@@ -643,62 +631,12 @@ func (st *parState) dispatchWaiting(c earth.Ctx) {
 }
 
 // newPairsFor builds the critical pairs of basis[idx] against all earlier
-// entries, applying the configured criteria (coprime criterion B, plus
-// the Gebauer-Möller M/F filters unless disabled).
+// entries that survive the configured criteria, numbering them by
+// (idx, partner) where the sequential Update draws from a running counter.
 func (st *parState) newPairsFor(basis []*poly.Poly, idx int) []Pair {
-	lmh := basis[idx].LeadMono()
-	type cand struct {
-		i       int
-		lcm     poly.Mono
-		coprime bool
-		dead    bool
-	}
-	var cands []cand
-	for i := 0; i < idx; i++ {
-		g := basis[i]
-		if g == nil {
-			continue
-		}
-		lmi := g.LeadMono()
-		cands = append(cands, cand{i: i, lcm: lmi.LCM(lmh), coprime: lmi.Coprime(lmh)})
-	}
-	if !st.cfg.Opt.NoChainCriterion {
-		for a := range cands {
-			for b := range cands {
-				if a == b || cands[b].dead {
-					continue
-				}
-				if cands[b].lcm.Divides(cands[a].lcm) && !cands[b].lcm.Equal(cands[a].lcm) {
-					cands[a].dead = true
-					break
-				}
-			}
-		}
-		for a := range cands {
-			if cands[a].dead {
-				continue
-			}
-			hasCoprime := cands[a].coprime
-			for b := a + 1; b < len(cands); b++ {
-				if cands[b].dead || !cands[b].lcm.Equal(cands[a].lcm) {
-					continue
-				}
-				if cands[b].coprime {
-					hasCoprime = true
-				}
-				cands[b].dead = true
-			}
-			if hasCoprime {
-				cands[a].dead = true
-			}
-		}
-	}
-	var pairs []Pair
-	for _, cd := range cands {
-		if cd.dead || (!st.cfg.Opt.NoCoprimeCriterion && cd.coprime) {
-			continue
-		}
-		pairs = append(pairs, Pair{I: cd.i, J: idx, LCM: cd.lcm, Seq: idx*1000 + cd.i})
+	pairs, _ := st.upd.appendNewPairs(nil, basis, idx)
+	for i := range pairs {
+		pairs[i].Seq = idx*1000 + pairs[i].I
 	}
 	return pairs
 }
@@ -762,7 +700,8 @@ func (st *parState) step(c earth.Ctx, w int) {
 		st.reportIdle(c, w)
 		return
 	}
-	p := st.popBest(&n.queue)
+	var p Pair
+	p, n.queue = st.upd.SelectBest(n.queue, st.ring.Order())
 	pp := p
 	c.Post(st.m, pairMsgBytes, func(c earth.Ctx) { st.inflight[w] = pp })
 	if !st.ensureCached(c, w, p) {
@@ -874,17 +813,6 @@ func sortPairs(ps []Pair, ord poly.Order, s Strategy) {
 			ps[j], ps[j-1] = ps[j-1], ps[j]
 		}
 	}
-}
-
-// SeqBaselineMS runs the sequential algorithm with the same options and
-// returns the modelled uniprocessor time in milliseconds plus the trace
-// (the 1-node reference the paper's speedups are computed against).
-func SeqBaselineMS(F []*poly.Poly, opt Options, sc StepCost) (float64, Trace, error) {
-	b, err := Buchberger(F, opt)
-	if err != nil {
-		return 0, Trace{}, err
-	}
-	return SeqVirtualTime(b.Trace, sc).Milliseconds(), b.Trace, nil
 }
 
 // MeanPolyBytes reports the mean compacted size of a basis's polynomials

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"earth/internal/earth"
-	"earth/internal/earth/simrt"
 	"earth/internal/faults"
 	"earth/internal/sim"
 )
@@ -59,68 +58,38 @@ func CrashSweep(cfg Config) *Report {
 	// with headroom.
 	nodes := max(5, slices.Max(cfg.Nodes))
 	wls := faultWorkloads(cfg.Seed)
-
-	type cell struct {
-		fp                   string
-		elapsed, detect      sim.Time
-		replayed, reassigned uint64
-	}
-	per := 1 + len(crashKills)*cfg.Runs // index 0 clean, then k-major crash runs
-	cells := make([]cell, len(wls)*per)
-	// The clean baselines run first: crash times are fractions of the
-	// clean makespan, so the crashed cells depend on them.
-	forEachCell(cfg.Workers, len(wls), func(wi int) {
-		fp, st := wls[wi].run(simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards}))
-		cells[wi*per] = cell{fp: fp, elapsed: st.Elapsed}
-	})
-	forEachCell(cfg.Workers, len(wls)*len(crashKills)*cfg.Runs, func(i int) {
-		run := i % cfg.Runs
-		ki := i / cfg.Runs % len(crashKills)
-		wi := i / (cfg.Runs * len(crashKills))
-		clean := cells[wi*per].elapsed
-		plan := crashPlan(crashKills[ki], nodes, run, clean, cfg.Seed)
-		fp, st := wls[wi].run(simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Faults: plan, Shards: cfg.Shards}))
-		var detect sim.Time
-		for _, n := range st.Nodes {
-			detect += n.DetectionLatency
-		}
-		cells[wi*per+1+ki*cfg.Runs+run] = cell{
-			fp: fp, elapsed: st.Elapsed,
-			detect:   detect / sim.Time(crashKills[ki]),
-			replayed: st.TotalReplayed(), reassigned: st.TotalReassigned(),
-		}
-	})
+	clean, runs := faultRuns(cfg, wls, []int{nodes}, []int{len(crashKills)},
+		func(ec earth.Config, at []int, clean *earth.Stats) earth.Config {
+			ec.Faults = crashPlan(crashKills[at[0]], nodes, at[1], clean.Elapsed, cfg.Seed)
+			return ec
+		})
 
 	r := &Report{ID: "Crash", Title: fmt.Sprintf(
 		"Crash-stop sweep: k=%v node kills on %d nodes, %d phasings per cell vs clean baseline",
 		crashKills, nodes, cfg.Runs)}
-	totalConv, totalRuns := 0, 0
+	var total tally
 	for wi, wl := range wls {
-		clean := cells[wi*per]
 		for ki, k := range crashKills {
-			conv := 0
-			var sumSlow float64
+			var t tally
 			var detect sim.Time
 			var rep, rea uint64
-			for run := 0; run < cfg.Runs; run++ {
-				c := cells[wi*per+1+ki*cfg.Runs+run]
-				if c.fp == clean.fp {
-					conv++
+			for _, c := range runs.Sub(wi, 0, ki).All() {
+				t.add(clean.At(wi, 0), c)
+				var d sim.Time
+				for _, n := range c.st.Nodes {
+					d += n.DetectionLatency
 				}
-				if clean.elapsed > 0 {
-					sumSlow += float64(c.elapsed) / float64(clean.elapsed)
-				}
-				detect += c.detect
-				rep += c.replayed
-				rea += c.reassigned
+				detect += d / sim.Time(k)
+				rep += c.st.TotalReplayed()
+				rea += c.st.TotalReassigned()
 			}
 			r.add("%-20s k=%d  converged %2d/%-2d  mean slowdown %.2fx  detect=%v  replayed=%-5d reassigned=%d",
-				wl.name, k, conv, cfg.Runs, sumSlow/float64(cfg.Runs),
-				detect/sim.Time(cfg.Runs), rep, rea)
-			totalConv += conv
-			totalRuns += cfg.Runs
+				wl.name, k, t.converged, t.runs, t.meanSlowdown(),
+				detect/sim.Time(t.runs), rep, rea)
+			total.converged += t.converged
+			total.runs += t.runs
 		}
 	}
-	r.add("%-20s converged %3d/%-3d on %d nodes", "TOTAL", totalConv, totalRuns, nodes)
+	r.add("%-20s converged %3d/%-3d on %d nodes", "TOTAL", total.converged, total.runs, nodes)
 	return r
 }

@@ -39,17 +39,3 @@ func TestCrashSweepConverges(t *testing.T) {
 		t.Errorf("sweep missing kill axis or detection latency:\n%s", out)
 	}
 }
-
-// TestCrashSweepDeterministicAcrossWorkers: byte-identical reports
-// between serial and parallel evaluation and across invocations.
-func TestCrashSweepDeterministicAcrossWorkers(t *testing.T) {
-	serial := CrashSweep(crashCfg(1)).String()
-	parallel := CrashSweep(crashCfg(4)).String()
-	if serial != parallel {
-		t.Errorf("Workers=1 vs Workers=4 diverge:\n%s\nvs\n%s", serial, parallel)
-	}
-	again := CrashSweep(crashCfg(4)).String()
-	if serial != again {
-		t.Errorf("repeated sweep diverges:\n%s\nvs\n%s", serial, again)
-	}
-}

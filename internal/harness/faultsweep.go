@@ -23,11 +23,18 @@ import (
 // once. The whole sweep is deterministic: same Config and Plan, same
 // Report, byte for byte, regardless of Workers.
 
-// faultWorkload is one chaos-sweep subject. run executes it on rt and
-// returns a canonical, schedule-independent result fingerprint.
+// outcome is one cell of a fault sweep: a canonical, schedule-
+// independent fingerprint of the workload's result, and the statistics
+// of the run that produced it.
+type outcome struct {
+	fp string
+	st *earth.Stats
+}
+
+// faultWorkload is one chaos-sweep subject; run executes it on rt.
 type faultWorkload struct {
 	name string
-	run  func(rt earth.Runtime) (string, *earth.Stats)
+	run  func(rt earth.Runtime) outcome
 }
 
 // faultWorkloads returns the sweep subjects: a clustered eigenvalue
@@ -36,17 +43,17 @@ type faultWorkload struct {
 func faultWorkloads(seed int64) []faultWorkload {
 	wl := []faultWorkload{{
 		name: "Eigenvalue",
-		run: func(rt earth.Runtime) (string, *earth.Stats) {
+		run: func(rt earth.Runtime) outcome {
 			t := eigen.Clustered(96, 8, seed)
 			res := eigen.ParallelBisect(rt, t, eigen.ParallelConfig{Tol: 1e-5})
-			return fmt.Sprintf("%.12g", res.Eigenvalues), res.Stats
+			return outcome{fmt.Sprintf("%.12g", res.Eigenvalues), res.Stats}
 		},
 	}}
 	for _, in := range groebner.PaperInputs() {
 		in := in
 		wl = append(wl, faultWorkload{
 			name: "Gröbner/" + in.Name,
-			run: func(rt earth.Runtime) (string, *earth.Stats) {
+			run: func(rt earth.Runtime) outcome {
 				res, err := groebner.ParallelBuchberger(rt, in.F,
 					groebner.ParallelConfig{Opt: in.Opt})
 				if err != nil {
@@ -57,17 +64,17 @@ func faultWorkloads(seed int64) []faultWorkload {
 					b.WriteString(p.String())
 					b.WriteByte(';')
 				}
-				return b.String(), res.Stats
+				return outcome{b.String(), res.Stats}
 			},
 		})
 	}
 	wl = append(wl, faultWorkload{
 		name: "NN-forward",
-		run: func(rt earth.Runtime) (string, *earth.Stats) {
+		run: func(rt earth.Runtime) outcome {
 			xs, ts := nnSamples(24, 4)
 			res := neural.ParallelRun(rt, neural.Square(24, 1), xs, ts,
 				neural.ParallelConfig{Tree: true, LR: 0.1})
-			return fmt.Sprintf("%v", res.Outputs), res.Stats
+			return outcome{fmt.Sprintf("%v", res.Outputs), res.Stats}
 		},
 	})
 	return wl
@@ -80,11 +87,51 @@ func DefaultFaultPlan() *faults.Plan {
 	return &faults.Plan{Drop: 0.05, Dup: 0.02, Reorder: 0.1, Window: 200 * sim.Microsecond}
 }
 
+// faultRuns is the runner the fault sweeps share. Phase one runs every
+// workload fault-free on each machine size of nodeList; phase two runs
+// the workload × nodes × axes… × cfg.Runs grid, each cell on the
+// earth.Config that perturb derives from the clean configuration, the
+// cell's coordinates beyond (workload, nodes) — one per axis, then the
+// run index — and the clean run's statistics. The phases cannot merge:
+// crash times and partition windows are fractions of the clean makespan.
+func faultRuns(cfg Config, wls []faultWorkload, nodeList, axes []int,
+	perturb func(ec earth.Config, at []int, clean *earth.Stats) earth.Config) (clean, runs *Grid[outcome]) {
+	base := func(at []int) earth.Config {
+		return earth.Config{Nodes: nodeList[at[1]], Seed: cfg.Seed, Shards: cfg.Shards}
+	}
+	dims := []int{len(wls), len(nodeList)}
+	clean = Sweep(cfg.Workers, dims, func(at []int) outcome { return wls[at[0]].run(simrt.New(base(at))) })
+	dims = append(append(dims, axes...), cfg.Runs)
+	runs = Sweep(cfg.Workers, dims, func(at []int) outcome {
+		return wls[at[0]].run(simrt.New(perturb(base(at), at[2:], clean.At(at[0], at[1]).st)))
+	})
+	return clean, runs
+}
+
+// tally is the convergence and slowdown fold of one report line: its
+// perturbed cells against their clean baselines.
+type tally struct {
+	runs, converged int
+	slowdown        float64 // sum of makespan ratios against clean
+}
+
+func (t *tally) add(clean, c outcome) {
+	t.runs++
+	if c.fp == clean.fp {
+		t.converged++
+	}
+	if clean.st.Elapsed > 0 {
+		t.slowdown += float64(c.st.Elapsed) / float64(clean.st.Elapsed)
+	}
+}
+
+func (t *tally) meanSlowdown() float64 { return t.slowdown / float64(t.runs) }
+
 // FaultSweep runs every workload across the node sweep: one clean run
-// plus cfg.Runs chaos runs per (workload, nodes) cell, all evaluated on
-// the host worker pool. Chaos run k gets a distinct fault realisation —
-// plan seeds are derived per run — so the convergence rate samples
-// cfg.Runs independent fault histories per cell.
+// plus cfg.Runs chaos runs per (workload, nodes) cell. Chaos run k gets
+// a distinct fault realisation — plan seeds are derived per run — so
+// the convergence rate samples cfg.Runs independent fault histories per
+// cell.
 func FaultSweep(cfg Config, plan *faults.Plan) *Report {
 	cfg = cfg.WithDefaults()
 	if !plan.Enabled() {
@@ -92,62 +139,39 @@ func FaultSweep(cfg Config, plan *faults.Plan) *Report {
 	}
 	wls := faultWorkloads(cfg.Seed)
 	nodeList := nodesMin(cfg.Nodes, 2)
-	per := cfg.Runs + 1 // cell layout: index 0 clean, then cfg.Runs chaos runs
-
-	type cell struct {
-		fp                         string
-		elapsed                    sim.Time
-		faults, retries, recovered uint64
-	}
-	cells := make([]cell, len(wls)*len(nodeList)*per)
-	forEachCell(cfg.Workers, len(cells), func(i int) {
-		run := i % per
-		ni := i / per % len(nodeList)
-		wi := i / (per * len(nodeList))
-		ec := earth.Config{Nodes: nodeList[ni], Seed: cfg.Seed + int64(run)*7919, Shards: cfg.Shards}
-		if run > 0 {
-			p := *plan
-			if p.Seed != 0 {
-				// Distinct realisation per run even with a pinned plan
-				// seed; run 0 of a pinned plan stays exactly reproducible
-				// through cmd/earthsim's -fault-seed.
-				p.Seed += int64(run-1) * 9973
-			}
-			ec.Faults = &p
+	clean, runs := faultRuns(cfg, wls, nodeList, nil, func(ec earth.Config, at []int, _ *earth.Stats) earth.Config {
+		run := int64(at[0])
+		ec.Seed += (run + 1) * 7919 // run 0 of the seed sequence is the clean baseline
+		p := *plan
+		if p.Seed != 0 {
+			// Distinct realisation per run even with a pinned plan
+			// seed; run 0 of a pinned plan stays exactly reproducible
+			// through cmd/earthsim's -fault-seed.
+			p.Seed += run * 9973
 		}
-		fp, st := wls[wi].run(simrt.New(ec))
-		cells[i] = cell{fp, st.Elapsed, st.TotalFaults(), st.TotalRetries(), st.TotalRecovered()}
+		ec.Faults = &p
+		return ec
 	})
 
 	r := &Report{ID: "Chaos", Title: fmt.Sprintf(
 		"Fault-injection sweep: plan [%s], %d chaos runs per cell vs clean baseline", plan, cfg.Runs)}
-	totalConv, totalRuns := 0, 0
+	var total tally
 	for wi, wl := range wls {
-		conv, total := 0, 0
-		var sumSlow float64
+		var t tally
 		var nf, nr, nrec uint64
 		for ni := range nodeList {
-			base := (wi*len(nodeList) + ni) * per
-			clean := cells[base]
-			for k := 1; k <= cfg.Runs; k++ {
-				c := cells[base+k]
-				total++
-				if c.fp == clean.fp {
-					conv++
-				}
-				if clean.elapsed > 0 {
-					sumSlow += float64(c.elapsed) / float64(clean.elapsed)
-				}
-				nf += c.faults
-				nr += c.retries
-				nrec += c.recovered
+			for _, c := range runs.Sub(wi, ni).All() {
+				t.add(clean.At(wi, ni), c)
+				nf += c.st.TotalFaults()
+				nr += c.st.TotalRetries()
+				nrec += c.st.TotalRecovered()
 			}
 		}
 		r.add("%-20s converged %3d/%-3d  mean slowdown %.2fx  faults=%-6d retries=%-6d recovered=%d",
-			wl.name, conv, total, sumSlow/float64(total), nf, nr, nrec)
-		totalConv += conv
-		totalRuns += total
+			wl.name, t.converged, t.runs, t.meanSlowdown(), nf, nr, nrec)
+		total.converged += t.converged
+		total.runs += t.runs
 	}
-	r.add("%-20s converged %3d/%-3d over nodes=%v", "TOTAL", totalConv, totalRuns, nodeList)
+	r.add("%-20s converged %3d/%-3d over nodes=%v", "TOTAL", total.converged, total.runs, nodeList)
 	return r
 }

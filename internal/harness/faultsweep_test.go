@@ -47,18 +47,3 @@ func TestFaultSweepConverges(t *testing.T) {
 		t.Errorf("fault plan appears inert:\n%s", out)
 	}
 }
-
-// TestFaultSweepDeterministicAcrossWorkers: the report is byte-identical
-// between serial and parallel evaluation and across repeated invocations.
-func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
-	plan := &faults.Plan{Seed: 7, Drop: 0.08, Dup: 0.05, Reorder: 0.15}
-	serial := FaultSweep(chaosCfg(1), plan).String()
-	parallel := FaultSweep(chaosCfg(4), plan).String()
-	if serial != parallel {
-		t.Errorf("Workers=1 vs Workers=4 diverge:\n%s\nvs\n%s", serial, parallel)
-	}
-	again := FaultSweep(chaosCfg(4), plan).String()
-	if serial != again {
-		t.Errorf("repeated sweep diverges:\n%s\nvs\n%s", serial, again)
-	}
-}

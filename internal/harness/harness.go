@@ -21,7 +21,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strings"
 
@@ -52,7 +51,7 @@ type Config struct {
 	// is an independent simulation, so they evaluate concurrently; the
 	// results are folded back in deterministic cell order, making every
 	// Report and Series byte-identical to Workers=1 for the same seed.
-	// Default: runtime.GOMAXPROCS(0).
+	// Default (<= 0): runtime.GOMAXPROCS(0), applied by Sweep.
 	Workers int
 	// Shards is passed to every simulated machine's earth.Config.Shards:
 	// conservative time-windowed parallel simulation inside each cell, on
@@ -86,9 +85,6 @@ func (c Config) WithDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	return c
 }
 
@@ -116,6 +112,13 @@ func (r *Report) addFigure(ss ...*stats.Series) {
 	r.Series = append(r.Series, ss...)
 }
 
+// addPeak attaches one series and compares its peak against the paper's.
+func (r *Report) addPeak(s *stats.Series, quantity, paper string) {
+	best, at := s.MaxMean()
+	r.addFigure(s)
+	r.compare(s.Name+quantity, paper, fmt.Sprintf("%.1f @ %d", best, at))
+}
+
 func (r *Report) compare(quantity string, paper, measured any) {
 	r.PaperVsMeasured = append(r.PaperVsMeasured,
 		fmt.Sprintf("%-42s paper: %-14v measured: %v", quantity, paper, measured))
@@ -137,6 +140,46 @@ func (r *Report) String() string {
 		}
 	}
 	return b.String()
+}
+
+// speedupCurves is the shape every figure of the paper shares: variant ×
+// machine size × run → speedup against a baseline. It evaluates run for
+// each (variant, nodeList entry, run index) as one Sweep and returns one
+// series per name, each point the sample of base(v)/elapsed over the
+// runs. Column 0 of every variant's row is its baseline: base runs on
+// the same pool as the cells it normalises, so a baseline that is itself
+// a simulation costs the sweep no serial prelude.
+func speedupCurves(cfg Config, names []string, nodeList []int, runs int,
+	base func(v int) sim.Time, run func(v, nodes, run int) sim.Time) []*stats.Series {
+	g := Sweep(cfg.Workers, []int{len(names), 1 + len(nodeList), runs}, func(at []int) sim.Time {
+		v, col, r := at[0], at[1], at[2]
+		switch {
+		case col > 0:
+			return run(v, nodeList[col-1], r)
+		case r == 0:
+			return base(v)
+		}
+		return 0 // the baseline needs one slot of its column
+	})
+	series := make([]*stats.Series, len(names))
+	for v, name := range names {
+		series[v] = &stats.Series{Name: name}
+		b := float64(g.At(v, 0, 0))
+		for ni, nodes := range nodeList {
+			var sp stats.Sample
+			for _, e := range g.Sub(v, 1+ni).All() {
+				sp.Add(b / float64(e))
+			}
+			series[v].AddSample(nodes, &sp)
+		}
+	}
+	return series
+}
+
+// fixedBase is the speedupCurves baseline of sweeps whose reference time
+// is computed, not simulated.
+func fixedBase(t sim.Time) func(int) sim.Time {
+	return func(int) sim.Time { return t }
 }
 
 // ---------------------------------------------------------------------------
@@ -186,23 +229,11 @@ func Figure2(cfg Config) (*Report, []*stats.Series) {
 	base := eigen.SeqVirtualTime(seqRes, cost)
 
 	variants := []eigen.ArgVariant{eigen.ArgsBlockMove, eigen.ArgsIndividual}
-	nN := len(cfg.Nodes)
-	elapsed := make([]sim.Time, len(variants)*nN)
-	forEachCell(cfg.Workers, len(elapsed), func(i int) {
-		rt := simrt.New(earth.Config{Nodes: cfg.Nodes[i%nN], Seed: cfg.Seed, Shards: cfg.Shards})
-		par := eigen.ParallelBisect(rt, m, eigen.ParallelConfig{Tol: tol, Args: variants[i/nN]})
-		elapsed[i] = par.Stats.Elapsed
+	names := []string{"eigen/" + variants[0].String(), "eigen/" + variants[1].String()}
+	series := speedupCurves(cfg, names, cfg.Nodes, 1, fixedBase(base), func(v, nodes, _ int) sim.Time {
+		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards})
+		return eigen.ParallelBisect(rt, m, eigen.ParallelConfig{Tol: tol, Args: variants[v]}).Stats.Elapsed
 	})
-	var series []*stats.Series
-	for vi, v := range variants {
-		s := &stats.Series{Name: "eigen/" + v.String()}
-		for ni, nodes := range cfg.Nodes {
-			var sp stats.Sample
-			sp.Add(float64(base) / float64(elapsed[vi*nN+ni]))
-			s.AddSample(nodes, &sp)
-		}
-		series = append(series, s)
-	}
 	r.addFigure(series...)
 	b20, _ := series[0].At(slices.Max(cfg.Nodes))
 	r.compare(fmt.Sprintf("speedup at %d nodes (close to ideal)", slices.Max(cfg.Nodes)),
@@ -234,13 +265,12 @@ func Table2(cfg Config) *Report {
 		b   *groebner.Basis
 		err error
 	}
-	runs := make([]seqRun, len(ins))
-	forEachCell(cfg.Workers, len(ins), func(i int) {
-		b, err := groebner.Buchberger(ins[i].F, ins[i].Opt)
-		runs[i] = seqRun{b, err}
+	runs := Sweep(cfg.Workers, []int{len(ins)}, func(at []int) seqRun {
+		b, err := groebner.Buchberger(ins[at[0]].F, ins[at[0]].Opt)
+		return seqRun{b, err}
 	})
 	for i, in := range ins {
-		b, err := runs[i].b, runs[i].err
+		b, err := runs.At(i).b, runs.At(i).err
 		if err != nil {
 			r.add("%s: ERROR %v", in.Name, err)
 			continue
@@ -260,63 +290,70 @@ func Table2(cfg Config) *Report {
 	return r
 }
 
-// groebnerBaseline runs the sequential completion for one input and
-// returns the calibrated step costs plus the one-node virtual time.
-func groebnerBaseline(in groebner.NamedInput) (groebner.StepCost, sim.Time) {
+// groebnerBaseline is the sequential completion of one input: the
+// calibrated step costs, the one-node virtual time and the pairs reduced.
+type groebnerBaseline struct {
+	sc    groebner.StepCost
+	time  sim.Time
+	pairs int
+}
+
+// newGroebnerBaseline runs the sequential completion and calibrates its
+// step costs to the paper's sequential time.
+func newGroebnerBaseline(in groebner.NamedInput) groebnerBaseline {
 	seq, err := groebner.Buchberger(in.F, in.Opt)
 	if err != nil {
 		panic(err)
 	}
 	sc := groebner.Calibrate(seq.Trace, in.PaperSeqMS)
-	return sc, groebner.SeqVirtualTime(seq.Trace, sc)
+	return groebnerBaseline{sc, groebner.SeqVirtualTime(seq.Trace, sc), seq.Trace.PairsReduced}
 }
 
 // groebnerSweeps evaluates the full (input × cost-model × nodes × run)
 // cell grid on the worker pool and returns one speedup series per
-// (input, model) pair, input-major. The sequential baselines are pool
-// cells too, computed once per input — they are deterministic, so
-// sharing one baseline across cost models changes no reported value.
+// (input, model) pair, input-major. The sequential baselines are a
+// sweep of their own, computed once per input before the grid (its cells
+// need the calibrated step costs) — they are deterministic, so sharing
+// one baseline across cost models changes no reported value. The paper
+// reserves one node for termination detection and draws ideal lines with
+// and without it; we report against total nodes.
 func groebnerSweeps(cfg Config, ins []groebner.NamedInput, models []earth.CostModel, runs int, coal earth.CoalesceConfig) [][]*stats.Series {
-	scs := make([]groebner.StepCost, len(ins))
-	bases := make([]sim.Time, len(ins))
-	forEachCell(cfg.Workers, len(ins), func(i int) {
-		scs[i], bases[i] = groebnerBaseline(ins[i])
+	bases := Sweep(cfg.Workers, []int{len(ins)}, func(at []int) groebnerBaseline {
+		return newGroebnerBaseline(ins[at[0]])
 	})
-	nodeList := nodesMin(cfg.Nodes, 2) // needs workers + maintenance node
-	nM, nN := len(models), len(nodeList)
-	vals := make([]float64, len(ins)*nM*nN*runs)
-	forEachCell(cfg.Workers, len(vals), func(i int) {
-		run := i % runs
-		ni := i / runs % nN
-		mi := i / (runs * nN) % nM
-		ii := i / (runs * nN * nM)
-		rt := simrt.New(earth.Config{
-			Nodes: nodeList[ni], Seed: cfg.Seed + int64(run)*7919,
-			Costs: models[mi], JitterPct: 2, Shards: cfg.Shards,
-			Coalesce: coal,
-		})
-		res, err := groebner.ParallelBuchberger(rt, ins[ii].F,
-			groebner.ParallelConfig{Opt: ins[ii].Opt, StepCost: scs[ii]})
-		if err != nil {
-			panic(err)
-		}
-		vals[i] = float64(bases[ii]) / float64(res.Stats.Elapsed)
-	})
-	out := make([][]*stats.Series, len(ins))
+	type variant struct {
+		in    groebner.NamedInput
+		base  groebnerBaseline
+		model earth.CostModel
+	}
+	var variants []variant
+	var names []string
 	for ii, in := range ins {
-		for mi, mdl := range models {
-			s := &stats.Series{Name: fmt.Sprintf("%s/%s", in.Name, mdl.Name)}
-			for ni, nodes := range nodeList {
-				at := ((ii*nM+mi)*nN + ni) * runs
-				var sp stats.Sample
-				sp.AddAll(vals[at : at+runs]...)
-				// The paper reserves one node for termination detection and
-				// draws ideal lines with and without it; we report against
-				// total nodes.
-				s.AddSample(nodes, &sp)
-			}
-			out[ii] = append(out[ii], s)
+		for _, mdl := range models {
+			variants = append(variants, variant{in, bases.At(ii), mdl})
+			names = append(names, fmt.Sprintf("%s/%s", in.Name, mdl.Name))
 		}
+	}
+	nodeList := nodesMin(cfg.Nodes, 2) // needs workers + maintenance node
+	series := speedupCurves(cfg, names, nodeList, runs,
+		func(v int) sim.Time { return variants[v].base.time },
+		func(v, nodes, run int) sim.Time {
+			vt := variants[v]
+			rt := simrt.New(earth.Config{
+				Nodes: nodes, Seed: cfg.Seed + int64(run)*7919,
+				Costs: vt.model, JitterPct: 2, Shards: cfg.Shards,
+				Coalesce: coal,
+			})
+			res, err := groebner.ParallelBuchberger(rt, vt.in.F,
+				groebner.ParallelConfig{Opt: vt.in.Opt, StepCost: vt.base.sc})
+			if err != nil {
+				panic(err)
+			}
+			return res.Stats.Elapsed
+		})
+	out := make([][]*stats.Series, len(ins))
+	for ii := range ins {
+		out[ii], series = series[:len(models)], series[len(models):]
 	}
 	return out
 }
@@ -383,13 +420,18 @@ func nnSamples(u, count int) (xs, ts [][]float32) {
 	return
 }
 
+// nnElapsed runs samples unit-parallel passes of a width-u network on
+// the machine ec and returns the makespan.
+func nnElapsed(ec earth.Config, u int, train bool, samples int) sim.Time {
+	xs, ts := nnSamples(u, samples)
+	res := neural.ParallelRun(simrt.New(ec), neural.Square(u, 1), xs, ts,
+		neural.ParallelConfig{Train: train, Tree: true, LR: 0.1})
+	return res.Stats.Elapsed
+}
+
 // nnSeqPerSample measures the modelled one-node time per sample.
 func nnSeqPerSample(u int, train bool, samples int) sim.Time {
-	xs, ts := nnSamples(u, samples)
-	rt := simrt.New(earth.Config{Nodes: 1, Seed: 1})
-	res := neural.ParallelRun(rt, neural.Square(u, 1), xs, ts,
-		neural.ParallelConfig{Train: train, Tree: true, LR: 0.1})
-	return res.Stats.Elapsed / sim.Time(samples)
+	return nnElapsed(earth.Config{Nodes: 1, Seed: 1}, u, train, samples) / sim.Time(samples)
 }
 
 // Table3 regenerates the forward-pass characteristics.
@@ -401,17 +443,12 @@ func Table3(cfg Config) *Report {
 		perUS float64
 	}{80: {5.047, 32}, 200: {26.96, 67}, 720: {319.1, 222}}
 	widths := []int{80, 200, 720}
-	perT := make([]sim.Time, len(widths))
-	bothT := make([]sim.Time, len(widths))
-	forEachCell(cfg.Workers, 2*len(widths), func(i int) {
-		if i%2 == 0 {
-			perT[i/2] = nnSeqPerSample(widths[i/2], false, 2)
-		} else {
-			bothT[i/2] = nnSeqPerSample(widths[i/2], true, 2)
-		}
+	// Axis 1: forward only, then forward+backward.
+	times := Sweep(cfg.Workers, []int{len(widths), 2}, func(at []int) sim.Time {
+		return nnSeqPerSample(widths[at[0]], at[1] == 1, 2)
 	})
 	for wi, u := range widths {
-		per, both := perT[wi], bothT[wi]
+		per, both := times.At(wi, 0), times.At(wi, 1)
 		perUnit := per / sim.Time(u) / 2 // two layers
 		r.add("units=%3d  forward=%8.3f ms  per-unit=%6.1f us  fwd+bwd=%8.3f ms",
 			u, per.Milliseconds(), perUnit.Microseconds(), both.Milliseconds())
@@ -423,74 +460,49 @@ func Table3(cfg Config) *Report {
 	return r
 }
 
-// nnSweeps measures unit-parallel speedups for several widths as one
-// cell grid. Per width, cell 0 is the one-node baseline and the rest
-// sweep cfg.Nodes.
+// nnSweeps measures unit-parallel speedups for several widths against
+// each width's own one-node run.
 func nnSweeps(cfg Config, widths []int, train bool) []*stats.Series {
 	const samples = 4
-	stride := 1 + len(cfg.Nodes)
-	elapsed := make([]sim.Time, len(widths)*stride)
-	forEachCell(cfg.Workers, len(elapsed), func(i int) {
-		u, k := widths[i/stride], i%stride
-		if k == 0 {
-			elapsed[i] = nnSeqPerSample(u, train, samples)
-			return
-		}
-		xs, ts := nnSamples(u, samples)
-		rt := simrt.New(earth.Config{Nodes: cfg.Nodes[k-1], Seed: cfg.Seed, Shards: cfg.Shards,
-			Coalesce: cfg.coalesce()})
-		res := neural.ParallelRun(rt, neural.Square(u, 1), xs, ts,
-			neural.ParallelConfig{Train: train, Tree: true, LR: 0.1})
-		elapsed[i] = res.Stats.Elapsed
-	})
-	var series []*stats.Series
+	names := make([]string, len(widths))
 	for wi, u := range widths {
-		base := elapsed[wi*stride]
-		s := &stats.Series{Name: fmt.Sprintf("nn-%d", u)}
-		for ni, nodes := range cfg.Nodes {
-			var sp stats.Sample
-			sp.Add(float64(base) * samples / float64(elapsed[wi*stride+1+ni]))
-			s.AddSample(nodes, &sp)
-		}
-		series = append(series, s)
+		names[wi] = fmt.Sprintf("nn-%d", u)
 	}
-	return series
+	return speedupCurves(cfg, names, cfg.Nodes, 1,
+		func(v int) sim.Time { return nnSeqPerSample(widths[v], train, samples) * samples },
+		func(v, nodes, _ int) sim.Time {
+			return nnElapsed(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards,
+				Coalesce: cfg.coalesce()}, widths[v], train, samples)
+		})
 }
 
 // Figure7 regenerates the forward-pass speedup curves.
 func Figure7(cfg Config) (*Report, []*stats.Series) {
-	cfg = cfg.WithDefaults()
-	r := &Report{ID: "Figure 7", Title: "Neural network forward-pass speedups (unit parallelism, tree communication)"}
-	series := nnSweeps(cfg, []int{80, 200, 720}, false)
-	r.addFigure(series...)
-	if p, ok := series[0].At(16); ok {
-		r.compare("80 units @ 16 nodes", "~11", fmt.Sprintf("%.1f", p.Mean))
-	}
-	if p, ok := series[1].At(20); ok {
-		r.compare("200 units @ 20 nodes", "~17", fmt.Sprintf("%.1f", p.Mean))
-	}
-	if len(r.PaperVsMeasured) == 0 {
-		best, at := series[1].MaxMean()
-		r.compare("200 units peak (partial sweep)", "~17 @ 20", fmt.Sprintf("%.1f @ %d", best, at))
-	}
-	return r, series
+	return nnFigure(cfg, "Figure 7", "forward-pass", false, "~11", "~17")
 }
 
 // Figure8 regenerates the forward+backward speedup curves.
 func Figure8(cfg Config) (*Report, []*stats.Series) {
+	return nnFigure(cfg, "Figure 8", "forward+backward", true, "~10", "~14.5")
+}
+
+// nnFigure is Figures 7 and 8: the same sweep with and without the
+// backward pass, compared at the two points the paper quotes (80 units
+// on 16 nodes, 200 units on 20).
+func nnFigure(cfg Config, id, pass string, train bool, paper80, paper200 string) (*Report, []*stats.Series) {
 	cfg = cfg.WithDefaults()
-	r := &Report{ID: "Figure 8", Title: "Neural network forward+backward speedups (unit parallelism, tree communication)"}
-	series := nnSweeps(cfg, []int{80, 200, 720}, true)
+	r := &Report{ID: id, Title: "Neural network " + pass + " speedups (unit parallelism, tree communication)"}
+	series := nnSweeps(cfg, []int{80, 200, 720}, train)
 	r.addFigure(series...)
 	if p, ok := series[0].At(16); ok {
-		r.compare("80 units @ 16 nodes", "~10", fmt.Sprintf("%.1f", p.Mean))
+		r.compare("80 units @ 16 nodes", paper80, fmt.Sprintf("%.1f", p.Mean))
 	}
 	if p, ok := series[1].At(20); ok {
-		r.compare("200 units @ 20 nodes", "~14.5", fmt.Sprintf("%.1f", p.Mean))
+		r.compare("200 units @ 20 nodes", paper200, fmt.Sprintf("%.1f", p.Mean))
 	}
 	if len(r.PaperVsMeasured) == 0 {
 		best, at := series[1].MaxMean()
-		r.compare("200 units peak (partial sweep)", "~14.5 @ 20", fmt.Sprintf("%.1f @ %d", best, at))
+		r.compare("200 units peak (partial sweep)", paper200+" @ 20", fmt.Sprintf("%.1f @ %d", best, at))
 	}
 	return r, series
 }
@@ -507,32 +519,16 @@ func AblationNNTree(cfg Config) *Report {
 	const samples = 4
 	u := 80
 	xs, _ := nnSamples(u, samples)
-	trees := []bool{true, false}
-	nN := len(cfg.Nodes)
-	// Cell 0 is the sequential baseline, then one cell per (variant, nodes).
-	elapsed := make([]sim.Time, 1+len(trees)*nN)
-	forEachCell(cfg.Workers, len(elapsed), func(i int) {
-		if i == 0 {
-			elapsed[0] = nnSeqPerSample(u, false, samples)
-			return
-		}
-		rt := simrt.New(earth.Config{Nodes: cfg.Nodes[(i-1)%nN], Seed: cfg.Seed, Shards: cfg.Shards})
-		res := neural.ParallelRun(rt, neural.Square(u, 1), xs, nil,
-			neural.ParallelConfig{Tree: trees[(i-1)/nN]})
-		elapsed[i] = res.Stats.Elapsed
-	})
-	base := elapsed[0]
-	for ti, tree := range trees {
-		s := &stats.Series{Name: map[bool]string{true: "tree", false: "sequential"}[tree]}
-		for ni, nodes := range cfg.Nodes {
-			var sp stats.Sample
-			sp.Add(float64(base) * samples / float64(elapsed[1+ti*nN+ni]))
-			s.AddSample(nodes, &sp)
-		}
-		best, at := s.MaxMean()
-		r.addFigure(s)
-		r.compare(s.Name+" max speedup", map[bool]string{true: "12", false: "8"}[tree],
-			fmt.Sprintf("%.1f @ %d", best, at))
+	base := nnSeqPerSample(u, false, samples) * samples
+	series := speedupCurves(cfg, []string{"tree", "sequential"}, cfg.Nodes, 1, fixedBase(base),
+		func(v, nodes, _ int) sim.Time {
+			rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards})
+			res := neural.ParallelRun(rt, neural.Square(u, 1), xs, nil,
+				neural.ParallelConfig{Tree: v == 0})
+			return res.Stats.Elapsed
+		})
+	for v, s := range series {
+		r.addPeak(s, " max speedup", []string{"12", "8"}[v])
 	}
 	return r
 }
@@ -547,26 +543,13 @@ func AblationEigenPlacement(cfg Config) *Report {
 	seqRes := eigen.Bisect(m, tol)
 	base := eigen.SeqVirtualTime(seqRes, eigen.SturmCostFor(m.N()))
 	bals := []earth.Balancer{earth.BalanceSteal, earth.BalanceRandomPlace}
-	nN := len(cfg.Nodes)
-	elapsed := make([]sim.Time, len(bals)*nN)
-	forEachCell(cfg.Workers, len(elapsed), func(i int) {
-		rt := simrt.New(earth.Config{Nodes: cfg.Nodes[i%nN], Seed: cfg.Seed, Balancer: bals[i/nN], Shards: cfg.Shards})
-		par := eigen.ParallelBisect(rt, m, eigen.ParallelConfig{Tol: tol})
-		elapsed[i] = par.Stats.Elapsed
+	names := []string{bals[0].String(), bals[1].String()}
+	series := speedupCurves(cfg, names, cfg.Nodes, 1, fixedBase(base), func(v, nodes, _ int) sim.Time {
+		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Balancer: bals[v], Shards: cfg.Shards})
+		return eigen.ParallelBisect(rt, m, eigen.ParallelConfig{Tol: tol}).Stats.Elapsed
 	})
-	for bi, bal := range bals {
-		s := &stats.Series{Name: bal.String()}
-		for ni, nodes := range cfg.Nodes {
-			var sp stats.Sample
-			sp.Add(float64(base) / float64(elapsed[bi*nN+ni]))
-			s.AddSample(nodes, &sp)
-		}
-		best, at := s.MaxMean()
-		r.addFigure(s)
-		r.compare(s.Name+" max speedup", map[earth.Balancer]string{
-			earth.BalanceSteal:       "close to ideal",
-			earth.BalanceRandomPlace: "~8 on 20 (Multipol)",
-		}[bal], fmt.Sprintf("%.1f @ %d", best, at))
+	for v, s := range series {
+		r.addPeak(s, " max speedup", []string{"close to ideal", "~8 on 20 (Multipol)"}[v])
 	}
 	return r
 }
@@ -577,69 +560,66 @@ func AblationGroebnerScheduling(cfg Config) *Report {
 	cfg = cfg.WithDefaults()
 	r := &Report{ID: "Ablation C", Title: "Gröbner scheduling: ordered commit and queue organisation (Lazard)"}
 	in := *groebner.InputByName("Lazard")
-	seq, err := groebner.Buchberger(in.F, in.Opt)
-	if err != nil {
-		panic(err)
-	}
-	sc := groebner.Calibrate(seq.Trace, in.PaperSeqMS)
-	base := groebner.SeqVirtualTime(seq.Trace, sc)
+	base := newGroebnerBaseline(in)
 	type variant struct {
 		name string
 		pc   groebner.ParallelConfig
 	}
 	variants := []variant{
-		{"central+ordered", groebner.ParallelConfig{Opt: in.Opt, StepCost: sc}},
-		{"central+unordered", groebner.ParallelConfig{Opt: in.Opt, StepCost: sc, NoOrderedCommit: true}},
-		{"distributed+ordered", groebner.ParallelConfig{Opt: in.Opt, StepCost: sc, DistributedQueues: true}},
+		{"central+ordered", groebner.ParallelConfig{Opt: in.Opt, StepCost: base.sc}},
+		{"central+unordered", groebner.ParallelConfig{Opt: in.Opt, StepCost: base.sc, NoOrderedCommit: true}},
+		{"distributed+ordered", groebner.ParallelConfig{Opt: in.Opt, StepCost: base.sc, DistributedQueues: true}},
 	}
 	nodeList := nodesMin(cfg.Nodes, 2)
-	nN := len(nodeList)
+	// Not speedupCurves: the report also needs each cell's pair count.
 	type cellRes struct {
 		elapsed sim.Time
 		pairs   int
 	}
-	cells := make([]cellRes, len(variants)*nN)
-	forEachCell(cfg.Workers, len(cells), func(i int) {
-		rt := simrt.New(earth.Config{Nodes: nodeList[i%nN], Seed: cfg.Seed, JitterPct: 2, Shards: cfg.Shards})
-		res, err := groebner.ParallelBuchberger(rt, in.F, variants[i/nN].pc)
+	cells := Sweep(cfg.Workers, []int{len(variants), len(nodeList)}, func(at []int) cellRes {
+		rt := simrt.New(earth.Config{Nodes: nodeList[at[1]], Seed: cfg.Seed, JitterPct: 2, Shards: cfg.Shards})
+		res, err := groebner.ParallelBuchberger(rt, in.F, variants[at[0]].pc)
 		if err != nil {
 			panic(err)
 		}
-		cells[i] = cellRes{res.Stats.Elapsed, res.PairsProcessed}
+		return cellRes{res.Stats.Elapsed, res.PairsProcessed}
 	})
 	for vi, v := range variants {
 		s := &stats.Series{Name: v.name}
 		work := &stats.Sample{}
 		for ni, nodes := range nodeList {
-			c := cells[vi*nN+ni]
+			c := cells.At(vi, ni)
 			var sp stats.Sample
-			sp.Add(float64(base) / float64(c.elapsed))
+			sp.Add(float64(base.time) / float64(c.elapsed))
 			s.AddSample(nodes, &sp)
 			work.Add(float64(c.pairs))
 		}
-		best, at := s.MaxMean()
-		r.addFigure(s)
-		r.add("%s: mean pairs processed %.0f (sequential baseline %d)", v.name, work.Mean(), seq.Trace.PairsReduced)
-		r.compare(v.name+" peak speedup", "-", fmt.Sprintf("%.1f @ %d", best, at))
+		r.addPeak(s, " peak speedup", "-")
+		r.add("%s: mean pairs processed %.0f (sequential baseline %d)", v.name, work.Mean(), base.pairs)
 	}
 	return r
 }
 
-// All runs every experiment and returns the reports in paper order.
-func All(cfg Config) []*Report {
-	cfg = cfg.WithDefaults()
-	t1 := Table1(cfg)
-	f2, _ := Figure2(cfg)
-	t2 := Table2(cfg)
-	f4, _ := Figure4(cfg)
-	f5, _ := Figure5(cfg)
-	t3 := Table3(cfg)
-	f7, _ := Figure7(cfg)
-	f8, _ := Figure8(cfg)
-	return []*Report{t1, f2, t2, f4, f5, t3, f7, f8,
-		AblationNNTree(cfg), AblationEigenPlacement(cfg), AblationGroebnerScheduling(cfg),
-		AblationNNModes(cfg), AblationSearchApps(cfg), AblationKnuthBendix(cfg),
-		AblationPortedMachines(cfg)}
+// simApp is a named program that runs to completion on a runtime and
+// reports its makespan.
+type simApp struct {
+	name string
+	run  func(rt earth.Runtime) sim.Time
+}
+
+// selfSpeedups sweeps each app over nodeList against its own one-node
+// run on the default machine.
+func selfSpeedups(cfg Config, apps []simApp, nodeList []int) []*stats.Series {
+	names := make([]string, len(apps))
+	for i, a := range apps {
+		names[i] = a.name
+	}
+	on := func(v, nodes int) sim.Time {
+		return apps[v].run(simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards}))
+	}
+	return speedupCurves(cfg, names, nodeList, 1,
+		func(v int) sim.Time { return on(v, 1) },
+		func(v, nodes, _ int) sim.Time { return on(v, nodes) })
 }
 
 // AblationNNModes compares the paper's Section 3.3 parallelisation
@@ -650,11 +630,7 @@ func AblationNNModes(cfg Config) *Report {
 	r := &Report{ID: "Ablation D", Title: "NN parallelisation modes: unit vs sample vs hybrid (80 units)"}
 	const u, samples = 80, 16
 	xs, ts := nnSamples(u, samples)
-	type mode struct {
-		name string
-		run  func(rt earth.Runtime) sim.Time
-	}
-	modes := []mode{
+	modes := []simApp{
 		{"unit (update/sample)", func(rt earth.Runtime) sim.Time {
 			res := neural.ParallelRun(rt, neural.Square(u, 1), xs, ts,
 				neural.ParallelConfig{Train: true, Tree: true, LR: 0.1})
@@ -671,29 +647,8 @@ func AblationNNModes(cfg Config) *Report {
 			return res.Stats.Elapsed
 		}},
 	}
-	// Per mode, cell 0 is the one-node baseline and the rest sweep nodes.
-	stride := 1 + len(cfg.Nodes)
-	elapsed := make([]sim.Time, len(modes)*stride)
-	forEachCell(cfg.Workers, len(elapsed), func(i int) {
-		k := i % stride
-		nodes := 1
-		if k > 0 {
-			nodes = cfg.Nodes[k-1]
-		}
-		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards})
-		elapsed[i] = modes[i/stride].run(rt)
-	})
-	for mi, m := range modes {
-		s := &stats.Series{Name: m.name}
-		base := elapsed[mi*stride]
-		for ni, nodes := range cfg.Nodes {
-			var sp stats.Sample
-			sp.Add(float64(base) / float64(elapsed[mi*stride+1+ni]))
-			s.AddSample(nodes, &sp)
-		}
-		best, at := s.MaxMean()
-		r.addFigure(s)
-		r.compare(m.name+" peak speedup over "+fmt.Sprint(samples)+" samples", "-", fmt.Sprintf("%.1f @ %d", best, at))
+	for _, s := range selfSpeedups(cfg, modes, cfg.Nodes) {
+		r.addPeak(s, " peak speedup over "+fmt.Sprint(samples)+" samples", "-")
 	}
 	r.compare("ordering (comm per update)", "sample > hybrid > unit", "see series above")
 	return r
@@ -708,11 +663,7 @@ func AblationSearchApps(cfg Config) *Report {
 
 	tsp := search.RandomTSP(11, 3)
 	poly := &search.Polymer{Steps: 8}
-	type app struct {
-		name string
-		run  func(rt earth.Runtime) sim.Time
-	}
-	apps := []app{
+	apps := []simApp{
 		{"tsp-11", func(rt earth.Runtime) sim.Time {
 			return search.BranchAndBound(rt, tsp, search.BBConfig{}).Stats.Elapsed
 		}},
@@ -720,30 +671,9 @@ func AblationSearchApps(cfg Config) *Report {
 			return search.Count(rt, poly, search.CountConfig{SpawnDepth: 3}).Stats.Elapsed
 		}},
 	}
-	// Per app, cell 0 is the one-node baseline; the sweep skips nodes=1
-	// (the baseline already covers it).
-	sweep := nodesMin(cfg.Nodes, 2)
-	stride := 1 + len(sweep)
-	elapsed := make([]sim.Time, len(apps)*stride)
-	forEachCell(cfg.Workers, len(elapsed), func(i int) {
-		k := i % stride
-		nodes := 1
-		if k > 0 {
-			nodes = sweep[k-1]
-		}
-		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards})
-		elapsed[i] = apps[i/stride].run(rt)
-	})
-	var series []*stats.Series
-	for ai, a := range apps {
-		s := &stats.Series{Name: a.name}
-		base := float64(elapsed[ai*stride])
-		for ni, nodes := range sweep {
-			var sp stats.Sample
-			sp.Add(base / float64(elapsed[ai*stride+1+ni]))
-			s.AddSample(nodes, &sp)
-		}
-		series = append(series, s)
+	// The sweep skips nodes=1: the one-node baseline already covers it.
+	series := selfSpeedups(cfg, apps, nodesMin(cfg.Nodes, 2))
+	for _, s := range series {
 		r.addFigure(s)
 	}
 	sTSP, sPoly := series[0], series[1]
@@ -773,22 +703,15 @@ func AblationKnuthBendix(cfg Config) *Report {
 	}
 	sc := rewrite.DefaultStepCost()
 	base := sim.Time(tr.PairsProcessed)*sc.PerPair + sim.Time(tr.RewriteSteps)*sc.PerStep
-	s := &stats.Series{Name: "knuth-bendix/S3"}
-	nodeList := nodesMin(cfg.Nodes, 2)
-	elapsed := make([]sim.Time, len(nodeList))
-	forEachCell(cfg.Workers, len(elapsed), func(i int) {
-		rt := simrt.New(earth.Config{Nodes: nodeList[i], Seed: cfg.Seed, JitterPct: 2, Shards: cfg.Shards})
-		res, err := rewrite.ParallelComplete(rt, sys, rewrite.ParallelConfig{StepCost: sc})
-		if err != nil {
-			panic(err)
-		}
-		elapsed[i] = res.Stats.Elapsed
-	})
-	for ni, nodes := range nodeList {
-		var sp stats.Sample
-		sp.Add(float64(base) / float64(elapsed[ni]))
-		s.AddSample(nodes, &sp)
-	}
+	s := speedupCurves(cfg, []string{"knuth-bendix/S3"}, nodesMin(cfg.Nodes, 2), 1, fixedBase(base),
+		func(_, nodes, _ int) sim.Time {
+			rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, JitterPct: 2, Shards: cfg.Shards})
+			res, err := rewrite.ParallelComplete(rt, sys, rewrite.ParallelConfig{StepCost: sc})
+			if err != nil {
+				panic(err)
+			}
+			return res.Stats.Elapsed
+		})[0]
 	r.addFigure(s)
 	r.add("sequential: %d pairs, %d rules added, %d rewrite steps",
 		tr.PairsProcessed, tr.RulesAdded, tr.RewriteSteps)
@@ -805,38 +728,21 @@ func AblationPortedMachines(cfg Config) *Report {
 	cfg = cfg.WithDefaults()
 	r := &Report{ID: "Ablation G", Title: "Ported machines: MANNA vs SP2 vs Myrinet networks (Lazard)"}
 	in := *groebner.InputByName("Lazard")
-	sc, base := groebnerBaseline(in)
-	machines := []struct {
-		name string
-		mk   func(int) manna.Config
-	}{
-		{"MANNA", manna.Default},
-		{"SP2", manna.SP2},
-		{"Myrinet", manna.Myrinet},
-	}
-	nodeList := nodesMin(cfg.Nodes, 2)
-	nN := len(nodeList)
-	elapsed := make([]sim.Time, len(machines)*nN)
-	forEachCell(cfg.Workers, len(elapsed), func(i int) {
-		nodes := nodeList[i%nN]
-		mc := machines[i/nN].mk(nodes)
-		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Machine: &mc, JitterPct: 2, Shards: cfg.Shards})
-		res, err := groebner.ParallelBuchberger(rt, in.F, groebner.ParallelConfig{Opt: in.Opt, StepCost: sc})
-		if err != nil {
-			panic(err)
-		}
-		elapsed[i] = res.Stats.Elapsed
-	})
-	for mi, m := range machines {
-		s := &stats.Series{Name: m.name}
-		for ni, nodes := range nodeList {
-			var sp stats.Sample
-			sp.Add(float64(base) / float64(elapsed[mi*nN+ni]))
-			s.AddSample(nodes, &sp)
-		}
-		best, at := s.MaxMean()
-		r.addFigure(s)
-		r.compare(m.name+" peak speedup", "-", fmt.Sprintf("%.1f @ %d", best, at))
+	base := newGroebnerBaseline(in)
+	names := []string{"MANNA", "SP2", "Myrinet"}
+	machines := []func(int) manna.Config{manna.Default, manna.SP2, manna.Myrinet}
+	series := speedupCurves(cfg, names, nodesMin(cfg.Nodes, 2), 1, fixedBase(base.time),
+		func(v, nodes, _ int) sim.Time {
+			mc := machines[v](nodes)
+			rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Machine: &mc, JitterPct: 2, Shards: cfg.Shards})
+			res, err := groebner.ParallelBuchberger(rt, in.F, groebner.ParallelConfig{Opt: in.Opt, StepCost: base.sc})
+			if err != nil {
+				panic(err)
+			}
+			return res.Stats.Elapsed
+		})
+	for _, s := range series {
+		r.addPeak(s, " peak speedup", "-")
 	}
 	r.compare("network sensitivity", "EARTH tolerates even small latencies", "grain >> network costs: near-identical curves")
 	return r

@@ -24,12 +24,6 @@ import (
 // fold in index order — the Report is byte-identical for a given Config
 // regardless of Workers.
 
-// overheadCell is one traced run's analysis.
-type overheadCell struct {
-	an    *critpath.Analysis
-	nodes int
-}
-
 // Overhead attributes machine time for every sweep workload on the
 // largest configured machine size, clean and under the default fault
 // plan, and reports the five-way breakdown plus the longest
@@ -50,29 +44,28 @@ func Overhead(cfg Config) *Report {
 	plan := DefaultFaultPlan()
 	plan.Seed = cfg.Seed
 
-	const variants = 2 // 0 clean, 1 chaos
-	cells := make([]overheadCell, len(wls)*variants)
-	forEachCell(cfg.Workers, len(cells), func(i int) {
-		wi, v := i/variants, i%variants
+	// Not faultRuns: the chaos cells need nothing from the clean ones, so
+	// both run in one pool, and each cell keeps its analysis, not its stats.
+	labels := []string{"clean", "chaos"}
+	cells := Sweep(cfg.Workers, []int{len(wls), len(labels)}, func(at []int) *critpath.Analysis {
 		rec := obs.NewRecorder()
 		ec := earth.Config{Nodes: nodes, Seed: cfg.Seed, Tracer: rec,
 			Shards: cfg.Shards, Coalesce: cfg.coalesce()}
-		if v == 1 {
+		if at[1] == 1 {
 			p := *plan
 			ec.Faults = &p
 		}
-		_, st := wls[wi].run(simrt.New(ec))
-		cells[i] = overheadCell{critpath.Analyze(rec.Events(), nodes, st.Elapsed), nodes}
+		st := wls[at[0]].run(simrt.New(ec)).st
+		return critpath.Analyze(rec.Events(), nodes, st.Elapsed)
 	})
 
 	r.add("%-22s %-6s %12s  %9s %9s %9s %9s %9s  %s", "app", "plan",
 		"makespan", "compute", "comm", "sched", "recovery", "idle", "path(compute)")
 	for wi, wl := range wls {
-		for v := 0; v < variants; v++ {
-			an := cells[wi*variants+v].an
+		for v, label := range labels {
+			an := cells.At(wi, v)
 			f := an.Total.Fractions()
 			pf := an.PathBreakdown.Fractions()
-			label := [variants]string{"clean", "chaos"}[v]
 			r.add("%-22s %-6s %12v  %9.6f %9.6f %9.6f %9.6f %9.6f  %.6f",
 				wl.name, label, an.Makespan,
 				f[critpath.Compute], f[critpath.Comm], f[critpath.Sched],
@@ -82,8 +75,7 @@ func Overhead(cfg Config) *Report {
 	r.add("")
 	r.add("longest critical-path segments (clean runs, top 3 per app):")
 	for wi, wl := range wls {
-		an := cells[wi*variants].an
-		for _, s := range an.TopSegments(3) {
+		for _, s := range cells.At(wi, 0).TopSegments(3) {
 			r.add("  %-22s [%12v .. %12v] node %-3d %-8s %s",
 				wl.name, s.Start, s.End, s.Node, s.Cat, s.Label)
 		}
@@ -92,8 +84,7 @@ func Overhead(cfg Config) *Report {
 	// Headline comparisons in the paper's framing: overhead is what
 	// separates the measured curves from the ideal ones.
 	for wi, wl := range wls {
-		clean := cells[wi*variants].an
-		chaos := cells[wi*variants+1].an
+		clean, chaos := cells.At(wi, 0), cells.At(wi, 1)
 		fc := clean.Total.Fractions()
 		overhead := fc[critpath.Comm] + fc[critpath.Sched]
 		r.compare(wl.name+" compute:overhead (USE framing)",

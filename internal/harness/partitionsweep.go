@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"earth/internal/earth"
-	"earth/internal/earth/simrt"
 	"earth/internal/faults"
 	"earth/internal/sim"
 )
@@ -51,65 +50,31 @@ func PartitionSweep(cfg Config) *Report {
 	cfg = cfg.WithDefaults()
 	nodes := max(5, slices.Max(cfg.Nodes))
 	wls := faultWorkloads(cfg.Seed)
-
-	type cell struct {
-		fp             string
-		elapsed        sim.Time
-		wrong, rejoins uint64
-		fenced         uint64
-	}
-	grid := len(partDurFracs) * len(partLeaseFracs)
-	per := 1 + grid*cfg.Runs // index 0 clean, then dur-major × lease × run
-	cells := make([]cell, len(wls)*per)
-	forEachCell(cfg.Workers, len(wls), func(wi int) {
-		fp, st := wls[wi].run(simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards}))
-		cells[wi*per] = cell{fp: fp, elapsed: st.Elapsed}
-	})
-	forEachCell(cfg.Workers, len(wls)*grid*cfg.Runs, func(i int) {
-		run := i % cfg.Runs
-		li := i / cfg.Runs % len(partLeaseFracs)
-		di := i / (cfg.Runs * len(partLeaseFracs)) % len(partDurFracs)
-		wi := i / (cfg.Runs * len(partLeaseFracs) * len(partDurFracs))
-		clean := cells[wi*per].elapsed
-		dur := sim.Time(partDurFracs[di] * float64(clean))
-		lease := sim.Time(partLeaseFracs[li] * float64(clean))
-		plan := partitionPlan(nodes, run, dur, clean, cfg.Seed)
-		fp, st := wls[wi].run(simrt.New(earth.Config{
-			Nodes: nodes, Seed: cfg.Seed, Faults: plan, Shards: cfg.Shards,
-			Retry: earth.RetryPolicy{Lease: lease},
-		}))
-		cells[wi*per+1+(di*len(partLeaseFracs)+li)*cfg.Runs+run] = cell{
-			fp: fp, elapsed: st.Elapsed,
-			wrong: st.TotalWrongVerdicts(), rejoins: st.TotalRejoins(),
-			fenced: st.TotalFenced(),
-		}
-	})
+	clean, runs := faultRuns(cfg, wls, []int{nodes}, []int{len(partDurFracs), len(partLeaseFracs)},
+		func(ec earth.Config, at []int, clean *earth.Stats) earth.Config {
+			dur := sim.Time(partDurFracs[at[0]] * float64(clean.Elapsed))
+			lease := sim.Time(partLeaseFracs[at[1]] * float64(clean.Elapsed))
+			ec.Faults = partitionPlan(nodes, at[2], dur, clean.Elapsed, cfg.Seed)
+			ec.Retry = earth.RetryPolicy{Lease: lease}
+			return ec
+		})
 
 	r := &Report{ID: "Partition", Title: fmt.Sprintf(
 		"Partition sweep: window duration × detection lease (fractions of clean makespan) on %d nodes, %d phasings per cell",
 		nodes, cfg.Runs)}
 	for wi, wl := range wls {
-		clean := cells[wi*per]
 		for di, df := range partDurFracs {
 			for li, lf := range partLeaseFracs {
-				conv := 0
+				var t tally
 				var wrong, rejoins, fenced uint64
-				var sumSlow float64
-				for run := 0; run < cfg.Runs; run++ {
-					c := cells[wi*per+1+(di*len(partLeaseFracs)+li)*cfg.Runs+run]
-					if c.fp == clean.fp {
-						conv++
-					}
-					if clean.elapsed > 0 {
-						sumSlow += float64(c.elapsed) / float64(clean.elapsed)
-					}
-					wrong += c.wrong
-					rejoins += c.rejoins
-					fenced += c.fenced
+				for _, c := range runs.Sub(wi, 0, di, li).All() {
+					t.add(clean.At(wi, 0), c)
+					wrong += c.st.TotalWrongVerdicts()
+					rejoins += c.st.TotalRejoins()
+					fenced += c.st.TotalFenced()
 				}
 				r.add("%-20s dur=%.2f lease=%.2f  converged %2d/%-2d  wrong=%-3d rejoins=%-3d lost-msgs=%-4d  mean slowdown %.2fx",
-					wl.name, df, lf, conv, cfg.Runs, wrong, rejoins, fenced,
-					sumSlow/float64(cfg.Runs))
+					wl.name, df, lf, t.converged, t.runs, wrong, rejoins, fenced, t.meanSlowdown())
 			}
 		}
 	}

@@ -69,17 +69,3 @@ func slicesIndex(ss []string, want string) int {
 	}
 	return -1
 }
-
-// TestPartitionSweepDeterministicAcrossWorkers: byte-identical reports
-// between serial and parallel evaluation and across invocations.
-func TestPartitionSweepDeterministicAcrossWorkers(t *testing.T) {
-	serial := PartitionSweep(partCfg(1)).String()
-	parallel := PartitionSweep(partCfg(4)).String()
-	if serial != parallel {
-		t.Errorf("Workers=1 vs Workers=4 diverge:\n%s\nvs\n%s", serial, parallel)
-	}
-	again := PartitionSweep(partCfg(4)).String()
-	if serial != again {
-		t.Errorf("repeated sweep diverges:\n%s\nvs\n%s", serial, again)
-	}
-}
