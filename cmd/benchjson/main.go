@@ -5,10 +5,11 @@
 //
 //	go test -bench=. -benchmem ./... | go run ./cmd/benchjson > now.json
 //	go run ./cmd/benchjson -in bench.txt -out now.json
-//	go run ./cmd/benchjson -compare BENCH_4.json now.json -threshold 0.15
+//	go run ./cmd/benchjson -compare BENCH_5.json now.json -threshold 0.15
 //
 // The output maps each benchmark name (with the -N GOMAXPROCS suffix
-// stripped) to its ns/op, and B/op and allocs/op when -benchmem was on.
+// stripped) to its ns/op, and B/op and allocs/op when -benchmem was on;
+// under -count N it keeps each benchmark's median run.
 // Names are sorted, so regenerating with unchanged performance yields a
 // byte-identical file.
 //
@@ -49,8 +50,12 @@ type Result struct {
 //	BenchmarkFoo-4   123   456.7 ns/op   89 B/op   10 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
+// parse reads `go test -bench` output. A benchmark that appears more than
+// once (-count N) is reported by its median line by ns/op — the lower of
+// the two middle ones for an even N — so B/op and allocs/op come from the
+// same run as the time.
 func parse(r io.Reader) (map[string]Result, error) {
-	out := map[string]Result{}
+	runs := map[string][]Result{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -58,7 +63,7 @@ func parse(r io.Reader) (map[string]Result, error) {
 		if m == nil {
 			continue
 		}
-		res := out[m[1]]
+		var res Result
 		fields := strings.Fields(m[2])
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -74,7 +79,12 @@ func parse(r io.Reader) (map[string]Result, error) {
 				res.AllocsPerOp = &v
 			}
 		}
-		out[m[1]] = res
+		runs[m[1]] = append(runs[m[1]], res)
+	}
+	out := make(map[string]Result, len(runs))
+	for name, rs := range runs {
+		sort.SliceStable(rs, func(i, j int) bool { return rs[i].NsPerOp < rs[j].NsPerOp })
+		out[name] = rs[(len(rs)-1)/2]
 	}
 	return out, sc.Err()
 }

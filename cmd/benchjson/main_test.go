@@ -38,6 +38,36 @@ ok   earth 3.2s
 	}
 }
 
+// TestParseKeepsMedianOfRepeatedRuns: under -count N the recorded line is
+// the median by ns/op (not the last one printed), memory columns included.
+func TestParseKeepsMedianOfRepeatedRuns(t *testing.T) {
+	out, err := parse(strings.NewReader(`
+BenchmarkHold-2   100   50.0 ns/op   5 B/op   1 allocs/op
+BenchmarkHold-2   100   90.0 ns/op   9 B/op   3 allocs/op
+BenchmarkHold-2   100   60.0 ns/op   6 B/op   2 allocs/op
+BenchmarkHold-2   100   40.0 ns/op   4 B/op   0 allocs/op
+BenchmarkHold-2   100   900.0 ns/op  90 B/op  9 allocs/op
+BenchmarkEven-2   100   30.0 ns/op
+BenchmarkEven-2   100   10.0 ns/op
+BenchmarkEven-2   100   40.0 ns/op
+BenchmarkEven-2   100   20.0 ns/op
+BenchmarkOnce-2   100   7.0 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := out["BenchmarkHold"]
+	if hold.NsPerOp != 60 || hold.BPerOp == nil || *hold.BPerOp != 6 || hold.AllocsPerOp == nil || *hold.AllocsPerOp != 2 {
+		t.Errorf("median of five: %+v, want the 60 ns/op line with its 6 B/op and 2 allocs/op", hold)
+	}
+	if even := out["BenchmarkEven"]; even.NsPerOp != 20 {
+		t.Errorf("median of four = %v ns/op, want 20 (the lower middle run)", even.NsPerOp)
+	}
+	if once := out["BenchmarkOnce"]; once.NsPerOp != 7 {
+		t.Errorf("single run = %v ns/op, want 7", once.NsPerOp)
+	}
+}
+
 // TestZeroAllocColumnsSurviveMarshal pins the omitempty fix: a measured
 // 0 B/op, 0 allocs/op must appear in the JSON document (it used to be
 // dropped, hiding allocation regressions on allocation-free benchmarks),

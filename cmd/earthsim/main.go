@@ -11,6 +11,7 @@
 //	         [-sample DUR] [-runs N] [-workers W] [-coalesce]
 //	         [-sanitize] [-sanitize-json out.json]
 //	         [-faults PLAN] [-fault-seed S] [-retry-lease DUR] [-retry-jitter J]
+//	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // -coalesce enables the batched wire path: same-destination small
 // messages issued within one engine step merge into a single wire
@@ -70,6 +71,10 @@
 // text), /metrics.json, /debug/vars (expvar) and /debug/pprof. Live
 // executors label their goroutines with the pprof label earth_node, so
 // /debug/pprof/goroutine?debug=1 and CPU profiles break down by node.
+//
+// -cpuprofile and -memprofile write pprof profiles of the host process
+// (the simulator as a program) to files and change nothing else: stdout,
+// the stats JSON and the trace are those of the unprofiled run.
 package main
 
 import (
@@ -88,6 +93,7 @@ import (
 	"earth/internal/faults"
 	"earth/internal/groebner"
 	"earth/internal/harness"
+	"earth/internal/hostprof"
 	"earth/internal/neural"
 	"earth/internal/obs"
 	"earth/internal/obs/debugsrv"
@@ -136,7 +142,19 @@ func main() {
 		"failure-detector lease before survivors declare a silent node dead (0: 5x the retry timeout)")
 	retryJitter := flag.Float64("retry-jitter", 0,
 		"seeded retransmit-backoff jitter fraction in [0,1) (0 disables)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the host process to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the host process to this file")
 	flag.Parse()
+
+	stopProfiles, err := hostprof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fail("%v", err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fail("%v", err)
+		}
+	}()
 
 	var costs earth.CostModel
 	switch *costsName {

@@ -15,7 +15,8 @@ import (
 // report and stdout must be byte-identical when the same seed runs
 // twice, when -shards goes from 1 to 4, and — with -coalesce on both
 // sides — across shard counts on the batched wire path. The sanitizer
-// report must also not depend on -coalesce.
+// report must also not depend on -coalesce, and nothing but the profile
+// files themselves on -cpuprofile/-memprofile.
 func TestDeterminismMatrix(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "earthsim")
 	build := append(append([]string{"build"}, raceFlag...), "-o", bin, ".")
@@ -31,17 +32,20 @@ func TestDeterminismMatrix(t *testing.T) {
 		var files []string
 		for i, a := range args {
 			switch a {
-			case "-stats-json", "-trace", "-sanitize-json":
+			case "-stats-json", "-trace", "-sanitize-json", "-cpuprofile", "-memprofile":
 				files = append(files, a)
 				args[i+1] = filepath.Join(dir, a)
 			}
 		}
-		stdout, err := exec.Command(bin, args...).Output()
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stderr = &stderr
+		stdout, err := cmd.Output()
 		if err != nil {
-			t.Fatalf("earthsim %s: %v", strings.Join(args, " "), err)
+			t.Fatalf("earthsim %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
 		}
 		// The "wrote N events to <path>" line names the temp file.
-		got := map[string][]byte{"stdout": bytes.ReplaceAll(stdout, []byte(dir), nil)}
+		got := map[string][]byte{"stdout": bytes.ReplaceAll(stdout, []byte(dir), nil), "stderr": stderr.Bytes()}
 		for _, f := range files {
 			if got[f], err = os.ReadFile(filepath.Join(dir, f)); err != nil {
 				t.Fatal(err)
@@ -88,4 +92,15 @@ func TestDeterminismMatrix(t *testing.T) {
 			same(t, "-coalesce off vs on", one, coal, "-sanitize-json")
 		})
 	}
+	t.Run("profiled", func(t *testing.T) {
+		t.Parallel()
+		args := with(k4, "-stats-json", "", "-trace", "")
+		prof := run(t, args, "-cpuprofile", "", "-memprofile", "")
+		same(t, "-cpuprofile/-memprofile off vs on", run(t, args), prof)
+		for _, f := range []string{"-cpuprofile", "-memprofile"} {
+			if len(prof[f]) == 0 {
+				t.Errorf("%s wrote an empty file", f)
+			}
+		}
+	})
 }

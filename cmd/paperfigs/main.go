@@ -5,6 +5,7 @@
 //
 //	paperfigs [-exp NAME] [-runs N] [-nodes 1,2,4,8,11,14,16,20] [-seed S] [-workers W]
 //	          [-shards S] [-json out.json] [-faults PLAN] [-nocoalesce]
+//	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // NAME is a row of the experiment table (harness.Experiments), matched
 // case-insensitively, "ablations" for every ablation row, or "all" for
@@ -69,6 +70,7 @@ import (
 
 	"earth/internal/faults"
 	"earth/internal/harness"
+	"earth/internal/hostprof"
 )
 
 func main() {
@@ -84,7 +86,21 @@ func main() {
 		"fault plan for -exp chaos (default: the 5% drop + dup + reorder envelope)")
 	noCoalesce := flag.Bool("nocoalesce", false,
 		"pin the per-message wire path (disable same-destination coalescing)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the host process to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the host process to this file")
 	flag.Parse()
+
+	stopProfiles, err := hostprof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
+			os.Exit(1)
+		}
+	}()
 
 	if *shards == 0 {
 		*shards = runtime.GOMAXPROCS(0)

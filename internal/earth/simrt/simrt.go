@@ -514,11 +514,45 @@ func (rt *Runtime) freeMsg(sh *shard, m *msg) {
 	sh.msgFree = append(sh.msgFree, m)
 }
 
-// eventBuf buffers one stream of trace events; its pointer is the
-// earth.Tracer the protocol core emits into.
-type eventBuf []earth.Event
+// eventChunk is the number of events per eventBuf chunk.
+const eventChunk = 8192
 
-func (b *eventBuf) Event(ev earth.Event) { *b = append(*b, ev) }
+// eventBuf buffers one stream of trace events; its pointer is the
+// earth.Tracer the protocol core emits into. The stream is a list of
+// fixed-size chunks, so emitting never copies what was already buffered;
+// flushTrace copies each event once, into the merged stream.
+type eventBuf struct {
+	full [][]earth.Event // filled chunks, oldest first
+	cur  []earth.Event   // the chunk being filled
+}
+
+func (b *eventBuf) Event(ev earth.Event) {
+	if len(b.cur) == cap(b.cur) {
+		if b.cur != nil {
+			b.full = append(b.full, b.cur)
+		}
+		b.cur = make([]earth.Event, 0, eventChunk)
+	}
+	b.cur = append(b.cur, ev)
+}
+
+func (b *eventBuf) len() int { return len(b.full)*eventChunk + len(b.cur) }
+
+// appendTo appends the buffered stream to dst in emission order.
+func (b *eventBuf) appendTo(dst []earth.Event) []earth.Event {
+	for _, c := range b.full {
+		dst = append(dst, c...)
+	}
+	return append(dst, b.cur...)
+}
+
+// reset empties the buffer, keeping one chunk for the next run.
+func (b *eventBuf) reset() {
+	if len(b.full) > 0 {
+		b.cur = b.full[0]
+	}
+	b.full, b.cur = nil, b.cur[:0]
+}
 
 // emit buffers a trace event on the executing shard's stream, or on the
 // coordinator stream (sh == nil) for between-window emissions. All buffers
@@ -558,9 +592,9 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		s.eng = sim.New()
 		s.outbox = s.outbox[:0]
 		s.misses = s.misses[:0]
-		s.events = s.events[:0]
+		s.events.reset()
 	}
-	rt.cord = rt.cord[:0]
+	rt.cord.reset()
 	if rt.injs != nil {
 		for _, in := range rt.injs {
 			in.Reset()

@@ -434,47 +434,58 @@ func phaseRank(k earth.EventKind) uint8 {
 	}
 }
 
-// eventLess is the canonical trace order: virtual time, node, phase, then
-// every remaining field, so the comparison is total up to identity and the
-// (unstable) sort yields one well-defined stream for any shard count.
-func eventLess(a, b *earth.Event) bool {
-	if a.Time != b.Time {
-		return a.Time < b.Time
+// eventCmp is the canonical trace order as a three-way comparison:
+// virtual time, node, phase, then every remaining field, so it returns 0
+// only for identical events and the (unstable) sort yields one
+// well-defined stream for any shard count.
+func eventCmp(a, b *earth.Event) int {
+	if c := cmp.Compare(a.Time, b.Time); c != 0 {
+		return c
 	}
-	if a.Node != b.Node {
-		return a.Node < b.Node
+	if c := cmp.Compare(a.Node, b.Node); c != 0 {
+		return c
 	}
-	pa, pb := phaseRank(a.Kind), phaseRank(b.Kind)
-	if pa != pb {
-		return pa < pb
+	if c := cmp.Compare(phaseRank(a.Kind), phaseRank(b.Kind)); c != 0 {
+		return c
 	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
 	}
-	if a.Cause != b.Cause {
-		return a.Cause < b.Cause
+	if c := cmp.Compare(a.Cause, b.Cause); c != 0 {
+		return c
 	}
-	if a.Peer != b.Peer {
-		return a.Peer < b.Peer
+	if c := cmp.Compare(a.Peer, b.Peer); c != 0 {
+		return c
 	}
-	if a.Dur != b.Dur {
-		return a.Dur < b.Dur
+	if c := cmp.Compare(a.Dur, b.Dur); c != 0 {
+		return c
 	}
-	if a.Wait != b.Wait {
-		return a.Wait < b.Wait
+	if c := cmp.Compare(a.Wait, b.Wait); c != 0 {
+		return c
 	}
-	return a.Bytes < b.Bytes
+	return cmp.Compare(a.Bytes, b.Bytes)
 }
 
-// flushTrace merges the coordinator's and every shard's buffered events,
-// sorts them canonically and hands the stream to the tracer.
+// flushTrace merges the coordinator's and every shard's buffered events
+// into one stream allocated at its exact length, sorts it canonically and
+// hands it to the tracer, announcing the length first to a tracer that
+// has a Grow(n int) method so it can reserve room once.
 func (rt *Runtime) flushTrace() {
 	if rt.tr != nil {
-		evs := rt.cord
+		n := rt.cord.len()
 		for _, s := range rt.shards {
-			evs = append(evs, s.events...)
+			n += s.events.len()
 		}
-		sort.Slice(evs, func(i, j int) bool { return eventLess(&evs[i], &evs[j]) })
+		evs := rt.cord.appendTo(make([]earth.Event, 0, n))
+		rt.cord.reset()
+		for _, s := range rt.shards {
+			evs = s.events.appendTo(evs)
+			s.events.reset()
+		}
+		slices.SortFunc(evs, func(a, b earth.Event) int { return eventCmp(&a, &b) })
+		if g, ok := rt.tr.(interface{ Grow(n int) }); ok {
+			g.Grow(n)
+		}
 		for i := range evs {
 			rt.tr.Event(evs[i])
 		}

@@ -16,6 +16,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 
 	"earth/internal/earth"
@@ -36,6 +37,14 @@ func NewRecorder() *Recorder { return &Recorder{} }
 func (r *Recorder) Event(e earth.Event) {
 	r.mu.Lock()
 	r.events = append(r.events, e)
+	r.mu.Unlock()
+}
+
+// Grow reserves room for n more events. It is the optional hint simrt
+// gives before it hands over a finished run's stream.
+func (r *Recorder) Grow(n int) {
+	r.mu.Lock()
+	r.events = slices.Grow(r.events, n)
 	r.mu.Unlock()
 }
 
@@ -68,6 +77,15 @@ type multi []earth.Tracer
 func (m multi) Event(e earth.Event) {
 	for _, t := range m {
 		t.Event(e)
+	}
+}
+
+// Grow forwards the hint to the tracers that take it.
+func (m multi) Grow(n int) {
+	for _, t := range m {
+		if g, ok := t.(interface{ Grow(n int) }); ok {
+			g.Grow(n)
+		}
 	}
 }
 

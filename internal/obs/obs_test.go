@@ -586,3 +586,29 @@ func TestMultiFanOutAndNilDropping(t *testing.T) {
 		t.Error("Reset failed")
 	}
 }
+
+// TestGrowHint checks the length hint simrt gives before handing over a
+// run's stream: after Grow(n) a Recorder takes n events without growing
+// again, and Multi passes the hint on to the tracers that accept it (a
+// Metrics does not) without dropping events for those that do not.
+func TestGrowHint(t *testing.T) {
+	const n = 1000
+	rec, met := NewRecorder(), NewMetrics()
+	rec.Event(earth.Event{Kind: earth.EvThreadRun})
+	hinted, ok := Multi(rec, met).(interface{ Grow(int) })
+	if !ok {
+		t.Fatal("Multi does not forward Grow")
+	}
+	hinted.Grow(n)
+	reserved := cap(rec.events)
+	if reserved < 1+n {
+		t.Fatalf("after Grow(%d) on a 1-event Recorder cap = %d, want >= %d", n, reserved, 1+n)
+	}
+	for i := 0; i < n; i++ {
+		rec.Event(earth.Event{Kind: earth.EvThreadRun, Time: sim.Time(i)})
+	}
+	if rec.Len() != 1+n || cap(rec.events) != reserved {
+		t.Errorf("after %d more events: len %d cap %d, want len %d and the reserved cap %d",
+			n, rec.Len(), cap(rec.events), 1+n, reserved)
+	}
+}

@@ -58,3 +58,35 @@ func BenchmarkSimEngineSchedule(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSimEngineHold is the classic hold model: each iteration
+// dispatches the earliest event and schedules one at now + U[0, 2·mean).
+// Unlike BenchmarkSimEngineSchedule, whose new event always lands behind
+// the whole backlog, the insert here sifts up a random distance and the
+// displaced tail stops at a random depth — the mix a simulation produces.
+func BenchmarkSimEngineHold(b *testing.B) {
+	const mean = 1000
+	for _, depth := range []int{64, 1024, 65536} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			e := New()
+			fn := func() {}
+			for i := 0; i < depth; i++ {
+				e.At(Time(rng.Intn(2*mean)), fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+				e.After(Time(rng.Intn(2*mean)), fn)
+			}
+			b.StopTimer()
+			if allocs := testing.AllocsPerRun(100, func() {
+				e.Step()
+				e.After(Time(rng.Intn(2*mean)), fn)
+			}); allocs != 0 {
+				b.Fatalf("hold step allocates %v times, want 0", allocs)
+			}
+		})
+	}
+}

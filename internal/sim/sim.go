@@ -14,6 +14,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is a point in (or duration of) virtual time, in nanoseconds.
@@ -69,67 +70,82 @@ type event struct {
 // layout halves the tree height of a binary heap, trading slightly more
 // sibling comparisons per level for fewer cache-missing levels — a good
 // fit for the short-deadline churn a discrete-event simulation generates.
+//
+// The queue is short (tens of events in a fine-grain run), so a pop costs
+// what its compares mispredict, not what it misses in cache. Both sifts
+// therefore compare keys arithmetically (lt), pick the least of four
+// siblings by masking rather than branching, and move a hole through the
+// tree — one store per level — instead of swapping; the one key-dependent
+// branch left per level is "stop here?".
 type eventHeap []event
 
-// before reports heap priority: earlier deadline first, FIFO by sequence
-// number within an instant.
-func (e event) before(o event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
+// lt returns 1 when a fires before b — earlier deadline first, FIFO by
+// sequence number within an instant — and 0 otherwise. (at, seq) is
+// compared as one 128-bit unsigned value: the borrow out of the low-word
+// subtraction chains into the high-word one. Reading at as unsigned is
+// correct only while no queued time is negative, which At guarantees: the
+// clock starts at 0, never moves backwards, and At rejects t < now.
+func lt(a, b *event) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return int(borrow)
 }
 
 func (h eventHeap) peek() event   { return h[0] }
 func (h eventHeap) isEmpty() bool { return len(h) == 0 }
 
-// pushEvent adds e, sifting it up from the tail.
+// pushEvent adds e, moving the hole at the tail up to e's place.
 func (h *eventHeap) pushEvent(e event) {
 	s := append(*h, e)
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !s[i].before(s[parent]) {
+		if lt(&e, &s[parent]) == 0 {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = e
 	*h = s
 }
 
-// popEvent removes and returns the earliest event, sifting the displaced
-// tail element down.
+// popEvent removes and returns the earliest event, moving the hole at the
+// root down to where the displaced tail element belongs.
 func (h *eventHeap) popEvent() event {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
+	tail := s[n]
 	s[n] = event{} // release the closure reference
 	s = s[:n]
 	*h = s
+	if n == 0 {
+		return top
+	}
 	i := 0
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if s[c].before(s[best]) {
-				best = c
+	for c := 1; c < n; c = i<<2 + 1 {
+		best := c
+		if c+3 < n {
+			// Full sibling group: two pairwise rounds and a final, each a
+			// select (x += (y-x) & -lt) rather than a branch.
+			other := c + 2
+			best += lt(&s[c+1], &s[c])
+			other += lt(&s[c+3], &s[c+2])
+			best += (other - best) & -lt(&s[other], &s[best])
+		} else {
+			// Partial group (1–3 children), only ever at the last level.
+			for c++; c < n; c++ {
+				best += (c - best) & -lt(&s[c], &s[best])
 			}
 		}
-		if !s[best].before(s[i]) {
+		if lt(&s[best], &tail) == 0 {
 			break
 		}
-		s[i], s[best] = s[best], s[i]
+		s[i] = s[best]
 		i = best
 	}
+	s[i] = tail
 	return top
 }
 
@@ -155,7 +171,8 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Pending() int { return len(e.pq) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
-// (t < Now) panics: it would corrupt causality.
+// (t < Now) panics: it would corrupt causality. As the clock starts at 0,
+// this also keeps every queued time non-negative, which lt relies on.
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -165,12 +182,16 @@ func (e *Engine) At(t Time, fn func()) {
 }
 
 // After schedules fn to run d nanoseconds of virtual time from now.
-// Negative d panics.
+// Negative d panics, and so does a d that takes now past the largest Time.
 func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	e.At(e.now+d, fn)
+	t := e.now + d
+	if t < e.now {
+		panic(fmt.Sprintf("sim: delay overflows Time: %v after now %v", d, e.now))
+	}
+	e.At(t, fn)
 }
 
 // Stop halts the run loop after the current event completes. Pending events
