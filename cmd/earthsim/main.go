@@ -200,6 +200,12 @@ func main() {
 	if *retryJitter < 0 || *retryJitter >= 1 {
 		fail("-retry-jitter must be in [0,1), got %v", *retryJitter)
 	}
+	if *nodes < 1 {
+		fail("-nodes must be at least 1, got %d", *nodes)
+	}
+	if *units < 1 {
+		fail("-units must be at least 1, got %d", *units)
+	}
 	cfg := earth.Config{Nodes: *nodes, Costs: costs, Seed: *seed, Balancer: bal,
 		JitterPct: *jitter, Shards: *shards, Sanitize: *sanitize,
 		Coalesce: earth.CoalesceConfig{Enabled: *coalesce},
@@ -217,6 +223,11 @@ func main() {
 		}
 	} else if *faultSeed != 0 {
 		fail("-fault-seed requires -faults")
+	}
+	// A plan the machine cannot survive is the user's error, reported here;
+	// the engines would panic on it.
+	if _, err := cfg.ResolveFaults(); err != nil {
+		fail("bad -faults on %d nodes: %v", *nodes, err)
 	}
 	if rec != nil || met != nil {
 		// Multi drops the nil collector(s); with neither enabled the

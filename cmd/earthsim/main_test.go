@@ -2,12 +2,88 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// built is the earthsim binary the tests exec, compiled once per test
+// process (with the race detector when the tests run under it).
+var built struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+func earthsimBin(t *testing.T) string {
+	t.Helper()
+	built.once.Do(func() {
+		if built.dir, built.err = os.MkdirTemp("", "earthsim-test"); built.err != nil {
+			return
+		}
+		build := append(append([]string{"build"}, raceFlag...), "-o", filepath.Join(built.dir, "earthsim"), ".")
+		if out, err := exec.Command("go", build...).CombinedOutput(); err != nil {
+			built.err = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if built.err != nil {
+		t.Fatal(built.err)
+	}
+	return filepath.Join(built.dir, "earthsim")
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if built.dir != "" {
+		os.RemoveAll(built.dir)
+	}
+	os.Exit(code)
+}
+
+// TestBadInputExits2: input no machine can run — a fault plan that leaves
+// no node to adopt work, a machine or a network layer of no size — is the
+// user's error: one "earthsim: …" line on stderr and exit code 2 before
+// any engine is built, never a Go stack trace, on either engine.
+func TestBadInputExits2(t *testing.T) {
+	bin := earthsimBin(t)
+	for _, c := range []struct {
+		name string
+		args []string
+		want string // substring of the message
+	}{
+		{"crash plan kills every node", []string{"-nodes", "2", "-faults", "crash=0@1ms,crash=1@2ms"}, "kills every node"},
+		{"the same on livert", []string{"-live", "-nodes", "2", "-faults", "crash=0@1ms,crash=1@2ms"}, "kills every node"},
+		{"every node fenced or crashed", []string{"-nodes", "2", "-faults", "partition=0|1@0s-5ms,crash=0@1ms"}, "no survivor"},
+		{"nobody stays clean", []string{"-nodes", "2", "-faults", "partition=0|1@0s-5ms,crash=0@9ms"}, "at least one node must stay clean"},
+		{"nn without units", []string{"-app", "nn", "-units", "0"}, "-units"},
+		{"nn with negative units", []string{"-app", "nn", "-units", "-4"}, "-units"},
+		{"no nodes", []string{"-nodes", "0"}, "-nodes"},
+		{"negative nodes", []string{"-nodes", "-3"}, "-nodes"},
+		{"unparsable plan", []string{"-faults", "crash=*@1ms"}, "bad -faults"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var stderr bytes.Buffer
+			cmd := exec.Command(bin, c.args...)
+			cmd.Stderr = &stderr
+			stdout, err := cmd.Output()
+			msg := stderr.String()
+			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+				t.Errorf("exit: %v, want exit status 2\n%s", err, msg)
+			}
+			if !strings.HasPrefix(msg, "earthsim: ") || strings.Count(msg, "\n") != 1 ||
+				!strings.Contains(msg, c.want) || strings.Contains(msg, "goroutine") {
+				t.Errorf("stderr = %q, want one \"earthsim: …%s…\" line", msg, c.want)
+			}
+			if len(stdout) != 0 {
+				t.Errorf("printed %q before rejecting the input", stdout)
+			}
+		})
+	}
+}
 
 // TestDeterminismMatrix is the byte-identity contract of the simulator
 // at its CLI surface — local verify and CI run this same test. Each row
@@ -18,11 +94,7 @@ import (
 // report must also not depend on -coalesce, and nothing but the profile
 // files themselves on -cpuprofile/-memprofile.
 func TestDeterminismMatrix(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "earthsim")
-	build := append(append([]string{"build"}, raceFlag...), "-o", bin, ".")
-	if out, err := exec.Command("go", build...).CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := earthsimBin(t)
 
 	// run executes one command line and returns its artefacts by name.
 	run := func(t *testing.T, args []string, extra ...string) map[string][]byte {

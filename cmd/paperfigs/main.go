@@ -110,6 +110,9 @@ func main() {
 	if *nodes != "" {
 		for _, part := range strings.Split(*nodes, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
+			if err == nil && n < 1 {
+				err = fmt.Errorf("a machine has at least 1 node")
+			}
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "paperfigs: bad -nodes entry %q: %v\n", part, err)
 				os.Exit(2)
@@ -119,6 +122,9 @@ func main() {
 	}
 
 	plan, err := faults.Parse(*faultSpec)
+	if err == nil {
+		err = harness.CheckFaultPlan(cfg, plan)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "paperfigs: bad -faults: %v\n", err)
 		os.Exit(2)

@@ -50,11 +50,7 @@ func TestExpNames(t *testing.T) {
 // TestProfilingFlagsChangeNoOutput: -cpuprofile/-memprofile write their
 // two files and leave stdout, stderr and the -json report byte-identical.
 func TestProfilingFlagsChangeNoOutput(t *testing.T) {
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "paperfigs")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	dir, bin := t.TempDir(), buildPaperfigs(t)
 	run := func(name string, extra ...string) (output, report []byte) {
 		t.Helper()
 		jsonPath := filepath.Join(dir, name+".json")
@@ -80,6 +76,38 @@ func TestProfilingFlagsChangeNoOutput(t *testing.T) {
 	for _, path := range []string{cpu, mem} {
 		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
 			t.Errorf("%s: missing or empty (%v)", filepath.Base(path), err)
+		}
+	}
+}
+
+// buildPaperfigs compiles the command into the test's temp directory.
+func buildPaperfigs(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "paperfigs")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestBadInputExits2: a -faults plan some machine of the sweep cannot
+// survive, or a machine of no size, is rejected with one "paperfigs: …"
+// line and exit code 2 before any engine is built.
+func TestBadInputExits2(t *testing.T) {
+	bin := buildPaperfigs(t)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "chaos", "-nodes", "2,4", "-faults", "crash=0@1ms,crash=1@2ms"}, "bad -faults: on 2 nodes"},
+		{[]string{"-exp", "table1", "-nodes", "0"}, "bad -nodes entry"},
+	} {
+		out, err := exec.Command(bin, c.args...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("paperfigs %s: %v, want exit status 2\n%s", strings.Join(c.args, " "), err, out)
+		}
+		if msg := string(out); !strings.HasPrefix(msg, "paperfigs: ") || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, c.want) {
+			t.Errorf("paperfigs %s: output %q, want one \"paperfigs: …%s…\" line", strings.Join(c.args, " "), msg, c.want)
 		}
 	}
 }

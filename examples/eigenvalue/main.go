@@ -35,6 +35,6 @@ func main() {
 	fmt.Printf("parallel (16 nodes): %v vs %v modelled sequential -> speedup %.1f\n",
 		par.Stats.Elapsed, base, float64(base)/float64(par.Stats.Elapsed))
 	fmt.Printf("max divergence from sequential result: %g\n", worst)
-	fmt.Printf("work stealing moved %d of %d tasks\n", par.Stats.TotalSteals(), par.Tasks)
+	fmt.Printf("work stealing moved %d of %d tasks\n", par.Stats.Total().TokensStolen, par.Tasks)
 	_ = sim.Time(0)
 }

@@ -258,7 +258,7 @@ const (
 	DefaultCoalesceMaxMsgs  = 16
 )
 
-// withDefaults normalises a Config.
+// WithDefaults normalises a Config.
 func (c Config) WithDefaults() Config {
 	if c.Nodes <= 0 {
 		c.Nodes = 1

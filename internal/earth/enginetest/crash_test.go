@@ -113,7 +113,7 @@ func TestCrashConformance(t *testing.T) {
 				if total != want || !done {
 					t.Errorf("%s: total=%d done=%v, want %d", eng.name, total, done, want)
 				}
-				if st.TotalFaults() == 0 {
+				if st.Total().FaultsInjected == 0 {
 					t.Errorf("%s: crash plan injected nothing", eng.name)
 				}
 			}
@@ -144,7 +144,7 @@ var crashRecoveryCases = []struct {
 			if total != want || !done {
 				t.Fatalf("k=%d: total=%d done=%v, want %d", k, total, done, want)
 			}
-			if st.TotalFaults() == 0 {
+			if st.Total().FaultsInjected == 0 {
 				t.Fatalf("k=%d: no faults recorded for a crash plan", k)
 			}
 			lease := earth.RetryPolicy{}.WithDefaults().Lease

@@ -2,8 +2,11 @@ package enginetest
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"slices"
 	"testing"
+	"time"
 
 	"earth/internal/earth"
 	"earth/internal/earth/simrt"
@@ -59,7 +62,7 @@ func TestPartitionFalsePositive(t *testing.T) {
 			if total != want || !done {
 				t.Errorf("%s: total=%d done=%v, want %d", name, total, done, want)
 			}
-			if w, fe, rj := st.TotalWrongVerdicts(), st.TotalFenced(), st.TotalRejoins(); w != 0 || fe != 0 || rj != 0 {
+			if w, fe, rj := st.Total().WrongVerdicts, st.Total().MsgsFenced, st.Total().Rejoins; w != 0 || fe != 0 || rj != 0 {
 				t.Errorf("%s: partition below lease must be invisible, got wrong=%d fenced=%d rejoins=%d",
 					name, w, fe, rj)
 			}
@@ -74,12 +77,12 @@ func TestPartitionFalsePositive(t *testing.T) {
 			body, _ := partProg(&total, &done, nodes, nodes*2, 4)
 			// Termination, not convergence: fenced work is lost.
 			st := eng.new(earth.Config{Nodes: nodes, Seed: 11, Faults: long}).Run(body)
-			if st.TotalWrongVerdicts() != 2 {
+			if st.Total().WrongVerdicts != 2 {
 				t.Errorf("%s: wrong verdicts = %d, want 2 (one per minority node)",
-					name, st.TotalWrongVerdicts())
+					name, st.Total().WrongVerdicts)
 			}
-			if st.TotalRejoins() != 2 {
-				t.Errorf("%s: rejoins = %d, want 2", name, st.TotalRejoins())
+			if st.Total().Rejoins != 2 {
+				t.Errorf("%s: rejoins = %d, want 2", name, st.Total().Rejoins)
 			}
 			for i, ns := range st.Nodes {
 				minority := i >= 2 // groups 0.1|2.3: the side without node 0 fences
@@ -102,7 +105,7 @@ func TestPartitionFalsePositive(t *testing.T) {
 		var done bool
 		body, _ := partProg(&total, &done, nodes, nodes*2, 4)
 		st := simrt.New(earth.Config{Nodes: nodes, Seed: 11, Faults: long}).Run(body)
-		if st.TotalFenced() == 0 {
+		if st.Total().MsgsFenced == 0 {
 			t.Error("simrt: no stale-epoch message was fenced across the long partition")
 		}
 	})
@@ -144,16 +147,17 @@ func TestPartitionSecondFenceAdopter(t *testing.T) {
 	}
 }
 
-// partRun executes body under cfg on simrt at one shard count and returns
-// marshalled stats and trace for byte comparison.
-func partRun(t *testing.T, cfg earth.Config, shards int) (statsJSON, traceJSON []byte) {
+// partRun executes crashProg with leaves of the given length under cfg on
+// simrt at one shard count and returns marshalled stats and trace for
+// byte comparison.
+func partRun(t *testing.T, cfg earth.Config, shards int, work sim.Time) (statsJSON, traceJSON []byte) {
 	t.Helper()
 	log := &eventLog{}
 	cfg.Tracer = log
 	cfg.Shards = shards
 	var total int
 	var done bool
-	body, _ := partProg(&total, &done, cfg.Nodes, cfg.Nodes*2, 4)
+	body, _ := crashProg(&total, &done, cfg.Nodes, cfg.Nodes*2, 4, work)
 	st := simrt.New(cfg).Run(body)
 	sj, err := json.Marshal(st)
 	if err != nil {
@@ -166,15 +170,28 @@ func partRun(t *testing.T, cfg earth.Config, shards int) (statsJSON, traceJSON [
 	return sj, tj
 }
 
+// composedSpec is the first cell of the all-at-once axis (ROADMAP 1(c)):
+// every message fault class, a crash and a partition outliving the
+// default lease in one plan, on 8 nodes. The crash of node 3 and the
+// fences of nodes 6 and 7 fall on the same instant, 2ms.
+const composedSpec = "drop=0.02,dup=0.02,reorder=0.05,corrupt=0.01,crash=3@2ms,partition=0.1.2.3.4.5|6.7@1ms-6ms"
+
 // TestPartitionShardCoalesceByteIdentical: the partition/fencing/
-// corruption machinery must not disturb simrt's determinism contract —
-// for each coalescing setting, every shard count produces identical
-// bytes.
+// corruption machinery — alone, and composed with every other fault
+// class under the sanitizer — must not disturb simrt's determinism
+// contract: for each coalescing setting, every shard count produces
+// identical bytes.
 func TestPartitionShardCoalesceByteIdentical(t *testing.T) {
-	plans := []struct{ name, spec string }{
-		{"below-lease", "partition=0.1|2.3@200µs-600µs,seed=7"},
-		{"above-lease", "partition=0.1|2.3@200µs-2500µs,seed=7"},
-		{"partition-corrupt-drop", "partition=0.1|2.3@200µs-2500µs,corrupt=0.1,drop=0.05,seed=7"},
+	plans := []struct {
+		name, spec string
+		nodes      int
+		work       sim.Time // leaf length: the run must outlast the plan
+		sanitize   bool
+	}{
+		{"below-lease", "partition=0.1|2.3@200µs-600µs,seed=7", 4, 60 * sim.Microsecond, false},
+		{"above-lease", "partition=0.1|2.3@200µs-2500µs,seed=7", 4, 60 * sim.Microsecond, false},
+		{"partition-corrupt-drop", "partition=0.1|2.3@200µs-2500µs,corrupt=0.1,drop=0.05,seed=7", 4, 60 * sim.Microsecond, false},
+		{"composed", composedSpec, 8, sim.Millisecond, true},
 	}
 	for _, pc := range plans {
 		plan, err := faults.Parse(pc.spec)
@@ -189,13 +206,13 @@ func TestPartitionShardCoalesceByteIdentical(t *testing.T) {
 				cc = earth.CoalesceConfig{Enabled: true, MaxMsgs: 4, MaxBytes: 256}
 			}
 			t.Run(name, func(t *testing.T) {
-				cfg := earth.Config{Nodes: 4, Seed: 11, Faults: plan, Coalesce: cc}
-				baseStats, baseTrace := partRun(t, cfg, 1)
+				cfg := earth.Config{Nodes: pc.nodes, Seed: 11, Faults: plan, Coalesce: cc, Sanitize: pc.sanitize}
+				baseStats, baseTrace := partRun(t, cfg, 1, pc.work)
 				if len(baseTrace) <= len("[]") {
 					t.Fatal("baseline run produced no trace events")
 				}
 				for _, shards := range []int{2, 4} {
-					sj, tj := partRun(t, cfg, shards)
+					sj, tj := partRun(t, cfg, shards, pc.work)
 					if !bytes.Equal(sj, baseStats) {
 						t.Errorf("shards=%d: stats JSON diverges from shards=1\n got: %s\nwant: %s",
 							shards, sj, baseStats)
@@ -207,6 +224,158 @@ func TestPartitionShardCoalesceByteIdentical(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestComposedFaults runs the composed plan on both engines. Crash,
+// partition and message faults may reshape timing and placement and, when
+// the window outlives the lease, lose the fenced minority's work — never
+// apply an effect twice, and never hang. Under a lease longer than the
+// window nobody fences, so nothing may be lost either: the run converges
+// to the fault-free result, sanitizer clean.
+func TestComposedFaults(t *testing.T) {
+	const nodes, spread, perNode = 8, 16, 6
+	plan, err := faults.Parse(composedSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lease := range []sim.Time{0, 20 * sim.Millisecond} { // 0: the 1ms default
+		for _, eng := range bothEngines {
+			name := eng.name + "/window-outlives-lease"
+			if lease > 0 {
+				name = eng.name + "/window-inside-lease"
+			}
+			t.Run(name, func(t *testing.T) {
+				// crashProg's shape, counting every leaf's contribution.
+				hits := make([]int, spread*perNode)
+				done := false
+				st := eng.new(earth.Config{Nodes: nodes, Seed: 11, Faults: plan, Sanitize: true,
+					Retry: earth.RetryPolicy{Lease: lease}}).Run(func(c earth.Ctx) {
+					f := earth.NewFrame(0, 1, 1)
+					f.InitSync(0, len(hits), 0, 0)
+					f.SetThread(0, func(earth.Ctx) { done = true })
+					for s := 0; s < spread; s++ {
+						c.Invoke(earth.NodeID(s%nodes), 8, func(c earth.Ctx) {
+							for i := 0; i < perNode; i++ {
+								v := s*perNode + i
+								c.Token(8, func(c earth.Ctx) {
+									c.Compute(sim.Millisecond)
+									time.Sleep(time.Millisecond)
+									c.Put(0, 8, func() { hits[v]++ }, f, 0)
+								})
+							}
+						})
+					}
+				})
+				landed := 0
+				for v, n := range hits {
+					if n > 1 {
+						t.Errorf("leaf %d contributed %d times", v, n)
+					}
+					landed += n
+				}
+				for _, fd := range st.Sanitize.Findings {
+					if fd.Kind == earth.SanOverflow || fd.Kind == earth.SanUnderflow {
+						t.Errorf("a sync signal was applied twice: %v", fd)
+					}
+				}
+				tot := st.Total()
+				if tot.FaultsInjected == 0 || st.Nodes[3].DetectionLatency == 0 {
+					t.Errorf("plan did not bite: faults=%d, node 3 detection latency %v", tot.FaultsInjected, st.Nodes[3].DetectionLatency)
+				}
+				if lease == 0 {
+					if tot.WrongVerdicts != 2 || tot.Rejoins != 2 {
+						t.Errorf("wrong verdicts=%d rejoins=%d, want 2 and 2 (nodes 6 and 7)", tot.WrongVerdicts, tot.Rejoins)
+					}
+					return
+				}
+				if landed != len(hits) || !done || !st.Sanitize.Clean() || tot.WrongVerdicts != 0 {
+					t.Errorf("window inside the lease must converge: %d/%d leaves, done=%v, wrong verdicts=%d, sanitizer:\n%s",
+						landed, len(hits), done, tot.WrongVerdicts, st.Sanitize)
+				}
+			})
+		}
+	}
+}
+
+// receiptEvent is the clock-free projection of a receipt-side protocol
+// event (EvFenced, EvRecovered, EvCorrupt) compared across engines.
+type receiptEvent struct {
+	Kind       earth.EventKind
+	Node, Peer earth.NodeID
+	Bytes      int
+	Cause      earth.Cause
+}
+
+// TestReceiptEventsConform: both engines hand every arriving message to
+// the same receipt function, so a program whose traffic is fixed by its
+// dependency chains must report the same receipt events — kind, receiver,
+// peer, payload size and cause, with the fault-inflated latency in Dur —
+// on either. Every attempt but the last is lost (or, in the second plan,
+// corrupted), so each delivery is recovered; node 2's put is issued
+// inside a partition that outlives the lease, held at the cut link, and
+// lands after the heal from an incarnation fenced meanwhile.
+func TestReceiptEventsConform(t *testing.T) {
+	const ms = sim.Millisecond
+	window := []faults.Partition{{From: 50 * ms, To: 200 * ms, Groups: [2][]int{{0, 1}, {2}}}}
+	for _, pc := range []struct {
+		name  string
+		plan  faults.Plan
+		kind  earth.EventKind
+		cause earth.Cause
+	}{
+		{"drops", faults.Plan{Drop: 1, Partition: window}, earth.EvRecovered, earth.CauseDrop},
+		{"corrupts", faults.Plan{Corrupt: 1, Partition: window}, earth.EvCorrupt, earth.CauseCorrupt},
+	} {
+		t.Run(pc.name, func(t *testing.T) {
+			want := []receiptEvent{
+				{pc.kind, 0, 1, 32, pc.cause},
+				{pc.kind, 1, 0, 24, pc.cause},
+				{pc.kind, 2, 0, 16, pc.cause},
+				{earth.EvFenced, 0, 2, 8, earth.CausePartition},
+			}
+			// The chains interleave differently on the two engines: compare
+			// the events as a set.
+			byKindNodePeer := func(a, b receiptEvent) int {
+				return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Node, b.Node), cmp.Compare(a.Peer, b.Peer))
+			}
+			slices.SortFunc(want, byKindNodePeer)
+			for _, eng := range bothEngines {
+				col := &traceCollector{}
+				stale := false
+				// The fence falls at 100ms; node 2 issues its put at 75ms.
+				st := eng.new(earth.Config{Nodes: 3, Seed: 5, Faults: &pc.plan, Tracer: col,
+					Retry: earth.RetryPolicy{MaxRetries: 2, Lease: 50 * ms}}).Run(func(c earth.Ctx) {
+					c.Invoke(2, 16, func(c earth.Ctx) {
+						c.Compute(75 * ms)
+						time.Sleep(75 * time.Millisecond)
+						c.Put(0, 8, func() { stale = true }, nil, 0)
+					})
+					c.Invoke(1, 24, func(c earth.Ctx) { c.Put(0, 32, func() {}, nil, 0) })
+				})
+				if stale {
+					t.Errorf("%s: the fenced incarnation's put was applied", eng.name)
+				}
+				var got []receiptEvent
+				for _, e := range col.evs {
+					switch e.Kind {
+					case earth.EvFenced, earth.EvRecovered, earth.EvCorrupt:
+						got = append(got, receiptEvent{e.Kind, e.Node, e.Peer, e.Bytes, e.Cause})
+						if e.Dur <= 0 {
+							t.Errorf("%s: %v on node %d carries no latency (Dur=%v)", eng.name, e.Kind, e.Node, e.Dur)
+						}
+					}
+				}
+				slices.SortFunc(got, byKindNodePeer)
+				if !slices.Equal(got, want) {
+					t.Errorf("%s: receipt events\n got %v\nwant %v", eng.name, got, want)
+				}
+				if tot := st.Total(); tot.MsgsFenced != 1 || tot.WrongVerdicts != 1 || tot.Rejoins != 1 {
+					t.Errorf("%s: fenced=%d wrong verdicts=%d rejoins=%d, want 1 each",
+						eng.name, tot.MsgsFenced, tot.WrongVerdicts, tot.Rejoins)
+				}
+			}
+		})
 	}
 }
 
@@ -255,19 +424,19 @@ func FuzzPartitionRecovery(f *testing.F) {
 		if total1 != total2 || done1 != done2 {
 			t.Errorf("results diverge across shards: total %d/%d done %v/%v", total1, total2, done1, done2)
 		}
-		if st1.TotalWrongVerdicts() == 0 {
+		if st1.Total().WrongVerdicts == 0 {
 			// No fence fired (window below lease, or the run quiesced
 			// first): the detector must have been transparent.
-			if st1.TotalRejoins() != 0 || st1.TotalFenced() != 0 {
+			if st1.Total().Rejoins != 0 || st1.Total().MsgsFenced != 0 {
 				t.Errorf("no wrong verdict but rejoins=%d fenced=%d",
-					st1.TotalRejoins(), st1.TotalFenced())
+					st1.Total().Rejoins, st1.Total().MsgsFenced)
 			}
 			if total1 != p.want || !done1 {
 				t.Errorf("clean-detector run: total=%d done=%v, want %d", total1, done1, p.want)
 			}
-		} else if st1.TotalRejoins() > st1.TotalWrongVerdicts() {
+		} else if st1.Total().Rejoins > st1.Total().WrongVerdicts {
 			t.Errorf("rejoins=%d exceed wrong verdicts=%d",
-				st1.TotalRejoins(), st1.TotalWrongVerdicts())
+				st1.Total().Rejoins, st1.Total().WrongVerdicts)
 		}
 	})
 }

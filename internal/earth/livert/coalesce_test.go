@@ -99,7 +99,7 @@ func TestCoalescedDeliveryUnderFaults(t *testing.T) {
 	if want := n * (n + 1) / 2; total != want {
 		t.Fatalf("total = %d, want %d (batched ops lost or doubled under faults)", total, want)
 	}
-	if st.TotalFaults() == 0 {
+	if st.Total().FaultsInjected == 0 {
 		t.Error("fault plan never fired (test exercises nothing)")
 	}
 }

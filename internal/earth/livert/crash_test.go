@@ -39,7 +39,7 @@ func TestCrashReassignsPooledTokens(t *testing.T) {
 	if total != want || !fin {
 		t.Fatalf("total=%d fin=%v, want %d", total, fin, want)
 	}
-	if st.TotalReassigned() == 0 {
+	if st.Total().TokensReassigned == 0 {
 		t.Fatal("crashed node's pooled tokens were never reassigned")
 	}
 	if st.Nodes[1].TokensReassigned != 0 || st.Nodes[1].FramesReplayed != 0 {

@@ -30,7 +30,7 @@ func TestFaultedRunLive(t *testing.T) {
 	if want := (1 << 6) * (1<<6 + 1) / 2; total != want {
 		t.Fatalf("faulted sum = %d, want %d", total, want)
 	}
-	if st.TotalFaults() == 0 {
+	if st.Total().FaultsInjected == 0 {
 		t.Error("fault plan never intervened")
 	}
 }

@@ -87,58 +87,29 @@ type lnode struct {
 	fenced atomic.Bool
 	epoch  atomic.Uint64
 
-	// Executor-owned counters: touched only by this node's executor, and
-	// read by Run after wg.Wait.
-	threadsRun   uint64
-	tokensRun    uint64
-	tokensStolen uint64
-	syncs        uint64
-	busy         time.Duration
+	// stats holds the counters only this node's executor touches (Busy,
+	// ThreadsRun, TokensRun, TokensStolen, Syncs); Run reads it after
+	// wg.Wait.
+	stats earth.NodeStats
 	// sanFrames lists the frames first touched on this node's executor
 	// during a sanitized run. Appended only from the executor that owns
 	// the frame's queues (the adopter after a crash handoff); read by Run
 	// after wg.Wait, which orders the accesses.
 	sanFrames []*earth.Frame
 
-	ctr counters
+	// faultStats collects the protocol core's counter deltas for this
+	// node. Senders, receivers and timers account from arbitrary
+	// goroutines, so it sits behind its own lock; only faulted messages
+	// and failovers ever take it.
+	statMu     sync.Mutex
+	faultStats earth.NodeStats
 }
 
-// counters are a node's fault, recovery and fencing counters. They are
-// atomics because senders and timers update them from arbitrary
-// goroutines.
-type counters struct {
-	faultsInjected   atomic.Uint64
-	retries          atomic.Uint64
-	recovered        atomic.Uint64
-	dupsDropped      atomic.Uint64
-	framesReplayed   atomic.Uint64
-	tokensReassigned atomic.Uint64
-	detectionLatency atomic.Int64
-	msgsFenced       atomic.Uint64
-	msgsCorrupted    atomic.Uint64
-	wrongVerdicts    atomic.Uint64
-	rejoins          atomic.Uint64
-}
-
-// reset zeroes every counter. Run calls it before any goroutine that
-// could touch them exists.
-func (c *counters) reset() { *c = counters{} }
-
-// snapshot reads the counters into their NodeStats fields.
-func (c *counters) snapshot() earth.NodeStats {
-	return earth.NodeStats{
-		FaultsInjected:   c.faultsInjected.Load(),
-		Retries:          c.retries.Load(),
-		Recovered:        c.recovered.Load(),
-		DupsDropped:      c.dupsDropped.Load(),
-		FramesReplayed:   c.framesReplayed.Load(),
-		TokensReassigned: c.tokensReassigned.Load(),
-		DetectionLatency: sim.Time(c.detectionLatency.Load()),
-		MsgsFenced:       c.msgsFenced.Load(),
-		MsgsCorrupted:    c.msgsCorrupted.Load(),
-		WrongVerdicts:    c.wrongVerdicts.Load(),
-		Rejoins:          c.rejoins.Load(),
-	}
+// account adds the core's counter deltas d to n.
+func (n *lnode) account(d earth.NodeStats) {
+	n.statMu.Lock()
+	n.faultStats.Add(d)
+	n.statMu.Unlock()
 }
 
 // Runtime is a real-concurrency EARTH machine.
@@ -165,13 +136,15 @@ type Runtime struct {
 	crashMu     sync.Mutex
 	crashTimers []*time.Timer
 	crashWG     sync.WaitGroup
-	reassignRR  atomic.Int64
 	// hasPart gates epoch stamping and the receiver-side fencing check;
-	// fences is the static wrong-verdict schedule: it arms the fence
-	// timers, and keeps a node from adopting into a peer fencing at the
-	// same scheduled instant.
+	// fences is the static wrong-verdict schedule that arms the fence
+	// timers; take answers who may adopt a down node's work (never a peer
+	// fencing at the same scheduled instant) and holds the cursor for
+	// re-placing its tokens; seen is the idempotent-delivery store.
 	hasPart bool
 	fences  faults.Fences
+	take    earth.Takeover
+	seen    earth.SeenSet
 	// coalOn caches cfg.Coalesce.Enabled for the per-operation hot path.
 	coalOn bool
 	// sanOn caches cfg.Sanitize: frames are ledgered on first engine
@@ -181,8 +154,8 @@ type Runtime struct {
 
 var _ earth.Runtime = (*Runtime)(nil)
 
-// New builds a live runtime from cfg. Cost and bandwidth fields are
-// accepted for interface compatibility but not charged.
+// New builds a live runtime from cfg. The cost model and machine fields
+// are accepted for interface compatibility but not charged.
 func New(cfg earth.Config) *Runtime {
 	cfg = cfg.WithDefaults()
 	rt := &Runtime{cfg: cfg, tr: cfg.Tracer, coalOn: cfg.Coalesce.Enabled, sanOn: cfg.Sanitize}
@@ -202,6 +175,7 @@ func New(cfg earth.Config) *Runtime {
 	}
 	if fs.Plan != nil {
 		rt.plan, rt.retry, rt.crashAt, rt.fences = fs.Plan, fs.Retry, fs.CrashAt, fs.Fences
+		rt.take.Nodes, rt.take.Fences = cfg.Nodes, fs.Fences
 		rt.inj = faults.NewInjector(fs.Plan, cfg.Seed)
 		rt.hasPart = fs.Plan.HasPartition()
 	}
@@ -226,10 +200,8 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 	for _, n := range rt.nodes {
 		n.handlers, n.ready, n.tokens = nil, nil, nil
 		n.redirect = -1
-		n.threadsRun, n.tokensRun, n.tokensStolen, n.syncs = 0, 0, 0, 0
-		n.busy = 0
+		n.stats, n.faultStats = earth.NodeStats{}, earth.NodeStats{}
 		n.sanFrames = n.sanFrames[:0]
-		n.ctr.reset()
 		n.dead.Store(false)
 		n.halted.Store(false)
 		n.fenced.Store(false)
@@ -252,7 +224,8 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 				func(lctx context.Context) { n.loop(lctx) })
 		}(n)
 	}
-	rt.reassignRR.Store(0)
+	rt.take.Reset()
+	rt.seen.Reset()
 	rt.armPlanTimers()
 	rt.enqueue(rt.nodes[0], item{body: main, cause: earth.CauseSpawn})
 	<-rt.done
@@ -264,10 +237,8 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		Nodes:   make([]earth.NodeStats, len(rt.nodes)),
 	}
 	for i, n := range rt.nodes {
-		ns := n.ctr.snapshot()
-		ns.Busy = sim.Time(n.busy.Nanoseconds())
-		ns.ThreadsRun, ns.TokensRun, ns.TokensStolen, ns.Syncs = n.threadsRun, n.tokensRun, n.tokensStolen, n.syncs
-		st.Nodes[i] = ns
+		st.Nodes[i] = n.stats
+		st.Nodes[i].Add(n.faultStats)
 	}
 	if rt.sanOn {
 		var frames []*earth.Frame
@@ -329,14 +300,14 @@ func (rt *Runtime) armPlanTimers() {
 	if !rt.hasPart || rt.tr == nil {
 		return
 	}
-	for _, pt := range rt.plan.Partition {
-		rt.armCrashTimer(pt.From, func() { rt.markPartition(pt, earth.EvPartitionStart, pt.To-pt.From) })
-		if pt.From+rt.retry.Lease >= pt.To {
-			// Nobody fences in a window inside the lease; fenced nodes trace
-			// their heal as EvRejoined instead.
-			rt.armCrashTimer(pt.To, func() { rt.markPartition(pt, earth.EvPartitionHeal, 0) })
-		}
-	}
+	earth.PartitionMarks(rt.plan, rt.retry.Lease, func(pt faults.Partition, ev earth.Event) {
+		rt.armCrashTimer(ev.Time, func() {
+			if rt.live() {
+				ev.Time = rt.now()
+				earth.MarkPartition(rt.tr, pt, len(rt.nodes), ev)
+			}
+		})
+	})
 }
 
 // live reports whether the run is still in progress; timer callbacks
@@ -358,11 +329,7 @@ func (rt *Runtime) killNode(x int) {
 	if !rt.live() || n.dead.Swap(true) {
 		return
 	}
-	n.ctr.faultsInjected.Add(1)
-	if rt.tr != nil {
-		rt.tr.Event(earth.Event{Time: rt.now(), Node: n.id, Peer: earth.NoPeer,
-			Kind: earth.EvFaultInjected, Cause: earth.CauseCrash, Dur: rt.retry.Lease})
-	}
+	n.account(earth.NodeFault(rt.tr, n.id, rt.now(), earth.CauseCrash, rt.retry.Lease))
 	n.poke()
 	rt.armCrashTimer(rt.retry.Lease, func() { rt.recoverNode(n) })
 }
@@ -379,11 +346,7 @@ func (rt *Runtime) recoverNode(n *lnode) {
 	}
 	s := earth.Adopter(n.id, len(rt.nodes),
 		func(c earth.NodeID) bool { return rt.nodes[c].dead.Load() })
-	if rt.tr != nil {
-		rt.tr.Event(earth.Event{Time: rt.now(), Node: s, Peer: n.id,
-			Kind: earth.EvNodeDown, Dur: rt.retry.Lease, Cause: earth.CauseCrash})
-	}
-	rt.failover(n, rt.nodes[s], earth.CauseCrash)
+	rt.failover(n, rt.nodes[s], rt.now(), earth.CauseCrash)
 }
 
 // fenceNode executes wrong failure verdict f, one lease into a partition
@@ -402,23 +365,13 @@ func (rt *Runtime) fenceNode(f faults.Fence) {
 	n.fenced.Store(true)
 	n.epoch.Add(1)
 	n.poke()
-	// Same-instant fences race as concurrent timers here, so the adopter
-	// choice consults the static schedule too: never adopt into a peer
-	// whose own fence is scheduled at or before this one and unhealed.
-	s := earth.Adopter(n.id, len(rt.nodes), func(c earth.NodeID) bool {
-		return rt.nodes[c].dead.Load() || rt.nodes[c].fenced.Load() ||
-			rt.fences.Covering(int(c), f.At)
-	})
-	sn := rt.nodes[s]
-	sn.ctr.wrongVerdicts.Add(1)
-	if rt.tr != nil {
-		rt.tr.Event(earth.Event{Time: rt.now(), Node: s, Peer: n.id,
-			Kind: earth.EvPartitionFence, Dur: rt.retry.Lease, Cause: earth.CausePartition})
-	}
-	// The executor may already have popped an item before the drain; it
+	// Same-instant fences race as concurrent timers here, which is why the
+	// core's adopter and placement choices consult the static schedule at
+	// the fence's scheduled instant, not only the flags set so far. The
+	// executor may already have popped an item before the drain; it
 	// completes on the halted node (the same dispatch-boundary semantics a
 	// crash has).
-	rt.failover(n, sn, earth.CausePartition)
+	rt.failover(n, rt.nodes[rt.take.Adopter(n.id, f.At, rt.gone)], f.At, earth.CausePartition)
 	// The rejoin is armed from here, not at run start beside the fence
 	// timer: however late the host runs this callback, the heal follows
 	// it. It counts as outstanding work, so the run cannot quiesce between
@@ -427,54 +380,42 @@ func (rt *Runtime) fenceNode(f faults.Fence) {
 	rt.armCrashTimer(max(0, f.Heal-rt.now()), func() { rt.rejoinNode(n, f) })
 }
 
-// failover drains down node n's queues into adopter sn under n's lock:
-// handlers and queued threads move to sn (the frames they reference are
-// treated as checkpointed — host memory survives in this embedding),
-// pooled tokens are re-placed round-robin across survivors, and n's
-// redirect is installed so every later push routes to the adopter.
-func (rt *Runtime) failover(n, sn *lnode, cause earth.Cause) {
-	n.ctr.detectionLatency.Store(int64(rt.retry.Lease))
-	now := rt.now()
+// gone reports whether node c is permanently out of the adoption and
+// placement rings: crashed, or fenced at some point of the run.
+func (rt *Runtime) gone(c earth.NodeID) bool {
+	return rt.nodes[c].dead.Load() || rt.nodes[c].fenced.Load()
+}
+
+// failover hands down node n's queues to adopter sn: sn declares n dead,
+// the queues are drained under n's lock, handlers and queued threads move
+// to sn (the frames they reference are treated as checkpointed — host
+// memory survives in this embedding), pooled tokens are re-placed across
+// the survivors the core picks for schedule instant at, and n's redirect
+// is installed so every later push routes to the adopter.
+func (rt *Runtime) failover(n, sn *lnode, at sim.Time, cause earth.Cause) {
+	h := earth.Handover{Down: n.id, At: rt.now(), Cause: cause, Sink: rt.tr}
+	sn.account(h.Declare(sn.id, rt.retry.Lease))
+	n.statMu.Lock()
+	n.faultStats.DetectionLatency = rt.retry.Lease
+	n.statMu.Unlock()
 	n.mu.Lock()
 	handlers, ready, tokens := n.handlers, n.ready, n.tokens
 	n.handlers, n.ready, n.tokens = nil, nil, nil
 	n.redirect = int(sn.id)
 	n.mu.Unlock()
 	// Moves preserve the outstanding-work count: nothing is re-added.
-	for _, h := range handlers {
-		rt.pushHandler(sn, h)
+	for _, body := range handlers {
+		rt.pushHandler(sn, body)
 	}
 	for _, it := range ready {
-		it.enq = now
-		sn.ctr.framesReplayed.Add(1)
-		if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: now, Node: sn.id, Peer: n.id,
-				Kind: earth.EvFrameReplayed, Cause: cause})
-		}
+		it.enq = h.At
+		sn.account(h.Replay(sn.id))
 		rt.pushItem(sn, it)
 	}
 	for _, tk := range tokens {
-		tn := rt.nodes[rt.nextSurvivor()]
-		tn.ctr.tokensReassigned.Add(1)
-		if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: now, Node: tn.id, Peer: n.id,
-				Kind: earth.EvWorkReassigned, Cause: cause})
-		}
+		tn := rt.nodes[rt.take.Place(at, rt.gone)]
+		tn.account(h.Reassign(tn.id, 0)) // pooled tokens do not keep their argument size here
 		rt.pushToken(tn, tk)
-	}
-}
-
-// markPartition traces one end of a partition window for every
-// minority-side node. Armed only when a tracer is installed.
-func (rt *Runtime) markPartition(pt faults.Partition, kind earth.EventKind, dur sim.Time) {
-	if rt.tr != nil && rt.live() {
-		now := rt.now()
-		for _, x := range pt.Minority() {
-			if x < len(rt.nodes) {
-				rt.tr.Event(earth.Event{Time: now, Node: earth.NodeID(x), Peer: earth.NoPeer,
-					Kind: kind, Dur: dur, Cause: earth.CausePartition})
-			}
-		}
 	}
 }
 
@@ -485,25 +426,8 @@ func (rt *Runtime) rejoinNode(n *lnode, f faults.Fence) {
 	if n.dead.Load() || !n.halted.CompareAndSwap(true, false) {
 		return
 	}
-	n.ctr.rejoins.Add(1)
-	if rt.tr != nil {
-		rt.tr.Event(earth.Event{Time: rt.now(), Node: n.id, Peer: earth.NoPeer,
-			Kind: earth.EvRejoined, Dur: f.Heal - f.At, Cause: earth.CausePartition})
-	}
+	n.account(earth.Rejoin(rt.tr, n.id, rt.now(), f.Heal-f.At))
 	n.poke()
-}
-
-// nextSurvivor returns the balancer's next round-robin placement target
-// among nodes that have not crashed or been fenced. Terminates because
-// the engine rejects plans that leave no clean node.
-func (rt *Runtime) nextSurvivor() earth.NodeID {
-	p := len(rt.nodes)
-	for {
-		t := int(rt.reassignRR.Add(1)-1) % p
-		if !rt.nodes[t].dead.Load() && !rt.nodes[t].fenced.Load() {
-			return earth.NodeID(t)
-		}
-	}
 }
 
 func (rt *Runtime) finish() {
@@ -533,54 +457,45 @@ func (rt *Runtime) enqueueHandler(n *lnode, h earth.ThreadBody) {
 	rt.pushHandler(n, h)
 }
 
-// pushItem appends it to n's ready queue, following crash redirects to
-// the adopter. Push helpers do not touch the outstanding-work count, so
-// they also serve recovery's queue moves.
+// owner returns, locked, the node that currently owns n's queues: n
+// itself, or its transitive adopter once crash or fence redirects are
+// installed.
+func (rt *Runtime) owner(n *lnode) *lnode {
+	for {
+		n.mu.Lock()
+		r := n.redirect
+		if r < 0 {
+			return n
+		}
+		n.mu.Unlock()
+		n = rt.nodes[r]
+	}
+}
+
+// pushItem appends it to the ready queue of n's owner. Push helpers do
+// not touch the outstanding-work count, so they also serve recovery's
+// queue moves.
 func (rt *Runtime) pushItem(n *lnode, it item) {
-	for {
-		n.mu.Lock()
-		r := n.redirect
-		if r < 0 {
-			n.ready = append(n.ready, it)
-			n.mu.Unlock()
-			n.poke()
-			return
-		}
-		n.mu.Unlock()
-		n = rt.nodes[r]
-	}
+	o := rt.owner(n)
+	o.ready = append(o.ready, it)
+	o.mu.Unlock()
+	o.poke()
 }
 
-// pushHandler appends a handler on n, following crash redirects.
+// pushHandler appends a handler on n's owner.
 func (rt *Runtime) pushHandler(n *lnode, h earth.ThreadBody) {
-	for {
-		n.mu.Lock()
-		r := n.redirect
-		if r < 0 {
-			n.handlers = append(n.handlers, h)
-			n.mu.Unlock()
-			n.poke()
-			return
-		}
-		n.mu.Unlock()
-		n = rt.nodes[r]
-	}
+	o := rt.owner(n)
+	o.handlers = append(o.handlers, h)
+	o.mu.Unlock()
+	o.poke()
 }
 
-// pushToken appends a pooled token on n, following crash redirects.
+// pushToken appends a pooled token on n's owner.
 func (rt *Runtime) pushToken(n *lnode, tk ltoken) {
-	for {
-		n.mu.Lock()
-		r := n.redirect
-		if r < 0 {
-			n.tokens = append(n.tokens, tk)
-			n.mu.Unlock()
-			n.poke()
-			return
-		}
-		n.mu.Unlock()
-		n = rt.nodes[r]
-	}
+	o := rt.owner(n)
+	o.tokens = append(o.tokens, tk)
+	o.mu.Unlock()
+	o.poke()
 }
 
 // adopted reports whether work homed on home now runs on n because crash
@@ -589,16 +504,9 @@ func (rt *Runtime) adopted(home earth.NodeID, n *lnode) bool {
 	if rt.crashAt == nil && !rt.hasPart {
 		return false
 	}
-	ln := rt.nodes[home]
-	for {
-		ln.mu.Lock()
-		r := ln.redirect
-		ln.mu.Unlock()
-		if r < 0 {
-			return ln == n
-		}
-		ln = rt.nodes[r]
-	}
+	o := rt.owner(rt.nodes[home])
+	o.mu.Unlock()
+	return o == n
 }
 
 // sendHandler routes a runtime message handler carrying bytes of payload
@@ -639,75 +547,42 @@ func (rt *Runtime) sendItem(src earth.NodeID, dst *lnode, bytes int, it item) {
 
 // faultVerdict sends one remote message under the fault plan: the
 // protocol core plans its fate (and traces the sender's side of it), the
-// body gains its receipt checks, and one wall-clock timer — two for a
-// duplicated message — carries it to deliver.
+// body gains the core's receipt checks, and one wall-clock timer — two
+// for a duplicated message — carries it to deliver.
 func (rt *Runtime) faultVerdict(src earth.NodeID, dst *lnode, bytes int, body earth.ThreadBody, deliver func(earth.ThreadBody)) {
 	d := earth.PlanDelivery(rt.inj, rt.retry, rt.plan, src, dst.id, bytes, rt.now(), rt.tr)
 	sn := rt.nodes[src]
-	sn.ctr.faultsInjected.Add(d.FaultsInjected)
-	sn.ctr.retries.Add(d.Retries)
-	body = rt.fenceBody(src, rt.dedupBody(d, src, dst, bytes, body))
+	if d.FaultsInjected > 0 {
+		sn.account(earth.NodeStats{FaultsInjected: d.FaultsInjected, Retries: d.Retries})
+	}
+	if d.Faulted() || rt.hasPart {
+		body = rt.receiptBody(earth.Arrival{From: src, Bytes: bytes, Issue: rt.now(),
+			Seq: d.Seq, Drops: d.Drops, Corrupts: d.Corrupts, Dup: d.Dup,
+			SendEpoch: sn.epoch.Load()}, body)
+	}
 	rt.deliverAfter(d.Delay, func() { deliver(body) })
 	if d.Dup {
 		rt.deliverAfter(d.Delay+rt.retry.AttemptTimeout(0), func() { deliver(body) })
 	}
 }
 
-// dedupBody wraps a delivered body with the sequence-numbered
-// idempotent-delivery check and recovery accounting; unfaulted messages
-// pass through untouched.
-func (rt *Runtime) dedupBody(d earth.Delivery, src earth.NodeID, dst *lnode, bytes int, h earth.ThreadBody) earth.ThreadBody {
-	if !d.Faulted() {
-		return h
-	}
-	issue := rt.now()
+// receiptBody wraps a delivered body with the protocol core's receipt
+// checks (earth.Receive: fencing NACK, idempotent delivery, recovered and
+// corrupt accounting), run on whichever executor ends up with the message
+// — the adopter, if redirects moved it. a carries the sender's epoch as
+// stamped at issue; the epoch current at receipt is read here.
+func (rt *Runtime) receiptBody(a earth.Arrival, h earth.ThreadBody) earth.ThreadBody {
 	return func(c earth.Ctx) {
-		if !rt.inj.FirstDelivery(d.Seq) {
-			dst.ctr.dupsDropped.Add(1)
-			return
+		a := a
+		a.Epoch = rt.nodes[a.From].epoch.Load()
+		var d earth.NodeStats
+		v, _ := earth.Receive(&a, &rt.seen, rt.now(), c.Node(), &d, rt.tr)
+		if d != (earth.NodeStats{}) {
+			rt.nodes[c.Node()].account(d)
 		}
-		if d.Drops > 0 {
-			dst.ctr.recovered.Add(1)
-			if rt.tr != nil {
-				rt.tr.Event(earth.Event{Time: rt.now(), Node: dst.id, Peer: src, Bytes: bytes,
-					Kind: earth.EvRecovered, Dur: rt.now() - issue, Cause: earth.CauseDrop})
-			}
+		if v == earth.Fire {
+			h(c)
 		}
-		if d.Corrupts > 0 {
-			// Receiver-side integrity accounting: the checksum caught this
-			// many bit-flipped attempts before the clean copy landed.
-			dst.ctr.msgsCorrupted.Add(uint64(d.Corrupts))
-			if rt.tr != nil {
-				rt.tr.Event(earth.Event{Time: rt.now(), Node: dst.id, Peer: src, Bytes: bytes,
-					Kind: earth.EvCorrupt, Dur: rt.now() - issue, Cause: earth.CauseCorrupt})
-			}
-		}
-		h(c)
-	}
-}
-
-// fenceBody wraps a remote delivery with the receiver-side incarnation-
-// epoch check: the sender's epoch is stamped at issue, and a message from
-// an incarnation the survivors have since declared dead is rejected (the
-// fencing NACK) with its effect discarded — adopted frame state is never
-// touched by a stale incarnation. The counter lands on the node whose
-// executor rejected the message (the adopter, if redirects moved it).
-func (rt *Runtime) fenceBody(src earth.NodeID, h earth.ThreadBody) earth.ThreadBody {
-	if !rt.hasPart {
-		return h
-	}
-	se := rt.nodes[src].epoch.Load()
-	return func(c earth.Ctx) {
-		if rt.nodes[src].epoch.Load() != se {
-			ln := rt.nodes[c.Node()]
-			ln.ctr.msgsFenced.Add(1)
-			if rt.tr != nil {
-				rt.tr.Event(earth.Event{Time: rt.now(), Node: ln.id, Peer: src,
-					Kind: earth.EvFenced, Cause: earth.CausePartition})
-			}
-			return
-		}
-		h(c)
 	}
 }
 
@@ -826,11 +701,7 @@ func (n *lnode) loop(lctx context.Context) {
 		if n.rt.plan.HasPause() {
 			now := n.rt.now()
 			if pu := n.rt.plan.PauseUntil(int(n.id), now); pu > now {
-				n.ctr.faultsInjected.Add(1)
-				if n.rt.tr != nil {
-					n.rt.tr.Event(earth.Event{Time: now, Node: n.id, Peer: earth.NoPeer,
-						Kind: earth.EvFaultInjected, Cause: earth.CausePause, Dur: pu - now})
-				}
+				n.account(earth.NodeFault(n.rt.tr, n.id, now, earth.CausePause, pu-now))
 				time.Sleep(time.Duration(pu - now))
 			}
 		}
@@ -852,14 +723,14 @@ func (n *lnode) loop(lctx context.Context) {
 		}
 		c.dead = true
 		d := time.Since(t0)
-		n.busy += d
+		n.stats.Busy += sim.Time(d.Nanoseconds())
 		if !it.handler {
-			n.threadsRun++
+			n.stats.ThreadsRun++
 		}
 		if it.token {
-			n.tokensRun++
+			n.stats.TokensRun++
 			if it.stolen {
-				n.tokensStolen++
+				n.stats.TokensStolen++
 			}
 		}
 		if n.rt.tr != nil {
@@ -885,7 +756,7 @@ func (n *lnode) loop(lctx context.Context) {
 
 // decSlot must run on f's home executor; from is the signalling node.
 func (n *lnode) decSlot(from earth.NodeID, f *earth.Frame, slot int) {
-	n.syncs++
+	n.stats.Syncs++
 	if n.rt.tr != nil {
 		n.rt.tr.Event(earth.Event{Time: n.rt.now(), Node: n.id, Peer: from,
 			Kind: earth.EvSyncSignal})

@@ -16,8 +16,8 @@ func TestRunMainOnNodeZero(t *testing.T) {
 	if ran.Load() != 0 {
 		t.Fatalf("main ran on node %d", ran.Load())
 	}
-	if st.TotalThreads() != 1 {
-		t.Fatalf("threads = %d", st.TotalThreads())
+	if st.Total().ThreadsRun != 1 {
+		t.Fatalf("threads = %d", st.Total().ThreadsRun)
 	}
 }
 

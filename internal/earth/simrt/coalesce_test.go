@@ -57,7 +57,7 @@ func TestCoalesceMergesSameDestinationPuts(t *testing.T) {
 				t.Fatalf("coal=%v: sink[%d] = %v", coal, i, sink[i])
 			}
 		}
-		return st.Elapsed, st.TotalMsgs()
+		return st.Elapsed, st.Total().MsgsSent
 	}
 	eOff, mOff := run(false)
 	eOn, mOn := run(true)
@@ -234,7 +234,7 @@ func TestCoalesceDeterministic(t *testing.T) {
 				})
 			}
 		})
-		return st.Elapsed, st.TotalMsgs()
+		return st.Elapsed, st.Total().MsgsSent
 	}
 	e1, m1 := run()
 	e2, m2 := run()

@@ -73,9 +73,9 @@ func TestCrashRecoveryAccounting(t *testing.T) {
 		t.Fatalf("EvNodeDown emitted %d times, want 1", downs)
 	}
 	replays, reassigns := countKind(tr, earth.EvFrameReplayed), countKind(tr, earth.EvWorkReassigned)
-	if uint64(replays) != st.TotalReplayed() || uint64(reassigns) != st.TotalReassigned() {
+	if uint64(replays) != st.Total().FramesReplayed || uint64(reassigns) != st.Total().TokensReassigned {
 		t.Fatalf("event/counter mismatch: events %d/%d, stats %d/%d",
-			replays, reassigns, st.TotalReplayed(), st.TotalReassigned())
+			replays, reassigns, st.Total().FramesReplayed, st.Total().TokensReassigned)
 	}
 	if st.Nodes[1].FramesReplayed != 0 || st.Nodes[1].TokensReassigned != 0 {
 		t.Fatal("recovery work accounted to the dead node")

@@ -56,9 +56,9 @@ func TestFaultedRunMatchesCleanResult(t *testing.T) {
 	if got != wantSum {
 		t.Fatalf("faulted sum = %d, want %d", got, wantSum)
 	}
-	if st.TotalFaults() == 0 || st.TotalRetries() == 0 || st.TotalRecovered() == 0 {
+	if st.Total().FaultsInjected == 0 || st.Total().Retries == 0 || st.Total().Recovered == 0 {
 		t.Errorf("recovery machinery idle: faults=%d retries=%d recovered=%d",
-			st.TotalFaults(), st.TotalRetries(), st.TotalRecovered())
+			st.Total().FaultsInjected, st.Total().Retries, st.Total().Recovered)
 	}
 	var dups uint64
 	for i := range st.Nodes {

@@ -78,8 +78,8 @@ func TestPostLocalDelivery(t *testing.T) {
 	if !ran {
 		t.Fatal("local post did not run")
 	}
-	if st.TotalMsgs() != 0 {
-		t.Fatalf("local post sent %d network messages", st.TotalMsgs())
+	if st.Total().MsgsSent != 0 {
+		t.Fatalf("local post sent %d network messages", st.Total().MsgsSent)
 	}
 }
 

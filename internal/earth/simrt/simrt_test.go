@@ -18,8 +18,8 @@ func TestRunMainOnNodeZero(t *testing.T) {
 	if ran != 0 {
 		t.Fatalf("main ran on node %d", ran)
 	}
-	if st.TotalThreads() != 1 {
-		t.Fatalf("threads = %d, want 1", st.TotalThreads())
+	if st.Total().ThreadsRun != 1 {
+		t.Fatalf("threads = %d, want 1", st.Total().ThreadsRun)
 	}
 	if st.Elapsed <= 0 {
 		t.Fatal("no time elapsed (thread switch should be charged)")
@@ -146,8 +146,8 @@ func TestGetChargesRoundTripTime(t *testing.T) {
 	if st.Elapsed < min {
 		t.Fatalf("elapsed = %v, want >= %v", st.Elapsed, min)
 	}
-	if st.TotalMsgs() < 3 { // invoke + request + response
-		t.Fatalf("msgs = %d, want >= 3", st.TotalMsgs())
+	if st.Total().MsgsSent < 3 { // invoke + request + response
+		t.Fatalf("msgs = %d, want >= 3", st.Total().MsgsSent)
 	}
 }
 
@@ -213,7 +213,7 @@ func TestTokenWorkStealingDistributes(t *testing.T) {
 	if busyNodes < nodes {
 		t.Fatalf("work on %d/%d nodes; stealing failed: %v", busyNodes, nodes, ranOn)
 	}
-	if st.TotalSteals() == 0 {
+	if st.Total().TokensStolen == 0 {
 		t.Fatal("no steals recorded")
 	}
 	// Parallel makespan must beat sequential.
@@ -296,7 +296,7 @@ func TestDeterminism(t *testing.T) {
 				})
 			}
 		})
-		return st.Elapsed, st.TotalMsgs()
+		return st.Elapsed, st.Total().MsgsSent
 	}
 	e1, m1 := run()
 	e2, m2 := run()

@@ -8,61 +8,89 @@ import (
 	"earth/internal/sim"
 )
 
-// NodeStats accumulates per-node execution statistics during a run.
+// NodeStats accumulates per-node execution statistics during a run. It
+// is the one declaration of the counter set: the JSON tags are the wire
+// names (explicit snake_case, an explicit _ns suffix on times, the fault
+// counters omitempty so clean-run artifacts are byte-identical to those of
+// earlier versions), Add sums every field, and Stats.Total folds a run's
+// nodes into one. The protocol core returns its counter deltas as a
+// NodeStats for the engines to Add to the accounted node.
 type NodeStats struct {
 	// Busy is the total virtual (simrt) or measured (livert) time the
 	// node spent executing threads and runtime overheads. Under simrt it
 	// includes Synchronization-Unit/handler time, which runs concurrently
 	// with the execution unit — a node saturating both can therefore
 	// report Busy greater than the run's makespan.
-	Busy sim.Time
+	Busy sim.Time `json:"busy_ns"`
 	// ThreadsRun counts dispatched thread bodies (including invoked and
 	// token bodies).
-	ThreadsRun uint64
+	ThreadsRun uint64 `json:"threads_run"`
 	// TokensRun counts token bodies executed on this node.
-	TokensRun uint64
+	TokensRun uint64 `json:"tokens_run"`
 	// TokensStolen counts tokens this node obtained from other nodes.
-	TokensStolen uint64
+	TokensStolen uint64 `json:"tokens_stolen"`
 	// MsgsSent and BytesSent count network traffic originated here.
-	MsgsSent  uint64
-	BytesSent uint64
+	MsgsSent  uint64 `json:"msgs_sent"`
+	BytesSent uint64 `json:"bytes_sent"`
 	// Syncs counts sync-slot signals processed on this node.
-	Syncs uint64
+	Syncs uint64 `json:"syncs"`
 	// FaultsInjected counts fault-plan interventions charged to this
 	// node: dropped, duplicated or delayed messages it sent, and pause
 	// windows it served. Zero without a fault plan.
-	FaultsInjected uint64
+	FaultsInjected uint64 `json:"faults_injected,omitempty"`
 	// Retries counts modelled retransmissions of messages this node sent.
-	Retries uint64
+	Retries uint64 `json:"retries,omitempty"`
 	// Recovered counts messages delivered here after at least one
 	// dropped attempt.
-	Recovered uint64
+	Recovered uint64 `json:"recovered,omitempty"`
 	// DupsDropped counts duplicate deliveries suppressed here by the
 	// sequence-numbered idempotent-delivery check.
-	DupsDropped uint64
+	DupsDropped uint64 `json:"dups_dropped,omitempty"`
 	// FramesReplayed counts checkpointed frames and queued threads this
 	// node re-instantiated after another node's crash-stop failure.
-	FramesReplayed uint64
+	FramesReplayed uint64 `json:"frames_replayed,omitempty"`
 	// TokensReassigned counts tokens re-placed on this node by the load
 	// balancer after their owner crashed.
-	TokensReassigned uint64
+	TokensReassigned uint64 `json:"tokens_reassigned,omitempty"`
 	// DetectionLatency is the failure-detector latency for this node's
 	// own crash (crash-to-adoption); zero for nodes that stayed up.
-	DetectionLatency sim.Time
+	DetectionLatency sim.Time `json:"detection_latency_ns,omitempty"`
 	// MsgsFenced counts stale-epoch messages this node rejected: late
 	// traffic from a sender that had been declared dead (and its epoch
 	// bumped) while merely partitioned.
-	MsgsFenced uint64
+	MsgsFenced uint64 `json:"msgs_fenced,omitempty"`
 	// MsgsCorrupted counts transmissions whose checksum failed here,
 	// each answered with a NACK and recovered by retransmission.
-	MsgsCorrupted uint64
+	MsgsCorrupted uint64 `json:"msgs_corrupted,omitempty"`
 	// WrongVerdicts counts wrong death declarations this node issued as
 	// the adopting successor: the "dead" peer was merely partitioned and
 	// later rejoined.
-	WrongVerdicts uint64
+	WrongVerdicts uint64 `json:"wrong_verdicts,omitempty"`
 	// Rejoins counts reconciliation handshakes this node completed after
 	// self-fencing during a partition that outlived its lease.
-	Rejoins uint64
+	Rejoins uint64 `json:"rejoins,omitempty"`
+}
+
+// Add accumulates d into n, field by field.
+func (n *NodeStats) Add(d NodeStats) {
+	n.Busy += d.Busy
+	n.ThreadsRun += d.ThreadsRun
+	n.TokensRun += d.TokensRun
+	n.TokensStolen += d.TokensStolen
+	n.MsgsSent += d.MsgsSent
+	n.BytesSent += d.BytesSent
+	n.Syncs += d.Syncs
+	n.FaultsInjected += d.FaultsInjected
+	n.Retries += d.Retries
+	n.Recovered += d.Recovered
+	n.DupsDropped += d.DupsDropped
+	n.FramesReplayed += d.FramesReplayed
+	n.TokensReassigned += d.TokensReassigned
+	n.DetectionLatency += d.DetectionLatency
+	n.MsgsFenced += d.MsgsFenced
+	n.MsgsCorrupted += d.MsgsCorrupted
+	n.WrongVerdicts += d.WrongVerdicts
+	n.Rejoins += d.Rejoins
 }
 
 // Stats summarises one run.
@@ -80,121 +108,14 @@ type Stats struct {
 	Sanitize *SanitizeReport
 }
 
-// TotalMsgs sums messages across nodes.
-func (s *Stats) TotalMsgs() uint64 {
-	var n uint64
+// Total sums every counter across nodes: st.Total().Retries is the run's
+// retransmission count, st.Total().MsgsSent its message count, and so on.
+func (s *Stats) Total() NodeStats {
+	var t NodeStats
 	for i := range s.Nodes {
-		n += s.Nodes[i].MsgsSent
+		t.Add(s.Nodes[i])
 	}
-	return n
-}
-
-// TotalBytes sums bytes across nodes.
-func (s *Stats) TotalBytes() uint64 {
-	var n uint64
-	for i := range s.Nodes {
-		n += s.Nodes[i].BytesSent
-	}
-	return n
-}
-
-// TotalThreads sums dispatched threads across nodes.
-func (s *Stats) TotalThreads() uint64 {
-	var n uint64
-	for i := range s.Nodes {
-		n += s.Nodes[i].ThreadsRun
-	}
-	return n
-}
-
-// TotalSteals sums stolen tokens across nodes.
-func (s *Stats) TotalSteals() uint64 {
-	var n uint64
-	for i := range s.Nodes {
-		n += s.Nodes[i].TokensStolen
-	}
-	return n
-}
-
-// TotalFaults sums fault-plan interventions across nodes.
-func (s *Stats) TotalFaults() uint64 {
-	var n uint64
-	for i := range s.Nodes {
-		n += s.Nodes[i].FaultsInjected
-	}
-	return n
-}
-
-// TotalRetries sums modelled retransmissions across nodes.
-func (s *Stats) TotalRetries() uint64 {
-	var n uint64
-	for i := range s.Nodes {
-		n += s.Nodes[i].Retries
-	}
-	return n
-}
-
-// TotalRecovered sums recovered deliveries across nodes.
-func (s *Stats) TotalRecovered() uint64 {
-	var n uint64
-	for i := range s.Nodes {
-		n += s.Nodes[i].Recovered
-	}
-	return n
-}
-
-// TotalReplayed sums crash-recovery frame replays across nodes.
-func (s *Stats) TotalReplayed() uint64 {
-	var n uint64
-	for i := range s.Nodes {
-		n += s.Nodes[i].FramesReplayed
-	}
-	return n
-}
-
-// TotalReassigned sums crash-recovery token re-placements across nodes.
-func (s *Stats) TotalReassigned() uint64 {
-	var n uint64
-	for i := range s.Nodes {
-		n += s.Nodes[i].TokensReassigned
-	}
-	return n
-}
-
-// TotalFenced sums stale-epoch message rejections across nodes.
-func (s *Stats) TotalFenced() uint64 {
-	var n uint64
-	for i := range s.Nodes {
-		n += s.Nodes[i].MsgsFenced
-	}
-	return n
-}
-
-// TotalCorrupted sums checksum-detected corruptions across nodes.
-func (s *Stats) TotalCorrupted() uint64 {
-	var n uint64
-	for i := range s.Nodes {
-		n += s.Nodes[i].MsgsCorrupted
-	}
-	return n
-}
-
-// TotalWrongVerdicts sums wrong death declarations across nodes.
-func (s *Stats) TotalWrongVerdicts() uint64 {
-	var n uint64
-	for i := range s.Nodes {
-		n += s.Nodes[i].WrongVerdicts
-	}
-	return n
-}
-
-// TotalRejoins sums post-partition reconciliation handshakes across nodes.
-func (s *Stats) TotalRejoins() uint64 {
-	var n uint64
-	for i := range s.Nodes {
-		n += s.Nodes[i].Rejoins
-	}
-	return n
+	return t
 }
 
 // BusyFraction returns busy/elapsed clamped to [0,1]. The clamp matters
@@ -226,33 +147,9 @@ func (s *Stats) Utilization() float64 {
 	return sum / float64(len(s.Nodes))
 }
 
-// nodeStatsJSON is the wire form of NodeStats: explicit snake_case names
-// and an explicit _ns suffix on times, so exported artifacts stay
-// readable and diffable.
-type nodeStatsJSON struct {
-	BusyNS           sim.Time `json:"busy_ns"`
-	ThreadsRun       uint64   `json:"threads_run"`
-	TokensRun        uint64   `json:"tokens_run"`
-	TokensStolen     uint64   `json:"tokens_stolen"`
-	MsgsSent         uint64   `json:"msgs_sent"`
-	BytesSent        uint64   `json:"bytes_sent"`
-	Syncs            uint64   `json:"syncs"`
-	FaultsInjected   uint64   `json:"faults_injected,omitempty"`
-	Retries          uint64   `json:"retries,omitempty"`
-	Recovered        uint64   `json:"recovered,omitempty"`
-	DupsDropped      uint64   `json:"dups_dropped,omitempty"`
-	FramesReplayed   uint64   `json:"frames_replayed,omitempty"`
-	TokensReassigned uint64   `json:"tokens_reassigned,omitempty"`
-	DetectionLatency sim.Time `json:"detection_latency_ns,omitempty"`
-	MsgsFenced       uint64   `json:"msgs_fenced,omitempty"`
-	MsgsCorrupted    uint64   `json:"msgs_corrupted,omitempty"`
-	WrongVerdicts    uint64   `json:"wrong_verdicts,omitempty"`
-	Rejoins          uint64   `json:"rejoins,omitempty"`
-}
-
-// statsJSON is the wire form of Stats: per-node counters plus derived
-// totals. The fault counters are omitempty, so clean-run artifacts are
-// byte-identical to those of earlier versions.
+// statsJSON is the wire form of Stats: the stored scalars, the derived
+// totals (omitempty like the per-node fault counters they sum) and the
+// per-node counters under NodeStats' own tags.
 type statsJSON struct {
 	ElapsedNS   sim.Time        `json:"elapsed_ns"`
 	Events      uint64          `json:"events,omitempty"`
@@ -271,7 +168,7 @@ type statsJSON struct {
 	Corrupted   uint64          `json:"msgs_corrupted,omitempty"`
 	Wrong       uint64          `json:"wrong_verdicts,omitempty"`
 	Rejoins     uint64          `json:"rejoins,omitempty"`
-	Nodes       []nodeStatsJSON `json:"nodes"`
+	Nodes       []NodeStats     `json:"nodes"`
 	Sanitize    *SanitizeReport `json:"sanitize,omitempty"`
 }
 
@@ -279,50 +176,26 @@ type statsJSON struct {
 // counters plus the derived totals, for the harness and cmd tools to
 // write as diffable artifacts.
 func (s *Stats) MarshalJSON() ([]byte, error) {
-	nodes := make([]nodeStatsJSON, len(s.Nodes))
-	var dups uint64
-	for i, n := range s.Nodes {
-		nodes[i] = nodeStatsJSON{
-			BusyNS:           n.Busy,
-			ThreadsRun:       n.ThreadsRun,
-			TokensRun:        n.TokensRun,
-			TokensStolen:     n.TokensStolen,
-			MsgsSent:         n.MsgsSent,
-			BytesSent:        n.BytesSent,
-			Syncs:            n.Syncs,
-			FaultsInjected:   n.FaultsInjected,
-			Retries:          n.Retries,
-			Recovered:        n.Recovered,
-			DupsDropped:      n.DupsDropped,
-			FramesReplayed:   n.FramesReplayed,
-			TokensReassigned: n.TokensReassigned,
-			DetectionLatency: n.DetectionLatency,
-			MsgsFenced:       n.MsgsFenced,
-			MsgsCorrupted:    n.MsgsCorrupted,
-			WrongVerdicts:    n.WrongVerdicts,
-			Rejoins:          n.Rejoins,
-		}
-		dups += n.DupsDropped
-	}
+	t := s.Total()
 	return json.Marshal(statsJSON{
 		ElapsedNS:   s.Elapsed,
 		Events:      s.Events,
 		Utilization: s.Utilization(),
-		Threads:     s.TotalThreads(),
-		Msgs:        s.TotalMsgs(),
-		Bytes:       s.TotalBytes(),
-		Steals:      s.TotalSteals(),
-		Faults:      s.TotalFaults(),
-		Retries:     s.TotalRetries(),
-		Recovered:   s.TotalRecovered(),
-		DupsDropped: dups,
-		Replayed:    s.TotalReplayed(),
-		Reassigned:  s.TotalReassigned(),
-		Fenced:      s.TotalFenced(),
-		Corrupted:   s.TotalCorrupted(),
-		Wrong:       s.TotalWrongVerdicts(),
-		Rejoins:     s.TotalRejoins(),
-		Nodes:       nodes,
+		Threads:     t.ThreadsRun,
+		Msgs:        t.MsgsSent,
+		Bytes:       t.BytesSent,
+		Steals:      t.TokensStolen,
+		Faults:      t.FaultsInjected,
+		Retries:     t.Retries,
+		Recovered:   t.Recovered,
+		DupsDropped: t.DupsDropped,
+		Replayed:    t.FramesReplayed,
+		Reassigned:  t.TokensReassigned,
+		Fenced:      t.MsgsFenced,
+		Corrupted:   t.MsgsCorrupted,
+		Wrong:       t.WrongVerdicts,
+		Rejoins:     t.Rejoins,
+		Nodes:       append([]NodeStats{}, s.Nodes...), // "nodes": [] for an empty run, never null
 		Sanitize:    s.Sanitize,
 	})
 }
@@ -335,32 +208,8 @@ func (s *Stats) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
-	s.Elapsed = w.ElapsedNS
-	s.Events = w.Events
-	s.Sanitize = w.Sanitize
-	s.Nodes = make([]NodeStats, len(w.Nodes))
-	for i, n := range w.Nodes {
-		s.Nodes[i] = NodeStats{
-			Busy:             n.BusyNS,
-			ThreadsRun:       n.ThreadsRun,
-			TokensRun:        n.TokensRun,
-			TokensStolen:     n.TokensStolen,
-			MsgsSent:         n.MsgsSent,
-			BytesSent:        n.BytesSent,
-			Syncs:            n.Syncs,
-			FaultsInjected:   n.FaultsInjected,
-			Retries:          n.Retries,
-			Recovered:        n.Recovered,
-			DupsDropped:      n.DupsDropped,
-			FramesReplayed:   n.FramesReplayed,
-			TokensReassigned: n.TokensReassigned,
-			DetectionLatency: n.DetectionLatency,
-			MsgsFenced:       n.MsgsFenced,
-			MsgsCorrupted:    n.MsgsCorrupted,
-			WrongVerdicts:    n.WrongVerdicts,
-			Rejoins:          n.Rejoins,
-		}
-	}
+	*s = Stats{Elapsed: w.ElapsedNS, Events: w.Events, Sanitize: w.Sanitize,
+		Nodes: append([]NodeStats{}, w.Nodes...)}
 	return nil
 }
 
@@ -369,20 +218,21 @@ func (s *Stats) UnmarshalJSON(b []byte) error {
 // stable.
 func (s *Stats) String() string {
 	var b strings.Builder
+	t := s.Total()
 	fmt.Fprintf(&b, "elapsed=%v nodes=%d threads=%d msgs=%d bytes=%d steals=%d util=%.2f",
-		s.Elapsed, len(s.Nodes), s.TotalThreads(), s.TotalMsgs(), s.TotalBytes(),
-		s.TotalSteals(), s.Utilization())
-	if f := s.TotalFaults(); f > 0 {
-		fmt.Fprintf(&b, " faults=%d retries=%d recovered=%d", f, s.TotalRetries(), s.TotalRecovered())
+		s.Elapsed, len(s.Nodes), t.ThreadsRun, t.MsgsSent, t.BytesSent,
+		t.TokensStolen, s.Utilization())
+	if t.FaultsInjected > 0 {
+		fmt.Fprintf(&b, " faults=%d retries=%d recovered=%d", t.FaultsInjected, t.Retries, t.Recovered)
 	}
-	if r, t := s.TotalReplayed(), s.TotalReassigned(); r > 0 || t > 0 {
-		fmt.Fprintf(&b, " replayed=%d reassigned=%d", r, t)
+	if t.FramesReplayed > 0 || t.TokensReassigned > 0 {
+		fmt.Fprintf(&b, " replayed=%d reassigned=%d", t.FramesReplayed, t.TokensReassigned)
 	}
-	if w, j := s.TotalWrongVerdicts(), s.TotalRejoins(); w > 0 || j > 0 {
-		fmt.Fprintf(&b, " wrong_verdicts=%d fenced=%d rejoins=%d", w, s.TotalFenced(), j)
+	if t.WrongVerdicts > 0 || t.Rejoins > 0 {
+		fmt.Fprintf(&b, " wrong_verdicts=%d fenced=%d rejoins=%d", t.WrongVerdicts, t.MsgsFenced, t.Rejoins)
 	}
-	if c := s.TotalCorrupted(); c > 0 {
-		fmt.Fprintf(&b, " corrupted=%d", c)
+	if t.MsgsCorrupted > 0 {
+		fmt.Fprintf(&b, " corrupted=%d", t.MsgsCorrupted)
 	}
 	if s.Sanitize != nil {
 		if s.Sanitize.Clean() {

@@ -16,17 +16,17 @@ func TestStatsAggregates(t *testing.T) {
 			{Busy: 10 * sim.Millisecond, ThreadsRun: 7, MsgsSent: 6, BytesSent: 300},
 		},
 	}
-	if st.TotalMsgs() != 10 {
-		t.Errorf("TotalMsgs = %d", st.TotalMsgs())
+	if st.Total().MsgsSent != 10 {
+		t.Errorf("TotalMsgs = %d", st.Total().MsgsSent)
 	}
-	if st.TotalBytes() != 400 {
-		t.Errorf("TotalBytes = %d", st.TotalBytes())
+	if st.Total().BytesSent != 400 {
+		t.Errorf("TotalBytes = %d", st.Total().BytesSent)
 	}
-	if st.TotalThreads() != 10 {
-		t.Errorf("TotalThreads = %d", st.TotalThreads())
+	if st.Total().ThreadsRun != 10 {
+		t.Errorf("TotalThreads = %d", st.Total().ThreadsRun)
 	}
-	if st.TotalSteals() != 1 {
-		t.Errorf("TotalSteals = %d", st.TotalSteals())
+	if st.Total().TokensStolen != 1 {
+		t.Errorf("TotalSteals = %d", st.Total().TokensStolen)
 	}
 	if u := st.Utilization(); u != 0.75 {
 		t.Errorf("Utilization = %v, want 0.75", u)

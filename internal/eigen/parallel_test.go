@@ -98,7 +98,7 @@ func TestRandomPlacementAblation(t *testing.T) {
 	if len(a.Eigenvalues) != len(b.Eigenvalues) {
 		t.Fatal("balancers disagree on results")
 	}
-	if a.Stats.TotalSteals() == 0 {
+	if a.Stats.Total().TokensStolen == 0 {
 		t.Fatal("no steals under the stealing balancer")
 	}
 }
@@ -133,9 +133,9 @@ func TestGrainGroupingPreservesResults(t *testing.T) {
 	if grouped.Tasks != fine.Tasks {
 		t.Fatalf("search-node counts differ: %d vs %d", grouped.Tasks, fine.Tasks)
 	}
-	if grouped.Stats.TotalThreads() >= fine.Stats.TotalThreads() {
+	if grouped.Stats.Total().ThreadsRun >= fine.Stats.Total().ThreadsRun {
 		t.Fatalf("grouping did not reduce tasks: %d vs %d threads",
-			grouped.Stats.TotalThreads(), fine.Stats.TotalThreads())
+			grouped.Stats.Total().ThreadsRun, fine.Stats.Total().ThreadsRun)
 	}
 }
 

@@ -3,12 +3,12 @@
 // duplication and reorder-window delay probabilities, plus transient
 // link-degradation and node-pause windows.
 //
-// A Plan is pure data; an Injector owns the plan's random stream and the
-// per-run delivery bookkeeping. Every fault decision is drawn from the
-// injector's own seeded RNG, in message-issue order, so a chaos run under
-// the deterministic simulator is byte-reproducible: same plan, same seed,
-// same faults. The engines translate verdicts into their own recovery
-// machinery (capped exponential-backoff retransmits for drops,
+// A Plan is pure data; an Injector owns the plan's random stream. Every
+// fault decision is drawn from the injector's own seeded RNG, in
+// message-issue order, so a chaos run under the deterministic simulator
+// is byte-reproducible: same plan, same seed, same faults. The protocol
+// core in internal/earth turns verdicts into recovery (PlanDelivery:
+// capped exponential-backoff retransmits for drops; Receive:
 // sequence-numbered first-delivery-wins dedup for duplicates).
 //
 // Plans parse from a compact spec string (the -faults flag):
@@ -125,6 +125,12 @@ func (pt Partition) minority() int {
 // livert) the self-fence timers.
 func (pt Partition) Minority() []int { return pt.Groups[pt.minority()] }
 
+// Outlives reports whether the window is strictly longer than the given
+// detection lease — the one rule deciding that the partition produces
+// wrong verdicts: its minority fences (PartitionFences) and traces a
+// rejoin rather than a heal.
+func (pt Partition) Outlives(lease sim.Time) bool { return lease >= 0 && pt.From+lease < pt.To }
+
 // Fence is one wrong failure verdict produced by a partition that
 // outlives the detection lease: Node (a minority-side node) is declared
 // dead and self-fences at At = From+lease, and rejoins at Heal = To.
@@ -238,7 +244,7 @@ func (p *Plan) PartitionFences(nodes int, lease sim.Time) Fences {
 	}
 	var fences Fences
 	for _, pt := range p.Partition {
-		if lease < 0 || pt.From+lease >= pt.To {
+		if !pt.Outlives(lease) {
 			continue
 		}
 		for _, n := range pt.Groups[pt.minority()] {
@@ -735,7 +741,7 @@ type Verdict struct {
 // Faulted reports whether the verdict perturbs the message at all.
 func (v Verdict) Faulted() bool { return v.Drops > 0 || v.Dup || v.Delay > 0 || v.Corrupts > 0 }
 
-// Injector owns a plan's random stream and per-run delivery bookkeeping.
+// Injector owns a plan's random stream and sequence numbering.
 // It is safe for concurrent use (livert calls it from every executor);
 // under simrt all calls come from the simulation goroutine in
 // deterministic order, which is what makes chaos runs reproducible.
@@ -749,10 +755,6 @@ type Injector struct {
 	// injectors (NewLaneInjector) use disjoint bases so sequence numbers
 	// stay globally unique across per-node fault streams.
 	seqBase uint64
-	// dup tracks sequence numbers that were duplicated and not yet seen
-	// twice: absent = single delivery, false = no copy delivered yet,
-	// true = one copy delivered. Entries self-clean on the second copy.
-	dup map[uint64]bool
 }
 
 // NewInjector builds an injector for plan. When the plan has no seed of
@@ -795,14 +797,13 @@ func NewLaneInjector(plan *Plan, fallbackSeed int64, lane int) *Injector {
 // Plan returns the injector's plan.
 func (in *Injector) Plan() *Plan { return in.plan }
 
-// Reset rewinds the random stream and clears delivery bookkeeping, so a
+// Reset rewinds the random stream and the sequence numbering, so a
 // re-run of the same program sees the same fault sequence.
 func (in *Injector) Reset() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.rng = rand.New(rand.NewSource(in.seed))
 	in.seq = 0
-	in.dup = make(map[uint64]bool)
 }
 
 // Next draws the fault verdict for the next message transmission.
@@ -821,7 +822,6 @@ func (in *Injector) Next(maxDrops int) Verdict {
 	}
 	if p.Dup > 0 && in.rng.Float64() < p.Dup {
 		v.Dup = true
-		in.dup[v.Seq] = false
 	}
 	if p.Reorder > 0 && in.rng.Float64() < p.Reorder {
 		v.Delay = sim.Time(in.rng.Int63n(int64(p.window()))) + 1
@@ -846,23 +846,4 @@ func (in *Injector) Float64() float64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.rng.Float64()
-}
-
-// FirstDelivery reports whether this is the first arrival of sequence
-// number seq; the second arrival of a duplicated message returns false
-// (and must be discarded by the caller). Non-duplicated messages always
-// return true without bookkeeping.
-func (in *Injector) FirstDelivery(seq uint64) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	seen, dup := in.dup[seq]
-	if !dup {
-		return true
-	}
-	if seen {
-		delete(in.dup, seq)
-		return false
-	}
-	in.dup[seq] = true
-	return true
 }

@@ -142,29 +142,6 @@ func TestInjectorMaxDropsCap(t *testing.T) {
 	}
 }
 
-func TestFirstDelivery(t *testing.T) {
-	in := NewInjector(&Plan{Seed: 1, Dup: 0.999}, 0)
-	v := in.Next(0)
-	if !v.Dup {
-		t.Fatal("expected a duplicated verdict")
-	}
-	if !in.FirstDelivery(v.Seq) {
-		t.Error("first delivery rejected")
-	}
-	if in.FirstDelivery(v.Seq) {
-		t.Error("second delivery of a duplicated message accepted")
-	}
-	// Self-cleaning: after both copies, the entry is gone and further
-	// checks (impossible in practice) pass as unduplicated.
-	if !in.FirstDelivery(v.Seq) {
-		t.Error("bookkeeping not cleaned after second copy")
-	}
-	// An unduplicated sequence never hits the map.
-	if !in.FirstDelivery(999999) || !in.FirstDelivery(999999) {
-		t.Error("unduplicated sequence rejected")
-	}
-}
-
 func TestPauseUntil(t *testing.T) {
 	p := &Plan{Pause: []Window{
 		{From: 10, To: 20, Node: 1},

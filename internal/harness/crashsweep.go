@@ -72,20 +72,16 @@ func CrashSweep(cfg Config) *Report {
 		for ki, k := range crashKills {
 			var t tally
 			var detect sim.Time
-			var rep, rea uint64
+			var sum earth.NodeStats
 			for _, c := range runs.Sub(wi, 0, ki).All() {
 				t.add(clean.At(wi, 0), c)
-				var d sim.Time
-				for _, n := range c.st.Nodes {
-					d += n.DetectionLatency
-				}
-				detect += d / sim.Time(k)
-				rep += c.st.TotalReplayed()
-				rea += c.st.TotalReassigned()
+				tot := c.st.Total()
+				detect += tot.DetectionLatency / sim.Time(k)
+				sum.Add(tot)
 			}
 			r.add("%-20s k=%d  converged %2d/%-2d  mean slowdown %.2fx  detect=%v  replayed=%-5d reassigned=%d",
 				wl.name, k, t.converged, t.runs, t.meanSlowdown(),
-				detect/sim.Time(t.runs), rep, rea)
+				detect/sim.Time(t.runs), sum.FramesReplayed, sum.TokensReassigned)
 			total.converged += t.converged
 			total.runs += t.runs
 		}

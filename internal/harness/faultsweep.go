@@ -127,6 +127,19 @@ func (t *tally) add(clean, c outcome) {
 
 func (t *tally) meanSlowdown() float64 { return t.slowdown / float64(t.runs) }
 
+// CheckFaultPlan reports whether every machine size FaultSweep runs under
+// cfg survives plan: some node must be left to adopt work (see
+// earth.Config.ResolveFaults). cmd/paperfigs calls it on a user's -faults
+// before any engine is built.
+func CheckFaultPlan(cfg Config, plan *faults.Plan) error {
+	for _, n := range nodesMin(cfg.WithDefaults().Nodes, 2) {
+		if _, err := (earth.Config{Nodes: n, Faults: plan}).ResolveFaults(); err != nil {
+			return fmt.Errorf("on %d nodes: %v", n, err)
+		}
+	}
+	return nil
+}
+
 // FaultSweep runs every workload across the node sweep: one clean run
 // plus cfg.Runs chaos runs per (workload, nodes) cell. Chaos run k gets
 // a distinct fault realisation — plan seeds are derived per run — so
@@ -158,17 +171,15 @@ func FaultSweep(cfg Config, plan *faults.Plan) *Report {
 	var total tally
 	for wi, wl := range wls {
 		var t tally
-		var nf, nr, nrec uint64
+		var sum earth.NodeStats
 		for ni := range nodeList {
 			for _, c := range runs.Sub(wi, ni).All() {
 				t.add(clean.At(wi, ni), c)
-				nf += c.st.TotalFaults()
-				nr += c.st.TotalRetries()
-				nrec += c.st.TotalRecovered()
+				sum.Add(c.st.Total())
 			}
 		}
 		r.add("%-20s converged %3d/%-3d  mean slowdown %.2fx  faults=%-6d retries=%-6d recovered=%d",
-			wl.name, t.converged, t.runs, t.meanSlowdown(), nf, nr, nrec)
+			wl.name, t.converged, t.runs, t.meanSlowdown(), sum.FaultsInjected, sum.Retries, sum.Recovered)
 		total.converged += t.converged
 		total.runs += t.runs
 	}

@@ -66,15 +66,13 @@ func PartitionSweep(cfg Config) *Report {
 		for di, df := range partDurFracs {
 			for li, lf := range partLeaseFracs {
 				var t tally
-				var wrong, rejoins, fenced uint64
+				var sum earth.NodeStats
 				for _, c := range runs.Sub(wi, 0, di, li).All() {
 					t.add(clean.At(wi, 0), c)
-					wrong += c.st.TotalWrongVerdicts()
-					rejoins += c.st.TotalRejoins()
-					fenced += c.st.TotalFenced()
+					sum.Add(c.st.Total())
 				}
 				r.add("%-20s dur=%.2f lease=%.2f  converged %2d/%-2d  wrong=%-3d rejoins=%-3d lost-msgs=%-4d  mean slowdown %.2fx",
-					wl.name, df, lf, t.converged, t.runs, wrong, rejoins, fenced, t.meanSlowdown())
+					wl.name, df, lf, t.converged, t.runs, sum.WrongVerdicts, sum.Rejoins, sum.MsgsFenced, t.meanSlowdown())
 			}
 		}
 	}

@@ -46,7 +46,7 @@ func TestCountVisitedReasonable(t *testing.T) {
 	if res.Visited <= res.Total {
 		t.Fatalf("visited %d <= solutions %d", res.Visited, res.Total)
 	}
-	if res.Stats.TotalThreads() == 0 {
+	if res.Stats.Total().ThreadsRun == 0 {
 		t.Fatal("no tasks ran")
 	}
 }
