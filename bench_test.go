@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -276,6 +277,36 @@ func BenchmarkNeuralForward200(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		net.Forward(x)
+	}
+}
+
+// BenchmarkNeuralTrainStep is one training sample through ParallelRun on
+// a one-node machine: with no communication to model, the time is the
+// forward dot products plus the two weight-update loops.
+func BenchmarkNeuralTrainStep(b *testing.B) {
+	for _, u := range []int{200, 720} {
+		b.Run(fmt.Sprintf("u=%d", u), func(b *testing.B) {
+			net := neural.Square(u, 1)
+			xs := [][]float32{make([]float32, u)}
+			ts := [][]float32{make([]float32, u)}
+			for i := range xs[0] {
+				xs[0][i] = float32(i) / float32(u)
+				ts[0][i] = float32(u-i) / float32(u)
+			}
+			rt := simrt.New(earth.Config{Nodes: 1, Seed: 1})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				neural.ParallelRun(rt, net, xs, ts, neural.ParallelConfig{Train: true, Tree: true, LR: 0.1})
+			}
+		})
+	}
+}
+
+func BenchmarkNeuralClone720(b *testing.B) {
+	net := neural.Square(720, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		net.Clone()
 	}
 }
 

@@ -194,9 +194,13 @@ type node struct {
 	cpuDebt  sim.Time
 	stealing bool // a steal request is in flight
 	hungry   bool // ran dry under the steal balancer; matched at barriers
-	rng      *rand.Rand
-	stats    earth.NodeStats
-	rr       int // per-node round-robin placement cursor
+	// rng is the node's random stream, seeded by rand() on the first draw
+	// (many programs never draw, and seeding costs more than the rest of
+	// New) and continued, never reseeded, across Runs.
+	rng     *rand.Rand
+	rngSeed int64
+	stats   earth.NodeStats
+	rr      int // per-node round-robin placement cursor
 	// spans records busy intervals for utilisation sampling; only
 	// maintained while a tracer with UtilSamplePeriod is installed.
 	spans []span
@@ -213,6 +217,16 @@ type node struct {
 	// allocated when Config.Coalesce is enabled). Its buffers are empty
 	// whenever no body is executing on the node.
 	coal *coalescer
+}
+
+// rand returns the node's random stream. Like the rest of the node it is
+// touched only by the node's own shard mid-window, or by the coordinator
+// at a barrier.
+func (n *node) rand() *rand.Rand {
+	if n.rng == nil {
+		n.rng = rand.New(rand.NewSource(n.rngSeed))
+	}
+	return n.rng
 }
 
 // getCtx returns a reset thread context, reusing the node's retired one
@@ -417,10 +431,7 @@ func New(cfg earth.Config) *Runtime {
 		}
 	}
 	for i := range rt.nodes {
-		n := &node{
-			id:  earth.NodeID(i),
-			rng: rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i))),
-		}
+		n := &node{id: earth.NodeID(i), rngSeed: cfg.Seed*1_000_003 + int64(i)}
 		n.ready.buf = make([]item, 64)
 		n.tokens.buf = make([]token, 64)
 		n.dispatchFn = func() { rt.dispatch(n) }
@@ -1504,7 +1515,7 @@ func (rt *Runtime) pickVictim(thief *node) *node {
 	if len(candidates) == 0 {
 		return nil
 	}
-	return candidates[thief.rng.Intn(len(candidates))]
+	return candidates[thief.rand().Intn(len(candidates))]
 }
 
 // ctx implements earth.Ctx for one executing thread body.
@@ -1526,7 +1537,7 @@ func (c *ctx) check() {
 func (c *ctx) Node() earth.NodeID { return c.n.id }
 func (c *ctx) P() int             { return len(c.rt.nodes) }
 func (c *ctx) Now() sim.Time      { return c.cursor }
-func (c *ctx) Rand() *rand.Rand   { return c.n.rng }
+func (c *ctx) Rand() *rand.Rand   { return c.n.rand() }
 
 func (c *ctx) Compute(d sim.Time) {
 	c.check()
@@ -1534,7 +1545,7 @@ func (c *ctx) Compute(d sim.Time) {
 		panic("simrt: negative compute time")
 	}
 	if j := c.rt.cfg.JitterPct; j > 0 {
-		f := 1 + (c.n.rng.Float64()*2-1)*j/100
+		f := 1 + (c.n.rand().Float64()*2-1)*j/100
 		d = sim.Time(float64(d) * f)
 	}
 	c.cursor += d
@@ -1711,7 +1722,7 @@ func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 	case earth.BalanceRandomPlace, earth.BalanceRoundRobin:
 		var target earth.NodeID
 		if rt.cfg.Balancer == earth.BalanceRandomPlace {
-			target = earth.NodeID(c.n.rng.Intn(len(rt.nodes)))
+			target = earth.NodeID(c.n.rand().Intn(len(rt.nodes)))
 		} else {
 			// Per-node cursor: round-robin placement must not depend on a
 			// machine-global counter, whose increment order would vary with

@@ -1,6 +1,7 @@
 package simrt
 
 import (
+	"fmt"
 	"testing"
 
 	"earth/internal/earth"
@@ -490,5 +491,49 @@ func TestInvokeArgsSizes(t *testing.T) {
 	})
 	if st.Nodes[0].BytesSent != 28+16 { // payload + header
 		t.Fatalf("bytes = %d, want 44", st.Nodes[0].BytesSent)
+	}
+}
+
+// TestNodeRandStreams pins each node's random stream to the values it had
+// when every node was seeded eagerly in New (recorded before seeding
+// became lazy): application draws through c.Rand on a subset of nodes,
+// the engine's own draws (jitter, random placement, victim choice), at
+// one shard and two. A second Run on the same Runtime continues each
+// stream where the first left it.
+func TestNodeRandStreams(t *testing.T) {
+	run := func(rt *Runtime) string {
+		draws := make([]int, rt.P()) // slot i is written by node i only
+		st := rt.Run(func(c earth.Ctx) {
+			for i := 0; i < 40; i++ {
+				c.Token(16, func(c earth.Ctx) {
+					c.Compute(200 * sim.Microsecond)
+					if c.Node()%2 == 0 {
+						draws[c.Node()] += c.Rand().Intn(1000)
+					}
+				})
+			}
+		})
+		return fmt.Sprintf("%d ns, %d msgs, draws %v", st.Elapsed, st.Total().MsgsSent, draws)
+	}
+	for _, c := range []struct {
+		bal           earth.Balancer
+		first, second string
+	}{
+		{earth.BalanceRandomPlace,
+			"2249612 ns, 37 msgs, draws [1772 0 2914 0 3754 0]",
+			"2279765 ns, 29 msgs, draws [3919 0 3896 0 2528 0]"},
+		{earth.BalanceSteal,
+			"1486902 ns, 67 msgs, draws [2806 0 1850 0 3173 0]",
+			"1483328 ns, 68 msgs, draws [3491 0 4370 0 3007 0]"},
+	} {
+		for _, shards := range []int{1, 2} {
+			rt := New(earth.Config{Nodes: 6, Seed: 7, JitterPct: 3, Balancer: c.bal, Shards: shards})
+			if got := run(rt); got != c.first {
+				t.Errorf("%v, shards %d: first run = %q, want %q", c.bal, shards, got, c.first)
+			}
+			if got := run(rt); got != c.second {
+				t.Errorf("%v, shards %d: second run = %q, want %q", c.bal, shards, got, c.second)
+			}
+		}
 	}
 }

@@ -72,7 +72,7 @@ func faultWorkloads(seed int64) []faultWorkload {
 		name: "NN-forward",
 		run: func(rt earth.Runtime) outcome {
 			xs, ts := nnSamples(24, 4)
-			res := neural.ParallelRun(rt, neural.Square(24, 1), xs, ts,
+			res := neural.ParallelRun(rt, forwardNet(24), xs, ts,
 				neural.ParallelConfig{Tree: true, LR: 0.1})
 			return outcome{fmt.Sprintf("%v", res.Outputs), res.Stats}
 		},

@@ -261,14 +261,7 @@ func Table2(cfg Config) *Report {
 	cfg = cfg.WithDefaults()
 	r := &Report{ID: "Table 2", Title: "Characteristics of the Gröbner Basis application (sequential)"}
 	ins := groebner.PaperInputs()
-	type seqRun struct {
-		b   *groebner.Basis
-		err error
-	}
-	runs := Sweep(cfg.Workers, []int{len(ins)}, func(at []int) seqRun {
-		b, err := groebner.Buchberger(ins[at[0]].F, ins[at[0]].Opt)
-		return seqRun{b, err}
-	})
+	runs := Sweep(cfg.Workers, []int{len(ins)}, func(at []int) seqBasis { return sequentialBasis(ins[at[0]]) })
 	for i, in := range ins {
 		b, err := runs.At(i).b, runs.At(i).err
 		if err != nil {
@@ -298,15 +291,16 @@ type groebnerBaseline struct {
 	pairs int
 }
 
-// newGroebnerBaseline runs the sequential completion and calibrates its
-// step costs to the paper's sequential time.
+// newGroebnerBaseline calibrates the step costs of the sequential
+// completion to the paper's sequential time.
 func newGroebnerBaseline(in groebner.NamedInput) groebnerBaseline {
-	seq, err := groebner.Buchberger(in.F, in.Opt)
-	if err != nil {
-		panic(err)
+	seq := sequentialBasis(in)
+	if seq.err != nil {
+		panic(seq.err)
 	}
-	sc := groebner.Calibrate(seq.Trace, in.PaperSeqMS)
-	return groebnerBaseline{sc, groebner.SeqVirtualTime(seq.Trace, sc), seq.Trace.PairsReduced}
+	tr := seq.b.Trace
+	sc := groebner.Calibrate(tr, in.PaperSeqMS)
+	return groebnerBaseline{sc, groebner.SeqVirtualTime(tr, sc), tr.PairsReduced}
 }
 
 // groebnerSweeps evaluates the full (input × cost-model × nodes × run)
@@ -420,13 +414,19 @@ func nnSamples(u, count int) (xs, ts [][]float32) {
 	return
 }
 
-// nnElapsed runs samples unit-parallel passes of a width-u network on
-// the machine ec and returns the makespan.
+// nnElapsed runs samples unit-parallel passes of the width-u paper
+// network on the machine ec and returns the makespan.
 func nnElapsed(ec earth.Config, u int, train bool, samples int) sim.Time {
 	xs, ts := nnSamples(u, samples)
-	res := neural.ParallelRun(simrt.New(ec), neural.Square(u, 1), xs, ts,
-		neural.ParallelConfig{Train: train, Tree: true, LR: 0.1})
-	return res.Stats.Elapsed
+	run := func(net *neural.Net) sim.Time {
+		res := neural.ParallelRun(simrt.New(ec), net, xs, ts,
+			neural.ParallelConfig{Train: train, Tree: true, LR: 0.1})
+		return res.Stats.Elapsed
+	}
+	if train {
+		return trainOnCopy(u, run)
+	}
+	return run(forwardNet(u))
 }
 
 // nnSeqPerSample measures the modelled one-node time per sample.
@@ -523,7 +523,7 @@ func AblationNNTree(cfg Config) *Report {
 	series := speedupCurves(cfg, []string{"tree", "sequential"}, cfg.Nodes, 1, fixedBase(base),
 		func(v, nodes, _ int) sim.Time {
 			rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards})
-			res := neural.ParallelRun(rt, neural.Square(u, 1), xs, nil,
+			res := neural.ParallelRun(rt, forwardNet(u), xs, nil,
 				neural.ParallelConfig{Tree: v == 0})
 			return res.Stats.Elapsed
 		})
@@ -630,22 +630,25 @@ func AblationNNModes(cfg Config) *Report {
 	r := &Report{ID: "Ablation D", Title: "NN parallelisation modes: unit vs sample vs hybrid (80 units)"}
 	const u, samples = 80, 16
 	xs, ts := nnSamples(u, samples)
+	// Every mode trains, so every run gets a private copy of the network.
+	mode := func(name string, train func(rt earth.Runtime, net *neural.Net) *earth.Stats) simApp {
+		return simApp{name, func(rt earth.Runtime) sim.Time {
+			return trainOnCopy(u, func(net *neural.Net) sim.Time { return train(rt, net).Elapsed })
+		}}
+	}
 	modes := []simApp{
-		{"unit (update/sample)", func(rt earth.Runtime) sim.Time {
-			res := neural.ParallelRun(rt, neural.Square(u, 1), xs, ts,
-				neural.ParallelConfig{Train: true, Tree: true, LR: 0.1})
-			return res.Stats.Elapsed
-		}},
-		{"sample (1 exchange/epoch)", func(rt earth.Runtime) sim.Time {
-			res := neural.SampleParallelTrain(rt, neural.Square(u, 1), xs, ts,
-				neural.SampleConfig{Epochs: 1, LR: 0.1})
-			return res.Stats.Elapsed
-		}},
-		{"hybrid (batch 4)", func(rt earth.Runtime) sim.Time {
-			res := neural.SampleParallelTrain(rt, neural.Square(u, 1), xs, ts,
-				neural.SampleConfig{Epochs: 1, LR: 0.1, BatchSize: 4})
-			return res.Stats.Elapsed
-		}},
+		mode("unit (update/sample)", func(rt earth.Runtime, net *neural.Net) *earth.Stats {
+			return neural.ParallelRun(rt, net, xs, ts,
+				neural.ParallelConfig{Train: true, Tree: true, LR: 0.1}).Stats
+		}),
+		mode("sample (1 exchange/epoch)", func(rt earth.Runtime, net *neural.Net) *earth.Stats {
+			return neural.SampleParallelTrain(rt, net, xs, ts,
+				neural.SampleConfig{Epochs: 1, LR: 0.1}).Stats
+		}),
+		mode("hybrid (batch 4)", func(rt earth.Runtime, net *neural.Net) *earth.Stats {
+			return neural.SampleParallelTrain(rt, net, xs, ts,
+				neural.SampleConfig{Epochs: 1, LR: 0.1, BatchSize: 4}).Stats
+		}),
 	}
 	for _, s := range selfSpeedups(cfg, modes, cfg.Nodes) {
 		r.addPeak(s, " peak speedup over "+fmt.Sprint(samples)+" samples", "-")

@@ -1,0 +1,85 @@
+package harness
+
+import (
+	"sync"
+
+	"earth/internal/groebner"
+	"earth/internal/neural"
+	"earth/internal/sim"
+)
+
+// Experiment inputs that are pure functions of constants — the width-u
+// paper network, the sequential Gröbner completion of a paper input — are
+// built once per process and shared by every cell of every sweep. Nothing
+// that depends on Config (seeds, machines, runtimes) is kept here. See
+// DESIGN.md, "Inputs are built once, cells are independent".
+
+// memo computes a value at most once per key — also when several pool
+// workers ask for a key first at the same moment — and keeps it for the
+// life of the process.
+type memo[K comparable, V any] struct {
+	m sync.Map // K → func() V, a sync.OnceValue
+}
+
+func (c *memo[K, V]) get(k K, compute func() V) V {
+	f, ok := c.m.Load(k)
+	if !ok {
+		f, _ = c.m.LoadOrStore(k, sync.OnceValue(compute))
+	}
+	return f.(func() V)()
+}
+
+// paperNet owns the width-u network every NN experiment runs: u units in
+// every layer, initialised from seed 1.
+type paperNet struct {
+	// weights is never written after construction: forward-only cells read
+	// it concurrently, training cells copy it
+	// (TestPaperNetsStayPristine).
+	weights *neural.Net
+	// idle holds the training cells' private copies between uses.
+	idle sync.Pool
+}
+
+var paperNets memo[int, *paperNet]
+
+func paperNetOf(u int) *paperNet {
+	return paperNets.get(u, func() *paperNet { return &paperNet{weights: neural.Square(u, 1)} })
+}
+
+// forwardNet returns the width-u network for a cell that runs forward
+// passes only. It is shared: the caller must not write its weights.
+func forwardNet(u int) *neural.Net { return paperNetOf(u).weights }
+
+// trainOnCopy runs cell on a private copy of the width-u network, reset to
+// the initial weights, and recycles the copy when cell returns — so cell
+// must not return before its Run has, when nothing writes the copy any
+// more.
+func trainOnCopy(u int, cell func(net *neural.Net) sim.Time) sim.Time {
+	p := paperNetOf(u)
+	net, _ := p.idle.Get().(*neural.Net)
+	if net == nil {
+		net = p.weights.Clone()
+	} else {
+		net.CopyFrom(p.weights)
+	}
+	elapsed := cell(net)
+	p.idle.Put(net)
+	return elapsed
+}
+
+// seqBasis is the sequential completion of one paper input.
+type seqBasis struct {
+	b   *groebner.Basis
+	err error
+}
+
+var seqBases memo[string, seqBasis]
+
+// sequentialBasis returns the sequential Gröbner completion of a paper
+// input, identified by its name. The basis is shared and read-only.
+func sequentialBasis(in groebner.NamedInput) seqBasis {
+	return seqBases.get(in.Name, func() seqBasis {
+		b, err := groebner.Buchberger(in.F, in.Opt)
+		return seqBasis{b, err}
+	})
+}

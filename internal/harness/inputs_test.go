@@ -1,0 +1,89 @@
+package harness
+
+import (
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"earth/internal/neural"
+	"earth/internal/sim"
+)
+
+// TestPaperNetsStayPristine is what makes sharing one network per width
+// safe: after every NN experiment has run on a four-worker pool — forward
+// cells reading the templates concurrently, training cells working on
+// copies — each template still equals a freshly built network, weight for
+// weight. CI runs it under -race, where a forward cell writing a
+// weight would also be a reported race.
+func TestPaperNetsStayPristine(t *testing.T) {
+	cfg := Config{Runs: 1, Nodes: []int{1, 2, 4}, Seed: 1, Workers: 4}
+	Table3(cfg)
+	Figure7(cfg)
+	Figure8(cfg)
+	AblationNNTree(cfg)
+	AblationNNModes(cfg)
+	FaultSweep(cfg, nil)
+
+	seen := map[int]bool{}
+	paperNets.m.Range(func(k, v any) bool {
+		u := k.(int)
+		seen[u] = true
+		if !reflect.DeepEqual(v.(func() *paperNet)().weights, neural.Square(u, 1)) {
+			t.Errorf("width %d: the template no longer equals a fresh network", u)
+		}
+		return true
+	})
+	for _, u := range []int{24, 80, 200, 720} {
+		if !seen[u] {
+			t.Errorf("no template for width %d: the experiments did not go through paperNetOf", u)
+		}
+	}
+}
+
+// TestTrainOnCopyStartsFromTemplate: a recycled copy is reset, so what one
+// training cell did to its network never reaches the next.
+func TestTrainOnCopyStartsFromTemplate(t *testing.T) {
+	fresh := neural.Square(16, 1)
+	for i := 0; i < 3; i++ {
+		trainOnCopy(16, func(net *neural.Net) sim.Time {
+			if net == forwardNet(16) {
+				t.Fatal("training cell was handed the shared template")
+			}
+			if !reflect.DeepEqual(net, fresh) {
+				t.Errorf("use %d: the copy does not start at the initial weights", i)
+			}
+			net.W1[3][5]++
+			net.B2[0]--
+			return 0
+		})
+	}
+}
+
+// TestMemoComputesOncePerKey: concurrent first use of a key runs compute
+// once and every caller gets that one value.
+func TestMemoComputesOncePerKey(t *testing.T) {
+	var m memo[int, *int]
+	var computed atomic.Int32
+	got := make([]*int, 16)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = m.get(g%2, func() *int {
+				computed.Add(1)
+				return new(int)
+			})
+		}()
+	}
+	wg.Wait()
+	if n := computed.Load(); n != 2 {
+		t.Errorf("compute ran %d times for 2 keys", n)
+	}
+	for g, p := range got {
+		if p != got[g%2] {
+			t.Errorf("caller %d got a different value than caller %d for the same key", g, g%2)
+		}
+	}
+}

@@ -42,14 +42,26 @@ func New(nIn, nHid, nOut int, seed int64) *Net {
 // (Table 3 uses u = 80, 200, 720).
 func Square(u int, seed int64) *Net { return New(u, u, u, seed) }
 
-func randMatrix(rng *rand.Rand, rows, cols int) ([][]float32, []float32) {
+// newMatrix allocates a rows×cols weight matrix as one block. Each row is
+// a full slice expression, so an append to a row cannot reach the next.
+func newMatrix(rows, cols int) [][]float32 {
+	flat := make([]float32, rows*cols)
 	w := make([][]float32, rows)
+	for j := range w {
+		w[j] = flat[j*cols : (j+1)*cols : (j+1)*cols]
+	}
+	return w
+}
+
+// randMatrix draws a row's weights, then that row's bias, row by row: the
+// order is what makes New(…, seed) the same network as ever.
+func randMatrix(rng *rand.Rand, rows, cols int) ([][]float32, []float32) {
+	w := newMatrix(rows, cols)
 	b := make([]float32, rows)
 	scale := 1 / math.Sqrt(float64(cols))
-	for j := range w {
-		w[j] = make([]float32, cols)
-		for i := range w[j] {
-			w[j][i] = float32((2*rng.Float64() - 1) * scale)
+	for j, row := range w {
+		for i := range row {
+			row[i] = float32((2*rng.Float64() - 1) * scale)
 		}
 		b[j] = float32((2*rng.Float64() - 1) * scale)
 	}
@@ -115,17 +127,10 @@ type Gradients struct {
 
 // NewGradients allocates zeroed gradients shaped like n.
 func (n *Net) NewGradients() *Gradients {
-	g := &Gradients{
-		DW1: make([][]float32, n.NHid), DB1: make([]float32, n.NHid),
-		DW2: make([][]float32, n.NOut), DB2: make([]float32, n.NOut),
+	return &Gradients{
+		DW1: newMatrix(n.NHid, n.NIn), DB1: make([]float32, n.NHid),
+		DW2: newMatrix(n.NOut, n.NHid), DB2: make([]float32, n.NOut),
 	}
-	for j := range g.DW1 {
-		g.DW1[j] = make([]float32, n.NIn)
-	}
-	for k := range g.DW2 {
-		g.DW2[k] = make([]float32, n.NHid)
-	}
-	return g
 }
 
 // OutputDelta computes one output unit's error term for squared loss:
@@ -194,18 +199,29 @@ func (n *Net) TrainSample(x, target []float32, lr float32) float64 {
 	return Loss(out, target)
 }
 
-// Clone deep-copies the network (for comparing training trajectories).
+// Clone deep-copies the network: the copy shares no memory with n.
 func (n *Net) Clone() *Net {
-	c := &Net{NIn: n.NIn, NHid: n.NHid, NOut: n.NOut}
-	c.W1, c.B1 = cloneMatrix(n.W1, n.B1)
-	c.W2, c.B2 = cloneMatrix(n.W2, n.B2)
+	c := &Net{NIn: n.NIn, NHid: n.NHid, NOut: n.NOut,
+		W1: newMatrix(n.NHid, n.NIn), B1: make([]float32, n.NHid),
+		W2: newMatrix(n.NOut, n.NHid), B2: make([]float32, n.NOut)}
+	c.CopyFrom(n)
 	return c
 }
 
-func cloneMatrix(w [][]float32, b []float32) ([][]float32, []float32) {
-	cw := make([][]float32, len(w))
-	for i := range w {
-		cw[i] = append([]float32(nil), w[i]...)
+// CopyFrom overwrites n's weights and biases with src's, which must have
+// the same layer sizes. It allocates nothing, so a net can be reset to a
+// template and trained again.
+func (n *Net) CopyFrom(src *Net) {
+	if n.NIn != src.NIn || n.NHid != src.NHid || n.NOut != src.NOut {
+		panic(fmt.Sprintf("neural: CopyFrom %d/%d/%d into %d/%d/%d",
+			src.NIn, src.NHid, src.NOut, n.NIn, n.NHid, n.NOut))
 	}
-	return cw, append([]float32(nil), b...)
+	for j, row := range src.W1 {
+		copy(n.W1[j], row)
+	}
+	copy(n.B1, src.B1)
+	for k, row := range src.W2 {
+		copy(n.W2[k], row)
+	}
+	copy(n.B2, src.B2)
 }

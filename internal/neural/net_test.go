@@ -1,10 +1,53 @@
 package neural
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// weightSum is the FNV-64a hash of every weight and bias of n, in the
+// order W1, B1, W2, B2.
+func weightSum(n *Net) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	vec := func(v []float32) {
+		for _, x := range v {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(x))
+			h.Write(b[:])
+		}
+	}
+	for _, row := range n.W1 {
+		vec(row)
+	}
+	vec(n.B1)
+	for _, row := range n.W2 {
+		vec(row)
+	}
+	vec(n.B2)
+	return h.Sum64()
+}
+
+// TestSquareValuesPinned guards the draw order of the random
+// initialisation (a row's weights, then that row's bias): everything
+// downstream — the committed figures, the benchmark's reference values —
+// is a function of these weights.
+func TestSquareValuesPinned(t *testing.T) {
+	for _, c := range []struct {
+		u    int
+		seed int64
+		want uint64
+	}{{80, 1, 0xe66c06af78a4fc25}, {24, 1, 0x5f5290ed2e1459fe}, {16, 11, 0x13c1a8b30615fb51}} {
+		if got := weightSum(Square(c.u, c.seed)); got != c.want {
+			t.Errorf("Square(%d, %d): weights hash %#x, want %#x", c.u, c.seed, got, c.want)
+		}
+	}
+	if got, want := weightSum(New(3, 5, 2, 4)), uint64(0x48a1cfd5686748c2); got != want {
+		t.Errorf("New(3, 5, 2, 4): weights hash %#x, want %#x", got, want)
+	}
+}
 
 func TestForwardShapeAndRange(t *testing.T) {
 	n := New(4, 6, 3, 1)
@@ -149,14 +192,56 @@ func TestOnlineTrainingReducesLoss(t *testing.T) {
 	}
 }
 
+// TestCloneIndependent: a Clone, and a net refilled by CopyFrom, hold the
+// source's values and share no memory with it — writing every element of
+// the copy leaves the source as it was.
 func TestCloneIndependent(t *testing.T) {
-	n := Square(5, 1)
-	c := n.Clone()
-	c.W1[0][0] += 100
-	c.B2[0] += 100
-	if n.W1[0][0] == c.W1[0][0] || n.B2[0] == c.B2[0] {
-		t.Fatal("Clone aliases weights")
+	n := New(5, 7, 3, 1)
+	want := weightSum(n)
+	refilled := New(5, 7, 3, 2)
+	refilled.CopyFrom(n)
+	for name, c := range map[string]*Net{"Clone": n.Clone(), "CopyFrom": refilled} {
+		if got := weightSum(c); got != want {
+			t.Errorf("%s: weights hash %#x, want the source's %#x", name, got, want)
+		}
+		for _, v := range append(append([][]float32{c.B1, c.B2}, c.W1...), c.W2...) {
+			for i := range v {
+				v[i] += 100
+			}
+		}
+		if got := weightSum(n); got != want {
+			t.Fatalf("%s aliases the source's weights", name)
+		}
 	}
+}
+
+// TestRowsCannotGrowIntoNeighbours: the rows of a matrix share one
+// allocation, so each must be capped at its own length — an append to row
+// j would otherwise overwrite row j+1.
+func TestRowsCannotGrowIntoNeighbours(t *testing.T) {
+	n := New(4, 3, 2, 1)
+	g := n.NewGradients()
+	for _, m := range [][][]float32{n.W1, n.W2, n.Clone().W1, n.Clone().W2, g.DW1, g.DW2} {
+		for j, row := range m {
+			if cap(row) != len(row) {
+				t.Fatalf("row %d: cap %d, len %d", j, cap(row), len(row))
+			}
+		}
+	}
+	next := n.W1[1][0]
+	_ = append(n.W1[0], 42)
+	if n.W1[1][0] != next {
+		t.Fatal("append to row 0 wrote row 1")
+	}
+}
+
+func TestCopyFromShapeMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic")
+		}
+	}()
+	New(4, 3, 2, 1).CopyFrom(New(4, 3, 3, 1))
 }
 
 func TestDotFloat64AccumulationGroupingInvariance(t *testing.T) {

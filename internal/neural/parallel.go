@@ -76,6 +76,18 @@ type nnode struct {
 	gotB           int       // reduce contributions received (tree mode)
 }
 
+// bufSet names the broadcast buffers (lx, lt, lh, lb) one phase's
+// broadcast carries; they are what is copied and what the modelled
+// message is sized from.
+type bufSet uint8
+
+const (
+	bufX bufSet = 1 << iota
+	bufT
+	bufH
+	bufB
+)
+
 // comm holds the static tree layout: node k's children are 2k+1, 2k+2.
 type comm struct {
 	p        int
@@ -231,23 +243,19 @@ func (st *pstate) startSample(c earth.Ctx) {
 			st.back[j] = 0
 		}
 	}
-	payload := st.net.NIn * 4
+	carry := bufX
 	if st.cfg.Train {
-		payload += st.net.NOut * 4
+		carry |= bufT
 	}
-	st.broadcast(c, payload, func(k int, src *nnode, dst *nnode) {
-		copy(dst.lx, src.lx)
-		copy(dst.lt, src.lt)
-	}, func(c earth.Ctx, k int) {
-		st.hiddenPhase(c, k)
-	})
+	st.broadcast(c, carry, st.hiddenPhase)
 }
 
 // broadcast sends central data down the communication structure. seed:
-// node 0 copies the central buffers into its local ones first. transfer
-// copies parent-local to child-local data (executed on the child after
-// the modelled message); onArrive runs at every node (including node 0).
-func (st *pstate) broadcast(c earth.Ctx, payload int, transfer func(k int, src, dst *nnode), onArrive func(earth.Ctx, int)) {
+// node 0 copies the central buffers into its local ones first. The
+// buffers in carry travel from parent-local to child-local data (copied
+// on the child after the modelled message); onArrive runs at every node
+// (including node 0).
+func (st *pstate) broadcast(c earth.Ctx, carry bufSet, onArrive func(earth.Ctx, int)) {
 	// Node 0 seeds its local copies from the central buffers.
 	n0 := st.nodes[0]
 	copy(n0.lx, st.x)
@@ -264,11 +272,11 @@ func (st *pstate) broadcast(c earth.Ctx, payload int, transfer func(k int, src, 
 	// safe on both engines (and cuts the host-side copying that used to be
 	// done once per child).
 	if !st.cfg.Tree {
-		snap := snapshotNode(n0)
+		snap := snapshotNode(n0, carry)
 		for k := 1; k < st.cm.p; k++ {
 			k := k
-			c.Post(earth.NodeID(k), payload, func(c earth.Ctx) {
-				transfer(k, snap, st.nodes[k])
+			c.Post(earth.NodeID(k), snap.bytes(), func(c earth.Ctx) {
+				st.nodes[k].receive(snap)
 				onArrive(c, k)
 			})
 		}
@@ -281,11 +289,11 @@ func (st *pstate) broadcast(c earth.Ctx, payload int, transfer func(k int, src, 
 		if len(ch) == 0 {
 			return
 		}
-		snap := snapshotNode(st.nodes[k])
+		snap := snapshotNode(st.nodes[k], carry)
 		for _, chk := range ch {
 			chk := chk
-			c.Post(earth.NodeID(chk), payload, func(c earth.Ctx) {
-				transfer(chk, snap, st.nodes[chk])
+			c.Post(earth.NodeID(chk), snap.bytes(), func(c earth.Ctx) {
+				st.nodes[chk].receive(snap)
 				down(c, chk)
 				onArrive(c, chk)
 			})
@@ -295,15 +303,37 @@ func (st *pstate) broadcast(c earth.Ctx, payload int, transfer func(k int, src, 
 	onArrive(c, 0)
 }
 
-// snapshotNode captures a node's local buffers at message-send time (the
-// data leaves the node when the message is issued).
-func snapshotNode(n *nnode) *nnode {
-	return &nnode{
-		lx: append([]float32(nil), n.lx...),
-		lt: append([]float32(nil), n.lt...),
-		lh: append([]float32(nil), n.lh...),
-		lb: append([]float32(nil), n.lb...),
+// snapshotNode captures the buffers in carry from a node at message-send
+// time (the data leaves the node when the message is issued). The other
+// buffers of the snapshot stay nil.
+func snapshotNode(n *nnode, carry bufSet) *nnode {
+	snap := &nnode{}
+	if carry&bufX != 0 {
+		snap.lx = append([]float32(nil), n.lx...)
 	}
+	if carry&bufT != 0 {
+		snap.lt = append([]float32(nil), n.lt...)
+	}
+	if carry&bufH != 0 {
+		snap.lh = append([]float32(nil), n.lh...)
+	}
+	if carry&bufB != 0 {
+		snap.lb = append([]float32(nil), n.lb...)
+	}
+	return snap
+}
+
+// bytes is the modelled wire size of a snapshot: its float32s.
+func (snap *nnode) bytes() int {
+	return 4 * (len(snap.lx) + len(snap.lt) + len(snap.lh) + len(snap.lb))
+}
+
+// receive copies what a snapshot carries into n's local buffers.
+func (n *nnode) receive(snap *nnode) {
+	copy(n.lx, snap.lx)
+	copy(n.lt, snap.lt)
+	copy(n.lh, snap.lh)
+	copy(n.lb, snap.lb)
 }
 
 // hiddenPhase computes node k's hidden units and gathers them centrally.
@@ -417,11 +447,7 @@ func (st *pstate) trySendUp(c earth.Ctx, k int, ph phaseID,
 // afterHidden runs at the central node once all hidden activations are
 // gathered: broadcast them for the output layer.
 func (st *pstate) afterHidden(c earth.Ctx) {
-	st.broadcast(c, st.net.NHid*4, func(k int, src, dst *nnode) {
-		copy(dst.lh, src.lh)
-	}, func(c earth.Ctx, k int) {
-		st.outputPhase(c, k)
-	})
+	st.broadcast(c, bufH, st.outputPhase)
 }
 
 // outputPhase computes node k's output units (and, when training, their
@@ -444,11 +470,16 @@ func (st *pstate) outputPhase(c earth.Ctx, k int) {
 			for u := 0; u < own; u++ {
 				o := st.cm.outStart[k] + u
 				d := OutputDelta(n.packY[u], n.lt[o])
-				for j := 0; j < st.net.NHid; j++ {
-					n.partial[j] += st.net.W2[o][j] * d
-					st.net.W2[o][j] -= st.cfg.LR * d * n.lh[j]
+				// (LR*d)*x, in this order: the grouping is part of the
+				// result (TestParallelTrainingBitExact).
+				ld := st.cfg.LR * d
+				row := st.net.W2[o]
+				partial, lh := n.partial[:len(row)], n.lh[:len(row)]
+				for j, w := range row {
+					partial[j] += w * d
+					row[j] = w - ld*lh[j]
 				}
-				st.net.B2[o] -= st.cfg.LR * d
+				st.net.B2[o] -= ld
 			}
 			c.Compute(2 * sim.Time(own) * st.cost.backUnit)
 			st.reduceBack(c, k)
@@ -550,11 +581,7 @@ func (st *pstate) phaseDone(c earth.Ctx) {
 	}
 	// Broadcast the summed partials and run the hidden update.
 	st.updatesPending = st.cm.p
-	st.broadcast(c, st.net.NHid*4, func(k int, src, dst *nnode) {
-		copy(dst.lb, src.lb)
-	}, func(c earth.Ctx, k int) {
-		st.hiddenUpdate(c, k)
-	})
+	st.broadcast(c, bufB, st.hiddenUpdate)
 }
 
 // hiddenUpdate computes node k's hidden deltas and applies its W1 rows'
@@ -565,11 +592,13 @@ func (st *pstate) hiddenUpdate(c earth.Ctx, k int) {
 		own := st.cm.hidOwn[k]
 		for u := 0; u < own; u++ {
 			j := st.cm.hidStart[k] + u
-			d := HiddenDelta(n.packH[u], n.lb[j])
-			for i := 0; i < st.net.NIn; i++ {
-				st.net.W1[j][i] -= st.cfg.LR * d * n.lx[i]
+			ld := st.cfg.LR * HiddenDelta(n.packH[u], n.lb[j])
+			row := st.net.W1[j]
+			lx := n.lx[:len(row)]
+			for i, w := range row {
+				row[i] = w - ld*lx[i]
 			}
-			st.net.B1[j] -= st.cfg.LR * d
+			st.net.B1[j] -= ld
 		}
 		c.Compute(sim.Time(own) * st.cost.backUnit)
 		c.Post(0, 8, func(c earth.Ctx) {

@@ -183,3 +183,32 @@ func TestParallelValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestParallelTrainingBitExact pins trained weights and loss to the bit:
+// the values are those of the element-at-a-time update loops that preceded
+// the hoisted ones, which TestParallelTrainingMatchesSequential's 1e-5
+// tolerance could not tell from a reassociated (LR*d)*x. The wire path
+// (coalesced or not) must not reach the arithmetic at all.
+func TestParallelTrainingBitExact(t *testing.T) {
+	for _, c := range []struct {
+		width, nodes  int
+		tree          bool
+		weights, loss uint64
+	}{
+		{16, 4, true, 0x8c2c36567f211381, 0x4010bf7044310e2c},
+		{16, 4, false, 0x3feae3a74495a4c1, 0x4010bf704458f6e9},
+		{33, 5, true, 0xa390a3a2c0c3577e, 0x40215acd4bb42e18}, // uneven split
+		{33, 5, false, 0xfb1d7341c2b8b9c7, 0x40215acd4bc1ff72},
+	} {
+		for _, coalesce := range []bool{false, true} {
+			xs, ts := samples(c.width, c.width, 6, 3)
+			net := Square(c.width, 11)
+			rt := simrt.New(earth.Config{Nodes: c.nodes, Seed: 9, Coalesce: earth.CoalesceConfig{Enabled: coalesce}})
+			res := ParallelRun(rt, net, xs, ts, ParallelConfig{Train: true, Tree: c.tree, LR: 0.3})
+			if w, l := weightSum(net), math.Float64bits(res.Loss); w != c.weights || l != c.loss {
+				t.Errorf("width %d on %d nodes, tree=%v coalesce=%v: weights %#x loss %#x, want %#x %#x",
+					c.width, c.nodes, c.tree, coalesce, w, l, c.weights, c.loss)
+			}
+		}
+	}
+}
