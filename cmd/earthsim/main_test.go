@@ -2,54 +2,20 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
 
-// built is the earthsim binary the tests exec, compiled once per test
-// process (with the race detector when the tests run under it).
-var built struct {
-	once sync.Once
-	dir  string
-	err  error
-}
-
-func earthsimBin(t *testing.T) string {
-	t.Helper()
-	built.once.Do(func() {
-		if built.dir, built.err = os.MkdirTemp("", "earthsim-test"); built.err != nil {
-			return
-		}
-		build := append(append([]string{"build"}, raceFlag...), "-o", filepath.Join(built.dir, "earthsim"), ".")
-		if out, err := exec.Command("go", build...).CombinedOutput(); err != nil {
-			built.err = fmt.Errorf("go build: %v\n%s", err, out)
-		}
-	})
-	if built.err != nil {
-		t.Fatal(built.err)
-	}
-	return filepath.Join(built.dir, "earthsim")
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if built.dir != "" {
-		os.RemoveAll(built.dir)
-	}
-	os.Exit(code)
-}
-
 // TestBadInputExits2: input no machine can run — a fault plan that leaves
-// no node to adopt work, a machine or a network layer of no size — is the
-// user's error: one "earthsim: …" line on stderr and exit code 2 before
-// any engine is built, never a Go stack trace, on either engine.
+// no node to adopt work, a machine or a network layer of no size, a jitter
+// that would run the clock backwards — or an output file that cannot be
+// created is the user's error: one "earthsim: …" line on stderr and exit
+// code 2 before any engine is built, never a Go stack trace, on either
+// engine.
 func TestBadInputExits2(t *testing.T) {
-	bin := earthsimBin(t)
+	unwritable := filepath.Join(t.TempDir(), "no-such-dir", "out.json")
 	for _, c := range []struct {
 		name string
 		args []string
@@ -64,22 +30,28 @@ func TestBadInputExits2(t *testing.T) {
 		{"no nodes", []string{"-nodes", "0"}, "-nodes"},
 		{"negative nodes", []string{"-nodes", "-3"}, "-nodes"},
 		{"unparsable plan", []string{"-faults", "crash=*@1ms"}, "bad -faults"},
+		{"jitter above 100 percent on nn", []string{"-jitter", "300", "-app", "nn", "-nodes", "6"}, "-jitter"},
+		{"jitter above 100 percent on groebner", []string{"-jitter", "1000", "-app", "groebner", "-nodes", "6"}, "-jitter"},
+		{"negative jitter", []string{"-jitter", "-1"}, "-jitter"},
+		{"no runs", []string{"-runs", "0"}, "-runs"},
+		{"negative workers", []string{"-runs", "2", "-workers", "-1"}, "-workers"},
+		{"unwritable trace", []string{"-nodes", "2", "-trace", unwritable}, "no-such-dir"},
+		{"unwritable stats json", []string{"-nodes", "2", "-stats-json", unwritable}, "no-such-dir"},
+		{"unwritable sanitize json", []string{"-nodes", "2", "-sanitize-json", unwritable}, "no-such-dir"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			var stderr bytes.Buffer
-			cmd := exec.Command(bin, c.args...)
-			cmd.Stderr = &stderr
-			stdout, err := cmd.Output()
+			var stdout, stderr bytes.Buffer
+			code := run(c.args, &stdout, &stderr)
 			msg := stderr.String()
-			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-				t.Errorf("exit: %v, want exit status 2\n%s", err, msg)
+			if code != 2 {
+				t.Errorf("exit code %d, want 2\n%s", code, msg)
 			}
 			if !strings.HasPrefix(msg, "earthsim: ") || strings.Count(msg, "\n") != 1 ||
-				!strings.Contains(msg, c.want) || strings.Contains(msg, "goroutine") {
+				!strings.Contains(msg, c.want) {
 				t.Errorf("stderr = %q, want one \"earthsim: …%s…\" line", msg, c.want)
 			}
-			if len(stdout) != 0 {
-				t.Errorf("printed %q before rejecting the input", stdout)
+			if stdout.Len() != 0 {
+				t.Errorf("printed %q before rejecting the input", stdout.Bytes())
 			}
 		})
 	}
@@ -94,10 +66,8 @@ func TestBadInputExits2(t *testing.T) {
 // report must also not depend on -coalesce, and nothing but the profile
 // files themselves on -cpuprofile/-memprofile.
 func TestDeterminismMatrix(t *testing.T) {
-	bin := earthsimBin(t)
-
-	// run executes one command line and returns its artefacts by name.
-	run := func(t *testing.T, args []string, extra ...string) map[string][]byte {
+	// earthsim runs one command line and returns its artefacts by name.
+	earthsim := func(t *testing.T, args []string, extra ...string) map[string][]byte {
 		t.Helper()
 		dir := t.TempDir()
 		args = append(append([]string{}, args...), extra...)
@@ -109,16 +79,14 @@ func TestDeterminismMatrix(t *testing.T) {
 				args[i+1] = filepath.Join(dir, a)
 			}
 		}
-		var stderr bytes.Buffer
-		cmd := exec.Command(bin, args...)
-		cmd.Stderr = &stderr
-		stdout, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("earthsim %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("earthsim %s: exit code %d\n%s", strings.Join(args, " "), code, stderr.Bytes())
 		}
 		// The "wrote N events to <path>" line names the temp file.
-		got := map[string][]byte{"stdout": bytes.ReplaceAll(stdout, []byte(dir), nil), "stderr": stderr.Bytes()}
+		got := map[string][]byte{"stdout": bytes.ReplaceAll(stdout.Bytes(), []byte(dir), nil), "stderr": stderr.Bytes()}
 		for _, f := range files {
+			var err error
 			if got[f], err = os.ReadFile(filepath.Join(dir, f)); err != nil {
 				t.Fatal(err)
 			}
@@ -153,22 +121,27 @@ func TestDeterminismMatrix(t *testing.T) {
 		{"nn-chaos", []string{"-app", "nn", "-nodes", "8", "-faults", chaos, "-fault-seed", "42", "-stats-json", ""}},
 		{"sanitize", []string{"-app", "nn", "-nodes", "8", "-sanitize", "-stats-json", "", "-sanitize-json", ""}},
 		{"critpath", []string{"-app", "eigen", "-nodes", "8", "-critpath"}},
+		// The flags no other row sets, so every flag has a row.
+		{"options", []string{"-app", "groebner", "-nodes", "6", "-distributed", "-costs", "mp300", "-balancer", "random",
+			"-seed", "9", "-jitter", "3", "-sample", "100us", "-bars", "-metrics", "-stats-json", ""}},
+		{"nn-train", []string{"-app", "nn", "-units", "33", "-train", "-nodes", "5", "-stats-json", ""}},
+		{"runs", []string{"-app", "eigen", "-nodes", "4", "-runs", "3", "-workers", "2"}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
-			one := run(t, row.args)
-			same(t, "same seed twice", one, run(t, row.args))
-			same(t, "-shards 1 vs 4", one, run(t, row.args, "-shards", "4"))
-			coal := run(t, row.args, "-coalesce")
-			same(t, "-coalesce, -shards 1 vs 4", coal, run(t, row.args, "-coalesce", "-shards", "4"))
+			one := earthsim(t, row.args)
+			same(t, "same seed twice", one, earthsim(t, row.args))
+			same(t, "-shards 1 vs 4", one, earthsim(t, row.args, "-shards", "4"))
+			coal := earthsim(t, row.args, "-coalesce")
+			same(t, "-coalesce, -shards 1 vs 4", coal, earthsim(t, row.args, "-coalesce", "-shards", "4"))
 			same(t, "-coalesce off vs on", one, coal, "-sanitize-json")
 		})
 	}
+	// Not parallel: a process has one CPU profile.
 	t.Run("profiled", func(t *testing.T) {
-		t.Parallel()
 		args := with(k4, "-stats-json", "", "-trace", "")
-		prof := run(t, args, "-cpuprofile", "", "-memprofile", "")
-		same(t, "-cpuprofile/-memprofile off vs on", run(t, args), prof)
+		prof := earthsim(t, args, "-cpuprofile", "", "-memprofile", "")
+		same(t, "-cpuprofile/-memprofile off vs on", earthsim(t, args), prof)
 		for _, f := range []string{"-cpuprofile", "-memprofile"} {
 			if len(prof[f]) == 0 {
 				t.Errorf("%s wrote an empty file", f)

@@ -61,8 +61,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -73,83 +75,128 @@ import (
 	"earth/internal/hostprof"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(harness.ExperimentNames(), "|"))
-	runs := flag.Int("runs", 5, "repeated runs per Gröbner configuration")
-	nodes := flag.String("nodes", "", "comma-separated node counts (default paper sweep)")
-	seed := flag.Int64("seed", 1, "base random seed")
-	workers := flag.Int("workers", 0, "host worker pool size for sweep cells (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 1,
-		"simulator shards per cell (parallel conservative simulation; 0 = GOMAXPROCS); never changes results, only wall time")
-	jsonPath := flag.String("json", "", "write reports (with figure series) as JSON")
-	faultSpec := flag.String("faults", "",
-		"fault plan for -exp chaos (default: the 5% drop + dup + reorder envelope)")
-	noCoalesce := flag.Bool("nocoalesce", false,
-		"pin the per-message wire path (disable same-destination coalescing)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the host process to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile of the host process to this file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	stopProfiles, err := hostprof.Start(*cpuProfile, *memProfile)
+// run is the command: parse the flags into a sweep configuration and a
+// list of experiments, create the output files, run the experiments, and
+// print and write the reports. It returns the exit code: 2 for a bad
+// argument (before any experiment runs), 1 for a failure afterwards, each
+// after one "paperfigs: …" line on stderr.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "paperfigs: %v\n", err)
+		return code
+	}
+	o, err := parseFlags(args, stderr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
-		os.Exit(1)
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the FlagSet has printed the error and the usage
+	}
+	cfg, exps, err := o.plan()
+	if err != nil {
+		return fail(2, err)
+	}
+	var jsonFile *os.File
+	if o.jsonPath != "" {
+		if jsonFile, err = os.Create(o.jsonPath); err != nil {
+			return fail(2, err)
+		}
+		defer func() {
+			if err := jsonFile.Close(); err != nil && code == 0 {
+				code = fail(1, err)
+			}
+		}()
+	}
+	stopProfiles, err := hostprof.Start(o.cpuProfile, o.memProfile)
+	if err != nil {
+		return fail(2, err)
 	}
 	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
-			os.Exit(1)
+		if err := stopProfiles(); err != nil && code == 0 {
+			code = fail(1, err)
 		}
 	}()
 
-	if *shards == 0 {
-		*shards = runtime.GOMAXPROCS(0)
-	}
-	cfg := harness.Config{Runs: *runs, Seed: *seed, Workers: *workers,
-		Shards: *shards, NoCoalesce: *noCoalesce}
-	if *nodes != "" {
-		for _, part := range strings.Split(*nodes, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err == nil && n < 1 {
-				err = fmt.Errorf("a machine has at least 1 node")
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "paperfigs: bad -nodes entry %q: %v\n", part, err)
-				os.Exit(2)
-			}
-			cfg.Nodes = append(cfg.Nodes, n)
-		}
-	}
-
-	plan, err := faults.Parse(*faultSpec)
-	if err == nil {
-		err = harness.CheckFaultPlan(cfg, plan)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "paperfigs: bad -faults: %v\n", err)
-		os.Exit(2)
-	}
-	exps, err := harness.Select(*exp, plan)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
-		os.Exit(2)
-	}
 	var reports []*harness.Report
 	for _, e := range exps {
 		reports = append(reports, e.Run(cfg))
 	}
 	for _, r := range reports {
-		fmt.Println(r)
+		fmt.Fprintln(stdout, r)
 	}
-	if *jsonPath != "" {
+	if jsonFile != nil {
 		b, err := json.MarshalIndent(reports, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
-			os.Exit(1)
+		if err == nil {
+			_, err = jsonFile.Write(append(b, '\n'))
 		}
-		if err := os.WriteFile(*jsonPath, append(b, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
-			os.Exit(1)
+		if err != nil {
+			return fail(1, err)
 		}
 	}
+	return 0
+}
+
+// options is the command line as the flags spell it.
+type options struct {
+	exp, nodes, faults, jsonPath, cpuProfile, memProfile string
+	runs, workers, shards                                int
+	seed                                                 int64
+	noCoalesce                                           bool
+}
+
+func parseFlags(args []string, stderr io.Writer) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("paperfigs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.exp, "exp", "all", "experiment to run: "+strings.Join(harness.ExperimentNames(), "|"))
+	fs.IntVar(&o.runs, "runs", 5, "repeated runs per Gröbner configuration")
+	fs.StringVar(&o.nodes, "nodes", "", "comma-separated node counts (default paper sweep)")
+	fs.Int64Var(&o.seed, "seed", 1, "base random seed")
+	fs.IntVar(&o.workers, "workers", 0, "host worker pool size for sweep cells (0 = GOMAXPROCS)")
+	fs.IntVar(&o.shards, "shards", 1,
+		"simulator shards per cell (parallel conservative simulation; 0 = GOMAXPROCS); never changes results, only wall time")
+	fs.StringVar(&o.jsonPath, "json", "", "write reports (with figure series) as JSON")
+	fs.StringVar(&o.faults, "faults", "",
+		"fault plan for -exp chaos (default: the 5% drop + dup + reorder envelope)")
+	fs.BoolVar(&o.noCoalesce, "nocoalesce", false,
+		"pin the per-message wire path (disable same-destination coalescing)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the host process to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile of the host process to this file")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if o.shards == 0 {
+		o.shards = runtime.GOMAXPROCS(0)
+	}
+	return o, nil
+}
+
+// plan validates the options and returns the sweep configuration and the
+// experiments -exp selects.
+func (o *options) plan() (harness.Config, []harness.Experiment, error) {
+	cfg := harness.Config{Runs: o.runs, Seed: o.seed, Workers: o.workers,
+		Shards: o.shards, NoCoalesce: o.noCoalesce}
+	if o.nodes != "" {
+		for _, part := range strings.Split(o.nodes, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(part))
+			if err == nil && n < 1 {
+				err = errors.New("a machine has at least 1 node")
+			}
+			if err != nil {
+				return cfg, nil, fmt.Errorf("bad -nodes entry %q: %v", part, err)
+			}
+			cfg.Nodes = append(cfg.Nodes, n)
+		}
+	}
+	plan, err := faults.Parse(o.faults)
+	if err == nil {
+		err = harness.CheckFaultPlan(cfg, plan)
+	}
+	if err != nil {
+		return cfg, nil, fmt.Errorf("bad -faults: %v", err)
+	}
+	exps, err := harness.Select(o.exp, plan)
+	return cfg, exps, err
 }

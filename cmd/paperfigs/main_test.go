@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -49,24 +48,26 @@ func TestExpNames(t *testing.T) {
 
 // TestProfilingFlagsChangeNoOutput: -cpuprofile/-memprofile write their
 // two files and leave stdout, stderr and the -json report byte-identical.
+// Not parallel: a process has one CPU profile.
 func TestProfilingFlagsChangeNoOutput(t *testing.T) {
-	dir, bin := t.TempDir(), buildPaperfigs(t)
-	run := func(name string, extra ...string) (output, report []byte) {
+	dir := t.TempDir()
+	paperfigs := func(name string, extra ...string) (output, report []byte) {
 		t.Helper()
 		jsonPath := filepath.Join(dir, name+".json")
 		args := append([]string{"-exp", "table1", "-runs", "1", "-nodes", "2", "-json", jsonPath}, extra...)
-		output, err := exec.Command(bin, args...).CombinedOutput()
-		if err != nil {
-			t.Fatalf("paperfigs %s: %v\n%s", strings.Join(args, " "), err, output)
+		var out bytes.Buffer
+		if code := run(args, &out, &out); code != 0 {
+			t.Fatalf("paperfigs %s: exit code %d\n%s", strings.Join(args, " "), code, out.Bytes())
 		}
-		if report, err = os.ReadFile(jsonPath); err != nil {
+		report, err := os.ReadFile(jsonPath)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return output, report
+		return out.Bytes(), report
 	}
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
-	plainOut, plainJSON := run("plain")
-	profOut, profJSON := run("profiled", "-cpuprofile", cpu, "-memprofile", mem)
+	plainOut, plainJSON := paperfigs("plain")
+	profOut, profJSON := paperfigs("profiled", "-cpuprofile", cpu, "-memprofile", mem)
 	if !bytes.Equal(plainOut, profOut) {
 		t.Errorf("output differs with profiling on:\n%s\nvs\n%s", plainOut, profOut)
 	}
@@ -80,33 +81,25 @@ func TestProfilingFlagsChangeNoOutput(t *testing.T) {
 	}
 }
 
-// buildPaperfigs compiles the command into the test's temp directory.
-func buildPaperfigs(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "paperfigs")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return bin
-}
-
 // TestBadInputExits2: a -faults plan some machine of the sweep cannot
-// survive, or a machine of no size, is rejected with one "paperfigs: …"
-// line and exit code 2 before any engine is built.
+// survive, a machine of no size, or a -json file that cannot be created
+// is rejected with one "paperfigs: …" line and exit code 2 before any
+// engine is built.
 func TestBadInputExits2(t *testing.T) {
-	bin := buildPaperfigs(t)
+	unwritable := filepath.Join(t.TempDir(), "no-such-dir", "out.json")
 	for _, c := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-exp", "chaos", "-nodes", "2,4", "-faults", "crash=0@1ms,crash=1@2ms"}, "bad -faults: on 2 nodes"},
 		{[]string{"-exp", "table1", "-nodes", "0"}, "bad -nodes entry"},
+		{[]string{"-exp", "table1", "-json", unwritable}, "no-such-dir"},
 	} {
-		out, err := exec.Command(bin, c.args...).CombinedOutput()
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-			t.Errorf("paperfigs %s: %v, want exit status 2\n%s", strings.Join(c.args, " "), err, out)
+		var out bytes.Buffer
+		if code := run(c.args, &out, &out); code != 2 {
+			t.Errorf("paperfigs %s: exit code %d, want 2\n%s", strings.Join(c.args, " "), code, out.Bytes())
 		}
-		if msg := string(out); !strings.HasPrefix(msg, "paperfigs: ") || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, c.want) {
+		if msg := out.String(); !strings.HasPrefix(msg, "paperfigs: ") || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, c.want) {
 			t.Errorf("paperfigs %s: output %q, want one \"paperfigs: …%s…\" line", strings.Join(c.args, " "), msg, c.want)
 		}
 	}

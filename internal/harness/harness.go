@@ -114,9 +114,22 @@ func (r *Report) addFigure(ss ...*stats.Series) {
 
 // addPeak attaches one series and compares its peak against the paper's.
 func (r *Report) addPeak(s *stats.Series, quantity, paper string) {
-	best, at := s.MaxMean()
 	r.addFigure(s)
-	r.compare(s.Name+quantity, paper, fmt.Sprintf("%.1f @ %d", best, at))
+	r.compare(s.Name+quantity, paper, peak(s, "%.1f @ %d"))
+}
+
+// noPeak is the measured side of a peak comparison whose series is
+// empty: the sweep runs on machines of at least two nodes (nodesMin) and
+// the node list named none.
+const noPeak = "n/a (no machine size ≥ 2 in the node list)"
+
+// peak formats the series' best mean and the machine size it occurs at.
+func peak(s *stats.Series, format string) string {
+	if len(s.Points) == 0 {
+		return noPeak
+	}
+	best, at := s.MaxMean()
+	return fmt.Sprintf(format, best, at)
 }
 
 func (r *Report) compare(quantity string, paper, measured any) {
@@ -364,8 +377,7 @@ func Figure4(cfg Config) (*Report, []*stats.Series) {
 	r.addFigure(series...)
 	paperPeaks := map[string]string{"Lazard": "~9 @ 11 nodes", "Katsura-4": "~12 @ 12 nodes", "Katsura-5": "~12.5 @ 14 nodes"}
 	for i, in := range groebner.PaperInputs() {
-		best, at := series[i].MaxMean()
-		r.compare(in.Name+" peak speedup", paperPeaks[in.Name], fmt.Sprintf("%.1f @ %d nodes", best, at))
+		r.compare(in.Name+" peak speedup", paperPeaks[in.Name], peak(series[i], "%.1f @ %d nodes"))
 	}
 	return r, series
 }
@@ -387,10 +399,13 @@ func Figure5(cfg Config) (*Report, map[string][]*stats.Series) {
 		series := sweeps[ii]
 		out[in.Name] = series
 		r.addFigure(series...)
-		peakE, _ := series[0].MaxMean()
-		peakMP, _ := series[3].MaxMean()
-		r.compare(in.Name+" EARTH vs MP-1000us peak", "EARTH scales much better",
-			fmt.Sprintf("%.1f vs %.1f", peakE, peakMP))
+		measured := noPeak
+		if len(series[0].Points) > 0 {
+			peakE, _ := series[0].MaxMean()
+			peakMP, _ := series[3].MaxMean()
+			measured = fmt.Sprintf("%.1f vs %.1f", peakE, peakMP)
+		}
+		r.compare(in.Name+" EARTH vs MP-1000us peak", "EARTH scales much better", measured)
 	}
 	return r, out
 }
@@ -595,7 +610,9 @@ func AblationGroebnerScheduling(cfg Config) *Report {
 			work.Add(float64(c.pairs))
 		}
 		r.addPeak(s, " peak speedup", "-")
-		r.add("%s: mean pairs processed %.0f (sequential baseline %d)", v.name, work.Mean(), base.pairs)
+		if work.N() > 0 {
+			r.add("%s: mean pairs processed %.0f (sequential baseline %d)", v.name, work.Mean(), base.pairs)
+		}
 	}
 	return r
 }
@@ -679,12 +696,8 @@ func AblationSearchApps(cfg Config) *Report {
 	for _, s := range series {
 		r.addFigure(s)
 	}
-	sTSP, sPoly := series[0], series[1]
-
-	bt, at := sTSP.MaxMean()
-	bp, ap := sPoly.MaxMean()
-	r.compare("TSP peak speedup", "parallelises very well", fmt.Sprintf("%.1f @ %d", bt, at))
-	r.compare("polymer enumeration peak speedup", "parallelises very well", fmt.Sprintf("%.1f @ %d", bp, ap))
+	r.compare("TSP peak speedup", "parallelises very well", peak(series[0], "%.1f @ %d"))
+	r.compare("polymer enumeration peak speedup", "parallelises very well", peak(series[1], "%.1f @ %d"))
 	return r
 }
 
@@ -718,8 +731,7 @@ func AblationKnuthBendix(cfg Config) *Report {
 	r.addFigure(s)
 	r.add("sequential: %d pairs, %d rules added, %d rewrite steps",
 		tr.PairsProcessed, tr.RulesAdded, tr.RewriteSteps)
-	best, at := s.MaxMean()
-	r.compare("peak speedup (finer grain than Gröbner)", "harder to parallelise", fmt.Sprintf("%.1f @ %d", best, at))
+	r.compare("peak speedup (finer grain than Gröbner)", "harder to parallelise", peak(s, "%.1f @ %d"))
 	return r
 }
 

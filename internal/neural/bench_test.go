@@ -1,0 +1,44 @@
+package neural
+
+import (
+	"fmt"
+	"testing"
+
+	"earth/internal/earth"
+	"earth/internal/earth/simrt"
+)
+
+// BenchmarkNeuralTrainStep is one training sample through ParallelRun on
+// a one-node machine: with no communication to model, the time is the
+// forward dot products plus the two weight-update loops. The bench/
+// neural probes cover only the forward pass.
+func BenchmarkNeuralTrainStep(b *testing.B) {
+	for _, u := range []int{200, 720} {
+		b.Run(fmt.Sprintf("u=%d", u), func(b *testing.B) {
+			net := Square(u, 1)
+			xs := [][]float32{make([]float32, u)}
+			ts := [][]float32{make([]float32, u)}
+			for i := range xs[0] {
+				xs[0][i] = float32(i) / float32(u)
+				ts[0][i] = float32(u-i) / float32(u)
+			}
+			rt := simrt.New(earth.Config{Nodes: 1, Seed: 1})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ParallelRun(rt, net, xs, ts, ParallelConfig{Train: true, Tree: true, LR: 0.1})
+			}
+		})
+	}
+}
+
+// BenchmarkNeuralClone720 is the copy every training cell of the harness
+// makes of the shared 720-unit network (harness/inputs.go).
+func BenchmarkNeuralClone720(b *testing.B) {
+	net := Square(720, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.Clone()
+	}
+}
