@@ -8,7 +8,7 @@
 //	         [-balancer steal|random|roundrobin|none] [-distributed] [-live]
 //	         [-trace out.json] [-metrics] [-bars] [-stats-json out.json]
 //	         [-critpath] [-debug-http addr]
-//	         [-sample DUR] [-jitter PCT] [-runs N] [-workers W] [-shards S] [-coalesce]
+//	         [-sample DUR] [-jitter PCT] [-runs N] [-workers W] [-coalesce]
 //	         [-sanitize] [-sanitize-json out.json]
 //	         [-faults PLAN] [-fault-seed S] [-retry-lease DUR] [-retry-jitter J]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -17,16 +17,16 @@
 // messages issued within one engine step merge into a single wire
 // transfer (flushed at step boundaries or the configured byte/count
 // threshold), costed as one per-message overhead plus the summed
-// serialisation. Statistics remain deterministic and shard-independent.
+// serialisation. Statistics remain deterministic.
 //
 // -sanitize attaches a signal ledger to every frame the engines touch
 // and reports sync-contract violations at run end (see
 // earth.SanitizeReport): one-shot slots signalled past exhaustion, Adds
 // that would drive a counter negative, slots still armed at quiescence
 // and installed threads that never ran. The report aggregates structural
-// facts only, so it is byte-identical across -shards counts and
-// -coalesce modes. -sanitize-json writes just the report (implies
-// -sanitize), which is what CI diffs across those modes.
+// facts only, so it is byte-identical with and without -coalesce.
+// -sanitize-json writes just the report (implies -sanitize), which is
+// what TestDeterminismMatrix diffs across the two modes.
 //
 // -faults installs a deterministic fault plan on the simulated network
 // (message drops recovered by modelled retry/timeout, duplication
@@ -86,7 +86,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"earth/internal/critpath"
@@ -161,7 +160,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 // options is the command line as the flags spell it.
 type options struct {
 	app, costs, input, balancer, faults          string
-	nodes, units, runs, workers, shards          int
+	nodes, units, runs, workers                  int
 	seed, faultSeed                              int64
 	jitter, retryJitter                          float64
 	sample, retryLease                           time.Duration
@@ -198,8 +197,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.Float64Var(&o.jitter, "jitter", 0, "percent of seeded jitter on modelled operation costs, in [0,100]")
 	fs.IntVar(&o.runs, "runs", 1, "repeated seeded runs; > 1 reports elapsed mean/min/max")
 	fs.IntVar(&o.workers, "workers", 0, "host worker pool size for -runs > 1 (0 = GOMAXPROCS)")
-	fs.IntVar(&o.shards, "shards", 1,
-		"simulator shards (parallel conservative simulation; 0 = GOMAXPROCS); never changes results, only wall time")
 	fs.BoolVar(&o.coalesce, "coalesce", false,
 		"merge same-destination small messages within an engine step (batched wire path)")
 	fs.BoolVar(&o.sanitize, "sanitize", false,
@@ -218,9 +215,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile of the host process to this file")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
-	}
-	if o.shards == 0 {
-		o.shards = runtime.GOMAXPROCS(0)
 	}
 	o.sanitize = o.sanitize || o.sanitizeJSON != ""
 	return o, nil
@@ -288,7 +282,7 @@ func (o *options) config() (earth.Config, error) {
 		return earth.Config{}, err
 	}
 	cfg := earth.Config{Nodes: o.nodes, Costs: costModels[o.costs], Seed: o.seed, Balancer: balancers[o.balancer],
-		JitterPct: o.jitter, Shards: o.shards, Sanitize: o.sanitize,
+		JitterPct: o.jitter, Sanitize: o.sanitize,
 		Coalesce: earth.CoalesceConfig{Enabled: o.coalesce},
 		Retry:    earth.RetryPolicy{Lease: sim.Time(o.retryLease.Nanoseconds()), Jitter: o.retryJitter}}
 	if o.faults != "" {

@@ -55,16 +55,25 @@ func TestBadInputExits2(t *testing.T) {
 			}
 		})
 	}
+	// -shards was removed with the shard workers (PR 19): a script that
+	// still passes it must fail loudly, not run with the flag ignored.
+	t.Run("removed -shards flag", func(t *testing.T) {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-nodes", "2", "-shards", "2"}, &stdout, &stderr)
+		if msg := stderr.String(); code != 2 || stdout.Len() != 0 ||
+			!strings.Contains(msg, "flag provided but not defined: -shards") || !strings.Contains(msg, "Usage of earthsim") {
+			t.Errorf("exit code %d, stdout %q, stderr %q; want 2, nothing, and the unknown-flag error with the usage", code, stdout.Bytes(), msg)
+		}
+	})
 }
 
 // TestDeterminismMatrix is the byte-identity contract of the simulator
 // at its CLI surface — local verify and CI run this same test. Each row
 // is one earthsim command line; its stats JSON, Chrome trace, sanitizer
 // report and stdout must be byte-identical when the same seed runs
-// twice, when -shards goes from 1 to 4, and — with -coalesce on both
-// sides — across shard counts on the batched wire path. The sanitizer
-// report must also not depend on -coalesce, and nothing but the profile
-// files themselves on -cpuprofile/-memprofile.
+// twice, on the per-message and on the batched (-coalesce) wire path.
+// The sanitizer report must also not depend on -coalesce, and nothing
+// but the profile files themselves on -cpuprofile/-memprofile.
 func TestDeterminismMatrix(t *testing.T) {
 	// earthsim runs one command line and returns its artefacts by name.
 	earthsim := func(t *testing.T, args []string, extra ...string) map[string][]byte {
@@ -131,9 +140,8 @@ func TestDeterminismMatrix(t *testing.T) {
 			t.Parallel()
 			one := earthsim(t, row.args)
 			same(t, "same seed twice", one, earthsim(t, row.args))
-			same(t, "-shards 1 vs 4", one, earthsim(t, row.args, "-shards", "4"))
 			coal := earthsim(t, row.args, "-coalesce")
-			same(t, "-coalesce, -shards 1 vs 4", coal, earthsim(t, row.args, "-coalesce", "-shards", "4"))
+			same(t, "-coalesce, same seed twice", coal, earthsim(t, row.args, "-coalesce"))
 			same(t, "-coalesce off vs on", one, coal, "-sanitize-json")
 		})
 	}

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	paperfigs [-exp NAME] [-runs N] [-nodes 1,2,4,8,11,14,16,20] [-seed S] [-workers W]
-//	          [-shards S] [-json out.json] [-faults PLAN] [-nocoalesce]
+//	          [-json out.json] [-faults PLAN] [-nocoalesce]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // NAME is a row of the experiment table (harness.Experiments), matched
@@ -50,10 +50,7 @@
 // that (slower). The default of 5 gives stable means in seconds.
 // Sweeps decompose into independent simulation cells evaluated on a
 // host worker pool (-workers, default GOMAXPROCS); the output is
-// byte-identical to -workers 1 for the same seed. Independently,
-// -shards splits each simulated machine across host cores with
-// conservative time-windowed parallel simulation — also byte-identical
-// for every value, so the two host-parallelism axes compose freely.
+// byte-identical to -workers 1 for the same seed.
 // -json additionally writes the reports — including the numeric series
 // behind each figure — as machine-readable JSON, so plots can be
 // regenerated without reparsing the text output.
@@ -66,7 +63,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -141,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 // options is the command line as the flags spell it.
 type options struct {
 	exp, nodes, faults, jsonPath, cpuProfile, memProfile string
-	runs, workers, shards                                int
+	runs, workers                                        int
 	seed                                                 int64
 	noCoalesce                                           bool
 }
@@ -155,8 +151,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.nodes, "nodes", "", "comma-separated node counts (default paper sweep)")
 	fs.Int64Var(&o.seed, "seed", 1, "base random seed")
 	fs.IntVar(&o.workers, "workers", 0, "host worker pool size for sweep cells (0 = GOMAXPROCS)")
-	fs.IntVar(&o.shards, "shards", 1,
-		"simulator shards per cell (parallel conservative simulation; 0 = GOMAXPROCS); never changes results, only wall time")
 	fs.StringVar(&o.jsonPath, "json", "", "write reports (with figure series) as JSON")
 	fs.StringVar(&o.faults, "faults", "",
 		"fault plan for -exp chaos (default: the 5% drop + dup + reorder envelope)")
@@ -167,17 +161,13 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if o.shards == 0 {
-		o.shards = runtime.GOMAXPROCS(0)
-	}
 	return o, nil
 }
 
 // plan validates the options and returns the sweep configuration and the
 // experiments -exp selects.
 func (o *options) plan() (harness.Config, []harness.Experiment, error) {
-	cfg := harness.Config{Runs: o.runs, Seed: o.seed, Workers: o.workers,
-		Shards: o.shards, NoCoalesce: o.noCoalesce}
+	cfg := harness.Config{Runs: o.runs, Seed: o.seed, Workers: o.workers, NoCoalesce: o.noCoalesce}
 	if o.nodes != "" {
 		for _, part := range strings.Split(o.nodes, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))

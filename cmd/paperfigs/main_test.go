@@ -84,7 +84,9 @@ func TestProfilingFlagsChangeNoOutput(t *testing.T) {
 // TestBadInputExits2: a -faults plan some machine of the sweep cannot
 // survive, a machine of no size, or a -json file that cannot be created
 // is rejected with one "paperfigs: …" line and exit code 2 before any
-// engine is built.
+// engine is built; the removed -shards flag (PR 19) is an unknown flag,
+// so a script that still passes it fails with the usage instead of
+// running with it ignored.
 func TestBadInputExits2(t *testing.T) {
 	unwritable := filepath.Join(t.TempDir(), "no-such-dir", "out.json")
 	for _, c := range []struct {
@@ -102,5 +104,11 @@ func TestBadInputExits2(t *testing.T) {
 		if msg := out.String(); !strings.HasPrefix(msg, "paperfigs: ") || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, c.want) {
 			t.Errorf("paperfigs %s: output %q, want one \"paperfigs: …%s…\" line", strings.Join(c.args, " "), msg, c.want)
 		}
+	}
+	var out bytes.Buffer
+	code := run([]string{"-exp", "table1", "-shards", "2"}, &out, &out)
+	if msg := out.String(); code != 2 ||
+		!strings.Contains(msg, "flag provided but not defined: -shards") || !strings.Contains(msg, "Usage of paperfigs") {
+		t.Errorf("paperfigs -shards 2: exit code %d, output %q; want 2 and the unknown-flag error with the usage", code, msg)
 	}
 }

@@ -212,9 +212,8 @@ type Config struct {
 	// traverses the fault injector as a single envelope, so injector
 	// verdicts apply per-batch deterministically. Get/Invoke/Token and
 	// local operations are never coalesced. Under simrt coalesced runs
-	// remain byte-reproducible for every shard count; coalescing changes
-	// the cost model, so outputs differ from (and are not comparable to)
-	// uncoalesced runs.
+	// remain byte-reproducible; coalescing changes the cost model, so
+	// outputs differ from (and are not comparable to) uncoalesced runs.
 	Coalesce CoalesceConfig
 	// Sanitize makes both engines track a per-slot signal ledger on every
 	// frame they touch and report sync-contract violations at quiescence
@@ -224,17 +223,18 @@ type Config struct {
 	// ran. The overflow/underflow paths that would otherwise panic are
 	// recorded and swallowed so a run reports every violation at once.
 	// The report contains no timestamps and aggregates over frame
-	// structure only, so it is byte-identical across shard counts and
-	// coalesce modes.
+	// structure only, so it is byte-identical across coalesce modes.
 	Sanitize bool
-	// Shards partitions the simulated nodes across host workers for
-	// conservative time-windowed parallel simulation under simrt. Results
-	// (stats JSON, traces, critical-path attribution) are byte-identical
-	// for every value; only wall-clock time changes. 0 and 1 both mean a
-	// single shard; values above Nodes are clamped. livert ignores it —
-	// it is already one goroutine per node. Programs run with Shards > 1
-	// must be safe for concurrent execution of distinct nodes' bodies
-	// (the same contract livert imposes); all the repo's apps are.
+	// Shards is ignored. Deprecated: ignored since PR 19 — it used to split
+	// a simrt machine over host workers that met at every window barrier,
+	// and on the storm and on every figure a window holds too little work
+	// (7.5 events, ≈ 1.2 µs) to repay one goroutine hand-off (more than
+	// 1 µs), while the window cannot be widened without changing simulated
+	// bytes (EXPERIMENTS.md, "PR 19"). The field is still declared only
+	// because bench/, frozen for non-benchmark changes, sets it; it goes
+	// with the benchmark-only change that drops bench's shards2 phase.
+	// (Not its own "Deprecated:" paragraph until then: staticcheck SA1019
+	// would fail CI on bench/'s assignment to it.)
 	Shards int
 }
 

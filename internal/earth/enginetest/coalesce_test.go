@@ -2,7 +2,6 @@ package enginetest
 
 import (
 	"bytes"
-	"encoding/json"
 	"slices"
 	"testing"
 
@@ -18,10 +17,8 @@ import (
 // it must stay exactly as deterministic as the unbatched path. For every
 // coalesce mode — off, a tight byte/count threshold that forces mid-body
 // flushes, and pure step-boundary flushing — the stats, trace and
-// critical-path report must be byte-identical across shard counts and
-// across repeated same-seed runs, on clean, chaotic and crash-stop
-// scenarios alike. CI runs this table under the race detector so the
-// window-barrier interaction with the flush path is exercised for real.
+// critical-path report must be byte-identical across repeated same-seed
+// runs, on clean, chaotic and crash-stop scenarios alike.
 
 // coalModes is the coalescing axis of the conformance table.
 var coalModes = []struct {
@@ -60,70 +57,39 @@ var coalCases = []struct {
 	}},
 }
 
-// coalRun executes the mixed-op program under one (coalesce, shards)
-// cell and returns the marshalled stats, trace, rendered critical-path
-// report and the number of EvBatchFlush events.
-func coalRun(t *testing.T, cfg earth.Config, cc earth.CoalesceConfig, shards int) (statsJSON, traceJSON, critTxt []byte, flushes int) {
+// coalRun executes the mixed-op program under one coalesce mode and
+// returns the run, its rendered critical-path report and the number of
+// EvBatchFlush events.
+func coalRun(t *testing.T, cfg earth.Config, cc earth.CoalesceConfig) (out simOut, critTxt []byte, flushes int) {
 	t.Helper()
-	log := &eventLog{}
-	cfg.Tracer = log
 	cfg.Coalesce = cc
-	cfg.Shards = shards
-	cfg.Sanitize = true // on by default in conformance runs: the table must stay contract-clean
-	var total int
-	var done bool
-	body, want := shardMixProg(cfg.Nodes, &total, &done)
-	st := simrt.New(cfg).Run(body)
-	if total != want || !done {
-		t.Fatalf("coalesce=%+v shards=%d: total=%d done=%v, want %d", cc, shards, total, done, want)
-	}
-	if !st.Sanitize.Clean() {
-		t.Fatalf("coalesce=%+v shards=%d: sanitizer findings:\n%s", cc, shards, st.Sanitize)
-	}
-	sj, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tj, err := json.Marshal(log.evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range log.evs {
+	out = mixRun(t, cfg)
+	for _, e := range out.evs {
 		if e.Kind == earth.EvBatchFlush {
 			flushes++
 		}
 	}
-	crit := []byte(critpath.Analyze(log.evs, cfg.Nodes, st.Elapsed).Render(8))
-	return sj, tj, crit, flushes
+	crit := []byte(critpath.Analyze(out.evs, cfg.Nodes, out.st.Elapsed).Render(8))
+	return out, crit, flushes
 }
 
 func TestCoalesceConformance(t *testing.T) {
 	for _, mode := range coalModes {
 		for _, tc := range coalCases {
 			t.Run(mode.name+"/"+tc.name, func(t *testing.T) {
-				baseStats, baseTrace, baseCrit, flushes := coalRun(t, tc.cfg(), mode.cc, 1)
+				base, baseCrit, flushes := coalRun(t, tc.cfg(), mode.cc)
 				if mode.cc.Enabled && flushes == 0 {
 					t.Error("coalescing enabled but no EvBatchFlush events emitted")
 				}
 				if !mode.cc.Enabled && flushes > 0 {
 					t.Errorf("coalescing off but %d EvBatchFlush events emitted", flushes)
 				}
-				// Shard independence: shards=4 must not change a byte.
-				sj, tj, cj, _ := coalRun(t, tc.cfg(), mode.cc, 4)
-				if !bytes.Equal(sj, baseStats) {
-					t.Errorf("shards=4 stats diverge\n got: %s\nwant: %s", sj, baseStats)
-				}
-				if !bytes.Equal(tj, baseTrace) {
-					t.Errorf("shards=4 trace diverges: %s", firstTraceDiff(tj, baseTrace))
-				}
-				if !bytes.Equal(cj, baseCrit) {
-					t.Errorf("shards=4 critpath report diverges\n got: %s\nwant: %s", cj, baseCrit)
-				}
 				// Same-seed repeatability (the chaos/crash realisations are
 				// part of the seed): a second run must be byte-identical.
-				sj2, tj2, cj2, _ := coalRun(t, tc.cfg(), mode.cc, 1)
-				if !bytes.Equal(sj2, baseStats) || !bytes.Equal(tj2, baseTrace) || !bytes.Equal(cj2, baseCrit) {
-					t.Error("repeated same-seed run diverges from the first")
+				again, crit, _ := coalRun(t, tc.cfg(), mode.cc)
+				sameBytes(t, "repeated same-seed run", again, base)
+				if !bytes.Equal(crit, baseCrit) {
+					t.Errorf("repeated same-seed run: critpath report diverges\n got: %s\nwant: %s", crit, baseCrit)
 				}
 			})
 		}

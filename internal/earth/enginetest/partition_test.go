@@ -27,8 +27,8 @@ import (
 //     is rejected at its receiver, the minority self-fences and rejoins
 //     at heal — and the run still terminates.
 //
-// Under simrt all of it must additionally be byte-identical across shard
-// counts and coalescing settings.
+// Under simrt all of it must additionally be byte-reproducible, with and
+// without coalescing.
 
 // partProg is crashProg with 60µs leaves: short enough that the windows
 // below land mid-run on both engines.
@@ -147,81 +147,57 @@ func TestPartitionSecondFenceAdopter(t *testing.T) {
 	}
 }
 
-// partRun executes crashProg with leaves of the given length under cfg on
-// simrt at one shard count and returns marshalled stats and trace for
-// byte comparison.
-func partRun(t *testing.T, cfg earth.Config, shards int, work sim.Time) (statsJSON, traceJSON []byte) {
-	t.Helper()
-	log := &eventLog{}
-	cfg.Tracer = log
-	cfg.Shards = shards
-	var total int
-	var done bool
-	body, _ := crashProg(&total, &done, cfg.Nodes, cfg.Nodes*2, 4, work)
-	st := simrt.New(cfg).Run(body)
-	sj, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tj, err := json.Marshal(log.evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sj, tj
-}
-
 // composedSpec is the first cell of the all-at-once axis (ROADMAP 1(c)):
 // every message fault class, a crash and a partition outliving the
 // default lease in one plan, on 8 nodes. The crash of node 3 and the
 // fences of nodes 6 and 7 fall on the same instant, 2ms.
 const composedSpec = "drop=0.02,dup=0.02,reorder=0.05,corrupt=0.01,crash=3@2ms,partition=0.1.2.3.4.5|6.7@1ms-6ms"
 
+// partPlan is one row of the partition determinism table.
+type partPlan struct {
+	name, spec string
+	nodes      int
+	work       sim.Time // leaf length: the run must outlast the plan
+	sanitize   bool
+}
+
+var partPlans = []partPlan{
+	{"below-lease", "partition=0.1|2.3@200µs-600µs,seed=7", 4, 60 * sim.Microsecond, false},
+	{"above-lease", "partition=0.1|2.3@200µs-2500µs,seed=7", 4, 60 * sim.Microsecond, false},
+	{"partition-corrupt-drop", "partition=0.1|2.3@200µs-2500µs,corrupt=0.1,drop=0.05,seed=7", 4, 60 * sim.Microsecond, false},
+	{"composed", composedSpec, 8, sim.Millisecond, true},
+}
+
+// run executes crashProg under the row's plan on simrt, coalescing off or
+// on with thresholds tight enough to flush mid-body.
+func (pc partPlan) run(t *testing.T, coalesce bool) simOut {
+	t.Helper()
+	plan, err := faults.Parse(pc.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := earth.Config{Nodes: pc.nodes, Seed: 11, Faults: plan, Sanitize: pc.sanitize}
+	if coalesce {
+		cfg.Coalesce = earth.CoalesceConfig{Enabled: true, MaxMsgs: 4, MaxBytes: 256}
+	}
+	var total int
+	var done bool
+	body, _ := crashProg(&total, &done, cfg.Nodes, cfg.Nodes*2, 4, pc.work)
+	return simRun(t, cfg, body)
+}
+
 // TestPartitionShardCoalesceByteIdentical: the partition/fencing/
 // corruption machinery — alone, and composed with every other fault
 // class under the sanitizer — must not disturb simrt's determinism
-// contract: for each coalescing setting, every shard count produces
-// identical bytes.
+// contract: for each coalescing setting, two machines built from the same
+// Config produce identical bytes. (The test's name predates PR 19, when
+// the second machine was split over shard workers; the bytes themselves
+// are pinned by TestEngineBytesPinned.)
 func TestPartitionShardCoalesceByteIdentical(t *testing.T) {
-	plans := []struct {
-		name, spec string
-		nodes      int
-		work       sim.Time // leaf length: the run must outlast the plan
-		sanitize   bool
-	}{
-		{"below-lease", "partition=0.1|2.3@200µs-600µs,seed=7", 4, 60 * sim.Microsecond, false},
-		{"above-lease", "partition=0.1|2.3@200µs-2500µs,seed=7", 4, 60 * sim.Microsecond, false},
-		{"partition-corrupt-drop", "partition=0.1|2.3@200µs-2500µs,corrupt=0.1,drop=0.05,seed=7", 4, 60 * sim.Microsecond, false},
-		{"composed", composedSpec, 8, sim.Millisecond, true},
-	}
-	for _, pc := range plans {
-		plan, err := faults.Parse(pc.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, pc := range partPlans {
 		for _, coal := range []bool{false, true} {
-			name := pc.name + "/coalesce-off"
-			cc := earth.CoalesceConfig{}
-			if coal {
-				name = pc.name + "/coalesce-on"
-				cc = earth.CoalesceConfig{Enabled: true, MaxMsgs: 4, MaxBytes: 256}
-			}
-			t.Run(name, func(t *testing.T) {
-				cfg := earth.Config{Nodes: pc.nodes, Seed: 11, Faults: plan, Coalesce: cc, Sanitize: pc.sanitize}
-				baseStats, baseTrace := partRun(t, cfg, 1, pc.work)
-				if len(baseTrace) <= len("[]") {
-					t.Fatal("baseline run produced no trace events")
-				}
-				for _, shards := range []int{2, 4} {
-					sj, tj := partRun(t, cfg, shards, pc.work)
-					if !bytes.Equal(sj, baseStats) {
-						t.Errorf("shards=%d: stats JSON diverges from shards=1\n got: %s\nwant: %s",
-							shards, sj, baseStats)
-					}
-					if !bytes.Equal(tj, baseTrace) {
-						t.Errorf("shards=%d: trace diverges from shards=1: %s",
-							shards, firstTraceDiff(tj, baseTrace))
-					}
-				}
+			t.Run(pc.name+"/"+coalName(coal), func(t *testing.T) {
+				sameBytes(t, "second machine", pc.run(t, coal), pc.run(t, coal))
 			})
 		}
 	}
@@ -381,8 +357,8 @@ func TestReceiptEventsConform(t *testing.T) {
 
 // FuzzPartitionRecovery: for any byte-derived program and any partition
 // window over a byte-derived group split, the simulator must terminate,
-// stay byte-identical across shard counts, and fence if and only if the
-// window outlives the lease.
+// repeat itself byte for byte on a second machine, and fence if and only
+// if the window outlives the lease.
 func FuzzPartitionRecovery(f *testing.F) {
 	f.Add(uint8(1), uint32(200_000), uint32(400_000), uint8(0), []byte{5, 3, 2, 40, 41, 42})
 	f.Add(uint8(2), uint32(200_000), uint32(2_300_000), uint8(10), []byte{1, 2, 3})
@@ -411,18 +387,18 @@ func FuzzPartitionRecovery(f *testing.F) {
 		if err := plan.Validate(); err != nil {
 			t.Fatalf("constructed plan invalid: %v", err)
 		}
-		run := func(shards int) (*earth.Stats, int, bool) {
-			return p.runStats(simrt.New(earth.Config{Nodes: p.nodes, Seed: 1, Faults: plan, Shards: shards}))
+		run := func() (*earth.Stats, int, bool) {
+			return p.runStats(simrt.New(earth.Config{Nodes: p.nodes, Seed: 1, Faults: plan}))
 		}
-		st1, total1, done1 := run(1)
-		st2, total2, done2 := run(2)
+		st1, total1, done1 := run()
+		st2, total2, done2 := run()
 		j1, _ := json.Marshal(st1)
 		j2, _ := json.Marshal(st2)
 		if !bytes.Equal(j1, j2) {
-			t.Errorf("stats diverge across shards:\n%s\n%s", j1, j2)
+			t.Errorf("stats diverge between two machines:\n%s\n%s", j1, j2)
 		}
 		if total1 != total2 || done1 != done2 {
-			t.Errorf("results diverge across shards: total %d/%d done %v/%v", total1, total2, done1, done2)
+			t.Errorf("results diverge between two machines: total %d/%d done %v/%v", total1, total2, done1, done2)
 		}
 		if st1.Total().WrongVerdicts == 0 {
 			// No fence fired (window below lease, or the run quiesced

@@ -13,9 +13,8 @@ import (
 // Runtime sanitizer conformance: with Config.Sanitize set, both engines
 // must detect every class of injected sync-contract violation, agree on
 // the aggregated report, and — under simrt — produce byte-identical
-// reports across shard counts and coalesce modes (the report carries no
-// timestamps, so even the cost-model change of coalescing cannot reach
-// it).
+// reports across coalesce modes (the report carries no timestamps, so even
+// the cost-model change of coalescing cannot reach it).
 
 // sanCase is one injected-bug program. Each program terminates cleanly
 // (sanitize mode records violations instead of panicking) and must yield
@@ -152,61 +151,37 @@ func TestSanitizeInjectedBugs(t *testing.T) {
 	}
 }
 
-// TestSanitizeReportByteIdentical pins the tentpole determinism claim:
-// the marshalled report of a sanitized run is byte-identical across
-// shard counts AND across coalesce modes. Coalescing changes virtual
+// sanReportRun runs one of the two programs whose report must not depend
+// on the coalesce mode: the contract-clean mixed-op program, or (bug) the
+// overflow case on the mixed program's kind of machine.
+func sanReportRun(t *testing.T, bug, coalesce bool) simOut {
+	t.Helper()
+	cc := earth.CoalesceConfig{Enabled: coalesce}
+	if bug {
+		return simRun(t, earth.Config{Nodes: 4, Seed: 32, Sanitize: true, Coalesce: cc}, sanCases()[0].prog)
+	}
+	return mixRun(t, earth.Config{Nodes: 8, Seed: 31, Coalesce: cc})
+}
+
+// TestSanitizeReportByteIdentical: the marshalled report of a sanitized
+// run is byte-identical across coalesce modes. Coalescing changes virtual
 // times (a different cost model), so the full stats are not comparable —
 // but the report aggregates structure only and must not move.
 func TestSanitizeReportByteIdentical(t *testing.T) {
-	run := func(shards int, coalesce bool) []byte {
-		cfg := earth.Config{Nodes: 8, Seed: 31, Sanitize: true, Shards: shards,
-			Coalesce: earth.CoalesceConfig{Enabled: coalesce}}
-		var total int
-		var done bool
-		body, want := shardMixProg(cfg.Nodes, &total, &done)
-		st := simrt.New(cfg).Run(body)
-		if total != want || !done {
-			t.Fatalf("shards=%d coalesce=%v: wrong result", shards, coalesce)
-		}
-		b, err := json.Marshal(st.Sanitize)
+	report := func(bug, coalesce bool) []byte {
+		b, err := json.Marshal(sanReportRun(t, bug, coalesce).st.Sanitize)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	base := run(1, false)
-	for _, v := range []struct {
-		shards   int
-		coalesce bool
-	}{{4, false}, {1, true}, {4, true}} {
-		if got := run(v.shards, v.coalesce); !bytes.Equal(got, base) {
-			t.Errorf("shards=%d coalesce=%v: report diverges\n got: %s\nwant: %s",
-				v.shards, v.coalesce, got, base)
+	for _, bug := range []bool{false, true} {
+		base := report(bug, false)
+		if bug && !bytes.Contains(base, []byte("slot-overflow")) {
+			t.Fatalf("expected an overflow finding in %s", base)
 		}
-	}
-	// The same holds for a run with findings: inject the overflow case
-	// into the mixed program's machine size and compare across modes.
-	bugRun := func(shards int, coalesce bool) []byte {
-		cfg := earth.Config{Nodes: 4, Seed: 32, Sanitize: true, Shards: shards,
-			Coalesce: earth.CoalesceConfig{Enabled: coalesce}}
-		st := simrt.New(cfg).Run(sanCases()[0].prog)
-		b, err := json.Marshal(st.Sanitize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	bugBase := bugRun(1, false)
-	if !bytes.Contains(bugBase, []byte("slot-overflow")) {
-		t.Fatalf("expected an overflow finding in %s", bugBase)
-	}
-	for _, v := range []struct {
-		shards   int
-		coalesce bool
-	}{{4, false}, {1, true}, {4, true}} {
-		if got := bugRun(v.shards, v.coalesce); !bytes.Equal(got, bugBase) {
-			t.Errorf("shards=%d coalesce=%v: bug report diverges\n got: %s\nwant: %s",
-				v.shards, v.coalesce, got, bugBase)
+		if got := report(bug, true); !bytes.Equal(got, base) {
+			t.Errorf("bug=%v: report diverges under coalescing\n got: %s\nwant: %s", bug, got, base)
 		}
 	}
 }

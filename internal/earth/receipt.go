@@ -107,8 +107,8 @@ func (a *Arrival) report(sink Tracer, ev Event, at sim.Time, node NodeID) {
 // sequence numbers of duplicated transmissions one copy of which has been
 // delivered. Entries self-clean when the second copy arrives, so the set
 // holds only duplicates still in flight. The zero value is ready; it is
-// safe for concurrent use (livert's executors and simrt's shards consult
-// one set per runtime).
+// safe for concurrent use (livert's executors consult one set per
+// runtime).
 type SeenSet struct {
 	mu sync.Mutex
 	m  map[uint64]struct{}

@@ -20,11 +20,10 @@ import (
 //
 // The report is aggregated over structural facts only — finding kind,
 // the frame's home node and shape, the slot or thread index, and the
-// violation count — never timestamps or allocation order. Coalescing
-// changes virtual times and sharding changes per-node discovery order,
-// but neither changes which frames exist or how their slots end up, so
-// the marshalled report is byte-identical across shard counts and
-// coalesce modes.
+// violation count — never timestamps, allocation order or the order in
+// which the engine first met the frames. Coalescing changes virtual
+// times, but not which frames exist or how their slots end up, so the
+// marshalled report is byte-identical across coalesce modes.
 
 // SanitizeKind classifies one class of sync-contract violation.
 type SanitizeKind uint8

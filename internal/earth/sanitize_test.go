@@ -72,8 +72,8 @@ func TestSanitizeReportJSONRoundTrip(t *testing.T) {
 
 func TestSanitizeReportOrderIndependent(t *testing.T) {
 	// BuildSanitizeReport is a pure function of frame end states: any
-	// permutation of the input slice marshals identically. This is the
-	// unit-level face of the cross-shard byte-identity guarantee.
+	// permutation of the input slice marshals identically, so the report
+	// cannot depend on the order in which an engine discovers frames.
 	mk := func() []*Frame {
 		var frames []*Frame
 		for i := 0; i < 4; i++ {

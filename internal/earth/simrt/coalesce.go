@@ -13,13 +13,11 @@ package simrt
 //
 // Buffers live on the node, not the context: contexts are pooled and
 // reset per dispatch, while the buffer backing arrays are worth keeping
-// across bodies. Bodies are non-preemptive and a node's work runs on a
-// single shard, so the buffers are single-writer by construction, and
-// they are provably empty between bodies (every exit path of dispatch
-// and execHandlerBody flushes). The buffer list is kept sorted by
-// destination node id and the end-of-body flush walks it in that order
-// — canonical, never map order — which is what keeps coalesced runs
-// byte-identical across shard counts.
+// across bodies. Bodies are non-preemptive, so the buffers are provably
+// empty between bodies (every exit path of dispatch and execHandlerBody
+// flushes). The buffer list is kept sorted by destination node id and
+// the end-of-body flush walks it in that order — canonical, never map
+// order — which is what keeps coalesced runs byte-reproducible.
 
 import (
 	"earth/internal/earth"
@@ -136,10 +134,10 @@ func (c *ctx) flushCoalBuf(b *coalBuf) {
 	src, dst := c.n.id, b.dst
 	c.cursor += rt.cfg.Costs.AsyncSend
 	if rt.tr != nil {
-		rt.emit(c.n.sh, earth.Event{Time: c.cursor, Node: src, Peer: dst,
+		rt.events.Event(earth.Event{Time: c.cursor, Node: src, Peer: dst,
 			Kind: earth.EvBatchFlush, Bytes: bytes, Wait: sim.Time(len(ops))})
 	}
-	m, arrival := rt.envelope(c.n.sh, msgBatch, src, dst, c.cursor, bytes, bytes)
+	m, arrival := rt.envelope(msgBatch, src, dst, c.cursor, bytes, bytes)
 	m.batch = ops
-	rt.deliver(c.n.sh, c.cursor, arrival, m)
+	rt.deliver(c.cursor, arrival, m)
 }

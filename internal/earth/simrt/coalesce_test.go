@@ -72,7 +72,7 @@ func TestCoalesceMergesSameDestinationPuts(t *testing.T) {
 func TestCoalesceFlushOrderAscendingDestination(t *testing.T) {
 	// One body writes to destinations 3, 1, 2 (in that order); the
 	// end-of-body flush must walk the buffers in ascending destination
-	// order — the canonical order that keeps traces shard-invariant.
+	// order — canonical, never first-use or map order.
 	var tr eventList
 	var sink [4]float64
 	rt := New(earth.Config{Nodes: 4, Seed: 1, Tracer: &tr,

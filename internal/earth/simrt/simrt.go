@@ -22,20 +22,19 @@
 // per runtime action, in a canonical deterministic order, timestamped in
 // virtual time; without one, every emission site is a single nil check.
 //
-// # Parallel simulation
+// # Windows and barriers
 //
-// The simulated nodes are partitioned into Config.Shards contiguous groups,
-// each with its own event queue, and the run proceeds in conservative time
-// windows of width manna.Config.MinRemoteLatency() — the classic lookahead
-// bound: no message issued inside a window can arrive anywhere before the
-// window ends, so shards execute each window concurrently on host workers
-// and exchange cross-node messages only at the window barriers, in a
-// canonical (arrival, sender, issue-order) merge. Every cross-node effect
-// — messages, steal matching, crash boundaries, utilisation samples —
-// flows through the same barrier machinery regardless of the shard count,
-// which is what makes stats, traces and critical-path attribution
-// byte-identical for every value of Config.Shards, including under fault
-// plans and crash-stop recovery. See window.go for the coordinator.
+// One goroutine drives one event queue, in windows of width
+// manna.Config.MinRemoteLatency() — the least time any message needs to
+// reach another node, so nothing sent inside a window can arrive before it
+// ends. Cross-node messages enter the queue at the barrier that closes
+// their window, in (arrival, sender, issue-order) order; the barrier is
+// also the instant at which idle nodes send their steal requests, steal
+// misses are learnt, utilisation samples are emitted and crash, detection,
+// fence and heal boundaries apply. The cadence therefore models something
+// — a node notices it is idle, and hears back from a victim, at network
+// granularity — and simulated times and event order depend on it. It is
+// the only run loop there is. See window.go.
 //
 // The implementation is tuned to minimise host-side allocation on the
 // per-event hot path: every in-flight runtime message (sync signals,
@@ -177,12 +176,10 @@ func (q *tokenDeque) reset() {
 }
 
 // node is the simulated per-node state. Mid-window, a node's state is
-// touched only by its own shard (every cross-node effect is a time-stamped
-// message exchanged at barriers), which is the invariant that lets shards
-// run concurrently without locks.
+// touched only by events executing on that node: every cross-node effect
+// is a time-stamped message that enters the queue at a barrier.
 type node struct {
 	id     earth.NodeID
-	sh     *shard     // owning shard
 	ready  itemQueue  // FIFO ready queue of threads
 	tokens tokenDeque // local token pool (LIFO for local execution, FIFO for steals)
 	// outSeq numbers this node's outboxed messages so the barrier merge can
@@ -219,9 +216,7 @@ type node struct {
 	coal *coalescer
 }
 
-// rand returns the node's random stream. Like the rest of the node it is
-// touched only by the node's own shard mid-window, or by the coordinator
-// at a barrier.
+// rand returns the node's random stream.
 func (n *node) rand() *rand.Rand {
 	if n.rng == nil {
 		n.rng = rand.New(rand.NewSource(n.rngSeed))
@@ -266,7 +261,7 @@ const (
 )
 
 // msg is a pooled in-flight runtime message. Every remote leg the engine
-// schedules is one envelope drawn from a shard's free list; the fire
+// schedules is one envelope drawn from the runtime's free list; the fire
 // closure is allocated once per envelope and survives recycling, so
 // steady-state message traffic schedules simulator events without
 // allocating (beyond the application-level bodies the caller created).
@@ -314,15 +309,23 @@ type msg struct {
 
 // Runtime is a simulated EARTH machine.
 type Runtime struct {
-	cfg    earth.Config
-	mach   *manna.Machine
-	nodes  []*node
-	shards []*shard
-	// lookahead is the conservative window width: no cross-node message
-	// issued at T can arrive before T+lookahead (manna.MinRemoteLatency,
-	// which stays a lower bound under every fault perturbation).
+	cfg   earth.Config
+	mach  *manna.Machine
+	nodes []*node
+	// eng is the machine's one event queue, replaced per Run.
+	eng *sim.Engine
+	// lookahead is the window width: no cross-node message issued at T can
+	// arrive before T+lookahead (manna.MinRemoteLatency, which stays a
+	// lower bound under every fault perturbation).
 	lookahead sim.Time
-	tr        earth.Tracer // cached cfg.Tracer; nil disables all emission
+	// outbox holds the cross-node messages issued in the current window and
+	// misses the steal requests that found a dry victim in it; both drain
+	// at the barrier.
+	outbox []outboxEntry
+	misses []missNote
+	// msgFree is the envelope free list.
+	msgFree []*msg
+	tr      earth.Tracer // cached cfg.Tracer; nil disables all emission
 	// coalOn caches cfg.Coalesce.Enabled for the per-operation hot path.
 	coalOn bool
 	// sanOn caches cfg.Sanitize: frames are ledgered on first engine
@@ -331,21 +334,15 @@ type Runtime struct {
 	// sampling is true when a tracer with UtilSamplePeriod is installed; it
 	// makes the Busy accrual points also record spans for window attribution.
 	sampling bool
-	// cord buffers trace events emitted by the coordinator between windows
-	// (barrier work: boundaries, steal matching, samples). Merged with the
-	// shard buffers and canonically sorted at the end of the run.
-	cord eventBuf
-	// atBarrier is true while the coordinator runs between windows: sends
-	// issued then insert directly into the (quiesced) target engines
-	// instead of the shard outboxes. Only the coordinator writes it, and
-	// only while the workers are parked at the barrier.
+	// events buffers the run's trace events in emission order; flushTrace
+	// sorts them canonically when the run completes.
+	events eventBuf
+	// atBarrier is true between windows: sends issued then (steal requests,
+	// token re-placement at a boundary) enter the queue directly instead
+	// of the outbox.
 	atBarrier bool
-	// victimScratch is reused by pickVictim; boxScratch/missScratch by the
-	// barrier merges.
+	// victimScratch is reused by pickVictim.
 	victimScratch []*node
-	boxScratch    []outboxEntry
-	missScratch   []missNote
-	actScratch    []*shard
 	// Fault injection (nil injs means a clean run: every fault hook is a
 	// single pointer check). One injector lane per sender node, so verdict
 	// draws depend only on that node's deterministic send order.
@@ -404,31 +401,15 @@ func New(cfg earth.Config) *Runtime {
 	} else {
 		mc = manna.Default(cfg.Nodes)
 	}
-	nShards := cfg.Shards
-	if nShards < 1 {
-		nShards = 1
-	}
-	if nShards > cfg.Nodes {
-		nShards = cfg.Nodes
-	}
 	rt := &Runtime{
 		cfg:           cfg,
 		mach:          manna.New(mc),
 		nodes:         make([]*node, cfg.Nodes),
-		shards:        make([]*shard, nShards),
 		lookahead:     mc.MinRemoteLatency(),
 		tr:            cfg.Tracer,
 		coalOn:        cfg.Coalesce.Enabled,
 		sanOn:         cfg.Sanitize,
 		victimScratch: make([]*node, 0, cfg.Nodes),
-	}
-	for i := range rt.shards {
-		rt.shards[i] = &shard{
-			id: i,
-			lo: i * cfg.Nodes / nShards,
-			hi: (i + 1) * cfg.Nodes / nShards,
-			rt: rt,
-		}
 	}
 	for i := range rt.nodes {
 		n := &node{id: earth.NodeID(i), rngSeed: cfg.Seed*1_000_003 + int64(i)}
@@ -436,11 +417,6 @@ func New(cfg earth.Config) *Runtime {
 		n.tokens.buf = make([]token, 64)
 		n.dispatchFn = func() { rt.dispatch(n) }
 		rt.nodes[i] = n
-	}
-	for _, s := range rt.shards {
-		for j := s.lo; j < s.hi; j++ {
-			rt.nodes[j].sh = s
-		}
 	}
 	fs, err := cfg.ResolveFaults()
 	if err != nil {
@@ -477,14 +453,12 @@ func New(cfg earth.Config) *Runtime {
 	return rt
 }
 
-// newMsg draws an envelope from a shard's free list (or allocates one with
-// its permanent fire closure). Mid-window the list must be the executing
-// shard's; between windows any list is safe and the coordinator uses the
-// target's.
-func (rt *Runtime) newMsg(sh *shard) *msg {
-	if k := len(sh.msgFree); k > 0 {
-		m := sh.msgFree[k-1]
-		sh.msgFree = sh.msgFree[:k-1]
+// newMsg draws an envelope from the free list (or allocates one with its
+// permanent fire closure).
+func (rt *Runtime) newMsg() *msg {
+	if k := len(rt.msgFree); k > 0 {
+		m := rt.msgFree[k-1]
+		rt.msgFree = rt.msgFree[:k-1]
 		return m
 	}
 	m := &msg{rt: rt}
@@ -492,9 +466,8 @@ func (rt *Runtime) newMsg(sh *shard) *msg {
 	return m
 }
 
-// freeMsg returns an envelope to the pool of the shard it fired on,
-// dropping reference fields.
-func (rt *Runtime) freeMsg(sh *shard, m *msg) {
+// freeMsg returns an envelope to the free list, dropping reference fields.
+func (rt *Runtime) freeMsg(m *msg) {
 	m.stage = 0
 	m.f = nil
 	m.body = nil
@@ -502,9 +475,8 @@ func (rt *Runtime) freeMsg(sh *shard, m *msg) {
 	m.write = nil
 	m.deliver = nil
 	// issue must clear: deliver treats a zero issue as "stamp me", and a
-	// stale value from the envelope's previous life would vary with the
-	// pool's reuse order — which is exactly what must not leak into
-	// recovery-latency accounting across shard layouts.
+	// stale value from the envelope's previous life would leak the free
+	// list's reuse order into recovery-latency accounting.
 	m.issue = 0
 	m.bytes = 0
 	m.cause = 0
@@ -520,16 +492,16 @@ func (rt *Runtime) freeMsg(sh *shard, m *msg) {
 	// backing array and may not have fired yet, so the elements must not
 	// be cleared here.
 	m.batch = nil
-	sh.msgFree = append(sh.msgFree, m)
+	rt.msgFree = append(rt.msgFree, m)
 }
 
 // eventChunk is the number of events per eventBuf chunk.
 const eventChunk = 8192
 
-// eventBuf buffers one stream of trace events; its pointer is the
+// eventBuf buffers the run's trace events; its pointer is the
 // earth.Tracer the protocol core emits into. The stream is a list of
 // fixed-size chunks, so emitting never copies what was already buffered;
-// flushTrace copies each event once, into the merged stream.
+// flushTrace copies each event once, into the stream it sorts.
 type eventBuf struct {
 	full [][]earth.Event // filled chunks, oldest first
 	cur  []earth.Event   // the chunk being filled
@@ -563,29 +535,13 @@ func (b *eventBuf) reset() {
 	b.full, b.cur = nil, b.cur[:0]
 }
 
-// emit buffers a trace event on the executing shard's stream, or on the
-// coordinator stream (sh == nil) for between-window emissions. All buffers
-// are merged and canonically sorted when the run completes, so placement
-// never affects the final stream — it only keeps concurrent shards from
-// sharing one slice.
-func (rt *Runtime) emit(sh *shard, ev earth.Event) {
-	if sh == nil {
-		rt.cord.Event(ev)
-		return
-	}
-	sh.events.Event(ev)
-}
-
-// sink returns the stream emit(sh, ·) appends to as a Tracer, nil when
-// the run is untraced.
-func (rt *Runtime) sink(sh *shard) earth.Tracer {
-	switch {
-	case rt.tr == nil:
+// sink returns the run's event buffer as a Tracer for the protocol core
+// to emit into, nil when the run is untraced.
+func (rt *Runtime) sink() earth.Tracer {
+	if rt.tr == nil {
 		return nil
-	case sh == nil:
-		return &rt.cord
 	}
-	return &sh.events
+	return &rt.events
 }
 
 // P returns the node count.
@@ -597,13 +553,10 @@ func (rt *Runtime) P() int { return len(rt.nodes) }
 // runs explore different schedules, as repeated real runs would).
 func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 	rt.mach.Reset()
-	for _, s := range rt.shards {
-		s.eng = sim.New()
-		s.outbox = s.outbox[:0]
-		s.misses = s.misses[:0]
-		s.events.reset()
-	}
-	rt.cord.reset()
+	rt.eng = sim.New()
+	rt.outbox = rt.outbox[:0]
+	rt.misses = rt.misses[:0]
+	rt.events.reset()
 	if rt.injs != nil {
 		for _, in := range rt.injs {
 			in.Reset()
@@ -634,7 +587,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		// The partition schedule is static: pre-emit its window events and
 		// let the final canonical sort place them.
 		earth.PartitionMarks(rt.plan, rt.retry.Lease, func(pt faults.Partition, ev earth.Event) {
-			earth.MarkPartition(&rt.cord, pt, len(rt.nodes), ev)
+			earth.MarkPartition(&rt.events, pt, len(rt.nodes), ev)
 		})
 	}
 	rt.maxExec = 0
@@ -655,10 +608,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 	st := &earth.Stats{
 		Elapsed: rt.maxExec,
 		Nodes:   make([]earth.NodeStats, len(rt.nodes)),
-		Events:  rt.bApplied,
-	}
-	for _, s := range rt.shards {
-		st.Events += s.eng.Events
+		Events:  rt.eng.Events + rt.bApplied,
 	}
 	for i, n := range rt.nodes {
 		st.Nodes[i] = n.stats
@@ -668,7 +618,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		for _, n := range rt.nodes {
 			frames = append(frames, n.sanFrames...)
 		}
-		st.Sanitize = earth.SanitizeScan(frames, rt.maxExec, rt.sink(nil))
+		st.Sanitize = earth.SanitizeScan(frames, rt.maxExec, rt.sink())
 	}
 	rt.flushTrace()
 	return st
@@ -690,7 +640,7 @@ func (n *node) addSpan(rt *Runtime, start, end sim.Time) {
 func (rt *Runtime) applyCrash(b boundary) {
 	x := b.node
 	rt.dead[x] = true
-	rt.nodes[x].stats.Add(earth.NodeFault(rt.sink(nil), earth.NodeID(x), b.at, earth.CauseCrash, rt.retry.Lease))
+	rt.nodes[x].stats.Add(earth.NodeFault(rt.sink(), earth.NodeID(x), b.at, earth.CauseCrash, rt.retry.Lease))
 }
 
 // applyDetect fires one lease after a crash: survivors have missed enough
@@ -735,7 +685,7 @@ func (rt *Runtime) failover(x, s earth.NodeID, now sim.Time, cause earth.Cause) 
 	n.stats.DetectionLatency = rt.retry.Lease
 	// The down node no longer participates in stealing.
 	n.hungry, n.stealing = false, false
-	h := earth.Handover{Down: x, At: now, Cause: cause, Sink: rt.sink(nil)}
+	h := earth.Handover{Down: x, At: now, Cause: cause, Sink: rt.sink()}
 	sn.stats.Add(h.Declare(s, rt.retry.Lease))
 	for n.ready.len() > 0 {
 		it := n.ready.pop()
@@ -760,14 +710,14 @@ func (rt *Runtime) applyHeal(b boundary) {
 	}
 	rt.halted[x] = false
 	n := rt.nodes[x]
-	n.stats.Add(earth.Rejoin(rt.sink(nil), n.id, b.at, b.at-b.ref))
+	n.stats.Add(earth.Rejoin(rt.sink(), n.id, b.at, b.at-b.ref))
 	// Work that landed while halted (stage-1 remnants of pre-fence
 	// deliveries, app-addressed traffic) kicks the dispatch chain now;
 	// an empty node re-enters through the steal balancer instead.
 	if n.ready.len() > 0 || n.tokens.len() > 0 {
 		if !n.running {
 			n.running = true
-			n.sh.eng.At(b.at, n.dispatchFn)
+			rt.eng.At(b.at, n.dispatchFn)
 		}
 	} else if rt.cfg.Balancer == earth.BalanceSteal && !n.stealing {
 		n.hungry = true
@@ -781,8 +731,7 @@ func (rt *Runtime) applyHeal(b boundary) {
 // ownership moved to the adopter at the fence and never moves back, so
 // bodies the adopter already runs can keep spawning into frames homed on
 // the fenced node without the home flip-flopping under them. Both flags
-// only change at window boundaries, so mid-window reads from concurrent
-// shards see one frozen value.
+// only change at window boundaries.
 func (rt *Runtime) resolve(x earth.NodeID) earth.NodeID {
 	if rt.detected == nil && rt.everFenced == nil {
 		return x
@@ -812,7 +761,7 @@ func (rt *Runtime) downNow(x earth.NodeID) bool {
 // reassignToken returns one of a down node's pooled tokens to the load
 // balancer: placed on the next survivor the core picks, shipped from the
 // adopter (which holds the checkpointed args now) at normal network cost.
-// Runs only at detection/fence boundaries, with every shard quiesced.
+// Runs only at detection/fence boundaries.
 func (rt *Runtime) reassignToken(h earth.Handover, sn *node, tk token) {
 	now := h.At
 	tn := rt.nodes[rt.take.Place(now, rt.gone)]
@@ -823,25 +772,24 @@ func (rt *Runtime) reassignToken(h earth.Handover, sn *node, tk token) {
 	}
 	// The adopter's send software runs first, but the placement latency
 	// (EvTokenDeliver's Dur) counts from the boundary instant.
-	m, arrival := rt.envelope(tn.sh, msgThread, sn.id, tn.id, now+rt.cfg.Costs.AsyncSend, tk.argBytes, tk.argBytes)
+	m, arrival := rt.envelope(msgThread, sn.id, tn.id, now+rt.cfg.Costs.AsyncSend, tk.argBytes, tk.argBytes)
 	m.body, m.cause, m.issue = tk.body, earth.CauseToken, now
-	rt.deliver(nil, now, arrival, m)
+	rt.deliver(now, arrival, m)
 }
 
 // walkDown statically routes an arrival when a crash plan or fenced
 // partition is active, using only immutable schedules (crash times, fence
-// spans, lease) — no shard-local state — so it can run on any shard at
-// send time. A message headed to a node that has crashed by its arrival
-// is held until that node's lease expires (the sender's missed
-// heartbeats/acks are what expose the failure) and re-routed to the
-// adopter; a message arriving inside a node's fence span re-routes
-// immediately (the fence instant already sits one lease past the
-// partition's start), while one arriving after the heal routes to the
-// rejoined node normally — which is why this uses the bounded fence span
-// and not resolve's permanent ownership predicate. The loop covers
-// chained failovers. hop, when non-nil, observes each failover (post-hold
-// time and the down node being abandoned) so the fire path can account
-// them.
+// spans, lease), so it can run at send time. A message headed to a node
+// that has crashed by its arrival is held until that node's lease
+// expires (the sender's missed heartbeats/acks are what expose the
+// failure) and re-routed to the adopter; a message arriving inside a
+// node's fence span re-routes immediately (the fence instant already sits
+// one lease past the partition's start), while one arriving after the
+// heal routes to the rejoined node normally — which is why this uses the
+// bounded fence span and not resolve's permanent ownership predicate. The
+// loop covers chained failovers. hop, when non-nil, observes each
+// failover (post-hold time and the down node being abandoned) so the fire
+// path can account them.
 func (rt *Runtime) walkDown(a sim.Time, dst earth.NodeID, hop func(at sim.Time, x earth.NodeID)) (sim.Time, earth.NodeID) {
 	lease := rt.retry.Lease
 	downAt := func(c earth.NodeID, at sim.Time) bool {
@@ -875,11 +823,11 @@ func (rt *Runtime) walkDown(a sim.Time, dst earth.NodeID, hop func(at sim.Time, 
 // legs re-route silently — the adopter owns the checkpointed frame state
 // they target. Each hop's cause records whether a crash or a fence
 // displaced it. Stats and events land on the final target, which is the
-// node whose shard is executing.
-func (rt *Runtime) emitReroute(sh *shard, m *msg) {
+// node the envelope fires on.
+func (rt *Runtime) emitReroute(m *msg) {
 	fn := rt.nodes[m.to]
 	rt.walkDown(m.arr0, m.origTo, func(at sim.Time, x earth.NodeID) {
-		h := earth.Handover{Down: x, At: at, Cause: earth.CauseCrash, Sink: rt.sink(sh)}
+		h := earth.Handover{Down: x, At: at, Cause: earth.CauseCrash, Sink: rt.sink()}
 		if rt.fences.Covering(int(x), at) {
 			h.Cause = earth.CausePartition
 		}
@@ -894,26 +842,24 @@ func (rt *Runtime) emitReroute(sh *shard, m *msg) {
 
 // enqueueAt places it on n's ready queue and kicks the dispatch chain at
 // the given instant if the node is idle. Mid-window callers pass the
-// executing engine's current time (see enqueue); boundary work passes the
-// boundary instant, since the node's own engine clock is stale between
-// windows.
+// queue's current time (see enqueue); boundary work passes the boundary
+// instant, since the queue's clock is stale between windows.
 func (rt *Runtime) enqueueAt(n *node, it item, at sim.Time) {
 	n.ready.push(it)
 	n.hungry = false
 	if !n.running {
 		n.running = true
-		n.sh.eng.At(at, n.dispatchFn)
+		rt.eng.At(at, n.dispatchFn)
 	}
 }
 
-// enqueue places it on n's ready queue from an event executing on n's own
-// shard.
+// enqueue places it on n's ready queue from an event executing on n.
 func (rt *Runtime) enqueue(n *node, it item) {
-	rt.enqueueAt(n, it, n.sh.eng.Now())
+	rt.enqueueAt(n, it, rt.eng.Now())
 }
 
 // dispatch pops and executes the next unit of work on n. It runs as a
-// simulator event at the node's availability time, on n's own shard.
+// simulator event at the node's availability time.
 func (rt *Runtime) dispatch(n *node) {
 	// A crashed node halts at its dispatch boundary: whatever was running
 	// has completed, and nothing further dispatches. Queued state stays
@@ -928,7 +874,7 @@ func (rt *Runtime) dispatch(n *node) {
 		n.running = false
 		return
 	}
-	eng := n.sh.eng
+	eng := rt.eng
 	// A paused node defers its whole dispatch chain to the window's end.
 	// Messages still land and sync slots still fire during the pause (the
 	// Synchronization Unit keeps servicing the network); only thread
@@ -936,7 +882,7 @@ func (rt *Runtime) dispatch(n *node) {
 	if rt.hasPause {
 		now := eng.Now()
 		if pu := rt.plan.PauseUntil(int(n.id), now); pu > now {
-			n.stats.Add(earth.NodeFault(rt.sink(n.sh), n.id, now, earth.CausePause, pu-now))
+			n.stats.Add(earth.NodeFault(rt.sink(), n.id, now, earth.CausePause, pu-now))
 			eng.At(pu, n.dispatchFn)
 			return
 		}
@@ -959,9 +905,7 @@ func (rt *Runtime) dispatch(n *node) {
 	default:
 		n.running = false
 		// Dry under the steal balancer: flag the node hungry; the next
-		// window barrier matches it against a victim. (Steal requests are
-		// barrier work because victim selection needs a consistent view of
-		// every pool, which mid-window shards do not have.)
+		// window barrier matches it against a victim (see matchSteals).
 		if rt.cfg.Balancer == earth.BalanceSteal && !n.stealing && !rt.downNow(n.id) {
 			n.hungry = true
 		}
@@ -988,7 +932,7 @@ func (rt *Runtime) dispatch(n *node) {
 		}
 	}
 	if rt.tr != nil {
-		rt.emit(n.sh, earth.Event{
+		rt.events.Event(earth.Event{
 			Time: start, Node: n.id, Peer: earth.NoPeer, Kind: earth.EvThreadRun,
 			Dur: end - start, Wait: start - it.enq, Cause: it.cause,
 		})
@@ -1003,7 +947,7 @@ func (rt *Runtime) dispatch(n *node) {
 // execHandlerBody runs an active-message handler body on n at the current
 // event time (the receiver-side cost has already been charged).
 func (rt *Runtime) execHandlerBody(n *node, body earth.ThreadBody) {
-	start := n.sh.eng.Now()
+	start := rt.eng.Now()
 	hc := n.getCtx(rt, start)
 	body(hc)
 	if rt.coalOn {
@@ -1014,7 +958,7 @@ func (rt *Runtime) execHandlerBody(n *node, body earth.ThreadBody) {
 	n.stats.Busy += end - start
 	n.addSpan(rt, start, end)
 	if rt.tr != nil {
-		rt.emit(n.sh, earth.Event{
+		rt.events.Event(earth.Event{
 			Time: start, Node: n.id, Peer: earth.NoPeer, Kind: earth.EvHandlerRun,
 			Dur: end - start, Cause: earth.CauseHandler,
 		})
@@ -1025,7 +969,7 @@ func (rt *Runtime) execHandlerBody(n *node, body earth.ThreadBody) {
 // time. If the cost model consumes the CPU on receive, the node's next
 // dispatch is delayed correspondingly.
 func (rt *Runtime) chargeRecv(n *node, cost sim.Time) {
-	now := n.sh.eng.Now()
+	now := rt.eng.Now()
 	n.stats.Busy += cost
 	n.addSpan(rt, now, now+cost)
 	if rt.consumesCPUOnRecv() {
@@ -1040,7 +984,7 @@ func (rt *Runtime) stageRecv(m *msg, n *node, cost sim.Time) bool {
 	rt.chargeRecv(n, cost)
 	if cost > 0 {
 		m.stage = 1
-		n.sh.eng.After(cost, m.fire)
+		rt.eng.After(cost, m.fire)
 		return true
 	}
 	return false
@@ -1048,12 +992,11 @@ func (rt *Runtime) stageRecv(m *msg, n *node, cost sim.Time) bool {
 
 // envelope charges the network for one remote message leaving from at
 // ready — wire bytes on the wire, carrying bytes of application payload —
-// and returns its filled envelope (drawn from pool, see newMsg) with the
-// clean arrival time. The caller adds the kind's own fields and hands
-// both to deliver.
-func (rt *Runtime) envelope(pool *shard, kind msgKind, from, to earth.NodeID, ready sim.Time, wire, bytes int) (*msg, sim.Time) {
+// and returns its filled envelope with the clean arrival time. The caller
+// adds the kind's own fields and hands both to deliver.
+func (rt *Runtime) envelope(kind msgKind, from, to earth.NodeID, ready sim.Time, wire, bytes int) (*msg, sim.Time) {
 	arrival := rt.send(ready, from, to, wire)
-	m := rt.newMsg(pool)
+	m := rt.newMsg()
 	m.kind = kind
 	m.from, m.to = from, to
 	m.bytes = bytes
@@ -1075,20 +1018,18 @@ func (rt *Runtime) recvCost(kind msgKind, bytes int) sim.Time {
 
 // deliver applies the fault plan to remote envelope m and routes it toward
 // its target. issue is when the sender-side software finished; arrival is
-// the clean arrival; sh is the executing shard (nil for coordinator
-// barrier work). The protocol core (earth.PlanDelivery) decides the
-// message's fate from the sender's injector lane, which only the sender's
-// shard (or the quiesced coordinator) ever draws from; this engine's part
-// is the transport: no real timer events are scheduled — the envelope
-// simply lands later — so clean portions of the run and quiescence
-// detection are untouched, and the delay only ever moves the arrival
-// later, which preserves the conservative lookahead. A duplicated message
+// the clean arrival. The protocol core (earth.PlanDelivery) decides the
+// message's fate from the sender's injector lane; this engine's part is
+// the transport: no real timer events are scheduled — the envelope simply
+// lands later — so clean portions of the run and quiescence detection are
+// untouched, and the delay only ever moves the arrival later, which keeps
+// the lookahead a lower bound. A duplicated message
 // is a cloned envelope with the same sequence number one base timeout
 // behind; the receiver keeps the first copy (the core's idempotent-
 // delivery check, see receive).
-func (rt *Runtime) deliver(sh *shard, issue, arrival sim.Time, m *msg) {
+func (rt *Runtime) deliver(issue, arrival sim.Time, m *msg) {
 	if rt.injs == nil {
-		rt.routeMsg(sh, arrival, m)
+		rt.routeMsg(arrival, m)
 		return
 	}
 	if m.issue == 0 {
@@ -1101,32 +1042,28 @@ func (rt *Runtime) deliver(sh *shard, issue, arrival sim.Time, m *msg) {
 		// comparison is a pure function of issue and fire times.
 		m.sendEpoch = rt.epochs[m.from]
 	}
-	d := earth.PlanDelivery(rt.injs[m.from], rt.retry, rt.plan, m.from, m.to, m.bytes, issue, rt.sink(sh))
+	d := earth.PlanDelivery(rt.injs[m.from], rt.retry, rt.plan, m.from, m.to, m.bytes, issue, rt.sink())
 	m.seq, m.drops, m.corrupts, m.dup = d.Seq, uint16(d.Drops), uint16(d.Corrupts), d.Dup
 	sender := rt.nodes[m.from]
 	sender.stats.FaultsInjected += d.FaultsInjected
 	sender.stats.Retries += d.Retries
 	arrival += d.Delay
 	if d.Dup {
-		pool := sh
-		if pool == nil {
-			pool = rt.nodes[m.to].sh
-		}
 		// Each copy is routed from its own arrival: the clone trails by one
 		// base timeout and may cross a later detection boundary, failing
 		// over further along the adoption ring than the original.
-		rt.routeMsg(sh, arrival+rt.retry.AttemptTimeout(0), rt.cloneMsg(pool, m))
+		rt.routeMsg(arrival+rt.retry.AttemptTimeout(0), rt.cloneMsg(m))
 	}
-	rt.routeMsg(sh, arrival, m)
+	rt.routeMsg(arrival, m)
 }
 
 // routeMsg finalises an envelope's target and arrival (static crash-stop
-// routing) and hands it over: mid-window it joins the executing shard's
-// outbox for the canonical barrier merge; between windows the coordinator
-// inserts it directly into the quiesced target engine. Conservative
-// lookahead guarantees the arrival lies at or beyond the current window's
-// end, so neither path can schedule into a shard's past.
-func (rt *Runtime) routeMsg(sh *shard, arrival sim.Time, m *msg) {
+// routing) and hands it over: mid-window it joins the outbox, to enter the
+// queue in canonical order at the barrier; between windows it goes
+// straight into the queue. The lookahead guarantees the arrival lies at or
+// beyond the current window's end, so neither path can schedule into the
+// past.
+func (rt *Runtime) routeMsg(arrival sim.Time, m *msg) {
 	m.origTo = m.to
 	if rt.crashAt != nil || len(rt.fences) > 0 {
 		a, dst := rt.walkDown(arrival, m.to, nil)
@@ -1138,7 +1075,7 @@ func (rt *Runtime) routeMsg(sh *shard, arrival sim.Time, m *msg) {
 		arrival = a
 	}
 	if rt.atBarrier {
-		rt.nodes[m.to].sh.eng.At(arrival, m.fire)
+		rt.eng.At(arrival, m.fire)
 		return
 	}
 	if m.to == m.from {
@@ -1146,24 +1083,24 @@ func (rt *Runtime) routeMsg(sh *shard, arrival sim.Time, m *msg) {
 		// adopted owner answering its own get, or a failover ring that
 		// wraps home), and such legs pay local — sub-lookahead — latency.
 		// They must not take the outbox: their arrival can precede the
-		// window end, and the barrier would insert them into the shard's
-		// past. Scheduling into the issuing shard's own future is always
-		// legal mid-window, and the choice depends only on (from, to), so
-		// it is identical for every shard layout.
-		sh.eng.At(arrival, m.fire)
+		// window end, and the barrier would insert them into the queue's
+		// past. Every other message does take it, even though there is one
+		// queue: inserting at send time instead would change the order in
+		// which events of one instant run.
+		rt.eng.At(arrival, m.fire)
 		return
 	}
 	from := rt.nodes[m.from]
 	from.outSeq++
-	sh.outbox = append(sh.outbox, outboxEntry{at: arrival, from: m.from, seq: from.outSeq, m: m})
+	rt.outbox = append(rt.outbox, outboxEntry{at: arrival, from: m.from, seq: from.outSeq, m: m})
 }
 
 // cloneMsg duplicates an envelope for duplicate injection. The copy shares
 // the original's closures and sequence number: whichever copy fires second
 // is suppressed by the idempotent-delivery check, so the shared closures
 // run at most once.
-func (rt *Runtime) cloneMsg(sh *shard, m *msg) *msg {
-	d := rt.newMsg(sh)
+func (rt *Runtime) cloneMsg(m *msg) *msg {
+	d := rt.newMsg()
 	d.kind = m.kind
 	d.stage = 0
 	d.from, d.to = m.from, m.to
@@ -1187,9 +1124,9 @@ func (rt *Runtime) cloneMsg(sh *shard, m *msg) *msg {
 	return d
 }
 
-// fireMsg applies a message envelope at its scheduled time, on the shard
-// owning its (final) target node: the receipt checks, the receiver-side
-// cost stage, then the kind's effect.
+// fireMsg applies a message envelope at its scheduled time on its (final)
+// target node: the receipt checks, the receiver-side cost stage, then the
+// kind's effect.
 func (rt *Runtime) fireMsg(m *msg) {
 	n := rt.nodes[m.to]
 	if m.stage == 0 {
@@ -1231,10 +1168,7 @@ func (rt *Runtime) fireMsg(m *msg) {
 // arriving under a fault plan, and accounts crash-stop failovers at
 // arrival, mirroring the pre-computed routing done at send time. It
 // reports whether the message is to be applied; a rejected envelope has
-// been freed. Epochs only advance at quiesced fence boundaries, and both
-// copies of a duplicate arrive in virtual-time order on one final target
-// when they share a window, so the outcome is the same for every shard
-// layout.
+// been freed.
 func (rt *Runtime) receive(n *node, m *msg) bool {
 	// Filled field by field: a composite literal is built in a temporary
 	// and block-copied, which showed as 2.6 % of a faulted storm's profile.
@@ -1245,12 +1179,12 @@ func (rt *Runtime) receive(n *node, m *msg) bool {
 	if rt.epochs != nil {
 		a.Epoch = rt.epochs[m.from]
 	}
-	v, reroute := earth.Receive(&a, &rt.seen, n.sh.eng.Now(), n.id, &n.stats, rt.sink(n.sh))
+	v, reroute := earth.Receive(&a, &rt.seen, rt.eng.Now(), n.id, &n.stats, rt.sink())
 	if reroute {
-		rt.emitReroute(n.sh, m)
+		rt.emitReroute(m)
 	}
 	if v != earth.Fire {
-		rt.freeMsg(n.sh, m)
+		rt.freeMsg(m)
 		return false
 	}
 	return true
@@ -1260,14 +1194,14 @@ func (rt *Runtime) receive(n *node, m *msg) bool {
 // not necessarily m.f.Home: after a crash it lands on the frame's adopter.
 func (rt *Runtime) fireSync(n *node, m *msg) {
 	from, f, slot := m.from, m.f, m.slot
-	rt.freeMsg(n.sh, m)
-	rt.decSlot(n, from, n.sh.eng.Now(), f, slot)
+	rt.freeMsg(m)
+	rt.decSlot(n, from, rt.eng.Now(), f, slot)
 }
 
 // firePost runs an active-message handler on n's handler path.
 func (rt *Runtime) firePost(n *node, m *msg) {
 	body := m.body
-	rt.freeMsg(n.sh, m)
+	rt.freeMsg(m)
 	rt.execHandlerBody(n, body)
 }
 
@@ -1275,26 +1209,26 @@ func (rt *Runtime) firePost(n *node, m *msg) {
 func (rt *Runtime) firePut(n *node, m *msg) {
 	from, f, slot := m.from, m.f, m.slot
 	bytes, issue, write := m.bytes, m.issue, m.write
-	rt.freeMsg(n.sh, m)
+	rt.freeMsg(m)
 	rt.applyPut(n, from, write, bytes, issue, f, slot)
 }
 
 // fireThread lands an invoke or placed token on dst's ready queue.
 func (rt *Runtime) fireThread(dst *node, m *msg) {
-	now := dst.sh.eng.Now()
+	now := rt.eng.Now()
 	if rt.tr != nil {
 		switch m.cause {
 		case earth.CauseInvoke:
-			rt.emit(dst.sh, earth.Event{Time: now, Node: dst.id, Peer: m.from,
+			rt.events.Event(earth.Event{Time: now, Node: dst.id, Peer: m.from,
 				Kind: earth.EvInvokeDeliver, Bytes: m.bytes, Dur: now - m.issue})
 		case earth.CauseToken:
-			rt.emit(dst.sh, earth.Event{Time: now, Node: dst.id, Peer: m.from,
+			rt.events.Event(earth.Event{Time: now, Node: dst.id, Peer: m.from,
 				Kind: earth.EvTokenDeliver, Bytes: m.bytes, Dur: now - m.issue})
 		}
 	}
 	it := item{body: m.body, recvCost: m.recvCost, enq: now,
 		cause: m.cause, token: m.cause == earth.CauseToken}
-	rt.freeMsg(dst.sh, m)
+	rt.freeMsg(m)
 	rt.enqueue(dst, it)
 }
 
@@ -1302,9 +1236,9 @@ func (rt *Runtime) fireThread(dst *node, m *msg) {
 // event time and signals the completion slot.
 func (rt *Runtime) applyPut(n *node, from earth.NodeID, write func(), bytes int, issue sim.Time, f *earth.Frame, slot int) {
 	write()
-	now := n.sh.eng.Now()
+	now := rt.eng.Now()
 	if rt.tr != nil {
-		rt.emit(n.sh, earth.Event{Time: now, Node: n.id, Peer: from,
+		rt.events.Event(earth.Event{Time: now, Node: n.id, Peer: from,
 			Kind: earth.EvPutDeliver, Bytes: bytes, Dur: now - issue})
 	}
 	rt.signal(n, n.id, now, f, slot)
@@ -1320,7 +1254,7 @@ func (rt *Runtime) signal(n *node, from earth.NodeID, now sim.Time, f *earth.Fra
 	if rt.resolve(f.Home) == n.id {
 		rt.decSlot(n, from, now, f, slot)
 	} else {
-		rt.sendSyncAt(n.sh, now, n.id, f, slot)
+		rt.sendSyncAt(now, n.id, f, slot)
 	}
 }
 
@@ -1343,9 +1277,9 @@ func (rt *Runtime) fireGetReq(owner *node, m *msg) {
 	m.deliver = m.read()
 	m.read = nil
 	rt.retarget(m, msgGetResp)
-	now := owner.sh.eng.Now()
+	now := rt.eng.Now()
 	arrival := rt.send(now, owner.id, m.to, m.bytes)
-	rt.deliver(owner.sh, now, arrival, m)
+	rt.deliver(now, arrival, m)
 }
 
 // fireGetResp lands the payload back on the requester and signals the
@@ -1353,11 +1287,11 @@ func (rt *Runtime) fireGetReq(owner *node, m *msg) {
 func (rt *Runtime) fireGetResp(src *node, m *msg) {
 	owner, f, slot := m.from, m.f, m.slot
 	bytes, issue, deliverFn := m.bytes, m.issue, m.deliver
-	rt.freeMsg(src.sh, m)
+	rt.freeMsg(m)
 	deliverFn()
-	now := src.sh.eng.Now()
+	now := rt.eng.Now()
 	if rt.tr != nil {
-		rt.emit(src.sh, earth.Event{Time: now, Node: src.id, Peer: owner,
+		rt.events.Event(earth.Event{Time: now, Node: src.id, Peer: owner,
 			Kind: earth.EvGetDeliver, Bytes: bytes, Dur: now - issue})
 	}
 	rt.signal(src, owner, now, f, slot)
@@ -1367,17 +1301,16 @@ func (rt *Runtime) fireGetResp(src *node, m *msg) {
 // pool is dry, else the victim's oldest token (largest subtree, for
 // tree-shaped workloads) shipped as the grant leg.
 func (rt *Runtime) fireStealReq(victim *node, m *msg) {
-	sh := victim.sh
 	thief := m.from
-	now := sh.eng.Now()
+	now := rt.eng.Now()
 	if victim.tokens.len() == 0 {
-		rt.freeMsg(sh, m)
+		rt.freeMsg(m)
 		if rt.tr != nil {
-			rt.emit(sh, earth.Event{Time: now, Node: thief, Peer: victim.id, Kind: earth.EvStealMiss})
+			rt.events.Event(earth.Event{Time: now, Node: thief, Peer: victim.id, Kind: earth.EvStealMiss})
 		}
-		// The thief lives on another shard: it learns of the miss (and
-		// becomes eligible for re-matching) at the next barrier.
-		sh.misses = append(sh.misses, missNote{at: now, thief: thief})
+		// The thief learns of the miss (and becomes eligible for
+		// re-matching) at the next barrier.
+		rt.misses = append(rt.misses, missNote{at: now, thief: thief})
 		return
 	}
 	tk := victim.tokens.popFront()
@@ -1386,17 +1319,17 @@ func (rt *Runtime) fireStealReq(victim *node, m *msg) {
 	rt.retarget(m, msgStealGrant)
 	grantIssue := now + rt.cfg.Costs.AsyncSend
 	arrival := rt.send(grantIssue, victim.id, thief, tk.argBytes)
-	rt.deliver(sh, grantIssue, arrival, m)
+	rt.deliver(grantIssue, arrival, m)
 }
 
 // fireStealGrant lands a stolen token on the thief.
 func (rt *Runtime) fireStealGrant(thief *node, m *msg) {
 	thief.stealing = false
 	victimID, issue, bytes, body := m.from, m.issue, m.bytes, m.body
-	rt.freeMsg(thief.sh, m)
-	now := thief.sh.eng.Now()
+	rt.freeMsg(m)
+	now := rt.eng.Now()
 	if rt.tr != nil {
-		rt.emit(thief.sh, earth.Event{Time: now, Node: thief.id, Peer: victimID,
+		rt.events.Event(earth.Event{Time: now, Node: thief.id, Peer: victimID,
 			Kind: earth.EvStealGrant, Dur: now - issue, Bytes: bytes})
 	}
 	rt.enqueue(thief, item{body: body, token: true, stolen: true,
@@ -1409,12 +1342,12 @@ func (rt *Runtime) fireStealGrant(thief *node, m *msg) {
 // whole batch — the amortisation the coalescer models.
 func (rt *Runtime) fireBatch(n *node, m *msg) {
 	from, ops := m.from, m.batch
-	rt.freeMsg(n.sh, m)
+	rt.freeMsg(m)
 	for i := range ops {
 		op := &ops[i]
 		switch op.kind {
 		case msgSync:
-			rt.decSlot(n, from, n.sh.eng.Now(), op.f, op.slot)
+			rt.decSlot(n, from, rt.eng.Now(), op.f, op.slot)
 		case msgPut:
 			rt.applyPut(n, from, op.write, op.bytes, op.issue, op.f, op.slot)
 		case msgPost:
@@ -1435,12 +1368,11 @@ func (rt *Runtime) consumesCPUOnRecv() bool {
 
 // sendSyncAt charges the network for an 8-byte sync signal issued by from
 // at ready and schedules its pooled delivery envelope at f's home node —
-// or the home's adopter once a crash has been detected. sh is the
-// executing shard (from's own).
-func (rt *Runtime) sendSyncAt(sh *shard, ready sim.Time, from earth.NodeID, f *earth.Frame, slot int) {
-	m, arrival := rt.envelope(sh, msgSync, from, rt.resolve(f.Home), ready, 8, 8)
+// or the home's adopter once a crash has been detected.
+func (rt *Runtime) sendSyncAt(ready sim.Time, from earth.NodeID, f *earth.Frame, slot int) {
+	m, arrival := rt.envelope(msgSync, from, rt.resolve(f.Home), ready, 8, 8)
 	m.f, m.slot = f, slot
-	rt.deliver(sh, ready, arrival, m)
+	rt.deliver(ready, arrival, m)
 }
 
 // decSlot decrements a slot on its home node and enqueues the enabled
@@ -1450,7 +1382,7 @@ func (rt *Runtime) sendSyncAt(sh *shard, ready sim.Time, from earth.NodeID, f *e
 func (rt *Runtime) decSlot(n *node, from earth.NodeID, at sim.Time, f *earth.Frame, slot int) {
 	n.stats.Syncs++
 	if rt.tr != nil {
-		rt.emit(n.sh, earth.Event{Time: at, Node: n.id, Peer: from, Kind: earth.EvSyncSignal})
+		rt.events.Event(earth.Event{Time: at, Node: n.id, Peer: from, Kind: earth.EvSyncSignal})
 	}
 	rt.sanTrack(n, f)
 	if fired, th := f.Dec(slot); fired {
@@ -1461,9 +1393,8 @@ func (rt *Runtime) decSlot(n *node, from earth.NodeID, at sim.Time, f *earth.Fra
 // sanTrack attaches the sanitize ledger to f on its first engine contact
 // and records the frame for the end-of-run scan. Every engine-mediated
 // frame operation runs on the frame's (current) home node's execution
-// context, so the attach is race-free even under shards; crash adoption
-// moves that context wholesale, and the Sanitized check keeps a frame
-// from registering twice across the move.
+// context; crash adoption moves that context wholesale, and the Sanitized
+// check keeps a frame from registering twice across the move.
 func (rt *Runtime) sanTrack(n *node, f *earth.Frame) {
 	if !rt.sanOn || f == nil || f.Sanitized() {
 		return
@@ -1473,9 +1404,7 @@ func (rt *Runtime) sanTrack(n *node, f *earth.Frame) {
 }
 
 // send charges the network for a message and returns its arrival time.
-// ready is the virtual time the sender-side software finished. All mutated
-// state (sender stats, the sender's NIC reservation, per-source machine
-// counters) belongs to src, so concurrent shards never contend.
+// ready is the virtual time the sender-side software finished.
 func (rt *Runtime) send(ready sim.Time, src, dst earth.NodeID, payload int) sim.Time {
 	// wireExtra charges the end-to-end checksum (manna.ChecksumBytes) on
 	// every transfer when the plan can corrupt payloads; it is 0 otherwise,
@@ -1496,13 +1425,13 @@ func (rt *Runtime) depositToken(n *node, cursor sim.Time, tk token) sim.Time {
 	n.hungry = false
 	if !n.running {
 		n.running = true
-		n.sh.eng.After(0, n.dispatchFn)
+		rt.eng.After(0, n.dispatchFn)
 	}
 	return cursor
 }
 
 // pickVictim returns a random node with a non-empty token pool, or nil.
-// The candidate list is scratch reused across calls. Only the coordinator
+// The candidate list is scratch reused across calls. Only matchSteals
 // calls this (steal matching is barrier work).
 func (rt *Runtime) pickVictim(thief *node) *node {
 	candidates := rt.victimScratch[:0]
@@ -1576,7 +1505,7 @@ func (c *ctx) Sync(f *earth.Frame, slot int) {
 		return
 	}
 	c.cursor += c.rt.cfg.Costs.AsyncSend
-	c.rt.sendSyncAt(c.n.sh, c.cursor, c.n.id, f, slot)
+	c.rt.sendSyncAt(c.cursor, c.n.id, f, slot)
 }
 
 func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, slot int) {
@@ -1597,7 +1526,7 @@ func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, 
 		c.cursor += rt.cfg.Costs.CopyCost(nbytes)
 		issue := c.cursor
 		if rt.tr != nil {
-			rt.emit(c.n.sh, earth.Event{Time: issue, Node: c.n.id, Peer: owner,
+			rt.events.Event(earth.Event{Time: issue, Node: c.n.id, Peer: owner,
 				Kind: earth.EvPutSend, Bytes: nbytes})
 		}
 		c.coalAdd(owner, coalOp{kind: msgPut, f: f, slot: slot, write: write,
@@ -1608,12 +1537,12 @@ func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, 
 	issue := c.cursor
 	src := c.n.id
 	if rt.tr != nil {
-		rt.emit(c.n.sh, earth.Event{Time: issue, Node: src, Peer: owner,
+		rt.events.Event(earth.Event{Time: issue, Node: src, Peer: owner,
 			Kind: earth.EvPutSend, Bytes: nbytes})
 	}
-	m, arrival := rt.envelope(c.n.sh, msgPut, src, owner, issue, nbytes, nbytes)
+	m, arrival := rt.envelope(msgPut, src, owner, issue, nbytes, nbytes)
 	m.f, m.slot, m.write = f, slot, write
-	rt.deliver(c.n.sh, issue, arrival, m)
+	rt.deliver(issue, arrival, m)
 }
 
 func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.Frame, slot int) {
@@ -1637,12 +1566,12 @@ func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.F
 	c.cursor += rt.cfg.Costs.SendCost(0, true)
 	issue := c.cursor
 	if rt.tr != nil {
-		rt.emit(c.n.sh, earth.Event{Time: issue, Node: c.n.id, Peer: owner,
+		rt.events.Event(earth.Event{Time: issue, Node: c.n.id, Peer: owner,
 			Kind: earth.EvGetSend, Bytes: nbytes})
 	}
-	m, arrival := rt.envelope(c.n.sh, msgGetReq, c.n.id, owner, issue, 8, nbytes)
+	m, arrival := rt.envelope(msgGetReq, c.n.id, owner, issue, 8, nbytes)
 	m.f, m.slot, m.read = f, slot, read
-	rt.deliver(c.n.sh, issue, arrival, m)
+	rt.deliver(issue, arrival, m)
 }
 
 func (c *ctx) Invoke(nodeID earth.NodeID, argBytes int, body earth.ThreadBody) {
@@ -1660,12 +1589,12 @@ func (c *ctx) Invoke(nodeID earth.NodeID, argBytes int, body earth.ThreadBody) {
 	issue := c.cursor
 	src := c.n.id
 	if rt.tr != nil {
-		rt.emit(c.n.sh, earth.Event{Time: issue, Node: src, Peer: nodeID,
+		rt.events.Event(earth.Event{Time: issue, Node: src, Peer: nodeID,
 			Kind: earth.EvInvokeSend, Bytes: argBytes})
 	}
-	m, arrival := rt.envelope(c.n.sh, msgThread, src, nodeID, issue, argBytes, argBytes)
+	m, arrival := rt.envelope(msgThread, src, nodeID, issue, argBytes, argBytes)
 	m.body, m.cause = body, earth.CauseInvoke
-	rt.deliver(c.n.sh, issue, arrival, m)
+	rt.deliver(issue, arrival, m)
 }
 
 // Post delivers handler on the target's message-handling path: its effect
@@ -1681,7 +1610,7 @@ func (c *ctx) Post(nodeID earth.NodeID, argBytes int, handler earth.ThreadBody) 
 		// Local post: handled immediately after the current thread's
 		// current point; modelled as a local spawn on the handler path.
 		c.cursor += rt.cfg.Costs.SpawnLocal
-		m := rt.newMsg(c.n.sh)
+		m := rt.newMsg()
 		m.kind = msgPost
 		m.from, m.to = c.n.id, nodeID
 		m.body = handler
@@ -1692,13 +1621,13 @@ func (c *ctx) Post(nodeID earth.NodeID, argBytes int, handler earth.ThreadBody) 
 			// self-fence forever.
 			m.sendEpoch = rt.epochs[c.n.id]
 		}
-		c.n.sh.eng.At(c.cursor, m.fire)
+		rt.eng.At(c.cursor, m.fire)
 		return
 	}
 	if rt.coalOn {
 		c.cursor += rt.cfg.Costs.CopyCost(argBytes)
 		if rt.tr != nil {
-			rt.emit(c.n.sh, earth.Event{Time: c.cursor, Node: c.n.id, Peer: nodeID,
+			rt.events.Event(earth.Event{Time: c.cursor, Node: c.n.id, Peer: nodeID,
 				Kind: earth.EvPostSend, Bytes: argBytes})
 		}
 		c.coalAdd(nodeID, coalOp{kind: msgPost, body: handler,
@@ -1707,12 +1636,12 @@ func (c *ctx) Post(nodeID earth.NodeID, argBytes int, handler earth.ThreadBody) 
 	}
 	c.cursor += rt.cfg.Costs.SendCost(argBytes, false)
 	if rt.tr != nil {
-		rt.emit(c.n.sh, earth.Event{Time: c.cursor, Node: c.n.id, Peer: nodeID,
+		rt.events.Event(earth.Event{Time: c.cursor, Node: c.n.id, Peer: nodeID,
 			Kind: earth.EvPostSend, Bytes: argBytes})
 	}
-	m, arrival := rt.envelope(c.n.sh, msgPost, c.n.id, nodeID, c.cursor, argBytes, argBytes)
+	m, arrival := rt.envelope(msgPost, c.n.id, nodeID, c.cursor, argBytes, argBytes)
 	m.body = handler
-	rt.deliver(c.n.sh, c.cursor, arrival, m)
+	rt.deliver(c.cursor, arrival, m)
 }
 
 func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
@@ -1724,16 +1653,15 @@ func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 		if rt.cfg.Balancer == earth.BalanceRandomPlace {
 			target = earth.NodeID(c.n.rand().Intn(len(rt.nodes)))
 		} else {
-			// Per-node cursor: round-robin placement must not depend on a
-			// machine-global counter, whose increment order would vary with
-			// the shard count.
+			// Per-node cursor: each node deals its own tokens round the
+			// machine, whatever the others have placed meanwhile.
 			target = earth.NodeID(c.n.rr % len(rt.nodes))
 			c.n.rr++
 		}
 		if target == c.n.id {
 			c.cursor += rt.cfg.Costs.SpawnLocal
 			if rt.tr != nil {
-				rt.emit(c.n.sh, earth.Event{Time: c.cursor, Node: c.n.id, Peer: target,
+				rt.events.Event(earth.Event{Time: c.cursor, Node: c.n.id, Peer: target,
 					Kind: earth.EvTokenSpawn, Bytes: argBytes})
 			}
 			rt.enqueue(c.n, item{body: body, token: true, enq: c.cursor, cause: earth.CauseToken})
@@ -1744,16 +1672,16 @@ func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 		}
 		c.cursor += rt.cfg.Costs.SendCost(argBytes, false)
 		if rt.tr != nil {
-			rt.emit(c.n.sh, earth.Event{Time: c.cursor, Node: c.n.id, Peer: target,
+			rt.events.Event(earth.Event{Time: c.cursor, Node: c.n.id, Peer: target,
 				Kind: earth.EvTokenSpawn, Bytes: argBytes})
 		}
-		m, arrival := rt.envelope(c.n.sh, msgThread, c.n.id, target, c.cursor, argBytes, argBytes)
+		m, arrival := rt.envelope(msgThread, c.n.id, target, c.cursor, argBytes, argBytes)
 		m.body, m.cause = body, earth.CauseToken
-		rt.deliver(c.n.sh, c.cursor, arrival, m)
+		rt.deliver(c.cursor, arrival, m)
 	default: // BalanceSteal, BalanceNone
 		c.cursor += rt.cfg.Costs.SpawnLocal
 		if rt.tr != nil {
-			rt.emit(c.n.sh, earth.Event{Time: c.cursor, Node: c.n.id, Peer: earth.NoPeer,
+			rt.events.Event(earth.Event{Time: c.cursor, Node: c.n.id, Peer: earth.NoPeer,
 				Kind: earth.EvTokenSpawn, Bytes: argBytes})
 		}
 		c.cursor = rt.depositToken(c.n, c.cursor, token{body: body, argBytes: argBytes})

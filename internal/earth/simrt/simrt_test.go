@@ -497,9 +497,9 @@ func TestInvokeArgsSizes(t *testing.T) {
 // TestNodeRandStreams pins each node's random stream to the values it had
 // when every node was seeded eagerly in New (recorded before seeding
 // became lazy): application draws through c.Rand on a subset of nodes,
-// the engine's own draws (jitter, random placement, victim choice), at
-// one shard and two. A second Run on the same Runtime continues each
-// stream where the first left it.
+// the engine's own draws (jitter, random placement, victim choice). A
+// second Run on the same Runtime continues each stream where the first
+// left it.
 func TestNodeRandStreams(t *testing.T) {
 	run := func(rt *Runtime) string {
 		draws := make([]int, rt.P()) // slot i is written by node i only
@@ -526,14 +526,12 @@ func TestNodeRandStreams(t *testing.T) {
 			"1486902 ns, 67 msgs, draws [2806 0 1850 0 3173 0]",
 			"1483328 ns, 68 msgs, draws [3491 0 4370 0 3007 0]"},
 	} {
-		for _, shards := range []int{1, 2} {
-			rt := New(earth.Config{Nodes: 6, Seed: 7, JitterPct: 3, Balancer: c.bal, Shards: shards})
-			if got := run(rt); got != c.first {
-				t.Errorf("%v, shards %d: first run = %q, want %q", c.bal, shards, got, c.first)
-			}
-			if got := run(rt); got != c.second {
-				t.Errorf("%v, shards %d: second run = %q, want %q", c.bal, shards, got, c.second)
-			}
+		rt := New(earth.Config{Nodes: 6, Seed: 7, JitterPct: 3, Balancer: c.bal})
+		if got := run(rt); got != c.first {
+			t.Errorf("%v: first run = %q, want %q", c.bal, got, c.first)
+		}
+		if got := run(rt); got != c.second {
+			t.Errorf("%v: second run = %q, want %q", c.bal, got, c.second)
 		}
 	}
 }

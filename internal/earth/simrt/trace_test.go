@@ -48,14 +48,13 @@ func record(cfg earth.Config, body earth.ThreadBody) []earth.Event {
 	return rec.Events()
 }
 
-// TestTraceChunkSeams places the single shard's buffer exactly on the
-// boundaries chunking introduces — one full chunk, one event into the
-// second, several chunks — and checks nothing is lost, duplicated or
-// reordered there: the stream has the exact length, is in canonical order
-// and equals the one four shards (four shorter buffers) produce.
+// TestTraceChunkSeams places the trace buffer exactly on the boundaries
+// chunking introduces — one full chunk, one event into the second,
+// several chunks — and checks nothing is lost, duplicated or reordered
+// there: the stream has the exact length and is in canonical order.
 func TestTraceChunkSeams(t *testing.T) {
 	const nodes, work = 4, 64
-	cfg := earth.Config{Nodes: nodes, Seed: 1, Shards: 1}
+	cfg := earth.Config{Nodes: nodes, Seed: 1}
 	base := len(record(cfg, seamProgram(nodes, work, 0)))
 	for _, want := range []int{eventChunk - 1, eventChunk, eventChunk + 1, 3*eventChunk + 17} {
 		t.Run(fmt.Sprint(want), func(t *testing.T) {
@@ -68,11 +67,6 @@ func TestTraceChunkSeams(t *testing.T) {
 					t.Fatalf("events %d and %d out of canonical order: %+v, %+v", i-1, i, one[i-1], one[i])
 				}
 			}
-			sharded := cfg
-			sharded.Shards = 4
-			if four := record(sharded, seamProgram(nodes, work, want-base)); !slices.Equal(one, four) {
-				t.Fatalf("Shards 1 and 4 streams differ (%d vs %d events)", len(one), len(four))
-			}
 		})
 	}
 }
@@ -84,9 +78,9 @@ func TestTraceChunkSeams(t *testing.T) {
 func TestTraceBuffersResetBetweenRuns(t *testing.T) {
 	const nodes, work = 4, 64
 	rec := obs.NewRecorder()
-	rt := New(earth.Config{Nodes: nodes, Seed: 1, Shards: 1, Tracer: rec})
+	rt := New(earth.Config{Nodes: nodes, Seed: 1, Tracer: rec})
 	body := seamProgram(nodes, work, eventChunk+100) // spills into a second chunk
-	buf := &rt.shards[0].events
+	buf := &rt.events
 
 	rt.Run(body)
 	first := rec.Events()

@@ -1,24 +1,23 @@
-// Conservative time-windowed parallel simulation.
+// The run loop: windows and barriers.
 //
-// The simulated nodes are partitioned into contiguous shards, each with its
-// own sim.Engine. The coordinator repeatedly:
+// Run drives one event queue, but not straight through. It repeatedly
 //
-//  1. computes the global minimum pending event time tmin,
-//  2. runs every shard concurrently up to the window end
-//     tmin + lookahead (clamped to the next crash/detection boundary),
-//  3. at the barrier, merges the shards' outboxed cross-node messages in a
+//  1. reads the earliest pending event time tmin,
+//  2. executes every event before the window end tmin + lookahead (clamped
+//     to the next crash/detection/fence/heal boundary),
+//  3. at the barrier, inserts the window's outboxed cross-node messages in a
 //     canonical order, matches hungry thieves to victims, emits due
-//     utilisation samples, and applies due crash boundaries.
+//     utilisation samples, and applies due boundaries.
 //
-// The lookahead is manna.Config.MinRemoteLatency(): no message issued at or
-// after tmin can arrive anywhere before tmin + lookahead, and every fault
-// perturbation (drop retransmission, delay, duplication, crash-hold) only
-// pushes arrivals later, so a window's shards can never affect each other
-// mid-window. Mid-window a node mutates only its own state — every
-// cross-node effect is an outboxed message applied at the barrier in
-// (arrival, sender, issue-order) order — so the per-node execution is
-// independent of the partitioning, and stats, traces and critical-path
-// attribution are byte-identical for every shard count.
+// The cadence is part of the simulated machine, not of the host program:
+// the lookahead is manna.Config.MinRemoteLatency(), a constant of the
+// network model, and every barrier is a simulated instant — it is when an
+// idle node's steal request goes out and when a steal miss comes back —
+// so widening, skipping or merging windows changes simulated times.
+// Mid-window a node mutates only its own state; every cross-node effect is
+// an outboxed message that enters the queue at the barrier in (arrival,
+// sender, issue-order) order, so events of one instant run in an order
+// that depends on per-node execution alone.
 package simrt
 
 import (
@@ -31,35 +30,10 @@ import (
 	"earth/internal/sim"
 )
 
-// shard is one host worker's slice of the machine: nodes [lo, hi) and a
-// private event queue. Everything inside is touched either by the shard's
-// own events mid-window or by the coordinator at barriers, never both at
-// once.
-type shard struct {
-	id, lo, hi int
-	rt         *Runtime
-	eng        *sim.Engine
-	// outbox holds the cross-node messages this shard's events issued in
-	// the current window, drained by the coordinator at the barrier.
-	outbox []outboxEntry
-	// misses holds steal-miss notifications for thieves on other shards,
-	// drained at the barrier.
-	misses []missNote
-	// events buffers this shard's trace emissions for the final canonical
-	// merge.
-	events eventBuf
-	// msgFree is the shard-local envelope pool.
-	msgFree []*msg
-	// runCh/doneCh drive the shard's worker goroutine (nil for shard 0,
-	// which runs inline on the coordinator).
-	runCh  chan sim.Time
-	doneCh chan any
-}
-
-// outboxEntry is one cross-node message awaiting the barrier merge. The
-// (at, from, seq) triple orders entries canonically: seq is the sender
-// node's own issue counter, so the merged order depends only on per-node
-// execution, never on the shard layout.
+// outboxEntry is one cross-node message awaiting the barrier. The (at,
+// from, seq) triple orders entries canonically: seq is the sender node's
+// own issue counter, so the order in which a barrier's messages enter the
+// queue depends only on per-node execution.
 type outboxEntry struct {
 	at   sim.Time
 	from earth.NodeID
@@ -67,8 +41,8 @@ type outboxEntry struct {
 	m    *msg
 }
 
-// missNote tells the coordinator that a steal request missed at a victim,
-// so the thief (usually on another shard) can be re-matched at the barrier.
+// missNote records that a steal request missed at a victim; the thief
+// learns of it, and can be re-matched, at the next barrier.
 type missNote struct {
 	at    sim.Time
 	thief earth.NodeID
@@ -77,8 +51,8 @@ type missNote struct {
 // boundary is one instant of the precomputed failure schedule. Windows
 // never simulate across a boundary: crashes, detections, fences and heals
 // mutate state machine-wide (routing, adoption, token reassignment, epoch
-// bumps), so they run on the quiesced coordinator, at the same virtual
-// instant for every shard count.
+// bumps), so they run between windows, with every event before their
+// instant executed and none after it.
 type boundary struct {
 	at   sim.Time
 	kind uint8
@@ -127,15 +101,15 @@ func makeBoundaries(crashAt []sim.Time, fences []faults.Fence, lease sim.Time) [
 	return bs
 }
 
-// runWindows is the coordinator loop driving one Run to quiescence.
+// runWindows drives one Run to quiescence.
 func (rt *Runtime) runWindows() {
-	stop := rt.startWorkers()
-	defer stop()
 	var vnow sim.Time
 	bi := 0
 	for {
 		rt.barrier(vnow)
-		tmin, ok := rt.minPending()
+		// Every outboxed message is in the queue now, so Peek is the
+		// machine's earliest pending instant.
+		tmin, ok := rt.eng.Peek()
 		haveB := bi < len(rt.boundaries)
 		if !ok && !haveB {
 			return
@@ -167,42 +141,28 @@ func (rt *Runtime) runWindows() {
 		if haveB && rt.boundaries[bi].at < end {
 			end = rt.boundaries[bi].at
 		}
-		rt.runShards(end)
+		rt.atBarrier = false
+		rt.eng.RunBefore(end)
+		rt.atBarrier = true
+		if t := rt.eng.Now(); t > rt.maxExec {
+			rt.maxExec = t
+		}
 		vnow = end
 	}
 }
 
-// minPending returns the earliest pending event time across all shards.
-// Valid only at barriers, when every outboxed message has been inserted.
-func (rt *Runtime) minPending() (sim.Time, bool) {
-	var best sim.Time
-	ok := false
-	for _, s := range rt.shards {
-		if t, has := s.eng.Peek(); has && (!ok || t < best) {
-			best, ok = t, true
-		}
-	}
-	return best, ok
-}
-
-// barrier is the coordinator's between-window work, in a fixed order so
-// its effects are identical for every shard count:
+// barrier is the between-window work, in a fixed order:
 //
-//  1. merge all shards' outboxed messages canonically and insert them
-//     into their target engines,
+//  1. insert the window's outboxed messages into the queue in canonical
+//     order,
 //  2. deliver steal-miss notes (re-arming thieves for matching),
 //  3. emit utilisation samples due up to the executed horizon,
 //  4. match hungry thieves to steal victims.
 func (rt *Runtime) barrier(vnow sim.Time) {
-	box := rt.boxScratch[:0]
-	for _, s := range rt.shards {
-		box = append(box, s.outbox...)
-		s.outbox = s.outbox[:0]
-	}
 	// Both sorts below have unique keys, so the order does not depend on
 	// the algorithm; most barriers have nothing to sort at all.
-	if len(box) > 1 {
-		slices.SortFunc(box, func(a, b outboxEntry) int {
+	if len(rt.outbox) > 1 {
+		slices.SortFunc(rt.outbox, func(a, b outboxEntry) int {
 			if c := cmp.Compare(a.at, b.at); c != 0 {
 				return c
 			}
@@ -212,27 +172,22 @@ func (rt *Runtime) barrier(vnow sim.Time) {
 			return cmp.Compare(a.seq, b.seq)
 		})
 	}
-	for i := range box {
-		e := &box[i]
-		rt.nodes[e.m.to].sh.eng.At(e.at, e.m.fire)
+	for i := range rt.outbox {
+		e := &rt.outbox[i]
+		rt.eng.At(e.at, e.m.fire)
 		e.m = nil
 	}
-	rt.boxScratch = box[:0]
+	rt.outbox = rt.outbox[:0]
 
-	ms := rt.missScratch[:0]
-	for _, s := range rt.shards {
-		ms = append(ms, s.misses...)
-		s.misses = s.misses[:0]
-	}
-	if len(ms) > 1 {
-		slices.SortFunc(ms, func(a, b missNote) int {
+	if len(rt.misses) > 1 {
+		slices.SortFunc(rt.misses, func(a, b missNote) int {
 			if c := cmp.Compare(a.at, b.at); c != 0 {
 				return c
 			}
 			return cmp.Compare(a.thief, b.thief)
 		})
 	}
-	for _, note := range ms {
+	for _, note := range rt.misses {
 		th := rt.nodes[note.thief]
 		th.stealing = false
 		if !th.running && th.ready.len() == 0 && th.tokens.len() == 0 &&
@@ -240,7 +195,7 @@ func (rt *Runtime) barrier(vnow sim.Time) {
 			th.hungry = true
 		}
 	}
-	rt.missScratch = ms[:0]
+	rt.misses = rt.misses[:0]
 
 	if rt.sampling {
 		rt.emitSamples()
@@ -271,11 +226,11 @@ func (rt *Runtime) matchSteals(vnow sim.Time) {
 		th.stealing = true
 		issue := vnow + rt.cfg.Costs.AsyncSend
 		if rt.tr != nil {
-			rt.emit(nil, earth.Event{Time: issue, Node: th.id, Peer: v.id,
+			rt.events.Event(earth.Event{Time: issue, Node: th.id, Peer: v.id,
 				Kind: earth.EvStealRequest, Bytes: stealReqBytes})
 		}
-		m, arrival := rt.envelope(v.sh, msgStealReq, th.id, v.id, issue, stealReqBytes, stealReqBytes)
-		rt.deliver(nil, issue, arrival, m)
+		m, arrival := rt.envelope(msgStealReq, th.id, v.id, issue, stealReqBytes, stealReqBytes)
+		rt.deliver(issue, arrival, m)
 	}
 }
 
@@ -306,97 +261,10 @@ func (rt *Runtime) emitSamples() {
 				}
 			}
 			n.spans = kept
-			rt.emit(nil, earth.Event{Time: next, Node: n.id, Peer: earth.NoPeer,
+			rt.events.Event(earth.Event{Time: next, Node: n.id, Peer: earth.NoPeer,
 				Kind: earth.EvUtilSample, Dur: busy})
 		}
 		rt.sampleNext += period
-	}
-}
-
-// startWorkers launches one goroutine per shard beyond the first and
-// returns the function that retires them. Shard 0 always runs inline on
-// the coordinator. The goroutines communicate exclusively through their
-// run/done channels: mid-window they own disjoint state, and the barrier
-// protocol is the only synchronisation — which is why results cannot
-// depend on goroutine scheduling.
-func (rt *Runtime) startWorkers() func() {
-	ws := rt.shards[1:]
-	if len(ws) == 0 {
-		return func() {}
-	}
-	for _, s := range ws {
-		s.runCh = make(chan sim.Time, 1)
-		s.doneCh = make(chan any, 1)
-		s := s
-		//detlint:allow shard workers synchronise exclusively at window barriers; results are byte-identical for every shard count
-		go func() {
-			for end := range s.runCh {
-				var pan any
-				func() {
-					defer func() { pan = recover() }()
-					s.eng.RunBefore(end)
-				}()
-				s.doneCh <- pan
-			}
-		}()
-	}
-	return func() {
-		for _, s := range ws {
-			close(s.runCh)
-		}
-	}
-}
-
-// runShards executes one window: every shard with an event before end runs
-// concurrently up to (strictly before) end. The coordinator runs shard 0
-// inline and collects the workers at the barrier. A panicking shard (a
-// programming-error panic from application code, e.g. Ctx misuse) is
-// re-raised after every active worker has parked, so the machine is
-// quiescent and no worker is left running.
-func (rt *Runtime) runShards(end sim.Time) {
-	rt.atBarrier = false
-	act := rt.actScratch[:0]
-	var inline *shard
-	for _, s := range rt.shards {
-		t, ok := s.eng.Peek()
-		if !ok || t >= end {
-			continue
-		}
-		if s.id == 0 {
-			inline = s
-			continue
-		}
-		s.runCh <- end
-		act = append(act, s)
-	}
-	var pan any
-	if inline != nil {
-		if len(act) == 0 {
-			// Single-shard (or single-active-shard) fast path: run on the
-			// coordinator with no recover frame, preserving ordinary panic
-			// propagation to the caller of Run.
-			inline.eng.RunBefore(end)
-		} else {
-			func() {
-				defer func() { pan = recover() }()
-				inline.eng.RunBefore(end)
-			}()
-		}
-	}
-	for _, s := range act {
-		if p := <-s.doneCh; p != nil && pan == nil {
-			pan = p
-		}
-	}
-	rt.actScratch = act[:0]
-	rt.atBarrier = true
-	for _, s := range rt.shards {
-		if t := s.eng.Now(); t > rt.maxExec {
-			rt.maxExec = t
-		}
-	}
-	if pan != nil {
-		panic(pan)
 	}
 }
 
@@ -437,7 +305,7 @@ func phaseRank(k earth.EventKind) uint8 {
 // eventCmp is the canonical trace order as a three-way comparison:
 // virtual time, node, phase, then every remaining field, so it returns 0
 // only for identical events and the (unstable) sort yields one
-// well-defined stream for any shard count.
+// well-defined stream whatever order the events were buffered in.
 func eventCmp(a, b *earth.Event) int {
 	if c := cmp.Compare(a.Time, b.Time); c != 0 {
 		return c
@@ -466,22 +334,15 @@ func eventCmp(a, b *earth.Event) int {
 	return cmp.Compare(a.Bytes, b.Bytes)
 }
 
-// flushTrace merges the coordinator's and every shard's buffered events
-// into one stream allocated at its exact length, sorts it canonically and
-// hands it to the tracer, announcing the length first to a tracer that
-// has a Grow(n int) method so it can reserve room once.
+// flushTrace copies the buffered events into one stream allocated at its
+// exact length, sorts it canonically and hands it to the tracer, announcing
+// the length first to a tracer that has a Grow(n int) method so it can
+// reserve room once.
 func (rt *Runtime) flushTrace() {
 	if rt.tr != nil {
-		n := rt.cord.len()
-		for _, s := range rt.shards {
-			n += s.events.len()
-		}
-		evs := rt.cord.appendTo(make([]earth.Event, 0, n))
-		rt.cord.reset()
-		for _, s := range rt.shards {
-			evs = s.events.appendTo(evs)
-			s.events.reset()
-		}
+		n := rt.events.len()
+		evs := rt.events.appendTo(make([]earth.Event, 0, n))
+		rt.events.reset()
 		slices.SortFunc(evs, func(a, b earth.Event) int { return eventCmp(&a, &b) })
 		if g, ok := rt.tr.(interface{ Grow(n int) }); ok {
 			g.Grow(n)

@@ -770,14 +770,14 @@ func NewInjector(plan *Plan, fallbackSeed int64) *Injector {
 	return in
 }
 
-// NewLaneInjector builds one lane of a sharded injector bank: lane n draws
-// from its own seeded stream (derived from the plan seed and the lane
-// index) and issues sequence numbers from a disjoint range, so per-node
-// lanes can be consulted from concurrently running shards without sharing
-// any state while keeping every decision a pure function of (plan, seed,
-// lane, per-lane issue order). The realisation differs from a single
-// shared injector's, but it is equally plan-faithful and — crucially —
-// independent of how nodes are partitioned into shards.
+// NewLaneInjector builds one lane of an injector bank: lane n draws from
+// its own seeded stream (derived from the plan seed and the lane index)
+// and issues sequence numbers from a disjoint range. With one lane per
+// sender node, a sender's verdict stream depends only on its own send
+// order — every decision is a pure function of (plan, seed, lane,
+// per-lane issue order) — and not on how the other nodes' sends
+// interleave with it. The realisation differs from a single shared
+// injector's, but it is equally plan-faithful.
 //
 // The lane index must be in [0, 1<<23): 2^40 sequence numbers per lane
 // leaves seqs unique for any realistic run length.

@@ -179,8 +179,8 @@ type parNode struct {
 	cache []*poly.Poly
 	leads []poly.Mono // leads[i] is cache[i].LeadMono()
 	// red is this worker's reduction workspace. Nodes run on separate
-	// host goroutines on livert and on simrt with Shards > 1, so a
-	// workspace is never shared between them.
+	// host goroutines on livert, so a workspace is never shared between
+	// them.
 	red         poly.Reducer
 	busy        bool
 	stop        bool

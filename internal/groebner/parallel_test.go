@@ -1,8 +1,6 @@
 package groebner
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"earth/internal/earth"
@@ -153,38 +151,6 @@ func TestParallelOnLiveRuntime(t *testing.T) {
 	}
 	if !SameIdeal(res.Basis, seq) {
 		t.Fatal("live parallel ideal differs")
-	}
-}
-
-// TestParallelShardCountInvariant: workers reduce on separate host
-// goroutines once Shards > 1, each with its own workspace, and the run —
-// basis, counters and every simulated statistic — must not depend on the
-// shard count. Run under -race.
-func TestParallelShardCountInvariant(t *testing.T) {
-	in := InputByName("Katsura-4")
-	run := func(shards int) (*ParallelResult, []byte) {
-		rt := simrt.New(earth.Config{Nodes: 8, Seed: 3, JitterPct: 2, Shards: shards})
-		res, err := ParallelBuchberger(rt, in.F, ParallelConfig{Opt: in.Opt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := json.Marshal(res.Stats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, stats
-	}
-	one, oneStats := run(1)
-	two, twoStats := run(2)
-	if !two.Basis.Equal(one.Basis) {
-		t.Fatal("Shards: 2 produced a different basis than Shards: 1")
-	}
-	if two.PairsProcessed != one.PairsProcessed || two.Added != one.Added ||
-		two.Deferrals != one.Deferrals || two.Rejected != one.Rejected {
-		t.Fatalf("counters differ: %+v vs %+v", two, one)
-	}
-	if !bytes.Equal(twoStats, oneStats) {
-		t.Fatalf("Stats differ:\n shards=2 %s\n shards=1 %s", twoStats, oneStats)
 	}
 }
 

@@ -9,15 +9,12 @@ import (
 // sweeps: for every row of the experiment table, the Report text and the
 // Series JSON produced with a multi-worker pool must be byte-identical
 // to the Workers=1 output for the same seed, and a repeated pooled
-// invocation — this time with every simulated machine split into two
-// shards, the other host-parallelism axis — must reproduce them again.
-// Run under -race this also checks the cells really are independent.
+// invocation must reproduce them again. Run under -race this also checks
+// the cells really are independent.
 func TestParallelSweepDeterminism(t *testing.T) {
 	serial := Config{Runs: 2, Nodes: []int{1, 2, 4}, Seed: 1, Workers: 1}
 	pooled := serial
 	pooled.Workers = 4
-	sharded := pooled
-	sharded.Shards = 2
 
 	render := func(t *testing.T, r *Report) string {
 		series, err := json.Marshal(r.Series)
@@ -33,8 +30,8 @@ func TestParallelSweepDeterminism(t *testing.T) {
 			if got := render(t, e.Run(pooled)); got != want {
 				t.Errorf("report diverges from Workers=1:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", want, got)
 			}
-			if again := render(t, e.Run(sharded)); again != want {
-				t.Errorf("repeated pooled run at Shards=2 diverges:\n--- workers=1 ---\n%s\n--- again ---\n%s", want, again)
+			if again := render(t, e.Run(pooled)); again != want {
+				t.Errorf("repeated pooled run diverges:\n--- workers=1 ---\n%s\n--- again ---\n%s", want, again)
 			}
 		})
 	}

@@ -97,7 +97,7 @@ func DefaultFaultPlan() *faults.Plan {
 func faultRuns(cfg Config, wls []faultWorkload, nodeList, axes []int,
 	perturb func(ec earth.Config, at []int, clean *earth.Stats) earth.Config) (clean, runs *Grid[outcome]) {
 	base := func(at []int) earth.Config {
-		return earth.Config{Nodes: nodeList[at[1]], Seed: cfg.Seed, Shards: cfg.Shards}
+		return earth.Config{Nodes: nodeList[at[1]], Seed: cfg.Seed}
 	}
 	dims := []int{len(wls), len(nodeList)}
 	clean = Sweep(cfg.Workers, dims, func(at []int) outcome { return wls[at[0]].run(simrt.New(base(at))) })
@@ -150,8 +150,15 @@ func FaultSweep(cfg Config, plan *faults.Plan) *Report {
 	if !plan.Enabled() {
 		plan = DefaultFaultPlan()
 	}
+	r := &Report{ID: "Chaos", Title: fmt.Sprintf(
+		"Fault-injection sweep: plan [%s], %d chaos runs per cell vs clean baseline", plan, cfg.Runs)}
 	wls := faultWorkloads(cfg.Seed)
 	nodeList := nodesMin(cfg.Nodes, 2)
+	if len(nodeList) == 0 {
+		// Nothing ran: a mean over no runs is NaN, so say that instead.
+		r.add("%-20s %s", "TOTAL", noPeak)
+		return r
+	}
 	clean, runs := faultRuns(cfg, wls, nodeList, nil, func(ec earth.Config, at []int, _ *earth.Stats) earth.Config {
 		run := int64(at[0])
 		ec.Seed += (run + 1) * 7919 // run 0 of the seed sequence is the clean baseline
@@ -166,8 +173,6 @@ func FaultSweep(cfg Config, plan *faults.Plan) *Report {
 		return ec
 	})
 
-	r := &Report{ID: "Chaos", Title: fmt.Sprintf(
-		"Fault-injection sweep: plan [%s], %d chaos runs per cell vs clean baseline", plan, cfg.Runs)}
 	var total tally
 	for wi, wl := range wls {
 		var t tally

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -45,5 +46,16 @@ func TestFaultSweepConverges(t *testing.T) {
 	// The plan must actually have intervened somewhere.
 	if !strings.Contains(out, "retries=") || strings.Contains(out, "faults=0 ") {
 		t.Errorf("fault plan appears inert:\n%s", out)
+	}
+
+	// A node list with no machine the sweep can run on (the workloads need
+	// a second node) runs nothing; the report says so instead of printing
+	// convergence and a mean slowdown over no runs.
+	r = FaultSweep(Config{Runs: 2, Nodes: []int{1}, Seed: 1}, plan)
+	if text := r.String(); !strings.Contains(text, noPeak) || strings.Contains(text, "NaN") || strings.Contains(text, "0/0") {
+		t.Errorf("report of an empty sweep:\n%s", text)
+	}
+	if _, err := json.Marshal(r); err != nil {
+		t.Errorf("report of an empty sweep does not marshal: %v", err)
 	}
 }

@@ -53,18 +53,13 @@ type Config struct {
 	// Report and Series byte-identical to Workers=1 for the same seed.
 	// Default (<= 0): runtime.GOMAXPROCS(0), applied by Sweep.
 	Workers int
-	// Shards is passed to every simulated machine's earth.Config.Shards:
-	// conservative time-windowed parallel simulation inside each cell, on
-	// top of (and composable with) the cell-level Workers parallelism.
-	// Results are byte-identical for every value; 0 leaves each cell
-	// single-sharded.
-	Shards int
 	// NoCoalesce disables same-destination message coalescing
 	// (earth.Config.Coalesce) in the sweeps converted to the batched
 	// wire path: the neural-network figures (7 and 8) and the Figure 5
 	// message-passing comparison. The batched path is the default so the
-	// regenerated figures reflect it; benchmarks set NoCoalesce to
-	// measure the unbatched wire path side by side.
+	// regenerated figures reflect it; paperfigs -nocoalesce and
+	// TestFigure7And8 set NoCoalesce to measure the unbatched wire path
+	// side by side.
 	NoCoalesce bool
 }
 
@@ -119,8 +114,9 @@ func (r *Report) addPeak(s *stats.Series, quantity, paper string) {
 }
 
 // noPeak is the measured side of a peak comparison whose series is
-// empty: the sweep runs on machines of at least two nodes (nodesMin) and
-// the node list named none.
+// empty, and the one line of a fault sweep that ran nothing: the sweep
+// runs on machines of at least two nodes (nodesMin) and the node list
+// named none.
 const noPeak = "n/a (no machine size ≥ 2 in the node list)"
 
 // peak formats the series' best mean and the machine size it occurs at.
@@ -244,7 +240,7 @@ func Figure2(cfg Config) (*Report, []*stats.Series) {
 	variants := []eigen.ArgVariant{eigen.ArgsBlockMove, eigen.ArgsIndividual}
 	names := []string{"eigen/" + variants[0].String(), "eigen/" + variants[1].String()}
 	series := speedupCurves(cfg, names, cfg.Nodes, 1, fixedBase(base), func(v, nodes, _ int) sim.Time {
-		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards})
+		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed})
 		return eigen.ParallelBisect(rt, m, eigen.ParallelConfig{Tol: tol, Args: variants[v]}).Stats.Elapsed
 	})
 	r.addFigure(series...)
@@ -348,8 +344,7 @@ func groebnerSweeps(cfg Config, ins []groebner.NamedInput, models []earth.CostMo
 			vt := variants[v]
 			rt := simrt.New(earth.Config{
 				Nodes: nodes, Seed: cfg.Seed + int64(run)*7919,
-				Costs: vt.model, JitterPct: 2, Shards: cfg.Shards,
-				Coalesce: coal,
+				Costs: vt.model, JitterPct: 2, Coalesce: coal,
 			})
 			res, err := groebner.ParallelBuchberger(rt, vt.in.F,
 				groebner.ParallelConfig{Opt: vt.in.Opt, StepCost: vt.base.sc})
@@ -486,8 +481,8 @@ func nnSweeps(cfg Config, widths []int, train bool) []*stats.Series {
 	return speedupCurves(cfg, names, cfg.Nodes, 1,
 		func(v int) sim.Time { return nnSeqPerSample(widths[v], train, samples) * samples },
 		func(v, nodes, _ int) sim.Time {
-			return nnElapsed(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards,
-				Coalesce: cfg.coalesce()}, widths[v], train, samples)
+			return nnElapsed(earth.Config{Nodes: nodes, Seed: cfg.Seed, Coalesce: cfg.coalesce()},
+				widths[v], train, samples)
 		})
 }
 
@@ -537,7 +532,7 @@ func AblationNNTree(cfg Config) *Report {
 	base := nnSeqPerSample(u, false, samples) * samples
 	series := speedupCurves(cfg, []string{"tree", "sequential"}, cfg.Nodes, 1, fixedBase(base),
 		func(v, nodes, _ int) sim.Time {
-			rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards})
+			rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed})
 			res := neural.ParallelRun(rt, forwardNet(u), xs, nil,
 				neural.ParallelConfig{Tree: v == 0})
 			return res.Stats.Elapsed
@@ -560,7 +555,7 @@ func AblationEigenPlacement(cfg Config) *Report {
 	bals := []earth.Balancer{earth.BalanceSteal, earth.BalanceRandomPlace}
 	names := []string{bals[0].String(), bals[1].String()}
 	series := speedupCurves(cfg, names, cfg.Nodes, 1, fixedBase(base), func(v, nodes, _ int) sim.Time {
-		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Balancer: bals[v], Shards: cfg.Shards})
+		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Balancer: bals[v]})
 		return eigen.ParallelBisect(rt, m, eigen.ParallelConfig{Tol: tol}).Stats.Elapsed
 	})
 	for v, s := range series {
@@ -592,7 +587,7 @@ func AblationGroebnerScheduling(cfg Config) *Report {
 		pairs   int
 	}
 	cells := Sweep(cfg.Workers, []int{len(variants), len(nodeList)}, func(at []int) cellRes {
-		rt := simrt.New(earth.Config{Nodes: nodeList[at[1]], Seed: cfg.Seed, JitterPct: 2, Shards: cfg.Shards})
+		rt := simrt.New(earth.Config{Nodes: nodeList[at[1]], Seed: cfg.Seed, JitterPct: 2})
 		res, err := groebner.ParallelBuchberger(rt, in.F, variants[at[0]].pc)
 		if err != nil {
 			panic(err)
@@ -632,7 +627,7 @@ func selfSpeedups(cfg Config, apps []simApp, nodeList []int) []*stats.Series {
 		names[i] = a.name
 	}
 	on := func(v, nodes int) sim.Time {
-		return apps[v].run(simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Shards: cfg.Shards}))
+		return apps[v].run(simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed}))
 	}
 	return speedupCurves(cfg, names, nodeList, 1,
 		func(v int) sim.Time { return on(v, 1) },
@@ -721,7 +716,7 @@ func AblationKnuthBendix(cfg Config) *Report {
 	base := sim.Time(tr.PairsProcessed)*sc.PerPair + sim.Time(tr.RewriteSteps)*sc.PerStep
 	s := speedupCurves(cfg, []string{"knuth-bendix/S3"}, nodesMin(cfg.Nodes, 2), 1, fixedBase(base),
 		func(_, nodes, _ int) sim.Time {
-			rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, JitterPct: 2, Shards: cfg.Shards})
+			rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, JitterPct: 2})
 			res, err := rewrite.ParallelComplete(rt, sys, rewrite.ParallelConfig{StepCost: sc})
 			if err != nil {
 				panic(err)
@@ -749,7 +744,7 @@ func AblationPortedMachines(cfg Config) *Report {
 	series := speedupCurves(cfg, names, nodesMin(cfg.Nodes, 2), 1, fixedBase(base.time),
 		func(v, nodes, _ int) sim.Time {
 			mc := machines[v](nodes)
-			rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Machine: &mc, JitterPct: 2, Shards: cfg.Shards})
+			rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Machine: &mc, JitterPct: 2})
 			res, err := groebner.ParallelBuchberger(rt, in.F, groebner.ParallelConfig{Opt: in.Opt, StepCost: base.sc})
 			if err != nil {
 				panic(err)

@@ -49,8 +49,7 @@ func Overhead(cfg Config) *Report {
 	labels := []string{"clean", "chaos"}
 	cells := Sweep(cfg.Workers, []int{len(wls), len(labels)}, func(at []int) *critpath.Analysis {
 		rec := obs.NewRecorder()
-		ec := earth.Config{Nodes: nodes, Seed: cfg.Seed, Tracer: rec,
-			Shards: cfg.Shards, Coalesce: cfg.coalesce()}
+		ec := earth.Config{Nodes: nodes, Seed: cfg.Seed, Tracer: rec, Coalesce: cfg.coalesce()}
 		if at[1] == 1 {
 			p := *plan
 			ec.Faults = &p

@@ -27,8 +27,9 @@ func TestBatchCostSingleMessageEqualsUnbatched(t *testing.T) {
 
 func TestBatchCostNeverBelowMinRemoteLatency(t *testing.T) {
 	// Every remote batch still crosses at least one hop carrying at least
-	// the header, so the PR 7 shard lookahead stays a sound lower bound
-	// with coalescing enabled — including for empty and negative payloads.
+	// the header, so simrt's window width stays a sound lower bound on
+	// arrivals with coalescing enabled — including for empty and negative
+	// payloads.
 	for _, cfg := range []Config{Default(20), SP2(16), Myrinet(8)} {
 		lb := cfg.MinRemoteLatency()
 		for _, tc := range []struct{ n, payload int }{

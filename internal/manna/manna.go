@@ -109,10 +109,9 @@ func (c Config) Validate() error {
 // at least one switch stage (Validate enforces CrossbarPorts >= 2, so two
 // distinct nodes are never zero hops apart), and link degradation only
 // ever stretches wire time (SetLinkScale ignores factors <= 1). The bound
-// is therefore conservative under every fault plan, which is what makes
-// it a safe lookahead for time-windowed parallel simulation: a message
-// issued at or after time T cannot arrive anywhere before
-// T + MinRemoteLatency.
+// is therefore conservative under every fault plan, which is what lets
+// simrt use it as its window width: a message issued at or after time T
+// cannot arrive anywhere before T + MinRemoteLatency.
 //
 // Degenerate 1-node machines have no remote pairs at all; the bound is
 // still returned (and still positive) so callers can use it uniformly.
@@ -146,8 +145,8 @@ const ChecksumBytes = 4
 // unbatched message (WireTime of payload+header), so coalescing is never
 // modelled as a penalty; and because every remote batch still carries at
 // least the header across at least one hop, the result is always >=
-// MinRemoteLatency for src != dst — the PR 7 shard lookahead stays sound
-// with batching enabled. The n parameter is the batch's message count;
+// MinRemoteLatency for src != dst — simrt's window width stays a lower
+// bound on arrivals with batching enabled. The n parameter is the batch's message count;
 // it does not change the wire time (the saving is exactly the n-1
 // elided headers and hop traversals) but documents the call sites and
 // anchors the boundary-case tests. Negative payloads count as empty.
@@ -201,13 +200,8 @@ type Machine struct {
 	// linkScale, when set, multiplies wire time per send (transient link
 	// degradation from a fault plan). See SetLinkScale.
 	linkScale func(at sim.Time, src, dst int) float64
-	// Stats, kept per source node so that shards simulating disjoint node
-	// ranges can send concurrently without sharing a cache line or racing
-	// on a global tally (a node's sends always run on its own shard, like
-	// its NIC reservation above). Totals via Messages/Bytes/LocalMsgs.
-	messages  []uint64
-	bytes     []uint64
-	localMsgs []uint64
+	// Traffic totals; see Messages, Bytes and LocalMsgs.
+	messages, bytes, localMsgs uint64
 }
 
 // New builds a Machine. It panics on an invalid Config, since a machine is
@@ -216,31 +210,17 @@ func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Machine{
-		cfg:       cfg,
-		nicFreeAt: make([]sim.Time, cfg.Nodes),
-		messages:  make([]uint64, cfg.Nodes),
-		bytes:     make([]uint64, cfg.Nodes),
-		localMsgs: make([]uint64, cfg.Nodes),
-	}
+	return &Machine{cfg: cfg, nicFreeAt: make([]sim.Time, cfg.Nodes)}
 }
 
 // Messages returns the total number of remote messages sent.
-func (m *Machine) Messages() uint64 { return sumCounters(m.messages) }
+func (m *Machine) Messages() uint64 { return m.messages }
 
 // Bytes returns the total number of bytes clocked onto the network.
-func (m *Machine) Bytes() uint64 { return sumCounters(m.bytes) }
+func (m *Machine) Bytes() uint64 { return m.bytes }
 
 // LocalMsgs returns the number of local (src == dst) deliveries.
-func (m *Machine) LocalMsgs() uint64 { return sumCounters(m.localMsgs) }
-
-func sumCounters(per []uint64) uint64 {
-	var t uint64
-	for _, v := range per {
-		t += v
-	}
-	return t
-}
+func (m *Machine) LocalMsgs() uint64 { return m.localMsgs }
 
 // Config returns the machine's static configuration.
 func (m *Machine) Config() Config { return m.cfg }
@@ -257,7 +237,7 @@ func (m *Machine) Nodes() int { return m.cfg.Nodes }
 // immediately at ready.
 func (m *Machine) Send(ready sim.Time, src, dst, nbytes int) (arrival sim.Time) {
 	if src == dst {
-		m.localMsgs[src]++
+		m.localMsgs++
 		return ready
 	}
 	start := ready
@@ -273,8 +253,8 @@ func (m *Machine) Send(ready sim.Time, src, dst, nbytes int) (arrival sim.Time) 
 		}
 	}
 	m.nicFreeAt[src] = start + tx
-	m.messages[src]++
-	m.bytes[src] += uint64(nbytes)
+	m.messages++
+	m.bytes += uint64(nbytes)
 	return start + tx + lat
 }
 
@@ -293,10 +273,6 @@ func (m *Machine) NICFreeAt(node int) sim.Time { return m.nicFreeAt[node] }
 
 // Reset clears dynamic state so the machine can be reused for another run.
 func (m *Machine) Reset() {
-	for i := range m.nicFreeAt {
-		m.nicFreeAt[i] = 0
-		m.messages[i] = 0
-		m.bytes[i] = 0
-		m.localMsgs[i] = 0
-	}
+	clear(m.nicFreeAt)
+	m.messages, m.bytes, m.localMsgs = 0, 0, 0
 }

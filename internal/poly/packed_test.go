@@ -301,8 +301,8 @@ func TestPackedLexOverflowFallsBack(t *testing.T) {
 }
 
 // TestPackedTermsConcurrent reads one packed polynomial from several
-// goroutines the way the harness pool and shard workers share the input
-// systems; run under -race.
+// goroutines the way the harness pool's workers share the input systems;
+// run under -race.
 func TestPackedTermsConcurrent(t *testing.T) {
 	r := NewRingMod(GrLex{}, 32003, "x", "y", "z")
 	p := r.MustParse("x^3*y + 5*x*y*z + 7*z^2 + 11")
