@@ -1,6 +1,9 @@
 package earth
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Frame is the activation record of a threaded function: it owns the
 // function's numbered threads and sync slots and is pinned to one node.
@@ -16,6 +19,11 @@ type Frame struct {
 
 	threads []ThreadBody
 	slots   []slot
+	// thread0 and slot0 back threads and slots when the frame has at most
+	// one of each — every frame the applications build — so such a frame is
+	// one heap object. A Frame is therefore never copied by value.
+	thread0 [1]ThreadBody
+	slot0   [1]slot
 
 	// san is the per-frame signal ledger attached by an engine running
 	// with Config.Sanitize (see sanitize.go). While attached, the
@@ -34,12 +42,17 @@ type frameSan struct {
 	underflow []uint32 // per slot: Adds that would have driven the counter <= 0
 }
 
+// slot is one sync slot. Counters are 32-bit so a slot is 16 bytes and
+// slot0 fits the Frame's size class; InitSync and Add check the range.
 type slot struct {
-	count  int
-	reset  int
-	thread int
+	count  int32
+	reset  int32
+	thread int32
 	inited bool
 }
+
+// maxSyncCount is the largest count, reset value or thread id a slot holds.
+const maxSyncCount = math.MaxInt32
 
 // NewFrame allocates a frame on node home with nthreads thread entries and
 // nslots sync slots.
@@ -47,11 +60,18 @@ func NewFrame(home NodeID, nthreads, nslots int) *Frame {
 	if nthreads < 0 || nslots < 0 {
 		panic("earth: negative frame dimensions")
 	}
-	return &Frame{
-		Home:    home,
-		threads: make([]ThreadBody, nthreads),
-		slots:   make([]slot, nslots),
+	f := &Frame{Home: home}
+	if nthreads <= len(f.thread0) {
+		f.threads = f.thread0[:nthreads]
+	} else {
+		f.threads = make([]ThreadBody, nthreads)
 	}
+	if nslots <= len(f.slot0) {
+		f.slots = f.slot0[:nslots]
+	} else {
+		f.slots = make([]slot, nslots)
+	}
+	return f
 }
 
 // SetThread installs body as thread id (EARTH: THREAD_id label).
@@ -66,7 +86,7 @@ func (f *Frame) SetThread(id int, body ThreadBody) *Frame {
 // InitSync initialises sync slot s with an initial count, a reset count and
 // the thread the slot enables (EARTH: INIT_SYNC). count must be >= 1: a
 // slot that starts enabled is a Spawn, not a sync. reset == 0 makes the
-// slot one-shot.
+// slot one-shot. Neither may exceed math.MaxInt32.
 //
 // InitSync must run on the frame's home node (typically in the thread that
 // created the frame, before any Sync can race with it).
@@ -83,7 +103,11 @@ func (f *Frame) InitSync(s, count, reset, thread int) *Frame {
 	if thread < 0 || thread >= len(f.threads) {
 		panic(fmt.Sprintf("earth: InitSync slot %d names thread %d out of range", s, thread))
 	}
-	f.slots[s] = slot{count: count, reset: reset, thread: thread, inited: true}
+	if count > maxSyncCount || reset > maxSyncCount || thread > maxSyncCount {
+		panic(fmt.Sprintf("earth: InitSync slot %d with count %d, reset %d, thread %d: the slot's range ends at %d",
+			s, count, reset, thread, maxSyncCount))
+	}
+	f.slots[s] = slot{count: int32(count), reset: int32(reset), thread: int32(thread), inited: true}
 	return f
 }
 
@@ -95,7 +119,7 @@ func (f *Frame) NumSlots() int { return len(f.slots) }
 
 // SlotCount returns the current counter value of slot s (for tests and
 // debugging).
-func (f *Frame) SlotCount(s int) int { return f.slots[s].count }
+func (f *Frame) SlotCount(s int) int { return int(f.slots[s].count) }
 
 // Dec decrements slot s and reports whether it fired; if so, thread is the
 // thread to enqueue and the counter has been reset. Engine use only; must
@@ -120,13 +144,14 @@ func (f *Frame) Dec(s int) (fired bool, thread int) {
 		return false, 0
 	}
 	sl.count = sl.reset // 0 leaves the slot exhausted (one-shot)
-	return true, sl.thread
+	return true, int(sl.thread)
 }
 
 // Add adjusts slot s's counter by delta (EARTH: INCR_SYNC), for
 // applications whose synchronisation arity is only known dynamically. Must
 // run on the frame's home node context; the usual pattern is to Add from
-// the thread that will later cause the matching Syncs.
+// the thread that will later cause the matching Syncs. The counter may not
+// pass math.MaxInt32.
 func (f *Frame) Add(s, delta int) {
 	if s < 0 || s >= len(f.slots) {
 		panic(fmt.Sprintf("earth: Add on slot %d out of range", s))
@@ -135,7 +160,11 @@ func (f *Frame) Add(s, delta int) {
 	if !sl.inited {
 		panic(fmt.Sprintf("earth: Add on uninitialised slot %d", s))
 	}
-	if nc := sl.count + delta; nc <= 0 {
+	if delta > maxSyncCount-int(sl.count) {
+		panic(fmt.Sprintf("earth: Add(%d) drives slot %d from %d past the slot's range, which ends at %d",
+			delta, s, sl.count, maxSyncCount))
+	}
+	if nc := int(sl.count) + delta; nc <= 0 {
 		if f.san != nil {
 			// Sanitize mode: record the underflow and leave the counter
 			// untouched, so later signals still behave predictably.
@@ -144,7 +173,7 @@ func (f *Frame) Add(s, delta int) {
 		}
 		panic(fmt.Sprintf("earth: Add(%d) drove slot %d to %d; use Sync to fire slots", delta, s, nc))
 	}
-	sl.count += delta
+	sl.count += int32(delta)
 }
 
 // ThreadBody returns the installed body of thread id. Engine use.

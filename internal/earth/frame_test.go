@@ -1,8 +1,13 @@
 package earth
 
 import (
+	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func body(Ctx) {}
@@ -279,5 +284,145 @@ func TestSanitizeModeRecordsInsteadOfPanicking(t *testing.T) {
 	rep2 := BuildSanitizeReport([]*Frame{f})
 	if len(rep2.Findings) != len(want) {
 		t.Fatal("re-attaching the ledger cleared recorded violations")
+	}
+}
+
+var frameSink *Frame
+
+// TestNewFrameOneAllocation pins the layout the applications rely on: a
+// frame with at most one thread and one slot is a single heap object no
+// larger than the 96-byte size class.
+func TestNewFrameOneAllocation(t *testing.T) {
+	for _, shape := range [][2]int{{1, 1}, {1, 0}} {
+		n := testing.AllocsPerRun(100, func() { frameSink = NewFrame(0, shape[0], shape[1]) })
+		if n != 1 {
+			t.Errorf("NewFrame(_, %d, %d) makes %v allocations, want 1", shape[0], shape[1], n)
+		}
+	}
+	if sz := unsafe.Sizeof(Frame{}); sz > 96 {
+		t.Errorf("Frame is %d bytes, want <= 96", sz)
+	}
+}
+
+// TestFrameShapesBeyondInline drives a frame too large for the inline
+// arrays, and an empty one, through the whole accessor set.
+func TestFrameShapesBeyondInline(t *testing.T) {
+	f := NewFrame(1, 2, 3)
+	ran := -1
+	f.SetThread(0, func(Ctx) { ran = 0 }).SetThread(1, func(Ctx) { ran = 1 })
+	f.InitSync(0, 1, 0, 0).InitSync(1, 2, 2, 1).InitSync(2, 1, 0, 1)
+	f.Add(2, 1)
+	for s, want := range []int{1, 2, 2} {
+		if got := f.SlotCount(s); got != want {
+			t.Errorf("slot %d starts at %d, want %d", s, got, want)
+		}
+	}
+	if fired, th := f.Dec(0); !fired || th != 0 {
+		t.Errorf("slot 0: fired=%v thread=%d, want true, 0", fired, th)
+	}
+	if fired, _ := f.Dec(1); fired {
+		t.Error("slot 1 fired on the first of two signals")
+	}
+	if fired, _ := f.Dec(2); fired {
+		t.Error("slot 2 fired on the first of two signals after Add")
+	}
+	fired, th := f.Dec(1)
+	if !fired || th != 1 || f.SlotCount(1) != 2 {
+		t.Errorf("slot 1: fired=%v thread=%d count=%d, want true, 1 and reset to 2", fired, th, f.SlotCount(1))
+	}
+	f.ThreadBody(th)(nil)
+	if ran != 1 {
+		t.Errorf("ThreadBody(%d) ran thread %d", th, ran)
+	}
+
+	e := NewFrame(0, 0, 0)
+	if e.NumThreads() != 0 || e.NumSlots() != 0 {
+		t.Fatalf("empty frame has %d threads, %d slots", e.NumThreads(), e.NumSlots())
+	}
+	for name, op := range map[string]func(){
+		"SetThread": func() { e.SetThread(0, body) },
+		"InitSync":  func() { e.InitSync(0, 1, 0, 0) },
+		"Dec":       func() { e.Dec(0) },
+		"Add":       func() { e.Add(0, 1) },
+	} {
+		if msg := panicMessage(op); msg == "" {
+			t.Errorf("%s on an empty frame did not panic", name)
+		}
+	}
+}
+
+// panicMessage runs f and returns what it panicked with, "" if it did not.
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestSanitizeInlineFrameMatchesLarge misuses slot 0 and thread 0 of an
+// inline-backed frame and of a (2,2) one in the same way: the scan reports
+// the same findings and events, the frame's recorded shape aside.
+func TestSanitizeInlineFrameMatchesLarge(t *testing.T) {
+	scan := func(nthreads, nslots int) ([]SanitizeFinding, []Event) {
+		f := NewFrame(2, nthreads, nslots)
+		f.SetThread(0, body) // never dispatched
+		f.InitSync(0, 2, 0, 0)
+		f.BeginSanitize()
+		f.Dec(0)
+		f.Add(0, -5) // underflow
+		f.Dec(0)     // fires
+		f.Dec(0)     // overflow
+		f.Dec(0)     // overflow
+		var evs eventLog
+		rep := SanitizeScan([]*Frame{f}, 77, &evs)
+		if rep.FramesTracked != 1 || rep.SlotsTracked != nslots {
+			t.Errorf("(%d,%d): tracked %d frames, %d slots", nthreads, nslots, rep.FramesTracked, rep.SlotsTracked)
+		}
+		for i := range rep.Findings {
+			rep.Findings[i].Threads, rep.Findings[i].Slots = 0, 0
+		}
+		return rep.Findings, evs
+	}
+	inF, inE := scan(1, 1)
+	bigF, bigE := scan(2, 2)
+	if len(inF) != 3 {
+		t.Fatalf("inline frame: %d findings, want overflow, underflow and thread-never-ran: %+v", len(inF), inF)
+	}
+	if !slices.Equal(inF, bigF) {
+		t.Errorf("findings differ:\ninline %+v\n(2,2)  %+v", inF, bigF)
+	}
+	if !slices.Equal(inE, bigE) {
+		t.Errorf("events differ:\ninline %+v\n(2,2)  %+v", inE, bigE)
+	}
+}
+
+// TestSyncCounterRange checks the 32-bit counters refuse what they cannot
+// hold, naming the slot, instead of wrapping.
+func TestSyncCounterRange(t *testing.T) {
+	over := math.MaxInt32
+	over++
+	f := NewFrame(0, 1, 1)
+	f.SetThread(0, body)
+	for name, op := range map[string]func(){
+		"InitSync count": func() { f.InitSync(0, over, 0, 0) },
+		"InitSync reset": func() { f.InitSync(0, 1, over, 0) },
+		"Add":            func() { f.InitSync(0, math.MaxInt32, math.MaxInt32, 0).Add(0, 1) },
+		"Add huge":       func() { f.InitSync(0, 1, 0, 0).Add(0, math.MaxInt) },
+	} {
+		if msg := panicMessage(op); !strings.Contains(msg, "slot 0") {
+			t.Errorf("%s past the range: panic %q, want one naming slot 0", name, msg)
+		}
+	}
+	f.InitSync(0, math.MaxInt32, math.MaxInt32, 0)
+	panicMessage(func() { f.Add(0, 1) })
+	if got := f.SlotCount(0); got != math.MaxInt32 {
+		t.Errorf("refused Add left the counter at %d, want %d", got, math.MaxInt32)
+	}
+	f.Add(0, -1) // the top of the range is usable
+	if got := f.SlotCount(0); got != math.MaxInt32-1 {
+		t.Errorf("counter = %d, want %d", got, math.MaxInt32-1)
 	}
 }

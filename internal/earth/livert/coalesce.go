@@ -10,10 +10,11 @@ import (
 // are buffered per destination on the body's ctx and shipped as one
 // composite handler at flush — one enqueue, one fault-injector verdict,
 // one idempotent-delivery wrapper for the whole batch, mirroring
-// simrt's one-envelope-per-batch accounting. Buffers live on the ctx
-// (livert allocates a fresh ctx per body), are kept sorted by
-// destination id, and the end-of-body flush walks them in ascending
-// order — the same canonical order the simulator uses, never map order.
+// simrt's one-envelope-per-batch accounting. Buffers live on the
+// executor's one ctx, whose list the end-of-body flush leaves empty for
+// the next body; they are kept sorted by destination id, and that flush
+// walks them in ascending order — the same canonical order the simulator
+// uses, never map order.
 
 // lcoalBuf accumulates one destination's pending operations: each op is
 // the closure that would have been its own handler dispatch.
@@ -58,11 +59,14 @@ func (c *ctx) flushCoalTo(dst *lnode) {
 }
 
 // flushCoal drains every buffer in ascending destination order — the
-// end-of-body flush, called by the executor loop after the body returns.
+// end-of-body flush, called by the executor after the body returns. The
+// list is truncated, keeping its storage: the next body on this executor
+// starts with no buffers, as it would on a context of its own.
 func (c *ctx) flushCoal() {
 	for i := range c.coal {
 		c.flushCoalBuf(&c.coal[i])
 	}
+	c.coal = c.coal[:0]
 }
 
 // flushCoalBuf ships one destination's batch as a single composite

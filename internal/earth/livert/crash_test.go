@@ -1,6 +1,8 @@
 package livert
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -58,4 +60,60 @@ func TestCrashPlanKillingAllNodesPanics(t *testing.T) {
 	New(earth.Config{Nodes: 2, Faults: &faults.Plan{Crash: []faults.Crash{
 		{Node: 0, At: 0}, {Node: 1, At: sim.Millisecond},
 	}}})
+}
+
+// TestCrashFailoverDrainsQueuesInOrder crashes node 1 with work in all three
+// of its queues and checks how the sole survivor receives it: handlers
+// and ready threads oldest first — the order they held on the dead node —
+// and pooled tokens pushed oldest first, which a node running its own
+// pool newest-first then replays in reverse. Once node 1's body is under
+// way nothing is timed: it returns only when the node is marked dead, and
+// node 0's main holds its executor until the whole handover has arrived.
+// The crash is late enough for the body to have started on any host.
+func TestCrashFailoverDrainsQueuesInOrder(t *testing.T) {
+	const k = 40 // the queues grow twice while they fill
+	plan := &faults.Plan{Crash: []faults.Crash{{Node: 1, At: 20 * sim.Millisecond}}}
+	rt := New(earth.Config{Nodes: 2, Seed: 1, Faults: plan, Balancer: earth.BalanceNone})
+	var order []string // appended to on node 0's executor only
+	record := func(kind string, i int) earth.ThreadBody {
+		return func(earth.Ctx) { order = append(order, fmt.Sprint(kind, i)) }
+	}
+	started, posted := make(chan struct{}), make(chan struct{})
+	rt.Run(func(c earth.Ctx) {
+		c.Invoke(1, 8, func(c earth.Ctx) {
+			for i := 0; i < k; i++ {
+				c.Invoke(1, 8, record("ready", i))
+				c.Token(8, record("token", i))
+			}
+			close(started)
+			<-posted
+			for !rt.nodes[1].dead.Load() {
+				time.Sleep(50 * time.Microsecond)
+			}
+		})
+		<-started // node 1's executor is inside its body: nothing it is sent runs
+		for i := 0; i < k; i++ {
+			c.Post(1, 8, record("handler", i))
+		}
+		close(posted)
+		n0 := rt.nodes[0]
+		for arrived := 0; arrived < 3*k; time.Sleep(50 * time.Microsecond) {
+			n0.mu.Lock()
+			arrived = n0.handlers.Len() + n0.ready.Len() + n0.tokens.Len()
+			n0.mu.Unlock()
+		}
+	})
+	var want []string
+	for i := 0; i < k; i++ {
+		want = append(want, fmt.Sprint("handler", i))
+	}
+	for i := 0; i < k; i++ {
+		want = append(want, fmt.Sprint("ready", i))
+	}
+	for i := k - 1; i >= 0; i-- {
+		want = append(want, fmt.Sprint("token", i))
+	}
+	if !slices.Equal(order, want) {
+		t.Fatalf("adopter ran the dead node's work in order\n%v\nwant\n%v", order, want)
+	}
 }

@@ -20,6 +20,31 @@
 // Quiescence is detected with an outstanding-work counter covering queued
 // items, pooled tokens and in-flight messages: when it reaches zero the
 // run is complete.
+//
+// # What a dispatch costs
+//
+// This is the engine whose thread-switch and communication start-up
+// overheads are real host time, so the clean path pays no fixed cost per
+// dispatched thread or handler beyond the dequeue, the body and one clock
+// reading:
+//
+//   - Each executor owns one context, reset and handed to body after
+//     body, as simrt recycles its own. It is dead whenever no body runs on
+//     that executor, so a Ctx kept past its body's return still panics when
+//     used after the run or between bodies; used while a later body runs on
+//     the same executor it is indistinguishable from that body's context.
+//   - The handler queue, ready queue and token pool are earth.Ring deques —
+//     the type simrt's queues use — that keep their storage across Runs.
+//   - The clock is read once per dispatch. The reading taken when a body
+//     returns is that body's end and, when the executor goes straight on to
+//     its next queued item, the next body's start; after a steal, an idle
+//     wait, a pause window or a fence park it reads the clock again.
+//     Stats.Busy therefore spans back-to-back bodies without gaps: it
+//     includes the dequeue between them, which is the node's own overhead,
+//     and excludes stealing and waiting.
+//   - Time stamps only a trace event reports (when an item or token was
+//     queued, when a Put, Get or placed token was issued) are taken only
+//     with a Config.Tracer installed.
 package livert
 
 import (
@@ -40,7 +65,7 @@ import (
 // item is a unit of work executed by a node's executor goroutine.
 type item struct {
 	body    earth.ThreadBody
-	enq     sim.Time // run-relative time the work became ready
+	enq     sim.Time // run-relative time the work became ready; stamped only under a tracer
 	cause   earth.Cause
 	token   bool
 	stolen  bool
@@ -50,17 +75,19 @@ type item struct {
 // ltoken is a pooled load-balanced invocation.
 type ltoken struct {
 	body earth.ThreadBody
-	enq  sim.Time
+	enq  sim.Time // deposit time; stamped only under a tracer
 }
 
 type lnode struct {
 	id earth.NodeID
 	rt *Runtime
 
+	// mu guards the three queues, which keep their storage from Run to
+	// Run, and redirect.
 	mu       sync.Mutex
-	handlers []earth.ThreadBody // runtime message handlers: highest priority
-	ready    []item             // ready threads
-	tokens   []ltoken           // stealable token pool
+	handlers earth.Ring[earth.ThreadBody] // runtime message handlers: highest priority
+	ready    earth.Ring[item]             // ready threads
+	tokens   earth.Ring[ltoken]           // stealable token pool
 	// redirect is -1 while the node owns its queues; once a crash is
 	// detected and the queues are drained it holds the adopter's id, and
 	// every push routes there (following chains for repeated failures).
@@ -68,7 +95,15 @@ type lnode struct {
 	redirect int
 
 	wake chan struct{}
-	rng  *rand.Rand // accessed only by this node's executor
+	// rng is the node's random stream, seeded by rand() on the first draw
+	// (seeding costs more than the rest of New, and many programs never
+	// draw) and continued, never reseeded, across Runs. Accessed only by
+	// this node's executor.
+	rng     *rand.Rand
+	rngSeed int64
+	// ctx is the one context every body on this executor runs under, live
+	// while a body runs and dead between bodies (see exec).
+	ctx ctx
 
 	// dead is set by the crash timer; the executor halts at its next
 	// dispatch boundary (the running thread body completes). exited is
@@ -103,6 +138,14 @@ type lnode struct {
 	// and failovers ever take it.
 	statMu     sync.Mutex
 	faultStats earth.NodeStats
+}
+
+// rand returns the node's random stream.
+func (n *lnode) rand() *rand.Rand {
+	if n.rng == nil {
+		n.rng = rand.New(rand.NewSource(n.rngSeed))
+	}
+	return n.rng
 }
 
 // account adds the core's counter deltas d to n.
@@ -161,13 +204,15 @@ func New(cfg earth.Config) *Runtime {
 	rt := &Runtime{cfg: cfg, tr: cfg.Tracer, coalOn: cfg.Coalesce.Enabled, sanOn: cfg.Sanitize}
 	rt.nodes = make([]*lnode, cfg.Nodes)
 	for i := range rt.nodes {
-		rt.nodes[i] = &lnode{
+		n := &lnode{
 			id:       earth.NodeID(i),
 			rt:       rt,
 			wake:     make(chan struct{}, 1),
-			rng:      rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i))),
+			rngSeed:  cfg.Seed*1_000_003 + int64(i),
 			redirect: -1,
 		}
+		n.ctx = ctx{rt: rt, n: n, dead: true}
+		rt.nodes[i] = n
 	}
 	fs, err := cfg.ResolveFaults()
 	if err != nil {
@@ -198,7 +243,9 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 	rt.doneOnce = sync.Once{}
 	rt.start = time.Now()
 	for _, n := range rt.nodes {
-		n.handlers, n.ready, n.tokens = nil, nil, nil
+		n.handlers.Reset()
+		n.ready.Reset()
+		n.tokens.Reset()
 		n.redirect = -1
 		n.stats, n.faultStats = earth.NodeStats{}, earth.NodeStats{}
 		n.sanFrames = n.sanFrames[:0]
@@ -398,24 +445,28 @@ func (rt *Runtime) failover(n, sn *lnode, at sim.Time, cause earth.Cause) {
 	n.statMu.Lock()
 	n.faultStats.DetectionLatency = rt.retry.Lease
 	n.statMu.Unlock()
+	// The rings leave with their storage; the down node, which nothing is
+	// pushed to again this run, keeps empty ones.
 	n.mu.Lock()
 	handlers, ready, tokens := n.handlers, n.ready, n.tokens
-	n.handlers, n.ready, n.tokens = nil, nil, nil
+	n.handlers, n.ready, n.tokens = earth.Ring[earth.ThreadBody]{}, earth.Ring[item]{}, earth.Ring[ltoken]{}
 	n.redirect = int(sn.id)
 	n.mu.Unlock()
-	// Moves preserve the outstanding-work count: nothing is re-added.
-	for _, body := range handlers {
-		rt.pushHandler(sn, body)
+	// Moves preserve the outstanding-work count (nothing is re-added) and
+	// each queue's order (oldest first).
+	for handlers.Len() > 0 {
+		rt.pushHandler(sn, handlers.PopFront())
 	}
-	for _, it := range ready {
+	for ready.Len() > 0 {
+		it := ready.PopFront()
 		it.enq = h.At
 		sn.account(h.Replay(sn.id))
 		rt.pushItem(sn, it)
 	}
-	for _, tk := range tokens {
+	for tokens.Len() > 0 {
 		tn := rt.nodes[rt.take.Place(at, rt.gone)]
 		tn.account(h.Reassign(tn.id, 0)) // pooled tokens do not keep their argument size here
-		rt.pushToken(tn, tk)
+		rt.pushToken(tn, tokens.PopFront())
 	}
 }
 
@@ -447,7 +498,9 @@ func (rt *Runtime) doneOne() {
 // enqueue adds a ready item on n (counted as outstanding work).
 func (rt *Runtime) enqueue(n *lnode, it item) {
 	rt.add()
-	it.enq = rt.now()
+	if rt.tr != nil {
+		it.enq = rt.now()
+	}
 	rt.pushItem(n, it)
 }
 
@@ -477,7 +530,7 @@ func (rt *Runtime) owner(n *lnode) *lnode {
 // queue moves.
 func (rt *Runtime) pushItem(n *lnode, it item) {
 	o := rt.owner(n)
-	o.ready = append(o.ready, it)
+	o.ready.Push(it)
 	o.mu.Unlock()
 	o.poke()
 }
@@ -485,7 +538,7 @@ func (rt *Runtime) pushItem(n *lnode, it item) {
 // pushHandler appends a handler on n's owner.
 func (rt *Runtime) pushHandler(n *lnode, h earth.ThreadBody) {
 	o := rt.owner(n)
-	o.handlers = append(o.handlers, h)
+	o.handlers.Push(h)
 	o.mu.Unlock()
 	o.poke()
 }
@@ -493,7 +546,7 @@ func (rt *Runtime) pushHandler(n *lnode, h earth.ThreadBody) {
 // pushToken appends a pooled token on n's owner.
 func (rt *Runtime) pushToken(n *lnode, tk ltoken) {
 	o := rt.owner(n)
-	o.tokens = append(o.tokens, tk)
+	o.tokens.Push(tk)
 	o.mu.Unlock()
 	o.poke()
 }
@@ -525,14 +578,15 @@ func (rt *Runtime) sendHandler(src earth.NodeID, dst *lnode, bytes int, h earth.
 // suppressed copies — acceptable on the wall-clock engine.
 func (rt *Runtime) sendItem(src earth.NodeID, dst *lnode, bytes int, it item) {
 	remoteToken := it.token && dst.id != src
-	var issue sim.Time
-	if remoteToken {
+	var issue sim.Time // read only by the traced deliver event
+	if remoteToken && rt.tr != nil {
 		issue = rt.now()
 	}
 	deliver := func(body earth.ThreadBody) {
 		if remoteToken && rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: rt.now(), Node: dst.id, Peer: src,
-				Kind: earth.EvTokenDeliver, Dur: rt.now() - issue})
+			now := rt.now()
+			rt.tr.Event(earth.Event{Time: now, Node: dst.id, Peer: src,
+				Kind: earth.EvTokenDeliver, Dur: now - issue})
 		}
 		landed := it
 		landed.body = body
@@ -613,19 +667,14 @@ func (n *lnode) poke() {
 func (n *lnode) next() (item, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(n.handlers) > 0 {
-		h := n.handlers[0]
-		n.handlers = n.handlers[1:]
-		return item{body: h, handler: true, cause: earth.CauseHandler}, true
+	if n.handlers.Len() > 0 {
+		return item{body: n.handlers.PopFront(), handler: true, cause: earth.CauseHandler}, true
 	}
-	if len(n.ready) > 0 {
-		it := n.ready[0]
-		n.ready = n.ready[1:]
-		return it, true
+	if n.ready.Len() > 0 {
+		return n.ready.PopFront(), true
 	}
-	if len(n.tokens) > 0 {
-		tk := n.tokens[len(n.tokens)-1]
-		n.tokens = n.tokens[:len(n.tokens)-1]
+	if n.tokens.Len() > 0 {
+		tk := n.tokens.PopBack()
 		return item{body: tk.body, enq: tk.enq, token: true, cause: earth.CauseToken}, true
 	}
 	return item{}, false
@@ -637,25 +686,25 @@ func (n *lnode) steal() (item, bool) {
 		return item{}, false
 	}
 	p := len(n.rt.nodes)
-	off := n.rng.Intn(p)
+	off := n.rand().Intn(p)
 	for i := 0; i < p; i++ {
 		v := n.rt.nodes[(off+i)%p]
 		if v == n || v.dead.Load() {
 			continue
 		}
 		v.mu.Lock()
-		if len(v.tokens) > 0 {
-			tk := v.tokens[0]
-			v.tokens = v.tokens[1:]
+		if v.tokens.Len() > 0 {
+			tk := v.tokens.PopFront()
 			v.mu.Unlock()
+			it := item{body: tk.body, token: true, stolen: true, cause: earth.CauseSteal}
 			if n.rt.tr != nil {
 				// Shared-memory steal: a direct pool pop, so the "grant"
 				// has no request leg and no round trip.
-				n.rt.tr.Event(earth.Event{Time: n.rt.now(), Node: n.id, Peer: v.id,
+				it.enq = n.rt.now()
+				n.rt.tr.Event(earth.Event{Time: it.enq, Node: n.id, Peer: v.id,
 					Kind: earth.EvStealGrant})
 			}
-			return item{body: tk.body, enq: n.rt.now(), token: true, stolen: true,
-				cause: earth.CauseSteal}, true
+			return it, true
 		}
 		v.mu.Unlock()
 	}
@@ -666,7 +715,16 @@ func (n *lnode) steal() (item, bool) {
 // or the node crash-stops. lctx carries the goroutine's earth_node
 // pprof label so per-body earth_kind labels merge with it instead of
 // replacing the label set.
+//
+// The clock is read once per dispatch: at is the reading exec took when
+// the previous body returned, and while fresh — nothing but a dequeue has
+// happened since — it is also the next body's start. Stealing, sleeping,
+// pausing and parking all take time that is not the node's work, so each
+// makes the executor read the clock again.
 func (n *lnode) loop(lctx context.Context) {
+	rt := n.rt
+	var at sim.Time
+	fresh := false
 	for {
 		if n.dead.Load() {
 			return
@@ -675,8 +733,9 @@ func (n *lnode) loop(lctx context.Context) {
 		// pokes the wake channel (the rejoin handshake). Unlike dead,
 		// the executor stays alive to resume as a steal-only worker.
 		if n.halted.Load() {
+			fresh = false
 			select {
-			case <-n.rt.done:
+			case <-rt.done:
 				return
 			case <-n.wake:
 				continue
@@ -684,11 +743,12 @@ func (n *lnode) loop(lctx context.Context) {
 		}
 		it, ok := n.next()
 		if !ok {
+			fresh = false
 			it, ok = n.steal()
 		}
 		if !ok {
 			select {
-			case <-n.rt.done:
+			case <-rt.done:
 				return
 			case <-n.wake:
 				continue
@@ -698,60 +758,73 @@ func (n *lnode) loop(lctx context.Context) {
 		}
 		// A paused node holds its work until the window closes. Queues
 		// keep filling behind it; nothing executes.
-		if n.rt.plan.HasPause() {
-			now := n.rt.now()
-			if pu := n.rt.plan.PauseUntil(int(n.id), now); pu > now {
-				n.account(earth.NodeFault(n.rt.tr, n.id, now, earth.CausePause, pu-now))
-				time.Sleep(time.Duration(pu - now))
+		if rt.plan.HasPause() {
+			at, fresh = rt.now(), true
+			if pu := rt.plan.PauseUntil(int(n.id), at); pu > at {
+				n.account(earth.NodeFault(rt.tr, n.id, at, earth.CausePause, pu-at))
+				time.Sleep(time.Duration(pu - at))
+				fresh = false
 			}
 		}
-		t0 := time.Now()
-		start := sim.Time(t0.Sub(n.rt.start).Nanoseconds())
-		c := &ctx{rt: n.rt, n: n}
-		if n.rt.cfg.ProfileLabels {
-			kind := "thread"
-			if it.handler {
-				kind = "handler"
-			}
-			pprof.Do(lctx, pprof.Labels("earth_kind", kind),
-				func(context.Context) { it.body(c) })
-		} else {
-			it.body(c)
+		if !fresh {
+			at = rt.now()
 		}
-		if n.rt.coalOn {
-			c.flushCoal()
-		}
-		c.dead = true
-		d := time.Since(t0)
-		n.stats.Busy += sim.Time(d.Nanoseconds())
-		if !it.handler {
-			n.stats.ThreadsRun++
-		}
-		if it.token {
-			n.stats.TokensRun++
-			if it.stolen {
-				n.stats.TokensStolen++
-			}
-		}
-		if n.rt.tr != nil {
-			kind := earth.EvThreadRun
-			if it.handler {
-				kind = earth.EvHandlerRun
-			}
-			wait := start - it.enq
-			if it.handler || wait < 0 {
-				wait = 0
-			}
-			n.rt.tr.Event(earth.Event{Time: start, Node: n.id, Peer: earth.NoPeer,
-				Kind: kind, Dur: sim.Time(d.Nanoseconds()), Wait: wait, Cause: it.cause})
-		}
-		n.rt.doneOne()
+		at, fresh = n.exec(lctx, it, at), true
+		rt.doneOne()
 		select {
-		case <-n.rt.done:
+		case <-rt.done:
 			return
 		default:
 		}
 	}
+}
+
+// exec runs it, dispatched at start, under the node's context and returns
+// the clock reading taken when the body returned: the end of its busy
+// span. The context is live only for the body (and its end-of-body
+// coalescing flush); its buffer list is truncated for the next one.
+func (n *lnode) exec(lctx context.Context, it item, start sim.Time) sim.Time {
+	rt := n.rt
+	c := &n.ctx
+	c.dead = false
+	if rt.cfg.ProfileLabels {
+		kind := "thread"
+		if it.handler {
+			kind = "handler"
+		}
+		pprof.Do(lctx, pprof.Labels("earth_kind", kind),
+			func(context.Context) { it.body(c) })
+	} else {
+		it.body(c)
+	}
+	if rt.coalOn {
+		c.flushCoal()
+	}
+	c.dead = true
+	end := rt.now()
+	n.stats.Busy += end - start
+	if !it.handler {
+		n.stats.ThreadsRun++
+	}
+	if it.token {
+		n.stats.TokensRun++
+		if it.stolen {
+			n.stats.TokensStolen++
+		}
+	}
+	if rt.tr != nil {
+		kind := earth.EvThreadRun
+		if it.handler {
+			kind = earth.EvHandlerRun
+		}
+		wait := start - it.enq
+		if it.handler || wait < 0 {
+			wait = 0
+		}
+		rt.tr.Event(earth.Event{Time: start, Node: n.id, Peer: earth.NoPeer,
+			Kind: kind, Dur: end - start, Wait: wait, Cause: it.cause})
+	}
+	return end
 }
 
 // decSlot must run on f's home executor; from is the signalling node.
@@ -779,13 +852,20 @@ func (n *lnode) sanTrack(f *earth.Frame) {
 	n.sanFrames = append(n.sanFrames, f)
 }
 
-// ctx implements earth.Ctx on the live engine.
+// ctx implements earth.Ctx on the live engine. Each executor owns one
+// (lnode.ctx), handed to body after body.
 type ctx struct {
-	rt   *Runtime
-	n    *lnode
+	rt *Runtime
+	n  *lnode
+	// dead is set whenever no body is running on the executor: a Ctx kept
+	// past its body's return panics when used then — after the run, or
+	// from another goroutine while the executor is between bodies. Used
+	// while a later body runs on the same executor it is that body's
+	// context and the check cannot tell (simrt's recycled contexts share
+	// the limit).
 	dead bool
-	// coal holds this body's per-destination coalescing buffers, sorted
-	// by destination id (see coalesce.go). Unused unless rt.coalOn.
+	// coal holds the running body's per-destination coalescing buffers,
+	// sorted by destination id (see coalesce.go). Unused unless rt.coalOn.
 	coal []lcoalBuf
 }
 
@@ -800,7 +880,7 @@ func (c *ctx) check() {
 func (c *ctx) Node() earth.NodeID { return c.n.id }
 func (c *ctx) P() int             { return len(c.rt.nodes) }
 func (c *ctx) Now() sim.Time      { return c.rt.now() }
-func (c *ctx) Rand() *rand.Rand   { return c.n.rng }
+func (c *ctx) Rand() *rand.Rand   { return c.n.rand() }
 
 // Compute is a no-op: under livert real computation takes real time.
 func (c *ctx) Compute(d sim.Time) {
@@ -846,16 +926,18 @@ func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, 
 		return
 	}
 	src := c.n.id
-	issue := rt.now()
+	var issue sim.Time // read only by the traced deliver event
 	if rt.tr != nil {
+		issue = rt.now()
 		rt.tr.Event(earth.Event{Time: issue, Node: src, Peer: owner,
 			Kind: earth.EvPutSend, Bytes: nbytes})
 	}
 	deliver := func(hc earth.Ctx) {
 		write()
 		if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: rt.now(), Node: owner, Peer: src,
-				Kind: earth.EvPutDeliver, Bytes: nbytes, Dur: rt.now() - issue})
+			now := rt.now()
+			rt.tr.Event(earth.Event{Time: now, Node: owner, Peer: src,
+				Kind: earth.EvPutDeliver, Bytes: nbytes, Dur: now - issue})
 		}
 		if f != nil {
 			hc.Sync(f, slot)
@@ -885,8 +967,9 @@ func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.F
 		// batched traffic already buffered for the owner.
 		c.flushCoalTo(dst)
 	}
-	issue := rt.now()
+	var issue sim.Time // read only by the traced deliver event
 	if rt.tr != nil {
+		issue = rt.now()
 		rt.tr.Event(earth.Event{Time: issue, Node: src.id, Peer: owner,
 			Kind: earth.EvGetSend, Bytes: nbytes})
 	}
@@ -895,8 +978,9 @@ func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.F
 		rt.sendHandler(owner, src, nbytes, func(earth.Ctx) {
 			deliver()
 			if rt.tr != nil {
-				rt.tr.Event(earth.Event{Time: rt.now(), Node: src.id, Peer: owner,
-					Kind: earth.EvGetDeliver, Bytes: nbytes, Dur: rt.now() - issue})
+				now := rt.now()
+				rt.tr.Event(earth.Event{Time: now, Node: src.id, Peer: owner,
+					Kind: earth.EvGetDeliver, Bytes: nbytes, Dur: now - issue})
 			}
 			if f != nil {
 				// The response semantically carries the sync, so the owner
@@ -947,7 +1031,7 @@ func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 	rt := c.rt
 	switch rt.cfg.Balancer {
 	case earth.BalanceRandomPlace:
-		target := earth.NodeID(c.n.rng.Intn(len(rt.nodes)))
+		target := earth.NodeID(c.n.rand().Intn(len(rt.nodes)))
 		if rt.coalOn && target != c.n.id {
 			c.flushCoalTo(rt.nodes[target])
 		}
@@ -967,11 +1051,13 @@ func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 		}
 		rt.sendItem(c.n.id, rt.nodes[i], argBytes, item{body: body, token: true, cause: earth.CauseToken})
 	default: // BalanceSteal, BalanceNone: pool locally
+		tk := ltoken{body: body}
 		if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: rt.now(), Node: c.n.id, Peer: earth.NoPeer,
+			tk.enq = rt.now()
+			rt.tr.Event(earth.Event{Time: tk.enq, Node: c.n.id, Peer: earth.NoPeer,
 				Kind: earth.EvTokenSpawn, Bytes: argBytes})
 		}
 		rt.add()
-		rt.pushToken(c.n, ltoken{body: body, enq: rt.now()})
+		rt.pushToken(c.n, tk)
 	}
 }

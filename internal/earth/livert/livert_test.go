@@ -1,6 +1,8 @@
 package livert
 
 import (
+	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -152,17 +154,77 @@ func TestComputeIsNoOp(t *testing.T) {
 	}
 }
 
+// queueCaps returns the capacity of every node's three queues.
+func queueCaps(rt *Runtime) []int {
+	var caps []int
+	for _, n := range rt.nodes {
+		caps = append(caps, n.handlers.Cap(), n.ready.Cap(), n.tokens.Cap())
+	}
+	return caps
+}
+
+// TestRunReusable runs one Runtime three times. The first run pools far
+// more tokens than the later ones (node 0's pool grows past a ring's first
+// 16 slots however fast node 1 steals; the later runs never need more), so
+// a Run that dropped its queues' storage instead of refilling it would
+// come back with smaller rings.
 func TestRunReusable(t *testing.T) {
 	rt := New(earth.Config{Nodes: 2, Seed: 1})
-	for i := 0; i < 3; i++ {
+	var first []int
+	for i, tokens := range []int{100, 10, 10} {
 		var n atomic.Int64
 		rt.Run(func(c earth.Ctx) {
-			for j := 0; j < 10; j++ {
+			for j := 0; j < tokens; j++ {
 				c.Token(0, func(earth.Ctx) { n.Add(1) })
 			}
 		})
-		if n.Load() != 10 {
-			t.Fatalf("run %d: %d tokens", i, n.Load())
+		if int(n.Load()) != tokens {
+			t.Fatalf("run %d: %d tokens, want %d", i, n.Load(), tokens)
+		}
+		caps := queueCaps(rt)
+		if i == 0 {
+			first = caps
+		} else if !slices.Equal(caps, first) {
+			t.Fatalf("run %d: queue capacities %v, want the first run's %v: storage was not kept", i, caps, first)
+		}
+	}
+}
+
+// TestNodeRandLazySeed: a node's stream is seeded on its first draw, not
+// in New, and is the stream eager seeding gave — same seed, continued
+// across Runs. BalanceNone keeps the engine's own victim draws out of it.
+func TestNodeRandLazySeed(t *testing.T) {
+	const nodes, seed, perRun = 3, 7, 2
+	rt := New(earth.Config{Nodes: nodes, Seed: seed, Balancer: earth.BalanceNone})
+	for _, n := range rt.nodes {
+		if n.rng != nil {
+			t.Fatalf("node %d seeded in New", n.id)
+		}
+	}
+	got := make([][]int64, nodes) // got[i] is appended to by node i only
+	for run := 0; run < 2; run++ {
+		rt.Run(func(c earth.Ctx) {
+			for i := 1; i < nodes; i++ { // node 0 never draws
+				c.Invoke(earth.NodeID(i), 0, func(c earth.Ctx) {
+					for k := 0; k < perRun; k++ {
+						got[c.Node()] = append(got[c.Node()], c.Rand().Int63())
+					}
+				})
+			}
+		})
+	}
+	if rt.nodes[0].rng != nil {
+		t.Error("node 0 was seeded without drawing")
+	}
+	for i := 1; i < nodes; i++ {
+		eager := rand.New(rand.NewSource(seed*1_000_003 + int64(i)))
+		for k, v := range got[i] {
+			if want := eager.Int63(); v != want {
+				t.Errorf("node %d draw %d = %d, want %d", i, k, v, want)
+			}
+		}
+		if len(got[i]) != 2*perRun {
+			t.Errorf("node %d drew %d times, want %d", i, len(got[i]), 2*perRun)
 		}
 	}
 }

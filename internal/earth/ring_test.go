@@ -1,0 +1,88 @@
+package earth
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// TestRingAgainstSliceModel drives a Ring and a plain slice with the same
+// random pushes and pops, with phases that fill and phases that drain so
+// the ring grows several times and wraps around its buffer at every size.
+// Elements are pointers: after each step every buffer slot outside the
+// live window must be nil, or a popped thread body would stay reachable.
+func TestRingAgainstSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var q Ring[*int]
+	var model []*int
+	growths, wraps := 0, 0
+	for step := 0; step < 20000; step++ {
+		pushBias := 7 // of 10: filling phase
+		if step/1000%2 == 1 {
+			pushBias = 3 // draining phase
+		}
+		switch r := rng.Intn(10); {
+		case r < pushBias || len(model) == 0:
+			v := new(int)
+			*v = step
+			before := q.Cap()
+			q.Push(v)
+			model = append(model, v)
+			if q.Cap() != before {
+				growths++
+			}
+		case r%2 == 0:
+			if got, want := q.PopFront(), model[0]; got != want {
+				t.Fatalf("step %d: PopFront = %d, want %d", step, *got, *want)
+			}
+			model = model[1:]
+		default:
+			if got, want := q.PopBack(), model[len(model)-1]; got != want {
+				t.Fatalf("step %d: PopBack = %d, want %d", step, *got, *want)
+			}
+			model = model[:len(model)-1]
+		}
+		if q.Len() != len(model) {
+			t.Fatalf("step %d: Len = %d, want %d", step, q.Len(), len(model))
+		}
+		if q.head+q.n > len(q.buf) {
+			wraps++
+		}
+		live := 0
+		for i, p := range q.buf {
+			if off := (i - q.head + len(q.buf)) % len(q.buf); off < q.n {
+				live++
+				if p != model[off] {
+					t.Fatalf("step %d: slot %d holds the wrong element", step, i)
+				}
+			} else if p != nil {
+				t.Fatalf("step %d: slot %d outside the live window still holds %d", step, i, *p)
+			}
+		}
+		if live != len(model) {
+			t.Fatalf("step %d: %d live slots, want %d", step, live, len(model))
+		}
+	}
+	if growths < 4 || wraps < 100 {
+		t.Fatalf("the walk grew the ring %d times and held it wrapped at %d steps: too tame to test anything", growths, wraps)
+	}
+
+	// Reset empties, zeroes and keeps the storage.
+	for q.Len() < 5 {
+		q.Push(new(int))
+	}
+	kept, first := q.Cap(), &q.buf[0]
+	q.Reset()
+	if q.Len() != 0 || q.Cap() != kept || &q.buf[0] != first {
+		t.Fatalf("after Reset: Len %d, Cap %d (was %d), same buffer %v", q.Len(), q.Cap(), kept, &q.buf[0] == first)
+	}
+	for i, p := range q.buf {
+		if p != nil {
+			t.Fatalf("Reset left slot %d set", i)
+		}
+	}
+	v := new(int)
+	q.Push(v)
+	if q.PopBack() != v || q.Len() != 0 {
+		t.Fatal("ring unusable after Reset")
+	}
+}

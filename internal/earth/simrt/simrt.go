@@ -40,9 +40,10 @@
 // per-event hot path: every in-flight runtime message (sync signals,
 // invoke/token arrivals, posts, put/get legs and the steal protocol) is a
 // pooled envelope whose fire closure is allocated once and recycled, node
-// ready queues and token pools are ring buffers popped in O(1), thread
-// contexts are reused, and each node's dispatch continuation is a single
-// cached closure.
+// ready queues and token pools are earth.Ring deques (the one queue type
+// both engines use: O(1) pushes and pops at either end, popped slots
+// zeroed, storage kept across Runs), thread contexts are reused, and each
+// node's dispatch continuation is a single cached closure.
 package simrt
 
 import (
@@ -73,49 +74,6 @@ type item struct {
 	stolen   bool        // token obtained from another node
 }
 
-// itemQueue is a FIFO ring buffer of dispatchable work. Pops are O(1) and
-// popped slots are zeroed so finished thread bodies are not kept alive by
-// the backing array. The buffer length is always a power of two.
-type itemQueue struct {
-	buf  []item
-	head int
-	n    int
-}
-
-func (q *itemQueue) len() int { return q.n }
-
-func (q *itemQueue) push(it item) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = it
-	q.n++
-}
-
-func (q *itemQueue) pop() item {
-	it := q.buf[q.head]
-	q.buf[q.head] = item{}
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return it
-}
-
-func (q *itemQueue) grow() {
-	nb := make([]item, max(16, 2*len(q.buf)))
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-	}
-	q.buf = nb
-	q.head = 0
-}
-
-func (q *itemQueue) reset() {
-	for i := 0; i < q.n; i++ {
-		q.buf[(q.head+i)&(len(q.buf)-1)] = item{}
-	}
-	q.head, q.n = 0, 0
-}
-
 // token is a load-balanced invocation waiting in a node's pool.
 type token struct {
 	body     earth.ThreadBody
@@ -123,65 +81,16 @@ type token struct {
 	enq      sim.Time // deposit time
 }
 
-// tokenDeque is the node's token pool: a ring-buffer deque popped from the
-// back for local execution (newest-first, depth-first on task trees) and
-// from the front for steals (oldest-first, largest subtree). Both pops are
-// O(1); the buffer length is always a power of two.
-type tokenDeque struct {
-	buf  []token
-	head int
-	n    int
-}
-
-func (q *tokenDeque) len() int { return q.n }
-
-func (q *tokenDeque) push(tk token) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = tk
-	q.n++
-}
-
-func (q *tokenDeque) popFront() token {
-	tk := q.buf[q.head]
-	q.buf[q.head] = token{}
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return tk
-}
-
-func (q *tokenDeque) popBack() token {
-	i := (q.head + q.n - 1) & (len(q.buf) - 1)
-	tk := q.buf[i]
-	q.buf[i] = token{}
-	q.n--
-	return tk
-}
-
-func (q *tokenDeque) grow() {
-	nb := make([]token, max(16, 2*len(q.buf)))
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-	}
-	q.buf = nb
-	q.head = 0
-}
-
-func (q *tokenDeque) reset() {
-	for i := 0; i < q.n; i++ {
-		q.buf[(q.head+i)&(len(q.buf)-1)] = token{}
-	}
-	q.head, q.n = 0, 0
-}
-
 // node is the simulated per-node state. Mid-window, a node's state is
 // touched only by events executing on that node: every cross-node effect
 // is a time-stamped message that enters the queue at a barrier.
 type node struct {
-	id     earth.NodeID
-	ready  itemQueue  // FIFO ready queue of threads
-	tokens tokenDeque // local token pool (LIFO for local execution, FIFO for steals)
+	id    earth.NodeID
+	ready earth.Ring[item] // FIFO ready queue of threads
+	// tokens is the local token pool: popped from the back for local
+	// execution (newest first, depth-first on task trees) and from the
+	// front for steals (oldest first, the largest subtree).
+	tokens earth.Ring[token]
 	// outSeq numbers this node's outboxed messages so the barrier merge can
 	// order same-instant sends from one node by issue order.
 	outSeq  uint64
@@ -413,8 +322,6 @@ func New(cfg earth.Config) *Runtime {
 	}
 	for i := range rt.nodes {
 		n := &node{id: earth.NodeID(i), rngSeed: cfg.Seed*1_000_003 + int64(i)}
-		n.ready.buf = make([]item, 64)
-		n.tokens.buf = make([]token, 64)
 		n.dispatchFn = func() { rt.dispatch(n) }
 		rt.nodes[i] = n
 	}
@@ -563,8 +470,8 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		}
 	}
 	for _, n := range rt.nodes {
-		n.ready.reset()
-		n.tokens.reset()
+		n.ready.Reset()
+		n.tokens.Reset()
 		n.running, n.stealing, n.hungry = false, false, false
 		n.cpuDebt = 0
 		n.outSeq = 0
@@ -687,14 +594,14 @@ func (rt *Runtime) failover(x, s earth.NodeID, now sim.Time, cause earth.Cause) 
 	n.hungry, n.stealing = false, false
 	h := earth.Handover{Down: x, At: now, Cause: cause, Sink: rt.sink()}
 	sn.stats.Add(h.Declare(s, rt.retry.Lease))
-	for n.ready.len() > 0 {
-		it := n.ready.pop()
+	for n.ready.Len() > 0 {
+		it := n.ready.PopFront()
 		it.enq = now
 		sn.stats.Add(h.Replay(s))
 		rt.enqueueAt(sn, it, now)
 	}
-	for n.tokens.len() > 0 {
-		rt.reassignToken(h, sn, n.tokens.popFront())
+	for n.tokens.Len() > 0 {
+		rt.reassignToken(h, sn, n.tokens.PopFront())
 	}
 }
 
@@ -714,7 +621,7 @@ func (rt *Runtime) applyHeal(b boundary) {
 	// Work that landed while halted (stage-1 remnants of pre-fence
 	// deliveries, app-addressed traffic) kicks the dispatch chain now;
 	// an empty node re-enters through the steal balancer instead.
-	if n.ready.len() > 0 || n.tokens.len() > 0 {
+	if n.ready.Len() > 0 || n.tokens.Len() > 0 {
 		if !n.running {
 			n.running = true
 			rt.eng.At(b.at, n.dispatchFn)
@@ -845,7 +752,7 @@ func (rt *Runtime) emitReroute(m *msg) {
 // queue's current time (see enqueue); boundary work passes the boundary
 // instant, since the queue's clock is stale between windows.
 func (rt *Runtime) enqueueAt(n *node, it item, at sim.Time) {
-	n.ready.push(it)
+	n.ready.Push(it)
 	n.hungry = false
 	if !n.running {
 		n.running = true
@@ -896,11 +803,11 @@ func (rt *Runtime) dispatch(n *node) {
 	}
 	var it item
 	switch {
-	case n.ready.len() > 0:
-		it = n.ready.pop()
-	case n.tokens.len() > 0:
+	case n.ready.Len() > 0:
+		it = n.ready.PopFront()
+	case n.tokens.Len() > 0:
 		// Run own tokens newest-first (depth-first on task trees).
-		tk := n.tokens.popBack()
+		tk := n.tokens.PopBack()
 		it = item{body: tk.body, token: true, enq: tk.enq, cause: earth.CauseToken}
 	default:
 		n.running = false
@@ -1303,7 +1210,7 @@ func (rt *Runtime) fireGetResp(src *node, m *msg) {
 func (rt *Runtime) fireStealReq(victim *node, m *msg) {
 	thief := m.from
 	now := rt.eng.Now()
-	if victim.tokens.len() == 0 {
+	if victim.tokens.Len() == 0 {
 		rt.freeMsg(m)
 		if rt.tr != nil {
 			rt.events.Event(earth.Event{Time: now, Node: thief, Peer: victim.id, Kind: earth.EvStealMiss})
@@ -1313,7 +1220,7 @@ func (rt *Runtime) fireStealReq(victim *node, m *msg) {
 		rt.misses = append(rt.misses, missNote{at: now, thief: thief})
 		return
 	}
-	tk := victim.tokens.popFront()
+	tk := victim.tokens.PopFront()
 	m.body = tk.body
 	m.bytes = tk.argBytes
 	rt.retarget(m, msgStealGrant)
@@ -1421,7 +1328,7 @@ func (rt *Runtime) send(ready sim.Time, src, dst earth.NodeID, payload int) sim.
 // view of every pool, which only the barrier has).
 func (rt *Runtime) depositToken(n *node, cursor sim.Time, tk token) sim.Time {
 	tk.enq = cursor
-	n.tokens.push(tk)
+	n.tokens.Push(tk)
 	n.hungry = false
 	if !n.running {
 		n.running = true
@@ -1436,7 +1343,7 @@ func (rt *Runtime) depositToken(n *node, cursor sim.Time, tk token) sim.Time {
 func (rt *Runtime) pickVictim(thief *node) *node {
 	candidates := rt.victimScratch[:0]
 	for _, v := range rt.nodes {
-		if v != thief && v.tokens.len() > 0 {
+		if v != thief && v.tokens.Len() > 0 {
 			candidates = append(candidates, v)
 		}
 	}

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"earth/internal/earth"
+	"earth/internal/earth/enginetest"
 	"earth/internal/obs"
-	"earth/internal/sim"
 )
 
 // seamProgram spreads work invocations over the nodes — each fetches a
@@ -179,35 +179,12 @@ func TestEventCmp(t *testing.T) {
 	}
 }
 
-// stormProgram is a fine-grain program: tokens zero-grain tokens, pooled
-// for stealing, each fetching a word from another node and signalling the
-// root's completion frame once it has it.
-func stormProgram(nodes, tokens int) earth.ThreadBody {
-	cells := make([]float64, nodes)
-	return func(c earth.Ctx) {
-		done := earth.NewFrame(c.Node(), 1, 1)
-		done.InitSync(0, tokens, 0, 0)
-		done.SetThread(0, func(earth.Ctx) {})
-		for i := 0; i < tokens; i++ {
-			from := earth.NodeID(i % nodes)
-			c.Token(16, func(c earth.Ctx) {
-				var got float64
-				g := earth.NewFrame(c.Node(), 1, 1)
-				g.InitSync(0, 1, 0, 0)
-				g.SetThread(0, func(c earth.Ctx) { c.Sync(done, 0) })
-				c.Compute(sim.Microsecond)
-				earth.GetSyncF64(c, from, &cells[from], &got, g, 0)
-			})
-		}
-	}
-}
-
 // benchmarkRunStorm times whole runs of a 2000-token storm on 20 nodes
 // and reports simulator events per host second. Each iteration builds its
 // Runtime (and Recorder), as earthsim, the harness and the benchmark do: a
 // reused pair would hide the buffer growth a traced run pays.
 func benchmarkRunStorm(b *testing.B, traced bool) {
-	body := stormProgram(20, 2000)
+	body := enginetest.StormProgram(20, 2000)
 	var events uint64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -190,7 +190,7 @@ func (rt *Runtime) barrier(vnow sim.Time) {
 	for _, note := range rt.misses {
 		th := rt.nodes[note.thief]
 		th.stealing = false
-		if !th.running && th.ready.len() == 0 && th.tokens.len() == 0 &&
+		if !th.running && th.ready.Len() == 0 && th.tokens.Len() == 0 &&
 			!rt.downNow(th.id) {
 			th.hungry = true
 		}
@@ -214,7 +214,7 @@ func (rt *Runtime) barrier(vnow sim.Time) {
 func (rt *Runtime) matchSteals(vnow sim.Time) {
 	for _, th := range rt.nodes {
 		if !th.hungry || th.stealing || th.running ||
-			th.ready.len() > 0 || th.tokens.len() > 0 ||
+			th.ready.Len() > 0 || th.tokens.Len() > 0 ||
 			rt.downNow(th.id) {
 			continue
 		}
