@@ -537,7 +537,7 @@ func runKB(o *options, rt earth.Runtime, w io.Writer) (*earth.Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := rewrite.ParallelComplete(rt, sys, rewrite.ParallelConfig{})
+	res, err := rewrite.ParallelComplete(rt, sys)
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +548,7 @@ func runKB(o *options, rt earth.Runtime, w io.Writer) (*earth.Stats, error) {
 
 func runTSP(o *options, rt earth.Runtime, w io.Writer) (*earth.Stats, error) {
 	tsp := search.RandomTSP(11, o.seed)
-	res := search.BranchAndBound(rt, tsp, search.BBConfig{})
+	res := search.BranchAndBound(rt, tsp)
 	fmt.Fprintf(w, "optimum=%.4f expanded=%d improvements=%d\n",
 		res.Best, res.Expanded, res.Improvements)
 	return res.Stats, nil

@@ -36,7 +36,7 @@ func main() {
 	fmt.Println("word problem: ab == ba ?", complete.Reduces("ab", "ba"), "(S3 is non-abelian)")
 
 	rt := simrt.New(earth.Config{Nodes: 6, Seed: 1})
-	par, err := rewrite.ParallelComplete(rt, s, rewrite.ParallelConfig{})
+	par, err := rewrite.ParallelComplete(rt, s)
 	if err != nil {
 		panic(err)
 	}

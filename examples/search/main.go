@@ -16,9 +16,9 @@ func main() {
 	// Exact TSP on 11 random cities.
 	tsp := search.RandomTSP(11, 42)
 	one := simrt.New(earth.Config{Nodes: 1, Seed: 1})
-	r1 := search.BranchAndBound(one, tsp, search.BBConfig{})
+	r1 := search.BranchAndBound(one, tsp)
 	sixteen := simrt.New(earth.Config{Nodes: 16, Seed: 1})
-	r16 := search.BranchAndBound(sixteen, tsp, search.BBConfig{})
+	r16 := search.BranchAndBound(sixteen, tsp)
 	fmt.Printf("TSP(11): optimal tour %.4f, %d node expansions, %d incumbent updates\n",
 		r16.Best, r16.Expanded, r16.Improvements)
 	fmt.Printf("  1 node: %v   16 nodes: %v   speedup %.1f\n",

@@ -54,7 +54,6 @@ var criticalPkgs = map[string]bool{
 	"earth/internal/obs":         true,
 	"earth/internal/harness":     true,
 	"earth/internal/groebner":    true,
-	"earth/internal/earthc":      true,
 	"earth/internal/poly":        true,
 	"earth/internal/eigen":       true,
 	"earth/internal/neural":      true,

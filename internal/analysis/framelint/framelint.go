@@ -72,7 +72,6 @@ var scopePkgs = map[string]bool{
 	"earth/internal/groebner": true,
 	"earth/internal/rewrite":  true,
 	"earth/internal/search":   true,
-	"earth/internal/earthc":   true,
 }
 
 // InScope reports whether framelint patrols the package. The example

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -90,6 +91,37 @@ func RunTest(t *testing.T, testdata string, a *Analyzer, patterns ...string) {
 			if len(matched[k]) <= i || !matched[k][i] {
 				t.Errorf("%s:%d: expected diagnostic matching %q, got none", k.file, k.line, re)
 			}
+		}
+	}
+}
+
+// ScopeResolves checks a linter's patrol scope, a set of import paths of
+// module earth: every path must name a directory of the module that holds
+// a non-test Go file, so a deleted or renamed package fails a test
+// instead of silently dropping out of patrol. It must be called from a
+// test of a package inside the module.
+func ScopeResolves(t *testing.T, scope map[string]bool) {
+	t.Helper()
+	root, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
+			break
+		}
+		if root == filepath.Dir(root) {
+			t.Fatal("no go.mod above the test's directory")
+		}
+		root = filepath.Dir(root)
+	}
+	for path := range scope {
+		rel, inModule := strings.CutPrefix(path, "earth/")
+		dir := filepath.Join(root, rel)
+		files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		files = slices.DeleteFunc(files, func(f string) bool { return strings.HasSuffix(f, "_test.go") })
+		if !inModule || len(files) == 0 {
+			t.Errorf("scope entry %q: no Go package at %s", path, dir)
 		}
 	}
 }

@@ -9,19 +9,24 @@ import (
 	"testing"
 )
 
-// maxEngineFuncLines is the longest function either engine, or either
-// command in front of them, may contain, measured from the func keyword
-// to the closing brace. The protocol the engines implement is small, and
-// a command is a handful of named steps; a function outgrowing this
-// budget is a decision that wants its own name (see DESIGN.md, "Who owns
-// which decision").
+// maxEngineFuncLines is the longest function either engine, either
+// command in front of them, or any of the five applications on top may
+// contain, measured from the func keyword to the closing brace. The
+// protocol the engines implement is small, a command is a handful of
+// named steps, and an application is a set of named protocol phases; a
+// function outgrowing this budget is a decision that wants its own name
+// (see DESIGN.md, "Who owns which decision").
 const maxEngineFuncLines = 100
 
-// TestEngineFunctionBudget pins the engines' and the commands' shape: no
-// function in simrt, livert, cmd/earthsim or cmd/paperfigs (tests
+// TestEngineFunctionBudget pins the engines', the commands' and the
+// applications' shape: no function in simrt, livert, cmd/earthsim,
+// cmd/paperfigs, eigen, groebner, neural, rewrite or search (tests
 // excluded) exceeds maxEngineFuncLines.
 func TestEngineFunctionBudget(t *testing.T) {
-	for _, pkg := range []string{"../simrt", "../livert", "../../../cmd/earthsim", "../../../cmd/paperfigs"} {
+	for _, pkg := range []string{
+		"../simrt", "../livert", "../../../cmd/earthsim", "../../../cmd/paperfigs",
+		"../../eigen", "../../groebner", "../../neural", "../../rewrite", "../../search",
+	} {
 		files, err := filepath.Glob(filepath.Join(pkg, "*.go"))
 		if err != nil || len(files) == 0 {
 			t.Fatalf("%s: no sources found (err=%v)", pkg, err)

@@ -1,6 +1,7 @@
 package eigen
 
 import (
+	"math"
 	"sort"
 
 	"earth/internal/earth"
@@ -52,20 +53,10 @@ type ParallelConfig struct {
 	Tol float64
 	// Args selects the argument-passing variant.
 	Args ArgVariant
-	// SturmCost is the modelled time of one Sturm-sequence evaluation
-	// (Table 1: 7.82 ms per step at n = 1000). Zero: calibrated from the
-	// matrix size at 7.82 us per element.
-	SturmCost sim.Time
-	// Grain, when > 1, groups a subtree into a single task once its
-	// interval contains at most Grain eigenvalues — the "grouping of
-	// search nodes" the paper says is necessary for finer-grained search
-	// applications (Table 1's matrix is coarse enough to need none, so
-	// the default is 1: one task per search node).
-	Grain int
 }
 
-// SturmCostFor returns the default modelled cost of one Sturm evaluation
-// for dimension n, calibrated so n = 1000 costs the paper's 7.82 ms.
+// SturmCostFor returns the modelled cost of one Sturm evaluation for
+// dimension n, calibrated so n = 1000 costs the paper's 7.82 ms (Table 1).
 func SturmCostFor(n int) sim.Time {
 	return sim.Time(n) * sim.FromMicroseconds(7.82)
 }
@@ -80,11 +71,12 @@ type ParallelResult struct {
 // on node 0 (all writes execute on node 0's context via Put operations);
 // task and Sturm counters are kept per node and summed after the run.
 type taskState struct {
-	t      *SymTridiag
-	cfg    ParallelConfig
-	res    *Result // owned by node 0
-	tasks  []int   // per-node, owned by each node
-	sturms []int
+	t         *SymTridiag
+	cfg       ParallelConfig
+	sturmCost sim.Time
+	res       *Result // owned by node 0
+	tasks     []int   // per-node, owned by each node
+	sturms    []int
 }
 
 // ParallelBisect computes all eigenvalues of t on the EARTH runtime rt.
@@ -97,11 +89,8 @@ func ParallelBisect(rt earth.Runtime, t *SymTridiag, cfg ParallelConfig) *Parall
 	if cfg.Tol <= 0 {
 		panic("eigen: tolerance must be positive")
 	}
-	if cfg.SturmCost == 0 {
-		cfg.SturmCost = SturmCostFor(t.N())
-	}
 	st := &taskState{
-		t: t, cfg: cfg,
+		t: t, cfg: cfg, sturmCost: SturmCostFor(t.N()),
 		res:    &Result{MinDepth: 1 << 30, DepthHist: map[int]int{}},
 		tasks:  make([]int, rt.P()),
 		sturms: make([]int, rt.P()),
@@ -109,10 +98,10 @@ func ParallelBisect(rt earth.Runtime, t *SymTridiag, cfg ParallelConfig) *Parall
 
 	stats := rt.Run(func(c earth.Ctx) {
 		lo, hi := t.Gershgorin()
-		lo -= 1e-9 * (1 + abs(lo))
-		hi += 1e-9 * (1 + abs(hi))
+		lo -= 1e-9 * (1 + math.Abs(lo))
+		hi += 1e-9 * (1 + math.Abs(hi))
 		root := Interval{Lo: lo, Hi: hi, NLo: t.CountBelow(lo), NHi: t.CountBelow(hi)}
-		c.Compute(2 * cfg.SturmCost)
+		c.Compute(2 * st.sturmCost)
 		st.bumpCounters(c, 0, 2)
 		if root.Count() <= 0 {
 			return
@@ -155,16 +144,11 @@ func (st *taskState) spawn(c earth.Ctx, iv Interval) {
 }
 
 // run is the task body: one bisection step, then either emit a leaf or
-// spawn the children. Subtrees whose eigenvalue count has dropped to the
-// configured grain are resolved sequentially within the task.
+// spawn the children.
 func (st *taskState) run(c earth.Ctx, iv Interval) {
-	if st.cfg.Grain > 1 && iv.Count() <= st.cfg.Grain {
-		st.runGrouped(c, iv)
-		return
-	}
 	var scratch Result
 	leaf, children := Step(st.t, iv, st.cfg.Tol, &scratch)
-	c.Compute(sim.Time(scratch.SturmCounts) * st.cfg.SturmCost)
+	c.Compute(sim.Time(scratch.SturmCounts) * st.sturmCost)
 	st.bumpCounters(c, 1, scratch.SturmCounts)
 	if leaf != nil {
 		lv := *leaf
@@ -178,46 +162,10 @@ func (st *taskState) run(c earth.Ctx, iv Interval) {
 	}
 }
 
-// runGrouped resolves a whole subtree inside one task, reporting each
-// resolved interval; the task still counts each search node it visits.
-func (st *taskState) runGrouped(c earth.Ctx, iv Interval) {
-	stack := []Interval{iv}
-	var leaves []Interval
-	tasks, sturms := 0, 0
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		var scratch Result
-		leaf, children := Step(st.t, x, st.cfg.Tol, &scratch)
-		tasks++
-		sturms += scratch.SturmCounts
-		if leaf != nil {
-			leaves = append(leaves, *leaf)
-			continue
-		}
-		stack = append(stack, children...)
-	}
-	c.Compute(sim.Time(sturms) * st.cfg.SturmCost)
-	st.bumpCounters(c, tasks, sturms)
-	ls := leaves
-	c.Put(0, len(ls)*argBytes, func() {
-		for _, lv := range ls {
-			st.res.MergeLeafStats(lv)
-		}
-	}, nil, 0)
-}
-
 // bumpCounters accumulates task/Sturm counts in the current node's slot.
 func (st *taskState) bumpCounters(c earth.Ctx, tasks, sturms int) {
 	st.tasks[c.Node()] += tasks
 	st.sturms[c.Node()] += sturms
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // SeqVirtualTime models the uniprocessor runtime of a sequential

@@ -115,57 +115,3 @@ func TestSeqVirtualTime(t *testing.T) {
 		t.Fatalf("SeqVirtualTime = %v", got)
 	}
 }
-
-func TestGrainGroupingPreservesResults(t *testing.T) {
-	m := Clustered(120, 21, 3)
-	tol := 1e-5
-	fine := ParallelBisect(simrt.New(earth.Config{Nodes: 4, Seed: 1}), m, ParallelConfig{Tol: tol})
-	grouped := ParallelBisect(simrt.New(earth.Config{Nodes: 4, Seed: 1}), m, ParallelConfig{Tol: tol, Grain: 8})
-	if len(fine.Eigenvalues) != len(grouped.Eigenvalues) {
-		t.Fatalf("%d vs %d eigenvalues", len(fine.Eigenvalues), len(grouped.Eigenvalues))
-	}
-	for i := range fine.Eigenvalues {
-		if fine.Eigenvalues[i] != grouped.Eigenvalues[i] {
-			t.Fatalf("lambda[%d] differs", i)
-		}
-	}
-	// Same search nodes visited, fewer spawned tasks (threads).
-	if grouped.Tasks != fine.Tasks {
-		t.Fatalf("search-node counts differ: %d vs %d", grouped.Tasks, fine.Tasks)
-	}
-	if grouped.Stats.Total().ThreadsRun >= fine.Stats.Total().ThreadsRun {
-		t.Fatalf("grouping did not reduce tasks: %d vs %d threads",
-			grouped.Stats.Total().ThreadsRun, fine.Stats.Total().ThreadsRun)
-	}
-}
-
-func TestGrainGroupingReducesOverheadAtFineGrain(t *testing.T) {
-	// Grouping matters exactly where the paper says it does: when the
-	// per-task overhead is large relative to the step compute — i.e. on a
-	// higher-overhead (message-passing) system. Under EARTH's
-	// microsecond overheads ungrouped search runs fine (Figure 2); under
-	// MP-300us costs the one-task-per-node version drowns in spawn
-	// overhead and grouping wins clearly.
-	m := Clustered(120, 21, 4)
-	tol := 1e-5
-	cost := sim.FromMicroseconds(20)
-	mp := earth.MessagePassingCosts(300 * sim.Microsecond)
-	fine := ParallelBisect(simrt.New(earth.Config{Nodes: 8, Seed: 1, Costs: mp}), m,
-		ParallelConfig{Tol: tol, SturmCost: cost})
-	grouped := ParallelBisect(simrt.New(earth.Config{Nodes: 8, Seed: 1, Costs: mp}), m,
-		ParallelConfig{Tol: tol, SturmCost: cost, Grain: 21})
-	if float64(grouped.Stats.Elapsed) >= 0.7*float64(fine.Stats.Elapsed) {
-		t.Fatalf("grouping did not help under MP costs: %v vs %v",
-			grouped.Stats.Elapsed, fine.Stats.Elapsed)
-	}
-	// Under EARTH costs the difference is marginal — the paper's claim
-	// that low overhead obviates grouping.
-	fineE := ParallelBisect(simrt.New(earth.Config{Nodes: 8, Seed: 1}), m,
-		ParallelConfig{Tol: tol, SturmCost: cost})
-	groupedE := ParallelBisect(simrt.New(earth.Config{Nodes: 8, Seed: 1}), m,
-		ParallelConfig{Tol: tol, SturmCost: cost, Grain: 21})
-	ratio := float64(groupedE.Stats.Elapsed) / float64(fineE.Stats.Elapsed)
-	if ratio < 0.5 {
-		t.Fatalf("EARTH costs should not need grouping; ratio %.2f", ratio)
-	}
-}

@@ -11,77 +11,36 @@ import (
 	"earth/internal/poly"
 )
 
-// Strategy selects the critical pair to process next ("the order of
-// creating and processing pairs has a significant impact on the overall
-// amount of work", paper Section 3.2).
-type Strategy int
-
-const (
-	// StrategyNormal picks the pair with the order-smallest LCM
-	// (Buchberger's normal selection strategy). The default.
-	StrategyNormal Strategy = iota
-	// StrategyFIFO processes pairs in creation order.
-	StrategyFIFO
-	// StrategyDegree picks the pair with the smallest total LCM degree
-	// (sugar-flavoured selection).
-	StrategyDegree
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case StrategyNormal:
-		return "normal"
-	case StrategyFIFO:
-		return "fifo"
-	case StrategyDegree:
-		return "degree"
-	}
-	return "unknown"
-}
-
 // Options configures the completion procedure.
 type Options struct {
-	// Strategy is the pair-selection heuristic.
-	Strategy Strategy
 	// NoCoprimeCriterion disables Buchberger's first criterion (B: coprime
 	// leading monomials => the S-polynomial reduces to zero).
 	NoCoprimeCriterion bool
 	// NoChainCriterion disables the Gebauer-Möller M/F criteria and the
 	// chain criterion on old pairs.
 	NoChainCriterion bool
-	// MaxPairs aborts runaway computations (0 = unlimited); exceeded
-	// limits return an error.
-	MaxPairs int
 }
 
 // Pair is a critical pair of basis indices I < J with its precomputed LCM.
 type Pair struct {
 	I, J int
 	LCM  poly.Mono
-	// Seq is the creation sequence number (FIFO and tie-breaking), making
-	// pair selection deterministic.
+	// Seq is the creation sequence number (tie-breaking), making pair
+	// selection deterministic.
 	Seq int
 }
 
-// Less reports pair-selection priority under a strategy and monomial
-// order; used by both the sequential loop and the per-node queues of the
-// parallel version.
-func (p Pair) Less(q Pair, ord poly.Order, s Strategy) bool {
-	switch s {
-	case StrategyFIFO:
-		return p.Seq < q.Seq
-	case StrategyDegree:
-		dp, dq := p.LCM.TotalDeg(), q.LCM.TotalDeg()
-		if dp != dq {
-			return dp < dq
-		}
-		return p.Seq < q.Seq
-	default: // StrategyNormal
-		if c := ord.Compare(p.LCM, q.LCM); c != 0 {
-			return c < 0
-		}
-		return p.Seq < q.Seq
+// Less reports pair-selection priority under a monomial order:
+// Buchberger's normal selection strategy, the pair with the
+// order-smallest LCM first ("the order of creating and processing pairs
+// has a significant impact on the overall amount of work", paper
+// Section 3.2). Used by both the sequential loop and the per-node queues
+// of the parallel version.
+func (p Pair) Less(q Pair, ord poly.Order) bool {
+	if c := ord.Compare(p.LCM, q.LCM); c != 0 {
+		return c < 0
 	}
+	return p.Seq < q.Seq
 }
 
 // Trace records the work profile of one completion run — the quantities
@@ -232,15 +191,15 @@ func (u *Updater) appendNewPairs(out []Pair, basis []*poly.Poly, t int) ([]Pair,
 	return out, len(cands)
 }
 
-// SelectBest removes and returns the best pair under the strategy. It
+// selectBest removes and returns the best pair (see Pair.Less). It
 // panics on an empty set.
-func (u *Updater) SelectBest(P []Pair, ord poly.Order) (Pair, []Pair) {
+func selectBest(P []Pair, ord poly.Order) (Pair, []Pair) {
 	if len(P) == 0 {
-		panic("groebner: SelectBest on empty pair set")
+		panic("groebner: selectBest on empty pair set")
 	}
 	best := 0
 	for i := 1; i < len(P); i++ {
-		if P[i].Less(P[best], ord, u.opt.Strategy) {
+		if P[i].Less(P[best], ord) {
 			best = i
 		}
 	}
@@ -273,11 +232,8 @@ func Buchberger(F []*poly.Poly, opt Options) (*Basis, error) {
 	}
 
 	for len(P) > 0 {
-		if opt.MaxPairs > 0 && b.Trace.PairsReduced > opt.MaxPairs {
-			return nil, fmt.Errorf("groebner: pair limit %d exceeded", opt.MaxPairs)
-		}
 		var p Pair
-		p, P = u.SelectBest(P, ring.Order())
+		p, P = selectBest(P, ring.Order())
 		s := poly.SPoly(basis[p.I], basis[p.J])
 		nf, st := red.NormalForm(s, basis)
 		b.Trace.PairsReduced++

@@ -2,7 +2,6 @@ package groebner
 
 import (
 	"fmt"
-	"sort"
 
 	"earth/internal/earth"
 	"earth/internal/poly"
@@ -98,8 +97,7 @@ func SeqVirtualTime(tr Trace, sc StepCost) sim.Time {
 
 // ParallelConfig configures a parallel completion run.
 type ParallelConfig struct {
-	// Opt supplies the selection strategy and the criteria applied when
-	// pairs are created.
+	// Opt supplies the criteria applied when pairs are created.
 	Opt Options
 	// StepCost is the compute model (zero: DefaultStepCost).
 	StepCost StepCost
@@ -152,7 +150,7 @@ type insertReq struct {
 type parState struct {
 	cfg     ParallelConfig
 	ring    *poly.Ring
-	upd     *Updater // criteria and selection only: it is shared across nodes, so never Update
+	upd     *Updater // criteria only: it is shared across nodes, so never Update
 	workers int
 	m       earth.NodeID // maintenance node
 
@@ -161,17 +159,31 @@ type parState struct {
 	// Maintenance-node state.
 	registry  []*poly.Poly
 	created   int
-	pool      []Pair // central pool (default mode)
-	waiting   map[int]bool
-	inflight  map[int]Pair
+	pool      []Pair       // central pool (default mode)
+	books     []workerBook // indexed by worker id
+	nWaiting  int          // books with waiting set
+	nInflight int          // books with reducing set
 	insertQ   []insertReq
-	outstand  map[int]int // per-worker shipped-unacked insert requests
-	processed map[int]int // per-worker processed counts (reported)
 	stopped   bool
 	added     int
 	rejected  int
 	deferrals int
 	rrNext    int
+}
+
+// workerBook is what the maintenance node knows about one worker.
+type workerBook struct {
+	// waiting: parked on an empty pool (central mode; cleared when
+	// dispatchWaiting restarts the worker) or has reported an empty queue
+	// (distributed mode; never cleared).
+	waiting bool
+	// inflight is the pair the worker is reducing, valid while reducing.
+	inflight Pair
+	reducing bool
+	outstand int // shipped-unacked insert requests, as last reported
+	// processed is the reported count of reductions (distributed
+	// termination only).
+	processed int
 }
 
 type parNode struct {
@@ -250,15 +262,12 @@ func ParallelBuchberger(rt earth.Runtime, F []*poly.Poly, cfg ParallelConfig) (*
 		cfg.StepCost = DefaultStepCost()
 	}
 	st := &parState{
-		cfg:       cfg,
-		ring:      ring,
-		upd:       NewUpdater(cfg.Opt),
-		workers:   rt.P() - 1,
-		m:         earth.NodeID(rt.P() - 1),
-		waiting:   map[int]bool{},
-		inflight:  map[int]Pair{},
-		outstand:  map[int]int{},
-		processed: map[int]int{},
+		cfg:     cfg,
+		ring:    ring,
+		upd:     NewUpdater(cfg.Opt),
+		workers: rt.P() - 1,
+		m:       earth.NodeID(rt.P() - 1),
+		books:   make([]workerBook, rt.P()-1),
 	}
 	st.nodes = make([]*parNode, rt.P())
 	for i := range st.nodes {
@@ -375,14 +384,14 @@ func (st *parState) fetchWork(c earth.Ctx, w int) {
 	c.Post(st.m, 16, func(c earth.Ctx) {
 		if len(st.pool) > 0 {
 			var p Pair
-			p, st.pool = st.upd.SelectBest(st.pool, st.ring.Order())
-			st.inflight[w] = p
+			p, st.pool = selectBest(st.pool, st.ring.Order())
+			st.setInflight(w, p)
 			c.Post(earth.NodeID(w), pairMsgBytes, func(c earth.Ctx) {
 				earth.SpawnBody(c, func(c earth.Ctx) { st.startPair(c, w, p) })
 			})
 			return
 		}
-		st.waiting[w] = true
+		st.setWaiting(w)
 		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.nodes[w].busy = false })
 		st.maybeTerminate(c)
 	})
@@ -441,10 +450,13 @@ func (st *parState) processPair(c earth.Ctx, w int, p Pair) {
 	} else {
 		proc := n.processed
 		c.Post(st.m, pairMsgBytes, func(c earth.Ctx) {
-			delete(st.inflight, w)
-			st.processed[w] = proc
+			st.clearInflight(w)
+			st.books[w].processed = proc
 			st.tryInsert(c) // the gate may have been waiting on this pair
-			st.maybeTerminate(c)
+			if !st.cfg.DistributedQueues {
+				// A distributed worker is judged when it reports idle.
+				st.maybeTerminate(c)
+			}
 		})
 	}
 	st.continueWorker(c, w)
@@ -458,8 +470,9 @@ func (st *parState) shipResult(c earth.Ctx, w int, p Pair, nf *poly.Poly) {
 	proc := n.processed
 	c.Post(st.m, nf.Bytes()+pairMsgBytes, func(c earth.Ctx) {
 		st.insertQ = append(st.insertQ, req)
-		delete(st.inflight, w)
-		st.processed[w] = proc
+		// Also after a rereduce, when w may already hold its next pair.
+		st.clearInflight(w)
+		st.books[w].processed = proc
 		st.tryInsert(c)
 	})
 }
@@ -482,19 +495,15 @@ func (st *parState) tryInsert(c earth.Ctx) {
 	for len(st.insertQ) > 0 && !st.stopped {
 		best := 0
 		for i := 1; i < len(st.insertQ); i++ {
-			if st.insertQ[i].pair.Less(st.insertQ[best].pair, st.ring.Order(), st.cfg.Opt.Strategy) {
+			if st.insertQ[i].pair.Less(st.insertQ[best].pair, st.ring.Order()) {
 				best = i
 			}
 		}
 		req := st.insertQ[best]
 		if !st.cfg.NoOrderedCommit {
 			blocked := false
-			// Existential scan: `blocked` ends up true iff any inflight
-			// pair precedes req, whatever order the entries are visited
-			// in; Less is pure and the break only short-circuits.
-			//detlint:allow existential any-match over the map; result is order-independent and Less is pure
-			for ow, p := range st.inflight {
-				if ow != req.w && p.Less(req.pair, st.ring.Order(), st.cfg.Opt.Strategy) {
+			for ow, b := range st.books {
+				if ow != req.w && b.reducing && b.inflight.Less(req.pair, st.ring.Order()) {
 					blocked = true
 					break
 				}
@@ -548,9 +557,8 @@ func (st *parState) rereduce(c earth.Ctx, req insertReq) {
 		n.outstanding--
 		out := n.outstanding
 		c.Post(st.m, 16, func(c earth.Ctx) {
-			st.outstand[req.w] = out
+			st.books[req.w].outstand = out
 			st.maybeTerminate(c)
-			st.maybeTerminateDistributed(c)
 		})
 		return
 	}
@@ -566,9 +574,8 @@ func (st *parState) finishInsert(c earth.Ctx, w int, idx int, nf *poly.Poly) {
 		n.outstanding--
 		out := n.outstanding
 		c.Post(st.m, 8, func(c earth.Ctx) {
-			st.outstand[w] = out
+			st.books[w].outstand = out
 			st.maybeTerminate(c)
-			st.maybeTerminateDistributed(c)
 		})
 	})
 
@@ -605,28 +612,46 @@ func (st *parState) finishInsert(c earth.Ctx, w int, idx int, nf *poly.Poly) {
 		}
 	}
 	st.maybeTerminate(c)
-	st.maybeTerminateDistributed(c)
 }
 
-// dispatchWaiting restarts parked workers while pairs are available.
-// Workers wake in id order: map iteration order would leak into the
-// simulated schedule and break run-to-run reproducibility.
+// dispatchWaiting restarts parked workers, in id order, while pairs are
+// available.
 func (st *parState) dispatchWaiting(c earth.Ctx) {
-	if len(st.waiting) == 0 {
-		return
-	}
-	ws := make([]int, 0, len(st.waiting))
-	for w := range st.waiting {
-		ws = append(ws, w)
-	}
-	sort.Ints(ws)
-	for _, w := range ws {
+	for w := range st.books {
 		if len(st.pool) == 0 {
 			return
 		}
-		delete(st.waiting, w)
-		w := w
+		if !st.books[w].waiting {
+			continue
+		}
+		st.books[w].waiting = false
+		st.nWaiting--
 		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.fetchWork(c, w) })
+	}
+}
+
+// setWaiting marks worker w parked.
+func (st *parState) setWaiting(w int) {
+	if !st.books[w].waiting {
+		st.books[w].waiting = true
+		st.nWaiting++
+	}
+}
+
+// setInflight records that worker w is reducing p.
+func (st *parState) setInflight(w int, p Pair) {
+	if !st.books[w].reducing {
+		st.books[w].reducing = true
+		st.nInflight++
+	}
+	st.books[w].inflight = p
+}
+
+// clearInflight records that worker w's reduction has been reported.
+func (st *parState) clearInflight(w int) {
+	if st.books[w].reducing {
+		st.books[w].reducing = false
+		st.nInflight--
 	}
 }
 
@@ -641,26 +666,31 @@ func (st *parState) newPairsFor(basis []*poly.Poly, idx int) []Pair {
 	return pairs
 }
 
-// maybeTerminate runs on the maintenance node after every state change
-// (central mode): when every worker is parked with no outstanding
-// requests, no pair is in flight or pooled and no insert is running, the
+// maybeTerminate runs on the maintenance node after every state change:
+// when every worker is parked with no outstanding requests, no pair is in
+// flight and no insert is running, and no pair is left — the central pool
+// is empty or, in distributed mode, where queue contents are remote, the
+// pair counts are conserved (every created pair has been processed) — the
 // completion has finished and the workers are stopped. This is the
 // reserved node's termination detection, event-driven because all global
 // state lives on it.
 func (st *parState) maybeTerminate(c earth.Ctx) {
-	if st.cfg.DistributedQueues {
+	if st.stopped || len(st.insertQ) > 0 || st.nInflight > 0 || st.nWaiting < st.workers {
 		return
 	}
-	if st.stopped || len(st.insertQ) > 0 || len(st.inflight) > 0 {
-		return
-	}
-	if len(st.pool) > 0 || len(st.waiting) < st.workers {
-		return
-	}
-	for w := 0; w < st.workers; w++ {
-		if st.outstand[w] > 0 {
+	total := 0
+	for _, b := range st.books {
+		if b.outstand > 0 {
 			return
 		}
+		total += b.processed
+	}
+	if st.cfg.DistributedQueues {
+		if total != st.created {
+			return
+		}
+	} else if len(st.pool) > 0 {
+		return
 	}
 	st.stop(c)
 }
@@ -701,9 +731,8 @@ func (st *parState) step(c earth.Ctx, w int) {
 		return
 	}
 	var p Pair
-	p, n.queue = st.upd.SelectBest(n.queue, st.ring.Order())
-	pp := p
-	c.Post(st.m, pairMsgBytes, func(c earth.Ctx) { st.inflight[w] = pp })
+	p, n.queue = selectBest(n.queue, st.ring.Order())
+	c.Post(st.m, pairMsgBytes, func(c earth.Ctx) { st.setInflight(w, p) })
 	if !st.ensureCached(c, w, p) {
 		return
 	}
@@ -716,34 +745,11 @@ func (st *parState) reportIdle(c earth.Ctx, w int) {
 	n := st.nodes[w]
 	proc, out := n.processed, n.outstanding
 	c.Post(st.m, 16, func(c earth.Ctx) {
-		st.processed[w] = proc
-		st.outstand[w] = out
-		st.waiting[w] = true
-		st.maybeTerminateDistributed(c)
+		st.books[w].processed = proc
+		st.books[w].outstand = out
+		st.setWaiting(w)
+		st.maybeTerminate(c)
 	})
-}
-
-// maybeTerminateDistributed: in distributed mode queue contents are
-// remote, so termination additionally requires conservation of the pair
-// counts: every created pair has been processed.
-func (st *parState) maybeTerminateDistributed(c earth.Ctx) {
-	if !st.cfg.DistributedQueues {
-		return
-	}
-	if st.stopped || len(st.insertQ) > 0 || len(st.inflight) > 0 {
-		return
-	}
-	total := 0
-	for w := 0; w < st.workers; w++ {
-		if st.outstand[w] > 0 {
-			return
-		}
-		total += st.processed[w]
-	}
-	if total != st.created || len(st.waiting) < st.workers {
-		return
-	}
-	st.stop(c)
 }
 
 // onBroadcast runs on worker o when a new polynomial arrives: an idle
@@ -791,7 +797,7 @@ func (st *parState) ringHop(c earth.Ctx, requester, at int) {
 		if len(v.queue) > 1 {
 			// Donate the best half: the requester starts on it
 			// immediately, keeping global order close to the heuristic.
-			sortPairs(v.queue, st.ring.Order(), st.cfg.Opt.Strategy)
+			sortPairs(v.queue, st.ring.Order())
 			half := len(v.queue) / 2
 			donation := make([]Pair, half)
 			copy(donation, v.queue[:half])
@@ -806,10 +812,10 @@ func (st *parState) ringHop(c earth.Ctx, requester, at int) {
 	})
 }
 
-// sortPairs orders a pair slice best-first under the strategy.
-func sortPairs(ps []Pair, ord poly.Order, s Strategy) {
+// sortPairs orders a pair slice best-first (see Pair.Less).
+func sortPairs(ps []Pair, ord poly.Order) {
 	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].Less(ps[j-1], ord, s); j-- {
+		for j := i; j > 0 && ps[j].Less(ps[j-1], ord); j-- {
 			ps[j], ps[j-1] = ps[j-1], ps[j]
 		}
 	}

@@ -15,14 +15,14 @@ type Experiment struct {
 	// Group is a second -exp name that selects every row carrying it.
 	Group string
 	// Beyond marks the robustness and attribution sweeps that go beyond
-	// the paper's evaluation section: selectable by name, not part of All.
+	// the paper's evaluation section: selectable by name, not part of "all".
 	Beyond bool
 	Run    func(Config) *Report
 }
 
-// Experiments is the one list of experiments, in paper order: All,
-// paperfigs (-exp, its usage text and its unknown-name error) and
-// TestParallelSweepDeterminism all read it, so adding an experiment is
+// Experiments is the one list of experiments, in paper order: paperfigs
+// (-exp, its usage text and its unknown-name error) and
+// TestParallelSweepDeterminism both read it, so adding an experiment is
 // adding a row here. chaos is the fault plan of the Chaos row (nil or
 // empty: DefaultFaultPlan), the one experiment input outside Config.
 func Experiments(chaos *faults.Plan) []Experiment {
@@ -84,15 +84,4 @@ func Select(name string, chaos *faults.Plan) ([]Experiment, error) {
 		return nil, fmt.Errorf("unknown experiment %q (want %s)", name, strings.Join(ExperimentNames(), "|"))
 	}
 	return out, nil
-}
-
-// All runs every experiment of the paper's evaluation and returns the
-// reports in paper order.
-func All(cfg Config) []*Report {
-	exps, _ := Select("all", nil) // "all" always resolves
-	reports := make([]*Report, len(exps))
-	for i, e := range exps {
-		reports[i] = e.Run(cfg)
-	}
-	return reports
 }

@@ -680,7 +680,7 @@ func AblationSearchApps(cfg Config) *Report {
 	poly := &search.Polymer{Steps: 8}
 	apps := []simApp{
 		{"tsp-11", func(rt earth.Runtime) sim.Time {
-			return search.BranchAndBound(rt, tsp, search.BBConfig{}).Stats.Elapsed
+			return search.BranchAndBound(rt, tsp).Stats.Elapsed
 		}},
 		{"polymer-8", func(rt earth.Runtime) sim.Time {
 			return search.Count(rt, poly, search.CountConfig{SpawnDepth: 3}).Stats.Elapsed
@@ -717,7 +717,7 @@ func AblationKnuthBendix(cfg Config) *Report {
 	s := speedupCurves(cfg, []string{"knuth-bendix/S3"}, nodesMin(cfg.Nodes, 2), 1, fixedBase(base),
 		func(_, nodes, _ int) sim.Time {
 			rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, JitterPct: 2})
-			res, err := rewrite.ParallelComplete(rt, sys, rewrite.ParallelConfig{StepCost: sc})
+			res, err := rewrite.ParallelComplete(rt, sys)
 			if err != nil {
 				panic(err)
 			}

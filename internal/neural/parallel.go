@@ -1,8 +1,6 @@
 package neural
 
 import (
-	"fmt"
-
 	"earth/internal/earth"
 	"earth/internal/sim"
 )
@@ -49,13 +47,8 @@ type ParallelConfig struct {
 	// Tree selects tree-organised communication; false is the sequential
 	// central exchange (the paper's earlier version).
 	Tree bool
-	// Samples is the number of samples to process.
-	Samples int
 	// LR is the learning rate for training.
 	LR float32
-	// UnitCost overrides the modelled per-unit forward cost (0 =
-	// UnitCostFor(width)).
-	UnitCost sim.Time
 }
 
 // ParallelResult carries the run's outcome.
@@ -194,17 +187,8 @@ type pstate struct {
 // parallelism. The inputs (and targets when training) are given per
 // sample. Weight rows are updated in place when training.
 func ParallelRun(rt earth.Runtime, net *Net, xs, ts [][]float32, cfg ParallelConfig) *ParallelResult {
-	if cfg.Samples == 0 {
-		cfg.Samples = len(xs)
-	}
-	if cfg.Samples > len(xs) {
-		panic(fmt.Sprintf("neural: %d samples requested, %d provided", cfg.Samples, len(xs)))
-	}
-	if cfg.Train && len(ts) < cfg.Samples {
+	if cfg.Train && len(ts) < len(xs) {
 		panic("neural: training needs a target per sample")
-	}
-	if cfg.UnitCost == 0 {
-		cfg.UnitCost = UnitCostFor(net.NHid)
 	}
 	st := &pstate{
 		cfg: cfg, net: net, cm: newComm(rt.P(), net.NHid, net.NOut),
@@ -214,8 +198,8 @@ func ParallelRun(rt earth.Runtime, net *Net, xs, ts [][]float32, cfg ParallelCon
 		samplesX: xs, samplesT: ts,
 		nodes: make([]*nnode, rt.P()),
 	}
-	st.cost.fwdUnit = cfg.UnitCost
-	st.cost.backUnit = 2 * cfg.UnitCost / 3
+	st.cost.fwdUnit = UnitCostFor(net.NHid)
+	st.cost.backUnit = 2 * st.cost.fwdUnit / 3
 	for k := range st.nodes {
 		st.nodes[k] = &nnode{
 			lx: make([]float32, net.NIn), lt: make([]float32, net.NOut),
@@ -233,7 +217,7 @@ func ParallelRun(rt earth.Runtime, net *Net, xs, ts [][]float32, cfg ParallelCon
 // startSample begins the next sample on the central node, broadcasting
 // the input (and target) down the tree.
 func (st *pstate) startSample(c earth.Ctx) {
-	if st.sample >= st.cfg.Samples {
+	if st.sample >= len(st.samplesX) {
 		return
 	}
 	copy(st.x, st.samplesX[st.sample])

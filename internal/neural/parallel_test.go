@@ -169,19 +169,12 @@ func TestParallelValidation(t *testing.T) {
 	net := Square(4, 1)
 	xs, _ := samples(4, 4, 2, 1)
 	rt := simrt.New(earth.Config{Nodes: 2, Seed: 1})
-	for _, f := range []func(){
-		func() { ParallelRun(rt, net, xs, nil, ParallelConfig{Samples: 5}) },
-		func() { ParallelRun(rt, net, xs, nil, ParallelConfig{Train: true}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for training without targets")
+		}
+	}()
+	ParallelRun(rt, net, xs, nil, ParallelConfig{Train: true})
 }
 
 // TestParallelTrainingBitExact pins trained weights and loss to the bit:

@@ -33,9 +33,6 @@ type SampleConfig struct {
 	Epochs int
 	// LR is the learning rate.
 	LR float32
-	// UnitCost overrides the per-unit forward compute model (0 =
-	// UnitCostFor(width)).
-	UnitCost sim.Time
 }
 
 // SampleResult carries the outcome of a sample-parallel run.
@@ -84,6 +81,23 @@ func (n *Net) TrainBatch(xs, ts [][]float32, lr float32) float64 {
 	return loss
 }
 
+// sampleRun is the state of one sample-parallel training run. Node w owns
+// replicas[w] and partials[w]; everything else belongs to node 0.
+type sampleRun struct {
+	cfg    SampleConfig
+	net    *Net
+	xs, ts [][]float32
+	p      int
+	// replicas: node 0 uses net itself; the others deep-copy it.
+	replicas []*Net
+	// partials holds each node's gradient sum over its share of the
+	// current batch.
+	partials     []*Gradients
+	perSample    sim.Time // modelled fwd+bwd cost of one sample, two layers
+	epoch, start int      // position of the current batch
+	res          SampleResult
+}
+
 // SampleParallelTrain trains net on rt with sample parallelism. Every
 // node trains a replica; node 0's replica is `net` itself (updated in
 // place). The result is numerically equal to sequential TrainBatch with
@@ -99,118 +113,99 @@ func SampleParallelTrain(rt earth.Runtime, net *Net, xs, ts [][]float32, cfg Sam
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 1
 	}
-	if cfg.UnitCost == 0 {
-		cfg.UnitCost = UnitCostFor(net.NHid)
-	}
 	p := rt.P()
-	// Replicas: node 0 uses net itself; others deep-copy. Owner-only
-	// access per replica.
-	replicas := make([]*Net, p)
-	replicas[0] = net
-	for i := 1; i < p; i++ {
-		replicas[i] = net.Clone()
+	r := &sampleRun{
+		cfg: cfg, net: net, xs: xs, ts: ts, p: p,
+		replicas:  make([]*Net, p),
+		partials:  make([]*Gradients, p),
+		perSample: 4 * sim.Time(net.NHid) * UnitCostFor(net.NHid),
 	}
-	// Per-node partial gradients for the current batch (owner-only).
-	partials := make([]*Gradients, p)
+	r.replicas[0] = net
+	for i := 1; i < p; i++ {
+		r.replicas[i] = net.Clone()
+	}
+	r.res.Stats = rt.Run(r.runBatch)
+	res := r.res // a copy: the result must not keep the replicas alive
+	return &res
+}
 
-	st := &SampleResult{}
-	perSample := 4 * sim.Time(net.NHid) * cfg.UnitCost // fwd+bwd, two layers
-
-	stats := rt.Run(func(c earth.Ctx) {
-		epoch, start := 0, 0
-		var runBatch func(c earth.Ctx)
-		var applyAndNext func(c earth.Ctx, summed *Gradients, batchLoss float64)
-
-		runBatch = func(c earth.Ctx) {
-			end := start + cfg.BatchSize
-			if end > len(xs) {
-				end = len(xs)
-			}
-			batch := end - start
-			// Scatter: every node learns the batch range (the samples are
-			// data-parallel inputs, replicated like the training set).
-			join := earth.NewFrame(0, 1, 1)
-			join.InitSync(0, p, 0, 0)
-			var batchLoss float64
-			join.SetThread(0, func(c earth.Ctx) {
-				// Combine the per-node partial gradients in node order, so
-				// the float32 summation grouping is deterministic.
-				summed := net.NewGradients()
-				for w := 0; w < p; w++ {
-					if partials[w] != nil {
-						addGradients(summed, partials[w])
-					}
-				}
-				applyAndNext(c, summed, batchLoss)
-			})
-			for w := 0; w < p; w++ {
-				w := w
-				lo := start + w*batch/p
-				hi := start + (w+1)*batch/p
-				c.Invoke(earth.NodeID(w), 16, func(c earth.Ctx) {
-					rep := replicas[w]
-					acc := rep.NewGradients()
-					var loss float64
-					for s := lo; s < hi; s++ {
-						h, y := rep.Forward(xs[s])
-						g, _ := rep.Backward(xs[s], h, y, ts[s])
-						addGradients(acc, g)
-						loss += Loss(y, ts[s])
-					}
-					partials[w] = acc
-					c.Compute(sim.Time(hi-lo) * perSample)
-					// Ship the partial gradient to node 0 and report the
-					// loss; the join thread combines in node order.
-					lw := loss
-					c.Put(0, gradBytes(net), func() {
-						batchLoss += lw
-					}, join, 0)
-				})
+// runBatch scatters the batch at r.start over the nodes, has each
+// accumulate the gradient of its share on its replica, and gathers the
+// partial sums on node 0, where applyAndNext takes over.
+func (r *sampleRun) runBatch(c earth.Ctx) {
+	end := min(r.start+r.cfg.BatchSize, len(r.xs))
+	batch := end - r.start
+	// Scatter: every node learns the batch range (the samples are
+	// data-parallel inputs, replicated like the training set).
+	join := earth.NewFrame(0, 1, 1)
+	join.InitSync(0, r.p, 0, 0)
+	var batchLoss float64
+	join.SetThread(0, func(c earth.Ctx) {
+		// Combine the per-node partial gradients in node order, so
+		// the float32 summation grouping is deterministic.
+		summed := r.net.NewGradients()
+		for w := 0; w < r.p; w++ {
+			if r.partials[w] != nil {
+				addGradients(summed, r.partials[w])
 			}
 		}
+		r.applyAndNext(c, summed, batchLoss)
+	})
+	for w := 0; w < r.p; w++ {
+		lo := r.start + w*batch/r.p
+		hi := r.start + (w+1)*batch/r.p
+		c.Invoke(earth.NodeID(w), 16, func(c earth.Ctx) {
+			rep := r.replicas[w]
+			acc := rep.NewGradients()
+			var loss float64
+			for s := lo; s < hi; s++ {
+				h, y := rep.Forward(r.xs[s])
+				g, _ := rep.Backward(r.xs[s], h, y, r.ts[s])
+				addGradients(acc, g)
+				loss += Loss(y, r.ts[s])
+			}
+			r.partials[w] = acc
+			c.Compute(sim.Time(hi-lo) * r.perSample)
+			// Ship the partial gradient to node 0 and report the
+			// loss; the join thread combines in node order.
+			c.Put(0, gradBytes(r.net), func() {
+				batchLoss += loss
+			}, join, 0)
+		})
+	}
+}
 
-		applyAndNext = func(c earth.Ctx, summed *Gradients, batchLoss float64) {
-			st.Updates++
-			if epoch == cfg.Epochs-1 {
-				st.Loss += batchLoss
-			}
-			// Apply on node 0's replica, then broadcast the update to the
-			// other replicas (weight exchange).
-			replicas[0].Apply(summed, cfg.LR)
-			bcast := earth.NewFrame(0, 1, 1)
-			if p > 1 {
-				bcast.InitSync(0, p-1, 0, 0)
-			} else {
-				bcast.InitSync(0, 1, 0, 0)
-			}
-			next := func(c earth.Ctx) {
-				end := start + cfg.BatchSize
-				if end >= len(xs) {
-					start = 0
-					epoch++
-					if epoch == cfg.Epochs {
-						return
-					}
-				} else {
-					start = end
-				}
-				runBatch(c)
-			}
-			bcast.SetThread(0, next)
-			if p == 1 {
-				c.Sync(bcast, 0)
+// applyAndNext applies the batch's summed gradient on node 0's replica,
+// broadcasts the update to the other replicas (weight exchange) and, once
+// all have it, starts the next batch — or ends the run after the last
+// batch of the last epoch.
+func (r *sampleRun) applyAndNext(c earth.Ctx, summed *Gradients, batchLoss float64) {
+	r.res.Updates++
+	if r.epoch == r.cfg.Epochs-1 {
+		r.res.Loss += batchLoss
+	}
+	r.replicas[0].Apply(summed, r.cfg.LR)
+	bcast := earth.NewFrame(0, 1, 1)
+	bcast.InitSync(0, max(r.p-1, 1), 0, 0)
+	bcast.SetThread(0, func(c earth.Ctx) {
+		if end := r.start + r.cfg.BatchSize; end < len(r.xs) {
+			r.start = end
+		} else {
+			r.start = 0
+			r.epoch++
+			if r.epoch == r.cfg.Epochs {
 				return
 			}
-			for w := 1; w < p; w++ {
-				w := w
-				c.Put(earth.NodeID(w), gradBytes(net), func() {
-					replicas[w].Apply(summed, cfg.LR)
-				}, bcast, 0)
-			}
 		}
-
-		runBatch(c)
+		r.runBatch(c)
 	})
-	st.Stats = stats
-	return st
+	if r.p == 1 {
+		c.Sync(bcast, 0)
+		return
+	}
+	for w := 1; w < r.p; w++ {
+		c.Put(earth.NodeID(w), gradBytes(r.net), func() {
+			r.replicas[w].Apply(summed, r.cfg.LR)
+		}, bcast, 0)
+	}
 }

@@ -69,25 +69,6 @@ func (h *Histogram) N() uint64 { return h.n }
 // Sum returns the sum of recorded values.
 func (h *Histogram) Sum() int64 { return h.sum }
 
-// Merge folds o's observations into h. Merging an empty histogram is a
-// no-op; merging into an empty histogram copies o's extremes.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.n == 0 {
-		return
-	}
-	if h.n == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if h.n == 0 || o.max > h.max {
-		h.max = o.max
-	}
-	h.n += o.n
-	h.sum += o.sum
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-}
-
 // Mean returns the arithmetic mean, or 0 when empty.
 func (h *Histogram) Mean() float64 {
 	if h.n == 0 {
@@ -95,10 +76,6 @@ func (h *Histogram) Mean() float64 {
 	}
 	return float64(h.sum) / float64(h.n)
 }
-
-// Min and Max return the recorded extremes (0 when empty).
-func (h *Histogram) Min() int64 { return h.min }
-func (h *Histogram) Max() int64 { return h.max }
 
 // Quantile returns an approximation of the q-quantile (q in [0,1]) using
 // the geometric midpoint of the bucket the quantile falls in, clamped to

@@ -17,8 +17,8 @@ func TestHistogramSingleSample(t *testing.T) {
 			t.Errorf("Quantile(%g) = %d, want 777", q, got)
 		}
 	}
-	if h.Mean() != 777 || h.Min() != 777 || h.Max() != 777 {
-		t.Errorf("mean=%g min=%d max=%d", h.Mean(), h.Min(), h.Max())
+	if h.Mean() != 777 || h.min != 777 || h.max != 777 {
+		t.Errorf("mean=%g min=%d max=%d", h.Mean(), h.min, h.max)
 	}
 	if bars := strings.Count(h.Render(), "|"); bars != 1 {
 		t.Errorf("single-sample render has %d bars:\n%s", bars, h.Render())
@@ -36,8 +36,8 @@ func TestHistogramZeroWidthBucket(t *testing.T) {
 	if got := h.Quantile(0.5); got < -5 || got > 0 {
 		t.Errorf("Quantile(0.5) = %d outside [-5, 0]", got)
 	}
-	if h.Min() != -5 || h.Max() != 0 {
-		t.Errorf("min=%d max=%d", h.Min(), h.Max())
+	if h.min != -5 || h.max != 0 {
+		t.Errorf("min=%d max=%d", h.min, h.max)
 	}
 }
 

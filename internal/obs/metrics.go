@@ -97,32 +97,6 @@ func (m *Metrics) Event(e earth.Event) {
 	}
 }
 
-// Merge folds o's counters, histograms and utilisation samples into m.
-// m and o must be distinct. It is the aggregation step for multi-run
-// sweeps (one Metrics per run, folded into a campaign total).
-func (m *Metrics) Merge(o *Metrics) {
-	if o == nil || o == m {
-		return
-	}
-	// Lock ordering: destination before source, and callers never merge
-	// in both directions concurrently.
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for k, c := range o.counts {
-		m.counts[k] += c
-	}
-	if o.nodes > m.nodes {
-		m.nodes = o.nodes
-	}
-	dst, src := m.histograms(), o.histograms()
-	for i := range dst {
-		dst[i].Merge(src[i])
-	}
-	m.util = append(m.util, o.util...)
-}
-
 // histograms lists the collectors in render order.
 func (m *Metrics) histograms() []*Histogram {
 	return []*Histogram{

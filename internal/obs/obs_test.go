@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -361,17 +360,17 @@ func TestMetricsAggregation(t *testing.T) {
 	if n := m.syncDispatch.N(); n != 1 {
 		t.Errorf("syncDispatch n = %d (only CauseSync threads count)", n)
 	}
-	if n := m.getRTT.N(); n != 1 || m.getRTT.Max() != 8000 {
-		t.Errorf("getRTT n=%d max=%d", n, m.getRTT.Max())
+	if n := m.getRTT.N(); n != 1 || m.getRTT.max != 8000 {
+		t.Errorf("getRTT n=%d max=%d", n, m.getRTT.max)
 	}
-	if n := m.msgBytes.N(); n != 1 || m.msgBytes.Max() != 256 {
-		t.Errorf("msgBytes n=%d max=%d", n, m.msgBytes.Max())
+	if n := m.msgBytes.N(); n != 1 || m.msgBytes.max != 256 {
+		t.Errorf("msgBytes n=%d max=%d", n, m.msgBytes.max)
 	}
-	if n := m.batchSize.N(); n != 2 || m.batchSize.Max() != 5 {
-		t.Errorf("batchSize n=%d max=%d (Wait carries the batch message count)", n, m.batchSize.Max())
+	if n := m.batchSize.N(); n != 2 || m.batchSize.max != 5 {
+		t.Errorf("batchSize n=%d max=%d (Wait carries the batch message count)", n, m.batchSize.max)
 	}
-	if n := m.batchBytes.N(); n != 2 || m.batchBytes.Max() != 96 {
-		t.Errorf("batchBytes n=%d max=%d", n, m.batchBytes.Max())
+	if n := m.batchBytes.N(); n != 2 || m.batchBytes.max != 96 {
+		t.Errorf("batchBytes n=%d max=%d", n, m.batchBytes.max)
 	}
 	period, wins := m.utilWindows()
 	if period != 1000 || len(wins) != 2 {
@@ -407,8 +406,8 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []int64{1, 2, 3, 4, 100, 1000, 1000, 1 << 20} {
 		h.Add(v)
 	}
-	if h.N() != 8 || h.Min() != 1 || h.Max() != 1<<20 {
-		t.Errorf("n=%d min=%d max=%d", h.N(), h.Min(), h.Max())
+	if h.N() != 8 || h.min != 1 || h.max != 1<<20 {
+		t.Errorf("n=%d min=%d max=%d", h.N(), h.min, h.max)
 	}
 	if q := h.Quantile(0); q < 1 || q > 2 {
 		t.Errorf("p0 = %d", q)
@@ -427,8 +426,8 @@ func TestHistogram(t *testing.T) {
 	// Zero and negative values land in bucket 0 without panicking.
 	h.Add(0)
 	h.Add(-5)
-	if h.Min() != -5 {
-		t.Errorf("min after negative = %d", h.Min())
+	if h.min != -5 {
+		t.Errorf("min after negative = %d", h.min)
 	}
 }
 
@@ -471,68 +470,6 @@ func TestRecorderConcurrentEmitAndRead(t *testing.T) {
 	wg.Wait()
 	if rec.Len() != 4*2000 {
 		t.Fatalf("recorded %d events, want %d", rec.Len(), 4*2000)
-	}
-}
-
-func TestHistogramMergeEdgeCases(t *testing.T) {
-	// Merging empty into empty, and empty into populated, are no-ops.
-	var a, b Histogram
-	a.Merge(&b)
-	a.Merge(nil)
-	if a.N() != 0 {
-		t.Fatalf("empty merge produced n=%d", a.N())
-	}
-	a.Add(10)
-	a.Add(100)
-	a.Merge(&b)
-	if a.N() != 2 || a.Min() != 10 || a.Max() != 100 {
-		t.Fatalf("merge of empty changed a: n=%d min=%d max=%d", a.N(), a.Min(), a.Max())
-	}
-	// Merging populated into empty copies the extremes.
-	var c Histogram
-	c.Merge(&a)
-	if c.N() != 2 || c.Min() != 10 || c.Max() != 100 || c.Sum() != 110 {
-		t.Fatalf("merge into empty: n=%d min=%d max=%d sum=%d", c.N(), c.Min(), c.Max(), c.Sum())
-	}
-	// Max-bucket boundary: MaxInt64 saturates in the last bucket and
-	// survives a merge without overflowing the rendered bounds.
-	var d Histogram
-	d.Add(math.MaxInt64)
-	d.Add(-3)
-	c.Merge(&d)
-	if c.Max() != math.MaxInt64 || c.Min() != -3 || c.N() != 4 {
-		t.Fatalf("boundary merge: n=%d min=%d max=%d", c.N(), c.Min(), c.Max())
-	}
-	// p100 is the top bucket's geometric midpoint clamped to the observed
-	// extremes: in range, positive, no overflow wraparound.
-	if q := c.Quantile(1); q < 1<<62 || q > math.MaxInt64-1<<61 {
-		t.Errorf("p100 after MaxInt64 merge = %d, outside top bucket", q)
-	}
-	if out := c.Render(); !strings.Contains(out, "n=4") {
-		t.Errorf("render after merge:\n%s", out)
-	}
-}
-
-func TestMetricsMerge(t *testing.T) {
-	a, b := NewMetrics(), NewMetrics()
-	a.Event(earth.Event{Kind: earth.EvThreadRun, Node: 0, Dur: 1000, Wait: 10})
-	b.Event(earth.Event{Kind: earth.EvThreadRun, Node: 5, Dur: 3000, Wait: 20})
-	b.Event(earth.Event{Kind: earth.EvGetDeliver, Node: 1, Dur: 500})
-	b.Event(earth.Event{Kind: earth.EvUtilSample, Node: 0, Time: 1000, Dur: 800})
-	a.Merge(b)
-	a.Merge(nil)
-	a.Merge(a) // self-merge is a no-op, not a deadlock
-	if n := a.threadRun.N(); n != 2 {
-		t.Errorf("merged threadRun n = %d", n)
-	}
-	if a.nodes != 6 {
-		t.Errorf("merged nodes = %d, want 6", a.nodes)
-	}
-	if n := a.getRTT.N(); n != 1 {
-		t.Errorf("merged getRTT n = %d", n)
-	}
-	if _, wins := a.utilWindows(); len(wins) != 1 {
-		t.Errorf("merged util windows = %d", len(wins))
 	}
 }
 

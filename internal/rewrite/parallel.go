@@ -2,7 +2,6 @@ package rewrite
 
 import (
 	"fmt"
-	"sort"
 
 	"earth/internal/earth"
 	"earth/internal/sim"
@@ -30,12 +29,6 @@ func DefaultStepCost() StepCost {
 	return StepCost{PerStep: 50 * sim.Microsecond, PerPair: 100 * sim.Microsecond}
 }
 
-// ParallelConfig configures a run.
-type ParallelConfig struct {
-	Opt      Options
-	StepCost StepCost
-}
-
 // ParallelResult reports the outcome.
 type ParallelResult struct {
 	System         *System
@@ -52,8 +45,27 @@ type kbInsert struct {
 	prefix int
 }
 
+// workerSet is a set of worker ids that knows its size.
+type workerSet struct {
+	has []bool
+	n   int
+}
+
+// put adds w to the set (in) or removes it.
+func (s *workerSet) put(w int, in bool) {
+	if s.has[w] == in {
+		return
+	}
+	s.has[w] = in
+	if in {
+		s.n++
+	} else {
+		s.n--
+	}
+}
+
 type kbState struct {
-	cfg     ParallelConfig
+	cost    StepCost
 	workers int
 	m       earth.NodeID
 
@@ -62,8 +74,8 @@ type kbState struct {
 	pool     []CriticalPair
 	seq      int
 	insertQ  []kbInsert
-	waiting  map[int]bool
-	inflight map[int]bool
+	waiting  workerSet // parked on an empty pool
+	inflight workerSet // reducing a pair
 	// unresolved counts insert requests accepted by the maintenance node
 	// whose resolution (commit acknowledgement or withdrawal) has not yet
 	// been confirmed — the termination guard for in-flight conflict
@@ -83,27 +95,22 @@ type kbState struct {
 
 // ParallelComplete runs completion on rt (>= 2 nodes: workers plus the
 // maintenance node). It returns the interreduced convergent system.
-func ParallelComplete(rt earth.Runtime, s *System, cfg ParallelConfig) (*ParallelResult, error) {
+func ParallelComplete(rt earth.Runtime, s *System) (*ParallelResult, error) {
 	if rt.P() < 2 {
 		return nil, fmt.Errorf("rewrite: need >= 2 nodes, got %d", rt.P())
 	}
-	if cfg.StepCost == (StepCost{}) {
-		cfg.StepCost = DefaultStepCost()
-	}
-	opt := cfg.Opt.withDefaults()
-	cfg.Opt = opt
+	workers := rt.P() - 1
 	st := &kbState{
-		cfg: cfg, workers: rt.P() - 1, m: earth.NodeID(rt.P() - 1),
-		waiting:  map[int]bool{},
-		inflight: map[int]bool{},
-		caches:   make([][]Rule, rt.P()-1),
-		busy:     make([]bool, rt.P()-1),
-		stop:     make([]bool, rt.P()-1),
-		pending:  make([]int, rt.P()-1),
-		proc:     make([]int, rt.P()-1),
+		cost: DefaultStepCost(), workers: workers, m: earth.NodeID(workers),
+		waiting:  workerSet{has: make([]bool, workers)},
+		inflight: workerSet{has: make([]bool, workers)},
+		caches:   make([][]Rule, workers),
+		busy:     make([]bool, workers),
+		stop:     make([]bool, workers),
+		pending:  make([]int, workers),
+		proc:     make([]int, workers),
 	}
 
-	var limitErr error
 	stats := rt.Run(func(c earth.Ctx) {
 		rules := append([]Rule(nil), s.Rules...)
 		c.Post(st.m, wordsBytes(rules), func(c earth.Ctx) {
@@ -125,9 +132,6 @@ func ParallelComplete(rt earth.Runtime, s *System, cfg ParallelConfig) (*Paralle
 			}
 		})
 	})
-	if limitErr != nil {
-		return nil, limitErr
-	}
 	total := 0
 	for _, p := range st.proc {
 		total += p
@@ -197,13 +201,13 @@ func (st *kbState) fetch(c earth.Ctx, w int) {
 			cp := st.pool[best]
 			st.pool[best] = st.pool[len(st.pool)-1]
 			st.pool = st.pool[:len(st.pool)-1]
-			st.inflight[w] = true
+			st.inflight.put(w, true)
 			c.Post(earth.NodeID(w), len(cp.Word)+len(cp.U)+len(cp.V), func(c earth.Ctx) {
 				earth.SpawnBody(c, func(c earth.Ctx) { st.reduce(c, w, cp) })
 			})
 			return
 		}
-		st.waiting[w] = true
+		st.waiting.put(w, true)
 		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.busy[w] = false })
 		st.maybeStop(c)
 	})
@@ -215,11 +219,11 @@ func (st *kbState) reduce(c earth.Ctx, w int, cp CriticalPair) {
 	local := &System{Rules: nonEmpty(st.caches[w])}
 	nu, su := local.NormalForm(cp.U)
 	nv, sv := local.NormalForm(cp.V)
-	c.Compute(st.cfg.StepCost.PerPair + sim.Time(su+sv)*st.cfg.StepCost.PerStep)
+	c.Compute(st.cost.PerPair + sim.Time(su+sv)*st.cost.PerStep)
 	st.proc[w]++
 	if nu == nv {
 		c.Post(st.m, 16, func(c earth.Ctx) {
-			delete(st.inflight, w)
+			st.inflight.put(w, false)
 			st.tryInsert(c) // a blocked commit may have waited on this pair
 			st.maybeStop(c)
 		})
@@ -229,7 +233,7 @@ func (st *kbState) reduce(c earth.Ctx, w int, cp CriticalPair) {
 	st.pending[w]++
 	req := kbInsert{w: w, word: cp.Word, u: nu, v: nv, prefix: st.prefixLen(w)}
 	c.Post(st.m, len(nu)+len(nv)+16, func(c earth.Ctx) {
-		delete(st.inflight, w)
+		st.inflight.put(w, false)
 		st.unresolved++
 		st.insertQ = append(st.insertQ, req)
 		st.tryInsert(c)
@@ -284,7 +288,7 @@ func (st *kbState) rereduce(c earth.Ctx, req kbInsert) {
 	local := &System{Rules: nonEmpty(st.caches[req.w])}
 	nu, su := local.NormalForm(req.u)
 	nv, sv := local.NormalForm(req.v)
-	c.Compute(sim.Time(su+sv) * st.cfg.StepCost.PerStep)
+	c.Compute(sim.Time(su+sv) * st.cost.PerStep)
 	if nu == nv {
 		st.pending[req.w]--
 		c.Post(st.m, 8, func(c earth.Ctx) {
@@ -331,36 +335,27 @@ func (st *kbState) commit(c earth.Ctx, req kbInsert) {
 	})
 }
 
-// dispatchWaiting restarts parked workers while rules are available.
-// Workers wake in id order: map iteration order would leak into the
-// simulated schedule and break run-to-run reproducibility (the same bug
-// class PR 1 fixed in the Gröbner maintenance node; earthvet's detlint
-// now flags it mechanically).
+// dispatchWaiting restarts parked workers, in id order, while pairs are
+// available.
 func (st *kbState) dispatchWaiting(c earth.Ctx) {
-	if len(st.waiting) == 0 {
-		return
-	}
-	ws := make([]int, 0, len(st.waiting))
-	for w := range st.waiting {
-		ws = append(ws, w)
-	}
-	sort.Ints(ws)
-	for _, w := range ws {
+	for w, parked := range st.waiting.has {
 		if len(st.pool) == 0 {
 			return
 		}
-		delete(st.waiting, w)
-		w := w
+		if !parked {
+			continue
+		}
+		st.waiting.put(w, false)
 		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.fetch(c, w) })
 	}
 }
 
 // maybeStop: event-driven termination on the maintenance node.
 func (st *kbState) maybeStop(c earth.Ctx) {
-	if st.stopped || len(st.pool) > 0 || len(st.insertQ) > 0 || len(st.inflight) > 0 {
+	if st.stopped || len(st.pool) > 0 || len(st.insertQ) > 0 || st.inflight.n > 0 {
 		return
 	}
-	if st.unresolved > 0 || len(st.waiting) < st.workers {
+	if st.unresolved > 0 || st.waiting.n < st.workers {
 		return
 	}
 	st.stopped = true

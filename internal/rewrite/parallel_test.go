@@ -25,7 +25,7 @@ func TestParallelCompleteMatchesSequential(t *testing.T) {
 	}
 	for _, nodes := range []int{2, 4, 8} {
 		rt := simrt.New(earth.Config{Nodes: nodes, Seed: 5})
-		res, err := ParallelComplete(rt, s, ParallelConfig{})
+		res, err := ParallelComplete(rt, s)
 		if err != nil {
 			t.Fatalf("nodes=%d: %v", nodes, err)
 		}
@@ -50,7 +50,7 @@ func TestParallelCompleteMatchesSequential(t *testing.T) {
 
 func TestParallelCompleteNormalFormsS3(t *testing.T) {
 	rt := simrt.New(earth.Config{Nodes: 5, Seed: 2})
-	res, err := ParallelComplete(rt, s3System(t), ParallelConfig{})
+	res, err := ParallelComplete(rt, s3System(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestParallelCompleteOnLiveRuntime(t *testing.T) {
 	s := s3System(t)
 	seq, _, _ := Complete(s, Options{})
 	rt := livert.New(earth.Config{Nodes: 4, Seed: 3})
-	res, err := ParallelComplete(rt, s, ParallelConfig{})
+	res, err := ParallelComplete(rt, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestParallelCompleteSpeedsUp(t *testing.T) {
 	}
 	run := func(nodes int) float64 {
 		rt := simrt.New(earth.Config{Nodes: nodes, Seed: 1})
-		res, err := ParallelComplete(rt, s, ParallelConfig{})
+		res, err := ParallelComplete(rt, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestParallelCompleteSpeedsUp(t *testing.T) {
 
 func TestParallelCompleteTooFewNodes(t *testing.T) {
 	rt := simrt.New(earth.Config{Nodes: 1, Seed: 1})
-	if _, err := ParallelComplete(rt, s3System(t), ParallelConfig{}); err == nil {
+	if _, err := ParallelComplete(rt, s3System(t)); err == nil {
 		t.Fatal("1-node run accepted (needs workers + maintenance)")
 	}
 }

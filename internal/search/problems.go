@@ -63,33 +63,33 @@ func (t *TSP) N() int { return len(t.Dist) }
 
 // TSPNode is a partial tour starting at city 0.
 type TSPNode struct {
-	tour    []int // visited cities in order, tour[0] == 0
+	last    int // the city the tour stands in
+	n       int // cities visited, the start included
 	visited uint64
 	cost    float64
 }
 
 // Root implements Minimizer.
 func (t *TSP) Root() TSPNode {
-	return TSPNode{tour: []int{0}, visited: 1}
+	return TSPNode{last: 0, n: 1, visited: 1}
 }
 
 // Children extends the tour by each unvisited city, nearest first (good
 // orderings improve pruning).
 func (t *TSP) Children(n TSPNode) []TSPNode {
-	if len(n.tour) == t.N() {
+	if n.n == t.N() {
 		return nil
 	}
-	last := n.tour[len(n.tour)-1]
 	var kids []TSPNode
 	for j := 0; j < t.N(); j++ {
 		if n.visited&(1<<uint(j)) != 0 {
 			continue
 		}
-		tour := append(append([]int(nil), n.tour...), j)
 		kids = append(kids, TSPNode{
-			tour:    tour,
+			last:    j,
+			n:       n.n + 1,
 			visited: n.visited | 1<<uint(j),
-			cost:    n.cost + t.Dist[last][j],
+			cost:    n.cost + t.Dist[n.last][j],
 		})
 	}
 	for i := 1; i < len(kids); i++ {
@@ -103,27 +103,24 @@ func (t *TSP) Children(n TSPNode) []TSPNode {
 // Bound implements Minimizer: tour cost so far plus the cheapest outgoing
 // edge of every city that must still be departed from.
 func (t *TSP) Bound(n TSPNode) float64 {
-	b := n.cost
-	last := n.tour[len(n.tour)-1]
-	b += t.minOut[last]
+	b := n.cost + t.minOut[n.last]
 	for j := 0; j < t.N(); j++ {
 		if n.visited&(1<<uint(j)) == 0 {
 			b += t.minOut[j]
 		}
 	}
-	if len(n.tour) == t.N() {
-		return n.cost + t.Dist[last][n.tour[0]]
+	if n.n == t.N() {
+		return n.cost + t.Dist[n.last][0]
 	}
 	return b
 }
 
 // Solution implements Minimizer: a complete tour closes back to city 0.
 func (t *TSP) Solution(n TSPNode) (float64, bool) {
-	if len(n.tour) < t.N() {
+	if n.n < t.N() {
 		return 0, false
 	}
-	last := n.tour[len(n.tour)-1]
-	return n.cost + t.Dist[last][n.tour[0]], true
+	return n.cost + t.Dist[n.last][0], true
 }
 
 // BruteForce returns the exact optimum by full enumeration (test oracle,
@@ -190,9 +187,6 @@ func (p *Polymer) Children(n PolymerNode) []PolymerNode {
 	if len(n.path) > p.Steps {
 		return nil
 	}
-	if len(n.path) == p.Steps+1 {
-		return nil
-	}
 	head := n.path[len(n.path)-1]
 	var kids []PolymerNode
 	for _, d := range dirs3 {
@@ -226,73 +220,6 @@ func (p *Polymer) LeafValue(n PolymerNode) int64 {
 // KnownSAW3D holds the published counts of 3D cubic-lattice self-avoiding
 // walks, c_1..c_6 (test oracle).
 var KnownSAW3D = []int64{6, 30, 150, 726, 3534, 16926}
-
-// CubeFill is the paper's Protein Folding formulation proper: "finding
-// all possible polymers of a specific cube" — self-avoiding walks that
-// visit every site of an Edge^3 cube (Hamiltonian paths on the cube
-// lattice), starting from a fixed corner.
-type CubeFill struct {
-	Edge int
-}
-
-// CubeNode is a partial confined walk.
-type CubeNode struct {
-	path []point3
-}
-
-// Root implements Tree: walks start at the corner (0,0,0).
-func (p *CubeFill) Root() CubeNode {
-	return CubeNode{path: []point3{{0, 0, 0}}}
-}
-
-// Children implements Tree: extend to any unvisited in-cube neighbour.
-func (p *CubeFill) Children(n CubeNode) []CubeNode {
-	total := p.Edge * p.Edge * p.Edge
-	if len(n.path) >= total {
-		return nil
-	}
-	head := n.path[len(n.path)-1]
-	var kids []CubeNode
-	for _, d := range dirs3 {
-		next := point3{head.x + d.x, head.y + d.y, head.z + d.z}
-		if next.x < 0 || next.y < 0 || next.z < 0 ||
-			int(next.x) >= p.Edge || int(next.y) >= p.Edge || int(next.z) >= p.Edge {
-			continue
-		}
-		if (PolymerNode{path: n.path}).contains(next) {
-			continue
-		}
-		kids = append(kids, CubeNode{path: append(append([]point3(nil), n.path...), next)})
-	}
-	return kids
-}
-
-// LeafValue implements Tree: only walks covering the whole cube count.
-func (p *CubeFill) LeafValue(n CubeNode) int64 {
-	if len(n.path) == p.Edge*p.Edge*p.Edge {
-		return 1
-	}
-	return 0
-}
-
-// BruteForceCubeFill counts the cube-filling walks sequentially (test
-// oracle for small edges).
-func (p *CubeFill) BruteForceCubeFill() int64 {
-	var count int64
-	var stack []CubeNode
-	stack = append(stack, p.Root())
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		kids := p.Children(n)
-		if len(kids) == 0 {
-			count += p.LeafValue(n)
-			continue
-		}
-		stack = append(stack, kids...)
-	}
-	return count
-}
 
 // ---------------------------------------------------------------------------
 // N-queens — a classic enumeration workload for the Count engine.

@@ -16,8 +16,9 @@
 //     uses the freshest bound each node has heard of (the shared-data
 //     pattern of the paper's Section 3.2, in miniature).
 //
-// Tasks are spawned with TOKEN below a configurable depth, so trees of
-// millions of nodes run with thousands of tasks.
+// Tasks are spawned with TOKEN above a spawn depth (configurable for
+// Count, fixed for BranchAndBound), so trees of millions of nodes run with
+// thousands of tasks.
 package search
 
 import (
@@ -42,10 +43,10 @@ type CountConfig struct {
 	// TOKENs; deeper subtrees run sequentially within their task.
 	// Default 4.
 	SpawnDepth int
-	// NodeCost is the modelled compute time per visited tree node
-	// (default 5us).
-	NodeCost sim.Time
 }
+
+// countNodeCost is the modelled compute time per visited tree node.
+const countNodeCost = 5 * sim.Microsecond
 
 // CountResult carries the accumulated value and run statistics.
 type CountResult struct {
@@ -58,9 +59,6 @@ type CountResult struct {
 func Count[N any](rt earth.Runtime, tree Tree[N], cfg CountConfig) *CountResult {
 	if cfg.SpawnDepth == 0 {
 		cfg.SpawnDepth = 4
-	}
-	if cfg.NodeCost == 0 {
-		cfg.NodeCost = 5 * sim.Microsecond
 	}
 	// Per-node accumulators (owner-only access), merged after the run.
 	totals := make([]int64, rt.P())
@@ -88,7 +86,7 @@ func Count[N any](rt earth.Runtime, tree Tree[N], cfg CountConfig) *CountResult 
 		me := c.Node()
 		kids := tree.Children(n)
 		visited[me]++
-		c.Compute(cfg.NodeCost)
+		c.Compute(countNodeCost)
 		if len(kids) == 0 {
 			totals[me] += tree.LeafValue(n)
 			return
@@ -98,7 +96,7 @@ func Count[N any](rt earth.Runtime, tree Tree[N], cfg CountConfig) *CountResult 
 			// The node itself was already counted once above.
 			visited[me] += v - 1
 			totals[me] += t
-			c.Compute(sim.Time(v) * cfg.NodeCost)
+			c.Compute(sim.Time(v) * countNodeCost)
 			return
 		}
 		for _, k := range kids {
@@ -129,15 +127,13 @@ type Minimizer[N any] interface {
 	Solution(n N) (cost float64, ok bool)
 }
 
-// BBConfig tunes the branch-and-bound engine.
-type BBConfig struct {
-	// SpawnDepth as in CountConfig. Default 3.
-	SpawnDepth int
-	// NodeCost models the expansion cost per node (default 20us).
-	NodeCost sim.Time
-	// Initial is the starting incumbent (0 means +inf — no bound).
-	Initial float64
-}
+// Branch-and-bound spawns the children of nodes shallower than
+// bbSpawnDepth as TOKENs (as CountConfig.SpawnDepth) and models each
+// expansion at bbNodeCost.
+const (
+	bbSpawnDepth = 3
+	bbNodeCost   = 20 * sim.Microsecond
+)
 
 // BBResult carries the optimum and statistics.
 type BBResult struct {
@@ -149,31 +145,28 @@ type BBResult struct {
 }
 
 // BranchAndBound minimises the problem on rt. The incumbent lives on
-// node 0; improvements are sent there with a Put, and accepted values are
+// node 0; improvements are sent there with a Post, and accepted values are
 // re-broadcast to per-node caches (read replication, as the paper's
 // Gröbner solution set).
-func BranchAndBound[N any](rt earth.Runtime, m Minimizer[N], cfg BBConfig) *BBResult {
-	if cfg.SpawnDepth == 0 {
-		cfg.SpawnDepth = 3
-	}
-	if cfg.NodeCost == 0 {
-		cfg.NodeCost = 20 * sim.Microsecond
-	}
-	inf := 1e300
-	initial := cfg.Initial
-	if initial == 0 {
-		initial = inf
-	}
+func BranchAndBound[N any](rt earth.Runtime, m Minimizer[N]) *BBResult {
 	p := rt.P()
 	// incumbents[i] is node i's view of the best cost (owner-only access);
-	// incumbents[0] is authoritative.
+	// incumbents[0] is authoritative. No bound is known at the start.
 	incumbents := make([]float64, p)
+	for i := range incumbents {
+		incumbents[i] = 1e300
+	}
 	expanded := make([]int64, p)
 	improvements := 0
 
+	// report offers an improvement to node 0; if accepted, the new bound
+	// is broadcast to every node's cache (8-byte synchronising stores).
+	// It is wired through Post so that in the live engine all incumbent
+	// mutations happen on their owner's executor. Wait-free reads of the
+	// local cache make pruning cheap, at the price of briefly stale bounds
+	// — prunes are conservative either way (a stale larger incumbent only
+	// prunes less).
 	report := func(c earth.Ctx, cost float64) {
-		// Offer an improvement to node 0; if accepted, broadcast the new
-		// bound to every node's cache (8-byte synchronising stores).
 		c.Post(0, 8, func(c earth.Ctx) {
 			if cost < incumbents[0] {
 				incumbents[0] = cost
@@ -190,12 +183,11 @@ func BranchAndBound[N any](rt earth.Runtime, m Minimizer[N], cfg BBConfig) *BBRe
 		})
 	}
 
-	var task func(c earth.Ctx, n N, depth int)
 	var expand func(c earth.Ctx, n N, depth int)
 	expand = func(c earth.Ctx, n N, depth int) {
 		me := c.Node()
 		expanded[me]++
-		c.Compute(cfg.NodeCost)
+		c.Compute(bbNodeCost)
 		if cost, ok := m.Solution(n); ok {
 			if cost < incumbents[me] {
 				// Offer it to the authoritative copy; the acceptance
@@ -212,30 +204,18 @@ func BranchAndBound[N any](rt earth.Runtime, m Minimizer[N], cfg BBConfig) *BBRe
 			if m.Bound(k) >= incumbents[me] {
 				continue
 			}
-			if depth < cfg.SpawnDepth {
-				c.Token(64, func(c earth.Ctx) { task(c, k, depth+1) })
+			if depth < bbSpawnDepth {
+				c.Token(64, func(c earth.Ctx) { expand(c, k, depth+1) })
 			} else {
 				expand(c, k, depth+1)
 			}
 		}
 	}
-	task = func(c earth.Ctx, n N, depth int) { expand(c, n, depth) }
 
-	stats := rt.Run(func(c earth.Ctx) {
-		for i := range incumbents {
-			incumbents[i] = initial
-		}
-		task(c, m.Root(), 0)
-	})
+	stats := rt.Run(func(c earth.Ctx) { expand(c, m.Root(), 0) })
 	res := &BBResult{Best: incumbents[0], Improvements: improvements, Stats: stats}
 	for _, e := range expanded {
 		res.Expanded += e
 	}
 	return res
 }
-
-// report is wired through Put/Post so that in the live engine all
-// incumbent mutations happen on their owner's executor. Wait-free reads
-// of the local cache make pruning cheap, at the price of briefly stale
-// bounds — prunes are conservative either way (a stale larger incumbent
-// only prunes less).

@@ -76,7 +76,7 @@ func TestTSPMatchesBruteForce(t *testing.T) {
 		for _, n := range []int{5, 7, 8} {
 			tsp := RandomTSP(n, int64(n)*13)
 			want := tsp.BruteForce()
-			res := BranchAndBound(rt, tsp, BBConfig{})
+			res := BranchAndBound(rt, tsp)
 			if math.Abs(res.Best-want) > 1e-9 {
 				t.Fatalf("%s: TSP(%d) = %v, want %v", name, n, res.Best, want)
 			}
@@ -87,26 +87,11 @@ func TestTSPMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestTSPPruningReducesWork(t *testing.T) {
-	tsp := RandomTSP(9, 7)
-	// With a good initial incumbent, far fewer nodes are expanded.
-	rtA := simrt.New(earth.Config{Nodes: 4, Seed: 1})
-	open := BranchAndBound(rtA, tsp, BBConfig{})
-	rtB := simrt.New(earth.Config{Nodes: 4, Seed: 1})
-	primed := BranchAndBound(rtB, tsp, BBConfig{Initial: open.Best * 1.0000001})
-	if primed.Expanded >= open.Expanded {
-		t.Fatalf("priming did not prune: %d vs %d expansions", primed.Expanded, open.Expanded)
-	}
-	if math.Abs(primed.Best-open.Best) > 1e-9 {
-		t.Fatalf("priming changed the optimum: %v vs %v", primed.Best, open.Best)
-	}
-}
-
 func TestTSPParallelSpeedup(t *testing.T) {
 	tsp := RandomTSP(10, 11)
 	run := func(nodes int) (float64, float64) {
 		rt := simrt.New(earth.Config{Nodes: nodes, Seed: 2})
-		res := BranchAndBound(rt, tsp, BBConfig{})
+		res := BranchAndBound(rt, tsp)
 		return res.Best, float64(res.Stats.Elapsed)
 	}
 	b1, t1 := run(1)
@@ -152,50 +137,5 @@ func TestPolymerChildrenAreSelfAvoiding(t *testing.T) {
 	second := p.Children(p.Children(p.Root())[0])
 	if len(second) != 5 {
 		t.Fatalf("second-step children = %d, want 5", len(second))
-	}
-}
-
-func TestCubeFillMatchesBruteForce(t *testing.T) {
-	// Known: the cube graph Q3 has 144 directed Hamiltonian paths, so 18
-	// start at any fixed corner.
-	p2 := &CubeFill{Edge: 2}
-	if got := p2.BruteForceCubeFill(); got != 18 {
-		t.Fatalf("2^3 cube fills = %d, want 18", got)
-	}
-	for name, rt := range engines(4, 11) {
-		edges := []int{2}
-		if !testing.Short() {
-			// Edge 3 enumerates millions of confined walks; exercised in
-			// full runs only when explicitly requested via -run.
-			_ = edges
-		}
-		for _, edge := range edges {
-			p := &CubeFill{Edge: edge}
-			want := p.BruteForceCubeFill()
-			res := Count(rt, p, CountConfig{SpawnDepth: 3})
-			if res.Total != want {
-				t.Fatalf("%s: edge %d fills = %d, want %d", name, edge, res.Total, want)
-			}
-		}
-	}
-}
-
-func TestCubeFillChildrenStayInCube(t *testing.T) {
-	p := &CubeFill{Edge: 2}
-	n := p.Root()
-	for i := 0; i < 7; i++ {
-		kids := p.Children(n)
-		if len(kids) == 0 {
-			break
-		}
-		n = kids[0]
-		for _, q := range n.path {
-			if q.x < 0 || q.y < 0 || q.z < 0 || q.x > 1 || q.y > 1 || q.z > 1 {
-				t.Fatalf("walk escaped the cube: %v", n.path)
-			}
-		}
-	}
-	if len(n.path) != 8 {
-		t.Fatalf("greedy walk length %d, want 8 on the 2-cube", len(n.path))
 	}
 }

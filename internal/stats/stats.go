@@ -20,11 +20,6 @@ type Sample struct {
 // Add appends a measurement.
 func (s *Sample) Add(x float64) { s.xs = append(s.xs, x) }
 
-// AddAll appends measurements in order. Harness sweeps that evaluate
-// their cells on a worker pool use this to fold each configuration's
-// run slots back into a sample in the deterministic (run-index) order.
-func (s *Sample) AddAll(xs ...float64) { s.xs = append(s.xs, xs...) }
-
 // N returns the number of measurements.
 func (s *Sample) N() int { return len(s.xs) }
 
@@ -66,35 +61,6 @@ func (s *Sample) Max() float64 {
 		}
 	}
 	return m
-}
-
-// StdDev returns the sample standard deviation (n-1), or 0 for fewer than
-// two measurements.
-func (s *Sample) StdDev() float64 {
-	if len(s.xs) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(s.xs)-1))
-}
-
-// Median returns the median, or NaN when empty.
-func (s *Sample) Median() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	xs := append([]float64(nil), s.xs...)
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // Spread returns Max/Min, the run-to-run variation factor the paper
@@ -199,13 +165,4 @@ func Format(series ...*Series) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// Speedup converts a base (1-node) time and a parallel time into a speedup
-// figure; it returns NaN for non-positive inputs.
-func Speedup(seq, par float64) float64 {
-	if seq <= 0 || par <= 0 {
-		return math.NaN()
-	}
-	return seq / par
 }
