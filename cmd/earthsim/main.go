@@ -108,10 +108,14 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// errTraceWrite marks a trace file that could be created but not filled.
+var errTraceWrite = errors.New("writing trace")
+
 // run is the command: parse the flags, turn them into an earth.Config
 // (rejecting what no machine can run), open every output, simulate, and
-// report. It returns the exit code — 2 for anything wrong, after one
-// "earthsim: …" line on stderr.
+// report. It returns the exit code after one "earthsim: …" line on stderr
+// — 2 for anything wrong with the command line, 1 for a trace the
+// simulated run could not be written to (a full device, say).
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "earthsim: %v\n", err)
@@ -152,7 +156,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return fail(err)
 	}
 	if err := out.report(o, cfg, st, stdout); err != nil {
-		return fail(err)
+		code := fail(err)
+		if errors.Is(err, errTraceWrite) {
+			code = 1
+		}
+		return code
 	}
 	return 0
 }
@@ -444,7 +452,7 @@ func (s *sinks) report(o *options, cfg earth.Config, st *earth.Stats, stdout io.
 	}
 	if s.trace != nil {
 		if err := s.rec.WriteChromeTrace(s.trace); err != nil {
-			return fmt.Errorf("writing trace: %v", err)
+			return fmt.Errorf("%w: %v", errTraceWrite, err)
 		}
 		fmt.Fprintf(stdout, "wrote %d events to %s\n", s.rec.Len(), o.trace)
 	}

@@ -67,6 +67,28 @@ func TestBadInputExits2(t *testing.T) {
 	})
 }
 
+// TestTraceWriteFailureExits1: a trace file that can be created but not
+// written — a full device — is not a bad command line: the run happens,
+// its statistics are printed, and the failure is one "earthsim: writing
+// trace: …" line and exit code 1.
+func TestTraceWriteFailureExits1(t *testing.T) {
+	const full = "/dev/full"
+	if f, err := os.OpenFile(full, os.O_WRONLY, 0); err != nil {
+		t.Skipf("no %s here: %v", full, err)
+	} else {
+		f.Close()
+	}
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-app", "nn", "-nodes", "4", "-trace", full}, &stdout, &stderr)
+	msg := stderr.String()
+	if code != 1 || !strings.HasPrefix(msg, "earthsim: writing trace: ") || strings.Count(msg, "\n") != 1 {
+		t.Errorf("exit code %d, stderr %q; want 1 and one \"earthsim: writing trace: …\" line", code, msg)
+	}
+	if !strings.Contains(stdout.String(), "elapsed=") || strings.Contains(stdout.String(), "wrote ") {
+		t.Errorf("stdout %q: want the run's statistics and no \"wrote N events\" line", stdout.Bytes())
+	}
+}
+
 // TestDeterminismMatrix is the byte-identity contract of the simulator
 // at its CLI surface — local verify and CI run this same test. Each row
 // is one earthsim command line; its stats JSON, Chrome trace, sanitizer

@@ -35,7 +35,9 @@
 package critpath
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -167,12 +169,13 @@ type nodeIdx struct {
 	maxEnd []sim.Time // prefix max of acts[i].end
 	busy   []ival     // merged busy intervals
 
-	syncs    []earth.Event // EvSyncSignal accounted here
-	invokes  []earth.Event // EvInvokeDeliver landing here
-	tokens   []earth.Event // EvTokenDeliver landing here
-	steals   []earth.Event // EvStealGrant landing here
-	reassign []earth.Event // EvWorkReassigned re-placed here
-	posts    []earth.Event // EvPostSend targeting this node (Event.Node is the sender)
+	// Tables of the caller's events, each sorted by Time.
+	syncs    []*earth.Event // EvSyncSignal accounted here
+	invokes  []*earth.Event // EvInvokeDeliver landing here
+	tokens   []*earth.Event // EvTokenDeliver landing here
+	steals   []*earth.Event // EvStealGrant landing here
+	reassign []*earth.Event // EvWorkReassigned re-placed here
+	posts    []*earth.Event // EvPostSend targeting this node (Event.Node is the sender)
 
 	recovery []sim.Time // recovery-class marker instants on this node
 	deadAt   sim.Time   // crash instant, or -1 when the node survives
@@ -208,14 +211,43 @@ func Analyze(events []earth.Event, nodes int, makespan sim.Time) *Analysis {
 // buildIndex sorts the stream into per-node lookup tables. Input order
 // is irrelevant (livert's stream arrives in goroutine-race order); every
 // table is stably sorted by Time so the result is a pure function of the
-// event multiset.
+// event multiset. The tables point into events rather than copy them, and
+// one counting pass gives each its exact size.
 func buildIndex(events []earth.Event, nodes int, makespan sim.Time) []*nodeIdx {
+	inRange := func(id earth.NodeID) bool { return id >= 0 && int(id) < nodes }
+	// count[n][k] is the number of kind-k events indexed on node n: the
+	// events accounted to it, except that a post is indexed on its target.
+	count := make([][earth.KindCount]int, nodes)
+	for i := range events {
+		e := &events[i]
+		if !inRange(e.Node) || int(e.Kind) >= earth.KindCount {
+			continue
+		}
+		n := e.Node
+		if e.Kind == earth.EvPostSend {
+			n = e.Peer
+		}
+		if inRange(n) {
+			count[n][e.Kind]++
+		}
+	}
 	idx := make([]*nodeIdx, nodes)
 	for n := range idx {
-		idx[n] = &nodeIdx{deadAt: -1}
+		c := &count[n]
+		table := func(k earth.EventKind) []*earth.Event { return make([]*earth.Event, 0, c[k]) }
+		idx[n] = &nodeIdx{
+			acts:     make([]activity, 0, c[earth.EvThreadRun]+c[earth.EvHandlerRun]),
+			syncs:    table(earth.EvSyncSignal),
+			invokes:  table(earth.EvInvokeDeliver),
+			tokens:   table(earth.EvTokenDeliver),
+			steals:   table(earth.EvStealGrant),
+			reassign: table(earth.EvWorkReassigned),
+			posts:    table(earth.EvPostSend),
+			deadAt:   -1,
+		}
 	}
-	inRange := func(id earth.NodeID) bool { return id >= 0 && int(id) < nodes }
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		if !inRange(e.Node) {
 			continue
 		}
@@ -272,13 +304,16 @@ func buildIndex(events []earth.Event, nodes int, makespan sim.Time) []*nodeIdx {
 			}
 		}
 	}
+	// A simrt stream arrives in canonical order, which leaves every table
+	// sorted already; the stable sorts are for livert's.
+	byStartEnd := func(a, b activity) int {
+		return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.end, b.end))
+	}
+	byTime := func(a, b *earth.Event) int { return cmp.Compare(a.Time, b.Time) }
 	for _, ni := range idx {
-		sort.SliceStable(ni.acts, func(i, j int) bool {
-			if ni.acts[i].start != ni.acts[j].start {
-				return ni.acts[i].start < ni.acts[j].start
-			}
-			return ni.acts[i].end < ni.acts[j].end
-		})
+		if !slices.IsSortedFunc(ni.acts, byStartEnd) {
+			slices.SortStableFunc(ni.acts, byStartEnd)
+		}
 		ni.maxEnd = make([]sim.Time, len(ni.acts))
 		for i, a := range ni.acts {
 			ni.maxEnd[i] = a.end
@@ -293,11 +328,15 @@ func buildIndex(events []earth.Event, nodes int, makespan sim.Time) []*nodeIdx {
 				ni.busy = append(ni.busy, ival{s: a.start, e: a.end, first: i})
 			}
 		}
-		for _, evs := range [][]earth.Event{ni.syncs, ni.invokes, ni.tokens,
+		for _, evs := range [][]*earth.Event{ni.syncs, ni.invokes, ni.tokens,
 			ni.steals, ni.reassign, ni.posts} {
-			sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time < evs[j].Time })
+			if !slices.IsSortedFunc(evs, byTime) {
+				slices.SortStableFunc(evs, byTime)
+			}
 		}
-		sort.Slice(ni.recovery, func(i, j int) bool { return ni.recovery[i] < ni.recovery[j] })
+		if !slices.IsSorted(ni.recovery) {
+			slices.Sort(ni.recovery)
+		}
 	}
 	return idx
 }
@@ -385,13 +424,13 @@ func classifyGap(b Breakdown, ni *nodeIdx, g0, g1 sim.Time, a activity) Breakdow
 	return b
 }
 
-// latestBefore returns the last event in evs with Time <= t.
-func latestBefore(evs []earth.Event, t sim.Time) (earth.Event, bool) {
+// latestBefore returns the last event in evs with Time <= t, or nil.
+func latestBefore(evs []*earth.Event, t sim.Time) *earth.Event {
 	i := sort.Search(len(evs), func(i int) bool { return evs[i].Time > t })
 	if i == 0 {
-		return earth.Event{}, false
+		return nil
 	}
-	return evs[i-1], true
+	return evs[i-1]
 }
 
 // locate finds, on ni, the latest activity covering t (start < t <= end),
@@ -482,7 +521,7 @@ func walk(idx []*nodeIdx, nodes int, makespan sim.Time) []Segment {
 
 		switch a.cause {
 		case earth.CauseSync:
-			if e, hit := latestBefore(ni.syncs, cur); hit {
+			if e := latestBefore(ni.syncs, cur); e != nil {
 				// The signal instant is known; its transit (the stretch on
 				// the signalling node before it) is labelled when the walk
 				// lands in that node's gap.
@@ -494,7 +533,7 @@ func walk(idx []*nodeIdx, nodes int, makespan sim.Time) []Segment {
 				continue
 			}
 		case earth.CauseInvoke:
-			if e, hit := latestBefore(ni.invokes, cur); hit {
+			if e := latestBefore(ni.invokes, cur); e != nil {
 				emit(e.Time-e.Dur, node, Comm, fmt.Sprintf("invoke transit from node %d", e.Peer))
 				if inRange(e.Peer) {
 					node = e.Peer
@@ -502,14 +541,14 @@ func walk(idx []*nodeIdx, nodes int, makespan sim.Time) []Segment {
 				continue
 			}
 		case earth.CauseToken:
-			if e, hit := latestBefore(ni.tokens, cur); hit {
+			if e := latestBefore(ni.tokens, cur); e != nil {
 				emit(e.Time-e.Dur, node, Comm, fmt.Sprintf("token placement from node %d", e.Peer))
 				if inRange(e.Peer) {
 					node = e.Peer
 				}
 				continue
 			}
-			if e, hit := latestBefore(ni.reassign, cur); hit {
+			if e := latestBefore(ni.reassign, cur); e != nil {
 				from := e.Time
 				if inRange(e.Peer) && idx[e.Peer].deadAt >= 0 && idx[e.Peer].deadAt < from {
 					from = idx[e.Peer].deadAt
@@ -524,7 +563,7 @@ func walk(idx []*nodeIdx, nodes int, makespan sim.Time) []Segment {
 			// walking this node.
 			pendingCat, pendingLabel = Sched, "token pooled"
 		case earth.CauseSteal:
-			if e, hit := latestBefore(ni.steals, cur); hit {
+			if e := latestBefore(ni.steals, cur); e != nil {
 				emit(e.Time-e.Dur, node, Sched, fmt.Sprintf("steal round trip to node %d", e.Peer))
 				if inRange(e.Peer) {
 					node = e.Peer
@@ -532,7 +571,7 @@ func walk(idx []*nodeIdx, nodes int, makespan sim.Time) []Segment {
 				continue
 			}
 		case earth.CauseHandler:
-			if e, hit := latestBefore(ni.posts, cur); hit {
+			if e := latestBefore(ni.posts, cur); e != nil {
 				emit(e.Time, node, Comm, fmt.Sprintf("post transit from node %d", e.Node))
 				if inRange(e.Node) {
 					node = e.Node

@@ -290,3 +290,28 @@ type Event struct {
 type Tracer interface {
 	Event(Event)
 }
+
+// BatchTracer is the optional second half of Tracer. An engine that holds
+// a finished run's whole stream (simrt sorts it canonically first) hands it
+// over in one EventBatch call instead of len(evs) Event calls.
+//
+// The slice is in emission order with cap == len, and it is read-only from
+// the moment of the call — for the engine, which keeps no reference, and for
+// every tracer it reaches, because a fan-out passes one slice to several. A
+// tracer may keep the slice; it must not write to its elements.
+type BatchTracer interface {
+	Tracer
+	EventBatch(evs []Event)
+}
+
+// EmitBatch hands evs to t: whole when t is a BatchTracer, event by event
+// otherwise.
+func EmitBatch(t Tracer, evs []Event) {
+	if bt, ok := t.(BatchTracer); ok {
+		bt.EventBatch(evs)
+		return
+	}
+	for i := range evs {
+		t.Event(evs[i])
+	}
+}

@@ -21,6 +21,9 @@
 // Config.Tracer installed, the engine additionally emits one earth.Event
 // per runtime action, in a canonical deterministic order, timestamped in
 // virtual time; without one, every emission site is a single nil check.
+// The events are buffered while the run executes and reach the tracer when
+// it ends, sorted, in one earth.BatchTracer call (or one Event call each
+// for a tracer that takes no batches). See trace.go.
 //
 // # Windows and barriers
 //
@@ -244,7 +247,7 @@ type Runtime struct {
 	// makes the Busy accrual points also record spans for window attribution.
 	sampling bool
 	// events buffers the run's trace events in emission order; flushTrace
-	// sorts them canonically when the run completes.
+	// hands them over in canonical order when the run completes.
 	events eventBuf
 	// atBarrier is true between windows: sends issued then (steal requests,
 	// token re-placement at a boundary) enter the queue directly instead
@@ -400,46 +403,6 @@ func (rt *Runtime) freeMsg(m *msg) {
 	// be cleared here.
 	m.batch = nil
 	rt.msgFree = append(rt.msgFree, m)
-}
-
-// eventChunk is the number of events per eventBuf chunk.
-const eventChunk = 8192
-
-// eventBuf buffers the run's trace events; its pointer is the
-// earth.Tracer the protocol core emits into. The stream is a list of
-// fixed-size chunks, so emitting never copies what was already buffered;
-// flushTrace copies each event once, into the stream it sorts.
-type eventBuf struct {
-	full [][]earth.Event // filled chunks, oldest first
-	cur  []earth.Event   // the chunk being filled
-}
-
-func (b *eventBuf) Event(ev earth.Event) {
-	if len(b.cur) == cap(b.cur) {
-		if b.cur != nil {
-			b.full = append(b.full, b.cur)
-		}
-		b.cur = make([]earth.Event, 0, eventChunk)
-	}
-	b.cur = append(b.cur, ev)
-}
-
-func (b *eventBuf) len() int { return len(b.full)*eventChunk + len(b.cur) }
-
-// appendTo appends the buffered stream to dst in emission order.
-func (b *eventBuf) appendTo(dst []earth.Event) []earth.Event {
-	for _, c := range b.full {
-		dst = append(dst, c...)
-	}
-	return append(dst, b.cur...)
-}
-
-// reset empties the buffer, keeping one chunk for the next run.
-func (b *eventBuf) reset() {
-	if len(b.full) > 0 {
-		b.cur = b.full[0]
-	}
-	b.full, b.cur = nil, b.cur[:0]
 }
 
 // sink returns the run's event buffer as a Tracer for the protocol core

@@ -267,88 +267,3 @@ func (rt *Runtime) emitSamples() {
 		rt.sampleNext += period
 	}
 }
-
-// phaseRank orders event kinds within one (Time, Node) instant for the
-// canonical trace sort: recovery re-dispatch first (it explains the work
-// that follows), then thread execution, handler execution, sends, fault
-// bookkeeping, deliveries, sync signals, and utilisation samples last.
-// Deliver-before-sync preserves the causal reading (a sync fired by a
-// delivered message appears after the delivery that caused it).
-func phaseRank(k earth.EventKind) uint8 {
-	switch k {
-	case earth.EvNodeDown, earth.EvFrameReplayed, earth.EvWorkReassigned,
-		earth.EvPartitionFence, earth.EvRejoined:
-		return 0
-	case earth.EvThreadRun:
-		return 1
-	case earth.EvHandlerRun:
-		return 2
-	case earth.EvPutSend, earth.EvGetSend, earth.EvInvokeSend, earth.EvPostSend,
-		earth.EvTokenSpawn, earth.EvStealRequest, earth.EvBatchFlush:
-		return 3
-	case earth.EvFaultInjected, earth.EvTimedOut, earth.EvRetry, earth.EvRecovered,
-		earth.EvFenced, earth.EvCorrupt, earth.EvPartitionStart, earth.EvPartitionHeal:
-		return 4
-	case earth.EvPutDeliver, earth.EvGetDeliver, earth.EvInvokeDeliver,
-		earth.EvTokenDeliver, earth.EvStealGrant, earth.EvStealMiss:
-		return 5
-	case earth.EvSyncSignal:
-		return 6
-	case earth.EvSanitize:
-		// End-of-run scan results; after everything else at the makespan.
-		return 8
-	default: // EvUtilSample
-		return 7
-	}
-}
-
-// eventCmp is the canonical trace order as a three-way comparison:
-// virtual time, node, phase, then every remaining field, so it returns 0
-// only for identical events and the (unstable) sort yields one
-// well-defined stream whatever order the events were buffered in.
-func eventCmp(a, b *earth.Event) int {
-	if c := cmp.Compare(a.Time, b.Time); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Node, b.Node); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(phaseRank(a.Kind), phaseRank(b.Kind)); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Cause, b.Cause); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Peer, b.Peer); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Dur, b.Dur); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Wait, b.Wait); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Bytes, b.Bytes)
-}
-
-// flushTrace copies the buffered events into one stream allocated at its
-// exact length, sorts it canonically and hands it to the tracer, announcing
-// the length first to a tracer that has a Grow(n int) method so it can
-// reserve room once.
-func (rt *Runtime) flushTrace() {
-	if rt.tr != nil {
-		n := rt.events.len()
-		evs := rt.events.appendTo(make([]earth.Event, 0, n))
-		rt.events.reset()
-		slices.SortFunc(evs, func(a, b earth.Event) int { return eventCmp(&a, &b) })
-		if g, ok := rt.tr.(interface{ Grow(n int) }); ok {
-			g.Grow(n)
-		}
-		for i := range evs {
-			rt.tr.Event(evs[i])
-		}
-	}
-}

@@ -1,9 +1,10 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
+	"bufio"
+	"bytes"
 	"io"
+	"strconv"
 
 	"earth/internal/earth"
 )
@@ -29,187 +30,262 @@ import (
 // Under simrt the stream and therefore the serialised bytes are fully
 // deterministic for a given Config, so a committed trace doubles as a
 // simulator regression artifact.
+//
+// The document is written as it is produced, by hand: the bytes are those
+// encoding/json gives for a struct per entry (fields in the order name,
+// cat, ph, ts, dur, pid, tid, s, id, bp, args; empty ones but ts, pid and
+// tid omitted) with a map for args (keys sorted), which is how it was
+// first written and what the test file keeps as the reference encoder.
 
-// chromeEvent is one entry of the traceEvents array. Field order is fixed
-// by the struct, map args are sorted by encoding/json: output bytes are a
-// pure function of the event stream.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds
-	Dur  *float64       `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Id   int64          `json:"id,omitempty"`
-	Bp   string         `json:"bp,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+// flowClass is one kind of causal arrow: a set of FIFO queues and the name
+// its entries carry.
+type flowClass uint8
+
+const (
+	flowGet flowClass = iota
+	flowPut
+	flowInvoke
+	flowToken
+	flowPlace
+	flowSteal
+)
+
+var flowNames = [...]string{
+	flowGet:    "get",
+	flowPut:    "put",
+	flowInvoke: "invoke",
+	flowToken:  "token",
+	flowPlace:  "token.place",
+	flowSteal:  "steal",
 }
 
 // flowKey identifies one FIFO queue of in-flight causal edges.
 type flowKey struct {
-	class string
-	a, b  int
+	class flowClass
+	a, b  earth.NodeID
 }
 
-// flowState allocates flow ids and matches starts to finishes. The map
-// is only ever indexed, never ranged over, so output order stays a pure
-// function of the event stream.
-type flowState struct {
+// chromeWriter is the state of one export: the output, the flow ids
+// handed out so far and the open flows. The map is only ever indexed,
+// never ranged over, so output order stays a pure function of the event
+// stream.
+type chromeWriter struct {
+	w      *bufio.Writer
 	next   int64
 	queues map[flowKey][]int64
 }
 
 // start opens a new flow on key and returns its id.
-func (f *flowState) start(key flowKey) int64 {
-	f.next++
-	f.queues[key] = append(f.queues[key], f.next)
-	return f.next
+func (c *chromeWriter) start(key flowKey) int64 {
+	c.next++
+	c.queues[key] = append(c.queues[key], c.next)
+	return c.next
 }
 
 // finish pops the oldest open flow on key, or 0 when none is in flight
 // (e.g. a token that was stolen instead of running where it was pooled).
-func (f *flowState) finish(key flowKey) int64 {
-	q := f.queues[key]
+func (c *chromeWriter) finish(key flowKey) int64 {
+	q := c.queues[key]
 	if len(q) == 0 {
 		return 0
 	}
-	f.queues[key] = q[1:]
+	c.queues[key] = q[1:]
 	return q[0]
 }
 
-// chromeFile is the top-level JSON object.
-type chromeFile struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
+// appendUs appends ns as the microsecond number encoding/json prints for
+// float64(ns)/1e3. json switches to exponent notation below 1e-6 and from
+// 1e21, which no int64 of nanoseconds reaches (1e-3 … 9.3e15), so the
+// plain shortest form is always the one it picks.
+func appendUs(b []byte, ns int64) []byte {
+	return strconv.AppendFloat(b, float64(ns)/1e3, 'f', -1, 64)
 }
 
-// usOf converts nanoseconds to the microsecond floats Chrome expects.
-func usOf(ns int64) float64 { return float64(ns) / 1e3 }
+// entry appends the fields every traceEvents entry starts with, up to and
+// including tid, preceded by the separating comma.
+func entry(b []byte, name, cat, ph string, ts, tid int64) []byte {
+	b = append(b, `,{"name":"`...)
+	b = append(b, name...)
+	if cat != "" {
+		b = append(b, `","cat":"`...)
+		b = append(b, cat...)
+	}
+	b = append(b, `","ph":"`...)
+	b = append(b, ph...)
+	b = append(b, `","ts":`...)
+	b = appendUs(b, ts)
+	b = append(b, `,"pid":0,"tid":`...)
+	return strconv.AppendInt(b, tid, 10)
+}
+
+// flow writes one leg of a causal arrow ahead of the event it annotates;
+// id 0 (an unmatched finish) writes nothing.
+func (c *chromeWriter) flow(ph string, class flowClass, id int64, e *earth.Event) {
+	if id == 0 {
+		return
+	}
+	b := entry(c.w.AvailableBuffer(), flowNames[class], "flow", ph, int64(e.Time), int64(e.Node))
+	b = append(b, `,"id":`...)
+	b = strconv.AppendInt(b, id, 10)
+	if ph == "f" {
+		b = append(b, `,"bp":"e"`...)
+	}
+	b = append(b, '}')
+	c.w.Write(b) // a failed write is kept by the bufio.Writer and returned by Flush
+}
+
+// flows writes the arrow legs e opens or closes.
+func (c *chromeWriter) flows(e *earth.Event) {
+	n, p := e.Node, e.Peer
+	switch e.Kind {
+	case earth.EvGetSend:
+		c.flow("s", flowGet, c.start(flowKey{flowGet, n, p}), e)
+	case earth.EvGetDeliver:
+		c.flow("f", flowGet, c.finish(flowKey{flowGet, n, p}), e)
+	case earth.EvPutSend:
+		c.flow("s", flowPut, c.start(flowKey{flowPut, n, p}), e)
+	case earth.EvPutDeliver:
+		c.flow("f", flowPut, c.finish(flowKey{flowPut, p, n}), e)
+	case earth.EvInvokeSend:
+		c.flow("s", flowInvoke, c.start(flowKey{flowInvoke, n, p}), e)
+	case earth.EvInvokeDeliver:
+		c.flow("f", flowInvoke, c.finish(flowKey{flowInvoke, p, n}), e)
+	case earth.EvTokenSpawn:
+		// spawn -> run, FIFO on the node the token is destined for
+		// (its own pool unless the balancer placed it remotely).
+		dst := n
+		if p != earth.NoPeer {
+			dst = p
+			// Placed tokens additionally get a placement-transit arrow.
+			c.flow("s", flowPlace, c.start(flowKey{flowPlace, n, p}), e)
+		}
+		c.flow("s", flowToken, c.start(flowKey{flowToken, dst, dst}), e)
+	case earth.EvTokenDeliver:
+		c.flow("f", flowPlace, c.finish(flowKey{flowPlace, p, n}), e)
+	case earth.EvThreadRun:
+		if e.Cause == earth.CauseToken {
+			c.flow("f", flowToken, c.finish(flowKey{flowToken, n, n}), e)
+		}
+	case earth.EvStealRequest:
+		c.flow("s", flowSteal, c.start(flowKey{flowSteal, n, p}), e)
+	case earth.EvStealGrant:
+		c.flow("f", flowSteal, c.finish(flowKey{flowSteal, n, p}), e)
+	}
+}
+
+// event writes e's own entry. Its args appear in sorted key order:
+// busy_ns, bytes, latency_ns, peer, wait_ns.
+func (c *chromeWriter) event(e *earth.Event) {
+	b := c.w.AvailableBuffer()
+	// arg appends one integer member of the args object, opening the
+	// object at the first.
+	args := false
+	arg := func(key string, v int64) {
+		if args {
+			b = append(b, `,"`...)
+		} else {
+			b = append(b, `,"args":{"`...)
+			args = true
+		}
+		b = append(b, key...)
+		b = append(b, `":`...)
+		b = strconv.AppendInt(b, v, 10)
+	}
+	switch e.Kind {
+	case earth.EvThreadRun, earth.EvHandlerRun:
+		b = append(b, `,{"name":"`...)
+		b = append(b, e.Kind.String()...)
+		b = append(b, ':')
+		b = append(b, e.Cause.String()...)
+		b = append(b, `","ph":"X","ts":`...)
+		b = appendUs(b, int64(e.Time))
+		b = append(b, `,"dur":`...)
+		b = appendUs(b, int64(e.Dur))
+		b = append(b, `,"pid":0,"tid":`...)
+		b = strconv.AppendInt(b, int64(e.Node), 10)
+		if e.Bytes > 0 {
+			arg("bytes", int64(e.Bytes))
+		}
+		if e.Peer != earth.NoPeer {
+			arg("peer", int64(e.Peer))
+		}
+		if e.Wait > 0 {
+			arg("wait_ns", int64(e.Wait))
+		}
+	case earth.EvUtilSample:
+		b = append(b, `,{"name":"util[n`...)
+		b = strconv.AppendInt(b, int64(e.Node), 10)
+		b = append(b, `]","ph":"C","ts":`...)
+		b = appendUs(b, int64(e.Time))
+		b = append(b, `,"pid":0,"tid":0`...)
+		arg("busy_ns", int64(e.Dur))
+		if e.Bytes > 0 {
+			arg("bytes", int64(e.Bytes))
+		}
+	default:
+		b = entry(b, e.Kind.String(), "", "i", int64(e.Time), int64(e.Node))
+		b = append(b, `,"s":"t"`...)
+		if e.Bytes > 0 {
+			arg("bytes", int64(e.Bytes))
+		}
+		if e.Dur > 0 {
+			arg("latency_ns", int64(e.Dur))
+		}
+		if e.Peer != earth.NoPeer {
+			arg("peer", int64(e.Peer))
+		}
+	}
+	if args {
+		b = append(b, '}')
+	}
+	b = append(b, '}')
+	c.w.Write(b)
+}
+
+// writeChromeTrace streams events (in emission order) to w as a Chrome
+// trace-event JSON document. Errors stay in w until its Flush.
+func writeChromeTrace(w *bufio.Writer, events []earth.Event) {
+	nodes := earth.NodeID(0)
+	for i := range events {
+		e := &events[i]
+		nodes = max(nodes, e.Node+1)
+		if e.Peer != earth.NoPeer {
+			nodes = max(nodes, e.Peer+1)
+		}
+	}
+	c := chromeWriter{w: w, queues: map[flowKey][]int64{}}
+	w.WriteString(`{"traceEvents":[{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"earth"}}`)
+	for i := earth.NodeID(0); i < nodes; i++ {
+		b := entry(w.AvailableBuffer(), "thread_name", "", "M", 0, int64(i))
+		b = append(b, `,"args":{"name":"node `...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, `"}}`...)
+		w.Write(b)
+	}
+	for i := range events {
+		c.flows(&events[i])
+		c.event(&events[i])
+	}
+	w.WriteString(`],"displayTimeUnit":"ms"}`)
+}
 
 // ChromeTrace serialises events (in emission order) as a Chrome
 // trace-event JSON document.
 func ChromeTrace(events []earth.Event) ([]byte, error) {
-	nodes := 0
-	for _, e := range events {
-		if int(e.Node) >= nodes {
-			nodes = int(e.Node) + 1
-		}
-		if e.Peer != earth.NoPeer && int(e.Peer) >= nodes {
-			nodes = int(e.Peer) + 1
-		}
-	}
-	out := make([]chromeEvent, 0, len(events)+nodes+1)
-	out = append(out, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
-		Args: map[string]any{"name": "earth"},
-	})
-	for i := 0; i < nodes; i++ {
-		out = append(out, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 0, Tid: i,
-			Args: map[string]any{"name": fmt.Sprintf("node %d", i)},
-		})
-	}
-	flows := &flowState{queues: map[flowKey][]int64{}}
-	// flow emits one leg of a causal arrow alongside the event it
-	// annotates; id 0 (an unmatched finish) emits nothing.
-	flow := func(ph, class string, id int64, e earth.Event) {
-		if id == 0 {
-			return
-		}
-		ce := chromeEvent{Name: class, Cat: "flow", Ph: ph,
-			Ts: usOf(int64(e.Time)), Pid: 0, Tid: int(e.Node), Id: id}
-		if ph == "f" {
-			ce.Bp = "e"
-		}
-		out = append(out, ce)
-	}
-	for _, e := range events {
-		ce := chromeEvent{Ts: usOf(int64(e.Time)), Pid: 0, Tid: int(e.Node)}
-		args := map[string]any{}
-		n, p := int(e.Node), int(e.Peer)
-		switch e.Kind {
-		case earth.EvGetSend:
-			flow("s", "get", flows.start(flowKey{"get", n, p}), e)
-		case earth.EvGetDeliver:
-			flow("f", "get", flows.finish(flowKey{"get", n, p}), e)
-		case earth.EvPutSend:
-			flow("s", "put", flows.start(flowKey{"put", n, p}), e)
-		case earth.EvPutDeliver:
-			flow("f", "put", flows.finish(flowKey{"put", p, n}), e)
-		case earth.EvInvokeSend:
-			flow("s", "invoke", flows.start(flowKey{"invoke", n, p}), e)
-		case earth.EvInvokeDeliver:
-			flow("f", "invoke", flows.finish(flowKey{"invoke", p, n}), e)
-		case earth.EvTokenSpawn:
-			// spawn -> run, FIFO on the node the token is destined for
-			// (its own pool unless the balancer placed it remotely).
-			dst := n
-			if e.Peer != earth.NoPeer {
-				dst = p
-				// Placed tokens additionally get a placement-transit arrow.
-				flow("s", "token.place", flows.start(flowKey{"place", n, p}), e)
-			}
-			flow("s", "token", flows.start(flowKey{"token", dst, dst}), e)
-		case earth.EvTokenDeliver:
-			flow("f", "token.place", flows.finish(flowKey{"place", p, n}), e)
-		case earth.EvThreadRun:
-			if e.Cause == earth.CauseToken {
-				flow("f", "token", flows.finish(flowKey{"token", n, n}), e)
-			}
-		case earth.EvStealRequest:
-			flow("s", "steal", flows.start(flowKey{"steal", n, p}), e)
-		case earth.EvStealGrant:
-			flow("f", "steal", flows.finish(flowKey{"steal", n, p}), e)
-		}
-		if e.Peer != earth.NoPeer {
-			args["peer"] = int(e.Peer)
-		}
-		if e.Bytes > 0 {
-			args["bytes"] = e.Bytes
-		}
-		switch e.Kind {
-		case earth.EvThreadRun, earth.EvHandlerRun:
-			ce.Name = fmt.Sprintf("%s:%s", e.Kind, e.Cause)
-			ce.Ph = "X"
-			dur := usOf(int64(e.Dur))
-			ce.Dur = &dur
-			if e.Wait > 0 {
-				args["wait_ns"] = int64(e.Wait)
-			}
-		case earth.EvUtilSample:
-			ce.Name = fmt.Sprintf("util[n%d]", int(e.Node))
-			ce.Ph = "C"
-			ce.Tid = 0
-			delete(args, "peer")
-			args["busy_ns"] = int64(e.Dur)
-		default:
-			ce.Name = e.Kind.String()
-			ce.Ph = "i"
-			ce.S = "t"
-			if e.Dur > 0 {
-				args["latency_ns"] = int64(e.Dur)
-			}
-		}
-		if len(args) > 0 {
-			ce.Args = args
-		}
-		out = append(out, ce)
-	}
-	return json.Marshal(chromeFile{TraceEvents: out, DisplayTimeUnit: "ms"})
+	var doc bytes.Buffer
+	w := bufio.NewWriter(&doc)
+	writeChromeTrace(w, events)
+	err := w.Flush()
+	return doc.Bytes(), err
 }
 
 // WriteChromeTrace writes the recorded stream as a Chrome trace-event
-// JSON document, ready for Perfetto / chrome://tracing.
+// JSON document, ready for Perfetto / chrome://tracing. The document is
+// streamed to w through a buffer, never held whole; the error is the first
+// one w returned.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	b, err := ChromeTrace(r.Events())
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	if err == nil {
-		_, err = w.Write([]byte("\n"))
-	}
-	return err
+	bw := bufio.NewWriterSize(w, 64<<10) // ~500 entries a write; w is usually a file
+	writeChromeTrace(bw, r.Events())
+	bw.WriteByte('\n')
+	return bw.Flush()
 }

@@ -2,8 +2,8 @@
 // earth.Config.Tracer and turns it into artifacts:
 //
 //   - Recorder keeps the raw events and exports them as a Chrome
-//     trace-event JSON file (chrome.go), so any run opens in Perfetto or
-//     chrome://tracing with one lane per node;
+//     trace-event JSON file (chrome.go, a streaming encoder), so any run
+//     opens in Perfetto or chrome://tracing with one lane per node;
 //   - Metrics aggregates per-operation latency/size histograms (thread
 //     run length, dispatch delay, message round trips, steal round trips)
 //     and the built-in utilisation samples, with a text renderer and a
@@ -13,6 +13,12 @@
 // every node's executor goroutine; under simrt the stream is
 // deterministic, which makes exported traces byte-identical across runs
 // with the same Config and doubles as a simulator regression check.
+//
+// simrt hands a finished run's stream over whole (earth.BatchTracer). The
+// slice is read-only for everyone it reaches: Recorder keeps it without
+// copying while it has nothing else, never writes to it, and returns
+// copies from Events; Multi passes the one slice on to each tracer that
+// takes batches and replays it to those that do not.
 package obs
 
 import (
@@ -26,9 +32,13 @@ import (
 type Recorder struct {
 	mu     sync.Mutex
 	events []earth.Event
+	// adopted says events is a batch an engine handed over, which is
+	// read-only: its cap equals its len, so appending moves the stream to
+	// an array the Recorder owns, and Reset drops it instead of refilling.
+	adopted bool
 }
 
-var _ earth.Tracer = (*Recorder)(nil)
+var _ earth.BatchTracer = (*Recorder)(nil)
 
 // NewRecorder returns an empty Recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
@@ -37,14 +47,19 @@ func NewRecorder() *Recorder { return &Recorder{} }
 func (r *Recorder) Event(e earth.Event) {
 	r.mu.Lock()
 	r.events = append(r.events, e)
+	r.adopted = false
 	r.mu.Unlock()
 }
 
-// Grow reserves room for n more events. It is the optional hint simrt
-// gives before it hands over a finished run's stream.
-func (r *Recorder) Grow(n int) {
+// EventBatch appends a whole stream. An empty Recorder keeps the slice
+// itself, so a simrt run's events are not copied on their way in.
+func (r *Recorder) EventBatch(evs []earth.Event) {
 	r.mu.Lock()
-	r.events = slices.Grow(r.events, n)
+	if len(r.events) == 0 {
+		r.events, r.adopted = slices.Clip(evs), true
+	} else {
+		r.events, r.adopted = append(r.events, evs...), false
+	}
 	r.mu.Unlock()
 }
 
@@ -67,6 +82,9 @@ func (r *Recorder) Events() []earth.Event {
 // Reset discards all recorded events.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
+	if r.adopted {
+		r.events, r.adopted = nil, false
+	}
 	r.events = r.events[:0]
 	r.mu.Unlock()
 }
@@ -80,12 +98,11 @@ func (m multi) Event(e earth.Event) {
 	}
 }
 
-// Grow forwards the hint to the tracers that take it.
-func (m multi) Grow(n int) {
+// EventBatch forwards the one slice to every tracer, whole to those that
+// take batches.
+func (m multi) EventBatch(evs []earth.Event) {
 	for _, t := range m {
-		if g, ok := t.(interface{ Grow(n int) }); ok {
-			g.Grow(n)
-		}
+		earth.EmitBatch(t, evs)
 	}
 }
 

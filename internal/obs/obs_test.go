@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -524,28 +525,57 @@ func TestMultiFanOutAndNilDropping(t *testing.T) {
 	}
 }
 
-// TestGrowHint checks the length hint simrt gives before handing over a
-// run's stream: after Grow(n) a Recorder takes n events without growing
-// again, and Multi passes the hint on to the tracers that accept it (a
-// Metrics does not) without dropping events for those that do not.
-func TestGrowHint(t *testing.T) {
+// TestEventBatch checks what the tracers do with a stream handed over
+// whole (earth.BatchTracer): an empty Recorder holds the slice itself,
+// clipped so that nothing can grow into it; later events and batches are
+// appended on an array of the Recorder's own, leaving the batch as it was;
+// Reset lets go of a batch rather than refill it; and Multi passes the one
+// slice to the tracers that take batches and plays it event by event to
+// those that do not (a Metrics does not) — every tracer sees every event.
+func TestEventBatch(t *testing.T) {
 	const n = 1000
+	batch := make([]earth.Event, n, n+8)
+	for i := range batch {
+		batch[i] = earth.Event{Kind: earth.EvThreadRun, Time: sim.Time(i), Dur: 1}
+	}
+	keep := slices.Clone(batch)
 	rec, met := NewRecorder(), NewMetrics()
-	rec.Event(earth.Event{Kind: earth.EvThreadRun})
-	hinted, ok := Multi(rec, met).(interface{ Grow(int) })
+	bt, ok := Multi(rec, met).(earth.BatchTracer)
 	if !ok {
-		t.Fatal("Multi does not forward Grow")
+		t.Fatal("Multi does not forward EventBatch")
 	}
-	hinted.Grow(n)
-	reserved := cap(rec.events)
-	if reserved < 1+n {
-		t.Fatalf("after Grow(%d) on a 1-event Recorder cap = %d, want >= %d", n, reserved, 1+n)
+
+	bt.EventBatch(batch)
+	if &rec.events[0] != &batch[0] || cap(rec.events) != n {
+		t.Fatalf("an empty Recorder copied the batch or kept its spare capacity (cap %d, want %d)", cap(rec.events), n)
 	}
-	for i := 0; i < n; i++ {
-		rec.Event(earth.Event{Kind: earth.EvThreadRun, Time: sim.Time(i)})
+	if got := met.threadRun.N(); got != n {
+		t.Fatalf("Metrics behind Multi saw %d of %d events", got, n)
 	}
-	if rec.Len() != 1+n || cap(rec.events) != reserved {
-		t.Errorf("after %d more events: len %d cap %d, want len %d and the reserved cap %d",
-			n, rec.Len(), cap(rec.events), 1+n, reserved)
+
+	rec.Event(earth.Event{Kind: earth.EvHandlerRun})
+	bt.EventBatch(batch[:3])
+	if got := rec.Events(); len(got) != n+4 || !slices.Equal(got[:n], keep) ||
+		got[n].Kind != earth.EvHandlerRun || !slices.Equal(got[n+1:], keep[:3]) {
+		t.Fatalf("Recorder holds %d events, want the batch, one event and three more in order", len(got))
+	}
+	if !slices.Equal(batch[:cap(batch)], append(keep, make([]earth.Event, 8)...)) {
+		t.Error("appending to the Recorder wrote into the batch it was handed")
+	}
+
+	// Reset after adopting: the next events must not land in the batch.
+	rec.Reset()
+	rec.EventBatch(batch)
+	rec.Reset()
+	rec.Event(earth.Event{Kind: earth.EvSyncSignal})
+	if rec.Len() != 1 || !slices.Equal(batch, keep) {
+		t.Errorf("after Reset the Recorder has %d events (want 1) or refilled the batch it had adopted", rec.Len())
+	}
+	// Reset of the Recorder's own array keeps it for the next stream.
+	own := &rec.events[0]
+	rec.Reset()
+	rec.Event(earth.Event{Kind: earth.EvSyncSignal})
+	if &rec.events[0] != own {
+		t.Error("Reset dropped an array the Recorder owns")
 	}
 }
