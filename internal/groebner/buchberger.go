@@ -7,6 +7,8 @@ package groebner
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"earth/internal/poly"
 )
@@ -28,6 +30,11 @@ type Pair struct {
 	// Seq is the creation sequence number (tie-breaking), making pair
 	// selection deterministic.
 	Seq int
+	// key is the LCM's poly.Ring.OrderKey, which orders as the ring's
+	// monomial order does; keyed is false where the ring has none (and on a
+	// Pair built by hand).
+	key   uint64
+	keyed bool
 }
 
 // Less reports pair-selection priority under a monomial order:
@@ -36,7 +43,17 @@ type Pair struct {
 // has a significant impact on the overall amount of work", paper
 // Section 3.2). Used by both the sequential loop and the per-node queues
 // of the parallel version.
+//
+// Pairs of one run share a ring, whose order ord is; two keyed pairs
+// compare their keys, any other two their LCMs under ord — the same total
+// order either way.
 func (p Pair) Less(q Pair, ord poly.Order) bool {
+	if p.keyed && q.keyed {
+		if p.key != q.key {
+			return p.key < q.key
+		}
+		return p.Seq < q.Seq
+	}
 	if c := ord.Compare(p.LCM, q.LCM); c != 0 {
 		return c < 0
 	}
@@ -75,10 +92,44 @@ type Basis struct {
 
 // Updater maintains a critical-pair set under the Gebauer-Möller criteria.
 // It is shared by the sequential algorithm and the parallel version (where
-// the inserting node runs Update while holding the solution-set lock).
+// the maintenance node alone creates pairs). An Updater serves one basis,
+// which only grows: it keeps the leading monomial of every index it has
+// seen.
 type Updater struct {
-	opt Options
-	seq int
+	opt   Options
+	seq   int
+	leads []poly.Mono // leads[i] is the basis's i-th leading monomial, nil until asked for
+	cands []cand      // appendNewPairs scratch...
+	lcms  poly.Mono   // ...and the exponents its candidates' LCMs point into
+}
+
+// cand is one candidate pair (i, t) of appendNewPairs.
+type cand struct {
+	i       int
+	lcm     poly.Mono
+	coprime bool
+	dead    bool
+}
+
+// lead returns basis[i].LeadMono(), unpacked once per index.
+func (u *Updater) lead(basis []*poly.Poly, i int) poly.Mono {
+	for len(u.leads) <= i {
+		u.leads = append(u.leads, nil)
+	}
+	if u.leads[i] == nil {
+		u.leads[i] = basis[i].LeadMono()
+	}
+	return u.leads[i]
+}
+
+// lcmIs reports whether lcm(a, b) equals m.
+func lcmIs(a, b, m poly.Mono) bool {
+	for i, e := range m {
+		if max(a[i], b[i]) != e {
+			return false
+		}
+	}
+	return true
 }
 
 // NewUpdater returns a pair-set maintainer for the given options.
@@ -98,13 +149,13 @@ func NewUpdater(opt Options) *Updater { return &Updater{opt: opt} }
 // and both lcm(i,t) and lcm(j,t) differ from lcm(i,j).
 func (u *Updater) Update(G []*poly.Poly, P []Pair) (out []Pair, considered, eliminated int) {
 	t := len(G) - 1
-	lmh := G[t].LeadMono()
+	lmh := u.lead(G, t)
 	if !u.opt.NoChainCriterion {
 		kept := P[:0]
 		for _, p := range P {
 			if lmh.Divides(p.LCM) &&
-				!G[p.I].LeadMono().LCM(lmh).Equal(p.LCM) &&
-				!G[p.J].LeadMono().LCM(lmh).Equal(p.LCM) {
+				!lcmIs(u.lead(G, p.I), lmh, p.LCM) &&
+				!lcmIs(u.lead(G, p.J), lmh, p.LCM) {
 				eliminated++
 				continue
 			}
@@ -132,21 +183,23 @@ func (u *Updater) Update(G []*poly.Poly, P []Pair) (out []Pair, considered, elim
 //	   contains a coprime pair (B), in which case drop the whole class.
 //	B: drop (i,t) when lm(i) and lm(h) are coprime.
 func (u *Updater) appendNewPairs(out []Pair, basis []*poly.Poly, t int) ([]Pair, int) {
-	lmh := basis[t].LeadMono()
-	type cand struct {
-		i       int
-		lcm     poly.Mono
-		coprime bool
-		dead    bool
-	}
-	cands := make([]cand, 0, t)
+	ring := basis[t].Ring()
+	lmh := u.lead(basis, t)
+	nv := len(lmh)
+	// The candidates and their LCMs live in the Updater's scratch.
+	cands := u.cands[:0]
+	lcms := slices.Grow(u.lcms[:0], t*nv)
 	for i, g := range basis[:t] {
 		if g == nil {
 			continue
 		}
-		lmi := g.LeadMono()
-		cands = append(cands, cand{i: i, lcm: lmi.LCM(lmh), coprime: lmi.Coprime(lmh)})
+		lmi := u.lead(basis, i)
+		for v, e := range lmi {
+			lcms = append(lcms, max(e, lmh[v]))
+		}
+		cands = append(cands, cand{i: i, lcm: lcms[len(lcms)-nv:], coprime: lmi.Coprime(lmh)})
 	}
+	u.cands, u.lcms = cands, lcms
 
 	if !u.opt.NoChainCriterion {
 		// M criterion.
@@ -182,11 +235,25 @@ func (u *Updater) appendNewPairs(out []Pair, basis []*poly.Poly, t int) ([]Pair,
 			}
 		}
 	}
+	survivors := 0
+	for i := range cands {
+		c := &cands[i]
+		c.dead = c.dead || (!u.opt.NoCoprimeCriterion && c.coprime)
+		if !c.dead {
+			survivors++
+		}
+	}
+	// The surviving pairs share one block for their LCMs.
+	out = slices.Grow(out, survivors)
+	block := make(poly.Mono, 0, survivors*nv)
 	for _, c := range cands {
-		if c.dead || (!u.opt.NoCoprimeCriterion && c.coprime) {
+		if c.dead {
 			continue
 		}
-		out = append(out, Pair{I: c.i, J: t, LCM: c.lcm})
+		block = append(block, c.lcm...)
+		p := Pair{I: c.i, J: t, LCM: block[len(block)-nv : len(block) : len(block)]}
+		p.key, p.keyed = ring.OrderKey(p.LCM)
+		out = append(out, p)
 	}
 	return out, len(cands)
 }
@@ -208,6 +275,12 @@ func selectBest(P []Pair, ord poly.Order) (Pair, []Pair) {
 	return p, P[:len(P)-1]
 }
 
+// reducers holds reduction workspaces between completion runs, so that a
+// run starts on tables already grown (a sweep makes thousands of runs). A
+// poly.Reducer keeps no polynomial between calls, so a pooled one pins
+// nothing; each run draws its own and no two goroutines share one.
+var reducers = sync.Pool{New: func() any { return poly.NewReducer() }}
+
 // Buchberger computes a Gröbner basis of the ideal generated by F. All
 // inputs must share a ring; zero inputs are dropped. The result is not
 // auto-reduced (call Reduce for the canonical reduced basis).
@@ -218,7 +291,8 @@ func Buchberger(F []*poly.Poly, opt Options) (*Basis, error) {
 	}
 	b := &Basis{Ring: ring}
 	u := NewUpdater(opt)
-	red := poly.NewReducer()
+	red := reducers.Get().(*poly.Reducer)
+	defer reducers.Put(red)
 	var P []Pair
 	// Seed the basis one element at a time so the criteria apply to the
 	// initial pairs as well.
@@ -234,8 +308,7 @@ func Buchberger(F []*poly.Poly, opt Options) (*Basis, error) {
 	for len(P) > 0 {
 		var p Pair
 		p, P = selectBest(P, ring.Order())
-		s := poly.SPoly(basis[p.I], basis[p.J])
-		nf, st := red.NormalForm(s, basis)
+		nf, st := red.ReducePair(basis[p.I], basis[p.J], basis)
 		b.Trace.PairsReduced++
 		b.Trace.TermOps += st.TermOps
 		b.Trace.PerReduction = append(b.Trace.PerReduction, st.TermOps)
@@ -279,18 +352,17 @@ func prepInput(F []*poly.Poly) (*poly.Ring, []*poly.Poly) {
 // is how the tests compare parallel and sequential results.
 func (b *Basis) Reduce() *Basis {
 	// Minimalise: drop polys whose lead is divisible by another lead.
+	leads := make([]poly.Mono, len(b.Polys))
+	for i, g := range b.Polys {
+		leads[i] = g.LeadMono()
+	}
 	var min []*poly.Poly
 	for i, g := range b.Polys {
 		redundant := false
-		for j, h := range b.Polys {
-			if i == j {
-				continue
-			}
-			if h.LeadMono().Divides(g.LeadMono()) {
-				if !g.LeadMono().Equal(h.LeadMono()) || j < i {
-					redundant = true
-					break
-				}
+		for j := range b.Polys {
+			if i != j && leads[j].Divides(leads[i]) && (!leads[i].Equal(leads[j]) || j < i) {
+				redundant = true
+				break
 			}
 		}
 		if !redundant {
@@ -312,9 +384,14 @@ func (b *Basis) Reduce() *Basis {
 	}
 	// Sort descending by leading monomial.
 	ord := b.Ring.Order()
+	leads = leads[:len(out)]
+	for i, g := range out {
+		leads[i] = g.LeadMono()
+	}
 	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && ord.Compare(out[j-1].LeadMono(), out[j].LeadMono()) < 0; j-- {
+		for j := i; j > 0 && ord.Compare(leads[j-1], leads[j]) < 0; j-- {
 			out[j-1], out[j] = out[j], out[j-1]
+			leads[j-1], leads[j] = leads[j], leads[j-1]
 		}
 	}
 	return &Basis{Ring: b.Ring, Polys: out, Trace: b.Trace}

@@ -150,7 +150,7 @@ type insertReq struct {
 type parState struct {
 	cfg     ParallelConfig
 	ring    *poly.Ring
-	upd     *Updater // criteria only: it is shared across nodes, so never Update
+	upd     *Updater // maintenance node only (it caches leads); appendNewPairs, never Update
 	workers int
 	m       earth.NodeID // maintenance node
 
@@ -190,10 +190,11 @@ type parNode struct {
 	queue []Pair // distributed mode: local priority queue
 	cache []*poly.Poly
 	leads []poly.Mono // leads[i] is cache[i].LeadMono()
-	// red is this worker's reduction workspace. Nodes run on separate
-	// host goroutines on livert, so a workspace is never shared between
-	// them.
-	red         poly.Reducer
+	// red is this worker's reduction workspace, drawn from the reducers
+	// pool for the run (nil on the maintenance node, which reduces
+	// nothing). Nodes run on separate host goroutines on livert, so a
+	// workspace is never shared between them.
+	red         *poly.Reducer
 	busy        bool
 	stop        bool
 	outstanding int // shipped, unacknowledged insert requests
@@ -273,8 +274,15 @@ func ParallelBuchberger(rt earth.Runtime, F []*poly.Poly, cfg ParallelConfig) (*
 	for i := range st.nodes {
 		st.nodes[i] = &parNode{}
 	}
+	for _, n := range st.nodes[:st.workers] {
+		n.red = reducers.Get().(*poly.Reducer)
+	}
 
 	stats := rt.Run(func(c earth.Ctx) { st.driver(c, G) })
+
+	for _, n := range st.nodes[:st.workers] {
+		reducers.Put(n.red)
+	}
 
 	res := &ParallelResult{
 		Basis:     &Basis{Ring: ring, Polys: st.registry},
@@ -320,9 +328,9 @@ func (st *parState) bootstrap(c earth.Ctx, G []*poly.Poly) {
 		sizes := make([]int, len(G))
 		writes := make([]func(), len(G))
 		for idx, g := range G {
-			idx, g := idx, g
+			idx, g, lead := idx, g, st.lead(idx)
 			sizes[idx] = g.Bytes()
-			writes[idx] = func() { st.nodeCachePut(w, idx, g) }
+			writes[idx] = func() { st.nodeCachePut(w, idx, g, lead) }
 		}
 		earth.BlkMovBytesV(c, earth.NodeID(w), sizes, writes, nil, 0)
 	}
@@ -358,15 +366,20 @@ func (st *parState) bootstrap(c earth.Ctx, G []*poly.Poly) {
 	}
 }
 
-// nodeCachePut stores a replicated polynomial in worker w's cache. Must
-// run on w's context.
-func (st *parState) nodeCachePut(w, idx int, p *poly.Poly) {
+// lead returns the leading monomial of registry entry idx, unpacked once
+// for the maintenance node's pair creation and every worker's cache (which
+// only read it). Must run on the maintenance node.
+func (st *parState) lead(idx int) poly.Mono { return st.upd.lead(st.registry, idx) }
+
+// nodeCachePut stores a replicated polynomial and its leading monomial in
+// worker w's cache. Must run on w's context.
+func (st *parState) nodeCachePut(w, idx int, p *poly.Poly, lead poly.Mono) {
 	n := st.nodes[w]
 	for len(n.cache) <= idx {
 		n.cache = append(n.cache, nil)
 		n.leads = append(n.leads, nil)
 	}
-	n.cache[idx], n.leads[idx] = p, p.LeadMono()
+	n.cache[idx], n.leads[idx] = p, lead
 	n.cacheDirty = true
 }
 
@@ -426,8 +439,8 @@ func (st *parState) ensureCached(c earth.Ctx, w int, p Pair) bool {
 		idx := idx
 		// Pairs are created only after registration, so the entry exists.
 		c.Get(st.m, 512, func() func() {
-			g := st.registry[idx]
-			return func() { st.nodeCachePut(w, idx, g) }
+			g, lead := st.registry[idx], st.lead(idx)
+			return func() { st.nodeCachePut(w, idx, g, lead) }
 		}, f, 0)
 	}
 	return false
@@ -438,8 +451,7 @@ func (st *parState) ensureCached(c earth.Ctx, w int, p Pair) bool {
 func (st *parState) processPair(c earth.Ctx, w int, p Pair) {
 	n := st.nodes[w]
 	G := n.cacheList()
-	s := poly.SPoly(n.cache[p.I], n.cache[p.J])
-	nf, rst := n.red.NormalForm(s, G)
+	nf, rst := n.red.ReducePair(n.cache[p.I], n.cache[p.J], G)
 	c.Compute(st.cfg.StepCost.PerPair + sim.Time(rst.TermOps)*st.cfg.StepCost.PerTermOp)
 	n.processed++
 
@@ -533,13 +545,15 @@ func (st *parState) tryInsert(c earth.Ctx) {
 		st.rejected++ // counted as a conflict round
 		missing := st.registry[req.prefix:]
 		from := req.prefix
+		leads := make([]poly.Mono, len(missing))
 		bytes := 0
-		for _, g := range missing {
+		for k, g := range missing {
 			bytes += g.Bytes()
+			leads[k] = st.lead(from + k)
 		}
 		c.Post(earth.NodeID(req.w), bytes+pairMsgBytes, func(c earth.Ctx) {
 			for k, g := range missing {
-				st.nodeCachePut(req.w, from+k, g)
+				st.nodeCachePut(req.w, from+k, g, leads[k])
 			}
 			earth.SpawnBody(c, func(c earth.Ctx) { st.rereduce(c, req) })
 		})
@@ -581,10 +595,11 @@ func (st *parState) finishInsert(c earth.Ctx, w int, idx int, nf *poly.Poly) {
 
 	if nf != nil {
 		// Broadcast (read caching of the replicated solution set).
+		lead := st.lead(idx)
 		for o := 0; o < st.workers; o++ {
 			o := o
 			c.Post(earth.NodeID(o), nf.Bytes(), func(c earth.Ctx) {
-				st.nodeCachePut(o, idx, nf)
+				st.nodeCachePut(o, idx, nf, lead)
 				st.onBroadcast(c, o)
 			})
 		}

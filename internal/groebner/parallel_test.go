@@ -168,7 +168,7 @@ func TestCacheListMemoised(t *testing.T) {
 		if idx%3 == 1 {
 			continue // leave holes, as out-of-order broadcasts do
 		}
-		st.nodeCachePut(0, idx, g)
+		st.nodeCachePut(0, idx, g, g.LeadMono())
 		got := n.cacheList()
 		n.cacheDirty = true
 		fresh := n.cacheList()

@@ -17,9 +17,10 @@ import (
 // Mod returns the ring's prime modulus, or nil when the ring is over Q.
 func (r *Ring) Mod() *big.Int { return r.mod }
 
-// NewRingMod builds a polynomial ring over GF(p). p must be an odd prime
-// (primality of small inputs is checked probabilistically; a composite
-// modulus would silently break inverses).
+// NewRingMod builds a polynomial ring over GF(p). p must be prime — 2 is
+// accepted — and anything else panics: the check (big.Int.ProbablyPrime)
+// is exact for every int64, and a composite modulus would silently break
+// inverses.
 func NewRingMod(ord Order, p int64, vars ...string) *Ring {
 	r := NewRing(ord, vars...)
 	bp := big.NewInt(p)
@@ -29,6 +30,9 @@ func NewRingMod(ord Order, p int64, vars ...string) *Ring {
 	r.mod = bp
 	r.modInt = p
 	r.pack = packKindFor(ord, len(vars), p)
+	if r.pack != packNone {
+		r.modp = newModulus(uint64(p))
+	}
 	return r
 }
 

@@ -1,6 +1,9 @@
 package poly
 
-import "math/big"
+import (
+	"math/big"
+	"math/bits"
+)
 
 // Packed representation. Over a small prime field, under one of the three
 // built-in orders and with few enough variables, a polynomial is stored as
@@ -132,6 +135,17 @@ func (r *Ring) lcmKey(a, b uint64) (uint64, bool) {
 	return r.packMono(ea[:n])
 }
 
+// OrderKey returns an integer that orders m among the ring's monomials
+// exactly as the ring's order does — the key of the packed form, which a
+// caller sorting many monomials can compare in place of Order.Compare. ok
+// is false when the ring does not pack or m lies outside the packed range.
+func (r *Ring) OrderKey(m Mono) (key uint64, ok bool) {
+	if r.pack == packNone {
+		return 0, false
+	}
+	return r.packMono(m)
+}
+
 // packed reports whether p is held in packed form. In a packing ring a
 // polynomial keeps generic terms only when one of them does not fit.
 func (p *Poly) packed() bool { return p.ring.pack != packNone && len(p.terms) == 0 }
@@ -168,18 +182,37 @@ func (p *Poly) unpackTerms(n int) []Term {
 	return ts
 }
 
-// modInverse returns a^-1 mod p (p prime, below 2^32) by Fermat
-// exponentiation. Panics on zero.
-func modInverse(a uint32, p uint64) uint64 {
+// modulus is a prime below 2^32 with the reciprocal that takes the division
+// out of a reduction: recip = floor((2^64-1)/p). For any x, the high word
+// of x*recip is floor(x/p) or one less (the estimate falls short by
+// x*(1+e)/(p*2^64) with e = (2^64-1) mod p < p, which is below 1), so
+// x - q*p lies in [0, 2p) and one conditional subtraction finishes. That
+// holds for every 64-bit x, in particular the product of two residues.
+type modulus struct{ p, recip uint64 }
+
+func newModulus(p uint64) modulus { return modulus{p, ^uint64(0) / p} }
+
+// reduce returns x mod p.
+func (m modulus) reduce(x uint64) uint64 {
+	q, _ := bits.Mul64(x, m.recip)
+	r := x - q*m.p
+	if r >= m.p {
+		r -= m.p
+	}
+	return r
+}
+
+// inverse returns a^-1 mod p by Fermat exponentiation. Panics on zero.
+func (m modulus) inverse(a uint32) uint64 {
 	if a == 0 {
 		panic("poly: modular inverse of zero")
 	}
 	result, base := uint64(1), uint64(a)
-	for e := p - 2; e > 0; e >>= 1 {
+	for e := m.p - 2; e > 0; e >>= 1 {
 		if e&1 == 1 {
-			result = result * base % p
+			result = m.reduce(result * base)
 		}
-		base = base * base % p
+		base = m.reduce(base * base)
 	}
 	return result
 }

@@ -153,7 +153,9 @@ func twin(r *Ring, p *Poly) *Poly { return r.FromTerms(p.Terms()) }
 func twins(r *Ring, ps []*Poly) []*Poly {
 	out := make([]*Poly, len(ps))
 	for i, p := range ps {
-		out[i] = twin(r, p)
+		if p != nil {
+			out[i] = twin(r, p)
+		}
 	}
 	return out
 }
@@ -224,6 +226,14 @@ func checkPackedAgainstGeneric(t *testing.T, ord Order, mod int64, lift uint8, d
 		if s, sRef := SPoly(f, g), SPoly(fRef, GRef[i]); !s.Equal(sRef) {
 			t.Fatalf("SPoly(%v, %v): packed %v, generic %v", f, g, s, sRef)
 		}
+	}
+	// The same system with what a caller may leave in a basis: a nil and a
+	// zero entry, the dividend itself, a divisor twice.
+	awkward := append(append([]*Poly{nil, r.Zero()}, G...), f, G[0])
+	nf, st = NormalForm(f, awkward)
+	nfRef, stRef = NormalForm(fRef, twins(ref, awkward))
+	if !nf.Equal(nfRef) || st != stRef {
+		t.Fatalf("NormalForm(%v, %v):\n packed  %v %+v\n generic %v %+v", f, awkward, nf, st, nfRef, stRef)
 	}
 	// The basis after the usual preparation: monic divisors, so the
 	// no-inverse path runs too, through a retained Reducer.
@@ -331,4 +341,328 @@ func TestPackedTermsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// refNormalForm is the packed reduction as first written, kept as the
+// oracle of the divisor table and of the residue arithmetic: every popped
+// monomial is tested against every lead and the divisor with the fewest
+// terms kept, first wins; residues are taken with %. It returns the normal
+// form, the statistics and, step by step, the monomial eliminated and the
+// divisor chosen. No key may leave the packed range.
+func refNormalForm(f *Poly, G []*Poly) (nf *Poly, st ReduceStats, popped []uint64, chosen []*Poly) {
+	ring := f.ring
+	p := uint64(ring.modInt)
+	ws := map[uint64]uint64{}
+	for i, k := range f.keys {
+		ws[k] = uint64(f.coefs[i])
+	}
+	nf = &Poly{ring: ring}
+	for len(ws) > 0 {
+		var m uint64
+		for k := range ws {
+			m = max(m, k)
+		}
+		c := ws[m]
+		delete(ws, m)
+		if c == 0 {
+			continue
+		}
+		var g *Poly
+		for _, l := range G {
+			if l != nil && len(l.keys) > 0 && wordDivides(ring.expWord(l.keys[0]), ring.expWord(m)) &&
+				(g == nil || len(l.keys) < len(g.keys)) {
+				g = l
+			}
+		}
+		if g == nil {
+			nf.keys, nf.coefs = append(nf.keys, m), append(nf.coefs, uint32(c))
+			st.TermOps++
+			continue
+		}
+		popped, chosen = append(popped, m), append(chosen, g)
+		inv := new(big.Int).ModInverse(big.NewInt(int64(g.coefs[0])), ring.mod).Uint64()
+		q := c * inv % p
+		for j, k := range g.keys[1:] {
+			k += m - g.keys[0]
+			if k&guardBits != 0 {
+				panic("refNormalForm: key out of range")
+			}
+			ws[k] = (ws[k] + p - q*uint64(g.coefs[j+1])%p) % p
+		}
+		st.Steps++
+		st.TermOps += len(g.keys)
+	}
+	return nf, st, popped, chosen
+}
+
+// divisorChoiceSystem draws a dividend and a basis built to make the
+// divisor rule bite: few variables and low exponents (most leads divide
+// most monomials), term counts drawn from {1, 2, 3} so that several
+// divisors tie, and, now and then, a nil entry, a zero entry, an entry
+// repeated, a second divisor with an earlier one's lead, and the dividend
+// itself.
+func divisorChoiceSystem(rng *rand.Rand, r *Ring) (f *Poly, G []*Poly) {
+	poly := func(terms int) *Poly {
+		ts := make([]Term, terms)
+		for i := range ts {
+			ts[i] = Term{Coef: big.NewRat(int64(1+rng.Intn(32002)), 1), Mono: randMono(rng, r.N(), 3)}
+		}
+		return r.FromTerms(ts)
+	}
+	f = poly(1 + rng.Intn(6))
+	for n := 2 + rng.Intn(8); n > 0; n-- {
+		switch rng.Intn(8) {
+		case 0:
+			G = append(G, nil)
+		case 1:
+			G = append(G, r.Zero())
+		case 2:
+			G = append(G, f)
+		default:
+			g := poly(1 + rng.Intn(3))
+			G = append(G, g)
+			if !g.IsZero() && rng.Intn(4) == 0 { // the same lead again, another tail
+				lead := r.newPoly([]Term{g.LeadTerm()})
+				G = append(G, lead.Add(poly(1+rng.Intn(2)).MulTerm(big.NewRat(1, 1), NewMono(r.N()))))
+			}
+			if rng.Intn(6) == 0 {
+				G = append(G, g)
+			}
+		}
+	}
+	return f, G
+}
+
+// TestDivisorTableMatchesFullScan holds the sorted first-hit table to the
+// rule it replaces — fewest terms, first wins — at every step of random
+// reductions under all three orders, and the three engines (table,
+// reference, generic) to one result and one set of statistics.
+func TestDivisorTableMatchesFullScan(t *testing.T) {
+	for _, ord := range fuzzOrders {
+		r := NewRingMod(ord, 32003, "x", "y", "z")
+		ref := NewRingMod(opaque{ord}, 32003, "x", "y", "z")
+		rng := rand.New(rand.NewSource(23))
+		var red Reducer
+		steps, ties := 0, 0
+		for iter := 0; iter < 600; iter++ {
+			f, G := divisorChoiceSystem(rng, r)
+			want, wantSt, popped, chosen := refNormalForm(f, G)
+			got, gotSt := red.NormalForm(f, G)
+			if !got.Equal(want) || gotSt != wantSt {
+				t.Fatalf("%s: NormalForm(%v, %v)\n table     %v %+v\n full scan %v %+v", ord.Name(), f, G, got, gotSt, want, wantSt)
+			}
+			gen, genSt := NormalForm(twin(ref, f), twins(ref, G))
+			if !got.Equal(gen) || gotSt != genSt {
+				t.Fatalf("%s: NormalForm(%v, %v)\n packed  %v %+v\n generic %v %+v", ord.Name(), f, G, got, gotSt, gen, genSt)
+			}
+			w := &red.packed
+			w.setDivisors(r, G)
+			for i, m := range popped {
+				if g := w.divisor(r.expWord(m)); g != chosen[i] {
+					t.Fatalf("%s: step %d of NormalForm(%v, %v): table picks %v, full scan %v", ord.Name(), i, f, G, g, chosen[i])
+				}
+				for _, l := range G {
+					if l != nil && l != chosen[i] && len(l.keys) == len(chosen[i].keys) && wordDivides(r.expWord(l.keys[0]), r.expWord(m)) {
+						ties++
+						break
+					}
+				}
+			}
+			steps += len(popped)
+			clear(w.divs)
+		}
+		if steps < 500 || ties < steps/10 {
+			t.Fatalf("%s: %d steps, %d of them with a tie on term count: the generator no longer exercises the rule", ord.Name(), steps, ties)
+		}
+	}
+}
+
+// checkReduceMod compares modulus.reduce with % on the product a*b.
+func checkReduceMod(t *testing.T, m modulus, a, b uint64) {
+	t.Helper()
+	if got, want := m.reduce(a*b), a*b%m.p; got != want {
+		t.Fatalf("reduce(%d*%d) mod %d = %d, want %d", a, b, m.p, got, want)
+	}
+}
+
+var reduceModPrimes = []uint64{2, 3, 32003, 65521, 1<<31 - 1, 4294967291}
+
+func TestReduceModMatchesDivision(t *testing.T) {
+	for p := uint64(2); p <= 257; p++ {
+		if !new(big.Int).SetUint64(p).ProbablyPrime(0) {
+			continue
+		}
+		m := newModulus(p)
+		for a := uint64(0); a < p; a++ {
+			for b := uint64(0); b < p; b++ {
+				checkReduceMod(t, m, a, b)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	for _, p := range reduceModPrimes {
+		m := NewRingMod(Lex{}, int64(p), "x").modp
+		if m != newModulus(p) {
+			t.Fatalf("ring modulo %d carries %+v", p, m)
+		}
+		corners := []uint64{0, 1, p - 2, p - 1}
+		for _, a := range corners {
+			for _, b := range corners {
+				checkReduceMod(t, m, a, b)
+			}
+		}
+		for i := 0; i < 1e6; i++ {
+			checkReduceMod(t, m, rng.Uint64()%p, rng.Uint64()%p)
+		}
+		// Any 64-bit operand reduces, not only a product of residues.
+		for _, x := range []uint64{0, p, p - 1, 2*p - 1, 1<<64 - 1, 1 << 63} {
+			if got := m.reduce(x); got != x%p {
+				t.Fatalf("reduce(%d) mod %d = %d, want %d", x, p, got, x%p)
+			}
+		}
+		for a := uint64(1); a < min(p, 50); a++ {
+			if inv := m.inverse(uint32(a)); a*inv%p != 1 {
+				t.Fatalf("inverse(%d) mod %d = %d", a, p, inv)
+			}
+		}
+	}
+}
+
+// FuzzReduceMod holds modulus.reduce to % for residues of the primes above.
+func FuzzReduceMod(f *testing.F) {
+	f.Add(uint8(0), uint64(1), uint64(1))
+	f.Add(uint8(5), uint64(4294967290), uint64(4294967290))
+	f.Add(uint8(4), uint64(1<<31-2), uint64(1<<31-2))
+	f.Fuzz(func(t *testing.T, prime uint8, a, b uint64) {
+		p := reduceModPrimes[int(prime)%len(reduceModPrimes)]
+		checkReduceMod(t, newModulus(p), a%p, b%p)
+	})
+}
+
+// TestPackedHeapPopsDescend pushes distinct keys in random order — guard
+// bits set in some, as between an overflowing step and its bail-out — and
+// requires the pops to descend strictly and return every key.
+func TestPackedHeapPopsDescend(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, size := range []int{0, 1, 2, 3, 4, 5, 7, 8, 64, 209, 1000, 10000} {
+		var w packedWorkspace
+		seen := map[uint64]bool{}
+		for len(seen) < size {
+			k := rng.Uint64() >> uint(rng.Intn(3)) // top bit — a guard bit — in half of them
+			if !seen[k] {
+				seen[k] = true
+				w.push(k)
+			}
+		}
+		// Every third pop is followed by a push below it, as a reduction
+		// step adds monomials below the one it eliminates.
+		for pops, prev := 0, uint64(0); len(w.heap) > 0; pops++ {
+			k := w.pop()
+			if pops > 0 && k >= prev {
+				t.Fatalf("size %d: popped %#x after %#x", size, k, prev)
+			}
+			if !seen[k] {
+				t.Fatalf("size %d: popped %#x, which is not in the heap", size, k)
+			}
+			delete(seen, k)
+			prev = k
+			if below := k / 2; pops%3 == 0 && below > 0 && !seen[below] {
+				seen[below] = true
+				w.push(below)
+			}
+		}
+		if len(seen) != 0 {
+			t.Fatalf("size %d: heap empty with %d keys never popped", size, len(seen))
+		}
+	}
+}
+
+// TestReducePairMatchesSPolyThenNormalForm: ReducePair is NormalForm after
+// SPoly — result and statistics — on the packed engine, on the generic
+// one, across the overflow fallback and for an S-polynomial that is zero;
+// and it refuses operands of two rings as SPoly does.
+func TestReducePairMatchesSPolyThenNormalForm(t *testing.T) {
+	check := func(name string, f, g *Poly, G []*Poly) {
+		t.Helper()
+		var one, two Reducer
+		for pass := 0; pass < 2; pass++ { // the second on a warm workspace
+			got, gotSt := one.ReducePair(f, g, G)
+			want, wantSt := two.NormalForm(SPoly(f, g), G)
+			if !got.Equal(want) || gotSt != wantSt {
+				t.Fatalf("%s: ReducePair(%v, %v, %v) = %v %+v, want %v %+v", name, f, g, G, got, gotSt, want, wantSt)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(37))
+	for _, ord := range fuzzOrders {
+		for _, r := range []*Ring{
+			NewRingMod(ord, 32003, "x", "y", "z"),         // packed
+			NewRingMod(opaque{ord}, 32003, "x", "y", "z"), // generic, GF(p)
+			NewRing(ord, "x", "y", "z"),                   // generic, Q
+		} {
+			for iter := 0; iter < 60; iter++ {
+				f, G := divisorChoiceSystem(rng, r)
+				g := G[len(G)-1]
+				if g == nil || g.IsZero() {
+					continue
+				}
+				check(ord.Name(), f, g, G)
+			}
+			p := r.MustParse("x^2*y + 3*z + 1")
+			check("S-polynomial zero", p, p, []*Poly{r.MustParse("z^2 + 1")})
+		}
+	}
+
+	// S(x^2 + x*y^127, x^2 + 1) = x*y^127 - 1 is in range; reducing it by
+	// x - y^3 makes y^130, which is not: the step bails out and the generic
+	// engine redoes the pair. Then an S-polynomial out of range from the
+	// start.
+	r := NewRingMod(Lex{}, 32003, "x", "y")
+	f, g, h := r.MustParse("x^2 + x*y^127"), r.MustParse("x^2 + 1"), r.MustParse("x - y^3")
+	check("overflow in the reduction", f, g, []*Poly{h})
+	if nf, _ := NewReducer().ReducePair(f, g, []*Poly{h}); nf.packed() || nf.String() != "y^130 + 32002" {
+		t.Fatalf("ReducePair(%v, %v, [%v]) = %v (packed=%v)", f, g, h, nf, nf.packed())
+	}
+	check("overflow in the S-polynomial", r.MustParse("x + y^100"), r.MustParse("y^50 + 1"), []*Poly{h})
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ReducePair on polynomials of two rings did not panic")
+		}
+	}()
+	other := NewRingMod(Lex{}, 32003, "x", "y")
+	NewReducer().ReducePair(f, other.MustParse("x + 1"), nil)
+}
+
+// TestReducePairAllocatesOnlyItsResult: on a warm workspace a packed
+// ReducePair allocates the normal form — the Poly and its two slices —
+// and nothing when that is zero; and a Reducer at rest refers to no
+// polynomial, so one kept in a pool pins no basis.
+func TestReducePairAllocatesOnlyItsResult(t *testing.T) {
+	r := NewRingMod(GrLex{}, 32003, "x", "y", "z")
+	rng := rand.New(rand.NewSource(41))
+	f, g := randPoly(r, rng, 24, 8), randPoly(r, rng, 24, 8)
+	G := []*Poly{randPoly(r, rng, 6, 4), randPoly(r, rng, 6, 4), randPoly(r, rng, 6, 4)}
+	red := NewReducer()
+	if nf, _ := red.ReducePair(f, g, G); nf.IsZero() || !nf.packed() {
+		t.Fatalf("ReducePair = %v: want a nonzero packed normal form", nf)
+	}
+	if n := testing.AllocsPerRun(50, func() { red.ReducePair(f, g, G) }); n > 3 {
+		t.Errorf("ReducePair allocates %v objects per call, want <= 3", n)
+	}
+	// Coprime leads: {f, g} is a Gröbner basis and S(f, g) reduces to zero
+	// over several steps.
+	f, g = r.MustParse("x^3 + y*z + 1"), r.MustParse("y^2 + z + 5")
+	G = []*Poly{f, g}
+	if nf, st := red.ReducePair(f, g, G); !nf.IsZero() || st.Steps < 2 {
+		t.Fatalf("ReducePair(%v, %v) modulo both = %v after %d steps", f, g, nf, st.Steps)
+	}
+	if n := testing.AllocsPerRun(50, func() { red.ReducePair(f, g, G) }); n != 0 {
+		t.Errorf("ReducePair to zero allocates %v objects per call, want 0", n)
+	}
+	for _, d := range red.packed.divs[:cap(red.packed.divs)] {
+		if d != nil {
+			t.Fatalf("Reducer at rest still refers to divisor %v", d)
+		}
+	}
 }

@@ -14,6 +14,8 @@ type Ring struct {
 	mod    *big.Int // prime modulus, nil over Q (see field.go)
 	modInt int64    // mod as int64 for fast-path arithmetic, 0 over Q
 	pack   packKind // monomial key layout, packNone if none (see packed.go)
+	modp   modulus  // mod with its reciprocal, set when the ring packs
+	zero   Poly     // the zero polynomial (polynomials are immutable: one serves)
 }
 
 // NewRing builds a ring over the given variables. Variable position is
@@ -29,7 +31,9 @@ func NewRing(ord Order, vars ...string) *Ring {
 		}
 		seen[v] = true
 	}
-	return &Ring{vars: append([]string(nil), vars...), ord: ord}
+	r := &Ring{vars: append([]string(nil), vars...), ord: ord}
+	r.zero.ring = r
+	return r
 }
 
 // N returns the number of variables.
@@ -69,7 +73,7 @@ type Poly struct {
 }
 
 // Zero returns the zero polynomial.
-func (r *Ring) Zero() *Poly { return &Poly{ring: r} }
+func (r *Ring) Zero() *Poly { return &r.zero }
 
 // Const returns the constant polynomial q.
 func (r *Ring) Const(q *big.Rat) *Poly {

@@ -9,12 +9,13 @@ import (
 // "reduction" of a polynomial against the current basis is the unit of
 // work the paper's Gröbner application parallelises.
 //
-// There are two engines behind SPoly, Monic and Reducer.NormalForm, and
-// the ring decides which runs. The packed engine (reduce_packed.go) works
-// on the flat key/residue slices of packed.go: the workspace is an
-// open-addressing table from monomial key to accumulated residue plus a
-// max-heap of keys, so a term operation is an integer add, a table probe
-// and one modular multiply, and nothing is allocated but the result. The
+// There are two engines behind SPoly, Monic, Reducer.NormalForm and
+// Reducer.ReducePair, and the ring decides which runs. The packed engine
+// (reduce_packed.go) works on the flat key/residue slices of packed.go:
+// the workspace is an open-addressing table from monomial key to
+// accumulated residue plus a max-heap of keys, so a term operation is an
+// integer add, a table probe and one modular multiply (by reciprocal, no
+// division), and nothing is allocated but the result. The
 // generic engine below works on []Term through the ring's coefficient
 // functions, over Q or GF(p), with a string-keyed table and a heap of
 // exponent vectors; it serves rings that do not pack and any operation
@@ -45,8 +46,9 @@ type ReduceStats struct {
 func SPoly(f, g *Poly) *Poly {
 	f.checkRing(g)
 	if f.packed() && g.packed() && !f.IsZero() && !g.IsZero() {
-		if s, ok := spolyPacked(f, g); ok {
-			return s
+		n := len(f.keys) + len(g.keys) - 2
+		if keys, coefs, ok := spolyPacked(f, g, make([]uint64, 0, n), make([]uint32, 0, n)); ok {
+			return &Poly{ring: f.ring, keys: keys, coefs: coefs}
 		}
 	}
 	lf, lg := f.LeadTerm(), g.LeadTerm()
@@ -153,11 +155,30 @@ func NewReducer() *Reducer { return &Reducer{} }
 // The classical invariant holds: f = (combination of G) + result.
 func (r *Reducer) NormalForm(f *Poly, G []*Poly) (*Poly, ReduceStats) {
 	if allPacked(f, G) {
-		if nf, st, ok := r.packed.normalForm(f, G); ok {
+		if nf, st, ok := r.packed.normalForm(f.ring, f.keys, f.coefs, G); ok {
 			return nf, st
 		}
 	}
 	return r.generic.normalForm(f, G)
+}
+
+// ReducePair returns the normal form of S(f, g) modulo G with its
+// statistics: NormalForm(SPoly(f, g), G), except that on the packed engine
+// the S-polynomial is merged into slices the workspace owns and reduced
+// from there, so nothing is allocated but the result. Both inputs must be
+// nonzero and of one ring.
+func (r *Reducer) ReducePair(f, g *Poly, G []*Poly) (*Poly, ReduceStats) {
+	f.checkRing(g)
+	if g.packed() && !f.IsZero() && !g.IsZero() && allPacked(f, G) {
+		w := &r.packed
+		var ok bool
+		if w.spK, w.spC, ok = spolyPacked(f, g, w.spK[:0], w.spC[:0]); ok {
+			if nf, st, ok := w.normalForm(f.ring, w.spK, w.spC, G); ok {
+				return nf, st
+			}
+		}
+	}
+	return r.NormalForm(SPoly(f, g), G)
 }
 
 // allPacked reports whether f and every divisor in G are packed

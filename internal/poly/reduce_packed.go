@@ -1,6 +1,9 @@
 package poly
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // The packed engine: SPoly, Monic and NormalForm on the key/residue form
 // of packed.go. Each returns ok=false, having changed nothing, when a
@@ -8,8 +11,8 @@ import "math/bits"
 // engine on the same inputs.
 
 // packedWorkspace is the reduction workspace the Reducer retains: the
-// accumulator table, the heap of keys still to eliminate, the divisors'
-// leading exponent words and the output under construction.
+// accumulator table, the heap of keys still to eliminate, the divisor
+// table, the S-polynomial of ReducePair and the output under construction.
 type packedWorkspace struct {
 	// slots[i] holds key+1 (0 marks an empty slot; keys stay below 2^63)
 	// and acc[i] its accumulated residue. len(slots) is a power of two
@@ -22,15 +25,21 @@ type packedWorkspace struct {
 	used  int
 	shift uint // 64 - log2(len(slots))
 
-	heap  []uint64 // max-heap of the distinct keys in the table
-	leads []packedLead
-	outK  []uint64
-	outC  []uint32
-}
+	heap []uint64 // max-heap of the distinct keys in the table
 
-type packedLead struct {
-	word uint64 // exponent word of the leading monomial
-	g    *Poly
+	// The divisor table: divs holds the nonzero divisors stably sorted by
+	// term count and leadW[i] the exponent word of divs[i]'s leading
+	// monomial, so the first entry whose word divides a monomial is the
+	// first divisor, in the caller's order, among those with the fewest
+	// terms. divs is cleared when a reduction returns: a retained
+	// workspace pins no polynomial.
+	leadW []uint64
+	divs  []*Poly
+
+	spK  []uint64 // S-polynomial under reduction (ReducePair)
+	spC  []uint32
+	outK []uint64
+	outC []uint32
 }
 
 // reset empties the table, sizing it for at least n entries.
@@ -104,6 +113,13 @@ func (w *packedWorkspace) push(key uint64) {
 	w.heap = h
 }
 
+// pop removes and returns the largest key. The hole at the root walks down
+// to a leaf along the larger child, chosen by the borrow of a subtraction
+// rather than a branch (the heap is a few hundred keys at most, so a pop
+// costs what its compares mispredict), and the displaced last key is lifted
+// from there; being a former leaf it seldom rises more than a level. Keys
+// are compared as plain unsigned integers, so one carrying a guard bit —
+// pushed by a step that is about to bail out — sorts like any other.
 func (w *packedWorkspace) pop() uint64 {
 	h := w.heap
 	top := h[0]
@@ -111,47 +127,80 @@ func (w *packedWorkspace) pop() uint64 {
 	last := h[n]
 	h = h[:n]
 	w.heap = h
+	if n == 0 {
+		return top
+	}
 	i := 0
-	for {
-		child := 2*i + 1
-		if child >= n {
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n {
+			_, right := bits.Sub64(h[c], h[c+1], 0) // 1 when h[c] < h[c+1]
+			c += int(right)
+		}
+		h[i] = h[c]
+		i = c
+	}
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent] >= last {
 			break
 		}
-		if r := child + 1; r < n && h[r] > h[child] {
-			child = r
-		}
-		if h[child] <= last {
-			break
-		}
-		h[i] = h[child]
-		i = child
+		h[i] = h[parent]
+		i = parent
 	}
-	if n > 0 {
-		h[i] = last
-	}
+	h[i] = last
 	return top
 }
 
-// normalForm is the packed reduction engine. It follows
-// genericWorkspace.normalForm step for step.
-func (w *packedWorkspace) normalForm(f *Poly, G []*Poly) (*Poly, ReduceStats, bool) {
-	var st ReduceStats
-	ring := f.ring
-	p := uint64(ring.modInt)
-	w.leads = w.leads[:0]
+// setDivisors builds the divisor table from G (see packedWorkspace): an
+// insertion sort, stable because an entry moves only past strictly longer
+// ones.
+func (w *packedWorkspace) setDivisors(ring *Ring, G []*Poly) {
+	w.leadW, w.divs = w.leadW[:0], w.divs[:0]
 	for _, g := range G {
-		if g != nil && len(g.keys) > 0 {
-			w.leads = append(w.leads, packedLead{ring.expWord(g.keys[0]), g})
+		if g == nil || len(g.keys) == 0 {
+			continue
+		}
+		i := len(w.divs)
+		w.leadW, w.divs = append(w.leadW, 0), append(w.divs, nil)
+		for ; i > 0 && len(w.divs[i-1].keys) > len(g.keys); i-- {
+			w.leadW[i], w.divs[i] = w.leadW[i-1], w.divs[i-1]
+		}
+		w.leadW[i], w.divs[i] = ring.expWord(g.keys[0]), g
+	}
+}
+
+// divisor returns the table's first divisor whose leading monomial divides
+// the monomial with exponent word mw, or nil.
+func (w *packedWorkspace) divisor(mw uint64) *Poly {
+	for i, lw := range w.leadW {
+		if wordDivides(lw, mw) {
+			return w.divs[i]
 		}
 	}
-	w.reset(len(f.keys))
-	for i, k := range f.keys {
+	return nil
+}
+
+// normalForm is the packed reduction engine, on the dividend given by its
+// key and residue slices (a polynomial's, or the workspace's S-polynomial).
+// It follows genericWorkspace.normalForm step for step.
+func (w *packedWorkspace) normalForm(ring *Ring, keys []uint64, coefs []uint32, G []*Poly) (*Poly, ReduceStats, bool) {
+	w.setDivisors(ring, G)
+	nf, st, ok := w.reduce(ring, keys, coefs)
+	clear(w.divs)
+	return nf, st, ok
+}
+
+func (w *packedWorkspace) reduce(ring *Ring, keys []uint64, coefs []uint32) (*Poly, ReduceStats, bool) {
+	var st ReduceStats
+	mod := ring.modp
+	w.reset(len(keys))
+	for i, k := range keys {
 		pos, _ := w.find(k)
-		w.slots[pos], w.acc[pos] = k+1, f.coefs[i]
+		w.slots[pos], w.acc[pos] = k+1, coefs[i]
 	}
-	w.used = len(f.keys)
-	// f's keys descend strictly, so as they stand they form a max-heap.
-	w.heap = append(w.heap[:0], f.keys...)
+	w.used = len(keys)
+	// The keys descend strictly, so as they stand they form a max-heap.
+	w.heap = append(w.heap[:0], keys...)
 	w.outK, w.outC = w.outK[:0], w.outC[:0]
 
 	for len(w.heap) > 0 {
@@ -161,33 +210,29 @@ func (w *packedWorkspace) normalForm(f *Poly, G []*Poly) (*Poly, ReduceStats, bo
 		if c == 0 {
 			continue // cancelled since it was pushed
 		}
-		mw := ring.expWord(m)
-		var g *Poly
-		for i := range w.leads {
-			if l := &w.leads[i]; wordDivides(l.word, mw) && (g == nil || len(l.g.keys) < len(g.keys)) {
-				g = l.g
-			}
-		}
+		g := w.divisor(ring.expWord(m))
 		if g == nil {
 			w.outK, w.outC = append(w.outK, m), append(w.outC, c)
 			st.TermOps++
 			continue
 		}
-		// Subtract (c / lc(g)) * (m / lm(g)) * g; the lead cancels exactly.
-		q := uint64(c)
+		// Add (-c / lc(g)) * (m / lm(g)) * g; the lead cancels exactly.
+		q := mod.p - uint64(c)
 		if lc := g.coefs[0]; lc != 1 {
-			q = q * modInverse(lc, p) % p
+			q = mod.reduce(q * mod.inverse(lc))
 		}
 		shift := m - g.keys[0]
 		var sums uint64
-		for j, k := range g.keys[1:] {
+		tailK := g.keys[1:]
+		tailC := g.coefs[1:][:len(tailK)]
+		for j, k := range tailK {
 			k += shift
 			sums |= k
-			d := p - q*uint64(g.coefs[j+1])%p // in [1, p): p is prime
+			d := mod.reduce(q * uint64(tailC[j])) // in [1, p): p is prime
 			if pos, found := w.find(k); found {
 				s := uint64(w.acc[pos]) + d
-				if s >= p {
-					s -= p
+				if s >= mod.p {
+					s -= mod.p
 				}
 				w.acc[pos] = uint32(s)
 			} else {
@@ -200,41 +245,40 @@ func (w *packedWorkspace) normalForm(f *Poly, G []*Poly) (*Poly, ReduceStats, bo
 		st.Steps++
 		st.TermOps += len(g.keys)
 	}
-	// The output was produced in strictly descending order (heap pops).
-	out := &Poly{ring: ring}
-	if len(w.outK) > 0 {
-		out.keys = append([]uint64(nil), w.outK...)
-		out.coefs = append([]uint32(nil), w.outC...)
+	if len(w.outK) == 0 {
+		return ring.Zero(), st, true
 	}
-	return out, st, true
+	// The output was produced in strictly descending order (heap pops).
+	return &Poly{ring: ring, keys: slices.Clone(w.outK), coefs: slices.Clone(w.outC)}, st, true
 }
 
-// spolyPacked forms the S-polynomial of two nonzero packed polynomials of
-// one ring by merging their shifted tails; the leading terms cancel.
-func spolyPacked(f, g *Poly) (*Poly, bool) {
+// spolyPacked appends to keys and coefs (both empty) the S-polynomial of
+// two nonzero packed polynomials of one ring, merging their shifted tails;
+// the leading terms cancel. SPoly hands it fresh slices, ReducePair the
+// workspace's.
+func spolyPacked(f, g *Poly, keys []uint64, coefs []uint32) ([]uint64, []uint32, bool) {
 	ring := f.ring
-	p := uint64(ring.modInt)
+	mod := ring.modp
 	lcm, ok := ring.lcmKey(f.keys[0], g.keys[0])
 	if !ok {
-		return nil, false
+		return keys, coefs, false
 	}
 	sf, sg := lcm-f.keys[0], lcm-g.keys[0]
-	cf, cg := uint64(1), uint64(1)
+	// S = cf*f - cg*g with cf = 1/lc(f) and cg = 1/lc(g); ng is -cg.
+	cf, ng := uint64(1), mod.p-1
 	if f.coefs[0] != 1 {
-		cf = modInverse(f.coefs[0], p)
+		cf = mod.inverse(f.coefs[0])
 	}
 	if g.coefs[0] != 1 {
-		cg = modInverse(g.coefs[0], p)
+		ng = mod.p - mod.inverse(g.coefs[0])
 	}
-	keys := make([]uint64, 0, len(f.keys)+len(g.keys)-2)
-	coefs := make([]uint32, 0, len(f.keys)+len(g.keys)-2)
 	emit := func(k, c uint64) {
 		if c != 0 {
 			keys, coefs = append(keys, k), append(coefs, uint32(c))
 		}
 	}
-	fc := func(i int) uint64 { return cf * uint64(f.coefs[i]) % p }
-	gc := func(j int) uint64 { return p - cg*uint64(g.coefs[j])%p }
+	fc := func(i int) uint64 { return mod.reduce(cf * uint64(f.coefs[i])) }
+	gc := func(j int) uint64 { return mod.reduce(ng * uint64(g.coefs[j])) }
 	var sums uint64
 	i, j := 1, 1
 	for i < len(f.keys) && j < len(g.keys) {
@@ -248,7 +292,11 @@ func spolyPacked(f, g *Poly) (*Poly, bool) {
 			emit(b, gc(j))
 			j++
 		default:
-			emit(a, (fc(i)+gc(j))%p)
+			c := fc(i) + gc(j)
+			if c >= mod.p {
+				c -= mod.p
+			}
+			emit(a, c)
 			i++
 			j++
 		}
@@ -263,10 +311,7 @@ func spolyPacked(f, g *Poly) (*Poly, bool) {
 		sums |= b
 		emit(b, gc(j))
 	}
-	if sums&guardBits != 0 {
-		return nil, false
-	}
-	return &Poly{ring: ring, keys: keys, coefs: coefs}, true
+	return keys, coefs, sums&guardBits == 0
 }
 
 // monicPacked scales a nonzero packed polynomial to leading coefficient 1.
@@ -276,11 +321,11 @@ func (p *Poly) monicPacked() *Poly {
 	if p.coefs[0] == 1 {
 		return p
 	}
-	mod := uint64(p.ring.modInt)
-	inv := modInverse(p.coefs[0], mod)
+	mod := p.ring.modp
+	inv := mod.inverse(p.coefs[0])
 	coefs := make([]uint32, len(p.coefs))
 	for i, c := range p.coefs {
-		coefs[i] = uint32(uint64(c) * inv % mod)
+		coefs[i] = uint32(mod.reduce(uint64(c) * inv))
 	}
 	return &Poly{ring: p.ring, keys: p.keys, coefs: coefs}
 }
