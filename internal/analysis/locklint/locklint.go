@@ -1,9 +1,10 @@
 // Package locklint flags mutexes held across blocking operations in the
 // engine and fault-injection packages (simrt, livert, faults): a channel
 // send/receive, a WaitGroup.Wait, a time.Sleep, a simulation-engine
-// step, or a coalescer flush (coalAdd/flushCoal*) executed under a
-// sync.Mutex/RWMutex serialises — or deadlocks — the very concurrency
-// those packages exist to provide. livert's node mutexes in particular
+// step, a coalescer flush (coalAdd/flushCoal*), or a livert executor's
+// settle, retire or batch hand-back executed under a sync.Mutex/RWMutex
+// serialises — or deadlocks — the very concurrency those packages exist
+// to provide. livert's node mutexes in particular
 // guard queues that the channel network feeds; holding one across a
 // channel operation is the textbook lost-wakeup deadlock, and the
 // coalescer's batch flush walks that same path (node locks, wakeup
@@ -32,7 +33,7 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name: "locklint",
 	Doc: "flag mutexes held across blocking operations (channel ops, WaitGroup.Wait, " +
-		"sleeps, engine steps, coalescer flushes) in simrt, livert and faults",
+		"sleeps, engine steps, coalescer flushes, executor settles and hand-backs) in simrt, livert and faults",
 	Run: run,
 }
 
@@ -269,6 +270,15 @@ func reportBlockingCall(pass *framework.Pass, call *ast.CallExpr, owner string) 
 		if n := namedOf(pass.TypeOf(sel.X)); n != nil && n.Obj().Name() == "Engine" {
 			pass.Reportf(call.Pos(),
 				"engine %s while %s is held runs arbitrary handlers under the lock; "+
+					"unlock first or annotate //locklint:allow <reason>", sel.Sel.Name, owner)
+		}
+	case "settle", "retire", "handBack":
+		// A livert executor that settles may end the run, and one that hands
+		// its private batch back re-enters the push path: both take node
+		// locks (its own included) and must run with none held.
+		if n := namedOf(pass.TypeOf(sel.X)); n != nil && n.Obj().Name() == "lnode" {
+			pass.Reportf(call.Pos(),
+				"executor %s while %s is held re-enters the push path or ends the run under the lock; "+
 					"unlock first or annotate //locklint:allow <reason>", sel.Sel.Name, owner)
 		}
 	case "flushCoal", "flushCoalTo", "flushCoalAll", "flushCoalBuf", "coalAdd":

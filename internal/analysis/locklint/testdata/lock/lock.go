@@ -109,7 +109,39 @@ func (n *node) flushToUnderRLock(c *ctx, dst int) {
 	c.flushCoalTo(dst) // want `coalescer flushCoalTo while n.rw is held`
 }
 
+// lnode mirrors livert's node: settling its reserve may end the run, and
+// handing its private batch back (which retire does too) re-enters the push
+// path — node locks, its own included.
+type lnode struct{ mu sync.Mutex }
+
+func (n *lnode) settle()   {}
+func (n *lnode) retire()   {}
+func (n *lnode) handBack() {}
+func (n *lnode) next()     {}
+
+func (n *lnode) settleUnderLock() {
+	n.mu.Lock()
+	n.settle() // want `executor settle while n.mu is held`
+	n.mu.Unlock()
+}
+
+func (n *lnode) handBackUnderDeferredLock(v *lnode) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	n.handBack() // want `executor handBack while v.mu is held`
+	n.retire()   // want `executor retire while v.mu is held`
+}
+
 // --- no-fire cases ------------------------------------------------------
+
+// settleAfterUnlock: the executor's own order — dequeue under the lock,
+// settle with none held; other methods of the node are not flagged.
+func (n *lnode) settleAfterUnlock() {
+	n.mu.Lock()
+	n.next()
+	n.mu.Unlock()
+	n.settle()
+}
 
 // flushAfterUnlock drains the batch once the critical section is closed:
 // the canonical fix for the coalescer cases above.

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"earth/internal/earth"
-	"earth/internal/earth/livert"
 	"earth/internal/earth/simrt"
 )
 
@@ -241,7 +240,7 @@ func TestConformanceSuite(t *testing.T) {
 				if eng == "simrt" {
 					rt = simrt.New(cfg)
 				} else {
-					rt = livert.New(cfg)
+					rt = newLive(cfg)
 				}
 				prog, check := cse.make()
 				st := rt.Run(prog)

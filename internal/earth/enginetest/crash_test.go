@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"earth/internal/earth"
-	"earth/internal/earth/livert"
 	"earth/internal/earth/simrt"
 	"earth/internal/faults"
 	"earth/internal/sim"
@@ -26,7 +25,7 @@ var bothEngines = []struct {
 	new  func(earth.Config) earth.Runtime
 }{
 	{"simrt", func(cfg earth.Config) earth.Runtime { return simrt.New(cfg) }},
-	{"livert", func(cfg earth.Config) earth.Runtime { return livert.New(cfg) }},
+	{"livert", func(cfg earth.Config) earth.Runtime { return newLive(cfg) }},
 }
 
 // crashProg is a two-level fan-out: invoked spreaders on every node each

@@ -15,12 +15,16 @@ import (
 	"earth/internal/sim"
 )
 
+// newLive builds the goroutine engine behind the leak check (quiesce.go):
+// every live cell of this package's tables goes through it.
+func newLive(cfg earth.Config) earth.Runtime { return Checked(livert.New(cfg)) }
+
 // runtimes builds one of each engine with the same configuration.
 func runtimes(nodes int, seed int64) map[string]earth.Runtime {
 	cfg := earth.Config{Nodes: nodes, Seed: seed}
 	return map[string]earth.Runtime{
 		"simrt":  simrt.New(cfg),
-		"livert": livert.New(cfg),
+		"livert": newLive(cfg),
 	}
 }
 
@@ -135,7 +139,7 @@ func TestComputeSemanticsDiffer(t *testing.T) {
 	if stSim.Elapsed < 3*sim.Second {
 		t.Fatalf("simrt elapsed %v, want >= 3s virtual", stSim.Elapsed)
 	}
-	l := livert.New(earth.Config{Nodes: 1, Seed: 1})
+	l := newLive(earth.Config{Nodes: 1, Seed: 1})
 	stLive := l.Run(func(c earth.Ctx) { c.Compute(3 * sim.Second) })
 	if stLive.Elapsed > sim.Second {
 		t.Fatalf("livert elapsed %v wall time for a virtual charge", stLive.Elapsed)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"earth/internal/earth"
-	"earth/internal/earth/livert"
 	"earth/internal/earth/simrt"
 	"earth/internal/faults"
 	"earth/internal/sim"
@@ -105,7 +104,7 @@ func FuzzFramePrograms(f *testing.F) {
 		if got, done := p.run(simrt.New(earth.Config{Nodes: p.nodes, Seed: 1})); got != p.want || !done {
 			t.Errorf("simrt: total=%d done=%v, want %d", got, done, p.want)
 		}
-		if got, done := p.run(livert.New(earth.Config{Nodes: p.nodes, Seed: 1})); got != p.want || !done {
+		if got, done := p.run(newLive(earth.Config{Nodes: p.nodes, Seed: 1})); got != p.want || !done {
 			t.Errorf("livert: total=%d done=%v, want %d", got, done, p.want)
 		}
 	})
@@ -159,7 +158,7 @@ func FuzzCrashRecovery(f *testing.F) {
 		if got, done := p.run(simrt.New(earth.Config{Nodes: p.nodes, Seed: 1, Faults: plan})); got != p.want || !done {
 			t.Errorf("simrt crashed run: total=%d done=%v, want %d (plan %v)", got, done, p.want, plan)
 		}
-		if got, done := p.run(livert.New(earth.Config{Nodes: p.nodes, Seed: 1, Faults: plan})); got != p.want || !done {
+		if got, done := p.run(newLive(earth.Config{Nodes: p.nodes, Seed: 1, Faults: plan})); got != p.want || !done {
 			t.Errorf("livert crashed run: total=%d done=%v, want %d (plan %v)", got, done, p.want, plan)
 		}
 	})

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"earth/internal/earth"
-	"earth/internal/earth/livert"
 	"earth/internal/earth/simrt"
 )
 
@@ -143,7 +142,7 @@ func TestSanitizeInjectedBugs(t *testing.T) {
 				if eng == "simrt" {
 					rt = simrt.New(cfg)
 				} else {
-					rt = livert.New(cfg)
+					rt = newLive(cfg)
 				}
 				checkFindings(t, eng, rt.Run(tc.prog), tc.want)
 			}
@@ -196,7 +195,7 @@ func TestSanitizeEventEmitted(t *testing.T) {
 		if eng == "simrt" {
 			rt = simrt.New(cfg)
 		} else {
-			rt = livert.New(cfg)
+			rt = newLive(cfg)
 		}
 		st := rt.Run(sanCases()[0].prog)
 		var sanEvs []earth.Event

@@ -17,17 +17,17 @@ import (
 // uses, never map order.
 
 // lcoalBuf accumulates one destination's pending operations: each op is
-// the closure that would have been its own handler dispatch.
+// the envelope that would have been its own handler dispatch.
 type lcoalBuf struct {
 	dst   *lnode
-	ops   []earth.ThreadBody
+	ops   []envelope
 	bytes int
 }
 
 // coalAdd buffers one remote operation of nbytes for dst and flushes
 // when a configured threshold trips. The caller has already emitted the
 // operation's send event.
-func (c *ctx) coalAdd(dst *lnode, nbytes int, op earth.ThreadBody) {
+func (c *ctx) coalAdd(dst *lnode, nbytes int, op envelope) {
 	i := 0
 	for i < len(c.coal) && c.coal[i].dst.id < dst.id {
 		i++
@@ -85,9 +85,10 @@ func (c *ctx) flushCoalBuf(b *lcoalBuf) {
 		rt.tr.Event(earth.Event{Time: rt.now(), Node: c.n.id, Peer: b.dst.id,
 			Kind: earth.EvBatchFlush, Bytes: bytes, Wait: sim.Time(len(ops))})
 	}
-	rt.sendHandler(c.n.id, b.dst, bytes, func(hc earth.Ctx) {
-		for _, op := range ops {
-			op(hc)
+	rt.sendHandler(c.n, c.n.id, b.dst, bytes, &envelope{kind: envBody, body: func(hc earth.Ctx) {
+		ex := hc.(*ctx).n
+		for i := range ops {
+			ex.fire(&ops[i])
 		}
-	})
+	}})
 }

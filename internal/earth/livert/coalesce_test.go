@@ -36,7 +36,7 @@ func TestCoalescedDeliveryLive(t *testing.T) {
 	sink := make([]float64, puts)
 	var postRan [4]bool
 	joined := false
-	rt.Run(func(c earth.Ctx) {
+	runChecked(rt, func(c earth.Ctx) {
 		f := earth.NewFrame(0, 1, 1)
 		f.InitSync(0, 3, 0, 0)
 		f.SetThread(0, func(earth.Ctx) { joined = true })
@@ -84,7 +84,7 @@ func TestCoalescedDeliveryUnderFaults(t *testing.T) {
 		Coalesce: earth.CoalesceConfig{Enabled: true, MaxMsgs: 4}})
 	total := 0
 	const n = 32
-	st := rt.Run(func(c earth.Ctx) {
+	st := runChecked(rt, func(c earth.Ctx) {
 		f := earth.NewFrame(0, 1, 1)
 		f.InitSync(0, n, 0, 0)
 		f.SetThread(0, func(earth.Ctx) {})

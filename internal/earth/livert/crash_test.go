@@ -13,9 +13,14 @@ import (
 
 // TestCrashReassignsPooledTokens: under BalanceNone nobody steals, so
 // tokens pooled on the crashed node can only run if the balancer
-// re-places them on survivors.
+// re-places them on survivors. The body that pools them holds node 1's
+// executor until the node is dead, and the crash is late enough for that
+// body to have started on any host: at 2 ms, and with the body returning at
+// once, a loaded host now and then (1 run in 750 under the race detector)
+// crashed the node before the body ran and replayed it on the adopter, with
+// nothing pooled to reassign.
 func TestCrashReassignsPooledTokens(t *testing.T) {
-	plan := &faults.Plan{Crash: []faults.Crash{{Node: 1, At: 2 * sim.Millisecond}}}
+	plan := &faults.Plan{Crash: []faults.Crash{{Node: 1, At: 20 * sim.Millisecond}}}
 	rt := New(earth.Config{Nodes: 4, Seed: 2, Faults: plan, Balancer: earth.BalanceNone})
 	var total int
 	var fin bool
@@ -24,7 +29,7 @@ func TestCrashReassignsPooledTokens(t *testing.T) {
 	for i := 0; i < tokens; i++ {
 		want += i
 	}
-	st := rt.Run(func(c earth.Ctx) {
+	st := runChecked(rt, func(c earth.Ctx) {
 		f := earth.NewFrame(0, 1, 1)
 		f.InitSync(0, tokens, 0, 0)
 		f.SetThread(0, func(earth.Ctx) { fin = true })
@@ -35,6 +40,9 @@ func TestCrashReassignsPooledTokens(t *testing.T) {
 					time.Sleep(300 * time.Microsecond)
 					c.Put(0, 8, func() { total += v }, f, 0)
 				})
+			}
+			for !rt.nodes[1].dead.Load() {
+				time.Sleep(50 * time.Microsecond)
 			}
 		})
 	})
@@ -79,7 +87,7 @@ func TestCrashFailoverDrainsQueuesInOrder(t *testing.T) {
 		return func(earth.Ctx) { order = append(order, fmt.Sprint(kind, i)) }
 	}
 	started, posted := make(chan struct{}), make(chan struct{})
-	rt.Run(func(c earth.Ctx) {
+	runChecked(rt, func(c earth.Ctx) {
 		c.Invoke(1, 8, func(c earth.Ctx) {
 			for i := 0; i < k; i++ {
 				c.Invoke(1, 8, record("ready", i))

@@ -19,7 +19,7 @@ func TestFaultedRunLive(t *testing.T) {
 	total := 0
 	// Explicit remote invokes: work stealing in livert moves work through
 	// shared memory, so tokens alone might never cross the faulted wire.
-	st := rt.Run(func(c earth.Ctx) {
+	st := runChecked(rt, func(c earth.Ctx) {
 		for i := 1; i <= 1<<6; i++ {
 			v := i
 			c.Invoke(earth.NodeID(1+i%3), 8, func(c earth.Ctx) {
@@ -44,7 +44,7 @@ func TestFaultedSyncFanInLive(t *testing.T) {
 		Retry: earth.RetryPolicy{Timeout: 30 * sim.Microsecond}})
 	done := false
 	var contributions int
-	rt.Run(func(c earth.Ctx) {
+	runChecked(rt, func(c earth.Ctx) {
 		f := earth.NewFrame(0, 1, 1)
 		f.InitSync(0, 16, 0, 0)
 		f.SetThread(0, func(earth.Ctx) { done = true })
@@ -71,7 +71,7 @@ func TestPauseWindowLive(t *testing.T) {
 	}}
 	rt := New(earth.Config{Nodes: 2, Seed: 1, Faults: plan})
 	start := time.Now()
-	st := rt.Run(func(earth.Ctx) {})
+	st := runChecked(rt, func(earth.Ctx) {})
 	if wall := time.Since(start); wall < pause/2 {
 		t.Errorf("run finished in %v despite a %v pause on node 0", wall, pause)
 	}

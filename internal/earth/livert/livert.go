@@ -17,16 +17,44 @@
 //     events carry wall-clock nanoseconds since run start and are emitted
 //     concurrently from every executor (the Tracer must be thread-safe).
 //
-// Quiescence is detected with an outstanding-work counter covering queued
-// items, pooled tokens and in-flight messages: when it reaches zero the
-// run is complete.
+// # Termination by credit
+//
+// The run is complete when nothing is queued, pooled, running or held by
+// a timer. Runtime.outstanding counts that work, but no message writes it:
+// both cores would fight over its cache line twice per message. Each
+// executor keeps a private reserve of units instead (credit.go, after
+// Mattern's and Huang's credit-recovery schemes):
+//
+//   - work issued from a body takes one unit from the reserve of the
+//     executor the body runs on; an empty reserve is refilled with one
+//     outstanding.Add(creditChunk);
+//   - an item that finishes returns its unit to the reserve of the executor
+//     that ran it — not the one that issued it: units travel with the work;
+//   - an executor settles — outstanding.Add(-reserve), and the run is over
+//     if that reached zero — before every park (the idle wait, the fence
+//     park) and on exit;
+//   - timers, Run's root thread and a fence's rejoin are not executors and
+//     add and subtract their one unit on the counter directly.
+//
+// The invariant is
+//
+//	outstanding = Σ reserves + items queued, pooled, running or timer-held
+//
+// and an item's unit is attached before the item becomes visible in any
+// queue. Were it attached after, the receiver could run the item, return a
+// unit it was never given and settle the counter to zero while the sender
+// is still inside its body. With it, the counter can reach zero only in a
+// settle or in a timer's doneOne, never while any executor is mid-body (its
+// running item is counted), so executors do not poll for the end of the run
+// between bodies. Moves between queues (failover, a batch handed back) take
+// the unit along and touch no count.
 //
 // # What a dispatch costs
 //
 // This is the engine whose thread-switch and communication start-up
-// overheads are real host time, so the clean path pays no fixed cost per
-// dispatched thread or handler beyond the dequeue, the body and one clock
-// reading:
+// overheads are real host time. Sending, dequeuing and completing a message
+// on the clean path touch no shared memory but the destination's queue and
+// allocate nothing:
 //
 //   - Each executor owns one context, reset and handed to body after
 //     body, as simrt recycles its own. It is dead whenever no body runs on
@@ -35,13 +63,26 @@
 //     the same executor it is indistinguishable from that body's context.
 //   - The handler queue, ready queue and token pool are earth.Ring deques —
 //     the type simrt's queues use — that keep their storage across Runs.
-//   - The clock is read once per dispatch. The reading taken when a body
-//     returns is that body's end and, when the executor goes straight on to
-//     its next queued item, the next body's start; after a steal, an idle
-//     wait, a pause window or a fence park it reads the clock again.
-//     Stats.Busy therefore spans back-to-back bodies without gaps: it
-//     includes the dequeue between them, which is the node's own overhead,
-//     and excludes stealing and waiting.
+//   - A runtime message is an envelope, queued by value: a kind (body, sync,
+//     put, get-request, get-response), node ids, slot, frame, the one
+//     closure the program supplied, and a trace-only issue stamp. One fire*
+//     per kind applies it, as simrt reads. Sync, Put, both legs of a Get and
+//     its completion sync allocate nothing; a coalesced batch is one closure
+//     over a slice of envelopes; a message under a fault plan gains one
+//     closure for its receipt checks and one per planned delivery.
+//   - Handlers leave the queue a batch per lock acquisition: up to
+//     handlerBatch move to an executor-private array, which is run to its
+//     end — still before ready threads, before own tokens. dead and halted
+//     are checked between items; an executor that finds either set hands the
+//     unrun rest back through pushHandler, which follows redirect.
+//   - Without a tracer the clock is read once per busy period, not per
+//     dispatch: when the executor starts on work after a steal, a park or a
+//     pause window, and when it finds its queues empty, parks or exits.
+//     Stats.Busy is the sum of those periods: it spans back-to-back bodies
+//     and the dequeues between them, which are the node's own overhead, and
+//     excludes stealing and waiting. A traced run also reads the clock when
+//     each body returns — that body's end and the next one's start — because
+//     run events carry Time and Dur.
 //   - Time stamps only a trace event reports (when an item or token was
 //     queued, when a Put, Get or placed token was issued) are taken only
 //     with a Config.Tracer installed.
@@ -53,6 +94,7 @@ import (
 	"math/rand"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,20 +104,63 @@ import (
 	"earth/internal/sim"
 )
 
+// handlerBatch is how many queued handlers an executor takes per lock
+// acquisition. A storm token is about eight handlers, so 32 covers the
+// backlog a busy node builds while one body runs; beyond that the lock is
+// already amortised and a fenced node would only have more to hand back.
+const handlerBatch = 32
+
 // item is a unit of work executed by a node's executor goroutine.
 type item struct {
-	body    earth.ThreadBody
-	enq     sim.Time // run-relative time the work became ready; stamped only under a tracer
-	cause   earth.Cause
-	token   bool
-	stolen  bool
-	handler bool
+	body earth.ThreadBody
+	// env is set for a handler: its envelope, in the executor's batch.
+	env    *envelope
+	enq    sim.Time // run-relative time the work became ready (a placed token in flight: when it was issued); stamped only under a tracer
+	cause  earth.Cause
+	token  bool
+	stolen bool
 }
 
 // ltoken is a pooled load-balanced invocation.
 type ltoken struct {
 	body earth.ThreadBody
 	enq  sim.Time // deposit time; stamped only under a tracer
+}
+
+// envKind says what firing an envelope does.
+type envKind uint8
+
+const (
+	// envBody runs body: a Post handler, a coalesced batch, or a message
+	// behind its receipt checks.
+	envBody envKind = iota
+	// envSync decrements (f, slot) at the frame's home; from signals.
+	envSync
+	// envPut runs fn, the write, at peer and then signals (f, slot).
+	envPut
+	// envGetReq runs read at peer, the owner, and sends what it returns
+	// back to from as an envGetResp.
+	envGetReq
+	// envGetResp runs fn, the store, at from and then signals (f, slot) on
+	// the owner's behalf.
+	envGetResp
+)
+
+// envelope is a runtime message, queued by value in the destination's
+// handler ring: the clean path allocates nothing per message. It is 64
+// bytes and must not grow — one more word showed up as duffcopy and write
+// barriers in every queue operation (TestEnvelopeSize).
+type envelope struct {
+	kind  envKind
+	from  int32 // the node that issued the operation (envSync: the signalling node)
+	peer  int32 // Put, Get: the owner of the data
+	slot  int32
+	bytes int32
+	f     *earth.Frame // frame to signal; nil for none
+	issue sim.Time     // when the Put or Get was issued; stamped only under a tracer
+	body  earth.ThreadBody
+	fn    func()
+	read  func() func()
 }
 
 type lnode struct {
@@ -85,9 +170,9 @@ type lnode struct {
 	// mu guards the three queues, which keep their storage from Run to
 	// Run, and redirect.
 	mu       sync.Mutex
-	handlers earth.Ring[earth.ThreadBody] // runtime message handlers: highest priority
-	ready    earth.Ring[item]             // ready threads
-	tokens   earth.Ring[ltoken]           // stealable token pool
+	handlers earth.Ring[envelope] // runtime messages: highest priority
+	ready    earth.Ring[item]     // ready threads
+	tokens   earth.Ring[ltoken]   // stealable token pool
 	// redirect is -1 while the node owns its queues; once a crash is
 	// detected and the queues are drained it holds the adopter's id, and
 	// every push routes there (following chains for repeated failures).
@@ -121,6 +206,20 @@ type lnode struct {
 	halted atomic.Bool
 	fenced atomic.Bool
 	epoch  atomic.Uint64
+
+	// credit is the executor's reserve of outstanding-work units.
+	credit credit
+	// batch[bnext:bend] holds the handlers the executor took from its queue
+	// under one lock acquisition and has not run yet. Like the queues it is
+	// allocated on first use (handlerBatch envelopes) and kept: New stays a
+	// few microseconds for a machine that may never see a message.
+	batch       []envelope
+	bnext, bend int
+	// busy is set while a busy period is open: from is the clock reading
+	// that opened it, and under a tracer at is the reading taken when the
+	// last body returned, which is the next body's start.
+	busy     bool
+	from, at sim.Time
 
 	// stats holds the counters only this node's executor touches (Busy,
 	// ThreadsRun, TokensRun, TokensStolen, Syncs); Run reads it after
@@ -162,10 +261,14 @@ type Runtime struct {
 	tr          earth.Tracer // cached cfg.Tracer; must be thread-safe
 	outstanding atomic.Int64
 	rrNext      atomic.Int64
-	done        chan struct{}
-	doneOnce    sync.Once
-	start       time.Time
-	running     atomic.Bool
+	// done is closed, once per Run, by whoever takes outstanding to zero:
+	// finished is the latch. (A sync.Once would still be storing its flag
+	// in a timer's goroutine when Run, woken by the close, has returned and
+	// the next Run resets it.)
+	done     chan struct{}
+	finished atomic.Bool
+	start    time.Time
+	running  atomic.Bool
 	// Fault injection (nil inj = clean run). Penalties are real
 	// wall-clock delays armed with timers; pause and degradation windows
 	// are interpreted in wall nanoseconds since run start.
@@ -179,6 +282,9 @@ type Runtime struct {
 	crashMu     sync.Mutex
 	crashTimers []*time.Timer
 	crashWG     sync.WaitGroup
+	// armed counts the timers — tracked plan timers and deliverAfter's —
+	// that are armed or whose callback has not returned yet.
+	armed atomic.Int64
 	// hasPart gates epoch stamping and the receiver-side fencing check;
 	// fences is the static wrong-verdict schedule that arms the fence
 	// timers; take answers who may adopt a down node's work (never a peer
@@ -233,6 +339,15 @@ func (rt *Runtime) P() int { return len(rt.nodes) }
 // now returns wall-clock nanoseconds since run start.
 func (rt *Runtime) now() sim.Time { return sim.Time(time.Since(rt.start).Nanoseconds()) }
 
+// stamp reads the clock for a time only a trace event reports: zero, and
+// no reading, without a tracer.
+func (rt *Runtime) stamp() sim.Time {
+	if rt.tr == nil {
+		return 0
+	}
+	return rt.now()
+}
+
 // Run executes main on node 0 and blocks until the machine is quiescent.
 func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 	if !rt.running.CompareAndSwap(false, true) {
@@ -240,7 +355,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 	}
 	defer rt.running.Store(false)
 	rt.done = make(chan struct{})
-	rt.doneOnce = sync.Once{}
+	rt.finished.Store(false)
 	rt.start = time.Now()
 	for _, n := range rt.nodes {
 		n.handlers.Reset()
@@ -249,6 +364,9 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		n.redirect = -1
 		n.stats, n.faultStats = earth.NodeStats{}, earth.NodeStats{}
 		n.sanFrames = n.sanFrames[:0]
+		n.credit = credit{}
+		n.bnext, n.bend = 0, 0
+		n.busy = false
 		n.dead.Store(false)
 		n.halted.Store(false)
 		n.fenced.Store(false)
@@ -274,7 +392,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 	rt.take.Reset()
 	rt.seen.Reset()
 	rt.armPlanTimers()
-	rt.enqueue(rt.nodes[0], item{body: main, cause: earth.CauseSpawn})
+	rt.enqueue(nil, rt.nodes[0], item{body: main, cause: earth.CauseSpawn})
 	<-rt.done
 	wg.Wait()
 	rt.reapCrashTimers()
@@ -297,14 +415,48 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 	return st
 }
 
+// Quiescent reports what the last Run left behind, nil for nothing: work
+// still counted as outstanding, a unit in an executor's reserve, a handler
+// in a private batch, anything in a queue, or a timer still armed or in its
+// callback. Tests call it after every Run; it must not be called during one.
+func (rt *Runtime) Quiescent() error {
+	var left []string
+	note := func(what string, n int64) {
+		if n != 0 {
+			left = append(left, fmt.Sprintf("%s=%d", what, n))
+		}
+	}
+	note("outstanding", rt.outstanding.Load())
+	note("timers armed", rt.armed.Load())
+	rt.crashMu.Lock()
+	note("plan timers tracked", int64(len(rt.crashTimers)))
+	rt.crashMu.Unlock()
+	for _, n := range rt.nodes {
+		where := fmt.Sprintf("node %d ", n.id)
+		note(where+"reserve", n.credit.reserve)
+		note(where+"batch", int64(n.bend-n.bnext))
+		n.mu.Lock()
+		note(where+"handlers", int64(n.handlers.Len()))
+		note(where+"ready", int64(n.ready.Len()))
+		note(where+"tokens", int64(n.tokens.Len()))
+		n.mu.Unlock()
+	}
+	if left == nil {
+		return nil
+	}
+	return fmt.Errorf("livert: not quiescent after Run: %s", strings.Join(left, ", "))
+}
+
 // armCrashTimer schedules fn on a tracked wall-clock timer. Tracked
 // timers are cancelled (or waited out) by reapCrashTimers at run end, so
 // a crash scheduled beyond the program's natural finish cannot fire into
 // the next run.
 func (rt *Runtime) armCrashTimer(d sim.Time, fn func()) {
 	rt.crashWG.Add(1)
+	rt.armed.Add(1)
 	t := time.AfterFunc(time.Duration(d), func() {
 		defer rt.crashWG.Done()
+		defer rt.armed.Add(-1)
 		fn()
 	})
 	rt.crashMu.Lock()
@@ -313,21 +465,26 @@ func (rt *Runtime) armCrashTimer(d sim.Time, fn func()) {
 }
 
 // reapCrashTimers stops every unfired crash/detection/partition timer
-// and waits for in-flight callbacks to drain before Run assembles stats.
+// and waits for in-flight callbacks to drain before Run assembles stats. A
+// callback that was in flight may have armed one more (a kill arms the
+// detection, a fence the rejoin), so it reaps until none is tracked.
 func (rt *Runtime) reapCrashTimers() {
-	if rt.crashAt == nil && !rt.hasPart {
-		return
-	}
-	rt.crashMu.Lock()
-	timers := rt.crashTimers
-	rt.crashTimers = nil
-	rt.crashMu.Unlock()
-	for _, t := range timers {
-		if t.Stop() {
-			rt.crashWG.Done() // callback will never run
+	for {
+		rt.crashMu.Lock()
+		timers := rt.crashTimers
+		rt.crashTimers = nil
+		rt.crashMu.Unlock()
+		if len(timers) == 0 {
+			return
 		}
+		for _, t := range timers {
+			if t.Stop() {
+				rt.armed.Add(-1) // callback will never run
+				rt.crashWG.Done()
+			}
+		}
+		rt.crashWG.Wait()
 	}
-	rt.crashWG.Wait()
 }
 
 // armPlanTimers arms the fault plan's static schedule at run start: one
@@ -449,13 +606,14 @@ func (rt *Runtime) failover(n, sn *lnode, at sim.Time, cause earth.Cause) {
 	// pushed to again this run, keeps empty ones.
 	n.mu.Lock()
 	handlers, ready, tokens := n.handlers, n.ready, n.tokens
-	n.handlers, n.ready, n.tokens = earth.Ring[earth.ThreadBody]{}, earth.Ring[item]{}, earth.Ring[ltoken]{}
+	n.handlers, n.ready, n.tokens = earth.Ring[envelope]{}, earth.Ring[item]{}, earth.Ring[ltoken]{}
 	n.redirect = int(sn.id)
 	n.mu.Unlock()
 	// Moves preserve the outstanding-work count (nothing is re-added) and
 	// each queue's order (oldest first).
 	for handlers.Len() > 0 {
-		rt.pushHandler(sn, handlers.PopFront())
+		e := handlers.PopFront()
+		rt.pushHandler(sn, &e)
 	}
 	for ready.Len() > 0 {
 		it := ready.PopFront()
@@ -482,7 +640,9 @@ func (rt *Runtime) rejoinNode(n *lnode, f faults.Fence) {
 }
 
 func (rt *Runtime) finish() {
-	rt.doneOnce.Do(func() { close(rt.done) })
+	if rt.finished.CompareAndSwap(false, true) {
+		close(rt.done)
+	}
 }
 
 // add increments the outstanding-work counter.
@@ -495,19 +655,37 @@ func (rt *Runtime) doneOne() {
 	}
 }
 
-// enqueue adds a ready item on n (counted as outstanding work).
-func (rt *Runtime) enqueue(n *lnode, it item) {
-	rt.add()
-	if rt.tr != nil {
-		it.enq = rt.now()
+// unit attaches one unit of outstanding work to an item about to be
+// queued: from ex's reserve when a body running on executor ex issues it,
+// from the shared counter when a timer or Run itself does (ex == nil).
+func (rt *Runtime) unit(ex *lnode) {
+	if ex == nil {
+		rt.add()
+	} else {
+		ex.credit.take(&rt.outstanding)
 	}
+}
+
+// settle returns the executor's reserve to the shared counter and ends the
+// run when that was the last outstanding work.
+func (n *lnode) settle() {
+	if n.credit.settle(&n.rt.outstanding) {
+		n.rt.finish()
+	}
+}
+
+// enqueue adds a ready item on n, issued from executor ex (nil: a timer).
+func (rt *Runtime) enqueue(ex, n *lnode, it item) {
+	rt.unit(ex)
+	it.enq = rt.stamp()
 	rt.pushItem(n, it)
 }
 
-// enqueueHandler adds a runtime message handler on n.
-func (rt *Runtime) enqueueHandler(n *lnode, h earth.ThreadBody) {
-	rt.add()
-	rt.pushHandler(n, h)
+// enqueueHandler adds runtime message *e on n, likewise. Messages travel
+// down the send path by pointer and are copied once, into the ring.
+func (rt *Runtime) enqueueHandler(ex, n *lnode, e *envelope) {
+	rt.unit(ex)
+	rt.pushHandler(n, e)
 }
 
 // owner returns, locked, the node that currently owns n's queues: n
@@ -535,10 +713,10 @@ func (rt *Runtime) pushItem(n *lnode, it item) {
 	o.poke()
 }
 
-// pushHandler appends a handler on n's owner.
-func (rt *Runtime) pushHandler(n *lnode, h earth.ThreadBody) {
+// pushHandler appends a runtime message on n's owner.
+func (rt *Runtime) pushHandler(n *lnode, e *envelope) {
 	o := rt.owner(n)
-	o.handlers.Push(h)
+	o.handlers.Push(*e)
 	o.mu.Unlock()
 	o.poke()
 }
@@ -562,71 +740,75 @@ func (rt *Runtime) adopted(home earth.NodeID, n *lnode) bool {
 	return o == n
 }
 
-// sendHandler routes a runtime message handler carrying bytes of payload
-// to dst, applying the fault plan to remote legs when one is installed.
-func (rt *Runtime) sendHandler(src earth.NodeID, dst *lnode, bytes int, h earth.ThreadBody) {
+// sendHandler routes runtime message *e, carrying bytes of payload from
+// src, to dst, applying the fault plan to remote legs when one is
+// installed. ex is the executor the sending body runs on — src's adopter
+// when src is down.
+func (rt *Runtime) sendHandler(ex *lnode, src earth.NodeID, dst *lnode, bytes int, e *envelope) {
 	if rt.inj == nil || dst.id == src {
-		rt.enqueueHandler(dst, h)
+		rt.enqueueHandler(ex, dst, e)
 		return
 	}
-	rt.faultVerdict(src, dst, bytes, h, func(h earth.ThreadBody) { rt.enqueueHandler(dst, h) })
+	rt.faultVerdict(ex, src, dst, bytes, *e,
+		func(ex *lnode, e envelope) { rt.enqueueHandler(ex, dst, &e) })
 }
 
 // sendItem routes a ready item (INVOKE or a placed token) to dst under
 // the fault plan. A suppressed duplicate still dispatches as an item
 // whose body is a no-op, so livert's thread counters can include
 // suppressed copies — acceptable on the wall-clock engine.
-func (rt *Runtime) sendItem(src earth.NodeID, dst *lnode, bytes int, it item) {
-	remoteToken := it.token && dst.id != src
-	var issue sim.Time // read only by the traced deliver event
-	if remoteToken && rt.tr != nil {
-		issue = rt.now()
-	}
-	deliver := func(body earth.ThreadBody) {
-		if remoteToken && rt.tr != nil {
-			now := rt.now()
-			rt.tr.Event(earth.Event{Time: now, Node: dst.id, Peer: src,
-				Kind: earth.EvTokenDeliver, Dur: now - issue})
-		}
-		landed := it
-		landed.body = body
-		rt.enqueue(dst, landed)
-	}
+func (rt *Runtime) sendItem(ex *lnode, src earth.NodeID, dst *lnode, bytes int, it item) {
 	if rt.inj == nil || dst.id == src {
-		deliver(it.body)
+		rt.landItem(ex, src, dst, it)
 		return
 	}
-	rt.faultVerdict(src, dst, bytes, it.body, deliver)
+	rt.faultVerdict(ex, src, dst, bytes, envelope{kind: envBody, body: it.body},
+		func(ex *lnode, e envelope) {
+			landed := it
+			landed.body = e.body
+			rt.landItem(ex, src, dst, landed)
+		})
+}
+
+// landItem queues it, sent by src, on dst. A placed token arriving from
+// another node carries its issue time in enq until here.
+func (rt *Runtime) landItem(ex *lnode, src earth.NodeID, dst *lnode, it item) {
+	if rt.tr != nil && it.token && dst.id != src {
+		now := rt.now()
+		rt.tr.Event(earth.Event{Time: now, Node: dst.id, Peer: src,
+			Kind: earth.EvTokenDeliver, Dur: now - it.enq})
+	}
+	rt.enqueue(ex, dst, it)
 }
 
 // faultVerdict sends one remote message under the fault plan: the
 // protocol core plans its fate (and traces the sender's side of it), the
-// body gains the core's receipt checks, and one wall-clock timer — two
-// for a duplicated message — carries it to deliver.
-func (rt *Runtime) faultVerdict(src earth.NodeID, dst *lnode, bytes int, body earth.ThreadBody, deliver func(earth.ThreadBody)) {
+// message gains the core's receipt checks, and one wall-clock timer — two
+// for a duplicated message — carries it to land.
+func (rt *Runtime) faultVerdict(ex *lnode, src earth.NodeID, dst *lnode, bytes int, e envelope, land func(*lnode, envelope)) {
 	d := earth.PlanDelivery(rt.inj, rt.retry, rt.plan, src, dst.id, bytes, rt.now(), rt.tr)
 	sn := rt.nodes[src]
 	if d.FaultsInjected > 0 {
 		sn.account(earth.NodeStats{FaultsInjected: d.FaultsInjected, Retries: d.Retries})
 	}
 	if d.Faulted() || rt.hasPart {
-		body = rt.receiptBody(earth.Arrival{From: src, Bytes: bytes, Issue: rt.now(),
+		e = rt.receiptBody(earth.Arrival{From: src, Bytes: bytes, Issue: rt.now(),
 			Seq: d.Seq, Drops: d.Drops, Corrupts: d.Corrupts, Dup: d.Dup,
-			SendEpoch: sn.epoch.Load()}, body)
+			SendEpoch: sn.epoch.Load()}, e)
 	}
-	rt.deliverAfter(d.Delay, func() { deliver(body) })
+	rt.deliverAfter(ex, d.Delay, e, land)
 	if d.Dup {
-		rt.deliverAfter(d.Delay+rt.retry.AttemptTimeout(0), func() { deliver(body) })
+		rt.deliverAfter(ex, d.Delay+rt.retry.AttemptTimeout(0), e, land)
 	}
 }
 
-// receiptBody wraps a delivered body with the protocol core's receipt
-// checks (earth.Receive: fencing NACK, idempotent delivery, recovered and
-// corrupt accounting), run on whichever executor ends up with the message
-// — the adopter, if redirects moved it. a carries the sender's epoch as
-// stamped at issue; the epoch current at receipt is read here.
-func (rt *Runtime) receiptBody(a earth.Arrival, h earth.ThreadBody) earth.ThreadBody {
-	return func(c earth.Ctx) {
+// receiptBody puts message e behind the protocol core's receipt checks
+// (earth.Receive: fencing NACK, idempotent delivery, recovered and corrupt
+// accounting), run on whichever executor ends up with the message — the
+// adopter, if redirects moved it. a carries the sender's epoch as stamped
+// at issue; the epoch current at receipt is read here.
+func (rt *Runtime) receiptBody(a earth.Arrival, e envelope) envelope {
+	return envelope{kind: envBody, body: func(c earth.Ctx) {
 		a := a
 		a.Epoch = rt.nodes[a.From].epoch.Load()
 		var d earth.NodeStats
@@ -635,22 +817,26 @@ func (rt *Runtime) receiptBody(a earth.Arrival, h earth.ThreadBody) earth.Thread
 			rt.nodes[c.Node()].account(d)
 		}
 		if v == earth.Fire {
-			h(c)
+			c.(*ctx).n.fire(&e)
 		}
-	}
+	}}
 }
 
-// deliverAfter runs deliver after the modelled wall-clock penalty. The
-// pending delivery stays counted as outstanding work, so quiescence
-// detection waits for faulted messages still in flight.
-func (rt *Runtime) deliverAfter(d sim.Time, deliver func()) {
+// deliverAfter lands e after the modelled wall-clock penalty: at once, on
+// the sending executor ex, when there is none. The pending delivery stays
+// counted as outstanding work, so quiescence detection waits for faulted
+// messages still in flight, and as an armed timer until its callback is
+// through.
+func (rt *Runtime) deliverAfter(ex *lnode, d sim.Time, e envelope, land func(*lnode, envelope)) {
 	if d <= 0 {
-		deliver()
+		land(ex, e)
 		return
 	}
 	rt.add()
+	rt.armed.Add(1)
 	time.AfterFunc(time.Duration(d), func() {
-		deliver()
+		land(nil, e)
+		rt.armed.Add(-1)
 		rt.doneOne()
 	})
 }
@@ -664,20 +850,50 @@ func (n *lnode) poke() {
 
 // next pops the highest-priority available work: handlers, then ready
 // threads, then own tokens (newest first).
+//
+// Handlers leave the queue a batch per lock acquisition: up to
+// handlerBatch of them move to the executor's private batch, which is run
+// to its end before the queues are looked at again.
 func (n *lnode) next() (item, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.handlers.Len() > 0 {
-		return item{body: n.handlers.PopFront(), handler: true, cause: earth.CauseHandler}, true
+	if n.bnext == n.bend {
+		// The batch just run must not keep its closures alive.
+		clear(n.batch[:n.bend])
+		n.bnext, n.bend = 0, 0
+		n.mu.Lock()
+		if n.handlers.Len() == 0 {
+			var it item
+			ok := true
+			if n.ready.Len() > 0 {
+				it = n.ready.PopFront()
+			} else if n.tokens.Len() > 0 {
+				tk := n.tokens.PopBack()
+				it = item{body: tk.body, enq: tk.enq, token: true, cause: earth.CauseToken}
+			} else {
+				ok = false
+			}
+			n.mu.Unlock()
+			return it, ok
+		}
+		if n.batch == nil {
+			n.batch = make([]envelope, handlerBatch)
+		}
+		n.bend = n.handlers.PopFrontN(n.batch)
+		n.mu.Unlock()
 	}
-	if n.ready.Len() > 0 {
-		return n.ready.PopFront(), true
+	n.bnext++
+	return item{env: &n.batch[n.bnext-1], cause: earth.CauseHandler}, true
+}
+
+// handBack returns the taken-but-unrun handlers of a node found dead or
+// halted to the queues, oldest first: pushHandler follows redirect, so they
+// reach the adopter, or wait in the node's own queue for failover's drain.
+// Each keeps its unit of outstanding work.
+func (n *lnode) handBack() {
+	for ; n.bnext < n.bend; n.bnext++ {
+		n.rt.pushHandler(n, &n.batch[n.bnext])
 	}
-	if n.tokens.Len() > 0 {
-		tk := n.tokens.PopBack()
-		return item{body: tk.body, enq: tk.enq, token: true, cause: earth.CauseToken}, true
-	}
-	return item{}, false
+	clear(n.batch[:n.bend])
+	n.bnext, n.bend = 0, 0
 }
 
 // steal pops the oldest token from a random victim's pool.
@@ -716,24 +932,22 @@ func (n *lnode) steal() (item, bool) {
 // pprof label so per-body earth_kind labels merge with it instead of
 // replacing the label set.
 //
-// The clock is read once per dispatch: at is the reading exec took when
-// the previous body returned, and while fresh — nothing but a dequeue has
-// happened since — it is also the next body's start. Stealing, sleeping,
-// pausing and parking all take time that is not the node's work, so each
-// makes the executor read the clock again.
+// Before it parks or exits the executor retires: it hands back what it
+// took and did not run, closes its busy period and settles its reserve. A
+// run ends in such a settle (or in a timer's doneOne), never while a body
+// runs, so the loop does not look at rt.done between bodies.
 func (n *lnode) loop(lctx context.Context) {
 	rt := n.rt
-	var at sim.Time
-	fresh := false
 	for {
 		if n.dead.Load() {
+			n.retire()
 			return
 		}
 		// A fenced node parks until the heal timer clears halted and
 		// pokes the wake channel (the rejoin handshake). Unlike dead,
 		// the executor stays alive to resume as a steal-only worker.
 		if n.halted.Load() {
-			fresh = false
+			n.retire()
 			select {
 			case <-rt.done:
 				return
@@ -743,10 +957,12 @@ func (n *lnode) loop(lctx context.Context) {
 		}
 		it, ok := n.next()
 		if !ok {
-			fresh = false
+			// Stealing is not the node's work: the busy period ends here.
+			n.endBusy(rt.now())
 			it, ok = n.steal()
 		}
 		if !ok {
+			n.settle()
 			select {
 			case <-rt.done:
 				return
@@ -759,51 +975,64 @@ func (n *lnode) loop(lctx context.Context) {
 		// A paused node holds its work until the window closes. Queues
 		// keep filling behind it; nothing executes.
 		if rt.plan.HasPause() {
-			at, fresh = rt.now(), true
+			at := rt.now()
 			if pu := rt.plan.PauseUntil(int(n.id), at); pu > at {
+				n.endBusy(at)
 				n.account(earth.NodeFault(rt.tr, n.id, at, earth.CausePause, pu-at))
 				time.Sleep(time.Duration(pu - at))
-				fresh = false
 			}
 		}
-		if !fresh {
-			at = rt.now()
+		if !n.busy {
+			n.busy, n.from = true, rt.now()
+			n.at = n.from
 		}
-		at, fresh = n.exec(lctx, it, at), true
-		rt.doneOne()
-		select {
-		case <-rt.done:
-			return
-		default:
-		}
+		n.exec(lctx, it)
+		n.credit.give()
 	}
 }
 
-// exec runs it, dispatched at start, under the node's context and returns
-// the clock reading taken when the body returned: the end of its busy
-// span. The context is live only for the body (and its end-of-body
-// coalescing flush); its buffer list is truncated for the next one.
-func (n *lnode) exec(lctx context.Context, it item, start sim.Time) sim.Time {
+// endBusy closes the executor's busy period, if one is open, at clock
+// reading at.
+func (n *lnode) endBusy(at sim.Time) {
+	if n.busy {
+		n.stats.Busy += at - n.from
+		n.busy = false
+	}
+}
+
+// retire is what an executor does before it parks on a fence or exits
+// dead: taken-but-unrun handlers go back to the queues, the busy period
+// closes and the reserve is settled.
+func (n *lnode) retire() {
+	n.handBack()
+	n.endBusy(n.rt.now())
+	n.settle()
+}
+
+// exec runs it under the node's context. The context is live only for the
+// body (and its end-of-body coalescing flush); its buffer list is truncated
+// for the next one. Only a traced run reads the clock here: the event
+// reports the body's start — n.at, the previous body's end or the start of
+// the busy period — and its duration.
+func (n *lnode) exec(lctx context.Context, it item) {
 	rt := n.rt
 	c := &n.ctx
 	c.dead = false
 	if rt.cfg.ProfileLabels {
 		kind := "thread"
-		if it.handler {
+		if it.env != nil {
 			kind = "handler"
 		}
 		pprof.Do(lctx, pprof.Labels("earth_kind", kind),
-			func(context.Context) { it.body(c) })
+			func(context.Context) { n.run(it) })
 	} else {
-		it.body(c)
+		n.run(it)
 	}
 	if rt.coalOn {
 		c.flushCoal()
 	}
 	c.dead = true
-	end := rt.now()
-	n.stats.Busy += end - start
-	if !it.handler {
+	if it.env == nil {
 		n.stats.ThreadsRun++
 	}
 	if it.token {
@@ -813,22 +1042,88 @@ func (n *lnode) exec(lctx context.Context, it item, start sim.Time) sim.Time {
 		}
 	}
 	if rt.tr != nil {
-		kind := earth.EvThreadRun
-		if it.handler {
-			kind = earth.EvHandlerRun
-		}
-		wait := start - it.enq
-		if it.handler || wait < 0 {
-			wait = 0
+		start, end := n.at, rt.now()
+		n.at = end
+		kind, wait := earth.EvThreadRun, max(0, start-it.enq)
+		if it.env != nil {
+			kind, wait = earth.EvHandlerRun, 0
 		}
 		rt.tr.Event(earth.Event{Time: start, Node: n.id, Peer: earth.NoPeer,
 			Kind: kind, Dur: end - start, Wait: wait, Cause: it.cause})
 	}
-	return end
 }
 
-// decSlot must run on f's home executor; from is the signalling node.
-func (n *lnode) decSlot(from earth.NodeID, f *earth.Frame, slot int) {
+// run executes it's body, or fires its envelope, on executor n.
+func (n *lnode) run(it item) {
+	if it.env != nil {
+		n.fire(it.env)
+	} else {
+		it.body(&n.ctx)
+	}
+}
+
+// fire applies runtime message e on executor n — the node it was sent to,
+// or that node's adopter — one fire* per kind, as simrt reads. It does not
+// modify *e: a duplicated message is fired from one shared copy.
+func (n *lnode) fire(e *envelope) {
+	switch e.kind {
+	case envBody:
+		e.body(&n.ctx)
+	case envSync:
+		n.rt.nodes[e.f.Home].decSlot(n, earth.NodeID(e.from), e.f, int(e.slot))
+	case envPut:
+		n.firePut(e)
+	case envGetReq:
+		n.fireGetReq(e)
+	case envGetResp:
+		n.fireGetResp(e)
+	}
+}
+
+func (n *lnode) firePut(e *envelope) {
+	e.fn()
+	if rt := n.rt; rt.tr != nil {
+		now := rt.now()
+		rt.tr.Event(earth.Event{Time: now, Node: earth.NodeID(e.peer), Peer: earth.NodeID(e.from),
+			Kind: earth.EvPutDeliver, Bytes: int(e.bytes), Dur: now - e.issue})
+	}
+	if e.f != nil {
+		n.ctx.Sync(e.f, int(e.slot))
+	}
+}
+
+// fireGetReq reads at the owner and sends the response leg back.
+func (n *lnode) fireGetReq(e *envelope) {
+	resp := *e
+	resp.kind, resp.read, resp.fn = envGetResp, nil, e.read()
+	n.rt.sendHandler(n, earth.NodeID(e.peer), n.rt.nodes[e.from], int(e.bytes), &resp)
+}
+
+// fireGetResp stores the fetched value at the requester. The response
+// semantically carries the sync, so the owner is the signalling node
+// (matches simrt's accounting).
+func (n *lnode) fireGetResp(e *envelope) {
+	rt := n.rt
+	e.fn()
+	if rt.tr != nil {
+		now := rt.now()
+		rt.tr.Event(earth.Event{Time: now, Node: earth.NodeID(e.from), Peer: earth.NodeID(e.peer),
+			Kind: earth.EvGetDeliver, Bytes: int(e.bytes), Dur: now - e.issue})
+	}
+	if e.f == nil {
+		return
+	}
+	if home := rt.nodes[e.f.Home]; e.f.Home == earth.NodeID(e.from) {
+		home.decSlot(n, earth.NodeID(e.peer), e.f, int(e.slot))
+	} else {
+		rt.sendHandler(n, earth.NodeID(e.from), home, 8,
+			&envelope{kind: envSync, from: e.peer, f: e.f, slot: e.slot})
+	}
+}
+
+// decSlot must run on the executor that owns the queues of f's home n —
+// ex: n itself, or its adopter; from is the signalling node.
+func (n *lnode) decSlot(ex *lnode, from earth.NodeID, f *earth.Frame, slot int) {
 	n.stats.Syncs++
 	if n.rt.tr != nil {
 		n.rt.tr.Event(earth.Event{Time: n.rt.now(), Node: n.id, Peer: from,
@@ -836,7 +1131,7 @@ func (n *lnode) decSlot(from earth.NodeID, f *earth.Frame, slot int) {
 	}
 	n.sanTrack(f)
 	if fired, th := f.Dec(slot); fired {
-		n.rt.enqueue(n, item{body: f.ThreadBody(th), cause: earth.CauseSync})
+		n.rt.enqueue(ex, n, item{body: f.ThreadBody(th), cause: earth.CauseSync})
 	}
 }
 
@@ -896,22 +1191,27 @@ func (c *ctx) Spawn(f *earth.Frame, thread int) {
 		panic(fmt.Sprintf("livert: Spawn of frame on node %d from node %d", f.Home, c.n.id))
 	}
 	c.n.sanTrack(f)
-	c.rt.enqueue(c.n, item{body: f.ThreadBody(thread), cause: earth.CauseSpawn})
+	c.rt.enqueue(c.n, c.n, item{body: f.ThreadBody(thread), cause: earth.CauseSpawn})
 }
 
 func (c *ctx) Sync(f *earth.Frame, slot int) {
 	c.check()
 	home := c.rt.nodes[f.Home]
-	from := c.n.id
 	if home == c.n {
-		home.decSlot(from, f, slot)
+		home.decSlot(c.n, c.n.id, f, slot)
 		return
 	}
+	c.send(home, 8, &envelope{kind: envSync, from: int32(c.n.id), f: f, slot: int32(slot)})
+}
+
+// send ships coalescable message e from the running body to dst: into the
+// body's buffer for dst with coalescing on, straight to the wire without.
+func (c *ctx) send(dst *lnode, nbytes int, e *envelope) {
 	if c.rt.coalOn {
-		c.coalAdd(home, 8, func(earth.Ctx) { home.decSlot(from, f, slot) })
+		c.coalAdd(dst, nbytes, *e)
 		return
 	}
-	c.rt.sendHandler(from, home, 8, func(earth.Ctx) { home.decSlot(from, f, slot) })
+	c.rt.sendHandler(c.n, c.n.id, dst, nbytes, e)
 }
 
 func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, slot int) {
@@ -925,35 +1225,18 @@ func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, 
 		}
 		return
 	}
-	src := c.n.id
-	var issue sim.Time // read only by the traced deliver event
+	e := envelope{kind: envPut, from: int32(c.n.id), peer: int32(owner), bytes: int32(nbytes),
+		fn: write, f: f, slot: int32(slot), issue: rt.stamp()}
 	if rt.tr != nil {
-		issue = rt.now()
-		rt.tr.Event(earth.Event{Time: issue, Node: src, Peer: owner,
+		rt.tr.Event(earth.Event{Time: e.issue, Node: c.n.id, Peer: owner,
 			Kind: earth.EvPutSend, Bytes: nbytes})
 	}
-	deliver := func(hc earth.Ctx) {
-		write()
-		if rt.tr != nil {
-			now := rt.now()
-			rt.tr.Event(earth.Event{Time: now, Node: owner, Peer: src,
-				Kind: earth.EvPutDeliver, Bytes: nbytes, Dur: now - issue})
-		}
-		if f != nil {
-			hc.Sync(f, slot)
-		}
-	}
-	if rt.coalOn {
-		c.coalAdd(dst, nbytes, deliver)
-		return
-	}
-	rt.sendHandler(src, dst, nbytes, deliver)
+	c.send(dst, nbytes, &e)
 }
 
 func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.Frame, slot int) {
 	c.check()
 	rt := c.rt
-	src := c.n
 	dst := rt.nodes[owner]
 	if dst == c.n {
 		read()()
@@ -967,33 +1250,13 @@ func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.F
 		// batched traffic already buffered for the owner.
 		c.flushCoalTo(dst)
 	}
-	var issue sim.Time // read only by the traced deliver event
+	e := envelope{kind: envGetReq, from: int32(c.n.id), peer: int32(owner), bytes: int32(nbytes),
+		read: read, f: f, slot: int32(slot), issue: rt.stamp()}
 	if rt.tr != nil {
-		issue = rt.now()
-		rt.tr.Event(earth.Event{Time: issue, Node: src.id, Peer: owner,
+		rt.tr.Event(earth.Event{Time: e.issue, Node: c.n.id, Peer: owner,
 			Kind: earth.EvGetSend, Bytes: nbytes})
 	}
-	rt.sendHandler(src.id, dst, nbytes, func(earth.Ctx) {
-		deliver := read()
-		rt.sendHandler(owner, src, nbytes, func(earth.Ctx) {
-			deliver()
-			if rt.tr != nil {
-				now := rt.now()
-				rt.tr.Event(earth.Event{Time: now, Node: src.id, Peer: owner,
-					Kind: earth.EvGetDeliver, Bytes: nbytes, Dur: now - issue})
-			}
-			if f != nil {
-				// The response semantically carries the sync, so the owner
-				// is the signalling node (matches simrt's accounting).
-				home := rt.nodes[f.Home]
-				if home == src {
-					home.decSlot(owner, f, slot)
-				} else {
-					rt.sendHandler(src.id, home, 8, func(earth.Ctx) { home.decSlot(owner, f, slot) })
-				}
-			}
-		})
-	})
+	rt.sendHandler(c.n, c.n.id, dst, nbytes, &e)
 }
 
 func (c *ctx) Invoke(nodeID earth.NodeID, argBytes int, body earth.ThreadBody) {
@@ -1004,26 +1267,26 @@ func (c *ctx) Invoke(nodeID earth.NodeID, argBytes int, body earth.ThreadBody) {
 		c.flushCoalTo(rt.nodes[nodeID])
 	}
 	if rt.tr != nil && nodeID != src {
-		issue := rt.now()
-		rt.tr.Event(earth.Event{Time: issue, Node: src, Peer: nodeID,
+		rt.tr.Event(earth.Event{Time: rt.now(), Node: src, Peer: nodeID,
 			Kind: earth.EvInvokeSend, Bytes: argBytes})
 	}
-	rt.sendItem(src, rt.nodes[nodeID], argBytes, item{body: body, cause: earth.CauseInvoke})
+	rt.sendItem(c.n, src, rt.nodes[nodeID], argBytes, item{body: body, cause: earth.CauseInvoke})
 }
 
 // Post delivers handler on the target's high-priority handler queue.
 func (c *ctx) Post(nodeID earth.NodeID, argBytes int, handler earth.ThreadBody) {
 	c.check()
 	rt := c.rt
-	if rt.tr != nil && nodeID != c.n.id {
+	e := envelope{kind: envBody, body: handler}
+	if nodeID == c.n.id {
+		rt.enqueueHandler(c.n, c.n, &e)
+		return
+	}
+	if rt.tr != nil {
 		rt.tr.Event(earth.Event{Time: rt.now(), Node: c.n.id, Peer: nodeID,
 			Kind: earth.EvPostSend, Bytes: argBytes})
 	}
-	if rt.coalOn && nodeID != c.n.id {
-		c.coalAdd(rt.nodes[nodeID], argBytes, handler)
-		return
-	}
-	rt.sendHandler(c.n.id, rt.nodes[nodeID], argBytes, handler)
+	c.send(rt.nodes[nodeID], argBytes, &e)
 }
 
 func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
@@ -1031,33 +1294,30 @@ func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 	rt := c.rt
 	switch rt.cfg.Balancer {
 	case earth.BalanceRandomPlace:
-		target := earth.NodeID(c.n.rand().Intn(len(rt.nodes)))
-		if rt.coalOn && target != c.n.id {
-			c.flushCoalTo(rt.nodes[target])
-		}
-		if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: rt.now(), Node: c.n.id, Peer: target,
-				Kind: earth.EvTokenSpawn, Bytes: argBytes})
-		}
-		rt.sendItem(c.n.id, rt.nodes[target], argBytes, item{body: body, token: true, cause: earth.CauseToken})
+		c.placeToken(earth.NodeID(c.n.rand().Intn(len(rt.nodes))), argBytes, body)
 	case earth.BalanceRoundRobin:
-		i := int(rt.rrNext.Add(1)-1) % len(rt.nodes)
-		if rt.coalOn && earth.NodeID(i) != c.n.id {
-			c.flushCoalTo(rt.nodes[i])
-		}
-		if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: rt.now(), Node: c.n.id, Peer: earth.NodeID(i),
-				Kind: earth.EvTokenSpawn, Bytes: argBytes})
-		}
-		rt.sendItem(c.n.id, rt.nodes[i], argBytes, item{body: body, token: true, cause: earth.CauseToken})
+		c.placeToken(earth.NodeID(int(rt.rrNext.Add(1)-1)%len(rt.nodes)), argBytes, body)
 	default: // BalanceSteal, BalanceNone: pool locally
-		tk := ltoken{body: body}
+		tk := ltoken{body: body, enq: rt.stamp()}
 		if rt.tr != nil {
-			tk.enq = rt.now()
 			rt.tr.Event(earth.Event{Time: tk.enq, Node: c.n.id, Peer: earth.NoPeer,
 				Kind: earth.EvTokenSpawn, Bytes: argBytes})
 		}
-		rt.add()
+		rt.unit(c.n)
 		rt.pushToken(c.n, tk)
 	}
+}
+
+// placeToken sends a token the balancer placed on target as a ready item.
+func (c *ctx) placeToken(target earth.NodeID, argBytes int, body earth.ThreadBody) {
+	rt := c.rt
+	if rt.coalOn && target != c.n.id {
+		c.flushCoalTo(rt.nodes[target])
+	}
+	it := item{body: body, token: true, cause: earth.CauseToken, enq: rt.stamp()}
+	if rt.tr != nil {
+		rt.tr.Event(earth.Event{Time: it.enq, Node: c.n.id, Peer: target,
+			Kind: earth.EvTokenSpawn, Bytes: argBytes})
+	}
+	rt.sendItem(c.n, c.n.id, rt.nodes[target], argBytes, it)
 }

@@ -7,14 +7,21 @@ import (
 	"testing"
 
 	"earth/internal/earth"
+	"earth/internal/earth/enginetest"
 	"earth/internal/sim"
 )
+
+// runChecked is Run behind the leak check of enginetest.Checked: goroutines back
+// to their count, Quiescent silent.
+func runChecked(rt *Runtime, body earth.ThreadBody) *earth.Stats {
+	return enginetest.Checked(rt).Run(body)
+}
 
 func TestRunMainOnNodeZero(t *testing.T) {
 	rt := New(earth.Config{Nodes: 4, Seed: 1})
 	var ran atomic.Int64
 	ran.Store(-1)
-	st := rt.Run(func(c earth.Ctx) { ran.Store(int64(c.Node())) })
+	st := runChecked(rt, func(c earth.Ctx) { ran.Store(int64(c.Node())) })
 	if ran.Load() != 0 {
 		t.Fatalf("main ran on node %d", ran.Load())
 	}
@@ -26,7 +33,7 @@ func TestRunMainOnNodeZero(t *testing.T) {
 func TestTokensAllRunAcrossNodes(t *testing.T) {
 	rt := New(earth.Config{Nodes: 4, Seed: 2, Balancer: earth.BalanceSteal})
 	var n atomic.Int64
-	rt.Run(func(c earth.Ctx) {
+	runChecked(rt, func(c earth.Ctx) {
 		for i := 0; i < 100; i++ {
 			c.Token(8, func(c earth.Ctx) {
 				n.Add(1)
@@ -56,7 +63,7 @@ func TestNestedTokens(t *testing.T) {
 			}
 		}
 	}
-	rt.Run(func(c earth.Ctx) { spawn(c, 9) })
+	runChecked(rt, func(c earth.Ctx) { spawn(c, 9) })
 	if count.Load() != 1023 {
 		t.Fatalf("ran %d tasks, want 1023", count.Load())
 	}
@@ -66,7 +73,7 @@ func TestSyncSlotJoin(t *testing.T) {
 	rt := New(earth.Config{Nodes: 4, Seed: 1})
 	var joined atomic.Bool
 	var workers atomic.Int64
-	rt.Run(func(c earth.Ctx) {
+	runChecked(rt, func(c earth.Ctx) {
 		f := earth.NewFrame(c.Node(), 2, 1)
 		f.InitSync(0, 8, 0, 1)
 		f.SetThread(1, func(c earth.Ctx) {
@@ -92,7 +99,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	// cell is owned by node 1; only node 1's executor touches it.
 	var cell float64
 	var got atomic.Value
-	rt.Run(func(c earth.Ctx) {
+	runChecked(rt, func(c earth.Ctx) {
 		f := earth.NewFrame(0, 2, 2)
 		f.InitSync(0, 1, 0, 0)
 		f.InitSync(1, 1, 0, 1)
@@ -115,7 +122,7 @@ func TestOwnerSerialisation(t *testing.T) {
 	// guarantee (and the race detector verifies).
 	rt := New(earth.Config{Nodes: 8, Seed: 1})
 	counter := 0
-	rt.Run(func(c earth.Ctx) {
+	runChecked(rt, func(c earth.Ctx) {
 		f := earth.NewFrame(0, 1, 1)
 		f.InitSync(0, 200, 0, 0)
 		f.SetThread(0, func(earth.Ctx) {})
@@ -134,7 +141,7 @@ func TestBalancePolicies(t *testing.T) {
 	for _, b := range []earth.Balancer{earth.BalanceRandomPlace, earth.BalanceRoundRobin, earth.BalanceNone} {
 		rt := New(earth.Config{Nodes: 4, Seed: 9, Balancer: b})
 		var n atomic.Int64
-		rt.Run(func(c earth.Ctx) {
+		runChecked(rt, func(c earth.Ctx) {
 			for i := 0; i < 40; i++ {
 				c.Token(8, func(earth.Ctx) { n.Add(1) })
 			}
@@ -147,7 +154,7 @@ func TestBalancePolicies(t *testing.T) {
 
 func TestComputeIsNoOp(t *testing.T) {
 	rt := New(earth.Config{Nodes: 1, Seed: 1})
-	st := rt.Run(func(c earth.Ctx) { c.Compute(10 * sim.Second) })
+	st := runChecked(rt, func(c earth.Ctx) { c.Compute(10 * sim.Second) })
 	// 10 virtual seconds must not take 10 real seconds.
 	if st.Elapsed > 2*sim.Second {
 		t.Fatalf("Compute slept for real: %v", st.Elapsed)
@@ -203,7 +210,7 @@ func TestNodeRandLazySeed(t *testing.T) {
 	}
 	got := make([][]int64, nodes) // got[i] is appended to by node i only
 	for run := 0; run < 2; run++ {
-		rt.Run(func(c earth.Ctx) {
+		runChecked(rt, func(c earth.Ctx) {
 			for i := 1; i < nodes; i++ { // node 0 never draws
 				c.Invoke(earth.NodeID(i), 0, func(c earth.Ctx) {
 					for k := 0; k < perRun; k++ {
@@ -253,7 +260,7 @@ func TestDeepPipeline(t *testing.T) {
 			c.Invoke(earth.NodeID(k%3), 8, func(c earth.Ctx) { step(c, k-1) })
 		}
 	}
-	rt.Run(func(c earth.Ctx) { step(c, 500) })
+	runChecked(rt, func(c earth.Ctx) { step(c, 500) })
 	if hops.Load() != 501 {
 		t.Fatalf("hops = %d, want 501", hops.Load())
 	}

@@ -44,6 +44,25 @@ func (q *Ring[T]) PopFront() T {
 	return v
 }
 
+// PopFrontN moves the oldest min(Len, len(dst)) elements into dst, oldest
+// first, and returns how many: livert's executors take their queued
+// handlers this way, one copy and one clearing per contiguous run of the
+// buffer instead of one of each per element.
+func (q *Ring[T]) PopFrontN(dst []T) int {
+	k := min(q.n, len(dst))
+	if k == 0 {
+		return 0
+	}
+	run := q.buf[q.head:min(q.head+k, len(q.buf))]
+	wrapped := q.buf[:k-len(run)]
+	copy(dst[copy(dst, run):], wrapped)
+	clear(run)
+	clear(wrapped)
+	q.head = (q.head + k) & (len(q.buf) - 1)
+	q.n -= k
+	return k
+}
+
 // PopBack removes and returns the newest element. The ring must not be
 // empty.
 func (q *Ring[T]) PopBack() T {

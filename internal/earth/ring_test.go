@@ -6,7 +6,7 @@ import (
 )
 
 // TestRingAgainstSliceModel drives a Ring and a plain slice with the same
-// random pushes and pops, with phases that fill and phases that drain so
+// random pushes, pops and bulk pops, with phases that fill and phases that drain so
 // the ring grows several times and wraps around its buffer at every size.
 // Elements are pointers: after each step every buffer slot outside the
 // live window must be nil, or a popped thread body would stay reachable.
@@ -30,6 +30,18 @@ func TestRingAgainstSliceModel(t *testing.T) {
 			if q.Cap() != before {
 				growths++
 			}
+		case r == 9:
+			dst := make([]*int, rng.Intn(5)) // sometimes empty, sometimes longer than the ring
+			k := q.PopFrontN(dst)
+			if k != min(len(dst), len(model)) {
+				t.Fatalf("step %d: PopFrontN took %d of %d into %d slots", step, k, len(model), len(dst))
+			}
+			for i := 0; i < k; i++ {
+				if dst[i] != model[i] {
+					t.Fatalf("step %d: PopFrontN[%d] = %d, want %d", step, i, *dst[i], *model[i])
+				}
+			}
+			model = model[k:]
 		case r%2 == 0:
 			if got, want := q.PopFront(), model[0]; got != want {
 				t.Fatalf("step %d: PopFront = %d, want %d", step, *got, *want)
