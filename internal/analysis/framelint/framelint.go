@@ -505,7 +505,7 @@ func (fa *funcAnalysis) classifyLit(stack []ast.Node, i int, lit *ast.FuncLit) (
 // sharing a name are ignored.
 var signalFuncs = map[string]int{
 	"Sync": 0, "Rsync": 1,
-	"Get": 3, "Put": 3,
+	"Get": 3, "Put": 3, "GetWord": 3,
 	"GetSyncVal": 5, "DataSyncVal": 5,
 	"GetSyncF64": 4, "GetSyncI64": 4,
 	"DataSyncF64": 4, "DataSyncI64": 4,

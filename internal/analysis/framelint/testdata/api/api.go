@@ -28,6 +28,10 @@ type Ctx interface {
 	Token(argBytes int, body ThreadBody)
 }
 
+type WordGetter interface {
+	GetWord(owner NodeID, src, dst *uint64, f *Frame, slot int)
+}
+
 func Rsync(c Ctx, f *Frame, slot int) { c.Sync(f, slot) }
 
 func GetSyncI64(c Ctx, owner NodeID, src, dst *int, f *Frame, slot int) {}

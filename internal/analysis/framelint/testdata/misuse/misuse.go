@@ -57,6 +57,24 @@ func UnderSignal(c api.Ctx) {
 	c.Sync(f, 0)
 }
 
+// Check (b) on the word Get: a direct GetWord signals its slot like Get.
+func OverSignalWord(w api.WordGetter, src, dst *uint64) {
+	f := api.NewFrame(0, 1, 1)
+	f.SetThread(0, func(api.Ctx) {})
+	f.InitSync(0, 1, 0, 0) // want `one-shot slot 0 of frame f takes 1 signal\(s\) but 2 unconditional signal sites target it`
+	w.GetWord(1, src, dst, f, 0)
+	w.GetWord(1, src, dst, f, 0)
+}
+
+// Check (b) on the word Get: the slot waits for a second word no site
+// fetches.
+func UnderSignalWord(w api.WordGetter, src, dst *uint64) {
+	f := api.NewFrame(0, 1, 1)
+	f.SetThread(0, func(api.Ctx) {})
+	f.InitSync(0, 2, 0, 0) // want `slot 0 of frame f promises 2 signal\(s\) but only 1 signal site\(s\) can ever target it`
+	w.GetWord(1, src, dst, f, 0)
+}
+
 // contribute signals (f, 0) once; framelint folds this into callers.
 func contribute(c api.Ctx, f *api.Frame) {
 	c.Sync(f, 0)

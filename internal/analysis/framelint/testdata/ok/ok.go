@@ -54,6 +54,16 @@ func Conditional(c api.Ctx, pick bool) {
 	}
 }
 
+// Words: two word Gets and a Get fill a three-signal slot exactly.
+func Words(c api.Ctx, w api.WordGetter, src, dst *uint64) {
+	f := api.NewFrame(0, 1, 1)
+	f.SetThread(0, func(api.Ctx) {})
+	f.InitSync(0, 3, 0, 0)
+	w.GetWord(1, src, dst, f, 0)
+	w.GetWord(2, src, dst, f, 0)
+	c.Get(1, 8, func() func() { return func() {} }, f, 0)
+}
+
 // signalOnce contributes exactly one signal through the summary.
 func signalOnce(c api.Ctx, f *api.Frame) { c.Sync(f, 0) }
 

@@ -113,6 +113,18 @@ type Ctx interface {
 	Token(argBytes int, body ThreadBody)
 }
 
+// WordGetter is the closure-free form of a one-word Get, which a Ctx may
+// implement besides the interface: GetWord is Get(owner, SizeI64, read, f,
+// slot) for the read that loads *src on owner and stores the word into *dst
+// on the requester — same messages, same bytes, same events — with the word
+// carried in the engine's message instead of two closures. Both engines'
+// contexts implement it; GetSyncF64 and GetSyncI64 use it when the Ctx
+// does and fall back to Get otherwise (a Ctx written outside the engines,
+// such as the benchmark's free engine, need not know about it).
+type WordGetter interface {
+	GetWord(owner NodeID, src, dst *uint64, f *Frame, slot int)
+}
+
 // Runtime executes EARTH programs. Implementations: simrt.Runtime,
 // livert.Runtime.
 type Runtime interface {

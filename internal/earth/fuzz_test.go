@@ -52,3 +52,45 @@ func FuzzStatsJSON(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSanitizeReportJSON: the -sanitize-json report is the other artifact
+// tools read back. UnmarshalJSON must never panic, and on whatever it
+// accepts marshal∘unmarshal is idempotent: findings keep their order, kinds
+// travel by name, a clean report has no findings key.
+func FuzzSanitizeReportJSON(f *testing.F) {
+	findings, _ := json.Marshal(&SanitizeReport{FramesTracked: 5, SlotsTracked: 7, Findings: []SanitizeFinding{
+		{Kind: SanOverflow, Home: 1, Threads: 1, Slots: 1, Count: 2, Frames: 3},
+		{Kind: SanUnderflow, Home: 0, Threads: 2, Slots: 2, Index: 1, Count: -1, Frames: 1},
+		{Kind: SanPendingSlot, Home: 2, Threads: 1, Slots: 1, Count: 1, Frames: 1},
+		{Kind: SanThreadNeverRan, Home: 3, Threads: 1, Slots: 0, Frames: 2}}})
+	clean, _ := json.Marshal(&SanitizeReport{FramesTracked: 2, SlotsTracked: 2})
+	for _, seed := range [][]byte{findings, clean,
+		[]byte(`{}`), []byte(`null`), []byte(`{"findings":null}`), []byte(`{"findings":[]}`),
+		[]byte(`{"findings":[{}]}`), []byte(`{"findings":[{"kind":"unknown"}]}`),
+		[]byte(`{"findings":[{"kind":"pending-slot","count":9223372036854775807,"home":-1}]}`),
+		[]byte(`{"frames_tracked":1e2}`), []byte(`{"findings":{}}`), []byte(`[`), []byte(`"x"`),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r SanitizeReport
+		if json.Unmarshal(data, &r) != nil {
+			return
+		}
+		once, err := json.Marshal(&r)
+		if err != nil {
+			t.Fatalf("accepted %q but cannot marshal it back: %v", data, err)
+		}
+		var back SanitizeReport
+		if err := json.Unmarshal(once, &back); err != nil {
+			t.Fatalf("own output %s rejected: %v", once, err)
+		}
+		twice, err := json.Marshal(&back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("marshal∘unmarshal is not idempotent:\n%s\n%s", once, twice)
+		}
+	})
+}

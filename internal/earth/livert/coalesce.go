@@ -85,10 +85,10 @@ func (c *ctx) flushCoalBuf(b *lcoalBuf) {
 		rt.tr.Event(earth.Event{Time: rt.now(), Node: c.n.id, Peer: b.dst.id,
 			Kind: earth.EvBatchFlush, Bytes: bytes, Wait: sim.Time(len(ops))})
 	}
-	rt.sendHandler(c.n, c.n.id, b.dst, bytes, &envelope{kind: envBody, body: func(hc earth.Ctx) {
+	rt.sendHandler(c.n, c.n.id, b.dst, bytes, &envelope{kind: envBody, fn: pack(earth.ThreadBody(func(hc earth.Ctx) {
 		ex := hc.(*ctx).n
 		for i := range ops {
 			ex.fire(&ops[i])
 		}
-	}})
+	}))})
 }

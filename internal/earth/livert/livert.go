@@ -65,7 +65,8 @@
 //     the type simrt's queues use — that keep their storage across Runs.
 //   - A runtime message is an envelope, queued by value: a kind (body, sync,
 //     put, get-request, get-response), node ids, slot, frame, the one
-//     closure the program supplied, and a trace-only issue stamp. One fire*
+//     closure the program supplied — or, for a word Get (GetWord), the
+//     source, destination and word — and a trace-only issue stamp. One fire*
 //     per kind applies it, as simrt reads. Sync, Put, both legs of a Get and
 //     its completion sync allocate nothing; a coalesced batch is one closure
 //     over a slice of envelopes; a message under a fault plan gains one
@@ -98,9 +99,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"earth/internal/earth"
 	"earth/internal/faults"
+	"earth/internal/manna"
 	"earth/internal/sim"
 )
 
@@ -138,11 +141,11 @@ const (
 	envSync
 	// envPut runs fn, the write, at peer and then signals (f, slot).
 	envPut
-	// envGetReq runs read at peer, the owner, and sends what it returns
-	// back to from as an envGetResp.
+	// envGetReq runs the read at peer, the owner, and sends the result back
+	// to from as an envGetResp (see envelope.load).
 	envGetReq
-	// envGetResp runs fn, the store, at from and then signals (f, slot) on
-	// the owner's behalf.
+	// envGetResp runs the store at from and then signals (f, slot) on the
+	// owner's behalf (see envelope.store).
 	envGetResp
 )
 
@@ -150,6 +153,13 @@ const (
 // handler ring: the clean path allocates nothing per message. It is 64
 // bytes and must not grow — one more word showed up as duffcopy and write
 // barriers in every queue operation (TestEnvelopeSize).
+//
+// fn, dst and word are the payload. fn is the one closure the kind carries
+// — envBody's body, envPut's write, envGetReq's read, envGetResp's store —
+// kept as the pointer word a func value is (pack, unpack): no kind carries
+// two, so they share the room. A word Get (earth.WordGetter) carries no
+// closure: fn points at the source word, dst at the destination, and the
+// response leg carries the word itself.
 type envelope struct {
 	kind  envKind
 	from  int32 // the node that issued the operation (envSync: the signalling node)
@@ -158,9 +168,39 @@ type envelope struct {
 	bytes int32
 	f     *earth.Frame // frame to signal; nil for none
 	issue sim.Time     // when the Put or Get was issued; stamped only under a tracer
-	body  earth.ThreadBody
-	fn    func()
-	read  func() func()
+	fn    unsafe.Pointer
+	dst   *uint64 // a word Get's destination; nil for every other message
+	word  uint64  // the word a word Get's response leg carries
+}
+
+// closure is a func type an envelope carries in fn.
+type closure interface {
+	earth.ThreadBody | func() | func() func()
+}
+
+// pack returns the pointer word of func value fn, which is all a func
+// value is; unpack turns it back into the func.
+func pack[F closure](fn F) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&fn)) }
+
+func unpack[F closure](p unsafe.Pointer) F { return *(*F)(unsafe.Pointer(&p)) }
+
+// load runs a Get's read on the owner: a word Get copies the source word
+// into the envelope, a closure Get runs read and keeps the store it returns.
+func (e *envelope) load() {
+	if e.dst != nil {
+		e.word = *(*uint64)(e.fn)
+	} else {
+		e.fn = pack(unpack[func() func()](e.fn)())
+	}
+}
+
+// store completes a loaded Get on the requester.
+func (e *envelope) store() {
+	if e.dst != nil {
+		*e.dst = e.word
+	} else {
+		unpack[func()](e.fn)()
+	}
 }
 
 type lnode struct {
@@ -222,8 +262,8 @@ type lnode struct {
 	from, at sim.Time
 
 	// stats holds the counters only this node's executor touches (Busy,
-	// ThreadsRun, TokensRun, TokensStolen, Syncs); Run reads it after
-	// wg.Wait.
+	// ThreadsRun, TokensRun, TokensStolen, Syncs, and MsgsSent/BytesSent
+	// for what its bodies and handlers send); Run reads it after wg.Wait.
 	stats earth.NodeStats
 	// sanFrames lists the frames first touched on this node's executor
 	// during a sanitized run. Appended only from the executor that owns
@@ -299,6 +339,9 @@ type Runtime struct {
 	// sanOn caches cfg.Sanitize: frames are ledgered on first engine
 	// contact and scanned at quiescence (see lnode.sanTrack).
 	sanOn bool
+	// wireExtra is the per-message checksum (manna.ChecksumBytes) counted
+	// in BytesSent when the plan can corrupt payloads, as simrt charges it.
+	wireExtra int
 }
 
 var _ earth.Runtime = (*Runtime)(nil)
@@ -329,6 +372,9 @@ func New(cfg earth.Config) *Runtime {
 		rt.take.Nodes, rt.take.Fences = cfg.Nodes, fs.Fences
 		rt.inj = faults.NewInjector(fs.Plan, cfg.Seed)
 		rt.hasPart = fs.Plan.HasPartition()
+		if fs.Plan.HasCorrupt() {
+			rt.wireExtra = manna.ChecksumBytes
+		}
 	}
 	return rt
 }
@@ -745,7 +791,17 @@ func (rt *Runtime) adopted(home earth.NodeID, n *lnode) bool {
 // installed. ex is the executor the sending body runs on — src's adopter
 // when src is down.
 func (rt *Runtime) sendHandler(ex *lnode, src earth.NodeID, dst *lnode, bytes int, e *envelope) {
-	if rt.inj == nil || dst.id == src {
+	if dst.id == src {
+		rt.enqueueHandler(ex, dst, e)
+		return
+	}
+	if e.kind == envGetReq {
+		// A request carries no payload: 8 bytes on the wire, as in simrt.
+		rt.sent(ex, 8)
+	} else {
+		rt.sent(ex, bytes)
+	}
+	if rt.inj == nil {
 		rt.enqueueHandler(ex, dst, e)
 		return
 	}
@@ -753,19 +809,33 @@ func (rt *Runtime) sendHandler(ex *lnode, src earth.NodeID, dst *lnode, bytes in
 		func(ex *lnode, e envelope) { rt.enqueueHandler(ex, dst, &e) })
 }
 
+// sent counts one remote message carrying bytes of payload, at the points
+// simrt.send counts it and with the same header and checksum bytes, on the
+// sending executor ex. Every send is issued by a body or handler running on
+// an executor; timers and Run only land work that was already counted.
+func (rt *Runtime) sent(ex *lnode, bytes int) {
+	ex.stats.MsgsSent++
+	ex.stats.BytesSent += uint64(bytes + manna.HeaderBytes + rt.wireExtra)
+}
+
 // sendItem routes a ready item (INVOKE or a placed token) to dst under
 // the fault plan. A suppressed duplicate still dispatches as an item
 // whose body is a no-op, so livert's thread counters can include
 // suppressed copies — acceptable on the wall-clock engine.
 func (rt *Runtime) sendItem(ex *lnode, src earth.NodeID, dst *lnode, bytes int, it item) {
-	if rt.inj == nil || dst.id == src {
+	if dst.id == src {
 		rt.landItem(ex, src, dst, it)
 		return
 	}
-	rt.faultVerdict(ex, src, dst, bytes, envelope{kind: envBody, body: it.body},
+	rt.sent(ex, bytes)
+	if rt.inj == nil {
+		rt.landItem(ex, src, dst, it)
+		return
+	}
+	rt.faultVerdict(ex, src, dst, bytes, envelope{kind: envBody, fn: pack(it.body)},
 		func(ex *lnode, e envelope) {
 			landed := it
-			landed.body = e.body
+			landed.body = unpack[earth.ThreadBody](e.fn)
 			rt.landItem(ex, src, dst, landed)
 		})
 }
@@ -808,7 +878,7 @@ func (rt *Runtime) faultVerdict(ex *lnode, src earth.NodeID, dst *lnode, bytes i
 // adopter, if redirects moved it. a carries the sender's epoch as stamped
 // at issue; the epoch current at receipt is read here.
 func (rt *Runtime) receiptBody(a earth.Arrival, e envelope) envelope {
-	return envelope{kind: envBody, body: func(c earth.Ctx) {
+	return envelope{kind: envBody, fn: pack(earth.ThreadBody(func(c earth.Ctx) {
 		a := a
 		a.Epoch = rt.nodes[a.From].epoch.Load()
 		var d earth.NodeStats
@@ -819,7 +889,7 @@ func (rt *Runtime) receiptBody(a earth.Arrival, e envelope) envelope {
 		if v == earth.Fire {
 			c.(*ctx).n.fire(&e)
 		}
-	}}
+	}))}
 }
 
 // deliverAfter lands e after the modelled wall-clock penalty: at once, on
@@ -1068,7 +1138,7 @@ func (n *lnode) run(it item) {
 func (n *lnode) fire(e *envelope) {
 	switch e.kind {
 	case envBody:
-		e.body(&n.ctx)
+		unpack[earth.ThreadBody](e.fn)(&n.ctx)
 	case envSync:
 		n.rt.nodes[e.f.Home].decSlot(n, earth.NodeID(e.from), e.f, int(e.slot))
 	case envPut:
@@ -1081,7 +1151,7 @@ func (n *lnode) fire(e *envelope) {
 }
 
 func (n *lnode) firePut(e *envelope) {
-	e.fn()
+	unpack[func()](e.fn)()
 	if rt := n.rt; rt.tr != nil {
 		now := rt.now()
 		rt.tr.Event(earth.Event{Time: now, Node: earth.NodeID(e.peer), Peer: earth.NodeID(e.from),
@@ -1095,7 +1165,8 @@ func (n *lnode) firePut(e *envelope) {
 // fireGetReq reads at the owner and sends the response leg back.
 func (n *lnode) fireGetReq(e *envelope) {
 	resp := *e
-	resp.kind, resp.read, resp.fn = envGetResp, nil, e.read()
+	resp.kind = envGetResp
+	resp.load()
 	n.rt.sendHandler(n, earth.NodeID(e.peer), n.rt.nodes[e.from], int(e.bytes), &resp)
 }
 
@@ -1104,7 +1175,7 @@ func (n *lnode) fireGetReq(e *envelope) {
 // (matches simrt's accounting).
 func (n *lnode) fireGetResp(e *envelope) {
 	rt := n.rt
-	e.fn()
+	e.store()
 	if rt.tr != nil {
 		now := rt.now()
 		rt.tr.Event(earth.Event{Time: now, Node: earth.NodeID(e.from), Peer: earth.NodeID(e.peer),
@@ -1164,7 +1235,10 @@ type ctx struct {
 	coal []lcoalBuf
 }
 
-var _ earth.Ctx = (*ctx)(nil)
+var (
+	_ earth.Ctx        = (*ctx)(nil)
+	_ earth.WordGetter = (*ctx)(nil)
+)
 
 func (c *ctx) check() {
 	if c.dead {
@@ -1226,7 +1300,7 @@ func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, 
 		return
 	}
 	e := envelope{kind: envPut, from: int32(c.n.id), peer: int32(owner), bytes: int32(nbytes),
-		fn: write, f: f, slot: int32(slot), issue: rt.stamp()}
+		fn: pack(write), f: f, slot: int32(slot), issue: rt.stamp()}
 	if rt.tr != nil {
 		rt.tr.Event(earth.Event{Time: e.issue, Node: c.n.id, Peer: owner,
 			Kind: earth.EvPutSend, Bytes: nbytes})
@@ -1235,11 +1309,28 @@ func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, 
 }
 
 func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.Frame, slot int) {
+	c.get(owner, nbytes, envelope{fn: pack(read)}, f, slot)
+}
+
+// GetWord implements earth.WordGetter: Get of one word, carried in the
+// envelope.
+func (c *ctx) GetWord(owner earth.NodeID, src, dst *uint64, f *earth.Frame, slot int) {
+	if dst == nil {
+		// A nil dst would make the envelope read src as a closure.
+		panic("livert: GetWord into a nil destination")
+	}
+	c.get(owner, earth.SizeI64, envelope{fn: unsafe.Pointer(src), dst: dst}, f, slot)
+}
+
+// get is the request path of both Get forms; e holds the form's payload
+// (see envelope.load).
+func (c *ctx) get(owner earth.NodeID, nbytes int, e envelope, f *earth.Frame, slot int) {
 	c.check()
 	rt := c.rt
 	dst := rt.nodes[owner]
 	if dst == c.n {
-		read()()
+		e.load()
+		e.store()
 		if f != nil {
 			c.Sync(f, slot)
 		}
@@ -1250,8 +1341,8 @@ func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.F
 		// batched traffic already buffered for the owner.
 		c.flushCoalTo(dst)
 	}
-	e := envelope{kind: envGetReq, from: int32(c.n.id), peer: int32(owner), bytes: int32(nbytes),
-		read: read, f: f, slot: int32(slot), issue: rt.stamp()}
+	e.kind, e.from, e.peer, e.bytes = envGetReq, int32(c.n.id), int32(owner), int32(nbytes)
+	e.f, e.slot, e.issue = f, int32(slot), rt.stamp()
 	if rt.tr != nil {
 		rt.tr.Event(earth.Event{Time: e.issue, Node: c.n.id, Peer: owner,
 			Kind: earth.EvGetSend, Bytes: nbytes})
@@ -1277,7 +1368,7 @@ func (c *ctx) Invoke(nodeID earth.NodeID, argBytes int, body earth.ThreadBody) {
 func (c *ctx) Post(nodeID earth.NodeID, argBytes int, handler earth.ThreadBody) {
 	c.check()
 	rt := c.rt
-	e := envelope{kind: envBody, body: handler}
+	e := envelope{kind: envBody, fn: pack(handler)}
 	if nodeID == c.n.id {
 		rt.enqueueHandler(c.n, c.n, &e)
 		return

@@ -248,6 +248,21 @@ func TestCtxUseAfterReturnPanics(t *testing.T) {
 	leaked.Compute(1)
 }
 
+// TestGetWordNilDestinationPanics: a word Get with no destination panics at
+// issue, as the closure form's store would, instead of running its source
+// word as a closure on the owner.
+func TestGetWordNilDestinationPanics(t *testing.T) {
+	src := 1.5
+	var got any
+	runChecked(New(earth.Config{Nodes: 2, Seed: 1}), func(c earth.Ctx) {
+		defer func() { got = recover() }()
+		earth.GetSyncF64(c, 1, &src, nil, nil, 0)
+	})
+	if got == nil {
+		t.Error("GetSyncF64 into nil issued a Get")
+	}
+}
+
 func TestDeepPipeline(t *testing.T) {
 	// A long chain of cross-node continuations exercises quiescence
 	// detection: the run must end exactly when the chain does.

@@ -1,12 +1,19 @@
 package earth
 
-import "earth/internal/sim"
+import (
+	"unsafe"
+
+	"earth/internal/sim"
+)
 
 // This file provides the typed Threaded-C-style convenience layer over the
 // Ctx primitives: GET_SYNC_x, DATA_SYNC_x and BLKMOV analogues. The size
-// arguments feed the communication cost model; the data itself moves
-// through Go closures that execute on the correct node's context, so the
-// owner-node ownership discipline is preserved on both engines.
+// arguments feed the communication cost model. A one-word GET_SYNC on an
+// engine context (GetSyncF64, GetSyncI64 through WordGetter) moves its word
+// in the engine's message: loaded on the owner, stored on the requester.
+// Everything else moves its data through Go closures that execute on the
+// correct node's context. Either way the owner-node ownership discipline
+// is preserved on both engines.
 
 // Word sizes used for cost accounting, in bytes.
 const (
@@ -26,13 +33,23 @@ func GetSyncVal[T any](c Ctx, owner NodeID, nbytes int, src, dst *T, f *Frame, s
 	}, f, slot)
 }
 
-// GetSyncF64 is GET_SYNC_D: fetch a remote float64.
+// GetSyncF64 is GET_SYNC_D: fetch a remote float64. The word is moved as
+// its bits, through WordGetter when c implements it.
 func GetSyncF64(c Ctx, owner NodeID, src, dst *float64, f *Frame, slot int) {
+	if w, ok := c.(WordGetter); ok {
+		w.GetWord(owner, (*uint64)(unsafe.Pointer(src)), (*uint64)(unsafe.Pointer(dst)), f, slot)
+		return
+	}
 	GetSyncVal(c, owner, SizeF64, src, dst, f, slot)
 }
 
-// GetSyncI64 is GET_SYNC_L: fetch a remote int64/int.
+// GetSyncI64 is GET_SYNC_L: fetch a remote int64/int. Where int is eight
+// bytes the word goes through WordGetter when c implements it.
 func GetSyncI64(c Ctx, owner NodeID, src, dst *int, f *Frame, slot int) {
+	if w, ok := c.(WordGetter); ok && unsafe.Sizeof(int(0)) == SizeI64 {
+		w.GetWord(owner, (*uint64)(unsafe.Pointer(src)), (*uint64)(unsafe.Pointer(dst)), f, slot)
+		return
+	}
 	GetSyncVal(c, owner, SizeI64, src, dst, f, slot)
 }
 

@@ -191,6 +191,8 @@ type msg struct {
 	read     func() func()
 	write    func()
 	deliver  func()
+	src, dst *uint64 // a word Get's ends (earth.WordGetter): no read or deliver then
+	word     uint64  // loaded from *src on the owner, stored into *dst on the requester
 	recvCost sim.Time
 	issue    sim.Time
 	bytes    int
@@ -384,6 +386,7 @@ func (rt *Runtime) freeMsg(m *msg) {
 	m.read = nil
 	m.write = nil
 	m.deliver = nil
+	m.src, m.dst, m.word = nil, nil, 0
 	// issue must clear: deliver treats a zero issue as "stamp me", and a
 	// stale value from the envelope's previous life would leak the free
 	// list's reuse order into recovery-latency accounting.
@@ -966,9 +969,11 @@ func (rt *Runtime) routeMsg(arrival sim.Time, m *msg) {
 }
 
 // cloneMsg duplicates an envelope for duplicate injection. The copy shares
-// the original's closures and sequence number: whichever copy fires second
-// is suppressed by the idempotent-delivery check, so the shared closures
-// run at most once.
+// the original's closures (or word pointers) and sequence number: whichever
+// copy fires second is suppressed by the idempotent-delivery check, so the
+// shared closures run at most once. The second is usually the clone, but
+// not always: when a crash hold brings both copies to one instant, the
+// clone, routed first, fires first.
 func (rt *Runtime) cloneMsg(m *msg) *msg {
 	d := rt.newMsg()
 	d.kind = m.kind
@@ -976,6 +981,7 @@ func (rt *Runtime) cloneMsg(m *msg) *msg {
 	d.from, d.to = m.from, m.to
 	d.f, d.slot = m.f, m.slot
 	d.body, d.read, d.write, d.deliver = m.body, m.read, m.write, m.deliver
+	d.src, d.dst, d.word = m.src, m.dst, m.word
 	d.recvCost = m.recvCost
 	d.issue = m.issue
 	d.bytes = m.bytes
@@ -1144,8 +1150,12 @@ func (rt *Runtime) retarget(m *msg, kind msgKind) {
 
 // fireGetReq reads the payload on the owner and ships the response leg.
 func (rt *Runtime) fireGetReq(owner *node, m *msg) {
-	m.deliver = m.read()
-	m.read = nil
+	if m.read != nil {
+		m.deliver = m.read()
+		m.read = nil
+	} else {
+		m.word = *m.src
+	}
 	rt.retarget(m, msgGetResp)
 	now := rt.eng.Now()
 	arrival := rt.send(now, owner.id, m.to, m.bytes)
@@ -1157,8 +1167,13 @@ func (rt *Runtime) fireGetReq(owner *node, m *msg) {
 func (rt *Runtime) fireGetResp(src *node, m *msg) {
 	owner, f, slot := m.from, m.f, m.slot
 	bytes, issue, deliverFn := m.bytes, m.issue, m.deliver
+	dst, word := m.dst, m.word
 	rt.freeMsg(m)
-	deliverFn()
+	if deliverFn != nil {
+		deliverFn()
+	} else {
+		*dst = word
+	}
 	now := rt.eng.Now()
 	if rt.tr != nil {
 		rt.events.Event(earth.Event{Time: now, Node: src.id, Peer: owner,
@@ -1325,7 +1340,10 @@ type ctx struct {
 	dead   bool
 }
 
-var _ earth.Ctx = (*ctx)(nil)
+var (
+	_ earth.Ctx        = (*ctx)(nil)
+	_ earth.WordGetter = (*ctx)(nil)
+)
 
 func (c *ctx) check() {
 	if c.dead {
@@ -1416,12 +1434,27 @@ func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, 
 }
 
 func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.Frame, slot int) {
+	c.get(owner, nbytes, read, nil, nil, f, slot)
+}
+
+// GetWord implements earth.WordGetter: Get of one word, carried in the
+// envelope.
+func (c *ctx) GetWord(owner earth.NodeID, src, dst *uint64, f *earth.Frame, slot int) {
+	c.get(owner, earth.SizeI64, nil, src, dst, f, slot)
+}
+
+// get is the request path of both Get forms: read, or — when read is nil —
+// the word at src stored into dst.
+func (c *ctx) get(owner earth.NodeID, nbytes int, read func() func(), src, dst *uint64, f *earth.Frame, slot int) {
 	c.check()
 	rt := c.rt
 	if owner == c.n.id {
 		c.cursor += rt.cfg.Costs.SpawnLocal
-		deliver := read()
-		deliver()
+		if read != nil {
+			read()()
+		} else {
+			*dst = *src
+		}
 		if f != nil {
 			c.Sync(f, slot)
 		}
@@ -1440,7 +1473,7 @@ func (c *ctx) Get(owner earth.NodeID, nbytes int, read func() func(), f *earth.F
 			Kind: earth.EvGetSend, Bytes: nbytes})
 	}
 	m, arrival := rt.envelope(msgGetReq, c.n.id, owner, issue, 8, nbytes)
-	m.f, m.slot, m.read = f, slot, read
+	m.f, m.slot, m.read, m.src, m.dst = f, slot, read, src, dst
 	rt.deliver(issue, arrival, m)
 }
 

@@ -2,6 +2,7 @@ package poly
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"strings"
 	"unicode"
@@ -32,6 +33,11 @@ func (r *Ring) MustParse(s string) *Poly {
 	}
 	return p
 }
+
+// maxExponent bounds an exponent, and an exponent sum within a term, in
+// parsed input: far beyond any polynomial this package can compute with,
+// and far below where the int arithmetic of monomials could wrap.
+var maxExponent = big.NewInt(math.MaxInt32)
 
 type parser struct {
 	ring *Ring
@@ -113,7 +119,13 @@ func (p *parser) parseTerm() (*Poly, error) {
 				if !q.IsInt() || q.Sign() < 0 {
 					return nil, fmt.Errorf("bad exponent at %d", p.pos)
 				}
+				if q.Num().Cmp(maxExponent) > 0 {
+					return nil, fmt.Errorf("exponent above %d at %d", math.MaxInt32, p.pos)
+				}
 				e = int(q.Num().Int64())
+			}
+			if mono[idx] > math.MaxInt32-e {
+				return nil, fmt.Errorf("exponent of %s above %d at %d", name, math.MaxInt32, p.pos)
 			}
 			mono[idx] += e
 			sawFactor = true
@@ -121,7 +133,7 @@ func (p *parser) parseTerm() (*Poly, error) {
 			if !sawFactor {
 				return nil, fmt.Errorf("expected term at %d", p.pos)
 			}
-			return p.ring.FromTerms([]Term{{Coef: coef, Mono: mono}}), nil
+			return p.term(coef, mono)
 		}
 		p.skipSpace()
 		if p.pos < len(p.in) && p.in[p.pos] == '*' {
@@ -139,6 +151,15 @@ func (p *parser) parseTerm() (*Poly, error) {
 	}
 	if !sawFactor {
 		return nil, fmt.Errorf("expected term at %d", p.pos)
+	}
+	return p.term(coef, mono)
+}
+
+// term builds the parsed term. Over GF(p) a coefficient whose denominator
+// the modulus divides has no value: that is an input error, not a panic.
+func (p *parser) term(coef *big.Rat, mono Mono) (*Poly, error) {
+	if m := p.ring.mod; m != nil && new(big.Int).Mod(coef.Denom(), m).Sign() == 0 {
+		return nil, fmt.Errorf("denominator of %s divisible by the modulus %s at %d", coef.RatString(), m, p.pos)
 	}
 	return p.ring.FromTerms([]Term{{Coef: coef, Mono: mono}}), nil
 }
