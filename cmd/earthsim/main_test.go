@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"earth/internal/pin"
 )
+
+func TestMain(m *testing.M) { os.Exit(pin.Main(m)) }
 
 // TestBadInputExits2: input no machine can run — a fault plan that leaves
 // no node to adopt work, a machine or a network layer of no size, a jitter
@@ -92,22 +97,21 @@ func TestTraceWriteFailureExits1(t *testing.T) {
 // TestDeterminismMatrix is the byte-identity contract of the simulator
 // at its CLI surface — local verify and CI run this same test. Each row
 // is one earthsim command line; its stats JSON, Chrome trace, sanitizer
-// report and stdout must be byte-identical when the same seed runs
-// twice, on the per-message and on the batched (-coalesce) wire path.
-// The sanitizer report must also not depend on -coalesce, and nothing
-// but the profile files themselves on -cpuprofile/-memprofile.
+// report, stdout and stderr, on the per-message and on the batched
+// (-coalesce) wire path, are pinned in the package manifest. The
+// sanitizer report must also not depend on -coalesce, and nothing but the
+// profile files themselves on -cpuprofile/-memprofile.
 func TestDeterminismMatrix(t *testing.T) {
 	// earthsim runs one command line and returns its artefacts by name.
 	earthsim := func(t *testing.T, args []string, extra ...string) map[string][]byte {
 		t.Helper()
 		dir := t.TempDir()
 		args = append(append([]string{}, args...), extra...)
-		var files []string
+		files := map[string]string{}
 		for i, a := range args {
-			switch a {
-			case "-stats-json", "-trace", "-sanitize-json", "-cpuprofile", "-memprofile":
-				files = append(files, a)
-				args[i+1] = filepath.Join(dir, a)
+			if name, ok := artefacts[a]; ok {
+				files[name] = filepath.Join(dir, name)
+				args[i+1] = files[name]
 			}
 		}
 		var stdout, stderr bytes.Buffer
@@ -116,23 +120,18 @@ func TestDeterminismMatrix(t *testing.T) {
 		}
 		// The "wrote N events to <path>" line names the temp file.
 		got := map[string][]byte{"stdout": bytes.ReplaceAll(stdout.Bytes(), []byte(dir), nil), "stderr": stderr.Bytes()}
-		for _, f := range files {
+		for name, path := range files {
 			var err error
-			if got[f], err = os.ReadFile(filepath.Join(dir, f)); err != nil {
+			if got[name], err = os.ReadFile(path); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return got
 	}
-	same := func(t *testing.T, what string, a, b map[string][]byte, only ...string) {
+	pinAll := func(t *testing.T, path string, got map[string][]byte) {
 		t.Helper()
-		for name, want := range a {
-			if len(only) > 0 && name != only[0] {
-				continue
-			}
-			if !bytes.Equal(want, b[name]) {
-				t.Errorf("%s: %s differs (%d vs %d bytes)", what, name, len(want), len(b[name]))
-			}
+		for _, name := range sortedNames(got) {
+			pin.Bytes(t, path+"/"+name, got[name])
 		}
 	}
 
@@ -160,22 +159,40 @@ func TestDeterminismMatrix(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
-			one := earthsim(t, row.args)
-			same(t, "same seed twice", one, earthsim(t, row.args))
-			coal := earthsim(t, row.args, "-coalesce")
-			same(t, "-coalesce, same seed twice", coal, earthsim(t, row.args, "-coalesce"))
-			same(t, "-coalesce off vs on", one, coal, "-sanitize-json")
+			one, coal := earthsim(t, row.args), earthsim(t, row.args, "-coalesce")
+			pinAll(t, "plain", one)
+			pinAll(t, "coalesce", coal)
+			if d := pin.FirstDiff(one["sanitize.json"], coal["sanitize.json"]); d != "" {
+				t.Errorf("-coalesce off vs on: sanitize.json differs at %s", d)
+			}
 		})
 	}
 	// Not parallel: a process has one CPU profile.
 	t.Run("profiled", func(t *testing.T) {
 		args := with(k4, "-stats-json", "", "-trace", "")
-		prof := earthsim(t, args, "-cpuprofile", "", "-memprofile", "")
-		same(t, "-cpuprofile/-memprofile off vs on", earthsim(t, args), prof)
-		for _, f := range []string{"-cpuprofile", "-memprofile"} {
+		plain, prof := earthsim(t, args), earthsim(t, args, "-cpuprofile", "", "-memprofile", "")
+		for _, name := range sortedNames(plain) {
+			if d := pin.FirstDiff(plain[name], prof[name]); d != "" {
+				t.Errorf("-cpuprofile/-memprofile off vs on: %s differs at %s", name, d)
+			}
+		}
+		for _, f := range []string{"cpu.pprof", "mem.pprof"} {
 			if len(prof[f]) == 0 {
 				t.Errorf("%s wrote an empty file", f)
 			}
 		}
 	})
+}
+
+// artefacts names the file each of earthsim's output flags writes.
+var artefacts = map[string]string{"-stats-json": "stats.json", "-trace": "trace.json",
+	"-sanitize-json": "sanitize.json", "-cpuprofile": "cpu.pprof", "-memprofile": "mem.pprof"}
+
+func sortedNames(m map[string][]byte) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

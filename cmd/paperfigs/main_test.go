@@ -8,7 +8,35 @@ import (
 	"testing"
 
 	"earth/internal/harness"
+	"earth/internal/pin"
 )
+
+func TestMain(m *testing.M) { os.Exit(pin.Main(m)) }
+
+// TestExperimentsPinned runs every row of the experiment table as
+// `paperfigs -exp <row> -runs 2 -nodes 1,2,4 -seed 1 -json F` and pins its
+// stdout and its -json report in testdata/outputs.sha256: a change in any
+// application that moves a simulated byte fails the subtest named after
+// the experiment.
+func TestExperimentsPinned(t *testing.T) {
+	for _, e := range harness.Experiments(nil) {
+		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
+			jsonPath := filepath.Join(t.TempDir(), "report.json")
+			var stdout, stderr bytes.Buffer
+			args := []string{"-exp", e.Name, "-runs", "2", "-nodes", "1,2,4", "-seed", "1", "-json", jsonPath}
+			if code := run(args, &stdout, &stderr); code != 0 || stderr.Len() != 0 {
+				t.Fatalf("paperfigs %s: exit code %d\n%s", strings.Join(args, " "), code, stderr.Bytes())
+			}
+			report, err := os.ReadFile(jsonPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pin.Bytes(t, "stdout", stdout.Bytes())
+			pin.Bytes(t, "report.json", report)
+		})
+	}
+}
 
 // TestExpNames: the names -exp accepts are exactly the experiment
 // table's — every row, its group and "all" resolve, anything else is

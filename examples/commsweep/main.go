@@ -6,6 +6,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"earth/internal/earth"
 	"earth/internal/earth/simrt"
@@ -13,7 +15,10 @@ import (
 	"earth/internal/sim"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the example, printing to w.
+func run(w io.Writer) {
 	in := groebner.InputByName("Lazard")
 	seq, err := groebner.Buchberger(in.F, in.Opt)
 	if err != nil {
@@ -21,16 +26,16 @@ func main() {
 	}
 	sc := groebner.Calibrate(seq.Trace, in.PaperSeqMS)
 	base := groebner.SeqVirtualTime(seq.Trace, sc)
-	fmt.Printf("Lazard, modelled sequential time: %v\n\n", base)
+	fmt.Fprintf(w, "Lazard, modelled sequential time: %v\n\n", base)
 
 	models := append([]earth.CostModel{earth.EARTHCosts()}, earth.PaperMPModels()...)
-	fmt.Printf("%-10s", "nodes")
+	fmt.Fprintf(w, "%-10s", "nodes")
 	for _, m := range models {
-		fmt.Printf("  %10s", m.Name)
+		fmt.Fprintf(w, "  %10s", m.Name)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, nodes := range []int{4, 8, 12, 16} {
-		fmt.Printf("%-10d", nodes)
+		fmt.Fprintf(w, "%-10d", nodes)
 		for _, m := range models {
 			rt := simrt.New(earth.Config{Nodes: nodes, Seed: 3, Costs: m, JitterPct: 2})
 			res, err := groebner.ParallelBuchberger(rt, in.F,
@@ -38,9 +43,9 @@ func main() {
 			if err != nil {
 				panic(err)
 			}
-			fmt.Printf("  %10.2f", float64(base)/float64(res.Stats.Elapsed))
+			fmt.Fprintf(w, "  %10.2f", float64(base)/float64(res.Stats.Elapsed))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	_ = sim.Time(0)
 }

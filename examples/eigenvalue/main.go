@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"os"
 
 	"earth/internal/earth"
 	"earth/internal/earth/simrt"
@@ -13,14 +15,17 @@ import (
 	"earth/internal/sim"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the example, printing to w.
+func run(w io.Writer) {
 	m := eigen.Wilkinson(201) // strongly clustered upper spectrum
 	tol := 1e-8
 
 	seq := eigen.Bisect(m, tol)
-	fmt.Printf("sequential: %d eigenvalues, %d search nodes, %d Sturm evaluations\n",
+	fmt.Fprintf(w, "sequential: %d eigenvalues, %d search nodes, %d Sturm evaluations\n",
 		len(seq.Eigenvalues), seq.Tasks, seq.SturmCounts)
-	fmt.Printf("largest eigenvalues: %.9f, %.9f (a Wilkinson near-degenerate pair)\n",
+	fmt.Fprintf(w, "largest eigenvalues: %.9f, %.9f (a Wilkinson near-degenerate pair)\n",
 		seq.Eigenvalues[len(seq.Eigenvalues)-2], seq.Eigenvalues[len(seq.Eigenvalues)-1])
 
 	rt := simrt.New(earth.Config{Nodes: 16, Seed: 1})
@@ -32,9 +37,9 @@ func main() {
 		}
 	}
 	base := eigen.SeqVirtualTime(seq, eigen.SturmCostFor(m.N()))
-	fmt.Printf("parallel (16 nodes): %v vs %v modelled sequential -> speedup %.1f\n",
+	fmt.Fprintf(w, "parallel (16 nodes): %v vs %v modelled sequential -> speedup %.1f\n",
 		par.Stats.Elapsed, base, float64(base)/float64(par.Stats.Elapsed))
-	fmt.Printf("max divergence from sequential result: %g\n", worst)
-	fmt.Printf("work stealing moved %d of %d tasks\n", par.Stats.Total().TokensStolen, par.Tasks)
+	fmt.Fprintf(w, "max divergence from sequential result: %g\n", worst)
+	fmt.Fprintf(w, "work stealing moved %d of %d tasks\n", par.Stats.Total().TokensStolen, par.Tasks)
 	_ = sim.Time(0)
 }

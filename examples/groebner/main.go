@@ -14,7 +14,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/big"
+	"os"
 
 	"earth/internal/earth"
 	"earth/internal/earth/simrt"
@@ -22,7 +24,10 @@ import (
 	"earth/internal/poly"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the example, printing to w.
+func run(w io.Writer) {
 	ring := poly.NewRing(poly.Lex{}, "x", "y")
 	F := []*poly.Poly{
 		ring.MustParse("x^2 + y^2 - 5"),
@@ -33,17 +38,17 @@ func main() {
 		panic(err)
 	}
 	red := b.Reduce()
-	fmt.Println("reduced lex Gröbner basis (triangular form):")
+	fmt.Fprintln(w, "reduced lex Gröbner basis (triangular form):")
 	for _, g := range red.Polys {
-		fmt.Println("  ", g)
+		fmt.Fprintln(w, "  ", g)
 	}
 	// The last basis element is univariate in y: y^2 + y - 4 = 0 here;
 	// verify that y = 2 satisfies... it does not — check exact roots via
 	// evaluation instead: every input polynomial must vanish on any
 	// common root. Check the rational candidate points of the basis.
-	fmt.Println("\nverifying ideal membership: inputs reduce to zero modulo the basis:")
+	fmt.Fprintln(w, "\nverifying ideal membership: inputs reduce to zero modulo the basis:")
 	for i, f := range F {
-		fmt.Printf("  input %d reduces to zero: %v\n", i, poly.ReducesToZero(f, red.Polys))
+		fmt.Fprintf(w, "  input %d reduces to zero: %v\n", i, poly.ReducesToZero(f, red.Polys))
 	}
 
 	// The same computation on the EARTH runtime, 6 workers + maintenance.
@@ -52,14 +57,14 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("\nparallel run: %d pairs processed, ideals agree: %v\n",
+	fmt.Fprintf(w, "\nparallel run: %d pairs processed, ideals agree: %v\n",
 		res.PairsProcessed, groebner.SameIdeal(res.Basis, b))
 
 	// The true solutions have y solving y^2 + y - 4 = 0 (irrational), so
 	// no rational point is a common root. Exact evaluation shows the
 	// point (1,2) lies on the circle but not on the parabola:
 	at := []*big.Rat{big.NewRat(1, 1), big.NewRat(2, 1)}
-	fmt.Printf("\ncircle(1,2) = %v, parabola(1,2) = %v -> not a common root\n",
+	fmt.Fprintf(w, "\ncircle(1,2) = %v, parabola(1,2) = %v -> not a common root\n",
 		F[0].Eval(at), F[1].Eval(at))
 
 	// Finish the pipeline the paper motivates: solve the triangular set.
@@ -67,8 +72,8 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("\nreal solutions (via Sturm root isolation + back-substitution):")
+	fmt.Fprintln(w, "\nreal solutions (via Sturm root isolation + back-substitution):")
 	for _, s := range sols {
-		fmt.Printf("  x = %+.6f, y = %+.6f   (residual %.1e)\n", s.X[0], s.X[1], s.Residual)
+		fmt.Fprintf(w, "  x = %+.6f, y = %+.6f   (residual %.1e)\n", s.X[0], s.X[1], s.Residual)
 	}
 }

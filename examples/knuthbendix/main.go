@@ -7,13 +7,18 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"earth/internal/earth"
 	"earth/internal/earth/simrt"
 	"earth/internal/rewrite"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the example, printing to w.
+func run(w io.Writer) {
 	s, err := rewrite.NewSystem([][2]string{
 		{"aa", ""}, {"bb", ""}, {"ababab", ""},
 	})
@@ -24,16 +29,16 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("convergent system for S3 = <a,b | a², b², (ab)³>:")
+	fmt.Fprintln(w, "convergent system for S3 = <a,b | a², b², (ab)³>:")
 	for _, r := range complete.Rules {
-		fmt.Println("  ", r)
+		fmt.Fprintln(w, "  ", r)
 	}
-	fmt.Printf("completion: %d pairs processed, %d rules added, %d rewrite steps\n",
+	fmt.Fprintf(w, "completion: %d pairs processed, %d rules added, %d rewrite steps\n",
 		tr.PairsProcessed, tr.RulesAdded, tr.RewriteSteps)
 
-	fmt.Println("group elements (irreducible words):", complete.EnumerateNormalForms("ab", 6))
-	fmt.Println("word problem: abab == ba ?", complete.Reduces("abab", "ba"))
-	fmt.Println("word problem: ab == ba ?", complete.Reduces("ab", "ba"), "(S3 is non-abelian)")
+	fmt.Fprintln(w, "group elements (irreducible words):", complete.EnumerateNormalForms("ab", 6))
+	fmt.Fprintln(w, "word problem: abab == ba ?", complete.Reduces("abab", "ba"))
+	fmt.Fprintln(w, "word problem: ab == ba ?", complete.Reduces("ab", "ba"), "(S3 is non-abelian)")
 
 	rt := simrt.New(earth.Config{Nodes: 6, Seed: 1})
 	par, err := rewrite.ParallelComplete(rt, s)
@@ -46,6 +51,6 @@ func main() {
 			same = false
 		}
 	}
-	fmt.Printf("parallel completion on 5 workers: identical canonical system: %v (%v)\n",
+	fmt.Fprintf(w, "parallel completion on 5 workers: identical canonical system: %v (%v)\n",
 		same, par.Stats.Elapsed)
 }

@@ -9,12 +9,17 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"earth/internal/earth"
 	"earth/internal/earth/simrt"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the example, printing to w.
+func run(w io.Writer) {
 	const n = 8
 	// Vectors live on node 1 ("remote memory"); the computation runs on
 	// node 0 and writes results back to node 1.
@@ -32,11 +37,11 @@ func main() {
 		done := earth.NewFrame(0, 1, 1)
 		done.InitSync(0, 1, 0, 0)
 		done.SetThread(0, func(c earth.Ctx) {
-			fmt.Println("vadd finished:", res)
+			fmt.Fprintln(w, "vadd finished:", res)
 		})
 		vadd(c, a, b, res, done)
 	})
-	fmt.Println(stats)
+	fmt.Fprintln(w, stats)
 }
 
 // vadd is the THREADED function of Figure 1(b): per element, two

@@ -1,18 +1,15 @@
 package enginetest
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"earth/internal/earth"
 	"earth/internal/earth/simrt"
 	"earth/internal/faults"
+	"earth/internal/pin"
 	"earth/internal/sim"
 )
 
@@ -23,6 +20,8 @@ import (
 // partitioned, composed, sanitized, coalesced and not — so an engine change
 // that moves a simulated byte fails here first; TestRunTwiceByteIdentical
 // builds two machines from one Config and requires the same bytes of both.
+
+func TestMain(m *testing.M) { os.Exit(pin.Main(m)) }
 
 // eventLog is a minimal Tracer buffering the run's event stream.
 type eventLog struct{ evs []earth.Event }
@@ -55,18 +54,18 @@ func simRun(t *testing.T, cfg earth.Config, body earth.ThreadBody) simOut {
 	return simOut{st: st, evs: log.evs, stats: sj, trace: tj}
 }
 
-// sameBytes fails t when got's stats or trace differ from want's.
+// sameBytes fails t when got's stats or trace differ from want's, naming
+// the first differing field or event (got's value first).
 func sameBytes(t *testing.T, what string, got, want simOut) {
 	t.Helper()
 	if len(want.trace) <= len("[]") {
 		t.Fatal("baseline run produced no trace events")
 	}
-	if !bytes.Equal(got.stats, want.stats) {
-		t.Errorf("%s: stats JSON diverges\n got: %s\nwant: %s", what, got.stats, want.stats)
+	if d := pin.FirstDiff(got.stats, want.stats); d != "" {
+		t.Errorf("%s vs the baseline: stats JSON diverges at %s", what, d)
 	}
-	if !bytes.Equal(got.trace, want.trace) {
-		t.Errorf("%s: trace diverges (%d vs %d bytes): %s",
-			what, len(got.trace), len(want.trace), firstTraceDiff(got.trace, want.trace))
+	if d := pin.FirstDiff(got.trace, want.trace); d != "" {
+		t.Errorf("%s vs the baseline: trace diverges at %s", what, d)
 	}
 }
 
@@ -187,7 +186,7 @@ func mixRun(t *testing.T, cfg earth.Config) simOut {
 	return out
 }
 
-// pinnedRun is one named run whose bytes TestEngineBytesPinned digests.
+// pinnedRun is one named run whose bytes TestEngineBytesPinned pins.
 type pinnedRun struct {
 	name string
 	run  func(*testing.T) simOut
@@ -221,62 +220,18 @@ func coalName(on bool) string {
 	return "coalesce-off"
 }
 
-// pinnedDigests holds, per pinnedRuns name, the SHA-256 of the stats JSON
-// and of the trace JSON the run produced at commit bb06ef6 — the last one
-// whose simrt could split a machine over shard workers — at its default of
-// one shard.
-var pinnedDigests = map[string][2]string{
-	"mix/clean-steal":                               {"72b608c981ae61b8956c60ec9204dfea9d0b09ec323c019328bfd562d7d1139f", "4ca207307727a9aa39b6413920ebcd83bdf77ed167ac2a12a3f6962df5643966"},
-	"mix/clean-roundrobin":                          {"e6a453b92aa7975efe1ed16e5e397d8a276a25b7f6f20f3fc8158eb9de89672f", "0bed453992b63f7df6c0a07fc05d342287f4eced35c0644fec8c390d19523e94"},
-	"mix/chaos":                                     {"986eb2f3da581120a123a32aa88099d7141eb835e423ef9e6aade10796d51f22", "6aa21f84e411cefd787121f7120f3b9d9a095db49a0af2a947d04ae98c389434"},
-	"mix/crash":                                     {"24a6916a2fa03f9483498fe6c1f44aa34d11452691b6edc08a6ec83090e846e2", "a71263acf4965e285599e36b187df27da3f3391ed09e47fca9aa9bb3d21e6b77"},
-	"partition/below-lease/coalesce-off":            {"d694bee5e3b25d89b04d6f6caec7465c3ea7ec151422c69f764069205039e376", "6412179f42a2fa15152611fee8ae0da4af2b416c249797fabfae2689376fc0d0"},
-	"partition/above-lease/coalesce-off":            {"8abf5a1637ac5b9267eaa4d2c7a73de0459d61724cf027cca6405becd38bf991", "f1b68b557e487ccf512c8bfa0e84947ac54ac4930a2a2903420d043f030869f2"},
-	"partition/partition-corrupt-drop/coalesce-off": {"982ac63ac6a5cff55fb7a1fa3cdb0ea19136d9f1f402d4bfe00351df2fa67022", "6927bb9ad8d47a9fd1e7058cebe4f774603171c1e168ab4ce7bbe3182afcb94b"},
-	"partition/composed/coalesce-off":               {"28a224efabb133d0483ca5e85964eb1bf8e86d9a0fcbd291fdebe8fedec9a076", "758751632497e813de58665308c4596d55adfd7321a9e6cb399d4e7074ce4d05"},
-	"sanitize/bug=false/coalesce-off":               {"72b608c981ae61b8956c60ec9204dfea9d0b09ec323c019328bfd562d7d1139f", "8fd1a6b12eabb01f2ea4eeb932d571ec6b6f8dfe2578e8d936a2804fb13b4f27"},
-	"sanitize/bug=true/coalesce-off":                {"75002f17afe1a744235e2422015b0e68c29a95e52d8c9c261ef6adc3721d922d", "62bb8b1d02a23c5d28e0748025208abf933e6f531c2606263fb36a9155d4fc16"},
-	"partition/below-lease/coalesce-on":             {"d694bee5e3b25d89b04d6f6caec7465c3ea7ec151422c69f764069205039e376", "45b0e1482b64fc68a42c84e9ae12ab5ccce27c6b3f64df91cf210d153112fc75"},
-	"partition/above-lease/coalesce-on":             {"8abf5a1637ac5b9267eaa4d2c7a73de0459d61724cf027cca6405becd38bf991", "b6a645041d558d13d4343a9b680f4249d0e9c9d192a712b9f4876d80890906bd"},
-	"partition/partition-corrupt-drop/coalesce-on":  {"982ac63ac6a5cff55fb7a1fa3cdb0ea19136d9f1f402d4bfe00351df2fa67022", "b648be9a8cabc78b31c128407c4dc7acb12e15b55dd90a3b0d2f62b7d76acdfe"},
-	"partition/composed/coalesce-on":                {"28a224efabb133d0483ca5e85964eb1bf8e86d9a0fcbd291fdebe8fedec9a076", "51ee055a1e5e415bfb413cd5e148850ce13201462d176225275fd42c37d3cac1"},
-	"sanitize/bug=false/coalesce-on":                {"58496d8fd392675696520de28513969c1239f304cb0c0de7bf85d346a19464ad", "6a4742b3f58a06db30656516939e5ea3e576afbf9f785734cb95d70079d8efe4"},
-	"sanitize/bug=true/coalesce-on":                 {"75002f17afe1a744235e2422015b0e68c29a95e52d8c9c261ef6adc3721d922d", "62bb8b1d02a23c5d28e0748025208abf933e6f531c2606263fb36a9155d4fc16"},
-}
-
+// TestEngineBytesPinned holds every pinned run's stats and trace JSON to
+// testdata/outputs.sha256, whose entries were recorded at commit bb06ef6 —
+// the last one whose simrt could split a machine over shard workers — at
+// its default of one shard.
 func TestEngineBytesPinned(t *testing.T) {
-	runs := pinnedRuns()
-	if len(runs) != len(pinnedDigests) {
-		t.Errorf("%d runs but %d pinned digests", len(runs), len(pinnedDigests))
-	}
-	for _, r := range runs {
+	for _, r := range pinnedRuns() {
 		t.Run(r.name, func(t *testing.T) {
 			out := r.run(t)
-			got := [2]string{digest(out.stats), digest(out.trace)}
-			if got == pinnedDigests[r.name] {
-				return
-			}
-			// Not t.TempDir(): that is removed when the test returns, and the
-			// files are for comparing by hand against the same run of an
-			// older commit.
-			dir, err := os.MkdirTemp("", "enginebytes-")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for file, b := range map[string][]byte{"stats.json": out.stats, "trace.json": out.trace} {
-				if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			t.Errorf("simulated bytes moved; this run's stats.json and trace.json are in %s\n got: %q: {%q, %q},\nwant: %q",
-				dir, r.name, got[0], got[1], pinnedDigests[r.name])
+			pin.Bytes(t, "stats.json", out.stats)
+			pin.Bytes(t, "trace.json", out.trace)
 		})
 	}
-}
-
-func digest(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
 }
 
 func TestRunTwiceByteIdentical(t *testing.T) {
@@ -296,26 +251,4 @@ func TestShardsFieldIgnored(t *testing.T) {
 	base := mixRun(t, cfg)
 	cfg.Shards = 4
 	sameBytes(t, "Shards: 4", mixRun(t, cfg), base)
-}
-
-// firstTraceDiff locates the first divergent byte for a readable failure.
-func firstTraceDiff(a, b []byte) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			lo := i - 80
-			if lo < 0 {
-				lo = 0
-			}
-			hi := i + 80
-			if hi > n {
-				hi = n
-			}
-			return fmt.Sprintf("first diff at byte %d: %q vs %q", i, a[lo:hi], b[lo:hi])
-		}
-	}
-	return fmt.Sprintf("length mismatch only (%d vs %d)", len(a), len(b))
 }

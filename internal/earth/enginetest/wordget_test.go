@@ -46,7 +46,9 @@ type getResult struct {
 // cell; invoked spreaders on every node issue perNode tokens each, and every
 // token fetches one word of each type — from owners that depend on the
 // token only, so some fetches are local — and, once both are in, computes
-// for work and puts them into node 0's sums behind one fan-in slot.
+// for work and puts them into node 0's sums behind one fan-in slot. A token
+// that fetched a wrong word computes a nanosecond longer, so the trace
+// comparison names the first event a lost word moved, not only the sums.
 func getProg(form getForm, res *getResult, nodes, spread, perNode int, work sim.Time) (earth.ThreadBody, getResult) {
 	fcell, icell := make([]float64, nodes), make([]int, nodes)
 	for n := range fcell {
@@ -70,14 +72,17 @@ func getProg(form getForm, res *getResult, nodes, spread, perNode int, work sim.
 					c.Token(8, func(c earth.Ctx) {
 						var gf float64
 						var gi int
+						fo, io := fOwner(v), iOwner(v)
 						g := earth.NewFrame(c.Node(), 1, 1)
 						g.InitSync(0, 2, 0, 0)
 						g.SetThread(0, func(c earth.Ctx) {
 							c.Compute(work)
+							if gf != fcell[fo] || gi != icell[io] {
+								c.Compute(sim.Nanosecond)
+							}
 							x, y := gf, gi+v
 							c.Put(0, 16, func() { res.sumF += x; res.sumI += y }, fin, 0)
 						})
-						fo, io := fOwner(v), iOwner(v)
 						form.f64(c, earth.NodeID(fo), &fcell[fo], &gf, g, 0)
 						form.i64(c, earth.NodeID(io), &icell[io], &gi, g, 0)
 					})
@@ -97,7 +102,8 @@ func getProg(form getForm, res *getResult, nodes, spread, perNode int, work sim.
 // first — fires first. Everywhere else the original fires first and the
 // clone is discarded unread. So a simrt cloneMsg that drops the word fields
 // fails the crash row and only it: a nil source panics, a lost word alone
-// makes the sums differ (EXPERIMENTS.md, "PR 25").
+// moves one thread by a nanosecond and the sums (EXPERIMENTS.md, "PR 25"
+// and "PR 26").
 var getPlans = []struct {
 	name, spec string
 	nodes      int

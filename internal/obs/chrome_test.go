@@ -193,8 +193,8 @@ func encoderTable() []earth.Event {
 // and without a peer, payload, duration and wait, at the times where the
 // microsecond form changes shape — whole, fractional, the largest integer
 // a float64 holds exactly, both ends of int64 — in streams long enough
-// for flows to pair, miss and queue up; and the recorded runs of the
-// golden tests.
+// for flows to pair, miss and queue up; and the two runs whose exports are
+// pinned.
 func TestChromeEncoderMatchesReference(t *testing.T) {
 	check := func(t *testing.T, events []earth.Event) {
 		t.Helper()

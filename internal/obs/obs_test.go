@@ -1,12 +1,9 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -17,10 +14,11 @@ import (
 	"earth/internal/earth/livert"
 	"earth/internal/earth/simrt"
 	"earth/internal/faults"
+	"earth/internal/pin"
 	"earth/internal/sim"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files")
+func TestMain(m *testing.M) { os.Exit(pin.Main(m)) }
 
 // traceWorkload exercises every traced operation: tokens (with steals
 // under the steal balancer), Put with sync completion, Invoke, a remote
@@ -97,17 +95,13 @@ func TestTracerDoesNotPerturbSimulation(t *testing.T) {
 	}
 }
 
+// TestChromeTraceDeterministicAndGolden: the traced workload's Chrome
+// export has a lane per node and the named op events, and its bytes are
+// pinned in the package manifest.
 func TestChromeTraceDeterministicAndGolden(t *testing.T) {
 	a, err := ChromeTrace(runTracedSim(t).Events())
 	if err != nil {
 		t.Fatal(err)
-	}
-	b, err := ChromeTrace(runTracedSim(t).Events())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("identical seeds produced different Chrome traces")
 	}
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
@@ -136,25 +130,7 @@ func TestChromeTraceDeterministicAndGolden(t *testing.T) {
 			t.Errorf("missing named op event %q", want)
 		}
 	}
-
-	golden := filepath.Join("testdata", "chrome_trace.golden.json")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, a, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to regenerate): %v", err)
-	}
-	if !bytes.Equal(a, want) {
-		t.Errorf("Chrome trace deviates from golden file; if the simulator's "+
-			"schedule changed intentionally, regenerate with -update\n got %d bytes, want %d",
-			len(a), len(want))
-	}
+	pin.Bytes(t, "chrome_trace.json", a)
 }
 
 func TestChromeTraceFlowEvents(t *testing.T) {
@@ -252,6 +228,8 @@ func runCrashTracedSim(t *testing.T) *Recorder {
 	return rec
 }
 
+// TestChromeTraceCrashEventsGolden: the crash run's trace carries the
+// crash vocabulary, and its Chrome export's bytes are pinned.
 func TestChromeTraceCrashEventsGolden(t *testing.T) {
 	rec := runCrashTracedSim(t)
 	seen := map[earth.EventKind]int{}
@@ -269,35 +247,12 @@ func TestChromeTraceCrashEventsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ChromeTrace(runCrashTracedSim(t).Events())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("identical seeds produced different crash traces")
-	}
 	for _, name := range []string{"node.down", "frame.replayed", "work.reassigned"} {
 		if !strings.Contains(string(a), `"name":"`+name+`"`) {
 			t.Errorf("crash trace missing %q instant events", name)
 		}
 	}
-	golden := filepath.Join("testdata", "chrome_trace_crash.golden.json")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, a, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to regenerate): %v", err)
-	}
-	if !bytes.Equal(a, want) {
-		t.Errorf("crash Chrome trace deviates from golden; regenerate with -update if "+
-			"the schedule changed intentionally\n got %d bytes, want %d", len(a), len(want))
-	}
+	pin.Bytes(t, "chrome_trace_crash.json", a)
 }
 
 func TestLivertTracerRaceFree(t *testing.T) {
