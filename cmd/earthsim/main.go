@@ -15,8 +15,8 @@
 //
 // -coalesce enables the batched wire path: same-destination small
 // messages issued within one engine step merge into a single wire
-// transfer (flushed at step boundaries or the configured byte/count
-// threshold), costed as one per-message overhead plus the summed
+// transfer (flushed at step boundaries, or once a batch reaches 16
+// messages or 4096 bytes), costed as one per-message overhead plus the summed
 // serialisation. Statistics remain deterministic.
 //
 // -sanitize attaches a signal ledger to every frame the engines touch

@@ -91,7 +91,8 @@ func shardWorkerUnannotated(shards []*fakeShard) {
 // A coalescer keyed on a destination MAP: flushing by ranging the map
 // reaches the wire (an emit call) in randomised per-run order, so the
 // flush sequence — and with it every trace byte — differs run to run.
-// Buffers must be destination-sorted slices (see the detok mirror).
+// Buffers must be destination-sorted slices, as earth.Coalescer keeps
+// them (see the detok mirror).
 type mapCoalescer struct {
 	bufs map[int][]int // dst -> buffered payload sizes
 }

@@ -91,8 +91,8 @@ func allowedTrailing(m map[string]int) int {
 	return last
 }
 
-// The coalescer-buffer idiom: per-destination buffers held in a
-// destination-sorted slice (never a map), flushed in ascending
+// The coalescer-buffer idiom of earth.Coalescer: per-destination buffers
+// held in a destination-sorted slice (never a map), drained in ascending
 // destination order — the flush sequence is a pure function of the
 // program, so traces stay byte-reproducible.
 type coalBuf struct {

@@ -1,10 +1,10 @@
 // Package locklint flags mutexes held across blocking operations in the
 // engine and fault-injection packages (simrt, livert, faults): a channel
 // send/receive, a WaitGroup.Wait, a time.Sleep, a simulation-engine
-// step, a coalescer flush (coalAdd/flushCoal*), or a livert executor's
-// settle, retire or batch hand-back executed under a sync.Mutex/RWMutex
-// serialises — or deadlocks — the very concurrency those packages exist
-// to provide. livert's node mutexes in particular
+// step, a coalescer flush (earth.Coalescer's Add/FlushTo/Drain), or a
+// livert executor's settle, retire or batch hand-back executed under a
+// sync.Mutex/RWMutex serialises — or deadlocks — the very concurrency
+// those packages exist to provide. livert's node mutexes in particular
 // guard queues that the channel network feeds; holding one across a
 // channel operation is the textbook lost-wakeup deadlock, and the
 // coalescer's batch flush walks that same path (node locks, wakeup
@@ -281,12 +281,12 @@ func reportBlockingCall(pass *framework.Pass, call *ast.CallExpr, owner string) 
 				"executor %s while %s is held re-enters the push path or ends the run under the lock; "+
 					"unlock first or annotate //locklint:allow <reason>", sel.Sel.Name, owner)
 		}
-	case "flushCoal", "flushCoalTo", "flushCoalAll", "flushCoalBuf", "coalAdd":
-		// The coalescer's flush path (which coalAdd enters when a
-		// threshold trips) re-acquires node mutexes and pokes wakeup
-		// channels on its way to the destination queue — calling it with
-		// a lock held inverts the lock order or self-deadlocks.
-		if n := namedOf(pass.TypeOf(sel.X)); n != nil && n.Obj().Name() == "ctx" {
+	case "Add", "FlushTo", "Drain":
+		// An earth.Coalescer ships through the engine's send path (Add
+		// when a batch trips), which re-acquires node mutexes and pokes
+		// wakeup channels on its way to the destination queue — calling
+		// it with a lock held inverts the lock order or self-deadlocks.
+		if n := namedOf(pass.TypeOf(sel.X)); n != nil && n.Obj().Name() == "Coalescer" {
 			pass.Reportf(call.Pos(),
 				"coalescer %s while %s is held re-enters the send path (node locks, wakeup channels) under the lock; "+
 					"unlock first or annotate //locklint:allow <reason>", sel.Sel.Name, owner)

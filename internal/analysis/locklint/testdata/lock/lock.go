@@ -80,33 +80,41 @@ func (n *node) blockInBranch(ready bool) {
 	}
 }
 
-// ctx mirrors the engines' per-body context carrying coalescing buffers;
-// its flush family re-enters the send path (node locks, wakeup pokes).
-type ctx struct{ n *node }
+// Coalescer mirrors earth.Coalescer: Add (when a batch trips), FlushTo
+// and Drain ship through the engine's send path (node locks, wakeup pokes).
+type Coalescer[Op any] struct{ bufs []Op }
 
-func (c *ctx) coalAdd(dst int, nbytes int)  {}
-func (c *ctx) flushCoal()                   {}
-func (c *ctx) flushCoalTo(dst int)          {}
-func (c *ctx) flushCoalAll()                {}
-func (c *ctx) flushCoalBuf(b *struct{})     {}
-func (c *ctx) unrelatedMethod(dst int) bool { return false }
+// Shipper mirrors earth.Shipper, the engine's ship step.
+type Shipper[Op any] interface {
+	Ship(dst int, ops []Op, bytes int)
+}
+
+func (co *Coalescer[Op]) Add(s Shipper[Op], dst int, op Op, nbytes int) {}
+func (co *Coalescer[Op]) FlushTo(s Shipper[Op], dst int)                {}
+func (co *Coalescer[Op]) Drain(s Shipper[Op])                           {}
+func (co *Coalescer[Op]) Len() int                                      { return len(co.bufs) }
+
+// ctx mirrors the engines' per-body context, the coalescer's shipper.
+type ctx struct{ coal Coalescer[int] }
+
+func (c *ctx) Ship(dst int, ops []int, bytes int) {}
 
 func (n *node) flushUnderLock(c *ctx) {
 	n.mu.Lock()
-	c.flushCoalAll() // want `coalescer flushCoalAll while n.mu is held`
+	c.coal.Drain(c) // want `coalescer Drain while n.mu is held`
 	n.mu.Unlock()
 }
 
 func (n *node) batchAddUnderDeferredLock(c *ctx, dst int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	c.coalAdd(dst, 8) // want `coalescer coalAdd while n.mu is held`
+	c.coal.Add(c, dst, 1, 8) // want `coalescer Add while n.mu is held`
 }
 
 func (n *node) flushToUnderRLock(c *ctx, dst int) {
 	n.rw.RLock()
 	defer n.rw.RUnlock()
-	c.flushCoalTo(dst) // want `coalescer flushCoalTo while n.rw is held`
+	c.coal.FlushTo(c, dst) // want `coalescer FlushTo while n.rw is held`
 }
 
 // lnode mirrors livert's node: settling its reserve may end the run, and
@@ -149,19 +157,23 @@ func (n *node) flushAfterUnlock(c *ctx, v int) {
 	n.mu.Lock()
 	n.q = append(n.q, v)
 	n.mu.Unlock()
-	c.flushCoal()
+	c.coal.Drain(c)
 }
 
-// notTheCoalescer: the flush names only match on the engines' ctx type.
-type otherCtx struct{}
+// notTheCoalescer: the flush names only match on the Coalescer type, and
+// its other methods are not flushes.
+type otherBuf struct{}
 
-func (otherCtx) flushCoalAll() {}
+func (otherBuf) Drain(s Shipper[int]) {}
+func (otherBuf) Add(d int)            {}
 
-func (n *node) notTheCoalescer(o otherCtx) {
+func (n *node) notTheCoalescer(c *ctx, o otherBuf, wg *sync.WaitGroup) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	o.flushCoalAll()
-	(&ctx{}).unrelatedMethod(0)
+	o.Drain(c)
+	o.Add(1)
+	wg.Add(1)
+	_ = c.coal.Len()
 }
 
 // shrunkenSection unlocks before the channel op: the canonical fix.

@@ -169,13 +169,11 @@ type nodeIdx struct {
 	maxEnd []sim.Time // prefix max of acts[i].end
 	busy   []ival     // merged busy intervals
 
-	// Tables of the caller's events, each sorted by Time.
-	syncs    []*earth.Event // EvSyncSignal accounted here
-	invokes  []*earth.Event // EvInvokeDeliver landing here
-	tokens   []*earth.Event // EvTokenDeliver landing here
-	steals   []*earth.Event // EvStealGrant landing here
-	reassign []*earth.Event // EvWorkReassigned re-placed here
-	posts    []*earth.Event // EvPostSend targeting this node (Event.Node is the sender)
+	// ev[k] is the table of the caller's kind-k events indexed on this
+	// node, sorted by Time, for each kind the walk looks up (see walked):
+	// the events accounted to the node, except that a post (EvPostSend,
+	// whose Event.Node is the sender) is indexed on its target.
+	ev [earth.KindCount][]*earth.Event
 
 	recovery []sim.Time // recovery-class marker instants on this node
 	deadAt   sim.Time   // crash instant, or -1 when the node survives
@@ -208,6 +206,17 @@ func Analyze(events []earth.Event, nodes int, makespan sim.Time) *Analysis {
 	return a
 }
 
+// walked marks the event kinds the backward walk looks up by time: each
+// node keeps a table of each (nodeIdx.ev).
+var walked = [earth.KindCount]bool{
+	earth.EvSyncSignal:     true,
+	earth.EvInvokeDeliver:  true,
+	earth.EvTokenDeliver:   true,
+	earth.EvStealGrant:     true,
+	earth.EvWorkReassigned: true,
+	earth.EvPostSend:       true,
+}
+
 // buildIndex sorts the stream into per-node lookup tables. Input order
 // is irrelevant (livert's stream arrives in goroutine-race order); every
 // table is stably sorted by Time so the result is a pure function of the
@@ -215,39 +224,44 @@ func Analyze(events []earth.Event, nodes int, makespan sim.Time) *Analysis {
 // one counting pass gives each its exact size.
 func buildIndex(events []earth.Event, nodes int, makespan sim.Time) []*nodeIdx {
 	inRange := func(id earth.NodeID) bool { return id >= 0 && int(id) < nodes }
-	// count[n][k] is the number of kind-k events indexed on node n: the
-	// events accounted to it, except that a post is indexed on its target.
-	count := make([][earth.KindCount]int, nodes)
-	for i := range events {
-		e := &events[i]
-		if !inRange(e.Node) || int(e.Kind) >= earth.KindCount {
-			continue
-		}
+	// indexedOn is the node e is counted and tabled on, or -1.
+	indexedOn := func(e *earth.Event) earth.NodeID {
 		n := e.Node
 		if e.Kind == earth.EvPostSend {
 			n = e.Peer
 		}
-		if inRange(n) {
-			count[n][e.Kind]++
+		if !inRange(e.Node) || !inRange(n) || int(e.Kind) >= earth.KindCount {
+			return -1
+		}
+		return n
+	}
+	// count[n][k] is the number of kind-k events indexed on node n.
+	count := make([][earth.KindCount]int, nodes)
+	for i := range events {
+		if n := indexedOn(&events[i]); n >= 0 {
+			count[n][events[i].Kind]++
 		}
 	}
 	idx := make([]*nodeIdx, nodes)
 	for n := range idx {
 		c := &count[n]
-		table := func(k earth.EventKind) []*earth.Event { return make([]*earth.Event, 0, c[k]) }
-		idx[n] = &nodeIdx{
-			acts:     make([]activity, 0, c[earth.EvThreadRun]+c[earth.EvHandlerRun]),
-			syncs:    table(earth.EvSyncSignal),
-			invokes:  table(earth.EvInvokeDeliver),
-			tokens:   table(earth.EvTokenDeliver),
-			steals:   table(earth.EvStealGrant),
-			reassign: table(earth.EvWorkReassigned),
-			posts:    table(earth.EvPostSend),
-			deadAt:   -1,
+		ni := &nodeIdx{
+			acts:   make([]activity, 0, c[earth.EvThreadRun]+c[earth.EvHandlerRun]),
+			deadAt: -1,
 		}
+		for k, w := range walked {
+			if w {
+				ni.ev[k] = make([]*earth.Event, 0, c[k])
+			}
+		}
+		idx[n] = ni
 	}
 	for i := range events {
 		e := &events[i]
+		if n := indexedOn(e); n >= 0 && walked[e.Kind] {
+			t := &idx[n].ev[e.Kind]
+			*t = append(*t, e)
+		}
 		if !inRange(e.Node) {
 			continue
 		}
@@ -267,23 +281,8 @@ func buildIndex(events []earth.Event, nodes int, makespan sim.Time) []*nodeIdx {
 			}
 			ni.acts = append(ni.acts, activity{start: start, end: end, ready: ready,
 				cause: e.Cause, handler: e.Kind == earth.EvHandlerRun})
-		case earth.EvSyncSignal:
-			ni.syncs = append(ni.syncs, e)
-		case earth.EvInvokeDeliver:
-			ni.invokes = append(ni.invokes, e)
-		case earth.EvTokenDeliver:
-			ni.tokens = append(ni.tokens, e)
-		case earth.EvStealGrant:
-			ni.steals = append(ni.steals, e)
-		case earth.EvWorkReassigned:
-			ni.reassign = append(ni.reassign, e)
-			ni.recovery = append(ni.recovery, e.Time)
-		case earth.EvPostSend:
-			if inRange(e.Peer) {
-				idx[e.Peer].posts = append(idx[e.Peer].posts, e)
-			}
-		case earth.EvTimedOut, earth.EvRetry, earth.EvRecovered, earth.EvFrameReplayed,
-			earth.EvPartitionFence, earth.EvFenced, earth.EvRejoined, earth.EvCorrupt,
+		case earth.EvWorkReassigned, earth.EvTimedOut, earth.EvRetry, earth.EvRecovered,
+			earth.EvFrameReplayed, earth.EvPartitionFence, earth.EvFenced, earth.EvRejoined, earth.EvCorrupt,
 			earth.EvPartitionStart, earth.EvPartitionHeal:
 			// Partition-protocol work counts as recovery overhead like the
 			// drop/crash machinery. A fenced node is never marked dead —
@@ -328,8 +327,7 @@ func buildIndex(events []earth.Event, nodes int, makespan sim.Time) []*nodeIdx {
 				ni.busy = append(ni.busy, ival{s: a.start, e: a.end, first: i})
 			}
 		}
-		for _, evs := range [][]*earth.Event{ni.syncs, ni.invokes, ni.tokens,
-			ni.steals, ni.reassign, ni.posts} {
+		for _, evs := range ni.ev {
 			if !slices.IsSortedFunc(evs, byTime) {
 				slices.SortStableFunc(evs, byTime)
 			}
@@ -521,7 +519,7 @@ func walk(idx []*nodeIdx, nodes int, makespan sim.Time) []Segment {
 
 		switch a.cause {
 		case earth.CauseSync:
-			if e := latestBefore(ni.syncs, cur); e != nil {
+			if e := latestBefore(ni.ev[earth.EvSyncSignal], cur); e != nil {
 				// The signal instant is known; its transit (the stretch on
 				// the signalling node before it) is labelled when the walk
 				// lands in that node's gap.
@@ -533,7 +531,7 @@ func walk(idx []*nodeIdx, nodes int, makespan sim.Time) []Segment {
 				continue
 			}
 		case earth.CauseInvoke:
-			if e := latestBefore(ni.invokes, cur); e != nil {
+			if e := latestBefore(ni.ev[earth.EvInvokeDeliver], cur); e != nil {
 				emit(e.Time-e.Dur, node, Comm, fmt.Sprintf("invoke transit from node %d", e.Peer))
 				if inRange(e.Peer) {
 					node = e.Peer
@@ -541,14 +539,14 @@ func walk(idx []*nodeIdx, nodes int, makespan sim.Time) []Segment {
 				continue
 			}
 		case earth.CauseToken:
-			if e := latestBefore(ni.tokens, cur); e != nil {
+			if e := latestBefore(ni.ev[earth.EvTokenDeliver], cur); e != nil {
 				emit(e.Time-e.Dur, node, Comm, fmt.Sprintf("token placement from node %d", e.Peer))
 				if inRange(e.Peer) {
 					node = e.Peer
 				}
 				continue
 			}
-			if e := latestBefore(ni.reassign, cur); e != nil {
+			if e := latestBefore(ni.ev[earth.EvWorkReassigned], cur); e != nil {
 				from := e.Time
 				if inRange(e.Peer) && idx[e.Peer].deadAt >= 0 && idx[e.Peer].deadAt < from {
 					from = idx[e.Peer].deadAt
@@ -563,7 +561,7 @@ func walk(idx []*nodeIdx, nodes int, makespan sim.Time) []Segment {
 			// walking this node.
 			pendingCat, pendingLabel = Sched, "token pooled"
 		case earth.CauseSteal:
-			if e := latestBefore(ni.steals, cur); e != nil {
+			if e := latestBefore(ni.ev[earth.EvStealGrant], cur); e != nil {
 				emit(e.Time-e.Dur, node, Sched, fmt.Sprintf("steal round trip to node %d", e.Peer))
 				if inRange(e.Peer) {
 					node = e.Peer
@@ -571,7 +569,7 @@ func walk(idx []*nodeIdx, nodes int, makespan sim.Time) []Segment {
 				continue
 			}
 		case earth.CauseHandler:
-			if e := latestBefore(ni.posts, cur); e != nil {
+			if e := latestBefore(ni.ev[earth.EvPostSend], cur); e != nil {
 				emit(e.Time, node, Comm, fmt.Sprintf("post transit from node %d", e.Node))
 				if inRange(e.Node) {
 					node = e.Node

@@ -218,7 +218,8 @@ type Config struct {
 	// the wire path: remote Put/Sync/Post operations issued by one thread
 	// or handler body to the same destination are merged into a single
 	// batched wire transfer, flushed at the body's end (the engine-step
-	// boundary) or earlier when a byte/count threshold is reached. A batch
+	// boundary) or earlier when it reaches 4096 bytes or 16 messages
+	// (constants of Coalescer, the policy both engines share). A batch
 	// pays one per-message overhead plus the summed serialisation
 	// (manna.BatchCost) instead of one full overhead per operation, and
 	// traverses the fault injector as a single envelope, so injector
@@ -250,25 +251,12 @@ type Config struct {
 	Shards int
 }
 
-// CoalesceConfig tunes the wire-path coalescer (see Config.Coalesce).
+// CoalesceConfig switches the wire-path coalescer (see Config.Coalesce).
 // The zero value disables coalescing.
 type CoalesceConfig struct {
 	// Enabled turns the coalescer on.
 	Enabled bool
-	// MaxBytes flushes a destination's buffer once its summed payload
-	// reaches this many bytes (0: DefaultCoalesceMaxBytes).
-	MaxBytes int
-	// MaxMsgs flushes a destination's buffer once it holds this many
-	// messages (0: DefaultCoalesceMaxMsgs).
-	MaxMsgs int
 }
-
-// Default coalescer thresholds, applied by WithDefaults when the
-// corresponding CoalesceConfig field is zero.
-const (
-	DefaultCoalesceMaxBytes = 4096
-	DefaultCoalesceMaxMsgs  = 16
-)
 
 // WithDefaults normalises a Config.
 func (c Config) WithDefaults() Config {
@@ -277,14 +265,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Costs.Name == "" {
 		c.Costs = EARTHCosts()
-	}
-	if c.Coalesce.Enabled {
-		if c.Coalesce.MaxBytes <= 0 {
-			c.Coalesce.MaxBytes = DefaultCoalesceMaxBytes
-		}
-		if c.Coalesce.MaxMsgs <= 0 {
-			c.Coalesce.MaxMsgs = DefaultCoalesceMaxMsgs
-		}
 	}
 	return c
 }

@@ -172,10 +172,22 @@ var mixCases = []struct {
 // conformance tables must stay contract-clean.
 func mixRun(t *testing.T, cfg earth.Config) simOut {
 	t.Helper()
+	return progRun(t, cfg, mixProg)
+}
+
+// program builds a conformance program for a machine of nodes: its main
+// body, which adds into *total and sets *done when it finishes, and the
+// total it must reach.
+type program func(nodes int, total *int, done *bool) (earth.ThreadBody, int)
+
+// progRun executes prog (mixProg or a variant) under cfg, sanitizer on,
+// and checks its answer.
+func progRun(t *testing.T, cfg earth.Config, prog program) simOut {
+	t.Helper()
 	cfg.Sanitize = true
 	var total int
 	var done bool
-	body, want := mixProg(cfg.Nodes, &total, &done)
+	body, want := prog(cfg.Nodes, &total, &done)
 	out := simRun(t, cfg, body)
 	if total != want || !done {
 		t.Fatalf("total=%d done=%v, want %d", total, done, want)

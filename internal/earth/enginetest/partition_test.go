@@ -169,7 +169,7 @@ var partPlans = []partPlan{
 }
 
 // run executes crashProg under the row's plan on simrt, coalescing off or
-// on with thresholds tight enough to flush mid-body.
+// on.
 func (pc partPlan) run(t *testing.T, coalesce bool) simOut {
 	t.Helper()
 	plan, err := faults.Parse(pc.spec)
@@ -178,7 +178,7 @@ func (pc partPlan) run(t *testing.T, coalesce bool) simOut {
 	}
 	cfg := earth.Config{Nodes: pc.nodes, Seed: 11, Faults: plan, Sanitize: pc.sanitize}
 	if coalesce {
-		cfg.Coalesce = earth.CoalesceConfig{Enabled: true, MaxMsgs: 4, MaxBytes: 256}
+		cfg.Coalesce = earth.CoalesceConfig{Enabled: true}
 	}
 	var total int
 	var done bool

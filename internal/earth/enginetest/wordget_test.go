@@ -134,7 +134,7 @@ func TestWordGetMatchesClosureGet(t *testing.T) {
 						cfg.Faults = plan
 					}
 					if coal {
-						cfg.Coalesce = earth.CoalesceConfig{Enabled: true, MaxMsgs: 4, MaxBytes: 256}
+						cfg.Coalesce = earth.CoalesceConfig{Enabled: true}
 					}
 					var outs [2]simOut
 					var res [2]getResult
@@ -158,7 +158,7 @@ func TestWordGetMatchesClosureGet(t *testing.T) {
 			t.Run(fmt.Sprintf("livert/clean/%s/sanitize=%v", coalName(coal), san), func(t *testing.T) {
 				cfg := earth.Config{Nodes: 4, Seed: 11, Sanitize: san, Balancer: earth.BalanceNone}
 				if coal {
-					cfg.Coalesce = earth.CoalesceConfig{Enabled: true, MaxMsgs: 4, MaxBytes: 256}
+					cfg.Coalesce = earth.CoalesceConfig{Enabled: true}
 				}
 				var counts [2][]earth.NodeStats
 				for i, form := range getForms {

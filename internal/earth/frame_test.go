@@ -377,7 +377,7 @@ func TestSanitizeInlineFrameMatchesLarge(t *testing.T) {
 		f.Dec(0)     // overflow
 		f.Dec(0)     // overflow
 		var evs eventLog
-		rep := SanitizeScan([]*Frame{f}, 77, &evs)
+		rep := sanitizeScan([]*Frame{f}, 77, &evs)
 		if rep.FramesTracked != 1 || rep.SlotsTracked != nslots {
 			t.Errorf("(%d,%d): tracked %d frames, %d slots", nthreads, nslots, rep.FramesTracked, rep.SlotsTracked)
 		}

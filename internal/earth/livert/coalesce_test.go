@@ -77,26 +77,28 @@ func TestCoalescedDeliveryUnderFaults(t *testing.T) {
 	// A batch traverses the injector as one message: under a chaotic plan
 	// every buffered operation must still apply exactly once (the dedup
 	// wrapper covers the whole composite handler), so the reduction
-	// computes the fault-free answer.
+	// computes the fault-free answer. Each body sends 20 puts, so its
+	// buffer trips on the 16-message limit before the body ends.
 	plan := &faults.Plan{Seed: 11, Drop: 0.08, Dup: 0.05, Reorder: 0.1,
 		Window: 150 * sim.Microsecond}
 	rt := New(earth.Config{Nodes: 4, Seed: 3, Faults: plan,
-		Coalesce: earth.CoalesceConfig{Enabled: true, MaxMsgs: 4}})
+		Coalesce: earth.CoalesceConfig{Enabled: true}})
 	total := 0
-	const n = 32
+	const n, puts = 32, 20
 	st := runChecked(rt, func(c earth.Ctx) {
 		f := earth.NewFrame(0, 1, 1)
 		f.InitSync(0, n, 0, 0)
 		f.SetThread(0, func(earth.Ctx) {})
 		for i := 1; i <= n; i++ {
-			i := i
 			c.Invoke(earth.NodeID(i%4), 8, func(c earth.Ctx) {
-				c.Put(0, 8, func() { total += i }, nil, 0)
+				for range puts {
+					c.Put(0, 8, func() { total += i }, nil, 0)
+				}
 				c.Sync(f, 0)
 			})
 		}
 	})
-	if want := n * (n + 1) / 2; total != want {
+	if want := puts * n * (n + 1) / 2; total != want {
 		t.Fatalf("total = %d, want %d (batched ops lost or doubled under faults)", total, want)
 	}
 	if st.Total().FaultsInjected == 0 {

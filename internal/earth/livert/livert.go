@@ -265,11 +265,11 @@ type lnode struct {
 	// ThreadsRun, TokensRun, TokensStolen, Syncs, and MsgsSent/BytesSent
 	// for what its bodies and handlers send); Run reads it after wg.Wait.
 	stats earth.NodeStats
-	// sanFrames lists the frames first touched on this node's executor
-	// during a sanitized run. Appended only from the executor that owns
-	// the frame's queues (the adopter after a crash handoff); read by Run
-	// after wg.Wait, which orders the accesses.
-	sanFrames []*earth.Frame
+	// san is the node's share of the sanitizer's frame ledger. Written
+	// only from the executor that owns the node's queues (the adopter after
+	// a crash handoff), so it needs no lock; read by Run after wg.Wait,
+	// which orders the accesses.
+	san earth.SanLedger
 
 	// faultStats collects the protocol core's counter deltas for this
 	// node. Senders, receivers and timers account from arbitrary
@@ -336,9 +336,6 @@ type Runtime struct {
 	seen    earth.SeenSet
 	// coalOn caches cfg.Coalesce.Enabled for the per-operation hot path.
 	coalOn bool
-	// sanOn caches cfg.Sanitize: frames are ledgered on first engine
-	// contact and scanned at quiescence (see lnode.sanTrack).
-	sanOn bool
 	// wireExtra is the per-message checksum (manna.ChecksumBytes) counted
 	// in BytesSent when the plan can corrupt payloads, as simrt charges it.
 	wireExtra int
@@ -350,7 +347,7 @@ var _ earth.Runtime = (*Runtime)(nil)
 // are accepted for interface compatibility but not charged.
 func New(cfg earth.Config) *Runtime {
 	cfg = cfg.WithDefaults()
-	rt := &Runtime{cfg: cfg, tr: cfg.Tracer, coalOn: cfg.Coalesce.Enabled, sanOn: cfg.Sanitize}
+	rt := &Runtime{cfg: cfg, tr: cfg.Tracer, coalOn: cfg.Coalesce.Enabled}
 	rt.nodes = make([]*lnode, cfg.Nodes)
 	for i := range rt.nodes {
 		n := &lnode{
@@ -409,7 +406,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		n.tokens.Reset()
 		n.redirect = -1
 		n.stats, n.faultStats = earth.NodeStats{}, earth.NodeStats{}
-		n.sanFrames = n.sanFrames[:0]
+		n.san.Reset(rt.cfg.Sanitize)
 		n.credit = credit{}
 		n.bnext, n.bend = 0, 0
 		n.busy = false
@@ -451,13 +448,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		st.Nodes[i] = n.stats
 		st.Nodes[i].Add(n.faultStats)
 	}
-	if rt.sanOn {
-		var frames []*earth.Frame
-		for _, n := range rt.nodes {
-			frames = append(frames, n.sanFrames...)
-		}
-		st.Sanitize = earth.SanitizeScan(frames, st.Elapsed, rt.tr)
-	}
+	st.Sanitize = earth.ScanLedgers(rt.nodes, func(n *lnode) *earth.SanLedger { return &n.san }, st.Elapsed, rt.tr)
 	return st
 }
 
@@ -1099,7 +1090,7 @@ func (n *lnode) exec(lctx context.Context, it item) {
 		n.run(it)
 	}
 	if rt.coalOn {
-		c.flushCoal()
+		c.coal.Drain(c)
 	}
 	c.dead = true
 	if it.env == nil {
@@ -1200,22 +1191,10 @@ func (n *lnode) decSlot(ex *lnode, from earth.NodeID, f *earth.Frame, slot int) 
 		n.rt.tr.Event(earth.Event{Time: n.rt.now(), Node: n.id, Peer: from,
 			Kind: earth.EvSyncSignal})
 	}
-	n.sanTrack(f)
+	n.san.Track(f)
 	if fired, th := f.Dec(slot); fired {
 		n.rt.enqueue(ex, n, item{body: f.ThreadBody(th), cause: earth.CauseSync})
 	}
-}
-
-// sanTrack attaches the sanitize ledger to f on its first engine contact
-// and records the frame for the end-of-run scan. All frame operations
-// run on the executor owning the frame's queues, so the attach needs no
-// lock.
-func (n *lnode) sanTrack(f *earth.Frame) {
-	if !n.rt.sanOn || f == nil || f.Sanitized() {
-		return
-	}
-	f.BeginSanitize()
-	n.sanFrames = append(n.sanFrames, f)
 }
 
 // ctx implements earth.Ctx on the live engine. Each executor owns one
@@ -1230,9 +1209,9 @@ type ctx struct {
 	// context and the check cannot tell (simrt's recycled contexts share
 	// the limit).
 	dead bool
-	// coal holds the running body's per-destination coalescing buffers,
-	// sorted by destination id (see coalesce.go). Unused unless rt.coalOn.
-	coal []lcoalBuf
+	// coal holds the running body's coalesced operations (see coalesce.go).
+	// Unused unless rt.coalOn.
+	coal earth.Coalescer[envelope]
 }
 
 var (
@@ -1264,7 +1243,7 @@ func (c *ctx) Spawn(f *earth.Frame, thread int) {
 	if f.Home != c.n.id && !c.rt.adopted(f.Home, c.n) {
 		panic(fmt.Sprintf("livert: Spawn of frame on node %d from node %d", f.Home, c.n.id))
 	}
-	c.n.sanTrack(f)
+	c.n.san.Track(f)
 	c.rt.enqueue(c.n, c.n, item{body: f.ThreadBody(thread), cause: earth.CauseSpawn})
 }
 
@@ -1282,7 +1261,7 @@ func (c *ctx) Sync(f *earth.Frame, slot int) {
 // body's buffer for dst with coalescing on, straight to the wire without.
 func (c *ctx) send(dst *lnode, nbytes int, e *envelope) {
 	if c.rt.coalOn {
-		c.coalAdd(dst, nbytes, *e)
+		c.coal.Add(c, dst.id, *e, nbytes)
 		return
 	}
 	c.rt.sendHandler(c.n, c.n.id, dst, nbytes, e)
@@ -1339,7 +1318,7 @@ func (c *ctx) get(owner earth.NodeID, nbytes int, e envelope, f *earth.Frame, sl
 	if rt.coalOn {
 		// Gets are never coalesced, but the request must not overtake
 		// batched traffic already buffered for the owner.
-		c.flushCoalTo(dst)
+		c.coal.FlushTo(c, owner)
 	}
 	e.kind, e.from, e.peer, e.bytes = envGetReq, int32(c.n.id), int32(owner), int32(nbytes)
 	e.f, e.slot, e.issue = f, int32(slot), rt.stamp()
@@ -1355,7 +1334,7 @@ func (c *ctx) Invoke(nodeID earth.NodeID, argBytes int, body earth.ThreadBody) {
 	rt := c.rt
 	src := c.n.id
 	if rt.coalOn && nodeID != src {
-		c.flushCoalTo(rt.nodes[nodeID])
+		c.coal.FlushTo(c, nodeID)
 	}
 	if rt.tr != nil && nodeID != src {
 		rt.tr.Event(earth.Event{Time: rt.now(), Node: src, Peer: nodeID,
@@ -1403,7 +1382,7 @@ func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 func (c *ctx) placeToken(target earth.NodeID, argBytes int, body earth.ThreadBody) {
 	rt := c.rt
 	if rt.coalOn && target != c.n.id {
-		c.flushCoalTo(rt.nodes[target])
+		c.coal.FlushTo(c, target)
 	}
 	it := item{body: body, token: true, cause: earth.CauseToken, enq: rt.stamp()}
 	if rt.tr != nil {

@@ -245,11 +245,52 @@ func BuildSanitizeReport(frames []*Frame) *SanitizeReport {
 	return r
 }
 
-// SanitizeScan is the engines' end-of-run sanitizer step: it builds the
-// report over the frames the run ledgered (in node order) and reports
-// every finding to sink, when one is installed, as an EvSanitize event
-// at the run's makespan.
-func SanitizeScan(frames []*Frame, makespan sim.Time, sink Tracer) *SanitizeReport {
+// SanLedger is one node's share of a sanitized run's frame ledger: the
+// frames first touched on that node's execution context. Every
+// engine-mediated frame operation runs there (crash adoption moves the
+// context wholesale), so a node's ledger is written by one executor only.
+// The zero value tracks nothing.
+type SanLedger struct {
+	on     bool
+	frames []*Frame
+}
+
+// Reset empties the ledger for a run, which it tracks when on
+// (Config.Sanitize).
+func (l *SanLedger) Reset(on bool) {
+	l.on, l.frames = on, l.frames[:0]
+}
+
+// Track attaches the signal ledger to f on its first engine contact and
+// records f for the end-of-run scan. The Sanitized check keeps a frame
+// from registering twice, also across a crash adoption.
+func (l *SanLedger) Track(f *Frame) {
+	if !l.on || f == nil || f.Sanitized() {
+		return
+	}
+	f.BeginSanitize()
+	l.frames = append(l.frames, f)
+}
+
+// ScanLedgers is the engines' end-of-run sanitizer step: sanitizeScan over
+// the frames of every node's ledger, gathered in node order. It returns
+// nil, and emits nothing, for a run that was not sanitized.
+func ScanLedgers[N any](nodes []N, ledger func(N) *SanLedger, makespan sim.Time, sink Tracer) *SanitizeReport {
+	var frames []*Frame
+	for _, n := range nodes {
+		l := ledger(n)
+		if !l.on {
+			return nil
+		}
+		frames = append(frames, l.frames...)
+	}
+	return sanitizeScan(frames, makespan, sink)
+}
+
+// sanitizeScan builds the report over the frames a run ledgered and
+// reports every finding to sink, when one is installed, as an EvSanitize
+// event at the run's makespan.
+func sanitizeScan(frames []*Frame, makespan sim.Time, sink Tracer) *SanitizeReport {
 	rep := BuildSanitizeReport(frames)
 	if sink != nil {
 		for _, fd := range rep.Findings {

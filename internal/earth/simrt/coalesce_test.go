@@ -1,6 +1,7 @@
 package simrt
 
 import (
+	"slices"
 	"testing"
 
 	"earth/internal/earth"
@@ -107,32 +108,32 @@ func TestCoalesceFlushOrderAscendingDestination(t *testing.T) {
 	}
 }
 
+// flushSizes returns the message count (Event.Wait) and payload bytes of
+// every EvBatchFlush in tr, in trace order.
+func flushSizes(tr eventList) (msgs, bytes []int) {
+	for _, e := range tr {
+		if e.Kind == earth.EvBatchFlush {
+			msgs = append(msgs, int(e.Wait))
+			bytes = append(bytes, e.Bytes)
+		}
+	}
+	return msgs, bytes
+}
+
 func TestCoalesceMaxMsgsThreshold(t *testing.T) {
-	// With MaxMsgs=2, five same-destination puts must flush as batches of
-	// 2, 2 and 1 — the last at the body boundary.
+	// A batch holds 16 messages: forty same-destination 8-byte puts must
+	// flush as batches of 16, 16 and 8 — the last at the body boundary.
 	var tr eventList
-	sink := make([]float64, 5)
+	sink := make([]float64, 40)
 	rt := New(earth.Config{Nodes: 2, Seed: 1, Tracer: &tr,
-		Coalesce: earth.CoalesceConfig{Enabled: true, MaxMsgs: 2}})
+		Coalesce: earth.CoalesceConfig{Enabled: true}})
 	rt.Run(func(c earth.Ctx) {
 		for i := range sink {
 			earth.DataSyncF64(c, 1, float64(i+1), &sink[i], nil, 0)
 		}
 	})
-	var sizes []int
-	for _, e := range tr {
-		if e.Kind == earth.EvBatchFlush {
-			sizes = append(sizes, int(e.Wait))
-		}
-	}
-	want := []int{2, 2, 1}
-	if len(sizes) != len(want) {
-		t.Fatalf("flush sizes = %v, want %v", sizes, want)
-	}
-	for i := range want {
-		if sizes[i] != want[i] {
-			t.Fatalf("flush sizes = %v, want %v", sizes, want)
-		}
+	if msgs, _ := flushSizes(tr); !slices.Equal(msgs, []int{16, 16, 8}) {
+		t.Fatalf("flush sizes = %v, want [16 16 8]", msgs)
 	}
 	for i := range sink {
 		if sink[i] != float64(i+1) {
@@ -142,27 +143,26 @@ func TestCoalesceMaxMsgsThreshold(t *testing.T) {
 }
 
 func TestCoalesceMaxBytesThreshold(t *testing.T) {
-	// With MaxBytes=16, 8-byte puts must flush every second message.
-	var tr eventList
-	sink := make([]float64, 4)
-	rt := New(earth.Config{Nodes: 2, Seed: 1, Tracer: &tr,
-		Coalesce: earth.CoalesceConfig{Enabled: true, MaxBytes: 16}})
-	rt.Run(func(c earth.Ctx) {
-		for i := range sink {
-			earth.DataSyncF64(c, 1, 1.0, &sink[i], nil, 0)
-		}
-	})
-	flushes := 0
-	for _, e := range tr {
-		if e.Kind == earth.EvBatchFlush {
-			flushes++
-			if e.Bytes > 16 {
-				t.Fatalf("flush carried %d bytes, threshold 16", e.Bytes)
+	// A batch ships once it carries 4096 bytes: 2048-byte puts must flush
+	// every second message, 1000-byte ones every fifth.
+	for _, tc := range []struct {
+		size, puts int
+		want       []int
+	}{
+		{2048, 5, []int{4096, 4096, 2048}},
+		{1000, 6, []int{5000, 1000}},
+	} {
+		var tr eventList
+		rt := New(earth.Config{Nodes: 2, Seed: 1, Tracer: &tr,
+			Coalesce: earth.CoalesceConfig{Enabled: true}})
+		rt.Run(func(c earth.Ctx) {
+			for range tc.puts {
+				c.Put(1, tc.size, func() {}, nil, 0)
 			}
+		})
+		if _, bytes := flushSizes(tr); !slices.Equal(bytes, tc.want) {
+			t.Errorf("%d puts of %d bytes: flushes carried %v bytes, want %v", tc.puts, tc.size, bytes, tc.want)
 		}
-	}
-	if flushes != 2 {
-		t.Fatalf("flushes = %d, want 2", flushes)
 	}
 }
 
@@ -220,16 +220,15 @@ func TestCoalesceFlushBeforeGetPreservesFIFO(t *testing.T) {
 
 func TestCoalesceDeterministic(t *testing.T) {
 	run := func() (sim.Time, uint64) {
-		rt := New(earth.Config{Nodes: 6, Seed: 42,
-			Coalesce: earth.CoalesceConfig{Enabled: true, MaxMsgs: 3}})
+		rt := New(coalCfg(6))
 		var sink [6]float64
 		st := rt.Run(func(c earth.Ctx) {
 			for i := 0; i < 48; i++ {
 				dst := earth.NodeID(1 + i%5)
-				i := i
 				c.Invoke(dst, 8, func(c earth.Ctx) {
-					for j := 0; j < 4; j++ {
-						earth.DataSyncF64(c, 0, float64(i*4+j), &sink[0], nil, 0)
+					// 20 puts: every body trips the 16-message limit once.
+					for j := 0; j < 20; j++ {
+						earth.DataSyncF64(c, 0, float64(i*20+j), &sink[0], nil, 0)
 					}
 				})
 			}

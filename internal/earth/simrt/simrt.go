@@ -113,19 +113,18 @@ type node struct {
 	// spans records busy intervals for utilisation sampling; only
 	// maintained while a tracer with UtilSamplePeriod is installed.
 	spans []span
-	// sanFrames lists the frames first touched on this node's execution
-	// context during a sanitized run, for the end-of-run ledger scan.
-	sanFrames []*earth.Frame
+	// san is the node's share of the sanitizer's frame ledger.
+	san earth.SanLedger
 	// dispatchFn is the node's dispatch continuation, allocated once and
 	// reused for every reschedule of the dispatch chain.
 	dispatchFn func()
 	// freeCtx caches the most recently retired thread context for reuse,
 	// so steady-state dispatching does not allocate.
 	freeCtx *ctx
-	// coal is the node's wire-path coalescer (nil until first used; only
-	// allocated when Config.Coalesce is enabled). Its buffers are empty
-	// whenever no body is executing on the node.
-	coal *coalescer
+	// coal is the node's wire-path coalescer (see coalesce.go), used only
+	// when Config.Coalesce is enabled. It is empty whenever no body is
+	// executing on the node.
+	coal earth.Coalescer[coalOp]
 }
 
 // rand returns the node's random stream.
@@ -242,9 +241,6 @@ type Runtime struct {
 	tr      earth.Tracer // cached cfg.Tracer; nil disables all emission
 	// coalOn caches cfg.Coalesce.Enabled for the per-operation hot path.
 	coalOn bool
-	// sanOn caches cfg.Sanitize: frames are ledgered on first engine
-	// contact and scanned at quiescence (see sanTrack).
-	sanOn bool
 	// sampling is true when a tracer with UtilSamplePeriod is installed; it
 	// makes the Busy accrual points also record spans for window attribution.
 	sampling bool
@@ -322,7 +318,6 @@ func New(cfg earth.Config) *Runtime {
 		lookahead:     mc.MinRemoteLatency(),
 		tr:            cfg.Tracer,
 		coalOn:        cfg.Coalesce.Enabled,
-		sanOn:         cfg.Sanitize,
 		victimScratch: make([]*node, 0, cfg.Nodes),
 	}
 	for i := range rt.nodes {
@@ -443,11 +438,8 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		n.outSeq = 0
 		n.rr = 0
 		n.spans = n.spans[:0]
-		n.sanFrames = n.sanFrames[:0]
+		n.san.Reset(rt.cfg.Sanitize)
 		n.stats = earth.NodeStats{}
-		if n.coal != nil {
-			n.coal.reset()
-		}
 	}
 	rt.take.Reset()
 	rt.seen.Reset()
@@ -486,13 +478,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 	for i, n := range rt.nodes {
 		st.Nodes[i] = n.stats
 	}
-	if rt.sanOn {
-		var frames []*earth.Frame
-		for _, n := range rt.nodes {
-			frames = append(frames, n.sanFrames...)
-		}
-		st.Sanitize = earth.SanitizeScan(frames, rt.maxExec, rt.sink())
-	}
+	st.Sanitize = earth.ScanLedgers(rt.nodes, func(n *node) *earth.SanLedger { return &n.san }, rt.maxExec, rt.sink())
 	rt.flushTrace()
 	return st
 }
@@ -791,7 +777,7 @@ func (rt *Runtime) dispatch(n *node) {
 	if rt.coalOn {
 		// Step boundary: the body is done, ship its batched traffic. The
 		// flush charges accrue to the body's span (before end is read).
-		c.flushCoalAll()
+		n.coal.Drain(c)
 	}
 	end := c.cursor
 	n.putCtx(c)
@@ -824,7 +810,7 @@ func (rt *Runtime) execHandlerBody(n *node, body earth.ThreadBody) {
 	hc := n.getCtx(rt, start)
 	body(hc)
 	if rt.coalOn {
-		hc.flushCoalAll()
+		n.coal.Drain(hc)
 	}
 	end := hc.cursor
 	n.putCtx(hc)
@@ -1269,23 +1255,10 @@ func (rt *Runtime) decSlot(n *node, from earth.NodeID, at sim.Time, f *earth.Fra
 	if rt.tr != nil {
 		rt.events.Event(earth.Event{Time: at, Node: n.id, Peer: from, Kind: earth.EvSyncSignal})
 	}
-	rt.sanTrack(n, f)
+	n.san.Track(f)
 	if fired, th := f.Dec(slot); fired {
 		rt.enqueue(n, item{body: f.ThreadBody(th), enq: at, cause: earth.CauseSync})
 	}
-}
-
-// sanTrack attaches the sanitize ledger to f on its first engine contact
-// and records the frame for the end-of-run scan. Every engine-mediated
-// frame operation runs on the frame's (current) home node's execution
-// context; crash adoption moves that context wholesale, and the Sanitized
-// check keeps a frame from registering twice across the move.
-func (rt *Runtime) sanTrack(n *node, f *earth.Frame) {
-	if !rt.sanOn || f == nil || f.Sanitized() {
-		return
-	}
-	f.BeginSanitize()
-	n.sanFrames = append(n.sanFrames, f)
 }
 
 // send charges the network for a message and returns its arrival time.
@@ -1374,7 +1347,7 @@ func (c *ctx) Spawn(f *earth.Frame, thread int) {
 		panic(fmt.Sprintf("simrt: Spawn of frame on node %d from node %d; use Invoke or Sync", f.Home, c.n.id))
 	}
 	c.cursor += c.rt.cfg.Costs.SpawnLocal
-	c.rt.sanTrack(c.n, f)
+	c.n.san.Track(f)
 	c.rt.enqueue(c.n, item{body: f.ThreadBody(thread), enq: c.cursor, cause: earth.CauseSpawn})
 }
 
@@ -1388,8 +1361,8 @@ func (c *ctx) Sync(f *earth.Frame, slot int) {
 	if c.rt.coalOn {
 		// The send overhead is charged once per batch at flush; a sync
 		// carries no payload to serialise at issue.
-		c.coalAdd(c.rt.resolve(f.Home), coalOp{kind: msgSync, f: f, slot: slot,
-			bytes: 8, issue: c.cursor})
+		c.n.coal.Add(c, c.rt.resolve(f.Home), coalOp{kind: msgSync, f: f, slot: slot,
+			bytes: 8, issue: c.cursor}, 8)
 		return
 	}
 	c.cursor += c.rt.cfg.Costs.AsyncSend
@@ -1417,8 +1390,8 @@ func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, 
 			rt.events.Event(earth.Event{Time: issue, Node: c.n.id, Peer: owner,
 				Kind: earth.EvPutSend, Bytes: nbytes})
 		}
-		c.coalAdd(owner, coalOp{kind: msgPut, f: f, slot: slot, write: write,
-			bytes: nbytes, issue: issue})
+		c.n.coal.Add(c, owner, coalOp{kind: msgPut, f: f, slot: slot, write: write,
+			bytes: nbytes, issue: issue}, nbytes)
 		return
 	}
 	c.cursor += rt.cfg.Costs.SendCost(nbytes, false)
@@ -1463,7 +1436,7 @@ func (c *ctx) get(owner earth.NodeID, nbytes int, read func() func(), src, dst *
 	if rt.coalOn {
 		// Gets are never coalesced, but the request must not overtake
 		// batched traffic already buffered for the owner.
-		c.flushCoalTo(owner)
+		c.n.coal.FlushTo(c, owner)
 	}
 	// Request leg: small message, sender pays the synchronous overhead.
 	c.cursor += rt.cfg.Costs.SendCost(0, true)
@@ -1486,7 +1459,7 @@ func (c *ctx) Invoke(nodeID earth.NodeID, argBytes int, body earth.ThreadBody) {
 		return
 	}
 	if rt.coalOn {
-		c.flushCoalTo(nodeID)
+		c.n.coal.FlushTo(c, nodeID)
 	}
 	c.cursor += rt.cfg.Costs.SendCost(argBytes, false)
 	issue := c.cursor
@@ -1533,8 +1506,8 @@ func (c *ctx) Post(nodeID earth.NodeID, argBytes int, handler earth.ThreadBody) 
 			rt.events.Event(earth.Event{Time: c.cursor, Node: c.n.id, Peer: nodeID,
 				Kind: earth.EvPostSend, Bytes: argBytes})
 		}
-		c.coalAdd(nodeID, coalOp{kind: msgPost, body: handler,
-			bytes: argBytes, issue: c.cursor})
+		c.n.coal.Add(c, nodeID, coalOp{kind: msgPost, body: handler,
+			bytes: argBytes, issue: c.cursor}, argBytes)
 		return
 	}
 	c.cursor += rt.cfg.Costs.SendCost(argBytes, false)
@@ -1571,7 +1544,7 @@ func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 			return
 		}
 		if rt.coalOn {
-			c.flushCoalTo(target)
+			c.n.coal.FlushTo(c, target)
 		}
 		c.cursor += rt.cfg.Costs.SendCost(argBytes, false)
 		if rt.tr != nil {
