@@ -10,10 +10,8 @@ import (
 	"earth/internal/sim"
 )
 
-// Crash-recovery conformance: with a crash-stop plan installed, both
-// engines must still converge to the fault-free result — the failure
-// detector, frame adoption and token re-dispatch may reshape timing and
-// placement, never data.
+// Crash-recovery contracts on both engines, beyond TestFaultMatrix's crash
+// rows: several crashes in turn, and a frame homed on the crashing node.
 //
 // Leaves both Compute (charging simrt's virtual clock) and sleep
 // (advancing livert's wall clock), so the same crash times land mid-run
@@ -56,68 +54,6 @@ func crashProg(total *int, done *bool, nodes, spread, perNode int, work sim.Time
 		}
 	}
 	return body, want
-}
-
-// crashConfCases exercise the recovery machinery against the transient
-// fault envelope it has to coexist with: a bare crash plan, a drop rate
-// that exhausts tight retry budgets inside the crash window, and capped
-// backoff compounding with link degradation.
-var crashConfCases = []struct {
-	name  string
-	nodes int
-	plan  func() *faults.Plan
-	retry earth.RetryPolicy
-}{
-	{
-		name: "crash-only", nodes: 5,
-		plan: func() *faults.Plan {
-			return &faults.Plan{Seed: 3, Crash: []faults.Crash{
-				{Node: 1, At: 300 * sim.Microsecond},
-				{Node: 2, At: 600 * sim.Microsecond},
-			}}
-		},
-	},
-	{
-		name: "retry-budget-exhausted-in-crash-window", nodes: 4,
-		plan: func() *faults.Plan {
-			return &faults.Plan{Seed: 5, Drop: 0.49,
-				Crash: []faults.Crash{{Node: 1, At: 300 * sim.Microsecond}}}
-		},
-		// A 2-retry budget is routinely exhausted at Drop=0.49, so
-		// messages land on their final permitted attempt while the
-		// detector is mid-lease.
-		retry: earth.RetryPolicy{MaxRetries: 2},
-	},
-	{
-		name: "backoff-cap-under-degradation", nodes: 5,
-		plan: func() *faults.Plan {
-			return &faults.Plan{Seed: 9, Drop: 0.3,
-				Degrade: []faults.Window{{Node: -1, From: 0, To: 2 * sim.Millisecond, Factor: 8}},
-				Crash:   []faults.Crash{{Node: 2, At: 400 * sim.Microsecond}}}
-		},
-		// MaxBackoff caps at 2× the base timeout, so retransmissions of
-		// degraded (8× wire time) traffic pile up against the cap.
-		retry: earth.RetryPolicy{Timeout: 50 * sim.Microsecond, MaxBackoff: 100 * sim.Microsecond},
-	},
-}
-
-func TestCrashConformance(t *testing.T) {
-	for _, cse := range crashConfCases {
-		t.Run(cse.name, func(t *testing.T) {
-			for _, eng := range bothEngines {
-				var total int
-				var done bool
-				body, want := crashProg(&total, &done, cse.nodes, cse.nodes*2, 4, 60*sim.Microsecond)
-				st := eng.new(earth.Config{Nodes: cse.nodes, Seed: 11, Faults: cse.plan(), Retry: cse.retry}).Run(body)
-				if total != want || !done {
-					t.Errorf("%s: total=%d done=%v, want %d", eng.name, total, done, want)
-				}
-				if st.Total().FaultsInjected == 0 {
-					t.Errorf("%s: crash plan injected nothing", eng.name)
-				}
-			}
-		})
-	}
 }
 
 // crashRecoveryCases are the engine-level crash contracts, each checked

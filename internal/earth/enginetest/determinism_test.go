@@ -18,8 +18,9 @@ import (
 // holds the engine to the bytes it produced at the commit before its run
 // loop was reduced to one event queue — clean, chaotic, crash-stop,
 // partitioned, composed, sanitized, coalesced and not — so an engine change
-// that moves a simulated byte fails here first; TestRunTwiceByteIdentical
-// builds two machines from one Config and requires the same bytes of both.
+// that moves a simulated byte fails here first; every simrt cell of
+// TestFaultMatrix builds two machines from one Config and requires the same
+// bytes of both.
 
 func TestMain(m *testing.M) { os.Exit(pin.Main(m)) }
 
@@ -168,26 +169,14 @@ var mixCases = []struct {
 	}},
 }
 
-// mixRun executes the mixed-op program under cfg, sanitizer on: the
-// conformance tables must stay contract-clean.
+// mixRun executes the mixed-op program under cfg, sanitizer on, and checks
+// its answer: the pinned runs must stay contract-clean.
 func mixRun(t *testing.T, cfg earth.Config) simOut {
-	t.Helper()
-	return progRun(t, cfg, mixProg)
-}
-
-// program builds a conformance program for a machine of nodes: its main
-// body, which adds into *total and sets *done when it finishes, and the
-// total it must reach.
-type program func(nodes int, total *int, done *bool) (earth.ThreadBody, int)
-
-// progRun executes prog (mixProg or a variant) under cfg, sanitizer on,
-// and checks its answer.
-func progRun(t *testing.T, cfg earth.Config, prog program) simOut {
 	t.Helper()
 	cfg.Sanitize = true
 	var total int
 	var done bool
-	body, want := prog(cfg.Nodes, &total, &done)
+	body, want := mixProg(cfg.Nodes, &total, &done)
 	out := simRun(t, cfg, body)
 	if total != want || !done {
 		t.Fatalf("total=%d done=%v, want %d", total, done, want)
@@ -242,14 +231,6 @@ func TestEngineBytesPinned(t *testing.T) {
 			out := r.run(t)
 			pin.Bytes(t, "stats.json", out.stats)
 			pin.Bytes(t, "trace.json", out.trace)
-		})
-	}
-}
-
-func TestRunTwiceByteIdentical(t *testing.T) {
-	for _, tc := range mixCases {
-		t.Run(tc.name, func(t *testing.T) {
-			sameBytes(t, "second machine", mixRun(t, tc.cfg()), mixRun(t, tc.cfg()))
 		})
 	}
 }

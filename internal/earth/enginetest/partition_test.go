@@ -14,103 +14,6 @@ import (
 	"earth/internal/sim"
 )
 
-// Partition/fencing conformance: failure detection is fallible by
-// construction — a partition that outlives the detection lease makes the
-// survivors declare healthy nodes dead. The machinery under test must
-// keep two promises:
-//
-//   - A partition shorter than the lease is invisible to the detector:
-//     zero wrong verdicts, zero fenced messages, zero rejoins, and the
-//     run converges to the fault-free result.
-//   - A partition longer than the lease costs work, never safety: the
-//     majority side adopts at a bumped epoch, every stale-epoch message
-//     is rejected at its receiver, the minority self-fences and rejoins
-//     at heal — and the run still terminates.
-//
-// Under simrt all of it must additionally be byte-reproducible, with and
-// without coalescing.
-
-// partProg is crashProg with 60µs leaves: short enough that the windows
-// below land mid-run on both engines.
-func partProg(total *int, done *bool, nodes, spread, perNode int) (earth.ThreadBody, int) {
-	return crashProg(total, done, nodes, spread, perNode, 60*sim.Microsecond)
-}
-
-// TestPartitionFalsePositive is the acceptance scenario: the same
-// machine, the same program, one partition below the lease and one above
-// it. The short window must be a non-event; the long one must produce a
-// wrong verdict per minority node on the majority side, a self-fence and
-// rejoin on each minority node, and nothing else.
-func TestPartitionFalsePositive(t *testing.T) {
-	const nodes = 4
-	short, err := faults.Parse("partition=0.1|2.3@200µs-600µs,seed=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	long, err := faults.Parse("partition=0.1|2.3@200µs-2500µs,seed=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t.Run("below-lease", func(t *testing.T) {
-		for _, eng := range bothEngines {
-			name := eng.name
-			var total int
-			var done bool
-			body, want := partProg(&total, &done, nodes, nodes*2, 4)
-			st := eng.new(earth.Config{Nodes: nodes, Seed: 11, Faults: short}).Run(body)
-			if total != want || !done {
-				t.Errorf("%s: total=%d done=%v, want %d", name, total, done, want)
-			}
-			if w, fe, rj := st.Total().WrongVerdicts, st.Total().MsgsFenced, st.Total().Rejoins; w != 0 || fe != 0 || rj != 0 {
-				t.Errorf("%s: partition below lease must be invisible, got wrong=%d fenced=%d rejoins=%d",
-					name, w, fe, rj)
-			}
-		}
-	})
-
-	t.Run("above-lease", func(t *testing.T) {
-		for _, eng := range bothEngines {
-			name := eng.name
-			var total int
-			var done bool
-			body, _ := partProg(&total, &done, nodes, nodes*2, 4)
-			// Termination, not convergence: fenced work is lost.
-			st := eng.new(earth.Config{Nodes: nodes, Seed: 11, Faults: long}).Run(body)
-			if st.Total().WrongVerdicts != 2 {
-				t.Errorf("%s: wrong verdicts = %d, want 2 (one per minority node)",
-					name, st.Total().WrongVerdicts)
-			}
-			if st.Total().Rejoins != 2 {
-				t.Errorf("%s: rejoins = %d, want 2", name, st.Total().Rejoins)
-			}
-			for i, ns := range st.Nodes {
-				minority := i >= 2 // groups 0.1|2.3: the side without node 0 fences
-				if minority && ns.WrongVerdicts != 0 {
-					t.Errorf("%s: node %d is minority but issued %d wrong verdicts", name, i, ns.WrongVerdicts)
-				}
-				if !minority && ns.Rejoins != 0 {
-					t.Errorf("%s: node %d is majority but rejoined %d times", name, i, ns.Rejoins)
-				}
-			}
-		}
-	})
-
-	t.Run("stale-epochs-rejected-simrt", func(t *testing.T) {
-		// Deterministic on the simulator: minority leaves issued before the
-		// fence are held at the cut link and land after the epoch bump, so
-		// some must be rejected. (livert's equivalent is timing-dependent
-		// and covered by the counters being wired at all, above.)
-		var total int
-		var done bool
-		body, _ := partProg(&total, &done, nodes, nodes*2, 4)
-		st := simrt.New(earth.Config{Nodes: nodes, Seed: 11, Faults: long}).Run(body)
-		if st.Total().MsgsFenced == 0 {
-			t.Error("simrt: no stale-epoch message was fenced across the long partition")
-		}
-	})
-}
-
 // TestPartitionSecondFenceAdopter: sequential partitions may fence the
 // same node twice. Node 1 is fenced alone by the first window and again,
 // together with its ring successors 2, 3 and 4, by the second. At its
@@ -184,94 +87,6 @@ func (pc partPlan) run(t *testing.T, coalesce bool) simOut {
 	var done bool
 	body, _ := crashProg(&total, &done, cfg.Nodes, cfg.Nodes*2, 4, pc.work)
 	return simRun(t, cfg, body)
-}
-
-// TestPartitionShardCoalesceByteIdentical: the partition/fencing/
-// corruption machinery — alone, and composed with every other fault
-// class under the sanitizer — must not disturb simrt's determinism
-// contract: for each coalescing setting, two machines built from the same
-// Config produce identical bytes. (The test's name predates PR 19, when
-// the second machine was split over shard workers; the bytes themselves
-// are pinned by TestEngineBytesPinned.)
-func TestPartitionShardCoalesceByteIdentical(t *testing.T) {
-	for _, pc := range partPlans {
-		for _, coal := range []bool{false, true} {
-			t.Run(pc.name+"/"+coalName(coal), func(t *testing.T) {
-				sameBytes(t, "second machine", pc.run(t, coal), pc.run(t, coal))
-			})
-		}
-	}
-}
-
-// TestComposedFaults runs the composed plan on both engines. Crash,
-// partition and message faults may reshape timing and placement and, when
-// the window outlives the lease, lose the fenced minority's work — never
-// apply an effect twice, and never hang. Under a lease longer than the
-// window nobody fences, so nothing may be lost either: the run converges
-// to the fault-free result, sanitizer clean.
-func TestComposedFaults(t *testing.T) {
-	const nodes, spread, perNode = 8, 16, 6
-	plan, err := faults.Parse(composedSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lease := range []sim.Time{0, 20 * sim.Millisecond} { // 0: the 1ms default
-		for _, eng := range bothEngines {
-			name := eng.name + "/window-outlives-lease"
-			if lease > 0 {
-				name = eng.name + "/window-inside-lease"
-			}
-			t.Run(name, func(t *testing.T) {
-				// crashProg's shape, counting every leaf's contribution.
-				hits := make([]int, spread*perNode)
-				done := false
-				st := eng.new(earth.Config{Nodes: nodes, Seed: 11, Faults: plan, Sanitize: true,
-					Retry: earth.RetryPolicy{Lease: lease}}).Run(func(c earth.Ctx) {
-					f := earth.NewFrame(0, 1, 1)
-					f.InitSync(0, len(hits), 0, 0)
-					f.SetThread(0, func(earth.Ctx) { done = true })
-					for s := 0; s < spread; s++ {
-						c.Invoke(earth.NodeID(s%nodes), 8, func(c earth.Ctx) {
-							for i := 0; i < perNode; i++ {
-								v := s*perNode + i
-								c.Token(8, func(c earth.Ctx) {
-									c.Compute(sim.Millisecond)
-									time.Sleep(time.Millisecond)
-									c.Put(0, 8, func() { hits[v]++ }, f, 0)
-								})
-							}
-						})
-					}
-				})
-				landed := 0
-				for v, n := range hits {
-					if n > 1 {
-						t.Errorf("leaf %d contributed %d times", v, n)
-					}
-					landed += n
-				}
-				for _, fd := range st.Sanitize.Findings {
-					if fd.Kind == earth.SanOverflow || fd.Kind == earth.SanUnderflow {
-						t.Errorf("a sync signal was applied twice: %v", fd)
-					}
-				}
-				tot := st.Total()
-				if tot.FaultsInjected == 0 || st.Nodes[3].DetectionLatency == 0 {
-					t.Errorf("plan did not bite: faults=%d, node 3 detection latency %v", tot.FaultsInjected, st.Nodes[3].DetectionLatency)
-				}
-				if lease == 0 {
-					if tot.WrongVerdicts != 2 || tot.Rejoins != 2 {
-						t.Errorf("wrong verdicts=%d rejoins=%d, want 2 and 2 (nodes 6 and 7)", tot.WrongVerdicts, tot.Rejoins)
-					}
-					return
-				}
-				if landed != len(hits) || !done || !st.Sanitize.Clean() || tot.WrongVerdicts != 0 {
-					t.Errorf("window inside the lease must converge: %d/%d leaves, done=%v, wrong verdicts=%d, sanitizer:\n%s",
-						landed, len(hits), done, tot.WrongVerdicts, st.Sanitize)
-				}
-			})
-		}
-	}
 }
 
 // receiptEvent is the clock-free projection of a receipt-side protocol

@@ -89,6 +89,11 @@ func Rejoin(sink Tracer, node NodeID, at, fencedFor sim.Time) NodeStats {
 type Takeover struct {
 	Nodes  int
 	Fences faults.Fences
+	// CrashAt is the crash schedule (-1 = never; nil for none) Place
+	// consults for the same reason: a node crashing at the instant of a
+	// fence must not be handed the fenced node's tokens. The simulator
+	// applies a crash before any fence of its instant; livert's timers race.
+	CrashAt []sim.Time
 	// rr is the load balancer's round-robin cursor for re-placed tokens.
 	rr atomic.Int64
 }
@@ -105,13 +110,13 @@ func (t *Takeover) Adopter(x NodeID, at sim.Time, gone func(NodeID) bool) NodeID
 }
 
 // Place returns the balancer's next round-robin target for one of a down
-// node's pooled tokens at instant at, skipping nodes that are out. It
-// terminates because ResolveFaults rejects plans that leave no node
-// forever clean.
+// node's pooled tokens at instant at, skipping nodes that are out or
+// crashed by at. It terminates because ResolveFaults rejects plans that
+// leave no node forever clean.
 func (t *Takeover) Place(at sim.Time, gone func(NodeID) bool) NodeID {
 	for {
 		c := NodeID(int(t.rr.Add(1)-1) % t.Nodes)
-		if !t.out(c, at, gone) {
+		if !t.out(c, at, gone) && (t.CrashAt == nil || t.CrashAt[c] < 0 || t.CrashAt[c] > at) {
 			return c
 		}
 	}

@@ -265,10 +265,10 @@ type lnode struct {
 	// ThreadsRun, TokensRun, TokensStolen, Syncs, and MsgsSent/BytesSent
 	// for what its bodies and handlers send); Run reads it after wg.Wait.
 	stats earth.NodeStats
-	// san is the node's share of the sanitizer's frame ledger. Written
-	// only from the executor that owns the node's queues (the adopter after
-	// a crash handoff), so it needs no lock; read by Run after wg.Wait,
-	// which orders the accesses.
+	// san is the node's share of the sanitizer's frame ledger: the frames
+	// this executor signalled or spawned, whichever node is their home.
+	// Written only by this node's executor, so it needs no lock; read by Run
+	// after wg.Wait, which orders the accesses.
 	san earth.SanLedger
 
 	// faultStats collects the protocol core's counter deltas for this
@@ -366,7 +366,7 @@ func New(cfg earth.Config) *Runtime {
 	}
 	if fs.Plan != nil {
 		rt.plan, rt.retry, rt.crashAt, rt.fences = fs.Plan, fs.Retry, fs.CrashAt, fs.Fences
-		rt.take.Nodes, rt.take.Fences = cfg.Nodes, fs.Fences
+		rt.take.Nodes, rt.take.Fences, rt.take.CrashAt = cfg.Nodes, fs.Fences, fs.CrashAt
 		rt.inj = faults.NewInjector(fs.Plan, cfg.Seed)
 		rt.hasPart = fs.Plan.HasPartition()
 		if fs.Plan.HasCorrupt() {
@@ -1184,14 +1184,17 @@ func (n *lnode) fireGetResp(e *envelope) {
 }
 
 // decSlot must run on the executor that owns the queues of f's home n —
-// ex: n itself, or its adopter; from is the signalling node.
+// ex: n itself, or its adopter; from is the signalling node. The signal is
+// counted, traced and tracked on ex, as simrt does on the node it runs on:
+// once n is fenced its own executor may still be finishing a body, or run
+// new work after it rejoins, while ex processes n's signals.
 func (n *lnode) decSlot(ex *lnode, from earth.NodeID, f *earth.Frame, slot int) {
-	n.stats.Syncs++
+	ex.stats.Syncs++
 	if n.rt.tr != nil {
-		n.rt.tr.Event(earth.Event{Time: n.rt.now(), Node: n.id, Peer: from,
+		n.rt.tr.Event(earth.Event{Time: n.rt.now(), Node: ex.id, Peer: from,
 			Kind: earth.EvSyncSignal})
 	}
-	n.san.Track(f)
+	ex.san.Track(f)
 	if fired, th := f.Dec(slot); fired {
 		n.rt.enqueue(ex, n, item{body: f.ThreadBody(th), cause: earth.CauseSync})
 	}
@@ -1250,7 +1253,10 @@ func (c *ctx) Spawn(f *earth.Frame, thread int) {
 func (c *ctx) Sync(f *earth.Frame, slot int) {
 	c.check()
 	home := c.rt.nodes[f.Home]
-	if home == c.n {
+	// A fenced node's frames belong to its adopter for the rest of the run,
+	// rejoined or not (simrt's resolve): their signals take the message
+	// path, which routes there.
+	if home == c.n && !c.n.fenced.Load() {
 		home.decSlot(c.n, c.n.id, f, slot)
 		return
 	}

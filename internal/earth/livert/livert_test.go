@@ -17,6 +17,12 @@ func runChecked(rt *Runtime, body earth.ThreadBody) *earth.Stats {
 	return enginetest.Checked(rt).Run(body)
 }
 
+// traceCount is a thread-safe tracer (livert emits concurrently) counting
+// the events it receives.
+type traceCount struct{ n atomic.Int64 }
+
+func (t *traceCount) Event(earth.Event) { t.n.Add(1) }
+
 func TestRunMainOnNodeZero(t *testing.T) {
 	rt := New(earth.Config{Nodes: 4, Seed: 1})
 	var ran atomic.Int64

@@ -1,7 +1,6 @@
 package simrt
 
 import (
-	"encoding/json"
 	"testing"
 
 	"earth/internal/earth"
@@ -79,44 +78,6 @@ func TestCrashRecoveryAccounting(t *testing.T) {
 	}
 	if st.Nodes[1].FramesReplayed != 0 || st.Nodes[1].TokensReassigned != 0 {
 		t.Fatal("recovery work accounted to the dead node")
-	}
-}
-
-// TestCrashDeterminism: same plan and seed must give byte-identical
-// stats JSON and identical event traces across fresh runtimes.
-func TestCrashDeterminism(t *testing.T) {
-	run := func() ([]byte, eventList) {
-		plan := &faults.Plan{
-			Seed: 11, Drop: 0.05, Dup: 0.02,
-			Crash: []faults.Crash{{Node: 1, At: 100 * sim.Microsecond}, {Node: 3, At: 400 * sim.Microsecond}},
-		}
-		var tr eventList
-		var total int
-		var done bool
-		body, want := crashTokenProg(&total, &done, 48)
-		rt := New(earth.Config{Nodes: 6, Seed: 5, Faults: plan, Tracer: &tr})
-		st := rt.Run(body)
-		if total != want || !done {
-			t.Fatalf("total=%d done=%v, want %d", total, done, want)
-		}
-		b, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b, tr
-	}
-	b1, tr1 := run()
-	b2, tr2 := run()
-	if string(b1) != string(b2) {
-		t.Fatalf("stats JSON diverged:\n%s\n%s", b1, b2)
-	}
-	if len(tr1) != len(tr2) {
-		t.Fatalf("trace length diverged: %d vs %d", len(tr1), len(tr2))
-	}
-	for i := range tr1 {
-		if tr1[i] != tr2[i] {
-			t.Fatalf("trace event %d diverged: %+v vs %+v", i, tr1[i], tr2[i])
-		}
 	}
 }
 

@@ -3,24 +3,12 @@ package simrt
 import (
 	"bytes"
 	"encoding/json"
-	"slices"
 	"testing"
 
 	"earth/internal/earth"
 	"earth/internal/faults"
 	"earth/internal/sim"
 )
-
-// collector is a minimal deterministic tracer for tests.
-type collector struct{ events []earth.Event }
-
-func (c *collector) Event(e earth.Event) { c.events = append(c.events, e) }
-
-// chaosPlan is a hostile plan well above the acceptance threshold: 8%
-// drop plus duplication plus reordering.
-func chaosPlan() *faults.Plan {
-	return &faults.Plan{Seed: 11, Drop: 0.08, Dup: 0.05, Reorder: 0.1, Window: 150 * sim.Microsecond}
-}
 
 // treeSum runs the token-tree reduction (tokens, steals, puts, syncs all
 // exercised) and returns the accumulated sum plus the run stats.
@@ -42,70 +30,6 @@ func treeSum(rt earth.Runtime) (int, *earth.Stats) {
 	}
 	st := rt.Run(func(c earth.Ctx) { split(c, 1, 1<<7+1) })
 	return total, st
-}
-
-// TestFaultedRunMatchesCleanResult: recovery must deliver every message
-// exactly once, so a chaos run computes the fault-free answer — slower,
-// with the recovery machinery visibly engaged.
-func TestFaultedRunMatchesCleanResult(t *testing.T) {
-	wantSum, clean := treeSum(New(earth.Config{Nodes: 5, Seed: 3}))
-	if want := (1 << 7) * (1<<7 + 1) / 2; wantSum != want {
-		t.Fatalf("clean sum = %d, want %d", wantSum, want)
-	}
-	got, st := treeSum(New(earth.Config{Nodes: 5, Seed: 3, Faults: chaosPlan()}))
-	if got != wantSum {
-		t.Fatalf("faulted sum = %d, want %d", got, wantSum)
-	}
-	if st.Total().FaultsInjected == 0 || st.Total().Retries == 0 || st.Total().Recovered == 0 {
-		t.Errorf("recovery machinery idle: faults=%d retries=%d recovered=%d",
-			st.Total().FaultsInjected, st.Total().Retries, st.Total().Recovered)
-	}
-	var dups uint64
-	for i := range st.Nodes {
-		dups += st.Nodes[i].DupsDropped
-	}
-	if dups == 0 {
-		t.Error("no duplicate was suppressed despite dup injection")
-	}
-	if st.Elapsed < clean.Elapsed {
-		t.Errorf("faulted run faster than clean: %v < %v", st.Elapsed, clean.Elapsed)
-	}
-}
-
-// TestFaultedRunByteDeterministic: same plan seed, same everything — the
-// stats JSON and the full trace-event stream must be byte-identical
-// across independent runtimes.
-func TestFaultedRunByteDeterministic(t *testing.T) {
-	runOnce := func() ([]byte, []earth.Event) {
-		col := &collector{}
-		cfg := earth.Config{Nodes: 5, Seed: 3, Faults: chaosPlan(), Tracer: col}
-		_, st := treeSum(New(cfg))
-		b, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b, col.events
-	}
-	b1, e1 := runOnce()
-	b2, e2 := runOnce()
-	if !bytes.Equal(b1, b2) {
-		t.Errorf("stats JSON diverges:\n%s\nvs\n%s", b1, b2)
-	}
-	if !slices.Equal(e1, e2) {
-		t.Error("trace event streams diverge between identical chaos runs")
-	}
-	// The recovery protocol must be visible in the trace.
-	seen := map[earth.EventKind]bool{}
-	for _, e := range e1 {
-		seen[e.Kind] = true
-	}
-	for _, k := range []earth.EventKind{
-		earth.EvFaultInjected, earth.EvTimedOut, earth.EvRetry, earth.EvRecovered,
-	} {
-		if !seen[k] {
-			t.Errorf("no %v event in the chaos trace", k)
-		}
-	}
 }
 
 // TestEmptyPlanIsCleanRun: a disabled plan must leave the simulation

@@ -333,7 +333,7 @@ func New(cfg earth.Config) *Runtime {
 		return rt
 	}
 	rt.plan, rt.retry, rt.crashAt, rt.fences = fs.Plan, fs.Retry, fs.CrashAt, fs.Fences
-	rt.take.Nodes, rt.take.Fences = cfg.Nodes, fs.Fences
+	rt.take.Nodes, rt.take.Fences, rt.take.CrashAt = cfg.Nodes, fs.Fences, fs.CrashAt
 	rt.hasPause = fs.Plan.HasPause()
 	rt.injs = make([]*faults.Injector, cfg.Nodes)
 	for i := range rt.injs {

@@ -20,14 +20,6 @@ func TestValidateRejectsNonFiniteBandwidth(t *testing.T) {
 	}
 }
 
-func TestValidateRejectsNegativeMemory(t *testing.T) {
-	c := Default(4)
-	c.MemoryBytes = -1
-	if err := c.Validate(); err == nil {
-		t.Error("negative MemoryBytes accepted")
-	}
-}
-
 // TestSetLinkScale: a degradation callback stretches both the wire time
 // and the NIC reservation; factors <= 1 and a nil callback are no-ops.
 func TestSetLinkScale(t *testing.T) {

@@ -38,8 +38,6 @@ type Config struct {
 	// share a first-level crossbar; larger machines add a second level.
 	// MANNA: 16.
 	CrossbarPorts int
-	// MemoryBytes is the local memory per node (bookkeeping only).
-	MemoryBytes int64
 }
 
 // Default returns the published MANNA configuration with n nodes.
@@ -49,7 +47,6 @@ func Default(n int) Config {
 		BandwidthBytesPerSec: 50e6,
 		HopLatency:           sim.Microsecond / 2, // 0.5 us per switch stage
 		CrossbarPorts:        16,
-		MemoryBytes:          32 << 20,
 	}
 }
 
@@ -63,7 +60,6 @@ func SP2(n int) Config {
 		BandwidthBytesPerSec: 35e6,
 		HopLatency:           5 * sim.Microsecond,
 		CrossbarPorts:        16,
-		MemoryBytes:          64 << 20,
 	}
 }
 
@@ -75,7 +71,6 @@ func Myrinet(n int) Config {
 		BandwidthBytesPerSec: 80e6,
 		HopLatency:           8 * sim.Microsecond,
 		CrossbarPorts:        8,
-		MemoryBytes:          128 << 20,
 	}
 }
 
@@ -95,9 +90,6 @@ func (c Config) Validate() error {
 	}
 	if c.CrossbarPorts < 2 {
 		return fmt.Errorf("manna: CrossbarPorts = %d, need >= 2", c.CrossbarPorts)
-	}
-	if c.MemoryBytes < 0 {
-		return fmt.Errorf("manna: negative memory size %d", c.MemoryBytes)
 	}
 	return nil
 }
@@ -200,8 +192,6 @@ type Machine struct {
 	// linkScale, when set, multiplies wire time per send (transient link
 	// degradation from a fault plan). See SetLinkScale.
 	linkScale func(at sim.Time, src, dst int) float64
-	// Traffic totals; see Messages, Bytes and LocalMsgs.
-	messages, bytes, localMsgs uint64
 }
 
 // New builds a Machine. It panics on an invalid Config, since a machine is
@@ -212,15 +202,6 @@ func New(cfg Config) *Machine {
 	}
 	return &Machine{cfg: cfg, nicFreeAt: make([]sim.Time, cfg.Nodes)}
 }
-
-// Messages returns the total number of remote messages sent.
-func (m *Machine) Messages() uint64 { return m.messages }
-
-// Bytes returns the total number of bytes clocked onto the network.
-func (m *Machine) Bytes() uint64 { return m.bytes }
-
-// LocalMsgs returns the number of local (src == dst) deliveries.
-func (m *Machine) LocalMsgs() uint64 { return m.localMsgs }
 
 // Config returns the machine's static configuration.
 func (m *Machine) Config() Config { return m.cfg }
@@ -237,7 +218,6 @@ func (m *Machine) Nodes() int { return m.cfg.Nodes }
 // immediately at ready.
 func (m *Machine) Send(ready sim.Time, src, dst, nbytes int) (arrival sim.Time) {
 	if src == dst {
-		m.localMsgs++
 		return ready
 	}
 	start := ready
@@ -253,8 +233,6 @@ func (m *Machine) Send(ready sim.Time, src, dst, nbytes int) (arrival sim.Time) 
 		}
 	}
 	m.nicFreeAt[src] = start + tx
-	m.messages++
-	m.bytes += uint64(nbytes)
 	return start + tx + lat
 }
 
@@ -274,5 +252,4 @@ func (m *Machine) NICFreeAt(node int) sim.Time { return m.nicFreeAt[node] }
 // Reset clears dynamic state so the machine can be reused for another run.
 func (m *Machine) Reset() {
 	clear(m.nicFreeAt)
-	m.messages, m.bytes, m.localMsgs = 0, 0, 0
 }
