@@ -260,6 +260,8 @@ func (o *options) validate() error {
 		return fmt.Errorf("unknown input %q", o.input)
 	case !(o.retryJitter >= 0 && o.retryJitter < 1):
 		return fmt.Errorf("-retry-jitter must be in [0,1), got %v", o.retryJitter)
+	case o.retryLease < 0:
+		return fmt.Errorf("-retry-lease must not be negative, got %v", o.retryLease)
 	case !(o.jitter >= 0 && o.jitter <= 100):
 		// Above 100 % a cost can scale by a negative factor and run the
 		// simulated clock backwards.
@@ -448,7 +450,7 @@ func (s *sinks) report(o *options, cfg earth.Config, st *earth.Stats, stdout io.
 	}
 	if o.critPath {
 		an := critpath.Analyze(s.rec.Events(), o.nodes, st.Elapsed)
-		fmt.Fprint(stdout, an.Render(8))
+		fmt.Fprint(stdout, an.Render())
 	}
 	if s.trace != nil {
 		if err := s.rec.WriteChromeTrace(s.trace); err != nil {
@@ -534,7 +536,7 @@ func runNN(o *options, rt earth.Runtime, w io.Writer) (*earth.Stats, error) {
 		}
 	}
 	res := neural.ParallelRun(rt, neural.Square(o.units, o.seed), xs, ts,
-		neural.ParallelConfig{Train: o.train, Tree: true, LR: 0.1})
+		neural.ParallelConfig{Train: o.train, Tree: true})
 	fmt.Fprintf(w, "samples=%d per-sample=%v\n", len(res.Outputs),
 		res.Stats.Elapsed/sim.Time(len(res.Outputs)))
 	return res.Stats, nil
@@ -563,7 +565,7 @@ func runTSP(o *options, rt earth.Runtime, w io.Writer) (*earth.Stats, error) {
 }
 
 func runPolymer(o *options, rt earth.Runtime, w io.Writer) (*earth.Stats, error) {
-	res := search.Count(rt, &search.Polymer{Steps: 8}, search.CountConfig{SpawnDepth: 3})
+	res := search.Count(rt, &search.Polymer{Steps: 8})
 	fmt.Fprintf(w, "walks=%d visited=%d\n", res.Total, res.Visited)
 	return res.Stats, nil
 }

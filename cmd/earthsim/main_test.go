@@ -4,10 +4,17 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"earth/internal/earth"
+	"earth/internal/eigen"
+	"earth/internal/groebner"
+	"earth/internal/harness"
+	"earth/internal/manna"
+	"earth/internal/neural"
 	"earth/internal/pin"
 )
 
@@ -38,6 +45,8 @@ func TestBadInputExits2(t *testing.T) {
 		{"jitter above 100 percent on nn", []string{"-jitter", "300", "-app", "nn", "-nodes", "6"}, "-jitter"},
 		{"jitter above 100 percent on groebner", []string{"-jitter", "1000", "-app", "groebner", "-nodes", "6"}, "-jitter"},
 		{"negative jitter", []string{"-jitter", "-1"}, "-jitter"},
+		{"retry jitter of 1", []string{"-retry-jitter", "1", "-faults", "drop=0.1"}, "-retry-jitter"},
+		{"negative retry lease", []string{"-retry-lease", "-1ms", "-faults", "drop=0.1"}, "-retry-lease"},
 		{"no runs", []string{"-runs", "0"}, "-runs"},
 		{"negative workers", []string{"-runs", "2", "-workers", "-1"}, "-workers"},
 		{"unwritable trace", []string{"-nodes", "2", "-trace", unwritable}, "no-such-dir"},
@@ -70,6 +79,65 @@ func TestBadInputExits2(t *testing.T) {
 			t.Errorf("exit code %d, stdout %q, stderr %q; want 2, nothing, and the unknown-flag error with the usage", code, stdout.Bytes(), msg)
 		}
 	})
+}
+
+// TestOptionsDocumented: every field of every exported option struct has
+// a row in one of DESIGN.md's who-sets-what tables, which name who sets
+// it. A field added without saying so fails here. A table row names
+// fields in its cells before the last, in backquotes: earth.Config's
+// bare (`Seed`, `Retry.Lease`), the others qualified
+// (`harness.Config.Runs`); a struct-typed field is covered by rows for
+// its own fields.
+func TestOptionsDocumented(t *testing.T) {
+	b, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	inTables := false
+	for _, line := range strings.Split(string(b), "\n") {
+		if strings.HasPrefix(line, "#") {
+			inTables = strings.Contains(line, "who sets what")
+		}
+		if cells := strings.Split(line, "|"); inTables && len(cells) > 3 {
+			for i, s := range strings.Split(strings.Join(cells[1:len(cells)-2], "|"), "`") {
+				if i%2 == 1 {
+					rows = append(rows, s)
+				}
+			}
+		}
+	}
+	documented := func(name string) bool {
+		for _, r := range rows {
+			if r == name || strings.HasPrefix(r, name+".") {
+				return true
+			}
+		}
+		return false
+	}
+	for _, s := range []struct {
+		prefix string
+		v      any
+	}{
+		{"", earth.Config{}},
+		{"Retry.", earth.RetryPolicy{}},
+		{"Coalesce.", earth.CoalesceConfig{}},
+		{"harness.Config.", harness.Config{}},
+		{"eigen.ParallelConfig.", eigen.ParallelConfig{}},
+		{"neural.ParallelConfig.", neural.ParallelConfig{}},
+		{"neural.SampleConfig.", neural.SampleConfig{}},
+		{"groebner.ParallelConfig.", groebner.ParallelConfig{}},
+		{"groebner.Options.", groebner.Options{}},
+		{"manna.Config.", manna.Config{}},
+	} {
+		typ := reflect.TypeOf(s.v)
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() && !documented(s.prefix+f.Name) {
+				t.Errorf("%v.%s has no row in DESIGN.md's who-sets-what tables (want `%s%s`)",
+					typ, f.Name, s.prefix, f.Name)
+			}
+		}
+	}
 }
 
 // TestTraceWriteFailureExits1: a trace file that can be created but not

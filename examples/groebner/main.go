@@ -68,7 +68,7 @@ func run(w io.Writer) {
 		F[0].Eval(at), F[1].Eval(at))
 
 	// Finish the pipeline the paper motivates: solve the triangular set.
-	sols, err := groebner.Solve(F, groebner.SolveOptions{})
+	sols, err := groebner.Solve(F)
 	if err != nil {
 		panic(err)
 	}

@@ -25,7 +25,7 @@ func run(w io.Writer) {
 	if err != nil {
 		panic(err)
 	}
-	complete, tr, err := rewrite.Complete(s, rewrite.Options{})
+	complete, tr, err := rewrite.Complete(s)
 	if err != nil {
 		panic(err)
 	}

@@ -34,9 +34,9 @@ func run(w io.Writer) {
 	// cubic lattice (the lattice model of "finding all possible polymers").
 	poly := &search.Polymer{Steps: 7}
 	p1 := simrt.New(earth.Config{Nodes: 1, Seed: 1})
-	c1 := search.Count(p1, poly, search.CountConfig{SpawnDepth: 3})
+	c1 := search.Count(p1, poly)
 	p16 := simrt.New(earth.Config{Nodes: 16, Seed: 1})
-	c16 := search.Count(p16, poly, search.CountConfig{SpawnDepth: 3})
+	c16 := search.Count(p16, poly)
 	fmt.Fprintf(w, "polymers of length 7: %d (visited %d walk prefixes)\n", c16.Total, c16.Visited)
 	fmt.Fprintf(w, "  1 node: %v   16 nodes: %v   speedup %.1f\n",
 		c1.Stats.Elapsed, c16.Stats.Elapsed,

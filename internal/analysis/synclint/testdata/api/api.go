@@ -26,9 +26,8 @@ type Ctx interface {
 
 // RetryPolicy mirrors earth.RetryPolicy.
 type RetryPolicy struct {
-	Timeout    int64
-	MaxRetries int
-	MaxBackoff int64
+	Lease  int64
+	Jitter float64
 }
 
 // Config mirrors earth.Config.

@@ -35,8 +35,8 @@ func overSignalledSplitPhase(c api.Ctx) {
 
 func badPolicies() (api.RetryPolicy, api.Config) {
 	p := api.RetryPolicy{
-		Timeout:    -5, // want `RetryPolicy.Timeout given negative constant -5`
-		MaxRetries: -1, // want `RetryPolicy.MaxRetries given negative constant -1`
+		Lease:  -5,   // want `RetryPolicy.Lease given negative constant -5`
+		Jitter: -0.5, // want `RetryPolicy.Jitter given negative constant`
 	}
 	c := api.Config{
 		Nodes:     -4,   // want `Config.Nodes given negative constant -4`

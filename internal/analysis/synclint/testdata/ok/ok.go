@@ -45,7 +45,7 @@ func grownSlot(c api.Ctx, extra int) {
 // defaults: zero values select documented defaults, and negative seeds
 // are legitimate stream selectors.
 func defaults() (api.RetryPolicy, api.Config) {
-	return api.RetryPolicy{Timeout: 0, MaxRetries: 8},
+	return api.RetryPolicy{Lease: 0, Jitter: 0.25},
 		api.Config{Nodes: 4, Seed: -9}
 }
 

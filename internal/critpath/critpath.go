@@ -605,11 +605,14 @@ func (a *Analysis) TopSegments(k int) []Segment {
 	return out
 }
 
+// renderTop is the number of longest critical-path segments Render lists.
+const renderTop = 8
+
 // Render formats the analysis as a fixed-width text report with the
 // per-node table, machine totals, the critical-path decomposition and
-// the topK longest path segments. The output is a pure function of the
-// analysis and therefore byte-stable under simrt.
-func (a *Analysis) Render(topK int) string {
+// the renderTop longest path segments. The output is a pure function of
+// the analysis and therefore byte-stable under simrt.
+func (a *Analysis) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "overhead attribution: P=%d makespan=%v\n", len(a.Nodes), a.Makespan)
 	fmt.Fprintf(&sb, "%-6s", "node")
@@ -636,9 +639,9 @@ func (a *Analysis) Render(topK int) string {
 		fmt.Fprintf(&sb, " %8.3f%%", 100*f)
 	}
 	sb.WriteString("\n")
-	if topK > 0 && len(a.Path) > 0 {
-		fmt.Fprintf(&sb, "top %d critical-path segments:\n", topK)
-		for _, s := range a.TopSegments(topK) {
+	if len(a.Path) > 0 {
+		fmt.Fprintf(&sb, "top %d critical-path segments:\n", renderTop)
+		for _, s := range a.TopSegments(renderTop) {
 			fmt.Fprintf(&sb, "  [%12v .. %12v] node %-3d %-8s %s\n",
 				s.Start, s.End, s.Node, s.Cat, s.Label)
 		}

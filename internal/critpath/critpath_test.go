@@ -105,7 +105,7 @@ func TestCriticalPathPartitionsMakespan(t *testing.T) {
 func TestAnalysisDeterministicAcrossRuns(t *testing.T) {
 	a, _ := runTraced(t, earth.Config{Nodes: 4, Seed: 7})
 	b, _ := runTraced(t, earth.Config{Nodes: 4, Seed: 7})
-	if ra, rb := a.Render(8), b.Render(8); ra != rb {
+	if ra, rb := a.Render(), b.Render(); ra != rb {
 		t.Errorf("same-seed renders differ:\n--- a ---\n%s--- b ---\n%s", ra, rb)
 	}
 }

@@ -24,7 +24,7 @@ type Delivery struct {
 	Delay sim.Time
 	// Seq, Drops, Corrupts and Dup are what the receiver needs for
 	// idempotent delivery and its recovered/corrupt accounting. A
-	// duplicate copy trails the original by RetryPolicy.AttemptTimeout(0).
+	// duplicate copy trails the original by RetryTimeout.
 	Seq      uint64
 	Drops    int
 	Corrupts int
@@ -46,7 +46,6 @@ type backoff struct {
 	sink     Tracer
 	src, dst NodeID
 	bytes    int
-	retry    RetryPolicy
 	scale    float64 // jitter factor; 0 leaves timeouts exact
 	attempt  int
 	deadline sim.Time
@@ -55,7 +54,7 @@ type backoff struct {
 // step times out the next attempt: it advances the deadline by the
 // attempt's (jittered) timeout and reports the retransmission.
 func (b *backoff) step(cause Cause) {
-	to := b.retry.AttemptTimeout(b.attempt)
+	to := AttemptTimeout(b.attempt)
 	if b.scale != 0 {
 		to = max(1, sim.Time(float64(to)*b.scale))
 	}
@@ -121,11 +120,11 @@ func (b *backoff) resend(d *Delivery, n int, cause Cause) {
 // The function allocates nothing.
 func PlanDelivery(in *faults.Injector, retry RetryPolicy, plan *faults.Plan,
 	src, dst NodeID, bytes int, issue sim.Time, sink Tracer) Delivery {
-	v := in.Next(retry.MaxRetries)
+	v := in.Next(MaxRetries)
 	d := Delivery{Issue: issue, Seq: v.Seq, Drops: v.Drops, Corrupts: v.Corrupts, Dup: v.Dup}
-	b := backoff{sink: sink, src: src, dst: dst, bytes: bytes, retry: retry, deadline: issue}
+	b := backoff{sink: sink, src: src, dst: dst, bytes: bytes, deadline: issue}
 	if heal := plan.PartitionUnblock(issue, int(src), int(dst)); heal > issue {
-		for b.deadline < heal && b.attempt < retry.MaxRetries {
+		for b.deadline < heal && b.attempt < MaxRetries {
 			b.step(CausePartition)
 		}
 		d.FaultsInjected++

@@ -1,6 +1,7 @@
 package earth
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -17,11 +18,11 @@ func (l *eventLog) Event(e Event) { *l = append(*l, e) }
 
 // seedFor scans plan seeds for one whose first verdict has the wanted
 // drop count, so a case can pin a verdict no 0/1 probability forces.
-func seedFor(t *testing.T, plan faults.Plan, maxRetries, drops int) int64 {
+func seedFor(t *testing.T, plan faults.Plan, drops int) int64 {
 	t.Helper()
 	for seed := int64(1); seed < 1000; seed++ {
 		plan.Seed = seed
-		if faults.NewInjector(&plan, 0).Next(maxRetries).Drops == drops {
+		if faults.NewInjector(&plan, 0).Next(MaxRetries).Drops == drops {
 			return seed
 		}
 	}
@@ -60,34 +61,39 @@ func jittered(evs []Event, d Delivery, scale float64) ([]Event, Delivery) {
 
 // TestPlanDelivery pins the delivery-protocol core: for every fault shape
 // and both jitter settings, the exact delay, shifted issue, counter deltas
-// and the emitted event list. Policy: timeouts 100/200/400µs, 3 retries;
-// one 64-byte message from node 1 to node 2 issued at 1ms.
+// and the emitted event list, at the protocol's constants. One 64-byte
+// message from node 1 to node 2 issued at 1ms.
 func TestPlanDelivery(t *testing.T) {
 	const (
 		src, dst = NodeID(1), NodeID(2)
 		bytes    = 64
 		issue    = 1000 * us
+		budget   = 25400 * us // all eight timeouts below
 	)
-	retry := RetryPolicy{Timeout: 100 * us, MaxRetries: 3, MaxBackoff: 400 * us}.WithDefaults()
+	// timeouts is one message's backoff walk: 200µs doubling per attempt,
+	// attempts 5-7 on the 6.4ms cap.
+	timeouts := []sim.Time{200 * us, 400 * us, 800 * us, 1600 * us, 3200 * us, 6400 * us, 6400 * us, 6400 * us}
 	cut := func(to sim.Time) []faults.Partition {
 		return []faults.Partition{{From: 900 * us, To: to, Groups: [2][]int{{1}, {2}}}}
 	}
 	ev := func(at sim.Time, kind EventKind, cause Cause, dur sim.Time) Event {
 		return Event{Time: at, Kind: kind, Cause: cause, Dur: dur, Node: src, Peer: dst, Bytes: bytes}
 	}
-	// chain is the three-attempt backoff walk from base, all of one cause.
-	chain := func(base sim.Time, cause Cause) []Event {
-		return []Event{
-			ev(base+100*us, EvTimedOut, cause, 100*us), ev(base+100*us, EvRetry, cause, 0),
-			ev(base+300*us, EvTimedOut, cause, 200*us), ev(base+300*us, EvRetry, cause, 0),
-			ev(base+700*us, EvTimedOut, cause, 400*us), ev(base+700*us, EvRetry, cause, 0),
+	// chain is the first n attempts of the backoff walk from base, all of
+	// one cause.
+	chain := func(base sim.Time, cause Cause, n int) []Event {
+		var evs []Event
+		for _, to := range timeouts[:n] {
+			base += to
+			evs = append(evs, ev(base, EvTimedOut, cause, to), ev(base, EvRetry, cause, 0))
 		}
+		return evs
 	}
 	mixed := faults.Plan{Drop: 0.5, Corrupt: 1}
-	mixed.Seed = seedFor(t, mixed, retry.MaxRetries, 1)
+	mixed.Seed = seedFor(t, mixed, 1)
 	// The reorder hold-back is the one seeded quantity a case depends on.
 	reorder := faults.Plan{Reorder: 1, Window: 50 * us, Seed: 5}
-	hold := faults.NewInjector(&reorder, 0).Next(retry.MaxRetries).Delay
+	hold := faults.NewInjector(&reorder, 0).Next(MaxRetries).Delay
 	if hold <= 0 || hold > 50*us {
 		t.Fatalf("reorder hold-back %v outside (0, 50µs]", hold)
 	}
@@ -101,23 +107,22 @@ func TestPlanDelivery(t *testing.T) {
 		{name: "clean",
 			want: Delivery{Issue: issue}},
 		{name: "drops", plan: faults.Plan{Drop: 1},
-			want: Delivery{Issue: issue, Delay: 700 * us, Drops: 3, FaultsInjected: 1, Retries: 3},
-			events: append(chain(issue, CauseDrop),
-				ev(issue, EvFaultInjected, CauseDrop, 700*us))},
+			// Eight attempts lost: the retry budget is spent, and the last
+			// retransmission lands.
+			want: Delivery{Issue: issue, Delay: budget, Drops: 8, FaultsInjected: 1, Retries: 8},
+			events: append(chain(issue, CauseDrop, 8),
+				ev(issue, EvFaultInjected, CauseDrop, budget))},
 		{name: "corrupts", plan: faults.Plan{Corrupt: 1},
-			want: Delivery{Issue: issue, Delay: 700 * us, Corrupts: 3, FaultsInjected: 1, Retries: 3},
-			events: append(chain(issue, CauseCorrupt),
-				ev(issue, EvFaultInjected, CauseCorrupt, 700*us))},
+			want: Delivery{Issue: issue, Delay: budget, Corrupts: 8, FaultsInjected: 1, Retries: 8},
+			events: append(chain(issue, CauseCorrupt, 8),
+				ev(issue, EvFaultInjected, CauseCorrupt, budget))},
 		{name: "drops+corrupts", plan: mixed,
 			// The corrupt NACKs continue the drop's backoff chain.
-			want: Delivery{Issue: issue, Delay: 700 * us, Drops: 1, Corrupts: 2, FaultsInjected: 2, Retries: 3},
-			events: []Event{
-				ev(issue+100*us, EvTimedOut, CauseDrop, 100*us), ev(issue+100*us, EvRetry, CauseDrop, 0),
-				ev(issue, EvFaultInjected, CauseDrop, 100*us),
-				ev(issue+300*us, EvTimedOut, CauseCorrupt, 200*us), ev(issue+300*us, EvRetry, CauseCorrupt, 0),
-				ev(issue+700*us, EvTimedOut, CauseCorrupt, 400*us), ev(issue+700*us, EvRetry, CauseCorrupt, 0),
-				ev(issue, EvFaultInjected, CauseCorrupt, 600*us),
-			}},
+			want: Delivery{Issue: issue, Delay: budget, Drops: 1, Corrupts: 7, FaultsInjected: 2, Retries: 8},
+			events: append(append(chain(issue, CauseDrop, 1),
+				ev(issue, EvFaultInjected, CauseDrop, 200*us)),
+				append(chain(issue, CauseCorrupt, 8)[2:],
+					ev(issue, EvFaultInjected, CauseCorrupt, budget-200*us))...)},
 		{name: "delay", plan: reorder,
 			want:   Delivery{Issue: issue, Delay: hold, FaultsInjected: 1},
 			events: []Event{ev(issue, EvFaultInjected, CauseDelay, hold)}},
@@ -127,20 +132,20 @@ func TestPlanDelivery(t *testing.T) {
 		{name: "cut-shorter-than-budget", plan: faults.Plan{Partition: cut(1250 * us)},
 			// The second timeout lands past the heal, so the third never arms.
 			want: Delivery{Issue: 1250 * us, Delay: 250 * us, FaultsInjected: 1, Retries: 2},
-			events: append(chain(issue, CausePartition)[:4],
+			events: append(chain(issue, CausePartition, 2),
 				ev(issue, EvFaultInjected, CausePartition, 250*us))},
-		{name: "cut-longer-than-budget", plan: faults.Plan{Partition: cut(3000 * us)},
-			// The budget runs out at 1.7ms; the message still waits for the heal.
-			want: Delivery{Issue: 3000 * us, Delay: 2000 * us, FaultsInjected: 1, Retries: 3},
-			events: append(chain(issue, CausePartition),
-				ev(issue, EvFaultInjected, CausePartition, 2000*us))},
+		{name: "cut-longer-than-budget", plan: faults.Plan{Partition: cut(30000 * us)},
+			// The budget runs out at 26.4ms; the message still waits for the heal.
+			want: Delivery{Issue: 30000 * us, Delay: 29000 * us, FaultsInjected: 1, Retries: 8},
+			events: append(chain(issue, CausePartition, 8),
+				ev(issue, EvFaultInjected, CausePartition, 29000*us))},
 		{name: "cut+drops", plan: faults.Plan{Drop: 1, Partition: cut(1250 * us)},
 			// The drop chain restarts at attempt 0 from the heal instant.
-			want: Delivery{Issue: 1250 * us, Delay: 950 * us, Drops: 3, FaultsInjected: 2, Retries: 5},
-			events: append(append(append(chain(issue, CausePartition)[:4],
+			want: Delivery{Issue: 1250 * us, Delay: 250*us + budget, Drops: 8, FaultsInjected: 2, Retries: 10},
+			events: append(append(chain(issue, CausePartition, 2),
 				ev(issue, EvFaultInjected, CausePartition, 250*us)),
-				chain(1250*us, CauseDrop)...),
-				ev(1250*us, EvFaultInjected, CauseDrop, 700*us))},
+				append(chain(1250*us, CauseDrop, 8),
+					ev(1250*us, EvFaultInjected, CauseDrop, budget))...)},
 	}
 	for _, c := range cases {
 		for _, jitter := range []float64{0, 0.25} {
@@ -149,14 +154,13 @@ func TestPlanDelivery(t *testing.T) {
 				name = c.name + "/jitter-on"
 			}
 			t.Run(name, func(t *testing.T) {
-				pol := retry
-				pol.Jitter = jitter
+				pol := RetryPolicy{Jitter: jitter}
 				in, ref := faults.NewInjector(&c.plan, 0), faults.NewInjector(&c.plan, 0)
 				want, events := c.want, c.events
 				want.Seq = 1
 				// The jitter draw is gated on lost attempts: the reference
 				// stream spends it exactly when the core must.
-				if v := ref.Next(pol.MaxRetries); jitter > 0 && (v.Drops > 0 || v.Corrupts > 0) {
+				if v := ref.Next(MaxRetries); jitter > 0 && (v.Drops > 0 || v.Corrupts > 0) {
 					events, want = jittered(events, want, pol.JitterScale(ref.Float64()))
 				}
 				var log eventLog
@@ -186,7 +190,7 @@ func TestPlanDelivery(t *testing.T) {
 func TestPlanDeliveryAllocatesNothing(t *testing.T) {
 	plan := &faults.Plan{Seed: 3, Drop: 0.3, Corrupt: 0.3, Reorder: 0.3,
 		Partition: []faults.Partition{{From: 0, To: sim.Millisecond, Groups: [2][]int{{0}, {1}}}}}
-	retry := RetryPolicy{Jitter: 0.2}.WithDefaults()
+	retry := RetryPolicy{Jitter: 0.2}
 	in := faults.NewInjector(plan, 0)
 	var at sim.Time
 	if n := testing.AllocsPerRun(2000, func() {
@@ -210,7 +214,7 @@ func TestResolveFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Plan != plan || fs.Retry.Lease != 2*sim.Millisecond || fs.Retry.MaxRetries != 8 {
+	if fs.Plan != plan || fs.Retry.Lease != 2*sim.Millisecond {
 		t.Errorf("plan/retry not resolved: %+v", fs)
 	}
 	if want := []sim.Time{-1, sim.Millisecond, -1, -1}; !reflect.DeepEqual(fs.CrashAt, want) {
@@ -228,5 +232,14 @@ func TestResolveFaults(t *testing.T) {
 		Partition: []faults.Partition{{From: 0, To: 5 * sim.Millisecond, Groups: [2][]int{{0, 1}, {2}}}}}
 	if _, err := (Config{Nodes: 3, Faults: noSurvivor}).ResolveFaults(); err == nil {
 		t.Error("a plan fencing or crashing every node was accepted")
+	}
+	// A retry policy no engine can run is an error, with or without a plan,
+	// never a silently substituted default.
+	for _, p := range []*faults.Plan{nil, plan} {
+		for _, bad := range []RetryPolicy{{Lease: -1}, {Jitter: 1}, {Jitter: -0.1}, {Jitter: math.NaN()}} {
+			if _, err := (Config{Nodes: 4, Faults: p, Retry: bad}).ResolveFaults(); err == nil {
+				t.Errorf("retry policy %+v accepted (plan %v)", bad, p)
+			}
+		}
 	}
 }

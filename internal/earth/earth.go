@@ -211,8 +211,9 @@ type Config struct {
 	// degradation windows are interpreted in each engine's own clock
 	// (virtual time under simrt, wall time since run start under livert).
 	Faults *faults.Plan
-	// Retry tunes the recovery protocol used when Faults is set; zero
-	// fields take RetryPolicy defaults.
+	// Retry tunes the recovery protocol's failure detection and
+	// retransmit spread when Faults is set; a zero Lease takes the
+	// default.
 	Retry RetryPolicy
 	// Coalesce enables automatic same-destination message coalescing on
 	// the wire path: remote Put/Sync/Post operations issued by one thread

@@ -33,6 +33,9 @@ type matrixRow struct {
 	// chaos marks message faults dense enough that every counter of the
 	// recovery path must move.
 	chaos bool
+	// dropChain, when set, is the length some message's run of lost
+	// attempts must reach on simrt: what a retry row is there to exercise.
+	dropChain sim.Time
 }
 
 var matrixRows = []matrixRow{
@@ -45,14 +48,16 @@ var matrixRows = []matrixRow{
 	// Under a lease longer than the window nobody fences.
 	{name: "composed-lease-20ms", spec: composedSpec, nodes: 8, work: sim.Millisecond,
 		retry: earth.RetryPolicy{Lease: 20 * sim.Millisecond}},
-	// A 2-retry budget is routinely exhausted at drop=0.49, so messages land
-	// on their final permitted attempt while the detector is mid-lease.
-	{name: "retry-budget-exhausted-in-crash-window", spec: "drop=0.49,crash=1@300µs,seed=5", nodes: 4, work: leafWork,
-		retry: earth.RetryPolicy{MaxRetries: 2}},
-	// MaxBackoff caps at 2× the base timeout, so retransmissions of degraded
-	// (8× wire time) traffic pile up against the cap.
-	{name: "backoff-cap-under-degradation", spec: "drop=0.3,degrade=*@0-2msx8,crash=2@400µs,seed=9", nodes: 5, work: leafWork,
-		retry: earth.RetryPolicy{Timeout: 50 * sim.Microsecond, MaxBackoff: 100 * sim.Microsecond}},
+	// At drop=0.7 about one message in seventeen loses all eight attempts, so
+	// messages land on their final permitted attempt, 25.4ms after issue,
+	// while the detector is still mid-lease on crashed node 1.
+	{name: "retry-budget-exhausted-in-crash-window", spec: "drop=0.7,crash=1@300µs,seed=5", nodes: 4, work: leafWork,
+		retry: earth.RetryPolicy{Lease: 26 * sim.Millisecond}, dropChain: 25400 * sim.Microsecond},
+	// Six lost attempts in a row (0.6⁶ ≈ 5 %) wait out a timeout on the
+	// 6.4ms backoff cap, 12.6ms in all, while degraded (8× wire time)
+	// traffic and a crash pile up behind them.
+	{name: "backoff-cap-under-degradation", spec: "drop=0.6,degrade=*@0-2msx8,crash=2@400µs,seed=9", nodes: 5, work: leafWork,
+		dropChain: 12600 * sim.Microsecond},
 }
 
 // burst is the payload sizes of each spreader's puts to node 0: more
@@ -295,6 +300,17 @@ func checkCell(t *testing.T, c matrixCell, r cellRun, done map[string]*earth.Sta
 	if fs.CrashAt != nil && tot.FaultsInjected == 0 {
 		t.Error("crash plan injected nothing")
 	}
+	if c.row.dropChain > 0 && !c.live {
+		var longest sim.Time
+		for _, e := range r.evs {
+			if e.Kind == earth.EvFaultInjected && e.Cause == earth.CauseDrop {
+				longest = max(longest, e.Dur)
+			}
+		}
+		if longest < c.row.dropChain {
+			t.Errorf("longest run of lost attempts took %v, want at least %v", longest, c.row.dropChain)
+		}
+	}
 	for n := range st.Nodes {
 		ns := &st.Nodes[n]
 		var lease sim.Time
@@ -347,7 +363,7 @@ func checkCell(t *testing.T, c matrixCell, r cellRun, done map[string]*earth.Sta
 	// faster than the clean one.
 	again := c.run(t)
 	sameBytes(t, "second machine", again.sim, r.sim)
-	crit := func(r cellRun) string { return critpath.Analyze(r.evs, c.row.nodes, r.st.Elapsed).Render(8) }
+	crit := func(r cellRun) string { return critpath.Analyze(r.evs, c.row.nodes, r.st.Elapsed).Render() }
 	if got, want := crit(again), crit(r); got != want {
 		t.Errorf("second machine: critpath report diverges\n got: %s\nwant: %s", got, want)
 	}

@@ -134,12 +134,14 @@ func TestReceiptEventsConform(t *testing.T) {
 			for _, eng := range bothEngines {
 				col := &traceCollector{}
 				stale := false
-				// The fence falls at 100ms; node 2 issues its put at 75ms.
+				// Each delivery spends the 25.4ms retry budget. Node 2's
+				// invoke lands before the partition, and it issues its put
+				// at about 75ms, inside it; the fence falls at 100ms.
 				st := eng.new(earth.Config{Nodes: 3, Seed: 5, Faults: &pc.plan, Tracer: col,
-					Retry: earth.RetryPolicy{MaxRetries: 2, Lease: 50 * ms}}).Run(func(c earth.Ctx) {
+					Retry: earth.RetryPolicy{Lease: 50 * ms}}).Run(func(c earth.Ctx) {
 					c.Invoke(2, 16, func(c earth.Ctx) {
-						c.Compute(75 * ms)
-						time.Sleep(75 * time.Millisecond)
+						c.Compute(50 * ms)
+						time.Sleep(50 * time.Millisecond)
 						c.Put(0, 8, func() { stale = true }, nil, 0)
 					})
 					c.Invoke(1, 24, func(c earth.Ctx) { c.Put(0, 32, func() {}, nil, 0) })

@@ -859,7 +859,7 @@ func (rt *Runtime) faultVerdict(ex *lnode, src earth.NodeID, dst *lnode, bytes i
 	}
 	rt.deliverAfter(ex, d.Delay, e, land)
 	if d.Dup {
-		rt.deliverAfter(ex, d.Delay+rt.retry.AttemptTimeout(0), e, land)
+		rt.deliverAfter(ex, d.Delay+earth.RetryTimeout, e, land)
 	}
 }
 

@@ -2,50 +2,58 @@ package earth
 
 import (
 	"errors"
+	"fmt"
 
 	"earth/internal/faults"
 	"earth/internal/sim"
 )
 
-// RetryPolicy governs the modelled recovery protocol the engines apply
-// when a fault plan is installed: every split-phase message
-// (GET_SYNC/DATA_SYNC/BLKMOV legs, INVOKE, TOKEN shipping, sync signals,
-// posts) is covered by a per-attempt acknowledgement timeout; a lost
-// transmission is retransmitted after the timeout with capped exponential
-// backoff, and deliveries are sequence-numbered so duplicated or
-// reordered copies are idempotent.
+// The modelled recovery protocol the engines apply when a fault plan is
+// installed: every split-phase message (GET_SYNC/DATA_SYNC/BLKMOV legs,
+// INVOKE, TOKEN shipping, sync signals, posts) is covered by a per-attempt
+// acknowledgement timeout; a lost transmission is retransmitted after the
+// timeout with capped exponential backoff (AttemptTimeout), at most
+// MaxRetries times, and deliveries are sequence-numbered so duplicated or
+// reordered copies are idempotent. Every experiment runs the protocol at
+// these timings, so they are constants; RetryPolicy holds what runs vary.
 //
 // Under simrt the protocol is accounted in virtual time ("god view"): a
 // message the fault plan dropped k times arrives at the sum of its first
 // k attempt timeouts plus the final attempt's wire latency, and the
 // tracer sees the matching EvTimedOut/EvRetry/EvRecovered events. Under
 // livert the penalty is real wall-clock delay.
-type RetryPolicy struct {
-	// Timeout is the base per-attempt ack timeout. 0: 200µs, well above
-	// the MANNA round trip so clean traffic never times out.
-	Timeout sim.Time
+const (
+	// RetryTimeout is the base per-attempt ack timeout, well above the
+	// MANNA round trip so clean traffic never times out. A duplicated
+	// message's second copy trails the first by it.
+	RetryTimeout = 200 * sim.Microsecond
 	// MaxRetries bounds retransmissions per message, and with it the
-	// worst-case delivery delay. 0: 8.
-	MaxRetries int
-	// MaxBackoff caps the backed-off timeout. 0: 32× Timeout.
-	MaxBackoff sim.Time
+	// worst-case delivery delay: eight lost attempts cost 25.4 ms.
+	MaxRetries = 8
+	// MaxBackoff caps the backed-off timeout; attempts 5 to 7 wait it out.
+	MaxBackoff = 32 * RetryTimeout
+)
+
+// RetryPolicy tunes the recovery protocol's failure detection and
+// retransmit spread. ResolveFaults rejects a negative Lease and a Jitter
+// outside [0,1).
+type RetryPolicy struct {
 	// Lease is the failure-detector lease: how long a node may stay
 	// silent before survivors declare it crashed and adopt its
 	// checkpointed frames and queued work. Messages in flight to a node
 	// that crashed are held for the remainder of its lease (the sender's
 	// heartbeat/ack timeout exposing the failure) and then re-routed to
-	// the successor. 0: 5× Timeout (1ms with the default Timeout), long
-	// enough that transient drop/backoff recovery never masquerades as a
-	// crash. A network partition outliving the lease still produces a
-	// wrong verdict; the epoch-fencing protocol below exists to make
-	// that verdict safe.
+	// the successor. 0: 5× RetryTimeout (1ms), long enough that transient
+	// drop/backoff recovery never masquerades as a crash. A network
+	// partition outliving the lease still produces a wrong verdict; the
+	// epoch-fencing protocol below exists to make that verdict safe.
 	Lease sim.Time
 	// Jitter spreads retransmit timeouts by a seeded uniform factor in
 	// [1-Jitter, 1+Jitter), so the synchronized retransmit storm after a
-	// partition heals doesn't stampede one link. Must be in [0,1);
-	// 0 (the default) disables it. The factor is drawn from the fault
-	// injector's RNG stream, one draw per faulted message, so jittered
-	// runs stay byte-reproducible under simrt.
+	// partition heals doesn't stampede one link. 0 (the default) disables
+	// it. The factor is drawn from the fault injector's RNG stream, one
+	// draw per faulted message, so jittered runs stay byte-reproducible
+	// under simrt.
 	Jitter float64
 }
 
@@ -68,24 +76,23 @@ type RetryPolicy struct {
 // to home stays with the adopter, exactly as if it had crashed and a
 // fresh node had joined.
 
-// WithDefaults normalises the policy.
+// WithDefaults fills a zero lease with the default.
 func (p RetryPolicy) WithDefaults() RetryPolicy {
-	if p.Timeout <= 0 {
-		p.Timeout = 200 * sim.Microsecond
-	}
-	if p.MaxRetries <= 0 {
-		p.MaxRetries = 8
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 32 * p.Timeout
-	}
-	if p.Lease <= 0 {
-		p.Lease = 5 * p.Timeout
-	}
-	if p.Jitter < 0 || p.Jitter >= 1 || p.Jitter != p.Jitter {
-		p.Jitter = 0
+	if p.Lease == 0 {
+		p.Lease = 5 * RetryTimeout
 	}
 	return p
+}
+
+// validate rejects what WithDefaults would otherwise have to guess at.
+func (p RetryPolicy) validate() error {
+	if p.Lease < 0 {
+		return fmt.Errorf("retry lease %v is negative", p.Lease)
+	}
+	if !(p.Jitter >= 0 && p.Jitter < 1) {
+		return fmt.Errorf("retry jitter %v is outside [0,1)", p.Jitter)
+	}
+	return nil
 }
 
 // JitterScale turns one uniform draw u in [0,1) into the retransmit
@@ -97,17 +104,14 @@ func (p RetryPolicy) JitterScale(u float64) float64 {
 }
 
 // AttemptTimeout returns the ack timeout armed for the attempt-th
-// transmission (0-based): Timeout doubled per attempt, capped at
+// transmission (0-based): RetryTimeout doubled per attempt, capped at
 // MaxBackoff.
-func (p RetryPolicy) AttemptTimeout(attempt int) sim.Time {
-	d := p.Timeout
-	for i := 0; i < attempt && d < p.MaxBackoff; i++ {
+func AttemptTimeout(attempt int) sim.Time {
+	d := RetryTimeout
+	for i := 0; i < attempt && d < MaxBackoff; i++ {
 		d *= 2
 	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d
+	return min(d, MaxBackoff)
 }
 
 // Adopter returns the surviving node that owns work addressed to node x
@@ -143,11 +147,15 @@ type FaultSetup struct {
 	Fences faults.Fences
 }
 
-// ResolveFaults resolves c's fault plan. It rejects plans that leave no
-// node to adopt work: crash schedules killing every node, and partition
+// ResolveFaults resolves c's fault plan. It rejects a retry policy with a
+// negative lease or a jitter outside [0,1), and plans that leave no node
+// to adopt work: crash schedules killing every node, and partition
 // schedules under which every node is at some instant (or eventually)
 // fenced or crashed.
 func (c Config) ResolveFaults() (FaultSetup, error) {
+	if err := c.Retry.validate(); err != nil {
+		return FaultSetup{}, err
+	}
 	if !c.Faults.Enabled() {
 		return FaultSetup{}, nil
 	}

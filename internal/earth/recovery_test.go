@@ -7,26 +7,15 @@ import (
 )
 
 func TestRetryPolicyDefaults(t *testing.T) {
-	p := RetryPolicy{}.WithDefaults()
-	if p.Timeout != 200*sim.Microsecond || p.MaxRetries != 8 || p.MaxBackoff != 32*p.Timeout {
-		t.Errorf("defaults: %+v", p)
+	if p := (RetryPolicy{Jitter: 0.5}).WithDefaults(); p != (RetryPolicy{Lease: sim.Millisecond, Jitter: 0.5}) {
+		t.Errorf("defaults: %+v, want a 1ms lease and the jitter kept", p)
 	}
-	if p.Lease != 5*p.Timeout {
-		t.Errorf("default lease = %v, want %v", p.Lease, 5*p.Timeout)
-	}
-	// Explicit fields survive normalisation.
-	q := RetryPolicy{Timeout: sim.Millisecond, MaxRetries: 2, MaxBackoff: 4 * sim.Millisecond,
-		Lease: 10 * sim.Millisecond}.WithDefaults()
-	if q.Timeout != sim.Millisecond || q.MaxRetries != 2 || q.MaxBackoff != 4*sim.Millisecond {
-		t.Errorf("explicit: %+v", q)
-	}
-	if q.Lease != 10*sim.Millisecond {
-		t.Errorf("explicit lease = %v", q.Lease)
-	}
-	// A lease shorter than the timeout still sticks: the caller may model
-	// aggressive detectors.
-	if r := (RetryPolicy{Timeout: sim.Millisecond, Lease: 100 * sim.Microsecond}).WithDefaults(); r.Lease != 100*sim.Microsecond {
-		t.Errorf("short lease = %v", r.Lease)
+	// An explicit lease sticks, even one shorter than the retry timeout: the
+	// caller may model aggressive detectors.
+	for _, lease := range []sim.Time{10 * sim.Millisecond, 100 * sim.Microsecond} {
+		if p := (RetryPolicy{Lease: lease}).WithDefaults(); p.Lease != lease {
+			t.Errorf("explicit lease %v became %v", lease, p.Lease)
+		}
 	}
 }
 
@@ -74,22 +63,26 @@ func TestAdopterRingWalk(t *testing.T) {
 }
 
 func TestAttemptTimeoutBackoff(t *testing.T) {
-	p := RetryPolicy{Timeout: 100 * sim.Microsecond, MaxBackoff: 800 * sim.Microsecond}.WithDefaults()
 	want := []sim.Time{
-		100 * sim.Microsecond, // attempt 0
-		200 * sim.Microsecond,
-		400 * sim.Microsecond,
-		800 * sim.Microsecond,
-		800 * sim.Microsecond, // capped
-		800 * sim.Microsecond,
+		200 * us, // attempt 0
+		400 * us,
+		800 * us,
+		1600 * us,
+		3200 * us,
+		6400 * us, // capped from here on
+		6400 * us,
+		6400 * us, // the eighth, last timeout MaxRetries allows
+	}
+	if len(want) != MaxRetries {
+		t.Fatalf("%d attempts listed, MaxRetries is %d", len(want), MaxRetries)
 	}
 	for i, w := range want {
-		if got := p.AttemptTimeout(i); got != w {
+		if got := AttemptTimeout(i); got != w {
 			t.Errorf("AttemptTimeout(%d) = %v, want %v", i, got, w)
 		}
 	}
 	// A huge attempt index must not overflow.
-	if got := p.AttemptTimeout(1 << 20); got != 800*sim.Microsecond {
+	if got := AttemptTimeout(1 << 20); got != 6400*us {
 		t.Errorf("AttemptTimeout(big) = %v", got)
 	}
 }

@@ -911,7 +911,7 @@ func (rt *Runtime) deliver(issue, arrival sim.Time, m *msg) {
 		// Each copy is routed from its own arrival: the clone trails by one
 		// base timeout and may cross a later detection boundary, failing
 		// over further along the adoption ring than the original.
-		rt.routeMsg(arrival+rt.retry.AttemptTimeout(0), rt.cloneMsg(m))
+		rt.routeMsg(arrival+earth.RetryTimeout, rt.cloneMsg(m))
 	}
 	rt.routeMsg(arrival, m)
 }

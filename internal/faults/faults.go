@@ -353,17 +353,26 @@ func (p *Plan) Validate() error {
 	if p.Window < 0 {
 		return fmt.Errorf("faults: negative reorder window %v", p.Window)
 	}
-	for _, w := range p.Degrade {
-		if w.To <= w.From {
-			return fmt.Errorf("faults: degrade window [%v,%v) is empty", w.From, w.To)
+	checkWindow := func(kind string, from, to sim.Time) error {
+		if from < 0 {
+			return fmt.Errorf("faults: %s window [%v,%v) starts before 0", kind, from, to)
 		}
-		if w.Factor < 1 {
+		if to <= from {
+			return fmt.Errorf("faults: %s window [%v,%v) is empty", kind, from, to)
+		}
+		return nil
+	}
+	for _, w := range p.Degrade {
+		if err := checkWindow("degrade", w.From, w.To); err != nil {
+			return err
+		}
+		if !(w.Factor >= 1) {
 			return fmt.Errorf("faults: degrade factor %g, need >= 1", w.Factor)
 		}
 	}
 	for _, w := range p.Pause {
-		if w.To <= w.From {
-			return fmt.Errorf("faults: pause window [%v,%v) is empty", w.From, w.To)
+		if err := checkWindow("pause", w.From, w.To); err != nil {
+			return err
 		}
 	}
 	// Overlapping pause windows for the same node would make PauseUntil
@@ -379,8 +388,8 @@ func (p *Plan) Validate() error {
 		}
 	}
 	for i, pt := range p.Partition {
-		if pt.To <= pt.From {
-			return fmt.Errorf("faults: partition window [%v,%v) is empty", pt.From, pt.To)
+		if err := checkWindow("partition", pt.From, pt.To); err != nil {
+			return err
 		}
 		seen := map[int]int{}
 		for g, nodes := range pt.Groups {
@@ -589,18 +598,21 @@ func Parse(spec string) (*Plan, error) {
 	return p, p.Validate()
 }
 
+// The parse helpers reject only what does not fit the grammar; Validate,
+// which Parse ends with, owns every rule on the values.
+
 func parseProb(key, val string) (float64, error) {
 	f, err := strconv.ParseFloat(val, 64)
-	if err != nil || f < 0 || f >= 1 {
-		return 0, fmt.Errorf("faults: %s=%q: want a probability in [0,1)", key, val)
+	if err != nil {
+		return 0, fmt.Errorf("faults: %s=%q: want a probability", key, val)
 	}
 	return f, nil
 }
 
 func parseDur(key, val string) (sim.Time, error) {
 	d, err := time.ParseDuration(val)
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("faults: %s=%q: want a non-negative duration", key, val)
+	if err != nil {
+		return 0, fmt.Errorf("faults: %s=%q: want a duration", key, val)
 	}
 	return sim.Time(d.Nanoseconds()), nil
 }
@@ -628,8 +640,8 @@ func parseWindow(key, val string, factored bool) (Window, error) {
 			return w, fmt.Errorf("faults: %s=%q: want ...x<factor>", key, val)
 		}
 		f, err := strconv.ParseFloat(fpart, 64)
-		if err != nil || f < 1 {
-			return w, fmt.Errorf("faults: %s=%q: bad factor %q (need >= 1)", key, val, fpart)
+		if err != nil {
+			return w, fmt.Errorf("faults: %s=%q: bad factor %q", key, val, fpart)
 		}
 		w.Factor = f
 		rest = span
@@ -642,13 +654,8 @@ func parseWindow(key, val string, factored bool) (Window, error) {
 	if w.From, err = parseDur(key, fromPart); err != nil {
 		return w, err
 	}
-	if w.To, err = parseDur(key, toPart); err != nil {
-		return w, err
-	}
-	if w.To <= w.From {
-		return w, fmt.Errorf("faults: %s=%q: window is empty", key, val)
-	}
-	return w, nil
+	w.To, err = parseDur(key, toPart)
+	return w, err
 }
 
 // parseCrash parses "<node>@<at>". Crash-stop failures name a concrete
@@ -659,7 +666,7 @@ func parseCrash(val string) (Crash, error) {
 		return Crash{}, fmt.Errorf("faults: crash=%q: want <node>@<at>", val)
 	}
 	n, err := strconv.Atoi(nodePart)
-	if err != nil || n < 0 {
+	if err != nil {
 		return Crash{}, fmt.Errorf("faults: crash=%q: bad node %q (want a concrete node, not *)", val, nodePart)
 	}
 	at, err := parseDur("crash", atPart)
@@ -685,7 +692,7 @@ func parsePartition(val string) (Partition, error) {
 	for g, part := range []string{ga, gb} {
 		for _, field := range strings.Split(part, ".") {
 			n, err := strconv.Atoi(field)
-			if err != nil || n < 0 {
+			if err != nil {
 				return pt, fmt.Errorf("faults: partition=%q: bad node %q (want dot-separated concrete nodes)", val, field)
 			}
 			pt.Groups[g] = append(pt.Groups[g], n)
@@ -700,13 +707,8 @@ func parsePartition(val string) (Partition, error) {
 	if pt.From, err = parseDur("partition", fromPart); err != nil {
 		return pt, err
 	}
-	if pt.To, err = parseDur("partition", toPart); err != nil {
-		return pt, err
-	}
-	if pt.To <= pt.From {
-		return pt, fmt.Errorf("faults: partition=%q: window is empty", val)
-	}
-	return pt, nil
+	pt.To, err = parseDur("partition", toPart)
+	return pt, err
 }
 
 // cutLast cuts s around the last occurrence of sep.

@@ -47,7 +47,7 @@ func TestParseEmptyAndErrors(t *testing.T) {
 	for _, spec := range []string{
 		"drop=1.5", "drop=-0.1", "drop=NaN", "nonsense", "what=ever",
 		"window=-5us", "pause=2@2ms-1ms", "degrade=*@0-1msx0.5",
-		"pause=x@1ms-2ms", "degrade=*@1ms-2ms",
+		"pause=x@1ms-2ms", "degrade=*@1ms-2ms", "degrade=*@0-1msxNaN", "pause=1@1ms--2ms",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q): expected error", spec)

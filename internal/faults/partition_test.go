@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -71,6 +72,22 @@ func TestParsePartitionErrors(t *testing.T) {
 	// Back-to-back windows on the same link are fine ([From,To) half-open).
 	if _, err := Parse("partition=0.1|2.3@1ms-2ms,partition=0.1|2.3@2ms-3ms"); err != nil {
 		t.Errorf("adjacent windows rejected: %v", err)
+	}
+	// Validate alone holds the rules on values, so a plan built as a
+	// literal gets them too, including one the grammar cannot spell: no
+	// window starts before 0.
+	for _, p := range []Plan{
+		{Partition: []Partition{{From: -1, To: 2, Groups: [2][]int{{0}, {1}}}}},
+		{Partition: []Partition{{From: 0, To: 2, Groups: [2][]int{{0}, {-1}}}}},
+		{Pause: []Window{{Node: 1, From: -1, To: 2}}},
+		{Degrade: []Window{{Node: -1, From: -1, To: 2, Factor: 2}}},
+		{Degrade: []Window{{Node: -1, From: 0, To: 2, Factor: math.NaN()}}},
+		{Crash: []Crash{{Node: -1, At: 1}}},
+		{Drop: 1},
+	} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", p)
+		}
 	}
 }
 

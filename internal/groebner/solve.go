@@ -27,23 +27,16 @@ type Solution struct {
 	Residual float64
 }
 
-// SolveOptions tunes the root isolation.
-type SolveOptions struct {
-	// Tol is the absolute root tolerance (default 1e-9).
-	Tol float64
-	// Opt configures the completion.
-	Opt Options
-}
+// solveTol is the absolute tolerance Solve isolates roots to.
+const solveTol = 1e-9
 
 // Solve computes all real solutions of the zero-dimensional system F over
-// Q. The system's ring must use lex order and rational coefficients; the
-// reduced basis must be triangular (each leading monomial a pure power of
-// one variable — the zero-dimensional lex normal case), which includes
-// but is not limited to shape position.
-func Solve(F []*poly.Poly, so SolveOptions) ([]Solution, error) {
-	if so.Tol <= 0 {
-		so.Tol = 1e-9
-	}
+// Q, to within solveTol, completing it with both criteria on. The system's
+// ring must use lex order and rational coefficients; the reduced basis
+// must be triangular (each leading monomial a pure power of one variable —
+// the zero-dimensional lex normal case), which includes but is not
+// limited to shape position.
+func Solve(F []*poly.Poly) ([]Solution, error) {
 	if len(F) == 0 {
 		return nil, fmt.Errorf("groebner: empty system")
 	}
@@ -54,7 +47,7 @@ func Solve(F []*poly.Poly, so SolveOptions) ([]Solution, error) {
 	if ring.Order().Name() != "lex" {
 		return nil, fmt.Errorf("groebner: Solve needs lex order, have %s", ring.Order().Name())
 	}
-	b, err := Buchberger(F, so.Opt)
+	b, err := Buchberger(F, Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +97,7 @@ func Solve(F []*poly.Poly, so SolveOptions) ([]Solution, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, r := range u.realRoots(so.Tol) {
+			for _, r := range u.realRoots(solveTol) {
 				ext := append([]float64(nil), a...)
 				ext[v] = r
 				next = append(next, ext)

@@ -16,7 +16,7 @@ func TestSolveCircleParabola(t *testing.T) {
 		ring.MustParse("x^2 + y^2 - 5"),
 		ring.MustParse("x^2 - y - 1"),
 	}
-	sols, err := Solve(F, SolveOptions{})
+	sols, err := Solve(F)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSolveLinearSystem(t *testing.T) {
 		ring.MustParse("x - y"),
 		ring.MustParse("y - z + 1"),
 	}
-	sols, err := Solve(F, SolveOptions{})
+	sols, err := Solve(F)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSolveLinearSystem(t *testing.T) {
 func TestSolveNoRealRoots(t *testing.T) {
 	ring := poly.NewRing(poly.Lex{}, "x")
 	F := []*poly.Poly{ring.MustParse("x^2 + 1")}
-	sols, err := Solve(F, SolveOptions{})
+	sols, err := Solve(F)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSolveUnivariateQuintic(t *testing.T) {
 		Mul(ring.MustParse("x - 2")).
 		Mul(ring.MustParse("x + 3")).
 		Mul(ring.MustParse("x^2 + 1"))
-	sols, err := Solve([]*poly.Poly{f}, SolveOptions{})
+	sols, err := Solve([]*poly.Poly{f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSolveKatsura2(t *testing.T) {
 	// every returned solution satisfies the original equations.
 	r := KatsuraRing(2, poly.Lex{}, 0)
 	F := Katsura(2, r)
-	sols, err := Solve(F, SolveOptions{})
+	sols, err := Solve(F)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,19 +125,19 @@ func TestSolveKatsura2(t *testing.T) {
 
 func TestSolveRejectsBadInputs(t *testing.T) {
 	grev := poly.NewRing(poly.GRevLex{}, "x", "y")
-	if _, err := Solve([]*poly.Poly{grev.MustParse("x + y")}, SolveOptions{}); err == nil {
+	if _, err := Solve([]*poly.Poly{grev.MustParse("x + y")}); err == nil {
 		t.Fatal("non-lex ring accepted")
 	}
 	mod := poly.NewRingMod(poly.Lex{}, 7, "x")
-	if _, err := Solve([]*poly.Poly{mod.MustParse("x + 1")}, SolveOptions{}); err == nil {
+	if _, err := Solve([]*poly.Poly{mod.MustParse("x + 1")}); err == nil {
 		t.Fatal("modular ring accepted")
 	}
-	if _, err := Solve(nil, SolveOptions{}); err == nil {
+	if _, err := Solve(nil); err == nil {
 		t.Fatal("empty system accepted")
 	}
 	// Positive-dimensional: a single polynomial in two variables.
 	lex := poly.NewRing(poly.Lex{}, "x", "y")
-	if _, err := Solve([]*poly.Poly{lex.MustParse("x*y - 1")}, SolveOptions{}); err == nil {
+	if _, err := Solve([]*poly.Poly{lex.MustParse("x*y - 1")}); err == nil {
 		t.Fatal("positive-dimensional system accepted")
 	}
 }

@@ -73,7 +73,7 @@ func faultWorkloads(seed int64) []faultWorkload {
 		run: func(rt earth.Runtime) outcome {
 			xs, ts := nnSamples(24, 4)
 			res := neural.ParallelRun(rt, forwardNet(24), xs, ts,
-				neural.ParallelConfig{Tree: true, LR: 0.1})
+				neural.ParallelConfig{Tree: true})
 			return outcome{fmt.Sprintf("%v", res.Outputs), res.Stats}
 		},
 	})

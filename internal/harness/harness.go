@@ -430,7 +430,7 @@ func nnElapsed(ec earth.Config, u int, train bool, samples int) sim.Time {
 	xs, ts := nnSamples(u, samples)
 	run := func(net *neural.Net) sim.Time {
 		res := neural.ParallelRun(simrt.New(ec), net, xs, ts,
-			neural.ParallelConfig{Train: train, Tree: true, LR: 0.1})
+			neural.ParallelConfig{Train: train, Tree: true})
 		return res.Stats.Elapsed
 	}
 	if train {
@@ -651,15 +651,15 @@ func AblationNNModes(cfg Config) *Report {
 	modes := []simApp{
 		mode("unit (update/sample)", func(rt earth.Runtime, net *neural.Net) *earth.Stats {
 			return neural.ParallelRun(rt, net, xs, ts,
-				neural.ParallelConfig{Train: true, Tree: true, LR: 0.1}).Stats
+				neural.ParallelConfig{Train: true, Tree: true}).Stats
 		}),
 		mode("sample (1 exchange/epoch)", func(rt earth.Runtime, net *neural.Net) *earth.Stats {
 			return neural.SampleParallelTrain(rt, net, xs, ts,
-				neural.SampleConfig{Epochs: 1, LR: 0.1}).Stats
+				neural.SampleConfig{}).Stats
 		}),
 		mode("hybrid (batch 4)", func(rt earth.Runtime, net *neural.Net) *earth.Stats {
 			return neural.SampleParallelTrain(rt, net, xs, ts,
-				neural.SampleConfig{Epochs: 1, LR: 0.1, BatchSize: 4}).Stats
+				neural.SampleConfig{BatchSize: 4}).Stats
 		}),
 	}
 	for _, s := range selfSpeedups(cfg, modes, cfg.Nodes) {
@@ -683,7 +683,7 @@ func AblationSearchApps(cfg Config) *Report {
 			return search.BranchAndBound(rt, tsp).Stats.Elapsed
 		}},
 		{"polymer-8", func(rt earth.Runtime) sim.Time {
-			return search.Count(rt, poly, search.CountConfig{SpawnDepth: 3}).Stats.Elapsed
+			return search.Count(rt, poly).Stats.Elapsed
 		}},
 	}
 	// The sweep skips nodes=1: the one-node baseline already covers it.
@@ -708,7 +708,7 @@ func AblationKnuthBendix(cfg Config) *Report {
 	if err != nil {
 		panic(err)
 	}
-	_, tr, err := rewrite.Complete(sys, rewrite.Options{})
+	_, tr, err := rewrite.Complete(sys)
 	if err != nil {
 		panic(err)
 	}

@@ -26,7 +26,7 @@ func BenchmarkNeuralTrainStep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ParallelRun(rt, net, xs, ts, ParallelConfig{Train: true, Tree: true, LR: 0.1})
+				ParallelRun(rt, net, xs, ts, ParallelConfig{Train: true, Tree: true})
 			}
 		})
 	}

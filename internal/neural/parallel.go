@@ -47,9 +47,11 @@ type ParallelConfig struct {
 	// Tree selects tree-organised communication; false is the sequential
 	// central exchange (the paper's earlier version).
 	Tree bool
-	// LR is the learning rate for training.
-	LR float32
 }
+
+// learningRate is the gradient-descent step of every training run, unit-
+// or sample-parallel.
+const learningRate float32 = 0.1
 
 // ParallelResult carries the run's outcome.
 type ParallelResult struct {
@@ -456,7 +458,7 @@ func (st *pstate) outputPhase(c earth.Ctx, k int) {
 				d := OutputDelta(n.packY[u], n.lt[o])
 				// (LR*d)*x, in this order: the grouping is part of the
 				// result (TestParallelTrainingBitExact).
-				ld := st.cfg.LR * d
+				ld := learningRate * d
 				row := st.net.W2[o]
 				partial, lh := n.partial[:len(row)], n.lh[:len(row)]
 				for j, w := range row {
@@ -576,7 +578,7 @@ func (st *pstate) hiddenUpdate(c earth.Ctx, k int) {
 		own := st.cm.hidOwn[k]
 		for u := 0; u < own; u++ {
 			j := st.cm.hidStart[k] + u
-			ld := st.cfg.LR * HiddenDelta(n.packH[u], n.lb[j])
+			ld := learningRate * HiddenDelta(n.packH[u], n.lb[j])
 			row := st.net.W1[j]
 			lx := n.lx[:len(row)]
 			for i, w := range row {

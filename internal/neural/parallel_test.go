@@ -57,11 +57,11 @@ func TestParallelTrainingMatchesSequential(t *testing.T) {
 
 	var seqLoss float64
 	for s := range xs {
-		seqLoss += seqNet.TrainSample(xs[s], ts[s], 0.3)
+		seqLoss += seqNet.TrainSample(xs[s], ts[s], learningRate)
 	}
 
 	rt := simrt.New(earth.Config{Nodes: 4, Seed: 9})
-	res := ParallelRun(rt, parNet, xs, ts, ParallelConfig{Train: true, Tree: true, LR: 0.3})
+	res := ParallelRun(rt, parNet, xs, ts, ParallelConfig{Train: true, Tree: true})
 
 	if math.Abs(res.Loss-seqLoss) > 1e-6*(1+math.Abs(seqLoss)) {
 		t.Fatalf("loss: parallel %v vs sequential %v", res.Loss, seqLoss)
@@ -140,10 +140,10 @@ func TestParallelTrainOnLiveRuntime(t *testing.T) {
 	parNet := seqNet.Clone()
 	var seqLoss float64
 	for s := range xs {
-		seqLoss += seqNet.TrainSample(xs[s], ts[s], 0.2)
+		seqLoss += seqNet.TrainSample(xs[s], ts[s], learningRate)
 	}
 	rt := livert.New(earth.Config{Nodes: 4, Seed: 6})
-	res := ParallelRun(rt, parNet, xs, ts, ParallelConfig{Train: true, Tree: true, LR: 0.2})
+	res := ParallelRun(rt, parNet, xs, ts, ParallelConfig{Train: true, Tree: true})
 	if math.Abs(res.Loss-seqLoss) > 1e-6*(1+seqLoss) {
 		t.Fatalf("live loss %v vs %v", res.Loss, seqLoss)
 	}
@@ -177,27 +177,26 @@ func TestParallelValidation(t *testing.T) {
 	ParallelRun(rt, net, xs, nil, ParallelConfig{Train: true})
 }
 
-// TestParallelTrainingBitExact pins trained weights and loss to the bit:
-// the values are those of the element-at-a-time update loops that preceded
-// the hoisted ones, which TestParallelTrainingMatchesSequential's 1e-5
-// tolerance could not tell from a reassociated (LR*d)*x. The wire path
-// (coalesced or not) must not reach the arithmetic at all.
+// TestParallelTrainingBitExact pins trained weights and loss to the bit,
+// which TestParallelTrainingMatchesSequential's 1e-5 tolerance cannot: a
+// reassociated (LR*d)*x moves them. The wire path (coalesced or not) must
+// not reach the arithmetic at all.
 func TestParallelTrainingBitExact(t *testing.T) {
 	for _, c := range []struct {
 		width, nodes  int
 		tree          bool
 		weights, loss uint64
 	}{
-		{16, 4, true, 0x8c2c36567f211381, 0x4010bf7044310e2c},
-		{16, 4, false, 0x3feae3a74495a4c1, 0x4010bf704458f6e9},
-		{33, 5, true, 0xa390a3a2c0c3577e, 0x40215acd4bb42e18}, // uneven split
-		{33, 5, false, 0xfb1d7341c2b8b9c7, 0x40215acd4bc1ff72},
+		{16, 4, true, 0x78e5d0d7e9198004, 0x4010aafec488ec96},
+		{16, 4, false, 0x9f9dcdf63c35a94b, 0x4010aafec488ec96},
+		{33, 5, true, 0xa886eaa5dca3b918, 0x4020d4b5d7eaa69c}, // uneven split
+		{33, 5, false, 0x8f9a5db4d16d10cf, 0x4020d4b5d86ace5e},
 	} {
 		for _, coalesce := range []bool{false, true} {
 			xs, ts := samples(c.width, c.width, 6, 3)
 			net := Square(c.width, 11)
 			rt := simrt.New(earth.Config{Nodes: c.nodes, Seed: 9, Coalesce: earth.CoalesceConfig{Enabled: coalesce}})
-			res := ParallelRun(rt, net, xs, ts, ParallelConfig{Train: true, Tree: c.tree, LR: 0.3})
+			res := ParallelRun(rt, net, xs, ts, ParallelConfig{Train: true, Tree: c.tree})
 			if w, l := weightSum(net), math.Float64bits(res.Loss); w != c.weights || l != c.loss {
 				t.Errorf("width %d on %d nodes, tree=%v coalesce=%v: weights %#x loss %#x, want %#x %#x",
 					c.width, c.nodes, c.tree, coalesce, w, l, c.weights, c.loss)

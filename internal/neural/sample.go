@@ -29,16 +29,12 @@ type SampleConfig struct {
 	// BatchSize is the number of samples per global weight update
 	// (default: all samples — pure sample parallelism).
 	BatchSize int
-	// Epochs is the number of passes over the sample set (default 1).
-	Epochs int
-	// LR is the learning rate.
-	LR float32
 }
 
 // SampleResult carries the outcome of a sample-parallel run.
 type SampleResult struct {
 	Stats *earth.Stats
-	// Loss is the summed pre-update loss of the final epoch.
+	// Loss is the summed pre-update loss of the epoch.
 	Loss float64
 	// Updates counts global weight updates performed.
 	Updates int
@@ -92,26 +88,24 @@ type sampleRun struct {
 	replicas []*Net
 	// partials holds each node's gradient sum over its share of the
 	// current batch.
-	partials     []*Gradients
-	perSample    sim.Time // modelled fwd+bwd cost of one sample, two layers
-	epoch, start int      // position of the current batch
-	res          SampleResult
+	partials  []*Gradients
+	perSample sim.Time // modelled fwd+bwd cost of one sample, two layers
+	start     int      // first sample of the current batch
+	res       SampleResult
 }
 
-// SampleParallelTrain trains net on rt with sample parallelism. Every
-// node trains a replica; node 0's replica is `net` itself (updated in
-// place). The result is numerically equal to sequential TrainBatch with
-// the same batch size up to float32 summation grouping of the gradient
-// (the per-node partial sums are combined in node order).
+// SampleParallelTrain trains net on rt with sample parallelism for one
+// epoch — one pass over the samples at learningRate; k calls train k
+// epochs. Every node trains a replica; node 0's replica is `net` itself
+// (updated in place). The result is numerically equal to sequential
+// TrainBatch with the same batch size up to float32 summation grouping of
+// the gradient (the per-node partial sums are combined in node order).
 func SampleParallelTrain(rt earth.Runtime, net *Net, xs, ts [][]float32, cfg SampleConfig) *SampleResult {
 	if len(xs) == 0 || len(xs) != len(ts) {
 		panic(fmt.Sprintf("neural: bad sample set (%d inputs, %d targets)", len(xs), len(ts)))
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = len(xs)
-	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 1
 	}
 	p := rt.P()
 	r := &sampleRun{
@@ -177,27 +171,17 @@ func (r *sampleRun) runBatch(c earth.Ctx) {
 
 // applyAndNext applies the batch's summed gradient on node 0's replica,
 // broadcasts the update to the other replicas (weight exchange) and, once
-// all have it, starts the next batch — or ends the run after the last
-// batch of the last epoch.
+// all have it, starts the next batch — or ends the run after the last.
 func (r *sampleRun) applyAndNext(c earth.Ctx, summed *Gradients, batchLoss float64) {
 	r.res.Updates++
-	if r.epoch == r.cfg.Epochs-1 {
-		r.res.Loss += batchLoss
-	}
-	r.replicas[0].Apply(summed, r.cfg.LR)
+	r.res.Loss += batchLoss
+	r.replicas[0].Apply(summed, learningRate)
 	bcast := earth.NewFrame(0, 1, 1)
 	bcast.InitSync(0, max(r.p-1, 1), 0, 0)
 	bcast.SetThread(0, func(c earth.Ctx) {
-		if end := r.start + r.cfg.BatchSize; end < len(r.xs) {
-			r.start = end
-		} else {
-			r.start = 0
-			r.epoch++
-			if r.epoch == r.cfg.Epochs {
-				return
-			}
+		if r.start += r.cfg.BatchSize; r.start < len(r.xs) {
+			r.runBatch(c)
 		}
-		r.runBatch(c)
 	})
 	if r.p == 1 {
 		c.Sync(bcast, 0)
@@ -205,7 +189,7 @@ func (r *sampleRun) applyAndNext(c earth.Ctx, summed *Gradients, batchLoss float
 	}
 	for w := 1; w < r.p; w++ {
 		c.Put(earth.NodeID(w), gradBytes(r.net), func() {
-			r.replicas[w].Apply(summed, r.cfg.LR)
+			r.replicas[w].Apply(summed, learningRate)
 		}, bcast, 0)
 	}
 }

@@ -29,17 +29,16 @@ func TestSampleParallelMatchesSequentialBatch(t *testing.T) {
 	seqNet := Square(width, 7)
 	parNet := seqNet.Clone()
 
-	var seqLoss float64
+	// Three calls train three epochs, as three TrainBatch calls do.
 	for e := 0; e < 3; e++ {
-		seqLoss = seqNet.TrainBatch(xs, ts, 0.2)
-	}
-	rt := simrt.New(earth.Config{Nodes: 4, Seed: 1})
-	res := SampleParallelTrain(rt, parNet, xs, ts, SampleConfig{Epochs: 3, LR: 0.2})
-	if res.Updates != 3 {
-		t.Fatalf("updates = %d, want 3", res.Updates)
-	}
-	if math.Abs(res.Loss-seqLoss) > 1e-4*(1+seqLoss) {
-		t.Fatalf("loss: parallel %v vs sequential %v", res.Loss, seqLoss)
+		seqLoss := seqNet.TrainBatch(xs, ts, learningRate)
+		res := SampleParallelTrain(simrt.New(earth.Config{Nodes: 4, Seed: 1}), parNet, xs, ts, SampleConfig{})
+		if res.Updates != 1 {
+			t.Fatalf("epoch %d: updates = %d, want 1", e, res.Updates)
+		}
+		if math.Abs(res.Loss-seqLoss) > 1e-4*(1+seqLoss) {
+			t.Fatalf("epoch %d: loss: parallel %v vs sequential %v", e, res.Loss, seqLoss)
+		}
 	}
 	// Weights agree to float32 regrouping tolerance.
 	for j := range seqNet.W1 {
@@ -60,10 +59,11 @@ func TestSampleParallelReplicasStayInSync(t *testing.T) {
 	xs, ts := samples(width, width, 8, 4)
 	a := Square(width, 9)
 	b := a.Clone()
-	rt1 := simrt.New(earth.Config{Nodes: 1, Seed: 1})
-	r1 := SampleParallelTrain(rt1, a, xs, ts, SampleConfig{Epochs: 2, LR: 0.3})
-	rt4 := simrt.New(earth.Config{Nodes: 4, Seed: 1})
-	r4 := SampleParallelTrain(rt4, b, xs, ts, SampleConfig{Epochs: 2, LR: 0.3})
+	var r1, r4 *SampleResult
+	for e := 0; e < 2; e++ {
+		r1 = SampleParallelTrain(simrt.New(earth.Config{Nodes: 1, Seed: 1}), a, xs, ts, SampleConfig{})
+		r4 = SampleParallelTrain(simrt.New(earth.Config{Nodes: 4, Seed: 1}), b, xs, ts, SampleConfig{})
+	}
 	if math.Abs(r1.Loss-r4.Loss) > 1e-4*(1+r1.Loss) {
 		t.Fatalf("losses diverge: %v vs %v", r1.Loss, r4.Loss)
 	}
@@ -80,11 +80,11 @@ func TestHybridBatchesUpdateMoreOften(t *testing.T) {
 	width := 8
 	xs, ts := samples(width, width, 16, 5)
 	rtA := simrt.New(earth.Config{Nodes: 4, Seed: 1})
-	pure := SampleParallelTrain(rtA, Square(width, 2), xs, ts, SampleConfig{Epochs: 2, LR: 0.2})
+	pure := SampleParallelTrain(rtA, Square(width, 2), xs, ts, SampleConfig{})
 	rtB := simrt.New(earth.Config{Nodes: 4, Seed: 1})
-	hybrid := SampleParallelTrain(rtB, Square(width, 2), xs, ts, SampleConfig{Epochs: 2, LR: 0.2, BatchSize: 4})
-	if pure.Updates != 2 || hybrid.Updates != 8 {
-		t.Fatalf("updates: pure=%d hybrid=%d, want 2 and 8", pure.Updates, hybrid.Updates)
+	hybrid := SampleParallelTrain(rtB, Square(width, 2), xs, ts, SampleConfig{BatchSize: 4})
+	if pure.Updates != 1 || hybrid.Updates != 4 {
+		t.Fatalf("updates: pure=%d hybrid=%d, want 1 and 4", pure.Updates, hybrid.Updates)
 	}
 	// More synchronisation costs more virtual time per epoch.
 	if hybrid.Stats.Elapsed <= pure.Stats.Elapsed {
@@ -98,7 +98,7 @@ func TestSampleParallelSpeedsUp(t *testing.T) {
 	xs, ts := samples(width, width, 64, 6)
 	run := func(nodes int) sim.Time {
 		rt := simrt.New(earth.Config{Nodes: nodes, Seed: 1})
-		res := SampleParallelTrain(rt, Square(width, 3), xs, ts, SampleConfig{Epochs: 1, LR: 0.1})
+		res := SampleParallelTrain(rt, Square(width, 3), xs, ts, SampleConfig{})
 		return res.Stats.Elapsed
 	}
 	one, eight := run(1), run(8)
@@ -112,9 +112,9 @@ func TestSampleParallelOnLiveRuntime(t *testing.T) {
 	xs, ts := samples(width, width, 8, 7)
 	seqNet := Square(width, 4)
 	parNet := seqNet.Clone()
-	seqLoss := seqNet.TrainBatch(xs, ts, 0.2)
+	seqLoss := seqNet.TrainBatch(xs, ts, learningRate)
 	rt := livert.New(earth.Config{Nodes: 3, Seed: 2})
-	res := SampleParallelTrain(rt, parNet, xs, ts, SampleConfig{Epochs: 1, LR: 0.2})
+	res := SampleParallelTrain(rt, parNet, xs, ts, SampleConfig{})
 	if math.Abs(res.Loss-seqLoss) > 1e-4*(1+seqLoss) {
 		t.Fatalf("live loss %v vs %v", res.Loss, seqLoss)
 	}

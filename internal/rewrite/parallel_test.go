@@ -19,7 +19,7 @@ func s3System(t *testing.T) *System {
 
 func TestParallelCompleteMatchesSequential(t *testing.T) {
 	s := s3System(t)
-	seq, _, err := Complete(s, Options{})
+	seq, _, err := Complete(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestParallelCompleteNormalFormsS3(t *testing.T) {
 
 func TestParallelCompleteOnLiveRuntime(t *testing.T) {
 	s := s3System(t)
-	seq, _, _ := Complete(s, Options{})
+	seq, _, _ := Complete(s)
 	rt := livert.New(earth.Config{Nodes: 4, Seed: 3})
 	res, err := ParallelComplete(rt, s)
 	if err != nil {

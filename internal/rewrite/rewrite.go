@@ -179,23 +179,13 @@ func CriticalPairs(a, b Rule) []CriticalPair {
 	return out
 }
 
-// Options bounds the completion.
-type Options struct {
-	// MaxRules aborts when the rule set grows beyond this (default 512).
-	MaxRules int
-	// MaxPairs aborts after this many pair reductions (default 100000).
-	MaxPairs int
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxRules <= 0 {
-		o.MaxRules = 512
-	}
-	if o.MaxPairs <= 0 {
-		o.MaxPairs = 100000
-	}
-	return o
-}
+// Completion bounds: Complete gives up, reporting possible divergence,
+// when the rule set grows beyond maxRules or after maxPairs pair
+// reductions.
+const (
+	maxRules = 512
+	maxPairs = 100000
+)
 
 // Trace records the completion's work profile (the Table 2 analogues).
 type Trace struct {
@@ -207,9 +197,13 @@ type Trace struct {
 
 // Complete runs Knuth-Bendix completion and returns a confluent,
 // interreduced system equivalent to the input, or an error when the
-// limits are hit (possible divergence).
-func Complete(s *System, opt Options) (*System, *Trace, error) {
-	opt = opt.withDefaults()
+// completion bounds are hit (possible divergence).
+func Complete(s *System) (*System, *Trace, error) {
+	return complete(s, maxRules, maxPairs)
+}
+
+// complete is Complete under the given bounds.
+func complete(s *System, maxRules, maxPairs int) (*System, *Trace, error) {
 	tr := &Trace{}
 	rules := append([]Rule(nil), s.Rules...)
 
@@ -237,8 +231,8 @@ func Complete(s *System, opt Options) (*System, *Trace, error) {
 
 	work := &System{}
 	for len(queue) > 0 {
-		if tr.PairsProcessed >= opt.MaxPairs {
-			return nil, tr, fmt.Errorf("rewrite: pair limit %d exceeded", opt.MaxPairs)
+		if tr.PairsProcessed >= maxPairs {
+			return nil, tr, fmt.Errorf("rewrite: pair limit %d exceeded", maxPairs)
 		}
 		// Smallest superposition first (the "goodness" heuristic: short
 		// words resolve cheaply and keep rules small).
@@ -267,8 +261,8 @@ func Complete(s *System, opt Options) (*System, *Trace, error) {
 		}
 		rules = append(rules, rule)
 		tr.RulesAdded++
-		if len(rules) > opt.MaxRules {
-			return nil, tr, fmt.Errorf("rewrite: rule limit %d exceeded", opt.MaxRules)
+		if len(rules) > maxRules {
+			return nil, tr, fmt.Errorf("rewrite: rule limit %d exceeded", maxRules)
 		}
 		n := len(rules) - 1
 		for i := 0; i <= n; i++ {

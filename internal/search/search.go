@@ -16,9 +16,9 @@
 //     uses the freshest bound each node has heard of (the shared-data
 //     pattern of the paper's Section 3.2, in miniature).
 //
-// Tasks are spawned with TOKEN above a spawn depth (configurable for
-// Count, fixed for BranchAndBound), so trees of millions of nodes run with
-// thousands of tasks.
+// Both spawn the children of tree nodes shallower than spawnDepth as
+// TOKENs and expand deeper subtrees inside their task, so trees of
+// millions of nodes run with thousands of tasks.
 package search
 
 import (
@@ -37,13 +37,10 @@ type Tree[N any] interface {
 	LeafValue(n N) int64
 }
 
-// CountConfig tunes the enumeration engine.
-type CountConfig struct {
-	// SpawnDepth: tree nodes shallower than this spawn their children as
-	// TOKENs; deeper subtrees run sequentially within their task.
-	// Default 4.
-	SpawnDepth int
-}
+// spawnDepth is the task grouping of both engines: tree nodes shallower
+// than it spawn their children as TOKENs; deeper subtrees run within
+// their task.
+const spawnDepth = 3
 
 // countNodeCost is the modelled compute time per visited tree node.
 const countNodeCost = 5 * sim.Microsecond
@@ -56,10 +53,7 @@ type CountResult struct {
 }
 
 // Count enumerates the tree on rt and returns the sum of leaf values.
-func Count[N any](rt earth.Runtime, tree Tree[N], cfg CountConfig) *CountResult {
-	if cfg.SpawnDepth == 0 {
-		cfg.SpawnDepth = 4
-	}
+func Count[N any](rt earth.Runtime, tree Tree[N]) *CountResult {
 	// Per-node accumulators (owner-only access), merged after the run.
 	totals := make([]int64, rt.P())
 	visited := make([]int64, rt.P())
@@ -91,7 +85,7 @@ func Count[N any](rt earth.Runtime, tree Tree[N], cfg CountConfig) *CountResult 
 			totals[me] += tree.LeafValue(n)
 			return
 		}
-		if depth >= cfg.SpawnDepth {
+		if depth >= spawnDepth {
 			t, v := seqCount(c, n)
 			// The node itself was already counted once above.
 			visited[me] += v - 1
@@ -127,13 +121,8 @@ type Minimizer[N any] interface {
 	Solution(n N) (cost float64, ok bool)
 }
 
-// Branch-and-bound spawns the children of nodes shallower than
-// bbSpawnDepth as TOKENs (as CountConfig.SpawnDepth) and models each
-// expansion at bbNodeCost.
-const (
-	bbSpawnDepth = 3
-	bbNodeCost   = 20 * sim.Microsecond
-)
+// bbNodeCost is the modelled compute time per branch-and-bound expansion.
+const bbNodeCost = 20 * sim.Microsecond
 
 // BBResult carries the optimum and statistics.
 type BBResult struct {
@@ -204,7 +193,7 @@ func BranchAndBound[N any](rt earth.Runtime, m Minimizer[N]) *BBResult {
 			if m.Bound(k) >= incumbents[me] {
 				continue
 			}
-			if depth < bbSpawnDepth {
+			if depth < spawnDepth {
 				c.Token(64, func(c earth.Ctx) { expand(c, k, depth+1) })
 			} else {
 				expand(c, k, depth+1)

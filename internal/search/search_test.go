@@ -21,7 +21,7 @@ func TestQueensKnownCounts(t *testing.T) {
 	want := map[int]int64{4: 2, 5: 10, 6: 4, 7: 40, 8: 92, 9: 352}
 	for name, rt := range engines(6, 1) {
 		for n, w := range want {
-			res := Count(rt, &Queens{N: n}, CountConfig{SpawnDepth: 2})
+			res := Count(rt, &Queens{N: n})
 			if res.Total != w {
 				t.Fatalf("%s: queens(%d) = %d, want %d", name, n, res.Total, w)
 			}
@@ -32,7 +32,7 @@ func TestQueensKnownCounts(t *testing.T) {
 func TestPolymerKnownSAWCounts(t *testing.T) {
 	for name, rt := range engines(4, 2) {
 		for steps := 1; steps <= 5; steps++ {
-			res := Count(rt, &Polymer{Steps: steps}, CountConfig{SpawnDepth: 2})
+			res := Count(rt, &Polymer{Steps: steps})
 			if res.Total != KnownSAW3D[steps-1] {
 				t.Fatalf("%s: SAW(%d) = %d, want %d", name, steps, res.Total, KnownSAW3D[steps-1])
 			}
@@ -42,32 +42,12 @@ func TestPolymerKnownSAWCounts(t *testing.T) {
 
 func TestCountVisitedReasonable(t *testing.T) {
 	rt := simrt.New(earth.Config{Nodes: 4, Seed: 3})
-	res := Count(rt, &Queens{N: 6}, CountConfig{SpawnDepth: 3})
+	res := Count(rt, &Queens{N: 6})
 	if res.Visited <= res.Total {
 		t.Fatalf("visited %d <= solutions %d", res.Visited, res.Total)
 	}
 	if res.Stats.Total().ThreadsRun == 0 {
 		t.Fatal("no tasks ran")
-	}
-}
-
-func TestCountSpawnDepthInvariance(t *testing.T) {
-	// The answer must not depend on the task granularity.
-	var totals []int64
-	var visits []int64
-	for _, depth := range []int{1, 2, 5, 50} {
-		rt := simrt.New(earth.Config{Nodes: 4, Seed: 4})
-		res := Count(rt, &Queens{N: 7}, CountConfig{SpawnDepth: depth})
-		totals = append(totals, res.Total)
-		visits = append(visits, res.Visited)
-	}
-	for i := 1; i < len(totals); i++ {
-		if totals[i] != totals[0] {
-			t.Fatalf("total varies with SpawnDepth: %v", totals)
-		}
-		if visits[i] != visits[0] {
-			t.Fatalf("visited varies with SpawnDepth: %v", visits)
-		}
 	}
 }
 
