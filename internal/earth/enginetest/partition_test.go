@@ -1,15 +1,12 @@
 package enginetest
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/json"
 	"slices"
 	"testing"
 	"time"
 
 	"earth/internal/earth"
-	"earth/internal/earth/simrt"
 	"earth/internal/faults"
 	"earth/internal/sim"
 )
@@ -170,66 +167,4 @@ func TestReceiptEventsConform(t *testing.T) {
 			}
 		})
 	}
-}
-
-// FuzzPartitionRecovery: for any byte-derived program and any partition
-// window over a byte-derived group split, the simulator must terminate,
-// repeat itself byte for byte on a second machine, and fence if and only
-// if the window outlives the lease.
-func FuzzPartitionRecovery(f *testing.F) {
-	f.Add(uint8(1), uint32(200_000), uint32(400_000), uint8(0), []byte{5, 3, 2, 40, 41, 42})
-	f.Add(uint8(2), uint32(200_000), uint32(2_300_000), uint8(10), []byte{1, 2, 3})
-	f.Add(uint8(5), uint32(0), uint32(3_000_000), uint8(40), []byte{255, 3, 255, 0, 7, 7, 99, 1})
-	f.Fuzz(func(t *testing.T, split uint8, from, dur uint32, corrupt uint8, data []byte) {
-		p := decodeFuzzProgram(data)
-		if p.nodes < 3 {
-			p.nodes = 3 // need a majority side worth adopting into
-		}
-		// A byte-derived two-group split: cut point in [1, nodes-1].
-		cut := 1 + int(split)%(p.nodes-1)
-		var groups [2][]int
-		for n := 0; n < p.nodes; n++ {
-			if n < cut {
-				groups[0] = append(groups[0], n)
-			} else {
-				groups[1] = append(groups[1], n)
-			}
-		}
-		plan := &faults.Plan{Seed: 1, Corrupt: float64(corrupt%50) / 100,
-			Partition: []faults.Partition{{
-				From:   sim.Time(from % 1_000_000),
-				Groups: groups,
-			}}}
-		plan.Partition[0].To = plan.Partition[0].From + 1 + sim.Time(dur%3_000_000)
-		if err := plan.Validate(); err != nil {
-			t.Fatalf("constructed plan invalid: %v", err)
-		}
-		run := func() (*earth.Stats, int, bool) {
-			return p.runStats(simrt.New(earth.Config{Nodes: p.nodes, Seed: 1, Faults: plan}))
-		}
-		st1, total1, done1 := run()
-		st2, total2, done2 := run()
-		j1, _ := json.Marshal(st1)
-		j2, _ := json.Marshal(st2)
-		if !bytes.Equal(j1, j2) {
-			t.Errorf("stats diverge between two machines:\n%s\n%s", j1, j2)
-		}
-		if total1 != total2 || done1 != done2 {
-			t.Errorf("results diverge between two machines: total %d/%d done %v/%v", total1, total2, done1, done2)
-		}
-		if st1.Total().WrongVerdicts == 0 {
-			// No fence fired (window below lease, or the run quiesced
-			// first): the detector must have been transparent.
-			if st1.Total().Rejoins != 0 || st1.Total().MsgsFenced != 0 {
-				t.Errorf("no wrong verdict but rejoins=%d fenced=%d",
-					st1.Total().Rejoins, st1.Total().MsgsFenced)
-			}
-			if total1 != p.want || !done1 {
-				t.Errorf("clean-detector run: total=%d done=%v, want %d", total1, done1, p.want)
-			}
-		} else if st1.Total().Rejoins > st1.Total().WrongVerdicts {
-			t.Errorf("rejoins=%d exceed wrong verdicts=%d",
-				st1.Total().Rejoins, st1.Total().WrongVerdicts)
-		}
-	})
 }

@@ -82,41 +82,38 @@ func Rejoin(sink Tracer, node NodeID, at, fencedFor sim.Time) NodeStats {
 // Takeover answers who may take a down node's work at one instant. A node
 // is out when gone reports it (the engine's permanent flags: crashed, or
 // ever fenced — a fenced node's ownership never returns) or when the
-// fence schedule covers it at that instant. The schedule is consulted as
-// well as the flags because fences of one partition fall on the same
-// instant: whichever the engine applies first must not hand its work to a
-// peer whose own fence has not been applied yet.
+// schedule has it fenced or crashed at that instant. The schedule is
+// consulted as well as the flags because fences of one partition, and a
+// crash with a fence or a detection, may fall on one instant: whichever
+// the engine applies first must not hand its work to a peer whose own
+// boundary has not been applied yet. The simulator applies a crash before
+// any other boundary of its instant; livert's timers race, and fire late.
 type Takeover struct {
-	Nodes  int
-	Fences faults.Fences
-	// CrashAt is the crash schedule (-1 = never; nil for none) Place
-	// consults for the same reason: a node crashing at the instant of a
-	// fence must not be handed the fenced node's tokens. The simulator
-	// applies a crash before any fence of its instant; livert's timers race.
-	CrashAt []sim.Time
+	Nodes   int
+	Fences  faults.Fences
+	CrashAt []sim.Time // the crash schedule: -1 = never; nil for none
 	// rr is the load balancer's round-robin cursor for re-placed tokens.
 	rr atomic.Int64
 }
 
 func (t *Takeover) out(c NodeID, at sim.Time, gone func(NodeID) bool) bool {
-	return gone(c) || t.Fences.Covering(int(c), at)
+	return gone(c) || t.Fences.Covering(int(c), at) || t.CrashAt != nil && t.CrashAt[c] >= 0 && t.CrashAt[c] <= at
 }
 
 // Adopter returns the node adopting x's frames and queued threads when x
-// is fenced at instant at: the first node in ring order from x that is
-// not out.
+// is declared down — crashed or fenced — at instant at: the first node in
+// ring order from x that is not out.
 func (t *Takeover) Adopter(x NodeID, at sim.Time, gone func(NodeID) bool) NodeID {
 	return Adopter(x, t.Nodes, func(c NodeID) bool { return t.out(c, at, gone) })
 }
 
 // Place returns the balancer's next round-robin target for one of a down
-// node's pooled tokens at instant at, skipping nodes that are out or
-// crashed by at. It terminates because ResolveFaults rejects plans that
-// leave no node forever clean.
+// node's pooled tokens at instant at, skipping nodes that are out. It
+// terminates because ResolveFaults rejects plans that leave no node
+// forever clean.
 func (t *Takeover) Place(at sim.Time, gone func(NodeID) bool) NodeID {
 	for {
-		c := NodeID(int(t.rr.Add(1)-1) % t.Nodes)
-		if !t.out(c, at, gone) && (t.CrashAt == nil || t.CrashAt[c] < 0 || t.CrashAt[c] > at) {
+		if c := NodeID(int(t.rr.Add(1)-1) % t.Nodes); !t.out(c, at, gone) {
 			return c
 		}
 	}

@@ -578,16 +578,15 @@ func (rt *Runtime) killNode(x int) {
 // recoverNode fires one lease after a crash: survivors have now missed
 // enough heartbeats to declare the node dead. It waits for the dead
 // executor's handoff point, then fails the node's queues over to its
-// ring successor.
+// ring successor the core picks for this instant.
 func (rt *Runtime) recoverNode(n *lnode) {
 	select {
 	case <-rt.done:
 		return
 	case <-n.exited:
 	}
-	s := earth.Adopter(n.id, len(rt.nodes),
-		func(c earth.NodeID) bool { return rt.nodes[c].dead.Load() })
-	rt.failover(n, rt.nodes[s], rt.now(), earth.CauseCrash)
+	now := rt.now()
+	rt.failover(n, rt.nodes[rt.take.Adopter(n.id, now, rt.gone)], now, earth.CauseCrash)
 }
 
 // fenceNode executes wrong failure verdict f, one lease into a partition

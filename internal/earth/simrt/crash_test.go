@@ -11,8 +11,8 @@ import (
 // crashTokenProg builds a token fan-out whose leaves each add a known
 // value into a node-0 accumulator guarded by one sync slot, so the
 // fault-free result is precomputable. (The crash contracts both engines
-// share — token convergence and frame adoption — are checked once, in
-// enginetest's TestCrashRecovery.)
+// share are checked once, in enginetest: token convergence by
+// TestFaultMatrix's crash rows, frame adoption by TestCrashRecovery.)
 func crashTokenProg(total *int, done *bool, leaves int) (earth.ThreadBody, int) {
 	want := 0
 	for i := 0; i < leaves; i++ {

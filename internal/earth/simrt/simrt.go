@@ -504,11 +504,12 @@ func (rt *Runtime) applyCrash(b boundary) {
 
 // applyDetect fires one lease after a crash: survivors have missed enough
 // heartbeats/acks to declare the node dead, and its state fails over to
-// its ring successor.
+// the core's adopter, which skips a crashed node whether declared down or
+// not: a dead node runs nothing.
 func (rt *Runtime) applyDetect(b boundary) {
 	rt.detected[b.node] = true
 	x := earth.NodeID(b.node)
-	rt.failover(x, rt.resolve(x), b.at, earth.CauseCrash)
+	rt.failover(x, rt.take.Adopter(x, b.at, rt.gone), b.at, earth.CauseCrash)
 }
 
 // applyFence executes one wrong failure verdict at its window boundary:
@@ -530,7 +531,7 @@ func (rt *Runtime) applyFence(b boundary) {
 	rt.epochs[x]++
 	rt.halted[x] = true
 	rt.everFenced[x] = true
-	rt.failover(x, rt.take.Adopter(x, b.at, rt.owned), b.at, earth.CausePartition)
+	rt.failover(x, rt.take.Adopter(x, b.at, rt.gone), b.at, earth.CausePartition)
 }
 
 // failover hands down node x's state to adopter s at a detection or fence

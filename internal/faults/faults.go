@@ -133,7 +133,9 @@ func (pt Partition) Outlives(lease sim.Time) bool { return lease >= 0 && pt.From
 
 // Fence is one wrong failure verdict produced by a partition that
 // outlives the detection lease: Node (a minority-side node) is declared
-// dead and self-fences at At = From+lease, and rejoins at Heal = To.
+// dead and self-fences at At = From+lease, and rejoins at Heal = To — or,
+// when another window fences it again before that, when the last of the
+// overlapping windows heals.
 type Fence struct {
 	Node     int
 	At, Heal sim.Time
@@ -235,9 +237,11 @@ func (fs Fences) Covering(node int, at sim.Time) bool {
 // PartitionFences flattens the partition list into the wrong failure
 // verdicts a machine of the given size will suffer under the given
 // detection lease: one Fence per minority-side node of every partition
-// that outlives the lease (To > From+lease), sorted by (At, Node).
-// Partitions naming nodes outside the machine contribute no fences for
-// those nodes, so one plan can drive machines of several sizes.
+// that outlives the lease (To > From+lease), sorted by (At, Node). A node
+// already fenced is not fenced again: a fence falling before the node's
+// rejoin extends that fence to its own heal instead. Partitions naming
+// nodes outside the machine contribute no fences for those nodes, so one
+// plan can drive machines of several sizes.
 func (p *Plan) PartitionFences(nodes int, lease sim.Time) Fences {
 	if p == nil {
 		return nil
@@ -259,7 +263,17 @@ func (p *Plan) PartitionFences(nodes int, lease sim.Time) Fences {
 		}
 		return fences[i].Node < fences[j].Node
 	})
-	return fences
+	merged := fences[:0]
+	last := map[int]int{} // node -> index in merged of its latest fence
+	for _, f := range fences {
+		if i, ok := last[f.Node]; ok && f.At < merged[i].Heal {
+			merged[i].Heal = max(merged[i].Heal, f.Heal)
+			continue
+		}
+		last[f.Node] = len(merged)
+		merged = append(merged, f)
+	}
+	return merged
 }
 
 // CheckFences rejects plans whose partitions (under the given machine
@@ -330,40 +344,50 @@ func (p *Plan) CrashSchedule(nodes int) []sim.Time {
 	return at
 }
 
-// Validate reports an error for meaningless plans.
+// Validate reports an error for meaningless plans. Each rule family has
+// its own check, run in this order: the first error wins.
 func (p *Plan) Validate() error {
-	check := func(name string, v float64) error {
-		if v < 0 || v >= 1 || v != v {
-			return fmt.Errorf("faults: %s = %v, need a probability in [0,1)", name, v)
+	for _, check := range []func() error{p.validateRates, p.validateWindows, p.validatePartitions, p.validateCrashes} {
+		if err := check(); err != nil {
+			return err
 		}
-		return nil
 	}
-	if err := check("drop", p.Drop); err != nil {
-		return err
-	}
-	if err := check("dup", p.Dup); err != nil {
-		return err
-	}
-	if err := check("reorder", p.Reorder); err != nil {
-		return err
-	}
-	if err := check("corrupt", p.Corrupt); err != nil {
-		return err
+	return nil
+}
+
+// validateRates requires every per-transmission probability in [0,1) and
+// a non-negative reorder window.
+func (p *Plan) validateRates() error {
+	for _, r := range []struct {
+		name string
+		v    float64
+	}{{"drop", p.Drop}, {"dup", p.Dup}, {"reorder", p.Reorder}, {"corrupt", p.Corrupt}} {
+		if r.v < 0 || r.v >= 1 || r.v != r.v {
+			return fmt.Errorf("faults: %s = %v, need a probability in [0,1)", r.name, r.v)
+		}
 	}
 	if p.Window < 0 {
 		return fmt.Errorf("faults: negative reorder window %v", p.Window)
 	}
-	checkWindow := func(kind string, from, to sim.Time) error {
-		if from < 0 {
-			return fmt.Errorf("faults: %s window [%v,%v) starts before 0", kind, from, to)
-		}
-		if to <= from {
-			return fmt.Errorf("faults: %s window [%v,%v) is empty", kind, from, to)
-		}
-		return nil
+	return nil
+}
+
+// checkSpan rejects a fault window that starts before 0 or is empty.
+func checkSpan(kind string, from, to sim.Time) error {
+	if from < 0 {
+		return fmt.Errorf("faults: %s window [%v,%v) starts before 0", kind, from, to)
 	}
+	if to <= from {
+		return fmt.Errorf("faults: %s window [%v,%v) is empty", kind, from, to)
+	}
+	return nil
+}
+
+// validateWindows checks the degrade and pause windows: non-empty spans, a
+// factor of at least 1, and no two pauses of one node overlapping.
+func (p *Plan) validateWindows() error {
 	for _, w := range p.Degrade {
-		if err := checkWindow("degrade", w.From, w.To); err != nil {
+		if err := checkSpan("degrade", w.From, w.To); err != nil {
 			return err
 		}
 		if !(w.Factor >= 1) {
@@ -371,7 +395,7 @@ func (p *Plan) Validate() error {
 		}
 	}
 	for _, w := range p.Pause {
-		if err := checkWindow("pause", w.From, w.To); err != nil {
+		if err := checkSpan("pause", w.From, w.To); err != nil {
 			return err
 		}
 	}
@@ -387,8 +411,15 @@ func (p *Plan) Validate() error {
 			}
 		}
 	}
+	return nil
+}
+
+// validatePartitions checks each partition's span and groups — both
+// non-empty, concrete nodes, each node once — and that no two partitions
+// overlapping in time cut the same link.
+func (p *Plan) validatePartitions() error {
 	for i, pt := range p.Partition {
-		if err := checkWindow("partition", pt.From, pt.To); err != nil {
+		if err := checkSpan("partition", pt.From, pt.To); err != nil {
 			return err
 		}
 		seen := map[int]int{}
@@ -425,6 +456,12 @@ func (p *Plan) Validate() error {
 			}
 		}
 	}
+	return nil
+}
+
+// validateCrashes requires concrete nodes, non-negative instants and at
+// most one crash per node.
+func (p *Plan) validateCrashes() error {
 	for i, c := range p.Crash {
 		if c.Node < 0 {
 			return fmt.Errorf("faults: crash needs a concrete node, got %d", c.Node)

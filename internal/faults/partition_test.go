@@ -169,6 +169,12 @@ func TestPartitionFences(t *testing.T) {
 	if f := p.PartitionFences(3, lease); len(f) != 1 || f[0].Node != 2 {
 		t.Errorf("clipped fences = %+v", f)
 	}
+	// A node fenced again before it rejoins stays fenced until the later
+	// window heals: one fence, not two.
+	twice, _ := Parse("partition=0|1@0s-3ms,partition=2.3|1@1ms-4ms")
+	if f := twice.PartitionFences(4, lease); len(f) != 1 || f[0] != (Fence{Node: 1, At: lease, Heal: 4 * sim.Millisecond}) {
+		t.Errorf("overlapping fences of one node = %+v", f)
+	}
 }
 
 // TestFencesCovering pins the one fence-span predicate the engines and
