@@ -2,7 +2,7 @@
 // engine and fault-injection packages (simrt, livert, faults): a channel
 // send/receive, a WaitGroup.Wait, a time.Sleep, a simulation-engine
 // step, a coalescer flush (earth.Coalescer's Add/FlushTo/Drain), or a
-// livert executor's settle, retire or batch hand-back executed under a
+// livert executor's settle or retire executed under a
 // sync.Mutex/RWMutex serialises — or deadlocks — the very concurrency
 // those packages exist to provide. livert's node mutexes in particular
 // guard queues that the channel network feeds; holding one across a
@@ -33,7 +33,7 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name: "locklint",
 	Doc: "flag mutexes held across blocking operations (channel ops, WaitGroup.Wait, " +
-		"sleeps, engine steps, coalescer flushes, executor settles and hand-backs) in simrt, livert and faults",
+		"sleeps, engine steps, coalescer flushes, executor settles and retires) in simrt, livert and faults",
 	Run: run,
 }
 
@@ -272,10 +272,11 @@ func reportBlockingCall(pass *framework.Pass, call *ast.CallExpr, owner string) 
 				"engine %s while %s is held runs arbitrary handlers under the lock; "+
 					"unlock first or annotate //locklint:allow <reason>", sel.Sel.Name, owner)
 		}
-	case "settle", "retire", "handBack":
-		// A livert executor that settles may end the run, and one that hands
-		// its private batch back re-enters the push path: both take node
-		// locks (its own included) and must run with none held.
+	case "settle", "retire":
+		// A livert executor that settles may end the run, and one that
+		// retires hands its queues and private batch off through the push
+		// path: both take node locks (its own included) and must run with
+		// none held.
 		if n := namedOf(pass.TypeOf(sel.X)); n != nil && n.Obj().Name() == "lnode" {
 			pass.Reportf(call.Pos(),
 				"executor %s while %s is held re-enters the push path or ends the run under the lock; "+

@@ -118,14 +118,13 @@ func (n *node) flushToUnderRLock(c *ctx, dst int) {
 }
 
 // lnode mirrors livert's node: settling its reserve may end the run, and
-// handing its private batch back (which retire does too) re-enters the push
-// path — node locks, its own included.
+// retiring hands its queues and private batch off through the push path —
+// node locks, its own included.
 type lnode struct{ mu sync.Mutex }
 
-func (n *lnode) settle()   {}
-func (n *lnode) retire()   {}
-func (n *lnode) handBack() {}
-func (n *lnode) next()     {}
+func (n *lnode) settle() {}
+func (n *lnode) retire() {}
+func (n *lnode) next()   {}
 
 func (n *lnode) settleUnderLock() {
 	n.mu.Lock()
@@ -133,11 +132,10 @@ func (n *lnode) settleUnderLock() {
 	n.mu.Unlock()
 }
 
-func (n *lnode) handBackUnderDeferredLock(v *lnode) {
+func (n *lnode) retireUnderDeferredLock(v *lnode) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	n.handBack() // want `executor handBack while v.mu is held`
-	n.retire()   // want `executor retire while v.mu is held`
+	n.retire() // want `executor retire while v.mu is held`
 }
 
 // --- no-fire cases ------------------------------------------------------

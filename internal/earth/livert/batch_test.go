@@ -20,25 +20,49 @@ func TestEnvelopeSize(t *testing.T) {
 	}
 }
 
-// nodeRuns counts the bodies a traced run dispatched on one node.
+// nodeRuns counts the bodies a traced run dispatched on one node, and
+// records when that node was fenced and when it rejoined.
 type nodeRuns struct {
 	mu                sync.Mutex
 	node              earth.NodeID
 	threads, handlers int
+	fenced, rejoined  []sim.Time
 }
 
 func (r *nodeRuns) Event(e earth.Event) {
-	if e.Node != r.node {
-		return
-	}
 	r.mu.Lock()
-	switch e.Kind {
-	case earth.EvThreadRun:
+	defer r.mu.Unlock()
+	switch {
+	case e.Kind == earth.EvPartitionFence && e.Peer == r.node:
+		r.fenced = append(r.fenced, e.Time)
+	case e.Node != r.node:
+	case e.Kind == earth.EvThreadRun:
 		r.threads++
-	case earth.EvHandlerRun:
+	case e.Kind == earth.EvHandlerRun:
 		r.handlers++
+	case e.Kind == earth.EvRejoined:
+		r.rejoined = append(r.rejoined, e.Time)
 	}
-	r.mu.Unlock()
+}
+
+// startedBefore waits for a held body to close started, and reports false
+// if its node went down first: the body then never ran there and the test
+// proves nothing. Waiting on would hang, for the node's adopter runs the
+// body only after the waiting body — main, on the adopter — returns.
+func startedBefore(started <-chan struct{}, down func() bool) bool {
+	for !down() {
+		select {
+		case <-started:
+			return true
+		case <-time.After(50 * time.Microsecond):
+		}
+	}
+	select {
+	case <-started:
+		return true
+	default:
+		return false
+	}
 }
 
 // TestBatchFailover takes node 1 down — by a crash, and by a fence — while
@@ -80,7 +104,11 @@ func TestBatchFailover(t *testing.T) {
 					close(started)
 					<-queued
 				})
-				<-started
+				if !startedBefore(started, func() bool { return tc.down(n1) }) {
+					t.Error("node 1 went down before its body started: the test proved nothing")
+					close(queued)
+					return
+				}
 				c.Post(1, 8, func(c earth.Ctx) {
 					if c.Node() == 1 {
 						held = n1.bend - n1.bnext

@@ -99,7 +99,12 @@ func TestCrashFailoverDrainsQueuesInOrder(t *testing.T) {
 				time.Sleep(50 * time.Microsecond)
 			}
 		})
-		<-started // node 1's executor is inside its body: nothing it is sent runs
+		// Once node 1's executor is inside its body, nothing it is sent runs.
+		if !startedBefore(started, rt.nodes[1].dead.Load) {
+			t.Error("node 1 crashed before its body started: the test proved nothing")
+			close(posted)
+			return
+		}
 		for i := 0; i < k; i++ {
 			c.Post(1, 8, record("handler", i))
 		}

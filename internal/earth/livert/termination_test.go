@@ -147,8 +147,8 @@ func TestTerminationNoEarlyFinish(t *testing.T) {
 		for i := int32(0); i < n; i++ {
 			c.Post(1, 8, func(earth.Ctx) { handled.Add(1) })
 			for wait := time.Now(); handled.Load() != i+1; {
-				if !rt.live() || time.Since(wait) > 5*time.Second {
-					t.Errorf("run over (live=%v) with handler %d of %d outstanding", rt.live(), i+1, n)
+				if rt.finished.Load() || time.Since(wait) > 5*time.Second {
+					t.Errorf("run over (finished=%v) with handler %d of %d outstanding", rt.finished.Load(), i+1, n)
 					return
 				}
 				time.Sleep(20 * time.Microsecond)
