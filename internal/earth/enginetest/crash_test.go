@@ -63,11 +63,13 @@ func TestCrashRecovery(t *testing.T) {
 		t.Run("adopted-frame/"+eng.name, func(t *testing.T) {
 			plan := &faults.Plan{Crash: []faults.Crash{{Node: 2, At: 700 * sim.Microsecond}}}
 			var ranOn earth.NodeID = -1
+			var ranAt time.Duration // wall time from Run, for livert
 			const parts = 12
+			start := time.Now()
 			eng.new(earth.Config{Nodes: 4, Seed: 3, Faults: plan}).Run(func(c earth.Ctx) {
 				f := earth.NewFrame(2, 1, 1)
 				f.InitSync(0, parts, 0, 0)
-				f.SetThread(0, func(c earth.Ctx) { ranOn = c.Node() })
+				f.SetThread(0, func(c earth.Ctx) { ranOn, ranAt = c.Node(), time.Since(start) })
 				for i := 0; i < parts; i++ {
 					c.Invoke(earth.NodeID(i%4), 8, func(c earth.Ctx) {
 						c.Compute(500 * sim.Microsecond)
@@ -80,7 +82,10 @@ func TestCrashRecovery(t *testing.T) {
 				t.Fatal("fan-in thread never fired")
 			}
 			if ranOn == 2 {
-				t.Fatal("fan-in thread ran on the crashed node")
+				// Each node runs its three parts back to back, so the fan-in
+				// is enabled no earlier than 1.5 ms: on livert, node 2 was
+				// still up then, and its kill timer ran that much late.
+				t.Fatalf("fan-in thread ran on the crashed node, %v into the run (crash due at %v)", ranAt, plan.Crash[0].At)
 			}
 		})
 	}
