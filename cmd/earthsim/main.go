@@ -21,9 +21,8 @@
 //
 // -sanitize attaches a signal ledger to every frame the engines touch
 // and reports sync-contract violations at run end (see
-// earth.SanitizeReport): one-shot slots signalled past exhaustion, Adds
-// that would drive a counter negative, slots still armed at quiescence
-// and installed threads that never ran. The report aggregates structural
+// earth.SanitizeReport): one-shot slots signalled past exhaustion, slots
+// still armed at quiescence and installed threads that never ran. The report aggregates structural
 // facts only, so it is byte-identical with and without -coalesce.
 // -sanitize-json writes just the report (implies -sanitize), which is
 // what TestDeterminismMatrix diffs across the two modes.

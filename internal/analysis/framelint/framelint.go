@@ -22,9 +22,9 @@
 //     prevent);
 //   - (c) constant slot/thread indices out of range for the frame's
 //     NewFrame dimensions;
-//   - (d) vectored block moves (BlkMovFromV/BlkMovToV/BlkMovBytesV)
-//     whose literal srcs/dsts or sizes/writes vectors have mismatched
-//     lengths — the runtime panics before any transfer;
+//   - (d) vectored block moves (BlkMovBytesV) whose literal sizes and
+//     writes vectors have mismatched lengths — the runtime panics before
+//     any transfer;
 //   - (e) a thread body signalling the one-shot slot that enables that
 //     same thread: the slot is exhausted by the time the body runs, so
 //     the signal is guaranteed overflow.
@@ -95,7 +95,7 @@ type opSite struct {
 	loop bool // lexically under a for/range (or a closure of unknown multiplicity)
 	cond bool // lexically under an if/switch/select: may not execute
 
-	idx int64 // slot index (signals/inits/adds) or thread id (sets/spawns); dynIndex if unknown
+	idx int64 // slot index (signals/inits) or thread id (sets/spawns); dynIndex if unknown
 
 	// InitSync facts.
 	count, reset int64
@@ -124,7 +124,6 @@ type frameFacts struct {
 
 	inits   []opSite
 	sets    []opSite
-	adds    []opSite
 	signals []opSite
 	spawns  []opSite
 
@@ -507,10 +506,8 @@ var signalFuncs = map[string]int{
 	"Sync": 0, "Rsync": 1,
 	"Get": 3, "Put": 3, "GetWord": 3,
 	"GetSyncVal": 5, "DataSyncVal": 5,
-	"GetSyncF64": 4, "GetSyncI64": 4,
-	"DataSyncF64": 4, "DataSyncI64": 4,
-	"BlkMovFrom": 4, "BlkMovTo": 4, "BlkMovBytes": 4,
-	"BlkMovFromV": 5, "BlkMovToV": 5, "BlkMovBytesV": 4,
+	"GetSyncF64": 4, "GetSyncI64": 4, "DataSyncF64": 4,
+	"BlkMovBytes": 4, "BlkMovBytesV": 4,
 }
 
 func callName(call *ast.CallExpr) (string, *ast.Ident) {
@@ -598,8 +595,7 @@ func (fa *funcAnalysis) recordCall(call *ast.CallExpr, ctx walkCtx) {
 
 func isFrameMethod(name string) bool {
 	switch name {
-	case "InitSync", "SetThread", "Add", "NumThreads", "NumSlots",
-		"SlotCount", "Dec", "ThreadBody", "BeginSanitize", "Sanitized":
+	case "InitSync", "SetThread", "Dec", "ThreadBody", "BeginSanitize", "Sanitized":
 		return true
 	}
 	return false
@@ -622,14 +618,8 @@ func (fa *funcAnalysis) recordFrameMethod(ff *frameFacts, name string, call *ast
 		}
 		ff.sets = append(ff.sets, opSite{pos: call.Pos(), loop: ctx.loop, cond: ctx.cond,
 			idx: fa.constIdx(call.Args[0])})
-	case "Add":
-		if len(call.Args) != 2 {
-			return
-		}
-		ff.adds = append(ff.adds, opSite{pos: call.Pos(), loop: ctx.loop, cond: ctx.cond,
-			idx: fa.constIdx(call.Args[0])})
 	default:
-		// NumThreads/NumSlots/SlotCount/...: benign reads.
+		// Dec/ThreadBody/...: engine calls, no contract facts.
 	}
 }
 
@@ -670,36 +660,24 @@ func (fa *funcAnalysis) fold(ff, pf *frameFacts, pos token.Pos, ctx walkCtx) {
 	}
 	ff.inits = append(ff.inits, restamp(pf.inits, false)...)
 	ff.sets = append(ff.sets, restamp(pf.sets, false)...)
-	ff.adds = append(ff.adds, restamp(pf.adds, false)...)
 	ff.spawns = append(ff.spawns, restamp(pf.spawns, false)...)
 	ff.signals = append(ff.signals, restamp(pf.signals, true)...)
 }
 
 // --- check (d): vectored block-move shapes ------------------------------
 
-// vectorArgs maps the vectored ops to the argument positions of the two
-// vectors that must pair up, with display names.
-var vectorArgs = map[string]struct {
-	a, b         int
-	nameA, nameB string
-}{
-	"BlkMovFromV":  {3, 4, "srcs", "dsts"},
-	"BlkMovToV":    {3, 4, "srcs", "dsts"},
-	"BlkMovBytesV": {2, 3, "sizes", "writes"},
-}
-
+// checkVectorShapes reports a BlkMovBytesV(c, owner, sizes, writes, f,
+// slot) whose sizes and writes are literals of different lengths.
 func (fa *funcAnalysis) checkVectorShapes(call *ast.CallExpr) {
-	name, _ := callName(call)
-	v, ok := vectorArgs[name]
-	if !ok || v.b >= len(call.Args) {
+	if name, _ := callName(call); name != "BlkMovBytesV" || len(call.Args) < 4 {
 		return
 	}
-	la, okA := litLen(call.Args[v.a])
-	lb, okB := litLen(call.Args[v.b])
-	if okA && okB && la != lb {
+	ls, okS := litLen(call.Args[2])
+	lw, okW := litLen(call.Args[3])
+	if okS && okW && ls != lw {
 		fa.pass.Reportf(call.Pos(),
-			"%s with %d %s but %d %s; the vectored blocks must pair up one-to-one "+
-				"(the runtime panics before any transfer)", name, la, v.nameA, lb, v.nameB)
+			"BlkMovBytesV with %d sizes but %d writes; the vectored blocks must pair up one-to-one "+
+				"(the runtime panics before any transfer)", ls, lw)
 	}
 }
 
@@ -721,7 +699,6 @@ func (fa *funcAnalysis) checkFrame(ff *frameFacts) {
 	// each check degrades independently.
 	dynInit := anyDyn(ff.inits)
 	dynSet := anyDyn(ff.sets)
-	dynAdd := anyDyn(ff.adds)
 	dynSignal := anyDyn(ff.signals)
 
 	initsBySlot := map[int64][]opSite{}
@@ -733,10 +710,6 @@ func (fa *funcAnalysis) checkFrame(ff *frameFacts) {
 	setThreads := map[int64]bool{}
 	for _, s := range ff.sets {
 		setThreads[s.idx] = true
-	}
-	addsBySlot := map[int64]bool{}
-	for _, s := range ff.adds {
-		addsBySlot[s.idx] = true
 	}
 
 	// Effective signal sites: the multiplicity of the enclosing thread
@@ -779,12 +752,6 @@ func (fa *funcAnalysis) checkFrame(ff *frameFacts) {
 					s.idx, name, ff.slots)
 			}
 		}
-		for _, s := range ff.adds {
-			if s.idx != dynIndex && s.idx >= ff.slots {
-				fa.pass.Reportf(s.pos, "Add on slot %d of frame %s, which has only %d slot(s)",
-					s.idx, name, ff.slots)
-			}
-		}
 	}
 	if ff.threads != dynIndex {
 		for _, s := range ff.sets {
@@ -814,19 +781,13 @@ func (fa *funcAnalysis) checkFrame(ff *frameFacts) {
 		return ff.threads == dynIndex || idx < ff.threads
 	}
 
-	// (a) signals and Adds to slots no InitSync initialises.
+	// (a) signals to slots no InitSync initialises.
 	if !dynInit {
 		for _, s := range signals {
 			if s.idx != dynIndex && inRangeSlot(s.idx) && len(initsBySlot[s.idx]) == 0 {
 				fa.pass.Reportf(s.pos,
 					"signal targets slot %d of frame %s, but no InitSync ever initialises it "+
 						"(runtime: \"sync on uninitialised slot\")", s.idx, name)
-			}
-		}
-		for _, s := range ff.adds {
-			if s.idx != dynIndex && inRangeSlot(s.idx) && len(initsBySlot[s.idx]) == 0 {
-				fa.pass.Reportf(s.pos,
-					"Add on slot %d of frame %s, but no InitSync ever initialises it", s.idx, name)
 			}
 		}
 	}
@@ -870,7 +831,7 @@ func (fa *funcAnalysis) checkFrame(ff *frameFacts) {
 	}
 
 	// (b) one-shot signal arithmetic, per fully-resolved slot.
-	if dynSignal || dynAdd || dynInit {
+	if dynSignal || dynInit {
 		return
 	}
 	slots := make([]int64, 0, len(initsBySlot))
@@ -888,7 +849,7 @@ func (fa *funcAnalysis) checkFrame(ff *frameFacts) {
 		}
 		init := inits[0]
 		if init.loop || init.cond || !init.hasCount || !init.hasReset ||
-			init.reset != 0 || init.count < 1 || addsBySlot[slot] || addsBySlot[dynIndex] {
+			init.reset != 0 || init.count < 1 {
 			continue
 		}
 		certain, possible := 0, 0

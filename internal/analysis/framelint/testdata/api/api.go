@@ -13,9 +13,6 @@ func NewFrame(home NodeID, nthreads, nslots int) *Frame { return &Frame{Home: ho
 
 func (f *Frame) SetThread(id int, body ThreadBody) *Frame    { return f }
 func (f *Frame) InitSync(s, count, reset, thread int) *Frame { return f }
-func (f *Frame) Add(s, delta int)                            {}
-func (f *Frame) NumSlots() int                               { return 0 }
-func (f *Frame) NumThreads() int                             { return 0 }
 
 type Ctx interface {
 	Node() NodeID
@@ -35,11 +32,5 @@ type WordGetter interface {
 func Rsync(c Ctx, f *Frame, slot int) { c.Sync(f, slot) }
 
 func GetSyncI64(c Ctx, owner NodeID, src, dst *int, f *Frame, slot int) {}
-
-func BlkMovFrom(c Ctx, owner NodeID, src, dst []float64, f *Frame, slot int) {}
-
-func BlkMovFromV[T any](c Ctx, owner NodeID, elemBytes int, srcs, dsts [][]T, f *Frame, slot int) {}
-
-func BlkMovToV[T any](c Ctx, owner NodeID, elemBytes int, srcs, dsts [][]T, f *Frame, slot int) {}
 
 func BlkMovBytesV(c Ctx, owner NodeID, sizes []int, writes []func(), f *Frame, slot int) {}

@@ -12,15 +12,6 @@ func UninitedSlot(c api.Ctx) {
 	c.Sync(f, 1) // want `signal targets slot 1 of frame f, but no InitSync ever initialises it`
 }
 
-// Check (a): Add on a slot no InitSync initialises.
-func UninitedAdd(c api.Ctx) {
-	f := api.NewFrame(0, 1, 2)
-	f.SetThread(0, func(api.Ctx) {})
-	f.InitSync(0, 1, 0, 0)
-	c.Sync(f, 0)
-	f.Add(1, 3) // want `Add on slot 1 of frame f, but no InitSync ever initialises it`
-}
-
 // Check (a): a slot enabling a thread no SetThread installs.
 func UnsetThread(c api.Ctx) {
 	f := api.NewFrame(0, 2, 1)
@@ -109,11 +100,9 @@ func SignalOutOfRange(c api.Ctx) {
 	c.Sync(f, 3) // want `signal targets slot 3 of frame f, which has only 1 slot\(s\)`
 }
 
-// Check (d): vectored block moves whose literal vectors do not pair up.
-func VectorShapes(c api.Ctx, f *api.Frame, a, b []float64) {
-	api.BlkMovFromV(c, 1, 8, [][]float64{a, b}, [][]float64{a}, f, 0) // want `BlkMovFromV with 2 srcs but 1 dsts`
-	api.BlkMovToV(c, 1, 8, [][]float64{a}, [][]float64{a, b}, f, 1)   // want `BlkMovToV with 1 srcs but 2 dsts`
-	api.BlkMovBytesV(c, 1, []int{8, 8}, []func(){}, f, 2)             // want `BlkMovBytesV with 2 sizes but 0 writes`
+// Check (d): a vectored block move whose literal vectors do not pair up.
+func VectorShapes(c api.Ctx, f *api.Frame) {
+	api.BlkMovBytesV(c, 1, []int{8, 8}, []func(){}, f, 2) // want `BlkMovBytesV with 2 sizes but 0 writes`
 }
 
 // Check (e): a thread body signalling its own gating one-shot slot —

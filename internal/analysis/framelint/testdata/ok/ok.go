@@ -30,17 +30,6 @@ func Recurring(c api.Ctx) {
 	c.Sync(f, 0)
 }
 
-// Add makes the slot's arity dynamic: no static claim is possible.
-func Grown(c api.Ctx) {
-	f := api.NewFrame(0, 1, 1)
-	f.SetThread(0, func(api.Ctx) {})
-	f.InitSync(0, 1, 0, 0)
-	f.Add(0, 2)
-	c.Sync(f, 0)
-	c.Sync(f, 0)
-	c.Sync(f, 0)
-}
-
 // Conditional signal sites count toward the possible total (so no
 // under-signal) but not the certain one (so no over-signal).
 func Conditional(c api.Ctx, pick bool) {
@@ -112,8 +101,8 @@ func Allowed(c api.Ctx) {
 
 // VectorsPairUp: matching literal lengths and non-literal vectors are
 // both fine.
-func VectorsPairUp(c api.Ctx, f *api.Frame, a, b []float64, sizes []int) {
-	api.BlkMovFromV(c, 1, 8, [][]float64{a, b}, [][]float64{a, b}, f, 0)
+func VectorsPairUp(c api.Ctx, f *api.Frame, w func(), sizes []int) {
+	api.BlkMovBytesV(c, 1, []int{8, 8}, []func(){w, w}, f, 0)
 	api.BlkMovBytesV(c, 1, sizes, []func(){}, f, 1)
 }
 

@@ -23,6 +23,8 @@ import (
 // ("..." or backtick-quoted); every diagnostic on that line must match
 // one of them, and every regexp must be matched by some diagnostic on the
 // line. Lines without a want comment must produce no diagnostics.
+//
+//unref:allow test driver: every analyzer's testdata runs through it
 func RunTest(t *testing.T, testdata string, a *Analyzer, patterns ...string) {
 	t.Helper()
 	if _, err := os.Stat(filepath.Join(testdata, "go.mod")); err != nil {
@@ -100,6 +102,8 @@ func RunTest(t *testing.T, testdata string, a *Analyzer, patterns ...string) {
 // a non-test Go file, so a deleted or renamed package fails a test
 // instead of silently dropping out of patrol. It must be called from a
 // test of a package inside the module.
+//
+//unref:allow test driver: each linter's TestScopeResolves calls it
 func ScopeResolves(t *testing.T, scope map[string]bool) {
 	t.Helper()
 	root, err := os.Getwd()

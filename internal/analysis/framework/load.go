@@ -31,7 +31,6 @@ type listPkg struct {
 	ImportPath string
 	Export     string
 	GoFiles    []string
-	Standard   bool
 	DepOnly    bool
 	Error      *struct{ Err string }
 }

@@ -266,7 +266,7 @@ func reportBlockingCall(pass *framework.Pass, call *ast.CallExpr, owner string) 
 				"time.Sleep while %s is held stalls every contender; "+
 					"unlock first or annotate //locklint:allow <reason>", owner)
 		}
-	case "Step", "Run", "RunUntil":
+	case "Step", "RunBefore":
 		if n := namedOf(pass.TypeOf(sel.X)); n != nil && n.Obj().Name() == "Engine" {
 			pass.Reportf(call.Pos(),
 				"engine %s while %s is held runs arbitrary handlers under the lock; "+

@@ -15,9 +15,8 @@ func (e *engineish) Step() bool { return false }
 // Engine mirrors sim.Engine for the engine-step check.
 type Engine struct{}
 
-func (e *Engine) Step() bool             { return false }
-func (e *Engine) Run() int64             { return 0 }
-func (e *Engine) RunUntil(t int64) int64 { return 0 }
+func (e *Engine) Step() bool                { return false }
+func (e *Engine) RunBefore(end int64) int64 { return 0 }
 
 type node struct {
 	mu   sync.Mutex
@@ -69,6 +68,7 @@ func (n *node) stepUnderLock() {
 	n.mu.Lock()
 	for n.eng.Step() { // want `engine Step while n.mu is held`
 	}
+	n.eng.RunBefore(10) // want `engine RunBefore while n.mu is held`
 	n.mu.Unlock()
 }
 

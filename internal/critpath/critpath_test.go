@@ -17,10 +17,10 @@ import (
 func workload(c earth.Ctx) {
 	f := earth.NewFrame(0, 1, 1)
 	f.InitSync(0, 4, 0, 0)
-	f.SetThread(0, func(c earth.Ctx) { earth.ComputeUS(c, 20) })
+	f.SetThread(0, func(c earth.Ctx) { c.Compute(20 * sim.Microsecond) })
 	for i := 0; i < 4; i++ {
 		c.Token(16, func(c earth.Ctx) {
-			earth.ComputeUS(c, 50)
+			c.Compute(50 * sim.Microsecond)
 			c.Put(0, 8, func() {}, f, 0)
 		})
 	}
@@ -30,7 +30,7 @@ func workload(c earth.Ctx) {
 		var v float64
 		earth.GetSyncF64(c, 2, src, &v, nil, 0)
 	})
-	c.Post(2, 8, func(c earth.Ctx) { earth.ComputeUS(c, 5) })
+	c.Post(2, 8, func(c earth.Ctx) { c.Compute(5 * sim.Microsecond) })
 }
 
 func runTraced(t *testing.T, cfg earth.Config) (*Analysis, *earth.Stats) {
@@ -178,7 +178,7 @@ func TestCrashRunAttributionIntegration(t *testing.T) {
 	st := rt.Run(func(c earth.Ctx) {
 		var spawn func(c earth.Ctx, depth int)
 		spawn = func(c earth.Ctx, depth int) {
-			earth.ComputeUS(c, 40)
+			c.Compute(40 * sim.Microsecond)
 			if depth == 0 {
 				return
 			}

@@ -148,6 +148,7 @@ const (
 	// against for Eigenvalue).
 	BalanceRandomPlace
 	// BalanceRoundRobin ships tokens to nodes in cyclic order at creation.
+	// Each node deals its own tokens from node 0, afresh in every Run.
 	BalanceRoundRobin
 	// BalanceNone keeps every token on its creating node.
 	BalanceNone
@@ -232,10 +233,10 @@ type Config struct {
 	// Sanitize makes both engines track a per-slot signal ledger on every
 	// frame they touch and report sync-contract violations at quiescence
 	// (see SanitizeReport on Stats and the EvSanitize event): one-shot
-	// slots signalled past exhaustion, Adds driving a counter negative,
-	// slots still armed at program end and installed threads that never
-	// ran. The overflow/underflow paths that would otherwise panic are
-	// recorded and swallowed so a run reports every violation at once.
+	// slots signalled past exhaustion, slots still armed at program end
+	// and installed threads that never ran. A signal past exhaustion,
+	// which would otherwise panic, is recorded and swallowed so a run
+	// reports every violation at once.
 	// The report contains no timestamps and aggregates over frame
 	// structure only, so it is byte-identical across coalesce modes.
 	Sanitize bool

@@ -131,25 +131,24 @@ var conformanceCases = []confCase{
 		name: "blkmov-chain", nodes: 3, chain: true,
 		make: func() (func(earth.Ctx), func(*testing.T, string)) {
 			const n = 64
-			src := make([]float64, n) // owned by node 1
+			var src [n]float64 // owned by node 1
 			for i := range src {
 				src[i] = float64(i) * 0.5
 			}
-			local := make([]float64, n)
-			out := make([]float64, n) // owned by node 2
+			var local, out [n]float64 // out is owned by node 2
 			done := false
 			prog := func(c earth.Ctx) {
 				f := earth.NewFrame(0, 2, 2)
 				f.InitSync(0, 1, 0, 0)
 				f.InitSync(1, 1, 0, 1)
 				f.SetThread(0, func(c earth.Ctx) {
-					earth.BlkMovTo(c, 2, local, out, f, 1)
+					earth.DataSyncVal(c, 2, n*earth.SizeF64, local, &out, f, 1)
 				})
 				f.SetThread(1, func(earth.Ctx) { done = true })
-				earth.BlkMovFrom(c, 1, src, local, f, 0)
+				earth.GetSyncVal(c, 1, n*earth.SizeF64, &src, &local, f, 0)
 			}
 			return prog, func(t *testing.T, eng string) {
-				if !done || !slices.Equal(out, src) {
+				if !done || out != src {
 					t.Errorf("%s: block not moved end to end (done=%v)", eng, done)
 				}
 			}

@@ -5,6 +5,7 @@
 package enginetest
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -52,6 +53,26 @@ func TestTokenTreeSumBothEngines(t *testing.T) {
 		want := (1 << depth) * (1<<depth + 1) / 2
 		if total != want {
 			t.Fatalf("%s: sum = %d, want %d", name, total, want)
+		}
+	}
+}
+
+// TestRoundRobinRestartsEachRun: under BalanceRoundRobin a node deals its
+// tokens round the machine from node 0 again in every Run of a runtime.
+func TestRoundRobinRestartsEachRun(t *testing.T) {
+	cfg := earth.Config{Nodes: 4, Seed: 1, Balancer: earth.BalanceRoundRobin}
+	want := []earth.NodeID{0, 1, 2, 3, 0}
+	for name, rt := range map[string]earth.Runtime{"simrt": simrt.New(cfg), "livert": newLive(cfg)} {
+		for run := 0; run < 2; run++ {
+			got := make([]earth.NodeID, len(want))
+			rt.Run(func(c earth.Ctx) {
+				for i := range got {
+					c.Token(0, func(c earth.Ctx) { got[i] = c.Node() })
+				}
+			})
+			if !slices.Equal(got, want) {
+				t.Errorf("%s, run %d: tokens ran on %v, want %v", name, run+1, got, want)
+			}
 		}
 	}
 }

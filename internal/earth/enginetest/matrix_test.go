@@ -464,7 +464,7 @@ func checkCell(t *testing.T, c matrixCell, r cellRun, done map[string]cellRun) {
 	}
 	if st.Sanitize != nil {
 		for _, fd := range st.Sanitize.Findings {
-			if fd.Kind == earth.SanOverflow || fd.Kind == earth.SanUnderflow {
+			if fd.Kind == earth.SanOverflow {
 				t.Errorf("a sync signal was applied twice: %v", fd)
 			}
 		}

@@ -41,25 +41,6 @@ func sanCases() []sanCase {
 			},
 		},
 		{
-			// Check: Add underflow. The spawned thread's Add would drive
-			// the armed counter to zero; the ledger records it and leaves
-			// the counter untouched, so the slot also reports pending and
-			// its enabled thread never ran.
-			name: "add-underflow",
-			prog: func(c earth.Ctx) {
-				f := earth.NewFrame(0, 2, 1)
-				f.InitSync(0, 2, 0, 1)
-				f.SetThread(0, func(earth.Ctx) { f.Add(0, -5) })
-				f.SetThread(1, func(earth.Ctx) {})
-				c.Spawn(f, 0)
-			},
-			want: []earth.SanitizeFinding{
-				{Kind: earth.SanUnderflow, Home: 0, Threads: 2, Slots: 1, Index: 0, Count: 1, Frames: 1},
-				{Kind: earth.SanPendingSlot, Home: 0, Threads: 2, Slots: 1, Index: 0, Count: 2, Frames: 1},
-				{Kind: earth.SanThreadNeverRan, Home: 0, Threads: 2, Slots: 1, Index: 1, Frames: 1},
-			},
-		},
-		{
 			// Check: pending slot (lost-thread deadlock). The slot promises
 			// two signals but only one ever arrives; at quiescence the
 			// residual counter and the never-dispatched thread both report.

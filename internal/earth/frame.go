@@ -11,7 +11,7 @@ import (
 // Frames are passive data; engines mutate them only from the owning node's
 // execution context (the simulator's single event loop, or the owning
 // node's executor goroutine under livert), so no locking is required. The
-// Dec/Add/ThreadBody accessors exist for engine use; applications interact
+// Dec/ThreadBody accessors exist for engine use; applications interact
 // with frames through SetThread/InitSync and the Ctx operations.
 type Frame struct {
 	// Home is the node the frame lives on.
@@ -26,24 +26,23 @@ type Frame struct {
 	slot0   [1]slot
 
 	// san is the per-frame signal ledger attached by an engine running
-	// with Config.Sanitize (see sanitize.go). While attached, the
-	// contract-violation paths in Dec and Add record the violation and
-	// keep going instead of panicking, so one run can surface every
-	// violation at once. Engines attach and read it only from the frame's
-	// home-node execution context, like every other frame mutation.
+	// with Config.Sanitize (see sanitize.go). While attached, Dec records
+	// a signal at an exhausted one-shot slot and keeps going instead of
+	// panicking, so one run can surface every violation at once. Engines
+	// attach and read it only from the frame's home-node execution
+	// context, like every other frame mutation.
 	san *frameSan
 }
 
 // frameSan is the sanitize-mode ledger: which threads ever dispatched,
 // and how many contract violations each slot absorbed.
 type frameSan struct {
-	ran       []bool   // per thread: body dispatched at least once
-	overflow  []uint32 // per slot: syncs swallowed on an exhausted one-shot
-	underflow []uint32 // per slot: Adds that would have driven the counter <= 0
+	ran      []bool   // per thread: body dispatched at least once
+	overflow []uint32 // per slot: syncs swallowed on an exhausted one-shot
 }
 
 // slot is one sync slot. Counters are 32-bit so a slot is 16 bytes and
-// slot0 fits the Frame's size class; InitSync and Add check the range.
+// slot0 fits the Frame's size class; InitSync checks the range.
 type slot struct {
 	count  int32
 	reset  int32
@@ -111,16 +110,6 @@ func (f *Frame) InitSync(s, count, reset, thread int) *Frame {
 	return f
 }
 
-// NumThreads returns the frame's thread-table size.
-func (f *Frame) NumThreads() int { return len(f.threads) }
-
-// NumSlots returns the frame's sync-slot count.
-func (f *Frame) NumSlots() int { return len(f.slots) }
-
-// SlotCount returns the current counter value of slot s (for tests and
-// debugging).
-func (f *Frame) SlotCount(s int) int { return int(f.slots[s].count) }
-
 // Dec decrements slot s and reports whether it fired; if so, thread is the
 // thread to enqueue and the counter has been reset. Engine use only; must
 // be called from the frame's home node context.
@@ -147,35 +136,6 @@ func (f *Frame) Dec(s int) (fired bool, thread int) {
 	return true, int(sl.thread)
 }
 
-// Add adjusts slot s's counter by delta (EARTH: INCR_SYNC), for
-// applications whose synchronisation arity is only known dynamically. Must
-// run on the frame's home node context; the usual pattern is to Add from
-// the thread that will later cause the matching Syncs. The counter may not
-// pass math.MaxInt32.
-func (f *Frame) Add(s, delta int) {
-	if s < 0 || s >= len(f.slots) {
-		panic(fmt.Sprintf("earth: Add on slot %d out of range", s))
-	}
-	sl := &f.slots[s]
-	if !sl.inited {
-		panic(fmt.Sprintf("earth: Add on uninitialised slot %d", s))
-	}
-	if delta > maxSyncCount-int(sl.count) {
-		panic(fmt.Sprintf("earth: Add(%d) drives slot %d from %d past the slot's range, which ends at %d",
-			delta, s, sl.count, maxSyncCount))
-	}
-	if nc := int(sl.count) + delta; nc <= 0 {
-		if f.san != nil {
-			// Sanitize mode: record the underflow and leave the counter
-			// untouched, so later signals still behave predictably.
-			f.san.underflow[s]++
-			return
-		}
-		panic(fmt.Sprintf("earth: Add(%d) drove slot %d to %d; use Sync to fire slots", delta, s, nc))
-	}
-	sl.count += int32(delta)
-}
-
 // ThreadBody returns the installed body of thread id. Engine use.
 func (f *Frame) ThreadBody(id int) ThreadBody {
 	b := f.threads[id]
@@ -194,9 +154,8 @@ func (f *Frame) ThreadBody(id int) ThreadBody {
 func (f *Frame) BeginSanitize() {
 	if f.san == nil {
 		f.san = &frameSan{
-			ran:       make([]bool, len(f.threads)),
-			overflow:  make([]uint32, len(f.slots)),
-			underflow: make([]uint32, len(f.slots)),
+			ran:      make([]bool, len(f.threads)),
+			overflow: make([]uint32, len(f.slots)),
 		}
 	}
 }

@@ -14,8 +14,12 @@ func body(Ctx) {}
 
 func TestNewFrameDimensions(t *testing.T) {
 	f := NewFrame(3, 4, 2)
-	if f.Home != 3 || f.NumThreads() != 4 || f.NumSlots() != 2 {
-		t.Fatalf("frame = %+v", f)
+	if f.Home != 3 {
+		t.Fatalf("Home = %d, want 3", f.Home)
+	}
+	f.SetThread(3, body).InitSync(1, 1, 0, 3) // the last thread and slot exist
+	if panicMessage(func() { f.SetThread(4, body) }) == "" || panicMessage(func() { f.InitSync(2, 1, 0, 0) }) == "" {
+		t.Fatal("thread 4 or slot 2 of a (4,2) frame accepted")
 	}
 }
 
@@ -56,9 +60,14 @@ func TestSyncSlotFiresAtZero(t *testing.T) {
 	if !fired || th != 1 {
 		t.Fatalf("fired=%v thread=%d, want true,1", fired, th)
 	}
-	// Reset semantics: counter is back at 3.
-	if f.SlotCount(0) != 3 {
-		t.Fatalf("count after fire = %d, want 3 (reset)", f.SlotCount(0))
+	// Reset semantics: the next fire takes three more syncs.
+	for i := 0; i < 2; i++ {
+		if fired, _ := f.Dec(0); fired {
+			t.Fatalf("reset slot fired after %d of 3 syncs", i+1)
+		}
+	}
+	if fired, _ := f.Dec(0); !fired {
+		t.Fatal("reset slot did not fire on the third sync")
 	}
 }
 
@@ -106,36 +115,6 @@ func TestInitSyncValidation(t *testing.T) {
 			f.InitSync(b.s, b.c, b.r, b.th)
 		}()
 	}
-}
-
-func TestAddAdjustsCounter(t *testing.T) {
-	f := NewFrame(0, 1, 1)
-	f.SetThread(0, body)
-	f.InitSync(0, 1, 0, 0)
-	f.Add(0, 2) // now 3
-	n := 0
-	for {
-		fired, _ := f.Dec(0)
-		n++
-		if fired {
-			break
-		}
-	}
-	if n != 3 {
-		t.Fatalf("fired after %d decs, want 3", n)
-	}
-}
-
-func TestAddCannotFire(t *testing.T) {
-	f := NewFrame(0, 1, 1)
-	f.SetThread(0, body)
-	f.InitSync(0, 1, 0, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("Add driving counter to zero did not panic")
-		}
-	}()
-	f.Add(0, -1)
 }
 
 func TestSlotFiresExactlyEveryCountProperty(t *testing.T) {
@@ -195,28 +174,6 @@ func TestResetReloadSemantics(t *testing.T) {
 			t.Fatalf("fired at %v, want %v", fires, want)
 		}
 	}
-	if got := f.SlotCount(0); got != 3 {
-		t.Fatalf("counter after last fire = %d, want reloaded reset 3", got)
-	}
-}
-
-func TestAddNegativeDelta(t *testing.T) {
-	// Negative deltas are legal as long as the counter stays positive:
-	// the slot needs fewer signals than first announced, but firing is
-	// still only ever through Dec.
-	f := NewFrame(0, 1, 1)
-	f.SetThread(0, body)
-	f.InitSync(0, 5, 0, 0)
-	f.Add(0, -3)
-	if got := f.SlotCount(0); got != 2 {
-		t.Fatalf("counter = %d, want 2", got)
-	}
-	if fired, _ := f.Dec(0); fired {
-		t.Fatal("fired one Dec early")
-	}
-	if fired, _ := f.Dec(0); !fired {
-		t.Fatal("did not fire after the adjusted count of Decs")
-	}
 }
 
 func TestOneShotDoubleFirePanics(t *testing.T) {
@@ -237,8 +194,7 @@ func TestOneShotDoubleFirePanics(t *testing.T) {
 }
 
 func TestSanitizeModeRecordsInsteadOfPanicking(t *testing.T) {
-	// With the ledger attached, the same two bugs are recorded and
-	// swallowed: the run keeps going and the report carries the counts.
+	// With the ledger attached, the same bug is recorded and swallowed: the run keeps going and the report carries the counts.
 	f := NewFrame(0, 2, 1)
 	f.SetThread(0, body)
 	f.SetThread(1, body)
@@ -256,11 +212,6 @@ func TestSanitizeModeRecordsInsteadOfPanicking(t *testing.T) {
 			t.Fatal("exhausted slot fired again under sanitize")
 		}
 	}
-	// Underflowing Add: swallowed, counter untouched.
-	f.Add(0, -7)
-	if got := f.SlotCount(0); got != 0 {
-		t.Fatalf("rejected Add changed the counter to %d", got)
-	}
 	f.ThreadBody(0) // thread 0 dispatches; thread 1 never does
 	rep := BuildSanitizeReport([]*Frame{f})
 	if rep.FramesTracked != 1 || rep.SlotsTracked != 1 {
@@ -268,7 +219,6 @@ func TestSanitizeModeRecordsInsteadOfPanicking(t *testing.T) {
 	}
 	want := []SanitizeFinding{
 		{Kind: SanOverflow, Home: 0, Threads: 2, Slots: 1, Index: 0, Count: 2, Frames: 1},
-		{Kind: SanUnderflow, Home: 0, Threads: 2, Slots: 1, Index: 0, Count: 1, Frames: 1},
 		{Kind: SanThreadNeverRan, Home: 0, Threads: 2, Slots: 1, Index: 1, Frames: 1},
 	}
 	if len(rep.Findings) != len(want) {
@@ -310,13 +260,7 @@ func TestFrameShapesBeyondInline(t *testing.T) {
 	f := NewFrame(1, 2, 3)
 	ran := -1
 	f.SetThread(0, func(Ctx) { ran = 0 }).SetThread(1, func(Ctx) { ran = 1 })
-	f.InitSync(0, 1, 0, 0).InitSync(1, 2, 2, 1).InitSync(2, 1, 0, 1)
-	f.Add(2, 1)
-	for s, want := range []int{1, 2, 2} {
-		if got := f.SlotCount(s); got != want {
-			t.Errorf("slot %d starts at %d, want %d", s, got, want)
-		}
-	}
+	f.InitSync(0, 1, 0, 0).InitSync(1, 2, 2, 1).InitSync(2, 2, 0, 1)
 	if fired, th := f.Dec(0); !fired || th != 0 {
 		t.Errorf("slot 0: fired=%v thread=%d, want true, 0", fired, th)
 	}
@@ -324,11 +268,14 @@ func TestFrameShapesBeyondInline(t *testing.T) {
 		t.Error("slot 1 fired on the first of two signals")
 	}
 	if fired, _ := f.Dec(2); fired {
-		t.Error("slot 2 fired on the first of two signals after Add")
+		t.Error("slot 2 fired on the first of two signals")
 	}
 	fired, th := f.Dec(1)
-	if !fired || th != 1 || f.SlotCount(1) != 2 {
-		t.Errorf("slot 1: fired=%v thread=%d count=%d, want true, 1 and reset to 2", fired, th, f.SlotCount(1))
+	if !fired || th != 1 {
+		t.Errorf("slot 1: fired=%v thread=%d, want true, 1", fired, th)
+	}
+	if again, _ := f.Dec(1); again {
+		t.Error("slot 1 fired on the first signal after its reset to 2")
 	}
 	f.ThreadBody(th)(nil)
 	if ran != 1 {
@@ -336,14 +283,10 @@ func TestFrameShapesBeyondInline(t *testing.T) {
 	}
 
 	e := NewFrame(0, 0, 0)
-	if e.NumThreads() != 0 || e.NumSlots() != 0 {
-		t.Fatalf("empty frame has %d threads, %d slots", e.NumThreads(), e.NumSlots())
-	}
 	for name, op := range map[string]func(){
 		"SetThread": func() { e.SetThread(0, body) },
 		"InitSync":  func() { e.InitSync(0, 1, 0, 0) },
 		"Dec":       func() { e.Dec(0) },
-		"Add":       func() { e.Add(0, 1) },
 	} {
 		if msg := panicMessage(op); msg == "" {
 			t.Errorf("%s on an empty frame did not panic", name)
@@ -372,10 +315,9 @@ func TestSanitizeInlineFrameMatchesLarge(t *testing.T) {
 		f.InitSync(0, 2, 0, 0)
 		f.BeginSanitize()
 		f.Dec(0)
-		f.Add(0, -5) // underflow
-		f.Dec(0)     // fires
-		f.Dec(0)     // overflow
-		f.Dec(0)     // overflow
+		f.Dec(0) // fires
+		f.Dec(0) // overflow
+		f.Dec(0) // overflow
 		var evs eventLog
 		rep := sanitizeScan([]*Frame{f}, 77, &evs)
 		if rep.FramesTracked != 1 || rep.SlotsTracked != nslots {
@@ -388,8 +330,8 @@ func TestSanitizeInlineFrameMatchesLarge(t *testing.T) {
 	}
 	inF, inE := scan(1, 1)
 	bigF, bigE := scan(2, 2)
-	if len(inF) != 3 {
-		t.Fatalf("inline frame: %d findings, want overflow, underflow and thread-never-ran: %+v", len(inF), inF)
+	if len(inF) != 2 {
+		t.Fatalf("inline frame: %d findings, want overflow and thread-never-ran: %+v", len(inF), inF)
 	}
 	if !slices.Equal(inF, bigF) {
 		t.Errorf("findings differ:\ninline %+v\n(2,2)  %+v", inF, bigF)
@@ -409,20 +351,15 @@ func TestSyncCounterRange(t *testing.T) {
 	for name, op := range map[string]func(){
 		"InitSync count": func() { f.InitSync(0, over, 0, 0) },
 		"InitSync reset": func() { f.InitSync(0, 1, over, 0) },
-		"Add":            func() { f.InitSync(0, math.MaxInt32, math.MaxInt32, 0).Add(0, 1) },
-		"Add huge":       func() { f.InitSync(0, 1, 0, 0).Add(0, math.MaxInt) },
 	} {
 		if msg := panicMessage(op); !strings.Contains(msg, "slot 0") {
 			t.Errorf("%s past the range: panic %q, want one naming slot 0", name, msg)
 		}
 	}
+	// The top of the range is usable, and held without wrapping: a
+	// counter at MaxInt32 does not fire on its first signal.
 	f.InitSync(0, math.MaxInt32, math.MaxInt32, 0)
-	panicMessage(func() { f.Add(0, 1) })
-	if got := f.SlotCount(0); got != math.MaxInt32 {
-		t.Errorf("refused Add left the counter at %d, want %d", got, math.MaxInt32)
-	}
-	f.Add(0, -1) // the top of the range is usable
-	if got := f.SlotCount(0); got != math.MaxInt32-1 {
-		t.Errorf("counter = %d, want %d", got, math.MaxInt32-1)
+	if fired, _ := f.Dec(0); fired {
+		t.Error("a slot armed at MaxInt32 fired on its first signal")
 	}
 }

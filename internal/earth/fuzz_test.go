@@ -60,7 +60,7 @@ func FuzzStatsJSON(f *testing.F) {
 func FuzzSanitizeReportJSON(f *testing.F) {
 	findings, _ := json.Marshal(&SanitizeReport{FramesTracked: 5, SlotsTracked: 7, Findings: []SanitizeFinding{
 		{Kind: SanOverflow, Home: 1, Threads: 1, Slots: 1, Count: 2, Frames: 3},
-		{Kind: SanUnderflow, Home: 0, Threads: 2, Slots: 2, Index: 1, Count: -1, Frames: 1},
+		{Kind: SanOverflow, Home: 0, Threads: 2, Slots: 2, Index: 1, Count: -1, Frames: 1},
 		{Kind: SanPendingSlot, Home: 2, Threads: 1, Slots: 1, Count: 1, Frames: 1},
 		{Kind: SanThreadNeverRan, Home: 3, Threads: 1, Slots: 0, Frames: 2}}})
 	clean, _ := json.Marshal(&SanitizeReport{FramesTracked: 2, SlotsTracked: 2})

@@ -226,6 +226,9 @@ type lnode struct {
 	// this node's executor.
 	rng     *rand.Rand
 	rngSeed int64
+	// rr is the node's round-robin placement cursor, reset by Run.
+	// Accessed only by this node's executor.
+	rr int
 	// ctx is the one context every body on this executor runs under, live
 	// while a body runs and dead between bodies (see exec).
 	ctx ctx
@@ -310,7 +313,6 @@ type Runtime struct {
 	nodes       []*lnode
 	tr          earth.Tracer // cached cfg.Tracer; must be thread-safe
 	outstanding atomic.Int64
-	rrNext      atomic.Int64
 	// done is closed, once per Run, by whoever takes outstanding to zero:
 	// finished is the latch. (A sync.Once would still be storing its flag
 	// in a timer's goroutine when Run, woken by the close, has returned and
@@ -415,6 +417,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		n.ready.Reset()
 		n.tokens.Reset()
 		n.redirect = -1
+		n.rr = 0
 		n.stats, n.faultStats = earth.NodeStats{}, earth.NodeStats{}
 		n.san.Reset(rt.cfg.Sanitize)
 		n.credit = credit{}
@@ -1371,7 +1374,8 @@ func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 	case earth.BalanceRandomPlace:
 		c.placeToken(earth.NodeID(c.n.rand().Intn(len(rt.nodes))), argBytes, body)
 	case earth.BalanceRoundRobin:
-		c.placeToken(earth.NodeID(int(rt.rrNext.Add(1)-1)%len(rt.nodes)), argBytes, body)
+		c.placeToken(earth.NodeID(c.n.rr%len(rt.nodes)), argBytes, body)
+		c.n.rr++
 	default: // BalanceSteal, BalanceNone: pool locally
 		tk := ltoken{body: body, enq: rt.stamp()}
 		if rt.tr != nil {

@@ -2,7 +2,6 @@ package livert
 
 import (
 	"math/rand"
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -167,39 +166,36 @@ func TestComputeIsNoOp(t *testing.T) {
 	}
 }
 
-// queueCaps returns the capacity of every node's three queues.
-func queueCaps(rt *Runtime) []int {
-	var caps []int
-	for _, n := range rt.nodes {
-		caps = append(caps, n.handlers.Cap(), n.ready.Cap(), n.tokens.Cap())
-	}
-	return caps
-}
-
-// TestRunReusable runs one Runtime three times. The first run pools far
-// more tokens than the later ones (node 0's pool grows past a ring's first
-// 16 slots however fast node 1 steals; the later runs never need more), so
-// a Run that dropped its queues' storage instead of refilling it would
-// come back with smaller rings.
+// TestRunReusable runs one Runtime again and again. Without stealing,
+// node 0 pools every token its main thread places, so its token ring
+// grows to 1024 slots in the first Run; a later Run of the same 1000
+// tokens then allocates about what a Run of none does (the executors'
+// parking leaves a couple of allocations of slack). A Run that dropped
+// its queues' storage instead of refilling it would regrow the ring,
+// seven allocations, every time.
 func TestRunReusable(t *testing.T) {
-	rt := New(earth.Config{Nodes: 2, Seed: 1})
-	var first []int
-	for i, tokens := range []int{100, 10, 10} {
-		var n atomic.Int64
-		rt.Run(func(c earth.Ctx) {
-			for j := 0; j < tokens; j++ {
-				c.Token(0, func(earth.Ctx) { n.Add(1) })
-			}
-		})
-		if int(n.Load()) != tokens {
-			t.Fatalf("run %d: %d tokens, want %d", i, n.Load(), tokens)
+	rt := New(earth.Config{Nodes: 2, Seed: 1, Balancer: earth.BalanceNone})
+	var n atomic.Int64
+	tok := func(earth.Ctx) { n.Add(1) }
+	run := func(tokens int) func() {
+		return func() {
+			rt.Run(func(c earth.Ctx) {
+				for j := 0; j < tokens; j++ {
+					c.Token(0, tok)
+				}
+			})
 		}
-		caps := queueCaps(rt)
-		if i == 0 {
-			first = caps
-		} else if !slices.Equal(caps, first) {
-			t.Fatalf("run %d: queue capacities %v, want the first run's %v: storage was not kept", i, caps, first)
-		}
+	}
+	const tokens, slack = 1000, 2
+	run(tokens)()
+	none := testing.AllocsPerRun(20, run(0))
+	n.Store(0)
+	full := testing.AllocsPerRun(20, run(tokens))
+	if n.Load() != 21*tokens {
+		t.Fatalf("21 runs of %d tokens ran %d", tokens, n.Load())
+	}
+	if full > none+slack {
+		t.Fatalf("a Run of %d tokens makes %v allocations, a Run of none %v: queue storage was not kept", tokens, full, none)
 	}
 }
 

@@ -1,10 +1,6 @@
 package earth
 
-import (
-	"unsafe"
-
-	"earth/internal/sim"
-)
+import "unsafe"
 
 // This file provides the typed Threaded-C-style convenience layer over the
 // Ctx primitives: GET_SYNC_x, DATA_SYNC_x and BLKMOV analogues. The size
@@ -18,9 +14,7 @@ import (
 // Word sizes used for cost accounting, in bytes.
 const (
 	SizeF64 = 8
-	SizeF32 = 4
 	SizeI64 = 8
-	SizeI32 = 4
 )
 
 // GetSyncVal reads *src on node owner and stores it into *dst on the
@@ -64,99 +58,11 @@ func DataSyncF64(c Ctx, owner NodeID, v float64, dst *float64, f *Frame, slot in
 	DataSyncVal(c, owner, SizeF64, v, dst, f, slot)
 }
 
-// DataSyncI64 is DATA_SYNC_L: store an int remotely.
-func DataSyncI64(c Ctx, owner NodeID, v int, dst *int, f *Frame, slot int) {
-	DataSyncVal(c, owner, SizeI64, v, dst, f, slot)
-}
-
-// BlkMovFrom fetches a block of ns float64s from a slice owned by node
-// owner into a local slice, then signals (f, slot) — BLKMOV in the
-// remote-to-local direction. src and dst must have equal length.
-func BlkMovFrom(c Ctx, owner NodeID, src, dst []float64, f *Frame, slot int) {
-	if len(src) != len(dst) {
-		panic("earth: BlkMovFrom length mismatch")
-	}
-	n := len(src)
-	c.Get(owner, n*SizeF64, func() func() {
-		tmp := make([]float64, n)
-		copy(tmp, src)
-		return func() { copy(dst, tmp) }
-	}, f, slot)
-}
-
-// BlkMovTo stores a local block into a slice owned by node owner, then
-// signals (f, slot) — BLKMOV in the local-to-remote direction. The data is
-// snapshotted at call time, matching hardware semantics where the block
-// leaves the node when the operation is issued.
-func BlkMovTo(c Ctx, owner NodeID, src, dst []float64, f *Frame, slot int) {
-	if len(src) != len(dst) {
-		panic("earth: BlkMovTo length mismatch")
-	}
-	tmp := make([]float64, len(src))
-	copy(tmp, src)
-	c.Put(owner, len(src)*SizeF64, func() { copy(dst, tmp) }, f, slot)
-}
-
 // BlkMovBytes models a block transfer of nbytes whose effect is an
-// arbitrary closure executed at the owner (used when the payload is an
-// application structure rather than a float slice).
+// arbitrary closure executed at the owner: BLKMOV of an application
+// structure.
 func BlkMovBytes(c Ctx, owner NodeID, nbytes int, write func(), f *Frame, slot int) {
 	c.Put(owner, nbytes, write, f, slot)
-}
-
-// BlkMovFromV is the vectored BLKMOV gather: it fetches several blocks
-// owned by one node in a single wire transfer (one request, one response
-// carrying the summed bytes, one sync) instead of one BlkMovFrom per
-// block. srcs[i] is copied into dsts[i]; elemBytes is the element size
-// used for cost accounting (SizeF64, SizeF32, ...). srcs and dsts must
-// pair up with equal lengths.
-func BlkMovFromV[T any](c Ctx, owner NodeID, elemBytes int, srcs, dsts [][]T, f *Frame, slot int) {
-	if len(srcs) != len(dsts) {
-		panic("earth: BlkMovFromV block-count mismatch")
-	}
-	total := 0
-	for i := range srcs {
-		if len(srcs[i]) != len(dsts[i]) {
-			panic("earth: BlkMovFromV length mismatch")
-		}
-		total += len(srcs[i]) * elemBytes
-	}
-	c.Get(owner, total, func() func() {
-		tmp := make([][]T, len(srcs))
-		for i := range srcs {
-			tmp[i] = append([]T(nil), srcs[i]...)
-		}
-		return func() {
-			for i := range tmp {
-				copy(dsts[i], tmp[i])
-			}
-		}
-	}, f, slot)
-}
-
-// BlkMovToV is the vectored BLKMOV scatter: it stores several local
-// blocks into slices owned by one node in a single wire transfer, then
-// signals (f, slot) once. srcs[i] is copied into dsts[i]; every block is
-// snapshotted at call time (the data leaves the node when the operation
-// is issued), exactly like BlkMovTo.
-func BlkMovToV[T any](c Ctx, owner NodeID, elemBytes int, srcs, dsts [][]T, f *Frame, slot int) {
-	if len(srcs) != len(dsts) {
-		panic("earth: BlkMovToV block-count mismatch")
-	}
-	total := 0
-	tmp := make([][]T, len(srcs))
-	for i := range srcs {
-		if len(srcs[i]) != len(dsts[i]) {
-			panic("earth: BlkMovToV length mismatch")
-		}
-		total += len(srcs[i]) * elemBytes
-		tmp[i] = append([]T(nil), srcs[i]...)
-	}
-	c.Put(owner, total, func() {
-		for i := range tmp {
-			copy(dsts[i], tmp[i])
-		}
-	}, f, slot)
 }
 
 // BlkMovBytesV is the untyped vectored block move: sizes[i] bytes whose
@@ -191,20 +97,3 @@ func SpawnBody(c Ctx, body ThreadBody) {
 	f.SetThread(0, body)
 	c.Spawn(f, 0)
 }
-
-// InvokeArgs models INVOKE with an explicit argument byte count computed
-// from a list of value sizes (the paper reports e.g. "3 integers and 2
-// doubles = 28 bytes").
-func InvokeArgs(c Ctx, node NodeID, body ThreadBody, sizes ...int) {
-	n := 0
-	for _, s := range sizes {
-		n += s
-	}
-	c.Invoke(node, n, body)
-}
-
-// ComputeUS charges n microseconds of modelled computation.
-func ComputeUS(c Ctx, us float64) { c.Compute(sim.FromMicroseconds(us)) }
-
-// ComputeMS charges n milliseconds of modelled computation.
-func ComputeMS(c Ctx, ms float64) { c.Compute(sim.FromMilliseconds(ms)) }

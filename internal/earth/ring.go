@@ -18,9 +18,6 @@ type Ring[T any] struct {
 // Len returns the number of queued elements.
 func (q *Ring[T]) Len() int { return q.n }
 
-// Cap returns the number of elements the ring holds before it next grows.
-func (q *Ring[T]) Cap() int { return len(q.buf) }
-
 // Push appends v at the back, doubling the buffer when it is full.
 func (q *Ring[T]) Push(v T) {
 	if q.n == len(q.buf) {

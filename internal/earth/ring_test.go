@@ -24,10 +24,10 @@ func TestRingAgainstSliceModel(t *testing.T) {
 		case r < pushBias || len(model) == 0:
 			v := new(int)
 			*v = step
-			before := q.Cap()
+			before := len(q.buf)
 			q.Push(v)
 			model = append(model, v)
-			if q.Cap() != before {
+			if len(q.buf) != before {
 				growths++
 			}
 		case r == 9:
@@ -82,10 +82,10 @@ func TestRingAgainstSliceModel(t *testing.T) {
 	for q.Len() < 5 {
 		q.Push(new(int))
 	}
-	kept, first := q.Cap(), &q.buf[0]
+	kept, first := len(q.buf), &q.buf[0]
 	q.Reset()
-	if q.Len() != 0 || q.Cap() != kept || &q.buf[0] != first {
-		t.Fatalf("after Reset: Len %d, Cap %d (was %d), same buffer %v", q.Len(), q.Cap(), kept, &q.buf[0] == first)
+	if q.Len() != 0 || len(q.buf) != kept || &q.buf[0] != first {
+		t.Fatalf("after Reset: Len %d, buffer %d (was %d), same buffer %v", q.Len(), len(q.buf), kept, &q.buf[0] == first)
 	}
 	for i, p := range q.buf {
 		if p != nil {

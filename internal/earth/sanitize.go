@@ -13,10 +13,9 @@ import (
 // half is internal/analysis/framelint). With Config.Sanitize set, the
 // engines attach a signal ledger to every frame they touch and, at
 // quiescence, scan the ledgers for violations the static analyzer cannot
-// prove: one-shot slots signalled past exhaustion, Adds that would have
-// driven a counter negative, slots still armed when the program ended
-// (the lost-thread deadlock shape) and installed thread bodies that never
-// dispatched.
+// prove: one-shot slots signalled past exhaustion, slots still armed
+// when the program ended (the lost-thread deadlock shape) and installed
+// thread bodies that never dispatched.
 //
 // The report is aggregated over structural facts only — finding kind,
 // the frame's home node and shape, the slot or thread index, and the
@@ -33,10 +32,6 @@ const (
 	// Without Sanitize this is the "sync on exhausted one-shot slot"
 	// panic; Count is the number of swallowed signals.
 	SanOverflow SanitizeKind = iota
-	// SanUnderflow: Frame.Add would have driven the slot counter to <= 0
-	// (slots fire through Sync, never Add). Count is the number of
-	// rejected Adds.
-	SanUnderflow
 	// SanPendingSlot: a one-shot slot was still armed at quiescence — the
 	// signals its InitSync count promised never all arrived, so the
 	// enabled thread was silently lost. Count is the residual counter.
@@ -49,7 +44,6 @@ const (
 
 var sanitizeKindNames = [numSanitizeKinds]string{
 	SanOverflow:       "slot-overflow",
-	SanUnderflow:      "add-underflow",
 	SanPendingSlot:    "pending-slot",
 	SanThreadNeverRan: "thread-never-ran",
 }
@@ -86,8 +80,8 @@ type SanitizeFinding struct {
 	// Index is the slot (or, for SanThreadNeverRan, thread) involved.
 	Index int
 	// Count is the violation magnitude per frame: swallowed signals
-	// (SanOverflow), rejected Adds (SanUnderflow), residual counter
-	// (SanPendingSlot); zero for SanThreadNeverRan.
+	// (SanOverflow), residual counter (SanPendingSlot); zero for
+	// SanThreadNeverRan.
 	Count int64
 	// Frames is how many identical frames merged into this finding.
 	Frames int
@@ -204,9 +198,6 @@ func BuildSanitizeReport(frames []*Frame) *SanitizeReport {
 			sl := &f.slots[s]
 			if n := f.san.overflow[s]; n > 0 {
 				add(SanOverflow, f, s, int64(n))
-			}
-			if n := f.san.underflow[s]; n > 0 {
-				add(SanUnderflow, f, s, int64(n))
 			}
 			if sl.inited && sl.reset == 0 && sl.count > 0 {
 				add(SanPendingSlot, f, s, int64(sl.count))

@@ -25,8 +25,7 @@ func sampleSanitizeReport() *SanitizeReport {
 	f2.SetThread(0, body)
 	f2.InitSync(0, 3, 0, 0)
 	f2.BeginSanitize()
-	f2.Add(0, -3) // underflow
-	f2.Dec(0)     // pending at 2; thread 0 never runs
+	f2.Dec(0) // pending at 2; thread 0 never runs
 
 	return BuildSanitizeReport([]*Frame{f1, f2})
 }

@@ -171,3 +171,16 @@ func TestWilkinsonKnownLargestEigenvalue(t *testing.T) {
 		t.Fatalf("largest W21+ eigenvalue = %v, want ~10.746194", got)
 	}
 }
+
+// Random returns a matrix with uniform random entries in [-1,1); its
+// spectrum is mostly well separated.
+func Random(n int, seed int64) *SymTridiag {
+	rng := rand.New(rand.NewSource(seed))
+	t := &SymTridiag{D: make([]float64, n), E: make([]float64, n)}
+	for i := range t.D {
+		t.D[i] = 2*rng.Float64() - 1
+		t.E[i] = 2*rng.Float64() - 1
+	}
+	t.E[0] = 0
+	return t
+}

@@ -777,9 +777,6 @@ type Verdict struct {
 	Corrupts int
 }
 
-// Faulted reports whether the verdict perturbs the message at all.
-func (v Verdict) Faulted() bool { return v.Drops > 0 || v.Dup || v.Delay > 0 || v.Corrupts > 0 }
-
 // Injector owns a plan's random stream and sequence numbering.
 // It is safe for concurrent use (livert calls it from every executor);
 // under simrt all calls come from the simulation goroutine in
@@ -832,9 +829,6 @@ func NewLaneInjector(plan *Plan, fallbackSeed int64, lane int) *Injector {
 	in.Reset()
 	return in
 }
-
-// Plan returns the injector's plan.
-func (in *Injector) Plan() *Plan { return in.plan }
 
 // Reset rewinds the random stream and the sequence numbering, so a
 // re-run of the same program sees the same fault sequence.

@@ -257,9 +257,6 @@ func TestCorruptVerdicts(t *testing.T) {
 	for i := 0; i < n; i++ {
 		v := in.Next(8)
 		total += v.Corrupts
-		if v.Corrupts > 0 && !v.Faulted() {
-			t.Fatal("corrupt verdict not Faulted")
-		}
 	}
 	if total == 0 {
 		t.Fatal("corrupt=0.3 drew no corruptions")

@@ -400,6 +400,8 @@ func (b *Basis) Reduce() *Basis {
 // IsGroebner verifies the Buchberger criterion: every S-polynomial of the
 // basis reduces to zero. This is an exact correctness check (quadratic in
 // basis size).
+//
+//unref:allow test oracle: the Buchberger criterion every basis test checks
 func (b *Basis) IsGroebner() bool {
 	for j := 1; j < len(b.Polys); j++ {
 		for i := 0; i < j; i++ {
@@ -431,6 +433,8 @@ func SameIdeal(a, b *Basis) bool {
 }
 
 // Equal reports whether two bases are identical as polynomial lists.
+//
+//unref:allow test oracle: sequential and parallel bases must be identical
 func (b *Basis) Equal(o *Basis) bool {
 	if len(b.Polys) != len(o.Polys) {
 		return false

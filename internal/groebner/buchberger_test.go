@@ -1,6 +1,7 @@
 package groebner
 
 import (
+	"fmt"
 	"testing"
 
 	"earth/internal/poly"
@@ -212,4 +213,43 @@ func TestSameIdealDetectsDifference(t *testing.T) {
 	if !SameIdeal(a, a) {
 		t.Fatal("ideal not equal to itself")
 	}
+}
+
+// Cyclic returns the cyclic n-roots system in a ring of n variables:
+// for d = 1..n-1 the sum of all cyclic products of d consecutive
+// variables, plus x_0...x_{n-1} - 1.
+func Cyclic(n int, ring *poly.Ring) []*poly.Poly {
+	if ring.N() != n {
+		panic(fmt.Sprintf("groebner: Cyclic-%d needs %d variables, ring has %d", n, n, ring.N()))
+	}
+	var F []*poly.Poly
+	for d := 1; d < n; d++ {
+		sum := ring.Zero()
+		for i := 0; i < n; i++ {
+			prod := ring.ConstInt(1)
+			for k := 0; k < d; k++ {
+				prod = prod.Mul(ring.Var((i + k) % n))
+			}
+			sum = sum.Add(prod)
+		}
+		F = append(F, sum)
+	}
+	prod := ring.ConstInt(1)
+	for i := 0; i < n; i++ {
+		prod = prod.Mul(ring.Var(i))
+	}
+	F = append(F, prod.Sub(ring.ConstInt(1)))
+	return F
+}
+
+// CyclicRing builds the conventional ring for Cyclic-n.
+func CyclicRing(n int, ord poly.Order, mod int64) *poly.Ring {
+	vars := make([]string, n)
+	for i := range vars {
+		vars[i] = fmt.Sprintf("x%d", i)
+	}
+	if mod == 0 {
+		return poly.NewRing(ord, vars...)
+	}
+	return poly.NewRingMod(ord, mod, vars...)
 }

@@ -7,8 +7,8 @@ import (
 	"earth/internal/poly"
 )
 
-// This file generates the paper's input systems. Katsura-n and Cyclic-n
-// are standard generated benchmarks. The exact "Lazard" input file used in
+// This file generates the paper's input systems. Katsura-n is a standard
+// generated benchmark. The exact "Lazard" input file used in
 // 1997 is not recoverable; Lazard() builds a 3-polynomial lex system whose
 // completion profile (tasks, additions, polynomial sizes) matches the
 // characteristics published in Table 2 — see DESIGN.md's substitution
@@ -57,45 +57,6 @@ func KatsuraRing(n int, ord poly.Order, mod int64) *poly.Ring {
 	vars := make([]string, n+1)
 	for i := range vars {
 		vars[i] = fmt.Sprintf("u%d", i)
-	}
-	if mod == 0 {
-		return poly.NewRing(ord, vars...)
-	}
-	return poly.NewRingMod(ord, mod, vars...)
-}
-
-// Cyclic returns the cyclic n-roots system in a ring of n variables:
-// for d = 1..n-1 the sum of all cyclic products of d consecutive
-// variables, plus x_0...x_{n-1} - 1.
-func Cyclic(n int, ring *poly.Ring) []*poly.Poly {
-	if ring.N() != n {
-		panic(fmt.Sprintf("groebner: Cyclic-%d needs %d variables, ring has %d", n, n, ring.N()))
-	}
-	var F []*poly.Poly
-	for d := 1; d < n; d++ {
-		sum := ring.Zero()
-		for i := 0; i < n; i++ {
-			prod := ring.ConstInt(1)
-			for k := 0; k < d; k++ {
-				prod = prod.Mul(ring.Var((i + k) % n))
-			}
-			sum = sum.Add(prod)
-		}
-		F = append(F, sum)
-	}
-	prod := ring.ConstInt(1)
-	for i := 0; i < n; i++ {
-		prod = prod.Mul(ring.Var(i))
-	}
-	F = append(F, prod.Sub(ring.ConstInt(1)))
-	return F
-}
-
-// CyclicRing builds the conventional ring for Cyclic-n.
-func CyclicRing(n int, ord poly.Order, mod int64) *poly.Ring {
-	vars := make([]string, n)
-	for i := range vars {
-		vars[i] = fmt.Sprintf("x%d", i)
 	}
 	if mod == 0 {
 		return poly.NewRing(ord, vars...)

@@ -21,21 +21,29 @@ func TestValidateRejectsNonFiniteBandwidth(t *testing.T) {
 }
 
 // TestSetLinkScale: a degradation callback stretches both the wire time
-// and the NIC reservation; factors <= 1 and a nil callback are no-ops.
+// and the NIC reservation (an unscaled message queued behind a scaled one
+// leaves later); factors <= 1 and a nil callback are no-ops.
 func TestSetLinkScale(t *testing.T) {
 	const nbytes = 5000 // 100us of serialisation at 50 MB/s
 	base := New(Default(4))
 	cleanArrival := base.Send(0, 0, 1, nbytes)
-	cleanNIC := base.NICFreeAt(0)
+	cleanNext := base.Send(0, 0, 1, nbytes)
 
 	m := New(Default(4))
-	m.SetLinkScale(func(at sim.Time, src, dst int) float64 { return 4 })
+	// Only a transmission starting at 0 is scaled; the next one queues
+	// behind it and goes out at the clean rate.
+	m.SetLinkScale(func(at sim.Time, src, dst int) float64 {
+		if at == 0 {
+			return 4
+		}
+		return 1
+	})
 	arrival := m.Send(0, 0, 1, nbytes)
 	if arrival <= cleanArrival {
 		t.Errorf("scaled arrival %v not later than clean %v", arrival, cleanArrival)
 	}
-	if nic := m.NICFreeAt(0); nic <= cleanNIC {
-		t.Errorf("scaled NIC reservation %v not later than clean %v", nic, cleanNIC)
+	if next := m.Send(0, 0, 1, nbytes); next <= cleanNext {
+		t.Errorf("message queued behind a scaled one arrives at %v, not later than clean %v", next, cleanNext)
 	}
 
 	// A factor <= 1 never speeds the link up.

@@ -203,12 +203,6 @@ func New(cfg Config) *Machine {
 	return &Machine{cfg: cfg, nicFreeAt: make([]sim.Time, cfg.Nodes)}
 }
 
-// Config returns the machine's static configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
-// Nodes returns the node count.
-func (m *Machine) Nodes() int { return m.cfg.Nodes }
-
 // Send computes the arrival time of a message of nbytes from src to dst
 // whose software send-side processing completes at time ready. It advances
 // src's NIC reservation: if the NIC is still transmitting an earlier
@@ -244,10 +238,6 @@ func (m *Machine) Send(ready sim.Time, src, dst, nbytes int) (arrival sim.Time) 
 func (m *Machine) SetLinkScale(fn func(at sim.Time, src, dst int) float64) {
 	m.linkScale = fn
 }
-
-// NICFreeAt exposes the current NIC reservation of a node (for tests and
-// statistics).
-func (m *Machine) NICFreeAt(node int) sim.Time { return m.nicFreeAt[node] }
 
 // Reset clears dynamic state so the machine can be reused for another run.
 func (m *Machine) Reset() {

@@ -75,8 +75,9 @@ func TestSendSerialisesNIC(t *testing.T) {
 	if a2-a1 != sim.Microsecond {
 		t.Errorf("second arrival %v, first %v: want 1us spacing", a2, a1)
 	}
-	if got := m.NICFreeAt(0); got != 2*sim.Microsecond {
-		t.Errorf("NIC reserved until %v, want 2us", got)
+	// A third waits for both: the NIC is reserved until 2us.
+	if a3 := m.Send(0, 0, 1, 50); a3-a1 != 2*sim.Microsecond {
+		t.Errorf("third arrival %v, first %v: want 2us spacing", a3, a1)
 	}
 }
 
@@ -85,8 +86,9 @@ func TestSendLocalBypassesNIC(t *testing.T) {
 	if got := m.Send(100, 1, 1, 1000); got != 100 {
 		t.Errorf("local send arrival = %v, want 100", got)
 	}
-	if m.NICFreeAt(1) != 0 {
-		t.Error("local send reserved the NIC")
+	// A remote send from the same node at the same instant leaves at once.
+	if got, want := m.Send(100, 1, 2, 50), New(Default(4)).Send(100, 1, 2, 50); got != want {
+		t.Errorf("remote send after a local one arrives at %v, want %v: the local send reserved the NIC", got, want)
 	}
 }
 
@@ -95,7 +97,7 @@ func TestSendIdleNICNoQueueing(t *testing.T) {
 	m.Send(0, 0, 1, 50) // NIC busy until 1us
 	// A message issued after the NIC is free starts immediately.
 	a := m.Send(10*sim.Microsecond, 0, 1, 50)
-	want := 10*sim.Microsecond + sim.Microsecond + m.Config().HopLatency
+	want := 10*sim.Microsecond + sim.Microsecond + Default(4).HopLatency
 	if a != want {
 		t.Errorf("arrival = %v, want %v", a, want)
 	}
@@ -105,9 +107,6 @@ func TestReset(t *testing.T) {
 	m := New(Default(2))
 	first := m.Send(0, 0, 1, 5000)
 	m.Reset()
-	if m.NICFreeAt(0) != 0 {
-		t.Error("Reset did not free the NIC")
-	}
 	if again := m.Send(0, 0, 1, 5000); again != first {
 		t.Errorf("after Reset the same send arrives at %v, want %v", again, first)
 	}

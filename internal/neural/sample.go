@@ -64,6 +64,8 @@ func addGradients(dst, src *Gradients) {
 // TrainBatch is the sequential reference: accumulate the gradients of one
 // batch at fixed weights, then apply the summed update once. Returns the
 // batch's pre-update loss.
+//
+//unref:allow test oracle: the sequential reference the parallel trainers must match bit for bit
 func (n *Net) TrainBatch(xs, ts [][]float32, lr float32) float64 {
 	acc := n.NewGradients()
 	var loss float64

@@ -29,7 +29,7 @@ func traceWorkload(c earth.Ctx) {
 	f.SetThread(0, func(c earth.Ctx) {})
 	for i := 0; i < 4; i++ {
 		c.Token(16, func(c earth.Ctx) {
-			earth.ComputeUS(c, 50)
+			c.Compute(50 * sim.Microsecond)
 			c.Put(0, 8, func() {}, f, 0)
 		})
 	}
@@ -39,7 +39,7 @@ func traceWorkload(c earth.Ctx) {
 		var v float64
 		earth.GetSyncF64(c, 2, src, &v, nil, 0)
 	})
-	c.Post(2, 8, func(c earth.Ctx) { earth.ComputeUS(c, 5) })
+	c.Post(2, 8, func(c earth.Ctx) { c.Compute(5 * sim.Microsecond) })
 }
 
 func runTracedSim(t *testing.T) *Recorder {
@@ -209,13 +209,13 @@ func runCrashTracedSim(t *testing.T) *Recorder {
 		f.SetThread(0, func(c earth.Ctx) {})
 		for i := 0; i < parts; i++ {
 			c.Invoke(earth.NodeID(i%4), 8, func(c earth.Ctx) {
-				earth.ComputeUS(c, 50)
+				c.Compute(50 * sim.Microsecond)
 				c.Sync(f, 0)
 			})
 		}
 		var spawn func(c earth.Ctx, depth int)
 		spawn = func(c earth.Ctx, depth int) {
-			earth.ComputeUS(c, 60)
+			c.Compute(60 * sim.Microsecond)
 			if depth == 0 {
 				return
 			}

@@ -39,16 +39,6 @@ func (m Mono) TotalDeg() int {
 	return d
 }
 
-// IsConstant reports whether all exponents are zero.
-func (m Mono) IsConstant() bool {
-	for _, e := range m {
-		if e != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports componentwise equality.
 func (m Mono) Equal(o Mono) bool {
 	if len(m) != len(o) {
@@ -108,22 +98,6 @@ func (m Mono) LCM(o Mono) Mono {
 	r := make(Mono, len(m))
 	for i := range m {
 		if m[i] >= o[i] {
-			r[i] = m[i]
-		} else {
-			r[i] = o[i]
-		}
-	}
-	return r
-}
-
-// GCD returns the greatest common divisor (componentwise min).
-func (m Mono) GCD(o Mono) Mono {
-	if len(m) != len(o) {
-		panic("poly: monomial arity mismatch")
-	}
-	r := make(Mono, len(m))
-	for i := range m {
-		if m[i] <= o[i] {
 			r[i] = m[i]
 		} else {
 			r[i] = o[i]

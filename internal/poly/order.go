@@ -74,17 +74,3 @@ func (GRevLex) Compare(a, b Mono) int {
 	}
 	return 0
 }
-
-// OrderByName resolves "lex", "grlex" or "grevlex"; it returns nil for
-// unknown names.
-func OrderByName(name string) Order {
-	switch name {
-	case "lex":
-		return Lex{}
-	case "grlex":
-		return GrLex{}
-	case "grevlex":
-		return GRevLex{}
-	}
-	return nil
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"strings"
 	"unicode"
 )
 
@@ -209,21 +208,3 @@ func (p *parser) skipSpace() {
 
 func isVarStart(c rune) bool { return unicode.IsLetter(c) || c == '_' }
 func isVarPart(c rune) bool  { return unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_' }
-
-// ParseSystem parses a semicolon- or newline-separated list of
-// polynomials.
-func (r *Ring) ParseSystem(s string) ([]*Poly, error) {
-	var out []*Poly
-	for _, line := range strings.FieldsFunc(s, func(c rune) bool { return c == ';' || c == '\n' }) {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		p, err := r.Parse(line)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}

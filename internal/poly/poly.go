@@ -157,33 +157,10 @@ func (p *Poly) LeadMono() Mono {
 // LeadCoef returns the leading coefficient. Panics on zero.
 func (p *Poly) LeadCoef() *big.Rat { return p.LeadTerm().Coef }
 
-// TotalDeg returns the maximum total degree of any term; -1 for zero.
-func (p *Poly) TotalDeg() int {
-	d := -1
-	for _, t := range p.Terms() {
-		if td := t.Mono.TotalDeg(); td > d {
-			d = td
-		}
-	}
-	return d
-}
-
 // Bytes models the polynomial's size in its compacted vector
 // representation: 8 bytes per coefficient plus 4 bytes per exponent entry
 // (the quantity Table 2 reports as "mean size of polynomial").
 func (p *Poly) Bytes() int { return p.NumTerms() * (8 + 4*p.ring.N()) }
-
-// Clone returns a deep copy.
-func (p *Poly) Clone() *Poly {
-	if p.packed() {
-		return &Poly{ring: p.ring, keys: slices.Clone(p.keys), coefs: slices.Clone(p.coefs)}
-	}
-	q := &Poly{ring: p.ring, terms: make([]Term, len(p.terms))}
-	for i, t := range p.terms {
-		q.terms[i] = Term{Coef: new(big.Rat).Set(t.Coef), Mono: t.Mono.Clone()}
-	}
-	return q
-}
 
 // Equal reports structural equality (same terms, same coefficients).
 func (p *Poly) Equal(q *Poly) bool {

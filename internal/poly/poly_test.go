@@ -57,11 +57,8 @@ func TestZeroAndConst(t *testing.T) {
 		t.Error("Const(0) not zero")
 	}
 	c := r.ConstInt(5)
-	if c.IsZero() || c.LeadCoef().Cmp(big.NewRat(5, 1)) != 0 || !c.LeadMono().IsConstant() {
+	if c.IsZero() || c.LeadCoef().Cmp(big.NewRat(5, 1)) != 0 || c.LeadMono().TotalDeg() != 0 {
 		t.Error("ConstInt(5) malformed")
-	}
-	if c.TotalDeg() != 0 || z.TotalDeg() != -1 {
-		t.Error("TotalDeg of constants wrong")
 	}
 }
 
@@ -169,16 +166,6 @@ func TestMonic(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	r := testRing()
-	p := r.MustParse("x + y")
-	q := p.Clone()
-	q.Terms()[0].Coef.SetInt64(99) // deliberate abuse of the shared view
-	if p.Terms()[0].Coef.Cmp(big.NewRat(99, 1)) == 0 {
-		t.Fatal("Clone aliases coefficients")
-	}
-}
-
 func TestImmutability(t *testing.T) {
 	r := testRing()
 	a := r.MustParse("x + y")
@@ -255,20 +242,6 @@ func TestParseErrors(t *testing.T) {
 		if _, err := r.Parse(s); err == nil {
 			t.Errorf("Parse(%q) succeeded", s)
 		}
-	}
-}
-
-func TestParseSystem(t *testing.T) {
-	r := testRing()
-	ps, err := r.ParseSystem("x + y; y^2 - z\n z - 1;;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 3 {
-		t.Fatalf("parsed %d polys", len(ps))
-	}
-	if _, err := r.ParseSystem("x; bogus"); err == nil {
-		t.Fatal("bad system parsed")
 	}
 }
 

@@ -314,18 +314,3 @@ func ReducesToZero(f *Poly, G []*Poly) bool {
 	nf, _ := NormalForm(f, G)
 	return nf.IsZero()
 }
-
-// LeadReducible reports whether any polynomial of G can reduce f's leading
-// term.
-func LeadReducible(f *Poly, G []*Poly) bool {
-	if f.IsZero() {
-		return false
-	}
-	lm := f.LeadMono()
-	for _, g := range G {
-		if g != nil && !g.IsZero() && g.LeadMono().Divides(lm) {
-			return true
-		}
-	}
-	return false
-}

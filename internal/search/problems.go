@@ -125,6 +125,8 @@ func (t *TSP) Solution(n TSPNode) (float64, bool) {
 
 // BruteForce returns the exact optimum by full enumeration (test oracle,
 // n <= 10).
+//
+//unref:allow test oracle: the exact optimum branch-and-bound is checked against
 func (t *TSP) BruteForce() float64 {
 	n := t.N()
 	perm := make([]int, 0, n)
@@ -219,6 +221,8 @@ func (p *Polymer) LeafValue(n PolymerNode) int64 {
 
 // KnownSAW3D holds the published counts of 3D cubic-lattice self-avoiding
 // walks, c_1..c_6 (test oracle).
+//
+//unref:allow test oracle: published walk counts the polymer search must reproduce
 var KnownSAW3D = []int64{6, 30, 150, 726, 3534, 16926}
 
 // ---------------------------------------------------------------------------

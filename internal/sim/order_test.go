@@ -27,34 +27,35 @@ func TestAtRejectsPast(t *testing.T) {
 	if msg := panicMessage(func() { fresh.At(-1, func() {}) }); !strings.Contains(msg, "before now") {
 		t.Errorf("At(-1) on a fresh engine: panic %q, want one naming the past", msg)
 	}
-	if fresh.Pending() != 0 {
-		t.Errorf("rejected event was queued: Pending = %d", fresh.Pending())
+	if at, ok := fresh.Peek(); ok {
+		t.Errorf("rejected event was queued at %d", at)
 	}
 	e := New()
 	var msg string
 	e.At(10, func() { msg = panicMessage(func() { e.At(e.Now()-1, func() {}) }) })
-	e.Run()
+	drain(e)
 	if !strings.Contains(msg, "before now") {
 		t.Errorf("At(now-1) mid-run: panic %q, want one naming the past", msg)
 	}
 }
 
 // TestNoNegativeTimes checks the clock cannot be moved below zero by a
-// negative deadline, so At's t >= now check keeps implying t >= 0.
+// negative window end, so At's t >= now check keeps implying t >= 0.
 func TestNoNegativeTimes(t *testing.T) {
 	e := New()
 	e.At(0, func() {})
-	if got := e.RunUntil(-5); got != 0 || e.Pending() != 1 {
-		t.Errorf("RunUntil(-5) = %d with %d pending, want 0 with 1", got, e.Pending())
+	if got := e.RunBefore(-5); got != 0 {
+		t.Errorf("RunBefore(-5) = %d, want 0", got)
 	}
-	if got := e.RunBefore(-5); got != 0 || e.Pending() != 1 {
-		t.Errorf("RunBefore(-5) = %d with %d pending, want 0 with 1", got, e.Pending())
+	if at, ok := e.Peek(); !ok || at != 0 {
+		t.Errorf("after RunBefore(-5) Peek = %d, %v; want the event at 0 still queued", at, ok)
 	}
 }
 
 func TestAfterOverflowPanics(t *testing.T) {
 	e := New()
-	e.RunUntil(10)
+	e.At(10, func() {})
+	e.Step()
 	msg := panicMessage(func() { e.After(math.MaxInt64, func() {}) })
 	if !strings.Contains(msg, "delay overflows Time") {
 		t.Errorf("After(MaxInt64) at now=10: panic %q, want \"delay overflows Time\"", msg)
@@ -118,6 +119,18 @@ func (m *orderModel) runWhile(limit int, ok func(Time) bool) (out []fired) {
 	return out
 }
 
+// peek is the earliest pending deadline, as Engine.Peek reports it.
+func (m *orderModel) peek() (Time, bool) {
+	if len(m.pending) == 0 {
+		return 0, false
+	}
+	at := m.pending[0].at
+	for _, ev := range m.pending[1:] {
+		at = min(at, ev.at)
+	}
+	return at, true
+}
+
 // satAdd is t + d clamped to the largest Time.
 func satAdd(t, d Time) Time {
 	if d > math.MaxInt64-t {
@@ -127,7 +140,8 @@ func satAdd(t, d Time) Time {
 }
 
 // orderHarness drives an Engine and the model with the same calls and
-// fails on the first dispatch, clock reading or queue length they disagree on.
+// fails on the first dispatch, clock reading or next deadline they disagree
+// on.
 type orderHarness struct {
 	t     *testing.T
 	e     *Engine
@@ -157,7 +171,7 @@ func (h *orderHarness) schedule(t, spawn Time) {
 }
 
 // run applies one run operation to both sides and compares what each
-// dispatched, then the clocks and the queue lengths.
+// dispatched, then the clocks and the earliest pending deadlines.
 func (h *orderHarness) run(op string, limit int, ok func(Time) bool, engine func()) {
 	h.t.Helper()
 	want := h.m.runWhile(limit, ok)
@@ -175,8 +189,10 @@ func (h *orderHarness) run(op string, limit int, ok func(Time) bool, engine func
 	if h.e.Now() != h.m.now {
 		h.t.Fatalf("%s: Now = %d, model %d", op, h.e.Now(), h.m.now)
 	}
-	if h.e.Pending() != len(h.m.pending) {
-		h.t.Fatalf("%s: Pending = %d, model %d", op, h.e.Pending(), len(h.m.pending))
+	next, queued := h.e.Peek()
+	wantNext, wantQueued := h.m.peek()
+	if next != wantNext || queued != wantQueued {
+		h.t.Fatalf("%s: Peek = %d, %v; model %d, %v", op, next, queued, wantNext, wantQueued)
 	}
 }
 
@@ -190,20 +206,9 @@ func (h *orderHarness) runBefore(end Time) {
 	h.run(fmt.Sprintf("RunBefore(%d)", end), -1, func(t Time) bool { return t < end }, func() { h.e.RunBefore(end) })
 }
 
-func (h *orderHarness) runUntil(deadline Time) {
-	h.t.Helper()
-	h.run(fmt.Sprintf("RunUntil(%d)", deadline), -1, func(t Time) bool { return t <= deadline }, func() {
-		// Called after the model has run: advance its clock as RunUntil does.
-		if h.m.now < deadline {
-			h.m.now = deadline
-		}
-		h.e.RunUntil(deadline)
-	})
-}
-
 func (h *orderHarness) drain() {
 	h.t.Helper()
-	h.run("Run", -1, func(Time) bool { return true }, func() { h.e.Run() })
+	h.run("drain", -1, func(Time) bool { return true }, func() { drain(h.e) })
 }
 
 // TestHeapSizesAgainstModel fills the queue to each size that gives the
@@ -251,20 +256,20 @@ func TestHeapSizesAgainstModel(t *testing.T) {
 var fuzzDeltas = [...]Time{0, 0, 1, 1, 2, 3, 17, 1000, math.MaxInt64 / 2, math.MaxInt64 - 1, math.MaxInt64}
 
 // FuzzEventOrder model-checks the event queue: the byte string drives
-// interleaved At / Step / RunBefore / RunUntil calls (two bytes per call:
-// operation, then delta), some events scheduling a follow-on when they
-// fire, and every dispatched (at, seq) must be the one the stable-sort
-// reference yields.
+// interleaved At / Step / RunBefore calls (two bytes per call: operation,
+// then delta), some events scheduling a follow-on when they fire, and every
+// dispatched (at, seq), the clock and the next deadline must be the ones
+// the stable-sort reference yields.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 5, 0})                             // three at one instant, then Step
-	f.Add([]byte{0, 10, 0, 9, 0, 8, 0, 0, 5, 0, 5, 0, 5, 0, 5, 0})    // near-MaxInt64 deadlines against now
-	f.Add([]byte{1, 2, 1, 0, 2, 3, 6, 6, 0, 1, 7, 2, 5, 0})           // spawners, RunBefore, RunUntil
-	f.Add([]byte{0, 7, 7, 8, 0, 0, 0, 2, 6, 10, 0, 0, 5, 0})          // clock jumps to the top half of the range
-	f.Add([]byte("\x00\x06\x01\x05\x02\x04\x03\x03\x04\x02\x00\x01" + // 30 events: three full levels
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 5, 0})                                // three at one instant, then Step
+	f.Add([]byte{0, 10, 0, 9, 0, 8, 0, 0, 5, 0, 5, 0, 5, 0, 5, 0})       // near-MaxInt64 deadlines against now
+	f.Add([]byte{3, 0x45, 4, 0x63, 6, 6, 0, 1, 6, 7, 5, 0})              // a follow-on scheduled inside a RunBefore window runs in it
+	f.Add([]byte{0, 7, 0, 8, 5, 0, 5, 0, 0, 0, 0, 2, 6, 10, 0, 0, 5, 0}) // clock jumps to the top half of the range
+	f.Add([]byte("\x00\x06\x01\x05\x02\x04\x03\x03\x04\x02\x00\x01" +    // 30 events: three full levels
 		"\x00\x00\x01\x06\x02\x05\x03\x04\x04\x03\x00\x02\x01\x01\x02\x00" +
 		"\x03\x06\x04\x05\x00\x04\x01\x03\x02\x02\x03\x01\x04\x00\x00\x06" +
-		"\x01\x05\x02\x04\x03\x03\x04\x02\x00\x01\x01\x00\x06\x07\x05\x00\x07\x06"))
+		"\x01\x05\x02\x04\x03\x03\x04\x02\x00\x01\x01\x00\x06\x07\x05\x00\x06\x06"))
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 1024 {
 			prog = prog[:1024] // the model is quadratic in the worst case
@@ -273,7 +278,7 @@ func FuzzEventOrder(f *testing.F) {
 		for i := 0; i+1 < len(prog); i += 2 {
 			d := fuzzDeltas[int(prog[i+1])%len(fuzzDeltas)]
 			target := satAdd(h.e.Now(), d)
-			switch op := prog[i] % 8; op {
+			switch op := prog[i] % 7; op {
 			case 0, 1, 2:
 				h.at(target, -1)
 			case 3, 4:
@@ -283,8 +288,6 @@ func FuzzEventOrder(f *testing.F) {
 				h.step()
 			case 6:
 				h.runBefore(target)
-			case 7:
-				h.runUntil(target)
 			}
 		}
 		h.drain()

@@ -151,13 +151,12 @@ func (h *eventHeap) popEvent() event {
 
 // Engine is a discrete-event simulation engine. The zero value is ready to
 // use. Engines are not safe for concurrent use: all events run on the
-// calling goroutine of Run.
+// goroutine that calls Step or RunBefore.
 type Engine struct {
-	now     Time
-	seq     uint64
-	pq      eventHeap
-	stopped bool
-	// Events counts the total number of events dispatched by Run.
+	now Time
+	seq uint64
+	pq  eventHeap
+	// Events counts the total number of events dispatched.
 	Events uint64
 }
 
@@ -166,9 +165,6 @@ func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Pending reports the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.pq) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // (t < Now) panics: it would corrupt causality. As the clock starts at 0,
@@ -194,39 +190,6 @@ func (e *Engine) After(d Time, fn func()) {
 	e.At(t, fn)
 }
 
-// Stop halts the run loop after the current event completes. Pending events
-// remain queued; a subsequent Run resumes them.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run dispatches events in timestamp order until the queue is empty or Stop
-// is called. It returns the final virtual time.
-func (e *Engine) Run() Time {
-	e.stopped = false
-	for !e.pq.isEmpty() && !e.stopped {
-		ev := e.pq.popEvent()
-		e.now = ev.at
-		e.Events++
-		ev.fn()
-	}
-	return e.now
-}
-
-// RunUntil dispatches events with timestamps <= deadline, then advances the
-// clock to deadline (if it is ahead of the last event) and returns.
-func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for !e.pq.isEmpty() && !e.stopped && e.pq.peek().at <= deadline {
-		ev := e.pq.popEvent()
-		e.now = ev.at
-		e.Events++
-		ev.fn()
-	}
-	if !e.stopped && e.now < deadline {
-		e.now = deadline
-	}
-	return e.now
-}
-
 // Peek returns the timestamp of the earliest pending event, or false when
 // the queue is empty. It does not advance the clock or dispatch anything.
 func (e *Engine) Peek() (Time, bool) {
@@ -245,8 +208,7 @@ func (e *Engine) Peek() (Time, bool) {
 // events that window work schedules for instants still before end are
 // dispatched in the same call.
 func (e *Engine) RunBefore(end Time) Time {
-	e.stopped = false
-	for !e.pq.isEmpty() && !e.stopped && e.pq.peek().at < end {
+	for !e.pq.isEmpty() && e.pq.peek().at < end {
 		ev := e.pq.popEvent()
 		e.now = ev.at
 		e.Events++

@@ -7,11 +7,18 @@ import (
 	"testing/quick"
 )
 
+// drain steps e until its queue is empty and returns the clock.
+func drain(e *Engine) Time {
+	for e.Step() {
+	}
+	return e.Now()
+}
+
 func TestZeroValueReady(t *testing.T) {
 	var e Engine
 	ran := false
 	e.After(5, func() { ran = true })
-	e.Run()
+	drain(&e)
 	if !ran {
 		t.Fatal("event did not run")
 	}
@@ -28,7 +35,7 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 		tm := tm
 		e.At(tm, func() { order = append(order, tm) })
 	}
-	e.Run()
+	drain(e)
 	if !sort.SliceIsSorted(order, func(i, j int) bool { return order[i] < order[j] }) {
 		t.Fatalf("events out of order: %v", order)
 	}
@@ -44,7 +51,7 @@ func TestFIFOTieBreak(t *testing.T) {
 		i := i
 		e.At(7, func() { order = append(order, i) })
 	}
-	e.Run()
+	drain(e)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("tie-broken events not FIFO at %d: got %d", i, v)
@@ -60,7 +67,7 @@ func TestNestedScheduling(t *testing.T) {
 		e.After(5, func() { trace = append(trace, "c") })
 		e.After(0, func() { trace = append(trace, "b") })
 	})
-	end := e.Run()
+	end := drain(e)
 	want := []string{"a", "b", "c"}
 	for i := range want {
 		if i >= len(trace) || trace[i] != want[i] {
@@ -82,7 +89,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}()
 		e.At(5, func() {})
 	})
-	e.Run()
+	drain(e)
 }
 
 func TestNegativeAfterPanics(t *testing.T) {
@@ -93,54 +100,6 @@ func TestNegativeAfterPanics(t *testing.T) {
 		}
 	}()
 	e.After(-1, func() {})
-}
-
-func TestStopAndResume(t *testing.T) {
-	e := New()
-	var n int
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i), func() {
-			n++
-			if n == 5 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if n != 5 {
-		t.Fatalf("ran %d events before stop, want 5", n)
-	}
-	e.Run()
-	if n != 10 {
-		t.Fatalf("ran %d events after resume, want 10", n)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var n int
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i*10), func() { n++ })
-	}
-	e.RunUntil(55)
-	if n != 5 {
-		t.Fatalf("ran %d events, want 5", n)
-	}
-	if e.Now() != 55 {
-		t.Fatalf("Now = %d, want 55 (advanced to deadline)", e.Now())
-	}
-	e.Run()
-	if n != 10 {
-		t.Fatalf("ran %d events total, want 10", n)
-	}
-}
-
-func TestRunUntilAdvancesClockWhenEmpty(t *testing.T) {
-	e := New()
-	e.RunUntil(1234)
-	if e.Now() != 1234 {
-		t.Fatalf("Now = %d, want 1234", e.Now())
-	}
 }
 
 func TestStep(t *testing.T) {
@@ -189,7 +148,7 @@ func TestClockMonotonicProperty(t *testing.T) {
 		for _, r := range raw {
 			schedule(0, Time(r))
 		}
-		e.Run()
+		drain(e)
 		return ran >= want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -215,7 +174,7 @@ func TestDeterminism(t *testing.T) {
 		}
 		spawn(0)
 		spawn(0)
-		e.Run()
+		drain(e)
 		return trace
 	}
 	a, b := run(), run()
@@ -287,7 +246,7 @@ func TestPeek(t *testing.T) {
 	if e.Now() != 0 {
 		t.Fatalf("Peek advanced the clock to %v", e.Now())
 	}
-	e.Run()
+	drain(e)
 	if _, ok := e.Peek(); ok {
 		t.Fatal("Peek after drain reported an event")
 	}
@@ -318,7 +277,7 @@ func TestRunBeforeStrictAndClock(t *testing.T) {
 	// Scheduling at any instant >= the last event stays legal even though
 	// the window bound was further out.
 	e.At(20, func() { ran = append(ran, 20) })
-	e.Run()
+	drain(e)
 	if len(ran) != 6 {
 		t.Fatalf("final run count %d; want 6", len(ran))
 	}
@@ -338,8 +297,8 @@ func TestRunBeforeFollowOnEvents(t *testing.T) {
 	if len(got) != 2 || got[0] != 10 || got[1] != 15 {
 		t.Fatalf("RunBefore(20) dispatched %v; want [10 15]", got)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d; want the out-of-window event to remain", e.Pending())
+	if at, ok := e.Peek(); !ok || at != 25 {
+		t.Fatalf("Peek = %v, %v; want the out-of-window event at 25 to remain", at, ok)
 	}
 }
 
@@ -349,8 +308,8 @@ func TestRunBeforeEmptyWindow(t *testing.T) {
 	if now := e.RunBefore(40); now != 0 {
 		t.Fatalf("RunBefore over an empty window moved the clock to %v", now)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d; want 1", e.Pending())
+	if at, ok := e.Peek(); !ok || at != 50 {
+		t.Fatalf("Peek = %v, %v; want the event at 50 to remain", at, ok)
 	}
 }
 
@@ -359,9 +318,9 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.After(Time(i%97), func() {})
-		if e.Pending() > 1024 {
-			e.Run()
+		if i%1024 == 1023 {
+			drain(e)
 		}
 	}
-	e.Run()
+	drain(e)
 }
