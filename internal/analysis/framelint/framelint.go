@@ -277,31 +277,9 @@ func (fa *funcAnalysis) analyze(decl *ast.FuncDecl) {
 	// in the source only via escapes, but keeping this flow-insensitive
 	// is simpler and safe).
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || as.Tok != token.DEFINE || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
+		if as, ok := n.(*ast.AssignStmt); ok {
+			fa.trackNewFrame(as)
 		}
-		lhs, ok := as.Lhs[0].(*ast.Ident)
-		if !ok || lhs.Name == "_" {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok || !isNewFrameCall(fa.pass, call) {
-			return true
-		}
-		obj := fa.pass.ObjectOf(lhs)
-		if obj == nil || fa.frames[obj] != nil {
-			return true
-		}
-		ff := &frameFacts{obj: obj, newPos: call.Pos(), threads: dynIndex, slots: dynIndex}
-		if v, ok := fa.intConst(call.Args[1]); ok {
-			ff.threads = v
-		}
-		if v, ok := fa.intConst(call.Args[2]); ok {
-			ff.slots = v
-		}
-		fa.frames[obj] = ff
-		fa.handled[lhs] = true
 		return true
 	})
 
@@ -349,6 +327,35 @@ func (fa *funcAnalysis) analyze(decl *ast.FuncDecl) {
 			fa.checkFrame(ff)
 		}
 	}
+}
+
+// trackNewFrame tracks the frame a local `f := NewFrame(home, T, S)`
+// defines, with T and S when they are constants.
+func (fa *funcAnalysis) trackNewFrame(as *ast.AssignStmt) {
+	if as.Tok != token.DEFINE || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return
+	}
+	lhs, ok := as.Lhs[0].(*ast.Ident)
+	if !ok || lhs.Name == "_" {
+		return
+	}
+	call, ok := as.Rhs[0].(*ast.CallExpr)
+	if !ok || !isNewFrameCall(fa.pass, call) {
+		return
+	}
+	obj := fa.pass.ObjectOf(lhs)
+	if obj == nil || fa.frames[obj] != nil {
+		return
+	}
+	ff := &frameFacts{obj: obj, newPos: call.Pos(), threads: dynIndex, slots: dynIndex}
+	if v, ok := fa.intConst(call.Args[1]); ok {
+		ff.threads = v
+	}
+	if v, ok := fa.intConst(call.Args[2]); ok {
+		ff.slots = v
+	}
+	fa.frames[obj] = ff
+	fa.handled[lhs] = true
 }
 
 // paramSummary extracts the facts recorded against parameter frames.

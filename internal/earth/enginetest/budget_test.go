@@ -40,7 +40,6 @@ var overBudget = map[string]struct {
 	"internal/critpath.walk":                 {124, "one backward walk whose edge cases (dispatch, message, steal, recovery hops) share the cursor state"},
 	"internal/critpath.buildIndex":           {116, "one counting pass and one fill pass over the stream, kept together so the table sizes stay exact"},
 	"internal/analysis/framework.BottomUp":   {111, "Tarjan's SCC order over the call graph, one algorithm"},
-	"internal/analysis/framelint.analyze":    {102, "the per-function walk that collects frame facts, one ast.Inspect switch"},
 }
 
 // goFiles calls fn for every Go file of the module outside bench/ and

@@ -32,6 +32,34 @@ func BenchmarkNeuralTrainStep(b *testing.B) {
 	}
 }
 
+// BenchmarkLayerForward is one layer of u units over u inputs, computed
+// one Dot per unit (kernel=unit) and four units per pass (kernel=layer).
+// The results are the same bits; the time is one dependent addition per
+// weight against four independent chains.
+func BenchmarkLayerForward(b *testing.B) {
+	for _, u := range []int{200, 720} {
+		net := Square(u, 1)
+		in := make([]float32, u)
+		for i := range in {
+			in[i] = float32(i) / float32(u)
+		}
+		dst := make([]float32, u)
+		b.Run(fmt.Sprintf("u=%d/kernel=unit", u), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j := range dst {
+					dst[j] = UnitForward(net.W1[j], net.B1[j], in)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("u=%d/kernel=layer", u), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				LayerForward(dst, net.W1, net.B1, in)
+			}
+		})
+	}
+}
+
 // BenchmarkNeuralClone720 is the copy every training cell of the harness
 // makes of the shared 720-unit network (harness/inputs.go).
 func BenchmarkNeuralClone720(b *testing.B) {

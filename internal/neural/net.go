@@ -74,9 +74,12 @@ func Sigmoid(x float32) float32 {
 }
 
 // Dot computes a unit's net input: the scalar product of the previous
-// layer's activations with the unit's weights plus its bias. float64
-// accumulation makes the result independent of the summation grouping,
-// so sequential and unit-parallel runs agree bitwise per unit.
+// layer's activations with the unit's weights plus its bias. Each product
+// of two float32s is exact in float64, but every addition rounds, so the
+// result depends on the order of the additions. The contract is the
+// order: starting from the bias, add the products in index order. Every
+// path that computes a unit's net input (LayerForward, the sequential and
+// the unit-parallel runs) keeps it, which is why they agree bit for bit.
 func Dot(w []float32, b float32, in []float32) float32 {
 	acc := float64(b)
 	for i, wi := range w {
@@ -90,6 +93,35 @@ func UnitForward(w []float32, b float32, in []float32) float32 {
 	return Sigmoid(Dot(w, b, in))
 }
 
+// LayerForward sets dst[u] = UnitForward(W[u], B[u], in) for every u of
+// dst; each row of W holds len(in) weights. It computes four units per
+// pass over in, converting each in[i] once. Every unit keeps its own
+// accumulator and adds its products in index order, as Dot does, so the
+// results are Dot's bit for bit: the four addition chains are independent
+// and overlap, where one chain waits for each addition before the next.
+// A unit's sum is never split across accumulators, which would regroup
+// it and change its bits. The fewer than four units left over go through
+// UnitForward.
+func LayerForward(dst []float32, W [][]float32, B []float32, in []float32) {
+	u := 0
+	for ; u+4 <= len(dst); u += 4 {
+		w0, w1, w2, w3 := W[u][:len(in)], W[u+1][:len(in)], W[u+2][:len(in)], W[u+3][:len(in)]
+		a0, a1, a2, a3 := float64(B[u]), float64(B[u+1]), float64(B[u+2]), float64(B[u+3])
+		for i, x := range in {
+			xf := float64(x)
+			a0 += float64(w0[i]) * xf
+			a1 += float64(w1[i]) * xf
+			a2 += float64(w2[i]) * xf
+			a3 += float64(w3[i]) * xf
+		}
+		dst[u], dst[u+1] = Sigmoid(float32(a0)), Sigmoid(float32(a1))
+		dst[u+2], dst[u+3] = Sigmoid(float32(a2)), Sigmoid(float32(a3))
+	}
+	for ; u < len(dst); u++ {
+		dst[u] = UnitForward(W[u], B[u], in)
+	}
+}
+
 // Forward runs a full forward pass, returning hidden and output
 // activations.
 func (n *Net) Forward(x []float32) (hidden, out []float32) {
@@ -97,13 +129,9 @@ func (n *Net) Forward(x []float32) (hidden, out []float32) {
 		panic(fmt.Sprintf("neural: input size %d, want %d", len(x), n.NIn))
 	}
 	hidden = make([]float32, n.NHid)
-	for j := range hidden {
-		hidden[j] = UnitForward(n.W1[j], n.B1[j], x)
-	}
+	LayerForward(hidden, n.W1, n.B1, x)
 	out = make([]float32, n.NOut)
-	for k := range out {
-		out[k] = UnitForward(n.W2[k], n.B2[k], hidden)
-	}
+	LayerForward(out, n.W2, n.B2, hidden)
 	return hidden, out
 }
 
@@ -157,8 +185,10 @@ func (n *Net) Backward(x, hidden, out, target []float32) (*Gradients, []float32)
 		}
 		g.DB2[k] = deltaOut[k]
 	}
-	// Back-propagated sums per hidden unit, float64-accumulated so the
-	// summation grouping does not matter.
+	// Back-propagated sums per hidden unit, float64-accumulated in output
+	// unit order. The sums round, so the order is part of the result: the
+	// unit-parallel run adds float32 partials per node and then up its
+	// tree, and agrees with these only to within rounding.
 	deltaHid := make([]float32, n.NHid)
 	for j := range deltaHid {
 		var acc float64

@@ -244,24 +244,105 @@ func TestCopyFromShapeMismatchPanics(t *testing.T) {
 	New(4, 3, 2, 1).CopyFrom(New(4, 3, 3, 1))
 }
 
-func TestDotFloat64AccumulationGroupingInvariance(t *testing.T) {
-	// Dot must not depend on slicing: computing in two halves (with the
-	// float64 accumulator carried) equals one pass. This underpins the
-	// bitwise agreement of unit-parallel and sequential runs.
-	rng := rand.New(rand.NewSource(9))
-	w := make([]float32, 101)
-	in := make([]float32, 101)
-	for i := range w {
-		w[i] = float32(rng.NormFloat64())
-		in[i] = float32(rng.NormFloat64())
+// spread draws a float32 of random sign whose binade is uniform over
+// 2^-20 .. 2^20.
+func spread(rng *rand.Rand) float32 {
+	v := float32(math.Ldexp(1+rng.Float64(), rng.Intn(41)-20))
+	if rng.Intn(2) == 0 {
+		return -v
 	}
-	full := Dot(w, 0.5, in)
-	// The parallel version computes whole units on one node, so grouping
-	// never actually splits a dot product; this is a consistency check of
-	// the shared helper.
-	again := Dot(w, 0.5, in)
-	if full != again {
-		t.Fatal("Dot not deterministic")
+	return v
+}
+
+// TestLayerForwardMatchesUnitForward: LayerForward's four-unit blocks and
+// its remainder give UnitForward's bits, for every remainder (1-9 units)
+// and for widths from 1 to Table 3's 720. Every product of the second
+// half of a row cancels one of the first half exactly, so a unit's net
+// input is the bias plus rounding residue only, and the residue depends
+// on the order of the additions: a kernel that split a unit's sum across
+// accumulators would change it.
+func TestLayerForwardMatchesUnitForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, width := range []int{1, 3, 80, 200, 720} {
+		in := make([]float32, width)
+		half := width / 2
+		pair := rng.Perm(width - half)
+		for i := 0; i < half; i++ {
+			in[i] = spread(rng)
+			in[half+pair[i]] = in[i]
+		}
+		if width%2 == 1 {
+			in[half+pair[half]] = float32(rng.NormFloat64())
+		}
+		for units := 1; units <= 9; units++ {
+			W := newMatrix(units, width)
+			B := make([]float32, units)
+			for u, row := range W {
+				for i := 0; i < half; i++ {
+					row[i] = spread(rng)
+					row[half+pair[i]] = -row[i]
+				}
+				if width%2 == 1 {
+					row[half+pair[half]] = float32(rng.NormFloat64())
+				}
+				B[u] = float32(rng.NormFloat64())
+			}
+			checkLayer(t, W, B, in)
+		}
+	}
+}
+
+// FuzzLayerForward compares LayerForward with UnitForward bit for bit on
+// fuzzed row counts, widths and float32 bit patterns (NaN and Inf read as
+// zero).
+func FuzzLayerForward(f *testing.F) {
+	f.Add(uint8(5), uint16(3), []byte{0x3f, 0x80, 0, 0, 0xc1, 0x20, 0, 0})
+	f.Add(uint8(9), uint16(80), []byte("a unit's products, added in index order"))
+	f.Fuzz(func(t *testing.T, rows uint8, width uint16, data []byte) {
+		units, n := 1+int(rows)%16, 1+int(width)%800
+		// The k-th value is the k-th word of data, cycled, plus k, so a
+		// short input still gives distinct values.
+		next := func(k int) float32 {
+			if len(data) < 4 {
+				return 0
+			}
+			o := 4 * (k % (len(data) / 4))
+			v := math.Float32frombits(binary.LittleEndian.Uint32(data[o:]) + uint32(k))
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				return 0
+			}
+			return v
+		}
+		k := 0
+		in := make([]float32, n)
+		for i := range in {
+			in[i] = next(k)
+			k++
+		}
+		W := newMatrix(units, n)
+		B := make([]float32, units)
+		for u, row := range W {
+			for i := range row {
+				row[i] = next(k)
+				k++
+			}
+			B[u] = next(k)
+			k++
+		}
+		checkLayer(t, W, B, in)
+	})
+}
+
+// checkLayer fails t for every unit whose LayerForward bits differ from
+// UnitForward's.
+func checkLayer(t *testing.T, W [][]float32, B, in []float32) {
+	t.Helper()
+	got := make([]float32, len(W))
+	LayerForward(got, W, B, in)
+	for u := range got {
+		if want := UnitForward(W[u], B[u], in); math.Float32bits(got[u]) != math.Float32bits(want) {
+			t.Errorf("%d units of width %d: unit %d is %v, UnitForward gives %v", len(W), len(in), u, got[u], want)
+		}
 	}
 }
 

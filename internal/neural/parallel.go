@@ -326,11 +326,8 @@ func (n *nnode) receive(snap *nnode) {
 func (st *pstate) hiddenPhase(c earth.Ctx, k int) {
 	earth.SpawnBody(c, func(c earth.Ctx) {
 		n := st.nodes[k]
-		own := st.cm.hidOwn[k]
-		for u := 0; u < own; u++ {
-			j := st.cm.hidStart[k] + u
-			n.packH[u] = UnitForward(st.net.W1[j], st.net.B1[j], n.lx)
-		}
+		own, lo := st.cm.hidOwn[k], st.cm.hidStart[k]
+		LayerForward(n.packH[:own], st.net.W1[lo:lo+own], st.net.B1[lo:lo+own], n.lx)
 		c.Compute(sim.Time(own) * st.cost.fwdUnit)
 		st.gather(c, k, phaseHidden)
 	})
@@ -441,37 +438,70 @@ func (st *pstate) afterHidden(c earth.Ctx) {
 func (st *pstate) outputPhase(c earth.Ctx, k int) {
 	earth.SpawnBody(c, func(c earth.Ctx) {
 		n := st.nodes[k]
-		own := st.cm.outOwn[k]
-		for u := 0; u < own; u++ {
-			o := st.cm.outStart[k] + u
-			n.packY[u] = UnitForward(st.net.W2[o], st.net.B2[o], n.lh)
-		}
+		own, lo := st.cm.outOwn[k], st.cm.outStart[k]
+		LayerForward(n.packY[:own], st.net.W2[lo:lo+own], st.net.B2[lo:lo+own], n.lh)
 		c.Compute(sim.Time(own) * st.cost.fwdUnit)
 		if st.cfg.Train {
 			// Combined forward/backward at the output units: deltas,
 			// W2 updates and the partial hidden sums.
-			for j := range n.partial {
-				n.partial[j] = 0
-			}
-			for u := 0; u < own; u++ {
-				o := st.cm.outStart[k] + u
-				d := OutputDelta(n.packY[u], n.lt[o])
-				// (LR*d)*x, in this order: the grouping is part of the
-				// result (TestParallelTrainingBitExact).
-				ld := learningRate * d
-				row := st.net.W2[o]
-				partial, lh := n.partial[:len(row)], n.lh[:len(row)]
-				for j, w := range row {
-					partial[j] += w * d
-					row[j] = w - ld*lh[j]
-				}
-				st.net.B2[o] -= ld
-			}
+			n.trainOutput(st.net.W2[lo:lo+own], st.net.B2[lo:lo+own], n.lt[lo:lo+own])
 			c.Compute(2 * sim.Time(own) * st.cost.backUnit)
 			st.reduceBack(c, k)
 		}
 		st.gather(c, k, phaseOutput)
 	})
+}
+
+// trainOutput is the training step of the output units whose weight
+// rows, biases and targets are W, B and t; n.packY holds their
+// activations. It sets n.partial to their back-propagated sums for every
+// hidden unit and updates the rows and biases. Four rows share a pass
+// over the hidden units, with each partial[j] kept in a register while
+// the four units' terms are added in unit order. Every sum thus sees the
+// same additions in the same order as with one row per pass, and every
+// weight the same update, so the bits do not depend on the blocking.
+func (n *nnode) trainOutput(W [][]float32, B, t []float32) {
+	partial, lh := n.partial, n.lh[:len(n.partial)]
+	for j := range partial {
+		partial[j] = 0
+	}
+	// (LR*d)*x, in this order: the grouping is part of the result
+	// (TestParallelTrainingBitExact).
+	u := 0
+	for ; u+4 <= len(W); u += 4 {
+		d0, d1 := OutputDelta(n.packY[u], t[u]), OutputDelta(n.packY[u+1], t[u+1])
+		d2, d3 := OutputDelta(n.packY[u+2], t[u+2]), OutputDelta(n.packY[u+3], t[u+3])
+		ld0, ld1, ld2, ld3 := learningRate*d0, learningRate*d1, learningRate*d2, learningRate*d3
+		r0, r1 := W[u][:len(lh)], W[u+1][:len(lh)]
+		r2, r3 := W[u+2][:len(lh)], W[u+3][:len(lh)]
+		for j, x := range lh {
+			w0, w1, w2, w3 := r0[j], r1[j], r2[j], r3[j]
+			p := partial[j]
+			p += w0 * d0
+			p += w1 * d1
+			p += w2 * d2
+			p += w3 * d3
+			partial[j] = p
+			r0[j] = w0 - ld0*x
+			r1[j] = w1 - ld1*x
+			r2[j] = w2 - ld2*x
+			r3[j] = w3 - ld3*x
+		}
+		B[u] -= ld0
+		B[u+1] -= ld1
+		B[u+2] -= ld2
+		B[u+3] -= ld3
+	}
+	for ; u < len(W); u++ {
+		d := OutputDelta(n.packY[u], t[u])
+		ld := learningRate * d
+		row := W[u][:len(lh)]
+		for j, w := range row {
+			partial[j] += w * d
+			row[j] = w - ld*lh[j]
+		}
+		B[u] -= ld
+	}
 }
 
 // reduceBack combines the partial back-propagated sums toward the central

@@ -66,9 +66,12 @@ func TestParallelTrainingMatchesSequential(t *testing.T) {
 	if math.Abs(res.Loss-seqLoss) > 1e-6*(1+math.Abs(seqLoss)) {
 		t.Fatalf("loss: parallel %v vs sequential %v", res.Loss, seqLoss)
 	}
-	// Weights after training must agree closely (tree-reduce order can
-	// differ from the sequential summation only in float32 rounding of
-	// the partial sums; float64 accumulation keeps them tight).
+	// Weights after training agree closely, not bitwise: the sequential
+	// Backward adds each hidden unit's back-propagated terms in float64 in
+	// output unit order, the parallel run adds them in float32 per node and
+	// then up its tree, and the two orders round differently. (The forward
+	// activations agree bitwise: both add a unit's products in index
+	// order.)
 	for j := range seqNet.W1 {
 		for i := range seqNet.W1[j] {
 			d := math.Abs(float64(seqNet.W1[j][i] - parNet.W1[j][i]))
