@@ -1,7 +1,6 @@
 // Command earthvet is the repo's domain-specific vet driver: it runs the
-// determinism and EARTH-API analyzers (detlint, synclint, locklint,
-// framelint) over the given package patterns and exits non-zero on any
-// finding.
+// determinism and EARTH-API analyzers (detlint, locklint, framelint)
+// over the given package patterns and exits non-zero on any finding.
 //
 // Usage:
 //
@@ -39,12 +38,10 @@ import (
 	"earth/internal/analysis/framelint"
 	"earth/internal/analysis/framework"
 	"earth/internal/analysis/locklint"
-	"earth/internal/analysis/synclint"
 )
 
 var analyzers = []*framework.Analyzer{
 	detlint.Analyzer,
-	synclint.Analyzer,
 	locklint.Analyzer,
 	framelint.Analyzer,
 }

@@ -47,10 +47,10 @@ func TestEarthvetRepoClean(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRegistry pins the driver's analyzer set: all four domain
+// TestAnalyzerRegistry pins the driver's analyzer set: all three domain
 // analyzers registered, distinct names, documented.
 func TestAnalyzerRegistry(t *testing.T) {
-	want := map[string]bool{"detlint": true, "synclint": true, "locklint": true, "framelint": true}
+	want := map[string]bool{"detlint": true, "locklint": true, "framelint": true}
 	seen := map[string]bool{}
 	for _, a := range analyzers {
 		if a.Name == "" || a.Doc == "" {

@@ -14,20 +14,32 @@
 //     ever initialises, and Spawn/InitSync naming a thread no SetThread
 //     ever installs — these panic at run time on first dispatch;
 //   - (b) statically countable over-signal of one-shot slots (more
-//     unconditional signal sites than the counter absorbs; the
-//     interprocedural version of synclint's intra-function check) and
-//     provable under-signal (every possible signal site counted, the
-//     counter can never reach zero: the enabled thread is silently lost
-//     — the deadlock shape the paper's split-phase discipline exists to
-//     prevent);
+//     unconditional signal sites than the counter absorbs) and provable
+//     under-signal (every possible signal site counted, the counter can
+//     never reach zero: the enabled thread is silently lost — the
+//     deadlock shape the paper's split-phase discipline exists to
+//     prevent). The over-signal half also runs on frames that escape and
+//     on parameter frames, over the sites visible in the function: code
+//     the analysis cannot see may add signals, never remove them;
 //   - (c) constant slot/thread indices out of range for the frame's
 //     NewFrame dimensions;
-//   - (d) vectored block moves (BlkMovBytesV) whose literal sizes and
-//     writes vectors have mismatched lengths — the runtime panics before
-//     any transfer;
 //   - (e) a thread body signalling the one-shot slot that enables that
 //     same thread: the slot is exhausted by the time the body runs, so
 //     the signal is guaranteed overflow.
+//
+// Checks on every call and literal, with no frame tracking (api.go):
+//
+//   - constant InitSync/NewFrame arguments the runtime rejects (count
+//     < 1, negative reset, thread or dimension);
+//   - (d) vectored block moves (BlkMovBytesV) whose literal sizes and
+//     writes vectors have mismatched lengths — the runtime panics before
+//     any transfer;
+//   - RetryPolicy/Config composite literals with negative numeric
+//     constants (Seed excluded: negative seeds are meaningful);
+//   - tracer emissions through a struct field (the engines' cached `tr`)
+//     without a nil guard — an unguarded emission crashes every
+//     untraced run — and, across packages, trace-event constants (Ev*)
+//     that are defined but never emitted.
 //
 // Like the repo's other analyzers, matching is keyed on type and method
 // names (Frame, Ctx, the ops helpers), not import paths, so the checks
@@ -35,21 +47,16 @@
 // summaries (framework.BottomUp) fold the frame effects of same-package
 // callees into the caller; frames passed to functions the analysis
 // cannot see — other packages, recursion cycles, stores into structures
-// — are treated as escaped and skipped rather than guessed about.
-//
-// framelint patrols the determinism-critical application packages (the
-// paper workloads and their example drivers); engine internals are
-// covered by synclint/locklint/detlint.
+// — are treated as escaped, and only their over-signal is checked.
 package framelint
 
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
-	"strings"
 
 	"earth/internal/analysis/framework"
 )
@@ -59,28 +66,11 @@ var Analyzer = &framework.Analyzer{
 	Name: "framelint",
 	Doc: "verify the split-phase sync contract: uninitialised slots, uninstalled " +
 		"threads, one-shot over/under-signalling, out-of-range indices, vectored " +
-		"block-move shape mismatches and signals after the terminal thread",
-	Run: run,
-}
-
-// scopePkgs is the exact-path half of the patrol scope: the paper's
-// application kernels, whose frame graphs the conformance experiments
-// depend on.
-var scopePkgs = map[string]bool{
-	"earth/internal/neural":   true,
-	"earth/internal/eigen":    true,
-	"earth/internal/groebner": true,
-	"earth/internal/rewrite":  true,
-	"earth/internal/search":   true,
-}
-
-// InScope reports whether framelint patrols the package. The example
-// drivers ride along; testdata modules (module path earthvet.test) are
-// always in scope.
-func InScope(path string) bool {
-	return scopePkgs[path] ||
-		strings.HasPrefix(path, "earth/examples/") ||
-		strings.HasPrefix(path, "earthvet.test")
+		"block-move shape mismatches, signals after the terminal thread, constant " +
+		"frame arguments the runtime rejects, negative RetryPolicy/Config constants, " +
+		"unemitted Ev* trace constants and unguarded tracer emissions",
+	Run:    run,
+	Finish: finish,
 }
 
 // dynIndex marks a slot or thread index the analysis cannot resolve to a
@@ -142,9 +132,6 @@ type summary struct {
 }
 
 func run(pass *framework.Pass) (any, error) {
-	if !InScope(pass.Path()) {
-		return nil, nil
-	}
 	summaries := map[*types.Func]*summary{}
 	framework.BottomUp(pass, func(fn *types.Func, decl *ast.FuncDecl, recursive bool) {
 		fa := &funcAnalysis{
@@ -162,7 +149,7 @@ func run(pass *framework.Pass) (any, error) {
 		}
 		summaries[fn] = fa.paramSummary(decl)
 	})
-	return nil, nil
+	return checkAPI(pass), nil
 }
 
 // funcAnalysis carries the per-function state.
@@ -175,34 +162,15 @@ type funcAnalysis struct {
 
 // --- type helpers -------------------------------------------------------
 
-func namedOf(t types.Type) *types.Named {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, _ := t.(*types.Named)
-	return n
-}
-
 // isFrameType reports whether t is (a pointer to) a named type Frame.
 func isFrameType(t types.Type) bool {
-	n := namedOf(t)
+	n := framework.NamedOf(t)
 	return n != nil && n.Obj().Name() == "Frame"
-}
-
-func (fa *funcAnalysis) intConst(e ast.Expr) (int64, bool) {
-	tv, ok := fa.pass.TypesInfo().Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-		return 0, false
-	}
-	return constant.Int64Val(tv.Value)
 }
 
 // constIdx resolves e to a constant index, or dynIndex.
 func (fa *funcAnalysis) constIdx(e ast.Expr) int64 {
-	if v, ok := fa.intConst(e); ok {
+	if v, ok := fa.pass.IntConst(e); ok {
 		return v
 	}
 	return dynIndex
@@ -284,7 +252,7 @@ func (fa *funcAnalysis) analyze(decl *ast.FuncDecl) {
 	})
 
 	// Second sweep: record every recognised operation with its lexical
-	// context, and run the frame-independent vectored-shape check.
+	// context.
 	var stack []ast.Node
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		if n == nil {
@@ -293,9 +261,7 @@ func (fa *funcAnalysis) analyze(decl *ast.FuncDecl) {
 		}
 		stack = append(stack, n)
 		if call, ok := n.(*ast.CallExpr); ok {
-			ctx := fa.contextOf(stack)
-			fa.recordCall(call, ctx)
-			fa.checkVectorShapes(call)
+			fa.recordCall(call, stack)
 		}
 		return true
 	})
@@ -314,18 +280,13 @@ func (fa *funcAnalysis) analyze(decl *ast.FuncDecl) {
 		return true
 	})
 
-	// Contract checks run only for frames fully visible here: local,
-	// dimensioned, and never escaping.
 	objs := make([]types.Object, 0, len(fa.frames))
 	for obj := range fa.frames {
 		objs = append(objs, obj)
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i].Pos() < objs[j].Pos() })
 	for _, obj := range objs {
-		ff := fa.frames[obj]
-		if !ff.isParam && !ff.escaped {
-			fa.checkFrame(ff)
-		}
+		fa.checkFrame(fa.frames[obj])
 	}
 }
 
@@ -348,10 +309,10 @@ func (fa *funcAnalysis) trackNewFrame(as *ast.AssignStmt) {
 		return
 	}
 	ff := &frameFacts{obj: obj, newPos: call.Pos(), threads: dynIndex, slots: dynIndex}
-	if v, ok := fa.intConst(call.Args[1]); ok {
+	if v, ok := fa.pass.IntConst(call.Args[1]); ok {
 		ff.threads = v
 	}
-	if v, ok := fa.intConst(call.Args[2]); ok {
+	if v, ok := fa.pass.IntConst(call.Args[2]); ok {
 		ff.slots = v
 	}
 	fa.frames[obj] = ff
@@ -389,17 +350,8 @@ func (fa *funcAnalysis) paramSummary(decl *ast.FuncDecl) *summary {
 }
 
 func isNewFrameCall(pass *framework.Pass, call *ast.CallExpr) bool {
-	if len(call.Args) != 3 {
-		return false
-	}
-	var id *ast.Ident
-	switch f := call.Fun.(type) {
-	case *ast.Ident:
-		id = f
-	case *ast.SelectorExpr:
-		id = f.Sel
-	}
-	if id == nil || id.Name != "NewFrame" {
+	name, id := callName(call)
+	if name != "NewFrame" || len(call.Args) != 3 {
 		return false
 	}
 	fn, ok := pass.ObjectOf(id).(*types.Func)
@@ -415,10 +367,18 @@ type walkCtx struct {
 }
 
 // contextOf derives the lexical execution context of the node at the top
-// of the ancestor stack.
-func (fa *funcAnalysis) contextOf(stack []ast.Node) walkCtx {
+// of the ancestor stack, as seen by frame ff. An ancestor whose child on
+// the path also encloses ff's NewFrame runs that child once per frame it
+// creates, so it neither repeats nor guards that frame's operations: a
+// frame made and signalled inside one loop iteration or one closure call
+// is counted per instance. A frame made in an if/for/switch header is
+// not inside the body, so the body still guards or repeats its use.
+func (fa *funcAnalysis) contextOf(stack []ast.Node, ff *frameFacts) walkCtx {
 	ctx := walkCtx{inThread: dynIndex}
 	for i, n := range stack[:len(stack)-1] {
+		if child := stack[i+1]; child.Pos() <= ff.newPos && ff.newPos < child.End() {
+			continue
+		}
 		switch n := n.(type) {
 		case *ast.ForStmt, *ast.RangeStmt:
 			ctx.loop = true
@@ -527,7 +487,7 @@ func callName(call *ast.CallExpr) (string, *ast.Ident) {
 	return "", nil
 }
 
-func (fa *funcAnalysis) recordCall(call *ast.CallExpr, ctx walkCtx) {
+func (fa *funcAnalysis) recordCall(call *ast.CallExpr, stack []ast.Node) {
 	name, fnIdent := callName(call)
 	if fnIdent == nil {
 		return
@@ -539,7 +499,7 @@ func (fa *funcAnalysis) recordCall(call *ast.CallExpr, ctx walkCtx) {
 		if base := fa.rootFrameIdent(sel.X); base != nil {
 			if ff := fa.frames[fa.pass.ObjectOf(base)]; ff != nil {
 				fa.handled[base] = true
-				fa.recordFrameMethod(ff, name, call, ctx)
+				fa.recordFrameMethod(ff, name, call, fa.contextOf(stack, ff))
 				return
 			}
 		}
@@ -548,6 +508,7 @@ func (fa *funcAnalysis) recordCall(call *ast.CallExpr, ctx walkCtx) {
 	// Spawn(f, thread) — Ctx method.
 	if name == "Spawn" && len(call.Args) == 2 && isFrameType(fa.pass.TypeOf(call.Args[0])) {
 		if ff := fa.trackedArg(call.Args[0]); ff != nil {
+			ctx := fa.contextOf(stack, ff)
 			ff.spawns = append(ff.spawns, opSite{
 				pos: call.Pos(), loop: ctx.loop, cond: ctx.cond,
 				idx: fa.constIdx(call.Args[1]),
@@ -560,6 +521,7 @@ func (fa *funcAnalysis) recordCall(call *ast.CallExpr, ctx walkCtx) {
 	if fIdx, ok := signalFuncs[name]; ok && len(call.Args) == fIdx+2 &&
 		isFrameType(fa.pass.TypeOf(call.Args[fIdx])) {
 		if ff := fa.trackedArg(call.Args[fIdx]); ff != nil {
+			ctx := fa.contextOf(stack, ff)
 			ff.signals = append(ff.signals, opSite{
 				pos: call.Pos(), loop: ctx.loop, cond: ctx.cond,
 				idx:         fa.constIdx(call.Args[fIdx+1]),
@@ -596,7 +558,7 @@ func (fa *funcAnalysis) recordCall(call *ast.CallExpr, ctx walkCtx) {
 			ff.escaped = true
 			continue
 		}
-		fa.fold(ff, pf, call.Pos(), ctx)
+		fa.fold(ff, pf, call.Pos(), fa.contextOf(stack, ff))
 	}
 }
 
@@ -616,8 +578,8 @@ func (fa *funcAnalysis) recordFrameMethod(ff *frameFacts, name string, call *ast
 		}
 		s := opSite{pos: call.Pos(), loop: ctx.loop, cond: ctx.cond,
 			idx: fa.constIdx(call.Args[0]), enables: fa.constIdx(call.Args[3])}
-		s.count, s.hasCount = fa.intConst(call.Args[1])
-		s.reset, s.hasReset = fa.intConst(call.Args[2])
+		s.count, s.hasCount = fa.pass.IntConst(call.Args[1])
+		s.reset, s.hasReset = fa.pass.IntConst(call.Args[2])
 		ff.inits = append(ff.inits, s)
 	case "SetThread":
 		if len(call.Args) != 2 {
@@ -625,8 +587,16 @@ func (fa *funcAnalysis) recordFrameMethod(ff *frameFacts, name string, call *ast
 		}
 		ff.sets = append(ff.sets, opSite{pos: call.Pos(), loop: ctx.loop, cond: ctx.cond,
 			idx: fa.constIdx(call.Args[0])})
+	case "Dec":
+		// The engines' slot decrement, which every signal ends in; a
+		// direct call is one more signal site.
+		if len(call.Args) != 1 {
+			return
+		}
+		ff.signals = append(ff.signals, opSite{pos: call.Pos(), loop: ctx.loop, cond: ctx.cond,
+			idx: fa.constIdx(call.Args[0]), threadFrame: ctx.threadFrame, inThread: ctx.inThread})
 	default:
-		// Dec/ThreadBody/...: engine calls, no contract facts.
+		// ThreadBody/BeginSanitize/Sanitized: engine calls, no contract facts.
 	}
 }
 
@@ -671,63 +641,62 @@ func (fa *funcAnalysis) fold(ff, pf *frameFacts, pos token.Pos, ctx walkCtx) {
 	ff.signals = append(ff.signals, restamp(pf.signals, true)...)
 }
 
-// --- check (d): vectored block-move shapes ------------------------------
-
-// checkVectorShapes reports a BlkMovBytesV(c, owner, sizes, writes, f,
-// slot) whose sizes and writes are literals of different lengths.
-func (fa *funcAnalysis) checkVectorShapes(call *ast.CallExpr) {
-	if name, _ := callName(call); name != "BlkMovBytesV" || len(call.Args) < 4 {
-		return
-	}
-	ls, okS := litLen(call.Args[2])
-	lw, okW := litLen(call.Args[3])
-	if okS && okW && ls != lw {
-		fa.pass.Reportf(call.Pos(),
-			"BlkMovBytesV with %d sizes but %d writes; the vectored blocks must pair up one-to-one "+
-				"(the runtime panics before any transfer)", ls, lw)
-	}
-}
-
-// litLen returns the element count of a slice composite literal.
-func litLen(e ast.Expr) (int, bool) {
-	lit, ok := e.(*ast.CompositeLit)
-	if !ok {
-		return 0, false
-	}
-	return len(lit.Elts), true
-}
-
 // --- contract checks (a), (b), (c), (e) ---------------------------------
 
+// checkFrame runs the contract checks on one frame. A frame the function
+// sees whole — local, never escaping — gets every check. An escaped or
+// parameter frame gets only the over-signal half of (b), over the sites
+// visible here: code the analysis cannot see may add signals to its
+// slots, never remove them.
 func (fa *funcAnalysis) checkFrame(ff *frameFacts) {
-	name := ff.obj.Name()
+	fc := fa.newFrameChecks(ff)
+	if ff.isParam || ff.escaped {
+		fc.checkArity(nil, true)
+		return
+	}
+	fc.checkRanges()
+	fc.checkInstalled()
+	fc.checkArity(fc.checkTerminal(), false)
+}
 
-	// Dynamic-index operations make the corresponding maps uncountable;
-	// each check degrades independently.
-	dynInit := anyDyn(ff.inits)
-	dynSet := anyDyn(ff.sets)
-	dynSignal := anyDyn(ff.signals)
+// frameChecks is one frame's facts with the views the lettered checks
+// share. Dynamic-index operations make the corresponding views
+// uncountable; each check degrades independently.
+type frameChecks struct {
+	pass *framework.Pass
+	ff   *frameFacts
+	name string
 
-	initsBySlot := map[int64][]opSite{}
+	dynInit, dynSet, dynSignal bool
+
+	initsBySlot map[int64][]opSite // constant-slot inits
+	setThreads  map[int64]bool     // threads some SetThread installs
+	// signals are ff.signals with the multiplicity of the enclosing
+	// thread body — of this frame or another tracked one — folded into
+	// the flags: a body that can repeat makes its sites unbounded, a body
+	// that may never run makes them conditional. Indices match ff.signals.
+	signals []opSite
+}
+
+func (fa *funcAnalysis) newFrameChecks(ff *frameFacts) *frameChecks {
+	fc := &frameChecks{
+		pass: fa.pass, ff: ff, name: ff.obj.Name(),
+		dynInit: anyDyn(ff.inits), dynSet: anyDyn(ff.sets), dynSignal: anyDyn(ff.signals),
+		initsBySlot: map[int64][]opSite{},
+		setThreads:  map[int64]bool{},
+		signals:     slices.Clone(ff.signals),
+	}
 	for _, s := range ff.inits {
 		if s.idx != dynIndex {
-			initsBySlot[s.idx] = append(initsBySlot[s.idx], s)
+			fc.initsBySlot[s.idx] = append(fc.initsBySlot[s.idx], s)
 		}
 	}
-	setThreads := map[int64]bool{}
 	for _, s := range ff.sets {
-		setThreads[s.idx] = true
+		fc.setThreads[s.idx] = true
 	}
-
-	// Effective signal sites: the multiplicity of the enclosing thread
-	// body — of this frame or another tracked one — folded into the
-	// flags: a body that can repeat makes its sites unbounded, a body
-	// that may never run makes them conditional.
 	mult := threadMultInfo(ff)
-	signals := make([]opSite, len(ff.signals))
-	copy(signals, ff.signals)
-	for i := range signals {
-		s := &signals[i]
+	for i := range fc.signals {
+		s := &fc.signals[i]
 		if s.threadFrame == nil {
 			continue
 		}
@@ -744,124 +713,130 @@ func (fa *funcAnalysis) checkFrame(ff *frameFacts) {
 			s.cond = true // body never runs; don't count it as certain
 		}
 	}
+	return fc
+}
 
-	// (c) out-of-range constants against the NewFrame dimensions.
-	if ff.slots != dynIndex {
-		for _, s := range ff.inits {
-			if s.idx != dynIndex && s.idx >= ff.slots {
-				fa.pass.Reportf(s.pos, "InitSync on slot %d of frame %s, which has only %d slot(s)",
-					s.idx, name, ff.slots)
-			}
-		}
-		for _, s := range signals {
-			if s.idx != dynIndex && s.idx >= ff.slots {
-				fa.pass.Reportf(s.pos, "signal targets slot %d of frame %s, which has only %d slot(s)",
-					s.idx, name, ff.slots)
-			}
-		}
-	}
-	if ff.threads != dynIndex {
-		for _, s := range ff.sets {
-			if s.idx != dynIndex && s.idx >= ff.threads {
-				fa.pass.Reportf(s.pos, "SetThread id %d out of range for frame %s with %d thread(s)",
-					s.idx, name, ff.threads)
-			}
-		}
-		for _, s := range ff.spawns {
-			if s.idx != dynIndex && s.idx >= ff.threads {
-				fa.pass.Reportf(s.pos, "Spawn of thread %d out of range for frame %s with %d thread(s)",
-					s.idx, name, ff.threads)
-			}
-		}
-		for _, s := range ff.inits {
-			if s.enables != dynIndex && s.enables >= ff.threads {
-				fa.pass.Reportf(s.pos, "slot %d enables thread %d, but frame %s has only %d thread(s)",
-					s.idx, s.enables, name, ff.threads)
-			}
-		}
-	}
+func (fc *frameChecks) inRangeSlot(idx int64) bool {
+	return fc.ff.slots == dynIndex || idx < fc.ff.slots
+}
 
-	inRangeSlot := func(idx int64) bool {
-		return ff.slots == dynIndex || idx < ff.slots
-	}
-	inRangeThread := func(idx int64) bool {
-		return ff.threads == dynIndex || idx < ff.threads
-	}
+func (fc *frameChecks) inRangeThread(idx int64) bool {
+	return fc.ff.threads == dynIndex || idx < fc.ff.threads
+}
 
-	// (a) signals to slots no InitSync initialises.
-	if !dynInit {
-		for _, s := range signals {
-			if s.idx != dynIndex && inRangeSlot(s.idx) && len(initsBySlot[s.idx]) == 0 {
-				fa.pass.Reportf(s.pos,
+// checkRanges is check (c): constant indices against the NewFrame
+// dimensions.
+func (fc *frameChecks) checkRanges() {
+	ff, name := fc.ff, fc.name
+	for _, s := range ff.inits {
+		if s.idx != dynIndex && !fc.inRangeSlot(s.idx) {
+			fc.pass.Reportf(s.pos, "InitSync on slot %d of frame %s, which has only %d slot(s)",
+				s.idx, name, ff.slots)
+		}
+	}
+	for _, s := range fc.signals {
+		if s.idx != dynIndex && !fc.inRangeSlot(s.idx) {
+			fc.pass.Reportf(s.pos, "signal targets slot %d of frame %s, which has only %d slot(s)",
+				s.idx, name, ff.slots)
+		}
+	}
+	for _, s := range ff.sets {
+		if s.idx != dynIndex && !fc.inRangeThread(s.idx) {
+			fc.pass.Reportf(s.pos, "SetThread id %d out of range for frame %s with %d thread(s)",
+				s.idx, name, ff.threads)
+		}
+	}
+	for _, s := range ff.spawns {
+		if s.idx != dynIndex && !fc.inRangeThread(s.idx) {
+			fc.pass.Reportf(s.pos, "Spawn of thread %d out of range for frame %s with %d thread(s)",
+				s.idx, name, ff.threads)
+		}
+	}
+	for _, s := range ff.inits {
+		if s.enables != dynIndex && !fc.inRangeThread(s.enables) {
+			fc.pass.Reportf(s.pos, "slot %d enables thread %d, but frame %s has only %d thread(s)",
+				s.idx, s.enables, name, ff.threads)
+		}
+	}
+}
+
+// checkInstalled is check (a): signals to slots no InitSync initialises,
+// and enables or spawns of threads no SetThread installs.
+func (fc *frameChecks) checkInstalled() {
+	ff, name := fc.ff, fc.name
+	if !fc.dynInit {
+		for _, s := range fc.signals {
+			if s.idx != dynIndex && fc.inRangeSlot(s.idx) && len(fc.initsBySlot[s.idx]) == 0 {
+				fc.pass.Reportf(s.pos,
 					"signal targets slot %d of frame %s, but no InitSync ever initialises it "+
 						"(runtime: \"sync on uninitialised slot\")", s.idx, name)
 			}
 		}
 	}
-
-	// (a) enables/spawns of threads no SetThread installs.
-	if !dynSet {
-		for _, s := range ff.spawns {
-			if s.idx != dynIndex && inRangeThread(s.idx) && !setThreads[s.idx] {
-				fa.pass.Reportf(s.pos,
-					"Spawn of thread %d of frame %s, but no SetThread ever installs it "+
-						"(runtime: \"thread enabled but not set\")", s.idx, name)
-			}
-		}
-		for _, s := range ff.inits {
-			if s.enables != dynIndex && inRangeThread(s.enables) && !setThreads[s.enables] {
-				fa.pass.Reportf(s.pos,
-					"slot %d enables thread %d of frame %s, but no SetThread ever installs it",
-					s.idx, s.enables, name)
-			}
+	if fc.dynSet {
+		return
+	}
+	for _, s := range ff.spawns {
+		if s.idx != dynIndex && fc.inRangeThread(s.idx) && !fc.setThreads[s.idx] {
+			fc.pass.Reportf(s.pos,
+				"Spawn of thread %d of frame %s, but no SetThread ever installs it "+
+					"(runtime: \"thread enabled but not set\")", s.idx, name)
 		}
 	}
+	for _, s := range ff.inits {
+		if s.enables != dynIndex && fc.inRangeThread(s.enables) && !fc.setThreads[s.enables] {
+			fc.pass.Reportf(s.pos,
+				"slot %d enables thread %d of frame %s, but no SetThread ever installs it",
+				s.idx, s.enables, name)
+		}
+	}
+}
 
-	// (e) a thread body signalling its own gating one-shot slot: by the
-	// time the body runs the slot is exhausted, so the signal is a
-	// guaranteed overflow. Bodies of OTHER frames signalling this frame
-	// are the RSYNC completion idiom and exempt.
-	terminal := map[int64]bool{} // sites already reported by (e), excluded from (b)
-	for i, s := range ff.signals {
-		if s.idx == dynIndex || s.threadFrame != ff.obj || s.inThread == dynIndex {
+// checkTerminal is check (e): a thread body signalling its own gating
+// one-shot slot. By the time the body runs the slot is exhausted, so the
+// signal is a guaranteed overflow. Bodies of OTHER frames signalling
+// this frame are the RSYNC completion idiom and exempt. It returns the
+// indices of the sites it reported, which (b) does not count again.
+func (fc *frameChecks) checkTerminal() map[int]bool {
+	terminal := map[int]bool{}
+	for i, s := range fc.ff.signals {
+		if s.idx == dynIndex || s.threadFrame != fc.ff.obj || s.inThread == dynIndex {
 			continue
 		}
-		for _, init := range initsBySlot[s.idx] {
+		for _, init := range fc.initsBySlot[s.idx] {
 			if init.enables == s.inThread && init.hasReset && init.reset == 0 {
-				fa.pass.Reportf(s.pos,
+				fc.pass.Reportf(s.pos,
 					"thread %d signals slot %d of frame %s, but that one-shot slot is what enables "+
-						"thread %d — it is already exhausted when this runs", s.inThread, s.idx, name, s.inThread)
-				terminal[int64(i)] = true
+						"thread %d — it is already exhausted when this runs", s.inThread, s.idx, fc.name, s.inThread)
+				terminal[i] = true
 				break
 			}
 		}
 	}
+	return terminal
+}
 
-	// (b) one-shot signal arithmetic, per fully-resolved slot.
-	if dynSignal || dynInit {
+// checkArity is check (b): the one-shot signal arithmetic, per
+// fully-resolved slot, skipping the sites in terminal. overOnly drops the
+// under-signal half, which needs every site that can ever signal the
+// slot in view.
+func (fc *frameChecks) checkArity(terminal map[int]bool, overOnly bool) {
+	if fc.dynSignal || fc.dynInit {
 		return
 	}
-	slots := make([]int64, 0, len(initsBySlot))
-	for s := range initsBySlot {
+	slots := make([]int64, 0, len(fc.initsBySlot))
+	for s := range fc.initsBySlot {
 		slots = append(slots, s)
 	}
 	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
 	for _, slot := range slots {
-		if !inRangeSlot(slot) {
-			continue // already reported by the range check
-		}
-		inits := initsBySlot[slot]
-		if len(inits) != 1 {
-			continue // re-initialised: arity is flow-dependent
-		}
-		init := inits[0]
-		if init.loop || init.cond || !init.hasCount || !init.hasReset ||
-			init.reset != 0 || init.count < 1 {
+		init, ok := fc.oneShot(slot)
+		if !ok {
 			continue
 		}
 		certain, possible := 0, 0
 		unbounded := false
-		for i, s := range signals {
+		for i, s := range fc.signals {
 			if s.idx != slot {
 				continue
 			}
@@ -870,7 +845,7 @@ func (fa *funcAnalysis) checkFrame(ff *frameFacts) {
 				break
 			}
 			possible++
-			if !s.cond && !terminal[int64(i)] {
+			if !s.cond && !terminal[i] {
 				certain++
 			}
 		}
@@ -878,17 +853,31 @@ func (fa *funcAnalysis) checkFrame(ff *frameFacts) {
 			continue
 		}
 		if int64(certain) > init.count {
-			fa.pass.Reportf(init.pos,
+			fc.pass.Reportf(init.pos,
 				"one-shot slot %d of frame %s takes %d signal(s) but %d unconditional signal "+
 					"sites target it across the analysed flow; the extra sync is guaranteed overflow",
-				slot, name, init.count, certain)
-		} else if int64(possible) < init.count {
-			fa.pass.Reportf(init.pos,
+				slot, fc.name, init.count, certain)
+		} else if !overOnly && int64(possible) < init.count {
+			fc.pass.Reportf(init.pos,
 				"slot %d of frame %s promises %d signal(s) but only %d signal site(s) can ever "+
 					"target it; thread %s can never run (lost-thread deadlock)",
-				slot, name, init.count, possible, enablesName(init))
+				slot, fc.name, init.count, possible, enablesName(init))
 		}
 	}
+}
+
+// oneShot returns the slot's InitSync when its arity is countable: the
+// slot is in range (an out-of-range one is (c)'s), initialised exactly
+// once, unconditionally, outside loops, one-shot, with a constant count.
+func (fc *frameChecks) oneShot(slot int64) (opSite, bool) {
+	inits := fc.initsBySlot[slot]
+	if !fc.inRangeSlot(slot) || len(inits) != 1 {
+		return opSite{}, false
+	}
+	init := inits[0]
+	ok := !init.loop && !init.cond && init.hasCount && init.hasReset &&
+		init.reset == 0 && init.count >= 1
+	return init, ok
 }
 
 // multInfo answers, per thread of one frame, whether the analysed flow

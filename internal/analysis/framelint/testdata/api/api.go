@@ -13,6 +13,7 @@ func NewFrame(home NodeID, nthreads, nslots int) *Frame { return &Frame{Home: ho
 
 func (f *Frame) SetThread(id int, body ThreadBody) *Frame    { return f }
 func (f *Frame) InitSync(s, count, reset, thread int) *Frame { return f }
+func (f *Frame) Dec(s int) (fired bool, thread int)          { return false, 0 }
 
 type Ctx interface {
 	Node() NodeID
@@ -34,3 +35,60 @@ func Rsync(c Ctx, f *Frame, slot int) { c.Sync(f, slot) }
 func GetSyncI64(c Ctx, owner NodeID, src, dst *int, f *Frame, slot int) {}
 
 func BlkMovBytesV(c Ctx, owner NodeID, sizes []int, writes []func(), f *Frame, slot int) {}
+
+// RetryPolicy mirrors earth.RetryPolicy.
+type RetryPolicy struct {
+	Lease  int64
+	Jitter float64
+}
+
+// Config mirrors earth.Config.
+type Config struct {
+	Nodes     int
+	JitterPct float64
+	Seed      int64
+}
+
+// EventKind and the Ev* constants mirror the trace-event table. EvNever
+// is deliberately unemitted: the cross-package audit must flag it.
+type EventKind uint8
+
+const (
+	EvUsed EventKind = iota
+	EvAlsoUsed
+	EvNever // want `trace-event constant EvNever is defined but never emitted`
+	// EvTokenDeliver mirrors the remote-token arrival leg: ok.go emits it
+	// behind the nil guard, so the audit must stay quiet about it.
+	EvTokenDeliver
+	// EvGhostDeliver mirrors adding an arrival-leg constant without ever
+	// wiring the emission into an engine.
+	EvGhostDeliver // want `trace-event constant EvGhostDeliver is defined but never emitted`
+	// EvBatchFlush mirrors the coalescer's batch-flush event: ok.go emits
+	// it behind the nil guard and misuse.go without one.
+	EvBatchFlush
+	// EvPartitionFence mirrors the wrong-verdict fence event of the
+	// partition protocol: ok.go emits it behind the nil guard, so the
+	// audit must stay quiet about it.
+	EvPartitionFence
+	// EvFenced mirrors the stale-epoch message rejection event: misuse.go
+	// emits it without the guard, which must fire the guard check only.
+	EvFenced
+	// EvRejoined mirrors the partition-heal rejoin event; declared without
+	// ever wiring the emission into an engine, the audit must flag it.
+	EvRejoined // want `trace-event constant EvRejoined is defined but never emitted`
+)
+
+// Event mirrors earth.Event, including the latency and peer attribution
+// fields the deliver legs carry.
+type Event struct {
+	Time  int64
+	Dur   int64
+	Peer  int
+	Bytes int
+	Kind  EventKind
+}
+
+// Tracer mirrors earth.Tracer.
+type Tracer interface {
+	Event(Event)
+}

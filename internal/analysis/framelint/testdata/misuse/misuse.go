@@ -131,3 +131,113 @@ func TerminalViaHelper(c api.Ctx) {
 	installBad(c, f) // want `thread 0 signals slot 0 of frame f, but that one-shot slot is what enables thread 0`
 	c.Sync(f, 0)
 }
+
+// Check (b) on Get/Put: their completion legs count as signals too.
+func OverSignalSplitPhase(c api.Ctx) {
+	f := api.NewFrame(0, 2, 1)
+	f.SetThread(1, func(api.Ctx) {})
+	f.InitSync(0, 2, 0, 1) // want `one-shot slot 0 of frame f takes 2 signal\(s\) but 3 unconditional signal sites target it`
+	c.Get(1, 8, func() func() { return func() {} }, f, 0)
+	c.Put(1, 8, func() {}, f, 0)
+	c.Sync(f, 0)
+}
+
+// Check (b) per frame instance: a frame made inside a closure of unknown
+// multiplicity (here a returned program body) and signalled in the same
+// call is counted per instance, so its over-signal shows.
+func OverSignalPerInstance() api.ThreadBody {
+	return func(c api.Ctx) {
+		f := api.NewFrame(0, 1, 1)
+		f.SetThread(0, func(api.Ctx) {})
+		f.InitSync(0, 1, 0, 0) // want `one-shot slot 0 of frame f takes 1 signal\(s\) but 2 unconditional signal sites target it`
+		c.Sync(f, 0)
+		c.Sync(f, 0)
+	}
+}
+
+// Check (b) per loop iteration: each iteration makes its own frame.
+func OverSignalPerIteration(c api.Ctx, n int) {
+	for i := 0; i < n; i++ {
+		f := api.NewFrame(0, 1, 1)
+		f.SetThread(0, func(api.Ctx) {})
+		f.InitSync(0, 1, 0, 0) // want `one-shot slot 0 of frame f takes 1 signal\(s\) but 2 unconditional signal sites target it`
+		c.Sync(f, 0)
+		c.Sync(f, 0)
+	}
+}
+
+type holder struct{ frame *api.Frame }
+
+// Check (b) on a frame that escapes into a structure: whatever the
+// holder does later can only add signals, so the two visible here
+// already overflow the one-shot slot.
+func OverSignalEscaped(c api.Ctx) *holder {
+	f := api.NewFrame(0, 1, 1)
+	f.SetThread(0, func(api.Ctx) {})
+	f.InitSync(0, 1, 0, 0) // want `one-shot slot 0 of frame f takes 1 signal\(s\) but 2 unconditional signal sites target it`
+	c.Sync(f, 0)
+	c.Sync(f, 0)
+	return &holder{frame: f}
+}
+
+// Check (b) on a parameter frame of an exported function nothing in the
+// package calls: the over-signal is visible without any caller.
+func OverSignalParam(c api.Ctx, f *api.Frame) {
+	f.InitSync(0, 1, 0, 0) // want `one-shot slot 0 of frame f takes 1 signal\(s\) but 2 unconditional signal sites target it`
+	c.Sync(f, 0)
+	c.Put(1, 8, func() {}, f, 0)
+}
+
+// Constant InitSync arguments the runtime rejects. The frame is a
+// parameter, so only these per-call checks apply.
+func BadInitSync(f *api.Frame) {
+	f.InitSync(0, 0, 0, 1)  // want `InitSync with count 0`
+	f.InitSync(1, 2, -1, 1) // want `InitSync with negative reset -1`
+	f.InitSync(2, 1, 0, -2) // want `InitSync names negative thread -2`
+}
+
+// Constant NewFrame dimensions the runtime rejects.
+func BadNewFrame() {
+	_ = api.NewFrame(0, -1, 2) // want `NewFrame with negative thread count -1`
+	_ = api.NewFrame(0, 2, -3) // want `NewFrame with negative slot count -3`
+}
+
+func BadPolicies() (api.RetryPolicy, api.Config) {
+	p := api.RetryPolicy{
+		Lease:  -5,   // want `RetryPolicy.Lease given negative constant -5`
+		Jitter: -0.5, // want `RetryPolicy.Jitter given negative constant`
+	}
+	c := api.Config{
+		Nodes:     -4,   // want `Config.Nodes given negative constant -4`
+		JitterPct: -2.5, // want `Config.JitterPct given negative constant`
+	}
+	return p, c
+}
+
+// engine emits through a cached tracer field without the nil guard.
+type engine struct {
+	tr api.Tracer
+}
+
+func (e *engine) unguarded(now int64) {
+	e.tr.Event(api.Event{Time: now, Kind: api.EvAlsoUsed}) // want `e.tr.Event emission without a nil-tracer guard`
+}
+
+func (e *engine) wrongGuard(other api.Tracer, now int64) {
+	if other != nil {
+		e.tr.Event(api.Event{Time: now, Kind: api.EvAlsoUsed}) // want `e.tr.Event emission without a nil-tracer guard`
+	}
+}
+
+// unguardedFlush mirrors a coalescer flush that emits the batch event
+// without the nil-tracer guard: every untraced batched run would crash.
+func (e *engine) unguardedFlush(now int64, dst, bytes int) {
+	e.tr.Event(api.Event{Time: now, Peer: dst, Bytes: bytes, Kind: api.EvBatchFlush}) // want `e.tr.Event emission without a nil-tracer guard`
+}
+
+// unguardedStaleReject mirrors rejecting a stale-epoch message without
+// the nil-tracer guard: every untraced partitioned run would crash at
+// the first fenced delivery.
+func (e *engine) unguardedStaleReject(now int64, src int) {
+	e.tr.Event(api.Event{Time: now, Peer: src, Kind: api.EvFenced}) // want `e.tr.Event emission without a nil-tracer guard`
+}

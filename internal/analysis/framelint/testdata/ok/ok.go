@@ -89,6 +89,45 @@ func Escapes(c api.Ctx) {
 	c.Sync(f, 5)
 }
 
+// EscapesUnderCounted: only the over-signal half of (b) applies to a
+// frame that escapes — its holder may deliver the second signal.
+func EscapesUnderCounted(c api.Ctx) holder {
+	f := api.NewFrame(0, 1, 1)
+	f.SetThread(0, func(api.Ctx) {})
+	f.InitSync(0, 2, 0, 0)
+	c.Sync(f, 0)
+	return holder{frame: f}
+}
+
+// Arm initialises a slot of a parameter frame its callers signal: the
+// signals are out of view here, so no under-signal claim is made.
+func Arm(f *api.Frame) { f.InitSync(0, 2, 0, 0) }
+
+// DirectDec: the engines' slot decrement counts as a signal, so a slot
+// armed for two and decremented twice in each iteration's own frame is
+// neither over- nor under-signalled.
+func DirectDec(n int) {
+	for i := 0; i < n; i++ {
+		f := api.NewFrame(0, 1, 1)
+		f.SetThread(0, func(api.Ctx) {})
+		f.InitSync(0, 2, 0, 0)
+		f.Dec(0)
+		f.Dec(0)
+	}
+}
+
+// HeaderFrame: a frame made in an if header is not inside either branch,
+// so each branch's operations on it stay conditional.
+func HeaderFrame(c api.Ctx, pick bool) {
+	if f := api.NewFrame(0, 1, 1); pick {
+		f.SetThread(0, func(api.Ctx) {})
+		f.InitSync(0, 1, 0, 0)
+		c.Sync(f, 0)
+	} else {
+		c.Sync(f, 0)
+	}
+}
+
 // Allowed: a deliberate over-signal silenced with a reasoned directive.
 func Allowed(c api.Ctx) {
 	f := api.NewFrame(0, 1, 1)
@@ -136,5 +175,76 @@ func CrossFrame(c api.Ctx, done *api.Frame) {
 			cc.Sync(f, 0)
 		})
 		c.Sync(ef, 0)
+	}
+}
+
+// MatchedArity: a one-shot slot with exactly as many visible signals as
+// its count, a Sync and a Get's completion leg.
+func MatchedArity(c api.Ctx) {
+	f := api.NewFrame(0, 2, 1)
+	f.SetThread(1, func(api.Ctx) {})
+	f.InitSync(0, 2, 0, 1)
+	c.Sync(f, 0)
+	c.Get(1, 8, func() func() { return func() {} }, f, 0)
+}
+
+// Defaults: zero values select documented defaults, and negative seeds
+// are legitimate stream selectors.
+func Defaults() (api.RetryPolicy, api.Config) {
+	return api.RetryPolicy{Lease: 0, Jitter: 0.25},
+		api.Config{Nodes: 4, Seed: -9}
+}
+
+// engine emits through its cached tracer field behind the canonical nil
+// guard, in both plain and compound conditions.
+type engine struct {
+	tr    api.Tracer
+	extra bool
+}
+
+func (e *engine) guarded(now int64) {
+	if e.tr != nil {
+		e.tr.Event(api.Event{Time: now, Kind: api.EvUsed})
+	}
+	if e.extra && e.tr != nil {
+		e.tr.Event(api.Event{Time: now, Kind: api.EvAlsoUsed})
+	}
+}
+
+// multi fans out over locally filtered tracers: ident receivers are
+// exempt from the guard requirement.
+type multi []api.Tracer
+
+func (m multi) Event(e api.Event) {
+	for _, t := range m {
+		t.Event(e)
+	}
+}
+
+// deliver mirrors the engines' remote-token arrival emission: guarded,
+// with the placement latency and the sender attached.
+func (e *engine) deliver(now, issue int64, src int) {
+	if e.tr != nil {
+		e.tr.Event(api.Event{Time: now, Peer: src, Kind: api.EvTokenDeliver, Dur: now - issue})
+	}
+}
+
+// flushBatch mirrors the coalescer's flush path: the batch-flush event is
+// emitted behind the canonical nil guard, with the destination and the
+// summed payload attached.
+func (e *engine) flushBatch(now int64, dst, bytes, msgs int) {
+	if e.tr != nil {
+		e.tr.Event(api.Event{Time: now, Peer: dst, Bytes: bytes,
+			Kind: api.EvBatchFlush, Dur: int64(msgs)})
+	}
+}
+
+// fencePeer mirrors the epoch-fencing adoption emission: a survivor
+// records the wrong verdict against its silent peer behind the nil
+// guard, with the detection lease attached as the duration.
+func (e *engine) fencePeer(now, lease int64, peer int) {
+	if e.tr != nil {
+		e.tr.Event(api.Event{Time: now, Peer: peer,
+			Kind: api.EvPartitionFence, Dur: lease})
 	}
 }

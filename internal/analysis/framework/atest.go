@@ -103,7 +103,7 @@ func RunTest(t *testing.T, testdata string, a *Analyzer, patterns ...string) {
 // instead of silently dropping out of patrol. It must be called from a
 // test of a package inside the module.
 //
-//unref:allow test driver: each linter's TestScopeResolves calls it
+//unref:allow test driver: detlint's TestScopeResolves calls it
 func ScopeResolves(t *testing.T, scope map[string]bool) {
 	t.Helper()
 	root, err := os.Getwd()

@@ -1,7 +1,7 @@
 // Package framework is a deliberately small, dependency-free stand-in for
 // golang.org/x/tools/go/analysis: just enough of the Analyzer/Pass/
-// Diagnostic surface for the repo's own vet passes (detlint, synclint,
-// locklint) plus an analysistest-style "// want" test runner.
+// Diagnostic surface for the repo's own vet passes (detlint, locklint,
+// framelint) plus an analysistest-style "// want" test runner.
 //
 // The build environment for this repo is offline — no module proxy — so
 // x/tools cannot be a dependency; everything here is built on the standard
@@ -15,6 +15,7 @@ package framework
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -77,6 +78,37 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.TypesInfo.TypeOf(e) 
 // ObjectOf returns the object denoted by ident, or nil.
 func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return p.Pkg.TypesInfo.ObjectOf(id)
+}
+
+// IntConst returns the constant integer value of e, if it has one.
+func (p *Pass) IntConst(e ast.Expr) (int64, bool) {
+	tv, ok := p.Pkg.TypesInfo.Types[e]
+	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
+		return 0, false
+	}
+	return constant.Int64Val(tv.Value)
+}
+
+// MethodCallOn reports whether call is recv.name(...) with recv's named
+// type (through one pointer) called typeName. The analyzers key on type
+// and method names, not import paths, so their checks survive package
+// moves and run on self-contained testdata modules.
+func (p *Pass) MethodCallOn(call *ast.CallExpr, typeName, name string) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return false
+	}
+	n := NamedOf(p.TypeOf(sel.X))
+	return n != nil && n.Obj().Name() == typeName
+}
+
+// NamedOf returns t's named type through one pointer, or nil.
+func NamedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
 }
 
 // Reportf records a diagnostic at pos unless a //name:allow directive

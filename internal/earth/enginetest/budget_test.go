@@ -36,10 +36,9 @@ var overBudget = map[string]struct {
 	lines  int
 	reason string
 }{
-	"internal/analysis/framelint.checkFrame": {191, "the sync-contract checks (a)-(e) over one frame's facts share its degraded-index flags; a split wants a checks type first"},
-	"internal/critpath.walk":                 {124, "one backward walk whose edge cases (dispatch, message, steal, recovery hops) share the cursor state"},
-	"internal/critpath.buildIndex":           {116, "one counting pass and one fill pass over the stream, kept together so the table sizes stay exact"},
-	"internal/analysis/framework.BottomUp":   {111, "Tarjan's SCC order over the call graph, one algorithm"},
+	"internal/critpath.walk":               {124, "one backward walk whose edge cases (dispatch, message, steal, recovery hops) share the cursor state"},
+	"internal/critpath.buildIndex":         {116, "one counting pass and one fill pass over the stream, kept together so the table sizes stay exact"},
+	"internal/analysis/framework.BottomUp": {111, "Tarjan's SCC order over the call graph, one algorithm"},
 }
 
 // goFiles calls fn for every Go file of the module outside bench/ and
