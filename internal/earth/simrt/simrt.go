@@ -251,7 +251,7 @@ type Runtime struct {
 	// token re-placement at a boundary) enter the queue directly instead
 	// of the outbox.
 	atBarrier bool
-	// victimScratch is reused by pickVictim.
+	// victimScratch is matchSteals' victim list, reused across barriers.
 	victimScratch []*node
 	// Fault injection (nil injs means a clean run: every fault hook is a
 	// single pointer check). One injector lane per sender node, so verdict
@@ -1287,23 +1287,6 @@ func (rt *Runtime) depositToken(n *node, cursor sim.Time, tk token) sim.Time {
 		rt.eng.After(0, n.dispatchFn)
 	}
 	return cursor
-}
-
-// pickVictim returns a random node with a non-empty token pool, or nil.
-// The candidate list is scratch reused across calls. Only matchSteals
-// calls this (steal matching is barrier work).
-func (rt *Runtime) pickVictim(thief *node) *node {
-	candidates := rt.victimScratch[:0]
-	for _, v := range rt.nodes {
-		if v != thief && v.tokens.Len() > 0 {
-			candidates = append(candidates, v)
-		}
-	}
-	rt.victimScratch = candidates[:0]
-	if len(candidates) == 0 {
-		return nil
-	}
-	return candidates[thief.rand().Intn(len(candidates))]
 }
 
 // ctx implements earth.Ctx for one executing thread body.

@@ -211,17 +211,31 @@ func (rt *Runtime) barrier(vnow sim.Time) {
 // victim selection needs a consistent view of every pool; an unmatched
 // thief stays hungry and is retried at the next barrier, which models the
 // real runtime's steal-retry loop at window granularity.
+//
+// Each thief draws uniformly from the nodes whose pools are non-empty.
+// Issuing a request changes no pool (it travels as a message), so the list
+// is built once per barrier, on the first thief; a thief is dry, so it is
+// never in the list.
 func (rt *Runtime) matchSteals(vnow sim.Time) {
+	victims, listed := rt.victimScratch[:0], false
 	for _, th := range rt.nodes {
 		if !th.hungry || th.stealing || th.running ||
 			th.ready.Len() > 0 || th.tokens.Len() > 0 ||
 			rt.downNow(th.id) {
 			continue
 		}
-		v := rt.pickVictim(th)
-		if v == nil {
-			continue
+		if !listed {
+			for _, v := range rt.nodes {
+				if v.tokens.Len() > 0 {
+					victims = append(victims, v)
+				}
+			}
+			rt.victimScratch, listed = victims, true
 		}
+		if len(victims) == 0 {
+			break
+		}
+		v := victims[th.rand().Intn(len(victims))]
 		th.hungry = false
 		th.stealing = true
 		issue := vnow + rt.cfg.Costs.AsyncSend

@@ -20,6 +20,11 @@ import (
 // off-diagonal E (length n, E[0] unused).
 type SymTridiag struct {
 	D, E []float64
+	// counts holds CountBelow's answers at the points one sequential
+	// bisection visited, keyed by math.Float64bits of the point (see
+	// Tabulate). It is nil on a plain matrix and never written once
+	// Tabulate returns, so concurrent readers need no lock.
+	counts map[uint64]int
 }
 
 // N returns the dimension.
@@ -153,8 +158,17 @@ func (t *SymTridiag) Gershgorin() (lo, hi float64) {
 // CountBelow returns the number of eigenvalues strictly less than x,
 // using the Sturm sequence of leading principal minors (one O(n) pass,
 // the unit of computation the paper's Table 1 prices at 7.82 ms for
-// n = 1000 on the i860).
+// n = 1000 on the i860). A matrix from Tabulate answers the points its
+// bisection visited from its table, and computes any other point.
 func (t *SymTridiag) CountBelow(x float64) int {
+	if n, ok := t.counts[math.Float64bits(x)]; ok {
+		return n
+	}
+	return t.sturm(x)
+}
+
+// sturm is CountBelow's O(n) pass.
+func (t *SymTridiag) sturm(x float64) int {
 	const tiny = 1e-300
 	count := 0
 	q := t.D[0] - x
@@ -202,31 +216,60 @@ type Result struct {
 	DepthHist map[int]int
 }
 
+// newResult returns an empty Result, ready for emitLeaf.
+func newResult() *Result {
+	return &Result{MinDepth: math.MaxInt, DepthHist: map[int]int{}}
+}
+
+// rootInterval returns the search tree's root: t's Gershgorin interval,
+// widened marginally so no eigenvalue sits on a bound, with the counts at
+// its two ends.
+func rootInterval(t *SymTridiag, count func(float64) int) Interval {
+	lo, hi := t.Gershgorin()
+	lo -= 1e-9 * (1 + math.Abs(lo))
+	hi += 1e-9 * (1 + math.Abs(hi))
+	return Interval{Lo: lo, Hi: hi, NLo: count(lo), NHi: count(hi)}
+}
+
 // Bisect computes all eigenvalues of t to absolute tolerance tol,
 // sequentially. It panics on invalid input (programming error).
 func Bisect(t *SymTridiag, tol float64) *Result {
+	return bisect(t, tol, t.CountBelow)
+}
+
+// Tabulate runs Bisect(t, tol) and records every count it takes. It
+// returns that Result and a matrix that shares t's D and E and answers
+// those counts from a table, so a parallel run of the same search tree
+// (ParallelBisect at the same tol) reads its counts instead of redoing
+// them. The task tree is a pure function of the matrix: the simulated
+// runs still charge every count through Ctx.Compute, the host computes
+// each once.
+func Tabulate(t *SymTridiag, tol float64) (*SymTridiag, *Result) {
+	counts := map[uint64]int{}
+	res := bisect(t, tol, func(x float64) int {
+		n := t.CountBelow(x)
+		counts[math.Float64bits(x)] = n
+		return n
+	})
+	return &SymTridiag{D: t.D, E: t.E, counts: counts}, res
+}
+
+// bisect is Bisect with the Sturm counts taken through count.
+func bisect(t *SymTridiag, tol float64, count func(float64) int) *Result {
 	if err := t.Validate(); err != nil {
 		panic(err)
 	}
 	if tol <= 0 {
 		panic("eigen: tolerance must be positive")
 	}
-	res := &Result{MinDepth: math.MaxInt, DepthHist: map[int]int{}}
-	lo, hi := t.Gershgorin()
-	// Widen marginally so no eigenvalue sits on a bound.
-	span := hi - lo
-	lo -= 1e-9 * (1 + math.Abs(lo))
-	hi += 1e-9 * (1 + math.Abs(hi))
-	_ = span
-	root := Interval{Lo: lo, Hi: hi, NLo: t.CountBelow(lo), NHi: t.CountBelow(hi), Depth: 0}
+	res := newResult()
+	stack := []Interval{rootInterval(t, count)}
 	res.SturmCounts += 2
-
-	stack := []Interval{root}
 	for len(stack) > 0 {
 		iv := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		res.Tasks++
-		leaf, children := Step(t, iv, tol, res)
+		leaf, children := step(count, iv, tol, res)
 		if leaf != nil {
 			res.emitLeaf(*leaf)
 			continue
@@ -237,13 +280,13 @@ func Bisect(t *SymTridiag, tol float64) *Result {
 	return res
 }
 
-// Step processes one search node: it either resolves the interval as a
+// step processes one search node: it either resolves the interval as a
 // leaf (returning the leaf) or splits it at the midpoint (returning the
 // two children that still contain eigenvalues). It records Sturm counts
 // in res (which may be shared only in sequential use; parallel callers
 // pass a private Result per task and merge). This is the task body both
 // the sequential driver and the EARTH version execute.
-func Step(t *SymTridiag, iv Interval, tol float64, res *Result) (*Interval, []Interval) {
+func step(count func(float64) int, iv Interval, tol float64, res *Result) (*Interval, []Interval) {
 	if iv.Count() <= 0 {
 		// Empty intervals are pruned before being spawned; reaching here
 		// means the root contained nothing.
@@ -253,7 +296,7 @@ func Step(t *SymTridiag, iv Interval, tol float64, res *Result) (*Interval, []In
 		return &iv, nil
 	}
 	mid := 0.5 * (iv.Lo + iv.Hi)
-	nmid := t.CountBelow(mid)
+	nmid := count(mid)
 	res.SturmCounts++
 	var children []Interval
 	if nmid-iv.NLo > 0 {
@@ -282,6 +325,3 @@ func (r *Result) emitLeaf(iv Interval) {
 	}
 	r.DepthHist[iv.Depth]++
 }
-
-// MergeLeafStats folds leaf bookkeeping from a parallel run into r.
-func (r *Result) MergeLeafStats(iv Interval) { r.emitLeaf(iv) }

@@ -184,3 +184,27 @@ func Random(n int, seed int64) *SymTridiag {
 	t.E[0] = 0
 	return t
 }
+
+// FuzzSturmTable: a tabulated matrix's CountBelow equals the O(n) pass at
+// every point — each point the table holds, the fuzzed x, and ±0 — so a
+// hit or a miss never changes an answer.
+func FuzzSturmTable(f *testing.F) {
+	f.Add(int64(1), uint8(40), 0.0)
+	f.Add(int64(2), uint8(1), math.Copysign(0, -1))
+	f.Add(int64(3), uint8(200), 0.37)
+	f.Add(int64(4), uint8(9), math.Inf(-1))
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, x float64) {
+		m := Random(1+int(size)%96, seed)
+		tab, _ := Tabulate(m, 1e-4)
+		for bits, n := range tab.counts {
+			if p := math.Float64frombits(bits); m.sturm(p) != n {
+				t.Fatalf("table holds %d at %v, the Sturm pass gives %d", n, p, m.sturm(p))
+			}
+		}
+		for _, p := range []float64{x, -x, 0, math.Copysign(0, -1)} {
+			if got, want := tab.CountBelow(p), m.CountBelow(p); got != want {
+				t.Fatalf("CountBelow(%v): tabulated %d, plain %d", p, got, want)
+			}
+		}
+	})
+}

@@ -1,7 +1,6 @@
 package eigen
 
 import (
-	"math"
 	"sort"
 
 	"earth/internal/earth"
@@ -91,16 +90,13 @@ func ParallelBisect(rt earth.Runtime, t *SymTridiag, cfg ParallelConfig) *Parall
 	}
 	st := &taskState{
 		t: t, cfg: cfg, sturmCost: SturmCostFor(t.N()),
-		res:    &Result{MinDepth: 1 << 30, DepthHist: map[int]int{}},
+		res:    newResult(),
 		tasks:  make([]int, rt.P()),
 		sturms: make([]int, rt.P()),
 	}
 
 	stats := rt.Run(func(c earth.Ctx) {
-		lo, hi := t.Gershgorin()
-		lo -= 1e-9 * (1 + math.Abs(lo))
-		hi += 1e-9 * (1 + math.Abs(hi))
-		root := Interval{Lo: lo, Hi: hi, NLo: t.CountBelow(lo), NHi: t.CountBelow(hi)}
+		root := rootInterval(t, t.CountBelow)
 		c.Compute(2 * st.sturmCost)
 		st.bumpCounters(c, 0, 2)
 		if root.Count() <= 0 {
@@ -147,14 +143,14 @@ func (st *taskState) spawn(c earth.Ctx, iv Interval) {
 // spawn the children.
 func (st *taskState) run(c earth.Ctx, iv Interval) {
 	var scratch Result
-	leaf, children := Step(st.t, iv, st.cfg.Tol, &scratch)
+	leaf, children := step(st.t.CountBelow, iv, st.cfg.Tol, &scratch)
 	c.Compute(sim.Time(scratch.SturmCounts) * st.sturmCost)
 	st.bumpCounters(c, 1, scratch.SturmCounts)
 	if leaf != nil {
 		lv := *leaf
 		// Report the resolved interval to node 0 (a small synchronising
 		// store: two doubles and the counts).
-		c.Put(0, argBytes, func() { st.res.MergeLeafStats(lv) }, nil, 0)
+		c.Put(0, argBytes, func() { st.res.emitLeaf(lv) }, nil, 0)
 		return
 	}
 	for _, ch := range children {

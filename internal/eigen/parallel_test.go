@@ -2,6 +2,7 @@ package eigen
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"earth/internal/earth"
@@ -113,5 +114,68 @@ func TestSeqVirtualTime(t *testing.T) {
 	r := &Result{SturmCounts: 10}
 	if got := SeqVirtualTime(r, sim.Millisecond); got != 10*sim.Millisecond {
 		t.Fatalf("SeqVirtualTime = %v", got)
+	}
+}
+
+// TestTabulatedMatchesPlain: a parallel run on a tabulated matrix is the
+// plain run — the same task tree, eigenvalues, counts, depths and, on the
+// simulator, the same statistics to the event — on every machine size and
+// both argument variants, and on livert. A table taken at a looser
+// tolerance answers the points it holds and computes the rest, without
+// writing them, so it still gives Bisect's exact answer.
+func TestTabulatedMatchesPlain(t *testing.T) {
+	m := Clustered(120, 12, 4)
+	const tol = 1e-6
+	tab, seq := Tabulate(m, tol)
+	if want := Bisect(m, tol); !reflect.DeepEqual(seq, want) {
+		t.Fatal("Tabulate's Result differs from Bisect's")
+	}
+	for _, nodes := range []int{1, 4, 20} {
+		for _, args := range []ArgVariant{ArgsBlockMove, ArgsIndividual} {
+			cfg := ParallelConfig{Tol: tol, Args: args}
+			plain := ParallelBisect(simrt.New(earth.Config{Nodes: nodes, Seed: 7}), m, cfg)
+			tabd := ParallelBisect(simrt.New(earth.Config{Nodes: nodes, Seed: 7}), tab, cfg)
+			if !reflect.DeepEqual(tabd, plain) {
+				t.Errorf("simrt nodes=%d %v: tabulated run differs: tasks %d vs %d, sturms %d vs %d, elapsed %v vs %v, events %d vs %d",
+					nodes, args, tabd.Tasks, plain.Tasks, tabd.SturmCounts, plain.SturmCounts,
+					tabd.Stats.Elapsed, plain.Stats.Elapsed, tabd.Stats.Events, plain.Stats.Events)
+			}
+		}
+	}
+	plain := ParallelBisect(livert.New(earth.Config{Nodes: 4, Seed: 7}), m, ParallelConfig{Tol: tol})
+	tabd := ParallelBisect(livert.New(earth.Config{Nodes: 4, Seed: 7}), tab, ParallelConfig{Tol: tol})
+	if !reflect.DeepEqual(tabd.Result, plain.Result) {
+		t.Error("livert: tabulated run's Result differs from the plain run's")
+	}
+
+	loose, _ := Tabulate(m, 1e-3)
+	want := Bisect(m, tol)
+	if got := Bisect(loose, tol); !reflect.DeepEqual(got, want) {
+		t.Error("Bisect on a looser table differs from Bisect on the plain matrix")
+	}
+	got := ParallelBisect(simrt.New(earth.Config{Nodes: 4, Seed: 7}), loose, ParallelConfig{Tol: tol})
+	if !reflect.DeepEqual(got.Result, *want) {
+		t.Error("ParallelBisect on a looser table differs from Bisect on the plain matrix")
+	}
+	if fresh, _ := Tabulate(m, 1e-3); !reflect.DeepEqual(loose, fresh) {
+		t.Error("the misses wrote into the table")
+	}
+}
+
+// BenchmarkParallelBisect is one Figure 2 cell (the Table 1 workload on 20
+// simulated nodes) on the plain matrix and on the tabulated one.
+func BenchmarkParallelBisect(b *testing.B) {
+	m, tol := ClusterDiag(1000, 56, 35, 1), 3e-5
+	tab, _ := Tabulate(m, tol)
+	for _, bc := range []struct {
+		name string
+		m    *SymTridiag
+	}{{"plain", m}, {"tabulated", tab}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				ParallelBisect(simrt.New(earth.Config{Nodes: 20, Seed: 1}), bc.m, ParallelConfig{Tol: tol})
+			}
+		})
 	}
 }

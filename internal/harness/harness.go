@@ -207,10 +207,8 @@ func EigenWorkload(seed int64) (*eigen.SymTridiag, float64) {
 func Table1(cfg Config) *Report {
 	cfg = cfg.WithDefaults()
 	r := &Report{ID: "Table 1", Title: "Characteristics of ScaLAPACK Eigenvalue algorithm (1000x1000)"}
-	m, tol := EigenWorkload(cfg.Seed)
-	res := eigen.Bisect(m, tol)
-	cost := eigen.SturmCostFor(m.N())
-	seq := eigen.SeqVirtualTime(res, cost)
+	in := eigenInput(cfg.Seed)
+	res, seq := in.seq, in.seqTime()
 	meanStep := seq / sim.Time(res.Tasks)
 
 	r.add("problem size (sequential)     : %.0f msec", seq.Milliseconds())
@@ -232,16 +230,14 @@ func Table1(cfg Config) *Report {
 func Figure2(cfg Config) (*Report, []*stats.Series) {
 	cfg = cfg.WithDefaults()
 	r := &Report{ID: "Figure 2", Title: "Eigenvalue bisection speedups (vs sequential)"}
-	m, tol := EigenWorkload(cfg.Seed)
-	seqRes := eigen.Bisect(m, tol)
-	cost := eigen.SturmCostFor(m.N())
-	base := eigen.SeqVirtualTime(seqRes, cost)
+	in := eigenInput(cfg.Seed)
+	base := in.seqTime()
 
 	variants := []eigen.ArgVariant{eigen.ArgsBlockMove, eigen.ArgsIndividual}
 	names := []string{"eigen/" + variants[0].String(), "eigen/" + variants[1].String()}
 	series := speedupCurves(cfg, names, cfg.Nodes, 1, fixedBase(base), func(v, nodes, _ int) sim.Time {
 		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed})
-		return eigen.ParallelBisect(rt, m, eigen.ParallelConfig{Tol: tol, Args: variants[v]}).Stats.Elapsed
+		return eigen.ParallelBisect(rt, in.m, eigen.ParallelConfig{Tol: in.tol, Args: variants[v]}).Stats.Elapsed
 	})
 	r.addFigure(series...)
 	b20, _ := series[0].At(slices.Max(cfg.Nodes))
@@ -549,14 +545,13 @@ func AblationNNTree(cfg Config) *Report {
 func AblationEigenPlacement(cfg Config) *Report {
 	cfg = cfg.WithDefaults()
 	r := &Report{ID: "Ablation B", Title: "Eigenvalue load balancing: work stealing vs random placement"}
-	m, tol := EigenWorkload(cfg.Seed)
-	seqRes := eigen.Bisect(m, tol)
-	base := eigen.SeqVirtualTime(seqRes, eigen.SturmCostFor(m.N()))
+	in := eigenInput(cfg.Seed)
+	base := in.seqTime()
 	bals := []earth.Balancer{earth.BalanceSteal, earth.BalanceRandomPlace}
 	names := []string{bals[0].String(), bals[1].String()}
 	series := speedupCurves(cfg, names, cfg.Nodes, 1, fixedBase(base), func(v, nodes, _ int) sim.Time {
 		rt := simrt.New(earth.Config{Nodes: nodes, Seed: cfg.Seed, Balancer: bals[v]})
-		return eigen.ParallelBisect(rt, m, eigen.ParallelConfig{Tol: tol}).Stats.Elapsed
+		return eigen.ParallelBisect(rt, in.m, eigen.ParallelConfig{Tol: in.tol}).Stats.Elapsed
 	})
 	for v, s := range series {
 		r.addPeak(s, " max speedup", []string{"close to ideal", "~8 on 20 (Multipol)"}[v])

@@ -3,16 +3,18 @@ package harness
 import (
 	"sync"
 
+	"earth/internal/eigen"
 	"earth/internal/groebner"
 	"earth/internal/neural"
 	"earth/internal/sim"
 )
 
 // Experiment inputs that are pure functions of constants — the width-u
-// paper network, the sequential Gröbner completion of a paper input — are
-// built once per process and shared by every cell of every sweep. Nothing
-// that depends on Config (seeds, machines, runtimes) is kept here. See
-// DESIGN.md, "Inputs are built once, cells are independent".
+// paper network, the sequential Gröbner completion of a paper input, the
+// Table 1 matrix of a seed with its sequential bisection — are built once
+// per process and shared by every cell of every sweep. Nothing else that
+// depends on Config (machines, runtimes) is kept here. See DESIGN.md,
+// "Inputs are built once, cells are independent".
 
 // memo computes a value at most once per key — also when several pool
 // workers ask for a key first at the same moment — and keeps it for the
@@ -81,5 +83,32 @@ func sequentialBasis(in groebner.NamedInput) seqBasis {
 	return seqBases.get(in.Name, func() seqBasis {
 		b, err := groebner.Buchberger(in.F, in.Opt)
 		return seqBasis{b, err}
+	})
+}
+
+// eigenIn is the Table 1 workload of one seed: the matrix tabulated by its
+// sequential bisection (eigen.Tabulate), the tolerance, and that
+// bisection's Result.
+type eigenIn struct {
+	m   *eigen.SymTridiag
+	tol float64
+	seq *eigen.Result
+}
+
+// seqTime is the sequential bisection's modelled uniprocessor runtime.
+func (in eigenIn) seqTime() sim.Time {
+	return eigen.SeqVirtualTime(in.seq, eigen.SturmCostFor(in.m.N()))
+}
+
+var eigenInputs memo[int64, eigenIn]
+
+// eigenInput returns the Table 1 workload of a seed. Matrix and Result are
+// shared and read-only; the parallel cells read the sequential run's Sturm
+// counts from the matrix's table.
+func eigenInput(seed int64) eigenIn {
+	return eigenInputs.get(seed, func() eigenIn {
+		m, tol := EigenWorkload(seed)
+		tab, seq := eigen.Tabulate(m, tol)
+		return eigenIn{tab, tol, seq}
 	})
 }

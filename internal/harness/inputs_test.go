@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"earth/internal/eigen"
 	"earth/internal/neural"
 	"earth/internal/sim"
 )
@@ -38,6 +39,29 @@ func TestPaperNetsStayPristine(t *testing.T) {
 		if !seen[u] {
 			t.Errorf("no template for width %d: the experiments did not go through paperNetOf", u)
 		}
+	}
+}
+
+// TestEigenInputStaysPristine is what makes sharing one tabulated matrix
+// per seed safe: after Table 1, Figure 2 and Ablation B have run on a
+// four-worker pool, their cells reading the table concurrently, the memo's
+// matrix, table and sequential Result still equal a freshly built copy.
+// CI runs it under -race, where a cell writing the table would also be a
+// reported race.
+func TestEigenInputStaysPristine(t *testing.T) {
+	cfg := Config{Runs: 1, Nodes: []int{1, 2, 4}, Seed: 3, Workers: 4}
+	Table1(cfg)
+	Figure2(cfg)
+	AblationEigenPlacement(cfg)
+
+	v, ok := eigenInputs.m.Load(cfg.Seed)
+	if !ok {
+		t.Fatalf("no eigen input for seed %d: the experiments did not go through eigenInput", cfg.Seed)
+	}
+	m, tol := EigenWorkload(cfg.Seed)
+	tab, seq := eigen.Tabulate(m, tol)
+	if got := v.(func() eigenIn)(); !reflect.DeepEqual(got, eigenIn{tab, tol, seq}) {
+		t.Error("the shared eigen input no longer equals a freshly built one")
 	}
 }
 
