@@ -9,7 +9,7 @@ import (
 
 // Grid holds one result per cell of a multi-axis sweep, addressed by
 // coordinates. Cells are stored row-major (the last axis varies
-// fastest), which is also the order the pool hands them out in.
+// fastest); the pool hands them out last-first.
 type Grid[T any] struct {
 	dims  []int
 	cells []T
@@ -82,7 +82,10 @@ func (g *Grid[T]) Sub(at ...int) *Grid[T] {
 func (g *Grid[T]) All() []T { return g.cells }
 
 // forEachCell is the pool under Sweep: it evaluates job(0..n-1) on up to
-// workers goroutines, returning when every cell is done. Each cell
+// workers goroutines, returning when every cell is done. It hands the
+// cells out from n-1 down: every sweep lists its heaviest variants last
+// (720 units, Katsura-5), so the longest cells start first and the short
+// ones fill in behind them, which comes close to longest-first. Each cell
 // writes only its own index-addressed slot and completion order is
 // arbitrary, so results are folded serially afterwards; that two-phase
 // shape is what makes a parallel sweep byte-identical to Workers=1. With
@@ -122,8 +125,8 @@ func forEachCell(workers, n int, job func(i int)) {
 				}
 			}()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				i := n - int(next.Add(1))
+				if i < 0 {
 					return
 				}
 				job(i)
