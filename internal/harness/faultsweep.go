@@ -71,7 +71,7 @@ func faultWorkloads(seed int64) []faultWorkload {
 	wl = append(wl, faultWorkload{
 		name: "NN-forward",
 		run: func(rt earth.Runtime) outcome {
-			xs, ts := nnSamples(24, 4)
+			xs, ts := paperNetOf(24).samples(paperSamples)
 			res := neural.ParallelRun(rt, forwardNet(24), xs, ts,
 				neural.ParallelConfig{Tree: true})
 			return outcome{fmt.Sprintf("%v", res.Outputs), res.Stats}

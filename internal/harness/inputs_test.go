@@ -13,10 +13,12 @@ import (
 
 // TestPaperNetsStayPristine is what makes sharing one network per width
 // safe: after every NN experiment has run on a four-worker pool — forward
-// cells reading the templates concurrently, training cells working on
-// copies — each template still equals a freshly built network, weight for
-// weight. CI runs it under -race, where a forward cell writing a
-// weight would also be a reported race.
+// cells reading the templates and their tables concurrently, training
+// cells working on copies — each template still equals a freshly built
+// network, weight for weight, its samples nnSamples', and its forward net
+// and table a fresh Tabulate over those. CI runs it under -race, where a
+// forward cell writing a weight or the table would also be a reported
+// race.
 func TestPaperNetsStayPristine(t *testing.T) {
 	cfg := Config{Runs: 1, Nodes: []int{1, 2, 4}, Seed: 1, Workers: 4}
 	Table3(cfg)
@@ -30,8 +32,17 @@ func TestPaperNetsStayPristine(t *testing.T) {
 	paperNets.m.Range(func(k, v any) bool {
 		u := k.(int)
 		seen[u] = true
-		if !reflect.DeepEqual(v.(func() *paperNet)().weights, neural.Square(u, 1)) {
+		p := v.(func() *paperNet)()
+		fresh := neural.Square(u, 1)
+		xs, ts := nnSamples(u, paperSamples)
+		if !reflect.DeepEqual(p.weights, fresh) {
 			t.Errorf("width %d: the template no longer equals a fresh network", u)
+		}
+		if !reflect.DeepEqual(p.xs, xs) || !reflect.DeepEqual(p.ts, ts) {
+			t.Errorf("width %d: the shared samples no longer equal nnSamples'", u)
+		}
+		if !reflect.DeepEqual(p.forward, neural.Tabulate(fresh, xs)) {
+			t.Errorf("width %d: the forward net or its table no longer equals a fresh Tabulate", u)
 		}
 		return true
 	})
@@ -71,8 +82,8 @@ func TestTrainOnCopyStartsFromTemplate(t *testing.T) {
 	fresh := neural.Square(16, 1)
 	for i := 0; i < 3; i++ {
 		trainOnCopy(16, func(net *neural.Net) sim.Time {
-			if net == forwardNet(16) {
-				t.Fatal("training cell was handed the shared template")
+			if &net.W1[0][0] == &paperNetOf(16).weights.W1[0][0] {
+				t.Fatal("training cell was handed the shared template's weights")
 			}
 			if !reflect.DeepEqual(net, fresh) {
 				t.Errorf("use %d: the copy does not start at the initial weights", i)

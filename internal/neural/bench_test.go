@@ -70,3 +70,22 @@ func BenchmarkNeuralClone720(b *testing.B) {
 		net.Clone()
 	}
 }
+
+// BenchmarkParallelForward is one Figure 7 cell — four samples through
+// the 720-unit network on 20 simulated nodes — on the plain net and on
+// the net tabulated over those samples.
+func BenchmarkParallelForward(b *testing.B) {
+	net := Square(720, 1)
+	xs, _ := samples(720, 720, 4, 1)
+	for _, bc := range []struct {
+		name string
+		net  *Net
+	}{{"plain", net}, {"tabulated", Tabulate(net, xs)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				ParallelRun(simrt.New(earth.Config{Nodes: 20, Seed: 1}), bc.net, xs, nil, ParallelConfig{Tree: true})
+			}
+		})
+	}
+}

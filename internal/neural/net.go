@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"unsafe"
 )
 
 // Net is a fully connected 3-layer feed-forward network with float32
@@ -24,6 +25,12 @@ type Net struct {
 	// W2[k][j]: weight from hidden j to output unit k; B2[k] its bias.
 	W2 [][]float32
 	B2 []float32
+	// fwd is the forward table of a net from Tabulate: fwd[phaseHidden]
+	// maps the bits of an input to its hidden activations,
+	// fwd[phaseOutput] the bits of those to the output activations. Both
+	// are nil on a plain net and never written once Tabulate returns, so
+	// concurrent readers need no lock.
+	fwd [2]map[string][]float32
 }
 
 // New creates a network with small random weights.
@@ -135,6 +142,36 @@ func (n *Net) Forward(x []float32) (hidden, out []float32) {
 	return hidden, out
 }
 
+// Tabulate runs n.Forward once per input of xs and returns a net that
+// shares n's weights and carries the activations of both layers, keyed by
+// the exact bits of each layer's input. A unit-parallel forward run on it
+// (ParallelRun without Train) copies every node's units from the table
+// for an input it holds and computes any other input as on n: the
+// simulated run still charges every unit through Ctx.Compute, the host
+// computes each layer once per input. The table is right only while the
+// weights are n's at the time of the call, so nothing may write them
+// afterwards: a tabulated net never trains, and its Clone is a plain net.
+func Tabulate(n *Net, xs [][]float32) *Net {
+	t := &Net{NIn: n.NIn, NHid: n.NHid, NOut: n.NOut, W1: n.W1, B1: n.B1, W2: n.W2, B2: n.B2,
+		fwd: [2]map[string][]float32{phaseHidden: {}, phaseOutput: {}}}
+	for _, x := range xs {
+		hidden, out := n.Forward(x)
+		t.fwd[phaseHidden][string(bitsOf(x))] = hidden
+		t.fwd[phaseOutput][string(bitsOf(hidden))] = out
+	}
+	return t
+}
+
+// bitsOf views v's float32s as bytes, so that a string of them keys v's
+// exact bits: -0 and +0, or two NaNs of different payloads, are different
+// keys.
+func bitsOf(v []float32) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
+}
+
 // Loss is the squared error 0.5*sum((y-t)^2).
 func Loss(y, t []float32) float64 {
 	var s float64
@@ -229,7 +266,8 @@ func (n *Net) TrainSample(x, target []float32, lr float32) float64 {
 	return Loss(out, target)
 }
 
-// Clone deep-copies the network: the copy shares no memory with n.
+// Clone deep-copies the network: the copy shares no memory with n and
+// carries no forward table (Tabulate).
 func (n *Net) Clone() *Net {
 	c := &Net{NIn: n.NIn, NHid: n.NHid, NOut: n.NOut,
 		W1: newMatrix(n.NHid, n.NIn), B1: make([]float32, n.NHid),
