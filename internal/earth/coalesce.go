@@ -22,12 +22,15 @@ package earth
 // concurrent use: each belongs to one execution context.
 type Coalescer[Op any] struct {
 	bufs []coalBuf[Op]
+	// free holds the cleared operation slices given back through Recycle;
+	// the next batches start in them instead of growing fresh ones.
+	free [][]Op
 }
 
 // Shipper is an engine's ship step: it puts one destination's batch of
 // operations, carrying bytes of payload in all, on the wire. ops is the
-// shipper's to keep: the coalescer starts a fresh slice for the next batch
-// and never appends to one it handed over.
+// shipper's until it gives the slice back through Recycle, if ever: the
+// coalescer never appends to a slice it handed over and has not got back.
 type Shipper[Op any] interface {
 	Ship(dst NodeID, ops []Op, bytes int)
 }
@@ -60,6 +63,11 @@ func (co *Coalescer[Op]) Add(s Shipper[Op], dst NodeID, op Op, nbytes int) {
 		co.bufs[i] = coalBuf[Op]{dst: dst}
 	}
 	b := &co.bufs[i]
+	if b.ops == nil {
+		if k := len(co.free); k > 0 {
+			b.ops, co.free = co.free[k-1], co.free[:k-1]
+		}
+	}
 	b.ops = append(b.ops, op)
 	b.bytes += nbytes
 	if len(b.ops) >= coalMaxMsgs || b.bytes >= coalMaxBytes {
@@ -86,7 +94,14 @@ func (co *Coalescer[Op]) Drain(s Shipper[Op]) {
 	co.bufs = co.bufs[:0]
 }
 
-// ship hands b's operations to s and starts a fresh slice.
+// Recycle gives back a slice a Shipper was handed, once nothing reads it
+// any more; the coalescer clears it and starts a later batch in it.
+func (co *Coalescer[Op]) Recycle(ops []Op) {
+	clear(ops)
+	co.free = append(co.free, ops[:0])
+}
+
+// ship hands b's operations to s; the next Add starts a new slice.
 func (b *coalBuf[Op]) ship(s Shipper[Op]) {
 	if len(b.ops) == 0 {
 		return

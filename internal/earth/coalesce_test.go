@@ -29,12 +29,15 @@ type modelBuf struct {
 }
 
 // TestCoalescerAgainstModel drives a Coalescer and a per-destination FIFO
-// model with the same random Add, FlushTo and Drain calls. Every call must
-// ship exactly the batches the model predicts: an Add the batch that has
-// just reached coalMaxMsgs operations or coalMaxBytes bytes, a FlushTo its
+// model with the same random Add, FlushTo and Drain calls, and gives random
+// shipped batches back through Recycle. Every call must ship exactly the
+// batches the model predicts: an Add the batch that has just reached
+// coalMaxMsgs operations or coalMaxBytes bytes, a FlushTo its
 // destination's pending batch, a Drain every pending batch in ascending
 // destination order. A slice handed to the shipper must never be written
-// again, not even past its length.
+// again, not even past its length, until it is given back; a batch must
+// never start in a slice still out with the shipper, and one that starts
+// in a recycled slice finds it empty.
 func TestCoalescerAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var co Coalescer[int]
@@ -47,8 +50,10 @@ func TestCoalescerAgainstModel(t *testing.T) {
 			*b = modelBuf{}
 		}
 	}
-	countTrips, byteTrips, drains := 0, 0, 0
-	for step := 0; step < 20000; step++ {
+	var out []shipment         // the shipped batches not given back yet
+	shipped := map[*int]bool{} // every backing array ever shipped
+	countTrips, byteTrips, drains, recycled, reused := 0, 0, 0, 0, 0
+	for step := 1; step <= 20000; step++ {
 		before := len(log)
 		want = want[:0]
 		switch r := rng.Intn(200); {
@@ -62,6 +67,19 @@ func TestCoalescerAgainstModel(t *testing.T) {
 			d := NodeID(rng.Intn(8))
 			co.FlushTo(&log, d)
 			expect(d)
+		case r < 25:
+			if len(out) == 0 {
+				break
+			}
+			i := rng.Intn(len(out))
+			s := out[i]
+			if !slices.Equal(s.ops[:cap(s.ops)], s.whole) {
+				t.Fatalf("step %d: a batch to %d was written before it was given back", step, s.dst)
+			}
+			co.Recycle(s.ops)
+			out[i] = out[len(out)-1]
+			out = out[:len(out)-1]
+			recycled++
 		default:
 			d := NodeID(rng.Intn(8))
 			n := rng.Intn(64)
@@ -91,14 +109,27 @@ func TestCoalescerAgainstModel(t *testing.T) {
 				t.Fatalf("step %d: batch %d went to %d with %v (%d bytes), want %d with %v (%d bytes)",
 					step, i, g.dst, g.ops, g.bytes, w.dst, w.ops, w.bytes)
 			}
+			p := &g.ops[:1][0]
+			if slices.ContainsFunc(out, func(s shipment) bool { return &s.ops[:1][0] == p }) {
+				t.Fatalf("step %d: a batch to %d started in a slice still out with the shipper", step, g.dst)
+			}
+			if slices.ContainsFunc(g.whole[len(g.ops):], func(v int) bool { return v != 0 }) {
+				t.Fatalf("step %d: a batch to %d started in a slice holding %v", step, g.dst, g.whole)
+			}
+			if shipped[p] {
+				reused++
+			}
+			shipped[p] = true
+			out = append(out, g)
 		}
 	}
-	for i, s := range log {
+	for _, s := range out {
 		if !slices.Equal(s.ops[:cap(s.ops)], s.whole) {
-			t.Fatalf("batch %d (to %d) was written after it was shipped", i, s.dst)
+			t.Fatalf("a batch to %d was written after it was shipped", s.dst)
 		}
 	}
-	if countTrips < 100 || byteTrips < 100 || drains < 50 {
-		t.Fatalf("%d count trips, %d byte trips, %d drains: too tame to test anything", countTrips, byteTrips, drains)
+	if countTrips < 100 || byteTrips < 100 || drains < 50 || recycled < 1000 || reused < 100 {
+		t.Fatalf("%d count trips, %d byte trips, %d drains, %d slices recycled, %d reused: too tame to test anything",
+			countTrips, byteTrips, drains, recycled, reused)
 	}
 }

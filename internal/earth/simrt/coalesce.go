@@ -30,7 +30,8 @@ type coalOp struct {
 // transfer — one AsyncSend overhead, one header, one msgBatch envelope, and
 // therefore exactly one deterministic fault-injector verdict for the whole
 // batch. The envelope owns ops until it fires, and a duplicate-injection
-// clone may share them longer.
+// clone may share them longer; fireBatch gives an unshared slice back to
+// this node's coalescer.
 func (c *ctx) Ship(dst earth.NodeID, ops []coalOp, bytes int) {
 	rt := c.rt
 	src := c.n.id

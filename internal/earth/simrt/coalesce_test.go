@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"earth/internal/earth"
+	"earth/internal/faults"
 	"earth/internal/sim"
 )
 
@@ -239,5 +240,52 @@ func TestCoalesceDeterministic(t *testing.T) {
 	e2, m2 := run()
 	if e1 != e2 || m1 != m2 {
 		t.Fatalf("nondeterministic: (%v,%d) vs (%v,%d)", e1, m1, e2, m2)
+	}
+}
+
+// capShipper records the capacity of the one batch it is handed.
+type capShipper struct{ cap int }
+
+func (s *capShipper) Ship(_ earth.NodeID, ops []coalOp, _ int) { s.cap = cap(ops) }
+
+// TestCoalescedDupBatchNotRecycled: one body on node 0 puts 64 values to
+// node 1, which the coalescer ships as four batches of 16, under a plan
+// that duplicates (nearly) every message. Each clone is routed one retry
+// timeout after its original, so it fires after it and is dropped there;
+// it shares the original's operations, so the original's firing must not
+// hand them back to node 0's coalescer, and node 0's next batch after the
+// run must start in a fresh slice. Without duplicates the same run gives
+// every slice back, and the next batch starts in one of them.
+func TestCoalescedDupBatchNotRecycled(t *testing.T) {
+	const batches = 4
+	for _, dup := range []float64{0, 0.999} {
+		sink := make([]float64, batches*16)
+		applied := 0
+		rt := New(earth.Config{Nodes: 2, Seed: 1, Faults: &faults.Plan{Dup: dup},
+			Coalesce: earth.CoalesceConfig{Enabled: true}})
+		st := rt.Run(func(c earth.Ctx) {
+			for i := range sink {
+				v, slot := float64(i+1), &sink[i]
+				c.Put(1, 8, func() { *slot += v; applied++ }, nil, 0)
+			}
+		})
+		for i, v := range sink {
+			if v != float64(i+1) {
+				t.Fatalf("dup=%v: put %d left %v, want %d", dup, i, v, i+1)
+			}
+		}
+		if applied != len(sink) {
+			t.Fatalf("dup=%v: %d puts applied, want %d", dup, applied, len(sink))
+		}
+		if dropped := st.Total().DupsDropped; dup > 0 && dropped != batches {
+			t.Fatalf("dup=%v: %d duplicates dropped, want one per batch (%d)", dup, dropped, batches)
+		}
+		var s capShipper
+		n0 := rt.nodes[0]
+		n0.coal.Add(&s, 1, coalOp{kind: msgSync}, 8)
+		n0.coal.FlushTo(&s, 1)
+		if recycled := s.cap > 1; recycled != (dup == 0) {
+			t.Errorf("dup=%v: the next batch starts in a slice of capacity %d", dup, s.cap)
+		}
 	}
 }

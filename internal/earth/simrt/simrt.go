@@ -1211,9 +1211,11 @@ func (rt *Runtime) fireStealGrant(thief *node, m *msg) {
 // fireBatch applies a coalesced envelope's operations in issue order, all
 // at the batch's single effect instant, through the same helpers the
 // unbatched kinds use; the receiver-side overhead was charged once for the
-// whole batch — the amortisation the coalescer models.
+// whole batch — the amortisation the coalescer models. The operations'
+// slice then goes back to the sender's coalescer, unless the envelope was
+// duplicated: a clone shares the slice and may not have fired yet.
 func (rt *Runtime) fireBatch(n *node, m *msg) {
-	from, ops := m.from, m.batch
+	from, ops, shared := m.from, m.batch, m.dup
 	rt.freeMsg(m)
 	for i := range ops {
 		op := &ops[i]
@@ -1227,6 +1229,9 @@ func (rt *Runtime) fireBatch(n *node, m *msg) {
 		default:
 			panic(fmt.Sprintf("simrt: kind %d inside a batch", op.kind))
 		}
+	}
+	if !shared {
+		rt.nodes[from].coal.Recycle(ops)
 	}
 }
 
