@@ -427,15 +427,13 @@ func nnSamples(u, count int) (xs, ts [][]float32) {
 // the makespan.
 func nnElapsed(ec earth.Config, u int, train bool, samples int) sim.Time {
 	xs, ts := paperNetOf(u).samples(samples)
-	run := func(net *neural.Net) sim.Time {
-		res := neural.ParallelRun(simrt.New(ec), net, xs, ts,
-			neural.ParallelConfig{Train: train, Tree: true})
-		return res.Stats.Elapsed
-	}
+	cfg := neural.ParallelConfig{Train: train, Tree: true}
 	if train {
-		return trainOnCopy(u, run)
+		return trainOnCopy(u, func(start, scratch *neural.Net) sim.Time {
+			return neural.ParallelTrainFrom(simrt.New(ec), start, scratch, xs, ts, cfg).Stats.Elapsed
+		})
 	}
-	return run(forwardNet(u))
+	return neural.ParallelRun(simrt.New(ec), forwardNet(u), xs, ts, cfg).Stats.Elapsed
 }
 
 // nnSeqPerSample measures the modelled one-node time per sample.
@@ -638,25 +636,27 @@ func AblationNNModes(cfg Config) *Report {
 	r := &Report{ID: "Ablation D", Title: "NN parallelisation modes: unit vs sample vs hybrid (80 units)"}
 	const u, samples = 80, 16
 	xs, ts := nnSamples(u, samples)
-	// Every mode trains, so every run gets a private copy of the network.
-	mode := func(name string, train func(rt earth.Runtime, net *neural.Net) *earth.Stats) simApp {
+	// Every mode trains, so every run gets a private scratch network: the
+	// unit mode trains from the tabulated template into it, the sample
+	// modes copy the template into it first.
+	mode := func(name string, train func(rt earth.Runtime, start, scratch *neural.Net) *earth.Stats) simApp {
 		return simApp{name, func(rt earth.Runtime) sim.Time {
-			return trainOnCopy(u, func(net *neural.Net) sim.Time { return train(rt, net).Elapsed })
+			return trainOnCopy(u, func(start, scratch *neural.Net) sim.Time { return train(rt, start, scratch).Elapsed })
 		}}
 	}
+	sample := func(cfg neural.SampleConfig) func(rt earth.Runtime, start, scratch *neural.Net) *earth.Stats {
+		return func(rt earth.Runtime, start, scratch *neural.Net) *earth.Stats {
+			scratch.CopyFrom(start)
+			return neural.SampleParallelTrain(rt, scratch, xs, ts, cfg).Stats
+		}
+	}
 	modes := []simApp{
-		mode("unit (update/sample)", func(rt earth.Runtime, net *neural.Net) *earth.Stats {
-			return neural.ParallelRun(rt, net, xs, ts,
+		mode("unit (update/sample)", func(rt earth.Runtime, start, scratch *neural.Net) *earth.Stats {
+			return neural.ParallelTrainFrom(rt, start, scratch, xs, ts,
 				neural.ParallelConfig{Train: true, Tree: true}).Stats
 		}),
-		mode("sample (1 exchange/epoch)", func(rt earth.Runtime, net *neural.Net) *earth.Stats {
-			return neural.SampleParallelTrain(rt, net, xs, ts,
-				neural.SampleConfig{}).Stats
-		}),
-		mode("hybrid (batch 4)", func(rt earth.Runtime, net *neural.Net) *earth.Stats {
-			return neural.SampleParallelTrain(rt, net, xs, ts,
-				neural.SampleConfig{BatchSize: 4}).Stats
-		}),
+		mode("sample (1 exchange/epoch)", sample(neural.SampleConfig{})),
+		mode("hybrid (batch 4)", sample(neural.SampleConfig{BatchSize: 4})),
 	}
 	for _, s := range selfSpeedups(cfg, modes, cfg.Nodes) {
 		r.addPeak(s, " peak speedup over "+fmt.Sprint(samples)+" samples", "-")

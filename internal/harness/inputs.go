@@ -39,16 +39,16 @@ const paperSamples = 4
 // paperNet owns the width-u network every NN experiment runs — u units in
 // every layer, initialised from seed 1 — and its paperSamples samples.
 type paperNet struct {
-	// weights is never written after construction: forward-only cells read
-	// it concurrently (through forward), training cells copy it
-	// (TestPaperNetsStayPristine).
+	// weights is never written after construction: every cell reads it
+	// concurrently, through forward (TestPaperNetsStayPristine).
 	weights *neural.Net
 	// forward is weights tabulated over xs (neural.Tabulate): the forward
-	// cells copy their units' activations from its table.
+	// cells copy their units' activations from its table, and the
+	// unit-parallel training cells start from it.
 	forward *neural.Net
 	// xs and ts are nnSamples(u, paperSamples), shared read-only.
 	xs, ts [][]float32
-	// idle holds the training cells' private copies between uses.
+	// idle holds the training cells' scratch nets between uses.
 	idle sync.Pool
 }
 
@@ -73,20 +73,21 @@ func (p *paperNet) samples(n int) (xs, ts [][]float32) { return p.xs[:n], p.ts[:
 // not write its weights, and cannot train it.
 func forwardNet(u int) *neural.Net { return paperNetOf(u).forward }
 
-// trainOnCopy runs cell on a private copy of the width-u network, reset to
-// the initial weights, and recycles the copy when cell returns — so cell
-// must not return before its Run has, when nothing writes the copy any
-// more.
-func trainOnCopy(u int, cell func(net *neural.Net) sim.Time) sim.Time {
+// trainOnCopy runs cell on the width-u network tabulated over its samples
+// (start, shared read-only) and a private scratch net of that width
+// holding whatever the last cell left in it, and recycles the scratch net
+// when cell returns — so cell must not return before its Run has, when
+// nothing writes it any more. A unit-parallel cell trains from start into
+// scratch (neural.ParallelTrainFrom), which copies nothing up front; any
+// other cell copies start into scratch first.
+func trainOnCopy(u int, cell func(start, scratch *neural.Net) sim.Time) sim.Time {
 	p := paperNetOf(u)
-	net, _ := p.idle.Get().(*neural.Net)
-	if net == nil {
-		net = p.weights.Clone()
-	} else {
-		net.CopyFrom(p.weights)
+	scratch, _ := p.idle.Get().(*neural.Net)
+	if scratch == nil {
+		scratch = p.weights.Clone()
 	}
-	elapsed := cell(net)
-	p.idle.Put(net)
+	elapsed := cell(p.forward, scratch)
+	p.idle.Put(scratch)
 	return elapsed
 }
 

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"earth/internal/earth"
+	"earth/internal/earth/simrt"
 	"earth/internal/eigen"
 	"earth/internal/neural"
 	"earth/internal/sim"
@@ -13,12 +15,12 @@ import (
 
 // TestPaperNetsStayPristine is what makes sharing one network per width
 // safe: after every NN experiment has run on a four-worker pool — forward
-// cells reading the templates and their tables concurrently, training
-// cells working on copies — each template still equals a freshly built
+// cells and unit-parallel training cells (Table 3, Figure 8, Ablation D)
+// reading the templates and their tables concurrently, training into
+// scratch nets — each template still equals a freshly built
 // network, weight for weight, its samples nnSamples', and its forward net
 // and table a fresh Tabulate over those. CI runs it under -race, where a
-// forward cell writing a weight or the table would also be a reported
-// race.
+// cell writing a weight or the table would also be a reported race.
 func TestPaperNetsStayPristine(t *testing.T) {
 	cfg := Config{Runs: 1, Nodes: []int{1, 2, 4}, Seed: 1, Workers: 4}
 	Table3(cfg)
@@ -76,22 +78,43 @@ func TestEigenInputStaysPristine(t *testing.T) {
 	}
 }
 
-// TestTrainOnCopyStartsFromTemplate: a recycled copy is reset, so what one
-// training cell did to its network never reaches the next.
+// TestTrainOnCopyStartsFromTemplate: whatever the last cell left in its
+// scratch net, a unit-parallel training cell trains from the tabulated
+// template to the weights, outputs and statistics of a run on a fresh
+// network, and a cell that copies the template first gets the initial
+// weights. No cell is handed the template's weights, and the template
+// stays as built.
 func TestTrainOnCopyStartsFromTemplate(t *testing.T) {
-	fresh := neural.Square(16, 1)
+	const u = 16
+	xs, ts := paperNetOf(u).samples(paperSamples)
+	ec := earth.Config{Nodes: 3, Seed: 1}
+	cfg := neural.ParallelConfig{Train: true, Tree: true}
+	want := neural.Square(u, 1)
+	ref := neural.ParallelRun(simrt.New(ec), want, xs, ts, cfg)
 	for i := 0; i < 3; i++ {
-		trainOnCopy(16, func(net *neural.Net) sim.Time {
-			if &net.W1[0][0] == &paperNetOf(16).weights.W1[0][0] {
+		trainOnCopy(u, func(start, scratch *neural.Net) sim.Time {
+			if &scratch.W1[0][0] == &paperNetOf(u).weights.W1[0][0] {
 				t.Fatal("training cell was handed the shared template's weights")
 			}
-			if !reflect.DeepEqual(net, fresh) {
-				t.Errorf("use %d: the copy does not start at the initial weights", i)
+			res := neural.ParallelTrainFrom(simrt.New(ec), start, scratch, xs, ts, cfg)
+			if !reflect.DeepEqual(scratch, want) || !reflect.DeepEqual(res, ref) {
+				t.Errorf("use %d: training from the template differs from training a fresh network", i)
 			}
-			net.W1[3][5]++
-			net.B2[0]--
+			scratch.W1[3][5]++
+			scratch.B2[0]--
 			return 0
 		})
+		trainOnCopy(u, func(start, scratch *neural.Net) sim.Time {
+			scratch.CopyFrom(start)
+			if !reflect.DeepEqual(scratch, neural.Square(u, 1)) {
+				t.Errorf("use %d: the copied scratch net does not start at the initial weights", i)
+			}
+			scratch.B1[2]++
+			return 0
+		})
+	}
+	if !reflect.DeepEqual(paperNetOf(u).weights, neural.Square(u, 1)) {
+		t.Error("a training cell wrote the template")
 	}
 }
 

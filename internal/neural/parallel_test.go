@@ -1,6 +1,7 @@
 package neural
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -313,23 +314,174 @@ func sameBits(a, b [][]float32) bool {
 }
 
 // TestTabulatedNetNeverTrains: training would write the weights the table
-// was computed from, so ParallelRun refuses it, and a Clone — which may
-// train — is a plain net.
+// was computed from. So ParallelRun refuses to train a tabulated net,
+// ParallelTrainFrom — which trains from one into a scratch net — refuses a
+// scratch net that is tabulated or shares its start's weights, and a Clone,
+// which may train, is a plain net. Neither the refused runs nor a run that
+// trains from the tabulated net write it.
 func TestTabulatedNetNeverTrains(t *testing.T) {
 	xs, ts := samples(8, 8, 2, 1)
-	tab := Tabulate(Square(8, 1), xs)
+	plain := Square(8, 1)
+	tab := Tabulate(plain, xs)
 	if c := tab.Clone(); c.fwd[phaseHidden] != nil || c.fwd[phaseOutput] != nil {
 		t.Error("Clone carried the forward table")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("ParallelRun trained a tabulated net")
+	rt := func() earth.Runtime { return simrt.New(earth.Config{Nodes: 2, Seed: 1}) }
+	cfg := ParallelConfig{Train: true, Tree: true}
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"ParallelRun on the tabulated net", func() { ParallelRun(rt(), tab, xs, ts, cfg) }},
+		{"a tabulated scratch net", func() { ParallelTrainFrom(rt(), plain, Tabulate(plain.Clone(), xs), xs, ts, cfg) }},
+		{"a scratch net sharing the start's weights", func() { ParallelTrainFrom(rt(), tab, plain, xs, ts, cfg) }},
+		{"a scratch net of another shape", func() { ParallelTrainFrom(rt(), tab, Square(9, 1), xs, ts, cfg) }},
+		{"ParallelTrainFrom without Train", func() { ParallelTrainFrom(rt(), tab, plain.Clone(), xs, nil, ParallelConfig{}) }},
+	} {
+		if !panics(c.run) {
+			t.Errorf("%s: no panic", c.name)
 		}
-		if !reflect.DeepEqual(tab, Tabulate(Square(8, 1), xs)) {
-			t.Error("the refused run wrote the net")
+	}
+	ParallelTrainFrom(rt(), tab, plain.Clone(), xs, ts, cfg)
+	if !reflect.DeepEqual(tab, Tabulate(Square(8, 1), xs)) {
+		t.Error("a run wrote the tabulated net")
+	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// TestParallelRunChecksSampleSizes: an input or a target of the wrong
+// length is refused before the run, as Net.Forward refuses a short input,
+// instead of running on the previous sample's tail.
+func TestParallelRunChecksSampleSizes(t *testing.T) {
+	xs, ts := samples(8, 8, 2, 1)
+	short := [][]float32{xs[0], xs[1][:2]}
+	long := [][]float32{append(xs[0], 1), xs[1]}
+	rt := func() earth.Runtime { return simrt.New(earth.Config{Nodes: 2, Seed: 1}) }
+	fwd, train := ParallelConfig{Tree: true}, ParallelConfig{Train: true, Tree: true}
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"short input, forward", func() { ParallelRun(rt(), Square(8, 1), short, nil, fwd) }},
+		{"long input, forward", func() { ParallelRun(rt(), Square(8, 1), long, nil, fwd) }},
+		{"short input, training", func() { ParallelRun(rt(), Square(8, 1), short, ts, train) }},
+		{"short target, training", func() { ParallelRun(rt(), Square(8, 1), xs, [][]float32{ts[0], ts[1][:7]}, train) }},
+		{"short input, tabulated start", func() { ParallelTrainFrom(rt(), Tabulate(Square(8, 1), xs), Square(8, 2), short, ts, train) }},
+	} {
+		if !panics(c.run) {
+			t.Errorf("%s: no panic", c.name)
 		}
-	}()
-	ParallelRun(simrt.New(earth.Config{Nodes: 2, Seed: 1}), tab, xs, ts, ParallelConfig{Train: true, Tree: true})
+	}
+	if panics(func() { ParallelRun(rt(), Square(8, 1), xs, [][]float32{{1}}, fwd) }) {
+		t.Error("a forward run checked the targets it does not read")
+	}
+}
+
+// TestTabulatedTrainingMatchesCopy: training from a start net into a
+// scratch net holding other weights is CopyFrom followed by ParallelRun —
+// the same ParallelResult (Stats included) and the same trained weights,
+// bit for bit — on every machine size, with tree and sequential
+// communication, coalesced or not, and on livert (statistics aside). The start is the net
+// tabulated over the samples; one whose table lacks sample 0, so the first
+// forward pass computes from the start's rows; a run without samples,
+// whose rows are all copied at the end; and a plain start. The start is
+// never written.
+func TestTabulatedTrainingMatchesCopy(t *testing.T) {
+	const width = 45 // uneven on 2, 7, 20 and 48 nodes
+	net := Square(width, 3)
+	xs, ts := samples(width, width, 4, 2)
+	others, _ := samples(width, width, 1, 9)
+	tab := Tabulate(net, xs)
+	missing := Tabulate(net, xs[1:])
+	cases := []struct {
+		name   string
+		start  *Net
+		xs, ts [][]float32
+	}{
+		{"tabulated", tab, xs, ts},
+		{"sample 0 missing", missing, xs, ts},
+		{"sample 0 not tabulated", tab, append([][]float32{others[0]}, xs[1:]...), ts},
+		{"no samples", tab, nil, nil},
+		{"plain start", net, xs, ts},
+	}
+	check := func(label string, start *Net, xs, ts [][]float32, rt func() earth.Runtime, cfg ParallelConfig, whole bool) {
+		want := net.Clone()
+		wantRes := ParallelRun(rt(), want, xs, ts, cfg)
+		scratch := Square(width, 99)
+		got := ParallelTrainFrom(rt(), start, scratch, xs, ts, cfg)
+		if !sameBits(got.Outputs, wantRes.Outputs) || got.Loss != wantRes.Loss || !sameWeights(scratch, want) ||
+			whole && !reflect.DeepEqual(got, wantRes) {
+			t.Errorf("%s: training from the start differs from CopyFrom + ParallelRun: loss %v vs %v, elapsed %v vs %v",
+				label, got.Loss, wantRes.Loss, got.Stats.Elapsed, wantRes.Stats.Elapsed)
+		}
+	}
+	for _, c := range cases {
+		for _, nodes := range []int{1, 2, 3, 7, 20, 48} {
+			for _, tree := range []bool{false, true} {
+				for _, coalesce := range []bool{false, true} {
+					ec := earth.Config{Nodes: nodes, Seed: 7, Coalesce: earth.CoalesceConfig{Enabled: coalesce}}
+					check(fmt.Sprintf("%s, simrt nodes=%d tree=%v coalesce=%v", c.name, nodes, tree, coalesce),
+						c.start, c.xs, c.ts, func() earth.Runtime { return simrt.New(ec) },
+						ParallelConfig{Train: true, Tree: tree}, true)
+				}
+			}
+		}
+	}
+	// On two nodes the root adds one child's partial sums, so livert's
+	// schedule cannot reorder an addition: the bits are a pure function
+	// of the samples there.
+	check("livert", tab, xs, ts, func() earth.Runtime { return livert.New(earth.Config{Nodes: 2, Seed: 7}) },
+		ParallelConfig{Train: true, Tree: true}, false)
+	if !reflect.DeepEqual(net, Square(width, 3)) || !reflect.DeepEqual(tableBits(tab), tableBits(Tabulate(net, xs))) {
+		t.Error("training wrote the start net or its table")
+	}
+}
+
+// sameWeights reports whether a and b hold the same weights and biases,
+// bit for bit.
+func sameWeights(a, b *Net) bool {
+	return sameBits(a.W1, b.W1) && sameBits(a.W2, b.W2) &&
+		sameBits([][]float32{a.B1, a.B2}, [][]float32{b.B1, b.B2})
+}
+
+// FuzzTabulatedTraining: ParallelTrainFrom from a tabulated start into a
+// scratch net of other weights equals CopyFrom + ParallelRun — outputs,
+// loss and statistics, and the trained weights bit for bit — for any
+// width, machine size, sample count and communication mode, with sample 0
+// in the table or not.
+func FuzzTabulatedTraining(f *testing.F) {
+	f.Add(int64(1), uint8(24), uint8(4), uint8(3), uint8(0b011))
+	f.Add(int64(2), uint8(44), uint8(47), uint8(4), uint8(0b110))
+	f.Add(int64(3), uint8(0), uint8(2), uint8(1), uint8(0b101))
+	f.Add(int64(4), uint8(12), uint8(6), uint8(0), uint8(0b001))
+	f.Fuzz(func(t *testing.T, seed int64, size, nodes, count, flags uint8) {
+		width := 1 + int(size)%48
+		net := Square(width, seed)
+		xs, ts := samples(width, width, int(count)%5, seed)
+		tabulated := xs
+		if flags&4 != 0 && len(xs) > 0 {
+			tabulated = xs[1:] // sample 0 misses the table
+		}
+		tab := Tabulate(net, tabulated)
+		ec := earth.Config{Nodes: 1 + int(nodes)%48, Seed: seed, Coalesce: earth.CoalesceConfig{Enabled: flags&2 != 0}}
+		cfg := ParallelConfig{Train: true, Tree: flags&1 != 0}
+		want := net.Clone()
+		wantRes := ParallelRun(simrt.New(ec), want, xs, ts, cfg)
+		scratch := Square(width, seed+1)
+		got := ParallelTrainFrom(simrt.New(ec), tab, scratch, xs, ts, cfg)
+		if !sameBits(got.Outputs, wantRes.Outputs) || !reflect.DeepEqual(got, wantRes) || !sameWeights(scratch, want) {
+			t.Fatalf("width %d on %d nodes, %d samples: training from the table differs from CopyFrom + ParallelRun", width, ec.Nodes, len(xs))
+		}
+		if !reflect.DeepEqual(tableBits(tab), tableBits(Tabulate(net, tabulated))) {
+			t.Fatal("training wrote the table")
+		}
+	})
 }
 
 // FuzzTabulatedForward: on a tabulated net, every node's slice of either
