@@ -276,9 +276,11 @@ func selectBest(P []Pair, ord poly.Order) (Pair, []Pair) {
 }
 
 // reducers holds reduction workspaces between completion runs, so that a
-// run starts on tables already grown (a sweep makes thousands of runs). A
-// poly.Reducer keeps no polynomial between calls, so a pooled one pins
-// nothing; each run draws its own and no two goroutines share one.
+// run starts on tables already grown (a sweep makes thousands of runs).
+// Each run draws its own and no two goroutines share one. During a run a
+// poly.Reducer keeps its basis and divisor table from one reduction to
+// the next; SetBasis(nil) leaves it at rest before it goes back, so a
+// pooled one pins no polynomial.
 var reducers = sync.Pool{New: func() any { return poly.NewReducer() }}
 
 // Buchberger computes a Gröbner basis of the ideal generated by F. All
@@ -292,7 +294,10 @@ func Buchberger(F []*poly.Poly, opt Options) (*Basis, error) {
 	b := &Basis{Ring: ring}
 	u := NewUpdater(opt)
 	red := reducers.Get().(*poly.Reducer)
-	defer reducers.Put(red)
+	defer func() {
+		red.SetBasis(nil)
+		reducers.Put(red)
+	}()
 	var P []Pair
 	// Seed the basis one element at a time so the criteria apply to the
 	// initial pairs as well.
@@ -305,10 +310,11 @@ func Buchberger(F []*poly.Poly, opt Options) (*Basis, error) {
 		b.Trace.PairsSkipped += elim
 	}
 
+	red.SetBasis(basis)
 	for len(P) > 0 {
 		var p Pair
 		p, P = selectBest(P, ring.Order())
-		nf, st := red.ReducePair(basis[p.I], basis[p.J], basis)
+		nf, st := red.Reduce(basis[p.I], basis[p.J])
 		b.Trace.PairsReduced++
 		b.Trace.TermOps += st.TermOps
 		b.Trace.PerReduction = append(b.Trace.PerReduction, st.TermOps)
@@ -317,6 +323,7 @@ func Buchberger(F []*poly.Poly, opt Options) (*Basis, error) {
 			continue
 		}
 		basis = append(basis, nf.Monic())
+		red.SetBasis(basis)
 		b.Trace.Added++
 		var considered, elim int
 		P, considered, elim = u.Update(basis, P)

@@ -1,7 +1,10 @@
 package groebner
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -134,5 +137,181 @@ func TestConcurrentRunsShareNoWorkspace(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// TestPairHeapMatchesSelectBest: the central pool, a heap, gives up the
+// pairs in the order repeated selectBest does, with pushes and pops
+// interleaved as the maintenance node interleaves them, on random pair
+// sets mixing keyed and unkeyed pairs, ties on the LCM included.
+func TestPairHeapMatchesSelectBest(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, ord := range []poly.Order{poly.Lex{}, poly.GrLex{}, poly.GRevLex{}} {
+		r := poly.NewRingMod(ord, 32003, "a", "b", "c", "d")
+		for iter := 0; iter < 200; iter++ {
+			size := 1 + rng.Intn(60)
+			seqs := rng.Perm(size) // no two pairs of a run share a Seq
+			h := pairHeap{ord: ord}
+			var P []Pair
+			for k := 0; k < size; k++ {
+				lcm := make(poly.Mono, 4)
+				for v := range lcm {
+					lcm[v] = rng.Intn(3)
+				}
+				p := pairOf(r, lcm, seqs[k])
+				if rng.Intn(3) == 0 {
+					p = Pair{LCM: lcm, Seq: seqs[k]}
+				}
+				h.push(p)
+				P = append(P, p)
+				for rng.Intn(3) == 0 && len(P) > 0 {
+					var want Pair
+					want, P = selectBest(P, ord)
+					if got := h.pop(); got.Seq != want.Seq {
+						t.Fatalf("%s: heap gave #%d %v, selectBest #%d %v", ord.Name(), got.Seq, got.LCM, want.Seq, want.LCM)
+					}
+				}
+			}
+			for len(P) > 0 {
+				var want Pair
+				want, P = selectBest(P, ord)
+				if got := h.pop(); got.Seq != want.Seq {
+					t.Fatalf("%s: heap gave #%d %v, selectBest #%d %v", ord.Name(), got.Seq, got.LCM, want.Seq, want.LCM)
+				}
+			}
+			if h.len() != 0 {
+				t.Fatalf("%s: %d pairs left in the heap", ord.Name(), h.len())
+			}
+		}
+	}
+}
+
+// TestNewPairsForSeqUnique: the parallel completion numbers its pairs by
+// (index, partner), and no two of them share a Seq past index 1000 either
+// — (1001, 1000) and (1002, 0) among them — so Pair.Less stays a strict
+// total order.
+func TestNewPairsForSeqUnique(t *testing.T) {
+	r := poly.NewRingMod(poly.GrLex{}, 32003, "x", "y")
+	basis := make([]*poly.Poly, 1003)
+	for i := range basis {
+		basis[i] = r.MustParse(fmt.Sprintf("x*y + %d", i+1))
+	}
+	st := &parState{upd: NewUpdater(Options{NoCoprimeCriterion: true, NoChainCriterion: true})}
+	seen := map[int][2]int{}
+	for _, idx := range []int{1, 2, 999, 1000, 1001, 1002} {
+		pairs := st.newPairsFor(basis, idx)
+		if len(pairs) != idx {
+			t.Fatalf("index %d: %d pairs, want one per earlier entry", idx, len(pairs))
+		}
+		for _, p := range pairs {
+			if q, dup := seen[p.Seq]; dup {
+				t.Fatalf("pairs (%d, %d) and (%d, %d) share Seq %d", q[1], q[0], p.J, p.I, p.Seq)
+			}
+			seen[p.Seq] = [2]int{p.I, p.J}
+		}
+	}
+}
+
+// refersToPoly reports whether v reaches a polynomial through pointers,
+// structs, arrays, slices (to their capacity), maps and interfaces.
+func refersToPoly(v reflect.Value, seen map[uintptr]bool) bool {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return false
+		}
+		if v.Type() == reflect.TypeFor[*poly.Poly]() {
+			return true
+		}
+		if seen[v.Pointer()] {
+			return false
+		}
+		seen[v.Pointer()] = true
+		return refersToPoly(v.Elem(), seen)
+	case reflect.Interface:
+		return !v.IsNil() && refersToPoly(v.Elem(), seen)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if refersToPoly(v.Field(i), seen) {
+				return true
+			}
+		}
+	case reflect.Slice:
+		v = v.Slice(0, v.Cap())
+		fallthrough
+	case reflect.Array:
+		if k := v.Type().Elem().Kind(); k <= reflect.Complex128 || k == reflect.String {
+			return false // no pointers
+		}
+		for i := range v.Len() {
+			if refersToPoly(v.Index(i), seen) {
+				return true
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if refersToPoly(it.Key(), seen) || refersToPoly(it.Value(), seen) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestPooledReducersPinNothing: a completion's workers keep a basis and a
+// divisor table in their reducers between reductions, and after each
+// completion — sequential, then parallel on either engine — every reducer
+// in the pool refers to no polynomial. The collector is off, so that the
+// pool keeps what was put in it until the test drains it. A reducer left
+// in another P's private slot cannot be drawn, and under -race Put drops
+// one in four at random, so a completion is run again until one comes
+// back.
+func TestPooledReducersPinNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	F, opt := k3Input()
+	checkPool := func(after string) int {
+		t.Helper()
+		newReducer := reducers.New
+		defer func() { reducers.New = newReducer }()
+		reducers.New = nil
+		var drained []any
+		for red := reducers.Get(); red != nil; red = reducers.Get() {
+			drained = append(drained, red)
+			if refersToPoly(reflect.ValueOf(red), map[uintptr]bool{}) {
+				t.Errorf("after %s: pooled reducer %d refers to a polynomial", after, len(drained))
+			}
+		}
+		for _, red := range drained {
+			reducers.Put(red)
+		}
+		return len(drained)
+	}
+	parallel := func(newRT func() earth.Runtime) func() error {
+		return func() error {
+			_, err := ParallelBuchberger(newRT(), F, ParallelConfig{Opt: opt})
+			return err
+		}
+	}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Buchberger", func() error {
+			_, err := Buchberger(F, opt)
+			return err
+		}},
+		{"ParallelBuchberger on simrt", parallel(func() earth.Runtime { return simrt.New(earth.Config{Nodes: 5, Seed: 1}) })},
+		{"ParallelBuchberger on livert", parallel(func() earth.Runtime { return livert.New(earth.Config{Nodes: 5, Seed: 1}) })},
+	} {
+		drained := 0
+		for try := 0; try < 20 && drained == 0; try++ {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+			drained = checkPool(c.name)
+		}
+		if drained == 0 {
+			t.Fatalf("after %s: no reducer in the pool after 20 runs", c.name)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package groebner
 
 import (
 	"fmt"
+	"slices"
 
 	"earth/internal/earth"
 	"earth/internal/poly"
@@ -159,7 +160,7 @@ type parState struct {
 	// Maintenance-node state.
 	registry  []*poly.Poly
 	created   int
-	pool      []Pair       // central pool (default mode)
+	pool      pairHeap     // central pool (default mode)
 	books     []workerBook // indexed by worker id
 	nWaiting  int          // books with waiting set
 	nInflight int          // books with reducing set
@@ -190,6 +191,12 @@ type parNode struct {
 	queue []Pair // distributed mode: local priority queue
 	cache []*poly.Poly
 	leads []poly.Mono // leads[i] is cache[i].LeadMono()
+	// stair lists, in index order, the cache entries that form the
+	// minimal staircase (redundant reducers dropped, which keeps normal
+	// forms close to the sequential trajectory), and staircase holds
+	// their polynomials: the basis red divides by. cachePut keeps both.
+	stair     []int
+	staircase []*poly.Poly
 	// red is this worker's reduction workspace, drawn from the reducers
 	// pool for the run (nil on the maintenance node, which reduces
 	// nothing). Nodes run on separate host goroutines on livert, so a
@@ -199,8 +206,6 @@ type parNode struct {
 	stop        bool
 	outstanding int // shipped, unacknowledged insert requests
 	processed   int
-	staircase   []*poly.Poly // memoised cacheList, valid unless cacheDirty
-	cacheDirty  bool
 	ringAsked   bool
 }
 
@@ -215,37 +220,49 @@ func (n *parNode) prefixLen() int {
 	return len(n.cache)
 }
 
-// cacheList returns the cached polynomials forming the minimal staircase
-// (redundant reducers dropped), keeping normal forms close to the
-// sequential trajectory. The list is rebuilt only after the cache changed;
-// callers must not modify it.
-func (n *parNode) cacheList() []*poly.Poly {
-	if !n.cacheDirty {
-		return n.staircase
+// cachePut stores a replicated polynomial and its leading monomial at
+// index idx and updates the staircase. A registry entry never changes, so
+// a second put of an index (a broadcast and a Get can both deliver it)
+// changes nothing. It reports whether the staircase changed.
+func (n *parNode) cachePut(idx int, p *poly.Poly, lead poly.Mono) bool {
+	for len(n.cache) <= idx {
+		n.cache = append(n.cache, nil)
+		n.leads = append(n.leads, nil)
 	}
-	out := make([]*poly.Poly, 0, len(n.cache))
-	for i, p := range n.cache {
-		if p == nil {
-			continue
-		}
-		redundant := false
-		for j, q := range n.cache {
-			if q == nil || i == j {
-				continue
-			}
-			if n.leads[j].Divides(n.leads[i]) {
-				if !n.leads[i].Equal(n.leads[j]) || j < i {
-					redundant = true
-					break
-				}
-			}
-		}
-		if !redundant {
-			out = append(out, p)
-		}
+	if n.cache[idx] != nil {
+		return false
 	}
-	n.staircase, n.cacheDirty = out, false
-	return out
+	n.cache[idx], n.leads[idx] = p, lead
+	return n.addToStaircase(idx)
+}
+
+// addToStaircase admits cache entry i to the staircase unless it is
+// redundant, in O(len(stair)). Entry j makes entry i redundant when
+// lead(j) divides lead(i) and the two differ or j < i: a strict partial
+// order, whose minimal entries the staircase holds. So i is redundant
+// exactly when a member makes it so; otherwise it drops the members it
+// makes redundant (it can make none redundant when one makes it so) and
+// goes in at its index's place.
+func (n *parNode) addToStaircase(i int) bool {
+	li := n.leads[i]
+	k, at := 0, 0
+	for r, j := range n.stair {
+		lj := n.leads[j]
+		if lj.Divides(li) && (j < i || !lj.Equal(li)) {
+			return false // nothing was dropped before this member
+		}
+		if li.Divides(lj) {
+			continue // lj is li's multiple, or equal to it with j > i
+		}
+		n.stair[k], n.staircase[k] = j, n.staircase[r]
+		if j < i {
+			at = k + 1
+		}
+		k++
+	}
+	n.stair = slices.Insert(n.stair[:k], at, i)
+	n.staircase = slices.Insert(n.staircase[:k], at, n.cache[i])
+	return true
 }
 
 // ParallelBuchberger runs the completion on rt. Node P-1 is the reserved
@@ -281,6 +298,7 @@ func ParallelBuchberger(rt earth.Runtime, F []*poly.Poly, cfg ParallelConfig) (*
 	stats := rt.Run(func(c earth.Ctx) { st.driver(c, G) })
 
 	for _, n := range st.nodes[:st.workers] {
+		n.red.SetBasis(nil)
 		reducers.Put(n.red)
 	}
 
@@ -359,7 +377,10 @@ func (st *parState) bootstrap(c earth.Ctx, G []*poly.Poly) {
 		return
 	}
 
-	st.pool = pairs
+	st.pool = pairHeap{ord: st.ring.Order()}
+	for _, p := range pairs {
+		st.pool.push(p)
+	}
 	for w := 0; w < st.workers; w++ {
 		w := w
 		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.fetchWork(c, w) })
@@ -372,15 +393,13 @@ func (st *parState) bootstrap(c earth.Ctx, G []*poly.Poly) {
 func (st *parState) lead(idx int) poly.Mono { return st.upd.lead(st.registry, idx) }
 
 // nodeCachePut stores a replicated polynomial and its leading monomial in
-// worker w's cache. Must run on w's context.
+// worker w's cache and, when its staircase changed, tells w's reducer.
+// Must run on w's context.
 func (st *parState) nodeCachePut(w, idx int, p *poly.Poly, lead poly.Mono) {
 	n := st.nodes[w]
-	for len(n.cache) <= idx {
-		n.cache = append(n.cache, nil)
-		n.leads = append(n.leads, nil)
+	if n.cachePut(idx, p, lead) {
+		n.red.SetBasis(n.staircase)
 	}
-	n.cache[idx], n.leads[idx] = p, lead
-	n.cacheDirty = true
 }
 
 // ---------- central self-scheduling mode ----------
@@ -395,9 +414,8 @@ func (st *parState) fetchWork(c earth.Ctx, w int) {
 	}
 	n.busy = true
 	c.Post(st.m, 16, func(c earth.Ctx) {
-		if len(st.pool) > 0 {
-			var p Pair
-			p, st.pool = selectBest(st.pool, st.ring.Order())
+		if st.pool.len() > 0 {
+			p := st.pool.pop()
 			st.setInflight(w, p)
 			c.Post(earth.NodeID(w), pairMsgBytes, func(c earth.Ctx) {
 				earth.SpawnBody(c, func(c earth.Ctx) { st.startPair(c, w, p) })
@@ -450,8 +468,7 @@ func (st *parState) ensureCached(c earth.Ctx, w int, p Pair) bool {
 // charges the compute model for the work actually done.
 func (st *parState) processPair(c earth.Ctx, w int, p Pair) {
 	n := st.nodes[w]
-	G := n.cacheList()
-	nf, rst := n.red.ReducePair(n.cache[p.I], n.cache[p.J], G)
+	nf, rst := n.red.Reduce(n.cache[p.I], n.cache[p.J])
 	c.Compute(st.cfg.StepCost.PerPair + sim.Time(rst.TermOps)*st.cfg.StepCost.PerTermOp)
 	n.processed++
 
@@ -565,7 +582,7 @@ func (st *parState) tryInsert(c earth.Ctx) {
 // a dead one is withdrawn.
 func (st *parState) rereduce(c earth.Ctx, req insertReq) {
 	n := st.nodes[req.w]
-	nf, rst := n.red.NormalForm(req.nf, n.cacheList())
+	nf, rst := n.red.Reduce(req.nf, nil)
 	c.Compute(sim.Time(rst.TermOps) * st.cfg.StepCost.PerTermOp)
 	if nf.IsZero() {
 		n.outstanding--
@@ -622,7 +639,9 @@ func (st *parState) finishInsert(c earth.Ctx, w int, idx int, nf *poly.Poly) {
 				})
 			}
 		} else {
-			st.pool = append(st.pool, pairs...)
+			for _, p := range pairs {
+				st.pool.push(p)
+			}
 			st.dispatchWaiting(c)
 		}
 	}
@@ -633,7 +652,7 @@ func (st *parState) finishInsert(c earth.Ctx, w int, idx int, nf *poly.Poly) {
 // available.
 func (st *parState) dispatchWaiting(c earth.Ctx) {
 	for w := range st.books {
-		if len(st.pool) == 0 {
+		if st.pool.len() == 0 {
 			return
 		}
 		if !st.books[w].waiting {
@@ -671,12 +690,14 @@ func (st *parState) clearInflight(w int) {
 }
 
 // newPairsFor builds the critical pairs of basis[idx] against all earlier
-// entries that survive the configured criteria, numbering them by
-// (idx, partner) where the sequential Update draws from a running counter.
+// entries that survive the configured criteria, numbering them by their
+// rank in (idx, partner) order — idx(idx-1)/2 + partner, one number per
+// pair of a run — where the sequential Update draws from a running
+// counter.
 func (st *parState) newPairsFor(basis []*poly.Poly, idx int) []Pair {
 	pairs, _ := st.upd.appendNewPairs(nil, basis, idx)
 	for i := range pairs {
-		pairs[i].Seq = idx*1000 + pairs[i].I
+		pairs[i].Seq = idx*(idx-1)/2 + pairs[i].I
 	}
 	return pairs
 }
@@ -704,7 +725,7 @@ func (st *parState) maybeTerminate(c earth.Ctx) {
 		if total != st.created {
 			return
 		}
-	} else if len(st.pool) > 0 {
+	} else if st.pool.len() > 0 {
 		return
 	}
 	st.stop(c)
@@ -825,6 +846,58 @@ func (st *parState) ringHop(c earth.Ctx, requester, at int) {
 		}
 		st.ringHop(c, requester, (at+1)%st.workers)
 	})
+}
+
+// pairHeap is the central pool: a binary min-heap under Pair.Less. Less
+// is a strict total order — no two pairs of a run share a Seq — so pop
+// returns the pair selectBest would pick from the same set, whatever the
+// heap's shape.
+type pairHeap struct {
+	ord poly.Order
+	ps  []Pair
+}
+
+func (h *pairHeap) len() int { return len(h.ps) }
+
+func (h *pairHeap) push(p Pair) {
+	ps := append(h.ps, p)
+	i := len(ps) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !p.Less(ps[parent], h.ord) {
+			break
+		}
+		ps[i] = ps[parent]
+		i = parent
+	}
+	ps[i] = p
+	h.ps = ps
+}
+
+// pop removes and returns the best pair; the heap must not be empty.
+func (h *pairHeap) pop() Pair {
+	ps := h.ps
+	top, n := ps[0], len(ps)-1
+	last := ps[n]
+	ps[n] = Pair{} // release its LCM
+	ps = ps[:n]
+	h.ps = ps
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && ps[c+1].Less(ps[c], h.ord) {
+			c++
+		}
+		if !ps[c].Less(last, h.ord) {
+			break
+		}
+		ps[i] = ps[c]
+		i = c
+	}
+	ps[i] = last
+	return top
 }
 
 // sortPairs orders a pair slice best-first (see Pair.Less).

@@ -1,6 +1,9 @@
 package groebner
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"earth/internal/earth"
@@ -154,34 +157,67 @@ func TestParallelOnLiveRuntime(t *testing.T) {
 	}
 }
 
-// TestCacheListMemoised: the memoised staircase is the list a rebuild
-// gives, and it is rebuilt when — and only when — the cache changed.
-func TestCacheListMemoised(t *testing.T) {
-	in := InputByName("Katsura-4")
-	b, err := Buchberger(in.F, in.Opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &parState{nodes: []*parNode{{}}}
-	n := st.nodes[0]
-	for idx, g := range b.Polys {
-		if idx%3 == 1 {
-			continue // leave holes, as out-of-order broadcasts do
+// quadraticStaircase is the staircase by its definition: every cached
+// entry that no other entry makes redundant (see addToStaircase), each
+// checked against all the others, in index order.
+func quadraticStaircase(n *parNode) []int {
+	var out []int
+	for i, p := range n.cache {
+		if p == nil {
+			continue
 		}
-		st.nodeCachePut(0, idx, g, g.LeadMono())
-		got := n.cacheList()
-		n.cacheDirty = true
-		fresh := n.cacheList()
-		if len(got) != len(fresh) {
-			t.Fatalf("after put %d: memoised list has %d entries, rebuilt %d", idx, len(got), len(fresh))
-		}
-		for i := range got {
-			if got[i] != fresh[i] {
-				t.Fatalf("after put %d: entry %d differs", idx, i)
+		redundant := false
+		for j, q := range n.cache {
+			if q != nil && i != j && n.leads[j].Divides(n.leads[i]) && (!n.leads[i].Equal(n.leads[j]) || j < i) {
+				redundant = true
+				break
 			}
 		}
-		if again := n.cacheList(); len(again) > 0 && &again[0] != &fresh[0] {
-			t.Fatalf("after put %d: clean cache rebuilt its list", idx)
+		if !redundant {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestStaircaseMatchesQuadraticRule: after every put — indices arriving
+// out of order with holes, as broadcasts and Gets deliver them, an index
+// put a second time, many equal leads — the staircase kept per put is the
+// list the quadratic rule gives, its polynomials are the cache's, and the
+// put reports a change exactly when the list moved.
+func TestStaircaseMatchesQuadraticRule(t *testing.T) {
+	r := poly.NewRingMod(poly.GrLex{}, 32003, "x", "y", "z")
+	rng := rand.New(rand.NewSource(53))
+	for iter := 0; iter < 400; iter++ {
+		size := 1 + rng.Intn(40)
+		polys := make([]*poly.Poly, size)
+		for i := range polys {
+			// Exponents 1..3: 27 leads, so divisions and ties abound.
+			polys[i] = r.MustParse(fmt.Sprintf("x^%d*y^%d*z^%d + %d", 1+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(3), i+1))
+		}
+		order := rng.Perm(size)[:1+rng.Intn(size)] // the rest stay holes
+		for k := len(order) / 3; k > 0; k-- {
+			order = slices.Insert(order, 1+rng.Intn(len(order)), order[rng.Intn(len(order))])
+		}
+		n := &parNode{}
+		for _, idx := range order {
+			before := slices.Clone(n.stair)
+			changed := n.cachePut(idx, polys[idx], polys[idx].LeadMono())
+			want := quadraticStaircase(n)
+			if !slices.Equal(n.stair, want) {
+				t.Fatalf("iter %d, after put %d of %v: staircase %v, quadratic rule %v", iter, idx, order, n.stair, want)
+			}
+			if changed != !slices.Equal(before, n.stair) {
+				t.Fatalf("iter %d, after put %d: reported changed=%v, list went %v -> %v", iter, idx, changed, before, n.stair)
+			}
+			if len(n.staircase) != len(n.stair) {
+				t.Fatalf("iter %d: %d polynomials for %d staircase entries", iter, len(n.staircase), len(n.stair))
+			}
+			for k, j := range n.stair {
+				if n.staircase[k] != n.cache[j] {
+					t.Fatalf("iter %d: staircase entry %d is not cache entry %d", iter, k, j)
+				}
+			}
 		}
 	}
 }

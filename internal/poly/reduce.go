@@ -10,7 +10,7 @@ import (
 // work the paper's Gröbner application parallelises.
 //
 // There are two engines behind SPoly, Monic, Reducer.NormalForm and
-// Reducer.ReducePair, and the ring decides which runs. The packed engine
+// Reducer.Reduce, and the ring decides which runs. The packed engine
 // (reduce_packed.go) works on the flat key/residue slices of packed.go:
 // the workspace is an open-addressing table from monomial key to
 // accumulated residue plus a max-heap of keys, so a term operation is an
@@ -126,11 +126,20 @@ func (h *monoHeap) pop() Mono {
 
 // Reducer runs normal-form computations while retaining the workspace of
 // whichever engine ran — table, heap and scratch buffers — across calls,
-// so a completion run allocates per reduction only the result. A Reducer
-// is not safe for concurrent use; the zero value is ready.
+// so a completion run allocates per reduction only the result. It also
+// keeps the basis it divides by, with the packed engine's divisor table,
+// from one reduction to the next until the caller says the basis changed
+// (SetBasis). A Reducer is not safe for concurrent use; the zero value is
+// ready.
 type Reducer struct {
-	packed  packedWorkspace
-	generic genericWorkspace
+	basis []*Poly // what Reduce divides by (SetBasis)
+	// built reports that the packed divisor table reflects basis; when
+	// it does, packedOK reports that every divisor is a packed polynomial
+	// of ring (nil when there is no divisor).
+	built, packedOK bool
+	ring            *Ring
+	packed          packedWorkspace
+	generic         genericWorkspace
 }
 
 // genericWorkspace is the generic engine's state. ws maps an encoded
@@ -148,51 +157,75 @@ type genericWorkspace struct {
 // NewReducer returns an empty Reducer.
 func NewReducer() *Reducer { return &Reducer{} }
 
-// NormalForm reduces f completely modulo the basis G: the result has no
-// term divisible by any leading monomial of G. It returns the normal form
-// and reduction statistics. Zero and nil polynomials in G are ignored.
-//
-// The classical invariant holds: f = (combination of G) + result.
-func (r *Reducer) NormalForm(f *Poly, G []*Poly) (*Poly, ReduceStats) {
-	if allPacked(f, G) {
-		if nf, st, ok := r.packed.normalForm(f.ring, f.keys, f.coefs, G); ok {
-			return nf, st
-		}
-	}
-	return r.generic.normalForm(f, G)
+// SetBasis makes G the basis Reduce divides by; zero and nil polynomials
+// in it are ignored. It is also how a caller says that its basis changed:
+// the divisor table is dropped here and built from G at the first
+// reduction that needs it, then kept for every reduction until the next
+// SetBasis. A caller that changes G, in place or by appending, calls
+// SetBasis again before it next reduces. SetBasis(nil) leaves the Reducer
+// at rest: it refers to no polynomial, so one kept in a pool pins no
+// basis.
+func (r *Reducer) SetBasis(G []*Poly) {
+	r.basis, r.built, r.packedOK, r.ring = G, false, false, nil
+	r.packed.dropDivisors()
 }
 
-// ReducePair returns the normal form of S(f, g) modulo G with its
-// statistics: NormalForm(SPoly(f, g), G), except that on the packed engine
-// the S-polynomial is merged into slices the workspace owns and reduced
-// from there, so nothing is allocated but the result. Both inputs must be
-// nonzero and of one ring.
-func (r *Reducer) ReducePair(f, g *Poly, G []*Poly) (*Poly, ReduceStats) {
-	f.checkRing(g)
-	if g.packed() && !f.IsZero() && !g.IsZero() && allPacked(f, G) {
+// Reduce returns, with its statistics, the normal form modulo the basis of
+// f or, when g is not nil, of S(f, g): it has no term divisible by any
+// leading monomial of the basis, and f (or S(f, g)) equals it plus a
+// combination of the basis. On the packed engine the S-polynomial is
+// merged into slices the workspace owns and reduced from there, so nothing
+// is allocated but the result. f and g must be nonzero and of one ring.
+func (r *Reducer) Reduce(f, g *Poly) (*Poly, ReduceStats) {
+	if g != nil {
+		f.checkRing(g)
+	}
+	if r.packedBasis(f) {
 		w := &r.packed
-		var ok bool
-		if w.spK, w.spC, ok = spolyPacked(f, g, w.spK[:0], w.spC[:0]); ok {
-			if nf, st, ok := w.normalForm(f.ring, w.spK, w.spC, G); ok {
+		keys, coefs, ok := f.keys, f.coefs, true
+		if g != nil {
+			ok = g.packed() && !f.IsZero() && !g.IsZero()
+			if ok {
+				w.spK, w.spC, ok = spolyPacked(f, g, w.spK[:0], w.spC[:0])
+				keys, coefs = w.spK, w.spC
+			}
+		}
+		if ok {
+			if nf, st, ok := w.reduce(f.ring, keys, coefs); ok {
 				return nf, st
 			}
 		}
 	}
-	return r.NormalForm(SPoly(f, g), G)
+	if g != nil {
+		f = SPoly(f, g)
+	}
+	return r.generic.normalForm(f, r.basis)
 }
 
-// allPacked reports whether f and every divisor in G are packed
-// polynomials of one ring.
-func allPacked(f *Poly, G []*Poly) bool {
+// packedBasis reports whether the packed engine can reduce f: f is packed
+// and every divisor of the basis is a packed polynomial of f's ring. It
+// builds the divisor table first if SetBasis dropped it.
+func (r *Reducer) packedBasis(f *Poly) bool {
 	if !f.packed() {
 		return false
 	}
-	for _, g := range G {
-		if g != nil && (g.ring != f.ring || !g.packed()) {
-			return false
-		}
+	if !r.built {
+		r.ring, r.packedOK = r.packed.setDivisors(r.basis)
+		r.built = true
 	}
-	return true
+	return r.packedOK && (r.ring == nil || r.ring == f.ring)
+}
+
+// NormalForm reduces f completely modulo G: it is Reduce(f, nil) with G as
+// the basis, and leaves the Reducer at rest. It returns the normal form
+// and reduction statistics. Zero and nil polynomials in G are ignored.
+//
+// The classical invariant holds: f = (combination of G) + result.
+func (r *Reducer) NormalForm(f *Poly, G []*Poly) (*Poly, ReduceStats) {
+	r.SetBasis(G)
+	nf, st := r.Reduce(f, nil)
+	r.SetBasis(nil)
+	return nf, st
 }
 
 // NormalForm is the convenience form using a throwaway workspace. Hot

@@ -12,7 +12,7 @@ import (
 
 // packedWorkspace is the reduction workspace the Reducer retains: the
 // accumulator table, the heap of keys still to eliminate, the divisor
-// table, the S-polynomial of ReducePair and the output under construction.
+// table, the S-polynomial of Reduce and the output under construction.
 type packedWorkspace struct {
 	// slots[i] holds key+1 (0 marks an empty slot; keys stay below 2^63)
 	// and acc[i] its accumulated residue. len(slots) is a power of two
@@ -31,12 +31,15 @@ type packedWorkspace struct {
 	// term count and leadW[i] the exponent word of divs[i]'s leading
 	// monomial, so the first entry whose word divides a monomial is the
 	// first divisor, in the caller's order, among those with the fewest
-	// terms. divs is cleared when a reduction returns: a retained
-	// workspace pins no polynomial.
+	// terms. The Reducer builds it from its basis at the first reduction
+	// after SetBasis and keeps it until the next SetBasis, which drops it
+	// and clears its references, so a workspace at rest pins no
+	// polynomial. Its storage is the workspace's, reused from table to
+	// table.
 	leadW []uint64
 	divs  []*Poly
 
-	spK  []uint64 // S-polynomial under reduction (ReducePair)
+	spK  []uint64 // S-polynomial under reduction (Reduce)
 	spC  []uint32
 	outK []uint64
 	outC []uint32
@@ -151,14 +154,23 @@ func (w *packedWorkspace) pop() uint64 {
 	return top
 }
 
-// setDivisors builds the divisor table from G (see packedWorkspace): an
+// setDivisors builds the divisor table from G (see packedWorkspace) by an
 // insertion sort, stable because an entry moves only past strictly longer
-// ones.
-func (w *packedWorkspace) setDivisors(ring *Ring, G []*Poly) {
-	w.leadW, w.divs = w.leadW[:0], w.divs[:0]
+// ones. It reports whether every nonzero polynomial in G is a packed
+// polynomial of one ring, and which (nil when there is none); when not,
+// the table is left empty and unusable.
+func (w *packedWorkspace) setDivisors(G []*Poly) (ring *Ring, ok bool) {
+	w.dropDivisors()
 	for _, g := range G {
-		if g == nil || len(g.keys) == 0 {
+		if g == nil || g.IsZero() {
 			continue
+		}
+		if ring == nil {
+			ring = g.ring
+		}
+		if g.ring != ring || !g.packed() {
+			w.dropDivisors()
+			return nil, false
 		}
 		i := len(w.divs)
 		w.leadW, w.divs = append(w.leadW, 0), append(w.divs, nil)
@@ -167,6 +179,13 @@ func (w *packedWorkspace) setDivisors(ring *Ring, G []*Poly) {
 		}
 		w.leadW[i], w.divs[i] = ring.expWord(g.keys[0]), g
 	}
+	return ring, true
+}
+
+// dropDivisors empties the divisor table, clearing its references.
+func (w *packedWorkspace) dropDivisors() {
+	clear(w.divs)
+	w.leadW, w.divs = w.leadW[:0], w.divs[:0]
 }
 
 // divisor returns the table's first divisor whose leading monomial divides
@@ -180,16 +199,9 @@ func (w *packedWorkspace) divisor(mw uint64) *Poly {
 	return nil
 }
 
-// normalForm is the packed reduction engine, on the dividend given by its
-// key and residue slices (a polynomial's, or the workspace's S-polynomial).
-// It follows genericWorkspace.normalForm step for step.
-func (w *packedWorkspace) normalForm(ring *Ring, keys []uint64, coefs []uint32, G []*Poly) (*Poly, ReduceStats, bool) {
-	w.setDivisors(ring, G)
-	nf, st, ok := w.reduce(ring, keys, coefs)
-	clear(w.divs)
-	return nf, st, ok
-}
-
+// reduce is the packed reduction engine, on the dividend given by its key
+// and residue slices (a polynomial's, or the workspace's S-polynomial) and
+// the divisor table. It follows genericWorkspace.normalForm step for step.
 func (w *packedWorkspace) reduce(ring *Ring, keys []uint64, coefs []uint32) (*Poly, ReduceStats, bool) {
 	var st ReduceStats
 	mod := ring.modp
@@ -254,7 +266,7 @@ func (w *packedWorkspace) reduce(ring *Ring, keys []uint64, coefs []uint32) (*Po
 
 // spolyPacked appends to keys and coefs (both empty) the S-polynomial of
 // two nonzero packed polynomials of one ring, merging their shifted tails;
-// the leading terms cancel. SPoly hands it fresh slices, ReducePair the
+// the leading terms cancel. SPoly hands it fresh slices, Reduce the
 // workspace's.
 func spolyPacked(f, g *Poly, keys []uint64, coefs []uint32) ([]uint64, []uint32, bool) {
 	ring := f.ring
