@@ -22,8 +22,8 @@ import (
 type eventFacts struct {
 	// defined maps "pkgpath.EvName" to the definition position.
 	defined map[string]token.Pos
-	// emitted holds "pkgpath.EvName" keys seen as the Kind of an Event
-	// composite literal.
+	// emitted holds "pkgpath.EvName" keys seen used as a kind (see
+	// recordEmission).
 	emitted map[string]bool
 }
 
@@ -47,7 +47,8 @@ func checkAPI(pass *framework.Pass) *eventFacts {
 				checkTracerEmit(pass, n, stack)
 			case *ast.CompositeLit:
 				checkNegativeFields(pass, n)
-				recordEmission(pass, n, facts)
+			case *ast.Ident:
+				recordEmission(pass, n, stack, facts)
 			}
 			return true
 		})
@@ -181,32 +182,39 @@ func constKey(obj types.Object) string {
 	return obj.Pkg().Path() + "." + obj.Name()
 }
 
-// recordEmission marks Ev* constants appearing as the Kind of an Event
-// composite literal.
-func recordEmission(pass *framework.Pass, lit *ast.CompositeLit, facts *eventFacts) {
-	n := framework.NamedOf(pass.TypeOf(lit))
-	if n == nil || n.Obj().Name() != "Event" {
+// recordEmission marks an Ev* constant used as a kind — the Kind of an
+// Event literal, or a value handed to a parameter, a variable or a result
+// on its way to one (earth.NodeAcct.Issue, earth.ThreadDeliver) — as
+// emitted. Comparisons, switch cases, indices and keys only read a kind
+// and do not count. stack ends with id.
+func recordEmission(pass *framework.Pass, id *ast.Ident, stack []ast.Node, facts *eventFacts) {
+	c, ok := pass.TypesInfo().Uses[id].(*types.Const)
+	if !ok || !isEventConstName(c.Name()) {
 		return
 	}
-	for _, elt := range lit.Elts {
-		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok {
-			continue
+	var e ast.Expr = id
+	parent := stack[len(stack)-2]
+	if sel, ok := parent.(*ast.SelectorExpr); ok && sel.Sel == id {
+		e, parent = sel, stack[len(stack)-3]
+	}
+	switch p := parent.(type) {
+	case *ast.BinaryExpr:
+		if p.Op == token.EQL || p.Op == token.NEQ || p.Op == token.LSS ||
+			p.Op == token.LEQ || p.Op == token.GTR || p.Op == token.GEQ {
+			return
 		}
-		if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Kind" {
-			continue
+	case *ast.CaseClause:
+		return
+	case *ast.IndexExpr:
+		if p.Index == e {
+			return
 		}
-		var obj types.Object
-		switch v := kv.Value.(type) {
-		case *ast.Ident:
-			obj = pass.ObjectOf(v)
-		case *ast.SelectorExpr:
-			obj = pass.ObjectOf(v.Sel)
-		}
-		if c, ok := obj.(*types.Const); ok && isEventConstName(c.Name()) {
-			facts.emitted[constKey(c)] = true
+	case *ast.KeyValueExpr:
+		if p.Key == e {
+			return
 		}
 	}
+	facts.emitted[constKey(c)] = true
 }
 
 // checkTracerEmit requires a nil guard around emissions through a struct
@@ -298,8 +306,8 @@ func finish(results []framework.Result, report func(framework.Diagnostic)) {
 			report(framework.Diagnostic{
 				Pos: defined[k],
 				Message: fmt.Sprintf("trace-event constant %s is defined but never emitted "+
-					"(no Event{Kind: %s} in the analysed packages); emit it or delete it",
-					k[strings.LastIndex(k, ".")+1:], k[strings.LastIndex(k, ".")+1:]),
+					"(no Event's Kind, and no kind handed on toward one, in the analysed packages); "+
+					"emit it or delete it", k[strings.LastIndex(k, ".")+1:]),
 			})
 		}
 	}

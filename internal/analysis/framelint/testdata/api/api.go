@@ -76,6 +76,16 @@ const (
 	// EvRejoined mirrors the partition-heal rejoin event; declared without
 	// ever wiring the emission into an engine, the audit must flag it.
 	EvRejoined // want `trace-event constant EvRejoined is defined but never emitted`
+	// EvViaParam, EvViaSource and EvViaLocal mirror kinds that reach the
+	// Event literal through an accounting method's kind parameter, a
+	// function returning the kind, and a local: ok.go emits all three, so
+	// the audit must stay quiet about them.
+	EvViaParam
+	EvViaSource
+	EvViaLocal
+	// EvOnlyRead is only compared, switched on and used as an index, as
+	// a consumer reads a kind: the audit must flag it.
+	EvOnlyRead // want `trace-event constant EvOnlyRead is defined but never emitted`
 )
 
 // Event mirrors earth.Event, including the latency and peer attribution

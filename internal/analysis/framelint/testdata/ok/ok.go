@@ -248,3 +248,44 @@ func (e *engine) fencePeer(now, lease int64, peer int) {
 			Kind: api.EvPartitionFence, Dur: lease})
 	}
 }
+
+// acct mirrors earth.NodeAcct: the Event literal takes its Kind from a
+// parameter or a local, behind the nil guard.
+type acct struct{ sink api.Tracer }
+
+func (a *acct) issue(k api.EventKind, now int64) {
+	if a.sink != nil {
+		a.sink.Event(api.Event{Time: now, Kind: k})
+	}
+}
+
+func (a *acct) ran(now int64, handler bool) {
+	kind := api.EvViaLocal
+	if handler {
+		kind = api.EvUsed
+	}
+	if a.sink != nil {
+		a.sink.Event(api.Event{Time: now, Kind: kind})
+	}
+}
+
+// landKind mirrors earth.ThreadDeliver: a function picking the kind.
+func landKind() api.EventKind { return api.EvViaSource }
+
+// read mirrors a consumer: it only reads kinds.
+func read(k api.EventKind, seen map[api.EventKind]int) int {
+	switch k {
+	case api.EvOnlyRead:
+		return seen[api.EvOnlyRead]
+	}
+	if k == api.EvOnlyRead || k > api.EvOnlyRead {
+		return 1
+	}
+	return 0
+}
+
+func (e *engine) account(a *acct, now int64) {
+	a.issue(api.EvViaParam, now)
+	a.issue(landKind(), now)
+	a.ran(now, false)
+}

@@ -224,35 +224,44 @@ func ringProg(form getForm, nodes, hops int, out *int) earth.ThreadBody {
 	return func(c earth.Ctx) { hop(c, 0) }
 }
 
+// parityNodes is the machine size of the parity programs.
+const parityNodes = 4
+
+// parityPrograms are deterministic programs for the cross-engine parity
+// tests: each returns the run's stats and its result as text. Between them
+// they issue local and remote Put, Get, GetWord, Invoke, Post, Sync and
+// tokens; a token's work depends only on its index, and each node deals
+// its tokens in multiples of parityNodes, so round-robin placement sends
+// the same tokens to the same nodes whatever order a node's bodies run in.
+var parityPrograms = []struct {
+	name string
+	run  func(rt earth.Runtime, form getForm) (*earth.Stats, string)
+}{
+	{"ring", func(rt earth.Runtime, form getForm) (*earth.Stats, string) {
+		var out int
+		st := rt.Run(ringProg(form, parityNodes, 3*parityNodes+1, &out))
+		return st, fmt.Sprint(out)
+	}},
+	{"fan-in", func(rt earth.Runtime, form getForm) (*earth.Stats, string) {
+		var res getResult
+		body, _ := getProg(form, &res, parityNodes, 2*parityNodes, parityNodes, 0)
+		st := rt.Run(body)
+		return st, fmt.Sprintf("%+v", res)
+	}},
+}
+
 // TestCounterParity: for deterministic programs with stealing off, the two
 // engines count the same threads, tokens, messages, bytes and sync signals
 // on every node — whichever Get form the program uses. Only the fields
 // countFields drops may differ.
 func TestCounterParity(t *testing.T) {
-	const nodes = 4
-	programs := []struct {
-		name string
-		run  func(rt earth.Runtime, form getForm) (*earth.Stats, string)
-	}{
-		{"ring", func(rt earth.Runtime, form getForm) (*earth.Stats, string) {
-			var out int
-			st := rt.Run(ringProg(form, nodes, 3*nodes+1, &out))
-			return st, fmt.Sprint(out)
-		}},
-		{"fan-in", func(rt earth.Runtime, form getForm) (*earth.Stats, string) {
-			var res getResult
-			body, _ := getProg(form, &res, nodes, 2*nodes, 4, 0)
-			st := rt.Run(body)
-			return st, fmt.Sprintf("%+v", res)
-		}},
-	}
-	for _, p := range programs {
+	for _, p := range parityPrograms {
 		t.Run(p.name, func(t *testing.T) {
 			var base []earth.NodeStats
 			var baseRes, baseName string
 			for _, form := range getForms {
 				for _, eng := range bothEngines {
-					st, res := p.run(eng.new(earth.Config{Nodes: nodes, Seed: 5, Balancer: earth.BalanceNone}), form)
+					st, res := p.run(eng.new(earth.Config{Nodes: parityNodes, Seed: 5, Balancer: earth.BalanceNone}), form)
 					name := eng.name + "/" + form.name
 					if st.Total().MsgsSent == 0 {
 						t.Fatalf("%s: no message counted", name)
@@ -273,5 +282,91 @@ func TestCounterParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// traceExcluded are the event kinds TestTraceParity does not compare, each
+// with its reason. Every other kind either engine emits on these programs
+// is accounted through earth.NodeAcct and must match.
+var traceExcluded = map[earth.EventKind]string{
+	earth.EvHandlerRun: "livert runs every runtime message (sync, put, both Get legs) as a handler; simrt runs only Post bodies on the handler path",
+}
+
+// traceKey is what TestTraceParity compares of one event: times are virtual
+// on simrt and wall-clock on livert, so Time, Dur and Wait are left out.
+type traceKey struct {
+	Kind  earth.EventKind
+	Peer  earth.NodeID
+	Bytes int
+	Cause earth.Cause
+}
+
+// nodeTraces returns the multiset of keys of evs, per node.
+func nodeTraces(evs []earth.Event) map[earth.NodeID]map[traceKey]int {
+	out := map[earth.NodeID]map[traceKey]int{}
+	for _, e := range evs {
+		if _, ok := traceExcluded[e.Kind]; ok {
+			continue
+		}
+		if out[e.Node] == nil {
+			out[e.Node] = map[traceKey]int{}
+		}
+		out[e.Node][traceKey{e.Kind, e.Peer, e.Bytes, e.Cause}]++
+	}
+	return out
+}
+
+// TestTraceParity: for the parity programs, with tokens pooled or placed
+// round-robin, the two engines trace the same operations on every node —
+// the same multiset of (kind, peer, bytes, cause) for every kind but the
+// excluded ones — and between them the runs trace every issue, delivery,
+// signal and run kind the programs' operations have.
+func TestTraceParity(t *testing.T) {
+	want := []earth.EventKind{earth.EvThreadRun, earth.EvSyncSignal,
+		earth.EvGetSend, earth.EvGetDeliver, earth.EvPutSend, earth.EvPutDeliver,
+		earth.EvInvokeSend, earth.EvInvokeDeliver, earth.EvPostSend,
+		earth.EvTokenSpawn, earth.EvTokenDeliver}
+	seen := map[earth.EventKind]bool{}
+	for _, p := range parityPrograms {
+		for _, bal := range []struct {
+			name string
+			b    earth.Balancer
+		}{{"pooled", earth.BalanceNone}, {"round-robin", earth.BalanceRoundRobin}} {
+			for _, form := range getForms {
+				t.Run(p.name+"/"+bal.name+"/"+form.name, func(t *testing.T) {
+					var base map[earth.NodeID]map[traceKey]int
+					var baseName string
+					for _, eng := range bothEngines {
+						col := &traceCollector{}
+						p.run(eng.new(earth.Config{Nodes: parityNodes, Seed: 5, Balancer: bal.b, Tracer: col}), form)
+						got := nodeTraces(col.evs)
+						for _, e := range col.evs {
+							seen[e.Kind] = true
+						}
+						if base == nil {
+							base, baseName = got, eng.name
+							continue
+						}
+						for n := earth.NodeID(0); n < parityNodes; n++ {
+							for k, c := range got[n] {
+								if base[n][k] != c {
+									t.Errorf("node %d: %s traces %d of %+v, %s %d", n, eng.name, c, k, baseName, base[n][k])
+								}
+							}
+							for k, c := range base[n] {
+								if _, ok := got[n][k]; !ok {
+									t.Errorf("node %d: %s traces none of %+v, %s %d", n, eng.name, k, baseName, c)
+								}
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+	for _, k := range want {
+		if !seen[k] {
+			t.Errorf("no run traced a %v event", k)
+		}
 	}
 }

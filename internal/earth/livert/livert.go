@@ -85,7 +85,7 @@
 //     each body returns — that body's end and the next one's start — because
 //     run events carry Time and Dur.
 //   - Time stamps only a trace event reports (when an item or token was
-//     queued, when a Put, Get or placed token was issued) are taken only
+//     queued, when a Put, Get, invoke or placed token was issued) are taken only
 //     with a Config.Tracer installed.
 package livert
 
@@ -117,17 +117,16 @@ const handlerBatch = 32
 type item struct {
 	body earth.ThreadBody
 	// env is set for a handler: its envelope, in the executor's batch.
-	env    *envelope
-	enq    sim.Time // run-relative time the work became ready (a placed token in flight: when it was issued); stamped only under a tracer
-	cause  earth.Cause
-	token  bool
-	stolen bool
+	env   *envelope
+	enq   sim.Time // run-relative time the work became ready (an invoke or placed token in flight: when it was issued); stamped only under a tracer
+	cause earth.Cause
 }
 
 // ltoken is a pooled load-balanced invocation.
 type ltoken struct {
-	body earth.ThreadBody
-	enq  sim.Time // deposit time; stamped only under a tracer
+	body  earth.ThreadBody
+	enq   sim.Time // deposit time; stamped only under a tracer
+	bytes int      // argument size
 }
 
 // envKind says what firing an envelope does.
@@ -265,16 +264,12 @@ type lnode struct {
 	busy     bool
 	from, at sim.Time
 
-	// stats holds the counters only this node's executor touches (Busy,
-	// ThreadsRun, TokensRun, TokensStolen, Syncs, DetectionLatency, and
-	// MsgsSent/BytesSent for what its bodies and handlers send); Run reads
-	// it after wg.Wait.
-	stats earth.NodeStats
-	// san is the node's share of the sanitizer's frame ledger: the frames
-	// this executor signalled or spawned, whichever node is their home.
-	// Written only by this node's executor, so it needs no lock; read by Run
-	// after wg.Wait, which orders the accesses.
-	san earth.SanLedger
+	// acct holds the counters only this node's executor touches (Busy,
+	// DetectionLatency and what earth.NodeAcct counts for the bodies and
+	// handlers it runs) and its share of the sanitizer's frame ledger: the
+	// frames it signalled or spawned, whichever node is their home. It needs
+	// no lock; Run reads it after wg.Wait, which orders the accesses.
+	acct earth.NodeAcct
 
 	// faultStats collects the protocol core's counter deltas for this
 	// node. Senders, receivers and timers account from arbitrary
@@ -348,9 +343,6 @@ type Runtime struct {
 	seen    earth.SeenSet
 	// coalOn caches cfg.Coalesce.Enabled for the per-operation hot path.
 	coalOn bool
-	// wireExtra is the per-message checksum (manna.ChecksumBytes) counted
-	// in BytesSent when the plan can corrupt payloads, as simrt charges it.
-	wireExtra int
 }
 
 var _ earth.Runtime = (*Runtime)(nil)
@@ -370,6 +362,7 @@ func New(cfg earth.Config) *Runtime {
 			redirect: -1,
 		}
 		n.ctx = ctx{rt: rt, n: n, dead: true}
+		n.acct.Node, n.acct.Sink = n.id, cfg.Tracer
 		rt.nodes[i] = n
 	}
 	fs, err := cfg.ResolveFaults()
@@ -382,7 +375,9 @@ func New(cfg earth.Config) *Runtime {
 		rt.inj = faults.NewInjector(fs.Plan, cfg.Seed)
 		rt.hasPart = fs.Plan.HasPartition()
 		if fs.Plan.HasCorrupt() {
-			rt.wireExtra = manna.ChecksumBytes
+			for _, n := range rt.nodes {
+				n.acct.Checksum = manna.ChecksumBytes
+			}
 		}
 	}
 	return rt
@@ -418,8 +413,8 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		n.tokens.Reset()
 		n.redirect = -1
 		n.rr = 0
-		n.stats, n.faultStats = earth.NodeStats{}, earth.NodeStats{}
-		n.san.Reset(rt.cfg.Sanitize)
+		n.acct.Reset(rt.cfg.Sanitize)
+		n.faultStats = earth.NodeStats{}
 		n.credit = credit{}
 		n.bnext, n.bend, n.fences = 0, 0, 0
 		n.busy = false
@@ -457,10 +452,10 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		Nodes:   make([]earth.NodeStats, len(rt.nodes)),
 	}
 	for i, n := range rt.nodes {
-		st.Nodes[i] = n.stats
+		st.Nodes[i] = n.acct.Stats
 		st.Nodes[i].Add(n.faultStats)
 	}
-	st.Sanitize = earth.ScanLedgers(rt.nodes, func(n *lnode) *earth.SanLedger { return &n.san }, st.Elapsed, rt.tr)
+	st.Sanitize = earth.ScanLedgers(rt.nodes, func(n *lnode) *earth.SanLedger { return &n.acct.San }, st.Elapsed, rt.tr)
 	return st
 }
 
@@ -642,7 +637,7 @@ func (rt *Runtime) failover(n *lnode, at sim.Time, cause earth.Cause) {
 	sn := rt.nodes[rt.take.Adopter(n.id, at, rt.gone)]
 	h := earth.Handover{Down: n.id, At: rt.now(), Cause: cause, Sink: rt.tr}
 	sn.account(h.Declare(sn.id, rt.retry.Lease))
-	n.stats.DetectionLatency = rt.retry.Lease
+	n.acct.Stats.DetectionLatency = rt.retry.Lease
 	// The rings leave with their storage; the down node, which nothing is
 	// pushed to again this run, keeps empty ones.
 	n.mu.Lock()
@@ -667,9 +662,9 @@ func (rt *Runtime) failover(n *lnode, at sim.Time, cause earth.Cause) {
 		rt.pushItem(sn, it)
 	}
 	for tokens.Len() > 0 {
-		tn := rt.nodes[rt.take.Place(at, rt.gone)]
-		tn.account(h.Reassign(tn.id, 0)) // pooled tokens do not keep their argument size here
-		rt.pushToken(tn, tokens.PopFront())
+		tk, tn := tokens.PopFront(), rt.nodes[rt.take.Place(at, rt.gone)]
+		tn.account(h.Reassign(tn.id, tk.bytes))
+		rt.pushToken(tn, tk)
 	}
 }
 
@@ -783,11 +778,13 @@ func (rt *Runtime) sendHandler(ex *lnode, src earth.NodeID, dst *lnode, bytes in
 		rt.enqueueHandler(ex, dst, e)
 		return
 	}
+	// Every send is issued by a body or handler running on an executor: the
+	// sender's, counted there. A request carries no payload: 8 bytes on the
+	// wire, as in simrt.
 	if e.kind == envGetReq {
-		// A request carries no payload: 8 bytes on the wire, as in simrt.
-		rt.sent(ex, 8)
+		ex.acct.Sent(8)
 	} else {
-		rt.sent(ex, bytes)
+		ex.acct.Sent(bytes)
 	}
 	if rt.inj == nil {
 		rt.enqueueHandler(ex, dst, e)
@@ -797,44 +794,34 @@ func (rt *Runtime) sendHandler(ex *lnode, src earth.NodeID, dst *lnode, bytes in
 		func(ex *lnode, e envelope) { rt.enqueueHandler(ex, dst, &e) })
 }
 
-// sent counts one remote message carrying bytes of payload, at the points
-// simrt.send counts it and with the same header and checksum bytes, on the
-// sending executor ex. Every send is issued by a body or handler running on
-// an executor; timers and Run only land work that was already counted.
-func (rt *Runtime) sent(ex *lnode, bytes int) {
-	ex.stats.MsgsSent++
-	ex.stats.BytesSent += uint64(bytes + manna.HeaderBytes + rt.wireExtra)
-}
-
 // sendItem routes a ready item (INVOKE or a placed token) to dst under
 // the fault plan. A suppressed duplicate still dispatches as an item
 // whose body is a no-op, so livert's thread counters can include
 // suppressed copies — acceptable on the wall-clock engine.
 func (rt *Runtime) sendItem(ex *lnode, src earth.NodeID, dst *lnode, bytes int, it item) {
 	if dst.id == src {
-		rt.landItem(ex, src, dst, it)
+		rt.landItem(ex, src, dst, bytes, it)
 		return
 	}
-	rt.sent(ex, bytes)
+	ex.acct.Sent(bytes)
 	if rt.inj == nil {
-		rt.landItem(ex, src, dst, it)
+		rt.landItem(ex, src, dst, bytes, it)
 		return
 	}
 	rt.faultVerdict(ex, src, dst, bytes, envelope{kind: envBody, fn: pack(it.body)},
 		func(ex *lnode, e envelope) {
 			landed := it
 			landed.body = unpack[earth.ThreadBody](e.fn)
-			rt.landItem(ex, src, dst, landed)
+			rt.landItem(ex, src, dst, bytes, landed)
 		})
 }
 
-// landItem queues it, sent by src, on dst. A placed token arriving from
-// another node carries its issue time in enq until here.
-func (rt *Runtime) landItem(ex *lnode, src earth.NodeID, dst *lnode, it item) {
-	if rt.tr != nil && it.token && dst.id != src {
-		now := rt.now()
-		rt.tr.Event(earth.Event{Time: now, Node: dst.id, Peer: src,
-			Kind: earth.EvTokenDeliver, Dur: now - it.enq})
+// landItem queues it, bytes of arguments sent by src, on dst. An invoke or
+// placed token arriving from another node carries its issue time in enq
+// until here.
+func (rt *Runtime) landItem(ex *lnode, src earth.NodeID, dst *lnode, bytes int, it item) {
+	if dst.id != src {
+		dst.acct.Deliver(earth.ThreadDeliver(it.cause), rt.stamp(), it.enq, src, bytes)
 	}
 	rt.enqueue(ex, dst, it)
 }
@@ -925,7 +912,7 @@ func (n *lnode) next() (item, bool) {
 				it = n.ready.PopFront()
 			} else if n.tokens.Len() > 0 {
 				tk := n.tokens.PopBack()
-				it = item{body: tk.body, enq: tk.enq, token: true, cause: earth.CauseToken}
+				it = item{body: tk.body, enq: tk.enq, cause: earth.CauseToken}
 			} else {
 				ok = false
 			}
@@ -959,14 +946,10 @@ func (n *lnode) steal() (item, bool) {
 		if v.tokens.Len() > 0 {
 			tk := v.tokens.PopFront()
 			v.mu.Unlock()
-			it := item{body: tk.body, token: true, stolen: true, cause: earth.CauseSteal}
-			if n.rt.tr != nil {
-				// Shared-memory steal: a direct pool pop, so the "grant"
-				// has no request leg and no round trip.
-				it.enq = n.rt.now()
-				n.rt.tr.Event(earth.Event{Time: it.enq, Node: n.id, Peer: v.id,
-					Kind: earth.EvStealGrant})
-			}
+			// Shared-memory steal: a direct pool pop, so the "grant" has no
+			// request leg and no round trip.
+			it := item{body: tk.body, cause: earth.CauseSteal, enq: n.rt.stamp()}
+			n.acct.Deliver(earth.EvStealGrant, it.enq, it.enq, v.id, tk.bytes)
 			return it, true
 		}
 		v.mu.Unlock()
@@ -1036,7 +1019,7 @@ func (n *lnode) loop(lctx context.Context) {
 // reading at.
 func (n *lnode) endBusy(at sim.Time) {
 	if n.busy {
-		n.stats.Busy += at - n.from
+		n.acct.Stats.Busy += at - n.from
 		n.busy = false
 	}
 }
@@ -1095,25 +1078,14 @@ func (n *lnode) exec(lctx context.Context, it item) {
 		c.coal.Drain(c)
 	}
 	c.dead = true
-	if it.env == nil {
-		n.stats.ThreadsRun++
-	}
-	if it.token {
-		n.stats.TokensRun++
-		if it.stolen {
-			n.stats.TokensStolen++
-		}
-	}
+	var start, end sim.Time
 	if rt.tr != nil {
-		start, end := n.at, rt.now()
+		start, end = n.at, rt.now()
 		n.at = end
-		kind, wait := earth.EvThreadRun, max(0, start-it.enq)
-		if it.env != nil {
-			kind, wait = earth.EvHandlerRun, 0
-		}
-		rt.tr.Event(earth.Event{Time: start, Node: n.id, Peer: earth.NoPeer,
-			Kind: kind, Dur: end - start, Wait: wait, Cause: it.cause})
 	}
+	// The period clock puts a body's start at the previous one's end, which
+	// may precede the item's ready stamp: the wait is clamped at zero.
+	n.acct.Ran(start, end, min(it.enq, start), it.cause)
 }
 
 // run executes it's body, or fires its envelope, on executor n.
@@ -1145,11 +1117,7 @@ func (n *lnode) fire(e *envelope) {
 
 func (n *lnode) firePut(e *envelope) {
 	unpack[func()](e.fn)()
-	if rt := n.rt; rt.tr != nil {
-		now := rt.now()
-		rt.tr.Event(earth.Event{Time: now, Node: earth.NodeID(e.peer), Peer: earth.NodeID(e.from),
-			Kind: earth.EvPutDeliver, Bytes: int(e.bytes), Dur: now - e.issue})
-	}
+	n.acct.Deliver(earth.EvPutDeliver, n.rt.stamp(), e.issue, earth.NodeID(e.from), int(e.bytes))
 	if e.f != nil {
 		n.ctx.Sync(e.f, int(e.slot))
 	}
@@ -1169,11 +1137,7 @@ func (n *lnode) fireGetReq(e *envelope) {
 func (n *lnode) fireGetResp(e *envelope) {
 	rt := n.rt
 	e.store()
-	if rt.tr != nil {
-		now := rt.now()
-		rt.tr.Event(earth.Event{Time: now, Node: earth.NodeID(e.from), Peer: earth.NodeID(e.peer),
-			Kind: earth.EvGetDeliver, Bytes: int(e.bytes), Dur: now - e.issue})
-	}
+	n.acct.Deliver(earth.EvGetDeliver, rt.stamp(), e.issue, earth.NodeID(e.peer), int(e.bytes))
 	if e.f == nil {
 		return
 	}
@@ -1191,14 +1155,8 @@ func (n *lnode) fireGetResp(e *envelope) {
 // once n is fenced its own executor may run new work after it rejoins,
 // while ex processes n's signals.
 func (n *lnode) decSlot(ex *lnode, from earth.NodeID, f *earth.Frame, slot int) {
-	ex.stats.Syncs++
-	if n.rt.tr != nil {
-		n.rt.tr.Event(earth.Event{Time: n.rt.now(), Node: ex.id, Peer: from,
-			Kind: earth.EvSyncSignal})
-	}
-	ex.san.Track(f)
-	if fired, th := f.Dec(slot); fired {
-		n.rt.enqueue(ex, n, item{body: f.ThreadBody(th), cause: earth.CauseSync})
+	if body := ex.acct.Signal(n.rt.stamp(), from, f, slot); body != nil {
+		n.rt.enqueue(ex, n, item{body: body, cause: earth.CauseSync})
 	}
 }
 
@@ -1248,7 +1206,7 @@ func (c *ctx) Spawn(f *earth.Frame, thread int) {
 	if f.Home != c.n.id && !c.rt.adopted(f.Home, c.n) {
 		panic(fmt.Sprintf("livert: Spawn of frame on node %d from node %d", f.Home, c.n.id))
 	}
-	c.n.san.Track(f)
+	c.n.acct.San.Track(f)
 	c.rt.enqueue(c.n, c.n, item{body: f.ThreadBody(thread), cause: earth.CauseSpawn})
 }
 
@@ -1288,10 +1246,7 @@ func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, 
 	}
 	e := envelope{kind: envPut, from: int32(c.n.id), peer: int32(owner), bytes: int32(nbytes),
 		fn: pack(write), f: f, slot: int32(slot), issue: rt.stamp()}
-	if rt.tr != nil {
-		rt.tr.Event(earth.Event{Time: e.issue, Node: c.n.id, Peer: owner,
-			Kind: earth.EvPutSend, Bytes: nbytes})
-	}
+	c.n.acct.Issue(earth.EvPutSend, e.issue, owner, nbytes)
 	c.send(dst, nbytes, &e)
 }
 
@@ -1330,10 +1285,7 @@ func (c *ctx) get(owner earth.NodeID, nbytes int, e envelope, f *earth.Frame, sl
 	}
 	e.kind, e.from, e.peer, e.bytes = envGetReq, int32(c.n.id), int32(owner), int32(nbytes)
 	e.f, e.slot, e.issue = f, int32(slot), rt.stamp()
-	if rt.tr != nil {
-		rt.tr.Event(earth.Event{Time: e.issue, Node: c.n.id, Peer: owner,
-			Kind: earth.EvGetSend, Bytes: nbytes})
-	}
+	c.n.acct.Issue(earth.EvGetSend, e.issue, owner, nbytes)
 	rt.sendHandler(c.n, c.n.id, dst, nbytes, &e)
 }
 
@@ -1344,11 +1296,11 @@ func (c *ctx) Invoke(nodeID earth.NodeID, argBytes int, body earth.ThreadBody) {
 	if rt.coalOn && nodeID != src {
 		c.coal.FlushTo(c, nodeID)
 	}
-	if rt.tr != nil && nodeID != src {
-		rt.tr.Event(earth.Event{Time: rt.now(), Node: src, Peer: nodeID,
-			Kind: earth.EvInvokeSend, Bytes: argBytes})
+	it := item{body: body, cause: earth.CauseInvoke, enq: rt.stamp()}
+	if nodeID != src {
+		c.n.acct.Issue(earth.EvInvokeSend, it.enq, nodeID, argBytes)
 	}
-	rt.sendItem(c.n, src, rt.nodes[nodeID], argBytes, item{body: body, cause: earth.CauseInvoke})
+	rt.sendItem(c.n, src, rt.nodes[nodeID], argBytes, it)
 }
 
 // Post delivers handler on the target's high-priority handler queue.
@@ -1360,43 +1312,26 @@ func (c *ctx) Post(nodeID earth.NodeID, argBytes int, handler earth.ThreadBody) 
 		rt.enqueueHandler(c.n, c.n, &e)
 		return
 	}
-	if rt.tr != nil {
-		rt.tr.Event(earth.Event{Time: rt.now(), Node: c.n.id, Peer: nodeID,
-			Kind: earth.EvPostSend, Bytes: argBytes})
-	}
+	c.n.acct.Issue(earth.EvPostSend, rt.stamp(), nodeID, argBytes)
 	c.send(rt.nodes[nodeID], argBytes, &e)
 }
 
 func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 	c.check()
 	rt := c.rt
-	switch rt.cfg.Balancer {
-	case earth.BalanceRandomPlace:
-		c.placeToken(earth.NodeID(c.n.rand().Intn(len(rt.nodes))), argBytes, body)
-	case earth.BalanceRoundRobin:
-		c.placeToken(earth.NodeID(c.n.rr%len(rt.nodes)), argBytes, body)
-		c.n.rr++
-	default: // BalanceSteal, BalanceNone: pool locally
-		tk := ltoken{body: body, enq: rt.stamp()}
-		if rt.tr != nil {
-			rt.tr.Event(earth.Event{Time: tk.enq, Node: c.n.id, Peer: earth.NoPeer,
-				Kind: earth.EvTokenSpawn, Bytes: argBytes})
-		}
+	target, placed := earth.PlaceToken(rt.cfg.Balancer, len(rt.nodes), c.n.rand, &c.n.rr)
+	if !placed { // BalanceSteal, BalanceNone: pool locally
+		tk := ltoken{body: body, enq: rt.stamp(), bytes: argBytes}
+		c.n.acct.Issue(earth.EvTokenSpawn, tk.enq, earth.NoPeer, argBytes)
 		rt.unit(c.n)
 		rt.pushToken(c.n, tk)
+		return
 	}
-}
-
-// placeToken sends a token the balancer placed on target as a ready item.
-func (c *ctx) placeToken(target earth.NodeID, argBytes int, body earth.ThreadBody) {
-	rt := c.rt
+	// The balancer placed it on target: it travels as a ready item.
 	if rt.coalOn && target != c.n.id {
 		c.coal.FlushTo(c, target)
 	}
-	it := item{body: body, token: true, cause: earth.CauseToken, enq: rt.stamp()}
-	if rt.tr != nil {
-		rt.tr.Event(earth.Event{Time: it.enq, Node: c.n.id, Peer: target,
-			Kind: earth.EvTokenSpawn, Bytes: argBytes})
-	}
+	it := item{body: body, cause: earth.CauseToken, enq: rt.stamp()}
+	c.n.acct.Issue(earth.EvTokenSpawn, it.enq, target, argBytes)
 	rt.sendItem(c.n, c.n.id, rt.nodes[target], argBytes, it)
 }

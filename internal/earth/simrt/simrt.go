@@ -59,11 +59,6 @@ import (
 	"earth/internal/sim"
 )
 
-// msgHeader is the fixed per-message header size in bytes used for network
-// cost accounting. It equals manna.HeaderBytes so the engine's charges and
-// manna.BatchCost describe the same wire format.
-const msgHeader = manna.HeaderBytes
-
 // stealReqBytes is the size of a work-stealing request message.
 const stealReqBytes = 8
 
@@ -73,8 +68,6 @@ type item struct {
 	recvCost sim.Time    // receiver-side software overhead charged at dispatch
 	enq      sim.Time    // virtual time the work became ready (for Wait tracing)
 	cause    earth.Cause // what made it ready
-	token    bool        // counts as a token execution in stats
-	stolen   bool        // token obtained from another node
 }
 
 // token is a load-balanced invocation waiting in a node's pool.
@@ -108,13 +101,12 @@ type node struct {
 	// New) and continued, never reseeded, across Runs.
 	rng     *rand.Rand
 	rngSeed int64
-	stats   earth.NodeStats
-	rr      int // per-node round-robin placement cursor
+	// acct holds the node's counters, sanitizer ledger and event sink.
+	acct earth.NodeAcct
+	rr   int // per-node round-robin placement cursor
 	// spans records busy intervals for utilisation sampling; only
 	// maintained while a tracer with UtilSamplePeriod is installed.
 	spans []span
-	// san is the node's share of the sanitizer's frame ledger.
-	san earth.SanLedger
 	// dispatchFn is the node's dispatch continuation, allocated once and
 	// reused for every reschedule of the dispatch chain.
 	dispatchFn func()
@@ -288,9 +280,6 @@ type Runtime struct {
 	epochs     []uint64
 	halted     []bool
 	everFenced []bool
-	// wireExtra is the per-message checksum cost (manna.ChecksumBytes)
-	// charged when the plan can corrupt payloads.
-	wireExtra int
 	// Window progress: maxExec is the furthest executed instant (events and
 	// boundaries); bApplied counts applied boundaries toward Stats.Events;
 	// sampleNext is the next pending utilisation-sample boundary.
@@ -322,6 +311,7 @@ func New(cfg earth.Config) *Runtime {
 	}
 	for i := range rt.nodes {
 		n := &node{id: earth.NodeID(i), rngSeed: cfg.Seed*1_000_003 + int64(i)}
+		n.acct.Node, n.acct.Sink = n.id, rt.sink()
 		n.dispatchFn = func() { rt.dispatch(n) }
 		rt.nodes[i] = n
 	}
@@ -343,7 +333,9 @@ func New(cfg earth.Config) *Runtime {
 		rt.mach.SetLinkScale(fs.Plan.LinkScale)
 	}
 	if fs.Plan.HasCorrupt() {
-		rt.wireExtra = manna.ChecksumBytes
+		for _, n := range rt.nodes {
+			n.acct.Checksum = manna.ChecksumBytes
+		}
 	}
 	if rt.crashAt != nil {
 		rt.dead = make([]bool, cfg.Nodes)
@@ -438,8 +430,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		n.outSeq = 0
 		n.rr = 0
 		n.spans = n.spans[:0]
-		n.san.Reset(rt.cfg.Sanitize)
-		n.stats = earth.NodeStats{}
+		n.acct.Reset(rt.cfg.Sanitize)
 	}
 	rt.take.Reset()
 	rt.seen.Reset()
@@ -476,9 +467,9 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		Events:  rt.eng.Events + rt.bApplied,
 	}
 	for i, n := range rt.nodes {
-		st.Nodes[i] = n.stats
+		st.Nodes[i] = n.acct.Stats
 	}
-	st.Sanitize = earth.ScanLedgers(rt.nodes, func(n *node) *earth.SanLedger { return &n.san }, rt.maxExec, rt.sink())
+	st.Sanitize = earth.ScanLedgers(rt.nodes, func(n *node) *earth.SanLedger { return &n.acct.San }, rt.maxExec, rt.sink())
 	rt.flushTrace()
 	return st
 }
@@ -499,7 +490,7 @@ func (n *node) addSpan(rt *Runtime, start, end sim.Time) {
 func (rt *Runtime) applyCrash(b boundary) {
 	x := b.node
 	rt.dead[x] = true
-	rt.nodes[x].stats.Add(earth.NodeFault(rt.sink(), earth.NodeID(x), b.at, earth.CauseCrash, rt.retry.Lease))
+	rt.nodes[x].acct.Stats.Add(earth.NodeFault(rt.sink(), earth.NodeID(x), b.at, earth.CauseCrash, rt.retry.Lease))
 }
 
 // applyDetect fires one lease after a crash: survivors have missed enough
@@ -542,15 +533,15 @@ func (rt *Runtime) applyFence(b boundary) {
 // model: the failure perturbs placement and timing, never data.
 func (rt *Runtime) failover(x, s earth.NodeID, now sim.Time, cause earth.Cause) {
 	n, sn := rt.nodes[x], rt.nodes[s]
-	n.stats.DetectionLatency = rt.retry.Lease
+	n.acct.Stats.DetectionLatency = rt.retry.Lease
 	// The down node no longer participates in stealing.
 	n.hungry, n.stealing = false, false
 	h := earth.Handover{Down: x, At: now, Cause: cause, Sink: rt.sink()}
-	sn.stats.Add(h.Declare(s, rt.retry.Lease))
+	sn.acct.Stats.Add(h.Declare(s, rt.retry.Lease))
 	for n.ready.Len() > 0 {
 		it := n.ready.PopFront()
 		it.enq = now
-		sn.stats.Add(h.Replay(s))
+		sn.acct.Stats.Add(h.Replay(s))
 		rt.enqueueAt(sn, it, now)
 	}
 	for n.tokens.Len() > 0 {
@@ -570,7 +561,7 @@ func (rt *Runtime) applyHeal(b boundary) {
 	}
 	rt.halted[x] = false
 	n := rt.nodes[x]
-	n.stats.Add(earth.Rejoin(rt.sink(), n.id, b.at, b.at-b.ref))
+	n.acct.Stats.Add(earth.Rejoin(rt.sink(), n.id, b.at, b.at-b.ref))
 	// Work that landed while halted (stage-1 remnants of pre-fence
 	// deliveries, app-addressed traffic) kicks the dispatch chain now;
 	// an empty node re-enters through the steal balancer instead.
@@ -625,9 +616,9 @@ func (rt *Runtime) downNow(x earth.NodeID) bool {
 func (rt *Runtime) reassignToken(h earth.Handover, sn *node, tk token) {
 	now := h.At
 	tn := rt.nodes[rt.take.Place(now, rt.gone)]
-	tn.stats.Add(h.Reassign(tn.id, tk.argBytes))
+	tn.acct.Stats.Add(h.Reassign(tn.id, tk.argBytes))
 	if tn == sn {
-		rt.enqueueAt(tn, item{body: tk.body, token: true, enq: now, cause: earth.CauseToken}, now)
+		rt.enqueueAt(tn, item{body: tk.body, enq: now, cause: earth.CauseToken}, now)
 		return
 	}
 	// The adopter's send software runs first, but the placement latency
@@ -693,9 +684,9 @@ func (rt *Runtime) emitReroute(m *msg) {
 		}
 		switch {
 		case m.kind == msgStealGrant, m.kind == msgThread && m.cause == earth.CauseToken:
-			fn.stats.Add(h.Reassign(m.to, m.bytes))
+			fn.acct.Stats.Add(h.Reassign(m.to, m.bytes))
 		case m.kind == msgThread:
-			fn.stats.Add(h.Replay(m.to))
+			fn.acct.Stats.Add(h.Replay(m.to))
 		}
 	})
 }
@@ -742,7 +733,7 @@ func (rt *Runtime) dispatch(n *node) {
 	if rt.hasPause {
 		now := eng.Now()
 		if pu := rt.plan.PauseUntil(int(n.id), now); pu > now {
-			n.stats.Add(earth.NodeFault(rt.sink(), n.id, now, earth.CausePause, pu-now))
+			n.acct.Stats.Add(earth.NodeFault(rt.sink(), n.id, now, earth.CausePause, pu-now))
 			eng.At(pu, n.dispatchFn)
 			return
 		}
@@ -761,7 +752,7 @@ func (rt *Runtime) dispatch(n *node) {
 	case n.tokens.Len() > 0:
 		// Run own tokens newest-first (depth-first on task trees).
 		tk := n.tokens.PopBack()
-		it = item{body: tk.body, token: true, enq: tk.enq, cause: earth.CauseToken}
+		it = item{body: tk.body, enq: tk.enq, cause: earth.CauseToken}
 	default:
 		n.running = false
 		// Dry under the steal balancer: flag the node hungry; the next
@@ -782,21 +773,9 @@ func (rt *Runtime) dispatch(n *node) {
 	}
 	end := c.cursor
 	n.putCtx(c)
-	n.stats.Busy += end - start
+	n.acct.Stats.Busy += end - start
 	n.addSpan(rt, start, end)
-	n.stats.ThreadsRun++
-	if it.token {
-		n.stats.TokensRun++
-		if it.stolen {
-			n.stats.TokensStolen++
-		}
-	}
-	if rt.tr != nil {
-		rt.events.Event(earth.Event{
-			Time: start, Node: n.id, Peer: earth.NoPeer, Kind: earth.EvThreadRun,
-			Dur: end - start, Wait: start - it.enq, Cause: it.cause,
-		})
-	}
+	n.acct.Ran(start, end, it.enq, it.cause)
 	if end > start {
 		eng.At(end, n.dispatchFn)
 	} else {
@@ -815,14 +794,9 @@ func (rt *Runtime) execHandlerBody(n *node, body earth.ThreadBody) {
 	}
 	end := hc.cursor
 	n.putCtx(hc)
-	n.stats.Busy += end - start
+	n.acct.Stats.Busy += end - start
 	n.addSpan(rt, start, end)
-	if rt.tr != nil {
-		rt.events.Event(earth.Event{
-			Time: start, Node: n.id, Peer: earth.NoPeer, Kind: earth.EvHandlerRun,
-			Dur: end - start, Cause: earth.CauseHandler,
-		})
-	}
+	n.acct.Ran(start, end, start, earth.CauseHandler)
 }
 
 // chargeRecv accounts receiver-side software overhead at the current event
@@ -830,7 +804,7 @@ func (rt *Runtime) execHandlerBody(n *node, body earth.ThreadBody) {
 // dispatch is delayed correspondingly.
 func (rt *Runtime) chargeRecv(n *node, cost sim.Time) {
 	now := rt.eng.Now()
-	n.stats.Busy += cost
+	n.acct.Stats.Busy += cost
 	n.addSpan(rt, now, now+cost)
 	if rt.consumesCPUOnRecv() {
 		n.cpuDebt += cost
@@ -905,8 +879,8 @@ func (rt *Runtime) deliver(issue, arrival sim.Time, m *msg) {
 	d := earth.PlanDelivery(rt.injs[m.from], rt.retry, rt.plan, m.from, m.to, m.bytes, issue, rt.sink())
 	m.seq, m.drops, m.corrupts, m.dup = d.Seq, uint16(d.Drops), uint16(d.Corrupts), d.Dup
 	sender := rt.nodes[m.from]
-	sender.stats.FaultsInjected += d.FaultsInjected
-	sender.stats.Retries += d.Retries
+	sender.acct.Stats.FaultsInjected += d.FaultsInjected
+	sender.acct.Stats.Retries += d.Retries
 	arrival += d.Delay
 	if d.Dup {
 		// Each copy is routed from its own arrival: the clone trails by one
@@ -1042,7 +1016,7 @@ func (rt *Runtime) receive(n *node, m *msg) bool {
 	if rt.epochs != nil {
 		a.Epoch = rt.epochs[m.from]
 	}
-	v, reroute := earth.Receive(&a, &rt.seen, rt.eng.Now(), n.id, &n.stats, rt.sink())
+	v, reroute := earth.Receive(&a, &rt.seen, rt.eng.Now(), n.id, &n.acct.Stats, rt.sink())
 	if reroute {
 		rt.emitReroute(m)
 	}
@@ -1079,18 +1053,8 @@ func (rt *Runtime) firePut(n *node, m *msg) {
 // fireThread lands an invoke or placed token on dst's ready queue.
 func (rt *Runtime) fireThread(dst *node, m *msg) {
 	now := rt.eng.Now()
-	if rt.tr != nil {
-		switch m.cause {
-		case earth.CauseInvoke:
-			rt.events.Event(earth.Event{Time: now, Node: dst.id, Peer: m.from,
-				Kind: earth.EvInvokeDeliver, Bytes: m.bytes, Dur: now - m.issue})
-		case earth.CauseToken:
-			rt.events.Event(earth.Event{Time: now, Node: dst.id, Peer: m.from,
-				Kind: earth.EvTokenDeliver, Bytes: m.bytes, Dur: now - m.issue})
-		}
-	}
-	it := item{body: m.body, recvCost: m.recvCost, enq: now,
-		cause: m.cause, token: m.cause == earth.CauseToken}
+	dst.acct.Deliver(earth.ThreadDeliver(m.cause), now, m.issue, m.from, m.bytes)
+	it := item{body: m.body, recvCost: m.recvCost, enq: now, cause: m.cause}
 	rt.freeMsg(m)
 	rt.enqueue(dst, it)
 }
@@ -1100,10 +1064,7 @@ func (rt *Runtime) fireThread(dst *node, m *msg) {
 func (rt *Runtime) applyPut(n *node, from earth.NodeID, write func(), bytes int, issue sim.Time, f *earth.Frame, slot int) {
 	write()
 	now := rt.eng.Now()
-	if rt.tr != nil {
-		rt.events.Event(earth.Event{Time: now, Node: n.id, Peer: from,
-			Kind: earth.EvPutDeliver, Bytes: bytes, Dur: now - issue})
-	}
+	n.acct.Deliver(earth.EvPutDeliver, now, issue, from, bytes)
 	rt.signal(n, n.id, now, f, slot)
 }
 
@@ -1162,10 +1123,7 @@ func (rt *Runtime) fireGetResp(src *node, m *msg) {
 		*dst = word
 	}
 	now := rt.eng.Now()
-	if rt.tr != nil {
-		rt.events.Event(earth.Event{Time: now, Node: src.id, Peer: owner,
-			Kind: earth.EvGetDeliver, Bytes: bytes, Dur: now - issue})
-	}
+	src.acct.Deliver(earth.EvGetDeliver, now, issue, owner, bytes)
 	rt.signal(src, owner, now, f, slot)
 }
 
@@ -1200,12 +1158,8 @@ func (rt *Runtime) fireStealGrant(thief *node, m *msg) {
 	victimID, issue, bytes, body := m.from, m.issue, m.bytes, m.body
 	rt.freeMsg(m)
 	now := rt.eng.Now()
-	if rt.tr != nil {
-		rt.events.Event(earth.Event{Time: now, Node: thief.id, Peer: victimID,
-			Kind: earth.EvStealGrant, Dur: now - issue, Bytes: bytes})
-	}
-	rt.enqueue(thief, item{body: body, token: true, stolen: true,
-		enq: now, cause: earth.CauseSteal})
+	thief.acct.Deliver(earth.EvStealGrant, now, issue, victimID, bytes)
+	rt.enqueue(thief, item{body: body, enq: now, cause: earth.CauseSteal})
 }
 
 // fireBatch applies a coalesced envelope's operations in issue order, all
@@ -1257,26 +1211,18 @@ func (rt *Runtime) sendSyncAt(ready sim.Time, from earth.NodeID, f *earth.Frame,
 // caller's cursor for local syncs, the handler effect time for remote
 // ones); from is the signalling node. n is always the executing node.
 func (rt *Runtime) decSlot(n *node, from earth.NodeID, at sim.Time, f *earth.Frame, slot int) {
-	n.stats.Syncs++
-	if rt.tr != nil {
-		rt.events.Event(earth.Event{Time: at, Node: n.id, Peer: from, Kind: earth.EvSyncSignal})
-	}
-	n.san.Track(f)
-	if fired, th := f.Dec(slot); fired {
-		rt.enqueue(n, item{body: f.ThreadBody(th), enq: at, cause: earth.CauseSync})
+	if body := n.acct.Signal(at, from, f, slot); body != nil {
+		rt.enqueue(n, item{body: body, enq: at, cause: earth.CauseSync})
 	}
 }
 
 // send charges the network for a message and returns its arrival time.
 // ready is the virtual time the sender-side software finished.
 func (rt *Runtime) send(ready sim.Time, src, dst earth.NodeID, payload int) sim.Time {
-	// wireExtra charges the end-to-end checksum (manna.ChecksumBytes) on
-	// every transfer when the plan can corrupt payloads; it is 0 otherwise,
-	// so plans without corrupt= serialise exactly the pre-checksum format.
-	n := rt.nodes[src]
-	n.stats.MsgsSent++
-	n.stats.BytesSent += uint64(payload + msgHeader + rt.wireExtra)
-	return rt.mach.Send(ready, int(src), int(dst), payload+msgHeader+rt.wireExtra)
+	// The wire size includes the end-to-end checksum when the plan can
+	// corrupt payloads (NodeAcct.Checksum); plans without corrupt=
+	// serialise exactly the pre-checksum format.
+	return rt.mach.Send(ready, int(src), int(dst), rt.nodes[src].acct.Sent(payload))
 }
 
 // depositToken adds a token to n's pool. cursor is the depositing thread's
@@ -1336,7 +1282,7 @@ func (c *ctx) Spawn(f *earth.Frame, thread int) {
 		panic(fmt.Sprintf("simrt: Spawn of frame on node %d from node %d; use Invoke or Sync", f.Home, c.n.id))
 	}
 	c.cursor += c.rt.cfg.Costs.SpawnLocal
-	c.n.san.Track(f)
+	c.n.acct.San.Track(f)
 	c.rt.enqueue(c.n, item{body: f.ThreadBody(thread), enq: c.cursor, cause: earth.CauseSpawn})
 }
 
@@ -1375,22 +1321,15 @@ func (c *ctx) Put(owner earth.NodeID, nbytes int, write func(), f *earth.Frame, 
 		// overhead and header are paid once per batch at flush.
 		c.cursor += rt.cfg.Costs.CopyCost(nbytes)
 		issue := c.cursor
-		if rt.tr != nil {
-			rt.events.Event(earth.Event{Time: issue, Node: c.n.id, Peer: owner,
-				Kind: earth.EvPutSend, Bytes: nbytes})
-		}
+		c.n.acct.Issue(earth.EvPutSend, issue, owner, nbytes)
 		c.n.coal.Add(c, owner, coalOp{kind: msgPut, f: f, slot: slot, write: write,
 			bytes: nbytes, issue: issue}, nbytes)
 		return
 	}
 	c.cursor += rt.cfg.Costs.SendCost(nbytes, false)
 	issue := c.cursor
-	src := c.n.id
-	if rt.tr != nil {
-		rt.events.Event(earth.Event{Time: issue, Node: src, Peer: owner,
-			Kind: earth.EvPutSend, Bytes: nbytes})
-	}
-	m, arrival := rt.envelope(msgPut, src, owner, issue, nbytes, nbytes)
+	c.n.acct.Issue(earth.EvPutSend, issue, owner, nbytes)
+	m, arrival := rt.envelope(msgPut, c.n.id, owner, issue, nbytes, nbytes)
 	m.f, m.slot, m.write = f, slot, write
 	rt.deliver(issue, arrival, m)
 }
@@ -1430,10 +1369,7 @@ func (c *ctx) get(owner earth.NodeID, nbytes int, read func() func(), src, dst *
 	// Request leg: small message, sender pays the synchronous overhead.
 	c.cursor += rt.cfg.Costs.SendCost(0, true)
 	issue := c.cursor
-	if rt.tr != nil {
-		rt.events.Event(earth.Event{Time: issue, Node: c.n.id, Peer: owner,
-			Kind: earth.EvGetSend, Bytes: nbytes})
-	}
+	c.n.acct.Issue(earth.EvGetSend, issue, owner, nbytes)
 	m, arrival := rt.envelope(msgGetReq, c.n.id, owner, issue, 8, nbytes)
 	m.f, m.slot, m.read, m.src, m.dst = f, slot, read, src, dst
 	rt.deliver(issue, arrival, m)
@@ -1452,12 +1388,8 @@ func (c *ctx) Invoke(nodeID earth.NodeID, argBytes int, body earth.ThreadBody) {
 	}
 	c.cursor += rt.cfg.Costs.SendCost(argBytes, false)
 	issue := c.cursor
-	src := c.n.id
-	if rt.tr != nil {
-		rt.events.Event(earth.Event{Time: issue, Node: src, Peer: nodeID,
-			Kind: earth.EvInvokeSend, Bytes: argBytes})
-	}
-	m, arrival := rt.envelope(msgThread, src, nodeID, issue, argBytes, argBytes)
+	c.n.acct.Issue(earth.EvInvokeSend, issue, nodeID, argBytes)
+	m, arrival := rt.envelope(msgThread, c.n.id, nodeID, issue, argBytes, argBytes)
 	m.body, m.cause = body, earth.CauseInvoke
 	rt.deliver(issue, arrival, m)
 }
@@ -1491,19 +1423,13 @@ func (c *ctx) Post(nodeID earth.NodeID, argBytes int, handler earth.ThreadBody) 
 	}
 	if rt.coalOn {
 		c.cursor += rt.cfg.Costs.CopyCost(argBytes)
-		if rt.tr != nil {
-			rt.events.Event(earth.Event{Time: c.cursor, Node: c.n.id, Peer: nodeID,
-				Kind: earth.EvPostSend, Bytes: argBytes})
-		}
+		c.n.acct.Issue(earth.EvPostSend, c.cursor, nodeID, argBytes)
 		c.n.coal.Add(c, nodeID, coalOp{kind: msgPost, body: handler,
 			bytes: argBytes, issue: c.cursor}, argBytes)
 		return
 	}
 	c.cursor += rt.cfg.Costs.SendCost(argBytes, false)
-	if rt.tr != nil {
-		rt.events.Event(earth.Event{Time: c.cursor, Node: c.n.id, Peer: nodeID,
-			Kind: earth.EvPostSend, Bytes: argBytes})
-	}
+	c.n.acct.Issue(earth.EvPostSend, c.cursor, nodeID, argBytes)
 	m, arrival := rt.envelope(msgPost, c.n.id, nodeID, c.cursor, argBytes, argBytes)
 	m.body = handler
 	rt.deliver(c.cursor, arrival, m)
@@ -1512,43 +1438,24 @@ func (c *ctx) Post(nodeID earth.NodeID, argBytes int, handler earth.ThreadBody) 
 func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 	c.check()
 	rt := c.rt
-	switch rt.cfg.Balancer {
-	case earth.BalanceRandomPlace, earth.BalanceRoundRobin:
-		var target earth.NodeID
-		if rt.cfg.Balancer == earth.BalanceRandomPlace {
-			target = earth.NodeID(c.n.rand().Intn(len(rt.nodes)))
-		} else {
-			// Per-node cursor: each node deals its own tokens round the
-			// machine, whatever the others have placed meanwhile.
-			target = earth.NodeID(c.n.rr % len(rt.nodes))
-			c.n.rr++
-		}
-		if target == c.n.id {
-			c.cursor += rt.cfg.Costs.SpawnLocal
-			if rt.tr != nil {
-				rt.events.Event(earth.Event{Time: c.cursor, Node: c.n.id, Peer: target,
-					Kind: earth.EvTokenSpawn, Bytes: argBytes})
-			}
-			rt.enqueue(c.n, item{body: body, token: true, enq: c.cursor, cause: earth.CauseToken})
-			return
-		}
+	target, placed := earth.PlaceToken(rt.cfg.Balancer, len(rt.nodes), c.n.rand, &c.n.rr)
+	switch {
+	case !placed: // BalanceSteal, BalanceNone
+		c.cursor += rt.cfg.Costs.SpawnLocal
+		c.n.acct.Issue(earth.EvTokenSpawn, c.cursor, earth.NoPeer, argBytes)
+		c.cursor = rt.depositToken(c.n, c.cursor, token{body: body, argBytes: argBytes})
+	case target == c.n.id:
+		c.cursor += rt.cfg.Costs.SpawnLocal
+		c.n.acct.Issue(earth.EvTokenSpawn, c.cursor, target, argBytes)
+		rt.enqueue(c.n, item{body: body, enq: c.cursor, cause: earth.CauseToken})
+	default:
 		if rt.coalOn {
 			c.n.coal.FlushTo(c, target)
 		}
 		c.cursor += rt.cfg.Costs.SendCost(argBytes, false)
-		if rt.tr != nil {
-			rt.events.Event(earth.Event{Time: c.cursor, Node: c.n.id, Peer: target,
-				Kind: earth.EvTokenSpawn, Bytes: argBytes})
-		}
+		c.n.acct.Issue(earth.EvTokenSpawn, c.cursor, target, argBytes)
 		m, arrival := rt.envelope(msgThread, c.n.id, target, c.cursor, argBytes, argBytes)
 		m.body, m.cause = body, earth.CauseToken
 		rt.deliver(c.cursor, arrival, m)
-	default: // BalanceSteal, BalanceNone
-		c.cursor += rt.cfg.Costs.SpawnLocal
-		if rt.tr != nil {
-			rt.events.Event(earth.Event{Time: c.cursor, Node: c.n.id, Peer: earth.NoPeer,
-				Kind: earth.EvTokenSpawn, Bytes: argBytes})
-		}
-		c.cursor = rt.depositToken(c.n, c.cursor, token{body: body, argBytes: argBytes})
 	}
 }

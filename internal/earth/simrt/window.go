@@ -239,10 +239,7 @@ func (rt *Runtime) matchSteals(vnow sim.Time) {
 		th.hungry = false
 		th.stealing = true
 		issue := vnow + rt.cfg.Costs.AsyncSend
-		if rt.tr != nil {
-			rt.events.Event(earth.Event{Time: issue, Node: th.id, Peer: v.id,
-				Kind: earth.EvStealRequest, Bytes: stealReqBytes})
-		}
+		th.acct.Issue(earth.EvStealRequest, issue, v.id, stealReqBytes)
 		m, arrival := rt.envelope(msgStealReq, th.id, v.id, issue, stealReqBytes, stealReqBytes)
 		rt.deliver(issue, arrival, m)
 	}
