@@ -68,9 +68,9 @@ func Critical(path string) bool {
 	return criticalPkgs[path] || strings.HasPrefix(path, "earthvet.test")
 }
 
-func run(pass *framework.Pass) (any, error) {
+func run(pass *framework.Pass) error {
 	if !Critical(pass.Path()) {
-		return nil, nil
+		return nil
 	}
 	for _, f := range pass.Files() {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -87,7 +87,7 @@ func run(pass *framework.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 // checkCall flags wall-clock reads and global math/rand draws.

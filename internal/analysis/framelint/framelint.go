@@ -35,11 +35,7 @@
 //     writes vectors have mismatched lengths — the runtime panics before
 //     any transfer;
 //   - RetryPolicy/Config composite literals with negative numeric
-//     constants (Seed excluded: negative seeds are meaningful);
-//   - tracer emissions through a struct field (the engines' cached `tr`)
-//     without a nil guard — an unguarded emission crashes every
-//     untraced run — and, across packages, trace-event constants (Ev*)
-//     that are defined but never emitted.
+//     constants (Seed excluded: negative seeds are meaningful).
 //
 // Like the repo's other analyzers, matching is keyed on type and method
 // names (Frame, Ctx, the ops helpers), not import paths, so the checks
@@ -67,10 +63,8 @@ var Analyzer = &framework.Analyzer{
 	Doc: "verify the split-phase sync contract: uninitialised slots, uninstalled " +
 		"threads, one-shot over/under-signalling, out-of-range indices, vectored " +
 		"block-move shape mismatches, signals after the terminal thread, constant " +
-		"frame arguments the runtime rejects, negative RetryPolicy/Config constants, " +
-		"unemitted Ev* trace constants and unguarded tracer emissions",
-	Run:    run,
-	Finish: finish,
+		"frame arguments the runtime rejects and negative RetryPolicy/Config constants",
+	Run: run,
 }
 
 // dynIndex marks a slot or thread index the analysis cannot resolve to a
@@ -131,7 +125,7 @@ type summary struct {
 	params map[int]*frameFacts
 }
 
-func run(pass *framework.Pass) (any, error) {
+func run(pass *framework.Pass) error {
 	summaries := map[*types.Func]*summary{}
 	framework.BottomUp(pass, func(fn *types.Func, decl *ast.FuncDecl, recursive bool) {
 		fa := &funcAnalysis{
@@ -149,7 +143,8 @@ func run(pass *framework.Pass) (any, error) {
 		}
 		summaries[fn] = fa.paramSummary(decl)
 	})
-	return checkAPI(pass), nil
+	checkAPI(pass)
+	return nil
 }
 
 // funcAnalysis carries the per-function state.

@@ -48,57 +48,3 @@ type Config struct {
 	JitterPct float64
 	Seed      int64
 }
-
-// EventKind and the Ev* constants mirror the trace-event table. EvNever
-// is deliberately unemitted: the cross-package audit must flag it.
-type EventKind uint8
-
-const (
-	EvUsed EventKind = iota
-	EvAlsoUsed
-	EvNever // want `trace-event constant EvNever is defined but never emitted`
-	// EvTokenDeliver mirrors the remote-token arrival leg: ok.go emits it
-	// behind the nil guard, so the audit must stay quiet about it.
-	EvTokenDeliver
-	// EvGhostDeliver mirrors adding an arrival-leg constant without ever
-	// wiring the emission into an engine.
-	EvGhostDeliver // want `trace-event constant EvGhostDeliver is defined but never emitted`
-	// EvBatchFlush mirrors the coalescer's batch-flush event: ok.go emits
-	// it behind the nil guard and misuse.go without one.
-	EvBatchFlush
-	// EvPartitionFence mirrors the wrong-verdict fence event of the
-	// partition protocol: ok.go emits it behind the nil guard, so the
-	// audit must stay quiet about it.
-	EvPartitionFence
-	// EvFenced mirrors the stale-epoch message rejection event: misuse.go
-	// emits it without the guard, which must fire the guard check only.
-	EvFenced
-	// EvRejoined mirrors the partition-heal rejoin event; declared without
-	// ever wiring the emission into an engine, the audit must flag it.
-	EvRejoined // want `trace-event constant EvRejoined is defined but never emitted`
-	// EvViaParam, EvViaSource and EvViaLocal mirror kinds that reach the
-	// Event literal through an accounting method's kind parameter, a
-	// function returning the kind, and a local: ok.go emits all three, so
-	// the audit must stay quiet about them.
-	EvViaParam
-	EvViaSource
-	EvViaLocal
-	// EvOnlyRead is only compared, switched on and used as an index, as
-	// a consumer reads a kind: the audit must flag it.
-	EvOnlyRead // want `trace-event constant EvOnlyRead is defined but never emitted`
-)
-
-// Event mirrors earth.Event, including the latency and peer attribution
-// fields the deliver legs carry.
-type Event struct {
-	Time  int64
-	Dur   int64
-	Peer  int
-	Bytes int
-	Kind  EventKind
-}
-
-// Tracer mirrors earth.Tracer.
-type Tracer interface {
-	Event(Event)
-}

@@ -213,31 +213,3 @@ func BadPolicies() (api.RetryPolicy, api.Config) {
 	}
 	return p, c
 }
-
-// engine emits through a cached tracer field without the nil guard.
-type engine struct {
-	tr api.Tracer
-}
-
-func (e *engine) unguarded(now int64) {
-	e.tr.Event(api.Event{Time: now, Kind: api.EvAlsoUsed}) // want `e.tr.Event emission without a nil-tracer guard`
-}
-
-func (e *engine) wrongGuard(other api.Tracer, now int64) {
-	if other != nil {
-		e.tr.Event(api.Event{Time: now, Kind: api.EvAlsoUsed}) // want `e.tr.Event emission without a nil-tracer guard`
-	}
-}
-
-// unguardedFlush mirrors a coalescer flush that emits the batch event
-// without the nil-tracer guard: every untraced batched run would crash.
-func (e *engine) unguardedFlush(now int64, dst, bytes int) {
-	e.tr.Event(api.Event{Time: now, Peer: dst, Bytes: bytes, Kind: api.EvBatchFlush}) // want `e.tr.Event emission without a nil-tracer guard`
-}
-
-// unguardedStaleReject mirrors rejecting a stale-epoch message without
-// the nil-tracer guard: every untraced partitioned run would crash at
-// the first fenced delivery.
-func (e *engine) unguardedStaleReject(now int64, src int) {
-	e.tr.Event(api.Event{Time: now, Peer: src, Kind: api.EvFenced}) // want `e.tr.Event emission without a nil-tracer guard`
-}

@@ -194,98 +194,3 @@ func Defaults() (api.RetryPolicy, api.Config) {
 	return api.RetryPolicy{Lease: 0, Jitter: 0.25},
 		api.Config{Nodes: 4, Seed: -9}
 }
-
-// engine emits through its cached tracer field behind the canonical nil
-// guard, in both plain and compound conditions.
-type engine struct {
-	tr    api.Tracer
-	extra bool
-}
-
-func (e *engine) guarded(now int64) {
-	if e.tr != nil {
-		e.tr.Event(api.Event{Time: now, Kind: api.EvUsed})
-	}
-	if e.extra && e.tr != nil {
-		e.tr.Event(api.Event{Time: now, Kind: api.EvAlsoUsed})
-	}
-}
-
-// multi fans out over locally filtered tracers: ident receivers are
-// exempt from the guard requirement.
-type multi []api.Tracer
-
-func (m multi) Event(e api.Event) {
-	for _, t := range m {
-		t.Event(e)
-	}
-}
-
-// deliver mirrors the engines' remote-token arrival emission: guarded,
-// with the placement latency and the sender attached.
-func (e *engine) deliver(now, issue int64, src int) {
-	if e.tr != nil {
-		e.tr.Event(api.Event{Time: now, Peer: src, Kind: api.EvTokenDeliver, Dur: now - issue})
-	}
-}
-
-// flushBatch mirrors the coalescer's flush path: the batch-flush event is
-// emitted behind the canonical nil guard, with the destination and the
-// summed payload attached.
-func (e *engine) flushBatch(now int64, dst, bytes, msgs int) {
-	if e.tr != nil {
-		e.tr.Event(api.Event{Time: now, Peer: dst, Bytes: bytes,
-			Kind: api.EvBatchFlush, Dur: int64(msgs)})
-	}
-}
-
-// fencePeer mirrors the epoch-fencing adoption emission: a survivor
-// records the wrong verdict against its silent peer behind the nil
-// guard, with the detection lease attached as the duration.
-func (e *engine) fencePeer(now, lease int64, peer int) {
-	if e.tr != nil {
-		e.tr.Event(api.Event{Time: now, Peer: peer,
-			Kind: api.EvPartitionFence, Dur: lease})
-	}
-}
-
-// acct mirrors earth.NodeAcct: the Event literal takes its Kind from a
-// parameter or a local, behind the nil guard.
-type acct struct{ sink api.Tracer }
-
-func (a *acct) issue(k api.EventKind, now int64) {
-	if a.sink != nil {
-		a.sink.Event(api.Event{Time: now, Kind: k})
-	}
-}
-
-func (a *acct) ran(now int64, handler bool) {
-	kind := api.EvViaLocal
-	if handler {
-		kind = api.EvUsed
-	}
-	if a.sink != nil {
-		a.sink.Event(api.Event{Time: now, Kind: kind})
-	}
-}
-
-// landKind mirrors earth.ThreadDeliver: a function picking the kind.
-func landKind() api.EventKind { return api.EvViaSource }
-
-// read mirrors a consumer: it only reads kinds.
-func read(k api.EventKind, seen map[api.EventKind]int) int {
-	switch k {
-	case api.EvOnlyRead:
-		return seen[api.EvOnlyRead]
-	}
-	if k == api.EvOnlyRead || k > api.EvOnlyRead {
-		return 1
-	}
-	return 0
-}
-
-func (e *engine) account(a *acct, now int64) {
-	a.issue(api.EvViaParam, now)
-	a.issue(landKind(), now)
-	a.ran(now, false)
-}

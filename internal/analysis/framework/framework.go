@@ -29,20 +29,7 @@ type Analyzer struct {
 	// Doc is a one-paragraph description shown by `earthvet help`.
 	Doc string
 	// Run analyses one package and reports diagnostics through the pass.
-	// The returned value is handed to Finish (with the values from every
-	// other analysed package) when the whole package set has been run.
-	Run func(*Pass) (any, error)
-	// Finish, when non-nil, runs once after every package: it receives the
-	// Run results and may report cross-package diagnostics (for example
-	// "constant defined but never emitted"). Positions reported here must
-	// come from the shared FileSet.
-	Finish func(results []Result, report func(Diagnostic))
-}
-
-// Result pairs one package with the value its Run returned.
-type Result struct {
-	Pkg   *Package
-	Value any
+	Run func(*Pass) error
 }
 
 // Diagnostic is one finding at a source position. Analyzer is stamped by
@@ -125,13 +112,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // RunAnalyzers applies every analyzer to every package and returns the
-// combined diagnostics sorted by position. Each analyzer's Finish hook (if
-// any) runs after its last package. Directive hygiene is enforced here: an
-// allow directive with an empty reason is itself a diagnostic.
+// combined diagnostics sorted by position. Directive hygiene is enforced
+// here: an allow directive with an empty reason is itself a diagnostic.
 func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		var results []Result
 		for _, pkg := range pkgs {
 			pass := &Pass{
 				Analyzer:   a,
@@ -143,17 +128,9 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) (
 			for _, d := range pass.badDirectives() {
 				diags = append(diags, d)
 			}
-			v, err := a.Run(pass)
-			if err != nil {
+			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
 			}
-			results = append(results, Result{Pkg: pkg, Value: v})
-		}
-		if a.Finish != nil {
-			a.Finish(results, func(d Diagnostic) {
-				d.Analyzer = a.Name
-				diags = append(diags, d)
-			})
 		}
 	}
 	sort.SliceStable(diags, func(i, j int) bool {

@@ -38,7 +38,7 @@ var Analyzer = &framework.Analyzer{
 	Run: run,
 }
 
-func run(pass *framework.Pass) (any, error) {
+func run(pass *framework.Pass) error {
 	for _, f := range pass.Files() {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -49,7 +49,7 @@ func run(pass *framework.Pass) (any, error) {
 			checkBlock(pass, fd.Body.List, held)
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // checkBlock walks statements in order, maintaining the set of held lock

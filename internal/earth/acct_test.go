@@ -31,7 +31,7 @@ func acctScript(a *NodeAcct) (*Frame, [2]ThreadBody) {
 // says, and with a nil sink it counts the same and emits nothing.
 func TestNodeAcctFillsFields(t *testing.T) {
 	var log eventLog
-	a := &NodeAcct{Node: 4, Sink: &log, Checksum: manna.ChecksumBytes}
+	a := &NodeAcct{Node: 4, Sink: SinkOf(&log), Checksum: manna.ChecksumBytes}
 	a.Reset(true)
 	f, fired := acctScript(a)
 	if fired[0] != nil || fired[1] == nil {
@@ -116,7 +116,7 @@ func (s *lastSink) Event(e Event) { s.last = e }
 // TestNodeAcctAllocatesNothing: no method allocates, traced or not.
 func TestNodeAcctAllocatesNothing(t *testing.T) {
 	for _, sink := range []Tracer{nil, &lastSink{}} {
-		a := &NodeAcct{Node: 1, Sink: sink}
+		a := &NodeAcct{Node: 1, Sink: SinkOf(sink)}
 		f := NewFrame(1, 1, 1).SetThread(0, body)
 		f.InitSync(0, 2, 2, 0)
 		rng, rr := rand.New(rand.NewSource(1)), 0

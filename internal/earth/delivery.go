@@ -43,7 +43,7 @@ func (d *Delivery) Faulted() bool { return d.Dup || d.Drops > 0 || d.Corrupts > 
 // backoff walks one message's retransmit chain, emitting the
 // EvTimedOut/EvRetry pair of every attempt on the sender.
 type backoff struct {
-	sink     Tracer
+	sink     Sink
 	src, dst NodeID
 	bytes    int
 	scale    float64 // jitter factor; 0 leaves timeouts exact
@@ -60,20 +60,16 @@ func (b *backoff) step(cause Cause) {
 	}
 	b.attempt++
 	b.deadline += to
-	if b.sink != nil {
-		b.sink.Event(Event{Time: b.deadline, Node: b.src, Peer: b.dst,
-			Kind: EvTimedOut, Dur: to, Bytes: b.bytes, Cause: cause})
-		b.sink.Event(Event{Time: b.deadline, Node: b.src, Peer: b.dst,
-			Kind: EvRetry, Bytes: b.bytes, Cause: cause})
-	}
+	b.sink.Event(Event{Time: b.deadline, Node: b.src, Peer: b.dst,
+		Kind: EvTimedOut, Dur: to, Bytes: b.bytes, Cause: cause})
+	b.sink.Event(Event{Time: b.deadline, Node: b.src, Peer: b.dst,
+		Kind: EvRetry, Bytes: b.bytes, Cause: cause})
 }
 
 // injected reports one fault-plan intervention on the sender.
 func (b *backoff) injected(at sim.Time, cause Cause, dur sim.Time) {
-	if b.sink != nil {
-		b.sink.Event(Event{Time: at, Node: b.src, Peer: b.dst,
-			Kind: EvFaultInjected, Dur: dur, Bytes: b.bytes, Cause: cause})
-	}
+	b.sink.Event(Event{Time: at, Node: b.src, Peer: b.dst,
+		Kind: EvFaultInjected, Dur: dur, Bytes: b.bytes, Cause: cause})
 }
 
 // resend walks n lost attempts of one kind (dropped in the network, or
@@ -113,13 +109,13 @@ func (b *backoff) resend(d *Delivery, n int, cause Cause) {
 // exactly as an unjittered run would.
 //
 // Recovery is accounted "god view": no clock is consulted and nothing is
-// scheduled — the result says when the message lands, and sink (nil for
-// an untraced run) receives the EvTimedOut/EvRetry/EvFaultInjected
+// scheduled — the result says when the message lands, and sink receives
+// the EvTimedOut/EvRetry/EvFaultInjected
 // events the sender would have observed along the way. Retransmissions
 // do not re-charge NIC serialisation, a deliberate model simplification.
 // The function allocates nothing.
 func PlanDelivery(in *faults.Injector, retry RetryPolicy, plan *faults.Plan,
-	src, dst NodeID, bytes int, issue sim.Time, sink Tracer) Delivery {
+	src, dst NodeID, bytes int, issue sim.Time, sink Sink) Delivery {
 	v := in.Next(MaxRetries)
 	d := Delivery{Issue: issue, Seq: v.Seq, Drops: v.Drops, Corrupts: v.Corrupts, Dup: v.Dup}
 	b := backoff{sink: sink, src: src, dst: dst, bytes: bytes, deadline: issue}

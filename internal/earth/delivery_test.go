@@ -164,7 +164,7 @@ func TestPlanDelivery(t *testing.T) {
 					events, want = jittered(events, want, pol.JitterScale(ref.Float64()))
 				}
 				var log eventLog
-				got := PlanDelivery(in, pol, &c.plan, src, dst, bytes, issue, &log)
+				got := PlanDelivery(in, pol, &c.plan, src, dst, bytes, issue, SinkOf(&log))
 				if got != want {
 					t.Errorf("delivery\n got %+v\nwant %+v", got, want)
 				}
@@ -175,7 +175,7 @@ func TestPlanDelivery(t *testing.T) {
 					t.Errorf("random stream diverged after the message: next draw %v, reference %v", a, b)
 				}
 				// A nil sink changes nothing but the emissions.
-				quiet := PlanDelivery(faults.NewInjector(&c.plan, 0), pol, &c.plan, src, dst, bytes, issue, nil)
+				quiet := PlanDelivery(faults.NewInjector(&c.plan, 0), pol, &c.plan, src, dst, bytes, issue, Sink{})
 				if quiet != got {
 					t.Errorf("nil sink changed the delivery: %+v vs %+v", quiet, got)
 				}
@@ -195,7 +195,7 @@ func TestPlanDeliveryAllocatesNothing(t *testing.T) {
 	var at sim.Time
 	if n := testing.AllocsPerRun(2000, func() {
 		at += 7 * us // walks across the heal: held and unheld messages alike
-		PlanDelivery(in, retry, plan, 0, 1, 128, at, nil)
+		PlanDelivery(in, retry, plan, 0, 1, 128, at, Sink{})
 	}); n != 0 {
 		t.Errorf("PlanDelivery allocates %v times per message with a nil sink", n)
 	}

@@ -191,8 +191,8 @@ type Config struct {
 	// Tracer, when non-nil, receives one Event per runtime action (see
 	// events.go). Under simrt the stream is deterministic for a given
 	// Config; under livert events carry wall-clock times and arrive
-	// concurrently. A nil Tracer costs the engines a single pointer
-	// check per emission site.
+	// concurrently. A nil Tracer makes the engines' zero Sink, whose
+	// Event does nothing.
 	Tracer Tracer
 	// UtilSamplePeriod, when positive and a Tracer is installed, makes
 	// simrt emit EvUtilSample events for every node once per period of

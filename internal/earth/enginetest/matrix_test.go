@@ -40,6 +40,8 @@ type matrixRow struct {
 	// dropChain, when set, is the length some message's run of lost
 	// attempts must reach on simrt: what a retry row is there to exercise.
 	dropChain sim.Time
+	// sample is the row's Config.UtilSamplePeriod.
+	sample sim.Time
 }
 
 // spec parses a row's fault plan.
@@ -53,6 +55,7 @@ func spec(s string) *faults.Plan {
 
 var matrixRows = []matrixRow{
 	{name: "clean", prog: rowShape(4, leafWork)},
+	{name: "util-sampled", prog: rowShape(4, leafWork), sample: 100 * sim.Microsecond},
 	{name: "chaos", plan: spec("drop=0.08,dup=0.05,reorder=0.1,window=150µs,seed=13"), prog: rowShape(4, leafWork), chaos: true},
 	{name: "crash", plan: spec("crash=2@150µs,crash=5@400µs,drop=0.05,dup=0.02,seed=14"), prog: rowShape(8, leafWork)},
 	{name: "above-lease", plan: spec("partition=0.1|2.3@200µs-2500µs,corrupt=0.1,drop=0.05,seed=7"), prog: rowShape(4, leafWork)},
@@ -313,7 +316,7 @@ func (c matrixCell) name() string {
 
 func (c matrixCell) config() earth.Config {
 	return earth.Config{Nodes: c.row.prog.nodes, Seed: 11, Retry: c.row.retry, Sanitize: c.san,
-		Coalesce: earth.CoalesceConfig{Enabled: c.coal}, Faults: c.row.plan}
+		Coalesce: earth.CoalesceConfig{Enabled: c.coal}, Faults: c.row.plan, UtilSamplePeriod: c.row.sample}
 }
 
 // cellRun is one run of a cell: its stats and event stream, what the

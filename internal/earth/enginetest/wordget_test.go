@@ -250,6 +250,13 @@ var parityPrograms = []struct {
 	}},
 }
 
+// parityBalancers are the balancers the parity programs' traces are
+// compared under: tokens pooled where they were made, or placed round-robin.
+var parityBalancers = []struct {
+	name string
+	b    earth.Balancer
+}{{"pooled", earth.BalanceNone}, {"round-robin", earth.BalanceRoundRobin}}
+
 // TestCounterParity: for deterministic programs with stealing off, the two
 // engines count the same threads, tokens, messages, bytes and sync signals
 // on every node — whichever Get form the program uses. Only the fields
@@ -328,10 +335,7 @@ func TestTraceParity(t *testing.T) {
 		earth.EvTokenSpawn, earth.EvTokenDeliver}
 	seen := map[earth.EventKind]bool{}
 	for _, p := range parityPrograms {
-		for _, bal := range []struct {
-			name string
-			b    earth.Balancer
-		}{{"pooled", earth.BalanceNone}, {"round-robin", earth.BalanceRoundRobin}} {
+		for _, bal := range parityBalancers {
 			for _, form := range getForms {
 				t.Run(p.name+"/"+bal.name+"/"+form.name, func(t *testing.T) {
 					var base map[earth.NodeID]map[traceKey]int

@@ -16,13 +16,13 @@ import (
 // wrongly declared dead across a partition (CausePartition) — at instant
 // At: the queued threads and pooled tokens of a detection or fence
 // boundary, and messages rerouted in flight. Each method emits the event
-// into Sink (nil for an untraced run) and returns the counter deltas to
-// Add to the node taking the work.
+// into Sink and returns the counter deltas to Add to the node taking the
+// work.
 type Handover struct {
 	Down  NodeID
 	At    sim.Time
 	Cause Cause
-	Sink  Tracer
+	Sink  Sink
 }
 
 // Declare accounts the detector's verdict that opens a boundary hand-over,
@@ -34,48 +34,38 @@ func (h Handover) Declare(to NodeID, lease sim.Time) NodeStats {
 	if h.Cause == CausePartition {
 		ev, d = Event{Kind: EvPartitionFence}, NodeStats{WrongVerdicts: 1}
 	}
-	if h.Sink != nil {
-		ev.Time, ev.Node, ev.Peer, ev.Dur, ev.Cause = h.At, to, h.Down, lease, h.Cause
-		h.Sink.Event(ev)
-	}
+	ev.Time, ev.Node, ev.Peer, ev.Dur, ev.Cause = h.At, to, h.Down, lease, h.Cause
+	h.Sink.Event(ev)
 	return d
 }
 
 // Replay accounts one queued thread or in-flight invoke re-instantiated
 // on to from its checkpointed frame.
 func (h Handover) Replay(to NodeID) NodeStats {
-	if h.Sink != nil {
-		h.Sink.Event(Event{Time: h.At, Node: to, Peer: h.Down, Kind: EvFrameReplayed, Cause: h.Cause})
-	}
+	h.Sink.Event(Event{Time: h.At, Node: to, Peer: h.Down, Kind: EvFrameReplayed, Cause: h.Cause})
 	return NodeStats{FramesReplayed: 1}
 }
 
 // Reassign accounts one token, pooled or in flight, with bytes of
 // arguments, returned to the load balancer and re-placed on to.
 func (h Handover) Reassign(to NodeID, bytes int) NodeStats {
-	if h.Sink != nil {
-		h.Sink.Event(Event{Time: h.At, Node: to, Peer: h.Down, Kind: EvWorkReassigned, Bytes: bytes, Cause: h.Cause})
-	}
+	h.Sink.Event(Event{Time: h.At, Node: to, Peer: h.Down, Kind: EvWorkReassigned, Bytes: bytes, Cause: h.Cause})
 	return NodeStats{TokensReassigned: 1}
 }
 
 // NodeFault accounts a fault-plan intervention on node itself rather than
 // on a message it sent — a crash-stop (dur: the detection lease ahead) or
 // a pause window served (dur: what is left of it) — starting at instant at.
-func NodeFault(sink Tracer, node NodeID, at sim.Time, cause Cause, dur sim.Time) NodeStats {
-	if sink != nil {
-		sink.Event(Event{Time: at, Node: node, Peer: NoPeer, Kind: EvFaultInjected, Cause: cause, Dur: dur})
-	}
+func NodeFault(sink Sink, node NodeID, at sim.Time, cause Cause, dur sim.Time) NodeStats {
+	sink.Event(Event{Time: at, Node: node, Peer: NoPeer, Kind: EvFaultInjected, Cause: cause, Dur: dur})
 	return NodeStats{FaultsInjected: 1}
 }
 
 // Rejoin accounts a self-fenced node completing its reconciliation
 // handshake at instant at, its partition healing fencedFor after it
 // fenced.
-func Rejoin(sink Tracer, node NodeID, at, fencedFor sim.Time) NodeStats {
-	if sink != nil {
-		sink.Event(Event{Time: at, Node: node, Peer: NoPeer, Kind: EvRejoined, Dur: fencedFor, Cause: CausePartition})
-	}
+func Rejoin(sink Sink, node NodeID, at, fencedFor sim.Time) NodeStats {
+	sink.Event(Event{Time: at, Node: node, Peer: NoPeer, Kind: EvRejoined, Dur: fencedFor, Cause: CausePartition})
 	return NodeStats{Rejoins: 1}
 }
 
@@ -138,7 +128,7 @@ func PartitionMarks(plan *faults.Plan, lease sim.Time, mark func(pt faults.Parti
 
 // MarkPartition emits window edge ev for every minority-side node of pt
 // inside a machine of the given size.
-func MarkPartition(sink Tracer, pt faults.Partition, nodes int, ev Event) {
+func MarkPartition(sink Sink, pt faults.Partition, nodes int, ev Event) {
 	for _, x := range pt.Minority() {
 		if x < nodes {
 			ev.Node = NodeID(x)

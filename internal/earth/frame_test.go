@@ -319,7 +319,7 @@ func TestSanitizeInlineFrameMatchesLarge(t *testing.T) {
 		f.Dec(0) // overflow
 		f.Dec(0) // overflow
 		var evs eventLog
-		rep := sanitizeScan([]*Frame{f}, 77, &evs)
+		rep := sanitizeScan([]*Frame{f}, 77, SinkOf(&evs))
 		if rep.FramesTracked != 1 || rep.SlotsTracked != nslots {
 			t.Errorf("(%d,%d): tracked %d frames, %d slots", nthreads, nslots, rep.FramesTracked, rep.SlotsTracked)
 		}

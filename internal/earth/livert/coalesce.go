@@ -16,10 +16,8 @@ import (
 // destination's executor.
 func (c *ctx) Ship(dst earth.NodeID, ops []envelope, bytes int) {
 	rt := c.rt
-	if rt.tr != nil {
-		rt.tr.Event(earth.Event{Time: rt.now(), Node: c.n.id, Peer: dst,
-			Kind: earth.EvBatchFlush, Bytes: bytes, Wait: sim.Time(len(ops))})
-	}
+	rt.sink.Event(earth.Event{Time: rt.stamp(), Node: c.n.id, Peer: dst,
+		Kind: earth.EvBatchFlush, Bytes: bytes, Wait: sim.Time(len(ops))})
 	rt.sendHandler(c.n, c.n.id, rt.nodes[dst], bytes, &envelope{kind: envBody, fn: pack(earth.ThreadBody(func(hc earth.Ctx) {
 		ex := hc.(*ctx).n
 		for i := range ops {

@@ -306,7 +306,7 @@ func (n *lnode) account(d earth.NodeStats) {
 type Runtime struct {
 	cfg         earth.Config
 	nodes       []*lnode
-	tr          earth.Tracer // cached cfg.Tracer; must be thread-safe
+	sink        earth.Sink // cfg.Tracer's; the tracer must be thread-safe
 	outstanding atomic.Int64
 	// done is closed, once per Run, by whoever takes outstanding to zero:
 	// finished is the latch. (A sync.Once would still be storing its flag
@@ -351,7 +351,7 @@ var _ earth.Runtime = (*Runtime)(nil)
 // are accepted for interface compatibility but not charged.
 func New(cfg earth.Config) *Runtime {
 	cfg = cfg.WithDefaults()
-	rt := &Runtime{cfg: cfg, tr: cfg.Tracer, coalOn: cfg.Coalesce.Enabled}
+	rt := &Runtime{cfg: cfg, sink: earth.SinkOf(cfg.Tracer), coalOn: cfg.Coalesce.Enabled}
 	rt.nodes = make([]*lnode, cfg.Nodes)
 	for i := range rt.nodes {
 		n := &lnode{
@@ -362,7 +362,7 @@ func New(cfg earth.Config) *Runtime {
 			redirect: -1,
 		}
 		n.ctx = ctx{rt: rt, n: n, dead: true}
-		n.acct.Node, n.acct.Sink = n.id, cfg.Tracer
+		n.acct.Node, n.acct.Sink = n.id, rt.sink
 		rt.nodes[i] = n
 	}
 	fs, err := cfg.ResolveFaults()
@@ -392,7 +392,7 @@ func (rt *Runtime) now() sim.Time { return sim.Time(time.Since(rt.start).Nanosec
 // stamp reads the clock for a time only a trace event reports: zero, and
 // no reading, without a tracer.
 func (rt *Runtime) stamp() sim.Time {
-	if rt.tr == nil {
+	if !rt.sink.On() {
 		return 0
 	}
 	return rt.now()
@@ -455,7 +455,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		st.Nodes[i] = n.acct.Stats
 		st.Nodes[i].Add(n.faultStats)
 	}
-	st.Sanitize = earth.ScanLedgers(rt.nodes, func(n *lnode) *earth.SanLedger { return &n.acct.San }, st.Elapsed, rt.tr)
+	st.Sanitize = earth.ScanLedgers(rt.nodes, func(n *lnode) *earth.SanLedger { return &n.acct.San }, st.Elapsed, rt.sink)
 	return st
 }
 
@@ -546,13 +546,13 @@ func (rt *Runtime) armPlanTimers() {
 	for _, f := range rt.fences {
 		rt.armCrashTimer(f.At, func() { rt.fenceNode(f) })
 	}
-	if !rt.hasPart || rt.tr == nil {
+	if !rt.hasPart || !rt.sink.On() {
 		return
 	}
 	earth.PartitionMarks(rt.plan, rt.retry.Lease, func(pt faults.Partition, ev earth.Event) {
 		rt.armCrashTimer(ev.Time, func() {
 			ev.Time = rt.now()
-			earth.MarkPartition(rt.tr, pt, len(rt.nodes), ev)
+			earth.MarkPartition(rt.sink, pt, len(rt.nodes), ev)
 		})
 	})
 }
@@ -565,7 +565,7 @@ func (rt *Runtime) killNode(x int) {
 	if n.dead.Swap(true) {
 		return
 	}
-	n.account(earth.NodeFault(rt.tr, n.id, rt.now(), earth.CauseCrash, rt.retry.Lease))
+	n.account(earth.NodeFault(rt.sink, n.id, rt.now(), earth.CauseCrash, rt.retry.Lease))
 	n.poke()
 	rt.armCrashTimer(rt.now()+rt.retry.Lease, func() { n.owe(duty{cause: earth.CauseCrash, at: rt.now()}) })
 }
@@ -635,7 +635,7 @@ func (rt *Runtime) gone(c earth.NodeID) bool {
 // n's redirect routes every later push to the adopter.
 func (rt *Runtime) failover(n *lnode, at sim.Time, cause earth.Cause) {
 	sn := rt.nodes[rt.take.Adopter(n.id, at, rt.gone)]
-	h := earth.Handover{Down: n.id, At: rt.now(), Cause: cause, Sink: rt.tr}
+	h := earth.Handover{Down: n.id, At: rt.now(), Cause: cause, Sink: rt.sink}
 	sn.account(h.Declare(sn.id, rt.retry.Lease))
 	n.acct.Stats.DetectionLatency = rt.retry.Lease
 	// The rings leave with their storage; the down node, which nothing is
@@ -831,7 +831,7 @@ func (rt *Runtime) landItem(ex *lnode, src earth.NodeID, dst *lnode, bytes int, 
 // message gains the core's receipt checks, and one wall-clock timer — two
 // for a duplicated message — carries it to land.
 func (rt *Runtime) faultVerdict(ex *lnode, src earth.NodeID, dst *lnode, bytes int, e envelope, land func(*lnode, envelope)) {
-	d := earth.PlanDelivery(rt.inj, rt.retry, rt.plan, src, dst.id, bytes, rt.now(), rt.tr)
+	d := earth.PlanDelivery(rt.inj, rt.retry, rt.plan, src, dst.id, bytes, rt.now(), rt.sink)
 	sn := rt.nodes[src]
 	if d.FaultsInjected > 0 {
 		sn.account(earth.NodeStats{FaultsInjected: d.FaultsInjected, Retries: d.Retries})
@@ -857,7 +857,7 @@ func (rt *Runtime) receiptBody(a earth.Arrival, e envelope) envelope {
 		a := a
 		a.Epoch = rt.nodes[a.From].epoch.Load()
 		var d earth.NodeStats
-		v, _ := earth.Receive(&a, &rt.seen, rt.now(), c.Node(), &d, rt.tr)
+		v, _ := earth.Receive(&a, &rt.seen, rt.now(), c.Node(), &d, rt.sink)
 		if d != (earth.NodeStats{}) {
 			rt.nodes[c.Node()].account(d)
 		}
@@ -1002,7 +1002,7 @@ func (n *lnode) loop(lctx context.Context) {
 			at := rt.now()
 			if pu := rt.plan.PauseUntil(int(n.id), at); pu > at {
 				n.endBusy(at)
-				n.account(earth.NodeFault(rt.tr, n.id, at, earth.CausePause, pu-at))
+				n.account(earth.NodeFault(rt.sink, n.id, at, earth.CausePause, pu-at))
 				time.Sleep(time.Duration(pu - at))
 			}
 		}
@@ -1044,7 +1044,7 @@ func (n *lnode) retire() bool {
 		}
 		n.mu.Unlock()
 		if d.rejoin {
-			n.account(earth.Rejoin(rt.tr, n.id, rt.now(), d.at))
+			n.account(earth.Rejoin(rt.sink, n.id, rt.now(), d.at))
 		} else {
 			rt.failover(n, d.at, d.cause)
 		}
@@ -1079,7 +1079,7 @@ func (n *lnode) exec(lctx context.Context, it item) {
 	}
 	c.dead = true
 	var start, end sim.Time
-	if rt.tr != nil {
+	if rt.sink.On() {
 		start, end = n.at, rt.now()
 		n.at = end
 	}

@@ -70,9 +70,9 @@ type Arrival struct {
 // or a scratch one where the engine has to Add under a lock. (They are
 // not returned: the call sits on every remote delivery of a faulted run,
 // nearly all of which change no counter.) Like PlanDelivery it consults
-// no clock, schedules nothing and allocates nothing; sink (nil for an
-// untraced run) receives the events.
-func Receive(a *Arrival, seen *SeenSet, at sim.Time, node NodeID, stats *NodeStats, sink Tracer) (v Verdict, reroute bool) {
+// no clock, schedules nothing and allocates nothing; sink receives the
+// events.
+func Receive(a *Arrival, seen *SeenSet, at sim.Time, node NodeID, stats *NodeStats, sink Sink) (v Verdict, reroute bool) {
 	if a.SendEpoch != a.Epoch {
 		stats.MsgsFenced++
 		a.report(sink, Event{Kind: EvFenced, Cause: CausePartition}, at, node)
@@ -96,11 +96,9 @@ func Receive(a *Arrival, seen *SeenSet, at sim.Time, node NodeID, stats *NodeSta
 // report emits one receipt event of ev's kind and cause for a landing on
 // node at instant at. Dur is the end-to-end issue-to-receipt latency the
 // fault inflated.
-func (a *Arrival) report(sink Tracer, ev Event, at sim.Time, node NodeID) {
-	if sink != nil {
-		ev.Time, ev.Node, ev.Peer, ev.Dur, ev.Bytes = at, node, a.From, at-a.Issue, a.Bytes
-		sink.Event(ev)
-	}
+func (a *Arrival) report(sink Sink, ev Event, at sim.Time, node NodeID) {
+	ev.Time, ev.Node, ev.Peer, ev.Dur, ev.Bytes = at, node, a.From, at-a.Issue, a.Bytes
+	sink.Event(ev)
 }
 
 // SeenSet is the idempotent-delivery store both engines share: the

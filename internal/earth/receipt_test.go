@@ -75,7 +75,7 @@ func TestReceiveExhaustive(t *testing.T) {
 							}
 							var log eventLog
 							var got receipt
-							got.Verdict, got.Reroute = Receive(&a, &seen, at, node, &got.Stats, &log)
+							got.Verdict, got.Reroute = Receive(&a, &seen, at, node, &got.Stats, SinkOf(&log))
 							if got != want {
 								t.Errorf("receipt\n got %+v\nwant %+v", got, want)
 							}
@@ -95,7 +95,7 @@ func TestReceiveExhaustive(t *testing.T) {
 								quiet.First(seq)
 							}
 							var q receipt
-							if q.Verdict, q.Reroute = Receive(&a, &quiet, at, node, &q.Stats, nil); q != got {
+							if q.Verdict, q.Reroute = Receive(&a, &quiet, at, node, &q.Stats, Sink{}); q != got {
 								t.Errorf("nil sink changed the receipt: %+v vs %+v", q, got)
 							}
 						})
@@ -117,7 +117,7 @@ func TestReceiveFencedTwin(t *testing.T) {
 		a    *Arrival
 		want Verdict
 	}{{&stale, FenceNACK}, {&fresh, Fire}, {&stale, FenceNACK}, {&fresh, DropDuplicate}} {
-		if got, _ := Receive(step.a, &seen, 0, 0, new(NodeStats), nil); got != step.want {
+		if got, _ := Receive(step.a, &seen, 0, 0, new(NodeStats), Sink{}); got != step.want {
 			t.Errorf("step %d: verdict %d, want %d", i, got, step.want)
 		}
 	}
@@ -130,7 +130,7 @@ func TestReceiveAllocatesNothing(t *testing.T) {
 	var seen SeenSet
 	var stats NodeStats
 	clean := Arrival{From: 1, Bytes: 8, Seq: 1}
-	if n := testing.AllocsPerRun(2000, func() { Receive(&clean, &seen, 10, 2, &stats, nil) }); n != 0 {
+	if n := testing.AllocsPerRun(2000, func() { Receive(&clean, &seen, 10, 2, &stats, Sink{}) }); n != 0 {
 		t.Errorf("Receive allocates %v times per clean message", n)
 	}
 	faulted := []Arrival{
@@ -141,7 +141,7 @@ func TestReceiveAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(2000, func() {
 		for i := range faulted {
-			Receive(&faulted[i], &seen, 10, 2, &stats, nil)
+			Receive(&faulted[i], &seen, 10, 2, &stats, Sink{})
 		}
 	}); n != 0 {
 		t.Errorf("Receive allocates %v times per faulted round", n)
@@ -177,7 +177,7 @@ func TestSeenSet(t *testing.T) {
 // TestHandover pins what is counted and traced when work changes hands.
 func TestHandover(t *testing.T) {
 	var log eventLog
-	h := Handover{Down: 2, At: 5 * us, Cause: CausePartition, Sink: &log}
+	h := Handover{Down: 2, At: 5 * us, Cause: CausePartition, Sink: SinkOf(&log)}
 	if got := h.Replay(3); got != (NodeStats{FramesReplayed: 1}) {
 		t.Errorf("Replay delta %+v", got)
 	}
@@ -191,7 +191,7 @@ func TestHandover(t *testing.T) {
 	if !reflect.DeepEqual([]Event(log), want) {
 		t.Errorf("events\n got %+v\nwant %+v", log, want)
 	}
-	h.Sink = nil
+	h.Sink = Sink{}
 	if h.Replay(3) != (NodeStats{FramesReplayed: 1}) || h.Reassign(0, 24) != (NodeStats{TokensReassigned: 1}) {
 		t.Error("a nil sink changed the deltas")
 	}
@@ -275,7 +275,7 @@ func TestPartitionMarks(t *testing.T) {
 		{From: 600 * us, To: 1000 * us, Groups: [2][]int{{0, 1, 2, 3}, {4, 5}}}, // minority outside the machine
 	}}
 	var log eventLog
-	PartitionMarks(plan, lease, func(pt faults.Partition, ev Event) { MarkPartition(&log, pt, 4, ev) })
+	PartitionMarks(plan, lease, func(pt faults.Partition, ev Event) { MarkPartition(SinkOf(&log), pt, 4, ev) })
 	mark := func(at sim.Time, node NodeID, kind EventKind, dur sim.Time) Event {
 		return Event{Time: at, Node: node, Peer: NoPeer, Kind: kind, Dur: dur, Cause: CausePartition}
 	}

@@ -266,7 +266,7 @@ func (l *SanLedger) Track(f *Frame) {
 // ScanLedgers is the engines' end-of-run sanitizer step: sanitizeScan over
 // the frames of every node's ledger, gathered in node order. It returns
 // nil, and emits nothing, for a run that was not sanitized.
-func ScanLedgers[N any](nodes []N, ledger func(N) *SanLedger, makespan sim.Time, sink Tracer) *SanitizeReport {
+func ScanLedgers[N any](nodes []N, ledger func(N) *SanLedger, makespan sim.Time, sink Sink) *SanitizeReport {
 	var frames []*Frame
 	for _, n := range nodes {
 		l := ledger(n)
@@ -279,15 +279,13 @@ func ScanLedgers[N any](nodes []N, ledger func(N) *SanLedger, makespan sim.Time,
 }
 
 // sanitizeScan builds the report over the frames a run ledgered and
-// reports every finding to sink, when one is installed, as an EvSanitize
-// event at the run's makespan.
-func sanitizeScan(frames []*Frame, makespan sim.Time, sink Tracer) *SanitizeReport {
+// reports every finding to sink as an EvSanitize event at the run's
+// makespan.
+func sanitizeScan(frames []*Frame, makespan sim.Time, sink Sink) *SanitizeReport {
 	rep := BuildSanitizeReport(frames)
-	if sink != nil {
-		for _, fd := range rep.Findings {
-			sink.Event(Event{Time: makespan, Node: fd.Home, Peer: NoPeer,
-				Kind: EvSanitize, Bytes: fd.Index, Dur: sim.Time(fd.Count)})
-		}
+	for _, fd := range rep.Findings {
+		sink.Event(Event{Time: makespan, Node: fd.Home, Peer: NoPeer,
+			Kind: EvSanitize, Bytes: fd.Index, Dur: sim.Time(fd.Count)})
 	}
 	return rep
 }

@@ -36,10 +36,8 @@ func (c *ctx) Ship(dst earth.NodeID, ops []coalOp, bytes int) {
 	rt := c.rt
 	src := c.n.id
 	c.cursor += rt.cfg.Costs.AsyncSend
-	if rt.tr != nil {
-		rt.events.Event(earth.Event{Time: c.cursor, Node: src, Peer: dst,
-			Kind: earth.EvBatchFlush, Bytes: bytes, Wait: sim.Time(len(ops))})
-	}
+	rt.sink.Event(earth.Event{Time: c.cursor, Node: src, Peer: dst,
+		Kind: earth.EvBatchFlush, Bytes: bytes, Wait: sim.Time(len(ops))})
 	m, arrival := rt.envelope(msgBatch, src, dst, c.cursor, bytes, bytes)
 	m.batch = ops
 	rt.deliver(c.cursor, arrival, m)

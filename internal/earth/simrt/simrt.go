@@ -230,7 +230,8 @@ type Runtime struct {
 	misses []missNote
 	// msgFree is the envelope free list.
 	msgFree []*msg
-	tr      earth.Tracer // cached cfg.Tracer; nil disables all emission
+	// sink is the run's event buffer, or the zero Sink without a tracer.
+	sink earth.Sink
 	// coalOn caches cfg.Coalesce.Enabled for the per-operation hot path.
 	coalOn bool
 	// sampling is true when a tracer with UtilSamplePeriod is installed; it
@@ -305,13 +306,15 @@ func New(cfg earth.Config) *Runtime {
 		mach:          manna.New(mc),
 		nodes:         make([]*node, cfg.Nodes),
 		lookahead:     mc.MinRemoteLatency(),
-		tr:            cfg.Tracer,
 		coalOn:        cfg.Coalesce.Enabled,
 		victimScratch: make([]*node, 0, cfg.Nodes),
 	}
+	if cfg.Tracer != nil {
+		rt.sink = earth.SinkOf(&rt.events)
+	}
 	for i := range rt.nodes {
 		n := &node{id: earth.NodeID(i), rngSeed: cfg.Seed*1_000_003 + int64(i)}
-		n.acct.Node, n.acct.Sink = n.id, rt.sink()
+		n.acct.Node, n.acct.Sink = n.id, rt.sink
 		n.dispatchFn = func() { rt.dispatch(n) }
 		rt.nodes[i] = n
 	}
@@ -395,15 +398,6 @@ func (rt *Runtime) freeMsg(m *msg) {
 	rt.msgFree = append(rt.msgFree, m)
 }
 
-// sink returns the run's event buffer as a Tracer for the protocol core
-// to emit into, nil when the run is untraced.
-func (rt *Runtime) sink() earth.Tracer {
-	if rt.tr == nil {
-		return nil
-	}
-	return &rt.events
-}
-
 // P returns the node count.
 func (rt *Runtime) P() int { return len(rt.nodes) }
 
@@ -439,16 +433,16 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 	clear(rt.epochs)
 	clear(rt.halted)
 	clear(rt.everFenced)
-	if rt.epochs != nil && rt.tr != nil {
+	if rt.epochs != nil && rt.sink.On() {
 		// The partition schedule is static: pre-emit its window events and
 		// let the final canonical sort place them.
 		earth.PartitionMarks(rt.plan, rt.retry.Lease, func(pt faults.Partition, ev earth.Event) {
-			earth.MarkPartition(&rt.events, pt, len(rt.nodes), ev)
+			earth.MarkPartition(rt.sink, pt, len(rt.nodes), ev)
 		})
 	}
 	rt.maxExec = 0
 	rt.bApplied = 0
-	rt.sampling = rt.tr != nil && rt.cfg.UtilSamplePeriod > 0
+	rt.sampling = rt.sink.On() && rt.cfg.UtilSamplePeriod > 0
 	rt.sampleNext = rt.cfg.UtilSamplePeriod
 	if rt.cfg.Balancer == earth.BalanceSteal {
 		// All nodes except node 0 start idle and hungry, so the first
@@ -469,7 +463,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 	for i, n := range rt.nodes {
 		st.Nodes[i] = n.acct.Stats
 	}
-	st.Sanitize = earth.ScanLedgers(rt.nodes, func(n *node) *earth.SanLedger { return &n.acct.San }, rt.maxExec, rt.sink())
+	st.Sanitize = earth.ScanLedgers(rt.nodes, func(n *node) *earth.SanLedger { return &n.acct.San }, rt.maxExec, rt.sink)
 	rt.flushTrace()
 	return st
 }
@@ -490,7 +484,7 @@ func (n *node) addSpan(rt *Runtime, start, end sim.Time) {
 func (rt *Runtime) applyCrash(b boundary) {
 	x := b.node
 	rt.dead[x] = true
-	rt.nodes[x].acct.Stats.Add(earth.NodeFault(rt.sink(), earth.NodeID(x), b.at, earth.CauseCrash, rt.retry.Lease))
+	rt.nodes[x].acct.Stats.Add(earth.NodeFault(rt.sink, earth.NodeID(x), b.at, earth.CauseCrash, rt.retry.Lease))
 }
 
 // applyDetect fires one lease after a crash: survivors have missed enough
@@ -536,7 +530,7 @@ func (rt *Runtime) failover(x, s earth.NodeID, now sim.Time, cause earth.Cause) 
 	n.acct.Stats.DetectionLatency = rt.retry.Lease
 	// The down node no longer participates in stealing.
 	n.hungry, n.stealing = false, false
-	h := earth.Handover{Down: x, At: now, Cause: cause, Sink: rt.sink()}
+	h := earth.Handover{Down: x, At: now, Cause: cause, Sink: rt.sink}
 	sn.acct.Stats.Add(h.Declare(s, rt.retry.Lease))
 	for n.ready.Len() > 0 {
 		it := n.ready.PopFront()
@@ -561,7 +555,7 @@ func (rt *Runtime) applyHeal(b boundary) {
 	}
 	rt.halted[x] = false
 	n := rt.nodes[x]
-	n.acct.Stats.Add(earth.Rejoin(rt.sink(), n.id, b.at, b.at-b.ref))
+	n.acct.Stats.Add(earth.Rejoin(rt.sink, n.id, b.at, b.at-b.ref))
 	// Work that landed while halted (stage-1 remnants of pre-fence
 	// deliveries, app-addressed traffic) kicks the dispatch chain now;
 	// an empty node re-enters through the steal balancer instead.
@@ -678,7 +672,7 @@ func (rt *Runtime) walkDown(a sim.Time, dst earth.NodeID, hop func(at sim.Time, 
 func (rt *Runtime) emitReroute(m *msg) {
 	fn := rt.nodes[m.to]
 	rt.walkDown(m.arr0, m.origTo, func(at sim.Time, x earth.NodeID) {
-		h := earth.Handover{Down: x, At: at, Cause: earth.CauseCrash, Sink: rt.sink()}
+		h := earth.Handover{Down: x, At: at, Cause: earth.CauseCrash, Sink: rt.sink}
 		if rt.fences.Covering(int(x), at) {
 			h.Cause = earth.CausePartition
 		}
@@ -733,7 +727,7 @@ func (rt *Runtime) dispatch(n *node) {
 	if rt.hasPause {
 		now := eng.Now()
 		if pu := rt.plan.PauseUntil(int(n.id), now); pu > now {
-			n.acct.Stats.Add(earth.NodeFault(rt.sink(), n.id, now, earth.CausePause, pu-now))
+			n.acct.Stats.Add(earth.NodeFault(rt.sink, n.id, now, earth.CausePause, pu-now))
 			eng.At(pu, n.dispatchFn)
 			return
 		}
@@ -876,7 +870,7 @@ func (rt *Runtime) deliver(issue, arrival sim.Time, m *msg) {
 		// comparison is a pure function of issue and fire times.
 		m.sendEpoch = rt.epochs[m.from]
 	}
-	d := earth.PlanDelivery(rt.injs[m.from], rt.retry, rt.plan, m.from, m.to, m.bytes, issue, rt.sink())
+	d := earth.PlanDelivery(rt.injs[m.from], rt.retry, rt.plan, m.from, m.to, m.bytes, issue, rt.sink)
 	m.seq, m.drops, m.corrupts, m.dup = d.Seq, uint16(d.Drops), uint16(d.Corrupts), d.Dup
 	sender := rt.nodes[m.from]
 	sender.acct.Stats.FaultsInjected += d.FaultsInjected
@@ -1016,7 +1010,7 @@ func (rt *Runtime) receive(n *node, m *msg) bool {
 	if rt.epochs != nil {
 		a.Epoch = rt.epochs[m.from]
 	}
-	v, reroute := earth.Receive(&a, &rt.seen, rt.eng.Now(), n.id, &n.acct.Stats, rt.sink())
+	v, reroute := earth.Receive(&a, &rt.seen, rt.eng.Now(), n.id, &n.acct.Stats, rt.sink)
 	if reroute {
 		rt.emitReroute(m)
 	}
@@ -1135,9 +1129,7 @@ func (rt *Runtime) fireStealReq(victim *node, m *msg) {
 	now := rt.eng.Now()
 	if victim.tokens.Len() == 0 {
 		rt.freeMsg(m)
-		if rt.tr != nil {
-			rt.events.Event(earth.Event{Time: now, Node: thief, Peer: victim.id, Kind: earth.EvStealMiss})
-		}
+		rt.sink.Event(earth.Event{Time: now, Node: thief, Peer: victim.id, Kind: earth.EvStealMiss})
 		// The thief learns of the miss (and becomes eligible for
 		// re-matching) at the next barrier.
 		rt.misses = append(rt.misses, missNote{at: now, thief: thief})

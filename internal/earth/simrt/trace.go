@@ -24,10 +24,10 @@ const (
 	eventChunkBits = 13
 )
 
-// eventBuf buffers the run's trace events; its pointer is the
-// earth.Tracer the protocol core emits into. The stream is a list of
-// fixed-size chunks, so emitting never copies what was already buffered;
-// drain copies each event once, into the stream the tracer gets.
+// eventBuf buffers the run's trace events; its pointer is the tracer
+// behind the earth.Sink the protocol core emits into. The stream is a list
+// of fixed-size chunks, so emitting never copies what was already
+// buffered; drain copies each event once, into the stream the tracer gets.
 type eventBuf struct {
 	full [][]earth.Event // filled chunks, oldest first
 	cur  []earth.Event   // the chunk being filled
@@ -242,10 +242,10 @@ func (b *eventBuf) drain() []earth.Event {
 // flushTrace gives the tracer the run's events in canonical order, whole
 // (earth.BatchTracer) or one by one.
 func (rt *Runtime) flushTrace() {
-	if rt.tr == nil {
+	if rt.cfg.Tracer == nil {
 		return
 	}
 	if evs := rt.events.drain(); len(evs) > 0 {
-		earth.EmitBatch(rt.tr, evs)
+		earth.EmitBatch(rt.cfg.Tracer, evs)
 	}
 }

@@ -785,8 +785,12 @@ type Injector struct {
 	mu   sync.Mutex
 	plan *Plan
 	seed int64
-	rng  *rand.Rand
-	seq  uint64
+	// rng is the stream. Reset clears seeded, and the first draw after it
+	// reseeds rng in place (stream), so a run that never draws — under a
+	// crash- or partition-only plan — never pays for seeding.
+	rng    *rand.Rand
+	seeded bool
+	seq    uint64
 	// seqBase offsets every Verdict.Seq issued by this injector. Lane
 	// injectors (NewLaneInjector) use disjoint bases so sequence numbers
 	// stay globally unique across per-node fault streams.
@@ -835,8 +839,21 @@ func NewLaneInjector(plan *Plan, fallbackSeed int64, lane int) *Injector {
 func (in *Injector) Reset() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.rng = rand.New(rand.NewSource(in.seed))
-	in.seq = 0
+	in.seeded, in.seq = false, 0
+}
+
+// stream returns the random stream, seeded from the start when this is the
+// first draw since Reset. in.mu must be held.
+func (in *Injector) stream() *rand.Rand {
+	if !in.seeded {
+		if in.rng == nil {
+			in.rng = rand.New(rand.NewSource(in.seed))
+		} else {
+			in.rng.Seed(in.seed)
+		}
+		in.seeded = true
+	}
+	return in.rng
 }
 
 // Next draws the fault verdict for the next message transmission.
@@ -849,22 +866,22 @@ func (in *Injector) Next(maxDrops int) Verdict {
 	v := Verdict{Seq: in.seqBase + in.seq}
 	p := in.plan
 	if p.Drop > 0 {
-		for v.Drops < maxDrops && in.rng.Float64() < p.Drop {
+		for v.Drops < maxDrops && in.stream().Float64() < p.Drop {
 			v.Drops++
 		}
 	}
-	if p.Dup > 0 && in.rng.Float64() < p.Dup {
+	if p.Dup > 0 && in.stream().Float64() < p.Dup {
 		v.Dup = true
 	}
-	if p.Reorder > 0 && in.rng.Float64() < p.Reorder {
-		v.Delay = sim.Time(in.rng.Int63n(int64(p.window()))) + 1
+	if p.Reorder > 0 && in.stream().Float64() < p.Reorder {
+		v.Delay = sim.Time(in.stream().Int63n(int64(p.window()))) + 1
 	}
 	// Corruption draws come last, gated on the knob, so plans without
 	// corrupt= replay the exact pre-existing random stream (goldens from
 	// earlier fault modes stay byte-identical). The drop budget left after
 	// actual drops caps corrupted attempts: both consume retransmits.
 	if p.Corrupt > 0 {
-		for v.Corrupts < maxDrops-v.Drops && in.rng.Float64() < p.Corrupt {
+		for v.Corrupts < maxDrops-v.Drops && in.stream().Float64() < p.Corrupt {
 			v.Corrupts++
 		}
 	}
@@ -878,5 +895,5 @@ func (in *Injector) Next(maxDrops int) Verdict {
 func (in *Injector) Float64() float64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.rng.Float64()
+	return in.stream().Float64()
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"slices"
 	"testing"
 
 	"earth/internal/sim"
@@ -77,6 +78,42 @@ func TestInjectorDeterminism(t *testing.T) {
 		if v := a.Next(8); v != va[i] {
 			t.Fatalf("verdict %d diverges after Reset: %+v vs %+v", i, v, va[i])
 		}
+	}
+}
+
+// TestInjectorResetDrawsAsFresh: an injector reset after no draw, a few
+// or a whole stream draws what a fresh one draws, with drops, dups,
+// reorders, corruptions and jitter draws interleaved.
+func TestInjectorResetDrawsAsFresh(t *testing.T) {
+	plan := &Plan{Seed: 8, Drop: 0.3, Dup: 0.2, Reorder: 0.4, Corrupt: 0.3, Window: 50 * sim.Microsecond}
+	draw := func(in *Injector, n int) []Verdict {
+		vs := make([]Verdict, n)
+		for i := range vs {
+			vs[i] = in.Next(8)
+			vs[i].Delay += sim.Time(in.Float64() * 1e6)
+		}
+		return vs
+	}
+	const n = 500
+	fresh := draw(NewLaneInjector(plan, 1, 3), n)
+	in := NewLaneInjector(plan, 1, 3)
+	for _, k := range []int{0, 17, n} {
+		in.Reset()
+		draw(in, k)
+		in.Reset()
+		if got := draw(in, n); !slices.Equal(got, fresh) {
+			t.Fatalf("after %d draws and a Reset: %v..., fresh %v...", k, got[:3], fresh[:3])
+		}
+	}
+}
+
+// TestInjectorResetAllocatesNothing: Reset reseeds the existing stream at
+// the next draw instead of building a new source.
+func TestInjectorResetAllocatesNothing(t *testing.T) {
+	in := NewInjector(&Plan{Seed: 2, Drop: 0.5}, 1)
+	in.Next(8)
+	if n := testing.AllocsPerRun(100, func() { in.Reset(); in.Next(8) }); n != 0 {
+		t.Errorf("Reset and a draw allocate %v times, want 0", n)
 	}
 }
 
