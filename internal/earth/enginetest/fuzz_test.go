@@ -15,7 +15,8 @@ import (
 // FuzzFaultMatrix explores the fault matrix between its rows. planBytes
 // decode to one fault plan that may mix every class — message faults,
 // degrade and pause windows, up to three crashes and up to two partitions
-// — and a detection lease; progBytes to a shape of the matrix program.
+// — a detection lease and a utilisation sample period; progBytes to a
+// shape of the matrix program.
 // Plans Validate or ResolveFaults reject are skipped. Every input runs on
 // simrt with the sanitizer as drawn and, when coalesce is set, both
 // uncoalesced and coalesced, and checkCell judges each run. A clean plan
@@ -25,13 +26,14 @@ import (
 // own chaos and dropChain expectations are TestFaultMatrix's).
 func FuzzFaultMatrix(f *testing.F) {
 	for _, row := range matrixRows {
-		plan, prog := encodePlan(row.plan, row.retry.Lease), encodeProg(row.prog)
+		plan, prog := encodePlan(row.plan, row.retry.Lease, row.sample), encodeProg(row.prog)
 		got, want := decodeRow(plan, prog), row.plan
 		if want == nil {
 			want = &faults.Plan{}
 		}
-		if !reflect.DeepEqual(got.plan, want) || got.retry != row.retry || !reflect.DeepEqual(got.prog, row.prog) {
-			f.Fatalf("%s: seed decodes to %v lease %v %+v", row.name, got.plan, got.retry.Lease, got.prog)
+		if !reflect.DeepEqual(got.plan, want) || got.retry != row.retry || got.sample != row.sample ||
+			!reflect.DeepEqual(got.prog, row.prog) {
+			f.Fatalf("%s: seed decodes to %v lease %v sample %v %+v", row.name, got.plan, got.retry.Lease, got.sample, got.prog)
 		}
 		for _, coal := range []bool{false, true} {
 			for _, san := range []bool{false, true} {
@@ -93,12 +95,13 @@ const fuzzRow = "fuzz"
 
 // decodeRow builds a matrix row from fuzz input.
 func decodeRow(planBytes, progBytes []byte) matrixRow {
-	plan, lease := decodePlan(planBytes)
-	return matrixRow{name: fuzzRow, plan: plan, retry: earth.RetryPolicy{Lease: lease}, prog: decodeProg(progBytes)}
+	plan, lease, sample := decodePlan(planBytes)
+	return matrixRow{name: fuzzRow, plan: plan, retry: earth.RetryPolicy{Lease: lease}, prog: decodeProg(progBytes),
+		sample: sample}
 }
 
-// decodePlan reads a plan and a lease from b, one byte a field unless
-// noted. The lists come first, so that one mutated byte adds a fault:
+// decodePlan reads a plan, a lease and a utilisation sample period from
+// b, one byte a field unless noted. The lists come first, so that one mutated byte adds a fault:
 //
 //	counts: crashes b&3, partitions (b>>2&3)%3, pauses (b>>4&3)%3, degrades (b>>6)%3
 //	per crash: node, instant
@@ -109,6 +112,7 @@ func decodeRow(planBytes, progBytes []byte) matrixRow {
 //	seed; drop, dup, reorder and corrupt, each b%101/100
 //	reorder window, b × 10µs
 //	lease, two bytes big-endian × planUnit (0: the default)
+//	sample period, b × planUnit (0: no sampling)
 //
 // The i-th crash, pause or degrade names node (b+1+i)%9, 8 meaning "*"; an
 // instant or a length is b × planUnit. Each field is counted from a zero
@@ -119,7 +123,7 @@ func decodeRow(planBytes, progBytes []byte) matrixRow {
 // for 1.5ms, outliving the default 1ms lease, so {2,3} fence. Out-of-range
 // values — a "*" crash, an empty window or group, a factor below 1, a
 // probability of 1 — are kept for Validate to reject.
-func decodePlan(b []byte) (*faults.Plan, sim.Time) {
+func decodePlan(b []byte) (*faults.Plan, sim.Time, sim.Time) {
 	r := byteReader(b)
 	span := func(zero byte) sim.Time { return sim.Time(byte(r.next())+zero) * planUnit }
 	node := func(i int) int {
@@ -160,7 +164,7 @@ func decodePlan(b []byte) (*faults.Plan, sim.Time) {
 	p.Drop, p.Dup, p.Reorder, p.Corrupt = prob(), prob(), prob(), prob()
 	p.Window = sim.Time(r.next()) * 10 * sim.Microsecond
 	lease := sim.Time(r.next()<<8|r.next()) * planUnit
-	return p, lease
+	return p, lease, sim.Time(r.next()) * planUnit
 }
 
 // The zero points of decodePlan's fields: one crash and one partition; in
@@ -175,7 +179,7 @@ const (
 // encodePlan is decodePlan's inverse on the rows' plans. It leaves out
 // trailing zero bytes, so that the clean plan is one byte and every
 // mutation of it composes faults.
-func encodePlan(p *faults.Plan, lease sim.Time) []byte {
+func encodePlan(p *faults.Plan, lease, sample sim.Time) []byte {
 	if p == nil {
 		p = &faults.Plan{}
 	}
@@ -203,7 +207,7 @@ func encodePlan(p *faults.Plan, lease sim.Time) []byte {
 	}
 	prob := func(v float64) byte { return byte(math.Round(v * 100)) }
 	b = append(b, byte(p.Seed), prob(p.Drop), prob(p.Dup), prob(p.Reorder), prob(p.Corrupt),
-		byte(p.Window/(10*sim.Microsecond)), byte(lease/planUnit>>8), byte(lease/planUnit))
+		byte(p.Window/(10*sim.Microsecond)), byte(lease/planUnit>>8), byte(lease/planUnit), byte(sample/planUnit))
 	return bytes.TrimRight(b, "\x00")
 }
 

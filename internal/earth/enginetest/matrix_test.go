@@ -10,7 +10,9 @@ import (
 
 	"earth/internal/critpath"
 	"earth/internal/earth"
+	"earth/internal/earth/simrt"
 	"earth/internal/faults"
+	"earth/internal/pin"
 	"earth/internal/sim"
 )
 
@@ -300,16 +302,20 @@ func matrixProg(res *cellResult, p progShape, sleep bool) earth.ThreadBody {
 }
 
 // matrixCell is one cell: a row on one engine, wire path and sanitizer
-// setting.
+// setting, traced unless untraced is set.
 type matrixCell struct {
 	row             matrixRow
 	live, coal, san bool
+	untraced        bool
 }
 
 func (c matrixCell) name() string {
 	eng := "simrt"
 	if c.live {
 		eng = "livert"
+	}
+	if c.untraced {
+		return fmt.Sprintf("%s/%s/untraced", eng, c.row.name)
 	}
 	return fmt.Sprintf("%s/%s/%s/sanitize=%v", eng, c.row.name, coalName(c.coal), c.san)
 }
@@ -320,7 +326,7 @@ func (c matrixCell) config() earth.Config {
 }
 
 // cellRun is one run of a cell: its stats and event stream, what the
-// program applied, and on simrt the marshalled bytes.
+// program applied, and on a traced simrt cell the marshalled bytes.
 type cellRun struct {
 	st  *earth.Stats
 	evs []earth.Event
@@ -335,15 +341,20 @@ func (c matrixCell) run(t *testing.T) cellRun {
 	cfg := c.config()
 	var r cellRun
 	body := matrixProg(&r.res, c.row.prog, c.live && c.row.plan.Enabled())
-	if !c.live {
+	switch {
+	case c.untraced && c.live:
+		r.st = newLive(cfg).Run(body)
+	case c.untraced:
+		r.st = simrt.New(cfg).Run(body)
+	case !c.live:
 		r.sim = simRun(t, cfg, body)
 		r.st, r.evs = r.sim.st, r.sim.evs
-		return r
+	default:
+		col := &traceCollector{}
+		cfg.Tracer = col
+		r.st = newLive(cfg).Run(body)
+		r.evs = col.evs
 	}
-	col := &traceCollector{}
-	cfg.Tracer = col
-	r.st = newLive(cfg).Run(body)
-	r.evs = col.evs
 	return r
 }
 
@@ -365,8 +376,10 @@ var counterEvents = []struct {
 	{earth.EvThreadRun, func(n *earth.NodeStats) uint64 { return n.ThreadsRun }},
 }
 
-// TestFaultMatrix runs every cell through checkCell. Subtests are named
-// engine/row/coalesce-{off,on}/sanitize={false,true}.
+// TestFaultMatrix runs every cell through checkCell, and each faulted
+// row once more with no tracer on each engine through checkUntraced.
+// Subtests are named engine/row/coalesce-{off,on}/sanitize={false,true}
+// and engine/row/untraced.
 func TestFaultMatrix(t *testing.T) {
 	done := map[string]cellRun{}
 	for _, live := range []bool{false, true} {
@@ -381,7 +394,62 @@ func TestFaultMatrix(t *testing.T) {
 					})
 				}
 			}
+			if row.plan.Enabled() {
+				c := matrixCell{row: row, live: live, untraced: true}
+				t.Run(c.name(), func(t *testing.T) { checkUntraced(t, c, done) })
+			}
 		}
+	}
+}
+
+// checkUntraced runs faulted cell c, which installs no tracer, so that
+// every emission point on its plan's paths meets the zero earth.Sink. The
+// answer holds as on the traced cell; on simrt, where tracing observes
+// and never steers, the stats JSON equals the traced cell's byte for
+// byte. A livert cell is built by newLive, whose check ran after Run.
+func checkUntraced(t *testing.T, c matrixCell, done map[string]cellRun) {
+	t.Helper()
+	r := c.run(t)
+	checkAnswer(t, c.row.prog, r.res, len(planOutcome(t, c).fired) == 0)
+	if c.live {
+		return
+	}
+	traced := c
+	traced.untraced = false
+	base, ok := done[traced.name()]
+	if !ok {
+		t.Fatalf("no run of %s to compare with", traced.name())
+	}
+	got, err := json.Marshal(r.st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(base.st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := pin.FirstDiff(got, want); d != "" {
+		t.Errorf("untraced stats JSON diverges from the traced cell's at %s", d)
+	}
+}
+
+// checkAnswer asserts what the matrix program of shape p applied on node
+// 0: nothing twice; when the row converges, everything once.
+func checkAnswer(t *testing.T, p progShape, res cellResult, converges bool) {
+	t.Helper()
+	for v, n := range res.hits {
+		if n > 1 || converges && n != 1 {
+			t.Errorf("leaf %d contributed %d times", v, n)
+		}
+	}
+	for s, seq := range res.seqs {
+		if len(slices.Compact(sortedInts(seq))) != len(seq) || res.posts[s] > 1 ||
+			converges && (len(seq) != p.burst || res.posts[s] != 1) {
+			t.Errorf("spreader %d: puts %v of %d and %d posts applied", s, seq, p.burst, res.posts[s])
+		}
+	}
+	if res.wrong > 0 || converges && res.done != [2]bool{true, true} {
+		t.Errorf("%d wrongly fetched words; fan-ins fired: %v", res.wrong, res.done)
 	}
 }
 
@@ -447,24 +515,9 @@ func checkCell(t *testing.T, c matrixCell, r cellRun, done map[string]cellRun) {
 		}
 	}
 
-	// The answer: nothing applied twice; on a converging row, everything once.
 	res := r.res
-	for v, n := range res.hits {
-		if n > 1 || converges && n != 1 {
-			t.Errorf("leaf %d contributed %d times", v, n)
-		}
-	}
-	anyOff := false
-	for s, seq := range res.seqs {
-		anyOff = anyOff || res.off[s]
-		if len(slices.Compact(sortedInts(seq))) != len(seq) || res.posts[s] > 1 ||
-			converges && (len(seq) != p.burst || res.posts[s] != 1) {
-			t.Errorf("spreader %d: puts %v of %d and %d posts applied", s, seq, p.burst, res.posts[s])
-		}
-	}
-	if res.wrong > 0 || converges && res.done != [2]bool{true, true} {
-		t.Errorf("%d wrongly fetched words; fan-ins fired: %v", res.wrong, res.done)
-	}
+	checkAnswer(t, p, res, converges)
+	anyOff := slices.Contains(res.off, true)
 	if st.Sanitize != nil {
 		for _, fd := range st.Sanitize.Findings {
 			if fd.Kind == earth.SanOverflow {

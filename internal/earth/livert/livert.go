@@ -219,10 +219,10 @@ type lnode struct {
 	redirect int
 
 	wake chan struct{}
-	// rng is the node's random stream, seeded by rand() on the first draw
-	// (seeding costs more than the rest of New, and many programs never
-	// draw) and continued, never reseeded, across Runs. Accessed only by
-	// this node's executor.
+	// rng is the node's random stream (sim.NewRand: math/rand's draws for
+	// rngSeed, never seeded), opened by rand() on the first draw (many
+	// programs never draw) and continued, never reopened, across Runs.
+	// Accessed only by this node's executor.
 	rng     *rand.Rand
 	rngSeed int64
 	// rr is the node's round-robin placement cursor, reset by Run.
@@ -290,7 +290,7 @@ type duty struct {
 // rand returns the node's random stream.
 func (n *lnode) rand() *rand.Rand {
 	if n.rng == nil {
-		n.rng = rand.New(rand.NewSource(n.rngSeed))
+		n.rng = sim.NewRand(n.rngSeed)
 	}
 	return n.rng
 }

@@ -96,9 +96,9 @@ type node struct {
 	cpuDebt  sim.Time
 	stealing bool // a steal request is in flight
 	hungry   bool // ran dry under the steal balancer; matched at barriers
-	// rng is the node's random stream, seeded by rand() on the first draw
-	// (many programs never draw, and seeding costs more than the rest of
-	// New) and continued, never reseeded, across Runs.
+	// rng is the node's random stream (sim.NewRand: math/rand's draws for
+	// rngSeed, never seeded), opened by rand() on the first draw (many
+	// programs never draw) and continued, never reopened, across Runs.
 	rng     *rand.Rand
 	rngSeed int64
 	// acct holds the node's counters, sanitizer ledger and event sink.
@@ -122,7 +122,7 @@ type node struct {
 // rand returns the node's random stream.
 func (n *node) rand() *rand.Rand {
 	if n.rng == nil {
-		n.rng = rand.New(rand.NewSource(n.rngSeed))
+		n.rng = sim.NewRand(n.rngSeed)
 	}
 	return n.rng
 }

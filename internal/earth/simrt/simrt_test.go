@@ -2,6 +2,7 @@ package simrt
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"earth/internal/earth"
@@ -493,6 +494,38 @@ func TestInvokeArgsSizes(t *testing.T) {
 	})
 	if st.Nodes[0].BytesSent != 28+16 { // payload + header
 		t.Fatalf("bytes = %d, want 44", st.Nodes[0].BytesSent)
+	}
+}
+
+// TestJitteredRunOpensNoSource: the nodes of a 20-node jittered run each
+// draw, fewer than 607 times, and no node allocates a random source — 20
+// math/rand sources would be 107 KB, where the run allocates less than
+// one source's 4.9 KB beyond what an unjittered run does. The first run
+// puts the node seeds' prefixes in the shared table.
+func TestJitteredRunOpensNoSource(t *testing.T) {
+	const nodes = 20
+	prog := func(c earth.Ctx) {
+		for i := 0; i < 10*nodes; i++ {
+			c.Token(16, func(c earth.Ctx) { c.Compute(100 * sim.Microsecond) })
+		}
+	}
+	bytesOf := func(jitter float64) int64 {
+		rt := New(earth.Config{Nodes: nodes, Seed: 3, JitterPct: jitter, Balancer: earth.BalanceRoundRobin})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rt.Run(prog)
+		runtime.ReadMemStats(&after)
+		for _, n := range rt.nodes {
+			if (n.rng != nil) != (jitter > 0) {
+				t.Fatalf("jitter %v%%: node %d opened a stream: %v", jitter, n.id, n.rng != nil)
+			}
+		}
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	bytesOf(5)
+	jittered, plain := bytesOf(5), bytesOf(0)
+	if jittered-plain >= 4856 {
+		t.Errorf("jittered run allocated %d bytes, unjittered %d: %d more", jittered, plain, jittered-plain)
 	}
 }
 

@@ -277,11 +277,40 @@ func selectBest(P []Pair, ord poly.Order) (Pair, []Pair) {
 
 // reducers holds reduction workspaces between completion runs, so that a
 // run starts on tables already grown (a sweep makes thousands of runs).
-// Each run draws its own and no two goroutines share one. During a run a
+// It is a plain free list, not a sync.Pool: the collector empties a pool
+// every second cycle, and a sweep collects several times a second, so
+// pooled workspaces did not outlive a sweep cell. Uncapped, the list never
+// holds more reducers than were once in use at the same time. Each run
+// takes its own and no two goroutines share one. During a run a
 // poly.Reducer keeps its basis and divisor table from one reduction to
-// the next; SetBasis(nil) leaves it at rest before it goes back, so a
-// pooled one pins no polynomial.
-var reducers = sync.Pool{New: func() any { return poly.NewReducer() }}
+// the next; putReducer leaves it at rest (SetBasis(nil)), so a listed one
+// pins no polynomial.
+var reducers struct {
+	mu   sync.Mutex
+	free []*poly.Reducer
+}
+
+// getReducer takes a reducer from the free list, or makes one.
+func getReducer() *poly.Reducer {
+	reducers.mu.Lock()
+	defer reducers.mu.Unlock()
+	n := len(reducers.free)
+	if n == 0 {
+		return poly.NewReducer()
+	}
+	red := reducers.free[n-1]
+	reducers.free[n-1] = nil
+	reducers.free = reducers.free[:n-1]
+	return red
+}
+
+// putReducer leaves red at rest and returns it to the free list.
+func putReducer(red *poly.Reducer) {
+	red.SetBasis(nil)
+	reducers.mu.Lock()
+	reducers.free = append(reducers.free, red)
+	reducers.mu.Unlock()
+}
 
 // Buchberger computes a Gröbner basis of the ideal generated by F. All
 // inputs must share a ring; zero inputs are dropped. The result is not
@@ -293,11 +322,8 @@ func Buchberger(F []*poly.Poly, opt Options) (*Basis, error) {
 	}
 	b := &Basis{Ring: ring}
 	u := NewUpdater(opt)
-	red := reducers.Get().(*poly.Reducer)
-	defer func() {
-		red.SetBasis(nil)
-		reducers.Put(red)
-	}()
+	red := getReducer()
+	defer putReducer(red)
 	var P []Pair
 	// Seed the basis one element at a time so the criteria apply to the
 	// initial pairs as well.
@@ -314,7 +340,7 @@ func Buchberger(F []*poly.Poly, opt Options) (*Basis, error) {
 	for len(P) > 0 {
 		var p Pair
 		p, P = selectBest(P, ring.Order())
-		nf, st := red.Reduce(basis[p.I], basis[p.J])
+		nf, st := red.ReduceMonic(basis[p.I], basis[p.J])
 		b.Trace.PairsReduced++
 		b.Trace.TermOps += st.TermOps
 		b.Trace.PerReduction = append(b.Trace.PerReduction, st.TermOps)
@@ -322,7 +348,7 @@ func Buchberger(F []*poly.Poly, opt Options) (*Basis, error) {
 			b.Trace.ZeroReductions++
 			continue
 		}
-		basis = append(basis, nf.Monic())
+		basis = append(basis, nf)
 		red.SetBasis(basis)
 		b.Trace.Added++
 		var considered, elim int

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime/debug"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -261,31 +262,14 @@ func refersToPoly(v reflect.Value, seen map[uintptr]bool) bool {
 // TestPooledReducersPinNothing: a completion's workers keep a basis and a
 // divisor table in their reducers between reductions, and after each
 // completion — sequential, then parallel on either engine — every reducer
-// in the pool refers to no polynomial. The collector is off, so that the
-// pool keeps what was put in it until the test drains it. A reducer left
-// in another P's private slot cannot be drawn, and under -race Put drops
-// one in four at random, so a completion is run again until one comes
-// back.
+// on the free list refers to no polynomial, and the list, emptied first,
+// holds as many reducers as were once in use at the same time: one, then
+// the four workers'.
 func TestPooledReducersPinNothing(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	F, opt := k3Input()
-	checkPool := func(after string) int {
-		t.Helper()
-		newReducer := reducers.New
-		defer func() { reducers.New = newReducer }()
-		reducers.New = nil
-		var drained []any
-		for red := reducers.Get(); red != nil; red = reducers.Get() {
-			drained = append(drained, red)
-			if refersToPoly(reflect.ValueOf(red), map[uintptr]bool{}) {
-				t.Errorf("after %s: pooled reducer %d refers to a polynomial", after, len(drained))
-			}
-		}
-		for _, red := range drained {
-			reducers.Put(red)
-		}
-		return len(drained)
-	}
+	reducers.mu.Lock()
+	reducers.free = nil
+	reducers.mu.Unlock()
 	parallel := func(newRT func() earth.Runtime) func() error {
 		return func() error {
 			_, err := ParallelBuchberger(newRT(), F, ParallelConfig{Opt: opt})
@@ -295,23 +279,49 @@ func TestPooledReducersPinNothing(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		run  func() error
+		peak int
 	}{
 		{"Buchberger", func() error {
 			_, err := Buchberger(F, opt)
 			return err
-		}},
-		{"ParallelBuchberger on simrt", parallel(func() earth.Runtime { return simrt.New(earth.Config{Nodes: 5, Seed: 1}) })},
-		{"ParallelBuchberger on livert", parallel(func() earth.Runtime { return livert.New(earth.Config{Nodes: 5, Seed: 1}) })},
+		}, 1},
+		{"ParallelBuchberger on simrt", parallel(func() earth.Runtime { return simrt.New(earth.Config{Nodes: 5, Seed: 1}) }), 4},
+		{"ParallelBuchberger on livert", parallel(func() earth.Runtime { return livert.New(earth.Config{Nodes: 5, Seed: 1}) }), 4},
 	} {
-		drained := 0
-		for try := 0; try < 20 && drained == 0; try++ {
-			if err := c.run(); err != nil {
-				t.Fatal(err)
+		if err := c.run(); err != nil {
+			t.Fatal(err)
+		}
+		reducers.mu.Lock()
+		free := slices.Clone(reducers.free)
+		reducers.mu.Unlock()
+		if len(free) != c.peak {
+			t.Errorf("after %s: %d reducers on the free list, want %d", c.name, len(free), c.peak)
+		}
+		for i, red := range free {
+			if refersToPoly(reflect.ValueOf(red), map[uintptr]bool{}) {
+				t.Errorf("after %s: listed reducer %d refers to a polynomial", c.name, i)
 			}
-			drained = checkPool(c.name)
 		}
-		if drained == 0 {
-			t.Fatalf("after %s: no reducer in the pool after 20 runs", c.name)
+	}
+}
+
+// TestReducersSurviveCollection: a completion run after two collections
+// (a sync.Pool would have dropped its workspaces by the second) allocates
+// no more than one run without them.
+func TestReducersSurviveCollection(t *testing.T) {
+	F, opt := k3Input()
+	run := func() {
+		if _, err := Buchberger(F, opt); err != nil {
+			t.Fatal(err)
 		}
+	}
+	plain := testing.AllocsPerRun(20, run)
+	collected := testing.AllocsPerRun(20, func() {
+		runtime.GC()
+		runtime.GC()
+		run()
+	})
+	if collected > plain {
+		t.Errorf("a run after runtime.GC allocates %v times, one without it %v", collected, plain)
 	}
 }

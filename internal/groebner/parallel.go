@@ -197,8 +197,8 @@ type parNode struct {
 	// their polynomials: the basis red divides by. cachePut keeps both.
 	stair     []int
 	staircase []*poly.Poly
-	// red is this worker's reduction workspace, drawn from the reducers
-	// pool for the run (nil on the maintenance node, which reduces
+	// red is this worker's reduction workspace, taken from the reducers
+	// free list for the run (nil on the maintenance node, which reduces
 	// nothing). Nodes run on separate host goroutines on livert, so a
 	// workspace is never shared between them.
 	red         *poly.Reducer
@@ -292,14 +292,13 @@ func ParallelBuchberger(rt earth.Runtime, F []*poly.Poly, cfg ParallelConfig) (*
 		st.nodes[i] = &parNode{}
 	}
 	for _, n := range st.nodes[:st.workers] {
-		n.red = reducers.Get().(*poly.Reducer)
+		n.red = getReducer()
 	}
 
 	stats := rt.Run(func(c earth.Ctx) { st.driver(c, G) })
 
 	for _, n := range st.nodes[:st.workers] {
-		n.red.SetBasis(nil)
-		reducers.Put(n.red)
+		putReducer(n.red)
 	}
 
 	res := &ParallelResult{
@@ -468,12 +467,11 @@ func (st *parState) ensureCached(c earth.Ctx, w int, p Pair) bool {
 // charges the compute model for the work actually done.
 func (st *parState) processPair(c earth.Ctx, w int, p Pair) {
 	n := st.nodes[w]
-	nf, rst := n.red.Reduce(n.cache[p.I], n.cache[p.J])
+	nf, rst := n.red.ReduceMonic(n.cache[p.I], n.cache[p.J])
 	c.Compute(st.cfg.StepCost.PerPair + sim.Time(rst.TermOps)*st.cfg.StepCost.PerTermOp)
 	n.processed++
 
 	if !nf.IsZero() {
-		nf = nf.Monic()
 		n.outstanding++
 		st.shipResult(c, w, p, nf)
 	} else {
@@ -582,7 +580,7 @@ func (st *parState) tryInsert(c earth.Ctx) {
 // a dead one is withdrawn.
 func (st *parState) rereduce(c earth.Ctx, req insertReq) {
 	n := st.nodes[req.w]
-	nf, rst := n.red.Reduce(req.nf, nil)
+	nf, rst := n.red.ReduceMonic(req.nf, nil)
 	c.Compute(sim.Time(rst.TermOps) * st.cfg.StepCost.PerTermOp)
 	if nf.IsZero() {
 		n.outstanding--
@@ -593,7 +591,7 @@ func (st *parState) rereduce(c earth.Ctx, req insertReq) {
 		})
 		return
 	}
-	st.shipResult(c, req.w, req.pair, nf.Monic())
+	st.shipResult(c, req.w, req.pair, nf)
 }
 
 // finishInsert completes an insert (or rejection): acknowledge the origin

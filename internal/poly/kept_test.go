@@ -23,7 +23,9 @@ func keptTableRing(k int) *Ring {
 // one Reducer, which keeps its divisor table from one reduction to the
 // next and hears of every change through SetBasis, and holds each
 // reduction to the one-shot form on a fresh Reducer — NormalForm of the
-// dividend, or of SPoly(f, g) for a pair — result and statistics alike.
+// dividend, or of SPoly(f, g) for a pair — result and statistics alike,
+// and ReduceMonic to that normal form made monic, with the same
+// statistics.
 // The basis grows, loses and replaces entries in place and shrinks, as no
 // completion does, so that a table kept past a change cannot go unseen.
 // lift raises one variable of the dividends it marks as packedSystem does,
@@ -55,6 +57,13 @@ func checkKeptTable(t *testing.T, ring, lift uint8, data []byte) {
 			t.Fatalf("%s modulo %v:\n kept table %v %+v\n one-shot   %v %+v", what, G, got, gotSt, want, wantSt)
 		}
 	}
+	// monic is what ReduceMonic must return for normal form p.
+	monic := func(p *Poly) *Poly {
+		if p.IsZero() {
+			return p
+		}
+		return p.Monic()
+	}
 	for ops := 0; len(s) > 0 && ops < 48; ops++ {
 		switch s.next() % 6 {
 		case 0, 1: // admit a divisor
@@ -79,6 +88,8 @@ func checkKeptTable(t *testing.T, ring, lift uint8, data []byte) {
 			got, gotSt := kept.Reduce(f, nil)
 			want, wantSt := NormalForm(f, G)
 			check("Reduce("+f.String()+")", got, want, gotSt, wantSt)
+			got, gotSt = kept.ReduceMonic(f, nil)
+			check("ReduceMonic("+f.String()+")", got, monic(want), gotSt, wantSt)
 		case 5: // a pair: a dividend and a divisor, or two dividends
 			f, g := poly(s.next()%2 == 0), poly(s.next()%2 == 0)
 			if i := s.next(); i < 128 && len(G) > 0 && G[i%len(G)] != nil {
@@ -90,6 +101,8 @@ func checkKeptTable(t *testing.T, ring, lift uint8, data []byte) {
 			got, gotSt := kept.Reduce(f, g)
 			want, wantSt := NormalForm(SPoly(f, g), G)
 			check("Reduce("+f.String()+", "+g.String()+")", got, want, gotSt, wantSt)
+			got, gotSt = kept.ReduceMonic(f, g)
+			check("ReduceMonic("+f.String()+", "+g.String()+")", got, monic(want), gotSt, wantSt)
 		}
 	}
 	kept.SetBasis(nil)

@@ -176,7 +176,15 @@ func (r *Reducer) SetBasis(G []*Poly) {
 // combination of the basis. On the packed engine the S-polynomial is
 // merged into slices the workspace owns and reduced from there, so nothing
 // is allocated but the result. f and g must be nonzero and of one ring.
-func (r *Reducer) Reduce(f, g *Poly) (*Poly, ReduceStats) {
+func (r *Reducer) Reduce(f, g *Poly) (*Poly, ReduceStats) { return r.reduce(f, g, false) }
+
+// ReduceMonic is Reduce with a nonzero normal form made monic: the result
+// and statistics of Reduce(f, g) followed by Monic, but the packed engine
+// scales the coefficients in its one copy out of the workspace.
+func (r *Reducer) ReduceMonic(f, g *Poly) (*Poly, ReduceStats) { return r.reduce(f, g, true) }
+
+// reduce is Reduce, and ReduceMonic when monic is set.
+func (r *Reducer) reduce(f, g *Poly, monic bool) (*Poly, ReduceStats) {
 	if g != nil {
 		f.checkRing(g)
 	}
@@ -191,7 +199,7 @@ func (r *Reducer) Reduce(f, g *Poly) (*Poly, ReduceStats) {
 			}
 		}
 		if ok {
-			if nf, st, ok := w.reduce(f.ring, keys, coefs); ok {
+			if nf, st, ok := w.reduce(f.ring, keys, coefs, monic); ok {
 				return nf, st
 			}
 		}
@@ -199,7 +207,11 @@ func (r *Reducer) Reduce(f, g *Poly) (*Poly, ReduceStats) {
 	if g != nil {
 		f = SPoly(f, g)
 	}
-	return r.generic.normalForm(f, r.basis)
+	nf, st := r.generic.normalForm(f, r.basis)
+	if monic && !nf.IsZero() {
+		nf = nf.Monic()
+	}
+	return nf, st
 }
 
 // packedBasis reports whether the packed engine can reduce f: f is packed

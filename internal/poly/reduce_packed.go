@@ -202,7 +202,9 @@ func (w *packedWorkspace) divisor(mw uint64) *Poly {
 // reduce is the packed reduction engine, on the dividend given by its key
 // and residue slices (a polynomial's, or the workspace's S-polynomial) and
 // the divisor table. It follows genericWorkspace.normalForm step for step.
-func (w *packedWorkspace) reduce(ring *Ring, keys []uint64, coefs []uint32) (*Poly, ReduceStats, bool) {
+// When monic is set, a nonzero result is scaled to leading coefficient 1
+// as it is copied out.
+func (w *packedWorkspace) reduce(ring *Ring, keys []uint64, coefs []uint32, monic bool) (*Poly, ReduceStats, bool) {
 	var st ReduceStats
 	mod := ring.modp
 	w.reset(len(keys))
@@ -261,7 +263,13 @@ func (w *packedWorkspace) reduce(ring *Ring, keys []uint64, coefs []uint32) (*Po
 		return ring.Zero(), st, true
 	}
 	// The output was produced in strictly descending order (heap pops).
-	return &Poly{ring: ring, keys: slices.Clone(w.outK), coefs: slices.Clone(w.outC)}, st, true
+	nf := &Poly{ring: ring, keys: slices.Clone(w.outK)}
+	if monic && w.outC[0] != 1 {
+		nf.coefs = mod.monic(w.outC)
+	} else {
+		nf.coefs = slices.Clone(w.outC)
+	}
+	return nf, st, true
 }
 
 // spolyPacked appends to keys and coefs (both empty) the S-polynomial of
@@ -333,11 +341,16 @@ func (p *Poly) monicPacked() *Poly {
 	if p.coefs[0] == 1 {
 		return p
 	}
-	mod := p.ring.modp
-	inv := mod.inverse(p.coefs[0])
-	coefs := make([]uint32, len(p.coefs))
-	for i, c := range p.coefs {
-		coefs[i] = uint32(mod.reduce(uint64(c) * inv))
+	return &Poly{ring: p.ring, keys: p.keys, coefs: p.ring.modp.monic(p.coefs)}
+}
+
+// monic returns a copy of the residues coefs (the first nonzero) scaled so
+// that the first is 1.
+func (m modulus) monic(coefs []uint32) []uint32 {
+	inv := m.inverse(coefs[0])
+	out := make([]uint32, len(coefs))
+	for i, c := range coefs {
+		out[i] = uint32(m.reduce(uint64(c) * inv))
 	}
-	return &Poly{ring: p.ring, keys: p.keys, coefs: coefs}
+	return out
 }
