@@ -376,6 +376,25 @@ var counterEvents = []struct {
 	{earth.EvThreadRun, func(n *earth.NodeStats) uint64 { return n.ThreadsRun }},
 }
 
+// checkCounters asserts that every counter of st equals the count of the
+// events in evs that define it.
+func checkCounters(t *testing.T, st *earth.Stats, evs []earth.Event) {
+	t.Helper()
+	byKind := make([]uint64, earth.KindCount)
+	for _, e := range evs {
+		byKind[e.Kind]++
+	}
+	for _, ce := range counterEvents {
+		var n uint64
+		for i := range st.Nodes {
+			n += ce.count(&st.Nodes[i])
+		}
+		if n != byKind[ce.kind] {
+			t.Errorf("counter of %v events is %d, %d events traced", ce.kind, n, byKind[ce.kind])
+		}
+	}
+}
+
 // TestFaultMatrix runs every cell through checkCell, and each faulted
 // row once more with no tracer on each engine through checkUntraced.
 // Subtests are named engine/row/coalesce-{off,on}/sanitize={false,true}
@@ -620,16 +639,7 @@ func checkCell(t *testing.T, c matrixCell, r cellRun, done map[string]cellRun) {
 		t.Errorf("%d batch flushes, %d on the count limit and %d on the byte limit", flushes, full, big)
 	}
 
-	// Every counter equals the count of the events that define it.
-	for _, ce := range counterEvents {
-		var n uint64
-		for i := range st.Nodes {
-			n += ce.count(&st.Nodes[i])
-		}
-		if n != byKind[ce.kind] {
-			t.Errorf("counter of %v events is %d, %d events traced", ce.kind, n, byKind[ce.kind])
-		}
-	}
+	checkCounters(t, st, r.evs)
 
 	// Coalescing, another cost model, never changes what a sender's puts
 	// deliver: the uncoalesced cell's sequences exactly on a clean plan, the

@@ -69,48 +69,164 @@ func Rejoin(sink Sink, node NodeID, at, fencedFor sim.Time) NodeStats {
 	return NodeStats{Rejoins: 1}
 }
 
-// Takeover answers who may take a down node's work at one instant. A node
-// is out when gone reports it (the engine's permanent flags: crashed, or
-// ever fenced — a fenced node's ownership never returns) or when the
-// schedule has it fenced or crashed at that instant. The schedule is
-// consulted as well as the flags because fences of one partition, and a
-// crash with a fence or a detection, may fall on one instant: whichever
-// the engine applies first must not hand its work to a peer whose own
-// boundary has not been applied yet. The simulator applies a crash before
-// any other boundary of its instant; livert's timers race, and fire late.
+// Takeover is the machine's one table of node fates, which both engines
+// ask: per node, whether it crashed, whether it was ever fenced (a fenced
+// node's ownership never returns), its incarnation epoch and the adopter
+// each hand-over of its frames picked, all in atomics; and the crash and
+// fence schedule, from which simrt routes in flight and both engines arm
+// their boundaries. Owner answers "who holds x's frames now": x itself
+// until a hand-over, then the adopter that hand-over recorded — and that
+// adopter's, if it went down too. A machine whose plan neither crashes nor
+// fences anyone keeps no fates, and each question is one check.
+//
+// A hand-over adopter must not be out at its instant: gone, or fenced or
+// crashed by the schedule then. The schedule is consulted as well as the
+// flags because fences of one partition, and a crash with a fence or a
+// detection, may fall on one instant: whichever the engine applies first
+// must not hand its work to a peer whose own boundary has not been applied
+// yet. The simulator applies a crash before any other boundary of its
+// instant; livert's timers race, and fire late.
 type Takeover struct {
-	Nodes   int
+	// CrashAt is the crash schedule (-1 = never; nil for none) and Fences
+	// the wrong-verdict schedule; Init sets both, and nothing changes them.
+	CrashAt []sim.Time
 	Fences  faults.Fences
-	CrashAt []sim.Time // the crash schedule: -1 = never; nil for none
+	nodes   int
+	lease   sim.Time
+	fate    []fate
 	// rr is the load balancer's round-robin cursor for re-placed tokens.
 	rr atomic.Int64
 }
 
-func (t *Takeover) out(c NodeID, at sim.Time, gone func(NodeID) bool) bool {
-	return gone(c) || t.Fences.Covering(int(c), at) || t.CrashAt != nil && t.CrashAt[c] >= 0 && t.CrashAt[c] <= at
+// fate is one node's row of the table.
+type fate struct {
+	crashed, fenced atomic.Bool
+	// adopter is the node holding this one's frames, -1 while it holds
+	// them itself.
+	adopter atomic.Int32
+	epoch   atomic.Uint64
 }
 
-// Adopter returns the node adopting x's frames and queued threads when x
-// is declared down — crashed or fenced — at instant at: the first node in
-// ring order from x that is not out.
-func (t *Takeover) Adopter(x NodeID, at sim.Time, gone func(NodeID) bool) NodeID {
-	return Adopter(x, t.Nodes, func(c NodeID) bool { return t.out(c, at, gone) })
+// Init installs fs's schedule for a machine of nodes, every node up and
+// holding its own frames.
+func (t *Takeover) Init(nodes int, fs FaultSetup) {
+	t.nodes, t.lease, t.CrashAt, t.Fences = nodes, fs.Retry.Lease, fs.CrashAt, fs.Fences
+	if fs.CrashAt != nil || len(fs.Fences) > 0 {
+		t.fate = make([]fate, nodes)
+	}
+	t.Reset()
+}
+
+// Reset brings every node back up, holding its own frames at epoch 0, and
+// rewinds the placement cursor, for the next run.
+func (t *Takeover) Reset() {
+	t.rr.Store(0)
+	for i := range t.fate {
+		f := &t.fate[i]
+		f.crashed.Store(false)
+		f.fenced.Store(false)
+		f.adopter.Store(-1)
+		f.epoch.Store(0)
+	}
+}
+
+// Crash records x's crash-stop. It reports false when x had crashed
+// already.
+func (t *Takeover) Crash(x NodeID) bool { return !t.fate[x].crashed.Swap(true) }
+
+// Fence records the wrong verdict that fences x and bumps its epoch, so
+// receivers reject what its old incarnation sent. It reports false, and
+// records nothing, when x has crashed: the crash owns that hand-over.
+func (t *Takeover) Fence(x NodeID) bool {
+	f := &t.fate[x]
+	if f.crashed.Load() {
+		return false
+	}
+	f.fenced.Store(true)
+	f.epoch.Add(1)
+	return true
+}
+
+// Crashed reports whether x has crashed.
+func (t *Takeover) Crashed(x NodeID) bool { return t.fate != nil && t.fate[x].crashed.Load() }
+
+// gone reports whether x is out of the adoption and placement rings for
+// good: crashed, or fenced at some point of the run.
+func (t *Takeover) gone(x NodeID) bool { return t.fate[x].crashed.Load() || t.fate[x].fenced.Load() }
+
+// Epoch returns x's incarnation epoch, which each fence bumps.
+func (t *Takeover) Epoch(x NodeID) uint64 {
+	if t.fate == nil {
+		return 0
+	}
+	return t.fate[x].epoch.Load()
+}
+
+// Owner returns the node holding x's frames now: x until a hand-over of
+// them, then the adopter it recorded, followed through later hand-overs.
+// A crashed node holds its frames until its detection hands them over.
+func (t *Takeover) Owner(x NodeID) NodeID {
+	if t.fate == nil {
+		return x
+	}
+	for {
+		a := t.fate[x].adopter.Load()
+		if a < 0 {
+			return x
+		}
+		x = NodeID(a)
+	}
+}
+
+func (t *Takeover) out(c NodeID, at sim.Time) bool {
+	return t.gone(c) || t.Fences.Covering(int(c), at) || t.CrashAt != nil && t.CrashAt[c] >= 0 && t.CrashAt[c] <= at
+}
+
+// HandOver picks the node adopting x's frames and queued threads when x
+// is declared down — crashed or fenced, and recorded so — at instant at:
+// the first node in ring order from x that is not out. It records the
+// pick as the holder of x's frames and returns it. livert calls it under
+// x's lock, which is where its pushes ask Owner.
+func (t *Takeover) HandOver(x NodeID, at sim.Time) NodeID {
+	a := ringFrom(x, t.nodes, func(c NodeID) bool { return t.out(c, at) })
+	t.fate[x].adopter.Store(int32(a))
+	return a
 }
 
 // Place returns the balancer's next round-robin target for one of a down
 // node's pooled tokens at instant at, skipping nodes that are out. It
 // terminates because ResolveFaults rejects plans that leave no node
 // forever clean.
-func (t *Takeover) Place(at sim.Time, gone func(NodeID) bool) NodeID {
+func (t *Takeover) Place(at sim.Time) NodeID {
 	for {
-		if c := NodeID(int(t.rr.Add(1)-1) % t.Nodes); !t.out(c, at, gone) {
+		if c := NodeID(int(t.rr.Add(1)-1) % t.nodes); !t.out(c, at) {
 			return c
 		}
 	}
 }
 
-// Reset rewinds the placement cursor for the next run.
-func (t *Takeover) Reset() { t.rr.Store(0) }
+// Reroute returns where traffic for x, which the schedule has down at
+// instant at, goes by the schedule alone: the first node in ring order
+// from x that is neither crashed a lease before at (declared down by
+// then) nor fenced at at. simrt routes a message when it is sent with
+// it, before any of that is recorded.
+func (t *Takeover) Reroute(x NodeID, at sim.Time) NodeID {
+	return ringFrom(x, t.nodes, func(c NodeID) bool {
+		return t.CrashAt != nil && t.CrashAt[c] >= 0 && at >= t.CrashAt[c]+t.lease || t.Fences.Covering(int(c), at)
+	})
+}
+
+// ringFrom returns the first node in ring order starting at x itself for
+// which down reports false. Panics when every node is down; ResolveFaults
+// rejects plans that kill the whole machine up front.
+func ringFrom(x NodeID, nodes int, down func(NodeID) bool) NodeID {
+	for i := 0; i < nodes; i++ {
+		if c := NodeID((int(x) + i) % nodes); !down(c) {
+			return c
+		}
+	}
+	panic("earth: crash plan left no live node to adopt work")
+}
 
 // PartitionMarks calls mark for every partition-window edge a traced run
 // reports, with the event to emit at ev.Time for each minority-side node

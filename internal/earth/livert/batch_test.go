@@ -84,7 +84,7 @@ func TestBatchFailover(t *testing.T) {
 		down func(n *lnode) bool
 	}{
 		{"crash", &faults.Plan{Crash: []faults.Crash{{Node: 1, At: 20 * sim.Millisecond}}},
-			func(n *lnode) bool { return n.dead.Load() }},
+			func(n *lnode) bool { return n.rt.take.Crashed(n.id) }},
 		{"fence", &faults.Plan{Partition: []faults.Partition{{From: 20 * sim.Millisecond, To: 40 * sim.Millisecond,
 			Groups: [2][]int{{0}, {1}}}}},
 			func(n *lnode) bool { return n.halted.Load() }},

@@ -3,6 +3,7 @@ package livert
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,7 +42,7 @@ func TestCrashReassignsPooledTokens(t *testing.T) {
 					c.Put(0, 8, func() { total += v }, f, 0)
 				})
 			}
-			for !rt.nodes[1].dead.Load() {
+			for !rt.take.Crashed(1) {
 				time.Sleep(50 * time.Microsecond)
 			}
 		})
@@ -95,12 +96,12 @@ func TestCrashFailoverDrainsQueuesInOrder(t *testing.T) {
 			}
 			close(started)
 			<-posted
-			for !rt.nodes[1].dead.Load() {
+			for !rt.take.Crashed(1) {
 				time.Sleep(50 * time.Microsecond)
 			}
 		})
 		// Once node 1's executor is inside its body, nothing it is sent runs.
-		if !startedBefore(started, rt.nodes[1].dead.Load) {
+		if !startedBefore(started, func() bool { return rt.take.Crashed(1) }) {
 			t.Error("node 1 crashed before its body started: the test proved nothing")
 			close(posted)
 			return
@@ -128,5 +129,63 @@ func TestCrashFailoverDrainsQueuesInOrder(t *testing.T) {
 	}
 	if !slices.Equal(order, want) {
 		t.Fatalf("adopter ran the dead node's work in order\n%v\nwant\n%v", order, want)
+	}
+}
+
+// TestCrashHandOffUnderPushes: bodies on nodes 0, 2 and 3 keep posting
+// handlers, invoking threads and signalling frames on node 1 while node 1
+// crashes and its executor hands its queues over. Each push asks the fate
+// table who holds node 1's queues and asks again under that node's lock,
+// the lock the hand-over records its adopter under: every item runs
+// exactly once, wherever it lands, and the run leaves nothing behind. The
+// pushers go on for ten rounds after they see the hand-over.
+func TestCrashHandOffUnderPushes(t *testing.T) {
+	const rounds, perRound = 1000, 3
+	plan := &faults.Plan{Crash: []faults.Crash{{Node: 1, At: 2 * sim.Millisecond}}}
+	rt := New(earth.Config{Nodes: 4, Seed: 3, Faults: plan, Balancer: earth.BalanceNone})
+	pushers := []earth.NodeID{0, 2, 3}
+	var ran [3][rounds * perRound]atomic.Int32
+	var adopted atomic.Int32 // items that ran off node 1
+	var issued [3]int
+	record := func(p, i int) earth.ThreadBody {
+		return func(c earth.Ctx) {
+			ran[p][i].Add(1)
+			if c.Node() != 1 {
+				adopted.Add(1)
+			}
+		}
+	}
+	var push func(c earth.Ctx, p, round, after int)
+	push = func(c earth.Ctx, p, round, after int) {
+		i := round * perRound
+		c.Post(1, 8, record(p, i))
+		c.Invoke(1, 8, record(p, i+1))
+		f := earth.NewFrame(1, 1, 1)
+		f.InitSync(0, 1, 0, 0)
+		f.SetThread(0, record(p, i+2))
+		c.Sync(f, 0)
+		issued[p] = i + perRound
+		if rt.take.Owner(1) != 1 {
+			after++
+		}
+		if after < 10 && round+1 < rounds {
+			time.Sleep(20 * time.Microsecond)
+			c.Invoke(c.Node(), 8, func(c earth.Ctx) { push(c, p, round+1, after) })
+		}
+	}
+	runChecked(rt, func(c earth.Ctx) {
+		for p, x := range pushers {
+			c.Invoke(x, 8, func(c earth.Ctx) { push(c, p, 0, 0) })
+		}
+	})
+	for p := range pushers {
+		for i := range issued[p] {
+			if n := ran[p][i].Load(); n != 1 {
+				t.Errorf("pusher %d, item %d ran %d times", p, i, n)
+			}
+		}
+	}
+	if rt.take.Owner(1) == 1 || adopted.Load() == 0 {
+		t.Errorf("node 1 held by node %d, %d items ran off node 1: the test proved nothing", rt.take.Owner(1), adopted.Load())
 	}
 }

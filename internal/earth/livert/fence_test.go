@@ -14,7 +14,7 @@ import (
 // TestPartitionHandOffWaitsForBody holds a body on node 1 across node 1's
 // fence, with k handlers, k ready threads and k pooled tokens queued behind
 // it. While the body is held the queues stay where they are: node 1 has
-// installed no redirect and node 0, the only adopter, holds none of the
+// handed nothing over in the fate table and node 0, the only adopter, holds none of the
 // work. Once the body returns, the fence is accounted and each item runs
 // exactly once, on node 0. In "outlives-window" the partition heals while
 // the body is still held: the hand-off still happens once, and the rejoin
@@ -76,14 +76,14 @@ func TestPartitionHandOffWaitsForBody(t *testing.T) {
 				}
 				for until += 2 * sim.Millisecond; rt.now() < until; time.Sleep(100 * time.Microsecond) {
 					n1.mu.Lock()
-					r, h1, r1, t1 := n1.redirect, n1.handlers.Len(), n1.ready.Len(), n1.tokens.Len()
+					o, h1, r1, t1 := rt.take.Owner(1), n1.handlers.Len(), n1.ready.Len(), n1.tokens.Len()
 					n1.mu.Unlock()
 					n0.mu.Lock()
 					h0, r0, t0 := n0.handlers.Len(), n0.ready.Len(), n0.tokens.Len()
 					n0.mu.Unlock()
-					if moved == "" && (r != -1 || h0+r0+t0 != 0 || h1 != k || r1 != k || t1 != k) {
-						moved = fmt.Sprintf("redirect %d; node 1 holds %d handlers, %d threads, %d tokens; node 0 holds %d, %d, %d",
-							r, h1, r1, t1, h0, r0, t0)
+					if moved == "" && (o != 1 || h0+r0+t0 != 0 || h1 != k || r1 != k || t1 != k) {
+						moved = fmt.Sprintf("node %d holds node 1's queues; node 1 holds %d handlers, %d threads, %d tokens; node 0 holds %d, %d, %d",
+							o, h1, r1, t1, h0, r0, t0)
 					}
 				}
 				released = rt.now()

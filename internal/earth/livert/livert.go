@@ -73,9 +73,10 @@
 //     closure for its receipt checks and one per planned delivery.
 //   - Handlers leave the queue a batch per lock acquisition: up to
 //     handlerBatch move to an executor-private array, which is run to its
-//     end — still before ready threads, before own tokens. dead and halted
-//     are checked between items; an executor that finds either set keeps the
-//     unrun rest until its hand-off moves them, oldest first, to the adopter.
+//     end — still before ready threads, before own tokens. Whether the node
+//     is down (down) is checked between items; an executor that finds it so
+//     keeps the unrun rest until its hand-off moves them, oldest first, to
+//     the adopter.
 //   - Without a tracer the clock is read once per busy period, not per
 //     dispatch: when the executor starts on work after a steal, a park or a
 //     pause window, and when it finds its queues empty, parks or exits.
@@ -207,16 +208,12 @@ type lnode struct {
 	rt *Runtime
 
 	// mu guards the three queues, which keep their storage from Run to
-	// Run, and redirect.
+	// Run; a hand-over records the node's adopter in the fate table under
+	// it (see owner).
 	mu       sync.Mutex
 	handlers earth.Ring[envelope] // runtime messages: highest priority
 	ready    earth.Ring[item]     // ready threads
 	tokens   earth.Ring[ltoken]   // stealable token pool
-	// redirect is -1 while the node owns its queues; once a crash is
-	// detected and the queues are drained it holds the adopter's id, and
-	// every push routes there (following chains for repeated failures).
-	// Guarded by mu.
-	redirect int
 
 	wake chan struct{}
 	// rng is the node's random stream (sim.NewRand: math/rand's draws for
@@ -232,18 +229,14 @@ type lnode struct {
 	// while a body runs and dead between bodies (see exec).
 	ctx ctx
 
-	// dead is set by the crash timer, halted by the fence timer when a
-	// partition outlives the node's lease: either way the executor stops at
-	// its next dispatch boundary (the running body completes) and parks.
-	// The rejoin of its last fence clears halted; dead stays. fenced stays
-	// set for the run once the node is fenced — ownership of its queues
-	// moved to the adopter for good, and a rejoined node re-enters steal-only.
-	// epoch is the node's incarnation epoch, bumped at each fence; senders
-	// stamp it on every remote message and receivers reject stale stamps.
-	dead   atomic.Bool
+	// halted is set by the fence timer when a partition outlives the
+	// node's lease, as the crash timer records a crash in the fate table:
+	// either way the executor stops at its next dispatch boundary (the
+	// running body completes) and parks (down). The rejoin of its last
+	// fence clears halted; a crash stays, and so does the fence the table
+	// records — ownership of the node's queues moved to the adopter for
+	// good, and a rejoined node re-enters steal-only.
 	halted atomic.Bool
-	fenced atomic.Bool
-	epoch  atomic.Uint64
 	// owed lists, oldest first, what timers left the stopped executor to
 	// do, each with its unit of outstanding work (owe); fences counts the
 	// node's fences not yet ended by a rejoin. Both guarded by mu.
@@ -322,23 +315,23 @@ type Runtime struct {
 	inj   *faults.Injector
 	plan  *faults.Plan
 	retry earth.RetryPolicy
-	// Crash-stop state (nil crashAt = no crash plan). Kill and detection
-	// timers are tracked so Run can cancel unfired ones at quiescence and
-	// wait out in-flight callbacks before assembling stats.
-	crashAt     []sim.Time
+	// Kill, detection and fence timers are tracked so Run can cancel
+	// unfired ones at quiescence and wait out in-flight callbacks before
+	// assembling stats.
 	crashMu     sync.Mutex
 	crashTimers []*time.Timer
 	crashWG     sync.WaitGroup
 	// armed counts the timers — tracked plan timers and deliverAfter's —
 	// that are armed or whose callback has not returned yet.
 	armed atomic.Int64
-	// hasPart gates epoch stamping and the receiver-side fencing check;
-	// fences is the static wrong-verdict schedule that arms the fence
-	// timers; take answers who may adopt a down node's work (never a peer
-	// fencing at the same scheduled instant) and holds the cursor for
-	// re-placing its tokens; seen is the idempotent-delivery store.
+	// hasPart puts every remote message behind the receipt checks; take is
+	// the core's table of node fates — who crashed, who was fenced, each
+	// node's epoch and who holds its queues, with the crash and fence
+	// schedule that arms the plan timers — which picks a down node's
+	// adopter (never a peer fencing at the same scheduled instant) and
+	// holds the cursor for re-placing its tokens; seen is the
+	// idempotent-delivery store.
 	hasPart bool
-	fences  faults.Fences
 	take    earth.Takeover
 	seen    earth.SeenSet
 	// coalOn caches cfg.Coalesce.Enabled for the per-operation hot path.
@@ -355,11 +348,10 @@ func New(cfg earth.Config) *Runtime {
 	rt.nodes = make([]*lnode, cfg.Nodes)
 	for i := range rt.nodes {
 		n := &lnode{
-			id:       earth.NodeID(i),
-			rt:       rt,
-			wake:     make(chan struct{}, 1),
-			rngSeed:  cfg.Seed*1_000_003 + int64(i),
-			redirect: -1,
+			id:      earth.NodeID(i),
+			rt:      rt,
+			wake:    make(chan struct{}, 1),
+			rngSeed: cfg.Seed*1_000_003 + int64(i),
 		}
 		n.ctx = ctx{rt: rt, n: n, dead: true}
 		n.acct.Node, n.acct.Sink = n.id, rt.sink
@@ -370,8 +362,8 @@ func New(cfg earth.Config) *Runtime {
 		panic("livert: " + err.Error())
 	}
 	if fs.Plan != nil {
-		rt.plan, rt.retry, rt.crashAt, rt.fences = fs.Plan, fs.Retry, fs.CrashAt, fs.Fences
-		rt.take.Nodes, rt.take.Fences, rt.take.CrashAt = cfg.Nodes, fs.Fences, fs.CrashAt
+		rt.plan, rt.retry = fs.Plan, fs.Retry
+		rt.take.Init(cfg.Nodes, fs)
 		rt.inj = faults.NewInjector(fs.Plan, cfg.Seed)
 		rt.hasPart = fs.Plan.HasPartition()
 		if fs.Plan.HasCorrupt() {
@@ -411,17 +403,13 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		n.handlers.Reset()
 		n.ready.Reset()
 		n.tokens.Reset()
-		n.redirect = -1
 		n.rr = 0
 		n.acct.Reset(rt.cfg.Sanitize)
 		n.faultStats = earth.NodeStats{}
 		n.credit = credit{}
 		n.bnext, n.bend, n.fences = 0, 0, 0
 		n.busy = false
-		n.dead.Store(false)
 		n.halted.Store(false)
-		n.fenced.Store(false)
-		n.epoch.Store(0)
 	}
 	if rt.inj != nil {
 		rt.inj.Reset()
@@ -538,12 +526,12 @@ func (rt *Runtime) reapCrashTimers() {
 // are armed later, by the kill and fence callbacks themselves, so each
 // always runs after the callback it completes.
 func (rt *Runtime) armPlanTimers() {
-	for x, at := range rt.crashAt {
+	for x, at := range rt.take.CrashAt {
 		if at >= 0 {
 			rt.armCrashTimer(at, func() { rt.killNode(x) })
 		}
 	}
-	for _, f := range rt.fences {
+	for _, f := range rt.take.Fences {
 		rt.armCrashTimer(f.At, func() { rt.fenceNode(f) })
 	}
 	if !rt.hasPart || !rt.sink.On() {
@@ -562,7 +550,7 @@ func (rt *Runtime) armPlanTimers() {
 // missed enough heartbeats to declare it dead: it owes its queues' hand-off.
 func (rt *Runtime) killNode(x int) {
 	n := rt.nodes[x]
-	if n.dead.Swap(true) {
+	if !rt.take.Crash(n.id) {
 		return
 	}
 	n.account(earth.NodeFault(rt.sink, n.id, rt.now(), earth.CauseCrash, rt.retry.Lease))
@@ -578,17 +566,15 @@ func (rt *Runtime) killNode(x int) {
 // Ownership never returns: a rejoined node re-enters steal-only.
 func (rt *Runtime) fenceNode(f faults.Fence) {
 	n := rt.nodes[f.Node]
-	if n.dead.Load() {
+	if !rt.take.Fence(n.id) {
 		return
 	}
-	n.fenced.Store(true)
-	n.epoch.Add(1)
 	n.owe(duty{cause: earth.CausePartition, at: f.At})
 	// Armed here, the rejoin follows this callback however late the host ran
 	// it; its unit holds the run open until the heal, unless n crashes first.
 	rt.add()
 	rt.armCrashTimer(f.Heal, func() {
-		if !n.dead.Load() {
+		if !rt.take.Crashed(n.id) {
 			n.owe(duty{rejoin: true, at: f.Heal - f.At})
 		}
 		rt.doneOne()
@@ -620,31 +606,24 @@ func (rt *Runtime) join() bool {
 	return v > 0
 }
 
-// gone reports whether node c is permanently out of the adoption and
-// placement rings: crashed, or fenced at some point of the run.
-func (rt *Runtime) gone(c earth.NodeID) bool {
-	return rt.nodes[c].dead.Load() || rt.nodes[c].fenced.Load()
-}
-
 // failover hands down node n's queues to the adopter the core picks for
 // schedule instant at, on n's own executor once it has stopped (retire):
 // the adopter declares n dead; n's private batch, handlers and queued
 // threads move to it (the frames they reference are treated as
 // checkpointed — host memory survives in this embedding); pooled tokens
-// are re-placed across the survivors the core picks for instant at; and
-// n's redirect routes every later push to the adopter.
+// are re-placed across the survivors the core picks for instant at. The
+// table records the adopter under n's lock, so every later push goes there.
 func (rt *Runtime) failover(n *lnode, at sim.Time, cause earth.Cause) {
-	sn := rt.nodes[rt.take.Adopter(n.id, at, rt.gone)]
-	h := earth.Handover{Down: n.id, At: rt.now(), Cause: cause, Sink: rt.sink}
-	sn.account(h.Declare(sn.id, rt.retry.Lease))
-	n.acct.Stats.DetectionLatency = rt.retry.Lease
 	// The rings leave with their storage; the down node, which nothing is
 	// pushed to again this run, keeps empty ones.
 	n.mu.Lock()
+	sn := rt.nodes[rt.take.HandOver(n.id, at)]
 	handlers, ready, tokens := n.handlers, n.ready, n.tokens
 	n.handlers, n.ready, n.tokens = earth.Ring[envelope]{}, earth.Ring[item]{}, earth.Ring[ltoken]{}
-	n.redirect = int(sn.id)
 	n.mu.Unlock()
+	h := earth.Handover{Down: n.id, At: rt.now(), Cause: cause, Sink: rt.sink}
+	sn.account(h.Declare(sn.id, rt.retry.Lease))
+	n.acct.Stats.DetectionLatency = rt.retry.Lease
 	// Moves preserve the outstanding-work count (nothing is re-added) and
 	// each queue's order (oldest first); the batch holds the oldest handlers.
 	for ; n.bnext < n.bend; n.bnext++ {
@@ -662,7 +641,7 @@ func (rt *Runtime) failover(n *lnode, at sim.Time, cause earth.Cause) {
 		rt.pushItem(sn, it)
 	}
 	for tokens.Len() > 0 {
-		tk, tn := tokens.PopFront(), rt.nodes[rt.take.Place(at, rt.gone)]
+		tk, tn := tokens.PopFront(), rt.nodes[rt.take.Place(at)]
 		tn.account(h.Reassign(tn.id, tk.bytes))
 		rt.pushToken(tn, tk)
 	}
@@ -717,18 +696,18 @@ func (rt *Runtime) enqueueHandler(ex, n *lnode, e *envelope) {
 	rt.pushHandler(n, e)
 }
 
-// owner returns, locked, the node that currently owns n's queues: n
-// itself, or its transitive adopter once crash or fence redirects are
-// installed.
+// owner returns, locked, the node that holds n's queues now: it asks the
+// table, locks the node named and asks again, which holds while the lock
+// does because a hand-over records its adopter under the down node's lock.
 func (rt *Runtime) owner(n *lnode) *lnode {
 	for {
 		n.mu.Lock()
-		r := n.redirect
-		if r < 0 {
+		o := rt.take.Owner(n.id)
+		if o == n.id {
 			return n
 		}
 		n.mu.Unlock()
-		n = rt.nodes[r]
+		n = rt.nodes[o]
 	}
 }
 
@@ -756,17 +735,6 @@ func (rt *Runtime) pushToken(n *lnode, tk ltoken) {
 	o.tokens.Push(tk)
 	o.mu.Unlock()
 	o.poke()
-}
-
-// adopted reports whether work homed on home now runs on n because crash
-// or fence redirects route home's queues there.
-func (rt *Runtime) adopted(home earth.NodeID, n *lnode) bool {
-	if rt.crashAt == nil && !rt.hasPart {
-		return false
-	}
-	o := rt.owner(rt.nodes[home])
-	o.mu.Unlock()
-	return o == n
 }
 
 // sendHandler routes runtime message *e, carrying bytes of payload from
@@ -839,7 +807,7 @@ func (rt *Runtime) faultVerdict(ex *lnode, src earth.NodeID, dst *lnode, bytes i
 	if d.Faulted() || rt.hasPart {
 		e = rt.receiptBody(earth.Arrival{From: src, Bytes: bytes, Issue: rt.now(),
 			Seq: d.Seq, Drops: d.Drops, Corrupts: d.Corrupts, Dup: d.Dup,
-			SendEpoch: sn.epoch.Load()}, e)
+			SendEpoch: rt.take.Epoch(src)}, e)
 	}
 	rt.deliverAfter(ex, d.Delay, e, land)
 	if d.Dup {
@@ -850,12 +818,12 @@ func (rt *Runtime) faultVerdict(ex *lnode, src earth.NodeID, dst *lnode, bytes i
 // receiptBody puts message e behind the protocol core's receipt checks
 // (earth.Receive: fencing NACK, idempotent delivery, recovered and corrupt
 // accounting), run on whichever executor ends up with the message — the
-// adopter, if redirects moved it. a carries the sender's epoch as stamped
-// at issue; the epoch current at receipt is read here.
+// adopter, if a hand-over moved it. a carries the sender's epoch as
+// stamped at issue; the epoch current at receipt is read here.
 func (rt *Runtime) receiptBody(a earth.Arrival, e envelope) envelope {
 	return envelope{kind: envBody, fn: pack(earth.ThreadBody(func(c earth.Ctx) {
 		a := a
-		a.Epoch = rt.nodes[a.From].epoch.Load()
+		a.Epoch = rt.take.Epoch(a.From)
 		var d earth.NodeStats
 		v, _ := earth.Receive(&a, &rt.seen, rt.now(), c.Node(), &d, rt.sink)
 		if d != (earth.NodeStats{}) {
@@ -939,7 +907,7 @@ func (n *lnode) steal() (item, bool) {
 	off := n.rand().Intn(p)
 	for i := 0; i < p; i++ {
 		v := n.rt.nodes[(off+i)%p]
-		if v == n || v.dead.Load() || v.halted.Load() {
+		if v == n || v.down() {
 			continue
 		}
 		v.mu.Lock()
@@ -969,7 +937,7 @@ func (n *lnode) loop(lctx context.Context) {
 	for {
 		// A crashed or fenced node stops here, between two bodies, and
 		// retires and parks while down. A rejoined node resumes steal-only.
-		if n.dead.Load() || n.halted.Load() {
+		if n.down() {
 			if n.retire() {
 				select {
 				case <-rt.done:
@@ -1052,8 +1020,11 @@ func (n *lnode) retire() bool {
 	}
 	n.endBusy(rt.now())
 	n.settle()
-	return n.dead.Load() || n.halted.Load()
+	return n.down()
 }
+
+// down reports whether n has crashed or is halted by a fence.
+func (n *lnode) down() bool { return n.rt.take.Crashed(n.id) || n.halted.Load() }
 
 // exec runs it under the node's context. The context is live only for the
 // body (and its end-of-body coalescing flush); its buffer list is truncated
@@ -1203,7 +1174,7 @@ func (c *ctx) Compute(d sim.Time) {
 
 func (c *ctx) Spawn(f *earth.Frame, thread int) {
 	c.check()
-	if f.Home != c.n.id && !c.rt.adopted(f.Home, c.n) {
+	if f.Home != c.n.id && c.rt.take.Owner(f.Home) != c.n.id {
 		panic(fmt.Sprintf("livert: Spawn of frame on node %d from node %d", f.Home, c.n.id))
 	}
 	c.n.acct.San.Track(f)
@@ -1213,10 +1184,10 @@ func (c *ctx) Spawn(f *earth.Frame, thread int) {
 func (c *ctx) Sync(f *earth.Frame, slot int) {
 	c.check()
 	home := c.rt.nodes[f.Home]
-	// A fenced node's frames belong to its adopter for the rest of the run,
-	// rejoined or not (simrt's resolve): their signals take the message
-	// path, which routes there.
-	if home == c.n && !c.n.fenced.Load() {
+	// The node holding the home's frames applies the signal: the home, or
+	// its adopter, for the rest of the run — a fenced node's frames stay
+	// with the adopter after it rejoins. Anyone else sends it.
+	if c.rt.take.Owner(f.Home) == c.n.id {
 		home.decSlot(c.n, c.n.id, f, slot)
 		return
 	}

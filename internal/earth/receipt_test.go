@@ -197,57 +197,67 @@ func TestHandover(t *testing.T) {
 	}
 }
 
-// TestTakeover is the failover-accounting table: who adopts a fenced
-// node's queues and where its tokens go, at and around equal instants.
+// TestTakeover is the node-fate table: who adopts a down node's queues and
+// where its tokens go, at and around equal instants; who holds a node's
+// frames through chains of hand-overs; and what Reset leaves.
 func TestTakeover(t *testing.T) {
 	span := func(node int, at, heal sim.Time) faults.Fence { return faults.Fence{Node: node, At: at, Heal: heal} }
-	gone := func(ids ...NodeID) func(NodeID) bool {
-		return func(c NodeID) bool {
-			for _, id := range ids {
-				if id == c {
-					return true
-				}
-			}
-			return false
-		}
+	table := func(nodes int, fences faults.Fences, crashAt []sim.Time) *Takeover {
+		tk := &Takeover{}
+		tk.Init(nodes, FaultSetup{Fences: fences, CrashAt: crashAt, Retry: RetryPolicy{Lease: 1000}})
+		return tk
 	}
 	// Node 1 is fenced alone, then again together with its successors.
 	twice := faults.Fences{span(1, 10, 20), span(1, 100, 120), span(2, 100, 120), span(3, 100, 120), span(4, 100, 120)}
+	never := []sim.Time{-1, -1, -1, -1}
 	adopters := []struct {
-		name   string
-		nodes  int
-		fences faults.Fences
-		gone   func(NodeID) bool
-		x      NodeID
-		at     sim.Time
-		want   NodeID
+		name    string
+		nodes   int
+		fences  faults.Fences
+		crashAt []sim.Time
+		fenced  []NodeID // recorded as fenced before x's hand-over
+		crashed []NodeID // recorded as crashed before it
+		x       NodeID
+		at      sim.Time
+		want    NodeID
 	}{
-		{"lone fence", 4, faults.Fences{span(1, 10, 20)}, gone(), 1, 10, 2},
+		{"lone fence", 4, faults.Fences{span(1, 10, 20)}, nil, []NodeID{1}, nil, 1, 10, 2},
 		// The case PR 13 fixed by hand in livert: two fences of one
 		// partition fire as racing timers, and whichever runs first sees
-		// no flag on its peer yet. The schedule keeps it from adopting
+		// no record of its peer yet. The schedule keeps it from adopting
 		// into a node that is fencing at the same instant.
-		{"same-instant double fence, first timer", 4, faults.Fences{span(2, 10, 20), span(3, 10, 20)}, gone(), 2, 10, 0},
-		{"same-instant double fence, second timer", 4, faults.Fences{span(2, 10, 20), span(3, 10, 20)}, gone(2), 3, 10, 0},
-		{"second fence of a node, first window", 8, twice, gone(), 1, 10, 2},
-		{"second fence of a node, successors fencing too", 8, twice, gone(1), 1, 100, 5},
-		{"a healed peer adopts unless it is gone", 4, faults.Fences{span(2, 10, 20), span(1, 25, 40)}, gone(), 1, 30, 2},
-		{"an ever-fenced peer never adopts", 4, faults.Fences{span(2, 10, 20), span(1, 25, 40)}, gone(2), 1, 30, 3},
-		{"ring wraps past a crashed tail", 4, nil, gone(2, 3), 2, 0, 0},
+		{"same-instant double fence, first timer", 4, faults.Fences{span(2, 10, 20), span(3, 10, 20)}, nil, []NodeID{2}, nil, 2, 10, 0},
+		{"same-instant double fence, second timer", 4, faults.Fences{span(2, 10, 20), span(3, 10, 20)}, nil, []NodeID{2, 3}, nil, 3, 10, 0},
+		{"second fence of a node, first window", 8, twice, nil, []NodeID{1}, nil, 1, 10, 2},
+		{"second fence of a node, successors fencing too", 8, twice, nil, []NodeID{1}, nil, 1, 100, 5},
+		{"a healed peer adopts unless it is gone", 4, faults.Fences{span(2, 10, 20), span(1, 25, 40)}, nil, []NodeID{1}, nil, 1, 30, 2},
+		{"an ever-fenced peer never adopts", 4, faults.Fences{span(2, 10, 20), span(1, 25, 40)}, nil, []NodeID{2, 1}, nil, 1, 30, 3},
+		{"ring wraps past a crashed tail", 4, nil, []sim.Time{-1, -1, 0, 0}, nil, []NodeID{2, 3}, 2, 1000, 0},
+		// livert's crash timers race too: a crash due by the instant is out
+		// before its timer has recorded it.
+		{"a crash due at the instant counts", 4, nil, []sim.Time{-1, 0, 1000, -1}, nil, []NodeID{1}, 1, 1000, 3},
+		{"a crash not yet due does not", 4, nil, []sim.Time{-1, 0, 1001, -1}, nil, []NodeID{1}, 1, 1000, 2},
 	}
 	for _, c := range adopters {
-		tk := Takeover{Nodes: c.nodes, Fences: c.fences}
-		if got := tk.Adopter(c.x, c.at, c.gone); got != c.want {
-			t.Errorf("%s: node %d adopts, want %d", c.name, got, c.want)
+		tk := table(c.nodes, c.fences, c.crashAt)
+		for _, x := range c.fenced {
+			tk.Fence(x)
+		}
+		for _, x := range c.crashed {
+			tk.Crash(x)
+		}
+		if got := tk.HandOver(c.x, c.at); got != c.want || tk.Owner(c.x) != c.want {
+			t.Errorf("%s: node %d adopts, owner %d, want %d", c.name, got, tk.Owner(c.x), c.want)
 		}
 	}
 
 	// Placement: round-robin over the nodes that are not out, the cursor
 	// carrying over from one failover to the next.
-	tk := Takeover{Nodes: 4, Fences: faults.Fences{span(3, 10, 20)}}
+	tk := table(4, faults.Fences{span(3, 10, 20)}, never)
+	tk.Crash(1)
 	place := func(at sim.Time, n int) (got []NodeID) {
 		for i := 0; i < n; i++ {
-			got = append(got, tk.Place(at, gone(1)))
+			got = append(got, tk.Place(at))
 		}
 		return got
 	}
@@ -257,9 +267,100 @@ func TestTakeover(t *testing.T) {
 	if got, want := place(20, 3), []NodeID{3, 0, 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("placement after the heal %v, want %v (cursor continues, 3 eligible again)", got, want)
 	}
+
+	// Owners through chains of hand-overs, under a lease of 1000: node 1
+	// crashes at 100 and is declared at 1100; node 2 crashes at 1200 and is
+	// declared at 2200; node 3 crashes at 2300 and is declared at 3300.
+	owners := func(tk *Takeover) (got []NodeID) {
+		for x := range 6 {
+			got = append(got, tk.Owner(NodeID(x)))
+		}
+		return got
+	}
+	tk = table(6, nil, []sim.Time{-1, 100, 1200, 2300, -1, -1})
+	steps := []struct {
+		crash, handOver NodeID
+		at              sim.Time
+		want            []NodeID
+	}{
+		{1, -1, 100, []NodeID{0, 1, 2, 3, 4, 5}}, // crashed, not declared: node 1 still holds its frames
+		{-1, 1, 1100, []NodeID{0, 2, 2, 3, 4, 5}},
+		{2, 2, 2200, []NodeID{0, 3, 3, 3, 4, 5}}, // two hand-overs from node 1
+		{3, 3, 3300, []NodeID{0, 4, 4, 4, 4, 5}}, // three
+	}
+	for _, s := range steps {
+		if s.crash >= 0 && !tk.Crash(s.crash) {
+			t.Errorf("node %d's crash reported as its second", s.crash)
+		}
+		if s.handOver >= 0 {
+			tk.HandOver(s.handOver, s.at)
+		}
+		if got := owners(tk); !reflect.DeepEqual(got, s.want) {
+			t.Errorf("owners at %v: %v, want %v", s.at, got, s.want)
+		}
+	}
+	if tk.Crash(1) {
+		t.Error("a second crash of node 1 reported as its first")
+	}
+
+	// A chained crash inside one lease: node 2 crashes at 400, after node 1
+	// at 100 and before node 1 is declared at 1100. Node 1's adopter skips
+	// node 2 — crashed, though not declared — and node 2's frames stay with
+	// it until its own declaration at 1400.
+	tk = table(6, nil, []sim.Time{-1, 100, 400, -1, -1, -1})
+	tk.Crash(1)
+	tk.Crash(2)
+	if a := tk.HandOver(1, 1100); a != 3 {
+		t.Errorf("node 1's adopter is %d, want 3, past crashed node 2", a)
+	}
+	if got, want := owners(tk), []NodeID{0, 3, 2, 3, 4, 5}; !reflect.DeepEqual(got, want) {
+		t.Errorf("owners between the two declarations: %v, want %v", got, want)
+	}
+	tk.HandOver(2, 1400)
+	if got, want := owners(tk), []NodeID{0, 3, 3, 3, 4, 5}; !reflect.DeepEqual(got, want) {
+		t.Errorf("owners after both declarations: %v, want %v", got, want)
+	}
+
+	// A fence, a rejoin, then a crash of the same node: the fence bumps the
+	// epoch and hands the frames over for good; a crashed node is fenced no
+	// more, and its declaration hands over again, to the same adopter.
+	tk = table(4, faults.Fences{span(1, 10, 20), span(1, 30, 40)}, []sim.Time{-1, 25, -1, -1})
+	if !tk.Fence(1) || tk.Epoch(1) != 1 || tk.HandOver(1, 10) != 2 {
+		t.Errorf("fence of node 1: epoch %d, owner %d, want 1 and 2", tk.Epoch(1), tk.Owner(1))
+	}
+	tk.Crash(1)
+	if tk.Fence(1) || tk.Epoch(1) != 1 {
+		t.Errorf("a crashed node was fenced again: epoch %d", tk.Epoch(1))
+	}
+	if a := tk.HandOver(1, 1025); a != 2 || tk.Owner(1) != 2 || !tk.Crashed(1) {
+		t.Errorf("node 1's crash declared to node %d, owner %d, want 2", a, tk.Owner(1))
+	}
+	if p := tk.Place(1025); p == 1 {
+		t.Error("a token was placed on fenced and crashed node 1")
+	}
+
+	// Reset brings every node back for the next run.
 	tk.Reset()
-	if got := tk.Place(20, gone(1)); got != 0 {
-		t.Errorf("first placement after Reset on node %d, want 0", got)
+	for x := range 4 {
+		if id := NodeID(x); tk.Owner(id) != id || tk.Epoch(id) != 0 || tk.Crashed(id) {
+			t.Errorf("after Reset node %d: owner %d, epoch %d, crashed %v", x, tk.Owner(id), tk.Epoch(id), tk.Crashed(id))
+		}
+	}
+	if p := tk.Place(1025); p != 0 {
+		t.Errorf("first placement after Reset on node %d, want 0", p)
+	}
+
+	// The questions every message asks allocate nothing, on a clean
+	// machine's empty table and on a faulted one's.
+	tk.Fence(1)
+	tk.HandOver(1, 10)
+	for _, tab := range []*Takeover{{}, tk} {
+		if n := testing.AllocsPerRun(100, func() {
+			_ = tab.Owner(1)
+			_ = tab.Epoch(1)
+		}); n != 0 {
+			t.Errorf("Owner and Epoch allocate %v times per call", n)
+		}
 	}
 }
 

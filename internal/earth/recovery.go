@@ -114,23 +114,6 @@ func AttemptTimeout(attempt int) sim.Time {
 	return min(d, MaxBackoff)
 }
 
-// Adopter returns the surviving node that owns work addressed to node x
-// after crash-stop failures: the first node in ring order starting at x
-// itself for which down reports false. Both engines resolve with the
-// same ring walk, so a frame homed on a dead node has one well-defined
-// adopter, and chained failures (the adopter itself dying later) resolve
-// transitively to the same survivor. Panics when every node is down;
-// the engines reject crash plans that kill the whole machine up front.
-func Adopter(x NodeID, nodes int, down func(NodeID) bool) NodeID {
-	for i := 0; i < nodes; i++ {
-		c := NodeID((int(x) + i) % nodes)
-		if !down(c) {
-			return c
-		}
-	}
-	panic("earth: crash plan left no live node to adopt work")
-}
-
 // FaultSetup is a Config's fault plan resolved against its machine size
 // and retry policy: what an engine needs to know before its first
 // message. The zero value means a clean run.

@@ -44,22 +44,22 @@ func TestAdopterRingWalk(t *testing.T) {
 		{"wrap over several dead nodes", 2, 4, down(2, 3, 0), 1},
 	}
 	for _, c := range cases {
-		if got := Adopter(c.x, c.nodes, c.dead); got != c.want {
-			t.Errorf("%s: Adopter(%d) = %d, want %d", c.name, c.x, got, c.want)
+		if got := ringFrom(c.x, c.nodes, c.dead); got != c.want {
+			t.Errorf("%s: ringFrom(%d) = %d, want %d", c.name, c.x, got, c.want)
 		}
 	}
-	// Transitivity: Adopter(x) == Adopter(Adopter-candidate chain) for any
-	// dead set with a survivor.
+	// Transitivity: ringFrom(x) == ringFrom(candidate chain) for any dead
+	// set with a survivor.
 	dead := down(0, 1, 3)
-	if a, b := Adopter(0, 4, dead), Adopter(1, 4, dead); a != b || a != 2 {
+	if a, b := ringFrom(0, 4, dead), ringFrom(1, 4, dead); a != b || a != 2 {
 		t.Errorf("chained adoption diverged: %d vs %d", a, b)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Adopter with all nodes down did not panic")
+			t.Error("ringFrom with all nodes down did not panic")
 		}
 	}()
-	Adopter(0, 3, func(NodeID) bool { return true })
+	ringFrom(0, 3, func(NodeID) bool { return true })
 }
 
 func TestAttemptTimeoutBackoff(t *testing.T) {

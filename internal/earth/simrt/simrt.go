@@ -253,34 +253,17 @@ type Runtime struct {
 	plan     *faults.Plan
 	retry    earth.RetryPolicy
 	hasPause bool
-	// Crash-stop failure state (nil crashAt means no crash plan: every
-	// crash hook is a single slice check). crashAt is the per-node crash
-	// schedule (-1 = never); dead marks nodes past their crash instant;
-	// detected marks nodes whose lease has expired and whose state has
-	// failed over to a survivor; boundaries is the precomputed sorted
-	// crash/detection schedule the window loop never simulates across.
-	// take answers who may adopt a down node's work and holds the load
-	// balancer's cursor for re-placing its tokens; seen is the
-	// idempotent-delivery store both copies of a duplicate consult.
-	crashAt    []sim.Time
-	dead       []bool
-	detected   []bool
-	boundaries []boundary
+	// Node fates: take is the core's table of who crashed, who was
+	// fenced, each node's epoch and who holds its frames, with the crash
+	// and fence schedule; it picks adopters and holds the load balancer's
+	// cursor for re-placing a down node's tokens. boundaries is that
+	// schedule sorted, which the window loop never simulates across; seen
+	// is the idempotent-delivery store both copies of a duplicate consult;
+	// halted (nil without fences) marks nodes self-fenced until their heal.
 	take       earth.Takeover
+	boundaries []boundary
 	seen       earth.SeenSet
-	// Partition / fencing state (all nil without partition windows, so
-	// every fencing hook is a single check). epochs is each node's
-	// incarnation epoch, stamped on every message under a partition plan;
-	// fences is the precomputed wrong-verdict schedule; halted marks nodes
-	// currently self-fenced; everFenced marks nodes whose state ownership
-	// has permanently transferred to their adopter (a rejoined node
-	// re-enters as a steal-only worker — flipping ownership back would let
-	// bodies already adopted spawn frames whose home suddenly looks alive
-	// again).
-	fences     faults.Fences
-	epochs     []uint64
 	halted     []bool
-	everFenced []bool
 	// Window progress: maxExec is the furthest executed instant (events and
 	// boundaries); bApplied counts applied boundaries toward Stats.Events;
 	// sampleNext is the next pending utilisation-sample boundary.
@@ -325,8 +308,8 @@ func New(cfg earth.Config) *Runtime {
 	if fs.Plan == nil {
 		return rt
 	}
-	rt.plan, rt.retry, rt.crashAt, rt.fences = fs.Plan, fs.Retry, fs.CrashAt, fs.Fences
-	rt.take.Nodes, rt.take.Fences, rt.take.CrashAt = cfg.Nodes, fs.Fences, fs.CrashAt
+	rt.plan, rt.retry = fs.Plan, fs.Retry
+	rt.take.Init(cfg.Nodes, fs)
 	rt.hasPause = fs.Plan.HasPause()
 	rt.injs = make([]*faults.Injector, cfg.Nodes)
 	for i := range rt.injs {
@@ -340,18 +323,10 @@ func New(cfg earth.Config) *Runtime {
 			n.acct.Checksum = manna.ChecksumBytes
 		}
 	}
-	if rt.crashAt != nil {
-		rt.dead = make([]bool, cfg.Nodes)
-		rt.detected = make([]bool, cfg.Nodes)
-	}
-	if fs.Plan.HasPartition() {
-		rt.epochs = make([]uint64, cfg.Nodes)
-	}
-	if len(rt.fences) > 0 {
+	if len(fs.Fences) > 0 {
 		rt.halted = make([]bool, cfg.Nodes)
-		rt.everFenced = make([]bool, cfg.Nodes)
 	}
-	rt.boundaries = makeBoundaries(rt.crashAt, rt.fences, rt.retry.Lease)
+	rt.boundaries = makeBoundaries(fs.CrashAt, fs.Fences, rt.retry.Lease)
 	return rt
 }
 
@@ -428,12 +403,8 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 	}
 	rt.take.Reset()
 	rt.seen.Reset()
-	clear(rt.dead)
-	clear(rt.detected)
-	clear(rt.epochs)
 	clear(rt.halted)
-	clear(rt.everFenced)
-	if rt.epochs != nil && rt.sink.On() {
+	if rt.plan.HasPartition() && rt.sink.On() {
 		// The partition schedule is static: pre-emit its window events and
 		// let the final canonical sort place them.
 		earth.PartitionMarks(rt.plan, rt.retry.Lease, func(pt faults.Partition, ev earth.Event) {
@@ -482,9 +453,9 @@ func (n *node) addSpan(rt *Runtime, start, end sim.Time) {
 // stays frozen until the failure detector's lease expires and applyDetect
 // hands it over to a survivor.
 func (rt *Runtime) applyCrash(b boundary) {
-	x := b.node
-	rt.dead[x] = true
-	rt.nodes[x].acct.Stats.Add(earth.NodeFault(rt.sink, earth.NodeID(x), b.at, earth.CauseCrash, rt.retry.Lease))
+	x := earth.NodeID(b.node)
+	rt.take.Crash(x)
+	rt.nodes[x].acct.Stats.Add(earth.NodeFault(rt.sink, x, b.at, earth.CauseCrash, rt.retry.Lease))
 }
 
 // applyDetect fires one lease after a crash: survivors have missed enough
@@ -492,9 +463,7 @@ func (rt *Runtime) applyCrash(b boundary) {
 // the core's adopter, which skips a crashed node whether declared down or
 // not: a dead node runs nothing.
 func (rt *Runtime) applyDetect(b boundary) {
-	rt.detected[b.node] = true
-	x := earth.NodeID(b.node)
-	rt.failover(x, rt.take.Adopter(x, b.at, rt.gone), b.at, earth.CauseCrash)
+	rt.failover(earth.NodeID(b.node), b.at, earth.CauseCrash)
 }
 
 // applyFence executes one wrong failure verdict at its window boundary:
@@ -510,22 +479,22 @@ func (rt *Runtime) applyDetect(b boundary) {
 // already crashed — the crash machinery owns that failover.
 func (rt *Runtime) applyFence(b boundary) {
 	x := earth.NodeID(b.node)
-	if rt.dead != nil && rt.dead[x] {
+	if !rt.take.Fence(x) {
 		return
 	}
-	rt.epochs[x]++
 	rt.halted[x] = true
-	rt.everFenced[x] = true
-	rt.failover(x, rt.take.Adopter(x, b.at, rt.gone), b.at, earth.CausePartition)
+	rt.failover(x, b.at, earth.CausePartition)
 }
 
-// failover hands down node x's state to adopter s at a detection or fence
-// boundary: s declares x dead, replays x's queued threads from their
-// checkpointed frames, and x's pooled tokens go back to the load balancer
-// for deterministic re-placement. Frame state in this embedding lives in
-// host memory, so adoption is the god-view counterpart of the retransmit
-// model: the failure perturbs placement and timing, never data.
-func (rt *Runtime) failover(x, s earth.NodeID, now sim.Time, cause earth.Cause) {
+// failover hands down node x's state at a detection or fence boundary to
+// the adopter the core picks and records, s: s declares x dead, replays
+// x's queued threads from their checkpointed frames, and x's pooled tokens
+// go back to the load balancer for deterministic re-placement. Frame state
+// in this embedding lives in host memory, so adoption is the god-view
+// counterpart of the retransmit model: the failure perturbs placement and
+// timing, never data.
+func (rt *Runtime) failover(x earth.NodeID, now sim.Time, cause earth.Cause) {
+	s := rt.take.HandOver(x, now)
 	n, sn := rt.nodes[x], rt.nodes[s]
 	n.acct.Stats.DetectionLatency = rt.retry.Lease
 	// The down node no longer participates in stealing.
@@ -545,12 +514,12 @@ func (rt *Runtime) failover(x, s earth.NodeID, now sim.Time, cause earth.Cause) 
 
 // applyHeal fires when a fenced node's partition heals: the node runs the
 // reconciliation handshake and re-enters at the bumped epoch as a
-// steal-only worker — resolve keeps routing its old frames to the adopter
-// (ownership moved permanently at the fence), but it executes new work
-// again. Skipped if the node crashed while fenced.
+// steal-only worker — its old frames stay with the adopter the fence
+// recorded (ownership never moves back), but it executes new work again.
+// Skipped if the node crashed while fenced.
 func (rt *Runtime) applyHeal(b boundary) {
 	x := b.node
-	if (rt.dead != nil && rt.dead[x]) || !rt.halted[x] {
+	if rt.take.Crashed(earth.NodeID(x)) || !rt.halted[x] {
 		return
 	}
 	rt.halted[x] = false
@@ -569,38 +538,11 @@ func (rt *Runtime) applyHeal(b boundary) {
 	}
 }
 
-// resolve maps a node to the live owner of its state: the node itself
-// while it is up (or crashed but undetected — the failure is not
-// observable before the lease expires), else its transitive adopter.
-// Fenced nodes count as down here permanently (everFenced, not halted):
-// ownership moved to the adopter at the fence and never moves back, so
-// bodies the adopter already runs can keep spawning into frames homed on
-// the fenced node without the home flip-flopping under them. Both flags
-// only change at window boundaries.
-func (rt *Runtime) resolve(x earth.NodeID) earth.NodeID {
-	if rt.detected == nil && rt.everFenced == nil {
-		return x
-	}
-	return earth.Adopter(x, len(rt.nodes), rt.owned)
-}
-
-// owned reports whether node c's state has moved to an adopter for good:
-// its crash was detected, or it was fenced.
-func (rt *Runtime) owned(c earth.NodeID) bool {
-	return (rt.detected != nil && rt.detected[c]) || (rt.everFenced != nil && rt.everFenced[c])
-}
-
-// gone reports whether node c is out of the token-placement ring for good:
-// crashed (detected or not — a dead node runs nothing), or ever fenced.
-func (rt *Runtime) gone(c earth.NodeID) bool {
-	return (rt.dead != nil && rt.dead[c]) || (rt.everFenced != nil && rt.everFenced[c])
-}
-
 // downNow reports whether node x is currently unable to execute: crashed,
-// or self-fenced inside an active partition verdict. Unlike resolve's
-// predicate this one heals — a rejoined node executes again.
+// or self-fenced inside an active partition verdict. Unlike ownership this
+// heals — a rejoined node executes again.
 func (rt *Runtime) downNow(x earth.NodeID) bool {
-	return (rt.dead != nil && rt.dead[x]) || (rt.halted != nil && rt.halted[x])
+	return rt.take.Crashed(x) || (rt.halted != nil && rt.halted[x])
 }
 
 // reassignToken returns one of a down node's pooled tokens to the load
@@ -609,7 +551,7 @@ func (rt *Runtime) downNow(x earth.NodeID) bool {
 // Runs only at detection/fence boundaries.
 func (rt *Runtime) reassignToken(h earth.Handover, sn *node, tk token) {
 	now := h.At
-	tn := rt.nodes[rt.take.Place(now, rt.gone)]
+	tn := rt.nodes[rt.take.Place(now)]
 	tn.acct.Stats.Add(h.Reassign(tn.id, tk.argBytes))
 	if tn == sn {
 		rt.enqueueAt(tn, item{body: tk.body, enq: now, cause: earth.CauseToken}, now)
@@ -631,30 +573,20 @@ func (rt *Runtime) reassignToken(h earth.Handover, sn *node, tk token) {
 // node's fence span re-routes immediately (the fence instant already sits
 // one lease past the partition's start), while one arriving after the
 // heal routes to the rejoined node normally — which is why this uses the
-// bounded fence span and not resolve's permanent ownership predicate. The
-// loop covers chained failovers. hop, when non-nil, observes each
-// failover (post-hold time and the down node being abandoned) so the fire
-// path can account them.
+// bounded fence span and not the table's permanent ownership. The loop
+// covers chained failovers. hop, when non-nil, observes each failover
+// (post-hold time and the down node being abandoned) so the fire path can
+// account them.
 func (rt *Runtime) walkDown(a sim.Time, dst earth.NodeID, hop func(at sim.Time, x earth.NodeID)) (sim.Time, earth.NodeID) {
-	lease := rt.retry.Lease
-	downAt := func(c earth.NodeID, at sim.Time) bool {
-		if rt.crashAt != nil && rt.crashAt[c] >= 0 && at >= rt.crashAt[c]+lease {
-			return true
-		}
-		return rt.fences.Covering(int(c), at)
-	}
+	crashAt, fences := rt.take.CrashAt, rt.take.Fences
 	for {
-		crashed := rt.crashAt != nil && rt.crashAt[dst] >= 0 && a >= rt.crashAt[dst]
-		if crashed {
-			if td := rt.crashAt[dst] + lease; a < td {
-				a = td
-			}
-		} else if !rt.fences.Covering(int(dst), a) {
+		if crashAt != nil && crashAt[dst] >= 0 && a >= crashAt[dst] {
+			a = max(a, crashAt[dst]+rt.retry.Lease)
+		} else if !fences.Covering(int(dst), a) {
 			return a, dst
 		}
 		x := dst
-		aa := a
-		dst = earth.Adopter(dst, len(rt.nodes), func(c earth.NodeID) bool { return downAt(c, aa) })
+		dst = rt.take.Reroute(dst, a)
 		if hop != nil {
 			hop(a, x)
 		}
@@ -673,7 +605,7 @@ func (rt *Runtime) emitReroute(m *msg) {
 	fn := rt.nodes[m.to]
 	rt.walkDown(m.arr0, m.origTo, func(at sim.Time, x earth.NodeID) {
 		h := earth.Handover{Down: x, At: at, Cause: earth.CauseCrash, Sink: rt.sink}
-		if rt.fences.Covering(int(x), at) {
+		if rt.take.Fences.Covering(int(x), at) {
 			h.Cause = earth.CausePartition
 		}
 		switch {
@@ -709,7 +641,7 @@ func (rt *Runtime) dispatch(n *node) {
 	// A crashed node halts at its dispatch boundary: whatever was running
 	// has completed, and nothing further dispatches. Queued state stays
 	// frozen until the detection boundary hands it to the adopter.
-	if rt.dead != nil && rt.dead[n.id] {
+	if rt.take.Crashed(n.id) {
 		return
 	}
 	// A self-fenced node parks instead: unlike a crash it will resume at
@@ -863,13 +795,11 @@ func (rt *Runtime) deliver(issue, arrival sim.Time, m *msg) {
 	if m.issue == 0 {
 		m.issue = issue
 	}
-	if rt.epochs != nil {
-		// Stamp the sender's incarnation epoch at issue. The receiver's
-		// fencing check compares it against the epoch current at arrival;
-		// epochs only advance at quiesced fence boundaries, so the
-		// comparison is a pure function of issue and fire times.
-		m.sendEpoch = rt.epochs[m.from]
-	}
+	// Stamp the sender's incarnation epoch at issue. The receiver's fencing
+	// check compares it against the epoch current at arrival; epochs only
+	// advance at quiesced fence boundaries, so the comparison is a pure
+	// function of issue and fire times.
+	m.sendEpoch = rt.take.Epoch(m.from)
 	d := earth.PlanDelivery(rt.injs[m.from], rt.retry, rt.plan, m.from, m.to, m.bytes, issue, rt.sink)
 	m.seq, m.drops, m.corrupts, m.dup = d.Seq, uint16(d.Drops), uint16(d.Corrupts), d.Dup
 	sender := rt.nodes[m.from]
@@ -893,7 +823,7 @@ func (rt *Runtime) deliver(issue, arrival sim.Time, m *msg) {
 // past.
 func (rt *Runtime) routeMsg(arrival sim.Time, m *msg) {
 	m.origTo = m.to
-	if rt.crashAt != nil || len(rt.fences) > 0 {
+	if rt.take.CrashAt != nil || len(rt.take.Fences) > 0 {
 		a, dst := rt.walkDown(arrival, m.to, nil)
 		if dst != m.to {
 			m.rerouted = true
@@ -1006,10 +936,7 @@ func (rt *Runtime) receive(n *node, m *msg) bool {
 	var a earth.Arrival
 	a.From, a.Bytes, a.Issue = m.from, m.bytes, m.issue
 	a.Seq, a.Drops, a.Corrupts, a.Dup = m.seq, int(m.drops), int(m.corrupts), m.dup
-	a.SendEpoch, a.Rerouted = m.sendEpoch, m.rerouted
-	if rt.epochs != nil {
-		a.Epoch = rt.epochs[m.from]
-	}
+	a.SendEpoch, a.Epoch, a.Rerouted = m.sendEpoch, rt.take.Epoch(m.from), m.rerouted
 	v, reroute := earth.Receive(&a, &rt.seen, rt.eng.Now(), n.id, &n.acct.Stats, rt.sink)
 	if reroute {
 		rt.emitReroute(m)
@@ -1069,7 +996,7 @@ func (rt *Runtime) signal(n *node, from earth.NodeID, now sim.Time, f *earth.Fra
 	if f == nil {
 		return
 	}
-	if rt.resolve(f.Home) == n.id {
+	if rt.take.Owner(f.Home) == n.id {
 		rt.decSlot(n, from, now, f, slot)
 	} else {
 		rt.sendSyncAt(now, n.id, f, slot)
@@ -1190,10 +1117,10 @@ func (rt *Runtime) consumesCPUOnRecv() bool {
 }
 
 // sendSyncAt charges the network for an 8-byte sync signal issued by from
-// at ready and schedules its pooled delivery envelope at f's home node —
-// or the home's adopter once a crash has been detected.
+// at ready and schedules its pooled delivery envelope at the node holding
+// f's home's frames: the home, or its adopter once it was handed over.
 func (rt *Runtime) sendSyncAt(ready sim.Time, from earth.NodeID, f *earth.Frame, slot int) {
-	m, arrival := rt.envelope(msgSync, from, rt.resolve(f.Home), ready, 8, 8)
+	m, arrival := rt.envelope(msgSync, from, rt.take.Owner(f.Home), ready, 8, 8)
 	m.f, m.slot = f, slot
 	rt.deliver(ready, arrival, m)
 }
@@ -1270,7 +1197,7 @@ func (c *ctx) Compute(d sim.Time) {
 
 func (c *ctx) Spawn(f *earth.Frame, thread int) {
 	c.check()
-	if f.Home != c.n.id && c.rt.resolve(f.Home) != c.n.id {
+	if f.Home != c.n.id && c.rt.take.Owner(f.Home) != c.n.id {
 		panic(fmt.Sprintf("simrt: Spawn of frame on node %d from node %d; use Invoke or Sync", f.Home, c.n.id))
 	}
 	c.cursor += c.rt.cfg.Costs.SpawnLocal
@@ -1280,7 +1207,8 @@ func (c *ctx) Spawn(f *earth.Frame, thread int) {
 
 func (c *ctx) Sync(f *earth.Frame, slot int) {
 	c.check()
-	if c.rt.resolve(f.Home) == c.n.id {
+	owner := c.rt.take.Owner(f.Home)
+	if owner == c.n.id {
 		c.cursor += c.rt.cfg.Costs.SpawnLocal
 		c.rt.decSlot(c.n, c.n.id, c.cursor, f, slot)
 		return
@@ -1288,7 +1216,7 @@ func (c *ctx) Sync(f *earth.Frame, slot int) {
 	if c.rt.coalOn {
 		// The send overhead is charged once per batch at flush; a sync
 		// carries no payload to serialise at issue.
-		c.n.coal.Add(c, c.rt.resolve(f.Home), coalOp{kind: msgSync, f: f, slot: slot,
+		c.n.coal.Add(c, owner, coalOp{kind: msgSync, f: f, slot: slot,
 			bytes: 8, issue: c.cursor}, 8)
 		return
 	}
@@ -1404,12 +1332,10 @@ func (c *ctx) Post(nodeID earth.NodeID, argBytes int, handler earth.ThreadBody) 
 		m.from, m.to = c.n.id, nodeID
 		m.body = handler
 		m.recvCost = 0
-		if rt.epochs != nil {
-			// Local posts bypass deliver, so the fencing stamp happens here:
-			// without it a rejoined node's own posts would carry epoch 0 and
-			// self-fence forever.
-			m.sendEpoch = rt.epochs[c.n.id]
-		}
+		// Local posts bypass deliver, so the fencing stamp happens here:
+		// without it a rejoined node's own posts would carry epoch 0 and
+		// self-fence forever.
+		m.sendEpoch = rt.take.Epoch(c.n.id)
 		rt.eng.At(c.cursor, m.fire)
 		return
 	}
