@@ -275,41 +275,41 @@ func selectBest(P []Pair, ord poly.Order) (Pair, []Pair) {
 	return p, P[:len(P)-1]
 }
 
-// reducers holds reduction workspaces between completion runs, so that a
-// run starts on tables already grown (a sweep makes thousands of runs).
-// It is a plain free list, not a sync.Pool: the collector empties a pool
-// every second cycle, and a sweep collects several times a second, so
-// pooled workspaces did not outlive a sweep cell. Uncapped, the list never
-// holds more reducers than were once in use at the same time. Each run
-// takes its own and no two goroutines share one. During a run a
-// poly.Reducer keeps its basis and divisor table from one reduction to
-// the next; putReducer leaves it at rest (SetBasis(nil)), so a listed one
-// pins no polynomial.
-var reducers struct {
+// workspaces holds node workspaces (see parNode) between completion runs,
+// so that a run starts on a reducer, caches and pair storage already grown
+// (a sweep makes thousands of runs). It is a plain free list, not a
+// sync.Pool: the collector empties a pool every second cycle, and a sweep
+// collects several times a second, so pooled workspaces did not outlive a
+// sweep cell. Uncapped, the list never holds more workspaces than were
+// once in use at the same time. Each run takes its own — a parallel run
+// one per node, a sequential one one for its reducer — and no two
+// goroutines share one. putWorkspace clears every pointer, so a listed
+// workspace pins no polynomial, frame or closure.
+var workspaces struct {
 	mu   sync.Mutex
-	free []*poly.Reducer
+	free []*parNode
 }
 
-// getReducer takes a reducer from the free list, or makes one.
-func getReducer() *poly.Reducer {
-	reducers.mu.Lock()
-	defer reducers.mu.Unlock()
-	n := len(reducers.free)
+// getWorkspace takes a workspace from the free list, or makes one.
+func getWorkspace() *parNode {
+	workspaces.mu.Lock()
+	defer workspaces.mu.Unlock()
+	n := len(workspaces.free)
 	if n == 0 {
-		return poly.NewReducer()
+		return &parNode{red: poly.NewReducer()}
 	}
-	red := reducers.free[n-1]
-	reducers.free[n-1] = nil
-	reducers.free = reducers.free[:n-1]
-	return red
+	ws := workspaces.free[n-1]
+	workspaces.free[n-1] = nil
+	workspaces.free = workspaces.free[:n-1]
+	return ws
 }
 
-// putReducer leaves red at rest and returns it to the free list.
-func putReducer(red *poly.Reducer) {
-	red.SetBasis(nil)
-	reducers.mu.Lock()
-	reducers.free = append(reducers.free, red)
-	reducers.mu.Unlock()
+// putWorkspace leaves ws at rest and returns it to the free list.
+func putWorkspace(ws *parNode) {
+	ws.reset()
+	workspaces.mu.Lock()
+	workspaces.free = append(workspaces.free, ws)
+	workspaces.mu.Unlock()
 }
 
 // Buchberger computes a Gröbner basis of the ideal generated by F. All
@@ -322,8 +322,9 @@ func Buchberger(F []*poly.Poly, opt Options) (*Basis, error) {
 	}
 	b := &Basis{Ring: ring}
 	u := NewUpdater(opt)
-	red := getReducer()
-	defer putReducer(red)
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	red := ws.red
 	var P []Pair
 	// Seed the basis one element at a time so the criteria apply to the
 	// initial pairs as well.

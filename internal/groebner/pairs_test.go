@@ -213,27 +213,30 @@ func TestNewPairsForSeqUnique(t *testing.T) {
 	}
 }
 
-// refersToPoly reports whether v reaches a polynomial through pointers,
-// structs, arrays, slices (to their capacity), maps and interfaces.
-func refersToPoly(v reflect.Value, seen map[uintptr]bool) bool {
+// refersToRun reports whether v reaches a polynomial, a frame or a
+// closure through pointers, structs, arrays, slices (to their capacity),
+// maps and interfaces: what a run would leave pinned.
+func refersToRun(v reflect.Value, seen map[uintptr]bool) bool {
 	switch v.Kind() {
+	case reflect.Func:
+		return !v.IsNil()
 	case reflect.Pointer:
 		if v.IsNil() {
 			return false
 		}
-		if v.Type() == reflect.TypeFor[*poly.Poly]() {
+		if t := v.Type(); t == reflect.TypeFor[*poly.Poly]() || t == reflect.TypeFor[*earth.Frame]() {
 			return true
 		}
 		if seen[v.Pointer()] {
 			return false
 		}
 		seen[v.Pointer()] = true
-		return refersToPoly(v.Elem(), seen)
+		return refersToRun(v.Elem(), seen)
 	case reflect.Interface:
-		return !v.IsNil() && refersToPoly(v.Elem(), seen)
+		return !v.IsNil() && refersToRun(v.Elem(), seen)
 	case reflect.Struct:
 		for i := range v.NumField() {
-			if refersToPoly(v.Field(i), seen) {
+			if refersToRun(v.Field(i), seen) {
 				return true
 			}
 		}
@@ -245,13 +248,13 @@ func refersToPoly(v reflect.Value, seen map[uintptr]bool) bool {
 			return false // no pointers
 		}
 		for i := range v.Len() {
-			if refersToPoly(v.Index(i), seen) {
+			if refersToRun(v.Index(i), seen) {
 				return true
 			}
 		}
 	case reflect.Map:
 		for it := v.MapRange(); it.Next(); {
-			if refersToPoly(it.Key(), seen) || refersToPoly(it.Value(), seen) {
+			if refersToRun(it.Key(), seen) || refersToRun(it.Value(), seen) {
 				return true
 			}
 		}
@@ -259,17 +262,18 @@ func refersToPoly(v reflect.Value, seen map[uintptr]bool) bool {
 	return false
 }
 
-// TestPooledReducersPinNothing: a completion's workers keep a basis and a
-// divisor table in their reducers between reductions, and after each
-// completion — sequential, then parallel on either engine — every reducer
-// on the free list refers to no polynomial, and the list, emptied first,
-// holds as many reducers as were once in use at the same time: one, then
-// the four workers'.
-func TestPooledReducersPinNothing(t *testing.T) {
+// TestPooledWorkspacesPinNothing: a completion's workers keep a basis and
+// a divisor table in their reducers between reductions, a start frame and
+// a bound fetch body, and the maintenance node its pair storage; after
+// each completion — sequential, then parallel on either engine — every
+// workspace on the free list refers to no polynomial, frame or closure,
+// and the list, emptied first, holds as many workspaces as were once in
+// use at the same time: one, then the five nodes'.
+func TestPooledWorkspacesPinNothing(t *testing.T) {
 	F, opt := k3Input()
-	reducers.mu.Lock()
-	reducers.free = nil
-	reducers.mu.Unlock()
+	workspaces.mu.Lock()
+	workspaces.free = nil
+	workspaces.mu.Unlock()
 	parallel := func(newRT func() earth.Runtime) func() error {
 		return func() error {
 			_, err := ParallelBuchberger(newRT(), F, ParallelConfig{Opt: opt})
@@ -285,43 +289,63 @@ func TestPooledReducersPinNothing(t *testing.T) {
 			_, err := Buchberger(F, opt)
 			return err
 		}, 1},
-		{"ParallelBuchberger on simrt", parallel(func() earth.Runtime { return simrt.New(earth.Config{Nodes: 5, Seed: 1}) }), 4},
-		{"ParallelBuchberger on livert", parallel(func() earth.Runtime { return livert.New(earth.Config{Nodes: 5, Seed: 1}) }), 4},
+		{"ParallelBuchberger on simrt", parallel(func() earth.Runtime { return simrt.New(earth.Config{Nodes: 5, Seed: 1}) }), 5},
+		{"ParallelBuchberger on livert", parallel(func() earth.Runtime { return livert.New(earth.Config{Nodes: 5, Seed: 1}) }), 5},
 	} {
 		if err := c.run(); err != nil {
 			t.Fatal(err)
 		}
-		reducers.mu.Lock()
-		free := slices.Clone(reducers.free)
-		reducers.mu.Unlock()
+		workspaces.mu.Lock()
+		free := slices.Clone(workspaces.free)
+		workspaces.mu.Unlock()
 		if len(free) != c.peak {
-			t.Errorf("after %s: %d reducers on the free list, want %d", c.name, len(free), c.peak)
+			t.Errorf("after %s: %d workspaces on the free list, want %d", c.name, len(free), c.peak)
 		}
-		for i, red := range free {
-			if refersToPoly(reflect.ValueOf(red), map[uintptr]bool{}) {
-				t.Errorf("after %s: listed reducer %d refers to a polynomial", c.name, i)
+		grown := false
+		for i, ws := range free {
+			if refersToRun(reflect.ValueOf(ws), map[uintptr]bool{}) {
+				t.Errorf("after %s: listed workspace %d refers to a polynomial, a frame or a closure", c.name, i)
 			}
+			grown = grown || cap(ws.cache) > 0
+		}
+		if c.peak > 1 && !grown {
+			t.Errorf("after %s: no listed workspace kept its cache's capacity", c.name)
 		}
 	}
 }
 
-// TestReducersSurviveCollection: a completion run after two collections
+// TestWorkspacesSurviveCollection: a completion run after two collections
 // (a sync.Pool would have dropped its workspaces by the second) allocates
-// no more than one run without them.
-func TestReducersSurviveCollection(t *testing.T) {
+// no more than one run without them, sequential and parallel alike.
+func TestWorkspacesSurviveCollection(t *testing.T) {
 	F, opt := k3Input()
-	run := func() {
-		if _, err := Buchberger(F, opt); err != nil {
-			t.Fatal(err)
+	rt := simrt.New(earth.Config{Nodes: 5, Seed: 1})
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Buchberger", func() error {
+			_, err := Buchberger(F, opt)
+			return err
+		}},
+		{"ParallelBuchberger", func() error {
+			_, err := ParallelBuchberger(rt, F, ParallelConfig{Opt: opt})
+			return err
+		}},
+	} {
+		run := func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	plain := testing.AllocsPerRun(20, run)
-	collected := testing.AllocsPerRun(20, func() {
-		runtime.GC()
-		runtime.GC()
-		run()
-	})
-	if collected > plain {
-		t.Errorf("a run after runtime.GC allocates %v times, one without it %v", collected, plain)
+		plain := testing.AllocsPerRun(20, run)
+		collected := testing.AllocsPerRun(20, func() {
+			runtime.GC()
+			runtime.GC()
+			run()
+		})
+		if collected > plain {
+			t.Errorf("%s: a run after runtime.GC allocates %v times, one without it %v", c.name, collected, plain)
+		}
 	}
 }

@@ -58,6 +58,11 @@ import (
 // diagLog, when set, receives insertion-trace lines (test diagnostics).
 var diagLog func(string, ...any)
 
+// handOverLog, when set, sees each pair hand-over: the worker and the node
+// that ran it, the worker's adopter when the worker is down (test
+// diagnostics; called from every node's context).
+var handOverLog func(w int, on earth.NodeID)
+
 // StepCost converts real reduction work (term operations) into modelled
 // i860 compute time.
 type StepCost struct {
@@ -161,6 +166,7 @@ type parState struct {
 	registry  []*poly.Poly
 	created   int
 	pool      pairHeap     // central pool (default mode)
+	fresh     []Pair       // newPairsFor's output, reused by each call
 	books     []workerBook // indexed by worker id
 	nWaiting  int          // books with waiting set
 	nInflight int          // books with reducing set
@@ -187,6 +193,9 @@ type workerBook struct {
 	processed int
 }
 
+// parNode is one node's state in a run, and the workspace that outlives
+// it on the workspaces free list (see putWorkspace): between runs it keeps
+// its reducer and its slices' capacity and refers to nothing else.
 type parNode struct {
 	queue []Pair // distributed mode: local priority queue
 	cache []*poly.Poly
@@ -197,16 +206,48 @@ type parNode struct {
 	// their polynomials: the basis red divides by. cachePut keeps both.
 	stair     []int
 	staircase []*poly.Poly
-	// red is this worker's reduction workspace, taken from the reducers
-	// free list for the run (nil on the maintenance node, which reduces
-	// nothing). Nodes run on separate host goroutines on livert, so a
-	// workspace is never shared between them.
-	red         *poly.Reducer
+	// red is this worker's reduction workspace (idle on the maintenance
+	// node, which reduces nothing). Nodes run on separate host goroutines
+	// on livert, so a workspace is never shared between them.
+	red *poly.Reducer
+	// start is this worker's one-thread start frame for the run (central
+	// mode): its thread starts next, the pair the last fetch reply handed
+	// over, pending until then. fetch is the worker's fetch request body,
+	// bound once per run like start's thread.
+	start   *earth.Frame
+	fetch   earth.ThreadBody
+	next    Pair
+	pending bool
+	// heap and fresh keep the maintenance node's pair storage between
+	// runs: the central pool's heap and newPairsFor's output.
+	heap, fresh []Pair
 	busy        bool
 	stop        bool
 	outstanding int // shipped, unacknowledged insert requests
 	processed   int
 	ringAsked   bool
+}
+
+// reset leaves n at rest for the free list: its reducer and the capacity
+// of its slices stay, every pointer and count goes.
+func (n *parNode) reset() {
+	n.red.SetBasis(nil)
+	*n = parNode{
+		red:       n.red,
+		queue:     emptied(n.queue),
+		cache:     emptied(n.cache),
+		leads:     emptied(n.leads),
+		stair:     n.stair[:0],
+		staircase: emptied(n.staircase),
+		heap:      emptied(n.heap),
+		fresh:     emptied(n.fresh),
+	}
+}
+
+// emptied clears s up to its capacity and returns it empty.
+func emptied[S ~[]E, E any](s S) S {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // prefixLen returns the length of the contiguous replicated registry
@@ -285,22 +326,30 @@ func ParallelBuchberger(rt earth.Runtime, F []*poly.Poly, cfg ParallelConfig) (*
 		upd:     NewUpdater(cfg.Opt),
 		workers: rt.P() - 1,
 		m:       earth.NodeID(rt.P() - 1),
+		pool:    pairHeap{ord: ring.Order()},
 		books:   make([]workerBook, rt.P()-1),
 	}
+	// The maintenance node takes its workspace first and the workers
+	// theirs in order; they go back in the reverse order, so that every
+	// run's maintenance node gets the last one's pair storage and a run of
+	// the same shape hands each worker the workspace it grew.
 	st.nodes = make([]*parNode, rt.P())
-	for i := range st.nodes {
-		st.nodes[i] = &parNode{}
+	st.nodes[st.m] = getWorkspace()
+	for w := range st.workers {
+		st.nodes[w] = getWorkspace()
 	}
-	for _, n := range st.nodes[:st.workers] {
-		n.red = getReducer()
+	if !cfg.DistributedQueues {
+		for w, n := range st.nodes[:st.workers] {
+			n.start = earth.NewFrame(earth.NodeID(w), 1, 0).SetThread(0, func(c earth.Ctx) { st.startNext(c, w) })
+			n.fetch = func(c earth.Ctx) { st.serveFetch(c, w) }
+		}
 	}
+	mn := st.nodes[st.m]
+	st.pool.ps, st.fresh = mn.heap, mn.fresh
 
 	stats := rt.Run(func(c earth.Ctx) { st.driver(c, G) })
 
-	for _, n := range st.nodes[:st.workers] {
-		putReducer(n.red)
-	}
-
+	mn.heap, mn.fresh = st.pool.ps, st.fresh
 	res := &ParallelResult{
 		Basis:     &Basis{Ring: ring, Polys: st.registry},
 		Stats:     stats,
@@ -308,9 +357,11 @@ func ParallelBuchberger(rt earth.Runtime, F []*poly.Poly, cfg ParallelConfig) (*
 		Rejected:  st.rejected,
 		Deferrals: st.deferrals,
 	}
-	for _, n := range st.nodes {
+	for _, n := range slices.Backward(st.nodes[:st.workers]) {
 		res.PairsProcessed += n.processed
+		putWorkspace(n)
 	}
+	putWorkspace(mn)
 	return res, nil
 }
 
@@ -376,7 +427,6 @@ func (st *parState) bootstrap(c earth.Ctx, G []*poly.Poly) {
 		return
 	}
 
-	st.pool = pairHeap{ord: st.ring.Order()}
 	for _, p := range pairs {
 		st.pool.push(p)
 	}
@@ -412,19 +462,46 @@ func (st *parState) fetchWork(c earth.Ctx, w int) {
 		return
 	}
 	n.busy = true
-	c.Post(st.m, 16, func(c earth.Ctx) {
-		if st.pool.len() > 0 {
-			p := st.pool.pop()
-			st.setInflight(w, p)
-			c.Post(earth.NodeID(w), pairMsgBytes, func(c earth.Ctx) {
-				earth.SpawnBody(c, func(c earth.Ctx) { st.startPair(c, w, p) })
-			})
-			return
-		}
-		st.setWaiting(w)
-		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.nodes[w].busy = false })
-		st.maybeTerminate(c)
-	})
+	c.Post(st.m, 16, n.fetch)
+}
+
+// serveFetch runs on the maintenance node for worker w's fetch request:
+// it hands w the best pair, or parks w on an empty pool.
+func (st *parState) serveFetch(c earth.Ctx, w int) {
+	if st.pool.len() > 0 {
+		p := st.pool.pop()
+		st.setInflight(w, p)
+		c.Post(earth.NodeID(w), pairMsgBytes, func(c earth.Ctx) { st.handOver(c, w, p) })
+		return
+	}
+	st.setWaiting(w)
+	c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.nodes[w].busy = false })
+	st.maybeTerminate(c)
+}
+
+// handOver runs on worker w, or on its adopter while w is down (which may
+// spawn w's frames): it stores the pair the maintenance node handed w and
+// spawns w's start frame. A worker has at most one fetch outstanding, so
+// its previous pair has started by now; the reused frame relies on that.
+func (st *parState) handOver(c earth.Ctx, w int, p Pair) {
+	n := st.nodes[w]
+	if n.pending {
+		panic(fmt.Sprintf("groebner: worker %d handed pair (%d,%d) before its pair (%d,%d) started", w, p.I, p.J, n.next.I, n.next.J))
+	}
+	if handOverLog != nil {
+		handOverLog(w, c.Node())
+	}
+	n.next, n.pending = p, true
+	c.Spawn(n.start, 0)
+}
+
+// startNext is thread 0 of worker w's start frame: it starts the pair the
+// last hand-over stored.
+func (st *parState) startNext(c earth.Ctx, w int) {
+	n := st.nodes[w]
+	p := n.next
+	n.next, n.pending = Pair{}, false
+	st.startPair(c, w, p)
 }
 
 // startPair runs as a worker thread: ensure operands are cached, then
@@ -691,12 +768,14 @@ func (st *parState) clearInflight(w int) {
 // entries that survive the configured criteria, numbering them by their
 // rank in (idx, partner) order — idx(idx-1)/2 + partner, one number per
 // pair of a run — where the sequential Update draws from a running
-// counter.
+// counter. The pairs are valid until the next call, which reuses the
+// slice.
 func (st *parState) newPairsFor(basis []*poly.Poly, idx int) []Pair {
-	pairs, _ := st.upd.appendNewPairs(nil, basis, idx)
+	pairs, _ := st.upd.appendNewPairs(st.fresh[:0], basis, idx)
 	for i := range pairs {
 		pairs[i].Seq = idx*(idx-1)/2 + pairs[i].I
 	}
+	st.fresh = pairs
 	return pairs
 }
 
