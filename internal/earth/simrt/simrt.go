@@ -343,33 +343,15 @@ func (rt *Runtime) newMsg() *msg {
 	return m
 }
 
-// freeMsg returns an envelope to the free list, dropping reference fields.
+// freeMsg returns an envelope to the free list. Everything but the
+// runtime and the bound fire closure goes: a field kept from an envelope's
+// previous life would leak the free list's reuse order into the run (a
+// stale issue, say, into recovery-latency accounting, as deliver treats a
+// zero issue as "stamp me"). Only the batch's slice header is dropped: a
+// duplicate-injection clone shares the backing array and may not have
+// fired yet, so the elements must not be cleared here.
 func (rt *Runtime) freeMsg(m *msg) {
-	m.stage = 0
-	m.f = nil
-	m.body = nil
-	m.read = nil
-	m.write = nil
-	m.deliver = nil
-	m.src, m.dst, m.word = nil, nil, 0
-	// issue must clear: deliver treats a zero issue as "stamp me", and a
-	// stale value from the envelope's previous life would leak the free
-	// list's reuse order into recovery-latency accounting.
-	m.issue = 0
-	m.bytes = 0
-	m.cause = 0
-	m.seq = 0
-	m.drops = 0
-	m.corrupts = 0
-	m.sendEpoch = 0
-	m.dup = false
-	m.origTo = 0
-	m.arr0 = 0
-	m.rerouted = false
-	// Drop the slice header only: a duplicate-injection clone shares the
-	// backing array and may not have fired yet, so the elements must not
-	// be cleared here.
-	m.batch = nil
+	*m = msg{rt: m.rt, fire: m.fire}
 	rt.msgFree = append(rt.msgFree, m)
 }
 
@@ -861,27 +843,15 @@ func (rt *Runtime) routeMsg(arrival sim.Time, m *msg) {
 // clone, routed first, fires first.
 func (rt *Runtime) cloneMsg(m *msg) *msg {
 	d := rt.newMsg()
-	d.kind = m.kind
-	d.stage = 0
-	d.from, d.to = m.from, m.to
-	d.f, d.slot = m.f, m.slot
-	d.body, d.read, d.write, d.deliver = m.body, m.read, m.write, m.deliver
-	d.src, d.dst, d.word = m.src, m.dst, m.word
-	d.recvCost = m.recvCost
-	d.issue = m.issue
-	d.bytes = m.bytes
-	d.cause = m.cause
-	d.seq = m.seq
-	d.drops = 0
-	// The original copy (always first in virtual time) carries the corrupt
-	// accounting; the trailing duplicate is discarded by the idempotent-
-	// delivery check before the corrupt check runs.
-	d.corrupts = 0
-	d.sendEpoch = m.sendEpoch
-	d.dup = m.dup
-	// The clone shares the batch backing array; idempotent delivery
-	// guarantees the operations apply at most once.
-	d.batch = m.batch
+	fire := d.fire
+	*d = *m
+	d.fire = fire
+	// The original copy (always first in virtual time) carries the drop
+	// and corrupt accounting; the trailing duplicate is discarded by the
+	// idempotent-delivery check before the corrupt check runs. The clone
+	// shares the batch backing array; idempotent delivery guarantees the
+	// operations apply at most once.
+	d.drops, d.corrupts = 0, 0
 	return d
 }
 

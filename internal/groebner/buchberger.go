@@ -60,6 +60,72 @@ func (p Pair) Less(q Pair, ord poly.Order) bool {
 	return p.Seq < q.Seq
 }
 
+// pairHeap is a binary min-heap of critical pairs under Pair.Less, the one
+// structure that selects pairs: sequential Buchberger's set, the central
+// pool and each worker's queue in distributed mode. Less is a strict total
+// order (no two pairs of a run share a Seq), so pop returns the best pair
+// of the set, whatever the heap's shape.
+type pairHeap struct {
+	ord poly.Order
+	ps  []Pair
+}
+
+func (h *pairHeap) len() int { return len(h.ps) }
+
+func (h *pairHeap) push(p Pair) {
+	ps := append(h.ps, p)
+	i := len(ps) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !p.Less(ps[parent], h.ord) {
+			break
+		}
+		ps[i] = ps[parent]
+		i = parent
+	}
+	ps[i] = p
+	h.ps = ps
+}
+
+// pop removes and returns the best pair; the heap must not be empty.
+func (h *pairHeap) pop() Pair {
+	n := len(h.ps) - 1
+	top := h.ps[0]
+	h.ps[0] = h.ps[n]
+	h.ps[n] = Pair{} // release its LCM
+	h.ps = h.ps[:n]
+	h.down(0)
+	return top
+}
+
+// down moves the pair at i towards the leaves until no child is better.
+func (h *pairHeap) down(i int) {
+	ps := h.ps
+	if i >= len(ps) {
+		return
+	}
+	p := ps[i]
+	for c := 2*i + 1; c < len(ps); c = 2*i + 1 {
+		if c+1 < len(ps) && ps[c+1].Less(ps[c], h.ord) {
+			c++
+		}
+		if !ps[c].Less(p, h.ord) {
+			break
+		}
+		ps[i] = ps[c]
+		i = c
+	}
+	ps[i] = p
+}
+
+// init restores the heap order after ps was changed in place, as Update
+// filters and appends to it.
+func (h *pairHeap) init() {
+	for i := len(h.ps)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
 // Trace records the work profile of one completion run — the quantities
 // Table 2 reports.
 type Trace struct {
@@ -258,23 +324,6 @@ func (u *Updater) appendNewPairs(out []Pair, basis []*poly.Poly, t int) ([]Pair,
 	return out, len(cands)
 }
 
-// selectBest removes and returns the best pair (see Pair.Less). It
-// panics on an empty set.
-func selectBest(P []Pair, ord poly.Order) (Pair, []Pair) {
-	if len(P) == 0 {
-		panic("groebner: selectBest on empty pair set")
-	}
-	best := 0
-	for i := 1; i < len(P); i++ {
-		if P[i].Less(P[best], ord) {
-			best = i
-		}
-	}
-	p := P[best]
-	P[best] = P[len(P)-1]
-	return p, P[:len(P)-1]
-}
-
 // workspaces holds node workspaces (see parNode) between completion runs,
 // so that a run starts on a reducer, caches and pair storage already grown
 // (a sweep makes thousands of runs). It is a plain free list, not a
@@ -325,22 +374,22 @@ func Buchberger(F []*poly.Poly, opt Options) (*Basis, error) {
 	ws := getWorkspace()
 	defer putWorkspace(ws)
 	red := ws.red
-	var P []Pair
+	P := pairHeap{ord: ring.Order()}
 	// Seed the basis one element at a time so the criteria apply to the
 	// initial pairs as well.
 	basis := G[:0:0]
 	for _, g := range G {
 		basis = append(basis, g)
 		var considered, elim int
-		P, considered, elim = u.Update(basis, P)
+		P.ps, considered, elim = u.Update(basis, P.ps)
 		b.Trace.PairsCreated += considered
 		b.Trace.PairsSkipped += elim
 	}
+	P.init()
 
 	red.SetBasis(basis)
-	for len(P) > 0 {
-		var p Pair
-		p, P = selectBest(P, ring.Order())
+	for P.len() > 0 {
+		p := P.pop()
 		nf, st := red.ReduceMonic(basis[p.I], basis[p.J])
 		b.Trace.PairsReduced++
 		b.Trace.TermOps += st.TermOps
@@ -353,7 +402,8 @@ func Buchberger(F []*poly.Poly, opt Options) (*Basis, error) {
 		red.SetBasis(basis)
 		b.Trace.Added++
 		var considered, elim int
-		P, considered, elim = u.Update(basis, P)
+		P.ps, considered, elim = u.Update(basis, P.ps)
+		P.init()
 		b.Trace.PairsCreated += considered
 		b.Trace.PairsSkipped += elim
 	}

@@ -20,22 +20,27 @@ var engines = []struct {
 }
 
 // TestHandOffGuard runs the Figure 4 inputs through the paths that hand a
-// worker its pairs — central mode, NoOrderedCommit, and central mode with
-// worker 1 crashing mid-run, so that its adopter runs its hand-overs — on
-// both engines. A worker's start frame is reused for every pair, which is
-// sound only while a worker has one fetch outstanding; handOver panics
-// otherwise, and here it never does. Every run's basis is the sequential
-// one. On simrt, where the crash lands at a fixed share of the clean
-// run's makespan, the adopter must have run some hand-overs; on livert the
-// crash instant is wall-clock and may fall after the last pair.
+// worker its pairs — central mode, NoOrderedCommit and DistributedQueues,
+// and the two queue modes with worker 1 crashing at 2/5 of the mode's
+// clean makespan, so that its adopter spawns its start frame — on both
+// engines. A worker's start frame is reused for every pair, which is
+// sound only while a worker has one fetch outstanding (central mode) or
+// one step pending (distributed mode); handOver panics on a second fetch,
+// and here it never does. Every run's basis is the sequential one. On
+// simrt, where the crash lands at a fixed share of the clean run's
+// makespan, the adopter must have spawned the down worker's start frame;
+// on livert the crash instant is wall-clock and may fall after the last
+// pair. On livert the distributed mode runs Lazard alone: its wall-clock
+// order inflates that mode's work without bound (a Katsura-5 run once
+// reduced 131 792 pairs in a minute, against 387 on simrt).
 func TestHandOffGuard(t *testing.T) {
 	var adopted atomic.Int64
-	handOverLog = func(w int, on earth.NodeID) {
+	startLog = func(w int, on earth.NodeID) {
 		if on != earth.NodeID(w) {
 			adopted.Add(1)
 		}
 	}
-	defer func() { handOverLog = nil }()
+	defer func() { startLog = nil }()
 	const nodes = 5
 	for _, in := range PaperInputs() {
 		seq, err := Buchberger(in.F, in.Opt)
@@ -45,62 +50,75 @@ func TestHandOffGuard(t *testing.T) {
 		want := seq.Reduce()
 		sc := Calibrate(seq.Trace, in.PaperSeqMS)
 		for _, eng := range engines {
-			run := func(cfg earth.Config, pc ParallelConfig) *ParallelResult {
+			run := func(path string, cfg earth.Config, pc ParallelConfig) *ParallelResult {
 				pc.Opt, pc.StepCost = in.Opt, sc
 				res, err := ParallelBuchberger(eng.new(cfg), in.F, pc)
 				if err != nil {
 					t.Fatal(err)
 				}
+				if !res.Basis.Reduce().Equal(want) {
+					t.Errorf("%s/%s/%s: reduced basis differs from the sequential one", in.Name, eng.name, path)
+				}
 				return res
 			}
-			cfg := earth.Config{Nodes: nodes, Seed: 1}
-			clean := run(cfg, ParallelConfig{})
-			cfg.Faults = &faults.Plan{Crash: []faults.Crash{{Node: 1, At: clean.Stats.Elapsed * 2 / 5}}}
-			adopted.Store(0)
-			crashed := run(cfg, ParallelConfig{})
-			byAdopter := adopted.Load()
-			unordered := run(earth.Config{Nodes: nodes, Seed: 1}, ParallelConfig{NoOrderedCommit: true})
-			for _, r := range []struct {
-				path string
-				res  *ParallelResult
-			}{{"central", clean}, {"crash", crashed}, {"NoOrderedCommit", unordered}} {
-				if !r.res.Basis.Reduce().Equal(want) {
-					t.Errorf("%s/%s/%s: reduced basis differs from the sequential one", in.Name, eng.name, r.path)
+			run("NoOrderedCommit", earth.Config{Nodes: nodes, Seed: 1}, ParallelConfig{NoOrderedCommit: true})
+			for _, mode := range []struct {
+				name string
+				pc   ParallelConfig
+			}{{"central", ParallelConfig{}}, {"distributed", ParallelConfig{DistributedQueues: true}}} {
+				if mode.pc.DistributedQueues && eng.name == "livert" && in.Name != "Lazard" {
+					continue
 				}
+				clean := run(mode.name, earth.Config{Nodes: nodes, Seed: 1}, mode.pc)
+				crash := faults.Crash{Node: 1, At: clean.Stats.Elapsed * 2 / 5}
+				adopted.Store(0)
+				run(mode.name+"/crash", earth.Config{Nodes: nodes, Seed: 1, Faults: &faults.Plan{Crash: []faults.Crash{crash}}}, mode.pc)
+				byAdopter := adopted.Load()
+				if byAdopter == 0 && eng.name == "simrt" {
+					t.Errorf("%s/simrt/%s: worker 1 crashed at %v, and no adopter spawned its start frame", in.Name, mode.name, crash.At)
+				}
+				t.Logf("%s/%s/%s: %d start frames spawned by an adopter", in.Name, eng.name, mode.name, byAdopter)
 			}
-			if byAdopter == 0 && eng.name == "simrt" {
-				t.Errorf("%s/simrt: worker 1 crashed at %v, and no adopter ran a hand-over", in.Name, cfg.Faults.Crash[0].At)
-			}
-			t.Logf("%s/%s: %d hand-overs run by an adopter", in.Name, eng.name, byAdopter)
 		}
 	}
 }
 
 // TestParallelAllocBudget caps what one processed pair of a k3Input
 // completion on five simrt nodes may allocate, everything included — the
-// reducer's output, the messages, the run's fixed costs spread over its 27
+// reducer's output, the messages, the run's fixed costs spread over its
 // pairs — on a machine and a workspace list warm from an earlier run, as
-// a sweep's cells are. A start frame and a fetch body bound once per
-// worker, and node workspaces kept between runs, brought this from 21.15
-// mallocs per pair to 14.93 (15.11 under -race). A frame and a closure
-// spawned per pair again (earth.SpawnBody) make it 16.93, which the
-// ceiling, 15.5, does not fit.
+// a sweep's cells are, in both queue modes. A start frame and a fetch body
+// bound once per worker, and node workspaces kept between runs, brought
+// central mode from 21.15 mallocs per pair to 14.93 (15.11 under -race);
+// a frame and a closure spawned per pair again (earth.SpawnBody) make it
+// 16.93, which the ceiling, 15.5, does not fit. Distributed mode spawns
+// the same start frame for each step of its 51 pairs: 14.06 mallocs per
+// pair (14.24 under -race), where a frame and a closure per step
+// (earth.SpawnBody) make 16.41, over its ceiling, 15.0.
 func TestParallelAllocBudget(t *testing.T) {
-	const budget = 15.5
 	F, opt := k3Input()
-	rt := simrt.New(earth.Config{Nodes: 5, Seed: 1})
-	pairs := 0
-	perRun := testing.AllocsPerRun(5, func() {
-		res, err := ParallelBuchberger(rt, F, ParallelConfig{Opt: opt})
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		mode   string
+		pc     ParallelConfig
+		budget float64
+	}{
+		{"central", ParallelConfig{Opt: opt}, 15.5},
+		{"distributed", ParallelConfig{Opt: opt, DistributedQueues: true}, 15.0},
+	} {
+		rt := simrt.New(earth.Config{Nodes: 5, Seed: 1})
+		pairs := 0
+		perRun := testing.AllocsPerRun(5, func() {
+			res, err := ParallelBuchberger(rt, F, c.pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs = res.PairsProcessed
+		})
+		if perPair := perRun / float64(pairs); perPair > c.budget {
+			t.Errorf("%s: a completion allocates %.2f times per processed pair (%d pairs), budget %.2f", c.mode, perPair, pairs, c.budget)
+		} else {
+			t.Logf("%s: %.2f mallocs per pair (%d pairs)", c.mode, perPair, pairs)
 		}
-		pairs = res.PairsProcessed
-	})
-	if perPair := perRun / float64(pairs); perPair > budget {
-		t.Errorf("a completion allocates %.2f times per processed pair (%d pairs), budget %.2f", perPair, pairs, budget)
-	} else {
-		t.Logf("%.2f mallocs per pair (%d pairs)", perPair, pairs)
 	}
 }
 

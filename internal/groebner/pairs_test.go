@@ -70,10 +70,11 @@ func TestPairLessKeyedMatchesOrder(t *testing.T) {
 	}
 }
 
-// TestSelectBestIgnoresSetOrder: the pairs the Updater creates for a paper
-// input are keyed, and selectBest draws them from a shuffled set in the
-// order sortPairs gives.
-func TestSelectBestIgnoresSetOrder(t *testing.T) {
+// TestPairHeapIgnoresSetOrder: the pairs the Updater creates for a paper
+// input are keyed, and a heap over a shuffled set of them — pushed one by
+// one, or the whole slice put in order by init, as Buchberger does after
+// each Update — gives them up in the order a sort by Less gives.
+func TestPairHeapIgnoresSetOrder(t *testing.T) {
 	in := InputByName("Katsura-4")
 	ord := in.F[0].Ring().Order()
 	u := NewUpdater(in.Opt)
@@ -89,14 +90,28 @@ func TestSelectBestIgnoresSetOrder(t *testing.T) {
 			t.Fatalf("pair (%d,%d) of a packing ring is not keyed", p.I, p.J)
 		}
 	}
-	sorted := append([]Pair(nil), P...)
-	sortPairs(sorted, ord)
+	sorted := slices.Clone(P)
+	slices.SortFunc(sorted, func(p, q Pair) int {
+		switch {
+		case p.Less(q, ord):
+			return -1
+		case q.Less(p, ord):
+			return 1
+		}
+		return 0
+	})
 	rand.New(rand.NewSource(47)).Shuffle(len(P), func(i, j int) { P[i], P[j] = P[j], P[i] })
+	pushed := pairHeap{ord: ord}
+	for _, p := range P {
+		pushed.push(p)
+	}
+	inited := pairHeap{ord: ord, ps: slices.Clone(P)}
+	inited.init()
 	for _, want := range sorted {
-		var got Pair
-		got, P = selectBest(P, ord)
-		if got.I != want.I || got.J != want.J || got.Seq != want.Seq {
-			t.Fatalf("selectBest drew (%d,%d)#%d, sorted order has (%d,%d)#%d", got.I, got.J, got.Seq, want.I, want.J, want.Seq)
+		for name, h := range map[string]*pairHeap{"push": &pushed, "init": &inited} {
+			if got := h.pop(); got.I != want.I || got.J != want.J || got.Seq != want.Seq {
+				t.Fatalf("%s: heap drew (%d,%d)#%d, sorted order has (%d,%d)#%d", name, got.I, got.J, got.Seq, want.I, want.J, want.Seq)
+			}
 		}
 	}
 }
@@ -141,44 +156,80 @@ func TestConcurrentRunsShareNoWorkspace(t *testing.T) {
 	}
 }
 
-// TestPairHeapMatchesSelectBest: the central pool, a heap, gives up the
-// pairs in the order repeated selectBest does, with pushes and pops
-// interleaved as the maintenance node interleaves them, on random pair
-// sets mixing keyed and unkeyed pairs, ties on the LCM included.
-func TestPairHeapMatchesSelectBest(t *testing.T) {
+// scanBest removes and returns the best pair of P by a linear scan under
+// Less: the reference the pair heap is held to.
+func scanBest(P []Pair, ord poly.Order) (Pair, []Pair) {
+	best := 0
+	for i := range P {
+		if P[i].Less(P[best], ord) {
+			best = i
+		}
+	}
+	p := P[best]
+	return p, slices.Delete(P, best, best+1)
+}
+
+// TestPairHeapMatchesLinearScan: the pair heap gives up pairs in the
+// order a linear scan by Less does, on random sets mixing keyed and
+// unkeyed pairs, ties on the LCM included, under every use the completion
+// makes of it, interleaved: pushes and pops (the central pool, a worker's
+// queue); the slice filtered in place and appended to, then init (the
+// sequential set after each Update); and the best half donated by pops
+// (the ring).
+func TestPairHeapMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, ord := range []poly.Order{poly.Lex{}, poly.GrLex{}, poly.GRevLex{}} {
 		r := poly.NewRingMod(ord, 32003, "a", "b", "c", "d")
 		for iter := 0; iter < 200; iter++ {
 			size := 1 + rng.Intn(60)
-			seqs := rng.Perm(size) // no two pairs of a run share a Seq
-			h := pairHeap{ord: ord}
-			var P []Pair
-			for k := 0; k < size; k++ {
+			seqs := rng.Perm(4 * size) // no two pairs of a run share a Seq
+			newPair := func() Pair {
 				lcm := make(poly.Mono, 4)
 				for v := range lcm {
 					lcm[v] = rng.Intn(3)
 				}
-				p := pairOf(r, lcm, seqs[k])
+				seq := seqs[0]
+				seqs = seqs[1:]
 				if rng.Intn(3) == 0 {
-					p = Pair{LCM: lcm, Seq: seqs[k]}
+					return Pair{LCM: lcm, Seq: seq}
 				}
+				return pairOf(r, lcm, seq)
+			}
+			h := pairHeap{ord: ord}
+			var P []Pair
+			pop := func(use string) {
+				var want Pair
+				want, P = scanBest(P, ord)
+				if got := h.pop(); got.Seq != want.Seq {
+					t.Fatalf("%s, %s: heap gave #%d %v, the scan #%d %v", ord.Name(), use, got.Seq, got.LCM, want.Seq, want.LCM)
+				}
+			}
+			for range size {
+				p := newPair()
 				h.push(p)
 				P = append(P, p)
 				for rng.Intn(3) == 0 && len(P) > 0 {
-					var want Pair
-					want, P = selectBest(P, ord)
-					if got := h.pop(); got.Seq != want.Seq {
-						t.Fatalf("%s: heap gave #%d %v, selectBest #%d %v", ord.Name(), got.Seq, got.LCM, want.Seq, want.LCM)
+					pop("pop")
+				}
+				switch rng.Intn(8) {
+				case 0:
+					drop := func(p Pair) bool { return p.Seq%3 == 0 }
+					h.ps = slices.DeleteFunc(h.ps, drop)
+					P = slices.DeleteFunc(P, drop)
+					for range rng.Intn(4) {
+						p := newPair()
+						h.ps = append(h.ps, p)
+						P = append(P, p)
+					}
+					h.init()
+				case 1:
+					for range h.len() / 2 {
+						pop("donation")
 					}
 				}
 			}
 			for len(P) > 0 {
-				var want Pair
-				want, P = selectBest(P, ord)
-				if got := h.pop(); got.Seq != want.Seq {
-					t.Fatalf("%s: heap gave #%d %v, selectBest #%d %v", ord.Name(), got.Seq, got.LCM, want.Seq, want.LCM)
-				}
+				pop("drain")
 			}
 			if h.len() != 0 {
 				t.Fatalf("%s: %d pairs left in the heap", ord.Name(), h.len())
@@ -264,33 +315,40 @@ func refersToRun(v reflect.Value, seen map[uintptr]bool) bool {
 
 // TestPooledWorkspacesPinNothing: a completion's workers keep a basis and
 // a divisor table in their reducers between reductions, a start frame and
-// a bound fetch body, and the maintenance node its pair storage; after
-// each completion — sequential, then parallel on either engine — every
-// workspace on the free list refers to no polynomial, frame or closure,
-// and the list, emptied first, holds as many workspaces as were once in
-// use at the same time: one, then the five nodes'.
+// a bound fetch body, and pair heaps — the maintenance node's central
+// pool, each worker's queue in distributed mode; after each completion —
+// sequential, then parallel on either engine, then in distributed mode —
+// every workspace on the free list refers to no polynomial, frame or
+// closure and holds no pair, to its heap's capacity, and the list,
+// emptied first, holds as many workspaces as were once in use at the same
+// time: one, then the five nodes'. After the distributed run a worker's
+// workspace (every listed one but the last, the maintenance node's) has
+// kept its heap's capacity.
 func TestPooledWorkspacesPinNothing(t *testing.T) {
 	F, opt := k3Input()
 	workspaces.mu.Lock()
 	workspaces.free = nil
 	workspaces.mu.Unlock()
-	parallel := func(newRT func() earth.Runtime) func() error {
+	parallel := func(newRT func() earth.Runtime, distributed bool) func() error {
 		return func() error {
-			_, err := ParallelBuchberger(newRT(), F, ParallelConfig{Opt: opt})
+			_, err := ParallelBuchberger(newRT(), F, ParallelConfig{Opt: opt, DistributedQueues: distributed})
 			return err
 		}
 	}
+	onSim := func() earth.Runtime { return simrt.New(earth.Config{Nodes: 5, Seed: 1}) }
 	for _, c := range []struct {
-		name string
-		run  func() error
-		peak int
+		name        string
+		run         func() error
+		peak        int
+		workerHeaps bool
 	}{
 		{"Buchberger", func() error {
 			_, err := Buchberger(F, opt)
 			return err
-		}, 1},
-		{"ParallelBuchberger on simrt", parallel(func() earth.Runtime { return simrt.New(earth.Config{Nodes: 5, Seed: 1}) }), 5},
-		{"ParallelBuchberger on livert", parallel(func() earth.Runtime { return livert.New(earth.Config{Nodes: 5, Seed: 1}) }), 5},
+		}, 1, false},
+		{"ParallelBuchberger on simrt", parallel(onSim, false), 5, false},
+		{"ParallelBuchberger on livert", parallel(func() earth.Runtime { return livert.New(earth.Config{Nodes: 5, Seed: 1}) }, false), 5, false},
+		{"distributed ParallelBuchberger on simrt", parallel(onSim, true), 5, true},
 	} {
 		if err := c.run(); err != nil {
 			t.Fatal(err)
@@ -301,15 +359,22 @@ func TestPooledWorkspacesPinNothing(t *testing.T) {
 		if len(free) != c.peak {
 			t.Errorf("after %s: %d workspaces on the free list, want %d", c.name, len(free), c.peak)
 		}
-		grown := false
+		grown, heaps := false, false
 		for i, ws := range free {
 			if refersToRun(reflect.ValueOf(ws), map[uintptr]bool{}) {
 				t.Errorf("after %s: listed workspace %d refers to a polynomial, a frame or a closure", c.name, i)
 			}
+			if k := slices.IndexFunc(ws.pairs.ps[:cap(ws.pairs.ps)], func(p Pair) bool { return !reflect.ValueOf(p).IsZero() }); k >= 0 {
+				t.Errorf("after %s: listed workspace %d holds a pair at %d of its heap's %d", c.name, i, k, cap(ws.pairs.ps))
+			}
 			grown = grown || cap(ws.cache) > 0
+			heaps = heaps || i < len(free)-1 && cap(ws.pairs.ps) > 0
 		}
 		if c.peak > 1 && !grown {
 			t.Errorf("after %s: no listed workspace kept its cache's capacity", c.name)
+		}
+		if c.workerHeaps && !heaps {
+			t.Errorf("after %s: no worker's workspace kept its pair heap's capacity", c.name)
 		}
 	}
 }

@@ -58,10 +58,10 @@ import (
 // diagLog, when set, receives insertion-trace lines (test diagnostics).
 var diagLog func(string, ...any)
 
-// handOverLog, when set, sees each pair hand-over: the worker and the node
-// that ran it, the worker's adopter when the worker is down (test
-// diagnostics; called from every node's context).
-var handOverLog func(w int, on earth.NodeID)
+// startLog, when set, sees each spawn of a worker's start frame: the
+// worker and the node that spawned it, the worker's adopter when the
+// worker is down (test diagnostics; called from every node's context).
+var startLog func(w int, on earth.NodeID)
 
 // StepCost converts real reduction work (term operations) into modelled
 // i860 compute time.
@@ -165,11 +165,9 @@ type parState struct {
 	// Maintenance-node state.
 	registry  []*poly.Poly
 	created   int
-	pool      pairHeap     // central pool (default mode)
+	pool      *pairHeap    // central pool (default mode): the maintenance node's pairs
 	fresh     []Pair       // newPairsFor's output, reused by each call
 	books     []workerBook // indexed by worker id
-	nWaiting  int          // books with waiting set
-	nInflight int          // books with reducing set
 	insertQ   []insertReq
 	stopped   bool
 	added     int
@@ -197,7 +195,9 @@ type workerBook struct {
 // it on the workspaces free list (see putWorkspace): between runs it keeps
 // its reducer and its slices' capacity and refers to nothing else.
 type parNode struct {
-	queue []Pair // distributed mode: local priority queue
+	// pairs is the central pool on the maintenance node (default mode), or
+	// the worker's own priority queue (distributed mode).
+	pairs pairHeap
 	cache []*poly.Poly
 	leads []poly.Mono // leads[i] is cache[i].LeadMono()
 	// stair lists, in index order, the cache entries that form the
@@ -210,17 +210,17 @@ type parNode struct {
 	// node, which reduces nothing). Nodes run on separate host goroutines
 	// on livert, so a workspace is never shared between them.
 	red *poly.Reducer
-	// start is this worker's one-thread start frame for the run (central
-	// mode): its thread starts next, the pair the last fetch reply handed
-	// over, pending until then. fetch is the worker's fetch request body,
-	// bound once per run like start's thread.
+	// start is this worker's one-thread start frame for the run. In
+	// central mode its thread starts next, the pair the last fetch reply
+	// handed over, pending until then; in distributed mode it is step.
+	// fetch is the worker's fetch request body (central mode), bound once
+	// per run like start's thread.
 	start   *earth.Frame
 	fetch   earth.ThreadBody
 	next    Pair
 	pending bool
-	// heap and fresh keep the maintenance node's pair storage between
-	// runs: the central pool's heap and newPairsFor's output.
-	heap, fresh []Pair
+	// fresh keeps newPairsFor's output between runs (maintenance node).
+	fresh       []Pair
 	busy        bool
 	stop        bool
 	outstanding int // shipped, unacknowledged insert requests
@@ -234,12 +234,11 @@ func (n *parNode) reset() {
 	n.red.SetBasis(nil)
 	*n = parNode{
 		red:       n.red,
-		queue:     emptied(n.queue),
+		pairs:     pairHeap{ps: emptied(n.pairs.ps)},
 		cache:     emptied(n.cache),
 		leads:     emptied(n.leads),
 		stair:     n.stair[:0],
 		staircase: emptied(n.staircase),
-		heap:      emptied(n.heap),
 		fresh:     emptied(n.fresh),
 	}
 }
@@ -326,7 +325,6 @@ func ParallelBuchberger(rt earth.Runtime, F []*poly.Poly, cfg ParallelConfig) (*
 		upd:     NewUpdater(cfg.Opt),
 		workers: rt.P() - 1,
 		m:       earth.NodeID(rt.P() - 1),
-		pool:    pairHeap{ord: ring.Order()},
 		books:   make([]workerBook, rt.P()-1),
 	}
 	// The maintenance node takes its workspace first and the workers
@@ -338,18 +336,22 @@ func ParallelBuchberger(rt earth.Runtime, F []*poly.Poly, cfg ParallelConfig) (*
 	for w := range st.workers {
 		st.nodes[w] = getWorkspace()
 	}
-	if !cfg.DistributedQueues {
-		for w, n := range st.nodes[:st.workers] {
-			n.start = earth.NewFrame(earth.NodeID(w), 1, 0).SetThread(0, func(c earth.Ctx) { st.startNext(c, w) })
-			n.fetch = func(c earth.Ctx) { st.serveFetch(c, w) }
+	for w, n := range st.nodes[:st.workers] {
+		start := func(c earth.Ctx) { st.startNext(c, w) }
+		if cfg.DistributedQueues {
+			start = func(c earth.Ctx) { st.step(c, w) }
 		}
+		n.start = earth.NewFrame(earth.NodeID(w), 1, 0).SetThread(0, start)
+		n.fetch = func(c earth.Ctx) { st.serveFetch(c, w) }
+		n.pairs.ord = ring.Order()
 	}
 	mn := st.nodes[st.m]
-	st.pool.ps, st.fresh = mn.heap, mn.fresh
+	mn.pairs.ord = ring.Order()
+	st.pool, st.fresh = &mn.pairs, mn.fresh
 
 	stats := rt.Run(func(c earth.Ctx) { st.driver(c, G) })
 
-	mn.heap, mn.fresh = st.pool.ps, st.fresh
+	mn.fresh = st.fresh
 	res := &ParallelResult{
 		Basis:     &Basis{Ring: ring, Polys: st.registry},
 		Stats:     stats,
@@ -396,7 +398,7 @@ func (st *parState) bootstrap(c earth.Ctx, G []*poly.Poly) {
 		sizes := make([]int, len(G))
 		writes := make([]func(), len(G))
 		for idx, g := range G {
-			idx, g, lead := idx, g, st.lead(idx)
+			lead := st.lead(idx)
 			sizes[idx] = g.Bytes()
 			writes[idx] = func() { st.nodeCachePut(w, idx, g, lead) }
 		}
@@ -404,23 +406,9 @@ func (st *parState) bootstrap(c earth.Ctx, G []*poly.Poly) {
 	}
 
 	if st.cfg.DistributedQueues {
-		batches := make([][]Pair, st.workers)
-		for k, p := range pairs {
-			batches[k%st.workers] = append(batches[k%st.workers], p)
-		}
-		for w, b := range batches {
-			if len(b) == 0 {
-				continue
-			}
-			w, b := w, b
-			c.Post(earth.NodeID(w), len(b)*pairMsgBytes, func(c earth.Ctx) {
-				st.receivePairs(c, w, b)
-			})
-		}
 		// Workers with no initial pairs go through the ring.
-		for w := 0; w < st.workers; w++ {
-			if len(batches[w]) == 0 {
-				w := w
+		for w, b := range st.deal(c, pairs, 0) {
+			if len(b) == 0 {
 				c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.ringRequest(c, w) })
 			}
 		}
@@ -430,10 +418,25 @@ func (st *parState) bootstrap(c earth.Ctx, G []*poly.Poly) {
 	for _, p := range pairs {
 		st.pool.push(p)
 	}
-	for w := 0; w < st.workers; w++ {
-		w := w
+	for w := range st.workers {
 		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.fetchWork(c, w) })
 	}
+}
+
+// deal hands pairs out round-robin from worker from on, one batch message
+// per worker dealt any, and returns the batches (distributed mode).
+func (st *parState) deal(c earth.Ctx, pairs []Pair, from int) [][]Pair {
+	batches := make([][]Pair, st.workers)
+	for k, p := range pairs {
+		w := (from + k) % st.workers
+		batches[w] = append(batches[w], p)
+	}
+	for w, b := range batches {
+		if len(b) > 0 {
+			c.Post(earth.NodeID(w), len(b)*pairMsgBytes, func(c earth.Ctx) { st.receivePairs(c, w, b) })
+		}
+	}
+	return batches
 }
 
 // lead returns the leading monomial of registry entry idx, unpacked once
@@ -470,29 +473,35 @@ func (st *parState) fetchWork(c earth.Ctx, w int) {
 func (st *parState) serveFetch(c earth.Ctx, w int) {
 	if st.pool.len() > 0 {
 		p := st.pool.pop()
-		st.setInflight(w, p)
+		st.books[w].inflight, st.books[w].reducing = p, true
 		c.Post(earth.NodeID(w), pairMsgBytes, func(c earth.Ctx) { st.handOver(c, w, p) })
 		return
 	}
-	st.setWaiting(w)
+	st.books[w].waiting = true
 	c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.nodes[w].busy = false })
 	st.maybeTerminate(c)
 }
 
-// handOver runs on worker w, or on its adopter while w is down (which may
-// spawn w's frames): it stores the pair the maintenance node handed w and
-// spawns w's start frame. A worker has at most one fetch outstanding, so
-// its previous pair has started by now; the reused frame relies on that.
+// handOver runs on worker w, or on its adopter while w is down: it stores
+// the pair the maintenance node handed w and spawns w's start frame. A
+// worker has at most one fetch outstanding, so its previous pair has
+// started by now; the reused frame relies on that.
 func (st *parState) handOver(c earth.Ctx, w int, p Pair) {
 	n := st.nodes[w]
 	if n.pending {
 		panic(fmt.Sprintf("groebner: worker %d handed pair (%d,%d) before its pair (%d,%d) started", w, p.I, p.J, n.next.I, n.next.J))
 	}
-	if handOverLog != nil {
-		handOverLog(w, c.Node())
-	}
 	n.next, n.pending = p, true
-	c.Spawn(n.start, 0)
+	st.spawnStart(c, w)
+}
+
+// spawnStart spawns worker w's start frame from w, or from its adopter
+// while w is down (which may spawn w's frames).
+func (st *parState) spawnStart(c earth.Ctx, w int) {
+	if startLog != nil {
+		startLog(w, c.Node())
+	}
+	c.Spawn(st.nodes[w].start, 0)
 }
 
 // startNext is thread 0 of worker w's start frame: it starts the pair the
@@ -530,7 +539,6 @@ func (st *parState) ensureCached(c earth.Ctx, w int, p Pair) bool {
 	f.InitSync(0, len(missing), 0, 0)
 	f.SetThread(0, func(c earth.Ctx) { st.processPair(c, w, p) })
 	for _, idx := range missing {
-		idx := idx
 		// Pairs are created only after registration, so the entry exists.
 		c.Get(st.m, 512, func() func() {
 			g, lead := st.registry[idx], st.lead(idx)
@@ -554,7 +562,7 @@ func (st *parState) processPair(c earth.Ctx, w int, p Pair) {
 	} else {
 		proc := n.processed
 		c.Post(st.m, pairMsgBytes, func(c earth.Ctx) {
-			st.clearInflight(w)
+			st.books[w].reducing = false
 			st.books[w].processed = proc
 			st.tryInsert(c) // the gate may have been waiting on this pair
 			if !st.cfg.DistributedQueues {
@@ -575,7 +583,7 @@ func (st *parState) shipResult(c earth.Ctx, w int, p Pair, nf *poly.Poly) {
 	c.Post(st.m, nf.Bytes()+pairMsgBytes, func(c earth.Ctx) {
 		st.insertQ = append(st.insertQ, req)
 		// Also after a rereduce, when w may already hold its next pair.
-		st.clearInflight(w)
+		st.books[w].reducing = false
 		st.books[w].processed = proc
 		st.tryInsert(c)
 	})
@@ -584,7 +592,7 @@ func (st *parState) shipResult(c earth.Ctx, w int, p Pair, nf *poly.Poly) {
 // continueWorker resumes worker w's main loop in the configured mode.
 func (st *parState) continueWorker(c earth.Ctx, w int) {
 	if st.cfg.DistributedQueues {
-		earth.SpawnBody(c, func(c earth.Ctx) { st.step(c, w) })
+		st.spawnStart(c, w)
 		return
 	}
 	st.fetchWork(c, w)
@@ -688,8 +696,7 @@ func (st *parState) finishInsert(c earth.Ctx, w int, idx int, nf *poly.Poly) {
 	if nf != nil {
 		// Broadcast (read caching of the replicated solution set).
 		lead := st.lead(idx)
-		for o := 0; o < st.workers; o++ {
-			o := o
+		for o := range st.workers {
 			c.Post(earth.NodeID(o), nf.Bytes(), func(c earth.Ctx) {
 				st.nodeCachePut(o, idx, nf, lead)
 				st.onBroadcast(c, o)
@@ -699,20 +706,8 @@ func (st *parState) finishInsert(c earth.Ctx, w int, idx int, nf *poly.Poly) {
 		pairs := st.newPairsFor(st.registry, idx)
 		st.created += len(pairs)
 		if st.cfg.DistributedQueues {
-			batches := make([][]Pair, st.workers)
-			for k, p := range pairs {
-				batches[(st.rrNext+k)%st.workers] = append(batches[(st.rrNext+k)%st.workers], p)
-			}
+			st.deal(c, pairs, st.rrNext)
 			st.rrNext++
-			for o, b := range batches {
-				if len(b) == 0 {
-					continue
-				}
-				o, b := o, b
-				c.Post(earth.NodeID(o), len(b)*pairMsgBytes, func(c earth.Ctx) {
-					st.receivePairs(c, o, b)
-				})
-			}
 		} else {
 			for _, p := range pairs {
 				st.pool.push(p)
@@ -734,33 +729,7 @@ func (st *parState) dispatchWaiting(c earth.Ctx) {
 			continue
 		}
 		st.books[w].waiting = false
-		st.nWaiting--
 		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.fetchWork(c, w) })
-	}
-}
-
-// setWaiting marks worker w parked.
-func (st *parState) setWaiting(w int) {
-	if !st.books[w].waiting {
-		st.books[w].waiting = true
-		st.nWaiting++
-	}
-}
-
-// setInflight records that worker w is reducing p.
-func (st *parState) setInflight(w int, p Pair) {
-	if !st.books[w].reducing {
-		st.books[w].reducing = true
-		st.nInflight++
-	}
-	st.books[w].inflight = p
-}
-
-// clearInflight records that worker w's reduction has been reported.
-func (st *parState) clearInflight(w int) {
-	if st.books[w].reducing {
-		st.books[w].reducing = false
-		st.nInflight--
 	}
 }
 
@@ -779,41 +748,40 @@ func (st *parState) newPairsFor(basis []*poly.Poly, idx int) []Pair {
 	return pairs
 }
 
-// maybeTerminate runs on the maintenance node after every state change:
-// when every worker is parked with no outstanding requests, no pair is in
-// flight and no insert is running, and no pair is left — the central pool
-// is empty or, in distributed mode, where queue contents are remote, the
-// pair counts are conserved (every created pair has been processed) — the
-// completion has finished and the workers are stopped. This is the
-// reserved node's termination detection, event-driven because all global
-// state lives on it.
+// maybeTerminate runs on the maintenance node after every state change —
+// termination detection is event-driven, as all global state lives there
+// — and stops the workers once the completion has finished.
 func (st *parState) maybeTerminate(c earth.Ctx) {
-	if st.stopped || len(st.insertQ) > 0 || st.nInflight > 0 || st.nWaiting < st.workers {
+	if st.stopped || !st.finished() {
 		return
+	}
+	st.stopped = true
+	for w := range st.workers {
+		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.nodes[w].stop = true })
+	}
+}
+
+// finished is the termination rule (DESIGN.md §4a.3), a predicate of the
+// maintenance node's books alone: no insert is queued, every worker is
+// parked with no pair in flight and no request outstanding, and no pair
+// is left — the central pool is empty or, in distributed mode, where
+// queue contents are remote, every created pair has been processed. A
+// request bounced back for re-reduction is in no book (ROADMAP 7(b)).
+func (st *parState) finished() bool {
+	if len(st.insertQ) > 0 {
+		return false
 	}
 	total := 0
 	for _, b := range st.books {
-		if b.outstand > 0 {
-			return
+		if !b.waiting || b.reducing || b.outstand > 0 {
+			return false
 		}
 		total += b.processed
 	}
 	if st.cfg.DistributedQueues {
-		if total != st.created {
-			return
-		}
-	} else if st.pool.len() > 0 {
-		return
+		return total == st.created
 	}
-	st.stop(c)
-}
-
-func (st *parState) stop(c earth.Ctx) {
-	st.stopped = true
-	for w := 0; w < st.workers; w++ {
-		w := w
-		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.nodes[w].stop = true })
-	}
+	return st.pool.len() == 0
 }
 
 // ---------- distributed-queues mode (ablation) ----------
@@ -822,45 +790,46 @@ func (st *parState) stop(c earth.Ctx) {
 // (re)start the main loop.
 func (st *parState) receivePairs(c earth.Ctx, w int, pairs []Pair) {
 	n := st.nodes[w]
-	n.queue = append(n.queue, pairs...)
+	for _, p := range pairs {
+		n.pairs.push(p)
+	}
 	n.ringAsked = false
 	if !n.busy && !n.stop {
 		n.busy = true
-		earth.SpawnBody(c, func(c earth.Ctx) { st.step(c, w) })
+		st.spawnStart(c, w)
 	}
 }
 
-// step is one iteration of worker w's main loop in distributed mode.
+// step is thread 0 of worker w's start frame in distributed mode, one
+// iteration of its main loop: start the best pair of the local queue, or
+// report idle.
 func (st *parState) step(c earth.Ctx, w int) {
 	n := st.nodes[w]
 	if n.stop {
 		n.busy = false
 		return
 	}
-	if len(n.queue) == 0 {
+	if n.pairs.len() == 0 {
 		n.busy = false
-		st.ringRequest(c, w)
 		st.reportIdle(c, w)
 		return
 	}
-	var p Pair
-	p, n.queue = selectBest(n.queue, st.ring.Order())
-	c.Post(st.m, pairMsgBytes, func(c earth.Ctx) { st.setInflight(w, p) })
-	if !st.ensureCached(c, w, p) {
-		return
-	}
-	st.processPair(c, w, p)
+	p := n.pairs.pop()
+	c.Post(st.m, pairMsgBytes, func(c earth.Ctx) { st.books[w].inflight, st.books[w].reducing = p, true })
+	st.startPair(c, w, p)
 }
 
-// reportIdle tells the maintenance node this worker ran dry (distributed
-// termination bookkeeping).
+// reportIdle runs on worker w with an empty queue: it asks the ring for
+// pairs and tells the maintenance node w ran dry (distributed termination
+// bookkeeping).
 func (st *parState) reportIdle(c earth.Ctx, w int) {
+	st.ringRequest(c, w)
 	n := st.nodes[w]
 	proc, out := n.processed, n.outstanding
 	c.Post(st.m, 16, func(c earth.Ctx) {
 		st.books[w].processed = proc
 		st.books[w].outstand = out
-		st.setWaiting(w)
+		st.books[w].waiting = true
 		st.maybeTerminate(c)
 	})
 }
@@ -874,25 +843,22 @@ func (st *parState) onBroadcast(c earth.Ctx, o int) {
 		return
 	}
 	n := st.nodes[o]
-	if !n.busy && !n.stop {
-		if len(n.queue) > 0 {
-			n.busy = true
-			earth.SpawnBody(c, func(c earth.Ctx) { st.step(c, o) })
-		} else {
-			n.ringAsked = false
-			st.ringRequest(c, o)
-			st.reportIdle(c, o)
-		}
+	if n.busy || n.stop {
+		return
 	}
+	if n.pairs.len() > 0 {
+		n.busy = true
+		st.spawnStart(c, o)
+		return
+	}
+	n.ringAsked = false
+	st.reportIdle(c, o)
 }
 
 // ringRequest implements the receiver-initiated ring distribution: an
 // idle worker asks its successor for pairs; the request travels the ring
 // until a donor is found or it returns home.
 func (st *parState) ringRequest(c earth.Ctx, w int) {
-	if !st.cfg.DistributedQueues {
-		return
-	}
 	n := st.nodes[w]
 	if n.ringAsked || st.workers < 2 {
 		return
@@ -907,15 +873,13 @@ func (st *parState) ringHop(c earth.Ctx, requester, at int) {
 	}
 	c.Post(earth.NodeID(at), 16, func(c earth.Ctx) {
 		v := st.nodes[at]
-		if len(v.queue) > 1 {
+		if v.pairs.len() > 1 {
 			// Donate the best half: the requester starts on it
 			// immediately, keeping global order close to the heuristic.
-			sortPairs(v.queue, st.ring.Order())
-			half := len(v.queue) / 2
-			donation := make([]Pair, half)
-			copy(donation, v.queue[:half])
-			copy(v.queue, v.queue[half:])
-			v.queue = v.queue[:len(v.queue)-half]
+			donation := make([]Pair, v.pairs.len()/2)
+			for i := range donation {
+				donation[i] = v.pairs.pop()
+			}
 			c.Post(earth.NodeID(requester), len(donation)*pairMsgBytes, func(c earth.Ctx) {
 				st.receivePairs(c, requester, donation)
 			})
@@ -923,67 +887,6 @@ func (st *parState) ringHop(c earth.Ctx, requester, at int) {
 		}
 		st.ringHop(c, requester, (at+1)%st.workers)
 	})
-}
-
-// pairHeap is the central pool: a binary min-heap under Pair.Less. Less
-// is a strict total order — no two pairs of a run share a Seq — so pop
-// returns the pair selectBest would pick from the same set, whatever the
-// heap's shape.
-type pairHeap struct {
-	ord poly.Order
-	ps  []Pair
-}
-
-func (h *pairHeap) len() int { return len(h.ps) }
-
-func (h *pairHeap) push(p Pair) {
-	ps := append(h.ps, p)
-	i := len(ps) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !p.Less(ps[parent], h.ord) {
-			break
-		}
-		ps[i] = ps[parent]
-		i = parent
-	}
-	ps[i] = p
-	h.ps = ps
-}
-
-// pop removes and returns the best pair; the heap must not be empty.
-func (h *pairHeap) pop() Pair {
-	ps := h.ps
-	top, n := ps[0], len(ps)-1
-	last := ps[n]
-	ps[n] = Pair{} // release its LCM
-	ps = ps[:n]
-	h.ps = ps
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for c := 1; c < n; c = 2*i + 1 {
-		if c+1 < n && ps[c+1].Less(ps[c], h.ord) {
-			c++
-		}
-		if !ps[c].Less(last, h.ord) {
-			break
-		}
-		ps[i] = ps[c]
-		i = c
-	}
-	ps[i] = last
-	return top
-}
-
-// sortPairs orders a pair slice best-first (see Pair.Less).
-func sortPairs(ps []Pair, ord poly.Order) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].Less(ps[j-1], ord); j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
 }
 
 // MeanPolyBytes reports the mean compacted size of a basis's polynomials

@@ -296,3 +296,58 @@ func TestParallelMPModelsSlower(t *testing.T) {
 		t.Fatalf("MP-1000us (%v) not slower than EARTH (%v)", mpT, earthT)
 	}
 }
+
+// TestStopRuleOverBooks holds finished, the maintenance node's stop rule,
+// to the rule DESIGN.md §4a.3 states, over every combination of the books
+// of two workers — waiting, reducing, a request outstanding — with the
+// insert queue empty or not and a pair left or not: in the central pool,
+// or, in distributed mode, created and not yet reported processed. The
+// rule: stop exactly when no insert is queued, no pair is left, and every
+// worker waits with nothing in flight and nothing outstanding. A request
+// bounced back for re-reduction is in no book, so no row can hold one:
+// that window is ROADMAP 7(b), whose fix moves a -json digit and is its
+// own change.
+func TestStopRuleOverBooks(t *testing.T) {
+	const workers = 2
+	for _, distributed := range []bool{false, true} {
+		for row := range 1 << (3*workers + 2) {
+			bit := func(k int) bool { return row>>k&1 == 1 }
+			st := &parState{
+				cfg:     ParallelConfig{DistributedQueues: distributed},
+				workers: workers,
+				pool:    &pairHeap{},
+				books:   make([]workerBook, workers),
+			}
+			parked, busy := 0, 0
+			for w := range st.books {
+				b := &st.books[w]
+				b.waiting, b.reducing = bit(3*w), bit(3*w+1)
+				if bit(3*w + 2) {
+					b.outstand = 1
+				}
+				b.processed = 2 + w
+				st.created += b.processed
+				if b.waiting {
+					parked++
+				}
+				if b.reducing || b.outstand > 0 {
+					busy++
+				}
+			}
+			queued, left := bit(3*workers), bit(3*workers+1)
+			if queued {
+				st.insertQ = make([]insertReq, 1)
+			}
+			if left && distributed {
+				st.created++
+			} else if left {
+				st.pool.push(Pair{})
+			}
+			want := parked == workers && busy == 0 && !queued && !left
+			if got := st.finished(); got != want {
+				t.Errorf("distributed=%v %+v insertQ=%d pool=%d created=%d: finished() = %v, want %v",
+					distributed, st.books, len(st.insertQ), st.pool.len(), st.created, got, want)
+			}
+		}
+	}
+}

@@ -45,25 +45,6 @@ type kbInsert struct {
 	prefix int
 }
 
-// workerSet is a set of worker ids that knows its size.
-type workerSet struct {
-	has []bool
-	n   int
-}
-
-// put adds w to the set (in) or removes it.
-func (s *workerSet) put(w int, in bool) {
-	if s.has[w] == in {
-		return
-	}
-	s.has[w] = in
-	if in {
-		s.n++
-	} else {
-		s.n--
-	}
-}
-
 type kbState struct {
 	cost    StepCost
 	workers int
@@ -74,8 +55,8 @@ type kbState struct {
 	pool     []CriticalPair
 	seq      int
 	insertQ  []kbInsert
-	waiting  workerSet // parked on an empty pool
-	inflight workerSet // reducing a pair
+	waiting  []bool // by worker: parked on an empty pool
+	inflight []bool // by worker: reducing a pair
 	// unresolved counts insert requests accepted by the maintenance node
 	// whose resolution (commit acknowledgement or withdrawal) has not yet
 	// been confirmed — the termination guard for in-flight conflict
@@ -86,11 +67,10 @@ type kbState struct {
 	rejected   int
 
 	// Per-worker caches (owner-only).
-	caches  [][]Rule
-	busy    []bool
-	stop    []bool
-	pending []int // outstanding insert requests per worker
-	proc    []int
+	caches [][]Rule
+	busy   []bool
+	stop   []bool
+	proc   []int
 }
 
 // ParallelComplete runs completion on rt (>= 2 nodes: workers plus the
@@ -102,12 +82,11 @@ func ParallelComplete(rt earth.Runtime, s *System) (*ParallelResult, error) {
 	workers := rt.P() - 1
 	st := &kbState{
 		cost: DefaultStepCost(), workers: workers, m: earth.NodeID(workers),
-		waiting:  workerSet{has: make([]bool, workers)},
-		inflight: workerSet{has: make([]bool, workers)},
+		waiting:  make([]bool, workers),
+		inflight: make([]bool, workers),
 		caches:   make([][]Rule, workers),
 		busy:     make([]bool, workers),
 		stop:     make([]bool, workers),
-		pending:  make([]int, workers),
 		proc:     make([]int, workers),
 	}
 
@@ -123,7 +102,6 @@ func ParallelComplete(rt earth.Runtime, s *System) (*ParallelResult, error) {
 			for w := 0; w < st.workers; w++ {
 				w := w
 				for idx, r := range rules {
-					idx, r := idx, r
 					earth.BlkMovBytes(c, earth.NodeID(w), len(r.L)+len(r.R), func() {
 						st.cachePut(w, idx, r)
 					}, nil, 0)
@@ -201,13 +179,13 @@ func (st *kbState) fetch(c earth.Ctx, w int) {
 			cp := st.pool[best]
 			st.pool[best] = st.pool[len(st.pool)-1]
 			st.pool = st.pool[:len(st.pool)-1]
-			st.inflight.put(w, true)
+			st.inflight[w] = true
 			c.Post(earth.NodeID(w), len(cp.Word)+len(cp.U)+len(cp.V), func(c earth.Ctx) {
 				earth.SpawnBody(c, func(c earth.Ctx) { st.reduce(c, w, cp) })
 			})
 			return
 		}
-		st.waiting.put(w, true)
+		st.waiting[w] = true
 		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.busy[w] = false })
 		st.maybeStop(c)
 	})
@@ -223,17 +201,16 @@ func (st *kbState) reduce(c earth.Ctx, w int, cp CriticalPair) {
 	st.proc[w]++
 	if nu == nv {
 		c.Post(st.m, 16, func(c earth.Ctx) {
-			st.inflight.put(w, false)
+			st.inflight[w] = false
 			st.tryInsert(c) // a blocked commit may have waited on this pair
 			st.maybeStop(c)
 		})
 		st.fetch(c, w)
 		return
 	}
-	st.pending[w]++
 	req := kbInsert{w: w, word: cp.Word, u: nu, v: nv, prefix: st.prefixLen(w)}
 	c.Post(st.m, len(nu)+len(nv)+16, func(c earth.Ctx) {
-		st.inflight.put(w, false)
+		st.inflight[w] = false
 		st.unresolved++
 		st.insertQ = append(st.insertQ, req)
 		st.tryInsert(c)
@@ -290,7 +267,6 @@ func (st *kbState) rereduce(c earth.Ctx, req kbInsert) {
 	nv, sv := local.NormalForm(req.v)
 	c.Compute(sim.Time(su+sv) * st.cost.PerStep)
 	if nu == nv {
-		st.pending[req.w]--
 		c.Post(st.m, 8, func(c earth.Ctx) {
 			st.unresolved--
 			st.maybeStop(c)
@@ -316,8 +292,7 @@ func (st *kbState) commit(c earth.Ctx, req kbInsert) {
 		for i := 0; i <= idx; i++ {
 			st.addPairs(i, idx)
 		}
-		for w := 0; w < st.workers; w++ {
-			w := w
+		for w := range st.workers {
 			c.Post(earth.NodeID(w), len(rule.L)+len(rule.R), func(c earth.Ctx) {
 				st.cachePut(w, idx, rule)
 			})
@@ -327,7 +302,6 @@ func (st *kbState) commit(c earth.Ctx, req kbInsert) {
 	// Acknowledge the origin worker; the returning confirmation resolves
 	// the request.
 	c.Post(earth.NodeID(req.w), 8, func(c earth.Ctx) {
-		st.pending[req.w]--
 		c.Post(st.m, 8, func(c earth.Ctx) {
 			st.unresolved--
 			st.maybeStop(c)
@@ -338,29 +312,42 @@ func (st *kbState) commit(c earth.Ctx, req kbInsert) {
 // dispatchWaiting restarts parked workers, in id order, while pairs are
 // available.
 func (st *kbState) dispatchWaiting(c earth.Ctx) {
-	for w, parked := range st.waiting.has {
+	for w, parked := range st.waiting {
 		if len(st.pool) == 0 {
 			return
 		}
 		if !parked {
 			continue
 		}
-		st.waiting.put(w, false)
+		st.waiting[w] = false
 		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.fetch(c, w) })
 	}
 }
 
-// maybeStop: event-driven termination on the maintenance node.
+// maybeStop runs on the maintenance node after every state change and
+// stops the workers once the completion has finished.
 func (st *kbState) maybeStop(c earth.Ctx) {
-	if st.stopped || len(st.pool) > 0 || len(st.insertQ) > 0 || st.inflight.n > 0 {
-		return
-	}
-	if st.unresolved > 0 || st.waiting.n < st.workers {
+	if st.stopped || !st.finished() {
 		return
 	}
 	st.stopped = true
-	for w := 0; w < st.workers; w++ {
-		w := w
+	for w := range st.workers {
 		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.stop[w] = true })
 	}
+}
+
+// finished is the termination rule (DESIGN.md §4a.3), a predicate of the
+// maintenance node's books alone: the pool and the insert queue are empty,
+// every accepted request is resolved (a bounced one included), and every
+// worker is parked with no pair in flight.
+func (st *kbState) finished() bool {
+	if len(st.pool) > 0 || len(st.insertQ) > 0 || st.unresolved > 0 {
+		return false
+	}
+	for w, parked := range st.waiting {
+		if !parked || st.inflight[w] {
+			return false
+		}
+	}
+	return true
 }

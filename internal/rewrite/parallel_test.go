@@ -102,3 +102,44 @@ func TestParallelCompleteTooFewNodes(t *testing.T) {
 		t.Fatal("1-node run accepted (needs workers + maintenance)")
 	}
 }
+
+// TestStopRuleOverBooks holds finished, the maintenance node's stop rule,
+// to the rule DESIGN.md §4a.3 states, over every combination of the books
+// of two workers — waiting, reducing a pair — with a request unresolved
+// or not, a pair in the pool or not and an insert queued or not. The rule:
+// stop exactly when the pool and the insert queue are empty, no accepted
+// request is unresolved, and every worker waits with no pair in flight. A
+// request bounced back for re-reduction stays unresolved until its
+// withdrawal or its commit is confirmed, so the unresolved rows hold it.
+func TestStopRuleOverBooks(t *testing.T) {
+	const workers = 2
+	for row := range 1 << (2*workers + 3) {
+		bit := func(k int) bool { return row>>k&1 == 1 }
+		st := &kbState{workers: workers, waiting: make([]bool, workers), inflight: make([]bool, workers)}
+		parked, reducing := 0, 0
+		for w := range workers {
+			st.waiting[w], st.inflight[w] = bit(2*w), bit(2*w+1)
+			if st.waiting[w] {
+				parked++
+			}
+			if st.inflight[w] {
+				reducing++
+			}
+		}
+		unresolved, pooled, queued := bit(2*workers), bit(2*workers+1), bit(2*workers+2)
+		if unresolved {
+			st.unresolved = 1
+		}
+		if pooled {
+			st.pool = make([]CriticalPair, 1)
+		}
+		if queued {
+			st.insertQ = make([]kbInsert, 1)
+		}
+		want := parked == workers && reducing == 0 && !unresolved && !pooled && !queued
+		if got := st.finished(); got != want {
+			t.Errorf("waiting=%v inflight=%v unresolved=%d pool=%d insertQ=%d: finished() = %v, want %v",
+				st.waiting, st.inflight, st.unresolved, len(st.pool), len(st.insertQ), got, want)
+		}
+	}
+}
