@@ -516,10 +516,13 @@ func runGroebner(o *options, rt earth.Runtime, w io.Writer) (*earth.Stats, error
 	if err != nil {
 		return nil, fmt.Errorf("parallel run: %v", err)
 	}
-	base := groebner.SeqVirtualTime(seq.Trace, sc)
-	fmt.Fprintf(w, "basis=%d pairs=%d added=%d speedup=%.2f\n",
-		len(res.Basis.Polys), res.PairsProcessed, res.Added,
-		float64(base)/float64(res.Stats.Elapsed))
+	fmt.Fprintf(w, "basis=%d pairs=%d added=%d", len(res.Basis.Polys), res.PairsProcessed, res.Added)
+	// The speedup divides the modelled sequential time by the simulated
+	// parallel one; livert's elapsed time is the host's, so it has none.
+	if !o.live {
+		fmt.Fprintf(w, " speedup=%.2f", float64(groebner.SeqVirtualTime(seq.Trace, sc))/float64(res.Stats.Elapsed))
+	}
+	fmt.Fprintln(w)
 	return res.Stats, nil
 }
 

@@ -162,6 +162,26 @@ func TestTraceWriteFailureExits1(t *testing.T) {
 	}
 }
 
+// TestLiveGroebnerPrintsNoSpeedup: a Gröbner run's speedup divides the
+// modelled sequential time by the simulated parallel one, so earthsim
+// prints it for a simrt run only: livert's elapsed time is the host's.
+func TestLiveGroebnerPrintsNoSpeedup(t *testing.T) {
+	for _, live := range []bool{false, true} {
+		args := []string{"-app", "groebner", "-input", "Lazard", "-nodes", "4"}
+		if live {
+			args = append(args, "-live")
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("earthsim %s: exit code %d\n%s", strings.Join(args, " "), code, stderr.Bytes())
+		}
+		out := stdout.String()
+		if !strings.Contains(out, "basis=") || strings.Contains(out, "speedup=") == live {
+			t.Errorf("live=%v: stdout %q, want a basis line with a speedup only on simrt", live, out)
+		}
+	}
+}
+
 // TestDeterminismMatrix is the byte-identity contract of the simulator
 // at its CLI surface — local verify and CI run this same test. Each row
 // is one earthsim command line; its stats JSON, Chrome trace, sanitizer

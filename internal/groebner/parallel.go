@@ -127,8 +127,12 @@ type ParallelResult struct {
 	// Deferrals counts insert requests deferred by the ordered-commit
 	// gate.
 	Deferrals int
-	// Rejected counts shipped results whose global recheck reduced them
-	// to zero.
+	// Rejected counts conflict rounds: the times the commit found a
+	// shipped result reduced against fewer basis elements than had been
+	// admitted since, and sent it back to its worker with the missing
+	// ones to reduce again. A result that then reduces to zero is
+	// withdrawn; one that does not is shipped again and may be sent back
+	// again, so this counts rounds, not results.
 	Rejected int
 }
 

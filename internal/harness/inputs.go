@@ -48,8 +48,12 @@ type paperNet struct {
 	forward *neural.Net
 	// xs and ts are nnSamples(u, paperSamples), shared read-only.
 	xs, ts [][]float32
-	// idle holds the training cells' scratch nets between uses.
-	idle sync.Pool
+	// idle holds the training cells' scratch nets between uses: a plain
+	// free list, not a sync.Pool, which the collector empties every second
+	// cycle. It holds at most one net per training cell that ran at the
+	// same time, so at most Config.Workers.
+	mu   sync.Mutex
+	idle []*neural.Net
 }
 
 var paperNets memo[int, *paperNet]
@@ -82,12 +86,21 @@ func forwardNet(u int) *neural.Net { return paperNetOf(u).forward }
 // other cell copies start into scratch first.
 func trainOnCopy(u int, cell func(start, scratch *neural.Net) sim.Time) sim.Time {
 	p := paperNetOf(u)
-	scratch, _ := p.idle.Get().(*neural.Net)
+	var scratch *neural.Net
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		scratch = p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
+	}
+	p.mu.Unlock()
 	if scratch == nil {
 		scratch = p.weights.Clone()
 	}
 	elapsed := cell(p.forward, scratch)
-	p.idle.Put(scratch)
+	p.mu.Lock()
+	p.idle = append(p.idle, scratch)
+	p.mu.Unlock()
 	return elapsed
 }
 

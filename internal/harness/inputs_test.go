@@ -2,6 +2,7 @@ package harness
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,7 +84,9 @@ func TestEigenInputStaysPristine(t *testing.T) {
 // template to the weights, outputs and statistics of a run on a fresh
 // network, and a cell that copies the template first gets the initial
 // weights. No cell is handed the template's weights, and the template
-// stays as built.
+// stays as built. One cell at a time, every cell gets the scratch net the
+// one before it returned, also across two collections (which empty a
+// sync.Pool).
 func TestTrainOnCopyStartsFromTemplate(t *testing.T) {
 	const u = 16
 	xs, ts := paperNetOf(u).samples(paperSamples)
@@ -91,11 +94,19 @@ func TestTrainOnCopyStartsFromTemplate(t *testing.T) {
 	cfg := neural.ParallelConfig{Train: true, Tree: true}
 	want := neural.Square(u, 1)
 	ref := neural.ParallelRun(simrt.New(ec), want, xs, ts, cfg)
+	var given *neural.Net
+	reused := func(use int, scratch *neural.Net) {
+		if given != nil && scratch != given {
+			t.Errorf("use %d: the free list did not return the scratch net it was given", use)
+		}
+		given = scratch
+	}
 	for i := 0; i < 3; i++ {
 		trainOnCopy(u, func(start, scratch *neural.Net) sim.Time {
 			if &scratch.W1[0][0] == &paperNetOf(u).weights.W1[0][0] {
 				t.Fatal("training cell was handed the shared template's weights")
 			}
+			reused(i, scratch)
 			res := neural.ParallelTrainFrom(simrt.New(ec), start, scratch, xs, ts, cfg)
 			if !reflect.DeepEqual(scratch, want) || !reflect.DeepEqual(res, ref) {
 				t.Errorf("use %d: training from the template differs from training a fresh network", i)
@@ -104,7 +115,10 @@ func TestTrainOnCopyStartsFromTemplate(t *testing.T) {
 			scratch.B2[0]--
 			return 0
 		})
+		runtime.GC()
+		runtime.GC()
 		trainOnCopy(u, func(start, scratch *neural.Net) sim.Time {
+			reused(i, scratch)
 			scratch.CopyFrom(start)
 			if !reflect.DeepEqual(scratch, neural.Square(u, 1)) {
 				t.Errorf("use %d: the copied scratch net does not start at the initial weights", i)

@@ -2,6 +2,7 @@ package neural
 
 import (
 	"fmt"
+	"sync"
 
 	"earth/internal/earth"
 	"earth/internal/sim"
@@ -64,20 +65,89 @@ type ParallelResult struct {
 	Loss float64
 }
 
-// nnode is the per-node state. Fields are owned by their node.
+// nnode is one node's workspace: the buffers the node owns during a run.
+// Between runs it waits on the workspaces free list with the buffers'
+// capacity kept, so the next run re-slices them instead of allocating
+// (see getWorkspaces).
 type nnode struct {
 	lx, lt, lh, lb []float32 // local copies of broadcast data
-	packH, packY   []float32 // packed gather buffers (tree order)
-	partial        []float32 // partial back-propagated sums
-	gotH, gotY     int       // fill counters for packed buffers (tree mode)
-	gotB           int       // reduce contributions received (tree mode)
-	// childB holds the children's summed partials in arrival order until
-	// the node's own are in partial (tree mode); see trySendBack.
+	// pack[ph] is the packed gather buffer of phase ph's layer (tree
+	// order): the node's own units, then each child's subtree block.
+	pack [2][]float32
+	got  [2]int // fill counters of pack (tree mode)
+	// out is the node's outbox: what its last broadcast carried, read by
+	// the recipients on arrival (see sendDown).
+	out     []float32
+	partial []float32 // partial back-propagated sums
+	gotB    int       // reduce contributions received (tree mode)
+	// childB holds the children's partial buffers in arrival order until
+	// the node's own sums are in partial (tree mode); see trySendBack.
 	childB [][]float32
 	// src[ph] is the net whose rows of phase ph's layer the node reads:
 	// the run's start net until the node first writes them, the trained
 	// net from then on (see ParallelTrainFrom).
 	src [2]*Net
+}
+
+// workspaces holds node workspaces between runs, so that a run starts on
+// buffers already grown (a sweep makes thousands of runs). It is a plain
+// free list, not a sync.Pool: the collector empties a pool every second
+// cycle, and a sweep collects several times a second. Uncapped, the list
+// never holds more workspaces than were once in use at the same time.
+// Each run takes its own, one per node, so no two goroutines share one;
+// putWorkspaces clears every pointer, so a listed workspace pins no net,
+// sample or other node's buffer.
+var workspaces struct {
+	mu   sync.Mutex
+	free []*nnode
+}
+
+// getWorkspaces takes p workspaces from the free list, making those it
+// lacks, and fits node k's to a run of net's shape on cm reading start.
+func getWorkspaces(p int, cm *comm, start, net *Net) []*nnode {
+	nodes := make([]*nnode, p)
+	workspaces.mu.Lock()
+	took := copy(nodes, workspaces.free[max(0, len(workspaces.free)-p):])
+	clear(workspaces.free[len(workspaces.free)-took:])
+	workspaces.free = workspaces.free[:len(workspaces.free)-took]
+	workspaces.mu.Unlock()
+	for k, n := range nodes {
+		if n == nil {
+			n = &nnode{}
+			nodes[k] = n
+		}
+		n.lx, n.lt = fit(n.lx, net.NIn), fit(n.lt, net.NOut)
+		n.lh, n.lb = fit(n.lh, net.NHid), fit(n.lb, net.NHid)
+		for ph := range n.pack {
+			n.pack[ph] = fit(n.pack[ph], cm.sub[ph][k])
+		}
+		n.partial = fit(n.partial, net.NHid)
+		n.src = [2]*Net{start, start}
+	}
+	return nodes
+}
+
+// fit returns b re-sliced to n cleared values, or a new slice when b's
+// capacity is short.
+func fit(b []float32, n int) []float32 {
+	if cap(b) < n {
+		return make([]float32, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
+}
+
+// putWorkspaces leaves nodes at rest and returns them to the free list.
+func putWorkspaces(nodes []*nnode) {
+	for _, n := range nodes {
+		n.got, n.gotB, n.src = [2]int{}, 0, [2]*Net{}
+		clear(n.childB[:cap(n.childB)])
+		n.childB = n.childB[:0]
+	}
+	workspaces.mu.Lock()
+	workspaces.free = append(workspaces.free, nodes...)
+	workspaces.mu.Unlock()
 }
 
 // bufSet names the broadcast buffers (lx, lt, lh, lb) one phase's
@@ -93,57 +163,47 @@ const (
 )
 
 // comm holds the static tree layout: node k's children are 2k+1, 2k+2.
+// It is a pure function of the machine size and the layer widths, built
+// once per shape (commFor) and only read.
 type comm struct {
-	p        int
-	ids      []int // 1 … p-1: node k's children are ids[2k : 2k+2], clipped
-	hidOwn   []int // units owned per node
-	outOwn   []int
-	hidStart []int
-	outStart []int
-	hidSub   []int // subtree unit totals
-	outSub   []int
-	hidPerm  []int // packed position -> unit index at the root
-	outPerm  []int
+	p     int
+	ids   []int    // 1 … p-1: node k's children are ids[2k : 2k+2], clipped
+	own   [2][]int // per phase's layer: units owned per node
+	start [2][]int // first unit owned per node
+	sub   [2][]int // subtree unit totals
+	perm  [2][]int // packed position -> unit index at the root
 }
 
 func newComm(p, nHid, nOut int) *comm {
-	cm := &comm{p: p,
-		hidOwn: make([]int, p), outOwn: make([]int, p),
-		hidStart: make([]int, p), outStart: make([]int, p),
-		hidSub: make([]int, p), outSub: make([]int, p),
-	}
-	split := func(total int, own, start []int) {
+	cm := &comm{p: p, ids: make([]int, p-1)}
+	for ph, total := range [2]int{nHid, nOut} {
+		own, start, sub := make([]int, p), make([]int, p), make([]int, p)
 		for k := 0; k < p; k++ {
 			lo := k * total / p
 			hi := (k + 1) * total / p
 			own[k] = hi - lo
 			start[k] = lo
 		}
-	}
-	split(nHid, cm.hidOwn, cm.hidStart)
-	split(nOut, cm.outOwn, cm.outStart)
-	var sub func(k int, own []int, out []int) int
-	sub = func(k int, own []int, out []int) int {
-		if k >= p {
-			return 0
+		var sum func(k int) int
+		sum = func(k int) int {
+			if k >= p {
+				return 0
+			}
+			sub[k] = own[k] + sum(2*k+1) + sum(2*k+2)
+			return sub[k]
 		}
-		s := own[k] + sub(2*k+1, own, out) + sub(2*k+2, own, out)
-		out[k] = s
-		return s
+		sum(0)
+		cm.own[ph], cm.start[ph], cm.sub[ph] = own, start, sub
+		cm.perm[ph] = cm.layout(own, start)
 	}
-	sub(0, cm.hidOwn, cm.hidSub)
-	sub(0, cm.outOwn, cm.outSub)
-	cm.hidPerm = cm.perm(cm.hidOwn, cm.hidStart)
-	cm.outPerm = cm.perm(cm.outOwn, cm.outStart)
-	cm.ids = make([]int, p-1)
 	for i := range cm.ids {
 		cm.ids[i] = i + 1
 	}
 	return cm
 }
 
-// perm maps the root's packed gather layout to natural unit indices.
-func (cm *comm) perm(own, start []int) []int {
+// layout maps the root's packed gather layout to natural unit indices.
+func (cm *comm) layout(own, start []int) []int {
 	var out []int
 	var walk func(k int)
 	walk = func(k int) {
@@ -160,6 +220,30 @@ func (cm *comm) perm(own, start []int) []int {
 	return out
 }
 
+// comms memoises newComm per shape, for the life of the process: a
+// process runs few shapes (a sweep: its widths times its machine sizes).
+var comms struct {
+	mu sync.Mutex
+	m  map[[3]int]*comm
+}
+
+// commFor returns the layout of p nodes over layers of nHid and nOut
+// units, built on first use and shared, read-only, from then on.
+func commFor(p, nHid, nOut int) *comm {
+	key := [3]int{p, nHid, nOut}
+	comms.mu.Lock()
+	defer comms.mu.Unlock()
+	cm := comms.m[key]
+	if cm == nil {
+		if comms.m == nil {
+			comms.m = map[[3]int]*comm{}
+		}
+		cm = newComm(p, nHid, nOut)
+		comms.m[key] = cm
+	}
+	return cm
+}
+
 // children returns k's tree children, a window on ids the caller must not
 // write.
 func (cm *comm) children(k int) []int {
@@ -170,6 +254,21 @@ func (cm *comm) children(k int) []int {
 func (cm *comm) parent(k int) int { return (k - 1) / 2 }
 
 // pstate is the whole distributed state of one run.
+//
+// No message allocates a copy of its data. A broadcast's data is copied
+// once into the sending node's outbox when it sends, and each recipient
+// copies it from there on arrival; a gather or tree back-reduce message
+// names its sender, whose pack or partial buffer the recipient copies
+// (partial sums: adds) on arrival. Each of those buffers is rewritten only
+// in a later phase — a node's outbox at its next broadcast, its pack
+// buffer of a phase and its partial sums in the next sample — and the
+// root starts a later phase only after every message of the earlier one
+// has been received: every recipient of a broadcast reports back, through
+// a gather, the back reduce or its hidden update, before the root moves
+// on. So a recipient reads what the sender held when it sent, as a copy
+// made at send time would, on either engine and under any delivery delay,
+// and the chain of messages orders each read between the writes around it.
+// The sequential back reduce is the exception (see reduceBack).
 type pstate struct {
 	cfg  ParallelConfig
 	net  *Net
@@ -179,16 +278,21 @@ type pstate struct {
 		backUnit sim.Time // per unit, each of the three backward phases
 	}
 
-	// Central buffers and phase bookkeeping (owned by node 0).
-	x, target, h, y, back []float32
-	sample                int
-	samplesX, samplesT    [][]float32
-	outputs               [][]float32
-	loss                  float64
-	seqFrames             [2]*earth.Frame
-	backFrame             *earth.Frame
-	joined                int
-	updatesPending        int
+	// Central bookkeeping (owned by node 0). The central input, target,
+	// hidden activations and summed partials are node 0's lx, lt, lh and
+	// lb, which its broadcasts send; y is the current sample's row of
+	// outputs.
+	sample             int
+	samplesX, samplesT [][]float32
+	y                  []float32
+	outRows            []float32 // every sample's outputs, a row each
+	back               []float32 // sequential training: the Puts' sum
+	outputs            [][]float32
+	loss               float64
+	seqFrames          [2]*earth.Frame
+	backFrame          *earth.Frame
+	joined             int
+	updatesPending     int
 
 	nodes []*nnode
 }
@@ -252,26 +356,19 @@ func checkSamples(net *Net, xs, ts [][]float32, train bool) {
 // same shape that is only read.
 func parallelRun(rt earth.Runtime, start, net *Net, xs, ts [][]float32, cfg ParallelConfig) *ParallelResult {
 	checkSamples(net, xs, ts, cfg.Train)
-	st := &pstate{
-		cfg: cfg, net: net, cm: newComm(rt.P(), net.NHid, net.NOut),
-		x: make([]float32, net.NIn), target: make([]float32, net.NOut),
-		h: make([]float32, net.NHid), y: make([]float32, net.NOut),
-		back:     make([]float32, net.NHid),
-		samplesX: xs, samplesT: ts,
-		nodes: make([]*nnode, rt.P()),
+	cm := commFor(rt.P(), net.NHid, net.NOut)
+	st := &pstate{cfg: cfg, net: net, cm: cm, samplesX: xs, samplesT: ts,
+		nodes: getWorkspaces(rt.P(), cm, start, net)}
+	defer putWorkspaces(st.nodes)
+	if len(xs) > 0 {
+		st.outputs = make([][]float32, 0, len(xs))
+		st.outRows = make([]float32, len(xs)*net.NOut)
+	}
+	if cfg.Train && !cfg.Tree {
+		st.back = make([]float32, net.NHid)
 	}
 	st.cost.fwdUnit = UnitCostFor(net.NHid)
 	st.cost.backUnit = 2 * st.cost.fwdUnit / 3
-	for k := range st.nodes {
-		st.nodes[k] = &nnode{
-			lx: make([]float32, net.NIn), lt: make([]float32, net.NOut),
-			lh: make([]float32, net.NHid), lb: make([]float32, net.NHid),
-			packH:   make([]float32, st.cm.hidSub[k]),
-			packY:   make([]float32, st.cm.outSub[k]),
-			partial: make([]float32, net.NHid),
-			src:     [2]*Net{start, start},
-		}
-	}
 
 	stats := rt.Run(func(c earth.Ctx) { st.startSample(c) })
 	for k := range st.nodes {
@@ -290,10 +387,8 @@ func parallelRun(rt earth.Runtime, start, net *Net, xs, ts [][]float32, cfg Para
 // returns those as fromW, fromB then, and nil from then on.
 func (st *pstate) rows(k int, ph phaseID) (W [][]float32, B []float32, fromW [][]float32, fromB []float32) {
 	n := st.nodes[k]
-	lo, hi := st.cm.hidStart[k], st.cm.hidStart[k]+st.cm.hidOwn[k]
-	if ph == phaseOutput {
-		lo, hi = st.cm.outStart[k], st.cm.outStart[k]+st.cm.outOwn[k]
-	}
+	lo := st.cm.start[ph][k]
+	hi := lo + st.cm.own[ph][k]
 	W, B = st.net.layer(ph)
 	if from := n.src[ph]; from != st.net {
 		n.src[ph] = st.net
@@ -317,112 +412,115 @@ func (st *pstate) startSample(c earth.Ctx) {
 	if st.sample >= len(st.samplesX) {
 		return
 	}
-	copy(st.x, st.samplesX[st.sample])
-	if st.cfg.Train {
-		copy(st.target, st.samplesT[st.sample])
-		for j := range st.back {
-			st.back[j] = 0
-		}
-	}
-	carry := bufX
-	if st.cfg.Train {
-		carry |= bufT
-	}
-	st.broadcast(c, carry, st.hiddenPhase)
-}
-
-// broadcast sends central data down the communication structure. seed:
-// node 0 copies the central buffers into its local ones first. The
-// buffers in carry travel from parent-local to child-local data (copied
-// on the child after the modelled message); onArrive runs at every node
-// (including node 0).
-func (st *pstate) broadcast(c earth.Ctx, carry bufSet, onArrive func(earth.Ctx, int)) {
-	// Node 0 seeds its local copies from the central buffers.
 	n0 := st.nodes[0]
-	copy(n0.lx, st.x)
-	copy(n0.lt, st.target)
-	copy(n0.lh, st.h)
-	copy(n0.lb, st.back)
-
-	if st.cm.p == 1 {
-		onArrive(c, 0)
-		return
+	copy(n0.lx, st.samplesX[st.sample])
+	if st.cfg.Train {
+		copy(n0.lt, st.samplesT[st.sample])
+		clear(st.back)
 	}
-	// One snapshot per sending node, shared by every recipient: the data
-	// leaves the node once and the recipients only read it, so sharing is
-	// safe on both engines (and cuts the host-side copying that used to be
-	// done once per child).
+	nOut := st.net.NOut
+	st.y = st.outRows[st.sample*nOut : (st.sample+1)*nOut : (st.sample+1)*nOut]
+	st.broadcast(c, stageHidden)
+}
+
+// stage names what a broadcast starts at every node.
+type stage uint8
+
+const (
+	stageHidden stage = iota // input (and target): hiddenPhase
+	stageOutput              // hidden activations: outputPhase
+	stageUpdate              // summed partials: hiddenUpdate
+)
+
+// carry is the set of buffers a broadcast of stage s carries.
+func (st *pstate) carry(s stage) bufSet {
+	switch s {
+	case stageHidden:
+		if st.cfg.Train {
+			return bufX | bufT
+		}
+		return bufX
+	case stageOutput:
+		return bufH
+	}
+	return bufB
+}
+
+// broadcast sends node 0's buffers of stage s down the communication
+// structure — the tree, or straight to every node in sequential mode —
+// and starts the stage at every node, node 0 included.
+func (st *pstate) broadcast(c earth.Ctx, s stage) {
+	st.sendDown(c, 0, s)
+	st.arrive(c, 0, s)
+}
+
+// sendDown sends node k's buffers of stage s to the nodes it serves: its
+// tree children, or every other node from the root in sequential mode.
+// The data leaves the node when the message is issued: it is copied into
+// k's outbox once, for every recipient, and each recipient copies it from
+// there when its message arrives (see pstate).
+func (st *pstate) sendDown(c earth.Ctx, k int, s stage) {
+	to := st.cm.children(k)
 	if !st.cfg.Tree {
-		snap := snapshotNode(n0, carry)
-		for k := 1; k < st.cm.p; k++ {
-			k := k
-			c.Post(earth.NodeID(k), snap.bytes(), func(c earth.Ctx) {
-				st.nodes[k].receive(snap)
-				onArrive(c, k)
-			})
-		}
-		onArrive(c, 0)
+		to = st.cm.ids
+	}
+	if len(to) == 0 {
 		return
 	}
-	var down func(c earth.Ctx, k int)
-	down = func(c earth.Ctx, k int) {
-		ch := st.cm.children(k)
-		if len(ch) == 0 {
-			return
-		}
-		snap := snapshotNode(st.nodes[k], carry)
-		for _, chk := range ch {
-			chk := chk
-			c.Post(earth.NodeID(chk), snap.bytes(), func(c earth.Ctx) {
-				st.nodes[chk].receive(snap)
-				down(c, chk)
-				onArrive(c, chk)
-			})
+	n := st.nodes[k]
+	n.out = n.out[:0]
+	carry := st.carry(s)
+	for i, b := range n.bufs() {
+		if carry&(1<<i) != 0 {
+			n.out = append(n.out, b...)
 		}
 	}
-	down(c, 0)
-	onArrive(c, 0)
+	for _, chk := range to {
+		c.Post(earth.NodeID(chk), 4*len(n.out), func(c earth.Ctx) { st.receiveDown(c, chk, s) })
+	}
 }
 
-// snapshotNode captures the buffers in carry from a node at message-send
-// time (the data leaves the node when the message is issued). The other
-// buffers of the snapshot stay nil.
-func snapshotNode(n *nnode, carry bufSet) *nnode {
-	snap := &nnode{}
-	if carry&bufX != 0 {
-		snap.lx = append([]float32(nil), n.lx...)
+// receiveDown is node k's arrival of a stage-s broadcast: it copies the
+// buffers from its sender's outbox, forwards them to its own children
+// (tree mode) and starts the stage.
+func (st *pstate) receiveDown(c earth.Ctx, k int, s stage) {
+	from := 0
+	if st.cfg.Tree {
+		from = st.cm.parent(k)
 	}
-	if carry&bufT != 0 {
-		snap.lt = append([]float32(nil), n.lt...)
+	msg, carry := st.nodes[from].out, st.carry(s)
+	for i, b := range st.nodes[k].bufs() {
+		if carry&(1<<i) != 0 {
+			msg = msg[copy(b, msg):]
+		}
 	}
-	if carry&bufH != 0 {
-		snap.lh = append([]float32(nil), n.lh...)
+	if st.cfg.Tree {
+		st.sendDown(c, k, s)
 	}
-	if carry&bufB != 0 {
-		snap.lb = append([]float32(nil), n.lb...)
-	}
-	return snap
+	st.arrive(c, k, s)
 }
 
-// bytes is the modelled wire size of a snapshot: its float32s.
-func (snap *nnode) bytes() int {
-	return 4 * (len(snap.lx) + len(snap.lt) + len(snap.lh) + len(snap.lb))
-}
+// bufs returns n's broadcast buffers in bufSet order.
+func (n *nnode) bufs() [4][]float32 { return [4][]float32{n.lx, n.lt, n.lh, n.lb} }
 
-// receive copies what a snapshot carries into n's local buffers.
-func (n *nnode) receive(snap *nnode) {
-	copy(n.lx, snap.lx)
-	copy(n.lt, snap.lt)
-	copy(n.lh, snap.lh)
-	copy(n.lb, snap.lb)
+// arrive starts stage s at node k.
+func (st *pstate) arrive(c earth.Ctx, k int, s stage) {
+	switch s {
+	case stageHidden:
+		st.hiddenPhase(c, k)
+	case stageOutput:
+		st.outputPhase(c, k)
+	default:
+		st.hiddenUpdate(c, k)
+	}
 }
 
 // hiddenPhase computes node k's hidden units and gathers them centrally.
 func (st *pstate) hiddenPhase(c earth.Ctx, k int) {
 	earth.SpawnBody(c, func(c earth.Ctx) {
 		n := st.nodes[k]
-		own, lo := st.cm.hidOwn[k], st.cm.hidStart[k]
-		n.src[phaseHidden].forwardUnits(phaseHidden, n.packH[:own], lo, n.lx)
+		own, lo := st.cm.own[phaseHidden][k], st.cm.start[phaseHidden][k]
+		n.src[phaseHidden].forwardUnits(phaseHidden, n.pack[phaseHidden][:own], lo, n.lx)
 		c.Compute(sim.Time(own) * st.cost.fwdUnit)
 		st.gather(c, k, phaseHidden)
 	})
@@ -459,96 +557,92 @@ const (
 	phaseOutput
 )
 
-// gather sends node k's packed result up the tree (or directly to the
-// central node), combining child contributions. When the root completes,
-// the next phase runs.
-func (st *pstate) gather(c earth.Ctx, k int, ph phaseID) {
-	own, sub, perm := st.cm.hidOwn, st.cm.hidSub, st.cm.hidPerm
-	pack := func(n *nnode) []float32 { return n.packH }
-	got := func(n *nnode) *int { return &n.gotH }
-	central := st.h
-	next := st.afterHidden
+// central returns the buffer phase ph's gather fills at node 0 in natural
+// unit order: node 0's hidden activations, or the sample's outputs.
+func (st *pstate) central(ph phaseID) []float32 {
 	if ph == phaseOutput {
-		own, sub, perm = st.cm.outOwn, st.cm.outSub, st.cm.outPerm
-		pack = func(n *nnode) []float32 { return n.packY }
-		got = func(n *nnode) *int { return &n.gotY }
-		central = st.y
-		next = st.afterOutput
+		return st.y
 	}
+	return st.nodes[0].lh
+}
 
+// gather sends node k's packed result of phase ph up the tree (or
+// directly to the central node), combining child contributions. When the
+// root completes, the next phase runs.
+func (st *pstate) gather(c earth.Ctx, k int, ph phaseID) {
+	own := st.cm.own[ph][k]
 	if !st.cfg.Tree {
 		// Sequential: every node sends its own slice straight to central;
-		// a central frame counts the arrivals.
-		n := st.nodes[k]
-		data := append([]float32(nil), pack(n)[:own[k]]...)
-		start := st.cm.hidStart[k]
-		if ph == phaseOutput {
-			start = st.cm.outStart[k]
-		}
-		kOwn := own[k]
-		f := st.phaseFrame(ph, next)
-		c.Put(0, kOwn*4, func() {
-			copy(central[start:start+kOwn], data)
-		}, f, 0)
+		// a central frame counts the arrivals. The Put's write reads the
+		// slice on arrival (see pstate).
+		data, start := st.nodes[k].pack[ph][:own], st.cm.start[ph][k]
+		c.Put(0, own*4, func() { copy(st.central(ph)[start:], data) }, st.phaseFrame(ph), 0)
 		return
 	}
 
 	// Tree mode: a node is ready to send up when its own units and both
 	// children's packed blocks have been merged.
-	n := st.nodes[k]
-	*got(n) += own[k]
-	st.trySendUp(c, k, ph, pack, got, own, sub, perm, central, next)
+	st.nodes[k].got[ph] += own
+	st.trySendUp(c, k, ph)
+}
+
+// gathered runs at the central node once phase ph's gather is complete:
+// the hidden activations are broadcast for the output layer; the outputs
+// close the sample's forward pass.
+func (st *pstate) gathered(c earth.Ctx, ph phaseID) {
+	if ph == phaseHidden {
+		st.broadcast(c, stageOutput)
+	} else {
+		st.afterOutput(c)
+	}
 }
 
 // phaseFrame lazily creates the per-sample completion frame for a
 // sequential-mode phase.
-func (st *pstate) phaseFrame(ph phaseID, next func(earth.Ctx)) *earth.Frame {
+func (st *pstate) phaseFrame(ph phaseID) *earth.Frame {
 	if st.seqFrames[ph] == nil {
 		f := earth.NewFrame(0, 1, 1)
 		f.InitSync(0, st.cm.p, st.cm.p, 0)
-		f.SetThread(0, func(c earth.Ctx) { next(c) })
+		f.SetThread(0, func(c earth.Ctx) { st.gathered(c, ph) })
 		st.seqFrames[ph] = f
 	}
 	return st.seqFrames[ph]
 }
 
-// trySendUp forwards a completed subtree block toward the root.
-func (st *pstate) trySendUp(c earth.Ctx, k int, ph phaseID,
-	pack func(*nnode) []float32, got func(*nnode) *int,
-	own, sub, perm []int, central []float32, next func(earth.Ctx)) {
-
+// trySendUp forwards node k's completed subtree block of phase ph toward
+// the root.
+func (st *pstate) trySendUp(c earth.Ctx, k int, ph phaseID) {
 	n := st.nodes[k]
-	if *got(n) < sub[k] {
+	sub := st.cm.sub[ph][k]
+	if n.got[ph] < sub {
 		return
 	}
-	*got(n) = 0 // reset for the next sample
+	n.got[ph] = 0 // reset for the next sample
 	if k == 0 {
 		// Root: unpack into the central buffer in natural order.
-		for pos, unit := range perm {
-			central[unit] = pack(n)[pos]
+		central := st.central(ph)
+		for pos, unit := range st.cm.perm[ph] {
+			central[unit] = n.pack[ph][pos]
 		}
-		next(c)
+		st.gathered(c, ph)
 		return
 	}
-	parent := st.cm.parent(k)
-	data := append([]float32(nil), pack(n)[:sub[k]]...)
+	c.Post(earth.NodeID(st.cm.parent(k)), sub*4, func(c earth.Ctx) { st.receiveUp(c, k, ph) })
+}
+
+// receiveUp merges child k's subtree block of phase ph, read from its
+// pack buffer on arrival (see pstate), into its parent's.
+func (st *pstate) receiveUp(c earth.Ctx, k int, ph phaseID) {
+	parent, sub := st.cm.parent(k), st.cm.sub[ph]
 	// Parent layout: [own(parent)][subtree(2p+1)][subtree(2p+2)].
-	off := own[parent]
+	off := st.cm.own[ph][parent]
 	if k == 2*parent+2 && 2*parent+1 < st.cm.p {
 		off += sub[2*parent+1]
 	}
-	c.Post(earth.NodeID(parent), sub[k]*4, func(c earth.Ctx) {
-		pn := st.nodes[parent]
-		copy(pack(pn)[off:off+len(data)], data)
-		*got(pn) += len(data)
-		st.trySendUp(c, parent, ph, pack, got, own, sub, perm, central, next)
-	})
-}
-
-// afterHidden runs at the central node once all hidden activations are
-// gathered: broadcast them for the output layer.
-func (st *pstate) afterHidden(c earth.Ctx) {
-	st.broadcast(c, bufH, st.outputPhase)
+	pn := st.nodes[parent]
+	copy(pn.pack[ph][off:], st.nodes[k].pack[ph][:sub[k]])
+	pn.got[ph] += sub[k]
+	st.trySendUp(c, parent, ph)
 }
 
 // outputPhase computes node k's output units (and, when training, their
@@ -556,8 +650,8 @@ func (st *pstate) afterHidden(c earth.Ctx) {
 func (st *pstate) outputPhase(c earth.Ctx, k int) {
 	earth.SpawnBody(c, func(c earth.Ctx) {
 		n := st.nodes[k]
-		own, lo := st.cm.outOwn[k], st.cm.outStart[k]
-		n.src[phaseOutput].forwardUnits(phaseOutput, n.packY[:own], lo, n.lh)
+		own, lo := st.cm.own[phaseOutput][k], st.cm.start[phaseOutput][k]
+		n.src[phaseOutput].forwardUnits(phaseOutput, n.pack[phaseOutput][:own], lo, n.lh)
 		c.Compute(sim.Time(own) * st.cost.fwdUnit)
 		if st.cfg.Train {
 			// Combined forward/backward at the output units: deltas,
@@ -572,7 +666,7 @@ func (st *pstate) outputPhase(c earth.Ctx, k int) {
 }
 
 // trainOutput is the training step of the output units whose weight
-// rows, biases and targets are W, B and t; n.packY holds their
+// rows, biases and targets are W, B and t; n.pack[phaseOutput] holds their
 // activations. It sets n.partial to their back-propagated sums for every
 // hidden unit and updates the rows and biases. When fromW is not nil,
 // fromW and fromB hold the rows' values instead of W and B (the node's
@@ -581,13 +675,13 @@ func (st *pstate) outputPhase(c earth.Ctx, k int) {
 func (n *nnode) trainOutput(W [][]float32, B []float32, fromW [][]float32, fromB, t []float32) {
 	clear(n.partial)
 	if fromW == nil {
-		n.outputRows(W, B, n.packY, t)
+		n.outputRows(W, B, n.pack[phaseOutput], t)
 		return
 	}
 	for u := 0; u < len(W); u += rowBlock {
 		hi := min(u+rowBlock, len(W))
 		copyRows(W[u:hi], B[u:hi], fromW[u:hi], fromB[u:hi])
-		n.outputRows(W[u:hi], B[u:hi], n.packY[u:hi], t[u:hi])
+		n.outputRows(W[u:hi], B[u:hi], n.pack[phaseOutput][u:hi], t[u:hi])
 	}
 }
 
@@ -646,11 +740,12 @@ func (n *nnode) outputRows(W [][]float32, B, y, t []float32) {
 // reduceBack combines the partial back-propagated sums toward the central
 // node (a summing tree reduce, or direct sends in sequential mode).
 func (st *pstate) reduceBack(c earth.Ctx, k int) {
-	bytes := st.net.NHid * 4
 	if !st.cfg.Tree {
-		n := st.nodes[k]
-		data := append([]float32(nil), n.partial...)
-		c.Put(0, bytes, func() {
+		// The Put carries a copy: it signals no frame, and the Sync that
+		// reports it may overtake it and close the sample first, so
+		// nothing orders its arrival before the node's next trainOutput.
+		data := append([]float32(nil), st.nodes[k].partial...)
+		c.Put(0, st.net.NHid*4, func() {
 			for j := range st.back {
 				st.back[j] += data[j]
 			}
@@ -680,17 +775,18 @@ func (st *pstate) trySendBack(c earth.Ctx, k int) {
 			n.partial[j] += data[j]
 		}
 	}
+	clear(n.childB)
 	n.childB = n.childB[:0]
 	if k == 0 {
-		copy(st.back, n.partial)
-		st.backReady(c)
+		copy(n.lb, n.partial)
+		st.phaseDone(c)
 		return
 	}
 	parent := st.cm.parent(k)
-	data := append([]float32(nil), n.partial...)
 	c.Post(earth.NodeID(parent), st.net.NHid*4, func(c earth.Ctx) {
+		// The parent adds k's sums from k's partial buffer (see pstate).
 		pn := st.nodes[parent]
-		pn.childB = append(pn.childB, data)
+		pn.childB = append(pn.childB, st.nodes[k].partial)
 		pn.gotB++
 		st.trySendBack(c, parent)
 	})
@@ -701,7 +797,7 @@ func (st *pstate) seqPhaseSync2(c earth.Ctx) {
 	if st.backFrame == nil {
 		f := earth.NewFrame(0, 1, 1)
 		f.InitSync(0, st.cm.p, st.cm.p, 0)
-		f.SetThread(0, func(c earth.Ctx) { st.backReady(c) })
+		f.SetThread(0, func(c earth.Ctx) { st.phaseDone(c) })
 		st.backFrame = f
 	}
 	c.Sync(st.backFrame, 0)
@@ -711,18 +807,11 @@ func (st *pstate) seqPhaseSync2(c earth.Ctx) {
 // record the sample (and its loss), then either finish the sample
 // (forward-only) or wait for the backward exchange.
 func (st *pstate) afterOutput(c earth.Ctx) {
-	out := append([]float32(nil), st.y...)
-	st.outputs = append(st.outputs, out)
+	st.outputs = append(st.outputs, st.y)
 	if st.cfg.Train {
-		st.loss += Loss(st.y, st.target)
+		st.loss += Loss(st.y, st.nodes[0].lt)
 	}
 	c.Compute(sim.Time(st.net.NOut) * 100 * sim.Nanosecond) // global error calc
-	st.phaseDone(c)
-}
-
-// backReady runs at the central node when the summed back-propagated
-// values are available: broadcast them for the hidden update.
-func (st *pstate) backReady(c earth.Ctx) {
 	st.phaseDone(c)
 }
 
@@ -743,9 +832,13 @@ func (st *pstate) phaseDone(c earth.Ctx) {
 		st.startSample(c)
 		return
 	}
-	// Broadcast the summed partials and run the hidden update.
+	// Broadcast the summed partials and run the hidden update. In
+	// sequential mode they are what the Puts have added by now.
+	if st.back != nil {
+		copy(st.nodes[0].lb, st.back)
+	}
 	st.updatesPending = st.cm.p
-	st.broadcast(c, bufB, st.hiddenUpdate)
+	st.broadcast(c, stageUpdate)
 }
 
 // hiddenUpdate computes node k's hidden deltas and applies its W1 rows'
@@ -753,7 +846,7 @@ func (st *pstate) phaseDone(c earth.Ctx) {
 func (st *pstate) hiddenUpdate(c earth.Ctx, k int) {
 	earth.SpawnBody(c, func(c earth.Ctx) {
 		n := st.nodes[k]
-		own, lo := st.cm.hidOwn[k], st.cm.hidStart[k]
+		own, lo := st.cm.own[phaseHidden][k], st.cm.start[phaseHidden][k]
 		W, B, fromW, fromB := st.rows(k, phaseHidden)
 		n.trainHidden(W, B, fromW, fromB, n.lb[lo:lo+own])
 		c.Compute(sim.Time(own) * st.cost.backUnit)
@@ -769,16 +862,16 @@ func (st *pstate) hiddenUpdate(c earth.Ctx, k int) {
 
 // trainHidden is the update of the hidden units whose weight rows,
 // biases and back-propagated sums are W, B and back, with fromW and fromB
-// as in trainOutput; n.packH holds their activations.
+// as in trainOutput; n.pack[phaseHidden] holds their activations.
 func (n *nnode) trainHidden(W [][]float32, B []float32, fromW [][]float32, fromB, back []float32) {
 	if fromW == nil {
-		n.hiddenRows(W, B, n.packH, back)
+		n.hiddenRows(W, B, n.pack[phaseHidden], back)
 		return
 	}
 	for u := 0; u < len(W); u += rowBlock {
 		hi := min(u+rowBlock, len(W))
 		copyRows(W[u:hi], B[u:hi], fromW[u:hi], fromB[u:hi])
-		n.hiddenRows(W[u:hi], B[u:hi], n.packH[u:hi], back[u:hi])
+		n.hiddenRows(W[u:hi], B[u:hi], n.pack[phaseHidden][u:hi], back[u:hi])
 	}
 }
 

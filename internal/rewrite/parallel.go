@@ -68,7 +68,6 @@ type kbState struct {
 
 	// Per-worker caches (owner-only).
 	caches [][]Rule
-	busy   []bool
 	stop   []bool
 	proc   []int
 }
@@ -85,7 +84,6 @@ func ParallelComplete(rt earth.Runtime, s *System) (*ParallelResult, error) {
 		waiting:  make([]bool, workers),
 		inflight: make([]bool, workers),
 		caches:   make([][]Rule, workers),
-		busy:     make([]bool, workers),
 		stop:     make([]bool, workers),
 		proc:     make([]int, workers),
 	}
@@ -164,10 +162,8 @@ func (st *kbState) prefixLen(w int) int {
 // fetch runs on worker w: request the globally smallest superposition.
 func (st *kbState) fetch(c earth.Ctx, w int) {
 	if st.stop[w] {
-		st.busy[w] = false
 		return
 	}
-	st.busy[w] = true
 	c.Post(st.m, 16, func(c earth.Ctx) {
 		if len(st.pool) > 0 {
 			best := 0
@@ -186,7 +182,10 @@ func (st *kbState) fetch(c earth.Ctx, w int) {
 			return
 		}
 		st.waiting[w] = true
-		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.busy[w] = false })
+		// The park reply is the modelled message that tells the worker it
+		// is parked; the worker keeps no state for it, but its message,
+		// bytes and events are part of the run.
+		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) {})
 		st.maybeStop(c)
 	})
 }
