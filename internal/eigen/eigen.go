@@ -269,43 +269,45 @@ func bisect(t *SymTridiag, tol float64, count func(float64) int) *Result {
 		iv := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		res.Tasks++
-		leaf, children := step(count, iv, tol, res)
-		if leaf != nil {
-			res.emitLeaf(*leaf)
+		leaf, kids, n := step(count, iv, tol, res)
+		if leaf {
+			res.emitLeaf(iv)
 			continue
 		}
-		stack = append(stack, children...)
+		stack = append(stack, kids[:n]...)
 	}
 	sort.Float64s(res.Eigenvalues)
 	return res
 }
 
 // step processes one search node: it either resolves the interval as a
-// leaf (returning the leaf) or splits it at the midpoint (returning the
-// two children that still contain eigenvalues). It records Sturm counts
-// in res (which may be shared only in sequential use; parallel callers
-// pass a private Result per task and merge). This is the task body both
-// the sequential driver and the EARTH version execute.
-func step(count func(float64) int, iv Interval, tol float64, res *Result) (*Interval, []Interval) {
+// leaf (leaf true: iv is the leaf) or splits it at the midpoint, returning
+// the n children that still contain eigenvalues, lower first, in
+// kids[:n] — by value, so a step allocates nothing. It records Sturm
+// counts in res (which may be shared only in sequential use; parallel
+// callers pass a private Result per task and merge). This is the task
+// body both the sequential driver and the EARTH version execute.
+func step(count func(float64) int, iv Interval, tol float64, res *Result) (leaf bool, kids [2]Interval, n int) {
 	if iv.Count() <= 0 {
 		// Empty intervals are pruned before being spawned; reaching here
 		// means the root contained nothing.
-		return &iv, nil
+		return true, kids, 0
 	}
 	if iv.Hi-iv.Lo < tol {
-		return &iv, nil
+		return true, kids, 0
 	}
 	mid := 0.5 * (iv.Lo + iv.Hi)
 	nmid := count(mid)
 	res.SturmCounts++
-	var children []Interval
 	if nmid-iv.NLo > 0 {
-		children = append(children, Interval{Lo: iv.Lo, Hi: mid, NLo: iv.NLo, NHi: nmid, Depth: iv.Depth + 1})
+		kids[n] = Interval{Lo: iv.Lo, Hi: mid, NLo: iv.NLo, NHi: nmid, Depth: iv.Depth + 1}
+		n++
 	}
 	if iv.NHi-nmid > 0 {
-		children = append(children, Interval{Lo: mid, Hi: iv.Hi, NLo: nmid, NHi: iv.NHi, Depth: iv.Depth + 1})
+		kids[n] = Interval{Lo: mid, Hi: iv.Hi, NLo: nmid, NHi: iv.NHi, Depth: iv.Depth + 1}
+		n++
 	}
-	return nil, children
+	return false, kids, n
 }
 
 // emitLeaf records a resolved interval's eigenvalues and depth stats.

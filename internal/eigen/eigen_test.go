@@ -144,6 +144,64 @@ func TestTaskAccounting(t *testing.T) {
 	}
 }
 
+// TestStepChildrenByValue: a bisection step resolves a narrow or empty
+// interval as a leaf and splits a wide one at its midpoint into the
+// halves that hold eigenvalues, lower half first, with their counts and
+// depths; one Sturm count per split, none per leaf; and no step
+// allocates.
+func TestStepChildrenByValue(t *testing.T) {
+	m := Random(64, 7)
+	count := m.CountBelow
+	root := rootInterval(m, count)
+	half := 0.5 * (root.Lo + root.Hi)
+	var res Result
+	for _, c := range []struct {
+		name string
+		iv   Interval
+		leaf bool
+	}{
+		{"root", root, false},
+		{"lower half", Interval{Lo: root.Lo, Hi: half, NLo: root.NLo, NHi: count(half), Depth: 1}, false},
+		{"narrow", Interval{Lo: 0, Hi: 1e-9, NLo: count(0), NHi: count(0) + 1}, true},
+		{"empty", Interval{Lo: 0, Hi: 1, NLo: 3, NHi: 3}, true},
+	} {
+		before := res.SturmCounts
+		leaf, kids, n := step(count, c.iv, 1e-6, &res)
+		if leaf != c.leaf {
+			t.Fatalf("%s: leaf=%v, want %v", c.name, leaf, c.leaf)
+		}
+		if leaf {
+			if n != 0 || res.SturmCounts != before {
+				t.Fatalf("%s: a leaf returned %d children and took %d counts", c.name, n, res.SturmCounts-before)
+			}
+			continue
+		}
+		if res.SturmCounts != before+1 {
+			t.Fatalf("%s: a split took %d counts, want 1", c.name, res.SturmCounts-before)
+		}
+		mid := 0.5 * (c.iv.Lo + c.iv.Hi)
+		nmid := count(mid)
+		var want []Interval
+		if nmid > c.iv.NLo {
+			want = append(want, Interval{Lo: c.iv.Lo, Hi: mid, NLo: c.iv.NLo, NHi: nmid, Depth: c.iv.Depth + 1})
+		}
+		if c.iv.NHi > nmid {
+			want = append(want, Interval{Lo: mid, Hi: c.iv.Hi, NLo: nmid, NHi: c.iv.NHi, Depth: c.iv.Depth + 1})
+		}
+		if n != len(want) || n == 0 {
+			t.Fatalf("%s: %d children, want %d (and at least one)", c.name, n, len(want))
+		}
+		for k := range n {
+			if kids[k] != want[k] {
+				t.Fatalf("%s: child %d is %+v, want %+v", c.name, k, kids[k], want[k])
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { step(count, root, 1e-6, &res) }); allocs != 0 {
+		t.Errorf("a step allocates %v times", allocs)
+	}
+}
+
 func TestClusteredGeneratorShape(t *testing.T) {
 	m := Clustered(200, 21, 1)
 	if err := m.Validate(); err != nil {

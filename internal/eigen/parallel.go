@@ -143,17 +143,16 @@ func (st *taskState) spawn(c earth.Ctx, iv Interval) {
 // spawn the children.
 func (st *taskState) run(c earth.Ctx, iv Interval) {
 	var scratch Result
-	leaf, children := step(st.t.CountBelow, iv, st.cfg.Tol, &scratch)
+	leaf, kids, n := step(st.t.CountBelow, iv, st.cfg.Tol, &scratch)
 	c.Compute(sim.Time(scratch.SturmCounts) * st.sturmCost)
 	st.bumpCounters(c, 1, scratch.SturmCounts)
-	if leaf != nil {
-		lv := *leaf
+	if leaf {
 		// Report the resolved interval to node 0 (a small synchronising
 		// store: two doubles and the counts).
-		c.Put(0, argBytes, func() { st.res.emitLeaf(lv) }, nil, 0)
+		c.Put(0, argBytes, func() { st.res.emitLeaf(iv) }, nil, 0)
 		return
 	}
-	for _, ch := range children {
+	for _, ch := range kids[:n] {
 		st.spawn(c, ch)
 	}
 }

@@ -87,14 +87,14 @@ func TestHandOffGuard(t *testing.T) {
 // completion on five simrt nodes may allocate, everything included — the
 // reducer's output, the messages, the run's fixed costs spread over its
 // pairs — on a machine and a workspace list warm from an earlier run, as
-// a sweep's cells are, in both queue modes. A start frame and a fetch body
-// bound once per worker, and node workspaces kept between runs, brought
-// central mode from 21.15 mallocs per pair to 14.93 (15.11 under -race);
-// a frame and a closure spawned per pair again (earth.SpawnBody) make it
-// 16.93, which the ceiling, 15.5, does not fit. Distributed mode spawns
-// the same start frame for each step of its 51 pairs: 14.06 mallocs per
-// pair (14.24 under -race), where a frame and a closure per step
-// (earth.SpawnBody) make 16.41, over its ceiling, 15.0.
+// a sweep's cells are, in both queue modes. A start frame bound once per
+// worker, node workspaces kept between runs and protocol messages sent as
+// records of the workspaces' outboxes (earth.Outbox) instead of closures
+// bring central mode to 7.48 mallocs per pair (7.67 under -race) and
+// distributed mode, which spawns the same start frame for each step of its
+// 51 pairs, to 5.12 (5.22). One closure per broadcast again, the only
+// message sent as a closure, makes 8.52 and 5.90, over the ceilings, 8.0
+// and 5.5.
 func TestParallelAllocBudget(t *testing.T) {
 	F, opt := k3Input()
 	for _, c := range []struct {
@@ -102,8 +102,8 @@ func TestParallelAllocBudget(t *testing.T) {
 		pc     ParallelConfig
 		budget float64
 	}{
-		{"central", ParallelConfig{Opt: opt}, 15.5},
-		{"distributed", ParallelConfig{Opt: opt, DistributedQueues: true}, 15.0},
+		{"central", ParallelConfig{Opt: opt}, 8.0},
+		{"distributed", ParallelConfig{Opt: opt, DistributedQueues: true}, 5.5},
 	} {
 		rt := simrt.New(earth.Config{Nodes: 5, Seed: 1})
 		pairs := 0

@@ -266,7 +266,9 @@ func TestNewPairsForSeqUnique(t *testing.T) {
 
 // refersToRun reports whether v reaches a polynomial, a frame or a
 // closure through pointers, structs, arrays, slices (to their capacity),
-// maps and interfaces: what a run would leave pinned.
+// maps and interfaces: what a run would leave pinned. An outbox record's
+// body is not walked: it is the one closure a workspace keeps, and
+// outboxAtRest checks that it serves its own record.
 func refersToRun(v reflect.Value, seen map[uintptr]bool) bool {
 	switch v.Kind() {
 	case reflect.Func:
@@ -287,6 +289,9 @@ func refersToRun(v reflect.Value, seen map[uintptr]bool) bool {
 		return !v.IsNil() && refersToRun(v.Elem(), seen)
 	case reflect.Struct:
 		for i := range v.NumField() {
+			if v.Type() == letterType && v.Type().Field(i).Name == "body" {
+				continue
+			}
 			if refersToRun(v.Field(i), seen) {
 				return true
 			}
@@ -313,22 +318,110 @@ func refersToRun(v reflect.Value, seen map[uintptr]bool) bool {
 	return false
 }
 
+// letterType is an outbox record's type.
+var letterType = reflect.TypeFor[earth.Letter[msg]]()
+
+// postCtx is a Ctx whose Post keeps the body it is given; nothing else of
+// it may be used.
+type postCtx struct {
+	earth.Ctx
+	body earth.ThreadBody
+}
+
+func (c *postCtx) Post(_ earth.NodeID, _ int, body earth.ThreadBody) { c.body = body }
+
+// zeroToCap reports whether v is zero but for the capacity of its slices,
+// whose elements must be zero up to it and whose length must be 0.
+func zeroToCap(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Slice:
+		if v.Len() > 0 {
+			return false
+		}
+		v = v.Slice(0, v.Cap())
+		for i := range v.Len() {
+			if !zeroToCap(v.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if !zeroToCap(v.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return v.IsZero()
+}
+
+// outboxAtRest checks ws's outbox: no record in use, and every record a
+// zero argument but for its slices' capacity and no handler, with a body
+// that runs a handler posted on the record with that record. The last
+// check posts each record once and puts them all at rest again. It returns
+// the number of records and the first fault.
+func outboxAtRest(ws *parNode) (int, error) {
+	out := reflect.ValueOf(&ws.out).Elem()
+	if n := out.FieldByName("n").Int(); n != 0 {
+		return 0, fmt.Errorf("%d records still in use", n)
+	}
+	ls := out.FieldByName("ls")
+	all := ls.Slice(0, ls.Cap())
+	for i := range all.Len() {
+		l := all.Index(i)
+		if i >= ls.Len() {
+			if !l.IsNil() {
+				return 0, fmt.Errorf("a record past the %d listed", ls.Len())
+			}
+			continue
+		}
+		if !zeroToCap(l.Elem().FieldByName("Arg")) {
+			return 0, fmt.Errorf("record %d: argument not at rest", i)
+		}
+		if !l.Elem().FieldByName("h").IsNil() {
+			return 0, fmt.Errorf("record %d: handler kept", i)
+		}
+	}
+	defer ws.out.Reset(restMsg)
+	for i := range ls.Len() {
+		l := ws.out.Next()
+		if reflect.ValueOf(l).Pointer() != ls.Index(i).Pointer() {
+			return 0, fmt.Errorf("record %d is not the outbox's next", i)
+		}
+		var got *earth.Letter[msg]
+		c := &postCtx{}
+		l.Post(c, 0, 0, func(_ earth.Ctx, r *earth.Letter[msg]) { got = r })
+		if c.body(c); got != l {
+			return 0, fmt.Errorf("record %d: its body serves another record", i)
+		}
+	}
+	return ls.Len(), nil
+}
+
 // TestPooledWorkspacesPinNothing: a completion's workers keep a basis and
-// a divisor table in their reducers between reductions, a start frame and
-// a bound fetch body, and pair heaps — the maintenance node's central
-// pool, each worker's queue in distributed mode; after each completion —
-// sequential, then parallel on either engine, then in distributed mode —
-// every workspace on the free list refers to no polynomial, frame or
-// closure and holds no pair, to its heap's capacity, and the list,
-// emptied first, holds as many workspaces as were once in use at the same
-// time: one, then the five nodes'. After the distributed run a worker's
-// workspace (every listed one but the last, the maintenance node's) has
-// kept its heap's capacity.
+// a divisor table in their reducers between reductions, a start frame,
+// pair heaps — the maintenance node's central pool, each worker's queue
+// in distributed mode — and every node an outbox of message records;
+// after each completion — sequential, then parallel on either engine,
+// then in distributed mode — every workspace on the free list refers to
+// no polynomial, frame or closure but its records' bound bodies, holds no
+// pair, to its heap's capacity, and has every record at rest, and the
+// list, emptied first, holds as many workspaces as were once in use at
+// the same time: one, then the five nodes'. After a parallel run some
+// workspace kept records; after the distributed run a worker's workspace
+// (every listed one but the last, the maintenance node's) has kept its
+// heap's capacity. A record put at rest with its polynomial kept (a
+// restMsg that keeps req.nf) is caught.
 func TestPooledWorkspacesPinNothing(t *testing.T) {
 	F, opt := k3Input()
-	workspaces.mu.Lock()
-	workspaces.free = nil
-	workspaces.mu.Unlock()
+	emptyList := func() {
+		workspaces.mu.Lock()
+		workspaces.free = nil
+		workspaces.mu.Unlock()
+	}
+	emptyList()
+	defer emptyList()
 	parallel := func(newRT func() earth.Runtime, distributed bool) func() error {
 		return func() error {
 			_, err := ParallelBuchberger(newRT(), F, ParallelConfig{Opt: opt, DistributedQueues: distributed})
@@ -359,11 +452,16 @@ func TestPooledWorkspacesPinNothing(t *testing.T) {
 		if len(free) != c.peak {
 			t.Errorf("after %s: %d workspaces on the free list, want %d", c.name, len(free), c.peak)
 		}
-		grown, heaps := false, false
+		grown, heaps, records := false, false, 0
 		for i, ws := range free {
 			if refersToRun(reflect.ValueOf(ws), map[uintptr]bool{}) {
 				t.Errorf("after %s: listed workspace %d refers to a polynomial, a frame or a closure", c.name, i)
 			}
+			n, err := outboxAtRest(ws)
+			if err != nil {
+				t.Errorf("after %s: listed workspace %d's outbox: %v", c.name, i, err)
+			}
+			records += n
 			if k := slices.IndexFunc(ws.pairs.ps[:cap(ws.pairs.ps)], func(p Pair) bool { return !reflect.ValueOf(p).IsZero() }); k >= 0 {
 				t.Errorf("after %s: listed workspace %d holds a pair at %d of its heap's %d", c.name, i, k, cap(ws.pairs.ps))
 			}
@@ -376,6 +474,34 @@ func TestPooledWorkspacesPinNothing(t *testing.T) {
 		if c.workerHeaps && !heaps {
 			t.Errorf("after %s: no worker's workspace kept its pair heap's capacity", c.name)
 		}
+		if c.peak > 1 && records == 0 {
+			t.Errorf("after %s: no listed workspace kept an outbox record", c.name)
+		}
+	}
+
+	// The mutant: a record put at rest keeps its polynomial.
+	emptyList()
+	rest := restMsg
+	restMsg = func(m *msg) {
+		nf := m.req.nf
+		rest(m)
+		m.req.nf = nf
+	}
+	err := parallel(onSim, false)()
+	restMsg = rest
+	if err != nil {
+		t.Fatal(err)
+	}
+	workspaces.mu.Lock()
+	free := slices.Clone(workspaces.free)
+	workspaces.mu.Unlock()
+	caught := false
+	for _, ws := range free {
+		_, err := outboxAtRest(ws)
+		caught = caught || err != nil && refersToRun(reflect.ValueOf(ws), map[uintptr]bool{})
+	}
+	if !caught {
+		t.Error("a restMsg that keeps req.nf leaves no listed workspace flagged")
 	}
 }
 

@@ -53,7 +53,8 @@ import (
 // Synchronization-Unit / polling-watchdog path), so queue services and
 // notifications are handled promptly even while long reductions occupy
 // the workers' execution units. The reductions themselves run as ordinary
-// EARTH threads.
+// EARTH threads. A message is a handler and its argument words, as in
+// EARTH: a record of the sending node's outbox (see msg), not a closure.
 
 // diagLog, when set, receives insertion-trace lines (test diagnostics).
 var diagLog func(string, ...any)
@@ -172,7 +173,7 @@ type parState struct {
 	pool      *pairHeap    // central pool (default mode): the maintenance node's pairs
 	fresh     []Pair       // newPairsFor's output, reused by each call
 	books     []workerBook // indexed by worker id
-	insertQ   []insertReq
+	insertQ   []insertReq  // the maintenance node's workspace's, like fresh
 	stopped   bool
 	added     int
 	rejected  int
@@ -217,14 +218,16 @@ type parNode struct {
 	// start is this worker's one-thread start frame for the run. In
 	// central mode its thread starts next, the pair the last fetch reply
 	// handed over, pending until then; in distributed mode it is step.
-	// fetch is the worker's fetch request body (central mode), bound once
-	// per run like start's thread.
 	start   *earth.Frame
-	fetch   earth.ThreadBody
 	next    Pair
 	pending bool
-	// fresh keeps newPairsFor's output between runs (maintenance node).
+	// out holds the messages this node sends, as the executing node: a
+	// worker's adopter sends the down worker's from its own (see letter).
+	out earth.Outbox[msg]
+	// fresh and insertQ keep newPairsFor's output and the insert queue's
+	// capacity between runs (maintenance node).
 	fresh       []Pair
+	insertQ     []insertReq
 	busy        bool
 	stop        bool
 	outstanding int // shipped, unacknowledged insert requests
@@ -232,19 +235,78 @@ type parNode struct {
 	ringAsked   bool
 }
 
-// reset leaves n at rest for the free list: its reducer and the capacity
-// of its slices stay, every pointer and count goes.
+// reset leaves n at rest for the free list: its reducer, its outbox's
+// records and the capacity of its slices stay, every pointer and count
+// goes.
 func (n *parNode) reset() {
 	n.red.SetBasis(nil)
+	n.out.Reset(restMsg)
 	*n = parNode{
 		red:       n.red,
+		out:       n.out,
 		pairs:     pairHeap{ps: emptied(n.pairs.ps)},
 		cache:     emptied(n.cache),
 		leads:     emptied(n.leads),
 		stair:     n.stair[:0],
 		staircase: emptied(n.staircase),
 		fresh:     emptied(n.fresh),
+		insertQ:   emptied(n.insertQ),
 	}
+}
+
+// msg is the argument of one protocol message: a record of the sending
+// node's outbox, filled by the sender and read by the handler, one of the
+// *Msg functions below, plain functions that capture nothing. A record
+// serves one message of a run, so whatever the engines do to the envelope
+// pointing at it, its handler reads what its sender wrote.
+type msg struct {
+	st *parState
+	// w is the worker the message is from or for. A broadcast carries its
+	// destination and a ring request its requester here, because the
+	// handler may run on an adopter.
+	w int
+	// at is the worker a ring request asks.
+	at int
+	// req is a shipped or bounced result; req.pair alone is a fetch
+	// reply's pair or an in-flight report's, req.nf alone a broadcast's
+	// polynomial.
+	req insertReq
+	// proc and out are the sender's counts of processed pairs and of
+	// outstanding insert requests.
+	proc, out int
+	// idx and lead are a broadcast polynomial's registry index and
+	// leading monomial.
+	idx  int
+	lead poly.Mono
+	// polys are a bounce's registry entries from req.prefix on, with their
+	// leading monomials in leads, or the input system (bootstrap).
+	polys []*poly.Poly
+	leads []poly.Mono
+	// pairs is a batch dealt to w or a donation to it.
+	pairs []Pair
+}
+
+// restMsg puts a record's argument at rest: zero, with the capacity of
+// leads and pairs kept for the messages of later runs.
+var restMsg = func(m *msg) { *m = msg{leads: emptied(m.leads), pairs: emptied(m.pairs)} }
+
+// handler is a protocol message's handler.
+type handler = func(earth.Ctx, *earth.Letter[msg])
+
+// letter returns an unused record of the executing node's outbox. It is
+// looked up by c.Node(), never by worker id: a down worker's handlers and
+// threads run on its adopter, and an outbox serves one executor.
+func (st *parState) letter(c earth.Ctx) *earth.Letter[msg] {
+	l := st.nodes[c.Node()].out.Next()
+	l.Arg.st = st
+	return l
+}
+
+// tell posts h to node to with worker w as its only argument.
+func (st *parState) tell(c earth.Ctx, to earth.NodeID, bytes, w int, h handler) {
+	l := st.letter(c)
+	l.Arg.w = w
+	l.Post(c, to, bytes, h)
 }
 
 // emptied clears s up to its capacity and returns it empty.
@@ -346,16 +408,15 @@ func ParallelBuchberger(rt earth.Runtime, F []*poly.Poly, cfg ParallelConfig) (*
 			start = func(c earth.Ctx) { st.step(c, w) }
 		}
 		n.start = earth.NewFrame(earth.NodeID(w), 1, 0).SetThread(0, start)
-		n.fetch = func(c earth.Ctx) { st.serveFetch(c, w) }
 		n.pairs.ord = ring.Order()
 	}
 	mn := st.nodes[st.m]
 	mn.pairs.ord = ring.Order()
-	st.pool, st.fresh = &mn.pairs, mn.fresh
+	st.pool, st.fresh, st.insertQ = &mn.pairs, mn.fresh, mn.insertQ
 
 	stats := rt.Run(func(c earth.Ctx) { st.driver(c, G) })
 
-	mn.fresh = st.fresh
+	mn.fresh, mn.insertQ = st.fresh, st.insertQ
 	res := &ParallelResult{
 		Basis:     &Basis{Ring: ring, Polys: st.registry},
 		Stats:     stats,
@@ -379,8 +440,12 @@ func (st *parState) driver(c earth.Ctx, G []*poly.Poly) {
 	for _, g := range G {
 		bytes += g.Bytes()
 	}
-	c.Post(st.m, bytes, func(c earth.Ctx) { st.bootstrap(c, G) })
+	l := st.letter(c)
+	l.Arg.polys = G
+	l.Post(c, st.m, bytes, bootstrapMsg)
 }
+
+func bootstrapMsg(c earth.Ctx, l *earth.Letter[msg]) { l.Arg.st.bootstrap(c, l.Arg.polys) }
 
 // bootstrap runs on the maintenance node.
 func (st *parState) bootstrap(c earth.Ctx, G []*poly.Poly) {
@@ -410,11 +475,11 @@ func (st *parState) bootstrap(c earth.Ctx, G []*poly.Poly) {
 	}
 
 	if st.cfg.DistributedQueues {
-		// Workers with no initial pairs go through the ring.
-		for w, b := range st.deal(c, pairs, 0) {
-			if len(b) == 0 {
-				c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.ringRequest(c, w) })
-			}
+		st.deal(c, pairs, 0)
+		// Workers with no initial pairs (the deal reached only the first
+		// len(pairs)) go through the ring.
+		for w := len(pairs); w < st.workers; w++ {
+			st.tell(c, earth.NodeID(w), 8, w, ringRequestMsg)
 		}
 		return
 	}
@@ -423,25 +488,31 @@ func (st *parState) bootstrap(c earth.Ctx, G []*poly.Poly) {
 		st.pool.push(p)
 	}
 	for w := range st.workers {
-		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.fetchWork(c, w) })
+		st.tell(c, earth.NodeID(w), 8, w, fetchWorkMsg)
 	}
 }
 
-// deal hands pairs out round-robin from worker from on, one batch message
-// per worker dealt any, and returns the batches (distributed mode).
-func (st *parState) deal(c earth.Ctx, pairs []Pair, from int) [][]Pair {
-	batches := make([][]Pair, st.workers)
-	for k, p := range pairs {
-		w := (from + k) % st.workers
-		batches[w] = append(batches[w], p)
-	}
-	for w, b := range batches {
-		if len(b) > 0 {
-			c.Post(earth.NodeID(w), len(b)*pairMsgBytes, func(c earth.Ctx) { st.receivePairs(c, w, b) })
+func ringRequestMsg(c earth.Ctx, l *earth.Letter[msg]) { l.Arg.st.ringRequest(c, l.Arg.w) }
+
+// deal hands pairs out round-robin from worker from on, pairs[k] to worker
+// (from+k) mod workers, in one batch message per worker dealt any
+// (distributed mode).
+func (st *parState) deal(c earth.Ctx, pairs []Pair, from int) {
+	for w := range st.workers {
+		k := ((w-from)%st.workers + st.workers) % st.workers // w's first pair
+		if k >= len(pairs) {
+			continue
 		}
+		l := st.letter(c)
+		l.Arg.w = w
+		for ; k < len(pairs); k += st.workers {
+			l.Arg.pairs = append(l.Arg.pairs, pairs[k])
+		}
+		l.Post(c, earth.NodeID(w), len(l.Arg.pairs)*pairMsgBytes, pairsMsg)
 	}
-	return batches
 }
+
+func pairsMsg(c earth.Ctx, l *earth.Letter[msg]) { l.Arg.st.receivePairs(c, l.Arg.w, l.Arg.pairs) }
 
 // lead returns the leading monomial of registry entry idx, unpacked once
 // for the maintenance node's pair creation and every worker's cache (which
@@ -469,8 +540,12 @@ func (st *parState) fetchWork(c earth.Ctx, w int) {
 		return
 	}
 	n.busy = true
-	c.Post(st.m, 16, n.fetch)
+	st.tell(c, st.m, 16, w, fetchMsg)
 }
+
+func fetchWorkMsg(c earth.Ctx, l *earth.Letter[msg]) { l.Arg.st.fetchWork(c, l.Arg.w) }
+
+func fetchMsg(c earth.Ctx, l *earth.Letter[msg]) { l.Arg.st.serveFetch(c, l.Arg.w) }
 
 // serveFetch runs on the maintenance node for worker w's fetch request:
 // it hands w the best pair, or parks w on an empty pool.
@@ -478,13 +553,19 @@ func (st *parState) serveFetch(c earth.Ctx, w int) {
 	if st.pool.len() > 0 {
 		p := st.pool.pop()
 		st.books[w].inflight, st.books[w].reducing = p, true
-		c.Post(earth.NodeID(w), pairMsgBytes, func(c earth.Ctx) { st.handOver(c, w, p) })
+		l := st.letter(c)
+		l.Arg.w, l.Arg.req.pair = w, p
+		l.Post(c, earth.NodeID(w), pairMsgBytes, handOverMsg)
 		return
 	}
 	st.books[w].waiting = true
-	c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.nodes[w].busy = false })
+	st.tell(c, earth.NodeID(w), 8, w, parkMsg)
 	st.maybeTerminate(c)
 }
+
+func handOverMsg(c earth.Ctx, l *earth.Letter[msg]) { l.Arg.st.handOver(c, l.Arg.w, l.Arg.req.pair) }
+
+func parkMsg(_ earth.Ctx, l *earth.Letter[msg]) { l.Arg.st.nodes[l.Arg.w].busy = false }
 
 // handOver runs on worker w, or on its adopter while w is down: it stores
 // the pair the maintenance node handed w and spawns w's start frame. A
@@ -564,33 +645,43 @@ func (st *parState) processPair(c earth.Ctx, w int, p Pair) {
 		n.outstanding++
 		st.shipResult(c, w, p, nf)
 	} else {
-		proc := n.processed
-		c.Post(st.m, pairMsgBytes, func(c earth.Ctx) {
-			st.books[w].reducing = false
-			st.books[w].processed = proc
-			st.tryInsert(c) // the gate may have been waiting on this pair
-			if !st.cfg.DistributedQueues {
-				// A distributed worker is judged when it reports idle.
-				st.maybeTerminate(c)
-			}
-		})
+		l := st.letter(c)
+		l.Arg.w, l.Arg.proc = w, n.processed
+		l.Post(c, st.m, pairMsgBytes, zeroMsg)
 	}
 	st.continueWorker(c, w)
+}
+
+// zeroMsg reports a pair that reduced to zero.
+func zeroMsg(c earth.Ctx, l *earth.Letter[msg]) {
+	st, m := l.Arg.st, &l.Arg
+	st.books[m.w].reducing = false
+	st.books[m.w].processed = m.proc
+	st.tryInsert(c) // the gate may have been waiting on this pair
+	if !st.cfg.DistributedQueues {
+		// A distributed worker is judged when it reports idle.
+		st.maybeTerminate(c)
+	}
 }
 
 // shipResult sends an irreducible result to the maintenance node. The
 // reporting pair completion travels with it.
 func (st *parState) shipResult(c earth.Ctx, w int, p Pair, nf *poly.Poly) {
 	n := st.nodes[w]
-	req := insertReq{w: w, pair: p, nf: nf, prefix: n.prefixLen()}
-	proc := n.processed
-	c.Post(st.m, nf.Bytes()+pairMsgBytes, func(c earth.Ctx) {
-		st.insertQ = append(st.insertQ, req)
-		// Also after a rereduce, when w may already hold its next pair.
-		st.books[w].reducing = false
-		st.books[w].processed = proc
-		st.tryInsert(c)
-	})
+	l := st.letter(c)
+	l.Arg.req = insertReq{w: w, pair: p, nf: nf, prefix: n.prefixLen()}
+	l.Arg.proc = n.processed
+	l.Post(c, st.m, nf.Bytes()+pairMsgBytes, shipMsg)
+}
+
+func shipMsg(c earth.Ctx, l *earth.Letter[msg]) {
+	st, m := l.Arg.st, &l.Arg
+	st.insertQ = append(st.insertQ, m.req)
+	// Also after a rereduce, when the worker may already hold its next
+	// pair.
+	st.books[m.req.w].reducing = false
+	st.books[m.req.w].processed = m.proc
+	st.tryInsert(c)
 }
 
 // continueWorker resumes worker w's main loop in the configured mode.
@@ -647,22 +738,28 @@ func (st *parState) tryInsert(c earth.Ctx) {
 		// Conflict: ship the polynomials admitted since the worker's
 		// snapshot and let it re-reduce in parallel.
 		st.rejected++ // counted as a conflict round
-		missing := st.registry[req.prefix:]
-		from := req.prefix
-		leads := make([]poly.Mono, len(missing))
+		l := st.letter(c)
+		l.Arg.req, l.Arg.polys = req, st.registry[req.prefix:]
 		bytes := 0
-		for k, g := range missing {
+		for k, g := range l.Arg.polys {
 			bytes += g.Bytes()
-			leads[k] = st.lead(from + k)
+			l.Arg.leads = append(l.Arg.leads, st.lead(req.prefix+k))
 		}
-		c.Post(earth.NodeID(req.w), bytes+pairMsgBytes, func(c earth.Ctx) {
-			for k, g := range missing {
-				st.nodeCachePut(req.w, from+k, g, leads[k])
-			}
-			earth.SpawnBody(c, func(c earth.Ctx) { st.rereduce(c, req) })
-		})
+		l.Post(c, earth.NodeID(req.w), bytes+pairMsgBytes, bounceMsg)
 	}
 }
+
+// bounceMsg runs on the request's worker, or its adopter: it caches the
+// polynomials and spawns the re-reduction on its own record.
+func bounceMsg(c earth.Ctx, l *earth.Letter[msg]) {
+	m := &l.Arg
+	for k, g := range m.polys {
+		m.st.nodeCachePut(m.req.w, m.req.prefix+k, g, m.leads[k])
+	}
+	l.Spawn(c, rereduceMsg)
+}
+
+func rereduceMsg(c earth.Ctx, l *earth.Letter[msg]) { l.Arg.st.rereduce(c, l.Arg.req) }
 
 // rereduce runs as a worker thread after a commit conflict: reduce the
 // result against the refreshed cache; a surviving result is re-shipped,
@@ -673,11 +770,9 @@ func (st *parState) rereduce(c earth.Ctx, req insertReq) {
 	c.Compute(sim.Time(rst.TermOps) * st.cfg.StepCost.PerTermOp)
 	if nf.IsZero() {
 		n.outstanding--
-		out := n.outstanding
-		c.Post(st.m, 16, func(c earth.Ctx) {
-			st.books[req.w].outstand = out
-			st.maybeTerminate(c)
-		})
+		l := st.letter(c)
+		l.Arg.w, l.Arg.out = req.w, n.outstanding
+		l.Post(c, st.m, 16, outstandMsg)
 		return
 	}
 	st.shipResult(c, req.w, req.pair, nf)
@@ -687,24 +782,15 @@ func (st *parState) rereduce(c earth.Ctx, req insertReq) {
 // worker, broadcast the polynomial, create and distribute the new pairs.
 func (st *parState) finishInsert(c earth.Ctx, w int, idx int, nf *poly.Poly) {
 	// Acknowledge the shipping worker.
-	c.Post(earth.NodeID(w), 8, func(c earth.Ctx) {
-		n := st.nodes[w]
-		n.outstanding--
-		out := n.outstanding
-		c.Post(st.m, 8, func(c earth.Ctx) {
-			st.books[w].outstand = out
-			st.maybeTerminate(c)
-		})
-	})
+	st.tell(c, earth.NodeID(w), 8, w, ackMsg)
 
 	if nf != nil {
 		// Broadcast (read caching of the replicated solution set).
 		lead := st.lead(idx)
 		for o := range st.workers {
-			c.Post(earth.NodeID(o), nf.Bytes(), func(c earth.Ctx) {
-				st.nodeCachePut(o, idx, nf, lead)
-				st.onBroadcast(c, o)
-			})
+			l := st.letter(c)
+			l.Arg.w, l.Arg.idx, l.Arg.req.nf, l.Arg.lead = o, idx, nf, lead
+			l.Post(c, earth.NodeID(o), nf.Bytes(), broadcastMsg)
 		}
 		// New pairs.
 		pairs := st.newPairsFor(st.registry, idx)
@@ -722,6 +808,31 @@ func (st *parState) finishInsert(c earth.Ctx, w int, idx int, nf *poly.Poly) {
 	st.maybeTerminate(c)
 }
 
+// ackMsg runs on the acknowledged worker, or its adopter, and reports its
+// outstanding count back.
+func ackMsg(c earth.Ctx, l *earth.Letter[msg]) {
+	st, w := l.Arg.st, l.Arg.w
+	n := st.nodes[w]
+	n.outstanding--
+	r := st.letter(c)
+	r.Arg.w, r.Arg.out = w, n.outstanding
+	r.Post(c, st.m, 8, outstandMsg)
+}
+
+// outstandMsg books a worker's outstanding count: an acknowledgement's
+// reply, or a withdrawal after a re-reduction to zero.
+func outstandMsg(c earth.Ctx, l *earth.Letter[msg]) {
+	st := l.Arg.st
+	st.books[l.Arg.w].outstand = l.Arg.out
+	st.maybeTerminate(c)
+}
+
+func broadcastMsg(c earth.Ctx, l *earth.Letter[msg]) {
+	m := &l.Arg
+	m.st.nodeCachePut(m.w, m.idx, m.req.nf, m.lead)
+	m.st.onBroadcast(c, m.w)
+}
+
 // dispatchWaiting restarts parked workers, in id order, while pairs are
 // available.
 func (st *parState) dispatchWaiting(c earth.Ctx) {
@@ -733,7 +844,7 @@ func (st *parState) dispatchWaiting(c earth.Ctx) {
 			continue
 		}
 		st.books[w].waiting = false
-		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.fetchWork(c, w) })
+		st.tell(c, earth.NodeID(w), 8, w, fetchWorkMsg)
 	}
 }
 
@@ -761,9 +872,11 @@ func (st *parState) maybeTerminate(c earth.Ctx) {
 	}
 	st.stopped = true
 	for w := range st.workers {
-		c.Post(earth.NodeID(w), 8, func(c earth.Ctx) { st.nodes[w].stop = true })
+		st.tell(c, earth.NodeID(w), 8, w, stopMsg)
 	}
 }
+
+func stopMsg(_ earth.Ctx, l *earth.Letter[msg]) { l.Arg.st.nodes[l.Arg.w].stop = true }
 
 // finished is the termination rule (DESIGN.md §4a.3), a predicate of the
 // maintenance node's books alone: no insert is queued, every worker is
@@ -819,8 +932,15 @@ func (st *parState) step(c earth.Ctx, w int) {
 		return
 	}
 	p := n.pairs.pop()
-	c.Post(st.m, pairMsgBytes, func(c earth.Ctx) { st.books[w].inflight, st.books[w].reducing = p, true })
+	l := st.letter(c)
+	l.Arg.w, l.Arg.req.pair = w, p
+	l.Post(c, st.m, pairMsgBytes, inflightMsg)
 	st.startPair(c, w, p)
+}
+
+func inflightMsg(_ earth.Ctx, l *earth.Letter[msg]) {
+	b := &l.Arg.st.books[l.Arg.w]
+	b.inflight, b.reducing = l.Arg.req.pair, true
 }
 
 // reportIdle runs on worker w with an empty queue: it asks the ring for
@@ -829,13 +949,17 @@ func (st *parState) step(c earth.Ctx, w int) {
 func (st *parState) reportIdle(c earth.Ctx, w int) {
 	st.ringRequest(c, w)
 	n := st.nodes[w]
-	proc, out := n.processed, n.outstanding
-	c.Post(st.m, 16, func(c earth.Ctx) {
-		st.books[w].processed = proc
-		st.books[w].outstand = out
-		st.books[w].waiting = true
-		st.maybeTerminate(c)
-	})
+	l := st.letter(c)
+	l.Arg.w, l.Arg.proc, l.Arg.out = w, n.processed, n.outstanding
+	l.Post(c, st.m, 16, idleMsg)
+}
+
+func idleMsg(c earth.Ctx, l *earth.Letter[msg]) {
+	st, m := l.Arg.st, &l.Arg
+	st.books[m.w].processed = m.proc
+	st.books[m.w].outstand = m.out
+	st.books[m.w].waiting = true
+	st.maybeTerminate(c)
 }
 
 // onBroadcast runs on worker o when a new polynomial arrives: an idle
@@ -875,22 +999,28 @@ func (st *parState) ringHop(c earth.Ctx, requester, at int) {
 	if at == requester {
 		return // no work anywhere right now
 	}
-	c.Post(earth.NodeID(at), 16, func(c earth.Ctx) {
-		v := st.nodes[at]
-		if v.pairs.len() > 1 {
-			// Donate the best half: the requester starts on it
-			// immediately, keeping global order close to the heuristic.
-			donation := make([]Pair, v.pairs.len()/2)
-			for i := range donation {
-				donation[i] = v.pairs.pop()
-			}
-			c.Post(earth.NodeID(requester), len(donation)*pairMsgBytes, func(c earth.Ctx) {
-				st.receivePairs(c, requester, donation)
-			})
-			return
+	l := st.letter(c)
+	l.Arg.w, l.Arg.at = requester, at
+	l.Post(c, earth.NodeID(at), 16, ringHopMsg)
+}
+
+// ringHopMsg runs on the asked worker, or its adopter: it donates pairs to
+// the requester or passes the request on.
+func ringHopMsg(c earth.Ctx, l *earth.Letter[msg]) {
+	st, requester, at := l.Arg.st, l.Arg.w, l.Arg.at
+	v := st.nodes[at]
+	if v.pairs.len() > 1 {
+		// Donate the best half: the requester starts on it immediately,
+		// keeping global order close to the heuristic.
+		d := st.letter(c)
+		d.Arg.w = requester
+		for range v.pairs.len() / 2 {
+			d.Arg.pairs = append(d.Arg.pairs, v.pairs.pop())
 		}
-		st.ringHop(c, requester, (at+1)%st.workers)
-	})
+		d.Post(c, earth.NodeID(requester), len(d.Arg.pairs)*pairMsgBytes, pairsMsg)
+		return
+	}
+	st.ringHop(c, requester, (at+1)%st.workers)
 }
 
 // MeanPolyBytes reports the mean compacted size of a basis's polynomials

@@ -268,7 +268,9 @@ func (cm *comm) parent(k int) int { return (k - 1) / 2 }
 // on. So a recipient reads what the sender held when it sent, as a copy
 // made at send time would, on either engine and under any delivery delay,
 // and the chain of messages orders each read between the writes around it.
-// The sequential back reduce is the exception (see reduceBack).
+// The sequential back reduce's Puts are no exception: each signals
+// backFrame once its sums are added, and the sample goes on only when all
+// have.
 type pstate struct {
 	cfg  ParallelConfig
 	net  *Net
@@ -289,10 +291,15 @@ type pstate struct {
 	back               []float32 // sequential training: the Puts' sum
 	outputs            [][]float32
 	loss               float64
-	seqFrames          [2]*earth.Frame
-	backFrame          *earth.Frame
-	joined             int
-	updatesPending     int
+	// Sequential communication: the per-phase gather frames and, when
+	// training, the back reduce's, built on node 0 before the run; backPuts
+	// counts the back reduce's Puts applied in the current sample.
+	seqFrames [2]*earth.Frame
+	backFrame *earth.Frame
+	backPuts  int
+
+	joined         int
+	updatesPending int
 
 	nodes []*nnode
 }
@@ -364,8 +371,14 @@ func parallelRun(rt earth.Runtime, start, net *Net, xs, ts [][]float32, cfg Para
 		st.outputs = make([][]float32, 0, len(xs))
 		st.outRows = make([]float32, len(xs)*net.NOut)
 	}
-	if cfg.Train && !cfg.Tree {
-		st.back = make([]float32, net.NHid)
+	if !cfg.Tree {
+		for ph := range st.seqFrames {
+			st.seqFrames[ph] = st.countFrame(func(c earth.Ctx) { st.gathered(c, phaseID(ph)) })
+		}
+		if cfg.Train {
+			st.back = make([]float32, net.NHid)
+			st.backFrame = st.countFrame(st.reducedBack)
+		}
 	}
 	st.cost.fwdUnit = UnitCostFor(net.NHid)
 	st.cost.backUnit = 2 * st.cost.fwdUnit / 3
@@ -576,7 +589,7 @@ func (st *pstate) gather(c earth.Ctx, k int, ph phaseID) {
 		// a central frame counts the arrivals. The Put's write reads the
 		// slice on arrival (see pstate).
 		data, start := st.nodes[k].pack[ph][:own], st.cm.start[ph][k]
-		c.Put(0, own*4, func() { copy(st.central(ph)[start:], data) }, st.phaseFrame(ph), 0)
+		c.Put(0, own*4, func() { copy(st.central(ph)[start:], data) }, st.seqFrames[ph], 0)
 		return
 	}
 
@@ -597,16 +610,10 @@ func (st *pstate) gathered(c earth.Ctx, ph phaseID) {
 	}
 }
 
-// phaseFrame lazily creates the per-sample completion frame for a
-// sequential-mode phase.
-func (st *pstate) phaseFrame(ph phaseID) *earth.Frame {
-	if st.seqFrames[ph] == nil {
-		f := earth.NewFrame(0, 1, 1)
-		f.InitSync(0, st.cm.p, st.cm.p, 0)
-		f.SetThread(0, func(c earth.Ctx) { st.gathered(c, ph) })
-		st.seqFrames[ph] = f
-	}
-	return st.seqFrames[ph]
+// countFrame builds a sequential-mode completion frame on node 0: its
+// thread runs body once every node has signalled, in every sample.
+func (st *pstate) countFrame(body earth.ThreadBody) *earth.Frame {
+	return earth.NewFrame(0, 1, 1).InitSync(0, st.cm.p, st.cm.p, 0).SetThread(0, body)
 }
 
 // trySendUp forwards node k's completed subtree block of phase ph toward
@@ -741,16 +748,14 @@ func (n *nnode) outputRows(W [][]float32, B, y, t []float32) {
 // node (a summing tree reduce, or direct sends in sequential mode).
 func (st *pstate) reduceBack(c earth.Ctx, k int) {
 	if !st.cfg.Tree {
-		// The Put carries a copy: it signals no frame, and the Sync that
-		// reports it may overtake it and close the sample first, so
-		// nothing orders its arrival before the node's next trainOutput.
-		data := append([]float32(nil), st.nodes[k].partial...)
+		// The write adds k's sums from its partial buffer on arrival (see
+		// pstate), and the Put then signals backFrame.
 		c.Put(0, st.net.NHid*4, func() {
-			for j := range st.back {
-				st.back[j] += data[j]
+			for j, v := range st.nodes[k].partial {
+				st.back[j] += v
 			}
-		}, nil, 0)
-		st.seqPhaseSync2(c)
+			st.backPuts++
+		}, st.backFrame, 0)
 		return
 	}
 	st.nodes[k].gotB++
@@ -792,16 +797,18 @@ func (st *pstate) trySendBack(c earth.Ctx, k int) {
 	})
 }
 
-// seqPhaseSync2 counts back-reduce completions in sequential mode.
-func (st *pstate) seqPhaseSync2(c earth.Ctx) {
-	if st.backFrame == nil {
-		f := earth.NewFrame(0, 1, 1)
-		f.InitSync(0, st.cm.p, st.cm.p, 0)
-		f.SetThread(0, func(c earth.Ctx) { st.phaseDone(c) })
-		st.backFrame = f
+// reducedBack is backFrame's thread: every node's Put has added its sums.
+func (st *pstate) reducedBack(c earth.Ctx) {
+	if backLog != nil {
+		backLog(st.backPuts)
 	}
-	c.Sync(st.backFrame, 0)
+	st.backPuts = 0
+	st.phaseDone(c)
 }
+
+// backLog, when set, sees the number of Puts applied each time the
+// sequential back reduce completes (test diagnostics).
+var backLog func(puts int)
 
 // afterOutput runs at the central node once the outputs are gathered:
 // record the sample (and its loss), then either finish the sample
@@ -833,7 +840,7 @@ func (st *pstate) phaseDone(c earth.Ctx) {
 		return
 	}
 	// Broadcast the summed partials and run the hidden update. In
-	// sequential mode they are what the Puts have added by now.
+	// sequential mode they are what every node's Put added.
 	if st.back != nil {
 		copy(st.nodes[0].lb, st.back)
 	}

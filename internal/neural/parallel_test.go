@@ -155,6 +155,59 @@ func TestParallelTrainOnLiveRuntime(t *testing.T) {
 	}
 }
 
+// TestSequentialBackReduceWaitsForEveryPut: with sequential communication
+// the summed partials go out for the hidden update only once every node's
+// Put has added its own: each completion of the back reduce sees all p
+// Puts applied, once per sample, on a clean run and under reorder=0.3 at
+// seeds 1 to 19, on four nodes. A separate Sync reporting each Put, which
+// the Put's data can trail, fails it.
+func TestSequentialBackReduceWaitsForEveryPut(t *testing.T) {
+	const nodes, width, count = 4, 16, 6
+	xs, ts := samples(width, width, count, 3)
+	var seen []int
+	backLog = func(puts int) { seen = append(seen, puts) }
+	defer func() { backLog = nil }()
+	reorder, err := faults.Parse("reorder=0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		ec := earth.Config{Nodes: nodes, Seed: 9}
+		if seed > 0 {
+			ec = earth.Config{Nodes: nodes, Seed: seed, Faults: reorder}
+		}
+		seen = seen[:0]
+		ParallelRun(simrt.New(ec), Square(width, 11), xs, ts, ParallelConfig{Train: true})
+		if len(seen) != count {
+			t.Errorf("seed %d: the back reduce completed %d times for %d samples", seed, len(seen), count)
+		}
+		for s, puts := range seen {
+			if puts != nodes {
+				t.Errorf("seed %d, sample %d: the back reduce completed with %d of %d Puts applied", seed, s, puts, nodes)
+			}
+		}
+	}
+}
+
+// TestParallelSequentialTrainOnLiveRuntime is TestParallelTrainOnLiveRuntime
+// with sequential communication: its frames are built before the run, and
+// each node's partial sums reach node 0 by a Put that signals the back
+// reduce's frame; the loss is the sequential one.
+func TestParallelSequentialTrainOnLiveRuntime(t *testing.T) {
+	width := 8
+	xs, ts := samples(width, width, 3, 6)
+	seqNet := Square(width, 13)
+	var seqLoss float64
+	for s := range xs {
+		seqLoss += seqNet.TrainSample(xs[s], ts[s], learningRate)
+	}
+	rt := livert.New(earth.Config{Nodes: 4, Seed: 6})
+	res := ParallelRun(rt, Square(width, 13), xs, ts, ParallelConfig{Train: true})
+	if math.Abs(res.Loss-seqLoss) > 1e-6*(1+seqLoss) {
+		t.Fatalf("live sequential-communication loss %v vs %v", res.Loss, seqLoss)
+	}
+}
+
 // TestParallelTrainPausedRoot is TestParallelTrainOnLiveRuntime's run on
 // the simulator with node 0 paused from 20 µs to 120 µs: its children's
 // partial sums reach it before its own output-phase body runs. EARTH
