@@ -65,7 +65,7 @@ func (co *Coalescer[Op]) Add(s Shipper[Op], dst NodeID, op Op, nbytes int) {
 	b := &co.bufs[i]
 	if b.ops == nil {
 		if k := len(co.free); k > 0 {
-			b.ops, co.free = co.free[k-1], co.free[:k-1]
+			b.ops, co.free[k-1], co.free = co.free[k-1], nil, co.free[:k-1]
 		}
 	}
 	b.ops = append(b.ops, op)
@@ -91,6 +91,7 @@ func (co *Coalescer[Op]) Drain(s Shipper[Op]) {
 	for i := range co.bufs {
 		co.bufs[i].ship(s)
 	}
+	clear(co.bufs)
 	co.bufs = co.bufs[:0]
 }
 

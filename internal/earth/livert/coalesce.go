@@ -5,8 +5,8 @@ import (
 	"earth/internal/sim"
 )
 
-// livert's ship step for the wire-path coalescer (earth.Coalescer, one on
-// each executor's ctx, drained by exec after every body). Each buffered
+// livert's ship step for the wire-path coalescer (earth.Coalescer, one in
+// each node's lane, drained by exec after every body). Each buffered
 // operation is the envelope that would have been its own handler dispatch.
 
 // Ship implements earth.Shipper: one destination's batch as a single

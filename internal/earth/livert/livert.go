@@ -62,7 +62,9 @@
 //     used after the run or between bodies; used while a later body runs on
 //     the same executor it is indistinguishable from that body's context.
 //   - The handler queue, ready queue and token pool are earth.Ring deques —
-//     the type simrt's queues use — that keep their storage across Runs.
+//     the type simrt's queues use — lent to each Run, with the executor's
+//     batch and coalescer, from a free list every Runtime shares
+//     (store.go): a run starts on rings an earlier run grew.
 //   - A runtime message is an envelope, queued by value: a kind (body, sync,
 //     put, get-request, get-response), node ids, slot, frame, the one
 //     closure the program supplied — or, for a word Get (GetWord), the
@@ -113,6 +115,10 @@ import (
 // backlog a busy node builds while one body runs; beyond that the lock is
 // already amortised and a fenced node would only have more to hand back.
 const handlerBatch = 32
+
+// idleWait is how long an executor that found nothing to run or steal
+// waits for a wake-up before it scans the pools again.
+const idleWait = 200 * time.Microsecond
 
 // item is a unit of work executed by a node's executor goroutine.
 type item struct {
@@ -207,13 +213,11 @@ type lnode struct {
 	id earth.NodeID
 	rt *Runtime
 
-	// mu guards the three queues, which keep their storage from Run to
-	// Run; a hand-over records the node's adopter in the fate table under
-	// it (see owner).
-	mu       sync.Mutex
-	handlers earth.Ring[envelope] // runtime messages: highest priority
-	ready    earth.Ring[item]     // ready threads
-	tokens   earth.Ring[ltoken]   // stealable token pool
+	// mu guards the three queues in lane, the node's share of the store
+	// lent to the running Run (store.go; nil between Runs); a hand-over
+	// records the node's adopter in the fate table under it (see owner).
+	mu sync.Mutex
+	*lane
 
 	wake chan struct{}
 	// rng is the node's random stream (sim.NewRand: math/rand's draws for
@@ -245,11 +249,8 @@ type lnode struct {
 
 	// credit is the executor's reserve of outstanding-work units.
 	credit credit
-	// batch[bnext:bend] holds the handlers the executor took from its queue
-	// under one lock acquisition and has not run yet. Like the queues it is
-	// allocated on first use (handlerBatch envelopes) and kept: New stays a
-	// few microseconds for a machine that may never see a message.
-	batch       []envelope
+	// lane.batch[bnext:bend] holds the handlers the executor took from its
+	// queue under one lock acquisition and has not run yet.
 	bnext, bend int
 	// busy is set while a busy period is open: from is the clock reading
 	// that opened it, and under a tracer at is the reading taken when the
@@ -315,6 +316,11 @@ type Runtime struct {
 	inj   *faults.Injector
 	plan  *faults.Plan
 	retry earth.RetryPolicy
+	// store is the storage the running Run borrowed; nil between Runs.
+	store *store
+	// left notes what the last Run left in its queues when it gave them
+	// back (Quiescent reports it); nil for nothing.
+	left []string
 	// Kill, detection and fence timers are tracked so Run can cancel
 	// unfired ones at quiescence and wait out in-flight callbacks before
 	// assembling stats.
@@ -396,13 +402,11 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 		panic("livert: Run called concurrently")
 	}
 	defer rt.running.Store(false)
+	rt.lend()
 	rt.done = make(chan struct{})
 	rt.finished.Store(false)
 	rt.start = time.Now()
 	for _, n := range rt.nodes {
-		n.handlers.Reset()
-		n.ready.Reset()
-		n.tokens.Reset()
 		n.rr = 0
 		n.acct.Reset(rt.cfg.Sanitize)
 		n.faultStats = earth.NodeStats{}
@@ -434,6 +438,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 	<-rt.done
 	wg.Wait()
 	rt.reapCrashTimers()
+	rt.giveBack()
 
 	st := &earth.Stats{
 		Elapsed: sim.Time(time.Since(rt.start).Nanoseconds()),
@@ -449,9 +454,9 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 
 // Quiescent reports what the last Run left behind, nil for nothing: work
 // still counted as outstanding, a unit in an executor's reserve, a handler
-// in a private batch, anything in a queue, a hand-off or rejoin still owed,
-// or a timer still armed or in its callback. Tests call it after every Run;
-// it must not be called during one.
+// in a private batch, anything in a queue when the Run gave it back, a
+// hand-off or rejoin still owed, or a timer still armed or in its callback.
+// Tests call it after every Run; it must not be called during one.
 func (rt *Runtime) Quiescent() error {
 	var left []string
 	note := func(what string, n int64) {
@@ -469,12 +474,10 @@ func (rt *Runtime) Quiescent() error {
 		note(where+"reserve", n.credit.reserve)
 		note(where+"batch", int64(n.bend-n.bnext))
 		n.mu.Lock()
-		note(where+"handlers", int64(n.handlers.Len()))
-		note(where+"ready", int64(n.ready.Len()))
-		note(where+"tokens", int64(n.tokens.Len()))
 		note(where+"owed", int64(len(n.owed)))
 		n.mu.Unlock()
 	}
+	left = append(left, rt.left...)
 	if left == nil {
 		return nil
 	}
@@ -614,8 +617,9 @@ func (rt *Runtime) join() bool {
 // are re-placed across the survivors the core picks for instant at. The
 // table records the adopter under n's lock, so every later push goes there.
 func (rt *Runtime) failover(n *lnode, at sim.Time, cause earth.Cause) {
-	// The rings leave with their storage; the down node, which nothing is
-	// pushed to again this run, keeps empty ones.
+	// The rings are drained outside n's lock, which a push to the adopter
+	// must not be taken under; n's lane gets them back empty, for its store,
+	// as nothing is pushed to n again this run.
 	n.mu.Lock()
 	sn := rt.nodes[rt.take.HandOver(n.id, at)]
 	handlers, ready, tokens := n.handlers, n.ready, n.tokens
@@ -645,6 +649,9 @@ func (rt *Runtime) failover(n *lnode, at sim.Time, cause earth.Cause) {
 		tn.account(h.Reassign(tn.id, tk.bytes))
 		rt.pushToken(tn, tk)
 	}
+	n.mu.Lock()
+	n.handlers, n.ready, n.tokens = handlers, ready, tokens
+	n.mu.Unlock()
 }
 
 func (rt *Runtime) finish() {
@@ -955,12 +962,17 @@ func (n *lnode) loop(lctx context.Context) {
 		}
 		if !ok {
 			n.settle()
+			if n.idle == nil {
+				n.idle = time.NewTimer(idleWait)
+			} else {
+				n.idle.Reset(idleWait)
+			}
 			select {
 			case <-rt.done:
 				return
 			case <-n.wake:
 				continue
-			case <-time.After(200 * time.Microsecond):
+			case <-n.idle.C:
 				continue // re-scan pools: a victim may have deposited tokens
 			}
 		}
@@ -1027,10 +1039,10 @@ func (n *lnode) retire() bool {
 func (n *lnode) down() bool { return n.rt.take.Crashed(n.id) || n.halted.Load() }
 
 // exec runs it under the node's context. The context is live only for the
-// body (and its end-of-body coalescing flush); its buffer list is truncated
-// for the next one. Only a traced run reads the clock here: the event
-// reports the body's start — n.at, the previous body's end or the start of
-// the busy period — and its duration.
+// body (and its end-of-body flush of the node's coalescer, which leaves the
+// coalescer empty for the next one). Only a traced run reads the clock
+// here: the event reports the body's start — n.at, the previous body's end
+// or the start of the busy period — and its duration.
 func (n *lnode) exec(lctx context.Context, it item) {
 	rt := n.rt
 	c := &n.ctx
@@ -1046,7 +1058,7 @@ func (n *lnode) exec(lctx context.Context, it item) {
 		n.run(it)
 	}
 	if rt.coalOn {
-		c.coal.Drain(c)
+		n.coal.Drain(c)
 	}
 	c.dead = true
 	var start, end sim.Time
@@ -1143,9 +1155,6 @@ type ctx struct {
 	// context and the check cannot tell (simrt's recycled contexts share
 	// the limit).
 	dead bool
-	// coal holds the running body's coalesced operations (see coalesce.go).
-	// Unused unless rt.coalOn.
-	coal earth.Coalescer[envelope]
 }
 
 var (
@@ -1198,7 +1207,7 @@ func (c *ctx) Sync(f *earth.Frame, slot int) {
 // body's buffer for dst with coalescing on, straight to the wire without.
 func (c *ctx) send(dst *lnode, nbytes int, e *envelope) {
 	if c.rt.coalOn {
-		c.coal.Add(c, dst.id, *e, nbytes)
+		c.n.coal.Add(c, dst.id, *e, nbytes)
 		return
 	}
 	c.rt.sendHandler(c.n, c.n.id, dst, nbytes, e)
@@ -1252,7 +1261,7 @@ func (c *ctx) get(owner earth.NodeID, nbytes int, e envelope, f *earth.Frame, sl
 	if rt.coalOn {
 		// Gets are never coalesced, but the request must not overtake
 		// batched traffic already buffered for the owner.
-		c.coal.FlushTo(c, owner)
+		c.n.coal.FlushTo(c, owner)
 	}
 	e.kind, e.from, e.peer, e.bytes = envGetReq, int32(c.n.id), int32(owner), int32(nbytes)
 	e.f, e.slot, e.issue = f, int32(slot), rt.stamp()
@@ -1265,7 +1274,7 @@ func (c *ctx) Invoke(nodeID earth.NodeID, argBytes int, body earth.ThreadBody) {
 	rt := c.rt
 	src := c.n.id
 	if rt.coalOn && nodeID != src {
-		c.coal.FlushTo(c, nodeID)
+		c.n.coal.FlushTo(c, nodeID)
 	}
 	it := item{body: body, cause: earth.CauseInvoke, enq: rt.stamp()}
 	if nodeID != src {
@@ -1300,7 +1309,7 @@ func (c *ctx) Token(argBytes int, body earth.ThreadBody) {
 	}
 	// The balancer placed it on target: it travels as a ready item.
 	if rt.coalOn && target != c.n.id {
-		c.coal.FlushTo(c, target)
+		c.n.coal.FlushTo(c, target)
 	}
 	it := item{body: body, cause: earth.CauseToken, enq: rt.stamp()}
 	c.n.acct.Issue(earth.EvTokenSpawn, it.enq, target, argBytes)

@@ -1,14 +1,17 @@
 package earth
 
+import "sync"
+
 // Ring is a growable ring-buffer deque: the engines' per-node work queues
 // (simrt's ready queue and token pool; livert's handler queue, ready queue
 // and token pool). Push appends at the back; PopFront serves FIFO queues
 // and steals (oldest first), PopBack a node running its own tokens newest
 // first. All three are O(1); popped slots are zeroed, so a finished thread
 // body is not kept alive by the backing array. The buffer length is zero
-// or a power of two, is never shrunk, and survives Reset, so an engine that
-// is Run again refills the storage it has. The zero value is an empty ring.
-// Not safe for concurrent use: livert guards each ring with its node's lock.
+// or a power of two, is never shrunk, and survives Reset, so a ring lent
+// to one run after another (FreeList) refills the storage it has. The zero
+// value is an empty ring. Not safe for concurrent use: livert guards each
+// ring with its node's lock.
 type Ring[T any] struct {
 	buf  []T
 	head int
@@ -77,4 +80,49 @@ func (q *Ring[T]) Reset() {
 		q.PopBack()
 	}
 	q.head = 0
+}
+
+// FreeList is a mutex-guarded stack of values that outlive their user: both
+// engines keep the storage a run grows — queues, envelopes, event heap,
+// a trace chunk — in one store per machine, which each Run takes from a
+// FreeList when it starts and gives back before it returns, so a run starts
+// on buffers its predecessors grew instead of doubling them up from empty.
+// It is not a sync.Pool: the collector empties a pool every second cycle,
+// and a sweep collects several times a second. Uncapped, a list never holds
+// more values than were once in use at the same time. A value is given
+// back at rest — holding nothing of the run that used it — and each Get
+// hands it to one user only.
+type FreeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// Get takes the value given back last, or a new zero one.
+func (l *FreeList[T]) Get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	k := len(l.free)
+	if k == 0 {
+		return new(T)
+	}
+	v := l.free[k-1]
+	l.free[k-1] = nil
+	l.free = l.free[:k-1]
+	return v
+}
+
+// Put gives v back.
+func (l *FreeList[T]) Put(v *T) {
+	l.mu.Lock()
+	l.free = append(l.free, v)
+	l.mu.Unlock()
+}
+
+// Listed returns the values on the list, the one given back first first.
+//
+//unref:allow test oracle: both engines' tests walk their free list to check that a given-back store is at rest
+func (l *FreeList[T]) Listed() []*T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]*T(nil), l.free...)
 }

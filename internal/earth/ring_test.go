@@ -2,6 +2,7 @@ package earth
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -97,4 +98,42 @@ func TestRingAgainstSliceModel(t *testing.T) {
 	if q.PopBack() != v || q.Len() != 0 {
 		t.Fatal("ring unusable after Reset")
 	}
+}
+
+// TestFreeList: Get hands out what was given back last, or a new zero
+// value on an empty list; no value is handed out twice; Listed shows the
+// list oldest first; and goroutines taking and giving back at once (under
+// -race) never share a value.
+func TestFreeList(t *testing.T) {
+	var l FreeList[int]
+	a, b := l.Get(), l.Get()
+	if a == b || *a != 0 || *b != 0 {
+		t.Fatal("an empty list did not make distinct zero values")
+	}
+	l.Put(a)
+	l.Put(b)
+	if got := l.Listed(); len(got) != 2 || got[0] != a || got[1] != b {
+		t.Fatalf("Listed = %v, want [a b]", got)
+	}
+	if l.Get() != b || l.Get() != a || len(l.Listed()) != 0 {
+		t.Fatal("Get did not take the list last in, first out")
+	}
+
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 1000 {
+				v := l.Get()
+				if *v != 0 {
+					t.Errorf("worker %d took a value still in use (%d)", w, *v)
+				}
+				*v = w + 1
+				*v = 0
+				l.Put(v)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -254,8 +254,9 @@ func (s *capShipper) Ship(_ earth.NodeID, ops []coalOp, _ int) { s.cap = cap(ops
 // timeout after its original, so it fires after it and is dropped there;
 // it shares the original's operations, so the original's firing must not
 // hand them back to node 0's coalescer, and node 0's next batch after the
-// run must start in a fresh slice. Without duplicates the same run gives
-// every slice back, and the next batch starts in one of them.
+// run (in the store the run gave back) must start in a fresh slice.
+// Without duplicates the same run gives every slice back, and the next
+// batch starts in one of them.
 func TestCoalescedDupBatchNotRecycled(t *testing.T) {
 	const batches = 4
 	for _, dup := range []float64{0, 0.999} {
@@ -281,9 +282,11 @@ func TestCoalescedDupBatchNotRecycled(t *testing.T) {
 			t.Fatalf("dup=%v: %d duplicates dropped, want one per batch (%d)", dup, dropped, batches)
 		}
 		var s capShipper
-		n0 := rt.nodes[0]
+		store := stores.Get() // the one the run gave back
+		n0 := &store.lanes[0]
 		n0.coal.Add(&s, 1, coalOp{kind: msgSync}, 8)
 		n0.coal.FlushTo(&s, 1)
+		stores.Put(store)
 		if recycled := s.cap > 1; recycled != (dup == 0) {
 			t.Errorf("dup=%v: the next batch starts in a slice of capacity %d", dup, s.cap)
 		}

@@ -45,8 +45,10 @@
 // pooled envelope whose fire closure is allocated once and recycled, node
 // ready queues and token pools are earth.Ring deques (the one queue type
 // both engines use: O(1) pushes and pops at either end, popped slots
-// zeroed, storage kept across Runs), thread contexts are reused, and each
-// node's dispatch continuation is a single cached closure.
+// zeroed), thread contexts are reused, and each node's dispatch
+// continuation is a single cached closure. Envelopes, queues, the event
+// heap and a trace chunk outlive the runtime: each Run borrows them from a
+// free list shared by every Runtime (store.go).
 package simrt
 
 import (
@@ -81,12 +83,10 @@ type token struct {
 // touched only by events executing on that node: every cross-node effect
 // is a time-stamped message that enters the queue at a barrier.
 type node struct {
-	id    earth.NodeID
-	ready earth.Ring[item] // FIFO ready queue of threads
-	// tokens is the local token pool: popped from the back for local
-	// execution (newest first, depth-first on task trees) and from the
-	// front for steals (oldest first, the largest subtree).
-	tokens earth.Ring[token]
+	id earth.NodeID
+	// lane is the node's queues, token pool, busy spans and coalescer, in
+	// the store lent to the running Run (store.go); nil between Runs.
+	*lane
 	// outSeq numbers this node's outboxed messages so the barrier merge can
 	// order same-instant sends from one node by issue order.
 	outSeq  uint64
@@ -104,19 +104,12 @@ type node struct {
 	// acct holds the node's counters, sanitizer ledger and event sink.
 	acct earth.NodeAcct
 	rr   int // per-node round-robin placement cursor
-	// spans records busy intervals for utilisation sampling; only
-	// maintained while a tracer with UtilSamplePeriod is installed.
-	spans []span
 	// dispatchFn is the node's dispatch continuation, allocated once and
 	// reused for every reschedule of the dispatch chain.
 	dispatchFn func()
 	// freeCtx caches the most recently retired thread context for reuse,
 	// so steady-state dispatching does not allocate.
 	freeCtx *ctx
-	// coal is the node's wire-path coalescer (see coalesce.go), used only
-	// when Config.Coalesce is enabled. It is empty whenever no body is
-	// executing on the node.
-	coal earth.Coalescer[coalOp]
 }
 
 // rand returns the node's random stream.
@@ -164,8 +157,9 @@ const (
 )
 
 // msg is a pooled in-flight runtime message. Every remote leg the engine
-// schedules is one envelope drawn from the runtime's free list; the fire
-// closure is allocated once per envelope and survives recycling, so
+// schedules is one envelope drawn from the store's free list; the fire
+// closure is allocated once per envelope and survives recycling — it reads
+// rt, which lend sets and giveBack clears, when it is called — so
 // steady-state message traffic schedules simulator events without
 // allocating (beyond the application-level bodies the caller created).
 // Envelopes with a receiver-side cost fire in two stages: stage 0 charges
@@ -217,35 +211,25 @@ type Runtime struct {
 	cfg   earth.Config
 	mach  *manna.Machine
 	nodes []*node
-	// eng is the machine's one event queue, replaced per Run.
-	eng *sim.Engine
+	// store is everything a Run grows (store.go), lent for one Run: nil
+	// while the runtime is idle.
+	*store
 	// lookahead is the window width: no cross-node message issued at T can
 	// arrive before T+lookahead (manna.MinRemoteLatency, which stays a
 	// lower bound under every fault perturbation).
 	lookahead sim.Time
-	// outbox holds the cross-node messages issued in the current window and
-	// misses the steal requests that found a dry victim in it; both drain
-	// at the barrier.
-	outbox []outboxEntry
-	misses []missNote
-	// msgFree is the envelope free list.
-	msgFree []*msg
-	// sink is the run's event buffer, or the zero Sink without a tracer.
+	// sink is the lent store's event buffer while a traced Run runs, and the
+	// zero Sink otherwise.
 	sink earth.Sink
 	// coalOn caches cfg.Coalesce.Enabled for the per-operation hot path.
 	coalOn bool
 	// sampling is true when a tracer with UtilSamplePeriod is installed; it
 	// makes the Busy accrual points also record spans for window attribution.
 	sampling bool
-	// events buffers the run's trace events in emission order; flushTrace
-	// hands them over in canonical order when the run completes.
-	events eventBuf
 	// atBarrier is true between windows: sends issued then (steal requests,
 	// token re-placement at a boundary) enter the queue directly instead
 	// of the outbox.
 	atBarrier bool
-	// victimScratch is matchSteals' victim list, reused across barriers.
-	victimScratch []*node
 	// Fault injection (nil injs means a clean run: every fault hook is a
 	// single pointer check). One injector lane per sender node, so verdict
 	// draws depend only on that node's deterministic send order.
@@ -285,19 +269,15 @@ func New(cfg earth.Config) *Runtime {
 		mc = manna.Default(cfg.Nodes)
 	}
 	rt := &Runtime{
-		cfg:           cfg,
-		mach:          manna.New(mc),
-		nodes:         make([]*node, cfg.Nodes),
-		lookahead:     mc.MinRemoteLatency(),
-		coalOn:        cfg.Coalesce.Enabled,
-		victimScratch: make([]*node, 0, cfg.Nodes),
-	}
-	if cfg.Tracer != nil {
-		rt.sink = earth.SinkOf(&rt.events)
+		cfg:       cfg,
+		mach:      manna.New(mc),
+		nodes:     make([]*node, cfg.Nodes),
+		lookahead: mc.MinRemoteLatency(),
+		coalOn:    cfg.Coalesce.Enabled,
 	}
 	for i := range rt.nodes {
 		n := &node{id: earth.NodeID(i), rngSeed: cfg.Seed*1_000_003 + int64(i)}
-		n.acct.Node, n.acct.Sink = n.id, rt.sink
+		n.acct.Node = n.id
 		n.dispatchFn = func() { rt.dispatch(n) }
 		rt.nodes[i] = n
 	}
@@ -330,8 +310,8 @@ func New(cfg earth.Config) *Runtime {
 	return rt
 }
 
-// newMsg draws an envelope from the free list (or allocates one with its
-// permanent fire closure).
+// newMsg draws an envelope from the store's free list (or allocates one
+// with its permanent fire closure).
 func (rt *Runtime) newMsg() *msg {
 	if k := len(rt.msgFree); k > 0 {
 		m := rt.msgFree[k-1]
@@ -343,7 +323,7 @@ func (rt *Runtime) newMsg() *msg {
 	return m
 }
 
-// freeMsg returns an envelope to the free list. Everything but the
+// freeMsg returns an envelope to the store's free list. Everything but the
 // runtime and the bound fire closure goes: a field kept from an envelope's
 // previous life would leak the free list's reuse order into the run (a
 // stale issue, say, into recovery-latency accounting, as deliver treats a
@@ -361,26 +341,22 @@ func (rt *Runtime) P() int { return len(rt.nodes) }
 // Run executes main as thread 0 of a frame on node 0 and drives the
 // simulation to quiescence. It may be called repeatedly; each call starts
 // from a fresh virtual clock but reuses node RNG streams (so consecutive
-// runs explore different schedules, as repeated real runs would).
+// runs explore different schedules, as repeated real runs would). Its
+// queues, envelopes, event heap and trace chunk are borrowed for the call
+// (store.go); a Run that panics does not give its store back.
 func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
+	rt.lend()
 	rt.mach.Reset()
-	rt.eng = sim.New()
-	rt.outbox = rt.outbox[:0]
-	rt.misses = rt.misses[:0]
-	rt.events.reset()
 	if rt.injs != nil {
 		for _, in := range rt.injs {
 			in.Reset()
 		}
 	}
 	for _, n := range rt.nodes {
-		n.ready.Reset()
-		n.tokens.Reset()
 		n.running, n.stealing, n.hungry = false, false, false
 		n.cpuDebt = 0
 		n.outSeq = 0
 		n.rr = 0
-		n.spans = n.spans[:0]
 		n.acct.Reset(rt.cfg.Sanitize)
 	}
 	rt.take.Reset()
@@ -418,6 +394,7 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 	}
 	st.Sanitize = earth.ScanLedgers(rt.nodes, func(n *node) *earth.SanLedger { return &n.acct.San }, rt.maxExec, rt.sink)
 	rt.flushTrace()
+	rt.giveBack()
 	return st
 }
 
@@ -633,7 +610,7 @@ func (rt *Runtime) dispatch(n *node) {
 		n.running = false
 		return
 	}
-	eng := rt.eng
+	eng := &rt.eng
 	// A paused node defers its whole dispatch chain to the window's end.
 	// Messages still land and sync slots still fire during the pause (the
 	// Synchronization Unit keeps servicing the network); only thread

@@ -28,6 +28,11 @@ const (
 // behind the earth.Sink the protocol core emits into. The stream is a list
 // of fixed-size chunks, so emitting never copies what was already
 // buffered; drain copies each event once, into the stream the tracer gets.
+//
+// The buffer lives in the run's store but keeps only one chunk for later
+// runs, and drain's sort scratch none: a store that kept a large traced
+// run's chunks and keys (18 MB after the benchmark's traced storm) would
+// stay that large for the life of the process.
 type eventBuf struct {
 	full [][]earth.Event // filled chunks, oldest first
 	cur  []earth.Event   // the chunk being filled

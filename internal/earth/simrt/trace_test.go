@@ -77,17 +77,19 @@ func TestTraceChunkSeams(t *testing.T) {
 
 // TestTraceBuffersResetBetweenRuns runs one program twice on one Runtime:
 // the second stream must equal the first (nothing left over, nothing
-// missing), and the buffer must refill the chunk it kept instead of
-// allocating a new first chunk.
+// missing), and the store the first run gave back must hold one empty
+// chunk, which the second run refills instead of allocating a new first
+// chunk.
 func TestTraceBuffersResetBetweenRuns(t *testing.T) {
 	const nodes, work = 4, 64
 	rec := obs.NewRecorder()
 	rt := New(earth.Config{Nodes: nodes, Seed: 1, Tracer: rec})
 	body := seamProgram(nodes, work, eventChunk+100) // spills into a second chunk
-	buf := &rt.events
 
 	rt.Run(body)
 	first := rec.Events()
+	listed := stores.Listed()
+	buf := &listed[len(listed)-1].events
 	if len(buf.full) != 0 || len(buf.cur) != 0 || cap(buf.cur) != eventChunk {
 		t.Fatalf("after a run the buffer holds %d full chunks and a current chunk of len %d cap %d, want one empty chunk",
 			len(buf.full), len(buf.cur), cap(buf.cur))
@@ -402,14 +404,17 @@ func FuzzTraceOrder(f *testing.F) {
 }
 
 // TestTracedRunAllocBudget caps the bytes a traced run allocates beyond an
-// untraced one, per event it emits: the chunk the event is captured in (56
-// bytes), its sort key (24), its share of the bucket counts (1) and its
-// place in the stream the tracer is handed (56), plus the unused tail of
-// the last chunk — 139.0 measured on this run's 86 732 events. The parent
-// commit's capture, sort stream and copy into the Recorder came to 170.2;
-// one more copy of the stream does not fit under the cap.
+// untraced one, per event it emits, once a traced and an untraced run have
+// left the free list a store that fits both (otherwise whichever run is
+// measured first pays the queue growth the other reuses): the chunk the
+// event is captured in (56 bytes, less the one chunk the store keeps), its
+// sort key (24), its share of the bucket counts (1) and its place in the
+// stream the tracer is handed (56), plus the unused tail of the last chunk
+// — 133.8 measured on this run's 86 732 events. The parent commit's fresh
+// chunks came to 139.0; one more copy of the stream does not fit under the
+// cap.
 func TestTracedRunAllocBudget(t *testing.T) {
-	const budget = 145
+	const budget = 135
 	body := enginetest.StormProgram(20, 10000)
 	allocated := func(tr earth.Tracer) uint64 {
 		var before, after runtime.MemStats
@@ -419,6 +424,8 @@ func TestTracedRunAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
+	allocated(obs.NewRecorder())
+	allocated(nil)
 	rec := obs.NewRecorder()
 	traced, untraced := allocated(rec), allocated(nil)
 	perEvent := float64(traced-untraced) / float64(rec.Len())
@@ -431,8 +438,10 @@ func TestTracedRunAllocBudget(t *testing.T) {
 
 // benchmarkRunStorm times whole runs of a 2000-token storm on 20 nodes
 // and reports simulator events per host second. Each iteration builds its
-// Runtime (and Recorder), as earthsim, the harness and the benchmark do: a
-// reused pair would hide the buffer growth a traced run pays.
+// Runtime (and Recorder), as earthsim, the harness and the benchmark do;
+// the queues, envelopes and event heap a run grows come from the free
+// list, as they do there from the second run on, and a traced run still
+// makes all but one of its trace chunks and its sort scratch.
 func benchmarkRunStorm(b *testing.B, traced bool) {
 	body := enginetest.StormProgram(20, 2000)
 	var events uint64

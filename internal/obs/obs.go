@@ -16,8 +16,8 @@
 //
 // simrt hands a finished run's stream over whole (earth.BatchTracer). The
 // slice is read-only for everyone it reaches: Recorder keeps it without
-// copying while it has nothing else, never writes to it, and returns
-// copies from Events; Multi passes the one slice on to each tracer that
+// copying while it has nothing else, never writes to it, and hands it out
+// from Events as it is; Multi passes the one slice on to each tracer that
 // takes batches and replays it to those that do not.
 package obs
 
@@ -32,9 +32,10 @@ import (
 type Recorder struct {
 	mu     sync.Mutex
 	events []earth.Event
-	// adopted says events is a batch an engine handed over, which is
-	// read-only: its cap equals its len, so appending moves the stream to
-	// an array the Recorder owns, and Reset drops it instead of refilling.
+	// adopted says events is read-only — a batch an engine handed over, or
+	// the stream Events handed out: its cap equals its len, so appending
+	// moves the stream to an array the Recorder owns, and Reset drops it
+	// instead of refilling.
 	adopted bool
 }
 
@@ -70,13 +71,15 @@ func (r *Recorder) Len() int {
 	return len(r.events)
 }
 
-// Events returns a copy of the recorded stream in emission order.
+// Events returns the recorded stream in emission order: the Recorder's
+// own slice, not a copy, and read-only from then on. The Recorder adopts
+// it as it adopts a batch, so a later Event, EventBatch or Reset moves to
+// a new array and never writes into what the caller holds.
 func (r *Recorder) Events() []earth.Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]earth.Event, len(r.events))
-	copy(out, r.events)
-	return out
+	r.events, r.adopted = slices.Clip(r.events), true
+	return r.events
 }
 
 // Reset discards all recorded events.

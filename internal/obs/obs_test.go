@@ -429,6 +429,36 @@ func TestRecorderConcurrentEmitAndRead(t *testing.T) {
 	}
 }
 
+// TestEventsHandsOutTheStream: Events returns the Recorder's stream
+// itself, not a copy, and what a caller holds stays as it was through a
+// later Event, EventBatch and Reset, which move to arrays of their own.
+func TestEventsHandsOutTheStream(t *testing.T) {
+	rec := NewRecorder()
+	for i := 0; i < 100; i++ {
+		rec.Event(earth.Event{Kind: earth.EvThreadRun, Time: sim.Time(i)})
+	}
+	held := rec.Events()
+	if &held[0] != &rec.events[0] || cap(held) != len(held) {
+		t.Fatalf("Events copied the stream or handed out its spare capacity (len %d, cap %d)", len(held), cap(held))
+	}
+	if again := rec.Events(); &again[0] != &held[0] {
+		t.Error("a second Events copied the stream")
+	}
+	keep := slices.Clone(held)
+	rec.Event(earth.Event{Kind: earth.EvHandlerRun})
+	rec.EventBatch([]earth.Event{{Kind: earth.EvSyncSignal}})
+	if rec.Len() != len(keep)+2 || !slices.Equal(rec.Events()[:len(keep)], keep) {
+		t.Fatalf("the Recorder holds %d events, want the %d it held and two more", rec.Len(), len(keep))
+	}
+	rec.Reset()
+	for i := 0; i < 200; i++ {
+		rec.Event(earth.Event{Kind: earth.EvPutSend, Time: sim.Time(-i)})
+	}
+	if !slices.Equal(held, keep) {
+		t.Error("an Event, EventBatch or Reset after Events wrote into the stream it handed out")
+	}
+}
+
 func TestPrometheusExposition(t *testing.T) {
 	m := NewMetrics()
 	rec := runTracedSim(t)

@@ -163,6 +163,15 @@ type Engine struct {
 // New returns a fresh engine with the clock at zero.
 func New() *Engine { return &Engine{} }
 
+// Reset returns e to a new engine's state — clock, sequence and event count
+// at zero, nothing queued — keeping the queue's storage: a queue's order
+// does not depend on its capacity, so a reset engine dispatches exactly
+// what a new one would.
+func (e *Engine) Reset() {
+	clear(e.pq)
+	*e = Engine{pq: e.pq[:0]}
+}
+
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -323,4 +324,45 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		}
 	}
 	drain(e)
+}
+
+// TestResetMatchesNew: an engine reset with events still queued keeps its
+// queue's storage, pins none of the dropped callbacks, and then dispatches
+// a random schedule exactly as a new engine does — same order, same clock,
+// same count.
+func TestResetMatchesNew(t *testing.T) {
+	schedule := func(e *Engine, rng *rand.Rand) (order []int) {
+		for i := range 200 {
+			e.At(Time(rng.Intn(50)), func() {
+				order = append(order, i)
+				if i%3 == 0 {
+					e.After(Time(rng.Intn(5)), func() { order = append(order, -i) })
+				}
+			})
+		}
+		drain(e)
+		return order
+	}
+	reused := New()
+	for i := range 1000 {
+		reused.At(Time(i%7), func() {})
+	}
+	reused.Step()
+	grown := cap(reused.pq)
+	reused.Reset()
+	if cap(reused.pq) != grown || reused.Now() != 0 || reused.Events != 0 || reused.seq != 0 {
+		t.Fatalf("after Reset: cap %d (was %d), clock %v, %d events, seq %d", cap(reused.pq), grown, reused.Now(), reused.Events, reused.seq)
+	}
+	for i, ev := range reused.pq[:cap(reused.pq)] {
+		if ev.fn != nil {
+			t.Fatalf("Reset left a callback in slot %d", i)
+		}
+	}
+	fresh := New()
+	want := schedule(fresh, rand.New(rand.NewSource(1)))
+	got := schedule(reused, rand.New(rand.NewSource(1)))
+	if !slices.Equal(got, want) || reused.Now() != fresh.Now() || reused.Events != fresh.Events {
+		t.Fatalf("a reset engine ran %d events to %v, a new one %d to %v, or in another order",
+			reused.Events, reused.Now(), fresh.Events, fresh.Now())
+	}
 }
