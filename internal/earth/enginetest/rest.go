@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"fmt"
 	"reflect"
 	"strconv"
 
@@ -32,6 +33,54 @@ func RingAtRest[T any](q *earth.Ring[T]) bool {
 	}
 	return q.Len() == 0
 }
+
+// LettersAtRest checks the outbox records on ls, as an application's
+// tests do once its runs have given them back: every record's argument at
+// rest (atRest says what is wrong with one, nil for nothing), no handler
+// kept, and a body that runs a handler posted on the record with that
+// record. The last check takes every record through an outbox, posts each
+// once and gives them all back with rest. It returns the number of records
+// and the first fault.
+func LettersAtRest[A any](ls *earth.Letters[A], atRest func(*A) error, rest func(*A)) (int, error) {
+	listed := map[*earth.Letter[A]]bool{}
+	for b, block := range ls.Listed() {
+		v := reflect.ValueOf(block).Elem()
+		for i := range v.Len() {
+			l := v.Index(i).Addr().Interface().(*earth.Letter[A])
+			listed[l] = true
+			if err := atRest(&l.Arg); err != nil {
+				return 0, fmt.Errorf("block %d record %d: %v", b, i, err)
+			}
+			if !v.Index(i).FieldByName("h").IsNil() {
+				return 0, fmt.Errorf("block %d record %d: handler kept", b, i)
+			}
+		}
+	}
+	o := earth.NewOutbox(ls)
+	defer o.Reset(rest)
+	for i := range len(listed) {
+		l := o.Next()
+		if !listed[l] {
+			return 0, fmt.Errorf("record %d taken is not a listed one", i)
+		}
+		var got *earth.Letter[A]
+		c := &postCtx{}
+		l.Post(c, 0, 0, func(_ earth.Ctx, r *earth.Letter[A]) { got = r })
+		if c.body(c); got != l {
+			return 0, fmt.Errorf("record %d: its body serves another record", i)
+		}
+	}
+	return len(listed), nil
+}
+
+// postCtx is a Ctx whose Post keeps the body it is given; nothing else of
+// it may be used.
+type postCtx struct {
+	earth.Ctx
+	body earth.ThreadBody
+}
+
+func (c *postCtx) Post(_ earth.NodeID, _ int, body earth.ThreadBody) { c.body = body }
 
 type visit struct {
 	p uintptr

@@ -1,9 +1,11 @@
 package enginetest
 
 import (
+	"strings"
 	"testing"
 
 	"earth/internal/earth"
+	"earth/internal/earth/livert"
 	"earth/internal/earth/simrt"
 )
 
@@ -184,6 +186,26 @@ func TestSanitizeEventEmitted(t *testing.T) {
 	for _, e := range col.evs {
 		if e.Kind == earth.EvSanitize {
 			t.Errorf("clean run emitted EvSanitize: %+v", e)
+		}
+	}
+}
+
+// TestSanitizedRuntimeIdlesWithoutFrames: once a sanitized run has been
+// scanned, an idle runtime of either engine keeps no frame of it — a
+// frame's threads are the program's closures — although its ledgers
+// listed every frame the run touched.
+func TestSanitizedRuntimeIdlesWithoutFrames(t *testing.T) {
+	cfg := earth.Config{Nodes: 4, Seed: 1, Sanitize: true}
+	for _, rt := range []earth.Runtime{simrt.New(cfg), livert.New(cfg)} {
+		st := rt.Run(StormProgram(4, 50))
+		if st.Sanitize == nil || st.Sanitize.FramesTracked == 0 {
+			t.Fatalf("%T: the sanitized run tracked no frame", rt)
+		}
+		for _, p := range Pins(rt) {
+			if strings.Contains(p, ".threads[") || strings.Contains(p, ".thread0[") {
+				t.Errorf("%T: an idle runtime keeps a frame: %s", rt, p)
+				break
+			}
 		}
 	}
 }

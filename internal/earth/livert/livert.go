@@ -97,7 +97,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -425,9 +424,8 @@ func (rt *Runtime) Run(main earth.ThreadBody) *earth.Stats {
 			defer wg.Done()
 			// Label the executor goroutine so CPU/goroutine profiles
 			// scraped through the debug server attribute samples per node.
-			pprof.Do(context.Background(),
-				pprof.Labels("earth_node", strconv.Itoa(int(n.id))),
-				func(lctx context.Context) { n.loop(lctx) })
+			pprof.SetGoroutineLabels(n.labels)
+			n.loop(n.labels)
 		}(n)
 	}
 	rt.take.Reset()

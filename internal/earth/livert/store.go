@@ -1,14 +1,17 @@
 package livert
 
 // The storage a run grows. Each node's three rings, its executor's handler
-// batch, coalescer and idle-wait timer live in a store, lent to a Run from
-// the package's one free list and given back once every executor and timer
-// is done, so a runtime built per run — as the benchmark and the harness
-// build them — starts on rings an earlier run grew, and an idle Runtime
-// holds none.
+// batch, coalescer, idle-wait timer and profiler labels live in a store,
+// lent to a Run from the package's one free list and given back once every
+// executor and timer is done, so a runtime built per run — as the
+// benchmark and the harness build them — starts on rings an earlier run
+// grew, and an idle Runtime holds none.
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
+	"strconv"
 	"time"
 
 	"earth/internal/earth"
@@ -37,6 +40,9 @@ type lane struct {
 	// any expiry not yet received, so a lane's next user never sees one of
 	// an earlier run.
 	idle *time.Timer
+	// labels carries the executor's earth_node profiler label (loop), built
+	// once for the lane: lane i serves node i in every run.
+	labels context.Context
 }
 
 // lend takes a store for one Run, before any executor starts.
@@ -48,6 +54,9 @@ func (rt *Runtime) lend() {
 	rt.store = st
 	for i, n := range rt.nodes {
 		n.lane = &st.lanes[i]
+		if n.labels == nil {
+			n.labels = pprof.WithLabels(context.Background(), pprof.Labels("earth_node", strconv.Itoa(int(n.id))))
+		}
 	}
 }
 

@@ -60,9 +60,10 @@ func storeRun(cfg earth.Config) (*earth.Stats, []earth.Event) {
 	return st, rec.Events()
 }
 
-// idleTimer matches the one reference a given-back lane keeps: its
-// stopped idle-wait timer's channel.
-var idleTimer = regexp.MustCompile(`^\.lanes\[\d+\]\.idle\.C$`)
+// idleTimer matches the two references a given-back lane keeps: its
+// stopped idle-wait timer's channel and its executor's profiler label set,
+// which holds the lane's node id and nothing of a run.
+var idleTimer = regexp.MustCompile(`^\.lanes\[\d+\]\.(idle\.C|labels)$`)
 
 // TestEngineStoragePinsNothing runs every storage cell and then walks the
 // free list: no store may keep a reference to anything of the runs that
@@ -106,14 +107,14 @@ func TestEngineStoragePinsNothing(t *testing.T) {
 // TestRunAllocBudget: once a store fits the storm, a second New+Run of the
 // same 20-node storm allocates what New does, the program's own objects —
 // per token the token closure, the thread closure, the fetched word and
-// one frame — and a per-run remainder under eight objects per node: each
-// executor's goroutine and profiler labels, Stats, the done channel, and
-// the node's random stream, which belongs to the runtime. 145 here; the
-// parent commit, which grew the rings in every runtime and made a timer
-// for every idle wait, measured 466 to 480, and one object per message
-// would be thousands.
+// one frame — and a per-run remainder under five objects per node: each
+// executor's goroutine, Stats, the done channel, and the node's random
+// stream, which belongs to the runtime. 85 here. Profiler labels built
+// for every executor on every Run, not once per lane, made it 145; rings
+// grown in every runtime and a timer made for every idle wait made it 466
+// to 480; and one object per message would be thousands.
 func TestRunAllocBudget(t *testing.T) {
-	const nodes, tokens, perNode = 20, 2000, 8
+	const nodes, tokens, perNode = 20, 2000, 5
 	body := enginetest.StormProgram(nodes, tokens)
 	cfg := earth.Config{Nodes: nodes, Seed: 1}
 	New(cfg).Run(body)

@@ -118,9 +118,8 @@ func (l *FreeList[T]) Put(v *T) {
 	l.mu.Unlock()
 }
 
-// Listed returns the values on the list, the one given back first first.
-//
-//unref:allow test oracle: both engines' tests walk their free list to check that a given-back store is at rest
+// Listed returns the values on the list, the one given back first first:
+// tests walk a free list to check that what was given back is at rest.
 func (l *FreeList[T]) Listed() []*T {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -249,7 +249,15 @@ type SanLedger struct {
 // Reset empties the ledger for a run, which it tracks when on
 // (Config.Sanitize).
 func (l *SanLedger) Reset(on bool) {
-	l.on, l.frames = on, l.frames[:0]
+	l.on = on
+	l.drop()
+}
+
+// drop forgets the ledgered frames and keeps the capacity: an idle runtime
+// must not keep its last run's frames, and their threads, alive.
+func (l *SanLedger) drop() {
+	clear(l.frames)
+	l.frames = l.frames[:0]
 }
 
 // Track attaches the signal ledger to f on its first engine contact and
@@ -264,8 +272,9 @@ func (l *SanLedger) Track(f *Frame) {
 }
 
 // ScanLedgers is the engines' end-of-run sanitizer step: sanitizeScan over
-// the frames of every node's ledger, gathered in node order. It returns
-// nil, and emits nothing, for a run that was not sanitized.
+// the frames of every node's ledger, gathered in node order, which leaves
+// the ledgers empty. It returns nil, and emits nothing, for a run that was
+// not sanitized.
 func ScanLedgers[N any](nodes []N, ledger func(N) *SanLedger, makespan sim.Time, sink Sink) *SanitizeReport {
 	var frames []*Frame
 	for _, n := range nodes {
@@ -274,6 +283,7 @@ func ScanLedgers[N any](nodes []N, ledger func(N) *SanLedger, makespan sim.Time,
 			return nil
 		}
 		frames = append(frames, l.frames...)
+		l.drop()
 	}
 	return sanitizeScan(frames, makespan, sink)
 }

@@ -76,7 +76,28 @@ type taskState struct {
 	res       *Result // owned by node 0
 	tasks     []int   // per-node, owned by each node
 	sturms    []int
+	// out holds each node's task records, taken by the executing node
+	// (c.Node()): a token runs on whichever node steals it.
+	out []earth.Outbox[task]
 }
+
+// task is the argument of one task record: the search node's interval and
+// the node whose outbox holds the record. A record is a token's argument
+// (block move), the five GET sources an individual task fetches from its
+// parent's node, or the fields it fetched, read by its frame's thread.
+type task struct {
+	st   *taskState
+	iv   Interval
+	from earth.NodeID
+}
+
+// restTask puts a record's argument at rest.
+var restTask = func(a *task) { *a = task{} }
+
+// letters holds the task records of finished runs, in blocks that any
+// run's outboxes take: a sweep keeps about as many records as its
+// concurrent runs once held at the same time.
+var letters earth.Letters[task]
 
 // ParallelBisect computes all eigenvalues of t on the EARTH runtime rt.
 // The matrix is assumed replicated (it is read-only shared state); the
@@ -93,6 +114,10 @@ func ParallelBisect(rt earth.Runtime, t *SymTridiag, cfg ParallelConfig) *Parall
 		res:    newResult(),
 		tasks:  make([]int, rt.P()),
 		sturms: make([]int, rt.P()),
+		out:    make([]earth.Outbox[task], rt.P()),
+	}
+	for i := range st.out {
+		st.out[i] = earth.NewOutbox(&letters)
 	}
 
 	stats := rt.Run(func(c earth.Ctx) {
@@ -102,9 +127,13 @@ func ParallelBisect(rt earth.Runtime, t *SymTridiag, cfg ParallelConfig) *Parall
 		if root.Count() <= 0 {
 			return
 		}
+		st.res.Eigenvalues = make([]float64, 0, root.Count())
 		st.spawn(c, root)
 	})
 
+	for i := range st.out {
+		st.out[i].Reset(restTask)
+	}
 	for i := range st.tasks {
 		st.res.Tasks += st.tasks[i]
 		st.res.SturmCounts += st.sturms[i]
@@ -113,30 +142,47 @@ func ParallelBisect(rt earth.Runtime, t *SymTridiag, cfg ParallelConfig) *Parall
 	return &ParallelResult{Result: *st.res, Stats: stats}
 }
 
+// letter returns an unused record of the executing node's outbox holding
+// iv.
+func (st *taskState) letter(c earth.Ctx, iv Interval) *earth.Letter[task] {
+	l := st.out[c.Node()].Next()
+	l.Arg = task{st: st, iv: iv, from: c.Node()}
+	return l
+}
+
 // spawn creates the task for one search node as a TOKEN subject to the
 // runtime's dynamic load balancing.
 func (st *taskState) spawn(c earth.Ctx, iv Interval) {
-	parent := c.Node()
-	switch st.cfg.Args {
-	case ArgsIndividual:
+	l := st.letter(c, iv)
+	if st.cfg.Args == ArgsIndividual {
 		// The token carries a frame reference only; the task fetches the
-		// five argument fields from the parent's node individually.
-		// args lives on the parent until all five gets complete.
-		args := iv
-		c.Token(8, func(c earth.Ctx) {
-			var got Interval
-			f := earth.NewFrame(c.Node(), 1, 1)
-			f.InitSync(0, 5, 0, 0)
-			f.SetThread(0, func(c earth.Ctx) { st.run(c, got) })
-			earth.GetSyncF64(c, parent, &args.Lo, &got.Lo, f, 0)
-			earth.GetSyncF64(c, parent, &args.Hi, &got.Hi, f, 0)
-			earth.GetSyncI64(c, parent, &args.NLo, &got.NLo, f, 0)
-			earth.GetSyncI64(c, parent, &args.NHi, &got.NHi, f, 0)
-			earth.GetSyncI64(c, parent, &args.Depth, &got.Depth, f, 0)
-		})
-	default: // ArgsBlockMove
-		c.Token(argBytes, func(c earth.Ctx) { st.run(c, iv) })
+		// five argument fields from the record on the parent's node.
+		l.Token(c, 8, fetchArgs)
+		return
 	}
+	l.Token(c, argBytes, runTask)
+}
+
+// runTask runs a task on its record's interval: a block-move token's
+// handler, and an individual task's thread once its five fields arrived.
+func runTask(c earth.Ctx, l *earth.Letter[task]) { l.Arg.st.run(c, l.Arg.iv) }
+
+// fetchArgs is an individual task's token handler: it fetches the five
+// fields of the parent's record l into a record of the executing node's
+// outbox, whose body the one-slot frame's thread is. Each firing of the
+// token gets its own destination.
+func fetchArgs(c earth.Ctx, l *earth.Letter[task]) {
+	args := &l.Arg.iv
+	got := l.Arg.st.letter(c, Interval{})
+	dst := &got.Arg.iv
+	f := earth.NewFrame(c.Node(), 1, 1)
+	f.InitSync(0, 5, 0, 0)
+	f.SetThread(0, got.Thread(runTask))
+	earth.GetSyncF64(c, l.Arg.from, &args.Lo, &dst.Lo, f, 0)
+	earth.GetSyncF64(c, l.Arg.from, &args.Hi, &dst.Hi, f, 0)
+	earth.GetSyncI64(c, l.Arg.from, &args.NLo, &dst.NLo, f, 0)
+	earth.GetSyncI64(c, l.Arg.from, &args.NHi, &dst.NHi, f, 0)
+	earth.GetSyncI64(c, l.Arg.from, &args.Depth, &dst.Depth, f, 0)
 }
 
 // run is the task body: one bisection step, then either emit a leaf or

@@ -87,6 +87,22 @@ func TestParallelOnLiveRuntime(t *testing.T) {
 	}
 }
 
+// TestArgVariantsOnLiveRuntime: both argument variants give the
+// sequential answer on livert, where a token's record is read by the
+// executor that stole it and an individual task's five GETs land in a
+// record of the executing node's outbox; run under -race.
+func TestArgVariantsOnLiveRuntime(t *testing.T) {
+	m := Clustered(120, 12, 4)
+	tol := 1e-6
+	seq := Bisect(m, tol)
+	for _, args := range []ArgVariant{ArgsBlockMove, ArgsIndividual} {
+		par := ParallelBisect(livert.New(earth.Config{Nodes: 4, Seed: 8}), m, ParallelConfig{Tol: tol, Args: args})
+		if !reflect.DeepEqual(par.Result, *seq) {
+			t.Errorf("%v: the livert run's Result differs from Bisect's", args)
+		}
+	}
+}
+
 func TestRandomPlacementAblation(t *testing.T) {
 	// Random placement (the Multipol strategy) must not change results,
 	// only the schedule.
