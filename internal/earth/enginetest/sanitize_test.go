@@ -202,7 +202,10 @@ func TestSanitizedRuntimeIdlesWithoutFrames(t *testing.T) {
 			t.Fatalf("%T: the sanitized run tracked no frame", rt)
 		}
 		for _, p := range Pins(rt) {
-			if strings.Contains(p, ".threads[") || strings.Contains(p, ".thread0[") {
+			// A frame's threads are its pins, or a ledger slot past its
+			// length keeps the frame whole.
+			if strings.Contains(p, ".thread0[") || strings.Contains(p, ".ext.threads[") ||
+				strings.Contains(p, ".San.frames[") {
 				t.Errorf("%T: an idle runtime keeps a frame: %s", rt, p)
 				break
 			}

@@ -3,6 +3,7 @@ package earth
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -240,46 +241,100 @@ func TestSanitizeModeRecordsInsteadOfPanicking(t *testing.T) {
 var frameSink *Frame
 
 // TestNewFrameOneAllocation pins the layout the applications rely on: a
-// frame with at most one thread and one slot is a single heap object no
-// larger than the 96-byte size class.
+// frame with at most one thread and one slot is a single 48-byte heap
+// object, which is its size class.
 func TestNewFrameOneAllocation(t *testing.T) {
-	for _, shape := range [][2]int{{1, 1}, {1, 0}} {
+	if sz := unsafe.Sizeof(Frame{}); sz != 48 {
+		t.Errorf("Frame is %d bytes, want 48", sz)
+	}
+	for _, shape := range [][2]int{{1, 1}, {1, 0}, {0, 1}, {0, 0}} {
 		n := testing.AllocsPerRun(100, func() { frameSink = NewFrame(0, shape[0], shape[1]) })
 		if n != 1 {
 			t.Errorf("NewFrame(_, %d, %d) makes %v allocations, want 1", shape[0], shape[1], n)
 		}
 	}
-	if sz := unsafe.Sizeof(Frame{}); sz > 96 {
-		t.Errorf("Frame is %d bytes, want <= 96", sz)
+	const frames = 10000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range frames {
+		frameSink = NewFrame(0, 1, 1)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / frames; per != 48 {
+		t.Errorf("NewFrame(_, 1, 1) allocates %d bytes, want 48", per)
+	}
+}
+
+// TestBeginSanitizeOneAllocation: attaching the sanitizer's ledger to a
+// frame of the shapes the applications build costs one allocation, the
+// side record that holds it, and attaching it again costs none.
+func TestBeginSanitizeOneAllocation(t *testing.T) {
+	for _, shape := range [][2]int{{1, 1}, {1, 0}} {
+		n := testing.AllocsPerRun(100, func() {
+			f := NewFrame(0, shape[0], shape[1])
+			f.BeginSanitize()
+			f.BeginSanitize()
+			frameSink = f
+		})
+		if n != 2 {
+			t.Errorf("NewFrame(_, %d, %d) and BeginSanitize make %v allocations, want 2", shape[0], shape[1], n)
+		}
+	}
+	if sz := unsafe.Sizeof(frameExt{}); sz > 80 {
+		t.Errorf("the side record is %d bytes, want <= 80", sz)
 	}
 }
 
 // TestFrameShapesBeyondInline drives a frame too large for the inline
-// arrays, and an empty one, through the whole accessor set.
+// fields, with and without the sanitizer's ledger, and an empty one,
+// through the whole accessor set.
 func TestFrameShapesBeyondInline(t *testing.T) {
-	f := NewFrame(1, 2, 3)
-	ran := -1
-	f.SetThread(0, func(Ctx) { ran = 0 }).SetThread(1, func(Ctx) { ran = 1 })
-	f.InitSync(0, 1, 0, 0).InitSync(1, 2, 2, 1).InitSync(2, 2, 0, 1)
-	if fired, th := f.Dec(0); !fired || th != 0 {
-		t.Errorf("slot 0: fired=%v thread=%d, want true, 0", fired, th)
-	}
-	if fired, _ := f.Dec(1); fired {
-		t.Error("slot 1 fired on the first of two signals")
-	}
-	if fired, _ := f.Dec(2); fired {
-		t.Error("slot 2 fired on the first of two signals")
-	}
-	fired, th := f.Dec(1)
-	if !fired || th != 1 {
-		t.Errorf("slot 1: fired=%v thread=%d, want true, 1", fired, th)
-	}
-	if again, _ := f.Dec(1); again {
-		t.Error("slot 1 fired on the first signal after its reset to 2")
-	}
-	f.ThreadBody(th)(nil)
-	if ran != 1 {
-		t.Errorf("ThreadBody(%d) ran thread %d", th, ran)
+	for _, sanitized := range []bool{false, true} {
+		f := NewFrame(1, 2, 3)
+		if sanitized {
+			f.BeginSanitize()
+		}
+		ran := -1
+		f.SetThread(0, func(Ctx) { ran = 0 }).SetThread(1, func(Ctx) { ran = 1 })
+		f.InitSync(0, 1, 0, 0).InitSync(1, 2, 2, 1).InitSync(2, 2, 0, 1)
+		if fired, th := f.Dec(0); !fired || th != 0 {
+			t.Errorf("sanitized=%v slot 0: fired=%v thread=%d, want true, 0", sanitized, fired, th)
+		}
+		if fired, _ := f.Dec(1); fired {
+			t.Errorf("sanitized=%v: slot 1 fired on the first of two signals", sanitized)
+		}
+		if fired, _ := f.Dec(2); fired {
+			t.Errorf("sanitized=%v: slot 2 fired on the first of two signals", sanitized)
+		}
+		fired, th := f.Dec(1)
+		if !fired || th != 1 {
+			t.Errorf("sanitized=%v slot 1: fired=%v thread=%d, want true, 1", sanitized, fired, th)
+		}
+		if again, _ := f.Dec(1); again {
+			t.Errorf("sanitized=%v: slot 1 fired on the first signal after its reset to 2", sanitized)
+		}
+		f.ThreadBody(th)(nil)
+		if ran != 1 {
+			t.Errorf("sanitized=%v: ThreadBody(%d) ran thread %d", sanitized, th, ran)
+		}
+		overflow := func() { f.Dec(0) }
+		if msg := panicMessage(overflow); sanitized != (msg == "") {
+			t.Errorf("sanitized=%v: a signal to exhausted slot 0 panicked with %q", sanitized, msg)
+		}
+		if !sanitized {
+			continue
+		}
+		// Thread 0 never dispatched, slot 0 swallowed one signal and slot 2
+		// is still armed.
+		want := []SanitizeFinding{
+			{Kind: SanOverflow, Home: 1, Threads: 2, Slots: 3, Index: 0, Count: 1, Frames: 1},
+			{Kind: SanPendingSlot, Home: 1, Threads: 2, Slots: 3, Index: 2, Count: 1, Frames: 1},
+			{Kind: SanThreadNeverRan, Home: 1, Threads: 2, Slots: 3, Index: 0, Frames: 1},
+		}
+		rep := BuildSanitizeReport([]*Frame{f})
+		if rep.FramesTracked != 1 || rep.SlotsTracked != 3 || !slices.Equal(rep.Findings, want) {
+			t.Errorf("sanitized (2,3) frame: report\n%swant 1 frame, 3 slots and %+v", rep, want)
+		}
 	}
 
 	e := NewFrame(0, 0, 0)
@@ -291,6 +346,9 @@ func TestFrameShapesBeyondInline(t *testing.T) {
 		if msg := panicMessage(op); msg == "" {
 			t.Errorf("%s on an empty frame did not panic", name)
 		}
+	}
+	if msg := panicMessage(func() { NewFrame(0, math.MaxInt32+1, 0) }); !strings.Contains(msg, "ends at") {
+		t.Errorf("NewFrame past the thread range: panic %q, want one naming its end", msg)
 	}
 }
 
@@ -306,7 +364,7 @@ func panicMessage(f func()) (msg string) {
 }
 
 // TestSanitizeInlineFrameMatchesLarge misuses slot 0 and thread 0 of an
-// inline-backed frame and of a (2,2) one in the same way: the scan reports
+// inline-backed frame and of wider ones in the same way: the scan reports
 // the same findings and events, the frame's recorded shape aside.
 func TestSanitizeInlineFrameMatchesLarge(t *testing.T) {
 	scan := func(nthreads, nslots int) ([]SanitizeFinding, []Event) {
@@ -329,15 +387,19 @@ func TestSanitizeInlineFrameMatchesLarge(t *testing.T) {
 		return rep.Findings, evs
 	}
 	inF, inE := scan(1, 1)
-	bigF, bigE := scan(2, 2)
 	if len(inF) != 2 {
 		t.Fatalf("inline frame: %d findings, want overflow and thread-never-ran: %+v", len(inF), inF)
 	}
-	if !slices.Equal(inF, bigF) {
-		t.Errorf("findings differ:\ninline %+v\n(2,2)  %+v", inF, bigF)
-	}
-	if !slices.Equal(inE, bigE) {
-		t.Errorf("events differ:\ninline %+v\n(2,2)  %+v", inE, bigE)
+	// (2,1) and (1,2) keep one dimension inline and their ledger in the
+	// side record's own words; (2,2) and (3,3) need a ledger of their own.
+	for _, shape := range [][2]int{{2, 1}, {1, 2}, {2, 2}, {3, 3}} {
+		bigF, bigE := scan(shape[0], shape[1])
+		if !slices.Equal(inF, bigF) {
+			t.Errorf("findings differ:\ninline %+v\n%v  %+v", inF, shape, bigF)
+		}
+		if !slices.Equal(inE, bigE) {
+			t.Errorf("events differ:\ninline %+v\n%v  %+v", inE, shape, bigE)
+		}
 	}
 }
 

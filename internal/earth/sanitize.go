@@ -186,25 +186,27 @@ func BuildSanitizeReport(frames []*Frame) *SanitizeReport {
 	counts := map[SanitizeFinding]int{}
 	add := func(k SanitizeKind, f *Frame, idx int, c int64) {
 		counts[SanitizeFinding{Kind: k, Home: f.Home,
-			Threads: len(f.threads), Slots: len(f.slots), Index: idx, Count: c}]++
+			Threads: int(f.nthreads), Slots: int(f.nslots), Index: idx, Count: c}]++
 	}
 	for _, f := range frames {
-		if f == nil || f.san == nil {
+		if f == nil || !f.Sanitized() {
 			continue
 		}
+		ran, overflow := f.ledger()
+		slots := f.slots()
 		r.FramesTracked++
-		r.SlotsTracked += len(f.slots)
-		for s := range f.slots {
-			sl := &f.slots[s]
-			if n := f.san.overflow[s]; n > 0 {
+		r.SlotsTracked += len(slots)
+		for s := range slots {
+			sl := &slots[s]
+			if n := overflow[s]; n > 0 {
 				add(SanOverflow, f, s, int64(n))
 			}
 			if sl.inited && sl.reset == 0 && sl.count > 0 {
 				add(SanPendingSlot, f, s, int64(sl.count))
 			}
 		}
-		for t := range f.threads {
-			if f.threads[t] != nil && !f.san.ran[t] {
+		for t, body := range f.threads() {
+			if body != nil && ran[t] == 0 {
 				add(SanThreadNeverRan, f, t, 0)
 			}
 		}

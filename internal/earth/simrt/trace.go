@@ -2,12 +2,9 @@
 //
 // A traced run buffers every event in emission order (eventBuf), and when
 // the run completes flushTrace puts the buffer in the canonical order
-// eventCmp defines and gives the tracer the whole stream in one call. An
-// event is 56 bytes and eventCmp reads up to nine of its fields, so the
-// sort does not touch events: it orders one 24-byte traceKey per event —
-// Time, then the next five fields of the comparison chain packed into one
-// word, then the event's position in the buffer — and each event is copied
-// exactly once, from its chunk to its final place in the stream.
+// eventCmp defines and gives the tracer the whole stream in one call. Each
+// event is copied exactly once, from its chunk into its Time bucket of the
+// stream, and then sorted inside that bucket in place.
 package simrt
 
 import (
@@ -18,11 +15,8 @@ import (
 	"earth/internal/sim"
 )
 
-const (
-	// eventChunk is the number of events per eventBuf chunk.
-	eventChunk     = 1 << eventChunkBits
-	eventChunkBits = 13
-)
+// eventChunk is the number of events per eventBuf chunk.
+const eventChunk = 1 << 13
 
 // eventBuf buffers the run's trace events; its pointer is the tracer
 // behind the earth.Sink the protocol core emits into. The stream is a list
@@ -30,9 +24,10 @@ const (
 // buffered; drain copies each event once, into the stream the tracer gets.
 //
 // The buffer lives in the run's store but keeps only one chunk for later
-// runs, and drain's sort scratch none: a store that kept a large traced
-// run's chunks and keys (18 MB after the benchmark's traced storm) would
-// stay that large for the life of the process.
+// runs, and drain's bucket counts none: a store that kept a large traced
+// run's chunks (18 MB with the sort keys they once had, after the
+// benchmark's traced storm) would stay that large for the life of the
+// process.
 type eventBuf struct {
 	full [][]earth.Event // filled chunks, oldest first
 	cur  []earth.Event   // the chunk being filled
@@ -124,54 +119,23 @@ func eventCmp(a, b *earth.Event) int {
 	return cmp.Compare(a.Bytes, b.Bytes)
 }
 
-// traceKey stands in for one buffered event while the stream is sorted.
-// (time, rest) is a prefix of eventCmp's comparison chain, so two keys that
-// differ in either word order as their events do; keys equal in both are
-// decided by eventCmp on the events themselves.
-type traceKey struct {
-	time sim.Time
-	rest uint64 // packRest of the event, or 0 in every key of a wide stream
-	idx  int    // the event's position in the buffer
-}
-
-// packedIDBits is the width of Node and of Peer+1 in traceKey.rest:
-// 22 + 4 (phaseRank) + 8 (Kind) + 8 (Cause) + 22 = 64.
-const packedIDBits = 22
-
-// packRest packs Node, phaseRank, Kind, Cause and Peer — the fields
-// eventCmp compares after Time, in its order, most significant first — into
-// one word that compares as they do. Peer is stored as Peer+1 so NoPeer
-// sorts first. ok is false for an event whose Node or Peer does not fit.
-func packRest(e *earth.Event) (rest uint64, ok bool) {
-	node, peer := uint64(e.Node), uint64(e.Peer+1)
-	if node>>packedIDBits != 0 || peer>>packedIDBits != 0 {
-		return 0, false
-	}
-	return node<<42 | uint64(phaseRank(e.Kind))<<38 | uint64(e.Kind)<<30 |
-		uint64(e.Cause)<<22 | peer, true
-}
-
-// drain empties the buffer and returns its events in canonical order, as
-// a new slice of exactly their number. The result is eventCmp's order for
-// every input: a stream with an event packRest cannot pack (a machine of
-// more than 4M nodes) sorts with rest zero in every key, that is by Time
-// and then eventCmp.
+// drain empties the buffer and returns its events in canonical order
+// (eventCmp's), as a new slice of exactly their number.
 //
-// The keys are not sorted as one array. A run emits its events nearly in
+// The stream is not sorted as one array. A run emits its events nearly in
 // time order and spreads them evenly over its makespan, so a counting pass
-// distributes the keys over equal-width Time buckets of about eight keys
-// each and only the inside of each bucket is sorted. Buckets are an
-// optimisation of the common case and never worse than one sort of
-// everything: with one Time for every event, or one outlier stretching the
-// range, (nearly) all keys share a bucket, which pdqsort sorts in
-// O(n log n).
+// distributes the events, straight from the chunks, over equal-width Time
+// buckets of about eight events each in the output, and only the inside of
+// each bucket is sorted there, in place. Buckets are an optimisation of the
+// common case and never worse than one sort of everything: with one Time
+// for every event, or one outlier stretching the range, (nearly) all events
+// share a bucket, which pdqsort sorts in O(n log n).
 func (b *eventBuf) drain() []earth.Event {
 	n := b.len()
 	if n == 0 {
 		return nil
 	}
 	chunks := append(b.full, b.cur)
-	at := func(i int) *earth.Event { return &chunks[i>>eventChunkBits][i&(eventChunk-1)] }
 
 	lo, hi := chunks[0][0].Time, chunks[0][0].Time
 	for _, c := range chunks {
@@ -187,8 +151,8 @@ func (b *eventBuf) drain() []earth.Event {
 	}
 	bucket := func(t sim.Time) int { return int((uint64(t) - uint64(lo)) >> shift) }
 
-	// end[k] counts bucket k's keys, then is the index its next key goes
-	// to, and after the scatter is where the bucket ends.
+	// end[k] counts bucket k's events, then is the index its next event
+	// goes to, and after the scatter is where the bucket ends.
 	end := make([]int, bucket(hi)+1)
 	for _, c := range chunks {
 		for i := range c {
@@ -200,45 +164,21 @@ func (b *eventBuf) drain() []earth.Event {
 		end[k] = sum
 		sum += cnt
 	}
-	keys := make([]traceKey, n)
-	idx, wide := 0, false
+	out := make([]earth.Event, n)
 	for _, c := range chunks {
 		for i := range c {
-			e := &c[i]
-			rest, ok := packRest(e)
-			wide = wide || !ok
-			k := bucket(e.Time)
-			keys[end[k]] = traceKey{time: e.Time, rest: rest, idx: idx}
+			k := bucket(c[i].Time)
+			out[end[k]] = c[i]
 			end[k]++
-			idx++
-		}
-	}
-	if wide {
-		for i := range keys {
-			keys[i].rest = 0
 		}
 	}
 
-	keyCmp := func(x, y traceKey) int {
-		if c := cmp.Compare(x.time, y.time); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.rest, y.rest); c != 0 {
-			return c
-		}
-		return eventCmp(at(x.idx), at(y.idx))
-	}
 	start := 0
 	for _, e := range end {
 		if e-start > 1 {
-			slices.SortFunc(keys[start:e], keyCmp)
+			slices.SortFunc(out[start:e], func(x, y earth.Event) int { return eventCmp(&x, &y) })
 		}
 		start = e
-	}
-
-	out := make([]earth.Event, n)
-	for i := range keys {
-		out[i] = *at(keys[i].idx)
 	}
 	b.reset()
 	return out

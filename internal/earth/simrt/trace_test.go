@@ -259,12 +259,13 @@ const (
 	numLevels
 )
 
-// idEdges are Node and Peer values around lastID, the largest packRest
-// can pack as a Node (a Peer is packed as Peer+1, so its last is one
-// lower). An id set is a prefix of it for each field: small ids; ids up to
-// the last that fits; a Node, or a Peer, just past it while the other
-// field still fits; and ids no machine has.
-const lastID = 1<<packedIDBits - 1
+// idEdges are Node and Peer values around lastID = 2^22 - 1, the edge of
+// a 22-bit id field, and beyond: an id set is a prefix of it for each
+// field: small ids; ids up to that edge; a Node, or a Peer, just past it
+// while the other field stays within it; and ids no machine has. The sort
+// compares whole ids, so no width is special to it; the edges stay to
+// catch a sort that packs ids into fewer bits than they hold.
+const lastID = 4194303
 
 var (
 	idEdges = []earth.NodeID{0, 1, 2, 19, lastID - 2, lastID - 1, lastID, lastID + 1, lastID + 2,
@@ -279,7 +280,7 @@ var (
 // picks the Time distribution of the levels left free: 0 a range about as
 // wide as n, 1 the whole int64 range, 2 a narrow range with one outlier at
 // each end of int64, 3 negative and positive around zero. ids picks the id
-// set: with 0 and 1 every event packs, from 2 on the stream is wide.
+// set: with 0 and 1 every id is within 22 bits, from 2 on some are past it.
 func genTraceEvents(rng *rand.Rand, n, tied int, shape, ids uint8) []earth.Event {
 	draw := func(e *earth.Event, from int) {
 		if from <= lvTime {
@@ -364,12 +365,11 @@ func checkTraceOrder(t *testing.T, evs []earth.Event) {
 	}
 }
 
-// TestTraceSortMatchesEventCmp is the oracle of the keyed sort: for event
-// multisets tied down to every level of the comparison chain, with ids up
-// to the packed width and ids beyond it (the fall-through to eventCmp on a
-// wide machine), over every Time shape including one Time for all and a
-// single outlier, and at lengths around the chunk seams, drain's output
-// equals slices.SortFunc with eventCmp element for element.
+// TestTraceSortMatchesEventCmp is the oracle of the bucket sort: for event
+// multisets tied down to every level of the comparison chain, with ids
+// within 22 bits and ids beyond, over every Time shape including one Time
+// for all and a single outlier, and at lengths around the chunk seams,
+// drain's output equals slices.SortFunc with eventCmp element for element.
 func TestTraceSortMatchesEventCmp(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, n := range []int{0, 1, 2, 7, 100, eventChunk - 1, eventChunk, eventChunk + 1, 3*eventChunk + 17} {
@@ -381,7 +381,7 @@ func TestTraceSortMatchesEventCmp(t *testing.T) {
 							continue // every event has the one Time: its shape does not matter
 						}
 						if n > 100 && tied > lvNode && tied < numLevels {
-							continue // the packing is settled on short streams; long ones are for buckets and chunks
+							continue // the tie levels are settled on short streams; long ones are for buckets and chunks
 						}
 						t.Logf("tied=%d shape=%d ids=%d", tied, shape, ids)
 						checkTraceOrder(t, genTraceEvents(rng, n, tied, shape, ids))
@@ -408,13 +408,13 @@ func FuzzTraceOrder(f *testing.F) {
 // left the free list a store that fits both (otherwise whichever run is
 // measured first pays the queue growth the other reuses): the chunk the
 // event is captured in (56 bytes, less the one chunk the store keeps), its
-// sort key (24), its share of the bucket counts (1) and its place in the
-// stream the tracer is handed (56), plus the unused tail of the last chunk
-// — 133.8 measured on this run's 86 732 events. The parent commit's fresh
-// chunks came to 139.0; one more copy of the stream does not fit under the
-// cap.
+// share of the bucket counts (1) and its place in the stream the tracer is
+// handed (56), plus the unused tail of the last chunk — 109.7 measured on
+// this run's 86 732 events. A 24-byte sort key per event, as the stream
+// was once sorted through, came to 133.8, and does not fit under the cap;
+// nor does one more copy of the stream.
 func TestTracedRunAllocBudget(t *testing.T) {
-	const budget = 135
+	const budget = 111
 	body := enginetest.StormProgram(20, 10000)
 	allocated := func(tr earth.Tracer) uint64 {
 		var before, after runtime.MemStats
@@ -441,7 +441,7 @@ func TestTracedRunAllocBudget(t *testing.T) {
 // Runtime (and Recorder), as earthsim, the harness and the benchmark do;
 // the queues, envelopes and event heap a run grows come from the free
 // list, as they do there from the second run on, and a traced run still
-// makes all but one of its trace chunks and its sort scratch.
+// makes all but one of its trace chunks and its bucket counts.
 func benchmarkRunStorm(b *testing.B, traced bool) {
 	body := enginetest.StormProgram(20, 2000)
 	var events uint64

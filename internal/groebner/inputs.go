@@ -3,6 +3,8 @@ package groebner
 import (
 	"fmt"
 	"math/big"
+	"slices"
+	"sync"
 
 	"earth/internal/poly"
 )
@@ -112,7 +114,24 @@ type NamedInput struct {
 // are GF(32003) — the standard device for bounding coefficient growth —
 // and pair elimination uses the coprime criterion only, matching the task
 // counts of the era's Buchberger implementations. See DESIGN.md.
+//
+// The systems are built once per process and shared ("Inputs are built
+// once" in DESIGN.md): rings and polynomials are immutable, and each call
+// returns a slice of its own whose F is capacity-clipped, so a caller's
+// append cannot write into the shared systems.
 func PaperInputs() []NamedInput {
+	ins := slices.Clone(paperInputs())
+	for i := range ins {
+		ins[i].F = slices.Clip(ins[i].F)
+	}
+	return ins
+}
+
+// paperInputs is the one build of buildPaperInputs; a test may swap it
+// for a fresh one.
+var paperInputs = sync.OnceValue(buildPaperInputs)
+
+func buildPaperInputs() []NamedInput {
 	opt := Options{NoChainCriterion: true}
 	lr := LazardRing(poly.GrLex{}, 32003)
 	k4r := KatsuraRing(4, poly.GrLex{}, 32003)
